@@ -969,20 +969,23 @@ pub struct ServingBench {
     /// Dirty-group (partial) recomputations the warm session performed during
     /// the update arm — evidence the delta path, not a rebuild, served it.
     pub warm_partial_recomputes: u64,
-    /// Facts in the scaled-up instance of the write-cost arm (~10x `facts`).
+    /// Facts in the scaled-up instance of the write-cost arm (~10x `facts`:
+    /// the written relation grown 20x, the other unchanged).
     pub large_facts: usize,
     /// Best per-write commit latency (ms) on the warm session over the base
     /// instance (insert only — no query — through the structurally-shared
     /// snapshot path).
     pub write_ms: f64,
     /// Best per-write commit latency (ms) on the warm session over the
-    /// `large_facts` instance. The written relation is the same size in both
-    /// arms; only the rest of the database grows.
+    /// `large_facts` instance. It is the **written** relation that is larger
+    /// in this arm; the rest of the database is the same.
     pub write_large_ms: f64,
-    /// `write_large_ms / write_ms` — how write cost scales with database
-    /// size. Structurally-shared snapshots keep this near 1 (a write copies
-    /// only what it touches); the old deep-clone-per-commit snapshots scaled
-    /// it with `|db|` (~10x here).
+    /// `write_large_ms / write_ms` — how write cost scales with the size of
+    /// the written relation. Leaf-granular structural sharing keeps this
+    /// near 1 (a write copies one spine and one leaf per touched block);
+    /// sharing that stops at relation granularity scales it with the
+    /// relation (that arm used to grow only the relations it did not write,
+    /// and so never saw it).
     pub write_cost_ratio: f64,
     /// Whether every arm returned identical rows: warm vs cold, sequential vs
     /// 4-thread, before and after the update sequence.
@@ -1120,14 +1123,14 @@ pub fn bench_serving(r_blocks: usize, queries: usize, samples: usize) -> Serving
         warm_partial_recomputes = session.stats().partial_recomputes - partials_before;
     }
     // Write-cost scaling: the same per-write commit (insert only, no query)
-    // against the base instance and against one ~10x larger. The written
-    // relation (`R`) is identical in both; only `S` grows — so with
-    // structurally-shared snapshots the two latencies coincide, while a
-    // deep-clone-per-commit write path pays for the whole database and
-    // scales ~10x. Each timed write replays its delta into the warm index
-    // (the session is warmed first), exactly like a serving write.
+    // against the base instance and against one ~10x larger. It is the
+    // written relation (`R`) that grows, 20x; `S` is identical in both — so
+    // with leaf-granular sharing the two latencies coincide, while a write
+    // path that copies the written relation scales with it. Each timed
+    // write replays its delta into the warm index (the session is warmed
+    // first), exactly like a serving write.
     let large_db = JoinWorkload {
-        s_blocks_per_y: cfg.s_blocks_per_y * 20,
+        r_blocks: cfg.r_blocks * 20,
         ..cfg
     }
     .generate();

@@ -79,7 +79,7 @@ use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
 use rcqa_data::{DatabaseInstance, NumericDomain, Rational, Schema, Value};
 use rcqa_query::{AggQuery, QueryError, Term, Var, VarPredicate};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How an answer was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -381,7 +381,7 @@ impl RangeCqa {
         // Dirty block keys per relation, in id space. A key with a value this
         // lineage never interned names a block the current index cannot
         // contain — it cannot carry a new embedding and is skipped.
-        let mut pinned: HashMap<&str, HashSet<Vec<u32>>> = HashMap::new();
+        let mut pinned: HashMap<&str, Vec<Vec<u32>>> = HashMap::new();
         for block in dirty {
             if let Some(ids) = block
                 .key
@@ -389,14 +389,17 @@ impl RangeCqa {
                 .map(|v| interner.id_of(v))
                 .collect::<Option<Vec<u32>>>()
             {
-                pinned
-                    .entry(block.relation.as_str())
-                    .or_default()
-                    .insert(ids);
+                pinned.entry(block.relation.as_str()).or_default().push(ids);
             }
         }
         if pinned.is_empty() {
             return out;
+        }
+        // Key value order — the order the index lists blocks in — and no
+        // duplicates (`dirty` may concatenate several commits' blocks).
+        for keys in pinned.values_mut() {
+            keys.sort_by(|a, b| interner.cmp_id_tuples(a, b));
+            keys.dedup();
         }
         let open = CompiledLevels::new(self.prepared.open_levels());
         let free_slots: Vec<usize> = free

@@ -31,7 +31,7 @@ use crate::prepared::{Level, PreparedBody};
 use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
 use rcqa_query::{Atom, Term, Var};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -655,8 +655,9 @@ pub(crate) fn embeddings_compiled_ids(
 }
 
 /// Enumerates the embeddings whose fact at level `pin_level` is drawn from
-/// one of the `pinned` blocks (block keys as interned id tuples), in the same
-/// relative order as the full enumeration. This is the dirty-block →
+/// one of the `pinned` blocks (block keys as interned id tuples, sorted in
+/// key value order without duplicates), in the same relative order as the
+/// full enumeration. This is the dirty-block →
 /// candidate-group reverse lookup of the serving layer: after a commit, an
 /// embedding can newly exist through level ℓ only if its level-ℓ fact lives
 /// in a block the commit changed, so pinning each level in turn to the dirty
@@ -667,7 +668,7 @@ pub(crate) fn embeddings_dirty_pinned_ids(
     index: &DbIndex,
     initial: &[u32],
     pin_level: usize,
-    pinned: &HashSet<Vec<u32>>,
+    pinned: &[Vec<u32>],
 ) -> Vec<Vec<u32>> {
     let resolved = resolve_terms(compiled, index.interner());
     let mut slots = initial.to_vec();
@@ -758,18 +759,18 @@ pub(crate) fn embeddings_from_blocks_ids(
     out
 }
 
-/// The recursive join core. `pin` optionally restricts one level to a set of
-/// block keys: blocks of that level outside the set are skipped, everything
-/// else — enumeration order included — is identical to the unpinned run, so
-/// the output is the order-preserving subsequence of the full enumeration
-/// whose pinned-level fact comes from a pinned block.
+/// The recursive join core. `pin` optionally restricts one level to a list of
+/// block keys (in key value order): blocks of that level outside the list are
+/// skipped, everything else — enumeration order included — is identical to
+/// the unpinned run, so the output is the order-preserving subsequence of the
+/// full enumeration whose pinned-level fact comes from a pinned block.
 #[allow(clippy::too_many_arguments)]
 fn embed_rec(
     compiled: &CompiledLevels,
     resolved: &[Vec<RTerm>],
     index: &DbIndex,
     level: usize,
-    pin: Option<(usize, &HashSet<Vec<u32>>)>,
+    pin: Option<(usize, &[Vec<u32>])>,
     slots: &mut Vec<u32>,
     trail: &mut Vec<usize>,
     out: &mut Vec<Vec<u32>>,
@@ -780,14 +781,10 @@ fn embed_rec(
     }
     let lvl = &compiled.levels[level];
     let terms = &resolved[level];
+    let interner = index.interner();
     let rel = index.relation(&lvl.relation);
     let pattern = key_pattern_ids(terms, lvl.key_len, slots);
-    for block in rel.blocks_matching(&pattern, index.interner()) {
-        if let Some((pin_level, pinned)) = pin {
-            if level == pin_level && !pinned.contains(&block.key[..]) {
-                continue;
-            }
-        }
+    let mut visit = |block: &IndexedBlock| {
         for row in 0..block.cols.rows() {
             let mark = trail.len();
             if match_level_ids(terms, &block.cols, row, slots, trail) {
@@ -795,6 +792,34 @@ fn embed_rec(
             }
             unwind(slots, trail, mark);
         }
+    };
+    match pin {
+        // The pinned level walks its (few) pinned keys instead of the
+        // pattern's candidates: the keys the pattern admits, looked up one
+        // by one, in the key order `blocks_matching` would yield them in.
+        Some((pin_level, pinned)) if level == pin_level => {
+            // A bound first component narrows the sorted keys to one run.
+            let run = match pattern.first().copied().flatten() {
+                Some(v) if !interner.contains_id(v) => &[],
+                Some(v) => {
+                    let head = |key: &Vec<u32>| interner.cmp_ids(key[0], v);
+                    let lo = pinned.partition_point(|k| head(k) == std::cmp::Ordering::Less);
+                    let hi = pinned.partition_point(|k| head(k) != std::cmp::Ordering::Greater);
+                    &pinned[lo..hi]
+                }
+                None => pinned,
+            };
+            for key in run {
+                let admitted = pattern
+                    .iter()
+                    .zip(key)
+                    .all(|(bound, id)| bound.is_none_or(|v| v == *id));
+                if let (true, Some(block)) = (admitted, rel.block_by_key_ids(key, interner)) {
+                    visit(block);
+                }
+            }
+        }
+        _ => rel.blocks_matching(&pattern, interner).for_each(visit),
     }
 }
 

@@ -18,11 +18,14 @@
 //! value of the instance into a [`ValueInterner`], and everything downstream
 //! is dense `u32` ids:
 //!
-//! * each [`IndexedBlock`]'s fact list is **columnar** — one `Vec<u32>` per
-//!   argument position ([`FactColumns`]), so the join pass and the certainty
-//!   checker scan cache-linear integer columns;
-//! * block keys are fixed-width id tuples (`Box<[u32]>`);
-//! * the deep posting lists map raw `u32`s to block positions.
+//! * each [`IndexedBlock`]'s fact list is **columnar** — one id column per
+//!   argument position ([`FactColumns`], column-major in one allocation), so
+//!   the join pass and the certainty checker scan cache-linear integer
+//!   columns;
+//! * a block's key is not stored: it is the key prefix of the block's first
+//!   row ([`IndexedBlock::key_at`]);
+//! * the deep posting lists are sequences of `(id, block)` ordered by raw
+//!   `u32`.
 //!
 //! The contract the interner upholds (see [`rcqa_data::interner`]):
 //!
@@ -49,19 +52,29 @@
 //!
 //! ## Structural sharing
 //!
-//! A [`DbIndex`] is a **persistent data structure**: each relation's
-//! [`RelationIndex`] lives behind an [`Arc`], and each [`IndexedBlock`]'s
-//! column set behind another. Cloning an index is one pointer bump per
-//! relation, and [`DbIndex::apply_delta`] **path-copies**: it materialises a
-//! private copy of exactly the relations the delta touches (via
-//! [`Arc::make_mut`]) and, inside them, of exactly the dirty blocks' columns
-//! — every untouched relation and every untouched block keeps sharing
-//! storage with the index the clone came from. The serving layer relies on
-//! this to derive a successor snapshot's index in
-//! `O(|dirty relation| + |delta|)` instead of `O(|db|)` per write batch.
+//! A [`DbIndex`] is a **persistent data structure** with three levels of
+//! sharing: each relation's [`RelationIndex`] lives behind an [`Arc`]; inside
+//! it the key-sorted block list (and each deep posting list) is a
+//! [`ChunkedSeq`] — a spine of `Arc`-shared leaves of
+//! [`rcqa_data::chunked::MIN_LEAF`]..=[`rcqa_data::chunked::MAX_LEAF`]
+//! blocks; and a block is one `Arc` of columns. Cloning an index is one
+//! pointer bump per relation, and [`DbIndex::apply_delta`] **path-copies**:
+//! per touched relation it copies the spines (one pointer per leaf) and the
+//! 16-entry fence sample, and per touched block one leaf of each sequence
+//! (two where a leaf splits or merges) plus that block's columns. Counts and
+//! `distinct_head` are maintained incrementally by neighbour comparison and
+//! the fences are re-sampled by position, so nothing in a commit scans the
+//! relation: a single-fact commit costs `O(blocks / MIN_LEAF + MAX_LEAF)`.
+//! Every other leaf — and every untouched relation — keeps sharing storage
+//! with the index the clone came from ([`DbIndex::shared_leaves`] observes
+//! this). What is still `O(n)`: the cold build ([`DbIndex::new`]) and a
+//! restricted view of `n` surviving blocks ([`DbIndex::restrict`]); both
+//! build exact-capacity leaves directly.
 
+use rcqa_data::chunked::{self, ChunkedSeq};
 use rcqa_data::{DatabaseInstance, DeltaEvent, DeltaOp, Fact, Value, ValueInterner, MISSING_ID};
 use rcqa_query::CmpOp;
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,73 +85,100 @@ use std::sync::Arc;
 static BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// The facts of one block in struct-of-arrays layout: one id column per
-/// argument position, all of equal length. Row `r` of the block is
-/// `(cols[0][r], ..., cols[arity-1][r])`, and rows are kept in ascending
-/// fact ([`Value`]) order.
-#[derive(Clone, Debug, Default)]
+/// argument position, all of equal length, stored column-major in a single
+/// allocation. Row `r` of the block is `(col(0)[r], ..., col(arity-1)[r])`,
+/// and rows are kept in ascending fact ([`Value`]) order. Immutable once
+/// built: maintenance replaces a block's columns with an edited copy.
+#[derive(Clone, Debug)]
 pub struct FactColumns {
-    cols: Vec<Vec<u32>>,
+    arity: u32,
+    rows: u32,
+    /// `ids[pos * rows + row]`.
+    ids: Box<[u32]>,
 }
 
 impl FactColumns {
-    fn with_arity(arity: usize) -> FactColumns {
+    /// Transposes `rows` (row-major id tuples of width `arity`, at least
+    /// one) into columns.
+    fn from_rows(arity: usize, rows: &[u32]) -> FactColumns {
+        let n = rows.len() / arity.max(1);
+        debug_assert_eq!(n * arity, rows.len());
+        let ids = (0..arity)
+            .flat_map(|pos| (0..n).map(move |row| rows[row * arity + pos]))
+            .collect();
         FactColumns {
-            cols: vec![Vec::new(); arity],
+            arity: u32::try_from(arity).expect("arity fits u32"),
+            rows: u32::try_from(n).expect("block row count fits u32"),
+            ids,
         }
     }
 
     /// Number of facts in the block.
     pub fn rows(&self) -> usize {
-        self.cols.first().map_or(0, Vec::len)
+        self.rows as usize
     }
 
     /// The id at `(row, pos)`.
     #[inline]
     pub fn id_at(&self, row: usize, pos: usize) -> u32 {
-        self.cols[pos][row]
+        self.ids[pos * self.rows as usize + row]
     }
 
     /// One whole argument column.
     pub fn col(&self, pos: usize) -> &[u32] {
-        &self.cols[pos]
+        let rows = self.rows as usize;
+        &self.ids[pos * rows..(pos + 1) * rows]
     }
 
     /// The ids of one row, in argument order.
     pub fn row_ids(&self, row: usize) -> impl Iterator<Item = u32> + '_ {
-        self.cols.iter().map(move |c| c[row])
+        (0..self.arity as usize).map(move |pos| self.id_at(row, pos))
     }
 
-    fn push_row(&mut self, ids: &[u32]) {
-        debug_assert_eq!(ids.len(), self.cols.len());
-        for (col, &id) in self.cols.iter_mut().zip(ids) {
-            col.push(id);
+    /// A copy with the row `ids` inserted at row position `at`.
+    fn with_row_inserted(&self, at: usize, ids: &[u32]) -> FactColumns {
+        debug_assert_eq!(ids.len(), self.arity as usize);
+        let mut out = Vec::with_capacity(self.ids.len() + ids.len());
+        for (pos, &id) in ids.iter().enumerate() {
+            let col = self.col(pos);
+            out.extend_from_slice(&col[..at]);
+            out.push(id);
+            out.extend_from_slice(&col[at..]);
+        }
+        FactColumns {
+            arity: self.arity,
+            rows: self.rows + 1,
+            ids: out.into(),
         }
     }
 
-    fn insert_row(&mut self, at: usize, ids: &[u32]) {
-        debug_assert_eq!(ids.len(), self.cols.len());
-        for (col, &id) in self.cols.iter_mut().zip(ids) {
-            col.insert(at, id);
+    /// A copy without the row at position `at`.
+    fn with_row_removed(&self, at: usize) -> FactColumns {
+        let mut out = Vec::with_capacity(self.ids.len() - self.arity as usize);
+        for pos in 0..self.arity as usize {
+            let col = self.col(pos);
+            out.extend_from_slice(&col[..at]);
+            out.extend_from_slice(&col[at + 1..]);
         }
-    }
-
-    fn remove_row(&mut self, at: usize) {
-        for col in &mut self.cols {
-            col.remove(at);
+        FactColumns {
+            arity: self.arity,
+            rows: self.rows - 1,
+            ids: out.into(),
         }
     }
 
     /// Lexicographic [`Value`] order of row `row` against the id tuple `ids`
-    /// (same width). Row order inside a block is fact order, i.e. exactly
-    /// this comparison.
-    fn cmp_row(&self, row: usize, ids: &[u32], interner: &ValueInterner) -> std::cmp::Ordering {
-        for (col, &id) in self.cols.iter().zip(ids) {
-            match interner.cmp_ids(col[row], id) {
-                std::cmp::Ordering::Equal => {}
+    /// (at most as wide as a row). Row order inside a block is fact order,
+    /// i.e. exactly this comparison over the full width; over a key-length
+    /// prefix of row 0 it is block order.
+    fn cmp_row(&self, row: usize, ids: &[u32], interner: &ValueInterner) -> CmpOrdering {
+        for (pos, &id) in ids.iter().enumerate() {
+            match interner.cmp_ids(self.id_at(row, pos), id) {
+                CmpOrdering::Equal => {}
                 other => return other,
             }
         }
-        std::cmp::Ordering::Equal
+        CmpOrdering::Equal
     }
 
     /// Position of the row equal to `ids`, or the insertion position keeping
@@ -149,28 +189,46 @@ impl FactColumns {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             match self.cmp_row(mid, ids, interner) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
+                CmpOrdering::Less => lo = mid + 1,
+                CmpOrdering::Greater => hi = mid,
+                CmpOrdering::Equal => return Ok(mid),
             }
         }
         Err(lo)
     }
 }
 
-/// One block: the facts of a relation sharing a primary-key value, as an
-/// interned key tuple plus `Arc`-shared columns.
+/// One block: the facts of a relation sharing a primary-key value, as
+/// `Arc`-shared columns (never empty).
 ///
-/// The column set is `Arc`-shared: cloning a block (as part of cloning its
-/// [`RelationIndex`] for incremental maintenance) bumps a pointer instead of
-/// copying columns, and only blocks a delta actually changes are deep-copied
-/// (see [`DbIndex::apply_delta`]).
+/// A block is one pointer: cloning it — as part of copying a leaf of its
+/// [`RelationIndex`]'s block list for incremental maintenance — bumps a
+/// reference count and allocates nothing. The key is not stored beside the
+/// columns; it is the key-length prefix of the first row (every row of a
+/// block shares it).
 #[derive(Clone, Debug)]
 pub struct IndexedBlock {
-    /// The shared key value, as a fixed-width interned id tuple.
-    pub key: Box<[u32]>,
     /// The facts of the block in columnar layout, rows in sorted fact order.
     pub cols: Arc<FactColumns>,
+}
+
+impl IndexedBlock {
+    /// The id at key position `pos` (`< key_len` of the block's relation).
+    #[inline]
+    pub fn key_at(&self, pos: usize) -> u32 {
+        self.cols.id_at(0, pos)
+    }
+
+    /// The block's key: the first `key_len` ids of its first row.
+    pub fn key(&self, key_len: usize) -> impl Iterator<Item = u32> + '_ {
+        self.cols.row_ids(0).take(key_len)
+    }
+
+    /// Block order: this block's key against the key id tuple `key`, in
+    /// [`Value`] order.
+    fn cmp_key(&self, key: &[u32], interner: &ValueInterner) -> CmpOrdering {
+        self.cols.cmp_row(0, key, interner)
+    }
 }
 
 /// Lightweight per-relation statistics, collected at cold build time and
@@ -197,26 +255,37 @@ pub struct RelationStats {
 
 impl RelationStats {
     /// Fence sample size: enough resolution to tell "a sliver" from "most of
-    /// the relation", cheap enough to recompute on every write batch.
+    /// the relation", cheap enough to re-sample on every write batch.
     const FENCES: usize = 16;
 
-    fn compute(blocks: &[IndexedBlock]) -> RelationStats {
-        let n = blocks.len();
-        let mut distinct_head = 0usize;
-        for i in 0..n {
-            if i == 0 || blocks[i].key[0] != blocks[i - 1].key[0] {
-                distinct_head += 1;
+    /// One pass over a freshly built block list (cold build, `restrict`).
+    fn compute(blocks: &ChunkedSeq<IndexedBlock>) -> RelationStats {
+        let mut stats = RelationStats {
+            blocks: blocks.len(),
+            ..RelationStats::default()
+        };
+        let mut previous = None;
+        for b in blocks {
+            stats.facts += b.cols.rows();
+            if previous != Some(b.key_at(0)) {
+                stats.distinct_head += 1;
             }
+            previous = Some(b.key_at(0));
         }
+        stats.resample_fences(blocks);
+        stats
+    }
+
+    /// Re-samples the fences by position — `FENCES` point lookups, so
+    /// incremental maintenance never scans the block list.
+    fn resample_fences(&mut self, blocks: &ChunkedSeq<IndexedBlock>) {
+        let n = blocks.len();
         let samples = Self::FENCES.min(n);
-        RelationStats {
-            blocks: n,
-            facts: blocks.iter().map(|b| b.cols.rows()).sum(),
-            distinct_head,
-            head_fences: (0..samples)
-                .map(|k| blocks[k * n / samples].key[0])
-                .collect(),
-        }
+        self.head_fences.clear();
+        self.head_fences.extend((0..samples).map(|k| {
+            let block = blocks.get(k * n / samples).expect("sample position < len");
+            block.key_at(0)
+        }));
     }
 
     /// Histogram estimate of how many blocks have a first key component
@@ -257,20 +326,21 @@ impl RelationStats {
 ///
 /// The block list is the primary structure: blocks are **sorted by key value
 /// order** (cold builds scan facts in sorted order; incremental maintenance
-/// keeps them there via [`ValueInterner::cmp_id_tuples`]), so a full-key
-/// lookup is a binary search and a bound *first* key component selects a
-/// contiguous span of blocks — neither needs an auxiliary map. Only the
-/// **deeper** key positions (`1..key_len`), where matching blocks are
-/// scattered, keep posting lists (keyed by raw id — id equality is value
-/// equality). Relations with a single-column key therefore carry no lookup
-/// maps at all, which makes the write path's per-relation path copy (and its
-/// maintenance) almost free.
+/// keeps them there via [`ValueInterner::cmp_ids`]), so a full-key lookup is
+/// a binary search and a bound *first* key component selects a contiguous
+/// span of blocks — neither needs an auxiliary map. Only the **deeper** key
+/// positions (`1..key_len`), where matching blocks are scattered, keep
+/// posting lists. Relations with a single-column key therefore carry no
+/// lookup structure beside the block list at all.
+///
+/// Every sequence here is a [`ChunkedSeq`], so cloning a `RelationIndex` (the
+/// write path's per-relation path copy) copies spines, not blocks.
 #[derive(Clone, Debug, Default)]
 pub struct RelationIndex {
     /// The relation's name, for materialising facts at the result boundary.
     name: String,
     /// All blocks of the relation, sorted by key (value order).
-    blocks: Vec<IndexedBlock>,
+    blocks: ChunkedSeq<IndexedBlock>,
     /// Primary-key length of the relation (block keys are fact prefixes of
     /// this length).
     key_len: usize,
@@ -278,40 +348,63 @@ pub struct RelationIndex {
     /// correspond to a stored fact and are rejected outright.
     arity: usize,
     /// Posting lists for key positions `1..key_len` (entry `p - 1` serves
-    /// position `p`): id → sorted positions of the blocks holding that id
-    /// there. Position 0 has none — its matches are a contiguous
-    /// binary-searchable span of the sorted block list.
-    deep_pos: Vec<HashMap<u32, Vec<usize>>>,
-    /// Statistics over the current block list, recomputed whenever the block
-    /// list changes (cold build, `apply_delta`, `restrict`).
+    /// position `p`): every block again, beside its id at position `p`,
+    /// ordered by that **raw id** (id equality is value equality, so one
+    /// id's blocks are one contiguous run, found by comparing inline `u32`s)
+    /// and, within an id, by key value order — the order the block list
+    /// yields them in. Position-free: a block entering or leaving the block
+    /// list shifts nothing here. Position 0 has none — its matches are a
+    /// contiguous span of the block list itself.
+    deep: Vec<ChunkedSeq<Posting>>,
+    /// Statistics over the current block list: counts maintained per event,
+    /// fences re-sampled per batch.
     stats: RelationStats,
 }
 
-/// How one applied event changed a relation's **block list** (as opposed to
-/// the interior of an existing block): not at all, a block inserted at a
-/// position, or a block removed from one. Structural changes shift block
-/// positions, so they drive the posting-list maintenance in
-/// [`DbIndex::apply_delta`].
-enum Structural {
-    No,
-    Inserted(usize),
-    Removed(usize),
-}
+/// One posting-list entry: a block and its id at the list's key position.
+type Posting = (u32, IndexedBlock);
 
 impl RelationIndex {
+    /// An index over `blocks` (sorted by key value order), with posting
+    /// lists and statistics built from them in bulk.
+    fn from_blocks(
+        name: &str,
+        key_len: usize,
+        arity: usize,
+        blocks: ChunkedSeq<IndexedBlock>,
+    ) -> RelationIndex {
+        let deep = (1..key_len)
+            .map(|p| {
+                // Stable: within one id, blocks stay in key order.
+                let mut posting: Vec<Posting> =
+                    blocks.iter().map(|b| (b.key_at(p), b.clone())).collect();
+                posting.sort_by_key(|&(id, _)| id);
+                ChunkedSeq::from_sorted(posting)
+            })
+            .collect();
+        RelationIndex {
+            name: name.to_string(),
+            stats: RelationStats::compute(&blocks),
+            blocks,
+            key_len,
+            arity,
+            deep,
+        }
+    }
+
     /// The relation this index covers.
     pub fn name(&self) -> &str {
         &self.name
     }
 
     /// All blocks, sorted by key (value order).
-    pub fn blocks(&self) -> &[IndexedBlock] {
+    pub fn blocks(&self) -> &ChunkedSeq<IndexedBlock> {
         &self.blocks
     }
 
     /// Number of facts in the relation.
     pub fn fact_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.cols.rows()).sum()
+        self.stats.facts
     }
 
     /// Primary-key length of the relation.
@@ -344,22 +437,21 @@ impl RelationIndex {
         if key.iter().any(|&id| !interner.contains_id(id)) {
             return None;
         }
-        self.blocks
-            .binary_search_by(|b| interner.cmp_id_tuples(&b.key, key))
-            .ok()
-            .map(|i| &self.blocks[i])
+        let pos = self.blocks.search_by(|b| b.cmp_key(key, interner)).ok()?;
+        self.blocks.get(pos)
     }
 
     /// The contiguous span of block positions whose key starts with the
     /// (assigned) id `v` — blocks are sorted by key value order, so
     /// first-component matches are adjacent.
     fn first_component_span(&self, v: u32, interner: &ValueInterner) -> Range<usize> {
-        let start = self
-            .blocks
-            .partition_point(|b| interner.cmp_ids(b.key[0], v) == std::cmp::Ordering::Less);
-        let end = start
-            + self.blocks[start..]
-                .partition_point(|b| interner.cmp_ids(b.key[0], v) != std::cmp::Ordering::Greater);
+        let n = self.blocks.len();
+        let start = self.blocks.partition_point(0..n, |b| {
+            interner.cmp_ids(b.key_at(0), v) == CmpOrdering::Less
+        });
+        let end = self.blocks.partition_point(start..n, |b| {
+            interner.cmp_ids(b.key_at(0), v) != CmpOrdering::Greater
+        });
         start..end
     }
 
@@ -390,15 +482,12 @@ impl RelationIndex {
     ) -> Range<usize> {
         let mut span = 0..self.blocks.len();
         for (pos, &id) in prefix.iter().enumerate() {
-            let s = &self.blocks[span.clone()];
-            let start = span.start
-                + s.partition_point(|b| {
-                    interner.cmp_ids(b.key[pos], id) == std::cmp::Ordering::Less
-                });
-            let end = span.start
-                + s.partition_point(|b| {
-                    interner.cmp_ids(b.key[pos], id) != std::cmp::Ordering::Greater
-                });
+            let start = self.blocks.partition_point(span.clone(), |b| {
+                interner.cmp_ids(b.key_at(pos), id) == CmpOrdering::Less
+            });
+            let end = self.blocks.partition_point(start..span.end, |b| {
+                interner.cmp_ids(b.key_at(pos), id) != CmpOrdering::Greater
+            });
             span = start..end;
         }
         self.range_span_at(span, prefix.len(), op, v, interner)
@@ -416,146 +505,142 @@ impl RelationIndex {
     ) -> Range<usize> {
         assert!(op.is_contiguous(), "{op} does not select a contiguous span");
         let rank = interner.prefix_rank(v);
-        let s = &self.blocks[within.clone()];
-        let lt = s.partition_point(|b| {
-            interner.cmp_id_to_value(b.key[pos], v, rank) == std::cmp::Ordering::Less
+        let lt = self.blocks.partition_point(within.clone(), |b| {
+            interner.cmp_id_to_value(b.key_at(pos), v, rank) == CmpOrdering::Less
         });
-        let le = s.partition_point(|b| {
-            interner.cmp_id_to_value(b.key[pos], v, rank) != std::cmp::Ordering::Greater
+        let le = self.blocks.partition_point(lt..within.end, |b| {
+            interner.cmp_id_to_value(b.key_at(pos), v, rank) != CmpOrdering::Greater
         });
-        let base = within.start;
         match op {
-            CmpOp::Lt => base..base + lt,
-            CmpOp::Le => base..base + le,
-            CmpOp::Eq => base + lt..base + le,
-            CmpOp::Gt => base + le..within.end,
-            CmpOp::Ge => base + lt..within.end,
+            CmpOp::Lt => within.start..lt,
+            CmpOp::Le => within.start..le,
+            CmpOp::Eq => lt..le,
+            CmpOp::Gt => le..within.end,
+            CmpOp::Ge => lt..within.end,
             CmpOp::Ne => unreachable!("guarded above"),
         }
     }
 
+    /// The run of the posting list for deep key position `p` holding the
+    /// blocks whose id there is `v`.
+    fn posting_span(&self, p: usize, v: u32) -> Range<usize> {
+        let posting = &self.deep[p - 1];
+        let start = posting.partition_point(0..posting.len(), |&(id, _)| id < v);
+        let end = posting.partition_point(start..posting.len(), |&(id, _)| id <= v);
+        start..end
+    }
+
+    /// Where the block with key `key` sits (or would sit) in the posting list
+    /// for deep key position `p`.
+    fn posting_search(
+        &self,
+        p: usize,
+        key: &[u32],
+        interner: &ValueInterner,
+    ) -> Result<usize, usize> {
+        self.deep[p - 1].search_by(|(id, b)| id.cmp(&key[p]).then_with(|| b.cmp_key(key, interner)))
+    }
+
+    /// Swaps in `block` for the block with the same key at position `i` of
+    /// the block list, and in every posting list.
+    fn replace_block(
+        &mut self,
+        i: usize,
+        block: IndexedBlock,
+        key: &[u32],
+        interner: &ValueInterner,
+    ) {
+        for p in 1..self.key_len {
+            let at = self
+                .posting_search(p, key, interner)
+                .expect("every block is posted at every deep position");
+            self.deep[p - 1].get_mut(at).expect("found above").1 = block.clone();
+        }
+        *self.blocks.get_mut(i).expect("position of a found block") = block;
+    }
+
+    /// Whether the block at position `i` (if any) has first key component
+    /// `head`.
+    fn head_is(&self, i: Option<usize>, head: u32) -> bool {
+        i.and_then(|i| self.blocks.get(i))
+            .is_some_and(|b| b.key_at(0) == head)
+    }
+
     /// Inserts one fact (given as interned ids): the row lands at its sorted
     /// position in its block, and a new block lands at its sorted position in
-    /// the block list.
-    ///
-    /// Only the block list is maintained — lookups here binary-search it, so
-    /// they never depend on the posting lists; [`DbIndex::apply_delta`] owns
-    /// the posting-list maintenance for structural changes. Returns
-    /// `(changed, structural)`.
-    fn insert_fact_ids(&mut self, ids: &[u32], interner: &ValueInterner) -> (bool, Structural) {
+    /// the block list and in every posting list. Counts are kept current;
+    /// the caller re-samples the fences once per batch. Returns whether the
+    /// fact was new.
+    fn insert_fact_ids(&mut self, ids: &[u32], interner: &ValueInterner) -> bool {
         let key = &ids[..self.key_len];
-        match self
-            .blocks
-            .binary_search_by(|b| interner.cmp_id_tuples(&b.key, key))
-        {
+        match self.blocks.search_by(|b| b.cmp_key(key, interner)) {
             Ok(i) => {
                 // Probe on the shared columns first: a no-op re-insert must
-                // not split storage. Only an actual change materialises the
-                // block.
-                match self.blocks[i].cols.search_row(ids, interner) {
-                    Ok(_) => (false, Structural::No),
-                    Err(pos) => {
-                        Arc::make_mut(&mut self.blocks[i].cols).insert_row(pos, ids);
-                        (true, Structural::No)
-                    }
-                }
+                // not split storage.
+                let cols = &self.blocks.get(i).expect("found above").cols;
+                let Err(row) = cols.search_row(ids, interner) else {
+                    return false;
+                };
+                let block = IndexedBlock {
+                    cols: Arc::new(cols.with_row_inserted(row, ids)),
+                };
+                self.replace_block(i, block, key, interner);
             }
-            Err(pos) => {
-                let mut cols = FactColumns::with_arity(self.arity);
-                cols.push_row(ids);
-                self.blocks.insert(
-                    pos,
-                    IndexedBlock {
-                        key: key.into(),
-                        cols: Arc::new(cols),
-                    },
-                );
-                (true, Structural::Inserted(pos))
+            Err(i) => {
+                let block = IndexedBlock {
+                    cols: Arc::new(FactColumns::from_rows(self.arity, ids)),
+                };
+                // Blocks sharing a head are adjacent: the head is new iff
+                // neither neighbour of the insertion point carries it.
+                if !self.head_is(i.checked_sub(1), ids[0]) && !self.head_is(Some(i), ids[0]) {
+                    self.stats.distinct_head += 1;
+                }
+                for p in 1..self.key_len {
+                    let at = self
+                        .posting_search(p, key, interner)
+                        .expect_err("a new block is posted nowhere yet");
+                    self.deep[p - 1].insert(at, (key[p], block.clone()));
+                }
+                self.blocks.insert(i, block);
+                self.stats.blocks += 1;
             }
         }
+        self.stats.facts += 1;
+        true
     }
 
     /// Removes one fact (and its block, if it becomes empty). Same contract
-    /// as [`RelationIndex::insert_fact_ids`]. Returns `(changed, structural)`.
-    fn remove_fact_ids(&mut self, ids: &[u32], interner: &ValueInterner) -> (bool, Structural) {
+    /// as [`RelationIndex::insert_fact_ids`]. Returns whether the fact was
+    /// present.
+    fn remove_fact_ids(&mut self, ids: &[u32], interner: &ValueInterner) -> bool {
         let key = &ids[..self.key_len];
-        let Ok(i) = self
-            .blocks
-            .binary_search_by(|b| interner.cmp_id_tuples(&b.key, key))
-        else {
-            return (false, Structural::No);
+        let Ok(i) = self.blocks.search_by(|b| b.cmp_key(key, interner)) else {
+            return false;
         };
-        let Ok(pos) = self.blocks[i].cols.search_row(ids, interner) else {
-            return (false, Structural::No);
+        let old = self.blocks.get(i).expect("found above").clone();
+        let Ok(row) = old.cols.search_row(ids, interner) else {
+            return false;
         };
-        let cols = Arc::make_mut(&mut self.blocks[i].cols);
-        cols.remove_row(pos);
-        if cols.rows() == 0 {
-            self.blocks.remove(i);
-            (true, Structural::Removed(i))
+        if old.cols.rows() > 1 {
+            let block = IndexedBlock {
+                cols: Arc::new(old.cols.with_row_removed(row)),
+            };
+            self.replace_block(i, block, key, interner);
         } else {
-            (true, Structural::No)
-        }
-    }
-
-    /// Surgically threads a just-inserted block (at `pos`) through the deep
-    /// posting lists: positions at or after `pos` shift up, then the new
-    /// block's ids are posted. `O(posting entries)` integer work — no
-    /// allocation beyond the new postings.
-    fn deep_insert_block(&mut self, pos: usize) {
-        for map in &mut self.deep_pos {
-            for ids in map.values_mut() {
-                for i in ids.iter_mut() {
-                    if *i >= pos {
-                        *i += 1;
-                    }
-                }
+            if !self.head_is(i.checked_sub(1), ids[0]) && !self.head_is(Some(i + 1), ids[0]) {
+                self.stats.distinct_head -= 1;
             }
-        }
-        let key = self.blocks[pos].key.clone();
-        for (p, &v) in key.iter().enumerate().skip(1) {
-            let ids = self.deep_pos[p - 1].entry(v).or_default();
-            let at = ids.partition_point(|&i| i < pos);
-            ids.insert(at, pos);
-        }
-    }
-
-    /// Surgically unthreads a just-removed block (formerly at `pos`, with
-    /// key ids `key`) from the deep posting lists: its postings disappear
-    /// (empty lists are dropped — cold builds never hold them), then
-    /// positions after `pos` shift down.
-    fn deep_remove_block(&mut self, pos: usize, key: &[u32]) {
-        for (p, &v) in key.iter().enumerate().skip(1) {
-            let map = &mut self.deep_pos[p - 1];
-            if let Some(ids) = map.get_mut(&v) {
-                ids.retain(|&j| j != pos);
-                if ids.is_empty() {
-                    map.remove(&v);
-                }
+            for p in 1..self.key_len {
+                let at = self
+                    .posting_search(p, key, interner)
+                    .expect("every block is posted at every deep position");
+                self.deep[p - 1].remove(at);
             }
+            self.blocks.remove(i);
+            self.stats.blocks -= 1;
         }
-        for map in &mut self.deep_pos {
-            for ids in map.values_mut() {
-                for i in ids.iter_mut() {
-                    if *i > pos {
-                        *i -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds the deep posting lists from the (sorted) block list, in
-    /// exactly the layout a cold [`DbIndex::new`] produces: posting lists
-    /// ascending, no empty entries. `O(blocks)` for this relation — the bulk
-    /// alternative to per-event surgery.
-    fn rebuild_deep_pos(&mut self) {
-        self.deep_pos = vec![HashMap::new(); self.key_len.saturating_sub(1)];
-        for (i, b) in self.blocks.iter().enumerate() {
-            for (p, &v) in b.key.iter().enumerate().skip(1) {
-                self.deep_pos[p - 1].entry(v).or_default().push(i);
-            }
-        }
+        self.stats.facts -= 1;
+        true
     }
 
     /// Returns an iterator over the blocks compatible with a partially-bound
@@ -566,88 +651,76 @@ impl RelationIndex {
     /// [`MISSING_ID`], the interned form of a constant that occurs in no
     /// fact) matches nothing. The iterator borrows the index and the pattern
     /// and allocates nothing beyond the (rare) fully-bound direct lookup;
-    /// candidate lists are walked in place — and candidate filtering is raw
-    /// `u32` equality — instead of being copied out.
+    /// candidates are walked in place, leaf slice by leaf slice — and
+    /// candidate filtering is raw `u32` equality — instead of being copied
+    /// out.
     pub fn blocks_matching<'a, 'p>(
         &'a self,
         pattern: &'p [Option<u32>],
         interner: &ValueInterner,
     ) -> BlocksMatching<'a, 'p> {
+        let one = |block| BlocksMatching {
+            pattern,
+            source: BlockSource::One(block),
+        };
         // An unassigned constraint id (MISSING_ID or stale) matches nothing.
         if pattern
             .iter()
             .flatten()
             .any(|&id| !interner.contains_id(id))
         {
-            return BlocksMatching {
-                blocks: &self.blocks,
-                pattern,
-                source: BlockSource::One(None),
-            };
+            return one(None);
         }
         // Fully bound: direct lookup, no filtering needed.
         if !pattern.is_empty() && pattern.iter().all(Option::is_some) {
             let key: Vec<u32> = pattern.iter().map(|v| v.unwrap()).collect();
-            return BlocksMatching {
-                blocks: &self.blocks,
-                pattern,
-                source: BlockSource::One(self.block_by_key_ids(&key, interner)),
-            };
+            return one(self.block_by_key_ids(&key, interner));
         }
         // A bound first component restricts candidates to a contiguous span
         // of the key-sorted block list (empty span: no match anywhere).
         let span = match pattern.first().copied().flatten() {
-            Some(v) if !self.blocks.is_empty() => self.first_component_span(v, interner),
-            Some(_) => 0..0,
+            Some(v) => self.first_component_span(v, interner),
             None => 0..self.blocks.len(),
         };
         // A deeper bound position may be more selective than the span.
-        let mut best: Option<&Vec<usize>> = None;
+        let mut best: Option<(usize, Range<usize>)> = None;
         for (p, v) in pattern.iter().enumerate().skip(1) {
-            if let Some(v) = v {
-                match self.deep_pos.get(p - 1).and_then(|m| m.get(v)) {
-                    Some(ids) => {
-                        if best.map(|b| ids.len() < b.len()).unwrap_or(true) {
-                            best = Some(ids);
-                        }
-                    }
-                    None => {
-                        return BlocksMatching {
-                            blocks: &self.blocks,
-                            pattern,
-                            source: BlockSource::One(None),
-                        }
-                    }
-                }
+            let (Some(v), true) = (v, p < self.key_len) else {
+                continue;
+            };
+            let run = self.posting_span(p, *v);
+            if run.is_empty() {
+                return one(None);
+            }
+            if best.as_ref().is_none_or(|(_, b)| run.len() < b.len()) {
+                best = Some((p, run));
             }
         }
         let source = match best {
-            Some(ids) if ids.len() < span.len() => BlockSource::Candidates(ids.iter()),
-            _ => BlockSource::All(span),
+            Some((p, run)) if run.len() < span.len() => {
+                BlockSource::Posted(self.deep[p - 1].range(run))
+            }
+            _ => BlockSource::Run(self.blocks.range(span)),
         };
-        BlocksMatching {
-            blocks: &self.blocks,
-            pattern,
-            source,
-        }
+        BlocksMatching { pattern, source }
     }
 }
 
-/// Where [`BlocksMatching`] draws candidate block positions from.
+/// Where [`BlocksMatching`] draws candidate blocks from.
 enum BlockSource<'a> {
     /// A single pre-resolved block (fully-bound pattern), already verified.
     One(Option<&'a IndexedBlock>),
-    /// The posting list of the most selective bound deep key position.
-    Candidates(std::slice::Iter<'a, usize>),
-    /// A contiguous span of the sorted block list: the whole relation when
-    /// no key position is bound, or the first-component span when (only)
-    /// position 0 is.
-    All(Range<usize>),
+    /// A contiguous run of the key-sorted block list: the whole relation
+    /// when no key position is bound, or the first-component span when
+    /// (only) position 0 is.
+    Run(chunked::Iter<'a, IndexedBlock>),
+    /// One id's run of the posting list of the most selective bound deep
+    /// key position, in key order.
+    Posted(chunked::Iter<'a, Posting>),
 }
 
 /// Iterator returned by [`RelationIndex::blocks_matching`].
 pub struct BlocksMatching<'a, 'p> {
-    blocks: &'a [IndexedBlock],
     pattern: &'p [Option<u32>],
     source: BlockSource<'a>,
 }
@@ -656,22 +729,19 @@ impl<'a> Iterator for BlocksMatching<'a, '_> {
     type Item = &'a IndexedBlock;
 
     fn next(&mut self) -> Option<&'a IndexedBlock> {
-        loop {
-            let candidate = match &mut self.source {
-                BlockSource::One(slot) => return slot.take(),
-                BlockSource::Candidates(ids) => self.blocks.get(*ids.next()?)?,
-                BlockSource::All(range) => &self.blocks[range.next()?],
-            };
-            // Raw id equality: id equality is value equality by the interner
-            // contract.
-            let matches = self
-                .pattern
+        // Raw id equality: id equality is value equality by the interner
+        // contract.
+        let pattern = self.pattern;
+        let matches = |candidate: &&IndexedBlock| {
+            pattern
                 .iter()
                 .enumerate()
-                .all(|(p, v)| v.map(|v| candidate.key[p] == v).unwrap_or(true));
-            if matches {
-                return Some(candidate);
-            }
+                .all(|(p, v)| v.is_none_or(|v| candidate.key_at(p) == v))
+        };
+        match &mut self.source {
+            BlockSource::One(slot) => slot.take(),
+            BlockSource::Run(run) => run.find(matches),
+            BlockSource::Posted(run) => run.map(|(_, block)| block).find(matches),
         }
     }
 }
@@ -750,14 +820,15 @@ pub struct DirtyBlock {
 /// that one copy. Incremental maintenance ([`DbIndex::apply_delta`]) is only
 /// ever performed on a private clone *before* the clone is published inside
 /// a new snapshot, so published indexes are immutable. The interior `Arc`s
-/// (per relation, per block column set, and the interner's sorted prefix)
-/// never change after publication either — path copies happen on the
+/// (per relation, per leaf, per block column set, and the interner's sorted
+/// prefix) never change after publication either — path copies happen on the
 /// writer's private clone — so borrowing through a published index is
 /// data-race-free by construction.
 ///
 /// Per-relation indexes are `Arc`-shared: cloning a `DbIndex` is one pointer
 /// bump per relation, and `apply_delta` path-copies only the relations (and,
-/// inside them, the blocks) the delta touches — see the module docs.
+/// inside them, the leaves and blocks) the delta touches — see the module
+/// docs.
 #[derive(Clone, Debug, Default)]
 pub struct DbIndex {
     relations: HashMap<String, Arc<RelationIndex>>,
@@ -786,31 +857,22 @@ impl DbIndex {
         let mut relations: HashMap<String, Arc<RelationIndex>> = HashMap::new();
         let mut ids: Vec<u32> = Vec::new();
         for (name, sig) in db.schema().relations() {
-            let key_len = sig.key_len();
-            let mut rel = RelationIndex {
-                name: name.to_string(),
-                blocks: Vec::new(),
-                key_len,
-                arity: sig.arity(),
-                deep_pos: vec![HashMap::new(); key_len.saturating_sub(1)],
-                stats: RelationStats::default(),
-            };
+            let (key_len, arity) = (sig.key_len(), sig.arity());
             // Facts arrive in sorted order, so each block's facts form one
-            // contiguous run: accumulate the run's rows, then freeze the
-            // columns into an `Arc` when the key changes. Because every
-            // value is in the interner's sorted prefix here, id order is
-            // value order and block/row order comes out right by raw ids.
-            let mut pending: Option<(Box<[u32]>, FactColumns)> = None;
-            let flush = |rel: &mut RelationIndex, pending: Option<(Box<[u32]>, FactColumns)>| {
-                let Some((key, cols)) = pending else { return };
-                let i = rel.blocks.len();
-                for (p, &v) in key.iter().enumerate().skip(1) {
-                    rel.deep_pos[p - 1].entry(v).or_default().push(i);
+            // contiguous run: accumulate the run's rows (row-major in
+            // `run`), then freeze them into columns when the key changes.
+            // Because every value is in the interner's sorted prefix here,
+            // id order is value order and block/row order comes out right
+            // by raw ids.
+            let mut blocks: Vec<IndexedBlock> = Vec::new();
+            let mut run: Vec<u32> = Vec::new();
+            let mut flush = |run: &mut Vec<u32>| {
+                if !run.is_empty() {
+                    blocks.push(IndexedBlock {
+                        cols: Arc::new(FactColumns::from_rows(arity, run)),
+                    });
+                    run.clear();
                 }
-                rel.blocks.push(IndexedBlock {
-                    key,
-                    cols: Arc::new(cols),
-                });
             };
             for fact in db.facts_of(name) {
                 ids.clear();
@@ -819,19 +881,14 @@ impl DbIndex {
                         .id_of(v)
                         .expect("every instance value is in the interner")
                 }));
-                let key = &ids[..key_len];
-                match &mut pending {
-                    Some((k, cols)) if &**k == key => cols.push_row(&ids),
-                    _ => {
-                        flush(&mut rel, pending.take());
-                        let mut cols = FactColumns::with_arity(sig.arity());
-                        cols.push_row(&ids);
-                        pending = Some((key.into(), cols));
-                    }
+                if !run.is_empty() && run[..key_len] != ids[..key_len] {
+                    flush(&mut run);
                 }
+                run.extend_from_slice(&ids);
             }
-            flush(&mut rel, pending.take());
-            rel.stats = RelationStats::compute(&rel.blocks);
+            flush(&mut run);
+            let rel =
+                RelationIndex::from_blocks(name, key_len, arity, ChunkedSeq::from_sorted(blocks));
             relations.insert(name.to_string(), Arc::new(rel));
         }
         DbIndex {
@@ -859,21 +916,20 @@ impl DbIndex {
     /// exactly the difference [`DbIndex::assert_structurally_identical`]
     /// quotients out by comparing materialised values.
     ///
-    /// Interning is two-pass: first every insert's values are interned
-    /// (append-only, on a private copy of the shared interner), then events
-    /// are resolved and applied per relation. A delete whose values are not
-    /// all interned cannot name a stored fact and is a no-op.
+    /// Interning is two-pass: first every insert's first-seen values are
+    /// interned (append-only, on a private copy of the shared interner, made
+    /// only when there is such a value), then events are resolved and
+    /// applied per relation. A delete whose values are not all interned
+    /// cannot name a stored fact and is a no-op.
     ///
     /// Maintenance **path-copies**: events are grouped per relation, each
-    /// touched relation is materialised once (`Arc::make_mut` — untouched
-    /// relations keep sharing storage with every other clone of this index),
-    /// and inside it only the dirty blocks' columns are deep-copied. Deep
-    /// posting lists (key positions past the first; single-column-key
-    /// relations have none) are maintained surgically while a batch's
-    /// structural changes are few, and rebuilt in one `O(blocks)` pass once
-    /// they are not — never per event — so a bulk batch costs
-    /// `O(|dirty relation| + |delta| log |blocks|)` rather than
-    /// `O(|events| × |blocks|)`.
+    /// touched relation is materialised once (`Arc::make_mut` copies its
+    /// spines — untouched relations keep sharing storage with every other
+    /// clone of this index), and inside it each event copies the one leaf
+    /// its block sits in (per sequence) and that block's columns. Counts are
+    /// adjusted per event and the fence sample is re-taken once per touched
+    /// relation, so a batch costs `O(|spines| + |delta| · (log |blocks| +
+    /// |leaf|))` — nothing scans the relation.
     ///
     /// Returns the deduplicated, sorted list of blocks whose contents changed
     /// — the dirty set callers use to decide which cached per-group answers
@@ -881,26 +937,23 @@ impl DbIndex {
     /// fact, deleting an absent one) and events for relations outside the
     /// indexed schema mark nothing dirty.
     pub fn apply_delta(&mut self, events: &[DeltaEvent]) -> Vec<DirtyBlock> {
-        /// Structural changes per batch and relation past which per-event
-        /// posting-list surgery (each `O(postings)`) loses to one deferred
-        /// `O(blocks)` rebuild.
-        const SURGERY_CAP: usize = 16;
-        // Pass 1: intern the values of every applicable insert, append-only
-        // on a private copy (other snapshots keep their pinned layout).
-        {
-            let interner = Arc::make_mut(&mut self.interner);
-            for event in events {
-                if !matches!(event.op, DeltaOp::Insert) {
-                    continue;
-                }
-                let Some(rel) = self.relations.get(event.fact.relation()) else {
-                    continue;
-                };
-                if event.fact.arity() != rel.arity {
-                    continue;
-                }
-                for v in event.fact.args() {
-                    interner.intern(v);
+        // Pass 1: intern the first-seen values of every applicable insert,
+        // append-only on a private copy (other snapshots keep their pinned
+        // layout). The interner is un-shared only when there is such a
+        // value: deletes, and inserts of known values, leave it shared.
+        for event in events {
+            if !matches!(event.op, DeltaOp::Insert) {
+                continue;
+            }
+            let Some(rel) = self.relations.get(event.fact.relation()) else {
+                continue;
+            };
+            if event.fact.arity() != rel.arity {
+                continue;
+            }
+            for v in event.fact.args() {
+                if self.interner.id_of(v).is_none() {
+                    Arc::make_mut(&mut self.interner).intern(v);
                 }
             }
         }
@@ -921,12 +974,9 @@ impl DbIndex {
             let Some(shared) = self.relations.get_mut(name) else {
                 continue;
             };
-            // The one per-relation path copy: blocks clone shallowly (their
-            // columns are `Arc`-shared) plus the deep posting lists.
+            // The one per-relation path copy: spines and the fence sample;
+            // leaves stay shared until an event lands in them.
             let rel = Arc::make_mut(shared);
-            let has_deep = rel.key_len > 1;
-            let mut structural_changes = 0usize;
-            let mut deferred = false;
             for event in rel_events {
                 if event.fact.arity() != rel.arity {
                     // Cannot correspond to any stored fact; instances validate
@@ -943,25 +993,10 @@ impl DbIndex {
                     debug_assert!(matches!(event.op, DeltaOp::Delete));
                     continue;
                 }
-                let (changed, structural) = match event.op {
+                let changed = match event.op {
                     DeltaOp::Insert => rel.insert_fact_ids(&ids, &interner),
                     DeltaOp::Delete => rel.remove_fact_ids(&ids, &interner),
                 };
-                if has_deep && !matches!(structural, Structural::No) {
-                    structural_changes += 1;
-                    deferred = deferred || structural_changes > SURGERY_CAP;
-                    if !deferred {
-                        match structural {
-                            Structural::Inserted(pos) => rel.deep_insert_block(pos),
-                            Structural::Removed(pos) => {
-                                // The emptied block's key is the event fact's
-                                // key prefix.
-                                rel.deep_remove_block(pos, &ids[..rel.key_len]);
-                            }
-                            Structural::No => unreachable!("guarded above"),
-                        }
-                    }
-                }
                 if changed {
                     dirty.insert(DirtyBlock {
                         relation: name.to_string(),
@@ -969,13 +1004,7 @@ impl DbIndex {
                     });
                 }
             }
-            if deferred {
-                rel.rebuild_deep_pos();
-            }
-            // Stats ride with the relation: one O(blocks) pass per touched
-            // relation per batch keeps the seek-vs-scan estimates current
-            // without ever scanning untouched relations.
-            rel.stats = RelationStats::compute(&rel.blocks);
+            rel.stats.resample_fences(&rel.blocks);
         }
         dirty.into_iter().collect()
     }
@@ -983,7 +1012,7 @@ impl DbIndex {
     /// Builds a **restricted view** of this index: for each relation named
     /// by a [`BlockRestriction`], a new [`RelationIndex`] holding only the
     /// blocks whose keys satisfy *all* of that relation's restrictions (with
-    /// posting lists and stats rebuilt for the surviving blocks); every
+    /// posting lists and stats built in bulk for the surviving blocks); every
     /// other relation — and the interner — stays `Arc`-shared with `self`.
     /// Not a build: [`DbIndex::build_count`] does not advance.
     ///
@@ -1063,25 +1092,20 @@ impl DbIndex {
                 .iter()
                 .map(|(r, _)| format!("key[{}] {} {}", r.pos, r.op, r.value))
                 .collect();
-            let blocks: Vec<IndexedBlock> = rel.blocks[span]
-                .iter()
-                .filter(|b| {
-                    residual.iter().all(|(r, rank)| {
-                        r.op.holds(self.interner.cmp_id_to_value(b.key[r.pos], &r.value, *rank))
+            let blocks = ChunkedSeq::from_sorted(
+                rel.blocks
+                    .range(span)
+                    .filter(|b| {
+                        residual.iter().all(|(r, rank)| {
+                            let ord =
+                                self.interner
+                                    .cmp_id_to_value(b.key_at(r.pos), &r.value, *rank);
+                            r.op.holds(ord)
+                        })
                     })
-                })
-                .cloned()
-                .collect();
-            let mut restricted = RelationIndex {
-                name: rel.name.clone(),
-                blocks,
-                key_len: rel.key_len,
-                arity: rel.arity,
-                deep_pos: Vec::new(),
-                stats: RelationStats::default(),
-            };
-            restricted.rebuild_deep_pos();
-            restricted.stats = RelationStats::compute(&restricted.blocks);
+                    .cloned(),
+            );
+            let restricted = RelationIndex::from_blocks(&rel.name, rel.key_len, rel.arity, blocks);
             let mut detail = String::new();
             if used_seek {
                 detail.push_str(&format!("seek {}", seek_parts.join(", ")));
@@ -1116,15 +1140,29 @@ impl DbIndex {
     }
 
     /// Returns `true` if the named relation's index is physically shared
-    /// (same allocation) between `self` and `other` — i.e. no delta has
-    /// path-copied it since the two diverged. Both lacking the relation
-    /// counts as shared. For tests and observability of the
-    /// structural-sharing contract.
+    /// (same allocation, spines included) between `self` and `other` — i.e.
+    /// no delta has touched it since the two diverged. Both lacking the
+    /// relation counts as shared. After a delta,
+    /// [`DbIndex::shared_leaves`] tells how much is still shared below the
+    /// spine.
     pub fn shares_relation_storage(&self, other: &DbIndex, name: &str) -> bool {
         match (self.relations.get(name), other.relations.get(name)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             (None, None) => true,
             _ => false,
+        }
+    }
+
+    /// How many leaves of the named relation's block list `self` shares (same
+    /// allocation) with `other`, and how many it has: `(shared, total)`. A
+    /// clone shares all; each single-fact delta since un-shares one leaf
+    /// (two on a split or merge); an ineffective delta none. `(0, 0)` for a
+    /// relation `self` does not index.
+    pub fn shared_leaves(&self, other: &DbIndex, name: &str) -> (usize, usize) {
+        match (self.relations.get(name), other.relations.get(name)) {
+            (Some(a), Some(b)) => a.blocks.shared_leaves(&b.blocks),
+            (Some(a), None) => (0, a.blocks.leaf_count()),
+            (None, _) => (0, 0),
         }
     }
 
@@ -1150,17 +1188,16 @@ impl DbIndex {
             assert_eq!(a.key_len, b.key_len, "{name}: key_len");
             assert_eq!(a.arity, b.arity, "{name}: arity");
             assert_eq!(a.blocks.len(), b.blocks.len(), "{name}: block count");
+            let key_of = |block: &IndexedBlock, rel: &RelationIndex, interner: &ValueInterner| {
+                interner.values_of(&block.key(rel.key_len).collect::<Vec<u32>>())
+            };
             for (x, y) in a.blocks.iter().zip(b.blocks.iter()) {
-                assert_eq!(
-                    self.interner.values_of(&x.key),
-                    other.interner.values_of(&y.key),
-                    "{name}: block order"
-                );
+                let key = key_of(x, a, &self.interner);
+                assert_eq!(key, key_of(y, b, &other.interner), "{name}: block order");
                 assert_eq!(
                     x.cols.rows(),
                     y.cols.rows(),
-                    "{name}: row count of block {:?}",
-                    self.interner.values_of(&x.key)
+                    "{name}: row count of block {key:?}"
                 );
                 for row in 0..x.cols.rows() {
                     let vx: Vec<&Value> = x
@@ -1173,23 +1210,36 @@ impl DbIndex {
                         .row_ids(row)
                         .map(|id| other.interner.value(id))
                         .collect();
-                    assert_eq!(
-                        vx,
-                        vy,
-                        "{name}: row {row} of block {:?}",
-                        self.interner.values_of(&x.key)
-                    );
+                    assert_eq!(vx, vy, "{name}: row {row} of block {key:?}");
                 }
             }
+            // Posting lists: per deep position, value → the keys of the
+            // blocks posted under it, in posting order. (Raw-id order across
+            // values differs between layouts; the grouping and the order
+            // within a value must not.) Each posted block must be the block
+            // list's current copy, not a stale one.
             let deep = |rel: &RelationIndex,
                         interner: &ValueInterner|
-             -> Vec<BTreeMap<Value, Vec<usize>>> {
-                rel.deep_pos
-                    .iter()
-                    .map(|m| {
-                        m.iter()
-                            .map(|(&id, pos)| (interner.value(id).clone(), pos.clone()))
-                            .collect()
+             -> Vec<BTreeMap<Value, Vec<Vec<Value>>>> {
+                (1..rel.key_len)
+                    .map(|p| {
+                        let mut by_value: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
+                        for (id, posted) in &rel.deep[p - 1] {
+                            assert_eq!(*id, posted.key_at(p), "{name}: posting id");
+                            let key: Vec<u32> = posted.key(rel.key_len).collect();
+                            let listed = rel
+                                .block_by_key_ids(&key, interner)
+                                .expect("posted block is in the block list");
+                            assert!(
+                                Arc::ptr_eq(&posted.cols, &listed.cols),
+                                "{name}: stale posting at key position {p}"
+                            );
+                            by_value
+                                .entry(interner.value(posted.key_at(p)).clone())
+                                .or_default()
+                                .push(interner.values_of(&key));
+                        }
+                        by_value
                     })
                     .collect()
             };
@@ -1251,6 +1301,12 @@ mod tests {
         ])
         .unwrap();
         db
+    }
+
+    /// A block's materialised key.
+    fn key_values(idx: &DbIndex, block: &IndexedBlock, key_len: usize) -> Vec<Value> {
+        idx.interner()
+            .values_of(&block.key(key_len).collect::<Vec<u32>>())
     }
 
     /// Interns a value key through an index's id space (tests only; absent
@@ -1319,7 +1375,7 @@ mod tests {
             .blocks_matching(&[None, Some(id(Value::text("c3")))], interner)
             .collect();
         assert_eq!(matched.len(), 1);
-        assert_eq!(interner.value(matched[0].key[0]), &Value::text("b2"));
+        assert_eq!(interner.value(matched[0].key_at(0)), &Value::text("b2"));
         // Value absent from the index: the MISSING_ID constraint matches
         // nothing.
         assert_eq!(
@@ -1471,8 +1527,8 @@ mod tests {
         let dirty_key = key_ids(&base, &[Value::text("b1"), Value::text("c1")]);
         for (x, y) in s_base.blocks().iter().zip(s_derived.blocks().iter()) {
             let shared = Arc::ptr_eq(&x.cols, &y.cols);
-            let is_dirty = *x.key == *dirty_key;
-            assert_eq!(shared, !is_dirty, "block {:?}", x.key);
+            let is_dirty = x.key(2).eq(dirty_key.iter().copied());
+            assert_eq!(shared, !is_dirty, "block {:?}", x.cols);
         }
         // Ineffective deltas (re-inserting a present fact, deleting an
         // absent one) still count as a touch of the relation (the copy
@@ -1490,10 +1546,87 @@ mod tests {
             .iter()
             .zip(noop.relation("S").blocks().iter())
         {
-            assert!(Arc::ptr_eq(&x.cols, &y.cols), "block {:?}", x.key);
+            assert!(Arc::ptr_eq(&x.cols, &y.cols), "block {:?}", x.cols);
         }
         // The base index is unchanged throughout.
         base.assert_structurally_identical(&DbIndex::new(&db));
+    }
+
+    #[test]
+    fn a_single_fact_delta_copies_one_leaf_per_sequence() {
+        // `R` has a one-column key (block list only), `S` a two-column key
+        // (block list + one posting list); both span many leaves.
+        let schema = Schema::new()
+            .with_relation("R", Signature::new(2, 1, []).unwrap())
+            .with_relation("S", Signature::new(3, 2, [2]).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        db.insert_all((0..4000).map(|i| fact!("R", 2 * i, i % 9)))
+            .unwrap();
+        db.insert_all((0..4000).map(|i| fact!("S", i / 40, 2 * (i % 40), i)))
+            .unwrap();
+        let base = DbIndex::new(&db);
+        let leaves = |name: &str| base.shared_leaves(&base, name).1;
+        assert!(leaves("R") > 10 && leaves("S") > 10);
+        let steps = [
+            // A new block, a removed block, a grown block, a shrunk block.
+            DeltaEvent::insert(fact!("R", 4001, 0)),
+            DeltaEvent::delete(fact!("R", 4000, 2)),
+            DeltaEvent::insert(fact!("R", 4000, 7)),
+            DeltaEvent::insert(fact!("S", 50, 41, 1)),
+            DeltaEvent::delete(fact!("S", 50, 40, 2020)),
+            DeltaEvent::insert(fact!("S", 50, 40, 1)),
+        ];
+        for event in steps {
+            let name = event.fact.relation().to_string();
+            let mut next = base.clone();
+            assert_eq!(next.apply_delta(std::slice::from_ref(&event)).len(), 1);
+            assert_eq!(
+                next.shared_leaves(&base, &name),
+                (leaves(&name) - 1, leaves(&name)),
+                "{event}"
+            );
+            let (rel, base_rel) = (next.relation(&name), base.relation(&name));
+            for (posting, base_posting) in rel.deep.iter().zip(&base_rel.deep) {
+                let (shared, total) = posting.shared_leaves(base_posting);
+                assert_eq!(shared, total - 1, "posting list after {event}");
+            }
+            let mut after = db.clone();
+            after.apply(event).unwrap();
+            next.assert_structurally_identical(&DbIndex::new(&after));
+        }
+        // Ineffective deltas copy spines at most: every leaf stays shared,
+        // and so does the interner (nothing new to intern).
+        let mut noop = base.clone();
+        let dirty = noop.apply_delta(&[
+            DeltaEvent::insert(fact!("R", 4000, 2)),
+            DeltaEvent::delete(fact!("S", 50, 41, 1)),
+        ]);
+        assert!(dirty.is_empty());
+        for name in ["R", "S"] {
+            assert_eq!(
+                noop.shared_leaves(&base, name),
+                (leaves(name), leaves(name))
+            );
+        }
+        assert!(Arc::ptr_eq(&noop.interner, &base.interner));
+    }
+
+    #[test]
+    fn the_interner_is_unshared_only_for_first_seen_values() {
+        let db = db();
+        let base = DbIndex::new(&db);
+        // Deletes, and inserts whose values are all interned, share it.
+        let mut next = base.clone();
+        next.apply_delta(&[
+            DeltaEvent::delete(fact!("S", "b1", "c1", 1)),
+            DeltaEvent::insert(fact!("S", "b2", "c1", 3)),
+        ]);
+        assert!(Arc::ptr_eq(&next.interner, &base.interner));
+        // A first-seen value gets a private, extended copy.
+        next.apply_delta(&[DeltaEvent::insert(fact!("S", "b2", "c1", 77))]);
+        assert!(!Arc::ptr_eq(&next.interner, &base.interner));
+        assert_eq!(next.interner().len(), base.interner().len() + 1);
+        assert!(base.interner().id_of(&Value::int(77)).is_none());
     }
 
     #[test]
@@ -1557,7 +1690,7 @@ mod tests {
             .blocks()
             .iter()
             .enumerate()
-            .filter(|(_, b)| op.holds(idx.interner().value(b.key[pos]).cmp(v)))
+            .filter(|(_, b)| op.holds(idx.interner().value(b.key_at(pos)).cmp(v)))
             .map(|(i, _)| i)
             .collect()
     }
@@ -1602,7 +1735,8 @@ mod tests {
                         .iter()
                         .enumerate()
                         .filter(|(_, b)| {
-                            b.key[0] == head_id && op.holds(idx.interner().value(b.key[1]).cmp(&v))
+                            b.key_at(0) == head_id
+                                && op.holds(idx.interner().value(b.key_at(1)).cmp(&v))
                         })
                         .map(|(i, _)| i)
                         .collect();
@@ -1660,11 +1794,11 @@ mod tests {
                 .blocks()
                 .iter()
                 .filter(|b| {
-                    restrictions
-                        .iter()
-                        .all(|r| r.op.holds(idx.interner().value(b.key[r.pos]).cmp(&r.value)))
+                    restrictions.iter().all(|r| {
+                        r.op.holds(idx.interner().value(b.key_at(r.pos)).cmp(&r.value))
+                    })
                 })
-                .map(|b| idx.interner().values_of(&b.key))
+                .map(|b| key_values(&idx, b, 2))
                 .collect();
             for force_scan in [false, true] {
                 let (view, paths) = idx.restrict(restrictions, force_scan);
@@ -1672,7 +1806,7 @@ mod tests {
                     .relation("R")
                     .blocks()
                     .iter()
-                    .map(|b| view.interner().values_of(&b.key))
+                    .map(|b| key_values(&view, b, 2))
                     .collect();
                 assert_eq!(got, expect, "restricted blocks ({restrictions:?})");
                 assert_eq!(paths.len(), 1);
@@ -1683,10 +1817,21 @@ mod tests {
                 }
                 // Stats track the restricted block list.
                 assert_eq!(view.relation("R").stats().blocks, expect.len());
-                // The deep posting lists cover exactly the surviving blocks.
-                let mut rebuilt = view.relation("R").clone();
-                rebuilt.rebuild_deep_pos();
-                assert_eq!(rebuilt.deep_pos, view.relation("R").deep_pos);
+                // The deep posting list covers exactly the surviving blocks.
+                for k1 in 0..=9 {
+                    let id = view.interner().id_or_missing(&Value::int(k1));
+                    let got: Vec<Vec<Value>> = view
+                        .relation("R")
+                        .blocks_matching(&[None, Some(id)], view.interner())
+                        .map(|b| key_values(&view, b, 2))
+                        .collect();
+                    let want: Vec<Vec<Value>> = expect
+                        .iter()
+                        .filter(|key| key[1] == Value::int(k1))
+                        .cloned()
+                        .collect();
+                    assert_eq!(got, want, "posting of key[1] = {k1}");
+                }
             }
         }
         // The selective head predicate takes the seek path by default.

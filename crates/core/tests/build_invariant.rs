@@ -12,10 +12,17 @@ use rcqa_core::engine::{EngineOptions, RangeCqa};
 use rcqa_core::index::DbIndex;
 use rcqa_data::{fact, DatabaseInstance, DeltaEvent, Schema, Signature};
 use rcqa_query::parse_agg_query;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Serialises the counting sections of this binary's tests.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTER_LOCK`]. The lock guards no data, so a test that failed
+/// while holding it leaves nothing invalid behind: recover the guard, and one
+/// failure stays one failure.
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn db_stock() -> DatabaseInstance {
     let schema = Schema::new()
@@ -38,7 +45,7 @@ fn db_stock() -> DatabaseInstance {
 
 #[test]
 fn build_counter_increments_per_construction() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counting();
     let db = db_stock();
     let before = DbIndex::build_count();
     let _a = DbIndex::new(&db);
@@ -48,7 +55,7 @@ fn build_counter_increments_per_construction() {
 
 #[test]
 fn one_index_build_per_call() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counting();
     // The acceptance criterion of the one-pass pipeline: each of glb, lub,
     // and range constructs exactly one DbIndex, even with GROUP BY
     // (rewriting-backed strategies only; the exact fallback enumerates
@@ -95,7 +102,7 @@ fn one_index_build_per_call() {
 
 #[test]
 fn apply_delta_is_maintenance_not_a_build() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counting();
     // Incremental maintenance must not advance the build counter: that is
     // what lets a serving session answer N queries and absorb mutations with
     // exactly one observable construction.
@@ -128,7 +135,7 @@ fn apply_delta_is_maintenance_not_a_build() {
 
 #[test]
 fn range_with_index_builds_nothing() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counting();
     // The serving layer's entry point: evaluation over a caller-owned index
     // performs zero constructions, at every worker count.
     let db = db_stock();
@@ -156,7 +163,7 @@ fn range_with_index_builds_nothing() {
 
 #[test]
 fn parallel_executor_workers_build_no_indexes() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counting();
     // With the parallel executor fanned out over worker threads, the single
     // index is built on the calling thread and shared; the process-wide
     // counter must still report exactly one construction per call.

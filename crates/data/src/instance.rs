@@ -5,11 +5,13 @@
 //! picks exactly one fact from each block (equivalently: a ⊆-maximal
 //! consistent subset). See Sections 1 and 3 of the paper.
 
+use crate::chunked::ChunkedSeq;
 use crate::delta::{DeltaEvent, DeltaOp};
 use crate::error::DataError;
 use crate::fact::Fact;
 use crate::schema::{RelName, Schema};
 use crate::value::Value;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -56,19 +58,48 @@ impl Block {
 
 /// An in-memory database instance: a schema plus a set of facts per relation.
 ///
-/// Per-relation fact sets are **structurally shared**: each relation's facts
-/// live behind an [`Arc`], so cloning an instance is one pointer bump per
-/// relation, and a mutation copies only the fact set of the relation it
-/// touches (clone-on-write via [`Arc::make_mut`]). The serving layer relies
-/// on this to derive successor snapshots in `O(|dirty relation| + |delta|)`
-/// instead of `O(|db|)`: every untouched relation of the successor shares
-/// storage with the base snapshot. Equality still compares contents, not
-/// pointers.
+/// Per-relation fact sets are **structurally shared at leaf granularity**:
+/// each relation's facts are one sorted [`ChunkedSeq`] behind an [`Arc`].
+/// Cloning an instance is one pointer bump per relation; a mutation copies,
+/// for the relation it touches, the sequence's spine (one pointer per leaf of
+/// [`crate::chunked::MIN_LEAF`]..=[`crate::chunked::MAX_LEAF`] facts) and the
+/// **one leaf** the fact lands in (two on a split or merge) — every other
+/// leaf, and every untouched relation, stays shared with the instance the
+/// clone came from ([`DatabaseInstance::shared_leaves`] observes this). The
+/// serving layer relies on it to derive a successor snapshot per commit
+/// without paying for the size of the written relation. What is still
+/// `O(|relation|)`: building an instance, iterating it (checkpoints, cold
+/// index builds), and `==`.
+///
+/// Equality and iteration never see leaf boundaries: `==` compares contents
+/// (a warm instance and one reloaded from a checkpoint hold the same facts in
+/// differently cut leaves), and [`DatabaseInstance::facts`] /
+/// [`DatabaseInstance::facts_of`] yield facts in sorted order.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct DatabaseInstance {
     schema: Schema,
     domain: NumericDomain,
-    relations: BTreeMap<RelName, Arc<BTreeSet<Fact>>>,
+    /// Facts per relation, sorted; no entry is ever empty.
+    relations: BTreeMap<RelName, Arc<ChunkedSeq<Fact>>>,
+}
+
+/// Position of `fact` in its relation's sorted sequence, or where it would be
+/// inserted. Within one relation fact order is argument order, so the
+/// comparison skips the (equal) relation names.
+fn find(facts: &ChunkedSeq<Fact>, fact: &Fact) -> Result<usize, usize> {
+    facts.search_by(|f| f.args().cmp(fact.args()))
+}
+
+/// Inserts `fact` at its sorted position unless it is present, copying only
+/// the leaf it lands in. Returns whether it was new.
+fn insert_sorted(facts: &mut Arc<ChunkedSeq<Fact>>, fact: Fact) -> bool {
+    match find(facts, &fact) {
+        Ok(_) => false,
+        Err(pos) => {
+            Arc::make_mut(facts).insert(pos, fact);
+            true
+        }
+    }
 }
 
 impl DatabaseInstance {
@@ -139,15 +170,53 @@ impl DatabaseInstance {
     /// fact is already there) leaves the relation's shared storage untouched.
     pub fn insert(&mut self, fact: Fact) -> Result<bool, DataError> {
         self.validate(&fact)?;
+        Ok(self.insert_valid(fact))
+    }
+
+    /// Inserts a fact already known to conform to the schema.
+    fn insert_valid(&mut self, fact: Fact) -> bool {
         let name = self
             .schema
             .intern(fact.relation())
-            .expect("validated relation exists");
-        let set = self.relations.entry(name).or_default();
-        if set.contains(&fact) {
-            return Ok(false);
+            .expect("fact relation in schema");
+        insert_sorted(self.relations.entry(name).or_default(), fact)
+    }
+
+    /// Bulk-loads `facts` (validated against the schema; nothing is loaded if
+    /// any fact fails). A relation that holds no facts yet is built directly
+    /// from the sorted, deduplicated facts in exact-capacity leaves — the
+    /// checkpoint-load path — and any other falls back to per-fact inserts.
+    /// Returns how many facts were new, so a caller expecting no duplicates
+    /// can compare it with the number it passed.
+    pub fn load(&mut self, facts: Vec<Fact>) -> Result<usize, DataError> {
+        let mut by_relation: BTreeMap<RelName, Vec<Fact>> = BTreeMap::new();
+        for fact in facts {
+            self.validate(&fact)?;
+            let name = self
+                .schema
+                .intern(fact.relation())
+                .expect("validated relation exists");
+            by_relation.entry(name).or_default().push(fact);
         }
-        Ok(Arc::make_mut(set).insert(fact))
+        let mut new = 0;
+        for (name, mut facts) in by_relation {
+            match self.relations.entry(name) {
+                Entry::Occupied(mut set) => {
+                    new += facts
+                        .into_iter()
+                        .map(|f| insert_sorted(set.get_mut(), f))
+                        .filter(|&inserted| inserted)
+                        .count();
+                }
+                Entry::Vacant(slot) => {
+                    facts.sort_unstable();
+                    facts.dedup();
+                    new += facts.len();
+                    slot.insert(Arc::new(ChunkedSeq::from_sorted(facts)));
+                }
+            }
+        }
+        Ok(new)
     }
 
     /// Inserts many facts.
@@ -186,21 +255,22 @@ impl DatabaseInstance {
         let Some(set) = self.relations.get_mut(fact.relation()) else {
             return false;
         };
-        if !set.contains(fact) {
+        let Ok(pos) = find(set, fact) else {
             return false;
-        }
-        let removed = Arc::make_mut(set).remove(fact);
+        };
+        Arc::make_mut(set).remove(pos);
         if set.is_empty() {
             self.relations.remove(fact.relation());
         }
-        removed
+        true
     }
 
-    /// Returns `true` if the named relation's fact set is physically shared
-    /// (same allocation) between `self` and `other` — i.e. neither instance
-    /// has copied it since they diverged. Both instances lacking the entry
-    /// counts as shared (there is nothing to copy). For tests and
-    /// observability of the clone-on-write contract.
+    /// Returns `true` if the named relation's whole fact sequence (spine
+    /// included) is physically shared between `self` and `other` — i.e.
+    /// neither instance has written to the relation since they diverged.
+    /// Both instances lacking the entry counts as shared (there is nothing to
+    /// copy). After a write, [`DatabaseInstance::shared_leaves`] tells how
+    /// much is still shared below the spine.
     pub fn shares_relation_storage(&self, other: &DatabaseInstance, name: &str) -> bool {
         match (self.relations.get(name), other.relations.get(name)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -209,12 +279,24 @@ impl DatabaseInstance {
         }
     }
 
+    /// How many leaves of the named relation's fact sequence `self` shares
+    /// (same allocation) with `other`, and how many it has: `(shared,
+    /// total)`. A clone shares all; each effective single-fact write since
+    /// un-shares one leaf (two on a split or merge); a no-op write none.
+    /// `(0, 0)` for a relation `self` holds no facts of.
+    pub fn shared_leaves(&self, other: &DatabaseInstance, name: &str) -> (usize, usize) {
+        match (self.relations.get(name), other.relations.get(name)) {
+            (Some(a), Some(b)) => a.shared_leaves(b),
+            (Some(a), None) => (0, a.leaf_count()),
+            (None, _) => (0, 0),
+        }
+    }
+
     /// Returns `true` if the fact is present.
     pub fn contains(&self, fact: &Fact) -> bool {
         self.relations
             .get(fact.relation())
-            .map(|set| set.contains(fact))
-            .unwrap_or(false)
+            .is_some_and(|set| find(set, fact).is_ok())
     }
 
     /// The facts of relation `name` (empty iterator if none).
@@ -318,8 +400,7 @@ impl DatabaseInstance {
             relations: BTreeMap::new(),
         };
         for b in self.blocks() {
-            let f = b.facts[0].clone();
-            Arc::make_mut(r.relations.entry(b.relation.clone()).or_default()).insert(f);
+            r.insert_valid(b.facts[0].clone());
         }
         r
     }
@@ -331,11 +412,7 @@ impl DatabaseInstance {
             relations: BTreeMap::new(),
         };
         for f in facts {
-            let name = self
-                .schema
-                .intern(f.relation())
-                .expect("fact relation in schema");
-            Arc::make_mut(r.relations.entry(name).or_default()).insert(f);
+            r.insert_valid(f);
         }
         r
     }
@@ -571,6 +648,46 @@ mod tests {
         assert!(!noop.remove(&fact!("Dealers", "Nobody", "Nowhere")));
         assert!(db.shares_relation_storage(&noop, "Dealers"));
         assert!(db.shares_relation_storage(&noop, "Stock"));
+    }
+
+    #[test]
+    fn a_single_fact_write_copies_one_leaf() {
+        let schema = Schema::new().with_relation("R", Signature::new(2, 1, []).unwrap());
+        let mut base = DatabaseInstance::new(schema.clone());
+        let facts: Vec<Fact> = (0..5000).map(|i| fact!("R", 2 * i, i)).collect();
+        assert_eq!(base.load(facts.clone()).unwrap(), 5000);
+        let (_, leaves) = base.shared_leaves(&base, "R");
+        assert!(leaves > 10, "the relation spans many leaves: {leaves}");
+        // Insert and delete each un-share exactly the leaf they land in.
+        let mut next = base.clone();
+        assert!(next.insert(fact!("R", 4001, 0)).unwrap());
+        assert_eq!(next.shared_leaves(&base, "R"), (leaves - 1, leaves));
+        let mut next = base.clone();
+        assert!(next.remove(&fact!("R", 4000, 2000)));
+        assert_eq!(next.shared_leaves(&base, "R"), (leaves - 1, leaves));
+        // No-op writes share everything, spine included.
+        let mut noop = base.clone();
+        assert!(!noop.insert(fact!("R", 4000, 2000)).unwrap());
+        assert!(!noop.remove(&fact!("R", 4001, 0)));
+        assert!(noop.shares_relation_storage(&base, "R"));
+        assert_eq!(noop.shared_leaves(&base, "R"), (leaves, leaves));
+        // An instance grown fact by fact is cut into different leaves than
+        // the bulk-loaded one, and still equal to it, in the same order.
+        let mut grown = DatabaseInstance::new(schema);
+        grown.insert_all(facts.iter().rev().cloned()).unwrap();
+        assert_ne!(grown.shared_leaves(&grown, "R").1, leaves);
+        assert_eq!(grown, base);
+        assert!(grown.facts().eq(facts.iter()));
+        assert_ne!(grown, next);
+        // Bulk loads validate everything first and count only new facts.
+        assert_eq!(
+            grown
+                .load(vec![fact!("R", 0, 0), fact!("R", 1, 1)])
+                .unwrap(),
+            1
+        );
+        assert!(grown.load(vec![fact!("R", 3, 3), fact!("R", "x")]).is_err());
+        assert!(!grown.contains(&fact!("R", 3, 3)));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod agg;
+pub mod chunked;
 pub mod codec;
 pub mod delta;
 pub mod error;
@@ -43,6 +44,7 @@ pub mod value;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::agg::{AggFunc, AggOp};
+    pub use crate::chunked::ChunkedSeq;
     pub use crate::delta::{DeltaEvent, DeltaOp};
     pub use crate::error::DataError;
     pub use crate::fact::Fact;

@@ -14,13 +14,15 @@
 //!   feed the parallel plan executor simultaneously; writers
 //!   ([`Session::insert`], [`Session::insert_all`], [`Session::delete`])
 //!   build the *successor* snapshot out of the base's **shared structure**:
-//!   instance relations and per-relation indexes are `Arc`-shared, so the
-//!   successor pointer-bumps everything the batch does not touch and
-//!   path-copies only the dirty relations (and, inside the index, only the
-//!   dirty blocks) via `DbIndex::apply_delta` — a write batch costs
-//!   `O(|dirty relations| + |delta|)`, not `O(|db|)` — then atomically
-//!   swaps it in. In-flight readers keep their pinned snapshot: reads are
-//!   **snapshot-isolated**, never torn;
+//!   instance relations and per-relation indexes are `Arc`-shared, and
+//!   inside them facts and blocks sit in chunked copy-on-write sequences
+//!   ([`rcqa_data::ChunkedSeq`]), so the successor pointer-bumps every
+//!   relation the batch does not touch and, in a written relation, copies
+//!   one spine plus one leaf per touched block (`DatabaseInstance::apply`,
+//!   `DbIndex::apply_delta`) — a single-fact commit costs a few hundred
+//!   pointer copies whatever the size of the relation or the database —
+//!   then atomically swaps it in. In-flight readers keep their pinned
+//!   snapshot: reads are **snapshot-isolated**, never torn;
 //! * a **prepared-statement cache**: [`Session::prepare`] parses,
 //!   classifies, and plans a SQL string once; `execute`/`explain` look
 //!   statements up by *normalized* SQL (whitespace collapsed and text
@@ -832,14 +834,15 @@ impl Session {
     ) -> Result<Session, SessionError> {
         let (wal, recovery) = Wal::open(storage, options)?;
         let mut db = DatabaseInstance::new(catalog.schema());
-        for fact in recovery.checkpoint_facts {
-            if !db.insert(fact)? {
-                return Err(SessionError::Wal(WalError::Corrupt {
-                    file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
-                    offset: 0,
-                    detail: "checkpoint contains a duplicate fact".to_string(),
-                }));
-            }
+        // One bulk load: the checkpoint's facts go straight into
+        // exact-capacity leaves instead of through per-fact inserts.
+        let checkpointed = recovery.checkpoint_facts.len();
+        if db.load(recovery.checkpoint_facts)? != checkpointed {
+            return Err(SessionError::Wal(WalError::Corrupt {
+                file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
+                offset: 0,
+                detail: "checkpoint contains a duplicate fact".to_string(),
+            }));
         }
         // Every logged event was *effective* when committed (the session
         // only logs effective deltas), so each must be effective on replay
@@ -1019,11 +1022,22 @@ impl Session {
 
     /// Commits one write batch: derives the successor instance from the base
     /// snapshot's **shared structure** (untouched relations are pointer
-    /// bumps; mutated relations are path-copied), replays the delta into a
-    /// structurally-shared copy of the base index (when the base snapshot
-    /// has one), records the dirty blocks for result patching, and atomically
-    /// publishes the successor. The whole batch costs
-    /// `O(|dirty relations| + |delta|)`, never `O(|db|)` — there is no batch
+    /// bumps; a written relation copies its spine and the leaves the batch
+    /// lands in), replays the delta into a structurally-shared copy of the
+    /// base index (when the base snapshot has one), records the dirty blocks
+    /// for result patching, and atomically publishes the successor.
+    ///
+    /// Copied per commit, in the instance and in the index alike: per
+    /// written relation one spine (a pointer per leaf of 128–256 entries),
+    /// and per touched block one leaf of each sequence (two where a leaf
+    /// splits or merges) plus the block's columns; index statistics are
+    /// adjusted, not recomputed. With `n` the size of a written relation a
+    /// batch costs `O(n / 128 + |delta| · (log n + 256))` — for a
+    /// single-fact commit a few microseconds at 10⁵ facts, so a durable
+    /// commit's floor is its WAL append and fsync. Nothing here scans or
+    /// copies a relation, let alone the database; what still does: the
+    /// checkpoint a commit may trigger (it writes every fact) and the cold
+    /// index build of a snapshot chain that never had one. There is no batch
     /// size past which replay degrades, so every committed batch (bulk loads
     /// included) publishes with a warm index and a gap-free dirty log.
     ///
@@ -1044,7 +1058,8 @@ impl Session {
     ) -> Result<T, SessionError> {
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let base = self.snapshot();
-        // Cheap: per-relation Arc bumps. `mutate` copies only what it writes.
+        // Cheap: per-relation Arc bumps. `mutate` copies the spine and the
+        // leaves of what it writes.
         let mut db = (*base.db).clone();
         let (events, out) = mutate(&mut db)?;
         if events.is_empty() {
@@ -1066,7 +1081,7 @@ impl Session {
         match base.index.get() {
             Some(base_index) => {
                 // Cheap again: the clone shares every relation's index with
-                // the base; `apply_delta` path-copies the dirty ones.
+                // the base; `apply_delta` path-copies the dirty leaves.
                 let mut index = (**base_index).clone();
                 let dirty = index.apply_delta(&events);
                 snapshot
@@ -1544,13 +1559,22 @@ impl Session {
             })
             .map(|row| row.key.clone())
             .collect();
+        // Past half the cached rows a full recompute is cheaper than
+        // re-deriving key by key. Births only add to the set, so when the
+        // cached rows alone are past it the (costly) birth lookup is skipped.
+        let too_many = |affected: &BTreeSet<Vec<Value>>| {
+            raw[0].len() >= 16 && affected.len() * 2 > raw[0].len()
+        };
+        if too_many(&affected) {
+            return Ok(None);
+        }
         affected.extend(stmt.engine().dirty_candidate_keys(index, &dirty));
         if affected.is_empty() {
             // Nothing cached can change and nothing can be born: the result
             // is untouched by the whole delta range.
             return Ok(restamped());
         }
-        if raw[0].len() >= 16 && affected.len() * 2 > raw[0].len() {
+        if too_many(&affected) {
             return Ok(None);
         }
         let mut new_raw = Vec::with_capacity(stmt.engines.len());

@@ -1,21 +1,13 @@
-//! Serving-session cache invariants asserted via the process-wide
-//! [`DbIndex::build_count`] counter.
-//!
-//! These tests live in their own integration-test binary (one process) so
-//! that no other test builds indexes concurrently while a counting section
-//! runs; within the binary the counting tests serialise on a local mutex
-//! (the same discipline as `crates/core/tests/build_invariant.rs`).
+//! Serving-session cache invariants, asserted on each session's own
+//! [`rcqa::session::SessionStats::index_builds`] — a per-session count, so
+//! the tests of this binary (the proptest block included) run side by side
+//! on any number of libtest threads without observing each other's builds.
 
 use rcqa::core::engine::EngineOptions;
-use rcqa::core::index::DbIndex;
 use rcqa::data::fact;
 use rcqa::gen::JoinWorkload;
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::Session;
-use std::sync::Mutex;
-
-/// Serialises the counting sections of this binary's tests.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// The catalog lowering of [`JoinWorkload`]'s schema: `R(X, Y)` with key
 /// `X`, `S(Y, Z, Qty)` with key `(Y, Z)` and numeric `Qty`.
@@ -49,7 +41,6 @@ const GROUPED_MAX: &str = "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROU
 
 #[test]
 fn n_repeated_executes_build_exactly_one_index() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     for threads in [1usize, 4] {
         let session = Session::with_instance(rs_catalog(), workload().generate()).with_options(
             EngineOptions {
@@ -57,20 +48,17 @@ fn n_repeated_executes_build_exactly_one_index() {
                 ..EngineOptions::default()
             },
         );
-        let before = DbIndex::build_count();
         let first = session.execute(GROUPED_MAX).unwrap();
         assert_eq!(first.rows.len(), 20);
         for _ in 0..9 {
             let again = session.execute(GROUPED_MAX).unwrap();
             assert_eq!(again.rows, first.rows);
         }
+        let stats = session.stats();
         assert_eq!(
-            DbIndex::build_count() - before,
-            1,
+            stats.index_builds, 1,
             "{threads} threads: 10 executes must build exactly one index"
         );
-        let stats = session.stats();
-        assert_eq!(stats.index_builds, 1);
         assert_eq!(stats.result_hits, 9);
         assert_eq!(stats.statements_prepared, 1);
         assert_eq!(stats.statement_hits, 9);
@@ -79,43 +67,36 @@ fn n_repeated_executes_build_exactly_one_index() {
 
 #[test]
 fn mutations_maintain_the_index_without_rebuilding() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let session = Session::with_instance(rs_catalog(), workload().generate());
-    let before = DbIndex::build_count();
     session.execute(GROUPED_MAX).unwrap();
-    assert_eq!(DbIndex::build_count() - before, 1);
+    assert_eq!(session.stats().index_builds, 1);
 
     // Insert into a fresh group, insert into an existing group's relation,
     // and delete again: every step is served by delta replay, never a
     // rebuild.
-    let after_build = DbIndex::build_count();
     session.insert(fact!("R", "xnew", "y3")).unwrap();
     let grown = session.execute(GROUPED_MAX).unwrap();
     assert_eq!(grown.rows.len(), 21);
     assert!(session.delete(&fact!("R", "xnew", "y3")).unwrap());
     let shrunk = session.execute(GROUPED_MAX).unwrap();
     assert_eq!(shrunk.rows.len(), 20);
+    let stats = session.stats();
     assert_eq!(
-        DbIndex::build_count() - after_build,
-        0,
+        stats.index_builds, 1,
         "mutations must be applied as deltas, not rebuilds"
     );
-    let stats = session.stats();
-    assert_eq!(stats.index_builds, 1);
     assert_eq!(stats.partial_recomputes, 2, "R deltas localise to groups");
     assert_eq!(stats.deltas_applied, 2);
 }
 
 #[test]
 fn concurrent_clients_share_exactly_one_index_build() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let session = Session::with_instance(rs_catalog(), workload().generate());
     let expected = session.execute(GROUPED_MAX).unwrap().rows;
     // Evict the result cache's current epoch? No — share a *fresh* session so
     // the very first builds race: 4 clients starting cold must still build
     // exactly one index (the snapshot's OnceLock serialises initialisers).
     let fresh = Session::with_instance(rs_catalog(), workload().generate());
-    let before = DbIndex::build_count();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let fresh = &fresh;
@@ -127,13 +108,11 @@ fn concurrent_clients_share_exactly_one_index_build() {
             });
         }
     });
+    let stats = fresh.stats();
     assert_eq!(
-        DbIndex::build_count() - before,
-        1,
+        stats.index_builds, 1,
         "4 racing cold clients must share one index build"
     );
-    let stats = fresh.stats();
-    assert_eq!(stats.index_builds, 1);
     assert_eq!(stats.statements_prepared, 1, "racing preparations dedupe");
 }
 
@@ -285,7 +264,6 @@ mod random_interleavings {
 
 #[test]
 fn warm_answers_equal_cold_sessions_at_every_thread_count() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let db = workload().generate();
     let warm = Session::with_instance(rs_catalog(), db);
     // Warm the caches, mutate through the delta path, and query again.

@@ -13,13 +13,17 @@
 //! * a relation can be emptied completely and repopulated without the warm
 //!   index diverging from a cold rebuild (the old
 //!   `DatabaseInstance::remove` left an empty relation entry behind);
+//! * the same holds over histories long enough to split and merge the
+//!   leaves of a two-column-key relation's block list and posting list;
 //! * successor snapshots physically share storage with their base for
-//!   everything a batch does not touch.
+//!   everything a batch does not touch — whole relations, and inside the
+//!   written relation every leaf but the one the write lands in.
 
 use proptest::prelude::*;
 use rcqa::core::engine::EngineOptions;
 use rcqa::core::index::DbIndex;
-use rcqa::data::{fact, DatabaseInstance, Fact, Value};
+use rcqa::data::chunked::MIN_LEAF;
+use rcqa::data::{fact, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::Session;
 
@@ -149,6 +153,100 @@ proptest! {
             }
             assert_matches_cold(&session, &mirror);
         }
+    }
+}
+
+/// A fact of `S` from a domain wide enough (40 × 30 block keys) that a long
+/// history spreads the block list over several leaves.
+fn wide_s_fact(draw: u64) -> Fact {
+    let y = draw % 40;
+    let z = (draw / 40) % 30;
+    let qty = 1 + 4 * ((draw / 1200) % 2);
+    Fact::new(
+        "S",
+        [
+            Value::text(format!("y{y:02}")),
+            Value::text(format!("z{z:02}")),
+            Value::int(qty as i64),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// At least `4 * MIN_LEAF` effective events on `S`, the relation with a
+    /// two-column key: a growth phase that splits the leaves of its block
+    /// list and of its posting list, then a shrink phase (deleting what the
+    /// growth phase drew) that merges them again — in single commits and
+    /// 16-event batches. Every value is first seen by a commit, so all of it
+    /// runs on appended interner ids. The warm index (block order, row order,
+    /// position-free postings, incrementally kept counts and fences) is
+    /// compared with a cold `DbIndex::new` every 64 commits, and answers with
+    /// cold sessions at the turning point and the end.
+    #[test]
+    fn long_histories_on_a_two_column_key_stay_identical_to_cold_rebuilds(
+        draws in proptest::collection::vec((0u8..8, 0u64..1_000_000), 3000..3400),
+    ) {
+        let session = Session::new(rs_catalog());
+        let mut mirror = DatabaseInstance::new(rs_catalog().schema());
+        let r_facts: Vec<Fact> =
+            (0..40).map(|i| fact!("R", format!("x{i:02}"), format!("y{i:02}"))).collect();
+        session.insert_all(r_facts.clone()).expect("R conforms");
+        mirror.insert_all(r_facts).expect("mirror R conforms");
+        session.execute(GROUPED_MAX).expect("initial execute");
+
+        let half = draws.len() / 2;
+        let leaves = |session: &Session| {
+            let snapshot = session.snapshot();
+            let index = snapshot.index().expect("warm session keeps its index");
+            index.shared_leaves(index, "S").1
+        };
+        let (mut effective, mut commits, mut most_leaves) = (0usize, 0usize, 0usize);
+        let mut i = 0;
+        while i < draws.len() {
+            let growing = i < half;
+            // Growth: 7 in 8 events insert. Shrink: 7 in 8 delete a fact the
+            // growth phase inserted.
+            let event_at = |j: usize| {
+                let (op, draw) = draws[j];
+                match (growing, op != 0) {
+                    (true, true) | (false, false) => DeltaEvent::insert(wide_s_fact(draw)),
+                    (true, false) => DeltaEvent::delete(wide_s_fact(draw)),
+                    (false, true) => DeltaEvent::delete(wide_s_fact(draws[j - half].1)),
+                }
+            };
+            // Every fifth commit is a 16-event batch.
+            let width = if commits % 5 == 4 { 16.min(draws.len() - i) } else { 1 };
+            let batch: Vec<DeltaEvent> = (i..i + width).map(event_at).collect();
+            i += width;
+            let flags = session.apply_batch(&batch).expect("batch conforms");
+            for (event, flag) in batch.into_iter().zip(flags) {
+                let applied = mirror.apply(event).expect("mirror conforms").is_some();
+                prop_assert_eq!(flag, applied);
+                effective += usize::from(applied);
+            }
+            commits += 1;
+            if commits % 64 == 0 {
+                most_leaves = most_leaves.max(leaves(&session));
+                let snapshot = session.snapshot();
+                prop_assert_eq!(&**snapshot.db(), &mirror);
+                snapshot
+                    .index()
+                    .expect("warm session keeps its index")
+                    .assert_structurally_identical(&DbIndex::new(snapshot.db()));
+            }
+            if i >= half && i - width < half {
+                assert_matches_cold(&session, &mirror);
+            }
+        }
+        assert_matches_cold(&session, &mirror);
+        prop_assert!(effective >= 4 * MIN_LEAF, "only {} effective events", effective);
+        prop_assert!(most_leaves >= 3, "the growth phase must split: {}", most_leaves);
+        prop_assert!(
+            leaves(&session) < most_leaves,
+            "the shrink phase must merge: {} leaves, {} at most", leaves(&session), most_leaves
+        );
     }
 }
 
@@ -302,4 +400,76 @@ fn snapshots_share_untouched_relations_with_their_base() {
     assert_eq!(session.execute(GROUPED_MAX).unwrap().rows.len(), 2);
     let cold_base = Session::with_instance(rs_catalog(), base.db().clone());
     assert_eq!(cold_base.execute(GROUPED_MAX).unwrap().rows.len(), 1);
+}
+
+/// Inside the written relation sharing is leaf-granular: a single-fact
+/// commit un-shares exactly one leaf of the relation's fact sequence and one
+/// leaf of its block list; a no-op write publishes nothing.
+#[test]
+fn a_single_fact_commit_copies_one_leaf_of_the_written_relation() {
+    let session = Session::new(rs_catalog());
+    session
+        .insert_all((0..3000).map(|i| fact!("R", format!("x{i:04}"), format!("y{}", i % 7))))
+        .unwrap();
+    session
+        .insert_all((0..7).map(|y| {
+            Fact::new(
+                "S",
+                [
+                    Value::text(format!("y{y}")),
+                    Value::text("z"),
+                    Value::int(y),
+                ],
+            )
+        }))
+        .unwrap();
+    session.execute(GROUPED_MAX).unwrap();
+    let base = session.snapshot();
+    let base_idx = base.index().unwrap();
+    let (_, db_leaves) = base.db().shared_leaves(base.db(), "R");
+    let (_, idx_leaves) = base_idx.shared_leaves(base_idx, "R");
+    assert!(
+        db_leaves > 10 && idx_leaves > 10,
+        "{db_leaves}, {idx_leaves}"
+    );
+
+    for (insert, f) in [
+        (true, fact!("R", "x1500a", "y0")),
+        (false, fact!("R", "x0700", "y0")),
+    ] {
+        let before = session.snapshot();
+        if insert {
+            assert!(session.insert(f).unwrap());
+        } else {
+            assert!(session.delete(&f).unwrap());
+        }
+        let next = session.snapshot();
+        assert_eq!(
+            next.db().shared_leaves(before.db(), "R"),
+            (db_leaves - 1, db_leaves)
+        );
+        assert_eq!(
+            next.index()
+                .unwrap()
+                .shared_leaves(before.index().unwrap(), "R"),
+            (idx_leaves - 1, idx_leaves)
+        );
+        assert!(next.db().shares_relation_storage(before.db(), "S"));
+        next.index()
+            .unwrap()
+            .assert_structurally_identical(&DbIndex::new(next.db()));
+    }
+
+    // A no-op write (duplicate insert, absent delete) shares everything: no
+    // successor is published at all.
+    let before = session.snapshot();
+    assert!(!session.insert(fact!("R", "x0001", "y1")).unwrap());
+    assert!(!session.delete(&fact!("R", "nope", "y1")).unwrap());
+    let after = session.snapshot();
+    assert_eq!(after.epoch(), before.epoch());
+    assert!(after.db().shares_relation_storage(before.db(), "R"));
+    assert_eq!(
+        after.db().shared_leaves(before.db(), "R"),
+        (db_leaves, db_leaves)
+    );
 }
