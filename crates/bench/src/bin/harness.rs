@@ -1,166 +1,84 @@
-//! The experiment harness: regenerates every experiment report (E1–E18).
+//! The experiment harness: regenerates the paper's experiment reports
+//! (E1–E10).
 //!
 //! Usage:
 //!   cargo run -p rcqa-bench --bin harness --release             # E1–E10
 //!   cargo run -p rcqa-bench --bin harness --release -- e3 e9    # selected ones
-//!   cargo run -p rcqa-bench --bin harness --release -- groupby  # E11 + BENCH_groupby.json
-//!   cargo run -p rcqa-bench --bin harness --release -- parallel # E12 + BENCH_parallel.json
-//!   cargo run -p rcqa-bench --bin harness --release -- serving  # E13 + BENCH_serving.json
-//!   cargo run -p rcqa-bench --bin harness --release -- concurrent # E14 + BENCH_concurrent.json
-//!   cargo run -p rcqa-bench --bin harness --release -- durability # E15 + BENCH_wal.json
 //!   cargo run -p rcqa-bench --bin harness --release -- --help   # list modes
 //!
-//! Unknown experiment names are rejected with a non-zero exit code (they used
-//! to be silently ignored, printing just the banner).
-//!
-//! The `groupby` mode additionally writes the machine-readable
-//! `BENCH_groupby.json` (path overridable via the `BENCH_GROUPBY_PATH`
-//! environment variable), tracking the one-pass pipeline's speedup over the
-//! seed per-group strategy; `parallel` writes `BENCH_parallel.json`
-//! (`BENCH_PARALLEL_PATH`), tracking the block-sharded executor's scaling
-//! over the sequential plan; `serving` writes `BENCH_serving.json`
-//! (`BENCH_SERVING_PATH`), tracking the warm serving session's repeated-query
-//! and insert-then-query advantage over per-call cold sessions; `concurrent`
-//! writes `BENCH_concurrent.json` (`BENCH_CONCURRENT_PATH`), tracking the
-//! snapshot-isolated session's warm read throughput at 1/2/4 client threads
-//! plus readers-during-writer agreement; `durability` writes `BENCH_wal.json`
-//! (`BENCH_WAL_PATH`), tracking the write-ahead log's per-commit overhead
-//! under amortized and per-commit fsync policies plus the time to recover a
-//! 10⁴-event log tail; `scale` writes `BENCH_scale.json` (`BENCH_SCALE_PATH`;
-//! fact budget overridable via `BENCH_SCALE_FACTS`), comparing the interned
-//! columnar layout against the pre-interning row layout on a Zipf-skewed
-//! 10⁵-fact join; `range` writes `BENCH_range.json` (`BENCH_RANGE_PATH`,
-//! `BENCH_RANGE_FACTS`), comparing the cost-based range seek against the
-//! forced full-scan baseline on the same 10⁵-fact tier; `incremental` writes
-//! `BENCH_incremental.json` (`BENCH_INCREMENTAL_PATH`), tracking per-write
-//! warm-read latency of the support-tracked patch path against forced full
-//! recompute across growing group counts, with the `SessionStats` per-path
-//! counters (supported patches, support misses, top-k fallbacks) alongside;
-//! `shard` writes `BENCH_shard.json` (`BENCH_SHARD_PATH`), tracking the
-//! sharded front-end's write-then-warm-read latency at 1/2/4 shards plus
-//! group-commit write throughput against serial single-session commits,
-//! with the aggregated `ShardedStats` route counters alongside.
-//!
-//! Scaling artifacts (`parallel`, `shard`) record the machine's available
-//! parallelism, and on a single-core box they refuse to overwrite an
-//! existing artifact (the numbers would be misleading); CI regenerates them
-//! on multi-core runners with `BENCH_FORCE_WRITE=1`.
+//! Unknown experiment names are rejected with a non-zero exit code and the
+//! mode listing. Performance is not measured here: that is the job of the
+//! repo's one benchmark (`BENCHMARK.json` + the `benchmark/` package).
 
 use std::process::ExitCode;
 
-/// Every experiment mode: name, aliases, one-line description.
-const MODES: &[(&str, &[&str], &str)] = &[
-    ("e1", &[], "Fig. 1 + introduction query g0 (GLB = 70)"),
-    ("e2", &[], "Fig. 2 / Example 3.1: attack graph of q0"),
+/// One experiment mode: name, one-line description, report generator.
+type Mode = (&'static str, &'static str, fn() -> String);
+
+/// Every experiment mode, in the order a no-argument run prints them.
+const MODES: &[Mode] = &[
+    (
+        "e1",
+        "Fig. 1 + introduction query g0 (GLB = 70)",
+        rcqa_bench::e1,
+    ),
+    (
+        "e2",
+        "Fig. 2 / Example 3.1: attack graph of q0",
+        rcqa_bench::e2,
+    ),
     (
         "e3",
-        &[],
         "Fig. 3-5 / Section 6.1: ∀embeddings M0, GLB = 9, rewriting",
+        rcqa_bench::e3,
     ),
-    ("e4", &[], "Examples 4.1 / 4.4: ∀embeddings over dbStock"),
+    (
+        "e4",
+        "Examples 4.1 / 4.4: ∀embeddings over dbStock",
+        rcqa_bench::e4,
+    ),
     (
         "e5",
-        &[],
         "Separation decision (Theorems 1.1, 5.5, 6.1, 7.10, 7.11)",
+        rcqa_bench::e5,
     ),
     (
         "e6",
-        &[],
         "GLB(SUM) scaling: rewriting vs MaxSAT vs exact enumeration",
+        || rcqa_bench::format_e6(&rcqa_bench::e6(&[25, 50, 100, 200, 400, 800], 25)),
     ),
-    ("e7", &[], "Sensitivity to the inconsistency ratio"),
+    ("e7", "Sensitivity to the inconsistency ratio", || {
+        rcqa_bench::e7(&[0.0, 0.05, 0.1, 0.2, 0.4])
+    }),
     (
         "e8",
-        &[],
         "GROUP BY range semantics via the SQL session facade",
-    ),
-    ("e9", &[], "Section 7.3: refuting the Caggforest claim"),
-    ("e10", &[], "MIN/MAX bounds and rewriting-size growth"),
-    (
-        "groupby",
-        &["e11"],
-        "one-pass pipeline vs seed per-group strategy (writes BENCH_groupby.json; opt-in)",
+        rcqa_bench::e8,
     ),
     (
-        "parallel",
-        &["e12"],
-        "parallel executor scaling at 1/2/4 threads (writes BENCH_parallel.json; opt-in)",
+        "e9",
+        "Section 7.3: refuting the Caggforest claim",
+        rcqa_bench::e9,
     ),
     (
-        "serving",
-        &["e13"],
-        "warm serving session vs per-call cold sessions (writes BENCH_serving.json; opt-in)",
-    ),
-    (
-        "concurrent",
-        &["e14"],
-        "snapshot-isolated session at 1/2/4 client threads (writes BENCH_concurrent.json; opt-in)",
-    ),
-    (
-        "durability",
-        &["e15"],
-        "WAL append/fsync overhead and crash-recovery time (writes BENCH_wal.json; opt-in)",
-    ),
-    (
-        "scale",
-        &["e16"],
-        "interned columnar vs row layout on a 10^5-fact skewed join (writes BENCH_scale.json; opt-in)",
-    ),
-    (
-        "range",
-        &["e17"],
-        "cost-based range seek vs forced full scan on a 10^5-fact skewed join (writes BENCH_range.json; opt-in)",
-    ),
-    (
-        "incremental",
-        &["e18"],
-        "support-tracked result patching vs full recompute per write (writes BENCH_incremental.json; opt-in)",
-    ),
-    (
-        "shard",
-        &["e19"],
-        "sharded front-end: 1/2/4-shard reads + group-commit writes (writes BENCH_shard.json; opt-in)",
+        "e10",
+        "MIN/MAX bounds and rewriting-size growth",
+        rcqa_bench::e10,
     ),
 ];
 
-/// Writes a machine-readable scaling artifact, unless this is a
-/// single-core box that would overwrite an existing (presumably
-/// multi-core CI) artifact with misleading numbers. `BENCH_FORCE_WRITE=1`
-/// overrides the guard — CI sets it when regenerating.
-fn write_scaling_artifact(env_var: &str, default_path: &str, json: String) {
-    let path = std::env::var(env_var).unwrap_or_else(|_| default_path.to_string());
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let forced = std::env::var("BENCH_FORCE_WRITE").is_ok_and(|v| v != "0");
-    if cores < 2 && !forced && std::path::Path::new(&path).exists() {
-        println!(
-            "  kept existing {path}: this machine has {cores} core(s), so fresh \
-             scaling numbers would be misleading (set BENCH_FORCE_WRITE=1 to overwrite)"
-        );
-        return;
-    }
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  wrote {path}"),
-        Err(err) => eprintln!("  failed to write {path}: {err}"),
-    }
+fn known(arg: &str) -> bool {
+    MODES.iter().any(|(name, _, _)| *name == arg)
 }
 
-fn print_help() {
-    println!("usage: harness [MODE ...]");
-    println!();
-    println!("With no MODE, runs E1-E10 (the paper experiments). The timing modes");
-    println!("(`groupby`, `parallel`, `serving`, `concurrent`, `durability`,");
-    println!("`scale`, `range`, `incremental`, `shard`) are opt-in. Modes:");
-    println!();
-    for (name, aliases, desc) in MODES {
-        let alias = if aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (alias: {})", aliases.join(", "))
-        };
-        println!("  {name:<9} {desc}{alias}");
+fn help_text() -> String {
+    let mut out = String::from(
+        "usage: harness [MODE ...]\n\nWith no MODE, runs every mode (the paper experiments). Modes:\n\n",
+    );
+    for (name, desc, _) in MODES {
+        out.push_str(&format!("  {name:<4} {desc}\n"));
     }
+    out
 }
 
 fn main() -> ExitCode {
@@ -170,172 +88,47 @@ fn main() -> ExitCode {
         .iter()
         .any(|a| a == "--help" || a == "-h" || a == "help")
     {
-        print_help();
+        print!("{}", help_text());
         return ExitCode::SUCCESS;
     }
 
-    let known = |arg: &str| {
-        MODES
-            .iter()
-            .any(|(name, aliases, _)| *name == arg || aliases.contains(&arg))
-    };
     let unknown: Vec<&String> = args.iter().filter(|a| !known(a)).collect();
     if !unknown.is_empty() {
         for arg in &unknown {
             eprintln!("error: unknown experiment mode {arg:?}");
         }
         eprintln!();
-        print_help();
+        print!("{}", help_text());
         return ExitCode::from(2);
     }
-
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    // The timing modes only run when named explicitly. Aliases come from the
-    // MODES table, so a mode reachable by the unknown-name check is always
-    // runnable by the same names.
-    let want_opt_in = |name: &str| {
-        let aliases = MODES
-            .iter()
-            .find(|(n, _, _)| *n == name)
-            .map(|(_, aliases, _)| *aliases)
-            .unwrap_or(&[]);
-        args.iter()
-            .any(|a| a == name || aliases.contains(&a.as_str()))
-    };
 
     println!("rcqa experiment harness — reproduction of PODS 2024 \"Computing Range");
     println!("Consistent Answers to Aggregation Queries via Rewriting\"\n");
 
-    if want("e1") {
-        println!("{}", rcqa_bench::e1());
-    }
-    if want("e2") {
-        println!("{}", rcqa_bench::e2());
-    }
-    if want("e3") {
-        println!("{}", rcqa_bench::e3());
-    }
-    if want("e4") {
-        println!("{}", rcqa_bench::e4());
-    }
-    if want("e5") {
-        println!("{}", rcqa_bench::e5());
-    }
-    if want("e6") {
-        let sizes = [25, 50, 100, 200, 400, 800];
-        let rows = rcqa_bench::e6(&sizes, 25);
-        println!("{}", rcqa_bench::format_e6(&rows));
-    }
-    if want("e7") {
-        println!("{}", rcqa_bench::e7(&[0.0, 0.05, 0.1, 0.2, 0.4]));
-    }
-    if want("e8") {
-        println!("{}", rcqa_bench::e8());
-    }
-    if want("e9") {
-        println!("{}", rcqa_bench::e9());
-    }
-    if want("e10") {
-        println!("{}", rcqa_bench::e10());
-    }
-    if want_opt_in("groupby") {
-        let bench = rcqa_bench::bench_groupby(150, 5);
-        println!("{}", rcqa_bench::format_groupby(&bench));
-        let path = std::env::var("BENCH_GROUPBY_PATH")
-            .unwrap_or_else(|_| "BENCH_groupby.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
+    for (name, _, report) in MODES {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            println!("{}", report());
         }
-    }
-    if want_opt_in("serving") {
-        let bench = rcqa_bench::bench_serving(150, 40, 5);
-        println!("{}", rcqa_bench::format_serving(&bench));
-        let path = std::env::var("BENCH_SERVING_PATH")
-            .unwrap_or_else(|_| "BENCH_serving.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("concurrent") {
-        let bench = rcqa_bench::bench_concurrent(150, 400, 5);
-        println!("{}", rcqa_bench::format_concurrent(&bench));
-        let path = std::env::var("BENCH_CONCURRENT_PATH")
-            .unwrap_or_else(|_| "BENCH_concurrent.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("durability") {
-        let bench = rcqa_bench::bench_durability(128, 16, 10_000, 5);
-        println!("{}", rcqa_bench::format_durability(&bench));
-        let path = std::env::var("BENCH_WAL_PATH").unwrap_or_else(|_| "BENCH_wal.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("scale") {
-        // 10^5 facts by default; BENCH_SCALE_FACTS raises it to the 10^6
-        // tier when a longer run is affordable.
-        let target = std::env::var("BENCH_SCALE_FACTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100_000);
-        let bench = rcqa_bench::bench_scale(target, 5);
-        println!("{}", rcqa_bench::format_scale(&bench));
-        let path =
-            std::env::var("BENCH_SCALE_PATH").unwrap_or_else(|_| "BENCH_scale.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("range") {
-        // Same 10^5-fact default tier as `scale`; BENCH_RANGE_FACTS overrides.
-        let target = std::env::var("BENCH_RANGE_FACTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100_000);
-        let bench = rcqa_bench::bench_range(target, 5);
-        println!("{}", rcqa_bench::format_range(&bench));
-        let path =
-            std::env::var("BENCH_RANGE_PATH").unwrap_or_else(|_| "BENCH_range.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("incremental") {
-        // Group counts span 16x so the scaling contrast (flat patched arm vs
-        // group-proportional full recompute) is unmistakable even on a noisy
-        // shared runner.
-        let bench = rcqa_bench::bench_incremental(&[50, 200, 800], 16, 5);
-        println!("{}", rcqa_bench::format_incremental(&bench));
-        let path = std::env::var("BENCH_INCREMENTAL_PATH")
-            .unwrap_or_else(|_| "BENCH_incremental.json".to_string());
-        match std::fs::write(&path, bench.to_json()) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(err) => eprintln!("  failed to write {path}: {err}"),
-        }
-    }
-    if want_opt_in("parallel") {
-        // Best-of-9 samples: the scaling floor is gated in CI on shared
-        // runners, so favour noise immunity over a few seconds of runtime.
-        let bench = rcqa_bench::bench_parallel(150, 9);
-        println!("{}", rcqa_bench::format_parallel(&bench));
-        write_scaling_artifact(
-            "BENCH_PARALLEL_PATH",
-            "BENCH_parallel.json",
-            bench.to_json(),
-        );
-    }
-    if want_opt_in("shard") {
-        let bench = rcqa_bench::bench_shard(48, 8, 24, 5);
-        println!("{}", rcqa_bench::format_shard(&bench));
-        write_scaling_artifact("BENCH_SHARD_PATH", "BENCH_shard.json", bench.to_json());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mode_table_is_exactly_the_paper_experiments() {
+        let names: Vec<&str> = MODES.iter().map(|(name, _, _)| *name).collect();
+        let paper: Vec<String> = (1..=10).map(|i| format!("e{i}")).collect();
+        assert_eq!(names, paper);
+        // The retired timing modes and their aliases are unknown, like any
+        // other misspelling.
+        assert!(["groupby", "shard", "e11", "e19", "e99"]
+            .iter()
+            .all(|mode| !known(mode)));
+        // `--help` lists one line per mode and nothing else mode-shaped.
+        let help = help_text();
+        assert_eq!(help.lines().filter(|l| l.starts_with("  e")).count(), 10);
+    }
 }

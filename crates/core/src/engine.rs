@@ -134,7 +134,9 @@ pub struct EngineOptions {
     /// (every group is evaluated), and restrictions on non-free key
     /// variables fall back to a linear block filter instead of ordered
     /// binary-searched seeks. The answers are identical; only the access
-    /// path changes. This is the baseline arm of the seek-vs-scan benchmark.
+    /// path changes. No caller needs this outside tests: it is the oracle
+    /// arm the agreement tests (`tests/surface_agreement.rs`, this module's
+    /// tests) run beside the seek and compare against brute force.
     pub force_scan: bool,
 }
 
@@ -636,21 +638,13 @@ impl RangeCqa {
 /// variables with every possible tuple of constants; tuples with no embedding
 /// at all have answer `⊥` in every repair and are not reported).
 pub fn candidate_groups(prepared: &PreparedAggQuery, db: &DatabaseInstance) -> Vec<Vec<Value>> {
-    let index = DbIndex::new(db);
-    candidate_groups_with_index(prepared, &index)
-}
-
-/// Like [`candidate_groups`], but reuses a prebuilt [`DbIndex`].
-pub fn candidate_groups_with_index(
-    prepared: &PreparedAggQuery,
-    index: &DbIndex,
-) -> Vec<Vec<Value>> {
     let free = prepared.normalised.body.free_vars().to_vec();
     if free.is_empty() {
         return vec![Vec::new()];
     }
+    let index = DbIndex::new(db);
     let compiled = CompiledLevels::new(prepared.open_levels());
-    partition_groups(prepared, index, &compiled, &free, false)
+    partition_groups(prepared, &index, &compiled, &free, false)
         .into_iter()
         .map(|(key, _)| key)
         .collect()

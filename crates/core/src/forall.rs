@@ -619,26 +619,17 @@ impl<'a> CertaintyChecker<'a> {
 /// Enumerates all embeddings of the body (atoms in topological order) in the
 /// indexed database, starting from an initial binding.
 pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Binding) -> Vec<Binding> {
-    embeddings_compiled(&CompiledLevels::new(levels), index, initial)
-}
-
-/// Like [`embeddings`], but over an already-compiled body (the engine
-/// compiles once per call and reuses the compilation across groups).
-pub fn embeddings_compiled(
-    compiled: &CompiledLevels,
-    index: &DbIndex,
-    initial: &Binding,
-) -> Vec<Binding> {
+    let compiled = CompiledLevels::new(levels);
     let interner = index.interner();
     let initial_ids = slots_to_ids(initial.adapt_to(&compiled.table).slots(), interner);
-    embeddings_compiled_ids(compiled, index, &initial_ids)
+    embeddings_compiled_ids(&compiled, index, &initial_ids)
         .iter()
         .map(|ids| ids_to_binding(&compiled.table, ids, interner))
         .collect()
 }
 
-/// Id core of [`embeddings_compiled`]: enumerates all embeddings as id slot
-/// vectors, without materialising a single [`Value`].
+/// Id core of [`embeddings`] over an already-compiled body: enumerates all
+/// embeddings as id slot vectors, without materialising a single [`Value`].
 pub(crate) fn embeddings_compiled_ids(
     compiled: &CompiledLevels,
     index: &DbIndex,
@@ -690,8 +681,8 @@ pub(crate) fn embeddings_dirty_pinned_ids(
 /// The blocks the first level of `compiled` can draw facts from under
 /// `initial`, **in enumeration order**: this is the block-key shard axis of
 /// the parallel executor. Slicing the returned list into contiguous ranges
-/// and concatenating the per-range [`embeddings_from_blocks`] results
-/// reproduces [`embeddings_compiled`] exactly.
+/// and concatenating the per-range `embeddings_from_blocks_ids` results
+/// reproduces `embeddings_compiled_ids` exactly.
 ///
 /// Returns `None` when the body has no levels (the empty body has one trivial
 /// embedding and nothing to shard).
@@ -716,21 +707,6 @@ pub fn level0_blocks<'a>(
 /// Enumerates the embeddings whose first-level fact comes from one of
 /// `blocks` (a contiguous shard of [`level0_blocks`]), in the same order as
 /// the unsharded enumeration restricted to those blocks.
-pub fn embeddings_from_blocks(
-    compiled: &CompiledLevels,
-    index: &DbIndex,
-    initial: &Binding,
-    blocks: &[&IndexedBlock],
-) -> Vec<Binding> {
-    let interner = index.interner();
-    let initial_ids = slots_to_ids(initial.adapt_to(&compiled.table).slots(), interner);
-    embeddings_from_blocks_ids(compiled, index, &initial_ids, blocks)
-        .iter()
-        .map(|ids| ids_to_binding(&compiled.table, ids, interner))
-        .collect()
-}
-
-/// Id core of [`embeddings_from_blocks`].
 pub(crate) fn embeddings_from_blocks_ids(
     compiled: &CompiledLevels,
     index: &DbIndex,
@@ -880,40 +856,10 @@ pub fn analyse_group(
 /// been enumerated (the engine enumerates all groups in one pass and
 /// partitions the result). When `compute_forall` is `false` the ∀embedding
 /// filter is skipped (the plain-extremum strategies of Theorem 7.10 only
-/// need the embeddings and the certainty bit).
-pub fn analyse_group_with_embeddings(
-    checker: &CertaintyChecker<'_>,
-    base: &Binding,
-    embeddings: Vec<Binding>,
-    compute_forall: bool,
-) -> ForallAnalysis {
-    let interner = checker.index.interner();
-    let compiled = checker.compiled();
-    let mut base_ids = slots_to_ids(base.adapt_to(&compiled.table).slots(), interner);
-    let certain = checker.certain_from_slots(0, &mut base_ids);
-    let forall_embeddings = if certain && compute_forall {
-        embeddings
-            .iter()
-            .filter(|theta| {
-                let theta_ids = slots_to_ids(theta.adapt_to(&compiled.table).slots(), interner);
-                is_forall_embedding(checker, &base_ids, &theta_ids)
-            })
-            .cloned()
-            .collect()
-    } else {
-        Vec::new()
-    };
-    ForallAnalysis {
-        certain,
-        embeddings,
-        forall_embeddings,
-    }
-}
-
-/// Id core of [`analyse_group_with_embeddings`]: certainty and the
-/// ∀embedding filter run entirely on id slot vectors, and the surviving
-/// embeddings are materialised into [`Binding`]s exactly once, at the end —
-/// this is the executor's per-group result boundary.
+/// need the embeddings and the certainty bit). Certainty and the ∀embedding
+/// filter run entirely on id slot vectors, and the surviving embeddings are
+/// materialised into [`Binding`]s exactly once, at the end — this is the
+/// executor's per-group result boundary.
 pub(crate) fn analyse_group_with_embeddings_ids(
     checker: &CertaintyChecker<'_>,
     base_ids: &[u32],

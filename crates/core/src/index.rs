@@ -762,7 +762,7 @@ pub struct BlockRestriction {
 }
 
 /// How [`DbIndex::restrict`] answered one relation's restrictions — the
-/// access-path record surfaced by `explain` and the bench harness.
+/// access-path record surfaced by `explain`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessPath {
     /// The restricted relation.
@@ -1028,10 +1028,11 @@ impl DbIndex {
     /// then at most one inequality) is answered by an ordered
     /// [`RelationIndex::prefix_seek_span`] — but only when the fence
     /// histogram ([`RelationStats`]) estimates it selects fewer than all
-    /// blocks and `force_scan` is off. Everything else (deeper positions,
-    /// `<>`, unselective estimates) linear-filters. Returns the view plus
-    /// one [`AccessPath`] record per restricted relation (sorted by relation
-    /// name), which `explain` and the bench harness surface.
+    /// blocks and `force_scan` is off (it is on only in tests, which run
+    /// the linear filter as the oracle beside the seek). Everything else
+    /// (deeper positions, `<>`, unselective estimates) linear-filters.
+    /// Returns the view plus one [`AccessPath`] record per restricted
+    /// relation (sorted by relation name), which `explain` surfaces.
     pub fn restrict(
         &self,
         restrictions: &[BlockRestriction],

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rcqa_data::{DatabaseInstance, Fact, Schema, Signature, Value};
-use rcqa_query::{parse_agg_query, AggQuery, CmpOp, Var, VarPredicate};
+use rcqa_query::{parse_agg_query, AggQuery};
 
 /// Configuration of the two-relation join workload
 /// `SUM(r) <- R(x, y), S(y, z, r)` (the shape of the paper's running example,
@@ -237,16 +237,16 @@ impl StarWorkload {
     }
 }
 
-/// A large, Zipf-skewed variant of the two-relation join workload for the
-/// scale benchmark (E16). The schema and queries are those of
-/// [`JoinWorkload`] — `R(x, y)` key `x`, `S(y, z, r)` key `(y, z)` — but the
+/// A large, Zipf-skewed variant of the two-relation join workload: the
+/// instance the repo's benchmark (`benchmark/`) runs on. The schema and
+/// queries are those of [`JoinWorkload`] — `R(x, y)` key `x`,
+/// `S(y, z, r)` key `(y, z)` — but the
 /// instance is sized in total facts (10⁵–10⁶) rather than in blocks, and the
 /// join fan-out is skewed: the number of `S`-blocks behind a `y` value falls
 /// off as `max_fanout / rank^zipf_exponent`, and `R` tuples pick their `y` by
 /// a log-uniform rank draw, so a few hot `y` values carry most of the join.
-/// Skew is what separates data layouts — the hot spans are long, so the
-/// per-fact cost of the inner loop (hash a `String`-backed key vs compare a
-/// dense `u32`) dominates end-to-end join time.
+/// The hot spans are long, so the per-fact cost of the join's inner loop
+/// dominates end-to-end time.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleWorkload {
     /// Approximate total fact budget (`R` and `S` together). The generator
@@ -286,25 +286,6 @@ impl ScaleWorkload {
     /// The grouped SUM query over the workload (GROUP BY `x`).
     pub fn grouped_sum_query(&self) -> AggQuery {
         parse_agg_query("(x, SUM(r)) <- R(x, y), S(y, z, r)").expect("fixed query parses")
-    }
-
-    /// The grouped MAX query with a selective range predicate on the group
-    /// key (E17): `(x, MAX(r)) <- R(x, y), S(y, z, r)` restricted to
-    /// `x >= 'x9'`. The `R` keys are `x0`, `x1`, …, so the predicate matches
-    /// exactly the `x9*` prefix family — a few percent of the blocks at the
-    /// 10⁵-fact scale — and is contiguous in the index's sorted block order,
-    /// so the cost-based planner can answer it with a binary-searched seek
-    /// while the forced-scan baseline evaluates every group and filters
-    /// rows afterwards.
-    pub fn range_query(&self) -> (AggQuery, VarPredicate) {
-        let query =
-            parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").expect("fixed query parses");
-        let predicate = VarPredicate {
-            var: Var::new("x"),
-            op: CmpOp::Ge,
-            value: Value::text("x9"),
-        };
-        (query, predicate)
     }
 
     /// Number of distinct `y` values: wide enough that the Zipf tail is

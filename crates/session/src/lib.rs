@@ -2032,29 +2032,50 @@ mod tests {
 
     #[test]
     fn non_key_group_mutations_are_patched_via_support() {
-        let session = stock_session();
-        let sql = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
-                   WHERE D.Town = S.Town GROUP BY D.Name";
-        session.execute(sql).unwrap();
-        // The group key (Name) is not determined by Stock's block key, so
-        // the old level-0 locality certificate rejected this statement; the
-        // support patterns still localise the dirty Stock block to the
-        // groups whose towns it can join with, and both Boston dealers are
-        // re-derived — with the correct new answer.
-        session
-            .insert(fact!("Stock", "Tesla Z", "Boston", 500))
-            .unwrap();
-        let after = session.execute(sql).unwrap();
-        assert_eq!(after.rows[0].lub.unwrap().value, Some(rat(500)));
-        let stats = session.stats();
-        assert_eq!(stats.partial_recomputes, 1);
-        assert_eq!(stats.supported_patches, 1);
-        assert_eq!(stats.support_misses, 0);
-        assert_eq!(stats.full_recomputes, 1);
-        assert_eq!(stats.index_builds, 1);
-        // Byte-identical to a cold session over the same data.
-        let cold = Session::with_instance(session.catalog().clone(), session.database());
-        assert_eq!(cold.execute(sql).unwrap().rows, after.rows);
+        let plain = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+                     WHERE D.Town = S.Town GROUP BY D.Name";
+        // A post-processed statement rides the same path: the patch
+        // re-derives the raw rows and HAVING is re-decided over them (James
+        // is violated before the write and certain after it).
+        let having = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+                      WHERE D.Town = S.Town GROUP BY D.Name HAVING MAX(S.Qty) > 50";
+        for sql in [plain, having] {
+            let session = stock_session();
+            session.execute(sql).unwrap();
+            // The group key (Name) is not determined by Stock's block key, so
+            // the old level-0 locality certificate rejected this statement;
+            // the support patterns still localise the dirty Stock block to
+            // the groups whose towns it can join with, and both Boston
+            // dealers are re-derived — with the correct new answer.
+            session
+                .insert(fact!("Stock", "Tesla Z", "Boston", 500))
+                .unwrap();
+            let after = session.execute(sql).unwrap();
+            assert_eq!(after.rows[0].key[0].to_string(), "James", "{sql}");
+            assert_eq!(after.rows[0].lub.unwrap().value, Some(rat(500)), "{sql}");
+            let stats = session.stats();
+            assert_eq!(stats.partial_recomputes, 1, "{sql}");
+            assert_eq!(stats.supported_patches, 1, "{sql}");
+            assert_eq!(stats.support_misses, 0, "{sql}");
+            assert_eq!(stats.full_recomputes, 1, "{sql}");
+            assert_eq!(stats.index_builds, 1, "{sql}");
+            // Every further write-then-read is served by the support path
+            // too, never by a full recompute.
+            session
+                .insert(fact!("Stock", "Tesla Z", "New York", 7))
+                .unwrap();
+            let again = session.execute(sql).unwrap();
+            let stats = session.stats();
+            assert_eq!(stats.supported_patches, 2, "{sql}");
+            assert_eq!(stats.support_misses, 0, "{sql}");
+            assert_eq!(stats.full_recomputes, 1, "{sql}");
+            // Byte-identical to a cold session over the same data.
+            let cold = Session::with_instance(session.catalog().clone(), session.database())
+                .execute(sql)
+                .unwrap();
+            assert_eq!(cold.rows, again.rows, "{sql}");
+            assert_eq!(cold.having, again.having, "{sql}");
+        }
     }
 
     #[test]

@@ -212,4 +212,9 @@ fn recovered_sharded_session_accepts_further_writes() {
             "{sql}"
         );
     }
+    // The statement list earns its name: every route was actually taken.
+    let stats = sharded.stats();
+    assert!(stats.fanout_queries > 0, "no statement fanned out");
+    assert!(stats.designated_queries > 0, "no designated lookup");
+    assert!(stats.combine_queries > 0, "no cross-shard combine");
 }
