@@ -18,10 +18,11 @@
 //! | `AVG`, others        | exact enumeration                 | exact enumeration                 |
 //!
 //! "Rewriting" evaluates the Theorem 6.1 / 7.11 semantics operationally over
-//! ∀embeddings ([`crate::glb::optimal_aggregate`]); "plain extremum" takes
-//! the extremum over all embeddings ([`crate::glb::global_extremum`]); exact
-//! enumeration walks every repair ([`crate::exact::exact_bounds`]) and is
-//! exponential in the number of inconsistent blocks.
+//! ∀embeddings and "plain extremum" takes the extremum over all embeddings —
+//! both in [`crate::glb`], over the id rows of the executor's embedding arena
+//! ([`crate::plan::exec`], "Id discipline"); exact enumeration walks every
+//! repair ([`crate::exact::exact_bounds`]) and is exponential in the number
+//! of inconsistent blocks.
 //!
 //! ## Plan-IR lowering
 //!
@@ -71,15 +72,16 @@
 
 use crate::classify::{classify_prepared, Classification};
 use crate::error::CoreError;
-use crate::forall::{embeddings_dirty_pinned_ids, CompiledLevels};
+use crate::forall::{for_each_embedding, CompiledLevels};
 use crate::index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
-use crate::plan::exec::{execute, execute_for_groups, partition_groups, ExecContext, RowSupport};
+use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, RowSupport};
 use crate::plan::{LogicalPlan, PhysicalPlan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
 use rcqa_data::{DatabaseInstance, NumericDomain, Rational, Schema, Value};
 use rcqa_query::{AggQuery, QueryError, Term, Var, VarPredicate};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// How an answer was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,7 +156,9 @@ impl Default for EngineOptions {
 impl EngineOptions {
     /// Resolves the effective executor worker count: an explicit
     /// [`EngineOptions::threads`] wins, then the `RCQA_THREADS` environment
-    /// variable, then the machine's available parallelism.
+    /// variable (read on every call), then the machine's available
+    /// parallelism (asked once per process: the query re-reads the cgroup
+    /// quota files, which costs more than a whole point read).
     pub fn resolve_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
@@ -166,9 +170,12 @@ impl EngineOptions {
                 }
             }
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        static MACHINE: OnceLock<usize> = OnceLock::new();
+        *MACHINE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
 }
 
@@ -358,7 +365,7 @@ impl RangeCqa {
     /// The group keys a commit's dirty blocks may have **created** rows for:
     /// the keys of every open-body embedding that draws at least one fact
     /// from a dirty block. Each level is pinned in turn to the dirty blocks
-    /// of its relation ([`embeddings_dirty_pinned_ids`]), so a brand-new
+    /// of its relation (`forall::for_each_embedding`'s `pin`), so a brand-new
     /// embedding — which must pass through a changed block at some level —
     /// is found at that level. Closed queries return the empty set (their
     /// single row's key is always known).
@@ -416,11 +423,15 @@ impl RangeCqa {
             let Some(pins) = pinned.get(lvl.atom.relation()) else {
                 continue;
             };
-            for theta in embeddings_dirty_pinned_ids(&open, index, &open.unbound_ids(), level, pins)
-            {
-                let key_ids: Vec<u32> = free_slots.iter().map(|&s| theta[s]).collect();
-                out.insert(interner.values_of(&key_ids));
-            }
+            let pin = Some((level, pins.as_slice()));
+            for_each_embedding(&open, index, &open.unbound_ids(), pin, |theta| {
+                out.insert(
+                    free_slots
+                        .iter()
+                        .map(|&s| interner.value(theta[s]).clone())
+                        .collect(),
+                );
+            });
         }
         out
     }
@@ -638,16 +649,16 @@ impl RangeCqa {
 /// variables with every possible tuple of constants; tuples with no embedding
 /// at all have answer `⊥` in every repair and are not reported).
 pub fn candidate_groups(prepared: &PreparedAggQuery, db: &DatabaseInstance) -> Vec<Vec<Value>> {
-    let free = prepared.normalised.body.free_vars().to_vec();
-    if free.is_empty() {
+    if prepared.normalised.body.free_vars().is_empty() {
         return vec![Vec::new()];
     }
-    let index = DbIndex::new(db);
-    let compiled = CompiledLevels::new(prepared.open_levels());
-    partition_groups(prepared, &index, &compiled, &free, false)
-        .into_iter()
-        .map(|(key, _)| key)
-        .collect()
+    group_keys(&ExecContext {
+        prepared,
+        db,
+        index: &DbIndex::new(db),
+        options: &EngineOptions::default(),
+        exact_predicates: &[],
+    })
 }
 
 /// Substitutes a group key for the free variables of a query, producing a

@@ -12,20 +12,25 @@
 //!
 //! Query variables are interned into dense *slots* ([`VarTable`]), and —
 //! matching the columnar index — **values are interned into dense `u32` ids**
-//! (see [`rcqa_data::interner`]). The join core works entirely on ids: a
-//! partial valuation is a flat `Vec<u32>` (with [`UNBOUND_ID`] for unbound
+//! (see [`rcqa_data::interner`]). Everything here runs on ids: a partial
+//! valuation is a flat `[u32]` slot vector (with [`UNBOUND_ID`] for unbound
 //! slots), atoms are pre-resolved to [`CompiledLevels`] and then to id-level
 //! terms against a concrete index's interner, and matching a fact is a few
-//! `u32` column reads and slot writes with trail-based backtracking — no
-//! `Value` is cloned, hashed, or compared on the hot path. Certainty
-//! memoisation keys are id vectors for the same reason.
+//! `u32` column reads and slot writes with trail-based backtracking. The join
+//! core hands each embedding to a caller-supplied sink as a borrowed slot
+//! vector (the executor's sink writes it into a flat arena); the certainty
+//! memo is one id-tuple set per level, probed through a borrowed projection;
+//! and the ∀embedding filter maps arena row indices to arena row indices. No
+//! `Value` is cloned, hashed, or compared, and nothing is allocated per
+//! embedding or per memo probe.
 //!
 //! Values materialise only at the boundary: the public [`Binding`] type
 //! (a `Vec<Option<Value>>` slot vector plus its shared variable table, with
-//! map-like by-variable access) is what analysis results carry, and the id
-//! core's outputs are converted into it once per group — after the join and
-//! the ∀embedding filter have already run on ids.
+//! map-like by-variable access) is what [`embeddings`], [`analyse`] and
+//! [`analyse_group`] hand out — to the baselines, the paper-experiment
+//! harness and the tests. The plan executor never builds one.
 
+use crate::ids::{IdRows, IdTupleSet};
 use crate::index::{DbIndex, FactColumns, IndexedBlock};
 use crate::prepared::{Level, PreparedBody};
 use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
@@ -267,7 +272,9 @@ pub struct CompiledLevel {
     key_len: usize,
     terms: Vec<SlotTerm>,
     /// `x̄_ℓ` as slots.
-    new_key_slots: Vec<usize>,
+    pub(crate) new_key_slots: Vec<usize>,
+    /// `ȳ_ℓ` as slots.
+    pub(crate) new_other_slots: Vec<usize>,
     /// `ū_ℓ` as slots.
     prefix_slots: Vec<usize>,
 }
@@ -301,6 +308,7 @@ impl CompiledLevels {
                         })
                         .collect(),
                     new_key_slots: level.new_key_vars.iter().map(&slot).collect(),
+                    new_other_slots: level.new_other_vars.iter().map(&slot).collect(),
                     prefix_slots: level.prefix_vars.iter().map(slot).collect(),
                 }
             })
@@ -314,6 +322,11 @@ impl CompiledLevels {
     /// The shared variable table.
     pub fn table(&self) -> &Arc<VarTable> {
         &self.table
+    }
+
+    /// The compiled levels, in topological order.
+    pub(crate) fn levels(&self) -> &[CompiledLevel] {
+        &self.levels
     }
 
     /// An unbound valuation over this body's variables.
@@ -492,15 +505,20 @@ pub fn match_fact(atom: &Atom, fact: &Fact, binding: &Binding) -> Option<Binding
     Some(extended)
 }
 
-/// Memo of decided certainty sub-problems: (level, relevant slot ids).
+/// Memo of decided certainty sub-problems: per level, the set of
+/// relevant-slot projections seen so far and, by tuple index, their verdicts.
 ///
-/// Keys are raw ids, so probing costs a small integer hash instead of
-/// hashing values. Two distinct *absent* values both project to `MISSING_ID`
-/// and therefore share memo entries — which is sound: `match_level_ids` only
-/// ever compares a slot against fact ids (never slot against slot), and no
-/// fact id equals `MISSING_ID`, so every absent value induces the same
-/// (all-matches-fail) sub-problem.
-type CertaintyMemo = HashMap<(usize, Vec<u32>), bool>;
+/// Keys are raw ids probed through the borrowed scratch projection `key`, so
+/// a probe costs a small integer hash and allocates nothing. Two distinct
+/// *absent* values both project to `MISSING_ID` and therefore share memo
+/// entries — which is sound: `match_level_ids` only ever compares a slot
+/// against fact ids (never slot against slot), and no fact id equals
+/// `MISSING_ID`, so every absent value induces the same (all-matches-fail)
+/// sub-problem.
+struct CertaintyMemo {
+    key: Vec<u32>,
+    levels: Vec<(IdTupleSet, Vec<bool>)>,
+}
 
 /// Certainty checker for the suffixes `F_ℓ ∧ ... ∧ F_n` of a topologically
 /// sorted acyclic query, with memoisation on the relevant part of the binding.
@@ -547,12 +565,19 @@ impl<'a> CertaintyChecker<'a> {
             sorted.sort_unstable();
             relevant_slots[l] = sorted;
         }
+        let memo = CertaintyMemo {
+            key: Vec::new(),
+            levels: relevant_slots[..n]
+                .iter()
+                .map(|slots| (IdTupleSet::new(slots.len()), Vec::new()))
+                .collect(),
+        };
         CertaintyChecker {
             compiled,
             resolved,
             index,
             relevant_slots,
-            memo: RefCell::new(HashMap::new()),
+            memo: RefCell::new(memo),
         }
     }
 
@@ -572,24 +597,33 @@ impl<'a> CertaintyChecker<'a> {
     }
 
     /// Id-based entry point for callers that already share this checker's
-    /// table and id space (no adaptation, no allocation beyond the memo key).
-    pub(crate) fn certain_from_slots(&self, level: usize, slots: &mut Vec<u32>) -> bool {
+    /// table and id space (no adaptation, no allocation on a memo hit).
+    pub(crate) fn certain_from_slots(&self, level: usize, slots: &mut [u32]) -> bool {
         if level >= self.compiled.levels.len() {
             return true;
         }
-        let key: Vec<u32> = self.relevant_slots[level]
-            .iter()
-            .map(|&s| slots[s])
-            .collect();
-        if let Some(&cached) = self.memo.borrow().get(&(level, key.clone())) {
-            return cached;
-        }
+        let entry = {
+            let mut memo = self.memo.borrow_mut();
+            let CertaintyMemo { key, levels } = &mut *memo;
+            key.clear();
+            key.extend(self.relevant_slots[level].iter().map(|&s| slots[s]));
+            let (decided, verdicts) = &mut levels[level];
+            let (entry, new) = decided.insert(key);
+            if !new {
+                return verdicts[entry];
+            }
+            // Reserved before recursing: deciding this sub-problem only ever
+            // consults deeper levels, whose tables are separate, so the
+            // placeholder is never read and `entry` stays valid.
+            verdicts.push(false);
+            entry
+        };
         let result = self.certain_uncached(level, slots);
-        self.memo.borrow_mut().insert((level, key), result);
+        self.memo.borrow_mut().levels[level].1[entry] = result;
         result
     }
 
-    fn certain_uncached(&self, level: usize, slots: &mut Vec<u32>) -> bool {
+    fn certain_uncached(&self, level: usize, slots: &mut [u32]) -> bool {
         let lvl = &self.compiled.levels[level];
         let terms = &self.resolved[level];
         let interner = self.index.interner();
@@ -622,80 +656,58 @@ pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Binding) -> Vec<B
     let compiled = CompiledLevels::new(levels);
     let interner = index.interner();
     let initial_ids = slots_to_ids(initial.adapt_to(&compiled.table).slots(), interner);
-    embeddings_compiled_ids(&compiled, index, &initial_ids)
-        .iter()
-        .map(|ids| ids_to_binding(&compiled.table, ids, interner))
-        .collect()
-}
-
-/// Id core of [`embeddings`] over an already-compiled body: enumerates all
-/// embeddings as id slot vectors, without materialising a single [`Value`].
-pub(crate) fn embeddings_compiled_ids(
-    compiled: &CompiledLevels,
-    index: &DbIndex,
-    initial: &[u32],
-) -> Vec<Vec<u32>> {
-    let resolved = resolve_terms(compiled, index.interner());
-    let mut slots = initial.to_vec();
-    let mut trail = Vec::new();
     let mut out = Vec::new();
-    embed_rec(
-        compiled, &resolved, index, 0, None, &mut slots, &mut trail, &mut out,
-    );
+    for_each_embedding(&compiled, index, &initial_ids, None, |theta| {
+        out.push(ids_to_binding(&compiled.table, theta, interner))
+    });
     out
 }
 
-/// Enumerates the embeddings whose fact at level `pin_level` is drawn from
-/// one of the `pinned` blocks (block keys as interned id tuples, sorted in
-/// key value order without duplicates), in the same relative order as the
-/// full enumeration. This is the dirty-block →
-/// candidate-group reverse lookup of the serving layer: after a commit, an
-/// embedding can newly exist through level ℓ only if its level-ℓ fact lives
-/// in a block the commit changed, so pinning each level in turn to the dirty
-/// blocks of its relation enumerates every embedding the delta may have
-/// created — and hence every group key that may have been born.
-pub(crate) fn embeddings_dirty_pinned_ids(
+/// Id core of [`embeddings`] over an already-compiled body: hands the slot
+/// vector of every embedding extending `initial` to `sink`, in enumeration
+/// order, without materialising a [`Value`] or allocating per embedding.
+///
+/// `pin = (level, keys)` restricts that level to the blocks with one of the
+/// listed keys (interned id tuples, sorted in key value order without
+/// duplicates); the embeddings then arrive in the same relative order as in
+/// the full enumeration. This is the dirty-block → candidate-group reverse
+/// lookup of the serving layer: after a commit, an embedding can newly exist
+/// through level ℓ only if its level-ℓ fact lives in a block the commit
+/// changed, so pinning each level in turn to the dirty blocks of its relation
+/// enumerates every embedding the delta may have created — and hence every
+/// group key that may have been born.
+pub(crate) fn for_each_embedding(
     compiled: &CompiledLevels,
     index: &DbIndex,
     initial: &[u32],
-    pin_level: usize,
-    pinned: &[Vec<u32>],
-) -> Vec<Vec<u32>> {
+    pin: Option<(usize, &[Vec<u32>])>,
+    mut sink: impl FnMut(&[u32]),
+) {
     let resolved = resolve_terms(compiled, index.interner());
     let mut slots = initial.to_vec();
     let mut trail = Vec::new();
-    let mut out = Vec::new();
     embed_rec(
-        compiled,
-        &resolved,
-        index,
-        0,
-        Some((pin_level, pinned)),
-        &mut slots,
-        &mut trail,
-        &mut out,
+        compiled, &resolved, index, 0, pin, &mut slots, &mut trail, &mut sink,
     );
-    out
 }
 
 /// The blocks the first level of `compiled` can draw facts from under
 /// `initial`, **in enumeration order**: this is the block-key shard axis of
 /// the parallel executor. Slicing the returned list into contiguous ranges
-/// and concatenating the per-range `embeddings_from_blocks_ids` results
-/// reproduces `embeddings_compiled_ids` exactly.
+/// and concatenating the per-range [`for_each_embedding_from_blocks`] runs
+/// reproduces [`for_each_embedding`] exactly.
 ///
 /// Returns `None` when the body has no levels (the empty body has one trivial
 /// embedding and nothing to shard).
-pub fn level0_blocks<'a>(
+pub(crate) fn level0_blocks<'a>(
     compiled: &CompiledLevels,
     index: &'a DbIndex,
-    initial: &Binding,
+    initial: &[u32],
 ) -> Option<Vec<&'a IndexedBlock>> {
     let lvl = compiled.levels.first()?;
     let interner = index.interner();
-    let slots = slots_to_ids(initial.adapt_to(&compiled.table).slots(), interner);
     let terms = resolve_level(lvl, interner);
-    let pattern = key_pattern_ids(&terms, lvl.key_len, &slots);
+    let pattern = key_pattern_ids(&terms, lvl.key_len, initial);
     Some(
         index
             .relation(&lvl.relation)
@@ -705,34 +717,30 @@ pub fn level0_blocks<'a>(
 }
 
 /// Enumerates the embeddings whose first-level fact comes from one of
-/// `blocks` (a contiguous shard of [`level0_blocks`]), in the same order as
-/// the unsharded enumeration restricted to those blocks.
-pub(crate) fn embeddings_from_blocks_ids(
+/// `blocks` (a contiguous shard of [`level0_blocks`], so the body has a
+/// level), in the same order as the unsharded enumeration restricted to
+/// those blocks.
+pub(crate) fn for_each_embedding_from_blocks(
     compiled: &CompiledLevels,
     index: &DbIndex,
     initial: &[u32],
     blocks: &[&IndexedBlock],
-) -> Vec<Vec<u32>> {
+    mut sink: impl FnMut(&[u32]),
+) {
+    let resolved = resolve_terms(compiled, index.interner());
     let mut slots = initial.to_vec();
     let mut trail = Vec::new();
-    let mut out = Vec::new();
-    if compiled.levels.is_empty() {
-        out.push(slots);
-        return out;
-    }
-    let resolved = resolve_terms(compiled, index.interner());
     for block in blocks {
         for row in 0..block.cols.rows() {
             let mark = trail.len();
             if match_level_ids(&resolved[0], &block.cols, row, &mut slots, &mut trail) {
                 embed_rec(
-                    compiled, &resolved, index, 1, None, &mut slots, &mut trail, &mut out,
+                    compiled, &resolved, index, 1, None, &mut slots, &mut trail, &mut sink,
                 );
             }
             unwind(&mut slots, &mut trail, mark);
         }
     }
-    out
 }
 
 /// The recursive join core. `pin` optionally restricts one level to a list of
@@ -747,12 +755,12 @@ fn embed_rec(
     index: &DbIndex,
     level: usize,
     pin: Option<(usize, &[Vec<u32>])>,
-    slots: &mut Vec<u32>,
+    slots: &mut [u32],
     trail: &mut Vec<usize>,
-    out: &mut Vec<Vec<u32>>,
+    sink: &mut impl FnMut(&[u32]),
 ) {
     if level >= compiled.levels.len() {
-        out.push(slots.clone());
+        sink(slots);
         return;
     }
     let lvl = &compiled.levels[level];
@@ -764,7 +772,16 @@ fn embed_rec(
         for row in 0..block.cols.rows() {
             let mark = trail.len();
             if match_level_ids(terms, &block.cols, row, slots, trail) {
-                embed_rec(compiled, resolved, index, level + 1, pin, slots, trail, out);
+                embed_rec(
+                    compiled,
+                    resolved,
+                    index,
+                    level + 1,
+                    pin,
+                    slots,
+                    trail,
+                    sink,
+                );
             }
             unwind(slots, trail, mark);
         }
@@ -841,60 +858,75 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
 /// Computes the per-group analysis — certainty, embeddings, ∀embeddings —
 /// for the group fixed by `base` (free variables bound to the group key;
 /// empty for closed queries), sharing the checker's memo across groups.
+///
+/// This is the one boundary that materialises an analysis: enumeration,
+/// certainty and the ∀embedding filter run on ids exactly as in the plan
+/// executor, and the two embedding lists become [`Binding`]s at return.
 pub fn analyse_group(
     checker: &CertaintyChecker<'_>,
     index: &DbIndex,
     base: &Binding,
 ) -> ForallAnalysis {
     let compiled = checker.compiled();
-    let base_ids = slots_to_ids(base.adapt_to(&compiled.table).slots(), index.interner());
-    let embeddings = embeddings_compiled_ids(compiled, index, &base_ids);
-    analyse_group_with_embeddings_ids(checker, &base_ids, embeddings, true)
-}
-
-/// Like [`analyse_group`], but for a group whose embeddings have already
-/// been enumerated (the engine enumerates all groups in one pass and
-/// partitions the result). When `compute_forall` is `false` the ∀embedding
-/// filter is skipped (the plain-extremum strategies of Theorem 7.10 only
-/// need the embeddings and the certainty bit). Certainty and the ∀embedding
-/// filter run entirely on id slot vectors, and the surviving embeddings are
-/// materialised into [`Binding`]s exactly once, at the end — this is the
-/// executor's per-group result boundary.
-pub(crate) fn analyse_group_with_embeddings_ids(
-    checker: &CertaintyChecker<'_>,
-    base_ids: &[u32],
-    embeddings: Vec<Vec<u32>>,
-    compute_forall: bool,
-) -> ForallAnalysis {
-    let interner = checker.index.interner();
-    let table = &checker.compiled().table;
-    let mut base = base_ids.to_vec();
-    let certain = checker.certain_from_slots(0, &mut base);
-    let forall_embeddings = if certain && compute_forall {
-        embeddings
-            .iter()
-            .filter(|theta| is_forall_embedding(checker, base_ids, theta))
-            .map(|ids| ids_to_binding(table, ids, interner))
+    let interner = index.interner();
+    let base_ids = slots_to_ids(base.adapt_to(&compiled.table).slots(), interner);
+    let mut embeddings = IdRows::new(compiled.table.len());
+    for_each_embedding(compiled, index, &base_ids, None, |theta| {
+        embeddings.push(theta.iter().copied())
+    });
+    let rows: Vec<u32> = (0..embeddings.len() as u32).collect();
+    let mut forall = Vec::new();
+    let certain = forall_check(checker, &base_ids, &embeddings, &rows, true, &mut forall);
+    let materialise = |rows: &[u32]| {
+        rows.iter()
+            .map(|&r| ids_to_binding(&compiled.table, embeddings.row(r as usize), interner))
             .collect()
-    } else {
-        Vec::new()
     };
     ForallAnalysis {
         certain,
-        embeddings: embeddings
-            .iter()
-            .map(|ids| ids_to_binding(table, ids, interner))
-            .collect(),
-        forall_embeddings,
+        embeddings: materialise(&rows),
+        forall_embeddings: materialise(&forall),
     }
+}
+
+/// The `ForallCheck` operator for one group, on ids: decides certainty of the
+/// group fixed by `base_ids` and, when `compute_forall` is set and the group
+/// is certain, leaves in `forall` those of the group's `rows` (indices into
+/// `embeddings`, rows over the checker's slot table) that are ∀embeddings, in
+/// their given order; otherwise `forall` is left empty. (The plain-extremum
+/// strategies of Theorem 7.10 only need the embeddings and the certainty bit,
+/// hence the flag.)
+pub(crate) fn forall_check(
+    checker: &CertaintyChecker<'_>,
+    base_ids: &[u32],
+    embeddings: &IdRows,
+    rows: &[u32],
+    compute_forall: bool,
+    forall: &mut Vec<u32>,
+) -> bool {
+    forall.clear();
+    let mut restricted = base_ids.to_vec();
+    let certain = checker.certain_from_slots(0, &mut restricted);
+    if certain && compute_forall {
+        forall.extend(rows.iter().copied().filter(|&r| {
+            let theta = embeddings.row(r as usize);
+            is_forall_embedding(checker, base_ids, theta, &mut restricted)
+        }));
+    }
+    certain
 }
 
 /// Checks the level-by-level certainty conditions of the ∀embedding
 /// definition for a full embedding `theta` (as ids), relative to the frozen
-/// base binding (group key) in `base_ids`.
-fn is_forall_embedding(checker: &CertaintyChecker<'_>, base_ids: &[u32], theta: &[u32]) -> bool {
+/// base binding (group key) in `base_ids`; `restricted` is a scratch slot
+/// vector of the same length.
+fn is_forall_embedding(
+    checker: &CertaintyChecker<'_>,
+    base_ids: &[u32],
+    theta: &[u32],
+    restricted: &mut [u32],
+) -> bool {
     let compiled = checker.compiled();
-    let mut restricted = base_ids.to_vec();
     for (l, lvl) in compiled.levels.iter().enumerate() {
         // Restriction of theta to ū_{ℓ-1} ∪ x̄_ℓ (plus the frozen base).
         restricted.copy_from_slice(base_ids);
@@ -906,7 +938,7 @@ fn is_forall_embedding(checker: &CertaintyChecker<'_>, base_ids: &[u32], theta: 
         for &s in &lvl.new_key_slots {
             restricted[s] = theta[s];
         }
-        if !checker.certain_from_slots(l, &mut restricted) {
+        if !checker.certain_from_slots(l, restricted) {
             return false;
         }
     }

@@ -166,20 +166,46 @@ fn possibly_precedes(h: &GroupRange, g: &GroupRange, descending: bool) -> bool {
 ///
 /// Fewer than `k` rows may qualify — the honest answer when intervals
 /// overlap is that the remaining top-k slots are not certain for anyone.
+///
+/// `O(n log n)`: `possibly_precedes` is a threshold test on one endpoint
+/// of each row, so a row's preceder count is a rank. Descending, `h`
+/// possibly precedes `g` iff `(h.lub, h.key)` sorts before `(g.glb, g.key)`
+/// under (value descending, key ascending); ascending, iff `(h.glb, h.key)`
+/// sorts before `(g.lub, g.key)` under (value ascending, key ascending). So:
+/// sort the numeric rows once by their *challenging* endpoint, and each
+/// row's count is one binary search for its *defending* endpoint, plus the
+/// `⊥` rows (which precede everything), minus the row itself where its own
+/// challenging endpoint beats its defending one (a non-degenerate interval).
 pub fn certain_topk(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usize> {
+    // (challenging endpoint, defending endpoint) of each numeric row.
+    let ends: Vec<Option<(Rational, Rational)>> = rows
+        .iter()
+        .map(|g| {
+            let (glb, lub) = (bound_value(g.glb)?, bound_value(g.lub)?);
+            Some(if descending { (lub, glb) } else { (glb, lub) })
+        })
+        .collect();
+    let toward = |a: Rational, b: Rational| if descending { b.cmp(&a) } else { a.cmp(&b) };
+    let mut challengers: Vec<(Rational, usize)> = ends
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| e.map(|(challenge, _)| (challenge, i)))
+        .collect();
+    challengers.sort_unstable_by(|&(a, i), &(b, j)| {
+        toward(a, b).then_with(|| rows[i].key.cmp(&rows[j].key))
+    });
+    let bottoms = rows.len() - challengers.len();
     order_rows(rows, descending)
         .into_iter()
         .filter(|&i| {
-            let g = &rows[i];
-            if bound_value(g.glb).is_none() || bound_value(g.lub).is_none() {
+            let Some((challenge, defence)) = ends[i] else {
                 return false;
-            }
-            let preceders = rows
-                .iter()
-                .enumerate()
-                .filter(|&(j, h)| j != i && possibly_precedes(h, g, descending))
-                .count();
-            preceders < k
+            };
+            let ahead = challengers.partition_point(|&(c, h)| {
+                toward(c, defence).then_with(|| rows[h].key.cmp(&rows[i].key)) == Ordering::Less
+            });
+            let counted_itself = toward(challenge, defence) == Ordering::Less;
+            bottoms + ahead - usize::from(counted_itself) < k
         })
         .collect()
 }
@@ -217,6 +243,7 @@ pub fn topk_selection_preserved(old: &[GroupRange], new: &[GroupRange], descendi
 mod tests {
     use super::*;
     use crate::engine::{BoundAnswer, Method};
+    use proptest::prelude::*;
     use rcqa_data::{rat, Value};
 
     fn row(key: &str, glb: Option<i64>, lub: Option<i64>) -> GroupRange {
@@ -230,6 +257,62 @@ mod tests {
             key: vec![Value::text(key)],
             glb: bound(glb),
             lub: bound(lub),
+        }
+    }
+
+    /// [`certain_topk`] as its documentation defines it: per row, count the
+    /// other rows that possibly precede it. Quadratic; the oracle for the
+    /// rank-based implementation.
+    fn certain_topk_by_definition(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usize> {
+        order_rows(rows, descending)
+            .into_iter()
+            .filter(|&i| {
+                let g = &rows[i];
+                if bound_value(g.glb).is_none() || bound_value(g.lub).is_none() {
+                    return false;
+                }
+                let preceders = rows
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, h)| j != i && possibly_precedes(h, g, descending))
+                    .count();
+                preceders < k
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Rank-based membership equals the pairwise definition: intervals
+        /// drawn from a small value pool so that endpoints are shared across
+        /// rows and point intervals are common, `⊥` on either or both sides,
+        /// a few duplicated keys, both directions, and every interesting `k`.
+        #[test]
+        fn certain_topk_matches_its_definition(
+            draws in proptest::collection::vec((0i64..8, 0i64..4, 0u8..10, 0usize..12), 0..14),
+        ) {
+            let rows: Vec<GroupRange> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(lo, width, bottom, key))| {
+                    // Mostly distinct keys, as in a real result; now and then
+                    // one drawn from a small pool, so some collide.
+                    let key = if key < 3 { format!("k{key}") } else { format!("r{i}") };
+                    let glb = (bottom != 0 && bottom != 2).then_some(lo);
+                    let lub = (bottom != 1 && bottom != 2).then_some(lo + width);
+                    row(&key, glb, lub)
+                })
+                .collect();
+            let n = rows.len();
+            for descending in [true, false] {
+                for k in [0, 1, 3, n, n + 1] {
+                    prop_assert_eq!(
+                        certain_topk(&rows, k, descending),
+                        certain_topk_by_definition(&rows, k, descending),
+                        "k = {}, descending = {}, rows = {:?}",
+                        k, descending, rows
+                    );
+                }
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //!   structure of Section 4;
 //! * [`forall`] — embeddings, certainty checking, and ∀embeddings;
 //! * [`glb`] — the operational evaluation of Theorem 6.1 (and its MIN/MAX
-//!   mirrors) over ∀embeddings;
+//!   mirrors) over ∀embeddings, as interned-id rows;
 //! * [`rewrite`] — the symbolic AGGR\[FOL\] rewritings (Lemma 4.3,
 //!   Theorem 6.1, Theorems 7.10/7.11);
 //! * [`classify`] — the separation decision of Theorem 1.1 / Theorem 7.11;
@@ -55,6 +55,7 @@ pub mod error;
 pub mod exact;
 pub mod forall;
 pub mod glb;
+mod ids;
 pub mod index;
 pub mod interval;
 pub mod plan;
@@ -71,7 +72,7 @@ pub use exact::{
     ExactBounds,
 };
 pub use forall::{analyse, Binding, CertaintyChecker, CompiledLevels, ForallAnalysis, VarTable};
-pub use glb::{global_extremum, optimal_aggregate, Choice};
+pub use glb::Choice;
 pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, RelationStats};
 pub use interval::{
     certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,

@@ -3,38 +3,44 @@
 //!
 //! ## Threading model
 //!
-//! The executor parallelises at the [`PlanNode::PartitionByGroup`] boundary:
-//! the single shared block index is read-only, so after the one join pass
-//! partitions the embeddings by group key, the sorted group partitions are
-//! sharded into contiguous chunks and fanned out over a
-//! [`std::thread::scope`] worker pool (no external dependencies — the
-//! workspace builds offline). Each worker owns a **per-worker memoised
-//! [`CertaintyChecker`]** over the shared index: certainty sub-problems are
-//! reused across the groups of one shard, and no locks are taken on the hot
-//! path. The final [`PlanNode::RangeMerge`] concatenates the shard outputs in
-//! shard order; because the partition step emits groups in sorted group-key
-//! **value** order (interned ids are compared through
+//! The executor parallelises twice, both times over contiguous shards run on
+//! a [`std::thread::scope`] worker pool (no external dependencies — the
+//! workspace builds offline). The join pass is sharded **by level-0 block
+//! key**: each worker joins and buckets its range of blocks, and the shard
+//! outputs are merged in shard order. Then, at the
+//! [`PlanNode::PartitionByGroup`] boundary, the sorted groups are sharded
+//! again: each worker owns a **per-worker memoised [`CertaintyChecker`]**
+//! over the shared read-only index — certainty sub-problems are reused across
+//! the groups of one shard, and no locks are taken on the hot path. The final
+//! [`PlanNode::RangeMerge`] concatenates the shard outputs in shard order;
+//! because the partition step emits groups in sorted group-key **value**
+//! order (interned ids are compared through
 //! [`ValueInterner::cmp_id_tuples`], so the order is independent of the id
-//! layout) and shards are contiguous, the merged answer is **byte-identical**
-//! to the sequential one at every thread count — and to the answer of a cold
-//! rebuild whose interner assigned different ids.
+//! layout), lists each group's embeddings in enumeration order, and shards
+//! are contiguous, the merged answer is **byte-identical** to the sequential
+//! one at every thread count — and to the answer of a cold rebuild whose
+//! interner assigned different ids.
 //!
 //! ## Id discipline
 //!
-//! The join pass, group partitioning, and the ∀embedding filter all run on
-//! interned `u32` ids (see [`crate::index`]): a group is a `(Vec<u32>,
-//! Vec<Vec<u32>>)` — key ids plus embedding id vectors — and group keys are
-//! hashed/compared as raw integers (id equality is value equality). Values
-//! materialise at the **result boundary** only: per group, the key becomes
-//! [`Value`]s when its [`GroupRange`] row is built (the exact fallback's
-//! group substitution also needs them), and the group's analysis materialises
-//! its surviving embeddings once, after the id-level certainty work.
+//! From the join to the [`GroupRange`] row everything is interned `u32` ids
+//! (see [`crate::index`]). The join core writes each embedding straight into
+//! a flat arena, one fixed-width row over the closed body's slot table; a
+//! group is a row of key ids plus a list of arena row indices (`Partition`);
+//! group keys are hashed and compared as raw integers (id equality is value
+//! equality); the ∀embedding filter maps row indices to row indices; and the
+//! bound computations of [`crate::glb`] group those rows by id equality.
+//! [`Value`]s appear in three places only: the group key of the
+//! [`GroupRange`] row, the one [`rcqa_data::Rational`] a bound reads per
+//! leaf, and the exact fallback's group substitution. Nothing is allocated
+//! per embedding.
 //!
 //! Worker count comes from
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
-//! (explicit value > `RCQA_THREADS` env > available parallelism) and is
-//! clamped to the number of groups; a single group — in particular every
-//! closed query — runs inline on the calling thread.
+//! (explicit value > `RCQA_THREADS` env > available parallelism), is clamped
+//! to the number of shardable items, and is only resolved once there is more
+//! than one of them; a single group — in particular every closed query —
+//! runs inline on the calling thread.
 //!
 //! The executor only ever *borrows* the index ([`ExecContext::index`]), so a
 //! caller may share one immutable index across any number of concurrent
@@ -53,22 +59,18 @@ use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, Me
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
 use crate::forall::{
-    analyse_group_with_embeddings_ids, embeddings_compiled_ids, embeddings_from_blocks_ids,
-    ids_to_binding, level0_blocks, Binding, CertaintyChecker, CompiledLevels, ForallAnalysis,
+    for_each_embedding, for_each_embedding_from_blocks, forall_check, level0_blocks,
+    CertaintyChecker, CompiledLevels,
 };
-use crate::glb::{global_extremum, optimal_aggregate, Choice};
+use crate::glb::{global_extremum, optimal_aggregate, Choice, Leaves};
+use crate::ids::{IdRows, IdTupleSet};
 use crate::index::DbIndex;
 use crate::plan::physical::{BoundOp, ExecSpec, PhysicalPlan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
-use rcqa_data::{DatabaseInstance, Value, ValueInterner, UNBOUND_ID};
+use rcqa_data::{DatabaseInstance, Value, ValueInterner};
 use rcqa_query::{Term, Var, VarPredicate};
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-/// One partitioned group in the executor's working representation: the group
-/// key and the group's embeddings, all as interned ids over the closed
-/// body's slot table.
-type IdGroup = (Vec<u32>, Vec<Vec<u32>>);
+use std::collections::BTreeSet;
 
 /// Everything the executor needs besides the plan itself.
 #[derive(Clone, Copy)]
@@ -93,38 +95,30 @@ pub struct ExecContext<'a> {
 /// sorted group-key order.
 pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, CoreError> {
     let spec = plan.spec();
-    let requested_workers = cx.options.resolve_threads().max(1);
-
     // Scan + Join + PartitionByGroup: one compilation of the closed body, one
     // join pass over the shared index (sharded by level-0 block key when
     // parallel), embeddings partitioned by group key.
     let compiled = CompiledLevels::new(cx.prepared.body.levels());
-    let free = cx.prepared.normalised.body.free_vars().to_vec();
-    let groups: Vec<IdGroup> = if free.is_empty() {
-        let embs = if spec.needs_analysis {
-            embeddings_compiled_ids(&compiled, cx.index, &compiled.unbound_ids())
-        } else {
-            Vec::new()
-        };
-        vec![(Vec::new(), embs)]
+    let free = cx.prepared.normalised.body.free_vars();
+    let partition = if free.is_empty() {
+        let mut embeddings = IdRows::new(compiled.table().len());
+        if spec.needs_analysis {
+            let initial = compiled.unbound_ids();
+            for_each_embedding(&compiled, cx.index, &initial, None, |theta| {
+                embeddings.push(theta.iter().copied())
+            });
+        }
+        Partition::single_group(embeddings)
     } else {
-        partition_groups_sharded(
-            cx.prepared,
-            cx.index,
-            &compiled,
-            &free,
-            spec.keep_embeddings,
-            requested_workers,
-        )
+        partition_groups(cx, &compiled, free, spec.keep_embeddings, None)
     };
-
-    eval_groups(&spec, cx, &compiled, &free, groups, requested_workers)
+    eval_groups(&spec, cx, &compiled, free, &partition)
 }
 
-/// Above this many requested groups, [`execute_for_groups`] stops running one
-/// pinned join per key and falls back to a single full partition pass with a
-/// key filter: per-key enumeration costs one (pruned) level-0 walk per key,
-/// which beats the full join only while the key set is small.
+/// Up to this many requested groups, [`execute_for_groups`] runs one pinned
+/// join per key; above it, a single full join pass that keeps only the
+/// requested keys: per-key enumeration costs one (pruned) level-0 walk per
+/// key, which beats the full join only while the key set is small.
 const PER_KEY_JOIN_CAP: usize = 16;
 
 /// Executes a physical plan for **only** the groups whose key is in `keys`.
@@ -136,14 +130,16 @@ const PER_KEY_JOIN_CAP: usize = 16;
 /// rejects mismatching rows during the match, so the per-key cost is
 /// proportional to the key's own embeddings (plus the walk of blocks no
 /// bound position constrains) — independent of how many *other* groups
-/// exist. Larger key sets fall back to one full partition pass filtered to
-/// the requested keys.
+/// exist. Larger key sets run the same sharded join pass as [`execute`] with
+/// the key set as a predicate on each embedding as it is bucketed, so only
+/// the requested groups' rows are ever written.
 ///
 /// The returned rows are byte-identical to the corresponding rows of
-/// [`execute`]: a pinned enumeration explores the full enumeration's
-/// recursion tree minus the branches that bind a free variable elsewhere, so
-/// each requested group sees exactly its bucket of the full run, in the same
-/// order — and requested keys are emitted in the same sorted group-key value
+/// [`execute`]: either way each requested group sees exactly its bucket of
+/// the full run — a pinned enumeration explores the full enumeration's
+/// recursion tree minus the branches that bind a free variable elsewhere, a
+/// filtered one drops the other groups' embeddings on arrival — in the same
+/// order, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
 pub fn execute_for_groups(
     plan: &PhysicalPlan,
@@ -151,7 +147,7 @@ pub fn execute_for_groups(
     keys: &BTreeSet<Vec<Value>>,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let spec = plan.spec();
-    let free = cx.prepared.normalised.body.free_vars().to_vec();
+    let free = cx.prepared.normalised.body.free_vars();
     if free.is_empty() {
         // A closed query has a single (empty-keyed) group; filtering does not
         // apply.
@@ -161,120 +157,317 @@ pub fn execute_for_groups(
     // Resolve the requested keys into id space. A key containing a value the
     // index has never seen can match no group (every group key is assembled
     // from fact values), so it simply drops out of the filter set.
-    let mut key_ids: Vec<Vec<u32>> = keys
-        .iter()
-        .filter_map(|key| key.iter().map(|v| interner.id_of(v)).collect())
-        .collect();
+    let mut only = IdTupleSet::new(free.len());
+    for key in keys {
+        if let Some(ids) = key
+            .iter()
+            .map(|v| interner.id_of(v))
+            .collect::<Option<Vec<u32>>>()
+        {
+            only.insert(&ids);
+        }
+    }
     let compiled = CompiledLevels::new(cx.prepared.body.levels());
-    let groups: Vec<IdGroup> = if key_ids.len() <= PER_KEY_JOIN_CAP {
-        // Evaluate keys in sorted value order, matching `sorted_groups`.
-        key_ids.sort_by(|a, b| interner.cmp_id_tuples(a, b));
-        pinned_groups(cx, &compiled, &free, spec.keep_embeddings, &key_ids)
-    } else {
-        let key_set: HashSet<Vec<u32>> = key_ids.into_iter().collect();
-        partition_groups_ids(
-            cx.prepared,
-            cx.index,
-            &compiled,
-            &free,
-            spec.keep_embeddings,
-        )
-        .into_iter()
-        .filter(|(key, _)| key_set.contains(key))
-        .collect()
-    };
-    let requested_workers = cx.options.resolve_threads().max(1);
-    eval_groups(&spec, cx, &compiled, &free, groups, requested_workers)
+    let partition = partition_groups(cx, &compiled, free, spec.keep_embeddings, Some(&only));
+    eval_groups(&spec, cx, &compiled, free, &partition)
 }
 
-/// The per-key arm of [`execute_for_groups`]: one pinned open-body
-/// enumeration per requested key (already sorted in group-key value order),
-/// re-expressed over the closed body's slot table. Keys with no embedding
-/// produce no partition, exactly as in a full run.
-fn pinned_groups(
+/// The output of `Scan + Join + PartitionByGroup`, in id space.
+struct Partition {
+    /// Every kept embedding, one row over the closed body's slot table.
+    embeddings: IdRows,
+    /// One row of key ids per group, in group-key value order.
+    keys: IdRows,
+    /// Group `g`'s embeddings are `rows[starts[g]..starts[g + 1]]`: indices
+    /// into `embeddings`, in enumeration order.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Partition {
+    /// The partition of a closed query: one empty-keyed group holding every
+    /// embedding (possibly none — the group exists regardless).
+    fn single_group(embeddings: IdRows) -> Partition {
+        let n = u32::try_from(embeddings.len()).expect("embedding count fits u32");
+        let mut keys = IdRows::new(0);
+        keys.push([]);
+        Partition {
+            embeddings,
+            keys,
+            starts: vec![0, n],
+            rows: (0..n).collect(),
+        }
+    }
+
+    /// The embeddings of group `g`.
+    fn rows_of(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Merges the per-shard buckets **in shard order** and sorts the groups.
+    ///
+    /// Shards cover contiguous level-0 block ranges in enumeration order, so
+    /// concatenating their arenas numbers the embeddings exactly as a
+    /// sequential enumeration would; listing each group's rows in ascending
+    /// row order (a stable counting sort by group) then reproduces the
+    /// sequential bucket, whatever the shard count. Groups are ordered by
+    /// key **value** (via [`ValueInterner::cmp_id_tuples`]), which makes the
+    /// output independent of both arrival order and the interner's id layout
+    /// — what keeps answers byte-identical across thread counts and across
+    /// warm/cold indexes.
+    fn merge<'a>(
+        shards: impl IntoIterator<Item = Buckets<'a>>,
+        interner: &ValueInterner,
+    ) -> Partition {
+        let mut shards = shards.into_iter();
+        let Buckets {
+            projection,
+            mut keys,
+            mut embeddings,
+            mut group_of,
+            ..
+        } = shards.next().expect("at least one shard");
+        for shard in shards {
+            let global: Vec<u32> = (0..shard.keys.len())
+                .map(|g| keys.insert(shard.keys.tuple(g)).0 as u32)
+                .collect();
+            embeddings.append(shard.embeddings);
+            group_of.extend(shard.group_of.iter().map(|&g| global[g as usize]));
+        }
+        assert!(
+            embeddings.len() <= u32::MAX as usize,
+            "embedding count fits u32"
+        );
+
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_unstable_by(|&a, &b| interner.cmp_id_tuples(keys.tuple(a), keys.tuple(b)));
+        let mut sorted_keys = IdRows::new(projection.key_slots.len());
+        let mut rank = vec![0usize; order.len()];
+        for (r, &g) in order.iter().enumerate() {
+            sorted_keys.push(keys.tuple(g).iter().copied());
+            rank[g] = r;
+        }
+        let mut starts = vec![0u32; order.len() + 1];
+        for &g in &group_of {
+            starts[rank[g as usize] + 1] += 1;
+        }
+        for r in 0..order.len() {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; group_of.len()];
+        for (row, &g) in group_of.iter().enumerate() {
+            let at = &mut next[rank[g as usize]];
+            rows[*at as usize] = row as u32;
+            *at += 1;
+        }
+        Partition {
+            embeddings,
+            keys: sorted_keys,
+            starts,
+            rows,
+        }
+    }
+}
+
+/// The open → closed projection of the `PartitionByGroup` operator: where an
+/// open-body embedding keeps its group key, and how it is re-expressed over
+/// the closed body's slot table (same variable set, possibly a different
+/// topological order), so downstream certainty checks need no per-group
+/// re-preparation.
+struct GroupProjection {
+    /// Open slots of the free variables: the group key.
+    key_slots: Vec<usize>,
+    /// Per closed slot, the open slot of the same variable. Empty for a
+    /// cyclic closed body, which has no levels and hence no slots — its
+    /// evaluation never consumes the embeddings.
+    closed_from_open: Vec<usize>,
+}
+
+impl GroupProjection {
+    fn new(open: &CompiledLevels, closed: &CompiledLevels, free: &[Var]) -> GroupProjection {
+        let open_slot = |v: &Var| {
+            open.table()
+                .slot(v)
+                .expect("every body variable occurs in the open body")
+        };
+        GroupProjection {
+            key_slots: free.iter().map(open_slot).collect(),
+            closed_from_open: closed.table().vars().iter().map(open_slot).collect(),
+        }
+    }
+}
+
+/// One shard's share of `PartitionByGroup`, and the sink of its join pass:
+/// buckets open-body embeddings by group key as they are enumerated.
+///
+/// Keys are raw id tuples — exact, since id equality is value equality.
+/// Level-0 block order makes runs of one key the common case, so a row is
+/// first compared with its predecessor's key and only then looked up.
+struct Buckets<'a> {
+    projection: &'a GroupProjection,
+    keep_embeddings: bool,
+    /// When set, only embeddings with one of these keys are kept.
+    only: Option<&'a IdTupleSet>,
+    /// The distinct keys seen, in arrival order.
+    keys: IdTupleSet,
+    /// The kept embeddings over the closed slot table, in arrival order …
+    embeddings: IdRows,
+    /// … and, per kept embedding, the index of its key in `keys`.
+    group_of: Vec<u32>,
+    /// The previous embedding's key and its group (`None`: filtered out).
+    key: Vec<u32>,
+    group: Option<u32>,
+}
+
+impl<'a> Buckets<'a> {
+    fn new(
+        projection: &'a GroupProjection,
+        keep_embeddings: bool,
+        only: Option<&'a IdTupleSet>,
+    ) -> Buckets<'a> {
+        Buckets {
+            projection,
+            keep_embeddings,
+            only,
+            keys: IdTupleSet::new(projection.key_slots.len()),
+            embeddings: IdRows::new(projection.closed_from_open.len()),
+            group_of: Vec::new(),
+            key: Vec::new(),
+            group: None,
+        }
+    }
+
+    fn push(&mut self, theta: &[u32]) {
+        let key_slots = &self.projection.key_slots;
+        let same_key = self.key.len() == key_slots.len()
+            && key_slots
+                .iter()
+                .zip(&self.key)
+                .all(|(&s, &id)| theta[s] == id);
+        if !same_key {
+            self.key.clear();
+            self.key.extend(key_slots.iter().map(|&s| theta[s]));
+            self.group = self
+                .only
+                .is_none_or(|only| only.contains(&self.key))
+                .then(|| self.keys.insert(&self.key).0 as u32);
+        }
+        let (Some(group), true) = (self.group, self.keep_embeddings) else {
+            return;
+        };
+        self.embeddings
+            .push(self.projection.closed_from_open.iter().map(|&o| theta[o]));
+        self.group_of.push(group);
+    }
+}
+
+/// The `Scan + Join + PartitionByGroup` phase of a grouped query: enumerates
+/// the open body over the shared index and partitions the embeddings by
+/// group key — every group, or `only` the listed ones.
+///
+/// A small `only` set is enumerated per key, the free-variable slots
+/// pre-bound to the key's ids (keys with no embedding leave no group, exactly
+/// as in a full run). Otherwise the level-0 blocks are sharded into
+/// contiguous ranges, one join-and-bucket pass per worker.
+fn partition_groups(
     cx: &ExecContext<'_>,
     closed: &CompiledLevels,
     free: &[Var],
     keep_embeddings: bool,
-    key_ids: &[Vec<u32>],
-) -> Vec<IdGroup> {
+    only: Option<&IdTupleSet>,
+) -> Partition {
+    let index = cx.index;
     let open = CompiledLevels::new(cx.prepared.open_levels());
-    let (free_slots, remap) = group_projection(&open, closed, free);
-    let closed_len = closed.table().len();
-    let mut out = Vec::new();
-    for kid in key_ids {
-        let mut initial = open.unbound_ids();
-        for (&slot, &id) in free_slots.iter().zip(kid.iter()) {
-            initial[slot] = id;
+    let projection = GroupProjection::new(&open, closed, free);
+    let mut initial = open.unbound_ids();
+    let blocks_under =
+        |initial: &[u32]| level0_blocks(&open, index, initial).expect("a grouped body has an atom");
+    let shards = match only {
+        Some(only) if only.len() <= PER_KEY_JOIN_CAP => {
+            let mut buckets = Buckets::new(&projection, keep_embeddings, None);
+            for k in 0..only.len() {
+                for (&slot, &id) in projection.key_slots.iter().zip(only.tuple(k)) {
+                    initial[slot] = id;
+                }
+                let blocks = blocks_under(&initial);
+                for_each_embedding_from_blocks(&open, index, &initial, &blocks, |theta| {
+                    buckets.push(theta)
+                });
+            }
+            vec![buckets]
         }
-        let embs = embeddings_compiled_ids(&open, cx.index, &initial);
-        if embs.is_empty() {
-            continue;
+        _ => {
+            let blocks = blocks_under(&initial);
+            let workers = match blocks.len() {
+                0 | 1 => 1,
+                n => cx.options.resolve_threads().clamp(1, n),
+            };
+            let initial = &initial;
+            run_shards(shard(blocks, workers), |blocks| {
+                let mut buckets = Buckets::new(&projection, keep_embeddings, only);
+                for_each_embedding_from_blocks(&open, index, initial, &blocks, |theta| {
+                    buckets.push(theta)
+                });
+                buckets
+            })
         }
-        let closed_embs: Vec<Vec<u32>> = if keep_embeddings {
-            embs.iter()
-                .map(|theta| {
-                    let mut closed_slots: Vec<u32> = vec![UNBOUND_ID; closed_len];
-                    for (o, c) in remap.iter().enumerate() {
-                        if let Some(c) = c {
-                            closed_slots[*c] = theta[o];
-                        }
-                    }
-                    closed_slots
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        out.push((kid.clone(), closed_embs));
-    }
-    out
+    };
+    Partition::merge(shards, index.interner())
 }
 
-/// The `ForallCheck + AggregateBound + RangeMerge` tail shared by [`execute`]
-/// and [`execute_for_groups`]: evaluates pre-partitioned groups sequentially
-/// or over contiguous shards on a worker pool.
-fn eval_groups(
-    spec: &ExecSpec,
-    cx: &ExecContext<'_>,
-    compiled: &CompiledLevels,
-    free: &[Var],
-    groups: Vec<IdGroup>,
-    requested_workers: usize,
-) -> Result<Vec<GroupRange>, CoreError> {
-    // Slots of the free variables in the closed body's table, for seeding
-    // per-group base bindings. (With an acyclic body every free variable
-    // occurs in some atom and therefore has a slot.)
-    let free_slots: Vec<Option<usize>> = free.iter().map(|v| compiled.table().slot(v)).collect();
+/// The group keys of a grouped query over `index`, in sorted order: the
+/// value-level boundary of `PartitionByGroup` for callers outside the
+/// executor (the engine's candidate-group enumeration).
+pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
+    let closed = CompiledLevels::new(cx.prepared.body.levels());
+    let free = cx.prepared.normalised.body.free_vars();
+    let partition = partition_groups(cx, &closed, free, false, None);
+    let interner = cx.index.interner();
+    (0..partition.keys.len())
+        .map(|g| interner.values_of(partition.keys.row(g)))
+        .collect()
+}
 
-    let workers = requested_workers.clamp(1, groups.len().max(1));
-    if workers <= 1 {
-        // Sequential: one checker whose memo is shared by every group.
-        let checker = CertaintyChecker::with_compiled(compiled.clone(), cx.index);
-        return eval_shard(spec, cx, &checker, compiled, &free_slots, groups);
+/// Runs `work` over each shard — inline for a single shard, else one scoped
+/// worker thread per shard — and returns the results in shard order.
+fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    if shards.len() <= 1 {
+        return shards.into_iter().map(work).collect();
     }
-
-    // ForallCheck + AggregateBound, fanned out over contiguous group shards;
-    // RangeMerge concatenates the shard outputs in shard order.
-    let shards = shard(groups, workers);
-    let free_slots = &free_slots;
-    let shard_results: Vec<Result<Vec<GroupRange>, CoreError>> = std::thread::scope(|s| {
+    let work = &work;
+    std::thread::scope(|s| {
         let handles: Vec<_> = shards
             .into_iter()
-            .map(|shard| {
-                let compiled = compiled.clone();
-                s.spawn(move || {
-                    let checker = CertaintyChecker::with_compiled(compiled.clone(), cx.index);
-                    eval_shard(spec, cx, &checker, &compiled, free_slots, shard)
-                })
-            })
+            .map(|shard| s.spawn(move || work(shard)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("plan executor worker panicked"))
             .collect()
+    })
+}
+
+/// The `ForallCheck + AggregateBound + RangeMerge` tail shared by [`execute`]
+/// and [`execute_for_groups`]: evaluates the partitioned groups sequentially
+/// or over contiguous shards on a worker pool, concatenating the shard
+/// outputs in shard order.
+fn eval_groups(
+    spec: &ExecSpec,
+    cx: &ExecContext<'_>,
+    compiled: &CompiledLevels,
+    free: &[Var],
+    partition: &Partition,
+) -> Result<Vec<GroupRange>, CoreError> {
+    let groups = partition.keys.len();
+    let workers = match groups {
+        0 | 1 => 1,
+        n => cx.options.resolve_threads().clamp(1, n),
+    };
+    let shard_results = run_shards(shard((0..groups).collect(), workers), |groups| {
+        eval_shard(spec, cx, compiled, free, partition, groups)
     });
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(groups);
     for result in shard_results {
         out.extend(result?);
     }
@@ -296,61 +489,94 @@ fn shard<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
     out
 }
 
+/// One group's `ForallCheck` output, in id space: row indices into the
+/// partition's embedding arena.
+struct GroupAnalysis<'a> {
+    /// Reads the aggregated term under an embedding.
+    leaves: &'a Leaves<'a>,
+    /// Whether the group's closed body holds in every repair.
+    certain: bool,
+    /// All embeddings of the group.
+    rows: &'a [u32],
+    /// Its ∀embeddings (empty unless certain and the plan asked for them).
+    forall: &'a mut [u32],
+}
+
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
-/// sharing one memoised certainty checker across the shard.
+/// sharing one memoised certainty checker (and its scratch) across the shard.
 fn eval_shard(
     spec: &ExecSpec,
     cx: &ExecContext<'_>,
-    checker: &CertaintyChecker<'_>,
     compiled: &CompiledLevels,
-    free_slots: &[Option<usize>],
-    groups: Vec<IdGroup>,
+    free: &[Var],
+    partition: &Partition,
+    groups: Vec<usize>,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let interner = cx.index.interner();
+    let embeddings = &partition.embeddings;
+    // Analysis implies an acyclic body, whose slot table names every body
+    // variable — the free variables (for seeding per-group base bindings)
+    // and the aggregated one included.
+    let analysing = spec.needs_analysis.then(|| {
+        let table = compiled.table();
+        let free_slots: Vec<usize> = free
+            .iter()
+            .map(|v| table.slot(v).expect("free variable occurs in the body"))
+            .collect();
+        (
+            CertaintyChecker::with_compiled(compiled.clone(), cx.index),
+            Leaves::new(embeddings, table, &cx.prepared.normalised.term, interner),
+            free_slots,
+        )
+    });
+    let mut base = compiled.unbound_ids();
+    let mut forall = Vec::new();
     let mut out = Vec::with_capacity(groups.len());
-    for (key_ids, embs) in groups {
+    for g in groups {
+        let key_ids = partition.keys.row(g);
         // The result boundary: the group key materialises here, for the
         // GroupRange row and (below) the exact fallback's substitution.
-        let key = interner.values_of(&key_ids);
-        let analysis = if spec.needs_analysis {
-            let mut base = compiled.unbound_ids();
-            for (slot, &id) in free_slots.iter().zip(key_ids.iter()) {
-                if let Some(s) = slot {
-                    base[*s] = id;
+        let key = interner.values_of(key_ids);
+        let mut analysis = match &analysing {
+            Some((checker, leaves, free_slots)) => {
+                for (&slot, &id) in free_slots.iter().zip(key_ids) {
+                    base[slot] = id;
                 }
+                let rows = partition.rows_of(g);
+                let certain = forall_check(
+                    checker,
+                    &base,
+                    embeddings,
+                    rows,
+                    spec.needs_forall,
+                    &mut forall,
+                );
+                Some(GroupAnalysis {
+                    leaves,
+                    certain,
+                    rows,
+                    forall: &mut forall,
+                })
             }
-            Some(analyse_group_with_embeddings_ids(
-                checker,
-                &base,
-                embs,
-                spec.needs_forall,
-            ))
-        } else {
-            None
+            None => None,
         };
         let mut exact_cache: Option<ExactBounds> = None;
-        let glb = match spec.glb {
-            Some(op) => Some(bound_answer(
-                op,
-                BoundKind::Glb,
-                cx,
-                analysis.as_ref(),
-                &key,
-                &mut exact_cache,
-            )?),
-            None => None,
+        let mut bound = |op: Option<BoundOp>, kind: BoundKind| {
+            op.map(|op| {
+                bound_answer(
+                    op,
+                    kind,
+                    cx,
+                    compiled,
+                    analysis.as_mut(),
+                    &key,
+                    &mut exact_cache,
+                )
+            })
+            .transpose()
         };
-        let lub = match spec.lub {
-            Some(op) => Some(bound_answer(
-                op,
-                BoundKind::Lub,
-                cx,
-                analysis.as_ref(),
-                &key,
-                &mut exact_cache,
-            )?),
-            None => None,
-        };
+        let glb = bound(spec.glb, BoundKind::Glb)?;
+        let lub = bound(spec.lub, BoundKind::Lub)?;
         // Residual predicates are invisible to the partitioner, so the exact
         // enumeration may discover that a candidate group has no satisfying
         // embedding at all — such a group is not a possible answer and has
@@ -373,36 +599,36 @@ fn bound_answer(
     op: BoundOp,
     bound: BoundKind,
     cx: &ExecContext<'_>,
-    analysis: Option<&ForallAnalysis>,
+    compiled: &CompiledLevels,
+    analysis: Option<&mut GroupAnalysis<'_>>,
     key: &[Value],
     exact_cache: &mut Option<ExactBounds>,
 ) -> Result<BoundAnswer, CoreError> {
-    let term = &cx.prepared.normalised.term;
     match op {
         BoundOp::Rewrite { combine, choice } => {
             let analysis = analysis.expect("the Rewrite operator requires the analysis");
-            let value = analysis.certain.then(|| {
-                optimal_aggregate(
-                    cx.prepared.body.levels(),
-                    &analysis.forall_embeddings,
-                    term,
-                    combine,
-                    choice,
-                )
-            });
+            let levels = compiled.levels();
+            let value = analysis
+                .certain
+                .then(|| {
+                    optimal_aggregate(analysis.leaves, levels, analysis.forall, combine, choice)
+                })
+                .flatten();
             Ok(BoundAnswer {
-                value: value.flatten(),
+                value,
                 method: Method::Rewriting,
             })
         }
         BoundOp::Extremum { choice } => {
             let analysis = analysis.expect("the Extremum operator requires the analysis");
             // Theorem 7.10 (GLB of MIN) and its mirror (LUB of MAX).
+            let maximise = choice == Choice::Maximise;
             let value = analysis
                 .certain
-                .then(|| global_extremum(&analysis.embeddings, term, choice == Choice::Maximise));
+                .then(|| global_extremum(analysis.leaves, analysis.rows, maximise))
+                .flatten();
             Ok(BoundAnswer {
-                value: value.flatten(),
+                value,
                 method: Method::PlainExtremum,
             })
         }
@@ -449,189 +675,6 @@ fn bound_answer(
             })
         }
     }
-}
-
-/// The open → closed projection of the `PartitionByGroup` operator: slots of
-/// the free variables in the open table (the group key), and the slot
-/// remapping open → closed (same variable set, possibly different topological
-/// order). Unknown closed slots only arise for cyclic closed bodies, whose
-/// evaluation never consumes the embeddings.
-fn group_projection(
-    open: &CompiledLevels,
-    closed: &CompiledLevels,
-    free: &[Var],
-) -> (Vec<usize>, Vec<Option<usize>>) {
-    let free_slots: Vec<usize> = free
-        .iter()
-        .map(|v| {
-            open.table()
-                .slot(v)
-                .expect("free variable occurs in the open body")
-        })
-        .collect();
-    let remap: Vec<Option<usize>> = open
-        .table()
-        .vars()
-        .iter()
-        .map(|v| closed.table().slot(v))
-        .collect();
-    (free_slots, remap)
-}
-
-/// Buckets a batch of open-body embeddings (as id vectors) by group key,
-/// re-expressing each kept embedding over the closed body's slot table.
-///
-/// Keys are raw id tuples hashed as integers — exact, since id equality is
-/// value equality. Buckets preserve arrival order; the key *order* across
-/// buckets is imposed afterwards by [`sorted_groups`].
-fn bucket_embeddings(
-    closed_len: usize,
-    free_slots: &[usize],
-    remap: &[Option<usize>],
-    open_embeddings: Vec<Vec<u32>>,
-    keep_embeddings: bool,
-) -> HashMap<Vec<u32>, Vec<Vec<u32>>> {
-    let mut groups: HashMap<Vec<u32>, Vec<Vec<u32>>> = HashMap::new();
-    for theta in open_embeddings {
-        let key: Vec<u32> = free_slots.iter().map(|&s| theta[s]).collect();
-        debug_assert!(
-            !key.contains(&UNBOUND_ID),
-            "free variables are bound by every embedding"
-        );
-        let bucket = groups.entry(key).or_default();
-        if keep_embeddings {
-            let mut closed_slots: Vec<u32> = vec![UNBOUND_ID; closed_len];
-            for (o, c) in remap.iter().enumerate() {
-                if let Some(c) = c {
-                    closed_slots[*c] = theta[o];
-                }
-            }
-            bucket.push(closed_slots);
-        }
-    }
-    groups
-}
-
-/// Orders bucketed groups by group-key **value** order (via
-/// [`ValueInterner::cmp_id_tuples`]): the output order is therefore
-/// independent of both the hash map's iteration order and the interner's id
-/// layout, which is what keeps answers byte-identical across thread counts
-/// and across warm/cold indexes.
-fn sorted_groups(
-    groups: HashMap<Vec<u32>, Vec<Vec<u32>>>,
-    interner: &ValueInterner,
-) -> Vec<IdGroup> {
-    let mut out: Vec<IdGroup> = groups.into_iter().collect();
-    out.sort_by(|a, b| interner.cmp_id_tuples(&a.0, &b.0));
-    out
-}
-
-/// Enumerates the open body once over the shared index and partitions the
-/// embeddings by group key, re-expressed over the closed body's slot table
-/// (so downstream certainty checks need no per-group re-preparation). This is
-/// the sequential `PartitionByGroup` operator, in id space.
-fn partition_groups_ids(
-    prepared: &PreparedAggQuery,
-    index: &DbIndex,
-    closed: &CompiledLevels,
-    free: &[Var],
-    keep_embeddings: bool,
-) -> Vec<IdGroup> {
-    let open = CompiledLevels::new(prepared.open_levels());
-    let (free_slots, remap) = group_projection(&open, closed, free);
-    let open_embeddings = embeddings_compiled_ids(&open, index, &open.unbound_ids());
-    sorted_groups(
-        bucket_embeddings(
-            closed.table().len(),
-            &free_slots,
-            &remap,
-            open_embeddings,
-            keep_embeddings,
-        ),
-        index.interner(),
-    )
-}
-
-/// Value-level wrapper over [`partition_groups_ids`] for callers outside the
-/// executor (the engine's candidate-group enumeration): group keys — and,
-/// when kept, embeddings — are materialised at return.
-pub(crate) fn partition_groups(
-    prepared: &PreparedAggQuery,
-    index: &DbIndex,
-    closed: &CompiledLevels,
-    free: &[Var],
-    keep_embeddings: bool,
-) -> Vec<(Vec<Value>, Vec<Binding>)> {
-    let interner = index.interner();
-    partition_groups_ids(prepared, index, closed, free, keep_embeddings)
-        .into_iter()
-        .map(|(key, embs)| {
-            (
-                interner.values_of(&key),
-                embs.iter()
-                    .map(|ids| ids_to_binding(closed.table(), ids, interner))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// The parallel `Scan + Join + PartitionByGroup` phase: the shared index is
-/// sharded **by level-0 block key** into contiguous ranges, each worker joins
-/// and buckets its range, and the per-shard maps are merged in shard order.
-/// Because the sequential enumeration also walks level-0 blocks in that
-/// order, the merged partitions — keys *and* the embedding order within each
-/// group — are byte-identical to [`partition_groups_ids`].
-fn partition_groups_sharded(
-    prepared: &PreparedAggQuery,
-    index: &DbIndex,
-    closed: &CompiledLevels,
-    free: &[Var],
-    keep_embeddings: bool,
-    workers: usize,
-) -> Vec<IdGroup> {
-    let open = CompiledLevels::new(prepared.open_levels());
-    let blocks = match level0_blocks(&open, index, &open.binding()) {
-        Some(blocks) => blocks,
-        None => return partition_groups_ids(prepared, index, closed, free, keep_embeddings),
-    };
-    let workers = workers.clamp(1, blocks.len().max(1));
-    if workers <= 1 {
-        return partition_groups_ids(prepared, index, closed, free, keep_embeddings);
-    }
-    let (free_slots, remap) = group_projection(&open, closed, free);
-    let initial = open.unbound_ids();
-    let closed_len = closed.table().len();
-    let shards = shard(blocks, workers);
-    let (open, initial, free_slots, remap) = (&open, &initial, &free_slots, &remap);
-    let shard_maps: Vec<HashMap<Vec<u32>, Vec<Vec<u32>>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|blocks| {
-                s.spawn(move || {
-                    let embs = embeddings_from_blocks_ids(open, index, initial, &blocks);
-                    bucket_embeddings(closed_len, free_slots, remap, embs, keep_embeddings)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    });
-    // RangeMerge discipline: merge shard maps in shard order, so each group's
-    // embeddings appear in level-0 block order exactly as sequentially.
-    let mut merged: HashMap<Vec<u32>, Vec<Vec<u32>>> = HashMap::new();
-    for map in shard_maps {
-        let mut entries: Vec<(Vec<u32>, Vec<Vec<u32>>)> = map.into_iter().collect();
-        // Within one shard the map's iteration order is arbitrary, but each
-        // bucket's contents are already in block order; bucket-to-bucket
-        // order inside a shard is immaterial because buckets are disjoint.
-        for (key, embs) in entries.drain(..) {
-            merged.entry(key).or_default().extend(embs);
-        }
-    }
-    sorted_groups(merged, index.interner())
 }
 
 /// One key position of a [`SupportAtom`]'s block-key pattern.

@@ -4,7 +4,7 @@
 //! on any number of libtest threads without observing each other's builds.
 
 use rcqa::core::engine::EngineOptions;
-use rcqa::data::fact;
+use rcqa::data::{fact, Fact, Value};
 use rcqa::gen::JoinWorkload;
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::Session;
@@ -291,4 +291,60 @@ fn warm_answers_equal_cold_sessions_at_every_thread_count() {
             "cold@{threads}T differs from the warm session"
         );
     }
+}
+
+#[test]
+fn values_first_interned_by_a_warm_commit_group_as_in_a_cold_session() {
+    // The bounds group a group's ∀embeddings by *id* equality. A value first
+    // seen by a warm commit gets an overlay id — appended after every
+    // cold-built id, whatever its value — so inside one block the id order
+    // of the alternatives can disagree with their value order. Grouping by
+    // equality does not care; this pins that it never starts to.
+    let warm = Session::with_instance(rs_catalog(), workload().generate());
+    let statements = [
+        GROUPED_MAX,
+        "SELECT R.X, MIN(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.X",
+    ];
+    for sql in statements {
+        warm.execute(sql).unwrap();
+    }
+    // x0's block gains a join value that sorts before every cold `y…`; that
+    // value's S block and an existing one gain quantities below and above
+    // every cold one (the workload draws 1..=60).
+    let existing = warm
+        .database()
+        .facts_of("S")
+        .next()
+        .expect("the workload has S facts")
+        .clone();
+    let (y, z) = (existing.arg(0).clone(), existing.arg(1).clone());
+    warm.insert(fact!("R", "x0", "a-new-y")).unwrap();
+    for qty in [70, 0, 65] {
+        warm.insert(fact!("S", "a-new-y", "z0", qty)).unwrap();
+    }
+    for qty in [0, 99] {
+        warm.insert(Fact::new("S", [y.clone(), z.clone(), Value::int(qty)]))
+            .unwrap();
+    }
+    for sql in statements {
+        let warm_rows = warm.execute(sql).unwrap().rows;
+        for threads in [1usize, 4] {
+            let cold = Session::with_instance(rs_catalog(), warm.database().clone()).with_options(
+                EngineOptions {
+                    threads,
+                    ..EngineOptions::default()
+                },
+            );
+            assert_eq!(
+                cold.execute(sql).unwrap().rows,
+                warm_rows,
+                "cold@{threads}T differs from the warm session: {sql}"
+            );
+        }
+    }
+    assert_eq!(
+        warm.stats().index_builds,
+        1,
+        "the warm index was maintained"
+    );
 }
