@@ -72,7 +72,8 @@
 
 use crate::classify::{classify_prepared, Classification};
 use crate::error::CoreError;
-use crate::forall::{for_each_embedding, CompiledLevels};
+use crate::forall::{CompiledLevels, Join, KeyPin};
+use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
 use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, RowSupport};
 use crate::plan::{LogicalPlan, PhysicalPlan};
@@ -211,17 +212,38 @@ impl PredicateRouting {
         !self.residual.is_empty()
     }
 
+    /// Whether a group key passes every row filter.
+    fn admits_row(&self, key: &[Value]) -> bool {
+        self.row_filters
+            .iter()
+            .all(|(pos, p)| p.holds_value(&key[*pos]))
+    }
+
     /// Drops the rows whose group key fails a row filter.
     fn filter_rows(&self, rows: &mut Vec<GroupRange>) {
-        if self.row_filters.is_empty() {
-            return;
+        if !self.row_filters.is_empty() {
+            rows.retain(|g| self.admits_row(&g.key));
         }
-        rows.retain(|g| {
-            self.row_filters
-                .iter()
-                .all(|(pos, p)| p.holds_value(&g.key[*pos]))
-        });
     }
+}
+
+/// What [`RangeCqa::affected_keys`] derives from a run of commits' dirty
+/// blocks.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AffectedKeys {
+    /// The group keys with an old or new embedding through a dirty block, in
+    /// sorted group-key order without duplicates (the empty key for a closed
+    /// query). A superset of the keys whose row differs — except for what
+    /// `blind` says.
+    pub keys: Vec<Vec<Value>>,
+    /// The relations whose dirty level is **retraction-blind**: some GROUP BY
+    /// variable is bound only by a non-key position of that atom or by a
+    /// deeper one, so the group of a fact that *left* one of its dirty blocks
+    /// cannot be read off the new index. `keys` still holds every group such
+    /// a block gained an embedding for; for its losses the caller must add
+    /// the cached rows the block supports ([`RowSupport::hits`]). Empty for
+    /// every query that groups by key positions only.
+    pub blind: Vec<String>,
 }
 
 /// The range-consistent query answering engine for one aggregation query.
@@ -362,77 +384,143 @@ impl RangeCqa {
         RowSupport::for_plan(&plan, &self.prepared)
     }
 
-    /// The group keys a commit's dirty blocks may have **created** rows for:
-    /// the keys of every open-body embedding that draws at least one fact
-    /// from a dirty block. Each level is pinned in turn to the dirty blocks
-    /// of its relation (`forall::for_each_embedding`'s `pin`), so a brand-new
-    /// embedding — which must pass through a changed block at some level —
-    /// is found at that level. Closed queries return the empty set (their
-    /// single row's key is always known).
+    /// Every group key whose row a commit may have **created, changed or
+    /// removed**, derived forward from the commit's dirty block keys alone
+    /// ([`RangeCqa::affected_keys`] without the blind-level report). A closed
+    /// query reports its single empty key, or nothing when no embedding of
+    /// its body can pass through a dirty block.
     ///
-    /// Retractions need no lookup here: a destroyed embedding belonged to a
-    /// cached row, and the cached row's [`RowSupport`] already intersects
-    /// the dirty block that carried it.
+    /// The serving layer calls [`RangeCqa::affected_keys`]; this wrapper has
+    /// no caller in the workspace and exists for the benchmark's shadow
+    /// decomposition, which compiles against it (ROADMAP tracks moving the
+    /// benchmark over and deleting it).
     pub fn dirty_candidate_keys(
         &self,
         index: &DbIndex,
         dirty: &[DirtyBlock],
     ) -> BTreeSet<Vec<Value>> {
-        let mut out = BTreeSet::new();
-        let free = self.prepared.normalised.body.free_vars().to_vec();
-        if free.is_empty() || dirty.is_empty() {
-            return out;
-        }
+        self.affected_keys(index, dirty).keys.into_iter().collect()
+    }
+
+    /// The delta enumeration of the serving layer: the group keys with an
+    /// embedding — one that exists **before or after** the commits that
+    /// dirtied `dirty` — through a dirty block, found from `index` (the index
+    /// *after* those commits) and the dirty keys alone. Any row outside
+    /// [`AffectedKeys::keys`] is byte-identical on both sides, subject to
+    /// [`AffectedKeys::blind`].
+    ///
+    /// Per level `ℓ` of the body whose relation has dirty keys, the partial
+    /// embeddings over the levels before `ℓ` are enumerated over the
+    /// (predicate-restricted) new index, and each dirty key the level's
+    /// instantiated key pattern admits reports its group key — without
+    /// requiring the block to still exist, which is what covers retractions;
+    /// [`crate::forall`] ("Delta enumeration") states why the *first* dirty
+    /// level of any old or new embedding is always reached this way. A dirty
+    /// level 0 costs one instantiation per dirty key; a dirty level `ℓ > 0`
+    /// walks the prefixes once, with one binary search of the sorted dirty
+    /// keys per prefix. Dirty keys a pushed-down key-position predicate
+    /// rejects are dropped up front (their blocks are invisible to the
+    /// evaluation), and so are group keys failing a row-filter predicate.
+    ///
+    /// `index` must descend from the index the blocks were reported against
+    /// ([`DbIndex::apply_delta`] on a clone, any number of times): interned
+    /// ids are append-only along that line, so every value of a dirty key is
+    /// still interned. A key with a never-interned value names a block no
+    /// index of the line ever held and is skipped.
+    pub fn affected_keys<'d>(
+        &self,
+        index: &DbIndex,
+        dirty: impl IntoIterator<Item = &'d DirtyBlock>,
+    ) -> AffectedKeys {
+        let mut out = AffectedKeys::default();
+        let free = self.prepared.normalised.body.free_vars();
+        let levels = if free.is_empty() {
+            self.prepared.body.levels()
+        } else {
+            self.prepared.open_levels()
+        };
         let routing = self.route_predicates();
         let (view, _access) = self.restricted_view(index, &routing);
         let index = view.as_ref().unwrap_or(index);
         let interner = index.interner();
-        // Dirty block keys per relation, in id space. A key with a value this
-        // lineage never interned names a block the current index cannot
-        // contain — it cannot carry a new embedding and is skipped.
-        let mut pinned: HashMap<&str, Vec<Vec<u32>>> = HashMap::new();
+        // The dirty block keys the evaluation can see — of a body relation,
+        // passing the pushed-down restrictions — per relation, in id space.
+        let body = self.prepared.normalised.body.atoms();
+        let mut pinned: HashMap<&str, IdRows> = HashMap::new();
+        let mut ids = Vec::new();
         for block in dirty {
-            if let Some(ids) = block
-                .key
-                .iter()
-                .map(|v| interner.id_of(v))
-                .collect::<Option<Vec<u32>>>()
-            {
-                pinned.entry(block.relation.as_str()).or_default().push(ids);
+            let visible = body.iter().any(|a| a.relation() == block.relation)
+                && block.key.len() == index.relation(&block.relation).key_len()
+                && routing
+                    .restrictions
+                    .iter()
+                    .filter(|r| r.relation == block.relation)
+                    .all(|r| r.admits(&block.key));
+            if !visible {
+                continue;
+            }
+            if resolve_ids(interner, &block.key, &mut ids) {
+                pinned
+                    .entry(block.relation.as_str())
+                    .or_insert_with(|| IdRows::new(ids.len()))
+                    .push(ids.iter().copied());
             }
         }
-        if pinned.is_empty() {
+        if levels.is_empty() {
+            // A closed body with a cyclic attack graph has no level order to
+            // enumerate in (and is answered by exhaustive enumeration, which
+            // no delta localises): any visible dirty block counts.
+            if !pinned.is_empty() {
+                out.keys.push(Vec::new());
+            }
             return out;
         }
-        // Key value order — the order the index lists blocks in — and no
-        // duplicates (`dirty` may concatenate several commits' blocks).
-        for keys in pinned.values_mut() {
-            keys.sort_by(|a, b| interner.cmp_id_tuples(a, b));
-            keys.dedup();
-        }
-        let open = CompiledLevels::new(self.prepared.open_levels());
+        let compiled = CompiledLevels::new(levels);
         let free_slots: Vec<usize> = free
             .iter()
             .map(|v| {
-                open.table()
+                compiled
+                    .table()
                     .slot(v)
-                    .expect("free variable occurs in the open body")
+                    .expect("free variable occurs in the body")
             })
             .collect();
-        for (level, lvl) in self.prepared.open_levels().iter().enumerate() {
-            let Some(pins) = pinned.get(lvl.atom.relation()) else {
+        let join = Join::new(&compiled, index);
+        let mut found = IdTupleSet::new(free.len());
+        let mut key = Vec::with_capacity(free.len());
+        for (level, lvl) in levels.iter().enumerate() {
+            let Some(keys) = pinned.get(lvl.atom.relation()) else {
                 continue;
             };
-            let pin = Some((level, pins.as_slice()));
-            for_each_embedding(&open, index, &open.unbound_ids(), pin, |theta| {
-                out.insert(
-                    free_slots
-                        .iter()
-                        .map(|&s| interner.value(theta[s]).clone())
-                        .collect(),
-                );
+            if free.is_empty() && found.len() == 1 {
+                // A closed query's one key is already reported.
+                break;
+            }
+            // Key value order — the order the index lists blocks in — and no
+            // duplicates (`dirty` may concatenate several commits' blocks).
+            let keys = keys.sorted_dedup(|a, b| interner.cmp_id_tuples(a, b));
+            let stop = compiled.bound_by(level, &free_slots);
+            if stop > level {
+                out.blind.push(lvl.atom.relation().to_string());
+            }
+            let pin = KeyPin {
+                level,
+                keys: &keys,
+                stop,
+            };
+            join.for_each_through(&pin, |theta| {
+                key.clear();
+                key.extend(free_slots.iter().map(|&s| theta[s]));
+                found.insert(&key);
             });
         }
+        let mut order: Vec<usize> = (0..found.len()).collect();
+        order.sort_unstable_by(|&a, &b| interner.cmp_id_tuples(found.tuple(a), found.tuple(b)));
+        out.keys = order
+            .into_iter()
+            .map(|k| interner.values_of(found.tuple(k)))
+            .filter(|key| routing.admits_row(key))
+            .collect();
         out
     }
 
@@ -441,19 +529,20 @@ impl RangeCqa {
     /// keys with no embedding are absent, exactly as in a full run) are
     /// byte-identical to the corresponding rows of
     /// [`RangeCqa::range_with_index`] — for **every** query shape, including
-    /// group keys bound at no block-key position (the executor pins the free
-    /// variables per key instead of projecting level-0 block keys; see
-    /// [`execute_for_groups`]).
+    /// group keys bound at no block-key position (see
+    /// [`execute_for_groups`] for the two arms and how one is chosen).
     ///
-    /// Like [`RangeCqa::range_with_index`], the index is typically a borrow
-    /// of a snapshot's shared `Arc<DbIndex>`; the call never mutates it, so
-    /// any number of dirty-group patches may run against one snapshot
+    /// `keys` is anything that lends the keys out — a `&BTreeSet`, a slice;
+    /// order and duplicates do not matter. Like
+    /// [`RangeCqa::range_with_index`], the index is typically a borrow of a
+    /// snapshot's shared `Arc<DbIndex>`; the call never mutates it, so any
+    /// number of dirty-group patches may run against one snapshot
     /// concurrently.
-    pub fn range_for_groups(
+    pub fn range_for_groups<'k>(
         &self,
         db: &DatabaseInstance,
         index: &DbIndex,
-        keys: &BTreeSet<Vec<Value>>,
+        keys: impl IntoIterator<Item = &'k Vec<Value>>,
     ) -> Result<Vec<GroupRange>, CoreError> {
         let routing = self.route_predicates();
         let (view, access) = self.restricted_view(index, &routing);
@@ -960,39 +1049,140 @@ mod tests {
         // A never-interned key names no block of this lineage.
         let keys = engine.dirty_candidate_keys(&index, &[block("Stock", &["Nope", "Nowhere"])]);
         assert!(keys.is_empty());
-        // Closed queries have nothing to look up.
+        // A closed query has one row, keyed by the empty tuple: reported when
+        // an embedding can pass through the dirty block, and only then.
         let q = parse_agg_query("SUM(y) <- Dealers('Smith', t), Stock(p, t, y)").unwrap();
         let engine = RangeCqa::new(&q, db.schema()).unwrap();
-        assert!(engine
-            .dirty_candidate_keys(&index, &[block("Dealers", &["Smith"])])
-            .is_empty());
+        let keys = engine.dirty_candidate_keys(&index, &[block("Dealers", &["Smith"])]);
+        assert_eq!(keys, [vec![]].into());
+        for untouched in [
+            block("Dealers", &["James"]),
+            // Interned values, but no town Smith operates in.
+            block("Stock", &["Tesla Y", "Tesla X"]),
+        ] {
+            assert!(engine.dirty_candidate_keys(&index, &[untouched]).is_empty());
+        }
     }
 
-    #[test]
-    fn range_for_groups_agrees_beyond_the_per_key_cap() {
-        // More groups than the executor's per-key pinning cap: the filtered
-        // full-partition arm must agree with the full run too.
+    /// `n` dealers over `towns` towns — every seventh dealer in two of them,
+    /// an inconsistent block — and per town two `Stock` blocks, one of them
+    /// inconsistent: `n` groups by dealer, one level-0 block each; `towns`
+    /// groups by town, each fed by level-0 blocks from end to end of
+    /// `Dealers`.
+    fn db_dealers(n: usize, towns: usize) -> DatabaseInstance {
         let schema = Schema::new()
             .with_relation("Dealers", Signature::new(2, 1, []).unwrap())
             .with_relation("Stock", Signature::new(3, 2, [2]).unwrap());
         let mut db = DatabaseInstance::new(schema);
-        for i in 0..20 {
-            db.insert(fact!("Dealers", format!("d{i:02}"), "Boston"))
+        let town = |i: usize| format!("t{:03}", i % towns);
+        for i in 0..n {
+            let dealer = format!("d{i:05}");
+            db.insert(fact!("Dealers", dealer.clone(), town(i)))
                 .unwrap();
+            if i % 7 == 0 {
+                db.insert(fact!("Dealers", dealer, town(i + 1))).unwrap();
+            }
         }
-        db.insert_all([
-            fact!("Stock", "Tesla X", "Boston", 35),
-            fact!("Stock", "Tesla X", "Boston", 40),
-        ])
-        .unwrap();
+        for t in 0..towns {
+            let qty = 30 + (t % 11) as i64;
+            db.insert_all([
+                fact!("Stock", "Tesla X", town(t), qty),
+                fact!("Stock", "Tesla X", town(t), qty + 5),
+                fact!("Stock", "Tesla Y", town(t), qty + 2),
+            ])
+            .unwrap();
+        }
+        db
+    }
+
+    fn with_threads(text: &str, db: &DatabaseInstance, threads: usize) -> RangeCqa {
+        RangeCqa::new(&parse_agg_query(text).unwrap(), db.schema())
+            .unwrap()
+            .with_options(EngineOptions {
+                threads,
+                ..EngineOptions::default()
+            })
+    }
+
+    #[test]
+    fn range_for_groups_agrees_beyond_the_per_key_cap() {
+        // Both arms of the executor's choice must agree with the full run
+        // (which arm a set of span lengths picks is pinned beside the choice,
+        // `plan::exec::per_key_wins`). Each group's level-0 span is its one
+        // `Dealers` block, so the spans of every key but one hold fewer blocks
+        // than the relation — joined per key — and the spans of all of them
+        // hold as many: one pass.
+        let db = db_dealers(20, 3);
         let index = DbIndex::new(&db);
-        let q = parse_agg_query("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
-        let engine = RangeCqa::new(&q, db.schema()).unwrap();
-        let full = engine.range_with_index(&db, &index).unwrap();
-        assert_eq!(full.len(), 20);
-        let all: BTreeSet<Vec<Value>> = full.iter().map(|r| r.key.clone()).collect();
-        let got = engine.range_for_groups(&db, &index, &all).unwrap();
-        assert_eq!(got, full);
+        for threads in [1, 4] {
+            let engine = with_threads("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)", &db, threads);
+            let full = engine.range_with_index(&db, &index).unwrap();
+            assert_eq!(full.len(), 20);
+            let all: BTreeSet<Vec<Value>> = full.iter().map(|r| r.key.clone()).collect();
+            assert_eq!(engine.range_for_groups(&db, &index, &all).unwrap(), full);
+            let but_one = engine.range_for_groups(&db, &index, all.iter().skip(1));
+            assert_eq!(but_one.unwrap(), full[1..]);
+            // Two keys: per key, and inline at any thread count.
+            let two = [full[3].key.clone(), full[17].key.clone()];
+            let got = engine.range_for_groups(&db, &index, &two).unwrap();
+            assert_eq!(got, [full[3].clone(), full[17].clone()]);
+            // A group key bound at no level-0 key position makes every key's
+            // span the whole relation: one key is a pass already.
+            let by_town =
+                with_threads("(t, MAX(y)) <- Dealers(x, t), Stock(p, t, y)", &db, threads);
+            let full = by_town.range_with_index(&db, &index).unwrap();
+            assert_eq!(full.len(), 3);
+            let one = [full[1].key.clone()];
+            let got = by_town.range_for_groups(&db, &index, &one).unwrap();
+            assert_eq!(got, full[1..2]);
+        }
+    }
+
+    #[test]
+    fn listed_groups_above_the_floor_pool_with_equal_answers() {
+        // A full evaluation shards at any size; a listed-groups call only from
+        // `INLINE_WORK_FLOOR` units of work up. Here every call is above it
+        // (asserted, so the comparison cannot go vacuous), on both arms, for
+        // both bound operators, with groups that sit in one shard and groups
+        // fed by every shard.
+        use crate::plan::exec::INLINE_WORK_FLOOR;
+        let db = db_dealers(INLINE_WORK_FLOOR + 500, 40);
+        let index = DbIndex::new(&db);
+        for agg in ["MAX", "MIN"] {
+            // Grouped by the level-0 key: one block per key.
+            let text = format!("(x, {agg}(y)) <- Dealers(x, t), Stock(p, t, y)");
+            let sequential = with_threads(&text, &db, 1);
+            let pooled = with_threads(&text, &db, 4);
+            let full = sequential.range_with_index(&db, &index).unwrap();
+            assert_eq!(pooled.range_with_index(&db, &index).unwrap(), full);
+            // Per key: every key brings a group and an embedding or more, so
+            // the calling thread has its floor's worth before half of them
+            // and the workers get the rest — and then the groups.
+            let most = &full[..full.len() - 100];
+            assert!(most.len() >= INLINE_WORK_FLOOR);
+            let keys: Vec<Vec<Value>> = most.iter().map(|r| r.key.clone()).collect();
+            for engine in [&sequential, &pooled] {
+                assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), most);
+            }
+            // Every key: one filtered pass.
+            let keys: Vec<Vec<Value>> = full.iter().map(|r| r.key.clone()).collect();
+            for engine in [&sequential, &pooled] {
+                assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), full);
+            }
+            // Grouped by town: a filtered pass whose every group collects
+            // embeddings from every shard of `Dealers` — at least one per
+            // dealer, which puts the tail above the floor as well.
+            let text = format!("(t, {agg}(y)) <- Dealers(x, t), Stock(p, t, y)");
+            let sequential = with_threads(&text, &db, 1);
+            let pooled = with_threads(&text, &db, 4);
+            let full = sequential.range_with_index(&db, &index).unwrap();
+            assert_eq!(full.len(), 40);
+            assert_eq!(pooled.range_with_index(&db, &index).unwrap(), full);
+            let keys: Vec<Vec<Value>> = full.iter().map(|r| r.key.clone()).collect();
+            for engine in [&sequential, &pooled] {
+                assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), full);
+            }
+        }
     }
 
     #[test]
@@ -1029,6 +1219,204 @@ mod tests {
                 let got = engine.range_for_groups(&db, &index, &missing).unwrap();
                 assert!(got.is_empty(), "{text} @{threads}T");
             }
+        }
+    }
+
+    /// Soundness of the delta enumeration, against the definition: over
+    /// random small `R(x|y) ⋈ S(y,z|r)` instances and random deltas, every
+    /// key whose row differs between the full evaluation before and after —
+    /// or exists on one side only — is among the derived affected keys, or
+    /// is a cached row the support pattern of a relation reported
+    /// retraction-blind hits (what the serving layer adds for such levels).
+    mod delta_enumeration {
+        use super::*;
+        use proptest::prelude::*;
+        use rcqa_data::{DeltaEvent, Fact};
+        use rcqa_query::{CmpOp, VarPredicate};
+
+        fn schema() -> Schema {
+            Schema::new()
+                .with_relation("R", Signature::new(2, 1, []).unwrap())
+                .with_relation("S", Signature::new(3, 2, [2]).unwrap())
+        }
+
+        fn r_fact(draw: u64, xs: u64, ys: u64) -> Fact {
+            fact!(
+                "R",
+                format!("x{}", draw % xs),
+                format!("y{}", (draw / xs) % ys)
+            )
+        }
+
+        fn s_fact(draw: u64, ys: u64, zs: u64, rs: u64) -> Fact {
+            Fact::new(
+                "S",
+                [
+                    Value::text(format!("y{}", draw % ys)),
+                    Value::text(format!("z{}", (draw / ys) % zs)),
+                    Value::int(((draw / (ys * zs)) % rs) as i64),
+                ],
+            )
+        }
+
+        /// One drawn write against the current instance: inserts that open a
+        /// block, conflict with one, or bring a never-seen value (the delta
+        /// draws from wider domains than the base instance); deletes of one
+        /// fact; deletes of a whole block on either side.
+        fn events(db: &DatabaseInstance, kind: u8, draw: u64) -> Vec<DeltaEvent> {
+            let pick = |relation: &str| -> Option<Fact> {
+                let facts: Vec<&Fact> = db.facts_of(relation).collect();
+                (!facts.is_empty()).then(|| facts[draw as usize % facts.len()].clone())
+            };
+            let block_of = |fact: &Fact, key_len: usize| -> Vec<DeltaEvent> {
+                db.facts_of(fact.relation())
+                    .filter(|f| f.args()[..key_len] == fact.args()[..key_len])
+                    .cloned()
+                    .map(DeltaEvent::delete)
+                    .collect()
+            };
+            match kind {
+                0 => vec![DeltaEvent::insert(r_fact(draw, 6, 4))],
+                1 => vec![DeltaEvent::insert(s_fact(draw, 4, 3, 7))],
+                2 => pick("R").map(DeltaEvent::delete).into_iter().collect(),
+                3 => pick("S").map(DeltaEvent::delete).into_iter().collect(),
+                4 => pick("S").map_or(Vec::new(), |f| block_of(&f, 2)),
+                _ => pick("R").map_or(Vec::new(), |f| block_of(&f, 1)),
+            }
+        }
+
+        fn shapes() -> Vec<RangeCqa> {
+            let schema = schema();
+            let engine = |text: &str| RangeCqa::new(&parse_agg_query(text).unwrap(), &schema);
+            vec![
+                // The join, grouped by the level-0 key.
+                engine("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap(),
+                // The same under a pushed-down predicate on the group key.
+                engine("(x, MIN(r)) <- R(x, y), S(y, z, r)")
+                    .unwrap()
+                    .with_predicates(vec![VarPredicate {
+                        var: Var::new("x"),
+                        op: CmpOp::Ge,
+                        value: Value::text("x2"),
+                    }])
+                    .unwrap(),
+                // Grouped by a non-key column of R: retraction-blind under a
+                // dirty R block.
+                engine("(y, MAX(r)) <- R(x, y), S(y, z, r)").unwrap(),
+                // One atom, full key and subset of the key.
+                engine("(y, z, MAX(r)) <- S(y, z, r)").unwrap(),
+                engine("(y, MIN(r)) <- S(y, z, r)").unwrap(),
+                // Closed, the level-0 key a constant.
+                engine("MAX(r) <- R('x1', y), S(y, z, r)").unwrap(),
+                // COUNT's glb is the Theorem 6.1 rewriting; its lub enumerates
+                // repairs, which the tiny instance affords.
+                engine("(x, COUNT(*)) <- R(x, y), S(y, z, r)").unwrap(),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn every_changed_row_is_an_affected_key(
+                base in proptest::collection::vec((0u8..2, 0u64..1_000_000), 0..14),
+                writes in proptest::collection::vec((0u8..6, 0u64..1_000_000), 1..6),
+            ) {
+                let mut db = DatabaseInstance::new(schema());
+                for (side, draw) in base {
+                    let fact = if side == 0 { r_fact(draw, 4, 3) } else { s_fact(draw, 3, 2, 4) };
+                    db.insert(fact).unwrap();
+                }
+                let old_db = db.clone();
+                let old_index = DbIndex::new(&old_db);
+                // One batch: a single event or several, both sides mixed.
+                let mut batch = Vec::new();
+                for (kind, draw) in writes {
+                    for event in events(&db, kind, draw) {
+                        if db.apply(event.clone()).unwrap().is_some() {
+                            batch.push(event);
+                        }
+                    }
+                }
+                let mut index = old_index.clone();
+                let dirty = index.apply_delta(&batch);
+                for engine in shapes() {
+                    let text = engine.prepared().original.to_string();
+                    let before = engine.range_with_index(&old_db, &old_index).unwrap();
+                    let after = engine.range_with_index(&db, &index).unwrap();
+                    let affected = engine.affected_keys(&index, &dirty);
+                    prop_assert!(affected.keys.windows(2).all(|w| w[0] < w[1]), "{}", text);
+                    let support = engine.row_support(db.numeric_domain());
+                    let covered = |key: &Vec<Value>| {
+                        affected.keys.binary_search(key).is_ok()
+                            || dirty.iter().any(|b| {
+                                affected.blind.contains(&b.relation)
+                                    && support.hits(key, &b.relation, &b.key)
+                            })
+                    };
+                    for row in &before {
+                        let same = after.iter().any(|r| r == row);
+                        prop_assert!(
+                            same || covered(&row.key),
+                            "{}: {:?} changed or vanished unreported; dirty {:?}, affected {:?}",
+                            text, row, dirty, affected
+                        );
+                    }
+                    for row in &after {
+                        // A born row is never in the support scan's reach
+                        // (there is no cached row to hit): the enumeration
+                        // itself must find it, blind level or not.
+                        let known = before.iter().any(|r| r.key == row.key);
+                        prop_assert!(
+                            known || affected.keys.binary_search(&row.key).is_ok(),
+                            "{}: {:?} was born unreported; dirty {:?}, affected {:?}",
+                            text, row, dirty, affected
+                        );
+                    }
+                    // Re-deriving the affected keys gives the new rows (a
+                    // closed query re-derives its one row whatever is asked).
+                    let closed = engine.prepared().normalised.body.free_vars().is_empty();
+                    let fresh = engine.range_for_groups(&db, &index, &affected.keys).unwrap();
+                    let expected: Vec<GroupRange> = after
+                        .iter()
+                        .filter(|r| closed || affected.keys.binary_search(&r.key).is_ok())
+                        .cloned()
+                        .collect();
+                    prop_assert_eq!(fresh, expected, "{}", text);
+                }
+            }
+        }
+
+        #[test]
+        fn blindness_is_reported_for_exactly_the_non_key_grouped_relation() {
+            let schema = schema();
+            let mut db = DatabaseInstance::new(schema.clone());
+            db.insert_all([fact!("R", "x0", "y0"), fact!("S", "y0", "z0", 1)])
+                .unwrap();
+            let index = DbIndex::new(&db);
+            let dirty = [
+                DirtyBlock {
+                    relation: "R".into(),
+                    key: vec![Value::text("x0")],
+                },
+                DirtyBlock {
+                    relation: "S".into(),
+                    key: vec![Value::text("y0"), Value::text("z0")],
+                },
+            ];
+            let blind = |text: &str, dirty: &[DirtyBlock]| {
+                RangeCqa::new(&parse_agg_query(text).unwrap(), &schema)
+                    .unwrap()
+                    .affected_keys(&index, dirty)
+                    .blind
+            };
+            assert!(blind("(x, MAX(r)) <- R(x, y), S(y, z, r)", &dirty).is_empty());
+            assert!(blind("(y, z, MAX(r)) <- S(y, z, r)", &dirty).is_empty());
+            assert!(blind("MAX(r) <- R('x0', y), S(y, z, r)", &dirty).is_empty());
+            let by_y = "(y, MAX(r)) <- R(x, y), S(y, z, r)";
+            assert_eq!(blind(by_y, &dirty), ["R"]);
+            // Under a dirty S block alone the prefix binds `y`: not blind.
+            assert!(blind(by_y, &dirty[1..]).is_empty());
         }
     }
 

@@ -29,13 +29,54 @@
 //! map-like by-variable access) is what [`embeddings`], [`analyse`] and
 //! [`analyse_group`] hand out — to the baselines, the paper-experiment
 //! harness and the tests. The plan executor never builds one.
+//!
+//! ## Delta enumeration: pinning a level by key
+//!
+//! The serving layer asks one question of this module after a commit: which
+//! groups can the commit's dirty blocks have changed? The join core answers
+//! it with an enumeration in which one level is **pinned by key** (`KeyPin`):
+//! instead of the blocks its key pattern matches, that level walks the dirty
+//! block *keys* of its relation the pattern admits — whether or not a block
+//! with that key still exists. Why this finds every affected group:
+//!
+//! * A group's `[glb, lub]` is a function of its embeddings and of the blocks
+//!   they touch: a repair keeps an embedding iff it picks the embedding's
+//!   fact in each of those blocks. So a group's row can differ across a
+//!   commit only if some embedding of the body that exists **before or
+//!   after** the commit draws a fact from a block the commit changed — a
+//!   group with no such embedding has the same embeddings over the same
+//!   blocks on both sides.
+//! * Take such an embedding and the **first** level `ℓ`, in enumeration
+//!   order, at which its fact lies in a dirty block. Every block it uses
+//!   before `ℓ` is clean, hence identical in the new index — so its prefix
+//!   over the levels `< ℓ` is a partial embedding of the **new** index,
+//!   whichever side of the commit the embedding itself lives on — and under
+//!   that prefix the level-`ℓ` key pattern admits the dirty block's key.
+//! * Enumerating, per level `ℓ` whose relation has dirty keys, the prefixes
+//!   over the new index and the dirty keys each admits therefore reaches
+//!   every such embedding at its first dirty level: births, value changes and
+//!   retractions alike, from the new index and the list of dirty keys alone.
+//!   Nothing has to be remembered from before the commit.
+//!
+//! What the enumeration can *report* at that point is what is bound there:
+//! the prefix's variables and the key's own positions. When those cover the
+//! free variables, the group key is reported at once — a dirty level 0 then
+//! costs one instantiation per dirty key. When a free variable is bound only
+//! by a non-key position of level `ℓ` or by a deeper level, the enumeration
+//! extends the key through the facts the block holds *now* until every free
+//! variable is bound: that still finds every new embedding's group, but a
+//! vanished fact's group is out of its reach — the level is
+//! **retraction-blind**, says so, and the caller covers it another way (the
+//! serving layer scans its cached rows with [`crate::RowSupport::hits`], for
+//! the dirty blocks of such relations only).
 
 use crate::ids::{IdRows, IdTupleSet};
-use crate::index::{DbIndex, FactColumns, IndexedBlock};
+use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock};
 use crate::prepared::{Level, PreparedBody};
 use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
 use rcqa_query::{Atom, Term, Var};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Index;
@@ -340,6 +381,36 @@ impl CompiledLevels {
         vec![UNBOUND_ID; self.table.len()]
     }
 
+    /// For a delta enumeration pinned at `level` ([`KeyPin`]): how many
+    /// levels must have matched a fact before every slot of `needed` is
+    /// bound. `level` itself when the levels before it and the **key**
+    /// positions of `level` bind them all — the group key can then be read
+    /// off a dirty block key without the block; more when some needed slot is
+    /// bound only at a non-key position of `level` or deeper.
+    pub(crate) fn bound_by(&self, level: usize, needed: &[usize]) -> usize {
+        let slots_of = |terms: &[SlotTerm]| -> Vec<usize> {
+            terms
+                .iter()
+                .filter_map(|t| match t {
+                    SlotTerm::Slot(s) => Some(*s),
+                    SlotTerm::Const(_) => None,
+                })
+                .collect()
+        };
+        let mut bound: Vec<usize> = self.levels[..level]
+            .iter()
+            .flat_map(|l| slots_of(&l.terms))
+            .collect();
+        let pinned = &self.levels[level];
+        bound.extend(slots_of(&pinned.terms[..pinned.key_len]));
+        let mut matched = level;
+        while !needed.iter().all(|s| bound.contains(s)) && matched < self.levels.len() {
+            bound.extend(slots_of(&self.levels[matched].terms));
+            matched += 1;
+        }
+        matched
+    }
+
     /// Number of levels.
     pub fn len(&self) -> usize {
         self.levels.len()
@@ -415,12 +486,31 @@ pub(crate) fn ids_to_binding(
     Binding::from_slots(table.clone(), slots)
 }
 
+/// Binds one resolved term to the id `actual`: a constant or a bound slot
+/// must equal it, an unbound slot takes it and is recorded on `trail`. Pure
+/// integer work: id equality is value equality, and the sentinels
+/// ([`UNBOUND_ID`], [`rcqa_data::MISSING_ID`]) never equal a fact id, so an
+/// unresolved constant or stale bound value simply never matches.
+#[inline]
+fn bind_term(term: RTerm, actual: u32, slots: &mut [u32], trail: &mut Vec<usize>) -> bool {
+    match term {
+        RTerm::Const(c) => c == actual,
+        RTerm::Slot(s) => {
+            if slots[s] == UNBOUND_ID {
+                slots[s] = actual;
+                trail.push(s);
+                true
+            } else {
+                slots[s] == actual
+            }
+        }
+    }
+}
+
 /// Tries to match row `row` of a block's columns against the resolved
 /// `terms` by mutating the id slot vector in place; newly bound slots are
 /// recorded on `trail` (even on failure, so the caller can undo a partial
-/// match). Pure integer work: id equality is value equality, and the
-/// sentinels ([`UNBOUND_ID`], [`rcqa_data::MISSING_ID`]) never equal a fact
-/// id, so an unresolved constant or stale bound value simply never matches.
+/// match).
 #[inline]
 fn match_level_ids(
     terms: &[RTerm],
@@ -429,26 +519,20 @@ fn match_level_ids(
     slots: &mut [u32],
     trail: &mut Vec<usize>,
 ) -> bool {
-    for (p, term) in terms.iter().enumerate() {
-        let actual = cols.id_at(row, p);
-        match *term {
-            RTerm::Const(c) => {
-                if c != actual {
-                    return false;
-                }
-            }
-            RTerm::Slot(s) => {
-                let bound = slots[s];
-                if bound == UNBOUND_ID {
-                    slots[s] = actual;
-                    trail.push(s);
-                } else if bound != actual {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    terms
+        .iter()
+        .enumerate()
+        .all(|(p, &term)| bind_term(term, cols.id_at(row, p), slots, trail))
+}
+
+/// [`match_level_ids`] for the key positions alone (`terms` is the atom's key
+/// prefix), against a block key that need not name a stored block.
+#[inline]
+fn bind_key_ids(terms: &[RTerm], key: &[u32], slots: &mut [u32], trail: &mut Vec<usize>) -> bool {
+    terms
+        .iter()
+        .zip(key)
+        .all(|(&term, &actual)| bind_term(term, actual, slots, trail))
 }
 
 /// Undoes the slot writes recorded after `mark` and truncates the trail.
@@ -460,17 +544,24 @@ fn unwind(slots: &mut [u32], trail: &mut Vec<usize>, mark: usize) {
     trail.truncate(mark);
 }
 
+/// The id a resolved term is fixed to under the current slots: its constant,
+/// or its slot's binding if it has one. A `Some(MISSING_ID)` is deliberate —
+/// a constraint that matches nothing.
+#[inline]
+fn bound_id(term: RTerm, slots: &[u32]) -> Option<u32> {
+    match term {
+        RTerm::Const(c) => Some(c),
+        RTerm::Slot(s) => (slots[s] != UNBOUND_ID).then_some(slots[s]),
+    }
+}
+
 /// The key id pattern of a resolved atom under the current slots: one entry
 /// per key position, `Some(id)` when the position is a constant or a bound
-/// slot. A `Some(MISSING_ID)` entry is deliberate — `blocks_matching` treats
-/// it as a constraint that matches nothing.
+/// slot (`blocks_matching` treats an unassigned id as matching nothing).
 fn key_pattern_ids(terms: &[RTerm], key_len: usize, slots: &[u32]) -> Vec<Option<u32>> {
     terms[..key_len]
         .iter()
-        .map(|t| match *t {
-            RTerm::Const(c) => Some(c),
-            RTerm::Slot(s) => (slots[s] != UNBOUND_ID).then_some(slots[s]),
-        })
+        .map(|&term| bound_id(term, slots))
         .collect()
 }
 
@@ -657,7 +748,7 @@ pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Binding) -> Vec<B
     let interner = index.interner();
     let initial_ids = slots_to_ids(initial.adapt_to(&compiled.table).slots(), interner);
     let mut out = Vec::new();
-    for_each_embedding(&compiled, index, &initial_ids, None, |theta| {
+    for_each_embedding(&compiled, index, &initial_ids, |theta| {
         out.push(ids_to_binding(&compiled.table, theta, interner))
     });
     out
@@ -665,154 +756,216 @@ pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Binding) -> Vec<B
 
 /// Id core of [`embeddings`] over an already-compiled body: hands the slot
 /// vector of every embedding extending `initial` to `sink`, in enumeration
-/// order, without materialising a [`Value`] or allocating per embedding.
-///
-/// `pin = (level, keys)` restricts that level to the blocks with one of the
-/// listed keys (interned id tuples, sorted in key value order without
-/// duplicates); the embeddings then arrive in the same relative order as in
-/// the full enumeration. This is the dirty-block → candidate-group reverse
-/// lookup of the serving layer: after a commit, an embedding can newly exist
-/// through level ℓ only if its level-ℓ fact lives in a block the commit
-/// changed, so pinning each level in turn to the dirty blocks of its relation
-/// enumerates every embedding the delta may have created — and hence every
-/// group key that may have been born.
+/// order, without materialising a [`Value`] or allocating per embedding. A
+/// one-shot [`Join`]; callers that enumerate repeatedly build the `Join` once.
 pub(crate) fn for_each_embedding(
     compiled: &CompiledLevels,
     index: &DbIndex,
     initial: &[u32],
-    pin: Option<(usize, &[Vec<u32>])>,
-    mut sink: impl FnMut(&[u32]),
+    sink: impl FnMut(&[u32]),
 ) {
-    let resolved = resolve_terms(compiled, index.interner());
-    let mut slots = initial.to_vec();
-    let mut trail = Vec::new();
-    embed_rec(
-        compiled, &resolved, index, 0, pin, &mut slots, &mut trail, &mut sink,
-    );
+    Join::new(compiled, index).for_each(initial, sink)
 }
 
-/// The blocks the first level of `compiled` can draw facts from under
-/// `initial`, **in enumeration order**: this is the block-key shard axis of
-/// the parallel executor. Slicing the returned list into contiguous ranges
-/// and concatenating the per-range [`for_each_embedding_from_blocks`] runs
-/// reproduces [`for_each_embedding`] exactly.
-///
-/// Returns `None` when the body has no levels (the empty body has one trivial
-/// embedding and nothing to shard).
-pub(crate) fn level0_blocks<'a>(
-    compiled: &CompiledLevels,
+/// One level of a delta enumeration pinned **by key**: the dirty block keys of
+/// the level's relation, whether or not their blocks still exist. The module
+/// docs ("Delta enumeration") state what enumerating through it finds, and
+/// why.
+pub(crate) struct KeyPin<'a> {
+    /// The pinned level `ℓ`.
+    pub(crate) level: usize,
+    /// The dirty keys of the level's relation: one row of `key_len` ids each,
+    /// in key value order, without duplicates.
+    pub(crate) keys: &'a IdRows,
+    /// How many levels a reported slot vector has matched facts of: `level`
+    /// reports at the dirty key itself (the levels before it plus the key's
+    /// positions are bound), a larger value extends through the existing
+    /// facts of levels `level..stop` first.
+    pub(crate) stop: usize,
+}
+
+/// A compiled body resolved against one index's id space, ready to enumerate
+/// embeddings any number of times: the terms are resolved once, here, and
+/// every enumeration below only reads them.
+pub(crate) struct Join<'a> {
+    compiled: &'a CompiledLevels,
+    resolved: Vec<Vec<RTerm>>,
     index: &'a DbIndex,
-    initial: &[u32],
-) -> Option<Vec<&'a IndexedBlock>> {
-    let lvl = compiled.levels.first()?;
-    let interner = index.interner();
-    let terms = resolve_level(lvl, interner);
-    let pattern = key_pattern_ids(&terms, lvl.key_len, initial);
-    Some(
-        index
-            .relation(&lvl.relation)
-            .blocks_matching(&pattern, interner)
-            .collect(),
-    )
 }
 
-/// Enumerates the embeddings whose first-level fact comes from one of
-/// `blocks` (a contiguous shard of [`level0_blocks`], so the body has a
-/// level), in the same order as the unsharded enumeration restricted to
-/// those blocks.
-pub(crate) fn for_each_embedding_from_blocks(
-    compiled: &CompiledLevels,
-    index: &DbIndex,
-    initial: &[u32],
-    blocks: &[&IndexedBlock],
-    mut sink: impl FnMut(&[u32]),
-) {
-    let resolved = resolve_terms(compiled, index.interner());
-    let mut slots = initial.to_vec();
-    let mut trail = Vec::new();
-    for block in blocks {
-        for row in 0..block.cols.rows() {
-            let mark = trail.len();
-            if match_level_ids(&resolved[0], &block.cols, row, &mut slots, &mut trail) {
-                embed_rec(
-                    compiled, &resolved, index, 1, None, &mut slots, &mut trail, &mut sink,
-                );
-            }
-            unwind(&mut slots, &mut trail, mark);
+impl<'a> Join<'a> {
+    pub(crate) fn new(compiled: &'a CompiledLevels, index: &'a DbIndex) -> Join<'a> {
+        Join {
+            compiled,
+            resolved: resolve_terms(compiled, index.interner()),
+            index,
         }
     }
-}
 
-/// The recursive join core. `pin` optionally restricts one level to a list of
-/// block keys (in key value order): blocks of that level outside the list are
-/// skipped, everything else — enumeration order included — is identical to
-/// the unpinned run, so the output is the order-preserving subsequence of the
-/// full enumeration whose pinned-level fact comes from a pinned block.
-#[allow(clippy::too_many_arguments)]
-fn embed_rec(
-    compiled: &CompiledLevels,
-    resolved: &[Vec<RTerm>],
-    index: &DbIndex,
-    level: usize,
-    pin: Option<(usize, &[Vec<u32>])>,
-    slots: &mut [u32],
-    trail: &mut Vec<usize>,
-    sink: &mut impl FnMut(&[u32]),
-) {
-    if level >= compiled.levels.len() {
-        sink(slots);
-        return;
+    /// Hands every embedding extending `initial` to `sink`, in enumeration
+    /// order.
+    pub(crate) fn for_each(&self, initial: &[u32], mut sink: impl FnMut(&[u32])) {
+        let mut slots = initial.to_vec();
+        let stop = self.compiled.levels.len();
+        self.embed(0, None, stop, &mut slots, &mut Vec::new(), &mut sink);
     }
-    let lvl = &compiled.levels[level];
-    let terms = &resolved[level];
-    let interner = index.interner();
-    let rel = index.relation(&lvl.relation);
-    let pattern = key_pattern_ids(terms, lvl.key_len, slots);
-    let mut visit = |block: &IndexedBlock| {
+
+    /// The delta enumeration: for every partial embedding over the levels
+    /// before `pin.level` and every dirty key of `pin.keys` it admits, the
+    /// slot vectors bound as [`KeyPin::stop`] says. The module docs ("Delta
+    /// enumeration") state what this finds and why.
+    pub(crate) fn for_each_through(&self, pin: &KeyPin<'_>, mut sink: impl FnMut(&[u32])) {
+        let mut slots = self.compiled.unbound_ids();
+        self.embed(
+            0,
+            Some(pin),
+            pin.stop,
+            &mut slots,
+            &mut Vec::new(),
+            &mut sink,
+        );
+    }
+
+    /// Hands `read` the blocks the first level's key pattern admits under
+    /// `initial`; `None` for a body without levels.
+    fn level0<T>(
+        &self,
+        initial: &[u32],
+        read: impl FnOnce(BlocksMatching<'a, '_>) -> T,
+    ) -> Option<T> {
+        let lvl = self.compiled.levels.first()?;
+        let pattern = key_pattern_ids(&self.resolved[0], lvl.key_len, initial);
+        let rel = self.index.relation(&lvl.relation);
+        Some(read(rel.blocks_matching(&pattern, self.index.interner())))
+    }
+
+    /// How many level-0 blocks an enumeration from `initial` examines: the
+    /// exact length of the span of the sorted block sequence (or posting run)
+    /// the first level's key pattern selects, at the cost of the binary
+    /// searches that find it. `0` for a body without levels.
+    pub(crate) fn level0_span(&self, initial: &[u32]) -> usize {
+        self.level0(initial, |blocks| blocks.candidates())
+            .unwrap_or(0)
+    }
+
+    /// The blocks the first level can draw facts from under `initial`, **in
+    /// enumeration order**: this is the block-key shard axis of the parallel
+    /// executor. Slicing the returned list into contiguous ranges and
+    /// concatenating the per-range [`Join::for_each_from_blocks`] runs
+    /// reproduces [`Join::for_each`] exactly. Empty for a body without
+    /// levels.
+    pub(crate) fn level0_blocks(&self, initial: &[u32]) -> Vec<&'a IndexedBlock> {
+        self.level0(initial, |blocks| blocks.collect())
+            .unwrap_or_default()
+    }
+
+    /// Enumerates the embeddings whose first-level fact comes from one of
+    /// `blocks` (a contiguous shard of [`Join::level0_blocks`], so the body
+    /// has a level), in the same order as the unsharded enumeration
+    /// restricted to those blocks.
+    pub(crate) fn for_each_from_blocks(
+        &self,
+        initial: &[u32],
+        blocks: &[&IndexedBlock],
+        mut sink: impl FnMut(&[u32]),
+    ) {
+        let mut slots = initial.to_vec();
+        let mut trail = Vec::new();
+        let stop = self.compiled.levels.len();
+        for block in blocks {
+            self.visit(block, 0, None, stop, &mut slots, &mut trail, &mut sink);
+        }
+    }
+
+    /// Matches every row of `block` at `level` and recurses below each match.
+    #[allow(clippy::too_many_arguments)]
+    fn visit(
+        &self,
+        block: &IndexedBlock,
+        level: usize,
+        pin: Option<&KeyPin<'_>>,
+        stop: usize,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+        sink: &mut impl FnMut(&[u32]),
+    ) {
+        let terms = &self.resolved[level];
         for row in 0..block.cols.rows() {
             let mark = trail.len();
             if match_level_ids(terms, &block.cols, row, slots, trail) {
-                embed_rec(
-                    compiled,
-                    resolved,
-                    index,
-                    level + 1,
-                    pin,
-                    slots,
-                    trail,
-                    sink,
-                );
+                self.embed(level + 1, pin, stop, slots, trail, sink);
             }
             unwind(slots, trail, mark);
         }
-    };
-    match pin {
-        // The pinned level walks its (few) pinned keys instead of the
-        // pattern's candidates: the keys the pattern admits, looked up one
-        // by one, in the key order `blocks_matching` would yield them in.
-        Some((pin_level, pinned)) if level == pin_level => {
-            // A bound first component narrows the sorted keys to one run.
-            let run = match pattern.first().copied().flatten() {
-                Some(v) if !interner.contains_id(v) => &[],
-                Some(v) => {
-                    let head = |key: &Vec<u32>| interner.cmp_ids(key[0], v);
-                    let lo = pinned.partition_point(|k| head(k) == std::cmp::Ordering::Less);
-                    let hi = pinned.partition_point(|k| head(k) != std::cmp::Ordering::Greater);
-                    &pinned[lo..hi]
-                }
-                None => pinned,
-            };
-            for key in run {
-                let admitted = pattern
-                    .iter()
-                    .zip(key)
-                    .all(|(bound, id)| bound.is_none_or(|v| v == *id));
-                if let (true, Some(block)) = (admitted, rel.block_by_key_ids(key, interner)) {
-                    visit(block);
+    }
+
+    /// The recursive join core: reports `slots` once `stop` levels are
+    /// matched, else walks the blocks the level's key pattern admits — or, at
+    /// the pinned level, the dirty keys it admits ([`Join::through_keys`]).
+    fn embed(
+        &self,
+        level: usize,
+        pin: Option<&KeyPin<'_>>,
+        stop: usize,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+        sink: &mut impl FnMut(&[u32]),
+    ) {
+        if let Some(pin) = pin.filter(|pin| pin.level == level) {
+            return self.through_keys(pin, slots, trail, sink);
+        }
+        if level >= stop {
+            sink(slots);
+            return;
+        }
+        let lvl = &self.compiled.levels[level];
+        let interner = self.index.interner();
+        let pattern = key_pattern_ids(&self.resolved[level], lvl.key_len, slots);
+        let rel = self.index.relation(&lvl.relation);
+        for block in rel.blocks_matching(&pattern, interner) {
+            self.visit(block, level, pin, stop, slots, trail, sink);
+        }
+    }
+
+    /// The pinned level of a delta enumeration: walks the dirty keys the
+    /// level's key pattern admits under `slots` — in the key order
+    /// `blocks_matching` would yield their blocks in — binds each key's
+    /// positions, and reports at the key itself or, when the pin asks for
+    /// more, below every fact of the block the key names now (if any).
+    fn through_keys(
+        &self,
+        pin: &KeyPin<'_>,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+        sink: &mut impl FnMut(&[u32]),
+    ) {
+        let lvl = &self.compiled.levels[pin.level];
+        let key_terms = &self.resolved[pin.level][..lvl.key_len];
+        let interner = self.index.interner();
+        let rel = self.index.relation(&lvl.relation);
+        // A bound first component narrows the sorted keys to one run.
+        let keys = pin.keys;
+        let run = match key_terms.first().and_then(|&term| bound_id(term, slots)) {
+            Some(v) if !interner.contains_id(v) => 0..0,
+            Some(v) => {
+                let lo = keys.partition_point(|k| interner.cmp_ids(k[0], v) == Ordering::Less);
+                let hi = keys.partition_point(|k| interner.cmp_ids(k[0], v) != Ordering::Greater);
+                lo..hi
+            }
+            None => 0..keys.len(),
+        };
+        for k in run {
+            let key = keys.row(k);
+            let mark = trail.len();
+            if bind_key_ids(key_terms, key, slots, trail) {
+                if pin.stop == pin.level {
+                    sink(slots);
+                } else if let Some(block) = rel.block_by_key_ids(key, interner) {
+                    self.visit(block, pin.level, None, pin.stop, slots, trail, sink);
                 }
             }
+            unwind(slots, trail, mark);
         }
-        _ => rel.blocks_matching(&pattern, interner).for_each(visit),
     }
 }
 
@@ -871,7 +1024,7 @@ pub fn analyse_group(
     let interner = index.interner();
     let base_ids = slots_to_ids(base.adapt_to(&compiled.table).slots(), interner);
     let mut embeddings = IdRows::new(compiled.table.len());
-    for_each_embedding(compiled, index, &base_ids, None, |theta| {
+    for_each_embedding(compiled, index, &base_ids, |theta| {
         embeddings.push(theta.iter().copied())
     });
     let rows: Vec<u32> = (0..embeddings.len() as u32).collect();

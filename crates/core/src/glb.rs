@@ -281,7 +281,7 @@ mod tests {
         let compiled = checker.compiled();
         let base = compiled.unbound_ids();
         let mut embeddings = IdRows::new(base.len());
-        for_each_embedding(compiled, &index, &base, None, |theta| {
+        for_each_embedding(compiled, &index, &base, |theta| {
             embeddings.push(theta.iter().copied())
         });
         let rows: Vec<u32> = (0..embeddings.len() as u32).collect();

@@ -2,6 +2,18 @@
 //! the plan executor: equal-width `u32` rows in one allocation, so the hot
 //! paths allocate per *container*, never per row or per probe.
 
+use rcqa_data::{Value, ValueInterner};
+use std::cmp::Ordering;
+
+/// Writes the ids of `values` into `ids` (cleared first); `false` — `ids` then
+/// holds a prefix — when some value is not interned, i.e. occurs in no fact
+/// the interner's index line ever held.
+pub(crate) fn resolve_ids(interner: &ValueInterner, values: &[Value], ids: &mut Vec<u32>) -> bool {
+    ids.clear();
+    ids.extend(values.iter().map_while(|v| interner.id_of(v)));
+    ids.len() == values.len()
+}
+
 /// Equal-width id rows stored back to back in one `Vec<u32>`: the executor's
 /// embedding arena (one row per embedding, over the closed body's slot
 /// table) and the tuple storage of [`IdTupleSet`].
@@ -47,6 +59,34 @@ impl IdRows {
         debug_assert_eq!(self.width, other.width);
         self.ids.append(&mut other.ids);
         self.len += other.len;
+    }
+
+    /// The distinct rows in ascending `cmp` order (`cmp` must be a total
+    /// order under which only identical rows compare equal).
+    pub(crate) fn sorted_dedup(&self, cmp: impl Fn(&[u32], &[u32]) -> Ordering) -> IdRows {
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&a, &b| cmp(self.row(a), self.row(b)));
+        order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+        let mut out = IdRows::new(self.width);
+        for i in order {
+            out.push(self.row(i).iter().copied());
+        }
+        out
+    }
+
+    /// The first row index in `0..len` for which `pred` fails, given that it
+    /// holds for a prefix of the rows and fails for the rest.
+    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&[u32]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.row(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -163,6 +203,25 @@ mod tests {
         empty.push([]);
         assert_eq!(empty.len(), 2);
         assert_eq!(empty.row(1), &[] as &[u32]);
+    }
+
+    #[test]
+    fn rows_sort_dedup_and_partition() {
+        let mut rows = IdRows::new(2);
+        for row in [[3, 1], [1, 2], [3, 1], [1, 1], [2, 9]] {
+            rows.push(row);
+        }
+        let sorted = rows.sorted_dedup(|a, b| a.cmp(b));
+        let listed: Vec<&[u32]> = (0..sorted.len()).map(|i| sorted.row(i)).collect();
+        assert_eq!(listed, [[1, 1], [1, 2], [2, 9], [3, 1]]);
+        assert_eq!(sorted.partition_point(|r| r[0] < 2), 2);
+        assert_eq!(sorted.partition_point(|r| r[0] <= 3), 4);
+        assert_eq!(sorted.partition_point(|_| false), 0);
+        // Width 0: every row is the empty row, so one survives.
+        let mut unit = IdRows::new(0);
+        unit.push([]);
+        unit.push([]);
+        assert_eq!(unit.sorted_dedup(|a, b| a.cmp(b)).len(), 1);
     }
 
     #[test]

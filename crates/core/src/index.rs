@@ -725,6 +725,21 @@ pub struct BlocksMatching<'a, 'p> {
     source: BlockSource<'a>,
 }
 
+impl BlocksMatching<'_, '_> {
+    /// How many candidate blocks the iterator has left to examine: the exact
+    /// length of the span (of the block list, or of one posting run) it
+    /// walks, known from the binary searches that found it. An upper bound
+    /// on the blocks it yields — candidates failing a deeper bound position
+    /// are skipped — and the measure of what walking it costs.
+    pub fn candidates(&self) -> usize {
+        match &self.source {
+            BlockSource::One(slot) => usize::from(slot.is_some()),
+            BlockSource::Run(run) => run.len(),
+            BlockSource::Posted(run) => run.len(),
+        }
+    }
+}
+
 impl<'a> Iterator for BlocksMatching<'a, '_> {
     type Item = &'a IndexedBlock;
 
@@ -759,6 +774,17 @@ pub struct BlockRestriction {
     pub op: CmpOp,
     /// The literal the key component is compared against.
     pub value: Value,
+}
+
+impl BlockRestriction {
+    /// Whether a block of [`BlockRestriction::relation`] with this key
+    /// survives the restriction — the value-level form of the test
+    /// [`DbIndex::restrict`] applies to stored blocks, for keys that need not
+    /// name one.
+    pub fn admits(&self, key: &[Value]) -> bool {
+        key.get(self.pos)
+            .is_some_and(|v| self.op.holds(v.cmp(&self.value)))
+    }
 }
 
 /// How [`DbIndex::restrict`] answered one relation's restrictions — the

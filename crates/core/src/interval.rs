@@ -18,6 +18,7 @@
 use crate::engine::GroupRange;
 use rcqa_data::Rational;
 use rcqa_query::CmpOp;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -119,10 +120,14 @@ fn cmp_opt(a: Option<Rational>, b: Option<Rational>, descending: bool) -> Orderi
 /// Without a `LIMIT`, this is *only* a presentation order — the interval
 /// semantics promise nothing about the relative order of overlapping
 /// intervals across repairs.
-pub fn order_rows(rows: &[GroupRange], descending: bool) -> Vec<usize> {
+///
+/// Like the other row-list functions here, generic over owned rows and
+/// borrowed ones (`&[GroupRange]`, `&[&GroupRange]`): the serving layer
+/// hands in the HAVING survivors by reference instead of cloning them.
+pub fn order_rows<R: Borrow<GroupRange>>(rows: &[R], descending: bool) -> Vec<usize> {
     let mut order: Vec<usize> = (0..rows.len()).collect();
     order.sort_by(|&a, &b| {
-        let (ra, rb) = (&rows[a], &rows[b]);
+        let (ra, rb) = (rows[a].borrow(), rows[b].borrow());
         cmp_opt(bound_value(ra.glb), bound_value(rb.glb), descending)
             .then_with(|| cmp_opt(bound_value(ra.lub), bound_value(rb.lub), descending))
             .then_with(|| ra.key.cmp(&rb.key))
@@ -176,11 +181,13 @@ fn possibly_precedes(h: &GroupRange, g: &GroupRange, descending: bool) -> bool {
 /// row's count is one binary search for its *defending* endpoint, plus the
 /// `⊥` rows (which precede everything), minus the row itself where its own
 /// challenging endpoint beats its defending one (a non-degenerate interval).
-pub fn certain_topk(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usize> {
+pub fn certain_topk<R: Borrow<GroupRange>>(rows: &[R], k: usize, descending: bool) -> Vec<usize> {
+    let key = |i: usize| &rows[i].borrow().key;
     // (challenging endpoint, defending endpoint) of each numeric row.
     let ends: Vec<Option<(Rational, Rational)>> = rows
         .iter()
         .map(|g| {
+            let g = g.borrow();
             let (glb, lub) = (bound_value(g.glb)?, bound_value(g.lub)?);
             Some(if descending { (lub, glb) } else { (glb, lub) })
         })
@@ -191,9 +198,7 @@ pub fn certain_topk(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usiz
         .enumerate()
         .filter_map(|(i, e)| e.map(|(challenge, _)| (challenge, i)))
         .collect();
-    challengers.sort_unstable_by(|&(a, i), &(b, j)| {
-        toward(a, b).then_with(|| rows[i].key.cmp(&rows[j].key))
-    });
+    challengers.sort_unstable_by(|&(a, i), &(b, j)| toward(a, b).then_with(|| key(i).cmp(key(j))));
     let bottoms = rows.len() - challengers.len();
     order_rows(rows, descending)
         .into_iter()
@@ -202,7 +207,7 @@ pub fn certain_topk(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usiz
                 return false;
             };
             let ahead = challengers.partition_point(|&(c, h)| {
-                toward(c, defence).then_with(|| rows[h].key.cmp(&rows[i].key)) == Ordering::Less
+                toward(c, defence).then_with(|| key(h).cmp(key(i))) == Ordering::Less
             });
             let counted_itself = toward(challenge, defence) == Ordering::Less;
             bottoms + ahead - usize::from(counted_itself) < k
@@ -221,20 +226,26 @@ pub fn certain_topk(rows: &[GroupRange], k: usize, descending: bool) -> Vec<usiz
 /// re-used (with the changed rows' fresh intervals) instead of recomputed.
 /// Conservative: returns `false` whenever the row sets are not key-aligned,
 /// which the caller must treat as "membership could change".
-pub fn topk_selection_preserved(old: &[GroupRange], new: &[GroupRange], descending: bool) -> bool {
+pub fn topk_selection_preserved<R: Borrow<GroupRange>>(
+    old: &[R],
+    new: &[R],
+    descending: bool,
+) -> bool {
     if old.len() != new.len() {
         return false;
     }
-    if old.iter().zip(new).any(|(o, n)| o.key != n.key) {
+    let rows = 0..new.len();
+    let (old, new) = (|i: usize| old[i].borrow(), |i: usize| new[i].borrow());
+    if rows.clone().any(|i| old(i).key != new(i).key) {
         return false;
     }
-    let changed: Vec<usize> = (0..old.len()).filter(|&i| old[i] != new[i]).collect();
-    changed.iter().all(|&i| {
-        (0..old.len()).filter(|&j| j != i).all(|j| {
-            possibly_precedes(&old[i], &old[j], descending)
-                == possibly_precedes(&new[i], &new[j], descending)
-                && possibly_precedes(&old[j], &old[i], descending)
-                    == possibly_precedes(&new[j], &new[i], descending)
+    let mut changed = rows.clone().filter(|&i| old(i) != new(i));
+    changed.all(|i| {
+        rows.clone().filter(|&j| j != i).all(|j| {
+            possibly_precedes(old(i), old(j), descending)
+                == possibly_precedes(new(i), new(j), descending)
+                && possibly_precedes(old(j), old(i), descending)
+                    == possibly_precedes(new(j), new(i), descending)
         })
     })
 }

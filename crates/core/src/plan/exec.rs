@@ -37,10 +37,14 @@
 //!
 //! Worker count comes from
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
-//! (explicit value > `RCQA_THREADS` env > available parallelism), is clamped
-//! to the number of shardable items, and is only resolved once there is more
-//! than one of them; a single group — in particular every closed query —
-//! runs inline on the calling thread.
+//! (explicit value > `RCQA_THREADS` env > available parallelism) and is
+//! clamped to the number of shardable items, so a closed query runs inline.
+//! A full evaluation ([`execute`]) always shards, whatever its size. The
+//! groups a serving patch re-derives ([`execute_for_groups`]) are joined and
+//! evaluated on the calling thread until they have proved to be enough work
+//! to repay the spawns (`INLINE_WORK_FLOOR`, in groups plus embeddings as
+//! counted, not estimated). Which of the two a run took never shows in its
+//! answer.
 //!
 //! The executor only ever *borrows* the index ([`ExecContext::index`]), so a
 //! caller may share one immutable index across any number of concurrent
@@ -58,19 +62,15 @@
 use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, Method};
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
-use crate::forall::{
-    for_each_embedding, for_each_embedding_from_blocks, forall_check, level0_blocks,
-    CertaintyChecker, CompiledLevels,
-};
+use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, CompiledLevels, Join};
 use crate::glb::{global_extremum, optimal_aggregate, Choice, Leaves};
-use crate::ids::{IdRows, IdTupleSet};
+use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::DbIndex;
 use crate::plan::physical::{BoundOp, ExecSpec, PhysicalPlan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
 use rcqa_data::{DatabaseInstance, Value, ValueInterner};
 use rcqa_query::{Term, Var, VarPredicate};
-use std::collections::BTreeSet;
 
 /// Everything the executor needs besides the plan itself.
 #[derive(Clone, Copy)]
@@ -104,7 +104,7 @@ pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRan
         let mut embeddings = IdRows::new(compiled.table().len());
         if spec.needs_analysis {
             let initial = compiled.unbound_ids();
-            for_each_embedding(&compiled, cx.index, &initial, None, |theta| {
+            for_each_embedding(&compiled, cx.index, &initial, |theta| {
                 embeddings.push(theta.iter().copied())
             });
         }
@@ -112,27 +112,49 @@ pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRan
     } else {
         partition_groups(cx, &compiled, free, spec.keep_embeddings, None)
     };
-    eval_groups(&spec, cx, &compiled, free, &partition)
+    let workers = cx.options.resolve_threads();
+    eval_groups(&spec, cx, &compiled, free, &partition, workers)
 }
 
-/// Up to this many requested groups, [`execute_for_groups`] runs one pinned
-/// join per key; above it, a single full join pass that keeps only the
-/// requested keys: per-key enumeration costs one (pruned) level-0 walk per
-/// key, which beats the full join only while the key set is small.
-const PER_KEY_JOIN_CAP: usize = 16;
+/// Below this much work — groups plus embeddings, counted as the join
+/// produces them, never estimated — [`execute_for_groups`] stays on the
+/// calling thread. A scope of two workers costs 35–100 µs to spawn and join
+/// before either does anything, the workers share no certainty memo, and a
+/// unit of work is a fraction of a microsecond. Measured on the statement of
+/// [`execute_for_groups`]' docs, 2 workers, inline below the floor against
+/// always pooled: 2 keys (9 units) 51–61 against 240–300 µs, 50 keys (0.7 k)
+/// 0.29–0.38 against 0.51–0.69 ms, 255 keys (2.8 k) 1.10–1.23 against 1.46,
+/// 330 keys (3.6 k) 1.31–1.49 against 1.48–1.67; from 410 keys (5.0 k units)
+/// up the two read alike. The floor marks where the spawns stop costing, not
+/// where two workers start to win — that depends on how much certainty work
+/// the groups share; above the floor a listed-groups call shards like a full
+/// evaluation.
+pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 
 /// Executes a physical plan for **only** the groups whose key is in `keys`.
 ///
-/// For a small key set, the open body is enumerated once **per key** with the
-/// free-variable slots pre-bound to that key's ids: every level whose atom
-/// carries a bound variable at a key position prunes its block walk through
-/// [`crate::index::RelationIndex::blocks_matching`], and every other level
-/// rejects mismatching rows during the match, so the per-key cost is
-/// proportional to the key's own embeddings (plus the walk of blocks no
-/// bound position constrains) — independent of how many *other* groups
-/// exist. Larger key sets run the same sharded join pass as [`execute`] with
-/// the key set as a predicate on each embedding as it is bucketed, so only
-/// the requested groups' rows are ever written.
+/// Two arms, chosen from the **exact** level-0 span lengths the sorted block
+/// sequence gives in `O(log n)` per key (`Join::level0_span`): the keys are
+/// joined one by one while their spans together hold fewer blocks than the
+/// one walk of a filtered pass (`per_key_wins`). *Per key*: the open body
+/// is enumerated once per key with the free-variable slots
+/// pre-bound to that key's ids — every level whose atom carries a bound
+/// variable at a key position prunes its block walk through
+/// [`crate::index::RelationIndex::blocks_matching`], every other level
+/// rejects mismatching rows during the match — so the cost is the keys' own
+/// spans and embeddings, independent of how many *other* groups exist. *One
+/// filtered pass*: the same sharded join as [`execute`] with the key set as a
+/// predicate on each embedding as it is bucketed, so only the requested
+/// groups' rows are ever written; it is chosen when the keys' spans cover the
+/// level-0 walk anyway — nearly every group is requested, or the group key
+/// binds no level-0 key position and every key's span is the whole relation.
+/// (Measured on `R(x|y) ⋈ S(y,z|r)` grouped by `x`, one block per key, 1 111
+/// groups, inline: per key against pass 0.27 / 0.91 ms at 50 keys, 1.20 / 1.60
+/// at 330, 2.17 / 2.49 at 600, 4.02 / 3.83 at all 1 111 — a pinned join costs
+/// one seek more than its share of a pass, a pass pays for every group's
+/// embeddings.) Terms are resolved and the body compiled once per call,
+/// whichever arm runs, and no worker is spawned — for the per-key join or
+/// for the group tail — before `INLINE_WORK_FLOOR` units of work exist.
 ///
 /// The returned rows are byte-identical to the corresponding rows of
 /// [`execute`]: either way each requested group sees exactly its bucket of
@@ -141,10 +163,10 @@ const PER_KEY_JOIN_CAP: usize = 16;
 /// filtered one drops the other groups' embeddings on arrival — in the same
 /// order, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
-pub fn execute_for_groups(
+pub fn execute_for_groups<'k>(
     plan: &PhysicalPlan,
     cx: &ExecContext<'_>,
-    keys: &BTreeSet<Vec<Value>>,
+    keys: impl IntoIterator<Item = &'k Vec<Value>>,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let spec = plan.spec();
     let free = cx.prepared.normalised.body.free_vars();
@@ -158,18 +180,19 @@ pub fn execute_for_groups(
     // index has never seen can match no group (every group key is assembled
     // from fact values), so it simply drops out of the filter set.
     let mut only = IdTupleSet::new(free.len());
+    let mut ids = Vec::with_capacity(free.len());
     for key in keys {
-        if let Some(ids) = key
-            .iter()
-            .map(|v| interner.id_of(v))
-            .collect::<Option<Vec<u32>>>()
-        {
+        if resolve_ids(interner, key, &mut ids) {
             only.insert(&ids);
         }
     }
+    if only.len() == 0 {
+        return Ok(Vec::new());
+    }
     let compiled = CompiledLevels::new(cx.prepared.body.levels());
     let partition = partition_groups(cx, &compiled, free, spec.keep_embeddings, Some(&only));
-    eval_groups(&spec, cx, &compiled, free, &partition)
+    let workers = workers_for(cx.options, partition.keys.len() + partition.rows.len());
+    eval_groups(&spec, cx, &compiled, free, &partition, workers)
 }
 
 /// The output of `Scan + Join + PartitionByGroup`, in id space.
@@ -338,6 +361,12 @@ impl<'a> Buckets<'a> {
         }
     }
 
+    /// The groups and embeddings bucketed so far, in [`INLINE_WORK_FLOOR`]'s
+    /// unit.
+    fn work(&self) -> usize {
+        self.keys.len() + self.group_of.len()
+    }
+
     fn push(&mut self, theta: &[u32]) {
         let key_slots = &self.projection.key_slots;
         let same_key = self.key.len() == key_slots.len()
@@ -366,10 +395,13 @@ impl<'a> Buckets<'a> {
 /// the open body over the shared index and partitions the embeddings by
 /// group key — every group, or `only` the listed ones.
 ///
-/// A small `only` set is enumerated per key, the free-variable slots
-/// pre-bound to the key's ids (keys with no embedding leave no group, exactly
-/// as in a full run). Otherwise the level-0 blocks are sharded into
-/// contiguous ranges, one join-and-bucket pass per worker.
+/// An `only` set whose keys' level-0 spans are small against the relation
+/// ([`per_key_wins`]) is enumerated per key, the free-variable slots pre-bound
+/// to the key's ids (keys with no embedding leave no group, exactly as in a
+/// full run): on the calling thread until [`INLINE_WORK_FLOOR`] units have
+/// come out, the keys then left sharded over the workers. Otherwise the
+/// level-0 blocks are cut into contiguous ranges, one join-and-bucket pass
+/// per worker.
 fn partition_groups(
     cx: &ExecContext<'_>,
     closed: &CompiledLevels,
@@ -380,40 +412,73 @@ fn partition_groups(
     let index = cx.index;
     let open = CompiledLevels::new(cx.prepared.open_levels());
     let projection = GroupProjection::new(&open, closed, free);
-    let mut initial = open.unbound_ids();
-    let blocks_under =
-        |initial: &[u32]| level0_blocks(&open, index, initial).expect("a grouped body has an atom");
-    let shards = match only {
-        Some(only) if only.len() <= PER_KEY_JOIN_CAP => {
-            let mut buckets = Buckets::new(&projection, keep_embeddings, None);
-            for k in 0..only.len() {
-                for (&slot, &id) in projection.key_slots.iter().zip(only.tuple(k)) {
-                    initial[slot] = id;
-                }
-                let blocks = blocks_under(&initial);
-                for_each_embedding_from_blocks(&open, index, &initial, &blocks, |theta| {
-                    buckets.push(theta)
-                });
-            }
-            vec![buckets]
+    let join = Join::new(&open, index);
+    let unbound = open.unbound_ids();
+    let bind = |initial: &mut [u32], key: &[u32]| {
+        for (&slot, &id) in projection.key_slots.iter().zip(key) {
+            initial[slot] = id;
         }
-        _ => {
-            let blocks = blocks_under(&initial);
-            let workers = match blocks.len() {
-                0 | 1 => 1,
-                n => cx.options.resolve_threads().clamp(1, n),
+    };
+    let per_key = only.filter(|only| {
+        let mut initial = unbound.clone();
+        let spans = (0..only.len()).map(|k| {
+            bind(&mut initial, only.tuple(k));
+            join.level0_span(&initial)
+        });
+        per_key_wins(spans, join.level0_span(&unbound))
+    });
+    let shards = match per_key {
+        Some(only) => {
+            let join_key = |buckets: &mut Buckets<'_>, initial: &mut [u32], k: usize| {
+                bind(initial, only.tuple(k));
+                join.for_each(initial, |theta| buckets.push(theta));
             };
-            let initial = &initial;
-            run_shards(shard(blocks, workers), |blocks| {
+            // What a key's join costs is its embeddings, known only once it
+            // is joined: start on the calling thread, and hand the keys still
+            // left to the workers once a floor's worth of work has come out.
+            let mut head = Buckets::new(&projection, keep_embeddings, None);
+            let mut initial = unbound.clone();
+            let mut keys = 0..only.len();
+            while head.work() < INLINE_WORK_FLOOR {
+                let Some(k) = keys.next() else { break };
+                join_key(&mut head, &mut initial, k);
+            }
+            let mut shards = vec![head];
+            if !keys.is_empty() {
+                let workers = cx.options.resolve_threads();
+                shards.extend(run_shards(shard(keys.collect(), workers), |keys| {
+                    let mut buckets = Buckets::new(&projection, keep_embeddings, None);
+                    let mut initial = unbound.clone();
+                    for k in keys {
+                        join_key(&mut buckets, &mut initial, k);
+                    }
+                    buckets
+                }));
+            }
+            shards
+        }
+        None => {
+            let blocks = join.level0_blocks(&unbound);
+            run_shards(shard(blocks, cx.options.resolve_threads()), |blocks| {
                 let mut buckets = Buckets::new(&projection, keep_embeddings, only);
-                for_each_embedding_from_blocks(&open, index, initial, &blocks, |theta| {
-                    buckets.push(theta)
-                });
+                join.for_each_from_blocks(&unbound, &blocks, |theta| buckets.push(theta));
                 buckets
             })
         }
     };
     Partition::merge(shards, index.interner())
+}
+
+/// Whether keys whose level-0 spans hold `spans` blocks are joined one by one
+/// rather than by one filtered pass over all `pass_blocks` level-0 blocks:
+/// while the spans together hold fewer blocks than the pass walks. Stops
+/// summing at the key that loses.
+fn per_key_wins(spans: impl IntoIterator<Item = usize>, pass_blocks: usize) -> bool {
+    let mut blocks = 0;
+    spans.into_iter().all(|span| {
+        blocks += span;
+        blocks < pass_blocks
+    })
 }
 
 /// The group keys of a grouped query over `index`, in sorted order: the
@@ -427,6 +492,17 @@ pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
     (0..partition.keys.len())
         .map(|g| interner.values_of(partition.keys.row(g)))
         .collect()
+}
+
+/// The worker count for `work` units of a listed-groups call: one — inline on
+/// the calling thread — below [`INLINE_WORK_FLOOR`], else the engine's
+/// resolved thread count ([`shard`] clamps it to the number of items).
+fn workers_for(options: &EngineOptions, work: usize) -> usize {
+    if work < INLINE_WORK_FLOOR {
+        1
+    } else {
+        options.resolve_threads()
+    }
 }
 
 /// Runs `work` over each shard — inline for a single shard, else one scoped
@@ -449,21 +525,18 @@ fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) ->
 }
 
 /// The `ForallCheck + AggregateBound + RangeMerge` tail shared by [`execute`]
-/// and [`execute_for_groups`]: evaluates the partitioned groups sequentially
-/// or over contiguous shards on a worker pool, concatenating the shard
-/// outputs in shard order.
+/// and [`execute_for_groups`]: evaluates the partitioned groups over
+/// contiguous shards on `workers` threads (sequentially for one),
+/// concatenating the shard outputs in shard order.
 fn eval_groups(
     spec: &ExecSpec,
     cx: &ExecContext<'_>,
     compiled: &CompiledLevels,
     free: &[Var],
     partition: &Partition,
+    workers: usize,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let groups = partition.keys.len();
-    let workers = match groups {
-        0 | 1 => 1,
-        n => cx.options.resolve_threads().clamp(1, n),
-    };
     let shard_results = run_shards(shard((0..groups).collect(), workers), |groups| {
         eval_shard(spec, cx, compiled, free, partition, groups)
     });
@@ -716,6 +789,18 @@ pub struct SupportAtom {
 /// function of the covered blocks alone: a commit none of whose dirty blocks
 /// is covered cannot change the row.
 ///
+/// What the pattern is used for: it is **static** — one join too coarse to
+/// localise a write on the probed side (`Any` wherever the group key does
+/// not bind the atom's key), and a scan of every cached row to apply. A
+/// stale read therefore does not intersect it with the delta; it derives the
+/// affected groups exactly, from the dirty keys
+/// ([`crate::engine::RangeCqa::affected_keys`]). The pattern remains the
+/// certificate behind the sharded front-end's routes (which shards a row's
+/// blocks can live on), the marker of plans no delta localises
+/// ([`RowSupport::is_exhaustive`]), and the fallback for a relation the delta
+/// enumeration reports retraction-blind, whose dirty blocks — and only those
+/// — are tested against the cached rows with [`RowSupport::hits`].
+///
 /// The one escape hatch is [`BoundOp::ExactEnumeration`]: the exhaustive
 /// fallback enumerates repairs of the **whole instance** (its repair-count
 /// budget check included), so any plan using it on either bound gets an
@@ -839,5 +924,37 @@ mod tests {
         let shards = shard(Vec::<usize>::new(), 3);
         assert_eq!(shards.len(), 1);
         assert!(shards[0].is_empty());
+    }
+
+    #[test]
+    fn keys_are_joined_one_by_one_while_their_spans_undercut_the_pass() {
+        // One block per key: every key set but the whole relation.
+        assert!(per_key_wins([1; 2], 20));
+        assert!(per_key_wins([1; 19], 20));
+        assert!(!per_key_wins([1; 20], 20));
+        // A group key bound at no level-0 key position spans the relation:
+        // one key is a pass already.
+        assert!(!per_key_wins([20], 20));
+        // Uneven spans count by their blocks, not by their keys.
+        assert!(per_key_wins([12, 7], 20));
+        assert!(!per_key_wins([12, 7, 1], 20));
+        assert!(!per_key_wins([0], 0));
+    }
+
+    #[test]
+    fn listed_groups_run_inline_below_the_floor() {
+        let four = EngineOptions {
+            threads: 4,
+            ..EngineOptions::default()
+        };
+        // Two keys and their few embeddings: no worker, whatever the option.
+        assert_eq!(workers_for(&four, 2), 1);
+        assert_eq!(workers_for(&four, INLINE_WORK_FLOOR - 1), 1);
+        assert_eq!(workers_for(&four, INLINE_WORK_FLOOR), 4);
+        let one = EngineOptions {
+            threads: 1,
+            ..EngineOptions::default()
+        };
+        assert_eq!(workers_for(&one, INLINE_WORK_FLOOR), 1);
     }
 }

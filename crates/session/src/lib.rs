@@ -29,21 +29,29 @@
 //!   case-folded outside string literals, one trailing `;` stripped), so
 //!   textual re-submissions of the same query never re-parse, never re-run
 //!   attack-graph classification, and never re-plan;
-//! * a **per-statement result cache with support-tracked differential
+//! * a **per-statement result cache with delta-proportional differential
 //!   maintenance**: answers are cached against the epoch they were computed
-//!   at, together with the statement's [`RowSupport`] — a per-row
-//!   over-approximation of the (relation, block-key) pairs the row's
-//!   embeddings and certainty checks can touch. A reader whose pinned epoch
-//!   is ahead of the cached result intersects the dirty blocks committed in
-//!   between with the cached rows' supports, adds the candidate keys the
-//!   dirty blocks can newly derive ([`RangeCqa::dirty_candidate_keys`]), and
-//!   re-derives **only** that affected key set — DRed-style: affected groups
-//!   are over-deleted and re-derived, so retracted groups vanish and new
-//!   groups appear — keeping every other cached row. HAVING trichotomy and
-//!   certain top-k are then re-decided from the patched row set; top-k falls
-//!   back to a full selection recompute only when pairwise interval
-//!   precedence shifted, i.e. membership could change (counted in
-//!   [`SessionStats::topk_fallbacks`]);
+//!   at, and nothing else is recorded with them. A reader whose pinned epoch
+//!   is ahead of the cached result takes the dirty block keys committed in
+//!   between and derives, **forward from those keys over the new index**, the
+//!   group keys with an embedding — old or new — through a dirty block
+//!   ([`RangeCqa::affected_keys`]): one enumeration that covers births, value
+//!   changes and retractions, at `O(|dirty| · log rows)` plus the join prefix
+//!   in front of the dirty atom. It then re-derives **only** that key set —
+//!   DRed-style: affected groups are over-deleted and re-derived, so
+//!   retracted groups vanish and new groups appear — and splices the
+//!   re-derived rows into the kept ones in one pass, deciding "nothing
+//!   changed" from the re-derived rows alone. HAVING trichotomy and certain
+//!   top-k are then re-decided from the patched row set; top-k falls back to
+//!   a full selection recompute only when pairwise interval precedence
+//!   shifted, i.e. membership could change (counted in
+//!   [`SessionStats::topk_fallbacks`]). A statement without HAVING and
+//!   ORDER BY presents its raw rows unchanged, so the cached basis and the
+//!   answer handed out share one `Arc<[GroupRange]>`. The statement's static
+//!   [`RowSupport`] pattern is consulted only where the enumeration reports a
+//!   *retraction-blind* relation (a GROUP BY column bound at a non-key
+//!   position of the dirty atom): for that relation's dirty blocks alone the
+//!   cached rows are scanned with [`RowSupport::hits`];
 //! * a **batch API**: [`Session::execute_many`] answers a whole batch
 //!   against one pinned snapshot, so the batch is mutually consistent even
 //!   with concurrent writers.
@@ -67,15 +75,22 @@
 //! maintained index is structurally identical to a cold rebuild
 //! (`DbIndex::apply_delta` keeps facts and blocks at their cold-scan sorted
 //! positions), and differential patching is sound because a group row's
-//! interval is a function of the blocks matching its instantiated support
-//! patterns: a commit whose dirty blocks miss a row's support cannot change
-//! that row, and a commit that could *birth* a row must route at least one
-//! new embedding through a dirty block, which the dirty-pinned reverse
-//! lookup enumerates. Plans that consult state beyond pattern-matched blocks
+//! interval is a function of the group's embeddings and of the blocks they
+//! touch (a repair keeps an embedding iff it picks the embedding's fact in
+//! each of those blocks): a group none of whose embeddings — before or after
+//! the commits — touches a dirty block has the same embeddings over the same
+//! blocks on both sides, and every other group is found by the delta
+//! enumeration, because any embedding through a dirty block has a *first*
+//! dirty level, the blocks before it are clean and so identical in the new
+//! index, and its prefix is therefore enumerated there and admits the dirty
+//! key (the argument is spelled out in [`rcqa_core::forall`], "Delta
+//! enumeration").
+//! Plans that consult state beyond the blocks their embeddings touch
 //! — exhaustive repair enumeration (including residual comparison
 //! predicates, whose repair budget is instance-global) — carry an
 //! *exhaustive* support and honestly recompute in full on any write
-//! ([`SessionStats::support_misses`]). `tests/serving_cache.rs`,
+//! ([`SessionStats::support_misses`], by reason in
+//! [`Session::patch_reasons`]). `tests/serving_cache.rs`,
 //! `tests/session_sql.rs`, and `tests/session_concurrent.rs` assert the
 //! guarantee, including concurrent readers racing a writer and random
 //! insert/delete interleavings checked against cold and crash-recovered
@@ -134,7 +149,7 @@
 #![warn(missing_docs)]
 
 use rcqa_core::classify::Classification;
-use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
+use rcqa_core::engine::{AffectedKeys, BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
 use rcqa_core::index::{DbIndex, DirtyBlock};
 pub use rcqa_core::interval::HavingStatus;
 use rcqa_core::interval::{
@@ -378,8 +393,9 @@ impl QueryOutcome {
 /// translated [`AggQuery`], its output column names, the fully prepared
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
 /// slots, logical→physical plan choice), the [`Classification`] for the
-/// session instance's numeric domain, and the [`RowSupport`] that drives
-/// differential result maintenance.
+/// session instance's numeric domain, and the static [`RowSupport`] —
+/// whether the plan can be patched at all, which shard route is sound, and
+/// the row scan behind a retraction-blind level.
 ///
 /// Statements are keyed by *normalized* SQL ([`Session::normalize_sql`]):
 /// whitespace runs outside string literals collapse to one space, text
@@ -434,7 +450,11 @@ impl PreparedStatement {
     /// of the (relation, block-key) pairs the row's embeddings and certainty
     /// checks can touch. Exhaustive — every dirty block forces a full
     /// recompute — exactly when some bound of some aggregate runs exhaustive
-    /// repair enumeration, whose repair budget is instance-global.
+    /// repair enumeration, whose repair budget is instance-global. A stale
+    /// read does not intersect it with the delta (the delta enumeration of
+    /// [`RangeCqa::affected_keys`] does that job, exactly); it is the sharded
+    /// front-end's routing certificate and the fallback for the relations
+    /// that enumeration reports retraction-blind.
     pub fn support(&self) -> &RowSupport {
         &self.support
     }
@@ -458,14 +478,15 @@ pub struct SessionStats {
     pub partial_recomputes: u64,
     /// Executions that ran the full pipeline.
     pub full_recomputes: u64,
-    /// Stale cached results served by the support-tracked patch path:
-    /// the commit's dirty blocks were intersected with the cached rows'
-    /// supports and only the affected groups were re-derived.
+    /// Stale cached results served by the patch path: the groups the
+    /// commits' dirty blocks can affect were derived from the dirty keys and
+    /// only they were re-derived.
     pub supported_patches: u64,
-    /// Stale cached results the support layer could **not** patch (exhaustive
-    /// support, dirty history evicted past the retention cap, or an affected
-    /// set so large a full pass is cheaper): these fell back to a full
-    /// recompute.
+    /// Stale cached results the patch path could **not** serve (exhaustive
+    /// support, dirty history evicted past the retention cap, an affected
+    /// set so large a full pass is cheaper, or a retraction-blind level whose
+    /// fallback scan hit as much): these fell back to a full recompute.
+    /// [`Session::patch_reasons`] splits the count by reason.
     pub support_misses: u64,
     /// Patched results whose certain top-k selection had to be recomputed
     /// because some pairwise interval precedence shifted — top-k membership
@@ -543,8 +564,10 @@ struct CachedResult {
     epoch: u64,
     /// Raw rows per aggregate engine (SELECT items first, then hidden
     /// HAVING / ORDER BY aggregates), each in sorted group-key order and
-    /// key-aligned across aggregates.
-    raw: Arc<Vec<Vec<GroupRange>>>,
+    /// key-aligned across aggregates. A statement whose presentation is the
+    /// raw rows themselves (no HAVING, no ORDER BY) shares these very slices
+    /// with [`CachedRows`] — one copy of the rows, not two.
+    raw: Arc<[Arc<[GroupRange]>]>,
     rows: CachedRows,
 }
 
@@ -652,10 +675,64 @@ impl From<SessionStats> for AtomicStats {
 /// [`SessionOptions::dirty_log_cap`] pops the oldest entry from the front in
 /// `O(1)` (a `Vec::remove(0)` here used to shift the whole capacity on every
 /// write of a long-lived session).
+///
+/// Each batch's blocks sit behind an `Arc`: a stale read clones pointers under
+/// the lock committers also take, never the blocks (a `String` and a
+/// `Vec<Value>` apiece, up to cap × batch size of them).
 #[derive(Clone, Debug, Default)]
 struct Maintenance {
-    dirty_log: VecDeque<(u64, Vec<DirtyBlock>)>,
+    dirty_log: VecDeque<(u64, Arc<[DirtyBlock]>)>,
     log_floor: u64,
+}
+
+/// Why a stale cached result could not be patched and was recomputed in full:
+/// the reasons [`SessionStats::support_misses`] lumps together, one counter
+/// each ([`Session::patch_reasons`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PatchReasons {
+    /// The statement's support is exhaustive (some bound enumerates repairs
+    /// of the whole instance), so every write invalidates every row.
+    pub exhaustive_support: u64,
+    /// The dirty history no longer reaches back to the cached epoch: evicted
+    /// past [`SessionOptions::dirty_log_cap`], or floored by a commit that
+    /// had no index to replay into.
+    pub history_evicted: u64,
+    /// The delta affects more than half of the cached rows, where a patch
+    /// stops being the cheaper arm (see `Session::try_patch` for the
+    /// measurement behind the cut-off).
+    pub over_half: u64,
+    /// A retraction-blind level ([`AffectedKeys::blind`]) sent the read to the
+    /// [`RowSupport::hits`] row scan, and the scan hit more than half of the
+    /// cached rows (typically all of them: the blind atom's pattern is `Any`
+    /// wherever the group key does not bind its key).
+    pub blind_fallback: u64,
+}
+
+impl PatchReasons {
+    /// Field-wise sum (the sharded front-end adds its shards and mirror).
+    pub fn merge(self, other: PatchReasons) -> PatchReasons {
+        PatchReasons {
+            exhaustive_support: self.exhaustive_support + other.exhaustive_support,
+            history_evicted: self.history_evicted + other.history_evicted,
+            over_half: self.over_half + other.over_half,
+            blind_fallback: self.blind_fallback + other.blind_fallback,
+        }
+    }
+
+    /// All misses: equals [`SessionStats::support_misses`].
+    pub fn total(&self) -> u64 {
+        self.exhaustive_support + self.history_evicted + self.over_half + self.blind_fallback
+    }
+}
+
+/// One miss, as [`Session::try_patch`] reports it; indexes the session's
+/// per-reason counters.
+#[derive(Clone, Copy, Debug)]
+enum Miss {
+    ExhaustiveSupport,
+    HistoryEvicted,
+    OverHalf,
+    BlindFallback,
 }
 
 /// Serving-layer tunables, distinct from the evaluation-level
@@ -716,6 +793,8 @@ pub struct Session {
     /// from observability accessors — never on the read/serving path.
     wal: Mutex<Option<Wal>>,
     stats: AtomicStats,
+    /// Misses by [`Miss`]; they sum to `stats.support_misses`.
+    misses: [AtomicU64; 4],
 }
 
 impl Clone for Session {
@@ -742,6 +821,7 @@ impl Clone for Session {
             // durability stays with the original.
             wal: Mutex::new(None),
             stats: AtomicStats::from(self.stats()),
+            misses: std::array::from_fn(|i| AtomicU64::new(self.misses[i].load(Ordering::Relaxed))),
         }
     }
 }
@@ -795,6 +875,7 @@ impl Session {
             cache_clock: AtomicU64::new(0),
             wal: Mutex::new(wal),
             stats: AtomicStats::default(),
+            misses: Default::default(),
         }
     }
 
@@ -961,6 +1042,18 @@ impl Session {
         self.stats.snapshot()
     }
 
+    /// [`SessionStats::support_misses`] split by reason: why stale results
+    /// went to a full recompute instead of the patch path.
+    pub fn patch_reasons(&self) -> PatchReasons {
+        let count = |miss: Miss| self.misses[miss as usize].load(Ordering::Relaxed);
+        PatchReasons {
+            exhaustive_support: count(Miss::ExhaustiveSupport),
+            history_evicted: count(Miss::HistoryEvicted),
+            over_half: count(Miss::OverHalf),
+            blind_fallback: count(Miss::BlindFallback),
+        }
+    }
+
     /// The current epoch: effective mutations since the session opened.
     pub fn epoch(&self) -> u64 {
         self.snapshot().epoch
@@ -1083,7 +1176,7 @@ impl Session {
                 // Cheap again: the clone shares every relation's index with
                 // the base; `apply_delta` path-copies the dirty leaves.
                 let mut index = (**base_index).clone();
-                let dirty = index.apply_delta(&events);
+                let dirty: Arc<[DirtyBlock]> = index.apply_delta(&events).into();
                 snapshot
                     .index
                     .set(Arc::new(index))
@@ -1306,10 +1399,11 @@ impl Session {
             .clone()
     }
 
-    /// The dirty blocks accumulated over `(from, to]`, or `None` if the
-    /// retained history does not reach back to `from` (the log was floored
-    /// by a cold rebuild or a bulk write in between).
-    fn dirty_since(&self, from: u64, to: u64) -> Option<Vec<DirtyBlock>> {
+    /// The dirty batches committed over `(from, to]`, oldest first, or `None`
+    /// if the retained history does not reach back to `from` (the log was
+    /// floored by a cold rebuild or evicted past its cap in between). Only
+    /// pointers are cloned under the lock; batches may repeat a block.
+    fn dirty_since(&self, from: u64, to: u64) -> Option<Vec<Arc<[DirtyBlock]>>> {
         let maintenance = self.lock_maintenance();
         if from < maintenance.log_floor {
             return None;
@@ -1319,32 +1413,52 @@ impl Session {
                 .dirty_log
                 .iter()
                 .filter(|(e, _)| *e > from && *e <= to)
-                .flat_map(|(_, blocks)| blocks.iter().cloned())
+                .map(|(_, blocks)| blocks.clone())
                 .collect(),
         )
     }
 
-    /// Merges two row lists with disjoint, sorted group keys into one sorted
-    /// list.
-    fn merge_rows(kept: Vec<GroupRange>, fresh: Vec<GroupRange>) -> Vec<GroupRange> {
-        let mut out = Vec::with_capacity(kept.len() + fresh.len());
-        let mut kept = kept.into_iter().peekable();
+    /// Where each of `keys` (sorted) sits among `rows` (sorted by key):
+    /// `Ok(i)` when row `i` has the key, `Err(i)` when a row with it would be
+    /// inserted before row `i`. Each search resumes behind the previous seat,
+    /// so the cost is `O(|keys| · log |rows|)` key comparisons.
+    fn seats(rows: &[GroupRange], keys: &[Vec<Value>]) -> Vec<Result<usize, usize>> {
+        let mut from = 0;
+        keys.iter()
+            .map(|key| {
+                let seat = rows[from..].binary_search_by(|row| row.key.cmp(key));
+                let seat = seat.map(|i| i + from).map_err(|i| i + from);
+                from = seat.map_or_else(|i| i, |i| i + 1);
+                seat
+            })
+            .collect()
+    }
+
+    /// Splices one aggregate's re-derived rows into its old rows in a single
+    /// pass: the old rows seated at one of `keys` are dropped, `fresh` (sorted,
+    /// every key among `keys`) takes their places and its new keys' seats,
+    /// and the runs in between are copied across whole.
+    fn splice(
+        old: &[GroupRange],
+        keys: &[Vec<Value>],
+        seats: &[Result<usize, usize>],
+        fresh: Vec<GroupRange>,
+    ) -> Arc<[GroupRange]> {
+        let mut out = Vec::with_capacity(old.len() + fresh.len());
         let mut fresh = fresh.into_iter().peekable();
-        loop {
-            match (kept.peek(), fresh.peek()) {
-                (Some(a), Some(b)) => {
-                    if a.key < b.key {
-                        out.push(kept.next().expect("peeked"));
-                    } else {
-                        out.push(fresh.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => out.push(kept.next().expect("peeked")),
-                (None, Some(_)) => out.push(fresh.next().expect("peeked")),
-                (None, None) => break,
-            }
+        let mut from = 0;
+        for (key, seat) in keys.iter().zip(seats) {
+            let (upto, next) = match *seat {
+                Ok(i) => (i, i + 1),
+                Err(i) => (i, i),
+            };
+            out.extend_from_slice(&old[from..upto]);
+            from = next;
+            out.extend(fresh.next_if(|row| row.key == *key));
         }
-        out
+        out.extend_from_slice(&old[from..]);
+        debug_assert!(fresh.next().is_none(), "re-derived keys are affected keys");
+        out.into()
     }
 
     fn outcome(stmt: &PreparedStatement, rows: CachedRows, epoch: u64) -> QueryOutcome {
@@ -1368,34 +1482,34 @@ impl Session {
         stmt: &PreparedStatement,
         db: &DatabaseInstance,
         index: &DbIndex,
-    ) -> Result<Vec<Vec<GroupRange>>, SessionError> {
+    ) -> Result<Arc<[Arc<[GroupRange]>]>, SessionError> {
         // A statically contradictory WHERE clause needs no engine run: no
         // repair has a satisfying embedding, so a grouped statement has no
         // possible answer rows, while a closed statement answers its single
         // `[⊥, ⊥]` row. The synthetic rows still flow through the normal
         // HAVING / ORDER BY pipeline below (a comparison against `⊥` is
         // `Possible`; a `⊥` row is never certainly in a top-k).
-        let per_agg: Vec<Vec<GroupRange>> = if stmt.unsatisfiable {
-            let rows = if stmt.query.body.free_vars().is_empty() {
+        let per_agg: Arc<[Arc<[GroupRange]>]> = if stmt.unsatisfiable {
+            let rows: Arc<[GroupRange]> = if stmt.query.body.free_vars().is_empty() {
                 let bottom = Some(BoundAnswer {
                     value: None,
                     method: Method::Rewriting,
                 });
-                vec![GroupRange {
+                Arc::new([GroupRange {
                     key: Vec::new(),
                     glb: bottom,
                     lub: bottom,
-                }]
+                }])
             } else {
-                Vec::new()
+                Arc::new([])
             };
             stmt.engines.iter().map(|_| rows.clone()).collect()
         } else {
             let mut per_agg = Vec::with_capacity(stmt.engines.len());
             for engine in &stmt.engines {
-                per_agg.push(engine.range_with_index(db, index)?);
+                per_agg.push(engine.range_with_index(db, index)?.into());
             }
-            per_agg
+            per_agg.into()
         };
         let primary = &per_agg[0];
         debug_assert!(
@@ -1410,7 +1524,10 @@ impl Session {
 
     /// HAVING trichotomy per raw row (empty when the statement has no HAVING
     /// clause).
-    fn having_statuses(stmt: &PreparedStatement, per_agg: &[Vec<GroupRange>]) -> Vec<HavingStatus> {
+    fn having_statuses(
+        stmt: &PreparedStatement,
+        per_agg: &[Arc<[GroupRange]>],
+    ) -> Vec<HavingStatus> {
         if stmt.having.is_empty() {
             return Vec::new();
         }
@@ -1437,29 +1554,30 @@ impl Session {
             .collect()
     }
 
+    /// The sort-key rows of the HAVING survivors, borrowed in place.
+    fn sort_rows<'r>(rows: &'r [GroupRange], kept: &[usize]) -> Vec<&'r GroupRange> {
+        kept.iter().map(|&i| &rows[i]).collect()
+    }
+
     /// Projects the selected raw-row indices into the presented row block:
     /// SELECT-clause aggregates, row-aligned HAVING statuses.
     fn present(
         stmt: &PreparedStatement,
-        per_agg: &[Vec<GroupRange>],
+        per_agg: &[Arc<[GroupRange]>],
         statuses: &[HavingStatus],
         selected: &[usize],
     ) -> CachedRows {
-        let project = |agg: usize| -> Vec<GroupRange> {
+        let project = |agg: usize| -> Arc<[GroupRange]> {
             selected.iter().map(|&i| per_agg[agg][i].clone()).collect()
         };
-        let rows = project(0);
-        let more: Vec<Arc<[GroupRange]>> = (1..stmt.visible_aggregates)
-            .map(|a| project(a).into())
-            .collect();
         let having: Vec<HavingStatus> = if statuses.is_empty() {
             Vec::new()
         } else {
             selected.iter().map(|&i| statuses[i]).collect()
         };
         CachedRows {
-            rows: rows.into(),
-            more,
+            rows: project(0),
+            more: (1..stmt.visible_aggregates).map(project).collect(),
             having: having.into(),
         }
     }
@@ -1468,16 +1586,22 @@ impl Session {
     /// (dropping `Violated` rows), then ORDER BY (presentation order) /
     /// LIMIT (certain top-k) over the sort-key aggregate's intervals of the
     /// surviving rows, then SELECT-clause projection. The parser guarantees
-    /// LIMIT implies ORDER BY.
-    fn post_process(stmt: &PreparedStatement, per_agg: &[Vec<GroupRange>]) -> CachedRows {
+    /// LIMIT implies ORDER BY. A statement with neither HAVING nor ORDER BY
+    /// presents its raw rows as they are: the presentation **shares** the raw
+    /// slices instead of copying them.
+    fn post_process(stmt: &PreparedStatement, per_agg: &[Arc<[GroupRange]>]) -> CachedRows {
+        if stmt.having.is_empty() && stmt.order_by.is_none() {
+            return CachedRows {
+                rows: per_agg[0].clone(),
+                more: per_agg[1..stmt.visible_aggregates].to_vec(),
+                having: Arc::new([]),
+            };
+        }
         let statuses = Self::having_statuses(stmt, per_agg);
         let kept = Self::kept_indices(&statuses, per_agg[0].len());
         let selected: Vec<usize> = match stmt.order_by {
             Some(spec) => {
-                let sort_rows: Vec<GroupRange> = kept
-                    .iter()
-                    .map(|&i| per_agg[spec.agg_index][i].clone())
-                    .collect();
+                let sort_rows = Self::sort_rows(&per_agg[spec.agg_index], &kept);
                 let picked = match stmt.limit {
                     Some(k) => certain_topk(&sort_rows, k, spec.descending),
                     None => order_rows(&sort_rows, spec.descending),
@@ -1499,29 +1623,41 @@ impl Session {
     ) -> Result<CachedResult, SessionError> {
         let raw = Self::raw_rows(stmt, db, index)?;
         let rows = Self::post_process(stmt, &raw);
-        Ok(CachedResult {
-            epoch,
-            raw: Arc::new(raw),
-            rows,
-        })
+        Ok(CachedResult { epoch, raw, rows })
     }
 
-    /// Attempts to bring a stale cached result up to `epoch` by
-    /// support-tracked differential maintenance. Returns `None` — fall back
-    /// to a full recompute — when the support is exhaustive, the dirty
-    /// history no longer reaches back to the cached epoch, or the affected
-    /// key set is so large that one full pass is cheaper than per-key
-    /// pinned joins.
+    /// Attempts to bring a stale cached result up to `epoch` by differential
+    /// maintenance, at a cost proportional to the delta: `O(|dirty| · log
+    /// rows)` to find what it affects, the work of the affected groups to
+    /// re-derive them, and — only when some row really changed — one pass
+    /// over the rows to splice. Returns the [`Miss`] — fall back to a full
+    /// recompute — when the support is exhaustive, the dirty history no
+    /// longer reaches back to the cached epoch, or the affected key set (or,
+    /// before it, the blind-level row scan's share of it) covers more than
+    /// half the rows.
     ///
-    /// The affected key set is the union of (a) cached rows whose
-    /// instantiated support patterns intersect the dirty blocks — covering
-    /// value changes and retractions, since a destroyed embedding belonged
-    /// to a cached row — and (b) the candidate keys the dirty blocks can
-    /// newly derive ([`RangeCqa::dirty_candidate_keys`]) — covering births.
+    /// Half the rows is the **measured break-even of the least favourable
+    /// statement**, not a bound that holds by construction: re-derivation
+    /// costs the affected groups' embeddings, and on a skewed join the
+    /// affected rows are the hot groups — 45–50 % of the rows of
+    /// `R(x|y) ⋈ S(y,z|r)` grouped by `x` under Zipf-hot `y` writes carry over
+    /// 70 % of the embeddings, and a patch there costs 0.96–1.03 of the
+    /// recompute (0.98–0.99 at 40–45 %, 0.85–0.94 at 30–40 %, two workers).
+    /// A miss costs the recompute plus the enumeration that found it (about
+    /// 1.3 µs per dirty block).
+    ///
+    /// The affected key set comes from **one** forward enumeration over the
+    /// new index, [`RangeCqa::affected_keys`]: every group with an embedding,
+    /// old or new, through a block dirtied since the cached epoch — births,
+    /// value changes and retractions alike, with nothing recorded at
+    /// evaluation time. Only when the enumeration reports a
+    /// retraction-blind relation are the cached rows themselves scanned, with
+    /// [`RowSupport::hits`] against that relation's dirty blocks alone.
     /// Affected keys are then over-deleted and re-derived DRed-style via
     /// [`RangeCqa::range_for_groups`]: keys whose embeddings vanished stay
     /// gone, new keys appear, everything else keeps its cached row
-    /// unexamined.
+    /// unexamined. Whether anything changed is decided by comparing the
+    /// re-derived rows with the rows they replace — never the whole result.
     fn try_patch(
         &self,
         stmt: &PreparedStatement,
@@ -1529,70 +1665,77 @@ impl Session {
         index: &DbIndex,
         cached: &CachedResult,
         epoch: u64,
-    ) -> Result<Option<CachedResult>, SessionError> {
+    ) -> Result<Result<CachedResult, Miss>, SessionError> {
         let restamped = || {
-            Some(CachedResult {
+            Ok(Ok(CachedResult {
                 epoch,
                 raw: cached.raw.clone(),
                 rows: cached.rows.clone(),
-            })
+            }))
         };
         // A statically contradictory WHERE clause is answered independently
         // of the data: the cached synthetic rows hold at every epoch.
         if stmt.unsatisfiable {
-            return Ok(restamped());
+            return restamped();
         }
-        if stmt.support().is_exhaustive() {
-            return Ok(None);
-        }
-        let Some(dirty) = self.dirty_since(cached.epoch, epoch) else {
-            return Ok(None);
-        };
         let support = stmt.support();
-        let raw = &*cached.raw;
-        let mut affected: BTreeSet<Vec<Value>> = raw[0]
-            .iter()
-            .filter(|row| {
-                dirty
-                    .iter()
-                    .any(|b| support.hits(&row.key, &b.relation, &b.key))
-            })
-            .map(|row| row.key.clone())
-            .collect();
-        // Past half the cached rows a full recompute is cheaper than
-        // re-deriving key by key. Births only add to the set, so when the
-        // cached rows alone are past it the (costly) birth lookup is skipped.
-        let too_many = |affected: &BTreeSet<Vec<Value>>| {
-            raw[0].len() >= 16 && affected.len() * 2 > raw[0].len()
+        if support.is_exhaustive() {
+            return Ok(Err(Miss::ExhaustiveSupport));
+        }
+        let Some(log) = self.dirty_since(cached.epoch, epoch) else {
+            return Ok(Err(Miss::HistoryEvicted));
         };
-        if too_many(&affected) {
-            return Ok(None);
+        let dirty = || log.iter().flat_map(|batch| batch.iter());
+        let AffectedKeys { mut keys, blind } = stmt.engine().affected_keys(index, dirty());
+        let old = &*cached.raw;
+        // Past half the cached rows a patch no longer undercuts the full
+        // recompute (measured: see above).
+        let over_half = |n: usize| old[0].len() >= 16 && n * 2 > old[0].len();
+        if !blind.is_empty() {
+            let hit = |row: &&GroupRange| {
+                dirty().any(|b| {
+                    blind.contains(&b.relation) && support.hits(&row.key, &b.relation, &b.key)
+                })
+            };
+            let hit: Vec<&GroupRange> = old[0].iter().filter(hit).collect();
+            if over_half(hit.len()) {
+                return Ok(Err(Miss::BlindFallback));
+            }
+            keys.extend(hit.into_iter().map(|row| row.key.clone()));
+            keys.sort_unstable();
+            keys.dedup();
         }
-        affected.extend(stmt.engine().dirty_candidate_keys(index, &dirty));
+        let affected = keys;
         if affected.is_empty() {
-            // Nothing cached can change and nothing can be born: the result
-            // is untouched by the whole delta range.
-            return Ok(restamped());
+            // No old or new embedding passes through a dirty block: the
+            // result is untouched by the whole delta range.
+            return restamped();
         }
-        if too_many(&affected) {
-            return Ok(None);
+        if over_half(affected.len()) {
+            return Ok(Err(Miss::OverHalf));
         }
-        let mut new_raw = Vec::with_capacity(stmt.engines.len());
-        for (engine, old) in stmt.engines.iter().zip(raw.iter()) {
-            let fresh = engine.range_for_groups(&snapshot.db, index, &affected)?;
-            let kept: Vec<GroupRange> = old
-                .iter()
-                .filter(|r| !affected.contains(&r.key))
-                .cloned()
-                .collect();
-            new_raw.push(Self::merge_rows(kept, fresh));
+        let mut fresh = Vec::with_capacity(stmt.engines.len());
+        for engine in &stmt.engines {
+            fresh.push(engine.range_for_groups(&snapshot.db, index, &affected)?);
         }
-        if new_raw == *raw {
+        // Aggregates are key-aligned, so one search seats the keys in all.
+        let seats = Self::seats(&old[0], &affected);
+        let replaced = || seats.iter().filter_map(|seat| seat.ok());
+        let unchanged = old.iter().zip(&fresh).all(|(old, fresh)| {
+            replaced().count() == fresh.len()
+                && replaced().zip(fresh).all(|(i, row)| old[i] == *row)
+        });
+        if unchanged {
             // Re-derivation confirmed every affected row unchanged, so the
             // cached presentation (HAVING, selection included) is still
             // exact.
-            return Ok(restamped());
+            return restamped();
         }
+        let raw: Arc<[Arc<[GroupRange]>]> = old
+            .iter()
+            .zip(fresh)
+            .map(|(old, fresh)| Self::splice(old, &affected, &seats, fresh))
+            .collect();
         let rows = match (stmt.order_by, stmt.limit) {
             (Some(spec), Some(_)) => {
                 // Certain top-k membership is a function of the pairwise
@@ -1603,18 +1746,12 @@ impl Session {
                 // deterministic order. Otherwise membership could change:
                 // recompute the selection honestly (the rows themselves stay
                 // patched — only the selection re-runs).
-                let old_statuses = Self::having_statuses(stmt, raw);
-                let old_kept = Self::kept_indices(&old_statuses, raw[0].len());
-                let new_statuses = Self::having_statuses(stmt, &new_raw);
-                let new_kept = Self::kept_indices(&new_statuses, new_raw[0].len());
-                let old_sort: Vec<GroupRange> = old_kept
-                    .iter()
-                    .map(|&i| raw[spec.agg_index][i].clone())
-                    .collect();
-                let new_sort: Vec<GroupRange> = new_kept
-                    .iter()
-                    .map(|&i| new_raw[spec.agg_index][i].clone())
-                    .collect();
+                let old_statuses = Self::having_statuses(stmt, old);
+                let old_kept = Self::kept_indices(&old_statuses, old[0].len());
+                let new_statuses = Self::having_statuses(stmt, &raw);
+                let new_kept = Self::kept_indices(&new_statuses, raw[0].len());
+                let old_sort = Self::sort_rows(&old[spec.agg_index], &old_kept);
+                let new_sort = Self::sort_rows(&raw[spec.agg_index], &new_kept);
                 if topk_selection_preserved(&old_sort, &new_sort, spec.descending) {
                     let members: BTreeSet<&[Value]> =
                         cached.rows.rows.iter().map(|r| r.key.as_slice()).collect();
@@ -1623,19 +1760,15 @@ impl Session {
                         .filter(|&j| members.contains(new_sort[j].key.as_slice()))
                         .map(|j| new_kept[j])
                         .collect();
-                    Self::present(stmt, &new_raw, &new_statuses, &selected)
+                    Self::present(stmt, &raw, &new_statuses, &selected)
                 } else {
                     AtomicStats::bump(&self.stats.topk_fallbacks);
-                    Self::post_process(stmt, &new_raw)
+                    Self::post_process(stmt, &raw)
                 }
             }
-            _ => Self::post_process(stmt, &new_raw),
+            _ => Self::post_process(stmt, &raw),
         };
-        Ok(Some(CachedResult {
-            epoch,
-            raw: Arc::new(new_raw),
-            rows,
-        }))
+        Ok(Ok(CachedResult { epoch, raw, rows }))
     }
 
     /// The cache-aware execution path shared by [`Session::execute`],
@@ -1685,9 +1818,10 @@ impl Session {
         let (path, result) = match cached {
             Some(cached) if cached.epoch < epoch => {
                 match self.try_patch(&stmt, snapshot, &index, &cached, epoch)? {
-                    Some(result) => (Path::Patch, result),
-                    None => {
+                    Ok(result) => (Path::Patch, result),
+                    Err(miss) => {
                         AtomicStats::bump(&self.stats.support_misses);
+                        AtomicStats::bump(&self.misses[miss as usize]);
                         (
                             Path::Full,
                             Self::compute_result(&stmt, &snapshot.db, &index, epoch)?,
@@ -2078,6 +2212,206 @@ mod tests {
         }
     }
 
+    /// 40 dealers, two per town over 20 towns, one `p0` stock block per town
+    /// (two alternatives in the even towns): results of 40 and 20 rows, so
+    /// the half-the-rows rule is live — which the 4-dealer fixture, under the
+    /// rule's 16-row floor, never exercises.
+    fn towns_session() -> Session {
+        let session = Session::new(stock_session().catalog().clone());
+        let mut facts = Vec::new();
+        for d in 0..40 {
+            facts.push(fact!(
+                "Dealers",
+                format!("d{d:02}"),
+                format!("t{:02}", d % 20)
+            ));
+        }
+        for t in 0..20 {
+            facts.push(fact!("Stock", "p0", format!("t{t:02}"), 10 + t));
+            if t % 2 == 0 {
+                facts.push(fact!("Stock", "p0", format!("t{t:02}"), 60 + t));
+            }
+        }
+        session.insert_all(facts).unwrap();
+        session
+    }
+
+    fn assert_equals_cold(session: &Session, sql: &str, got: &QueryOutcome) {
+        for threads in [1, 4] {
+            let cold = Session::with_instance(session.catalog().clone(), session.database())
+                .with_options(EngineOptions {
+                    threads,
+                    ..EngineOptions::default()
+                })
+                .execute(sql)
+                .unwrap();
+            assert_eq!(cold.rows, got.rows, "{sql} @{threads}T");
+            assert_eq!(
+                cold.more_aggregates, got.more_aggregates,
+                "{sql} @{threads}T"
+            );
+            assert_eq!(cold.having, got.having, "{sql} @{threads}T");
+        }
+    }
+
+    #[test]
+    fn probe_side_writes_patch_a_join() {
+        const JOIN: &str = "FROM Dealers AS D, Stock AS S WHERE D.Town = S.Town GROUP BY D.Name";
+        let statements = [
+            format!("SELECT D.Name, MAX(S.Qty) {JOIN}"),
+            format!("SELECT D.Name, MAX(S.Qty), MIN(S.Qty) {JOIN}"),
+            format!("SELECT D.Name, MAX(S.Qty) {JOIN} HAVING MAX(S.Qty) >= 30"),
+            format!("SELECT D.Name, MAX(S.Qty) {JOIN} ORDER BY MAX(S.Qty) DESC LIMIT 3"),
+        ];
+        type Write = fn(&Session);
+        let writes: [(&str, Write); 5] = [
+            ("S insert opening a block", |s| {
+                assert!(s.insert(fact!("Stock", "p1", "t03", 77)).unwrap());
+            }),
+            ("S conflicting insert", |s| {
+                assert!(s.insert(fact!("Stock", "p0", "t05", 5)).unwrap());
+            }),
+            ("S fact delete", |s| {
+                assert!(s.delete(&fact!("Stock", "p0", "t04", 64)).unwrap());
+            }),
+            ("delete of two groups' only partner block", |s| {
+                assert!(s.delete(&fact!("Stock", "p0", "t19", 29)).unwrap());
+            }),
+            ("a batch mixing sides", |s| {
+                let flags = s
+                    .apply_batch(&[
+                        DeltaEvent::insert(fact!("Dealers", "d99", "t02")),
+                        DeltaEvent::insert(fact!("Stock", "p9", "t19", 3)),
+                        DeltaEvent::delete(fact!("Stock", "p0", "t06", 16)),
+                        DeltaEvent::delete(fact!("Dealers", "d07", "t07")),
+                    ])
+                    .unwrap();
+                assert_eq!(flags, [true; 4]);
+            }),
+        ];
+        for sql in &statements {
+            let session = towns_session();
+            assert_eq!(session.execute(sql).unwrap().epoch, session.epoch());
+            for (step, (what, write)) in writes.iter().enumerate() {
+                write(&session);
+                let got = session.execute(sql).unwrap();
+                let stats = session.stats();
+                // At this size a miss *is* the statement "over half the
+                // groups were affected" — which a probe-side pattern of `Any`
+                // made true of the first S write.
+                assert_eq!(stats.support_misses, 0, "{sql}: {what}");
+                assert_eq!(
+                    session.patch_reasons(),
+                    PatchReasons::default(),
+                    "{sql}: {what}"
+                );
+                assert_eq!(stats.supported_patches, step as u64 + 1, "{sql}: {what}");
+                assert_eq!(stats.full_recomputes, 1, "{sql}: {what}");
+                assert_eq!(stats.index_builds, 1, "{sql}: {what}");
+                assert_equals_cold(&session, sql, &got);
+            }
+            // The partner-block delete retracted d19 and d39; the batch gave
+            // them a partner back, added d99 and removed d07.
+            let plain = session.execute(&statements[0]).unwrap();
+            assert_eq!(plain.rows.len(), 40);
+        }
+    }
+
+    #[test]
+    fn a_retraction_blind_level_is_answered_through_the_support_scan() {
+        // Grouping by Town — a non-key column of Dealers — makes a dirty
+        // Dealers block retraction-blind: the town a deleted fact named is not
+        // in the new index. The read falls back to scanning the cached rows
+        // with the support patterns, for Dealers' dirty blocks alone.
+        let sql = "SELECT D.Town, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+                   WHERE D.Town = S.Town GROUP BY D.Town";
+        // Four dealers, two rows: under the half-the-rows rule's floor, the
+        // scan's verdict (Dealers' pattern is `Any`: every row) is patched.
+        let session = stock_session();
+        assert_eq!(session.execute(sql).unwrap().rows.len(), 2);
+        assert!(session
+            .delete(&fact!("Dealers", "Smith", "New York"))
+            .unwrap());
+        let got = session.execute(sql).unwrap();
+        assert_eq!(got.rows.len(), 1, "New York lost its only dealer");
+        assert_equals_cold(&session, sql, &got);
+        let stats = session.stats();
+        assert_eq!((stats.supported_patches, stats.support_misses), (1, 0));
+        // A Stock write reaches the same statement through its join prefix:
+        // not blind, no scan, one group re-derived.
+        session
+            .insert(fact!("Stock", "Tesla Z", "Boston", 500))
+            .unwrap();
+        let got = session.execute(sql).unwrap();
+        assert_eq!(got.rows[0].lub.unwrap().value, Some(rat(500)));
+        assert_eq!(session.stats().supported_patches, 2);
+        // Twenty rows: the scan hits them all, over half, and the miss is
+        // counted under its own reason.
+        let session = towns_session();
+        assert_eq!(session.execute(sql).unwrap().rows.len(), 20);
+        assert!(session.delete(&fact!("Dealers", "d19", "t19")).unwrap());
+        assert!(session.delete(&fact!("Dealers", "d39", "t19")).unwrap());
+        let got = session.execute(sql).unwrap();
+        assert_eq!(got.rows.len(), 19);
+        assert_equals_cold(&session, sql, &got);
+        let reasons = session.patch_reasons();
+        assert_eq!(reasons.blind_fallback, 1);
+        assert_eq!(reasons.total(), session.stats().support_misses);
+        assert_eq!(session.stats().support_misses, 1);
+        // An S-side write on the same statement still patches.
+        session.insert(fact!("Stock", "p1", "t03", 77)).unwrap();
+        let got = session.execute(sql).unwrap();
+        assert_equals_cold(&session, sql, &got);
+        assert_eq!(session.stats().supported_patches, 1);
+        assert_eq!(session.patch_reasons().total(), 1);
+    }
+
+    #[test]
+    fn every_miss_is_counted_under_one_reason() {
+        let join = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+                    WHERE D.Town = S.Town GROUP BY D.Name";
+        let session = towns_session().with_session_options(SessionOptions {
+            dirty_log_cap: 2,
+            ..Default::default()
+        });
+        // SUM's lub enumerates repairs: exhaustive support, always a miss.
+        let sum = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
+        session.execute(join).unwrap();
+        session.execute(sum).unwrap();
+        // One batch touching the stock of 11 of the 20 towns: 22 of 40 groups.
+        let batch: Vec<DeltaEvent> = (0..11)
+            .map(|t| DeltaEvent::insert(fact!("Stock", "p1", format!("t{t:02}"), 1)))
+            .collect();
+        session.apply_batch(&batch).unwrap();
+        let got = session.execute(join).unwrap();
+        assert_equals_cold(&session, join, &got);
+        session.execute(sum).unwrap();
+        let reasons = session.patch_reasons();
+        assert_eq!((reasons.over_half, reasons.exhaustive_support), (1, 1));
+        // Three commits against a two-batch history.
+        for t in 0..3 {
+            session
+                .insert(fact!("Stock", "p2", format!("t{t:02}"), 2))
+                .unwrap();
+        }
+        let got = session.execute(join).unwrap();
+        assert_equals_cold(&session, join, &got);
+        let reasons = session.patch_reasons();
+        assert_eq!(
+            reasons,
+            PatchReasons {
+                exhaustive_support: 1,
+                history_evicted: 1,
+                over_half: 1,
+                blind_fallback: 0,
+            }
+        );
+        assert_eq!(reasons.total(), session.stats().support_misses);
+        assert_eq!(session.stats().supported_patches, 0);
+        // A clone carries the reasons along with the counters.
+        assert_eq!(session.clone().patch_reasons(), reasons);
+    }
+
     #[test]
     fn over_budget_dirty_history_full_recomputes_correctly() {
         let session = stock_session().with_session_options(SessionOptions {
@@ -2104,6 +2438,7 @@ mod tests {
         assert_eq!(stats.supported_patches, 0);
         assert_eq!(stats.support_misses, 1);
         assert_eq!(stats.full_recomputes, 2);
+        assert_eq!(session.patch_reasons().history_evicted, 1);
         let cold = Session::with_instance(session.catalog().clone(), session.database());
         assert_eq!(cold.execute(sql).unwrap().rows, after.rows);
 

@@ -102,8 +102,8 @@
 //! rebuilds the mirror from the recovered union.
 
 use crate::{
-    CachedResult, PreparedStatement, QueryOutcome, Session, SessionError, SessionOptions,
-    SessionStats, Snapshot, WalOptions,
+    CachedResult, PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError,
+    SessionOptions, SessionStats, Snapshot, WalOptions,
 };
 use rcqa_core::engine::{EngineOptions, GroupRange};
 use rcqa_core::SupportSlot;
@@ -506,6 +506,17 @@ impl ShardedSession {
         }
     }
 
+    /// Why stale results missed the patch path, summed over the shards and
+    /// the mirror (the per-shard and mirror [`SessionStats::support_misses`]
+    /// of [`ShardedSession::stats`] add up to its total).
+    pub fn patch_reasons(&self) -> PatchReasons {
+        self.shards
+            .iter()
+            .fold(self.mirror.patch_reasons(), |acc, shard| {
+                acc.merge(shard.patch_reasons())
+            })
+    }
+
     /// The union instance across all shards, at a consistent cut.
     pub fn database(&self) -> Result<Arc<DatabaseInstance>, SessionError> {
         Ok(self.pin()?.mirror.db.clone())
@@ -792,11 +803,10 @@ impl ShardedSession {
             parts.push(result?.1);
         }
         let aggregates = parts[0].raw.len();
-        let merged: Vec<Vec<GroupRange>> = (0..aggregates)
+        let merged: Vec<Arc<[GroupRange]>> = (0..aggregates)
             .map(|agg| {
-                let lists: Vec<&[GroupRange]> =
-                    parts.iter().map(|part| part.raw[agg].as_slice()).collect();
-                merge_by_key(&lists)
+                let lists: Vec<&[GroupRange]> = parts.iter().map(|part| &*part.raw[agg]).collect();
+                merge_by_key(&lists).into()
             })
             .collect();
         let rows = Session::post_process(stmt, &merged);

@@ -87,7 +87,28 @@ fn main() {
         "sharded answers must be byte-identical to unsharded"
     );
 
+    // A write makes both cached answers stale; the next reads patch them —
+    // on the owning shard for the fan-out, on the mirror for the combine — or
+    // say why they could not (SUM's upper bound enumerates repairs, so its
+    // support is exhaustive and every write is an honest full recompute).
+    session
+        .insert(fact!("Stock", "Atlas", "Boston", 905))
+        .expect("insert");
+    session.execute(fanout).expect("stale fan-out read");
+    session.execute(combine).expect("stale combine read");
+
     let stats = session.stats();
+    let reasons = session.patch_reasons();
+    println!(
+        "stale reads: patched={} missed={} | miss reasons: exhaustive-support={} \
+         history-evicted={} over-half={} blind-fallback={}",
+        stats.totals.supported_patches + stats.mirror.supported_patches,
+        stats.totals.support_misses + stats.mirror.support_misses,
+        reasons.exhaustive_support,
+        reasons.history_evicted,
+        reasons.over_half,
+        reasons.blind_fallback
+    );
     println!(
         "shards: {} | epoch frontier: {:?} (sum = {})",
         session.shard_count(),

@@ -121,9 +121,11 @@ fn concurrent_clients_share_exactly_one_index_build() {
 /// be byte-identical to a cold session over the same instance at 1 and 4
 /// executor threads AND to a session crash-recovered from a copy of the
 /// write-ahead log. The statement mix covers the three post-processing
-/// shapes the old locality certificate refused to patch: HAVING over a
-/// non-key group key, certain top-k, and a residual comparison predicate
-/// (exhaustive support — the honest always-full-recompute path).
+/// shapes the old locality certificate refused to patch — HAVING over a
+/// non-key group key (retraction-blind under an R write), certain top-k, and
+/// a residual comparison predicate (exhaustive support — the honest
+/// always-full-recompute path) — plus the plain join and a closed join, whose
+/// probe-side writes the delta enumeration localises.
 mod random_interleavings {
     use super::*;
     use proptest::prelude::*;
@@ -142,6 +144,12 @@ mod random_interleavings {
         // exhaustive repair enumeration, hence exhaustive support.
         "SELECT R.X, MIN(S.Qty) FROM R, S WHERE R.Y = S.Y AND S.Qty > 10 \
          GROUP BY R.X",
+        // The plain join: S-side writes reach its groups through the R prefix
+        // of the delta enumeration, deletes of whole S blocks included.
+        "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.X",
+        // Closed over one R block: restamped unless that block, or an S block
+        // it joins, is dirty.
+        "SELECT MAX(S.Qty) FROM R, S WHERE R.Y = S.Y AND R.X = 'x1'",
     ];
 
     /// Small value domains so draws collide: inserts become duplicates,
