@@ -2,21 +2,26 @@
 //! used by the operational evaluators (embedding enumeration, certainty
 //! checks, ∀embedding computation).
 //!
-//! Building a [`DbIndex`] is `O(|db|)` and is the only full scan the engine
-//! performs: every evaluation entry point ([`crate::engine::RangeCqa::glb`],
-//! `lub`, `range`) builds **exactly one** index per call — shared by every
-//! executor worker thread — and threads it by reference through
-//! candidate-group enumeration, certainty checking, and ∀embedding
-//! computation. The process-wide [`DbIndex::build_count`] counter exists so
-//! tests can assert that invariant: it is an [`AtomicU64`] (not thread-local)
-//! precisely so that an index built on one thread and *no* builds on the
-//! executor's worker threads still sum to one observable construction.
+//! Building a [`DbIndex`] is the only full scan the engine performs, and it
+//! is **one sort**: `O(c log c)` value comparisons over the `c` cells
+//! (argument occurrences) of the instance, zero lookups — see
+//! [`DbIndex::new`]. Every evaluation entry point
+//! ([`crate::engine::RangeCqa::glb`], `lub`, `range`) builds **exactly one**
+//! index per call — shared by every executor worker thread — and threads it
+//! by reference through candidate-group enumeration, certainty checking, and
+//! ∀embedding computation. The process-wide [`DbIndex::build_count`] counter
+//! exists so tests can assert that invariant: it is an [`AtomicU64`] (not
+//! thread-local) precisely so that an index built on one thread and *no*
+//! builds on the executor's worker threads still sum to one observable
+//! construction.
 //!
 //! ## The id-space contract
 //!
-//! The index does not store [`Value`]s. A cold build collects every distinct
-//! value of the instance into a [`ValueInterner`], and everything downstream
-//! is dense `u32` ids:
+//! The index does not store [`Value`]s. A cold build sorts the instance's
+//! cells by value and numbers the distinct values in that order into a
+//! [`ValueInterner`] — the `i`-th smallest value gets id `i`, so cold ids
+//! are order-isomorphic to values by construction — and everything
+//! downstream is dense `u32` ids:
 //!
 //! * each [`IndexedBlock`]'s fact list is **columnar** — one id column per
 //!   argument position ([`FactColumns`], column-major in one allocation), so
@@ -866,6 +871,48 @@ pub struct DbIndex {
     empty: RelationIndex,
 }
 
+/// One argument occurrence of the instance during a cold build: the value,
+/// its [`Value::order_prefix`] (compared first, so most comparisons of the
+/// sort stay inside the cell vector), and the row-major slot its id goes to.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    prefix: u64,
+    value: &'a Value,
+    slot: u32,
+}
+
+impl<'a> Cell<'a> {
+    /// What cells are ordered and told apart by: value order, decided by the
+    /// prefix wherever the prefix decides.
+    fn key(&self) -> (u64, &'a Value) {
+        (self.prefix, self.value)
+    }
+}
+
+/// Cuts the row-major id `rows` of one relation (width `arity`, in fact
+/// order) into its blocks: the maximal runs of rows sharing their first
+/// `key_len` ids. Facts arrive sorted and cold ids are order-isomorphic to
+/// values, so a block's facts are one contiguous run and block and row order
+/// come out right by construction. `arity >= 1` — `Signature::new` rejects
+/// 0-ary relations — so rows have a width to cut by; `key_len == 0` makes
+/// every row agree, i.e. the whole relation one block.
+fn key_runs(rows: &[u32], key_len: usize, arity: usize) -> Vec<IndexedBlock> {
+    let key = |row: usize| &rows[row * arity..row * arity + key_len];
+    let n = rows.len() / arity;
+    let mut blocks = Vec::new();
+    let mut start = 0;
+    for row in 1..=n {
+        if row == n || key(row) != key(start) {
+            let cols = FactColumns::from_rows(arity, &rows[start * arity..row * arity]);
+            blocks.push(IndexedBlock {
+                cols: Arc::new(cols),
+            });
+            start = row;
+        }
+    }
+    blocks
+}
+
 // The sharing contract the serving layer relies on.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -873,50 +920,78 @@ const _: () = {
 };
 
 impl DbIndex {
-    /// Builds the index for a database instance: one pass collecting the
-    /// sorted value universe into the interner, one pass translating facts
-    /// into columnar id storage.
+    /// Builds the index for a database instance by **one sort**: every cell
+    /// (argument occurrence) of the instance is collected once, the cells are
+    /// sorted by value, and one scan of the sorted cells hands out dense
+    /// ascending ids — cloning each distinct value once into the interner's
+    /// sorted prefix and scattering every cell's id into its row-major slot.
+    /// Each relation's blocks are then cut from its id rows as key runs.
+    /// `O(c log c)` comparisons over `c` cells; no tree, no per-cell lookup.
     pub fn new(db: &DatabaseInstance) -> DbIndex {
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
-        let universe: BTreeSet<Value> = db.facts().flat_map(|f| f.args().iter().cloned()).collect();
-        let interner = ValueInterner::from_sorted(universe.into_iter().collect());
-        let mut relations: HashMap<String, Arc<RelationIndex>> = HashMap::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (name, sig) in db.schema().relations() {
-            let (key_len, arity) = (sig.key_len(), sig.arity());
-            // Facts arrive in sorted order, so each block's facts form one
-            // contiguous run: accumulate the run's rows (row-major in
-            // `run`), then freeze them into columns when the key changes.
-            // Because every value is in the interner's sorted prefix here,
-            // id order is value order and block/row order comes out right
-            // by raw ids.
-            let mut blocks: Vec<IndexedBlock> = Vec::new();
-            let mut run: Vec<u32> = Vec::new();
-            let mut flush = |run: &mut Vec<u32>| {
-                if !run.is_empty() {
-                    blocks.push(IndexedBlock {
-                        cols: Arc::new(FactColumns::from_rows(arity, run)),
-                    });
-                    run.clear();
-                }
-            };
-            for fact in db.facts_of(name) {
-                ids.clear();
-                ids.extend(fact.args().iter().map(|v| {
-                    interner
-                        .id_of(v)
-                        .expect("every instance value is in the interner")
-                }));
-                if !run.is_empty() && run[..key_len] != ids[..key_len] {
-                    flush(&mut run);
-                }
-                run.extend_from_slice(&ids);
-            }
-            flush(&mut run);
-            let rel =
-                RelationIndex::from_blocks(name, key_len, arity, ChunkedSeq::from_sorted(blocks));
-            relations.insert(name.to_string(), Arc::new(rel));
+        // Slots number the cells in relation, fact, argument order, so the
+        // ids of one relation's facts end up row-major in `ids[extent]`.
+        let cell_count: usize = db.facts().map(Fact::arity).sum();
+        let mut slots = 0..u32::try_from(cell_count).expect("cell count fits u32");
+        let mut cells: Vec<Cell> = Vec::with_capacity(cell_count);
+        let mut extents: Vec<Range<usize>> = Vec::new();
+        for (name, _) in db.schema().relations() {
+            let start = cells.len();
+            let values = db.facts_of(name).flat_map(Fact::args);
+            cells.extend(values.zip(&mut slots).map(|(value, slot)| Cell {
+                prefix: value.order_prefix(),
+                value,
+                slot,
+            }));
+            extents.push(start..cells.len());
         }
+        debug_assert_eq!(cells.len(), cell_count);
+        cells.sort_unstable_by(|a, b| a.key().cmp(&b.key()));
+        // Equal values are adjacent now, so a cell opens a new id exactly
+        // when it differs from its predecessor, and ids ascend with the
+        // values they name: the order-preserving prefix of the id-space
+        // contract. One cell per id is kept at the front of `cells`; the
+        // distinct values are thereby counted before any is cloned, and the
+        // prefix every snapshot shares is allocated at exact capacity.
+        let mut ids: Vec<u32> = vec![0; cell_count];
+        let mut distinct = 0usize;
+        for i in 0..cells.len() {
+            let cell = cells[i];
+            if distinct == 0 || cells[distinct - 1].key() != cell.key() {
+                cells[distinct] = cell;
+                distinct += 1;
+            } else if cell.slot > cells[distinct - 1].slot {
+                // The cell kept is the value's last occurrence, whichever
+                // the unstable sort met first: the prefix then shares each
+                // text's allocation with the same fact an ordered set fed
+                // in instance order does. Not cosmetic — the write path's
+                // binary searches over the prefix chase these pointers, and
+                // an arbitrary pick measured +4 % on `write_s_ms`.
+                cells[distinct - 1] = cell;
+            }
+            let slot = usize::try_from(cell.slot).expect("u32 slot fits usize");
+            ids[slot] = u32::try_from(distinct - 1).expect("fewer ids than cells");
+        }
+        let mut sorted: Vec<Value> = Vec::with_capacity(distinct);
+        sorted.extend(cells[..distinct].iter().map(|cell| cell.value.clone()));
+        drop(cells);
+        let interner = ValueInterner::from_sorted(sorted);
+        let relations = db
+            .schema()
+            .relations()
+            .zip(extents)
+            .map(|((name, sig), extent)| {
+                let (key_len, arity) = (sig.key_len(), sig.arity());
+                let blocks = key_runs(&ids[extent], key_len, arity);
+                let rel = RelationIndex::from_blocks(
+                    name,
+                    key_len,
+                    arity,
+                    ChunkedSeq::from_sorted(blocks),
+                );
+                (name.to_string(), Arc::new(rel))
+            })
+            .collect();
         DbIndex {
             relations,
             interner: Arc::new(interner),
@@ -1419,6 +1494,173 @@ mod tests {
             .count(),
             1
         );
+    }
+
+    /// The cold build **by its definition** — the construction `DbIndex::new`
+    /// had before it sorted: the value universe as an ordered set gives the
+    /// sorted prefix, every cell is looked up in it, and blocks are the runs
+    /// of facts whose key ids agree. Kept as the oracle `new` is checked
+    /// against.
+    fn cold_build_by_definition(db: &DatabaseInstance) -> DbIndex {
+        let universe: BTreeSet<Value> = db.facts().flat_map(|f| f.args().iter().cloned()).collect();
+        let interner = ValueInterner::from_sorted(universe.into_iter().collect());
+        let mut relations: HashMap<String, Arc<RelationIndex>> = HashMap::new();
+        for (name, sig) in db.schema().relations() {
+            let (key_len, arity) = (sig.key_len(), sig.arity());
+            let mut blocks: Vec<IndexedBlock> = Vec::new();
+            let mut run: Vec<u32> = Vec::new();
+            let mut flush = |run: &mut Vec<u32>| {
+                if !run.is_empty() {
+                    blocks.push(IndexedBlock {
+                        cols: Arc::new(FactColumns::from_rows(arity, run)),
+                    });
+                    run.clear();
+                }
+            };
+            for fact in db.facts_of(name) {
+                let ids: Vec<u32> = fact
+                    .args()
+                    .iter()
+                    .map(|v| interner.id_of(v).expect("every instance value is interned"))
+                    .collect();
+                if !run.is_empty() && run[..key_len] != ids[..key_len] {
+                    flush(&mut run);
+                }
+                run.extend_from_slice(&ids);
+            }
+            flush(&mut run);
+            let rel =
+                RelationIndex::from_blocks(name, key_len, arity, ChunkedSeq::from_sorted(blocks));
+            relations.insert(name.to_string(), Arc::new(rel));
+        }
+        DbIndex {
+            relations,
+            interner: Arc::new(interner),
+            empty: RelationIndex::default(),
+        }
+    }
+
+    /// Panics unless `built` and `oracle` — two cold layouts — are the same
+    /// index id for id: same shape on values, same value behind every id.
+    fn assert_same_cold_layout(built: &DbIndex, oracle: &DbIndex) {
+        built.assert_structurally_identical(oracle);
+        assert_eq!(built.interner().len(), oracle.interner().len());
+        assert_eq!(built.interner().sorted_len(), built.interner().len());
+        for id in 0..u32::try_from(oracle.interner().len()).unwrap() {
+            assert_eq!(built.interner().value(id), oracle.interner().value(id));
+        }
+    }
+
+    mod cold_build {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A small pool, so one value recurs across positions and
+        /// relations, in which [`Value::order_prefix`] ties wherever it can:
+        /// numbers with each other and with the empty text, and texts that
+        /// agree on more than its eight bytes.
+        fn value_from((kind, n): (u8, i64)) -> Value {
+            match kind {
+                0 => Value::int(n),
+                1 => Value::text(format!("t{n}")),
+                2 => Value::text(format!("a-long-shared-head-{n}")),
+                _ => Value::text(""),
+            }
+        }
+
+        proptest! {
+            /// `DbIndex::new` against the definition it replaced, over every
+            /// relation shape the build distinguishes: a two-column key with
+            /// a payload (single- and multi-fact blocks, a deep posting
+            /// list), a one-column key, an all-key relation, `key_len == 0`
+            /// (the whole relation one block), and a relation left empty.
+            #[test]
+            fn cold_build_matches_its_definition(
+                draws in proptest::collection::vec(
+                    (0u8..4, (0u8..4, 0i64..2), (0u8..4, 0i64..2), (0u8..4, 0i64..5)),
+                    0..60,
+                ),
+            ) {
+                let schema = Schema::new()
+                    .with_relation("Deep", Signature::new(3, 2, []).unwrap())
+                    .with_relation("Flat", Signature::new(2, 1, []).unwrap())
+                    .with_relation("AllKey", Signature::new(2, 2, []).unwrap())
+                    .with_relation("NoKey", Signature::new(2, 0, []).unwrap())
+                    .with_relation("Empty", Signature::new(1, 1, []).unwrap());
+                let mut db = DatabaseInstance::new(schema);
+                for (rel, a, b, c) in draws {
+                    let (a, b, c) = (value_from(a), value_from(b), value_from(c));
+                    let fact = match rel {
+                        0 => Fact::new("Deep", [a, b, c]),
+                        1 => Fact::new("Flat", [a, b]),
+                        2 => Fact::new("AllKey", [a, b]),
+                        _ => Fact::new("NoKey", [a, b]),
+                    };
+                    db.insert(fact).unwrap();
+                }
+                let built = DbIndex::new(&db);
+                assert_same_cold_layout(&built, &cold_build_by_definition(&db));
+                prop_assert_eq!(built.interner().len(), db.active_domain().len());
+                prop_assert_eq!(built.relation("Empty").blocks().len(), 0);
+                let no_key = db.facts_of("NoKey").count();
+                prop_assert_eq!(built.relation("NoKey").blocks().len(), no_key.min(1));
+                prop_assert_eq!(built.relation("NoKey").fact_count(), no_key);
+                prop_assert_eq!(
+                    built.relation("AllKey").blocks().len(),
+                    db.facts_of("AllKey").count()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_prefix_shares_each_text_with_its_last_occurrence() {
+        // Three allocations of one text, in instance order `A` < `B`: the
+        // prefix clones the last, as the ordered set of the definition does.
+        let schema = Schema::new()
+            .with_relation("A", Signature::new(2, 1, []).unwrap())
+            .with_relation("B", Signature::new(1, 1, []).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        db.insert_all([fact!("A", "v", "v"), fact!("B", "v"), fact!("A", "u", "w")])
+            .unwrap();
+        let last = match db.facts_of("B").next().unwrap().arg(0) {
+            Value::Text(text) => text.clone(),
+            Value::Num(_) => unreachable!("a text was inserted"),
+        };
+        for index in [DbIndex::new(&db), cold_build_by_definition(&db)] {
+            let id = index.interner().id_of(&Value::text("v")).unwrap();
+            let Value::Text(shared) = index.interner().value(id) else {
+                unreachable!("a text was interned")
+            };
+            assert!(Arc::ptr_eq(shared, &last));
+        }
+    }
+
+    #[test]
+    fn an_empty_key_keeps_the_relation_in_one_block() {
+        // `key_len == 0`: every fact agrees on the (empty) key, cold and
+        // warm. The block's head is whatever its first row starts with.
+        let schema = Schema::new().with_relation("Log", Signature::new(2, 0, []).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        let mut idx = DbIndex::new(&db);
+        assert_eq!(idx.relation("Log").blocks().len(), 0);
+        let steps = [
+            DeltaEvent::insert(fact!("Log", "m", 1)),
+            DeltaEvent::insert(fact!("Log", "a", 2)),
+            DeltaEvent::insert(fact!("Log", "z", 3)),
+            DeltaEvent::delete(fact!("Log", "a", 2)),
+            DeltaEvent::delete(fact!("Log", "m", 1)),
+            DeltaEvent::delete(fact!("Log", "z", 3)),
+        ];
+        for (step, event) in steps.into_iter().enumerate() {
+            let dirty = idx.apply_delta(std::slice::from_ref(&event));
+            db.apply(event).unwrap();
+            assert_eq!(dirty.len(), 1);
+            assert!(dirty[0].key.is_empty());
+            assert_eq!(idx.relation("Log").blocks().len(), usize::from(step < 5));
+            assert_eq!(idx.relation("Log").fact_count(), db.len());
+            idx.assert_structurally_identical(&DbIndex::new(&db));
+        }
     }
 
     // The build-counter tests live in `tests/build_invariant.rs`: the counter

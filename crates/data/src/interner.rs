@@ -63,9 +63,14 @@ impl ValueInterner {
 
     /// Builds an interner whose sorted prefix is exactly `values`.
     ///
-    /// `values` must be strictly ascending (sorted and duplicate-free); cold
-    /// builds obtain it by draining a `BTreeSet<Value>`.
-    pub fn from_sorted(values: Vec<Value>) -> ValueInterner {
+    /// `values` must be strictly ascending (sorted and duplicate-free); the
+    /// cold index build obtains it from one scan of the instance's sorted
+    /// cells, at exact capacity. The prefix is shared by every snapshot
+    /// derived from this interner, so spare capacity a caller hands in is
+    /// given back here instead of living as long as the longest-lived
+    /// snapshot.
+    pub fn from_sorted(mut values: Vec<Value>) -> ValueInterner {
+        values.shrink_to_fit();
         debug_assert!(
             values.windows(2).all(|w| w[0] < w[1]),
             "sorted prefix must be strictly ascending"
@@ -257,6 +262,15 @@ mod tests {
         assert_eq!(interner.cmp_ids(4, 4), Ordering::Equal);
         assert!(!interner.contains_id(UNBOUND_ID));
         assert!(!interner.contains_id(MISSING_ID));
+    }
+
+    #[test]
+    fn from_sorted_keeps_no_spare_capacity() {
+        let mut values = Vec::with_capacity(1000);
+        values.extend((0..10).map(Value::int));
+        let interner = ValueInterner::from_sorted(values);
+        assert_eq!(interner.sorted_len(), 10);
+        assert_eq!(interner.sorted.capacity(), 10);
     }
 
     #[test]

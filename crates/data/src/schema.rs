@@ -25,11 +25,20 @@ impl Signature {
     /// Creates a signature with `arity` columns, the first `key_len` of which
     /// form the primary key, and `numeric` listing the 0-based numerical
     /// positions.
+    ///
+    /// A relation has at least one position: `arity == 0` is rejected (a
+    /// 0-ary fact has no id row to index, and the paper's queries never name
+    /// one). `key_len == 0` is allowed — the whole relation is one block.
     pub fn new(
         arity: usize,
         key_len: usize,
         numeric: impl IntoIterator<Item = usize>,
     ) -> Result<Signature, DataError> {
+        if arity == 0 {
+            return Err(DataError::InvalidSignature(
+                "arity 0: a relation has at least one position".to_string(),
+            ));
+        }
         if key_len > arity {
             return Err(DataError::InvalidSignature(format!(
                 "key length {key_len} exceeds arity {arity}"
@@ -177,6 +186,20 @@ mod tests {
         assert!(Signature::plain(2, 2).unwrap().is_full_key());
         assert_eq!(s.key_positions().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(s.non_key_positions().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn zero_arity_is_rejected_with_a_stable_message() {
+        for key_len in [0, 1] {
+            let err = Signature::new(0, key_len, []).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid signature: arity 0: a relation has at least one position"
+            );
+        }
+        assert!(Signature::plain(0, 0).is_err());
+        // An empty key is not an empty relation: one block holds every fact.
+        assert_eq!(Signature::new(1, 0, []).unwrap().key_len(), 0);
     }
 
     #[test]

@@ -61,6 +61,26 @@ impl Value {
     pub fn is_non_negative_num(&self) -> bool {
         matches!(self, Value::Num(r) if r.is_non_negative())
     }
+
+    /// A `u64` whose order **coarsens** value order: `a.order_prefix() <
+    /// b.order_prefix()` implies `a < b`, and equal prefixes decide nothing.
+    /// A bulk sort stores it beside each `&Value` and compares `(prefix,
+    /// value)`, so most comparisons never follow the pointers.
+    ///
+    /// Text is its first eight bytes, big-endian and zero-padded (byte-wise
+    /// string order, a proper prefix sorting first); every number is `0`,
+    /// the least prefix, because numbers sort before text.
+    pub fn order_prefix(&self) -> u64 {
+        match self {
+            Value::Num(_) => 0,
+            Value::Text(s) => {
+                let mut head = [0u8; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }
+        }
+    }
 }
 
 impl PartialOrd for Value {
@@ -132,6 +152,7 @@ impl From<Rational> for Value {
 mod tests {
     use super::*;
     use crate::rational::{rat, ratio};
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_and_accessors() {
@@ -165,6 +186,54 @@ mod tests {
                 Value::text("b")
             ]
         );
+    }
+
+    proptest! {
+        /// `order_prefix` may only ever agree with `cmp` or abstain. The
+        /// alphabet is three bytes (one of them NUL, the padding byte) and
+        /// lengths straddle the eight-byte window, so draws share long
+        /// prefixes, end inside the window, and differ only beyond it.
+        #[test]
+        fn order_prefix_coarsens_value_order(
+            draws in proptest::collection::vec(
+                (0u8..3, -2i64..3, proptest::collection::vec(0u8..3, 0..12)),
+                2..10,
+            ),
+        ) {
+            let values: Vec<Value> = draws
+                .into_iter()
+                .map(|(kind, n, bytes)| {
+                    if kind == 0 {
+                        Value::int(n)
+                    } else {
+                        let alphabet = ['\0', 'a', 'b'];
+                        let text: String = bytes.iter().map(|&b| alphabet[usize::from(b)]).collect();
+                        Value::text(text)
+                    }
+                })
+                .collect();
+            for a in &values {
+                for b in &values {
+                    let by_prefix = a.order_prefix().cmp(&b.order_prefix());
+                    prop_assert!(
+                        by_prefix == Ordering::Equal || by_prefix == a.cmp(b),
+                        "{:?} vs {:?}", a, b
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_prefix_reads_the_first_eight_bytes() {
+        assert_eq!(Value::int(7).order_prefix(), 0);
+        assert_eq!(Value::text("").order_prefix(), 0);
+        assert_eq!(Value::text("a").order_prefix(), u64::from(b'a') << 56);
+        assert_eq!(
+            Value::text("abcdefgh").order_prefix(),
+            Value::text("abcdefghi").order_prefix()
+        );
+        assert!(Value::text("abcdefg").order_prefix() < Value::text("abcdefgh").order_prefix());
     }
 
     #[test]

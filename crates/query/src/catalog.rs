@@ -98,8 +98,10 @@ impl TableDef {
         self.numeric[p]
     }
 
-    /// Lowers the table definition into a positional signature.
-    pub fn signature(&self) -> Signature {
+    /// Lowers the table definition into a positional signature. Fails for a
+    /// definition the storage layer has no signature for — one without
+    /// columns.
+    pub fn signature(&self) -> Result<Signature, QueryError> {
         let numeric: Vec<usize> = self
             .numeric
             .iter()
@@ -107,8 +109,12 @@ impl TableDef {
             .filter(|(_, &b)| b)
             .map(|(i, _)| i)
             .collect();
-        Signature::new(self.columns.len(), self.key_len, numeric)
-            .expect("table definition yields a valid signature")
+        Signature::new(self.columns.len(), self.key_len, numeric).map_err(|reason| {
+            QueryError::InvalidTable {
+                table: self.name.clone(),
+                reason,
+            }
+        })
     }
 }
 
@@ -124,16 +130,25 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Adds a table definition.
+    /// Adds a table definition (builder style, for catalogs written out in
+    /// code).
+    ///
+    /// # Panics
+    /// Panics where [`Catalog::add_table`] returns an error.
     pub fn with_table(mut self, def: TableDef) -> Catalog {
-        self.add_table(def);
+        if let Err(e) = self.add_table(def) {
+            panic!("{e}");
+        }
         self
     }
 
-    /// Adds a table definition.
-    pub fn add_table(&mut self, def: TableDef) -> &mut Self {
+    /// Adds a table definition, refusing one that does not lower to a
+    /// signature ([`TableDef::signature`]) — every table of a catalog does,
+    /// which is what lets [`Catalog::schema`] be infallible.
+    pub fn add_table(&mut self, def: TableDef) -> Result<&mut Self, QueryError> {
+        def.signature()?;
         self.tables.insert(def.name.clone(), def);
-        self
+        Ok(self)
     }
 
     /// Looks up a table by name (case-insensitive).
@@ -158,7 +173,10 @@ impl Catalog {
     pub fn schema(&self) -> Schema {
         let mut schema = Schema::new();
         for t in self.tables.values() {
-            schema.add_relation(&t.name, t.signature());
+            let sig = t
+                .signature()
+                .expect("add_table admits only lowerable tables");
+            schema.add_relation(&t.name, sig);
         }
         schema
     }
@@ -205,11 +223,31 @@ mod tests {
     }
 
     #[test]
+    fn a_table_without_columns_never_enters_a_catalog() {
+        let message =
+            "table \"P\": invalid signature: arity 0: a relation has at least one position";
+        let err = TableDef::new("P").signature().unwrap_err();
+        assert_eq!(err.to_string(), message);
+        let mut cat = stock_catalog();
+        assert_eq!(cat.add_table(TableDef::new("P")).unwrap_err(), err);
+        assert!(cat.table("P").is_none());
+        assert_eq!(cat.schema().len(), 2);
+        // The chained builder has no error to return: it panics with the
+        // same message, at the definition instead of deep inside `schema()`.
+        let panic =
+            std::panic::catch_unwind(|| Catalog::new().with_table(TableDef::new("P"))).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>().unwrap(), message);
+        // A key-less table is fine: its one block holds every row.
+        let keyless = TableDef::new("Log").column("Line");
+        assert_eq!(keyless.signature().unwrap().key_len(), 0);
+    }
+
+    #[test]
     fn numeric_key_column() {
         let def = TableDef::new("Series")
             .numeric_key_column("Id")
             .numeric_column("Value");
-        let sig = def.signature();
+        let sig = def.signature().unwrap();
         assert!(sig.is_numeric(0));
         assert!(sig.is_numeric(1));
         assert_eq!(sig.key_len(), 1);

@@ -1,5 +1,6 @@
 //! Error types for query construction and parsing.
 
+use rcqa_data::DataError;
 use std::fmt;
 
 /// Errors raised while building, validating, or parsing queries.
@@ -44,6 +45,14 @@ pub enum QueryError {
     },
     /// The SQL query used a feature outside the supported fragment.
     Unsupported(String),
+    /// A table definition does not lower to a signature (e.g. it declares no
+    /// columns).
+    InvalidTable {
+        /// Table name.
+        table: String,
+        /// Why the storage layer refuses the signature.
+        reason: DataError,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -88,6 +97,7 @@ impl fmt::Display for QueryError {
                 write!(f, "unknown column {table}.{column}")
             }
             QueryError::Unsupported(msg) => write!(f, "unsupported SQL feature: {msg}"),
+            QueryError::InvalidTable { table, reason } => write!(f, "table {table:?}: {reason}"),
         }
     }
 }
