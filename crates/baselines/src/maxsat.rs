@@ -64,7 +64,7 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
         // avoid for large instances anyway.
         let analysis_certain = db.repairs().all(|r| {
             let idx = DbIndex::new(&r);
-            !embeddings(&pseudo_levels(query, &r), &idx, &Binding::new()).is_empty()
+            !embeddings(query.open_levels(), &idx, &Binding::new()).is_empty()
         });
         if !analysis_certain {
             return Ok(MaxSatGlb {
@@ -106,18 +106,16 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
     }
 
     // Embeddings of the body over the whole (inconsistent) instance.
-    let levels = if query.body.is_acyclic() {
-        query.body.levels().to_vec()
-    } else {
-        pseudo_levels(query, db)
-    };
-    let embs = embeddings(&levels, &index, &Binding::new());
+    // A closed query's open levels: its topological sort, or plain query
+    // order when the attack graph is cyclic.
+    let levels = query.open_levels();
+    let embs = embeddings(levels, &index, &Binding::new());
     let term = &query.normalised.term;
     for theta in &embs {
         let weight = term_value(term, theta);
         // Facts used by the embedding that live in inconsistent blocks.
         let mut clause: Vec<Lit> = Vec::new();
-        for lvl in &levels {
+        for lvl in levels {
             let fact = ground_fact(&lvl.atom, theta);
             if let Some(&lit) = fact_var.get(&fact) {
                 clause.push(lit.negated());
@@ -156,29 +154,6 @@ fn ground_fact(atom: &rcqa_query::Atom, theta: &Binding) -> Fact {
                 .expect("embedding binds every variable"),
         }),
     )
-}
-
-fn pseudo_levels(
-    query: &PreparedAggQuery,
-    db: &DatabaseInstance,
-) -> Vec<rcqa_core::prepared::Level> {
-    query
-        .normalised
-        .body
-        .atoms()
-        .iter()
-        .map(|atom| rcqa_core::prepared::Level {
-            atom: atom.clone(),
-            key_len: db
-                .schema()
-                .signature(atom.relation())
-                .map(|s| s.key_len())
-                .unwrap_or(atom.arity()),
-            new_key_vars: Vec::new(),
-            new_other_vars: Vec::new(),
-            prefix_vars: Vec::new(),
-        })
-        .collect()
 }
 
 #[cfg(test)]

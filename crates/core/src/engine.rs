@@ -20,9 +20,12 @@
 //! "Rewriting" evaluates the Theorem 6.1 / 7.11 semantics operationally over
 //! ∀embeddings and "plain extremum" takes the extremum over all embeddings —
 //! both in [`crate::glb`], over the id rows of the executor's embedding arena
-//! ([`crate::plan::exec`], "Id discipline"); exact enumeration walks every
-//! repair ([`crate::exact::exact_bounds`]) and is exponential in the number
-//! of inconsistent blocks.
+//! ([`crate::plan::exec`], "Id discipline"). Exact enumeration answers a
+//! group from the repairs of the blocks holding a fact of one of its
+//! embeddings — all its value in a repair can depend on — and is exponential
+//! in the inconsistent blocks among *those*; every requested group is checked
+//! against [`EngineOptions::max_repairs`] before the first repair is built
+//! ([`crate::exact`] is the whole-instance reference the tests compare with).
 //!
 //! ## Plan-IR lowering
 //!
@@ -57,7 +60,7 @@
 //!    of running the pipeline twice (`AggregateBound`).
 //!
 //! The exact-enumeration fallback is the only path that constructs further
-//! indexes (one per enumerated repair, by design).
+//! indexes (one per enumerated repair of a group's blocks, by design).
 //!
 //! ## Threading model
 //!
@@ -123,7 +126,9 @@ pub struct EngineOptions {
     /// Allow falling back to exhaustive repair enumeration when no rewriting
     /// is known for the requested bound.
     pub allow_exact_fallback: bool,
-    /// Maximum number of repairs the exact fallback may enumerate.
+    /// Maximum number of repairs the exact fallback may enumerate for one
+    /// group: the repairs of the blocks the group's embeddings touch. A group
+    /// within it may still cost that many evaluations.
     pub max_repairs: u128,
     /// Number of executor worker threads for grouped evaluation.
     ///
@@ -191,10 +196,10 @@ impl EngineOptions {
 ///   aggregation;
 /// * **exact embedding filter** — applied inside the exhaustive-repair
 ///   fallback ([`crate::exact::exact_bounds_filtered`]). Non-free
-///   block-restricted predicates also take this route (the exact path
-///   re-enumerates the *full* instance), and **residual** predicates
-///   (non-free variable at no key position) take it exclusively, forcing
-///   [`LogicalPlan::force_exact`].
+///   block-restricted predicates also take this route (re-verified per
+///   embedding, over blocks of the restricted view), and **residual**
+///   predicates (non-free variable at no key position) take it exclusively,
+///   forcing [`LogicalPlan::force_exact`].
 #[derive(Clone, Debug, Default)]
 struct PredicateRouting {
     restrictions: Vec<BlockRestriction>,
@@ -324,7 +329,7 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn glb(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = self.evaluate(db, &index, true, false)?;
+        let groups = self.evaluate(db, &index, Scope::All, true, false)?;
         Ok(groups
             .into_iter()
             .map(|g| (g.key, g.glb.expect("glb was requested")))
@@ -336,7 +341,7 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn lub(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = self.evaluate(db, &index, false, true)?;
+        let groups = self.evaluate(db, &index, Scope::All, false, true)?;
         Ok(groups
             .into_iter()
             .map(|g| (g.key, g.lub.expect("lub was requested")))
@@ -349,7 +354,7 @@ impl RangeCqa {
     /// per-group analysis (a single join pass, a single certainty memo).
     pub fn range(&self, db: &DatabaseInstance) -> Result<Vec<GroupRange>, CoreError> {
         let index = DbIndex::new(db);
-        self.evaluate(db, &index, true, true)
+        self.evaluate(db, &index, Scope::All, true, true)
     }
 
     /// Like [`RangeCqa::range`], but over a caller-supplied [`DbIndex`] for
@@ -364,24 +369,18 @@ impl RangeCqa {
         db: &DatabaseInstance,
         index: &DbIndex,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        self.evaluate(db, index, true, true)
+        self.evaluate(db, index, Scope::All, true, true)
     }
 
-    /// The [`RowSupport`] of this engine's result rows for the given numeric
-    /// domain: per body atom, the block-key pattern whose instantiation with
-    /// a row's group key over-approximates every block the row's evaluation
-    /// can consult. Exhaustive — every block supports every row — when the
-    /// plan uses the exact-enumeration fallback on either bound (the
-    /// fallback's repair budget depends on the whole instance), which also
-    /// covers residual predicates ([`LogicalPlan::force_exact`]).
-    ///
-    /// The support is data-independent (patterns mention only the query and
-    /// the group key), so one computation at preparation time stays valid
-    /// for the engine's lifetime: the instance's numeric domain is fixed at
-    /// construction and a commit can never change it.
-    pub fn row_support(&self, domain: NumericDomain) -> RowSupport {
-        let plan = self.logical_plan(domain, true, true).lower(&self.prepared);
-        RowSupport::for_plan(&plan, &self.prepared)
+    /// The [`RowSupport`] of this engine's result rows: per body atom, the
+    /// block-key pattern whose instantiation with a row's group key
+    /// over-approximates every block the row's evaluation can consult,
+    /// whichever operators the plan picks. A function of the query alone, so
+    /// one computation at preparation time stays valid for the engine's
+    /// lifetime; the numeric domain is accepted for the callers that pass it
+    /// and changes nothing.
+    pub fn row_support(&self, _domain: NumericDomain) -> RowSupport {
+        RowSupport::for_query(&self.prepared)
     }
 
     /// Every group key whose row a commit may have **created, changed or
@@ -434,11 +433,7 @@ impl RangeCqa {
     ) -> AffectedKeys {
         let mut out = AffectedKeys::default();
         let free = self.prepared.normalised.body.free_vars();
-        let levels = if free.is_empty() {
-            self.prepared.body.levels()
-        } else {
-            self.prepared.open_levels()
-        };
+        let levels = self.prepared.open_levels();
         let routing = self.route_predicates();
         let (view, _access) = self.restricted_view(index, &routing);
         let index = view.as_ref().unwrap_or(index);
@@ -465,15 +460,6 @@ impl RangeCqa {
                     .or_insert_with(|| IdRows::new(ids.len()))
                     .push(ids.iter().copied());
             }
-        }
-        if levels.is_empty() {
-            // A closed body with a cyclic attack graph has no level order to
-            // enumerate in (and is answered by exhaustive enumeration, which
-            // no delta localises): any visible dirty block counts.
-            if !pinned.is_empty() {
-                out.keys.push(Vec::new());
-            }
-            return out;
         }
         let compiled = CompiledLevels::new(levels);
         let free_slots: Vec<usize> = free
@@ -544,22 +530,7 @@ impl RangeCqa {
         index: &DbIndex,
         keys: impl IntoIterator<Item = &'k Vec<Value>>,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        let routing = self.route_predicates();
-        let (view, access) = self.restricted_view(index, &routing);
-        let index = view.as_ref().unwrap_or(index);
-        let plan = self
-            .logical_plan(db.numeric_domain(), true, true)
-            .lower_with_access(&self.prepared, &access);
-        let cx = ExecContext {
-            prepared: &self.prepared,
-            db,
-            index,
-            options: &self.options,
-            exact_predicates: &routing.exact,
-        };
-        let mut rows = execute_for_groups(&plan, &cx, keys)?;
-        routing.filter_rows(&mut rows);
-        Ok(rows)
+        self.evaluate(db, index, Scope::Keys(&mut keys.into_iter()), true, true)
     }
 
     /// The logical plan (strategy per requested bound) for the given numeric
@@ -671,9 +642,8 @@ impl RangeCqa {
                 // Free variable off every key: the group key is still
                 // definite, so a row filter is exact.
                 (Some(pos), true) => routing.row_filters.push((pos, p.clone())),
-                // Non-free variable at a key position: restrict the index for
-                // the rewriting paths, and filter embeddings on the exact
-                // path (which re-enumerates the full instance).
+                // Non-free variable at a key position: restrict the index,
+                // and re-verify per embedding on the exact path.
                 (None, false) => {
                     routing.restrictions.extend(occurrences);
                     routing.exact.push(p.clone());
@@ -702,34 +672,44 @@ impl RangeCqa {
         (Some(view), access)
     }
 
-    /// The shared evaluation pipeline behind `glb`/`lub`/`range`: route the
-    /// predicates, restrict the index, plan, lower, execute, row-filter.
+    /// The one evaluation pipeline behind `glb`/`lub`/`range*`: route the
+    /// predicates, restrict the index, plan, lower, execute for the groups in
+    /// `scope`, row-filter.
     fn evaluate(
         &self,
         db: &DatabaseInstance,
         index: &DbIndex,
+        scope: Scope<'_, '_>,
         want_glb: bool,
         want_lub: bool,
     ) -> Result<Vec<GroupRange>, CoreError> {
         let routing = self.route_predicates();
         let (view, access) = self.restricted_view(index, &routing);
-        let index = view.as_ref().unwrap_or(index);
         let plan = self
             .logical_plan(db.numeric_domain(), want_glb, want_lub)
             .lower_with_access(&self.prepared, &access);
-        let mut rows = execute(
-            &plan,
-            &ExecContext {
-                prepared: &self.prepared,
-                db,
-                index,
-                options: &self.options,
-                exact_predicates: &routing.exact,
-            },
-        )?;
+        let cx = ExecContext {
+            prepared: &self.prepared,
+            db,
+            index: view.as_ref().unwrap_or(index),
+            options: &self.options,
+            exact_predicates: &routing.exact,
+        };
+        let mut rows = match scope {
+            Scope::All => execute(&plan, &cx)?,
+            Scope::Keys(keys) => execute_for_groups(&plan, &cx, keys)?,
+        };
         routing.filter_rows(&mut rows);
         Ok(rows)
     }
+}
+
+/// Which groups an evaluation answers.
+enum Scope<'a, 'k> {
+    /// Every group.
+    All,
+    /// Only the groups with one of these keys.
+    Keys(&'a mut dyn Iterator<Item = &'k Vec<Value>>),
 }
 
 /// Enumerates the candidate group keys of a query with free variables: the
@@ -908,10 +888,65 @@ mod tests {
                 allow_exact_fallback: false,
                 ..EngineOptions::default()
             });
-        assert!(matches!(
-            engine.glb(&db),
-            Err(CoreError::UnsupportedAggregate { .. })
-        ));
+        assert_eq!(
+            engine.glb(&db).unwrap_err().to_string(),
+            "unsupported aggregate for rewriting: no AGGR[FOL] rewriting is known for Glb of \
+             AVG and the exact fallback is disabled"
+        );
+    }
+
+    #[test]
+    fn an_over_budget_group_is_refused_by_name_at_every_thread_count() {
+        // James's embeddings touch his Dealers block and two Boston Stock
+        // blocks: 1 · 2 · 1 = 2 repairs. Smith's touch his two-town Dealers
+        // block and three Stock blocks: 2 · 2 · 1 · 2 = 8. The budget is per
+        // group.
+        let db = db_stock();
+        let index = DbIndex::new(&db);
+        let engine = |max_repairs, threads| {
+            with_threads("(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)", &db, threads).with_options(
+                EngineOptions {
+                    max_repairs,
+                    threads,
+                    ..EngineOptions::default()
+                },
+            )
+        };
+        let key = |name: &str| vec![Value::text(name)];
+        for threads in [1, 4] {
+            assert_eq!(engine(8, threads).range(&db).unwrap().len(), 2);
+            // Smith is over a budget of 4, and says so — for the full run and
+            // for any listed-groups call that asks for him.
+            let smith = "exact fallback unavailable: group (Smith): 4 blocks its \
+                         embeddings touch have 8 repairs, more than the configured maximum 4";
+            let four = engine(4, threads);
+            assert_eq!(four.range(&db).unwrap_err().to_string(), smith);
+            for keys in [vec![key("Smith")], vec![key("Smith"), key("James")]] {
+                let listed = four.range_for_groups(&db, &index, &keys);
+                assert_eq!(listed.unwrap_err().to_string(), smith);
+            }
+            let james = four.range_for_groups(&db, &index, &[key("James")]);
+            assert_eq!(james.unwrap().len(), 1);
+            // With both over budget the first in group-key order is named —
+            // by the blocks that sufficed to prove it.
+            assert_eq!(
+                engine(1, threads).range(&db).unwrap_err().to_string(),
+                "exact fallback unavailable: group (James): 2 blocks its \
+                 embeddings touch have 2 repairs, more than the configured maximum 1"
+            );
+            // A closed query is its one group.
+            let closed = with_threads("AVG(y) <- Dealers(x, t), Stock(p, t, y)", &db, threads)
+                .with_options(EngineOptions {
+                    max_repairs: 7,
+                    threads,
+                    ..EngineOptions::default()
+                });
+            assert_eq!(
+                closed.range(&db).unwrap_err().to_string(),
+                "exact fallback unavailable: the closed query: 5 blocks its \
+                 embeddings touch have 8 repairs, more than the configured maximum 7"
+            );
+        }
     }
 
     #[test]
@@ -988,7 +1023,6 @@ mod tests {
         let q = parse_agg_query("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
         let engine = RangeCqa::new(&q, db.schema()).unwrap();
         let support = engine.row_support(db.numeric_domain());
-        assert!(!support.is_exhaustive());
         let smith = [Value::text("Smith")];
         // Dealers(x, t): the group key pins the block key.
         assert!(support.hits(&smith, "Dealers", &[Value::text("Smith")]));
@@ -1005,7 +1039,6 @@ mod tests {
         let q = parse_agg_query("(t, MAX(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
         let engine = RangeCqa::new(&q, db.schema()).unwrap();
         let support = engine.row_support(db.numeric_domain());
-        assert!(!support.is_exhaustive());
         let boston = [Value::text("Boston")];
         assert!(support.hits(&boston, "Dealers", &[Value::text("Smith")]));
         assert!(support.hits(
@@ -1018,13 +1051,22 @@ mod tests {
             "Stock",
             &[Value::text("Tesla Y"), Value::text("New York")]
         ));
-        // SUM's lub is the exact-enumeration fallback, whose repair budget
-        // depends on the whole instance: every block supports every row.
+        // SUM's lub is the exact-enumeration fallback, which enumerates the
+        // repairs of the blocks the group's embeddings touch: the same
+        // support as the rewriting-backed MAX over the same body.
+        let max = RangeCqa::new(
+            &parse_agg_query("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap(),
+            db.schema(),
+        )
+        .unwrap();
         let q = parse_agg_query("(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
         let engine = RangeCqa::new(&q, db.schema()).unwrap();
         let support = engine.row_support(db.numeric_domain());
-        assert!(support.is_exhaustive());
-        assert!(support.hits(&smith, "Dealers", &[Value::text("James")]));
+        assert_eq!(
+            support.atoms(),
+            max.row_support(db.numeric_domain()).atoms()
+        );
+        assert!(!support.hits(&smith, "Dealers", &[Value::text("James")]));
     }
 
     #[test]
@@ -1061,6 +1103,25 @@ mod tests {
             block("Stock", &["Tesla Y", "Tesla X"]),
         ] {
             assert!(engine.dirty_candidate_keys(&index, &[untouched]).is_empty());
+        }
+        // A closed body with a cyclic attack graph (both atoms join on a
+        // non-key column) has no topological sort; the delta enumeration runs
+        // over its atoms in query order like any other.
+        let schema = Schema::new()
+            .with_relation("R", Signature::new(2, 1, []).unwrap())
+            .with_relation("U", Signature::new(3, 1, [2]).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        db.insert_all([fact!("R", "x0", "y0"), fact!("U", "z0", "y0", 5)])
+            .unwrap();
+        let index = DbIndex::new(&db);
+        let q = parse_agg_query("AVG(r) <- R(x, y), U(z, y, r)").unwrap();
+        let engine = RangeCqa::new(&q, db.schema()).unwrap();
+        assert!(!engine.prepared().body.is_acyclic());
+        for relation in ["R", "U"] {
+            let keys = engine.dirty_candidate_keys(&index, &[block(relation, &["x0"])]);
+            assert_eq!(keys, [vec![]].into());
+            let keys = engine.dirty_candidate_keys(&index, &[block(relation, &["nope"])]);
+            assert!(keys.is_empty());
         }
     }
 

@@ -1,11 +1,19 @@
-//! Exact range-consistent answers by exhaustive repair enumeration.
+//! Exact range-consistent answers by exhaustive repair enumeration: the
+//! reference.
 //!
 //! This is the ground-truth baseline: it literally implements the definition
 //! of `GLB-CQA` / `LUB-CQA` from Section 1 of the paper by enumerating every
-//! repair, evaluating the aggregation query on each, and taking the minimum
-//! and maximum. Its cost is exponential in the number of inconsistent blocks,
-//! so it is only usable on small instances (tests, counterexamples, and the
-//! baseline arm of the benchmarks).
+//! repair **of the instance it is handed**, evaluating the aggregation query
+//! on each, and taking the minimum and maximum. Its cost is exponential in
+//! the number of inconsistent blocks of that instance.
+//!
+//! Two kinds of caller. The oracles — the tests, the benchmark's brute-force
+//! check, the baseline arm of the paper's experiments — hand it a whole
+//! (small) instance. The plan executor's exact fallback
+//! ([`crate::plan::BoundOp::ExactEnumeration`]) hands it, per group, the
+//! restriction of the instance to the blocks the group's embeddings touch,
+//! which has the same bounds (see [`crate::plan::exec`]) and a repair count
+//! that does not grow with the instance.
 
 use crate::error::CoreError;
 use crate::forall::{embeddings, Binding};
@@ -76,10 +84,11 @@ pub fn exact_bounds_filtered(
     }
     let agg = query.original.normalise_count().agg;
     let term = &query.normalised.term;
-    let atoms = query.body.atoms_in_order();
     // Reuse the level machinery for enumeration inside each repair by building
     // a tiny index per repair (repairs are consistent, blocks are singletons).
-    let levels: Vec<crate::prepared::Level> = query.body.levels().to_vec();
+    // A closed query's open levels are its topological sort, or plain query
+    // order when the attack graph is cyclic.
+    let levels = query.open_levels();
     let mut glb: Option<Rational> = None;
     let mut lub: Option<Rational> = None;
     let mut bottom = false;
@@ -88,14 +97,7 @@ pub fn exact_bounds_filtered(
     for repair in db.repairs() {
         repairs += 1;
         let index = DbIndex::new(&repair);
-        let mut embs: Vec<Binding> = if levels.is_empty() && !atoms.is_empty() {
-            // Cyclic attack graph: fall back to a naive join over atoms in
-            // query order (levels are empty in that case).
-            let pseudo_levels = pseudo_levels(query, &repair);
-            embeddings(&pseudo_levels, &index, &Binding::new())
-        } else {
-            embeddings(&levels, &index, &Binding::new())
-        };
+        let mut embs = embeddings(levels, &index, &Binding::new());
         if !predicates.is_empty() {
             embs.retain(|b| {
                 predicates.iter().all(|p| {
@@ -123,53 +125,18 @@ pub fn exact_bounds_filtered(
         let value = agg
             .apply(&values)
             .expect("non-empty multiset aggregates to a value");
-        glb = Some(match glb {
-            None => value,
-            Some(g) => g.min(value),
-        });
-        lub = Some(match lub {
-            None => value,
-            Some(l) => l.max(value),
-        });
+        glb = Some(glb.map_or(value, |g| g.min(value)));
+        lub = Some(lub.map_or(value, |l| l.max(value)));
     }
     if bottom {
-        Ok(ExactBounds {
-            glb: None,
-            lub: None,
-            repairs,
-            satisfiable,
-        })
-    } else {
-        Ok(ExactBounds {
-            glb,
-            lub,
-            repairs,
-            satisfiable,
-        })
+        (glb, lub) = (None, None);
     }
-}
-
-/// Builds a level structure in plain query order (used when the attack graph
-/// is cyclic and no topological sort exists); only the fields used by the
-/// embedding enumerator are meaningful.
-fn pseudo_levels(query: &PreparedAggQuery, db: &DatabaseInstance) -> Vec<crate::prepared::Level> {
-    query
-        .normalised
-        .body
-        .atoms()
-        .iter()
-        .map(|atom| crate::prepared::Level {
-            atom: atom.clone(),
-            key_len: db
-                .schema()
-                .signature(atom.relation())
-                .map(|s| s.key_len())
-                .unwrap_or(atom.arity()),
-            new_key_vars: Vec::new(),
-            new_other_vars: Vec::new(),
-            prefix_vars: Vec::new(),
-        })
-        .collect()
+    Ok(ExactBounds {
+        glb,
+        lub,
+        repairs,
+        satisfiable,
+    })
 }
 
 /// Exact bounds per group for a query with free variables: every group key

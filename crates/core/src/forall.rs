@@ -71,7 +71,7 @@
 //! the dirty blocks of such relations only).
 
 use crate::ids::{IdRows, IdTupleSet};
-use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock};
+use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock, RelationIndex};
 use crate::prepared::{Level, PreparedBody};
 use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
 use rcqa_query::{Atom, Term, Var};
@@ -787,14 +787,14 @@ pub(crate) struct KeyPin<'a> {
 /// A compiled body resolved against one index's id space, ready to enumerate
 /// embeddings any number of times: the terms are resolved once, here, and
 /// every enumeration below only reads them.
-pub(crate) struct Join<'a> {
-    compiled: &'a CompiledLevels,
+pub(crate) struct Join<'c, 'a> {
+    compiled: &'c CompiledLevels,
     resolved: Vec<Vec<RTerm>>,
     index: &'a DbIndex,
 }
 
-impl<'a> Join<'a> {
-    pub(crate) fn new(compiled: &'a CompiledLevels, index: &'a DbIndex) -> Join<'a> {
+impl<'c, 'a> Join<'c, 'a> {
+    pub(crate) fn new(compiled: &'c CompiledLevels, index: &'a DbIndex) -> Join<'c, 'a> {
         Join {
             compiled,
             resolved: resolve_terms(compiled, index.interner()),
@@ -874,6 +874,29 @@ impl<'a> Join<'a> {
         let stop = self.compiled.levels.len();
         for block in blocks {
             self.visit(block, 0, None, stop, &mut slots, &mut trail, &mut sink);
+        }
+    }
+
+    /// Hands `sink` the block each level draws its fact from under the full
+    /// embedding `theta` (every variable bound): the blocks in which a
+    /// repair's choice decides whether `theta` survives.
+    pub(crate) fn blocks_of(
+        &self,
+        theta: &[u32],
+        mut sink: impl FnMut(&'a RelationIndex, &'a IndexedBlock),
+    ) {
+        let interner = self.index.interner();
+        let mut key = Vec::new();
+        for (lvl, terms) in self.compiled.levels.iter().zip(&self.resolved) {
+            key.clear();
+            key.extend(terms[..lvl.key_len].iter().map(|&term| {
+                bound_id(term, theta).expect("an embedding binds every key position")
+            }));
+            let rel = self.index.relation(&lvl.relation);
+            let block = rel
+                .block_by_key_ids(&key, interner)
+                .expect("an embedding's fact lies in a stored block");
+            sink(rel, block);
         }
     }
 

@@ -32,8 +32,8 @@
 //! bound computations of [`crate::glb`] group those rows by id equality.
 //! [`Value`]s appear in three places only: the group key of the
 //! [`GroupRange`] row, the one [`rcqa_data::Rational`] a bound reads per
-//! leaf, and the exact fallback's group substitution. Nothing is allocated
-//! per embedding.
+//! leaf, and the exact fallback (its group substitution, and the facts of the
+//! blocks whose repairs it enumerates). Nothing is allocated per embedding.
 //!
 //! Worker count comes from
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
@@ -65,19 +65,22 @@ use crate::exact::{exact_bounds_filtered, ExactBounds};
 use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, CompiledLevels, Join};
 use crate::glb::{global_extremum, optimal_aggregate, Choice, Leaves};
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
-use crate::index::DbIndex;
+use crate::index::{DbIndex, IndexedBlock, RelationIndex};
 use crate::plan::physical::{BoundOp, ExecSpec, PhysicalPlan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
 use rcqa_data::{DatabaseInstance, Value, ValueInterner};
 use rcqa_query::{Term, Var, VarPredicate};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Everything the executor needs besides the plan itself.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The prepared query being answered.
     pub prepared: &'a PreparedAggQuery,
-    /// The database instance (consulted by the exact fallback only).
+    /// The database instance: the exact fallback reads its schema and numeric
+    /// domain; every fact is read through `index`.
     pub db: &'a DatabaseInstance,
     /// The shared block index (built exactly once by the engine entry point).
     pub index: &'a DbIndex,
@@ -528,6 +531,12 @@ fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) ->
 /// and [`execute_for_groups`]: evaluates the partitioned groups over
 /// contiguous shards on `workers` threads (sequentially for one),
 /// concatenating the shard outputs in shard order.
+///
+/// A plan with a [`BoundOp::ExactEnumeration`] bound first collects every
+/// group's block closure and checks it against the repair budget
+/// ([`Closures::collect`], in group-key order on the calling thread): an
+/// over-budget statement is refused, the same way at every worker count,
+/// before the first repair of any group is built.
 fn eval_groups(
     spec: &ExecSpec,
     cx: &ExecContext<'_>,
@@ -537,14 +546,142 @@ fn eval_groups(
     workers: usize,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let groups = partition.keys.len();
+    let enumerates = [spec.glb, spec.lub].contains(&Some(BoundOp::ExactEnumeration));
+    let closures = (enumerates && cx.options.allow_exact_fallback)
+        .then(|| Closures::collect(spec, cx, compiled, free, partition))
+        .transpose()?;
+    let closures = closures.as_ref();
     let shard_results = run_shards(shard((0..groups).collect(), workers), |groups| {
-        eval_shard(spec, cx, compiled, free, partition, groups)
+        eval_shard(spec, cx, compiled, free, partition, groups, closures)
     });
     let mut out = Vec::with_capacity(groups);
     for result in shard_results {
         out.extend(result?);
     }
     Ok(out)
+}
+
+/// What [`BoundOp::ExactEnumeration`] enumerates the repairs of, per group:
+/// the group's **block closure** — every block holding a fact of one of the
+/// group's embeddings.
+///
+/// An embedding that survives in a repair is an embedding of the instance, and
+/// a repair keeps an embedding iff it picks the embedding's fact in each block
+/// the embedding draws from. A group's value in a repair is therefore a
+/// function of the repair's choices in the closure alone, and its bounds over
+/// the repairs of the instance equal its bounds over the repairs of the
+/// closure — **all** facts of every closure block, so that a repair can still
+/// kill an embedding by picking a fact that joins nothing. The embeddings are
+/// those of the (predicate-restricted) index the plan runs over: one a
+/// pushed-down predicate rejects contributes to no repair's value.
+struct Closures<'a> {
+    /// Group `g` of the partition touches `blocks[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    blocks: Vec<(&'a RelationIndex, &'a IndexedBlock)>,
+}
+
+impl<'a> Closures<'a> {
+    /// Collects every group's closure — from the embeddings the partition
+    /// holds where the plan kept them (rows over the closed slot table), else
+    /// by one enumeration of the open body pinned to the group's key — and
+    /// decides the repair budget: a closure has the product of its block sizes
+    /// many repairs (counted, no fact materialised), and the first group in
+    /// group-key order over [`EngineOptions::max_repairs`] is the `Err`.
+    fn collect(
+        spec: &ExecSpec,
+        cx: &ExecContext<'a>,
+        closed: &CompiledLevels,
+        free: &[Var],
+        partition: &Partition,
+    ) -> Result<Closures<'a>, CoreError> {
+        let open;
+        let compiled = if spec.keep_embeddings {
+            closed
+        } else {
+            open = CompiledLevels::new(cx.prepared.open_levels());
+            &open
+        };
+        let join = Join::new(compiled, cx.index);
+        let free_slots = slots_of(compiled, free);
+        let mut pinned = compiled.unbound_ids();
+        let max = cx.options.max_repairs;
+        let (mut starts, mut blocks) = (vec![0], Vec::new());
+        for g in 0..partition.keys.len() {
+            let start = blocks.len();
+            let mut seen = HashSet::new();
+            let mut repairs = 1u128;
+            // Once over budget the rest cannot matter: a closed query over a
+            // large join is refused after the embeddings that prove it.
+            let mut touch = |theta: &[u32]| {
+                if repairs <= max {
+                    join.blocks_of(theta, |rel, block| {
+                        if seen.insert(Arc::as_ptr(&block.cols)) {
+                            repairs = repairs.saturating_mul(block.cols.rows() as u128);
+                            blocks.push((rel, block));
+                        }
+                    });
+                }
+            };
+            if spec.keep_embeddings {
+                for &row in partition.rows_of(g) {
+                    touch(partition.embeddings.row(row as usize));
+                }
+            } else {
+                for (&slot, &id) in free_slots.iter().zip(partition.keys.row(g)) {
+                    pinned[slot] = id;
+                }
+                join.for_each(&pinned, touch);
+            }
+            if repairs > max {
+                let key = cx.index.interner().values_of(partition.keys.row(g));
+                let key: Vec<String> = key.iter().map(Value::to_string).collect();
+                return Err(CoreError::FallbackUnavailable(format!(
+                    "{}: {} blocks its embeddings touch have {repairs} repairs, more than the \
+                     configured maximum {max}",
+                    if key.is_empty() {
+                        "the closed query".to_string()
+                    } else {
+                        format!("group ({})", key.join(", "))
+                    },
+                    blocks.len() - start,
+                )));
+            }
+            starts.push(blocks.len());
+        }
+        Ok(Closures { starts, blocks })
+    }
+
+    /// The exact bounds of group `g`, keyed `key`: the whole-instance
+    /// reference [`exact_bounds_filtered`], run on the group-substituted closed
+    /// query over the restriction of the instance to the group's closure (an
+    /// instance of its own).
+    fn enumerate(
+        &self,
+        g: usize,
+        cx: &ExecContext<'_>,
+        key: &[Value],
+    ) -> Result<ExactBounds, CoreError> {
+        let interner = cx.index.interner();
+        let facts = self.blocks[self.starts[g]..self.starts[g + 1]]
+            .iter()
+            .flat_map(|&(rel, block)| {
+                (0..block.cols.rows()).map(move |row| rel.materialize_fact(block, row, interner))
+            })
+            .collect();
+        let mut restriction = cx.db.empty_like();
+        restriction.load(facts)?;
+        let closed = substitute_group(cx.prepared, key)?;
+        let (max, predicates) = (cx.options.max_repairs, cx.exact_predicates);
+        exact_bounds_filtered(&closed, &restriction, max, predicates)
+    }
+}
+
+/// The slots of `vars` in a compiled body naming every one of them.
+fn slots_of(compiled: &CompiledLevels, vars: &[Var]) -> Vec<usize> {
+    let table = compiled.table();
+    vars.iter()
+        .map(|v| table.slot(v).expect("variable occurs in the body"))
+        .collect()
 }
 
 /// Splits `items` into at most `shards` contiguous, size-balanced chunks.
@@ -584,6 +721,7 @@ fn eval_shard(
     free: &[Var],
     partition: &Partition,
     groups: Vec<usize>,
+    closures: Option<&Closures<'_>>,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let interner = cx.index.interner();
     let embeddings = &partition.embeddings;
@@ -591,15 +729,15 @@ fn eval_shard(
     // variable — the free variables (for seeding per-group base bindings)
     // and the aggregated one included.
     let analysing = spec.needs_analysis.then(|| {
-        let table = compiled.table();
-        let free_slots: Vec<usize> = free
-            .iter()
-            .map(|v| table.slot(v).expect("free variable occurs in the body"))
-            .collect();
         (
             CertaintyChecker::with_compiled(compiled.clone(), cx.index),
-            Leaves::new(embeddings, table, &cx.prepared.normalised.term, interner),
-            free_slots,
+            Leaves::new(
+                embeddings,
+                compiled.table(),
+                &cx.prepared.normalised.term,
+                interner,
+            ),
+            slots_of(compiled, free),
         )
     });
     let mut base = compiled.unbound_ids();
@@ -633,20 +771,13 @@ fn eval_shard(
             }
             None => None,
         };
-        let mut exact_cache: Option<ExactBounds> = None;
+        // One enumeration serves both bounds.
+        let exact = closures
+            .map(|closures| closures.enumerate(g, cx, &key))
+            .transpose()?;
         let mut bound = |op: Option<BoundOp>, kind: BoundKind| {
-            op.map(|op| {
-                bound_answer(
-                    op,
-                    kind,
-                    cx,
-                    compiled,
-                    analysis.as_mut(),
-                    &key,
-                    &mut exact_cache,
-                )
-            })
-            .transpose()
+            op.map(|op| bound_answer(op, kind, cx, compiled, analysis.as_mut(), exact))
+                .transpose()
         };
         let glb = bound(spec.glb, BoundKind::Glb)?;
         let lub = bound(spec.lub, BoundKind::Lub)?;
@@ -655,10 +786,7 @@ fn eval_shard(
         // embedding at all — such a group is not a possible answer and has
         // no row. (Closed queries keep their single row: a scalar query
         // honestly answers ⊥.)
-        if !key.is_empty()
-            && !cx.exact_predicates.is_empty()
-            && exact_cache.is_some_and(|b| !b.satisfiable)
-        {
+        if !key.is_empty() && exact.is_some_and(|b| !b.satisfiable) {
             continue;
         }
         out.push(GroupRange { key, glb, lub });
@@ -666,16 +794,16 @@ fn eval_shard(
     Ok(out)
 }
 
-/// Computes one bound of one group from the shared analysis (or the cached
-/// exact enumeration for [`BoundOp::ExactEnumeration`]).
+/// Computes one bound of one group from the shared analysis (or, for
+/// [`BoundOp::ExactEnumeration`], reads it off `exact`, the enumeration of the
+/// repairs of the group's closure — present whenever the fallback is allowed).
 fn bound_answer(
     op: BoundOp,
     bound: BoundKind,
     cx: &ExecContext<'_>,
     compiled: &CompiledLevels,
     analysis: Option<&mut GroupAnalysis<'_>>,
-    key: &[Value],
-    exact_cache: &mut Option<ExactBounds>,
+    exact: Option<ExactBounds>,
 ) -> Result<BoundAnswer, CoreError> {
     match op {
         BoundOp::Rewrite { combine, choice } => {
@@ -715,29 +843,7 @@ fn bound_answer(
                     ),
                 });
             }
-            let bounds = match exact_cache {
-                Some(bounds) => *bounds,
-                None => {
-                    let computed = if key.is_empty() {
-                        exact_bounds_filtered(
-                            cx.prepared,
-                            cx.db,
-                            cx.options.max_repairs,
-                            cx.exact_predicates,
-                        )?
-                    } else {
-                        let closed = substitute_group(cx.prepared, key)?;
-                        exact_bounds_filtered(
-                            &closed,
-                            cx.db,
-                            cx.options.max_repairs,
-                            cx.exact_predicates,
-                        )?
-                    };
-                    *exact_cache = Some(computed);
-                    computed
-                }
-            };
+            let bounds = exact.expect("the pre-pass collected the group's closure");
             let value = match bound {
                 BoundKind::Glb => bounds.glb,
                 BoundKind::Lub => bounds.lub,
@@ -773,8 +879,8 @@ pub struct SupportAtom {
 
 /// The **support set** of a statement's result rows, described intensionally:
 /// instantiating the atom patterns with a row's group key over-approximates
-/// every `(relation, block key)` pair that row's embeddings and certainty
-/// checks can touch.
+/// every `(relation, block key)` pair that row's evaluation can touch — for
+/// every plan, whichever operator computes its bounds.
 ///
 /// Soundness: the executor probes blocks exclusively through
 /// [`crate::index::RelationIndex::blocks_matching`] with patterns built by
@@ -783,11 +889,14 @@ pub struct SupportAtom {
 /// ∀embedding filter) a free variable is always bound to the group key and
 /// every other slot only *refines* the pattern, so each probed pattern is a
 /// specialisation of the atom's base pattern with the group key substituted —
-/// and matches only blocks the instantiated [`RowSupport`] covers. Block
-/// restrictions (pushed-down predicates) shrink the visible block set, which
-/// the over-approximation soundly ignores. A row's value is therefore a
-/// function of the covered blocks alone: a commit none of whose dirty blocks
-/// is covered cannot change the row.
+/// and matches only blocks the instantiated [`RowSupport`] covers; and
+/// [`BoundOp::ExactEnumeration`] enumerates the repairs of the blocks the
+/// group's embeddings draw facts from (its repair budget counts those blocks
+/// too), each found by such a probe. Block restrictions (pushed-down
+/// predicates) shrink the visible block set, which the over-approximation
+/// soundly ignores. A row's value is therefore a function of the covered
+/// blocks alone: a commit none of whose dirty blocks is covered cannot change
+/// the row.
 ///
 /// What the pattern is used for: it is **static** — one join too coarse to
 /// localise a write on the probed side (`Any` wherever the group key does
@@ -796,74 +905,38 @@ pub struct SupportAtom {
 /// affected groups exactly, from the dirty keys
 /// ([`crate::engine::RangeCqa::affected_keys`]). The pattern remains the
 /// certificate behind the sharded front-end's routes (which shards a row's
-/// blocks can live on), the marker of plans no delta localises
-/// ([`RowSupport::is_exhaustive`]), and the fallback for a relation the delta
-/// enumeration reports retraction-blind, whose dirty blocks — and only those
-/// — are tested against the cached rows with [`RowSupport::hits`].
-///
-/// The one escape hatch is [`BoundOp::ExactEnumeration`]: the exhaustive
-/// fallback enumerates repairs of the **whole instance** (its repair-count
-/// budget check included), so any plan using it on either bound gets an
-/// `exhaustive` support — every block supports every row.
+/// blocks can live on) and the fallback for a relation the delta enumeration
+/// reports retraction-blind, whose dirty blocks — and only those — are tested
+/// against the cached rows with [`RowSupport::hits`].
 #[derive(Clone, Debug)]
 pub struct RowSupport {
     atoms: Vec<SupportAtom>,
-    exhaustive: bool,
 }
 
 impl RowSupport {
-    /// The support of the rows produced by `plan` for `prepared`.
-    pub(crate) fn for_plan(plan: &PhysicalPlan, prepared: &PreparedAggQuery) -> RowSupport {
-        let spec = plan.spec();
-        if matches!(spec.glb, Some(BoundOp::ExactEnumeration))
-            || matches!(spec.lub, Some(BoundOp::ExactEnumeration))
-        {
-            return RowSupport::exhaustive();
-        }
+    /// The support of the rows any plan produces for `prepared`.
+    pub(crate) fn for_query(prepared: &PreparedAggQuery) -> RowSupport {
         let free = prepared.normalised.body.free_vars();
-        let schema = prepared.body.schema();
-        let mut atoms = Vec::new();
-        for atom in prepared.normalised.body.atoms() {
-            let Some(sig) = schema.signature(atom.relation()) else {
-                // An atom outside the schema cannot be localised; give up.
-                return RowSupport::exhaustive();
-            };
-            let key = atom.terms()[..sig.key_len()]
+        let pattern = |t: &Term| match t {
+            Term::Const(c) => SupportSlot::Const(c.clone()),
+            Term::Var(v) => match free.iter().position(|f| f == v) {
+                Some(i) => SupportSlot::Group(i),
+                None => SupportSlot::Any,
+            },
+        };
+        let atoms = prepared.open_levels().iter().map(|level| SupportAtom {
+            relation: level.atom.relation().to_string(),
+            key: level.atom.terms()[..level.key_len]
                 .iter()
-                .map(|t| match t {
-                    Term::Const(c) => SupportSlot::Const(c.clone()),
-                    Term::Var(v) => match free.iter().position(|f| f == v) {
-                        Some(i) => SupportSlot::Group(i),
-                        None => SupportSlot::Any,
-                    },
-                })
-                .collect();
-            atoms.push(SupportAtom {
-                relation: atom.relation().to_string(),
-                key,
-            });
-        }
+                .map(pattern)
+                .collect(),
+        });
         RowSupport {
-            atoms,
-            exhaustive: false,
+            atoms: atoms.collect(),
         }
     }
 
-    /// The all-blocks support: every block supports every row.
-    pub fn exhaustive() -> RowSupport {
-        RowSupport {
-            atoms: Vec::new(),
-            exhaustive: true,
-        }
-    }
-
-    /// Whether every block supports every row (any delta invalidates all
-    /// cached rows, and dirty-block intersection is pointless).
-    pub fn is_exhaustive(&self) -> bool {
-        self.exhaustive
-    }
-
-    /// The per-atom block-key patterns (empty when exhaustive).
+    /// The per-atom block-key patterns.
     pub fn atoms(&self) -> &[SupportAtom] {
         &self.atoms
     }
@@ -872,9 +945,6 @@ impl RowSupport {
     /// key `row_key`: some atom pattern, instantiated with the row's key,
     /// matches the block.
     pub fn hits(&self, row_key: &[Value], relation: &str, block_key: &[Value]) -> bool {
-        if self.exhaustive {
-            return true;
-        }
         self.atoms.iter().any(|a| {
             a.relation == relation
                 && a.key.len() == block_key.len()
@@ -886,21 +956,15 @@ impl RowSupport {
         })
     }
 
-    /// Merges the supports of several plans over one shared body (the
-    /// serving layer prepares one engine per aggregate): the atoms coincide,
-    /// so the merge only widens to exhaustive when any constituent is.
+    /// Merges the supports of several engines over one shared body (the
+    /// serving layer prepares one engine per aggregate): the identity, since
+    /// a support depends on the body alone.
     pub fn merge(self, other: RowSupport) -> RowSupport {
-        if self.exhaustive {
-            self
-        } else if other.exhaustive {
-            other
-        } else {
-            debug_assert_eq!(
-                self.atoms, other.atoms,
-                "supports merged across one statement share the body"
-            );
-            self
-        }
+        debug_assert_eq!(
+            self.atoms, other.atoms,
+            "supports merged across one statement share the body"
+        );
+        self
     }
 }
 

@@ -35,7 +35,8 @@ pub enum BoundOp {
         /// Whether the extremum maximises.
         choice: Choice,
     },
-    /// Exhaustive repair enumeration of the group-substituted closed query.
+    /// Exhaustive repair enumeration of the group-substituted closed query,
+    /// over the blocks the group's embeddings touch.
     ExactEnumeration,
 }
 

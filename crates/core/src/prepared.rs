@@ -179,9 +179,11 @@ pub struct PreparedAggQuery {
     /// The prepared body.
     pub body: PreparedBody,
     /// Level structure of the *open* body — the body with the GROUP BY
-    /// variables un-frozen — used to enumerate candidate groups in one join
-    /// pass. Empty for closed queries. Computed once here so evaluation never
-    /// re-runs attack-graph analysis per call (let alone per group).
+    /// variables un-frozen (the body itself for a closed query) — which
+    /// enumerates every embedding of the body: candidate groups in one join
+    /// pass, the delta enumeration, a repair's embeddings. Computed once here
+    /// so evaluation never re-runs attack-graph analysis per call (let alone
+    /// per group).
     open_levels: Vec<Level>,
 }
 
@@ -191,11 +193,7 @@ impl PreparedAggQuery {
         query.validate(schema)?;
         let normalised = query.normalise_count();
         let body = PreparedBody::new(&normalised.body, schema)?;
-        let open_levels = if normalised.body.free_vars().is_empty() {
-            Vec::new()
-        } else {
-            Self::build_open_levels(&normalised.body, schema)
-        };
+        let open_levels = Self::build_open_levels(&body);
         Ok(PreparedAggQuery {
             original: query.clone(),
             normalised,
@@ -204,35 +202,29 @@ impl PreparedAggQuery {
         })
     }
 
-    /// The level structure of the open body (candidate-group enumeration
-    /// order). Empty for closed queries.
+    /// The level structure of the open body: its topological sort, or — when
+    /// its attack graph is cyclic — pseudo-levels in query order (enumeration
+    /// needs no topological sort; only the atom and key length are used,
+    /// the variable structure means nothing). One level per atom, always.
     pub fn open_levels(&self) -> &[Level] {
         &self.open_levels
     }
 
-    fn build_open_levels(body: &ConjunctiveQuery, schema: &Schema) -> Vec<Level> {
-        let open_body = ConjunctiveQuery::boolean(body.atoms().iter().cloned());
-        if let Ok(open) = PreparedBody::new(&open_body, schema) {
-            if open.is_acyclic() {
-                return open.levels().to_vec();
-            }
-        }
-        // Enumeration does not need a topological sort; fall back to pseudo
-        // levels in query order (only the atom and key length are used).
-        open_body
-            .atoms()
-            .iter()
-            .map(|atom| Level {
-                atom: atom.clone(),
-                key_len: schema
-                    .signature(atom.relation())
-                    .map(|s| s.key_len())
-                    .unwrap_or(atom.arity()),
-                new_key_vars: Vec::new(),
-                new_other_vars: Vec::new(),
-                prefix_vars: Vec::new(),
-            })
-            .collect()
+    fn build_open_levels(closed: &PreparedBody) -> Vec<Level> {
+        let sorted = |body: &PreparedBody| body.is_acyclic().then(|| body.levels().to_vec());
+        let atoms = closed.body.atoms();
+        let open = if closed.body.free_vars().is_empty() {
+            sorted(closed)
+        } else {
+            let open_body = ConjunctiveQuery::boolean(atoms.iter().cloned());
+            PreparedBody::new(&open_body, &closed.schema)
+                .ok()
+                .and_then(|open| sorted(&open))
+        };
+        open.unwrap_or_else(|| {
+            let query_order: Vec<usize> = (0..atoms.len()).collect();
+            PreparedBody::build_levels(&closed.body, &closed.schema, &query_order)
+        })
     }
 }
 

@@ -186,3 +186,44 @@ fn parallel_executor_workers_build_no_indexes() {
         assert_eq!(ranges.len(), 2);
     }
 }
+
+#[test]
+fn a_refused_exact_call_builds_no_per_repair_index() {
+    let _guard = counting();
+    // The exact fallback indexes each repair it enumerates, by design — and
+    // none before every requested group is known to be within budget: the
+    // pre-pass counts repairs off block sizes and refuses before the first
+    // repair of any group exists. James (2 repairs) precedes the over-budget
+    // Smith (8) in group-key order and is still never enumerated.
+    let db = db_stock();
+    let index = DbIndex::new(&db);
+    let q = parse_agg_query("(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
+    for threads in [1, 4] {
+        let engine = |max_repairs| {
+            RangeCqa::new(&q, db.schema())
+                .unwrap()
+                .with_options(EngineOptions {
+                    max_repairs,
+                    threads,
+                    ..EngineOptions::default()
+                })
+        };
+        let before = DbIndex::build_count();
+        let refused = engine(4).range_with_index(&db, &index).unwrap_err();
+        assert_eq!(
+            refused.to_string(),
+            "exact fallback unavailable: group (Smith): 4 blocks its \
+             embeddings touch have 8 repairs, more than the configured maximum 4"
+        );
+        assert_eq!(
+            DbIndex::build_count() - before,
+            0,
+            "a refusal at {threads} threads must build nothing"
+        );
+        // Within budget the same call indexes each repair of each group's
+        // closure once (both bounds share one enumeration): 2 + 8.
+        let before = DbIndex::build_count();
+        assert_eq!(engine(8).range_with_index(&db, &index).unwrap().len(), 2);
+        assert_eq!(DbIndex::build_count() - before, 10);
+    }
+}

@@ -394,23 +394,24 @@ impl DatabaseInstance {
     /// Returns one (arbitrary, deterministic) repair: the first fact of each
     /// block in sorted order.
     pub fn any_repair(&self) -> DatabaseInstance {
-        let mut r = DatabaseInstance {
-            schema: self.schema.clone(),
-            domain: self.domain,
-            relations: BTreeMap::new(),
-        };
+        let mut r = self.empty_like();
         for b in self.blocks() {
             r.insert_valid(b.facts[0].clone());
         }
         r
     }
 
-    fn with_facts(&self, facts: impl IntoIterator<Item = Fact>) -> DatabaseInstance {
-        let mut r = DatabaseInstance {
+    /// An empty instance over the same schema and numeric domain.
+    pub fn empty_like(&self) -> DatabaseInstance {
+        DatabaseInstance {
             schema: self.schema.clone(),
             domain: self.domain,
             relations: BTreeMap::new(),
-        };
+        }
+    }
+
+    fn with_facts(&self, facts: impl IntoIterator<Item = Fact>) -> DatabaseInstance {
+        let mut r = self.empty_like();
         for f in facts {
             r.insert_valid(f);
         }

@@ -85,12 +85,12 @@
 //! index, and its prefix is therefore enumerated there and admits the dirty
 //! key (the argument is spelled out in [`rcqa_core::forall`], "Delta
 //! enumeration").
-//! Plans that consult state beyond the blocks their embeddings touch
-//! — exhaustive repair enumeration (including residual comparison
-//! predicates, whose repair budget is instance-global) — carry an
-//! *exhaustive* support and honestly recompute in full on any write
-//! ([`SessionStats::support_misses`], by reason in
-//! [`Session::patch_reasons`]). `tests/serving_cache.rs`,
+//! That holds for every plan: the exact fallback (SUM's upper bound, AVG,
+//! residual comparison predicates) enumerates the repairs of exactly those
+//! blocks and budgets them per group, so its statements patch like any
+//! other. What still recomputes in full is counted in
+//! [`SessionStats::support_misses`], by reason in
+//! [`Session::patch_reasons`]. `tests/serving_cache.rs`,
 //! `tests/session_sql.rs`, and `tests/session_concurrent.rs` assert the
 //! guarantee, including concurrent readers racing a writer and random
 //! insert/delete interleavings checked against cold and crash-recovered
@@ -393,9 +393,8 @@ impl QueryOutcome {
 /// translated [`AggQuery`], its output column names, the fully prepared
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
 /// slots, logical→physical plan choice), the [`Classification`] for the
-/// session instance's numeric domain, and the static [`RowSupport`] —
-/// whether the plan can be patched at all, which shard route is sound, and
-/// the row scan behind a retraction-blind level.
+/// session instance's numeric domain, and the static [`RowSupport`] — which
+/// shard route is sound, and the row scan behind a retraction-blind level.
 ///
 /// Statements are keyed by *normalized* SQL ([`Session::normalize_sql`]):
 /// whitespace runs outside string literals collapse to one space, text
@@ -447,14 +446,12 @@ impl PreparedStatement {
     }
 
     /// The statement's [`RowSupport`]: per cached row, an over-approximation
-    /// of the (relation, block-key) pairs the row's embeddings and certainty
-    /// checks can touch. Exhaustive — every dirty block forces a full
-    /// recompute — exactly when some bound of some aggregate runs exhaustive
-    /// repair enumeration, whose repair budget is instance-global. A stale
-    /// read does not intersect it with the delta (the delta enumeration of
-    /// [`RangeCqa::affected_keys`] does that job, exactly); it is the sharded
-    /// front-end's routing certificate and the fallback for the relations
-    /// that enumeration reports retraction-blind.
+    /// of the (relation, block-key) pairs the row's evaluation can touch — the
+    /// same patterns whichever operators the plan picks, since they depend on
+    /// the body alone. A stale read does not intersect it with the delta (the
+    /// delta enumeration of [`RangeCqa::affected_keys`] does that job,
+    /// exactly); it is the sharded front-end's routing certificate and the
+    /// fallback for the relations that enumeration reports retraction-blind.
     pub fn support(&self) -> &RowSupport {
         &self.support
     }
@@ -482,8 +479,8 @@ pub struct SessionStats {
     /// commits' dirty blocks can affect were derived from the dirty keys and
     /// only they were re-derived.
     pub supported_patches: u64,
-    /// Stale cached results the patch path could **not** serve (exhaustive
-    /// support, dirty history evicted past the retention cap, an affected
+    /// Stale cached results the patch path could **not** serve (dirty
+    /// history evicted past the retention cap, an affected
     /// set so large a full pass is cheaper, or a retraction-blind level whose
     /// fallback scan hit as much): these fell back to a full recompute.
     /// [`Session::patch_reasons`] splits the count by reason.
@@ -690,9 +687,6 @@ struct Maintenance {
 /// each ([`Session::patch_reasons`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchReasons {
-    /// The statement's support is exhaustive (some bound enumerates repairs
-    /// of the whole instance), so every write invalidates every row.
-    pub exhaustive_support: u64,
     /// The dirty history no longer reaches back to the cached epoch: evicted
     /// past [`SessionOptions::dirty_log_cap`], or floored by a commit that
     /// had no index to replay into.
@@ -712,7 +706,6 @@ impl PatchReasons {
     /// Field-wise sum (the sharded front-end adds its shards and mirror).
     pub fn merge(self, other: PatchReasons) -> PatchReasons {
         PatchReasons {
-            exhaustive_support: self.exhaustive_support + other.exhaustive_support,
             history_evicted: self.history_evicted + other.history_evicted,
             over_half: self.over_half + other.over_half,
             blind_fallback: self.blind_fallback + other.blind_fallback,
@@ -721,7 +714,7 @@ impl PatchReasons {
 
     /// All misses: equals [`SessionStats::support_misses`].
     pub fn total(&self) -> u64 {
-        self.exhaustive_support + self.history_evicted + self.over_half + self.blind_fallback
+        self.history_evicted + self.over_half + self.blind_fallback
     }
 }
 
@@ -729,7 +722,6 @@ impl PatchReasons {
 /// per-reason counters.
 #[derive(Clone, Copy, Debug)]
 enum Miss {
-    ExhaustiveSupport,
     HistoryEvicted,
     OverHalf,
     BlindFallback,
@@ -794,7 +786,7 @@ pub struct Session {
     wal: Mutex<Option<Wal>>,
     stats: AtomicStats,
     /// Misses by [`Miss`]; they sum to `stats.support_misses`.
-    misses: [AtomicU64; 4],
+    misses: [AtomicU64; 3],
 }
 
 impl Clone for Session {
@@ -1047,7 +1039,6 @@ impl Session {
     pub fn patch_reasons(&self) -> PatchReasons {
         let count = |miss: Miss| self.misses[miss as usize].load(Ordering::Relaxed);
         PatchReasons {
-            exhaustive_support: count(Miss::ExhaustiveSupport),
             history_evicted: count(Miss::HistoryEvicted),
             over_half: count(Miss::OverHalf),
             blind_fallback: count(Miss::BlindFallback),
@@ -1328,18 +1319,9 @@ impl Session {
         }
         let domain = snapshot.db.numeric_domain();
         let classification = engines[0].classification(domain);
-        // The statement's support is the merge over every aggregate engine's
-        // plan (they share one body and one predicate set, so the patterns
-        // coincide; the merge only widens to exhaustive when any bound of
-        // any aggregate enumerates repairs). The numeric domain is fixed at
-        // instance construction, so the support — like the plan — is static
-        // for the statement's lifetime.
-        let support = engines
-            .iter()
-            .skip(1)
-            .fold(engines[0].row_support(domain), |acc, engine| {
-                acc.merge(engine.row_support(domain))
-            });
+        // One support for the statement: its engines share one body and one
+        // predicate set, and a support depends on nothing else.
+        let support = engines[0].row_support(domain);
         let stmt = Arc::new(PreparedStatement {
             sql: key.clone(),
             query: Arc::new(translated.query),
@@ -1631,7 +1613,7 @@ impl Session {
     /// rows)` to find what it affects, the work of the affected groups to
     /// re-derive them, and — only when some row really changed — one pass
     /// over the rows to splice. Returns the [`Miss`] — fall back to a full
-    /// recompute — when the support is exhaustive, the dirty history no
+    /// recompute — when the dirty history no
     /// longer reaches back to the cached epoch, or the affected key set (or,
     /// before it, the blind-level row scan's share of it) covers more than
     /// half the rows.
@@ -1678,10 +1660,6 @@ impl Session {
         if stmt.unsatisfiable {
             return restamped();
         }
-        let support = stmt.support();
-        if support.is_exhaustive() {
-            return Ok(Err(Miss::ExhaustiveSupport));
-        }
         let Some(log) = self.dirty_since(cached.epoch, epoch) else {
             return Ok(Err(Miss::HistoryEvicted));
         };
@@ -1694,7 +1672,8 @@ impl Session {
         if !blind.is_empty() {
             let hit = |row: &&GroupRange| {
                 dirty().any(|b| {
-                    blind.contains(&b.relation) && support.hits(&row.key, &b.relation, &b.key)
+                    blind.contains(&b.relation)
+                        && stmt.support().hits(&row.key, &b.relation, &b.key)
                 })
             };
             let hit: Vec<&GroupRange> = old[0].iter().filter(hit).collect();
@@ -2120,7 +2099,7 @@ mod tests {
         // catalog's spelling even though the cache key is case-folded.
         let stmt = session.prepare(sql).unwrap();
         assert_eq!(stmt.columns(), ["Name", "MAX"]);
-        assert!(!stmt.support().is_exhaustive());
+        assert_eq!(stmt.support().atoms().len(), 2);
         assert_eq!(stmt.sql(), Session::normalize_sql(respelled));
     }
 
@@ -2374,20 +2353,22 @@ mod tests {
             dirty_log_cap: 2,
             ..Default::default()
         });
-        // SUM's lub enumerates repairs: exhaustive support, always a miss.
+        // SUM's lub enumerates repairs — of the blocks a town's embeddings
+        // touch, so the statement goes through the patch path like the join.
         let sum = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
         session.execute(join).unwrap();
         session.execute(sum).unwrap();
-        // One batch touching the stock of 11 of the 20 towns: 22 of 40 groups.
+        // One batch touching the stock of 11 of the 20 towns: 22 of the
+        // join's 40 groups, 11 of the sum's 20.
         let batch: Vec<DeltaEvent> = (0..11)
             .map(|t| DeltaEvent::insert(fact!("Stock", "p1", format!("t{t:02}"), 1)))
             .collect();
         session.apply_batch(&batch).unwrap();
-        let got = session.execute(join).unwrap();
-        assert_equals_cold(&session, join, &got);
-        session.execute(sum).unwrap();
-        let reasons = session.patch_reasons();
-        assert_eq!((reasons.over_half, reasons.exhaustive_support), (1, 1));
+        for sql in [join, sum] {
+            let got = session.execute(sql).unwrap();
+            assert_equals_cold(&session, sql, &got);
+        }
+        assert_eq!(session.patch_reasons().over_half, 2);
         // Three commits against a two-batch history.
         for t in 0..3 {
             session
@@ -2400,9 +2381,8 @@ mod tests {
         assert_eq!(
             reasons,
             PatchReasons {
-                exhaustive_support: 1,
                 history_evicted: 1,
-                over_half: 1,
+                over_half: 2,
                 blind_fallback: 0,
             }
         );

@@ -51,11 +51,13 @@
 //!   (again: all other shards' blocks are uncovered). Statements with a
 //!   contradictory WHERE clause are answered statically and data-
 //!   independently, so they are designated to shard 0.
-//! * **Cross-shard combine** — everything else: exhaustive supports (the
-//!   exact-enumeration fallback inspects whole-instance repairs), joins
-//!   (two or more support atoms: the same group key hashes to different
-//!   shards under different relation names), and patterns with an `Any`
-//!   slot (one row may consult blocks on several shards). These are
+//! * **Cross-shard combine** — everything else: joins (two or more support
+//!   atoms: the same group key hashes to different shards under different
+//!   relation names) and patterns with an `Any` slot (one row may consult
+//!   blocks on several shards). Which operator computes a bound never
+//!   matters: the exact-enumeration fallback enumerates the repairs of the
+//!   blocks its group's embeddings touch, so a single-atom `SUM` fans out
+//!   like a single-atom `MAX`. These are
 //!   answered **honestly, never silently wrong**, on the *mirror*: a full
 //!   in-memory unsharded [`Session`] that the front-end keeps at the shards'
 //!   union state by replaying every effective event. The mirror answer is
@@ -384,9 +386,12 @@ impl ShardedSession {
         // Verify the cross-shard frontier: every recovered fact routes to
         // the shard that holds it. (Within each shard the WAL already
         // verified itself; this is the *cross*-shard invariant that makes
-        // the recovered union a faithful re-partitioning.)
-        for (i, session) in sessions.iter().enumerate() {
-            let db = session.database();
+        // the recovered union a faithful re-partitioning.) The same pass
+        // collects the facts for the mirror, rebuilt at the recovered union
+        // by one bulk load.
+        let recovered: Vec<_> = sessions.iter().map(Session::database).collect();
+        let mut facts = Vec::with_capacity(recovered.iter().map(|db| db.len()).sum());
+        for (i, db) in recovered.iter().enumerate() {
             for fact in db.facts() {
                 let home = route_fact(&catalog, fact, shards);
                 if home != i {
@@ -399,18 +404,15 @@ impl ShardedSession {
                         ),
                     }));
                 }
+                facts.push(fact.clone());
             }
         }
-        // Rebuild the mirror at the recovered union. Shards hold disjoint
-        // facts (each fact lives only on its routed shard, just verified),
-        // so plain insertion cannot conflict.
+        // Shards hold disjoint facts (each fact lives only on its routed
+        // shard, just verified), so every fact is new to the union.
         let mut union = DatabaseInstance::new(catalog.schema());
-        for session in &sessions {
-            let db = session.database();
-            for fact in db.facts() {
-                union.insert(fact.clone())?;
-            }
-        }
+        let held = facts.len();
+        let loaded = union.load(facts)?;
+        debug_assert_eq!(loaded, held, "routed shards hold disjoint facts");
         let mirror = Session::with_instance(catalog, union);
         let ops = sessions.iter().map(|s| s.epoch()).sum();
         Ok(ShardedSession::assemble(sessions, mirror, ops))
@@ -846,37 +848,29 @@ impl ShardedSession {
             // Answered statically, identically on any shard.
             return Route::Designated(0);
         }
-        let support = stmt.support();
-        if support.is_exhaustive() {
-            return Route::Combine;
-        }
-        let [atom] = support.atoms() else {
+        let [atom] = stmt.support().atoms() else {
             // Joins: the same group key hashes to different shards under
             // different relation names, so no single shard sees every block
             // a row may consult.
             return Route::Combine;
         };
-        if atom.key.iter().any(|slot| matches!(slot, SupportSlot::Any)) {
-            return Route::Combine;
+        let mut key = Vec::new();
+        let mut grouped = false;
+        for slot in &atom.key {
+            match slot {
+                // One row may consult blocks on several shards.
+                SupportSlot::Any => return Route::Combine,
+                SupportSlot::Const(value) => key.push(value.clone()),
+                SupportSlot::Group(_) => grouped = true,
+            }
         }
-        if atom
-            .key
-            .iter()
-            .all(|slot| matches!(slot, SupportSlot::Const(_)))
-        {
-            let key: Vec<Value> = atom
-                .key
-                .iter()
-                .map(|slot| match slot {
-                    SupportSlot::Const(value) => value.clone(),
-                    _ => unreachable!("all slots are Const"),
-                })
-                .collect();
-            return Route::Designated(shard_of(&atom.relation, &key, self.shards.len()));
+        if grouped {
+            // A single atom, every slot Const or Group, at least one Group:
+            // each row's blocks live on exactly one (row-determined) shard.
+            Route::Fanout
+        } else {
+            Route::Designated(shard_of(&atom.relation, &key, self.shards.len()))
         }
-        // A single atom, every slot Const or Group, at least one Group:
-        // each row's blocks live on exactly one (row-determined) shard.
-        Route::Fanout
     }
 }
 

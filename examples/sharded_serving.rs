@@ -88,9 +88,10 @@ fn main() {
     );
 
     // A write makes both cached answers stale; the next reads patch them —
-    // on the owning shard for the fan-out, on the mirror for the combine — or
-    // say why they could not (SUM's upper bound enumerates repairs, so its
-    // support is exhaustive and every write is an honest full recompute).
+    // on the owning shard for the fan-out, on the mirror for the combine
+    // (SUM's upper bound enumerates repairs, but only of the blocks a town's
+    // embeddings touch, so it patches like any other) — or say why they
+    // could not.
     session
         .insert(fact!("Stock", "Atlas", "Boston", 905))
         .expect("insert");
@@ -100,11 +101,10 @@ fn main() {
     let stats = session.stats();
     let reasons = session.patch_reasons();
     println!(
-        "stale reads: patched={} missed={} | miss reasons: exhaustive-support={} \
-         history-evicted={} over-half={} blind-fallback={}",
+        "stale reads: patched={} missed={} | miss reasons: history-evicted={} over-half={} \
+         blind-fallback={}",
         stats.totals.supported_patches + stats.mirror.supported_patches,
         stats.totals.support_misses + stats.mirror.support_misses,
-        reasons.exhaustive_support,
         reasons.history_evicted,
         reasons.over_half,
         reasons.blind_fallback

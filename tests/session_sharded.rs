@@ -2,7 +2,7 @@
 //!
 //! The scale-out front-end's whole contract is that sharding is invisible:
 //! for every statement shape — fan-out (full-key GROUP BY), global HAVING,
-//! top-k re-decided over the merged rows, residual/exhaustive combine,
+//! top-k re-decided over the merged rows, a residual predicate's fan-out,
 //! joins, and closed designated-shard lookups — a [`ShardedSession`] must
 //! return answers byte-identical to a single unsharded [`Session`] fed the
 //! same operations, at every shard count, at every thread count, and after
@@ -39,8 +39,8 @@ const STATEMENTS: &[&str] = &[
     // and must be re-run over the merged rows.
     "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
      GROUP BY S.Product, S.Town ORDER BY MAX(S.Qty) DESC LIMIT 3",
-    // Residual comparison predicate: exhaustive support, honest
-    // cross-shard combine (answered at the mirror's union snapshot).
+    // Residual comparison predicate: both bounds by repair enumeration —
+    // of each group's own block, so it fans out like the plain MAX above.
     "SELECT S.Product, S.Town, MIN(S.Qty) FROM Stock AS S \
      WHERE S.Qty > 10 GROUP BY S.Product, S.Town",
     // Join: grouping does not determine Stock's block key, so the same

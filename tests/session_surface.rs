@@ -249,10 +249,10 @@ fn explain_documents_access_path_and_post_processing() {
 
 #[test]
 fn rich_statements_invalidate_conservatively_on_writes() {
-    // Satellite regression: statements without a group-locality certificate
-    // (anything with predicates / HAVING / ORDER BY / several aggregates)
-    // must answer correctly after a mutation — via a full recompute, never a
-    // dirty-group patch — at every worker count.
+    // Satellite regression: a post-processed statement (here HAVING over a
+    // SUM, whose upper bound comes from repair enumeration) must answer
+    // correctly after a mutation — whichever of patch and full recompute
+    // serves it — at every worker count.
     for threads in [1usize, 4] {
         let session = fig1_session().with_options(EngineOptions {
             threads,
@@ -278,13 +278,6 @@ fn rich_statements_invalidate_conservatively_on_writes() {
         assert_eq!(
             after.having.as_ref(),
             &[HavingStatus::Certain, HavingStatus::Certain]
-        );
-
-        let stats = session.stats();
-        assert_eq!(stats.full_recomputes, 2, "{threads} threads");
-        assert_eq!(
-            stats.partial_recomputes, 0,
-            "{threads} threads: a post-processed result must never be patched"
         );
 
         // Byte identity with a cold session over the same final state.

@@ -234,3 +234,168 @@ proptest! {
         prop_assert_eq!(&rec_outcome.having, &outcome.having);
     }
 }
+
+/// The size whole-instance enumeration cannot reach: 40 `R` blocks and 60 `S`
+/// blocks, 66 of them inconsistent — over 2^22 repairs (2^66), a handful of
+/// blocks and at most 2^7 repairs per group.
+mod beyond_whole_instance_enumeration {
+    use super::*;
+    use rcqa::data::DeltaEvent;
+    use rcqa::session::ShardedSession;
+
+    fn r(x: usize, y: usize) -> Fact {
+        Fact::new(
+            "R",
+            [
+                Value::text(format!("x{x:02}")),
+                Value::text(format!("y{y:02}")),
+            ],
+        )
+    }
+
+    fn s(y: usize, z: usize, qty: i64) -> Fact {
+        Fact::new(
+            "S",
+            [
+                Value::text(format!("y{y:02}")),
+                Value::text(format!("z{z}")),
+                Value::int(qty),
+            ],
+        )
+    }
+
+    fn instance() -> DatabaseInstance {
+        let mut db = DatabaseInstance::new(schema());
+        for x in 0..40 {
+            db.insert(r(x, x % 20)).unwrap();
+            if x % 3 != 0 {
+                // 26 inconsistent R blocks: the dealer is in two places.
+                db.insert(r(x, (x + 7) % 20)).unwrap();
+            }
+        }
+        for y in 0..20 {
+            for z in 0..3 {
+                let qty = (7 * y + 13 * z) as i64 % 40;
+                db.insert(s(y, z, qty)).unwrap();
+                if z < 2 {
+                    // 40 inconsistent S blocks.
+                    db.insert(s(y, z, qty + 25)).unwrap();
+                }
+            }
+        }
+        assert_eq!(db.inconsistent_block_count(), 66);
+        assert!(db.repair_count().is_none_or(|n| n > 1 << 22));
+        db
+    }
+
+    const JOIN: &str = "FROM R, S WHERE R.Y = S.Y";
+    /// Always true (quantities are non-negative) and residual (`Qty` is at no
+    /// key position): forces repair enumeration on both bounds.
+    const RESIDUAL: &str = "AND S.Qty >= 0";
+
+    #[test]
+    fn closure_enumeration_agrees_with_the_rewritings() {
+        let session = Session::with_instance(catalog(), instance());
+        for (agg, glb, lub) in [
+            // GLB of SUM / COUNT: Theorem 6.1; their LUB has no rewriting.
+            ("SUM(S.Qty)", Method::Rewriting, Method::ExactEnumeration),
+            ("COUNT(*)", Method::Rewriting, Method::ExactEnumeration),
+            // MAX / MIN: Theorems 7.10 and 7.11 on both bounds.
+            ("MAX(S.Qty)", Method::Rewriting, Method::PlainExtremum),
+            ("MIN(S.Qty)", Method::PlainExtremum, Method::Rewriting),
+        ] {
+            let plain = format!("SELECT R.X, {agg} {JOIN} GROUP BY R.X");
+            let forced = format!("SELECT R.X, {agg} {JOIN} {RESIDUAL} GROUP BY R.X");
+            let plain = session.execute(&plain).unwrap();
+            let forced = session.execute(&forced).unwrap();
+            assert_eq!(plain.rows.len(), 40, "{agg}");
+            assert_eq!(forced.rows.len(), 40, "{agg}");
+            for (plain, forced) in plain.rows.iter().zip(forced.rows.iter()) {
+                assert_eq!(plain.key, forced.key, "{agg}");
+                let methods = |row: &GroupRange| (row.glb.unwrap().method, row.lub.unwrap().method);
+                assert_eq!(methods(plain), (glb, lub), "{agg} {:?}", plain.key);
+                assert_eq!(
+                    methods(forced),
+                    (Method::ExactEnumeration, Method::ExactEnumeration),
+                    "{agg} {:?}",
+                    forced.key
+                );
+                let values = |row: &GroupRange| (row.glb.unwrap().value, row.lub.unwrap().value);
+                assert_eq!(values(plain), values(forced), "{agg} {:?}", plain.key);
+            }
+        }
+    }
+
+    /// Exact-backed statements of every route: the join (combine), one table
+    /// grouped by its full key (fan-out) and by part of it (combine), a
+    /// residual predicate, a closed join over one `R` block.
+    fn statements() -> Vec<String> {
+        vec![
+            format!("SELECT R.X, SUM(S.Qty) {JOIN} GROUP BY R.X"),
+            format!("SELECT R.X, MAX(S.Qty) {JOIN} {RESIDUAL} GROUP BY R.X"),
+            "SELECT S.Y, S.Z, SUM(S.Qty) FROM S GROUP BY S.Y, S.Z".to_string(),
+            "SELECT S.Y, COUNT(*) FROM S GROUP BY S.Y".to_string(),
+            format!("SELECT SUM(S.Qty) {JOIN} AND R.X = 'x05'"),
+        ]
+    }
+
+    #[test]
+    fn sessions_agree_before_and_after_writes_and_stale_reads_patch() {
+        let db = instance();
+        let session = Session::with_instance(catalog(), db.clone());
+        let sharded: Vec<ShardedSession> = [2usize, 4]
+            .into_iter()
+            .map(|shards| {
+                let sharded = ShardedSession::new(catalog(), shards);
+                sharded.insert_all(db.facts().cloned()).unwrap();
+                sharded
+            })
+            .collect();
+        let agree = |context: &str| {
+            let cold = Session::with_instance(catalog(), session.database());
+            for sql in statements() {
+                let want = cold.execute(&sql).unwrap();
+                assert!(!want.rows.is_empty(), "{sql}");
+                let got = session.execute(&sql).unwrap();
+                assert_eq!(got.rows, want.rows, "{context}, warm: {sql}");
+                for sharded in &sharded {
+                    let got = sharded.execute(&sql).unwrap();
+                    let shards = sharded.shard_count();
+                    assert_eq!(got.rows, want.rows, "{context}, {shards} shards: {sql}");
+                }
+            }
+        };
+        agree("before the writes");
+        // Build-side and probe-side writes: a dealer moves into a second
+        // town, a consistent S block gains a conflicting quantity, an
+        // inconsistent one loses a fact, a new S block opens under a joined y.
+        let batch = [
+            DeltaEvent::insert(r(0, 11)),
+            DeltaEvent::insert(s(5, 2, 3)),
+            DeltaEvent::delete(s(7, 0, 49 % 40 + 25)),
+            DeltaEvent::insert(s(12, 3, 31)),
+        ];
+        assert_eq!(session.apply_batch(&batch).unwrap(), [true; 4]);
+        for sharded in &sharded {
+            assert_eq!(sharded.apply_batch(&batch).unwrap(), [true; 4]);
+        }
+        let before = session.stats();
+        agree("after the writes");
+        // Every stale read above was a patch: none fell back to a full
+        // recompute, on the session, on any shard, or on the mirror.
+        let after = session.stats();
+        let stale = statements().len() as u64;
+        assert_eq!(after.supported_patches - before.supported_patches, stale);
+        assert_eq!(after.full_recomputes, before.full_recomputes);
+        assert_eq!(session.patch_reasons().total(), 0);
+        for sharded in &sharded {
+            let stats = sharded.stats();
+            assert!(stats.totals.supported_patches + stats.mirror.supported_patches >= stale);
+            assert_eq!(sharded.patch_reasons().total(), 0);
+            // The single-table full-key SUM fanned out; nothing exact-backed
+            // went to the mirror for being exact-backed.
+            assert_eq!(stats.fanout_queries, 2);
+            assert_eq!(stats.designated_queries, 0);
+        }
+    }
+}
