@@ -247,6 +247,81 @@ fn explain_documents_access_path_and_post_processing() {
     assert!(plan.contains("hidden: HAVING/ORDER BY only"), "{plan}");
 }
 
+/// The golden `explain` statements over [`fig1_session`]'s instance: a plain
+/// join, a two-aggregate statement under a selective key predicate with
+/// HAVING and `ORDER BY … LIMIT`, a residual predicate, and a key predicate
+/// every block satisfies.
+const GOLDEN_EXPLAIN: [(&str, &str); 4] = [
+    (
+        "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town GROUP BY D.Name",
+        "\
+RangeMerge [deterministic group order]
+└─ AggregateBound [glb: Rewrite(SUM, Minimise), lub: ExactEnumeration]
+   └─ ForallCheck [certainty + ∀embeddings]
+      └─ PartitionByGroup [d_name]
+         └─ Join [2 levels, open body]
+            └─ Scan [Dealers, Stock] (shared block index)
+",
+    ),
+    (
+        "SELECT D.Name, MAX(S.Qty), MIN(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town AND D.Name >= 'K' GROUP BY D.Name \
+         HAVING MIN(S.Qty) >= 30 ORDER BY MAX(S.Qty) DESC LIMIT 1",
+        "\
+aggregate #0: MAX
+RangeMerge [deterministic group order]
+└─ AggregateBound [glb: Rewrite(MAX, Minimise), lub: Extremum(Maximise)]
+   └─ ForallCheck [certainty + ∀embeddings]
+      └─ PartitionByGroup [d_name]
+         └─ Join [2 levels, open body]
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks, est 1))
+aggregate #1: MIN
+RangeMerge [deterministic group order]
+└─ AggregateBound [glb: Extremum(Minimise), lub: Rewrite(MIN, Maximise)]
+   └─ ForallCheck [certainty + ∀embeddings]
+      └─ PartitionByGroup [d_name]
+         └─ Join [2 levels, open body]
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks, est 1))
+post-process: HAVING aggregate #1 >= 30 -> certain/possible kept, violated dropped
+post-process: certain top-1 by aggregate #0 DESC (rows certainly in the top 1 of every repair)
+",
+    ),
+    (
+        "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town AND S.Qty > 36 GROUP BY D.Name",
+        "\
+RangeMerge [deterministic group order]
+└─ AggregateBound [glb: ExactEnumeration, lub: ExactEnumeration]
+   └─ ForallCheck [skipped]
+      └─ PartitionByGroup [d_name]
+         └─ Join [2 levels, open body, keys only]
+            └─ Scan [Dealers, Stock] (shared block index)
+residual predicate: s_qty > 36 (no key position; exhaustive repair enumeration)
+",
+    ),
+    (
+        "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town AND D.Name >= 'A' GROUP BY D.Name",
+        "\
+RangeMerge [deterministic group order]
+└─ AggregateBound [glb: Rewrite(MAX, Minimise), lub: Extremum(Maximise)]
+   └─ ForallCheck [certainty + ∀embeddings]
+      └─ PartitionByGroup [d_name]
+         └─ Join [2 levels, open body]
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: filter key[0] >= A (2 of 2 blocks, est 2))
+",
+    ),
+];
+
+#[test]
+fn explain_is_pinned_verbatim() {
+    let session = fig1_session();
+    for (sql, golden) in GOLDEN_EXPLAIN {
+        assert_eq!(session.explain(sql).unwrap(), golden, "{sql}");
+    }
+}
+
 #[test]
 fn rich_statements_invalidate_conservatively_on_writes() {
     // Satellite regression: a post-processed statement (here HAVING over a
