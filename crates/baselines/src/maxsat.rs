@@ -1,6 +1,6 @@
 //! An AggCAvSAT-style baseline: computing `GLB-CQA` for SUM/COUNT queries by
 //! reduction to weighted partial MaxSAT (after Dixit & Kolaitis, ICDE 2022,
-//! cited as [17] in the paper).
+//! cited as \[17\] in the paper).
 //!
 //! Encoding for a closed query `SUM(r) ← q(ū)` over an instance `db`:
 //!

@@ -1,12 +1,12 @@
-//! The top-level range-CQA engine: plan a query, lower the plan to a physical
-//! operator pipeline, and execute it (in parallel) on a database instance.
+//! The top-level range-CQA engine: read a query's bound operators off the
+//! strategy table and execute them (in parallel) on a database instance.
 //!
 //! ## Evaluation strategies
 //!
-//! Per `(aggregate, bound)` pair, the logical planner
-//! ([`crate::plan::LogicalPlan`]) picks the cheapest sound path (the query
-//! body must in addition have an acyclic attack graph for the first two rows;
-//! otherwise every cell falls back to exact enumeration):
+//! Per `(aggregate, bound)` pair the theorems leave one sound path
+//! ([`crate::plan::BoundOp::choose`]; the query body must in addition have an
+//! acyclic attack graph for a rewriting or an extremum, otherwise every cell
+//! is exact enumeration):
 //!
 //! | aggregate            | GLB path                          | LUB path                          |
 //! |----------------------|-----------------------------------|-----------------------------------|
@@ -27,18 +27,17 @@
 //! against [`EngineOptions::max_repairs`] before the first repair is built
 //! ([`crate::exact`] is the whole-instance reference the tests compare with).
 //!
-//! ## Plan-IR lowering
+//! ## One pipeline
 //!
-//! The strategies are not dispatched ad hoc: every engine call builds a
-//! [`crate::plan::LogicalPlan`] (one [`crate::plan::BoundStrategy`] per
-//! requested bound) and lowers it to the physical plan IR of
-//! [`crate::plan::physical`] — a linear
-//! `Scan → Join → PartitionByGroup → ForallCheck → AggregateBound →
-//! RangeMerge` pipeline. `glb`, `lub`, `range`, **and the exhaustive-repair
-//! fallback** all execute through that IR (the fallback is the
-//! `AggregateBound` operator [`crate::plan::BoundOp::ExactEnumeration`]);
-//! there is no per-call strategy branching left in [`RangeCqa`]. The chosen
-//! plan is inspectable via [`RangeCqa::plan`] / [`RangeCqa::explain`].
+//! Nothing is searched and nothing is lowered: a [`Plan`] is the operator of
+//! each requested bound, and `glb`, `lub`, `range` **and the exhaustive-repair
+//! fallback** (the operator [`crate::plan::BoundOp::ExactEnumeration`]) all
+//! run the same `Scan | Seek → Join → PartitionByGroup → ForallCheck →
+//! AggregateBound → RangeMerge` pipeline of [`crate::plan::exec`], whose
+//! stages read what they do off the plan. Comparison predicates are routed
+//! once, when they are attached (`PredicateRouting`); the plan and the access
+//! path taken on an instance are inspectable via [`RangeCqa::plan`] /
+//! [`RangeCqa::explain`].
 //!
 //! ## One-pass grouped evaluation
 //!
@@ -79,7 +78,7 @@ use crate::forall::{CompiledLevels, Join, KeyPin};
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
 use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, RowSupport};
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
 use rcqa_data::{DatabaseInstance, NumericDomain, Rational, Schema, Value};
@@ -137,15 +136,6 @@ pub struct EngineOptions {
     /// [`std::thread::available_parallelism`]. The worker count is always
     /// clamped to the number of groups, so closed queries run inline.
     pub threads: usize,
-    /// Disable the cost-based range-seek access path: comparison predicates
-    /// on GROUP BY variables are applied as post-aggregation row filters
-    /// (every group is evaluated), and restrictions on non-free key
-    /// variables fall back to a linear block filter instead of ordered
-    /// binary-searched seeks. The answers are identical; only the access
-    /// path changes. No caller needs this outside tests: it is the oracle
-    /// arm the agreement tests (`tests/surface_agreement.rs`, this module's
-    /// tests) run beside the seek and compare against brute force.
-    pub force_scan: bool,
 }
 
 impl Default for EngineOptions {
@@ -154,7 +144,6 @@ impl Default for EngineOptions {
             allow_exact_fallback: true,
             max_repairs: 1 << 22,
             threads: 0,
-            force_scan: false,
         }
     }
 }
@@ -186,7 +175,9 @@ impl EngineOptions {
 }
 
 /// How the comparison predicates of one engine are routed through the
-/// pipeline. Every predicate takes exactly one of three sound routes:
+/// pipeline — a function of the query, the schema and the predicates, computed
+/// once when they are attached. Every predicate takes exactly one of three
+/// sound routes:
 ///
 /// * **block restriction** — the variable sits at a key position of some
 ///   atom, so every embedding binds it from a block key and whole blocks
@@ -199,7 +190,7 @@ impl EngineOptions {
 ///   block-restricted predicates also take this route (re-verified per
 ///   embedding, over blocks of the restricted view), and **residual**
 ///   predicates (non-free variable at no key position) take it exclusively,
-///   forcing [`LogicalPlan::force_exact`].
+///   forcing every bound onto the exact fallback ([`RangeCqa::plan`]).
 #[derive(Clone, Debug, Default)]
 struct PredicateRouting {
     restrictions: Vec<BlockRestriction>,
@@ -212,6 +203,60 @@ struct PredicateRouting {
 }
 
 impl PredicateRouting {
+    /// Routes each predicate to its sound evaluation site.
+    fn new(
+        prepared: &PreparedAggQuery,
+        schema: &Schema,
+        predicates: &[VarPredicate],
+    ) -> PredicateRouting {
+        let mut routing = PredicateRouting::default();
+        let body = &prepared.normalised.body;
+        for p in predicates {
+            // Every key-positioned occurrence of the variable: each one is a
+            // sound block filter, and deeper ones narrow multi-column seeks.
+            let mut occurrences = Vec::new();
+            for atom in body.atoms() {
+                let Some(sig) = schema.signature(atom.relation()) else {
+                    continue;
+                };
+                for (pos, term) in atom.terms()[..sig.key_len()].iter().enumerate() {
+                    if term.as_var() == Some(&p.var) {
+                        occurrences.push(BlockRestriction {
+                            relation: atom.relation().to_string(),
+                            pos,
+                            op: p.op,
+                            value: p.value.clone(),
+                        });
+                    }
+                }
+            }
+            match (
+                body.free_vars().iter().position(|v| *v == p.var),
+                occurrences.is_empty(),
+            ) {
+                // Free variable at a key position: push into the block index
+                // (the group key is bound from block keys, so restriction is
+                // exact).
+                (Some(_), false) => routing.restrictions.extend(occurrences),
+                // Free variable off every key: the group key is still
+                // definite, so a row filter is exact.
+                (Some(pos), true) => routing.row_filters.push((pos, p.clone())),
+                // Non-free variable at a key position: restrict the index,
+                // and re-verify per embedding on the exact path.
+                (None, false) => {
+                    routing.restrictions.extend(occurrences);
+                    routing.exact.push(p.clone());
+                }
+                // Residual: only exhaustive enumeration is sound.
+                (None, true) => {
+                    routing.exact.push(p.clone());
+                    routing.residual.push(p.clone());
+                }
+            }
+        }
+        routing
+    }
+
     /// Whether a residual predicate forces the exact fallback.
     fn forces_exact(&self) -> bool {
         !self.residual.is_empty()
@@ -257,7 +302,7 @@ pub struct RangeCqa {
     prepared: PreparedAggQuery,
     schema: Schema,
     options: EngineOptions,
-    predicates: Vec<VarPredicate>,
+    routing: PredicateRouting,
 }
 
 impl RangeCqa {
@@ -267,7 +312,7 @@ impl RangeCqa {
             prepared: PreparedAggQuery::new(query, schema)?,
             schema: schema.clone(),
             options: EngineOptions::default(),
-            predicates: Vec::new(),
+            routing: PredicateRouting::default(),
         })
     }
 
@@ -298,13 +343,8 @@ impl RangeCqa {
                 ))));
             }
         }
-        self.predicates = predicates;
+        self.routing = PredicateRouting::new(&self.prepared, &self.schema, &predicates);
         Ok(self)
-    }
-
-    /// The attached comparison predicates.
-    pub fn predicates(&self) -> &[VarPredicate] {
-        &self.predicates
     }
 
     /// The prepared query.
@@ -434,8 +474,8 @@ impl RangeCqa {
         let mut out = AffectedKeys::default();
         let free = self.prepared.normalised.body.free_vars();
         let levels = self.prepared.open_levels();
-        let routing = self.route_predicates();
-        let (view, _access) = self.restricted_view(index, &routing);
+        let routing = &self.routing;
+        let (view, _access) = self.restricted_view(index);
         let index = view.as_ref().unwrap_or(index);
         let interner = index.interner();
         // The dirty block keys the evaluation can see — of a body relation,
@@ -533,50 +573,45 @@ impl RangeCqa {
         self.evaluate(db, index, Scope::Keys(&mut keys.into_iter()), true, true)
     }
 
-    /// The logical plan (strategy per requested bound) for the given numeric
-    /// domain. A residual comparison predicate downgrades every bound to the
-    /// exhaustive-repair fallback ([`LogicalPlan::force_exact`]).
-    pub fn logical_plan(
-        &self,
-        domain: NumericDomain,
-        want_glb: bool,
-        want_lub: bool,
-    ) -> LogicalPlan {
-        let plan = LogicalPlan::new(&self.prepared, domain, want_glb, want_lub);
-        if self.route_predicates().forces_exact() {
-            plan.force_exact()
-        } else {
-            plan
+    /// The plan — the operator of each requested bound — for the given
+    /// numeric domain: the strategy table's ([`BoundOp::choose`]), unless a
+    /// **residual comparison predicate** (on a non-free variable that occurs
+    /// at no key position of any atom) puts every bound on the
+    /// exhaustive-repair fallback. Such a predicate cannot be pushed into the
+    /// block index (a block mixes facts that pass and facts that fail it, so
+    /// dropping or keeping whole blocks is wrong in both directions) and the
+    /// rewriting theorems say nothing about it; enumerating repairs with the
+    /// predicate applied as an embedding filter is the only sound path.
+    pub fn plan(&self, domain: NumericDomain, want_glb: bool, want_lub: bool) -> Plan {
+        let op = |bound| {
+            if self.routing.forces_exact() {
+                BoundOp::ExactEnumeration
+            } else {
+                BoundOp::choose(&self.prepared, bound, domain)
+            }
+        };
+        Plan {
+            glb: want_glb.then(|| op(BoundKind::Glb)),
+            lub: want_lub.then(|| op(BoundKind::Lub)),
         }
     }
 
-    /// The physical plan (lowered operator pipeline) for the given numeric
-    /// domain — the exact pipeline `glb`/`lub`/`range` execute, except that
-    /// without an instance no access path is chosen and the leaf is always a
-    /// full `Scan` ([`RangeCqa::explain`] shows the instance-specific
-    /// choice).
-    pub fn plan(&self, domain: NumericDomain, want_glb: bool, want_lub: bool) -> PhysicalPlan {
-        self.logical_plan(domain, want_glb, want_lub)
-            .lower(&self.prepared)
-    }
-
-    /// An `EXPLAIN`-style rendering of the physical plan a [`RangeCqa::range`]
-    /// call on `db` would execute, including the chosen access path (seek vs
-    /// scan, with the stats estimate) and predicate routing. Builds an index
-    /// to consult the stats; use [`RangeCqa::explain_with_index`] to reuse a
-    /// snapshot's.
+    /// An `EXPLAIN`-style rendering of the pipeline a [`RangeCqa::range`]
+    /// call on `db` would execute, including the access path taken (which
+    /// restrictions an ordered seek answered, which a linear filter, and how
+    /// many blocks survived) and the predicate routing. Builds an index to
+    /// restrict; use [`RangeCqa::explain_with_index`] to reuse a snapshot's.
     pub fn explain(&self, db: &DatabaseInstance) -> String {
         self.explain_with_index(db, &DbIndex::new(db))
     }
 
     /// [`RangeCqa::explain`] over a caller-supplied index for `db`.
     pub fn explain_with_index(&self, db: &DatabaseInstance, index: &DbIndex) -> String {
-        let routing = self.route_predicates();
-        let (_view, access) = self.restricted_view(index, &routing);
+        let routing = &self.routing;
+        let (_view, access) = self.restricted_view(index);
         let mut out = self
-            .logical_plan(db.numeric_domain(), true, true)
-            .lower_with_access(&self.prepared, &access)
-            .to_string();
+            .plan(db.numeric_domain(), true, true)
+            .explain(&self.prepared, &access);
         if !routing.row_filters.is_empty() {
             let shown: Vec<String> = routing
                 .row_filters
@@ -600,81 +635,19 @@ impl RangeCqa {
         out
     }
 
-    /// Routes each attached predicate to its sound evaluation site; see
-    /// [`PredicateRouting`].
-    fn route_predicates(&self) -> PredicateRouting {
-        let mut routing = PredicateRouting::default();
-        if self.predicates.is_empty() {
-            return routing;
-        }
-        let free = self.prepared.normalised.body.free_vars();
-        for p in &self.predicates {
-            // Every key-positioned occurrence of the variable: each one is a
-            // sound block filter, and deeper ones narrow multi-column seeks.
-            let mut occurrences = Vec::new();
-            for atom in self.prepared.normalised.body.atoms() {
-                let Some(sig) = self.schema.signature(atom.relation()) else {
-                    continue;
-                };
-                for (pos, term) in atom.terms()[..sig.key_len()].iter().enumerate() {
-                    if term.as_var() == Some(&p.var) {
-                        occurrences.push(BlockRestriction {
-                            relation: atom.relation().to_string(),
-                            pos,
-                            op: p.op,
-                            value: p.value.clone(),
-                        });
-                    }
-                }
-            }
-            match (
-                free.iter().position(|v| *v == p.var),
-                occurrences.is_empty(),
-            ) {
-                // Free variable at a key position: push into the block index
-                // (the group key is bound from block keys, so restriction is
-                // exact) — unless the baseline arm asked for a full scan, in
-                // which case filter the finished rows instead.
-                (Some(pos), false) if self.options.force_scan => {
-                    routing.row_filters.push((pos, p.clone()));
-                }
-                (Some(_), false) => routing.restrictions.extend(occurrences),
-                // Free variable off every key: the group key is still
-                // definite, so a row filter is exact.
-                (Some(pos), true) => routing.row_filters.push((pos, p.clone())),
-                // Non-free variable at a key position: restrict the index,
-                // and re-verify per embedding on the exact path.
-                (None, false) => {
-                    routing.restrictions.extend(occurrences);
-                    routing.exact.push(p.clone());
-                }
-                // Residual: only exhaustive enumeration is sound.
-                (None, true) => {
-                    routing.exact.push(p.clone());
-                    routing.residual.push(p.clone());
-                }
-            }
-        }
-        routing
-    }
-
     /// The restricted view of `index` for the routed block restrictions, and
     /// its access paths. `(None, [])` when there is nothing to restrict.
-    fn restricted_view(
-        &self,
-        index: &DbIndex,
-        routing: &PredicateRouting,
-    ) -> (Option<DbIndex>, Vec<AccessPath>) {
-        if routing.restrictions.is_empty() {
+    fn restricted_view(&self, index: &DbIndex) -> (Option<DbIndex>, Vec<AccessPath<'_>>) {
+        let restrictions = &self.routing.restrictions;
+        if restrictions.is_empty() {
             return (None, Vec::new());
         }
-        let (view, access) = index.restrict(&routing.restrictions, self.options.force_scan);
+        let (view, access) = index.restrict(restrictions, false);
         (Some(view), access)
     }
 
-    /// The one evaluation pipeline behind `glb`/`lub`/`range*`: route the
-    /// predicates, restrict the index, plan, lower, execute for the groups in
-    /// `scope`, row-filter.
+    /// The one evaluation pipeline behind `glb`/`lub`/`range*`: restrict the
+    /// index, plan, execute for the groups in `scope`, row-filter.
     fn evaluate(
         &self,
         db: &DatabaseInstance,
@@ -683,11 +656,9 @@ impl RangeCqa {
         want_glb: bool,
         want_lub: bool,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        let routing = self.route_predicates();
-        let (view, access) = self.restricted_view(index, &routing);
-        let plan = self
-            .logical_plan(db.numeric_domain(), want_glb, want_lub)
-            .lower_with_access(&self.prepared, &access);
+        let routing = &self.routing;
+        let (view, _access) = self.restricted_view(index);
+        let plan = self.plan(db.numeric_domain(), want_glb, want_lub);
         let cx = ExecContext {
             prepared: &self.prepared,
             db,
@@ -1483,7 +1454,7 @@ mod tests {
 
     /// Every predicate route (free pushable, free row-filter, non-free
     /// pushable, residual) against the exhaustive-repair oracle, at both
-    /// thread counts and on both access-path arms.
+    /// thread counts.
     #[test]
     fn predicates_agree_with_the_exact_oracle() {
         use crate::exact::exact_bounds_by_group_filtered;
@@ -1510,7 +1481,7 @@ mod tests {
                 }],
             ),
             // t: non-free, key[1] of Stock — Ne is non-contiguous, so the
-            // restriction degrades to a linear block filter.
+            // restriction is a linear block filter.
             (
                 "(x, MIN(y)) <- Dealers(x, t), Stock(p, t, y)",
                 vec![VarPredicate {
@@ -1561,40 +1532,33 @@ mod tests {
             let oracle = exact_bounds_by_group_filtered(&prepared, &db, 1 << 20, &preds).unwrap();
             let mut reference: Option<Vec<GroupRange>> = None;
             for threads in [1, 4] {
-                for force_scan in [false, true] {
-                    let engine = RangeCqa::new(&q, db.schema())
-                        .unwrap()
-                        .with_predicates(preds.clone())
-                        .unwrap()
-                        .with_options(EngineOptions {
-                            threads,
-                            force_scan,
-                            ..EngineOptions::default()
-                        });
-                    let rows = engine.range(&db).unwrap();
+                let engine = RangeCqa::new(&q, db.schema())
+                    .unwrap()
+                    .with_predicates(preds.clone())
+                    .unwrap()
+                    .with_options(EngineOptions {
+                        threads,
+                        ..EngineOptions::default()
+                    });
+                let rows = engine.range(&db).unwrap();
+                assert_eq!(rows.len(), oracle.len(), "{text} @{threads}T");
+                for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {
+                    assert_eq!(&row.key, key, "{text}");
                     assert_eq!(
-                        rows.len(),
-                        oracle.len(),
-                        "{text} @{threads}T force_scan={force_scan}"
+                        row.glb.unwrap().value,
+                        bounds.glb,
+                        "{text} glb of {key:?} @{threads}T"
                     );
-                    for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {
-                        assert_eq!(&row.key, key, "{text}");
-                        assert_eq!(
-                            row.glb.unwrap().value,
-                            bounds.glb,
-                            "{text} glb of {key:?} @{threads}T force_scan={force_scan}"
-                        );
-                        assert_eq!(
-                            row.lub.unwrap().value,
-                            bounds.lub,
-                            "{text} lub of {key:?} @{threads}T force_scan={force_scan}"
-                        );
-                    }
-                    // Byte-identical across thread counts and both arms.
-                    match &reference {
-                        None => reference = Some(rows),
-                        Some(first) => assert_eq!(&rows, first, "{text}"),
-                    }
+                    assert_eq!(
+                        row.lub.unwrap().value,
+                        bounds.lub,
+                        "{text} lub of {key:?} @{threads}T"
+                    );
+                }
+                // Byte-identical across thread counts.
+                match &reference {
+                    None => reference = Some(rows),
+                    Some(first) => assert_eq!(&rows, first, "{text}"),
                 }
             }
         }
@@ -1613,10 +1577,10 @@ mod tests {
                 value: Value::from(35),
             }])
             .unwrap();
-        let plan = engine.logical_plan(NumericDomain::NonNegative, true, true);
+        let plan = engine.plan(NumericDomain::NonNegative, true, true);
         assert_eq!(
             plan.glb,
-            Some(crate::plan::BoundStrategy::ExactFallback),
+            Some(BoundOp::ExactEnumeration),
             "residual predicate must downgrade the rewriting-backed glb"
         );
         let rows = engine.range(&db).unwrap();
@@ -1658,17 +1622,7 @@ mod tests {
             .unwrap();
         let shown = engine.explain(&db);
         assert!(shown.contains("Seek"), "{shown}");
-        assert!(shown.contains("Stock"), "{shown}");
-        assert!(shown.contains("est"), "{shown}");
-        // The baseline arm reports the same restriction as a filter.
-        let forced = engine
-            .clone()
-            .with_options(EngineOptions {
-                force_scan: true,
-                ..EngineOptions::default()
-            })
-            .explain(&db);
-        assert!(forced.contains("filter"), "{forced}");
+        assert!(shown.contains("Stock: seek key[0] = Tesla Y"), "{shown}");
         // Without predicates the leaf stays a full scan.
         let plain = RangeCqa::new(&q, db.schema()).unwrap().explain(&db);
         assert!(plain.contains("Scan"), "{plain}");

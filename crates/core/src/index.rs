@@ -64,12 +64,10 @@
 //! [`rcqa_data::chunked::MIN_LEAF`]..=[`rcqa_data::chunked::MAX_LEAF`]
 //! blocks; and a block is one `Arc` of columns. Cloning an index is one
 //! pointer bump per relation, and [`DbIndex::apply_delta`] **path-copies**:
-//! per touched relation it copies the spines (one pointer per leaf) and the
-//! 16-entry fence sample, and per touched block one leaf of each sequence
-//! (two where a leaf splits or merges) plus that block's columns. Counts and
-//! `distinct_head` are maintained incrementally by neighbour comparison and
-//! the fences are re-sampled by position, so nothing in a commit scans the
-//! relation: a single-fact commit costs `O(blocks / MIN_LEAF + MAX_LEAF)`.
+//! per touched relation it copies the spines (one pointer per leaf), and per
+//! touched block one leaf of each sequence (two where a leaf splits or merges)
+//! plus that block's columns. Nothing in a commit scans the relation: a
+//! single-fact commit costs `O(blocks / MIN_LEAF + MAX_LEAF)`.
 //! Every other leaf — and every untouched relation — keeps sharing storage
 //! with the index the clone came from ([`DbIndex::shared_leaves`] observes
 //! this). What is still `O(n)`: the cold build ([`DbIndex::new`]) and a
@@ -236,97 +234,6 @@ impl IndexedBlock {
     }
 }
 
-/// Lightweight per-relation statistics, collected at cold build time and
-/// kept current per touched relation by [`DbIndex::apply_delta`]. They drive
-/// the cost-based seek-vs-scan choice of [`DbIndex::restrict`]: the fence
-/// sample is a coarse equi-depth histogram of the first key component (the
-/// seekable column), giving an `O(1)` estimate of how many blocks a range
-/// predicate selects before anything is touched.
-#[derive(Clone, Debug, Default)]
-pub struct RelationStats {
-    /// Number of blocks (primary-key group cardinality).
-    pub blocks: usize,
-    /// Number of facts.
-    pub facts: usize,
-    /// Number of distinct first key components (fanout of the seekable
-    /// position).
-    pub distinct_head: usize,
-    /// First-key-component ids sampled at ≤ [`RelationStats::FENCES`]
-    /// equi-spaced positions of the sorted block list. Raw ids — estimates
-    /// compare them to probe values via [`ValueInterner::cmp_id_to_value`],
-    /// so warm and cold layouts produce identical estimates.
-    head_fences: Vec<u32>,
-}
-
-impl RelationStats {
-    /// Fence sample size: enough resolution to tell "a sliver" from "most of
-    /// the relation", cheap enough to re-sample on every write batch.
-    const FENCES: usize = 16;
-
-    /// One pass over a freshly built block list (cold build, `restrict`).
-    fn compute(blocks: &ChunkedSeq<IndexedBlock>) -> RelationStats {
-        let mut stats = RelationStats {
-            blocks: blocks.len(),
-            ..RelationStats::default()
-        };
-        let mut previous = None;
-        for b in blocks {
-            stats.facts += b.cols.rows();
-            if previous != Some(b.key_at(0)) {
-                stats.distinct_head += 1;
-            }
-            previous = Some(b.key_at(0));
-        }
-        stats.resample_fences(blocks);
-        stats
-    }
-
-    /// Re-samples the fences by position — `FENCES` point lookups, so
-    /// incremental maintenance never scans the block list.
-    fn resample_fences(&mut self, blocks: &ChunkedSeq<IndexedBlock>) {
-        let n = blocks.len();
-        let samples = Self::FENCES.min(n);
-        self.head_fences.clear();
-        self.head_fences.extend((0..samples).map(|k| {
-            let block = blocks.get(k * n / samples).expect("sample position < len");
-            block.key_at(0)
-        }));
-    }
-
-    /// Histogram estimate of how many blocks have a first key component
-    /// satisfying `op value`: the matched-fence fraction scaled to the block
-    /// count (rounded up, so a predicate some fence satisfies never
-    /// estimates zero). Non-contiguous operators (`<>`) estimate a full
-    /// scan.
-    pub fn estimate_head_matches(
-        &self,
-        op: CmpOp,
-        value: &Value,
-        interner: &ValueInterner,
-    ) -> usize {
-        if self.blocks == 0 || self.head_fences.is_empty() {
-            return 0;
-        }
-        if !op.is_contiguous() {
-            return self.blocks;
-        }
-        let rank = interner.prefix_rank(value);
-        let hit = self
-            .head_fences
-            .iter()
-            .filter(|&&f| op.holds(interner.cmp_id_to_value(f, value, rank)))
-            .count();
-        (self.blocks * hit).div_ceil(self.head_fences.len())
-    }
-
-    /// Materialised fence values, for value-level structural comparison and
-    /// observability (warm and cold id layouts differ; fence *values* must
-    /// not).
-    pub fn fence_values(&self, interner: &ValueInterner) -> Vec<Value> {
-        interner.values_of(&self.head_fences)
-    }
-}
-
 /// Index over one relation.
 ///
 /// The block list is the primary structure: blocks are **sorted by key value
@@ -361,9 +268,8 @@ pub struct RelationIndex {
     /// list shifts nothing here. Position 0 has none — its matches are a
     /// contiguous span of the block list itself.
     deep: Vec<ChunkedSeq<Posting>>,
-    /// Statistics over the current block list: counts maintained per event,
-    /// fences re-sampled per batch.
-    stats: RelationStats,
+    /// Number of facts in the relation, maintained per event.
+    facts: usize,
 }
 
 /// One posting-list entry: a block and its id at the list's key position.
@@ -371,7 +277,7 @@ type Posting = (u32, IndexedBlock);
 
 impl RelationIndex {
     /// An index over `blocks` (sorted by key value order), with posting
-    /// lists and statistics built from them in bulk.
+    /// lists and the fact count built from them in bulk.
     fn from_blocks(
         name: &str,
         key_len: usize,
@@ -389,7 +295,7 @@ impl RelationIndex {
             .collect();
         RelationIndex {
             name: name.to_string(),
-            stats: RelationStats::compute(&blocks),
+            facts: blocks.iter().map(|b| b.cols.rows()).sum(),
             blocks,
             key_len,
             arity,
@@ -409,17 +315,12 @@ impl RelationIndex {
 
     /// Number of facts in the relation.
     pub fn fact_count(&self) -> usize {
-        self.stats.facts
+        self.facts
     }
 
     /// Primary-key length of the relation.
     pub fn key_len(&self) -> usize {
         self.key_len
-    }
-
-    /// Statistics over the current block list.
-    pub fn stats(&self) -> &RelationStats {
-        &self.stats
     }
 
     /// Materialises one row of a block back into a [`Fact`].
@@ -564,18 +465,10 @@ impl RelationIndex {
         *self.blocks.get_mut(i).expect("position of a found block") = block;
     }
 
-    /// Whether the block at position `i` (if any) has first key component
-    /// `head`.
-    fn head_is(&self, i: Option<usize>, head: u32) -> bool {
-        i.and_then(|i| self.blocks.get(i))
-            .is_some_and(|b| b.key_at(0) == head)
-    }
-
     /// Inserts one fact (given as interned ids): the row lands at its sorted
     /// position in its block, and a new block lands at its sorted position in
-    /// the block list and in every posting list. Counts are kept current;
-    /// the caller re-samples the fences once per batch. Returns whether the
-    /// fact was new.
+    /// the block list and in every posting list. Returns whether the fact was
+    /// new.
     fn insert_fact_ids(&mut self, ids: &[u32], interner: &ValueInterner) -> bool {
         let key = &ids[..self.key_len];
         match self.blocks.search_by(|b| b.cmp_key(key, interner)) {
@@ -595,11 +488,6 @@ impl RelationIndex {
                 let block = IndexedBlock {
                     cols: Arc::new(FactColumns::from_rows(self.arity, ids)),
                 };
-                // Blocks sharing a head are adjacent: the head is new iff
-                // neither neighbour of the insertion point carries it.
-                if !self.head_is(i.checked_sub(1), ids[0]) && !self.head_is(Some(i), ids[0]) {
-                    self.stats.distinct_head += 1;
-                }
                 for p in 1..self.key_len {
                     let at = self
                         .posting_search(p, key, interner)
@@ -607,10 +495,9 @@ impl RelationIndex {
                     self.deep[p - 1].insert(at, (key[p], block.clone()));
                 }
                 self.blocks.insert(i, block);
-                self.stats.blocks += 1;
             }
         }
-        self.stats.facts += 1;
+        self.facts += 1;
         true
     }
 
@@ -632,9 +519,6 @@ impl RelationIndex {
             };
             self.replace_block(i, block, key, interner);
         } else {
-            if !self.head_is(i.checked_sub(1), ids[0]) && !self.head_is(Some(i + 1), ids[0]) {
-                self.stats.distinct_head -= 1;
-            }
             for p in 1..self.key_len {
                 let at = self
                     .posting_search(p, key, interner)
@@ -642,9 +526,8 @@ impl RelationIndex {
                 self.deep[p - 1].remove(at);
             }
             self.blocks.remove(i);
-            self.stats.blocks -= 1;
         }
-        self.stats.facts -= 1;
+        self.facts -= 1;
         true
     }
 
@@ -792,40 +675,56 @@ impl BlockRestriction {
     }
 }
 
-/// How [`DbIndex::restrict`] answered one relation's restrictions — the
-/// access-path record surfaced by `explain`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AccessPath {
-    /// The restricted relation.
-    pub relation: String,
-    /// Whether an ordered binary-searched seek narrowed the block list
-    /// (false: pure linear filter — forced, unselective, or unseekable).
-    pub used_seek: bool,
-    /// Blocks before restriction.
-    pub total_blocks: usize,
-    /// The fence-histogram estimate the seek-vs-scan choice was made on
-    /// (equals `total_blocks` when no seek was attempted).
-    pub est_blocks: usize,
-    /// Blocks actually surviving all of the relation's restrictions.
-    pub matched_blocks: usize,
-    /// Predicate summary, e.g. `seek key[0] < 500; filter key[1] <> 'x'`.
-    pub detail: String,
+impl std::fmt::Display for BlockRestriction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "key[{}] {} {}", self.pos, self.op, self.value)
+    }
 }
 
-impl std::fmt::Display for AccessPath {
+/// How [`DbIndex::restrict`] answered one relation's restrictions — the
+/// access-path record `explain` prints. Plain data borrowed from the
+/// restrictions: nothing is rendered until it is displayed, e.g. as
+/// `R: seek key[0] < 500; filter key[1] <> x (3 of 40 blocks)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AccessPath<'a> {
+    /// The restricted relation.
+    pub relation: &'a str,
+    /// Blocks before restriction.
+    pub total_blocks: usize,
+    /// Blocks surviving all of the relation's restrictions.
+    pub matched_blocks: usize,
+    /// The restrictions an ordered binary-searched seek answered: a chain
+    /// starting at key position 0, in key-position order.
+    pub seek: Vec<&'a BlockRestriction>,
+    /// The restrictions linear-filtered over the span the seek left.
+    pub filter: Vec<&'a BlockRestriction>,
+}
+
+impl AccessPath<'_> {
+    /// Whether an ordered seek narrowed the block list before the filter ran.
+    pub fn used_seek(&self) -> bool {
+        !self.seek.is_empty()
+    }
+}
+
+impl std::fmt::Display for AccessPath<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: ", self.relation)?;
+        let mut sep = "";
+        for (how, rs) in [("seek", &self.seek), ("filter", &self.filter)] {
+            if rs.is_empty() {
+                continue;
+            }
+            write!(f, "{sep}{how} ")?;
+            for (i, r) in rs.iter().enumerate() {
+                write!(f, "{}{r}", if i == 0 { "" } else { ", " })?;
+            }
+            sep = "; ";
+        }
         write!(
             f,
-            "{}: {} ({} of {} blocks, est {})",
-            self.relation,
-            if self.detail.is_empty() {
-                "scan"
-            } else {
-                &self.detail
-            },
-            self.matched_blocks,
-            self.total_blocks,
-            self.est_blocks
+            " ({} of {} blocks)",
+            self.matched_blocks, self.total_blocks
         )
     }
 }
@@ -1027,10 +926,9 @@ impl DbIndex {
     /// touched relation is materialised once (`Arc::make_mut` copies its
     /// spines — untouched relations keep sharing storage with every other
     /// clone of this index), and inside it each event copies the one leaf
-    /// its block sits in (per sequence) and that block's columns. Counts are
-    /// adjusted per event and the fence sample is re-taken once per touched
-    /// relation, so a batch costs `O(|spines| + |delta| · (log |blocks| +
-    /// |leaf|))` — nothing scans the relation.
+    /// its block sits in (per sequence) and that block's columns, so a batch
+    /// costs `O(|spines| + |delta| · (log |blocks| + |leaf|))` — nothing
+    /// scans the relation.
     ///
     /// Returns the deduplicated, sorted list of blocks whose contents changed
     /// — the dirty set callers use to decide which cached per-group answers
@@ -1075,8 +973,8 @@ impl DbIndex {
             let Some(shared) = self.relations.get_mut(name) else {
                 continue;
             };
-            // The one per-relation path copy: spines and the fence sample;
-            // leaves stay shared until an event lands in them.
+            // The one per-relation path copy: spines; leaves stay shared
+            // until an event lands in them.
             let rel = Arc::make_mut(shared);
             for event in rel_events {
                 if event.fact.arity() != rel.arity {
@@ -1105,7 +1003,6 @@ impl DbIndex {
                     });
                 }
             }
-            rel.stats.resample_fences(&rel.blocks);
         }
         dirty.into_iter().collect()
     }
@@ -1113,9 +1010,9 @@ impl DbIndex {
     /// Builds a **restricted view** of this index: for each relation named
     /// by a [`BlockRestriction`], a new [`RelationIndex`] holding only the
     /// blocks whose keys satisfy *all* of that relation's restrictions (with
-    /// posting lists and stats built in bulk for the surviving blocks); every
-    /// other relation — and the interner — stays `Arc`-shared with `self`.
-    /// Not a build: [`DbIndex::build_count`] does not advance.
+    /// posting lists built in bulk for the surviving blocks); every other
+    /// relation — and the interner — stays `Arc`-shared with `self`. Not a
+    /// build: [`DbIndex::build_count`] does not advance.
     ///
     /// This is how comparison predicates on key-position variables reach the
     /// evaluator: dropping a block wholesale restricts every repair's choice
@@ -1124,81 +1021,60 @@ impl DbIndex {
     /// the unchanged join/certainty machinery downstream computes the
     /// predicate-filtered range answers.
     ///
-    /// The access path per relation is **cost-based**: a restriction chain
-    /// starting at key position 0 (equalities extending to deeper positions,
-    /// then at most one inequality) is answered by an ordered
-    /// [`RelationIndex::prefix_seek_span`] — but only when the fence
-    /// histogram ([`RelationStats`]) estimates it selects fewer than all
-    /// blocks and `force_scan` is off (it is on only in tests, which run
-    /// the linear filter as the oracle beside the seek). Everything else
-    /// (deeper positions, `<>`, unselective estimates) linear-filters.
-    /// Returns the view plus one [`AccessPath`] record per restricted
-    /// relation (sorted by relation name), which `explain` surfaces.
-    pub fn restrict(
+    /// A restriction chain starting at key position 0 (equalities extending
+    /// to deeper positions, then at most one inequality) is answered by an
+    /// ordered seek — per step the two binary searches of
+    /// [`RelationIndex::prefix_seek_span`] — and only what the seek cannot
+    /// answer (deeper positions without an equality prefix, `<>`)
+    /// linear-filters the span it left. The seek never loses to the filter:
+    /// it runs the same test over a sub-span. `force_scan` skips it and
+    /// filters every block, the reference the index's own test runs beside
+    /// the seek. Returns the view plus one [`AccessPath`] record per
+    /// restricted relation (sorted by relation name), which `explain` prints.
+    pub fn restrict<'a>(
         &self,
-        restrictions: &[BlockRestriction],
+        restrictions: &'a [BlockRestriction],
         force_scan: bool,
-    ) -> (DbIndex, Vec<AccessPath>) {
+    ) -> (DbIndex, Vec<AccessPath<'a>>) {
         let mut grouped: BTreeMap<&str, Vec<&BlockRestriction>> = BTreeMap::new();
         for r in restrictions {
             grouped.entry(r.relation.as_str()).or_default().push(r);
         }
         let mut out = self.clone();
         let mut paths = Vec::new();
-        for (name, rs) in grouped {
+        for (name, mut filter) in grouped {
             let Some(shared) = self.relations.get(name) else {
                 continue;
             };
             let rel: &RelationIndex = shared;
-            debug_assert!(rs.iter().all(|r| r.pos < rel.key_len));
+            debug_assert!(filter.iter().all(|r| r.pos < rel.key_len));
             let total = rel.blocks.len();
-            // Histogram estimate for the head restriction (the decision is
-            // about the seekable position; deeper filters ride along).
-            let head = rs.iter().find(|r| r.pos == 0 && r.op.is_contiguous());
-            let est = head.map_or(total, |r| {
-                rel.stats
-                    .estimate_head_matches(r.op, &r.value, &self.interner)
-            });
-            // Greedy seek chain: contiguous restriction at position 0, then
+            // Greedy seek chain: a contiguous restriction at position 0, then
             // — while every earlier step was an equality — at each next
-            // position. `consumed` marks restrictions the seek answered.
+            // position. A restriction the seek answers leaves the filter.
             let mut span = 0..total;
-            let mut consumed = vec![false; rs.len()];
-            let mut seek_parts: Vec<String> = Vec::new();
-            if !force_scan && est < total {
-                let mut pos = 0usize;
-                let mut prefix_is_eq = true;
-                while prefix_is_eq {
-                    let Some(i) = (0..rs.len())
-                        .find(|&i| !consumed[i] && rs[i].pos == pos && rs[i].op.is_contiguous())
-                    else {
-                        break;
-                    };
-                    let r = rs[i];
-                    span = rel.range_span_at(span, pos, r.op, &r.value, &self.interner);
-                    consumed[i] = true;
-                    seek_parts.push(format!("key[{pos}] {} {}", r.op, r.value));
-                    prefix_is_eq = r.op == CmpOp::Eq;
-                    pos += 1;
-                }
+            let mut seek: Vec<&BlockRestriction> = Vec::new();
+            while !force_scan && seek.last().is_none_or(|r| r.op == CmpOp::Eq) {
+                let pos = seek.len();
+                let Some(i) = filter
+                    .iter()
+                    .position(|r| r.pos == pos && r.op.is_contiguous())
+                else {
+                    break;
+                };
+                let r = filter.remove(i);
+                span = rel.range_span_at(span, pos, r.op, &r.value, &self.interner);
+                seek.push(r);
             }
-            let used_seek = !seek_parts.is_empty();
-            // Everything the seek did not answer linear-filters the span.
-            let residual: Vec<(&BlockRestriction, Result<u32, u32>)> = rs
+            let ranks: Vec<Result<u32, u32>> = filter
                 .iter()
-                .zip(&consumed)
-                .filter(|(_, &c)| !c)
-                .map(|(&r, _)| (r, self.interner.prefix_rank(&r.value)))
-                .collect();
-            let filter_parts: Vec<String> = residual
-                .iter()
-                .map(|(r, _)| format!("key[{}] {} {}", r.pos, r.op, r.value))
+                .map(|r| self.interner.prefix_rank(&r.value))
                 .collect();
             let blocks = ChunkedSeq::from_sorted(
                 rel.blocks
                     .range(span)
                     .filter(|b| {
-                        residual.iter().all(|(r, rank)| {
+                        filter.iter().zip(&ranks).all(|(r, rank)| {
                             let ord =
                                 self.interner
                                     .cmp_id_to_value(b.key_at(r.pos), &r.value, *rank);
@@ -1208,23 +1084,12 @@ impl DbIndex {
                     .cloned(),
             );
             let restricted = RelationIndex::from_blocks(&rel.name, rel.key_len, rel.arity, blocks);
-            let mut detail = String::new();
-            if used_seek {
-                detail.push_str(&format!("seek {}", seek_parts.join(", ")));
-            }
-            if !filter_parts.is_empty() {
-                if used_seek {
-                    detail.push_str("; ");
-                }
-                detail.push_str(&format!("filter {}", filter_parts.join(", ")));
-            }
             paths.push(AccessPath {
-                relation: name.to_string(),
-                used_seek,
+                relation: name,
                 total_blocks: total,
-                est_blocks: if used_seek { est } else { total },
                 matched_blocks: restricted.blocks.len(),
-                detail,
+                seek,
+                filter,
             });
             out.relations.insert(name.to_string(), Arc::new(restricted));
         }
@@ -1350,16 +1215,7 @@ impl DbIndex {
                 deep(b, &other.interner),
                 "{name}: deep posting lists"
             );
-            assert_eq!(
-                (a.stats.blocks, a.stats.facts, a.stats.distinct_head),
-                (b.stats.blocks, b.stats.facts, b.stats.distinct_head),
-                "{name}: stats counters"
-            );
-            assert_eq!(
-                a.stats.fence_values(&self.interner),
-                b.stats.fence_values(&other.interner),
-                "{name}: stats fences"
-            );
+            assert_eq!(a.facts, b.facts, "{name}: fact count");
         }
     }
 
@@ -2021,71 +1877,81 @@ mod tests {
 
     #[test]
     fn restrict_agrees_with_brute_force_filter() {
-        let db = db_nums();
-        let idx = DbIndex::new(&db);
+        let on = |pos: usize, op: CmpOp, v: i64| BlockRestriction {
+            relation: "R".into(),
+            pos,
+            op,
+            value: Value::int(v),
+        };
         let cases: Vec<Vec<BlockRestriction>> = vec![
-            vec![BlockRestriction {
-                relation: "R".into(),
-                pos: 0,
-                op: CmpOp::Lt,
-                value: Value::int(3),
-            }],
-            vec![BlockRestriction {
-                relation: "R".into(),
-                pos: 1,
-                op: CmpOp::Ge,
-                value: Value::int(4),
-            }],
+            vec![on(0, CmpOp::Lt, 3)],
+            vec![on(0, CmpOp::Gt, 2)],
+            // A deeper position without an equality prefix: filter only.
+            vec![on(1, CmpOp::Ge, 4)],
+            // An equality-prefix chain, then one inequality: all seek.
+            vec![on(0, CmpOp::Eq, 1), on(1, CmpOp::Gt, 3)],
+            // `<>` is not contiguous, at position 0 or anywhere.
+            vec![on(0, CmpOp::Ne, 2)],
+            vec![on(0, CmpOp::Ne, 2), on(1, CmpOp::Le, 4)],
+            // The seek ends at the first inequality; the rest filters.
+            vec![on(0, CmpOp::Le, 2), on(1, CmpOp::Ge, 3)],
             vec![
-                BlockRestriction {
-                    relation: "R".into(),
-                    pos: 0,
-                    op: CmpOp::Eq,
-                    value: Value::int(1),
-                },
-                BlockRestriction {
-                    relation: "R".into(),
-                    pos: 1,
-                    op: CmpOp::Gt,
-                    value: Value::int(2),
-                },
+                on(1, CmpOp::Lt, 5),
+                on(0, CmpOp::Ge, 2),
+                on(0, CmpOp::Lt, 5),
             ],
-            vec![BlockRestriction {
-                relation: "R".into(),
-                pos: 0,
-                op: CmpOp::Ne,
-                value: Value::int(2),
-            }],
+            // Every block satisfies it (where the estimate used to pick the
+            // filter); no block does.
+            vec![on(0, CmpOp::Ge, -7)],
+            vec![on(0, CmpOp::Le, 9), on(1, CmpOp::Ge, 0)],
+            vec![on(0, CmpOp::Gt, 100)],
+            vec![on(0, CmpOp::Eq, 4)],
+            vec![on(0, CmpOp::Eq, 2), on(1, CmpOp::Eq, 3)],
         ];
-        for restrictions in &cases {
-            let expect: Vec<Vec<Value>> = idx
-                .relation("R")
-                .blocks()
-                .iter()
-                .filter(|b| {
-                    restrictions.iter().all(|r| {
-                        r.op.holds(idx.interner().value(b.key_at(r.pos)).cmp(&r.value))
-                    })
-                })
-                .map(|b| key_values(&idx, b, 2))
-                .collect();
-            for force_scan in [false, true] {
-                let (view, paths) = idx.restrict(restrictions, force_scan);
-                let got: Vec<Vec<Value>> = view
-                    .relation("R")
-                    .blocks()
+        let cold = DbIndex::new(&db_nums());
+        // The same shape with ids appended out of value order: heads 0 and 4
+        // and the second components 0, 6 and 7 are first seen by the delta.
+        let mut warm = cold.clone();
+        warm.apply_delta(&[
+            DeltaEvent::insert(fact!("R", 4, 6)),
+            DeltaEvent::insert(fact!("R", 0, 7)),
+            DeltaEvent::insert(fact!("R", 2, 0)),
+            DeltaEvent::delete(fact!("R", 5, 9)),
+        ]);
+        for idx in [&cold, &warm] {
+            let keys = |of: &DbIndex| -> Vec<Vec<Value>> {
+                let blocks = of.relation("R").blocks();
+                blocks.iter().map(|b| key_values(of, b, 2)).collect()
+            };
+            let all = keys(idx);
+            for restrictions in &cases {
+                let expect: Vec<Vec<Value>> = all
                     .iter()
-                    .map(|b| key_values(&view, b, 2))
+                    .filter(|key| restrictions.iter().all(|r| r.admits(key)))
+                    .cloned()
                     .collect();
-                assert_eq!(got, expect, "restricted blocks ({restrictions:?})");
-                assert_eq!(paths.len(), 1);
-                assert_eq!(paths[0].matched_blocks, expect.len());
-                assert_eq!(paths[0].total_blocks, 7);
-                if force_scan {
-                    assert!(!paths[0].used_seek, "force_scan must not seek");
+                let (view, paths) = idx.restrict(restrictions, false);
+                let (filtered, filtered_paths) = idx.restrict(restrictions, true);
+                view.assert_structurally_identical(&filtered);
+                assert_eq!(keys(&view), expect, "restricted blocks ({restrictions:?})");
+                assert_eq!(
+                    keys(&filtered),
+                    expect,
+                    "filtered blocks ({restrictions:?})"
+                );
+                // The seek is taken exactly when a contiguous chain starts at
+                // position 0, and never by the linear-filter reference.
+                let chain = restrictions
+                    .iter()
+                    .any(|r| r.pos == 0 && r.op.is_contiguous());
+                assert_eq!(paths[0].used_seek(), chain, "{restrictions:?}");
+                assert!(!filtered_paths[0].used_seek(), "force_scan must not seek");
+                for path in [&paths[0], &filtered_paths[0]] {
+                    assert_eq!(path.matched_blocks, expect.len());
+                    assert_eq!(path.total_blocks, all.len());
+                    assert_eq!(path.seek.len() + path.filter.len(), restrictions.len());
                 }
-                // Stats track the restricted block list.
-                assert_eq!(view.relation("R").stats().blocks, expect.len());
+                assert_eq!(view.relation("R").fact_count(), expect.len());
                 // The deep posting list covers exactly the surviving blocks.
                 for k1 in 0..=9 {
                     let id = view.interner().id_or_missing(&Value::int(k1));
@@ -2103,64 +1969,63 @@ mod tests {
                 }
             }
         }
-        // The selective head predicate takes the seek path by default.
-        let (_, paths) = idx.restrict(&cases[0], false);
-        assert!(paths[0].used_seek);
-        assert!(paths[0].est_blocks < paths[0].total_blocks);
+        // The record renders what was done, in chain order.
+        let (_, paths) = cold.restrict(&cases[7], false);
+        assert_eq!(
+            paths[0].to_string(),
+            "R: seek key[0] >= 2; filter key[1] < 5, key[0] < 5 (3 of 7 blocks)"
+        );
     }
 
     #[test]
     fn restrict_shares_untouched_relations_and_interner() {
         let db = db();
         let idx = DbIndex::new(&db);
-        let (view, paths) = idx.restrict(
-            &[BlockRestriction {
-                relation: "S".into(),
-                pos: 0,
-                op: CmpOp::Le,
-                value: Value::text("b1"),
-            }],
-            false,
-        );
+        let on = |relation: &str, op: CmpOp, value: Value| BlockRestriction {
+            relation: relation.into(),
+            pos: 0,
+            op,
+            value,
+        };
+        let heads = [on("S", CmpOp::Le, Value::text("b1"))];
+        let (view, paths) = idx.restrict(&heads, false);
         assert_eq!(paths.len(), 1);
         assert_eq!(view.relation("S").blocks().len(), 2);
         assert!(view.shares_relation_storage(&idx, "Empty"));
         assert!(!view.shares_relation_storage(&idx, "S"));
         assert!(std::ptr::eq(view.interner(), idx.interner()));
         // Restricting an unknown relation is a no-op, not a panic.
-        let (view2, paths2) = idx.restrict(
-            &[BlockRestriction {
-                relation: "Nope".into(),
-                pos: 0,
-                op: CmpOp::Lt,
-                value: Value::int(1),
-            }],
-            false,
-        );
+        let unknown = [on("Nope", CmpOp::Lt, Value::int(1))];
+        let (view2, paths2) = idx.restrict(&unknown, false);
         assert!(paths2.is_empty());
         assert!(view2.shares_relation_storage(&idx, "S"));
     }
 
     #[test]
     fn stats_track_block_list_shape() {
-        let db = db();
-        let idx = DbIndex::new(&db);
-        let s = idx.relation("S").stats();
-        assert_eq!(s.blocks, 3);
-        assert_eq!(s.facts, 4);
-        assert_eq!(s.distinct_head, 2); // b1, b2
-        assert_eq!(idx.relation("Empty").stats().blocks, 0);
-        // Estimates: a predicate matching no fence still rounds sanely, a
-        // predicate matching all fences estimates the whole relation, and
-        // `<>` never pretends to be seekable.
-        let est_all = s.estimate_head_matches(CmpOp::Ge, &Value::text("a"), idx.interner());
-        assert_eq!(est_all, 3);
-        let est_none = s.estimate_head_matches(CmpOp::Lt, &Value::text("a"), idx.interner());
-        assert_eq!(est_none, 0);
-        assert_eq!(
-            s.estimate_head_matches(CmpOp::Ne, &Value::text("b1"), idx.interner()),
-            3
-        );
+        let mut db = db();
+        let mut idx = DbIndex::new(&db);
+        let counts = |idx: &DbIndex, name: &str| {
+            let rel = idx.relation(name);
+            (rel.blocks().len(), rel.fact_count())
+        };
+        assert_eq!(counts(&idx, "S"), (3, 4));
+        assert_eq!(counts(&idx, "Empty"), (0, 0));
+        // The fact count follows every effective event and no other.
+        let batch = [
+            DeltaEvent::insert(fact!("S", "b3", "c1", 1)),
+            DeltaEvent::insert(fact!("S", "b1", "c1", 1)),
+            DeltaEvent::delete(fact!("S", "b2", "c3", 5)),
+            DeltaEvent::delete(fact!("S", "b1", "c1", 2)),
+            DeltaEvent::insert(fact!("Empty", "e")),
+        ];
+        idx.apply_delta(&batch);
+        for event in batch {
+            db.apply(event).unwrap();
+        }
+        assert_eq!(counts(&idx, "S"), (3, 3));
+        assert_eq!(counts(&idx, "Empty"), (1, 1));
+        assert_identical(&idx, &DbIndex::new(&db));
     }
 
     #[test]

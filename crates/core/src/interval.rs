@@ -219,7 +219,7 @@ pub fn certain_topk<R: Borrow<GroupRange>>(rows: &[R], k: usize, descending: boo
 /// changed) provably preserves certain-top-k **membership for every k**.
 ///
 /// [`certain_topk`] membership is a function of the pairwise
-/// [`possibly_precedes`] relation: a row qualifies at `k` iff fewer than `k`
+/// `possibly_precedes` relation: a row qualifies at `k` iff fewer than `k`
 /// rows possibly precede it. If for every changed row the relation to every
 /// other row is unchanged in both directions, each row's preceder count — and
 /// hence membership at every `k` — is identical, so a cached selection can be

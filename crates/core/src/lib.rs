@@ -17,10 +17,10 @@
 //!   mirrors) over ∀embeddings, as interned-id rows;
 //! * [`rewrite`] — the symbolic AGGR\[FOL\] rewritings (Lemma 4.3,
 //!   Theorem 6.1, Theorems 7.10/7.11);
-//! * [`classify`] — the separation decision of Theorem 1.1 / Theorem 7.11;
+//! * [`mod@classify`] — the separation decision of Theorem 1.1 / Theorem 7.11;
 //! * [`exact`] — the ground-truth repair-enumeration baseline;
-//! * [`plan`] — the two-level plan architecture: logical strategy planning,
-//!   the physical plan IR, and the (parallel) plan executor;
+//! * [`plan`] — the operator of each bound (the strategy table) and the
+//!   (parallel) executor of the one pipeline they run in;
 //! * [`engine`] — the user-facing [`RangeCqa`] engine with GROUP BY support.
 //!
 //! ## Quick example
@@ -73,12 +73,12 @@ pub use exact::{
 };
 pub use forall::{analyse, Binding, CertaintyChecker, CompiledLevels, ForallAnalysis, VarTable};
 pub use glb::Choice;
-pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, RelationStats};
+pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
 pub use interval::{
     certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
     HavingStatus,
 };
 pub use plan::exec::{RowSupport, SupportAtom, SupportSlot};
-pub use plan::{BoundOp, BoundStrategy, LogicalPlan, PhysicalPlan, PlanNode};
+pub use plan::{BoundOp, Plan};
 pub use prepared::{PreparedAggQuery, PreparedBody};
 pub use rewrite::{rewriting_for, BoundKind, Rewriting};

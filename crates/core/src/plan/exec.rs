@@ -1,5 +1,5 @@
-//! The plan executor: interprets a [`PhysicalPlan`] over a shared
-//! [`DbIndex`], sequentially or on a block-sharded worker pool.
+//! The plan executor: runs a [`Plan`]'s pipeline over a shared [`DbIndex`],
+//! sequentially or on a block-sharded worker pool.
 //!
 //! ## Threading model
 //!
@@ -7,12 +7,12 @@
 //! a [`std::thread::scope`] worker pool (no external dependencies — the
 //! workspace builds offline). The join pass is sharded **by level-0 block
 //! key**: each worker joins and buckets its range of blocks, and the shard
-//! outputs are merged in shard order. Then, at the
-//! [`PlanNode::PartitionByGroup`] boundary, the sorted groups are sharded
-//! again: each worker owns a **per-worker memoised [`CertaintyChecker`]**
-//! over the shared read-only index — certainty sub-problems are reused across
-//! the groups of one shard, and no locks are taken on the hot path. The final
-//! [`PlanNode::RangeMerge`] concatenates the shard outputs in shard order;
+//! outputs are merged in shard order. Then, at the `PartitionByGroup`
+//! boundary, the sorted groups are sharded again: each worker owns a
+//! **per-worker memoised [`CertaintyChecker`]** over the shared read-only
+//! index — certainty sub-problems are reused across the groups of one shard,
+//! and no locks are taken on the hot path. The final `RangeMerge`
+//! concatenates the shard outputs in shard order;
 //! because the partition step emits groups in sorted group-key **value**
 //! order (interned ids are compared through
 //! [`ValueInterner::cmp_id_tuples`], so the order is independent of the id
@@ -55,9 +55,6 @@
 //! so "the same copy" may physically overlap the indexes of neighbouring
 //! snapshots; that sharing is invisible here because published indexes —
 //! interior `Arc`s included — are never mutated.
-//!
-//! [`PlanNode::PartitionByGroup`]: crate::plan::physical::PlanNode::PartitionByGroup
-//! [`PlanNode::RangeMerge`]: crate::plan::physical::PlanNode::RangeMerge
 
 use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, Method};
 use crate::error::CoreError;
@@ -66,7 +63,7 @@ use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, Compiled
 use crate::glb::{global_extremum, optimal_aggregate, Choice, Leaves};
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::{DbIndex, IndexedBlock, RelationIndex};
-use crate::plan::physical::{BoundOp, ExecSpec, PhysicalPlan};
+use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
 use rcqa_data::{DatabaseInstance, Value, ValueInterner};
@@ -94,10 +91,9 @@ pub struct ExecContext<'a> {
     pub exact_predicates: &'a [VarPredicate],
 }
 
-/// Executes a physical plan, returning one [`GroupRange`] per group in
-/// sorted group-key order.
-pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, CoreError> {
-    let spec = plan.spec();
+/// Executes a plan, returning one [`GroupRange`] per group in sorted
+/// group-key order.
+pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, CoreError> {
     // Scan + Join + PartitionByGroup: one compilation of the closed body, one
     // join pass over the shared index (sharded by level-0 block key when
     // parallel), embeddings partitioned by group key.
@@ -105,7 +101,7 @@ pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRan
     let free = cx.prepared.normalised.body.free_vars();
     let partition = if free.is_empty() {
         let mut embeddings = IdRows::new(compiled.table().len());
-        if spec.needs_analysis {
+        if plan.needs_analysis() {
             let initial = compiled.unbound_ids();
             for_each_embedding(&compiled, cx.index, &initial, |theta| {
                 embeddings.push(theta.iter().copied())
@@ -113,10 +109,10 @@ pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRan
         }
         Partition::single_group(embeddings)
     } else {
-        partition_groups(cx, &compiled, free, spec.keep_embeddings, None)
+        partition_groups(cx, &compiled, free, plan.keep_embeddings(), None)
     };
     let workers = cx.options.resolve_threads();
-    eval_groups(&spec, cx, &compiled, free, &partition, workers)
+    eval_groups(plan, cx, &compiled, free, &partition, workers)
 }
 
 /// Below this much work — groups plus embeddings, counted as the join
@@ -134,7 +130,7 @@ pub fn execute(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<GroupRan
 /// evaluation.
 pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 
-/// Executes a physical plan for **only** the groups whose key is in `keys`.
+/// Executes a plan for **only** the groups whose key is in `keys`.
 ///
 /// Two arms, chosen from the **exact** level-0 span lengths the sorted block
 /// sequence gives in `O(log n)` per key (`Join::level0_span`): the keys are
@@ -167,11 +163,10 @@ pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 /// order, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
 pub fn execute_for_groups<'k>(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     cx: &ExecContext<'_>,
     keys: impl IntoIterator<Item = &'k Vec<Value>>,
 ) -> Result<Vec<GroupRange>, CoreError> {
-    let spec = plan.spec();
     let free = cx.prepared.normalised.body.free_vars();
     if free.is_empty() {
         // A closed query has a single (empty-keyed) group; filtering does not
@@ -193,9 +188,9 @@ pub fn execute_for_groups<'k>(
         return Ok(Vec::new());
     }
     let compiled = CompiledLevels::new(cx.prepared.body.levels());
-    let partition = partition_groups(cx, &compiled, free, spec.keep_embeddings, Some(&only));
+    let partition = partition_groups(cx, &compiled, free, plan.keep_embeddings(), Some(&only));
     let workers = workers_for(cx.options, partition.keys.len() + partition.rows.len());
-    eval_groups(&spec, cx, &compiled, free, &partition, workers)
+    eval_groups(plan, cx, &compiled, free, &partition, workers)
 }
 
 /// The output of `Scan + Join + PartitionByGroup`, in id space.
@@ -509,8 +504,10 @@ fn workers_for(options: &EngineOptions, work: usize) -> usize {
 }
 
 /// Runs `work` over each shard — inline for a single shard, else one scoped
-/// worker thread per shard — and returns the results in shard order.
-fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+/// worker thread per shard — and returns the results in shard order. The
+/// workspace's one spawn site: the sharded serving front-end fans a read out
+/// over its shards through it as well.
+pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
     if shards.len() <= 1 {
         return shards.into_iter().map(work).collect();
     }
@@ -538,7 +535,7 @@ fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) ->
 /// over-budget statement is refused, the same way at every worker count,
 /// before the first repair of any group is built.
 fn eval_groups(
-    spec: &ExecSpec,
+    plan: &Plan,
     cx: &ExecContext<'_>,
     compiled: &CompiledLevels,
     free: &[Var],
@@ -546,13 +543,13 @@ fn eval_groups(
     workers: usize,
 ) -> Result<Vec<GroupRange>, CoreError> {
     let groups = partition.keys.len();
-    let enumerates = [spec.glb, spec.lub].contains(&Some(BoundOp::ExactEnumeration));
+    let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
     let closures = (enumerates && cx.options.allow_exact_fallback)
-        .then(|| Closures::collect(spec, cx, compiled, free, partition))
+        .then(|| Closures::collect(plan, cx, compiled, free, partition))
         .transpose()?;
     let closures = closures.as_ref();
     let shard_results = run_shards(shard((0..groups).collect(), workers), |groups| {
-        eval_shard(spec, cx, compiled, free, partition, groups, closures)
+        eval_shard(plan, cx, compiled, free, partition, groups, closures)
     });
     let mut out = Vec::with_capacity(groups);
     for result in shard_results {
@@ -588,14 +585,15 @@ impl<'a> Closures<'a> {
     /// many repairs (counted, no fact materialised), and the first group in
     /// group-key order over [`EngineOptions::max_repairs`] is the `Err`.
     fn collect(
-        spec: &ExecSpec,
+        plan: &Plan,
         cx: &ExecContext<'a>,
         closed: &CompiledLevels,
         free: &[Var],
         partition: &Partition,
     ) -> Result<Closures<'a>, CoreError> {
         let open;
-        let compiled = if spec.keep_embeddings {
+        let keep_embeddings = plan.keep_embeddings();
+        let compiled = if keep_embeddings {
             closed
         } else {
             open = CompiledLevels::new(cx.prepared.open_levels());
@@ -622,7 +620,7 @@ impl<'a> Closures<'a> {
                     });
                 }
             };
-            if spec.keep_embeddings {
+            if keep_embeddings {
                 for &row in partition.rows_of(g) {
                     touch(partition.embeddings.row(row as usize));
                 }
@@ -715,7 +713,7 @@ struct GroupAnalysis<'a> {
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
 /// sharing one memoised certainty checker (and its scratch) across the shard.
 fn eval_shard(
-    spec: &ExecSpec,
+    plan: &Plan,
     cx: &ExecContext<'_>,
     compiled: &CompiledLevels,
     free: &[Var],
@@ -728,7 +726,8 @@ fn eval_shard(
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
     // and the aggregated one included.
-    let analysing = spec.needs_analysis.then(|| {
+    let needs_forall = plan.needs_forall();
+    let analysing = plan.needs_analysis().then(|| {
         (
             CertaintyChecker::with_compiled(compiled.clone(), cx.index),
             Leaves::new(
@@ -754,14 +753,8 @@ fn eval_shard(
                     base[slot] = id;
                 }
                 let rows = partition.rows_of(g);
-                let certain = forall_check(
-                    checker,
-                    &base,
-                    embeddings,
-                    rows,
-                    spec.needs_forall,
-                    &mut forall,
-                );
+                let certain =
+                    forall_check(checker, &base, embeddings, rows, needs_forall, &mut forall);
                 Some(GroupAnalysis {
                     leaves,
                     certain,
@@ -779,8 +772,8 @@ fn eval_shard(
             op.map(|op| bound_answer(op, kind, cx, compiled, analysis.as_mut(), exact))
                 .transpose()
         };
-        let glb = bound(spec.glb, BoundKind::Glb)?;
-        let lub = bound(spec.lub, BoundKind::Lub)?;
+        let glb = bound(plan.glb, BoundKind::Glb)?;
+        let lub = bound(plan.lub, BoundKind::Lub)?;
         // Residual predicates are invisible to the partitioner, so the exact
         // enumeration may discover that a candidate group has no satisfying
         // embedding at all — such a group is not a possible answer and has

@@ -1,6 +1,6 @@
 //! A named-column catalog for the SQL front-end.
 //!
-//! The positional [`Schema`](rcqa_data::Schema) used by the storage layer has
+//! The positional [`Schema`] used by the storage layer has
 //! no column names; SQL queries refer to columns by name, so the SQL parser is
 //! driven by a [`Catalog`] that records, per table, the ordered column names,
 //! how many leading columns form the primary key, and which columns are

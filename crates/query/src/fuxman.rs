@@ -1,5 +1,5 @@
 //! Fuxman graphs and the classes Cforest / Caggforest (Appendix N of the
-//! paper, after Fuxman's PhD thesis [21]).
+//! paper, after Fuxman's PhD thesis \[21\]).
 //!
 //! These classes underlie the ConQuer system and are used in Section 7.3 of
 //! the paper, which refutes the claim that every query in Caggforest admits a

@@ -178,7 +178,7 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, QueryError> {
 /// statement terminator (`;`) is dropped. Literal contents — including
 /// doubled-quote escapes — are preserved verbatim and stay case-sensitive.
 ///
-/// This lives next to [`tokenize`] because the two must agree on where
+/// This lives next to `tokenize` because the two must agree on where
 /// string literals begin and end: two statements may share a normalized form
 /// only if they parse identically. Unterminated literals are copied as-is;
 /// the parser rejects them later.

@@ -98,15 +98,15 @@
 //!
 //! Every consumer — the experiment harness, the examples, and the
 //! integration tests — goes through this one path, so the SQL parser, the
-//! logical/physical planner, and the (parallel) plan executor are exercised
-//! together end to end:
+//! strategy table, and the (parallel) plan executor are exercised together
+//! end to end:
 //!
 //! ```text
 //! SQL string
 //!   └─ normalize → statement cache        rcqa-session
 //!      └─ parse_sql (catalog-driven)      rcqa-query      (cold only)
 //!         └─ classify_with_domain         rcqa-core::classify
-//!         └─ LogicalPlan → PhysicalPlan   rcqa-core::plan
+//!         └─ Plan (one BoundOp per bound) rcqa-core::plan
 //!            └─ execute (worker pool)     rcqa-core::plan::exec
 //!               └─ Vec<GroupRange>        range-consistent answers
 //! ```
@@ -392,7 +392,7 @@ impl QueryOutcome {
 /// A SQL statement prepared once and cached by the session: the parsed and
 /// translated [`AggQuery`], its output column names, the fully prepared
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
-/// slots, logical→physical plan choice), the [`Classification`] for the
+/// slots, routed comparison predicates), the [`Classification`] for the
 /// session instance's numeric domain, and the static [`RowSupport`] — which
 /// shard route is sound, and the row scan behind a retraction-blind level.
 ///
@@ -1865,15 +1865,20 @@ impl Session {
             .collect()
     }
 
-    /// An `EXPLAIN`-style rendering of the physical plan [`Session::execute`]
+    /// An `EXPLAIN`-style rendering of the pipeline [`Session::execute`]
     /// would run for this SQL query (served from the statement cache). The
-    /// per-aggregate plan — including the chosen access path with its
-    /// statistics estimate — is followed by the session-level post-processing
-    /// steps (HAVING trichotomy, ORDER BY, certain top-k).
+    /// per-aggregate plan — including the access path taken, with its
+    /// matched and total block counts — is followed by the session-level
+    /// post-processing steps (HAVING trichotomy, ORDER BY, certain top-k).
     pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
-        let snapshot = self.snapshot();
-        let stmt = self.prepare_at(&snapshot, sql)?;
-        let index = self.pinned_index(&snapshot);
+        self.explain_at(&self.snapshot(), sql)
+    }
+
+    /// [`Session::explain`] at a pinned snapshot (the sharded front-end
+    /// explains at the mirror snapshot of its consistent cut).
+    fn explain_at(&self, snapshot: &Snapshot, sql: &str) -> Result<String, SessionError> {
+        let stmt = self.prepare_at(snapshot, sql)?;
+        let index = self.pinned_index(snapshot);
         let mut out = String::new();
         if stmt.unsatisfiable {
             out.push_str(

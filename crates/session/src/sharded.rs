@@ -108,6 +108,7 @@ use crate::{
     SessionOptions, SessionStats, Snapshot, WalOptions,
 };
 use rcqa_core::engine::{EngineOptions, GroupRange};
+use rcqa_core::plan::exec::run_shards;
 use rcqa_core::SupportSlot;
 use rcqa_data::{codec, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Value};
 use rcqa_query::Catalog;
@@ -248,7 +249,7 @@ pub struct ShardedStats {
 /// **byte-identical** to the same statement on one unsharded session holding
 /// the same facts (`tests/session_sharded.rs` asserts this property across
 /// random interleavings, shard counts, thread counts, and crash recovery).
-/// See the [module docs](self) for the routing rule, the per-route
+/// See the module docs (`sharded.rs`) for the routing rule, the per-route
 /// correctness argument, and the group-commit write path.
 pub struct ShardedSession {
     shards: Vec<Session>,
@@ -778,28 +779,13 @@ impl ShardedSession {
         stmt: &PreparedStatement,
     ) -> Result<QueryOutcome, SessionError> {
         let sql = stmt.sql();
-        let workers = self.mirror.options().resolve_threads();
-        let fetched: Vec<Result<(Arc<PreparedStatement>, CachedResult), SessionError>> =
-            if self.shards.len() > 1 && workers > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter()
-                        .zip(&pinned.snaps)
-                        .map(|(shard, snap)| scope.spawn(move || shard.fetch_result_at(snap, sql)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard evaluation panicked"))
-                        .collect()
-                })
-            } else {
-                self.shards
-                    .iter()
-                    .zip(&pinned.snaps)
-                    .map(|(shard, snap)| shard.fetch_result_at(snap, sql))
-                    .collect()
-            };
+        let shards: Vec<_> = self.shards.iter().zip(&pinned.snaps).collect();
+        let fetch = |(shard, snap): (&Session, &Arc<Snapshot>)| shard.fetch_result_at(snap, sql);
+        let fetched: Vec<_> = if self.mirror.options().resolve_threads() > 1 {
+            run_shards(shards, fetch)
+        } else {
+            shards.into_iter().map(fetch).collect()
+        };
         let mut parts: Vec<CachedResult> = Vec::with_capacity(fetched.len());
         for result in fetched {
             parts.push(result?.1);
@@ -818,9 +804,11 @@ impl ShardedSession {
     }
 
     /// An `EXPLAIN`-style rendering: the chosen shard route, then the
-    /// mirror's plan rendering (identical to every shard's — same options,
-    /// same schema, same domain).
+    /// mirror's plan rendering at a consistent cut (the plan is identical to
+    /// every shard's — same options, same schema, same domain — and the
+    /// access path's block counts are those of the union of the shards).
     pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
+        let pinned = self.pin()?;
         let stmt = self.mirror.prepare(sql)?;
         let route = match self.route(&stmt) {
             Route::Fanout => format!(
@@ -838,7 +826,8 @@ impl ShardedSession {
                 self.shards.len()
             ),
         };
-        Ok(format!("{route}{}", self.mirror.explain(sql)?))
+        let plan = self.mirror.explain_at(&pinned.mirror, sql)?;
+        Ok(format!("{route}{plan}"))
     }
 
     /// The read route certified by the statement's support — see the module

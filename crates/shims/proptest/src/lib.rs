@@ -4,7 +4,7 @@
 //! be fetched from crates.io. This shim implements the subset of the API the
 //! workspace's property tests rely on:
 //!
-//! * the [`Strategy`] trait with `prop_map`, for integer ranges, tuples, and
+//! * the [`strategy::Strategy`] trait with `prop_map`, for integer ranges, tuples, and
 //!   [`collection::vec`];
 //! * the [`proptest!`] macro (including the `#![proptest_config(..)]` header)
 //!   expanding each property into a deterministic multi-case `#[test]`;
@@ -75,7 +75,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and adapters.
+/// The [`Strategy`](strategy::Strategy) trait and adapters.
 pub mod strategy {
     use crate::test_runner::TestRng;
 
@@ -207,7 +207,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

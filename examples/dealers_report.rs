@@ -40,7 +40,7 @@ fn main() {
                GROUP BY D.Name";
     println!("SQL          : {sql}");
 
-    // The physical plan the session executes (plan-IR lowering).
+    // The pipeline the session executes, with the operator of each bound.
     println!("\nEXPLAIN:\n{}", session.explain(sql).unwrap());
 
     let outcome = session.execute(sql).unwrap();

@@ -181,7 +181,7 @@ proptest! {
     /// growth phase drew) that merges them again — in single commits and
     /// 16-event batches. Every value is first seen by a commit, so all of it
     /// runs on appended interner ids. The warm index (block order, row order,
-    /// position-free postings, incrementally kept counts and fences) is
+    /// position-free postings, incrementally kept fact counts) is
     /// compared with a cold `DbIndex::new` every 64 commits, and answers with
     /// cold sessions at the turning point and the end.
     #[test]

@@ -218,3 +218,39 @@ fn recovered_sharded_session_accepts_further_writes() {
     assert!(stats.designated_queries > 0, "no designated lookup");
     assert!(stats.combine_queries > 0, "no cross-shard combine");
 }
+
+/// `explain` reads the same consistent cut an `execute` would: straight
+/// after a write, with no read in between, the access path's block counts
+/// are those of the written instance — the unsharded session's text, below
+/// the front-end's `route:` line.
+#[test]
+fn explain_after_a_write_sees_the_write() {
+    let facts = [
+        fact!("Dealers", "Smith", "Boston"),
+        fact!("Dealers", "Smith", "Dover"),
+        fact!("Dealers", "James", "Boston"),
+        fact!("Stock", "p1", "Boston", 35),
+        fact!("Stock", "p1", "Boston", 40),
+        fact!("Stock", "p2", "Dover", 95),
+    ];
+    let statements = [
+        "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town AND D.Name >= 'K' GROUP BY D.Name",
+        "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
+         WHERE S.Product > 'p1' GROUP BY S.Product, S.Town",
+    ];
+    let reference = Session::new(catalog());
+    reference.insert_all(facts.clone()).expect("insert");
+    for shards in [2usize, 4] {
+        let sharded = ShardedSession::new(catalog(), shards);
+        sharded.insert_all(facts.clone()).expect("insert");
+        for sql in statements {
+            let want = reference.explain(sql).expect("unsharded explain");
+            assert!(want.contains(" of 2 blocks"), "{want}");
+            let got = sharded.explain(sql).expect("sharded explain");
+            let (route, plan) = got.split_once('\n').expect("a route line, then the plan");
+            assert!(route.starts_with("route: "), "{got}");
+            assert_eq!(plan, want, "{shards} shards: {sql}");
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! End-to-end SQL through the session facade: every layer — SQL parser,
-//! catalog lowering, classification, plan-IR lowering, (parallel) executor —
+//! catalog lowering, classification, strategy table, (parallel) executor —
 //! on one path, against the paper's Fig. 1 instance and a generated workload.
 
 use rcqa::core::engine::{EngineOptions, Method};

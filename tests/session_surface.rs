@@ -5,33 +5,38 @@
 //! invalidation rule for all of these shapes.
 
 use rcqa::core::engine::EngineOptions;
-use rcqa::data::{fact, rat};
+use rcqa::data::{fact, rat, Fact};
 use rcqa::query::QueryError;
 use rcqa::query::{Catalog, TableDef};
-use rcqa::session::{HavingStatus, Session, SessionError};
+use rcqa::session::{HavingStatus, Session, SessionError, ShardedSession};
 
-fn fig1_session() -> Session {
-    let catalog = Catalog::new()
+fn fig1_catalog() -> Catalog {
+    Catalog::new()
         .with_table(TableDef::new("Dealers").key_column("Name").column("Town"))
         .with_table(
             TableDef::new("Stock")
                 .key_column("Product")
                 .key_column("Town")
                 .numeric_column("Qty"),
-        );
-    let session = Session::new(catalog);
-    session
-        .insert_all([
-            fact!("Dealers", "Smith", "Boston"),
-            fact!("Dealers", "Smith", "New York"),
-            fact!("Dealers", "James", "Boston"),
-            fact!("Stock", "Tesla X", "Boston", 35),
-            fact!("Stock", "Tesla X", "Boston", 40),
-            fact!("Stock", "Tesla Y", "Boston", 35),
-            fact!("Stock", "Tesla Y", "New York", 95),
-            fact!("Stock", "Tesla Y", "New York", 96),
-        ])
-        .unwrap();
+        )
+}
+
+fn fig1_facts() -> [Fact; 8] {
+    [
+        fact!("Dealers", "Smith", "Boston"),
+        fact!("Dealers", "Smith", "New York"),
+        fact!("Dealers", "James", "Boston"),
+        fact!("Stock", "Tesla X", "Boston", 35),
+        fact!("Stock", "Tesla X", "Boston", 40),
+        fact!("Stock", "Tesla Y", "Boston", 35),
+        fact!("Stock", "Tesla Y", "New York", 95),
+        fact!("Stock", "Tesla Y", "New York", 96),
+    ]
+}
+
+fn fig1_session() -> Session {
+    let session = Session::new(fig1_catalog());
+    session.insert_all(fig1_facts()).unwrap();
     session
 }
 
@@ -221,8 +226,8 @@ fn unexecutable_shapes_fail_with_precise_errors() {
 #[test]
 fn explain_documents_access_path_and_post_processing() {
     let session = fig1_session();
-    // A pushable key predicate turns the leaf into a Seek with a statistics
-    // estimate; HAVING and certain top-k appear as post-processing steps.
+    // A pushable key predicate turns the leaf into a Seek with its block
+    // counts; HAVING and certain top-k appear as post-processing steps.
     let plan = session
         .explain(
             "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
@@ -231,7 +236,7 @@ fn explain_documents_access_path_and_post_processing() {
         )
         .unwrap();
     assert!(plan.contains("Seek"), "{plan}");
-    assert!(plan.contains("est"), "{plan}");
+    assert!(plan.contains("(1 of 2 blocks)"), "{plan}");
     assert!(
         plan.contains("post-process: HAVING aggregate #0 >"),
         "{plan}"
@@ -275,14 +280,14 @@ RangeMerge [deterministic group order]
    └─ ForallCheck [certainty + ∀embeddings]
       └─ PartitionByGroup [d_name]
          └─ Join [2 levels, open body]
-            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks, est 1))
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks))
 aggregate #1: MIN
 RangeMerge [deterministic group order]
 └─ AggregateBound [glb: Extremum(Minimise), lub: Rewrite(MIN, Maximise)]
    └─ ForallCheck [certainty + ∀embeddings]
       └─ PartitionByGroup [d_name]
          └─ Join [2 levels, open body]
-            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks, est 1))
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= K (1 of 2 blocks))
 post-process: HAVING aggregate #1 >= 30 -> certain/possible kept, violated dropped
 post-process: certain top-1 by aggregate #0 DESC (rows certainly in the top 1 of every repair)
 ",
@@ -309,7 +314,7 @@ RangeMerge [deterministic group order]
    └─ ForallCheck [certainty + ∀embeddings]
       └─ PartitionByGroup [d_name]
          └─ Join [2 levels, open body]
-            └─ Seek [Dealers, Stock] (restricted block index: Dealers: filter key[0] >= A (2 of 2 blocks, est 2))
+            └─ Seek [Dealers, Stock] (restricted block index: Dealers: seek key[0] >= A (2 of 2 blocks))
 ",
     ),
 ];
@@ -317,8 +322,15 @@ RangeMerge [deterministic group order]
 #[test]
 fn explain_is_pinned_verbatim() {
     let session = fig1_session();
+    // The sharded front-end prints its route, then the same text.
+    let sharded = ShardedSession::new(fig1_catalog(), 2);
+    sharded.insert_all(fig1_facts()).unwrap();
     for (sql, golden) in GOLDEN_EXPLAIN {
         assert_eq!(session.explain(sql).unwrap(), golden, "{sql}");
+        let shown = sharded.explain(sql).unwrap();
+        let (route, plan) = shown.split_once('\n').unwrap();
+        assert!(route.starts_with("route: "), "{shown}");
+        assert_eq!(plan, golden, "sharded: {sql}");
     }
 }
 

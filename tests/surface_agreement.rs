@@ -90,8 +90,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every predicate routing class agrees with the filtered repair
-    /// enumeration oracle, byte-identically at 1/2/4/8 threads and on both
-    /// the seek and the forced-scan arm.
+    /// enumeration oracle, byte-identically at 1/2/4/8 threads.
     #[test]
     fn predicates_agree_with_repair_enumeration(
         db in small_instance(),
@@ -112,35 +111,32 @@ proptest! {
                 exact_bounds_by_group_filtered(&prepared, &db, 1 << 20, &preds).unwrap();
             let mut reference: Option<Vec<GroupRange>> = None;
             for threads in [1usize, 2, 4, 8] {
-                for force_scan in [false, true] {
-                    let engine = RangeCqa::new(&q, &schema())
-                        .unwrap()
-                        .with_predicates(preds.clone())
-                        .unwrap()
-                        .with_options(EngineOptions {
-                            threads,
-                            force_scan,
-                            ..EngineOptions::default()
-                        });
-                    let rows = engine.range(&db).unwrap();
-                    prop_assert_eq!(rows.len(), oracle.len(), "{} {:?}", text, preds);
-                    for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {
-                        prop_assert_eq!(&row.key, key, "{}", text);
-                        prop_assert_eq!(
-                            row.glb.unwrap().value, bounds.glb,
-                            "{} glb of {:?} with {:?} @{}T force_scan={}",
-                            text, key, preds, threads, force_scan
-                        );
-                        prop_assert_eq!(
-                            row.lub.unwrap().value, bounds.lub,
-                            "{} lub of {:?} with {:?} @{}T force_scan={}",
-                            text, key, preds, threads, force_scan
-                        );
-                    }
-                    match &reference {
-                        None => reference = Some(rows),
-                        Some(first) => prop_assert_eq!(&rows, first, "{}", text),
-                    }
+                let engine = RangeCqa::new(&q, &schema())
+                    .unwrap()
+                    .with_predicates(preds.clone())
+                    .unwrap()
+                    .with_options(EngineOptions {
+                        threads,
+                        ..EngineOptions::default()
+                    });
+                let rows = engine.range(&db).unwrap();
+                prop_assert_eq!(rows.len(), oracle.len(), "{} {:?}", text, preds);
+                for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {
+                    prop_assert_eq!(&row.key, key, "{}", text);
+                    prop_assert_eq!(
+                        row.glb.unwrap().value, bounds.glb,
+                        "{} glb of {:?} with {:?} @{}T",
+                        text, key, preds, threads
+                    );
+                    prop_assert_eq!(
+                        row.lub.unwrap().value, bounds.lub,
+                        "{} lub of {:?} with {:?} @{}T",
+                        text, key, preds, threads
+                    );
+                }
+                match &reference {
+                    None => reference = Some(rows),
+                    Some(first) => prop_assert_eq!(&rows, first, "{}", text),
                 }
             }
         }
