@@ -953,6 +953,9 @@ mod tests {
         let engine = RangeCqa::new(&q, db.schema()).unwrap();
         let glb = engine.glb(&db).unwrap();
         assert_eq!(glb[0].1.method, Method::ExactEnumeration);
+        // The symbolic rewriting reads the same table: none over this
+        // instance's domain.
+        assert!(engine.rewriting(BoundKind::Glb).is_none());
     }
 
     // The one-index-build-per-call invariant is asserted in

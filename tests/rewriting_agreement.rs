@@ -7,44 +7,57 @@ use rcqa::core::engine::{Method, RangeCqa};
 use rcqa::core::exact::{exact_bounds, exact_bounds_by_group};
 use rcqa::core::prepared::PreparedAggQuery;
 use rcqa::core::rewrite::BoundKind;
+use rcqa::data::NumericDomain::{self, NonNegative, Unconstrained};
+use rcqa::data::{fact, DatabaseInstance};
 use rcqa::gen::JoinWorkload;
 use rcqa::query::parse_agg_query;
 
-/// Every (aggregate, bound) pair with a known rewriting over the join
-/// workload's schema (`R(x, y)`, `S(y, z, r)` with non-negative `r`), with
-/// the expected evaluation method.
-const REWRITABLE: &[(&str, BoundKind, Method)] = &[
+/// The cells of the strategy table the sweep pins, over the join workload's
+/// schema (`R(x, y)`, `S(y, z, r)`): every (aggregate, bound) pair with a
+/// known rewriting over the generated instance (non-negative `r`), and — over
+/// a copy of it whose numeric column is unconstrained and holds a negative
+/// number — the cells decided by the *addends* rather than the column: a
+/// constant addend `c ≥ 0` keeps Theorem 6.1 (`COUNT` is `SUM(1)`), a negative
+/// one loses it on any instance. With the expected evaluation method.
+const CELLS: &[(&str, BoundKind, NumericDomain, Method)] = &[
+    ("SUM(r)", BoundKind::Glb, NonNegative, Method::Rewriting),
+    ("COUNT(*)", BoundKind::Glb, NonNegative, Method::Rewriting),
+    ("MAX(r)", BoundKind::Glb, NonNegative, Method::Rewriting),
+    ("MAX(r)", BoundKind::Lub, NonNegative, Method::PlainExtremum),
+    ("MIN(r)", BoundKind::Glb, NonNegative, Method::PlainExtremum),
+    ("MIN(r)", BoundKind::Lub, NonNegative, Method::Rewriting),
     (
-        "SUM(r) <- R(x, y), S(y, z, r)",
+        "SUM(-1)",
         BoundKind::Glb,
-        Method::Rewriting,
+        NonNegative,
+        Method::ExactEnumeration,
     ),
     (
-        "COUNT(*) <- R(x, y), S(y, z, r)",
+        "SUM(r)",
         BoundKind::Glb,
-        Method::Rewriting,
+        Unconstrained,
+        Method::ExactEnumeration,
     ),
     (
-        "MAX(r) <- R(x, y), S(y, z, r)",
+        "SUM(-1)",
         BoundKind::Glb,
-        Method::Rewriting,
+        Unconstrained,
+        Method::ExactEnumeration,
     ),
-    (
-        "MAX(r) <- R(x, y), S(y, z, r)",
-        BoundKind::Lub,
-        Method::PlainExtremum,
-    ),
-    (
-        "MIN(r) <- R(x, y), S(y, z, r)",
-        BoundKind::Glb,
-        Method::PlainExtremum,
-    ),
-    (
-        "MIN(r) <- R(x, y), S(y, z, r)",
-        BoundKind::Lub,
-        Method::Rewriting,
-    ),
+    ("SUM(0)", BoundKind::Glb, Unconstrained, Method::Rewriting),
+    ("COUNT(*)", BoundKind::Glb, Unconstrained, Method::Rewriting),
+    ("COUNT(r)", BoundKind::Glb, Unconstrained, Method::Rewriting),
+    ("MAX(r)", BoundKind::Glb, Unconstrained, Method::Rewriting),
 ];
+
+/// A copy of `db` over unconstrained numeric columns, with one more
+/// (consistent) `S` block holding a negative number under a joined `y`.
+fn with_a_negative_number(db: &DatabaseInstance) -> DatabaseInstance {
+    let mut out = DatabaseInstance::new_unconstrained(db.schema().clone());
+    out.insert_all(db.facts().cloned()).unwrap();
+    out.insert(fact!("S", "y0", "neg", -5)).unwrap();
+    out
+}
 
 fn workloads() -> impl Iterator<Item = JoinWorkload> {
     [
@@ -74,23 +87,29 @@ fn optimized_paths_agree_with_repair_enumeration() {
         if db.repair_count().unwrap_or(u128::MAX) > 1 << 14 {
             continue;
         }
-        for &(text, bound, expected_method) in REWRITABLE {
-            let query = parse_agg_query(text).unwrap();
+        let negative = with_a_negative_number(&db);
+        for &(head, bound, domain, expected_method) in CELLS {
+            let text = format!("{head} <- R(x, y), S(y, z, r)");
+            let db = match domain {
+                NonNegative => &db,
+                Unconstrained => &negative,
+            };
+            let query = parse_agg_query(&text).unwrap();
             let engine = RangeCqa::new(&query, &cfg.schema()).unwrap();
             let prepared = PreparedAggQuery::new(&query, &cfg.schema()).unwrap();
-            let exact = exact_bounds(&prepared, &db, 1 << 20).unwrap();
+            let exact = exact_bounds(&prepared, db, 1 << 20).unwrap();
             let (answer, exact_value) = match bound {
-                BoundKind::Glb => (engine.glb(&db).unwrap()[0].1, exact.glb),
-                BoundKind::Lub => (engine.lub(&db).unwrap()[0].1, exact.lub),
+                BoundKind::Glb => (engine.glb(db).unwrap()[0].1, exact.glb),
+                BoundKind::Lub => (engine.lub(db).unwrap()[0].1, exact.lub),
             };
             assert_eq!(
                 answer.method, expected_method,
-                "{text} {bound:?} must take the optimized path (seed {})",
+                "{text} {bound:?} over {domain:?}: the table's operator (seed {})",
                 cfg.seed
             );
             assert_eq!(
                 answer.value, exact_value,
-                "{text} {bound:?} disagrees with repair enumeration (seed {})",
+                "{text} {bound:?} over {domain:?} disagrees with repair enumeration (seed {})",
                 cfg.seed
             );
         }

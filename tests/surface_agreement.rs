@@ -231,6 +231,60 @@ proptest! {
     }
 }
 
+/// `SUM` of a negative constant is antitone in the number of embeddings, so
+/// Theorem 6.1 does not apply whatever the instance's columns hold: both
+/// bounds are enumerated, and `explain` says so.
+#[test]
+fn sum_of_a_negative_constant_agrees_with_repair_enumeration() {
+    // The repairs differ in their number of embeddings: a2 joins in either
+    // town, a3 only in `b` — two or three embeddings.
+    let mut db = DatabaseInstance::new(schema());
+    for (x, y) in [
+        ("a", "b"),
+        ("a2", "b"),
+        ("a2", "zz"),
+        ("a3", "b"),
+        ("a3", "nope"),
+    ] {
+        db.insert(Fact::new("R", [Value::text(x), Value::text(y)]))
+            .unwrap();
+    }
+    for y in ["b", "zz"] {
+        db.insert(Fact::new(
+            "S",
+            [Value::text(y), Value::text("x"), Value::int(1)],
+        ))
+        .unwrap();
+    }
+    let session = Session::with_instance(catalog(), db.clone());
+    for (c, glb, lub) in [(-1, -3, -2), (-2, -6, -4)] {
+        let q = parse_agg_query(&format!("SUM({c}) <- R(x, y), S(y, z, r)")).unwrap();
+        let prepared = PreparedAggQuery::new(&q, &schema()).unwrap();
+        let oracle = exact_bounds_by_group_filtered(&prepared, &db, 1 << 20, &[]).unwrap();
+        assert_eq!(oracle.len(), 1);
+        assert_eq!(
+            (oracle[0].1.glb, oracle[0].1.lub),
+            (Some(rat(glb)), Some(rat(lub)))
+        );
+        let sql = format!("SELECT SUM({c}) FROM R, S WHERE R.Y = S.Y");
+        let outcome = session.execute(&sql).unwrap();
+        assert_eq!(outcome.rows.len(), 1, "{sql}");
+        for (got, want) in [
+            (outcome.rows[0].glb.unwrap(), oracle[0].1.glb),
+            (outcome.rows[0].lub.unwrap(), oracle[0].1.lub),
+        ] {
+            assert_eq!(got.value, want, "{sql}");
+            assert_eq!(got.method, Method::ExactEnumeration, "{sql}");
+        }
+        let shown = session.explain(&sql).unwrap();
+        assert_eq!(
+            shown.lines().nth(1),
+            Some("└─ AggregateBound [glb: ExactEnumeration, lub: ExactEnumeration]"),
+            "{sql}"
+        );
+    }
+}
+
 /// The size whole-instance enumeration cannot reach: 40 `R` blocks and 60 `S`
 /// blocks, 66 of them inconsistent — over 2^22 repairs (2^66), a handful of
 /// blocks and at most 2^7 repairs per group.
