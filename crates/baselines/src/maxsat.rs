@@ -12,7 +12,7 @@
 //! * a soft clause `¬e_θ` with weight `θ(r)`.
 //!
 //! The optimal MaxSAT cost is then exactly the greatest lower bound. The
-//! encoding requires non-negative weights, i.e. numeric columns over `Q≥0`.
+//! encoding requires non-negative weights ([`PreparedAggQuery::addend_domain`]).
 
 use rcqa_core::forall::{embeddings, Binding};
 use rcqa_core::glb::term_value;
@@ -44,9 +44,9 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
             reason: format!("the MaxSAT baseline supports SUM and COUNT queries, not {agg}"),
         });
     }
-    if db.numeric_domain() != NumericDomain::NonNegative {
+    if query.addend_domain(db.numeric_domain()) != NumericDomain::NonNegative {
         return Err(CoreError::UnsupportedAggregate {
-            reason: "the MaxSAT baseline requires non-negative weights (Q>=0 columns)".into(),
+            reason: "the MaxSAT baseline requires non-negative weights (addends over Q>=0)".into(),
         });
     }
     if !query.normalised.body.free_vars().is_empty() {
@@ -225,11 +225,11 @@ mod tests {
     #[test]
     fn unsupported_aggregates_are_rejected() {
         let db = db_stock();
-        let q = PreparedAggQuery::new(
-            &parse_agg_query("MIN(y) <- Dealers('Smith', t), Stock(p, t, y)").unwrap(),
-            db.schema(),
-        )
-        .unwrap();
-        assert!(maxsat_glb(&q, &db).is_err());
+        // MIN has no encoding; SUM(-1) has negative weights on any instance.
+        for head in ["MIN(y)", "SUM(-1)"] {
+            let text = format!("{head} <- Dealers('Smith', t), Stock(p, t, y)");
+            let q = PreparedAggQuery::new(&parse_agg_query(&text).unwrap(), db.schema()).unwrap();
+            assert!(maxsat_glb(&q, &db).is_err(), "{head}");
+        }
     }
 }

@@ -1,8 +1,17 @@
 //! The separation decision: is `GLB-CQA(g())` / `LUB-CQA(g())` expressible in
 //! AGGR\[FOL\]? (Theorem 1.1, Theorem 5.5, Theorem 6.1, Theorems 7.10/7.11.)
+//!
+//! The positive half is not decided here: a bound is rewritable exactly when
+//! the strategy table ([`BoundOp::choose`]) names an operator other than the
+//! exact enumeration, and the table's theorem is the justification. This
+//! module reports that, and words the negative half — Theorem 5.5 for a
+//! cyclic attack graph, the descending-chain results and Section 8 for the
+//! cells the paper leaves open.
 
 use crate::error::CoreError;
+use crate::plan::BoundOp;
 use crate::prepared::PreparedAggQuery;
+use crate::rewrite::BoundKind;
 use rcqa_data::{AggFunc, NumericDomain, Schema};
 use rcqa_query::{is_caggforest, AggQuery, CertaintyComplexity};
 use std::fmt;
@@ -62,7 +71,9 @@ pub struct Classification {
     pub lub: Expressibility,
     /// Whether the query falls in Fuxman's class Caggforest (ConQuer).
     pub in_caggforest: bool,
-    /// Whether the aggregate operator is monotone over the assumed domain.
+    /// Whether the (normalised) aggregate operator is monotone over the
+    /// domain of its addends ([`PreparedAggQuery::addend_domain`]) — the
+    /// premise of Theorem 6.1 the strategy table tests.
     pub monotone: bool,
     /// Whether the aggregate operator is associative.
     pub associative: bool,
@@ -93,83 +104,51 @@ pub fn classify_prepared(
     schema: &Schema,
     domain: NumericDomain,
 ) -> Classification {
-    let query = &prepared.original;
     let acyclic = prepared.body.is_acyclic();
-    let certainty = prepared.body.attack_graph().certainty_complexity();
-    let in_caggforest = is_caggforest(query, schema);
-
     // COUNT is analysed as SUM(1) (remark after Theorem 6.1).
     let effective = prepared.normalised.agg;
-    let monotone = effective.is_monotone(domain);
-    let associative = effective.is_associative();
-
-    let glb = if !acyclic {
-        Expressibility::NotRewritable {
-            justification: "Theorem 5.5: cyclic attack graph".to_string(),
+    let addends = prepared.addend_domain(domain);
+    let expressibility = |bound| {
+        let (op, theorem) = BoundOp::choose(prepared, bound, domain);
+        if op != BoundOp::ExactEnumeration {
+            return Expressibility::Rewritable {
+                justification: theorem.to_string(),
+            };
         }
-    } else if monotone && associative {
-        Expressibility::Rewritable {
-            justification: if query.agg == AggFunc::Count {
-                "Theorem 6.1 via COUNT = SUM(1)".to_string()
-            } else {
-                "Theorem 6.1: monotone and associative aggregate, acyclic attack graph".to_string()
-            },
+        if !acyclic {
+            return Expressibility::NotRewritable {
+                justification: theorem.to_string(),
+            };
         }
-    } else if effective == AggFunc::Min {
-        Expressibility::Rewritable {
-            justification: "Theorem 7.10: MIN-queries with acyclic attack graphs".to_string(),
-        }
-    } else if effective == AggFunc::Max {
-        Expressibility::Rewritable {
-            justification: "Theorem 7.11: MAX-queries with acyclic attack graphs".to_string(),
-        }
-    } else if effective.has_descending_chain(domain) {
-        Expressibility::Open {
-            justification: format!(
+        let justification = match bound {
+            BoundKind::Glb if effective.has_descending_chain(addends) => format!(
                 "Section 7.1: {effective} has a descending chain; GLB-CQA is NL/NP-hard for \
                  specific queries (Lemmas 7.2/7.3), the general case is open (Section 8)"
             ),
-        }
-    } else {
-        Expressibility::Open {
-            justification: format!(
+            BoundKind::Glb => format!(
                 "Section 8: {effective} lacks monotonicity or associativity and is not \
                  covered by the paper's results"
             ),
-        }
-    };
-
-    let lub = if !acyclic {
-        Expressibility::NotRewritable {
-            justification: "Theorem 5.5 (applies to LUB as well): cyclic attack graph".to_string(),
-        }
-    } else {
-        match effective {
-            AggFunc::Min | AggFunc::Max => Expressibility::Rewritable {
-                justification: "Theorem 7.11: MIN/MAX separation for glb and lub".to_string(),
-            },
-            AggFunc::Sum | AggFunc::Count => Expressibility::Open {
-                justification: "Theorem 7.8: the dual of SUM has a descending chain; \
-                                LUB-CQA(SUM) is not expressible for the Lemma 7.2 query, \
-                                the general case is open"
-                    .to_string(),
-            },
-            other => Expressibility::Open {
-                justification: format!(
-                    "Section 8: the dual of {other} lacks monotonicity; not covered"
-                ),
-            },
-        }
+            BoundKind::Lub if effective == AggFunc::Sum => {
+                "Theorem 7.8: the dual of SUM has a descending chain; LUB-CQA(SUM) is not \
+                 expressible for the Lemma 7.2 query, the general case is open"
+                    .to_string()
+            }
+            BoundKind::Lub => {
+                format!("Section 8: the dual of {effective} lacks monotonicity; not covered")
+            }
+        };
+        Expressibility::Open { justification }
     };
 
     Classification {
         attack_graph_acyclic: acyclic,
-        certainty,
-        glb,
-        lub,
-        in_caggforest,
-        monotone,
-        associative,
+        certainty: prepared.body.attack_graph().certainty_complexity(),
+        glb: expressibility(BoundKind::Glb),
+        lub: expressibility(BoundKind::Lub),
+        in_caggforest: is_caggforest(&prepared.original, schema),
+        monotone: effective.is_monotone(addends),
+        associative: effective.is_associative(),
     }
 }
 
@@ -205,6 +184,19 @@ mod tests {
         let q = parse_agg_query("COUNT(*) <- R(x, y), S(y, z, 'd', r)").unwrap();
         let c = classify(&q, &schema()).unwrap();
         assert!(c.glb.is_rewritable());
+        // The addend is the constant 1, whatever the numeric columns hold.
+        for domain in [NumericDomain::NonNegative, NumericDomain::Unconstrained] {
+            let c = classify_with_domain(&q, &schema(), domain).unwrap();
+            assert!(c.monotone, "{domain:?}");
+            assert_eq!(
+                c.glb,
+                Expressibility::Rewritable {
+                    justification: "Theorem 6.1 via COUNT = SUM(1)".to_string()
+                },
+                "{domain:?}"
+            );
+            assert!(!c.lub.is_rewritable(), "{domain:?}");
+        }
     }
 
     #[test]

@@ -3,19 +3,10 @@
 //!
 //! ## Evaluation strategies
 //!
-//! Per `(aggregate, bound)` pair the theorems leave one sound path
-//! ([`crate::plan::BoundOp::choose`]; the query body must in addition have an
-//! acyclic attack graph for a rewriting or an extremum, otherwise every cell
-//! is exact enumeration):
-//!
-//! | aggregate            | GLB path                          | LUB path                          |
-//! |----------------------|-----------------------------------|-----------------------------------|
-//! | `SUM` over `Q≥0`     | Theorem 6.1 rewriting             | exact enumeration                 |
-//! | `SUM` with negatives | exact enumeration (Section 7.3)   | exact enumeration                 |
-//! | `COUNT` (= `SUM(1)`) | Theorem 6.1 rewriting             | exact enumeration                 |
-//! | `MAX`                | Theorem 7.11 rewriting (minimise) | Theorem 7.10 plain extremum       |
-//! | `MIN`                | Theorem 7.10 plain extremum       | Theorem 7.11 rewriting (maximise) |
-//! | `AVG`, others        | exact enumeration                 | exact enumeration                 |
+//! Per `(aggregate, aggregated term, bound, numeric domain, attack graph)`
+//! the theorems leave one sound path. The table is written once, in the docs
+//! of [`crate::plan::BoundOp::choose`] — the function that decides it — with
+//! three kinds of cell: a rewriting, a plain extremum, exact enumeration.
 //!
 //! "Rewriting" evaluates the Theorem 6.1 / 7.11 semantics operationally over
 //! ∀embeddings and "plain extremum" takes the extremum over all embeddings —
@@ -358,10 +349,11 @@ impl RangeCqa {
         classify_prepared(&self.prepared, &self.schema, domain)
     }
 
-    /// The symbolic AGGR\[FOL\] rewriting for the requested bound, if one is
-    /// known (Theorems 6.1, 7.10, 7.11).
-    pub fn rewriting(&self, bound: BoundKind) -> Option<Rewriting> {
-        rewriting_for(&self.prepared, bound)
+    /// The symbolic AGGR\[FOL\] rewriting for the requested bound over the
+    /// given numeric domain: the formula of the operator [`RangeCqa::plan`]
+    /// names, `None` where that is the exact enumeration.
+    pub fn rewriting(&self, bound: BoundKind, domain: NumericDomain) -> Option<Rewriting> {
+        rewriting_for(&self.prepared, bound, domain)
     }
 
     /// Computes the greatest lower bound for every group.
@@ -587,7 +579,7 @@ impl RangeCqa {
             if self.routing.forces_exact() {
                 BoundOp::ExactEnumeration
             } else {
-                BoundOp::choose(&self.prepared, bound, domain)
+                BoundOp::choose(&self.prepared, bound, domain).0
             }
         };
         Plan {
@@ -955,7 +947,9 @@ mod tests {
         assert_eq!(glb[0].1.method, Method::ExactEnumeration);
         // The symbolic rewriting reads the same table: none over this
         // instance's domain.
-        assert!(engine.rewriting(BoundKind::Glb).is_none());
+        let rewriting = |domain| engine.rewriting(BoundKind::Glb, domain);
+        assert!(rewriting(NumericDomain::Unconstrained).is_none());
+        assert!(rewriting(NumericDomain::NonNegative).is_some());
     }
 
     // The one-index-build-per-call invariant is asserted in

@@ -82,7 +82,7 @@ pub fn exact_bounds_filtered(
             "instance has {count} repairs, more than the configured maximum {max_repairs}"
         )));
     }
-    let agg = query.original.normalise_count().agg;
+    let agg = query.normalised.agg;
     let term = &query.normalised.term;
     // Reuse the level machinery for enumeration inside each repair by building
     // a tiny index per repair (repairs are consistent, blocks are singletons).

@@ -56,7 +56,7 @@
 //! snapshots; that sharing is invisible here because published indexes —
 //! interior `Arc`s included — are never mutated.
 
-use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, Method};
+use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange};
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
 use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, CompiledLevels, Join};
@@ -798,33 +798,25 @@ fn bound_answer(
     analysis: Option<&mut GroupAnalysis<'_>>,
     exact: Option<ExactBounds>,
 ) -> Result<BoundAnswer, CoreError> {
-    match op {
+    let value = match op {
         BoundOp::Rewrite { combine, choice } => {
             let analysis = analysis.expect("the Rewrite operator requires the analysis");
             let levels = compiled.levels();
-            let value = analysis
+            analysis
                 .certain
                 .then(|| {
                     optimal_aggregate(analysis.leaves, levels, analysis.forall, combine, choice)
                 })
-                .flatten();
-            Ok(BoundAnswer {
-                value,
-                method: Method::Rewriting,
-            })
+                .flatten()
         }
         BoundOp::Extremum { choice } => {
             let analysis = analysis.expect("the Extremum operator requires the analysis");
             // Theorem 7.10 (GLB of MIN) and its mirror (LUB of MAX).
             let maximise = choice == Choice::Maximise;
-            let value = analysis
+            analysis
                 .certain
                 .then(|| global_extremum(analysis.leaves, analysis.rows, maximise))
-                .flatten();
-            Ok(BoundAnswer {
-                value,
-                method: Method::PlainExtremum,
-            })
+                .flatten()
         }
         BoundOp::ExactEnumeration => {
             if !cx.options.allow_exact_fallback {
@@ -837,16 +829,16 @@ fn bound_answer(
                 });
             }
             let bounds = exact.expect("the pre-pass collected the group's closure");
-            let value = match bound {
+            match bound {
                 BoundKind::Glb => bounds.glb,
                 BoundKind::Lub => bounds.lub,
-            };
-            Ok(BoundAnswer {
-                value,
-                method: Method::ExactEnumeration,
-            })
+            }
         }
-    }
+    };
+    Ok(BoundAnswer {
+        value,
+        method: op.into(),
+    })
 }
 
 /// One key position of a [`SupportAtom`]'s block-key pattern.

@@ -1,13 +1,16 @@
 //! What an evaluation decides, and the executor that runs it.
 //!
 //! The paper leaves no plan space to search. The attack graph's topological
-//! sort fixes the join order, and Theorems 6.1 / 7.10 / 7.11 fix, per
-//! `(aggregate, bound, numeric domain)`, the one way a bound is computed —
-//! the table in [`crate::engine`]'s module docs, which [`BoundOp::choose`]
-//! reads off. A [`Plan`] is therefore two operators, one per requested bound,
-//! and everything else the executor ([`exec`]) does follows from them: whether
-//! the per-group embedding analysis runs, whether it includes the ∀embedding
-//! filter, whether embeddings are materialised at all.
+//! sort fixes the join order, and Theorems 5.5 / 6.1 / 7.10 / 7.11 with
+//! Section 7.3 fix, per `(aggregate, aggregated term, bound, numeric domain,
+//! attack graph)`, the one way a bound is computed. [`BoundOp::choose`]
+//! **decides** that — the strategy table, written out in its docs — and
+//! nothing else does: [`crate::engine::RangeCqa::plan`] (a [`Plan`] is two
+//! operators, one per requested bound), [`mod@crate::classify`],
+//! [`crate::rewrite::rewriting_for`], [`Method`] and the MaxSAT baseline
+//! **read** it. What the executor ([`exec`]) does follows from the two
+//! operators: whether the per-group embedding analysis runs, whether it
+//! includes the ∀embedding filter, whether embeddings are materialised at all.
 //!
 //! Every evaluation path — `glb`, `lub`, `range`, and the exact fallback —
 //! runs through that one executor with one set of invariants (single index
@@ -44,6 +47,7 @@ pub mod exec;
 
 pub use exec::{execute, ExecContext};
 
+use crate::engine::Method;
 use crate::glb::Choice;
 use crate::index::AccessPath;
 use crate::prepared::PreparedAggQuery;
@@ -76,36 +80,76 @@ pub enum BoundOp {
 }
 
 impl BoundOp {
-    /// The operator of the engine's strategy table for `bound`, given the
-    /// prepared query and the numeric domain of the instance.
-    pub fn choose(prepared: &PreparedAggQuery, bound: BoundKind, domain: NumericDomain) -> BoundOp {
+    /// The strategy table: the operator computing `bound` of `prepared` over
+    /// an instance whose numeric columns range over `domain`, and the result
+    /// of the paper behind the cell — the theorem that constructs the
+    /// rewriting or, for [`BoundOp::ExactEnumeration`], what rules a rewriting
+    /// out or leaves the cell open.
+    ///
+    /// Over a body with an acyclic attack graph:
+    ///
+    /// | aggregate | aggregated term | numeric domain | GLB | LUB |
+    /// |-----------|-----------------|----------------|-----|-----|
+    /// | `SUM` | variable | `Q≥0` | `Rewrite(SUM, Minimise)` — Theorem 6.1 | `ExactEnumeration` — Theorem 7.8 |
+    /// | `SUM` | variable | unconstrained | `ExactEnumeration` — Section 7.3 | `ExactEnumeration` — Theorem 7.8 |
+    /// | `SUM` | constant `c ≥ 0` | any | `Rewrite(SUM, Minimise)` — Theorem 6.1 | `ExactEnumeration` — Theorem 7.8 |
+    /// | `SUM` | constant `c < 0` | any | `ExactEnumeration` — Section 7.3 | `ExactEnumeration` — Theorem 7.8 |
+    /// | `COUNT` | any | any | `Rewrite(SUM, Minimise)` — Theorem 6.1 via COUNT = SUM(1) | `ExactEnumeration` — Theorem 7.8 |
+    /// | `MAX` | any | any | `Rewrite(MAX, Minimise)` — Theorem 6.1 | `Extremum(Maximise)` — Theorem 7.11 |
+    /// | `MIN` | any | any | `Extremum(Minimise)` — Theorem 7.10 | `Rewrite(MIN, Maximise)` — Theorem 7.11 |
+    /// | `AVG`, `PRODUCT`, `COUNT-DISTINCT`, `SUM-DISTINCT` | any | any | `ExactEnumeration` — Section 8 | `ExactEnumeration` — Section 8 |
+    ///
+    /// Over a cyclic one every cell is `ExactEnumeration` — Theorem 5.5.
+    ///
+    /// The `SUM` rows are one premise, [`PreparedAggQuery::addend_domain`]:
+    /// Theorem 6.1 asks for a monotone and associative operator, and `SUM` is
+    /// monotone exactly when its *addends* are non-negative — a variable over
+    /// `Q≥0` columns, or a constant `c ≥ 0` whatever the columns hold
+    /// (`COUNT` is the constant 1). `MAX` is monotone over every domain.
+    /// (`tests::the_doc_table_is_the_function` checks every cell above.)
+    pub fn choose(
+        prepared: &PreparedAggQuery,
+        bound: BoundKind,
+        domain: NumericDomain,
+    ) -> (BoundOp, &'static str) {
+        use {AggFunc::*, BoundKind::*, Choice::*};
+        let rewrite = |combine, choice| BoundOp::Rewrite { combine, choice };
+        let extremum = |choice| BoundOp::Extremum { choice };
+        let exact = BoundOp::ExactEnumeration;
         if !prepared.body.is_acyclic() {
-            return BoundOp::ExactEnumeration;
+            return (exact, "Theorem 5.5: cyclic attack graph");
         }
         let agg = prepared.normalised.agg;
-        // The Theorem 6.1 rewriting for SUM requires monotonicity, which in
-        // turn requires numeric columns over Q≥0 (Section 7.3).
-        let sum_ok = agg != AggFunc::Sum || domain == NumericDomain::NonNegative;
+        let monotone = agg.is_monotone(prepared.addend_domain(domain));
+        let theorem_6_1 = match prepared.original.agg {
+            Count => "Theorem 6.1 via COUNT = SUM(1)",
+            _ => "Theorem 6.1: monotone and associative aggregate, acyclic attack graph",
+        };
+        let section_7_3 = "Section 7.3: SUM of negative addends is not monotone";
+        let theorem_7_8 = "Theorem 7.8: the dual of SUM has a descending chain";
+        let theorem_7_10 = "Theorem 7.10: MIN-queries with acyclic attack graphs";
+        let theorem_7_11 = "Theorem 7.11: MIN/MAX separation for glb and lub";
+        let section_8 = "Section 8: not covered by the paper's results";
         match (bound, agg) {
-            (BoundKind::Glb, AggFunc::Sum) if sum_ok => BoundOp::Rewrite {
-                combine: AggFunc::Sum,
-                choice: Choice::Minimise,
-            },
-            (BoundKind::Glb, AggFunc::Max) => BoundOp::Rewrite {
-                combine: AggFunc::Max,
-                choice: Choice::Minimise,
-            },
-            (BoundKind::Glb, AggFunc::Min) => BoundOp::Extremum {
-                choice: Choice::Minimise,
-            },
-            (BoundKind::Lub, AggFunc::Max) => BoundOp::Extremum {
-                choice: Choice::Maximise,
-            },
-            (BoundKind::Lub, AggFunc::Min) => BoundOp::Rewrite {
-                combine: AggFunc::Min,
-                choice: Choice::Maximise,
-            },
-            _ => BoundOp::ExactEnumeration,
+            (Glb, Sum | Max) if monotone => (rewrite(agg, Minimise), theorem_6_1),
+            (Glb, Sum) => (exact, section_7_3),
+            (Glb, Min) => (extremum(Minimise), theorem_7_10),
+            (Lub, Max) => (extremum(Maximise), theorem_7_11),
+            (Lub, Min) => (rewrite(Min, Maximise), theorem_7_11),
+            (Lub, Sum) => (exact, theorem_7_8),
+            _ => (exact, section_8),
+        }
+    }
+}
+
+/// How an answer says it was obtained: the operator that computed it, without
+/// its fields.
+impl From<BoundOp> for Method {
+    fn from(op: BoundOp) -> Method {
+        match op {
+            BoundOp::Rewrite { .. } => Method::Rewriting,
+            BoundOp::Extremum { .. } => Method::PlainExtremum,
+            BoundOp::ExactEnumeration => Method::ExactEnumeration,
         }
     }
 }
@@ -228,22 +272,44 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::engine::RangeCqa;
+    use crate::rewrite::rewriting_for;
     use rcqa_data::{Schema, Signature};
     use rcqa_query::parse_agg_query;
 
-    fn plan(text: &str, domain: NumericDomain, want_glb: bool, want_lub: bool) -> Plan {
+    /// `R(x, y)`, `S(y, z, r)` join acyclically; `C1(x, y)`, `C2(y, x, r)`
+    /// attack each other.
+    fn engine(text: &str) -> RangeCqa {
         let schema = Schema::new()
             .with_relation("R", Signature::new(2, 1, []).unwrap())
-            .with_relation("S", Signature::new(3, 2, [2]).unwrap());
-        let q = parse_agg_query(text).unwrap();
-        RangeCqa::new(&q, &schema)
-            .unwrap()
-            .plan(domain, want_glb, want_lub)
+            .with_relation("S", Signature::new(3, 2, [2]).unwrap())
+            .with_relation("C1", Signature::new(2, 1, []).unwrap())
+            .with_relation("C2", Signature::new(3, 1, [2]).unwrap());
+        RangeCqa::new(&parse_agg_query(text).unwrap(), &schema).unwrap()
+    }
+
+    fn plan(text: &str, domain: NumericDomain, want_glb: bool, want_lub: bool) -> Plan {
+        engine(text).plan(domain, want_glb, want_lub)
+    }
+
+    const ACYCLIC: &str = "R(x, y), S(y, z, r)";
+    const CYCLIC: &str = "C1(x, y), C2(y, x, r)";
+    const DOMAINS: [NumericDomain; 2] = [NumericDomain::NonNegative, NumericDomain::Unconstrained];
+
+    /// Every aggregate over a numeric variable and the constants 1, 0, −1,
+    /// on either domain.
+    fn heads() -> impl Iterator<Item = (AggFunc, &'static str, NumericDomain)> {
+        let terms = ["r", "1", "0", "-1"];
+        let per_agg = move |agg| {
+            terms
+                .into_iter()
+                .flat_map(move |t| DOMAINS.map(|d| (agg, t, d)))
+        };
+        AggFunc::ALL.into_iter().flat_map(per_agg)
     }
 
     #[test]
     fn strategy_table_is_reproduced() {
-        let both = |text, domain| plan(text, domain, true, true);
+        let both = |text: &str, domain| plan(text, domain, true, true);
         let p = both("SUM(r) <- R(x, y), S(y, z, r)", NumericDomain::NonNegative);
         assert!(matches!(p.glb, Some(BoundOp::Rewrite { .. })));
         assert_eq!(p.lub, Some(BoundOp::ExactEnumeration));
@@ -266,6 +332,111 @@ mod tests {
         let p = both("AVG(r) <- R(x, y), S(y, z, r)", NumericDomain::NonNegative);
         assert_eq!(p.glb, Some(BoundOp::ExactEnumeration));
         assert_eq!(p.lub, Some(BoundOp::ExactEnumeration));
+
+        // A constant term decides by its own sign, whatever the columns hold.
+        for domain in DOMAINS {
+            for (head, rewrites) in [("SUM(1)", true), ("SUM(0)", true), ("SUM(-1)", false)] {
+                let p = both(&format!("{head} <- {ACYCLIC}"), domain);
+                let rewrite = matches!(p.glb, Some(BoundOp::Rewrite { .. }));
+                assert_eq!(rewrite, rewrites, "{head} over {domain:?}");
+                assert_eq!(p.lub, Some(BoundOp::ExactEnumeration), "{head}");
+            }
+        }
+    }
+
+    /// Classification, the plan and the symbolic rewriting read one table:
+    /// over every aggregate, term, domain, body shape and bound they agree
+    /// on whether a rewriting exists.
+    #[test]
+    fn the_cells_agree_by_construction() {
+        let mut rewritable = 0;
+        for ((agg, term, domain), body) in heads().flat_map(|h| [(h, ACYCLIC), (h, CYCLIC)]) {
+            let engine = engine(&format!("{agg}({term}) <- {body}"));
+            let prepared = engine.prepared();
+            assert_eq!(prepared.body.is_acyclic(), body == ACYCLIC);
+            let (plan, classified) = (
+                engine.plan(domain, true, true),
+                engine.classification(domain),
+            );
+            for (bound, planned, classified) in [
+                (BoundKind::Glb, plan.glb, &classified.glb),
+                (BoundKind::Lub, plan.lub, &classified.lub),
+            ] {
+                let cell = format!("{bound:?} of {agg}({term}) <- {body} over {domain:?}");
+                let (op, _) = BoundOp::choose(prepared, bound, domain);
+                let rewrites = op != BoundOp::ExactEnumeration;
+                assert_eq!(planned, Some(op), "{cell}");
+                assert_eq!(classified.is_rewritable(), rewrites, "{cell}");
+                assert_eq!(
+                    rewriting_for(prepared, bound, domain).is_some(),
+                    rewrites,
+                    "{cell}"
+                );
+                assert!(rewrites <= (body == ACYCLIC), "{cell}");
+                assert!(
+                    matches!(
+                        (op, Method::from(op)),
+                        (BoundOp::Rewrite { .. }, Method::Rewriting)
+                            | (BoundOp::Extremum { .. }, Method::PlainExtremum)
+                            | (BoundOp::ExactEnumeration, Method::ExactEnumeration)
+                    ),
+                    "{cell}"
+                );
+                rewritable += usize::from(rewrites);
+            }
+        }
+        // SUM's GLB on 5 of its 8 (term, domain) pairs, COUNT's on all 8,
+        // MIN's and MAX's both bounds on all 8.
+        assert_eq!(rewritable, 5 + 8 + 16 + 16);
+    }
+
+    /// The table in the docs of [`BoundOp::choose`], read out of this file:
+    /// every (aggregate, term, domain) is covered by exactly one row, and
+    /// each cell names the operator and the theorem the function returns.
+    #[test]
+    fn the_doc_table_is_the_function() {
+        let source = include_str!("mod.rs");
+        let rows: Vec<Vec<&str>> = source
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("/// | `"))
+            .map(|row| row.split('|').map(str::trim).collect())
+            .collect();
+        assert_eq!(rows.len(), 8, "the table's rows below its header");
+        for (agg, term, domain) in heads() {
+            let covers = |row: &&Vec<&str>| {
+                let mut names = row[0].split(", ").map(|name| name.trim_matches('`'));
+                let term_matches = match row[1] {
+                    "variable" => term == "r",
+                    "constant `c ≥ 0`" => term == "0" || term == "1",
+                    "constant `c < 0`" => term == "-1",
+                    other => other == "any",
+                };
+                let domain_matches = match row[2] {
+                    "`Q≥0`" => domain == NumericDomain::NonNegative,
+                    "unconstrained" => domain == NumericDomain::Unconstrained,
+                    other => other == "any",
+                };
+                names.any(|name| AggFunc::parse(name) == Some(agg))
+                    && term_matches
+                    && domain_matches
+            };
+            let cell = format!("{agg}({term}) over {domain:?}");
+            let matching: Vec<_> = rows.iter().filter(covers).collect();
+            assert_eq!(matching.len(), 1, "{cell}: rows {matching:?}");
+            let engine = engine(&format!("{agg}({term}) <- {ACYCLIC}"));
+            for (column, bound) in [(3, BoundKind::Glb), (4, BoundKind::Lub)] {
+                let (op, theorem) = BoundOp::choose(engine.prepared(), bound, domain);
+                let reference = theorem.split(':').next().unwrap();
+                let shown = format!("`{op}` — {reference}");
+                assert_eq!(matching[0][column], shown, "{bound:?} of {cell}");
+            }
+        }
+        let sentence = "/// Over a cyclic one every cell is `ExactEnumeration` — Theorem 5.5.";
+        assert!(source.lines().any(|line| line.trim() == sentence));
+        let cyclic = engine(&format!("MAX(r) <- {CYCLIC}"));
+        let (op, theorem) = BoundOp::choose(cyclic.prepared(), BoundKind::Lub, DOMAINS[0]);
+        assert_eq!(op, BoundOp::ExactEnumeration);
+        assert!(theorem.starts_with("Theorem 5.5"));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! treated as constants and excluded from all three.
 
 use crate::error::CoreError;
-use rcqa_data::Schema;
-use rcqa_query::{AggQuery, Atom, AttackGraph, ConjunctiveQuery, Var};
+use rcqa_data::{NumericDomain, Rational, Schema};
+use rcqa_query::{AggQuery, AggTerm, Atom, AttackGraph, ConjunctiveQuery, Var};
 use std::collections::BTreeSet;
 
 /// The per-level variable structure for one atom of the topological sort.
@@ -200,6 +200,20 @@ impl PreparedAggQuery {
             body,
             open_levels,
         })
+    }
+
+    /// The numeric domain the *addends* of the normalised aggregate range
+    /// over, on an instance whose numeric columns range over `instance`: the
+    /// columns' own for an aggregated variable, the constant's sign for an
+    /// aggregated constant (`COUNT` is `SUM(1)`). The one premise of the
+    /// strategy table ([`crate::plan::BoundOp::choose`]) beyond the operator
+    /// and the attack graph.
+    pub fn addend_domain(&self, instance: NumericDomain) -> NumericDomain {
+        match &self.normalised.term {
+            AggTerm::Var(_) => instance,
+            AggTerm::Const(c) if *c >= Rational::ZERO => NumericDomain::NonNegative,
+            AggTerm::Const(_) => NumericDomain::Unconstrained,
+        }
     }
 
     /// The level structure of the open body: its topological sort, or — when

@@ -9,6 +9,10 @@
 //!   construction worked out on Fig. 5 of the paper,
 //! * the simple extremum rewritings of Theorem 7.10 / 7.11 for MIN and MAX.
 //!
+//! Which of them answers a bound is not decided here: [`rewriting_for`] reads
+//! the operator off the strategy table ([`BoundOp::choose`]) and builds that
+//! operator's formula from its fields.
+//!
 //! The produced formulas can be pretty-printed (the practical analogue of
 //! shipping SQL to a DBMS) and evaluated with [`rcqa_logic::Evaluator`], which
 //! the test-suite uses to cross-check the operational evaluator on small
@@ -20,8 +24,9 @@
 //! constructed in polynomial time; experiment E10 measures the actual growth.
 
 use crate::glb::Choice;
+use crate::plan::BoundOp;
 use crate::prepared::{Level, PreparedAggQuery};
-use rcqa_data::{AggFunc, AggOp};
+use rcqa_data::{AggFunc, AggOp, NumericDomain};
 use rcqa_logic::{Formula, NumTerm, NumericalQuery};
 use rcqa_query::{AggTerm, Atom, Term, Var};
 use std::collections::{BTreeMap, BTreeSet};
@@ -204,6 +209,32 @@ pub enum BoundKind {
     Lub,
 }
 
+/// The aggregate operator that resolves alternatives according to `choice`.
+fn choice_op(choice: Choice) -> AggOp {
+    AggOp::positive(match choice {
+        Choice::Minimise => AggFunc::Min,
+        Choice::Maximise => AggFunc::Max,
+    })
+}
+
+/// What every rewriting of `prepared` shares — the `⊥` test, the ∀embedding
+/// formula, the GROUP BY variables — with the aggregated term itself as its
+/// `value`, for the caller to build on.
+fn skeleton(prepared: &PreparedAggQuery) -> Rewriting {
+    let levels = prepared.body.levels();
+    let group_by = prepared.normalised.body.free_vars().to_vec();
+    let frozen: BTreeSet<Var> = group_by.iter().cloned().collect();
+    Rewriting {
+        certainty: certainty_rewriting(levels, &frozen),
+        forall: forall_embedding_formula(levels, &frozen),
+        value: match &prepared.normalised.term {
+            AggTerm::Var(v) => NumTerm::Var(v.clone()),
+            AggTerm::Const(c) => NumTerm::Const(*c),
+        },
+        group_by,
+    }
+}
+
 /// Constructs the Theorem 6.1-style rewriting for a prepared query with an
 /// acyclic attack graph, combining independent branches with `combine` and
 /// resolving same-key alternatives according to `choice`.
@@ -222,26 +253,15 @@ pub fn construct_rewriting(
         "rewritings exist only for acyclic attack graphs (Theorem 5.5)"
     );
     let levels = prepared.body.levels();
-    let frozen: BTreeSet<Var> = prepared
-        .normalised
-        .body
-        .free_vars()
-        .iter()
-        .cloned()
-        .collect();
-    let certainty = certainty_rewriting(levels, &frozen);
-    let forall = forall_embedding_formula(levels, &frozen);
-
     // T_n: the aggregated term itself.
-    let mut term: NumTerm = match &prepared.normalised.term {
-        AggTerm::Var(v) => NumTerm::Var(v.clone()),
-        AggTerm::Const(c) => NumTerm::Const(*c),
-    };
+    let Rewriting {
+        certainty,
+        forall,
+        value: mut term,
+        group_by,
+    } = skeleton(prepared);
 
-    let choice_op = match choice {
-        Choice::Minimise => AggOp::positive(AggFunc::Min),
-        Choice::Maximise => AggOp::positive(AggFunc::Max),
-    };
+    let choice_op = choice_op(choice);
     let combine_op = AggOp::positive(combine);
 
     // Walk levels from the innermost (F_n) outwards (F_1).
@@ -279,71 +299,42 @@ pub fn construct_rewriting(
         certainty,
         forall,
         value: term,
-        group_by: prepared.normalised.body.free_vars().to_vec(),
+        group_by,
     }
 }
 
 /// Constructs the simple extremum rewriting of Theorem 7.10 (GLB of MIN) or
 /// its mirror (LUB of MAX): when the query is certain, the bound is just the
-/// plain extremum of `r` over all embeddings of the body.
-pub fn extremum_rewriting(prepared: &PreparedAggQuery, maximise: bool) -> Rewriting {
-    let levels = prepared.body.levels();
-    let frozen: BTreeSet<Var> = prepared
-        .normalised
-        .body
-        .free_vars()
-        .iter()
-        .cloned()
-        .collect();
-    let certainty = certainty_rewriting(levels, &frozen);
-    let forall = forall_embedding_formula(levels, &frozen);
-    let body_vars: Vec<Var> = prepared.body.all_vars();
-    let body_formula = Formula::and(
-        prepared
-            .normalised
-            .body
-            .atoms()
-            .iter()
-            .cloned()
-            .map(Formula::Atom),
+/// plain extremum of `r` — the one `choice` names — over all embeddings of the
+/// body.
+pub fn extremum_rewriting(prepared: &PreparedAggQuery, choice: Choice) -> Rewriting {
+    let mut rewriting = skeleton(prepared);
+    let body = prepared.normalised.body.atoms().iter().cloned();
+    rewriting.value = NumTerm::aggr(
+        choice_op(choice),
+        prepared.body.all_vars(),
+        rewriting.value,
+        Formula::and(body.map(Formula::Atom)),
     );
-    let arg = match &prepared.normalised.term {
-        AggTerm::Var(v) => NumTerm::Var(v.clone()),
-        AggTerm::Const(c) => NumTerm::Const(*c),
-    };
-    let op = if maximise {
-        AggOp::positive(AggFunc::Max)
-    } else {
-        AggOp::positive(AggFunc::Min)
-    };
-    Rewriting {
-        certainty,
-        forall,
-        value: NumTerm::aggr(op, body_vars, arg, body_formula),
-        group_by: prepared.normalised.body.free_vars().to_vec(),
-    }
+    rewriting
 }
 
-/// Dispatches to the appropriate rewriting for the requested bound, following
-/// the classification of Theorems 6.1, 7.10 and 7.11. Returns `None` when no
-/// rewriting is known for this aggregate/bound combination.
-pub fn rewriting_for(prepared: &PreparedAggQuery, bound: BoundKind) -> Option<Rewriting> {
-    if !prepared.body.is_acyclic() {
-        return None;
-    }
-    let agg = prepared.normalised.agg;
-    match (bound, agg) {
-        (BoundKind::Glb, AggFunc::Sum) | (BoundKind::Glb, AggFunc::Max) => {
-            Some(construct_rewriting(prepared, agg, Choice::Minimise))
+/// The symbolic rewriting of the operator the strategy table
+/// ([`BoundOp::choose`]) names for `bound` over `domain`, built from the
+/// operator's own fields; `None` where the table says
+/// [`BoundOp::ExactEnumeration`] — no rewriting is known, or the one that
+/// exists for other premises is unsound here.
+pub fn rewriting_for(
+    prepared: &PreparedAggQuery,
+    bound: BoundKind,
+    domain: NumericDomain,
+) -> Option<Rewriting> {
+    match BoundOp::choose(prepared, bound, domain).0 {
+        BoundOp::Rewrite { combine, choice } => {
+            Some(construct_rewriting(prepared, combine, choice))
         }
-        (BoundKind::Glb, AggFunc::Min) => Some(extremum_rewriting(prepared, false)),
-        (BoundKind::Lub, AggFunc::Max) => Some(extremum_rewriting(prepared, true)),
-        (BoundKind::Lub, AggFunc::Min) => Some(construct_rewriting(
-            prepared,
-            AggFunc::Min,
-            Choice::Maximise,
-        )),
-        _ => None,
+        BoundOp::Extremum { choice } => Some(extremum_rewriting(prepared, choice)),
+        BoundOp::ExactEnumeration => None,
     }
 }
 
@@ -454,7 +445,7 @@ mod tests {
         ])
         .unwrap();
         let q = prepared("SUM(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        let rewriting = rewriting_for(&q, BoundKind::Glb).unwrap();
+        let rewriting = rewriting_for(&q, BoundKind::Glb, NumericDomain::NonNegative).unwrap();
         let ev = Evaluator::new(&db);
         let rows = ev.eval_query(&rewriting.as_numerical_query());
         assert_eq!(rows.len(), 1);
@@ -469,13 +460,13 @@ mod tests {
     fn extremum_rewritings() {
         let db = db0();
         let q = prepared("MIN(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        let glb = rewriting_for(&q, BoundKind::Glb).unwrap();
+        let glb = rewriting_for(&q, BoundKind::Glb, NumericDomain::NonNegative).unwrap();
         let ev = Evaluator::new(&db);
         let rows = ev.eval_query(&glb.as_numerical_query());
         assert_eq!(rows[0].1, Some(rat(1)));
 
         let qmax = prepared("MAX(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        let lub = rewriting_for(&qmax, BoundKind::Lub).unwrap();
+        let lub = rewriting_for(&qmax, BoundKind::Lub, NumericDomain::NonNegative).unwrap();
         let rows = ev.eval_query(&lub.as_numerical_query());
         // The S-fact with value 8 has 'e' in the constant column, so it does
         // not embed; the plain maximum over embeddings is 7.
@@ -486,9 +477,9 @@ mod tests {
     fn no_rewriting_for_unsupported_cases() {
         let db = db0();
         let q = prepared("AVG(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        assert!(rewriting_for(&q, BoundKind::Glb).is_none());
+        assert!(rewriting_for(&q, BoundKind::Glb, NumericDomain::NonNegative).is_none());
         let q = prepared("SUM(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        assert!(rewriting_for(&q, BoundKind::Lub).is_none());
+        assert!(rewriting_for(&q, BoundKind::Lub, NumericDomain::NonNegative).is_none());
     }
 
     #[test]
@@ -506,7 +497,7 @@ mod tests {
             }
             let text = format!("SUM(x{k}) <- {}", atoms.join(", "));
             let q = PreparedAggQuery::new(&parse_agg_query(&text).unwrap(), &schema).unwrap();
-            let rewriting = rewriting_for(&q, BoundKind::Glb).unwrap();
+            let rewriting = rewriting_for(&q, BoundKind::Glb, NumericDomain::NonNegative).unwrap();
             sizes.push((q.body.len(), rewriting.certainty.size(), rewriting.size()));
         }
         // Certainty rewriting grows and stays within a quadratic envelope.

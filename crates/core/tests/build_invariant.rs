@@ -56,7 +56,7 @@ fn build_counter_increments_per_construction() {
 #[test]
 fn one_index_build_per_call() {
     let _guard = counting();
-    // The acceptance criterion of the one-pass pipeline: each of glb, lub,
+    // The invariant of the one-pass pipeline: each of glb, lub,
     // and range constructs exactly one DbIndex, even with GROUP BY
     // (rewriting-backed strategies only; the exact fallback enumerates
     // repairs and indexes each repair by design). MAX is rewriting-backed

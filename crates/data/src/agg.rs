@@ -145,24 +145,6 @@ impl AggFunc {
             _ => false,
         }
     }
-
-    /// Returns `true` if the operator is known to have a *bounded* descending
-    /// chain (Definition 7.1, used by Lemma 7.3 for NP-hardness) over the
-    /// given domain.
-    pub fn has_bounded_descending_chain(&self, domain: NumericDomain) -> bool {
-        match self {
-            AggFunc::Avg | AggFunc::Product => true,
-            AggFunc::Sum => domain == NumericDomain::Unconstrained,
-            _ => false,
-        }
-    }
-
-    /// Returns `true` if the paper treats this symbol via the `SUM(1)`
-    /// rewriting (Theorem 6.1 remark: COUNT-queries are covered because they
-    /// can be written as `SUM(1)`).
-    pub fn normalises_to_sum_of_one(&self) -> bool {
-        matches!(self, AggFunc::Count)
-    }
 }
 
 impl fmt::Display for AggFunc {
@@ -198,41 +180,6 @@ impl AggOp {
     pub fn apply(&self, values: &[Rational]) -> Option<Rational> {
         let v = self.func.apply(values)?;
         Some(if self.dual { -v } else { v })
-    }
-
-    /// Associativity carries over to duals.
-    pub fn is_associative(&self) -> bool {
-        self.func.is_associative()
-    }
-
-    /// Monotonicity of the operator over the given domain.
-    ///
-    /// Duals of monotone operators are *antitone*, hence not monotone (this is
-    /// exactly why `LUB-CQA(SUM)` is not covered by Theorem 6.1; see
-    /// Theorem 7.8).
-    pub fn is_monotone(&self, domain: NumericDomain) -> bool {
-        if self.dual {
-            // -MIN is monotone (MIN is "antitone" in the relevant sense only
-            // for multiset extension, not pointwise), but the paper only needs
-            // the negative results here; we conservatively report duals of the
-            // standard operators.
-            false
-        } else {
-            self.func.is_monotone(domain)
-        }
-    }
-
-    /// Descending-chain status (Section 7.2: duals of SUM, AVG, PRODUCT all
-    /// have descending chains).
-    pub fn has_descending_chain(&self, domain: NumericDomain) -> bool {
-        if self.dual {
-            matches!(
-                self.func,
-                AggFunc::Sum | AggFunc::Avg | AggFunc::Product | AggFunc::Count
-            )
-        } else {
-            self.func.has_descending_chain(domain)
-        }
     }
 }
 
@@ -313,8 +260,6 @@ mod tests {
         assert!(AggFunc::Product.has_descending_chain(d));
         assert!(!AggFunc::Sum.has_descending_chain(d));
         assert!(AggFunc::Sum.has_descending_chain(NumericDomain::Unconstrained));
-        assert!(AggOp::dual_of(AggFunc::Sum).has_descending_chain(d));
-        assert!(AggOp::dual_of(AggFunc::Avg).has_descending_chain(d));
     }
 
     #[test]
@@ -322,8 +267,6 @@ mod tests {
         let dual_sum = AggOp::dual_of(AggFunc::Sum);
         assert_eq!(dual_sum.apply(&[rat(3), rat(4)]), Some(rat(-7)));
         assert_eq!(dual_sum.apply(&[]), None);
-        assert!(dual_sum.is_associative());
-        assert!(!dual_sum.is_monotone(NumericDomain::NonNegative));
         assert_eq!(AggOp::positive(AggFunc::Max).apply(&[rat(3)]), Some(rat(3)));
         assert_eq!(dual_sum.to_string(), "SUM^dual");
     }

@@ -8,7 +8,7 @@
 
 use rcqa::core::engine::RangeCqa;
 use rcqa::core::rewrite::BoundKind;
-use rcqa::data::{fact, DatabaseInstance, NumericDomain, Schema, Signature};
+use rcqa::data::{fact, DatabaseInstance, Schema, Signature};
 use rcqa::query::parse_agg_query;
 
 fn main() {
@@ -46,12 +46,13 @@ fn main() {
     let engine = RangeCqa::new(&query, &schema).unwrap();
 
     // The separation theorem: is GLB-CQA expressible in AGGR[FOL]?
-    let classification = engine.classification(NumericDomain::NonNegative);
+    let domain = db.numeric_domain();
+    let classification = engine.classification(domain);
     println!("GLB     : {}", classification.glb);
     println!("LUB     : {}", classification.lub);
 
     // The symbolic rewriting the engine evaluates.
-    if let Some(rewriting) = engine.rewriting(BoundKind::Glb) {
+    if let Some(rewriting) = engine.rewriting(BoundKind::Glb, domain) {
         println!("certainty rewriting (⊥ test): {}", rewriting.certainty);
     }
 

@@ -82,7 +82,9 @@ fn classification_and_rewriting_agree_with_engine_on_fig1() {
 
     // Evaluate the symbolic rewriting with the AGGR[FOL] evaluator and compare
     // with the operational engine.
-    let rewriting = engine.rewriting(BoundKind::Glb).unwrap();
+    let rewriting = engine
+        .rewriting(BoundKind::Glb, NumericDomain::NonNegative)
+        .unwrap();
     let evaluator = Evaluator::new(&db);
     let rows = evaluator.eval_query(&rewriting.as_numerical_query());
     assert_eq!(rows.len(), 1);

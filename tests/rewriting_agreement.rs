@@ -1,7 +1,9 @@
 //! Generator-driven agreement tests: on random small inconsistent instances
 //! from `rcqa-gen`, every (aggregate, bound) pair with a known AGGR\[FOL\]
 //! rewriting must (a) actually take the optimized rewriting/extremum path and
-//! (b) agree with exhaustive repair enumeration — closed and GROUP BY alike.
+//! (b) agree with exhaustive repair enumeration — closed and GROUP BY alike —
+//! and the cells that lose their rewriting to negative addends must take the
+//! enumeration.
 
 use rcqa::core::engine::{Method, RangeCqa};
 use rcqa::core::exact::{exact_bounds, exact_bounds_by_group};

@@ -9,7 +9,7 @@ use rcqa::core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCq
 use rcqa::core::exact::exact_bounds_by_group_filtered;
 use rcqa::core::prepared::PreparedAggQuery;
 use rcqa::core::{certain_topk, having_status, HavingStatus};
-use rcqa::data::{rat, DatabaseInstance, Fact, Rational, Schema, Signature, Value};
+use rcqa::data::{fact, rat, DatabaseInstance, Fact, Rational, Schema, Signature, Value};
 use rcqa::query::{parse_agg_query, Catalog, CmpOp, TableDef, Var, VarPredicate};
 use rcqa::session::Session;
 use rcqa::session::{SyncPolicy, WalOptions};
@@ -239,49 +239,39 @@ fn sum_of_a_negative_constant_agrees_with_repair_enumeration() {
     // The repairs differ in their number of embeddings: a2 joins in either
     // town, a3 only in `b` — two or three embeddings.
     let mut db = DatabaseInstance::new(schema());
-    for (x, y) in [
+    let r = [
         ("a", "b"),
         ("a2", "b"),
         ("a2", "zz"),
         ("a3", "b"),
         ("a3", "nope"),
-    ] {
-        db.insert(Fact::new("R", [Value::text(x), Value::text(y)]))
-            .unwrap();
-    }
-    for y in ["b", "zz"] {
-        db.insert(Fact::new(
-            "S",
-            [Value::text(y), Value::text("x"), Value::int(1)],
-        ))
+    ];
+    db.insert_all(r.map(|(x, y)| fact!("R", x, y))).unwrap();
+    db.insert_all(["b", "zz"].map(|y| fact!("S", y, "x", 1)))
         .unwrap();
-    }
     let session = Session::with_instance(catalog(), db.clone());
     for (c, glb, lub) in [(-1, -3, -2), (-2, -6, -4)] {
         let q = parse_agg_query(&format!("SUM({c}) <- R(x, y), S(y, z, r)")).unwrap();
         let prepared = PreparedAggQuery::new(&q, &schema()).unwrap();
         let oracle = exact_bounds_by_group_filtered(&prepared, &db, 1 << 20, &[]).unwrap();
-        assert_eq!(oracle.len(), 1);
-        assert_eq!(
-            (oracle[0].1.glb, oracle[0].1.lub),
-            (Some(rat(glb)), Some(rat(lub)))
-        );
+        let want = [Some(rat(glb)), Some(rat(lub))];
+        assert_eq!([oracle[0].1.glb, oracle[0].1.lub], want, "the oracle");
         let sql = format!("SELECT SUM({c}) FROM R, S WHERE R.Y = S.Y");
-        let outcome = session.execute(&sql).unwrap();
-        assert_eq!(outcome.rows.len(), 1, "{sql}");
-        for (got, want) in [
-            (outcome.rows[0].glb.unwrap(), oracle[0].1.glb),
-            (outcome.rows[0].lub.unwrap(), oracle[0].1.lub),
-        ] {
-            assert_eq!(got.value, want, "{sql}");
-            assert_eq!(got.method, Method::ExactEnumeration, "{sql}");
+        let rows = session.execute(&sql).unwrap().rows;
+        assert_eq!(rows.len(), 1, "{sql}");
+        for (got, want) in [rows[0].glb.unwrap(), rows[0].lub.unwrap()]
+            .iter()
+            .zip(want)
+        {
+            assert_eq!(
+                (got.value, got.method),
+                (want, Method::ExactEnumeration),
+                "{sql}"
+            );
         }
         let shown = session.explain(&sql).unwrap();
-        assert_eq!(
-            shown.lines().nth(1),
-            Some("└─ AggregateBound [glb: ExactEnumeration, lub: ExactEnumeration]"),
-            "{sql}"
-        );
+        let bounds = "└─ AggregateBound [glb: ExactEnumeration, lub: ExactEnumeration]";
+        assert_eq!(shown.lines().nth(1), Some(bounds), "{sql}");
     }
 }
 
