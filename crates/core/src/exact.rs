@@ -262,6 +262,37 @@ mod tests {
     }
 
     #[test]
+    fn the_oracle_refuses_what_it_cannot_answer() {
+        // A predicate on a variable the body never mentions — through both
+        // filtered entry points — and an open query are refused by name
+        // before the first repair, not panicked on or silently answered.
+        use rcqa_data::Value;
+        use rcqa_query::{CmpOp, Var, VarPredicate};
+        let db = db_stock();
+        let prepare = |text: &str| {
+            PreparedAggQuery::new(&parse_agg_query(text).unwrap(), db.schema()).unwrap()
+        };
+        let nope = [VarPredicate {
+            var: Var::new("nope"),
+            op: CmpOp::Gt,
+            value: Value::from(3),
+        }];
+        let unknown = "query error: unsupported SQL feature: predicate variable nope does not \
+                       occur in the query body";
+        let closed = prepare("SUM(y) <- Dealers('Smith', t), Stock(p, t, y)");
+        let refused = exact_bounds_filtered(&closed, &db, 1 << 20, &nope).unwrap_err();
+        assert_eq!(refused.to_string(), unknown);
+        let grouped = prepare("(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)");
+        let refused = exact_bounds_by_group_filtered(&grouped, &db, 1 << 20, &nope).unwrap_err();
+        assert_eq!(refused.to_string(), unknown);
+        assert_eq!(
+            exact_bounds(&grouped, &db, 1 << 20).unwrap_err().to_string(),
+            "open query: the exact oracle answers closed queries; substitute a group key \
+             for (x) first"
+        );
+    }
+
+    #[test]
     fn count_and_min_max() {
         let db = db_stock();
         let q = PreparedAggQuery::new(
