@@ -15,7 +15,7 @@
 //! the fact atom through the fact atom's key (the shape of the Lemma 7.3 /
 //! Theorem 7.9 query and of typical ConQuer workloads).
 
-use rcqa_core::forall::{match_fact, Binding};
+use rcqa_core::forall::{match_fact, Valuation};
 use rcqa_core::index::DbIndex;
 use rcqa_core::prepared::PreparedAggQuery;
 use rcqa_core::CoreError;
@@ -99,10 +99,10 @@ pub fn fuxman_sum_glb(
         // hot path: it materialises each columnar row back into a `Fact` and
         // reuses the value-level `match_fact`.)
         let mut min_value: Option<Rational> = None;
-        let mut key_binding: Option<Binding> = None;
+        let mut key_binding: Option<Valuation> = None;
         for row in 0..block.cols.rows() {
             let fact = fact_index.materialize_fact(block, row, interner);
-            match match_fact(fact_atom, &fact, &Binding::new()) {
+            match match_fact(fact_atom, &fact, &Valuation::new()) {
                 Some(binding) => {
                     let value = match &query.normalised.term {
                         AggTerm::Const(c) => *c,

@@ -14,7 +14,7 @@
 //! The optimal MaxSAT cost is then exactly the greatest lower bound. The
 //! encoding requires non-negative weights ([`PreparedAggQuery::addend_domain`]).
 
-use rcqa_core::forall::{embeddings, Binding};
+use rcqa_core::forall::{embeddings, Valuation};
 use rcqa_core::glb::term_value;
 use rcqa_core::index::DbIndex;
 use rcqa_core::prepared::PreparedAggQuery;
@@ -64,7 +64,7 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
         // avoid for large instances anyway.
         let analysis_certain = db.repairs().all(|r| {
             let idx = DbIndex::new(&r);
-            !embeddings(query.open_levels(), &idx, &Binding::new()).is_empty()
+            !embeddings(query.open_levels(), &idx, &Valuation::new()).is_empty()
         });
         if !analysis_certain {
             return Ok(MaxSatGlb {
@@ -76,7 +76,7 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
         }
     } else {
         let checker = rcqa_core::forall::CertaintyChecker::new(query.body.levels(), &index);
-        if !checker.certain_from(0, &Binding::new()) {
+        if !checker.certain_from(0, &Valuation::new()) {
             return Ok(MaxSatGlb {
                 glb: None,
                 variables: 0,
@@ -109,7 +109,7 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
     // A closed query's open levels: its topological sort, or plain query
     // order when the attack graph is cyclic.
     let levels = query.open_levels();
-    let embs = embeddings(levels, &index, &Binding::new());
+    let embs = embeddings(levels, &index, &Valuation::new());
     let term = &query.normalised.term;
     for theta in &embs {
         let weight = term_value(term, theta);
@@ -143,7 +143,7 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
     }
 }
 
-fn ground_fact(atom: &rcqa_query::Atom, theta: &Binding) -> Fact {
+fn ground_fact(atom: &rcqa_query::Atom, theta: &Valuation) -> Fact {
     Fact::new(
         atom.relation(),
         atom.terms().iter().map(|t| match t {

@@ -15,8 +15,10 @@
 //! group from the repairs of the blocks holding a fact of one of its
 //! embeddings — all its value in a repair can depend on — and is exponential
 //! in the inconsistent blocks among *those*; every requested group is checked
-//! against [`EngineOptions::max_repairs`] before the first repair is built
-//! ([`crate::exact`] is the whole-instance reference the tests compare with).
+//! against [`MAX_REPAIRS`] before the first repair is built ([`crate::exact`]
+//! is the whole-instance reference the tests compare with). The fallback is
+//! always on: the cells of the table without a rewriting (AVG, the LUB of
+//! SUM, residual predicates) have no other sound path.
 //!
 //! ## One pipeline
 //!
@@ -73,7 +75,7 @@ use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
 use rcqa_data::{DatabaseInstance, NumericDomain, Rational, Schema, Value};
-use rcqa_query::{AggQuery, QueryError, Term, Var, VarPredicate};
+use rcqa_query::{AggQuery, Term, Var, VarPredicate};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
 
@@ -110,16 +112,16 @@ pub struct GroupRange {
     pub lub: Option<BoundAnswer>,
 }
 
-/// Engine options.
-#[derive(Clone, Copy, Debug)]
+/// The most repairs the exact fallback enumerates for one group: the repairs
+/// of the blocks the group's embeddings touch. A group within it may still
+/// cost that many evaluations; a statement with a group over it is refused
+/// before the first repair is built.
+pub const MAX_REPAIRS: u128 = 1 << 22;
+
+/// Engine options: the executor's worker count, the one evaluation setting
+/// callers choose (the repair budget is [`MAX_REPAIRS`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineOptions {
-    /// Allow falling back to exhaustive repair enumeration when no rewriting
-    /// is known for the requested bound.
-    pub allow_exact_fallback: bool,
-    /// Maximum number of repairs the exact fallback may enumerate for one
-    /// group: the repairs of the blocks the group's embeddings touch. A group
-    /// within it may still cost that many evaluations.
-    pub max_repairs: u128,
     /// Number of executor worker threads for grouped evaluation.
     ///
     /// `0` (the default) resolves at execution time: the `RCQA_THREADS`
@@ -127,16 +129,6 @@ pub struct EngineOptions {
     /// [`std::thread::available_parallelism`]. The worker count is always
     /// clamped to the number of groups, so closed queries run inline.
     pub threads: usize,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            allow_exact_fallback: true,
-            max_repairs: 1 << 22,
-            threads: 0,
-        }
-    }
 }
 
 impl EngineOptions {
@@ -319,21 +311,7 @@ impl RangeCqa {
     /// predicate do not contribute, and a group none of whose embeddings
     /// satisfy every predicate has no row.
     pub fn with_predicates(mut self, predicates: Vec<VarPredicate>) -> Result<RangeCqa, CoreError> {
-        for p in &predicates {
-            let occurs = self
-                .prepared
-                .normalised
-                .body
-                .atoms()
-                .iter()
-                .any(|a| a.terms().iter().any(|t| t.as_var() == Some(&p.var)));
-            if !occurs {
-                return Err(CoreError::Query(QueryError::Unsupported(format!(
-                    "predicate variable {} does not occur in the query body",
-                    p.var
-                ))));
-            }
-        }
+        self.prepared.check_predicates(&predicates)?;
         self.routing = PredicateRouting::new(&self.prepared, &self.schema, &predicates);
         Ok(self)
     }
@@ -844,70 +822,70 @@ mod tests {
         let glb = engine.glb(&db).unwrap();
         assert_eq!(glb[0].1.method, Method::ExactEnumeration);
         assert_eq!(glb[0].1.value, Some(rat(35)));
+    }
 
-        let engine = RangeCqa::new(&q, db.schema())
-            .unwrap()
-            .with_options(EngineOptions {
-                allow_exact_fallback: false,
-                ..EngineOptions::default()
-            });
-        assert_eq!(
-            engine.glb(&db).unwrap_err().to_string(),
-            "unsupported aggregate for rewriting: no AGGR[FOL] rewriting is known for Glb of \
-             AVG and the exact fallback is disabled"
-        );
+    /// [`db_stock`] plus, in each of `towns`, 23 more `Stock` blocks of two
+    /// facts each: a group whose embeddings reach one of those towns touches
+    /// them all, `2^23` repairs among them — twice [`MAX_REPAIRS`].
+    fn db_over_budget(towns: &[&str]) -> DatabaseInstance {
+        let mut db = db_stock();
+        for town in towns {
+            for p in 0..23 {
+                let product = format!("P{p:02}");
+                db.insert_all([
+                    fact!("Stock", product.clone(), *town, 1),
+                    fact!("Stock", product, *town, 2),
+                ])
+                .unwrap();
+            }
+        }
+        db
     }
 
     #[test]
     fn an_over_budget_group_is_refused_by_name_at_every_thread_count() {
         // James's embeddings touch his Dealers block and two Boston Stock
         // blocks: 1 · 2 · 1 = 2 repairs. Smith's touch his two-town Dealers
-        // block and three Stock blocks: 2 · 2 · 1 · 2 = 8. The budget is per
+        // block and three Stock blocks: 2 · 2 · 1 · 2 = 8 — and, once New
+        // York stocks 23 two-fact blocks more, 2^23 · 8. The budget is per
         // group.
-        let db = db_stock();
-        let index = DbIndex::new(&db);
-        let engine = |max_repairs, threads| {
-            with_threads("(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)", &db, threads).with_options(
-                EngineOptions {
-                    max_repairs,
-                    threads,
-                    ..EngineOptions::default()
-                },
-            )
-        };
+        let grouped = "(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)";
         let key = |name: &str| vec![Value::text(name)];
+        let within = db_stock();
+        let db = db_over_budget(&["New York"]);
+        let index = DbIndex::new(&db);
         for threads in [1, 4] {
-            assert_eq!(engine(8, threads).range(&db).unwrap().len(), 2);
-            // Smith is over a budget of 4, and says so — for the full run and
-            // for any listed-groups call that asks for him.
-            let smith = "exact fallback unavailable: group (Smith): 4 blocks its \
-                         embeddings touch have 8 repairs, more than the configured maximum 4";
-            let four = engine(4, threads);
-            assert_eq!(four.range(&db).unwrap_err().to_string(), smith);
+            let rows = with_threads(grouped, &within, threads).range(&within);
+            assert_eq!(rows.unwrap().len(), 2);
+            // Smith is over budget, and says so — for the full run and for
+            // any listed-groups call that asks for him — by the blocks that
+            // sufficed to prove it.
+            let smith = "exact fallback unavailable: group (Smith): 24 blocks its \
+                         embeddings touch have 8388608 repairs, more than the maximum 4194304";
+            let engine = with_threads(grouped, &db, threads);
+            assert_eq!(engine.range(&db).unwrap_err().to_string(), smith);
             for keys in [vec![key("Smith")], vec![key("Smith"), key("James")]] {
-                let listed = four.range_for_groups(&db, &index, &keys);
+                let listed = engine.range_for_groups(&db, &index, &keys);
                 assert_eq!(listed.unwrap_err().to_string(), smith);
             }
-            let james = four.range_for_groups(&db, &index, &[key("James")]);
+            let james = engine.range_for_groups(&db, &index, &[key("James")]);
             assert_eq!(james.unwrap().len(), 1);
-            // With both over budget the first in group-key order is named —
-            // by the blocks that sufficed to prove it.
+            // With both over budget the first in group-key order is named.
+            let both = db_over_budget(&["Boston", "New York"]);
             assert_eq!(
-                engine(1, threads).range(&db).unwrap_err().to_string(),
-                "exact fallback unavailable: group (James): 2 blocks its \
-                 embeddings touch have 2 repairs, more than the configured maximum 1"
+                with_threads(grouped, &both, threads)
+                    .range(&both)
+                    .unwrap_err()
+                    .to_string(),
+                "exact fallback unavailable: group (James): 24 blocks its \
+                 embeddings touch have 8388608 repairs, more than the maximum 4194304"
             );
             // A closed query is its one group.
-            let closed = with_threads("AVG(y) <- Dealers(x, t), Stock(p, t, y)", &db, threads)
-                .with_options(EngineOptions {
-                    max_repairs: 7,
-                    threads,
-                    ..EngineOptions::default()
-                });
+            let closed = with_threads("AVG(y) <- Dealers(x, t), Stock(p, t, y)", &db, threads);
             assert_eq!(
                 closed.range(&db).unwrap_err().to_string(),
-                "exact fallback unavailable: the closed query: 5 blocks its \
-                 embeddings touch have 8 repairs, more than the configured maximum 7"
+                "exact fallback unavailable: the closed query: 25 blocks its \
+                 embeddings touch have 8388608 repairs, more than the maximum 4194304"
             );
         }
     }
@@ -1127,10 +1105,7 @@ mod tests {
     fn with_threads(text: &str, db: &DatabaseInstance, threads: usize) -> RangeCqa {
         RangeCqa::new(&parse_agg_query(text).unwrap(), db.schema())
             .unwrap()
-            .with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            })
+            .with_options(EngineOptions { threads })
     }
 
     #[test]
@@ -1228,10 +1203,7 @@ mod tests {
             for threads in [1, 4] {
                 let engine = RangeCqa::new(&q, db.schema())
                     .unwrap()
-                    .with_options(EngineOptions {
-                        threads,
-                        ..EngineOptions::default()
-                    });
+                    .with_options(EngineOptions { threads });
                 let full = engine.range_with_index(&db, &index).unwrap();
                 assert!(!full.is_empty(), "{text}");
                 // Each single group, a subset, the full set, and a key with
@@ -1533,10 +1505,7 @@ mod tests {
                     .unwrap()
                     .with_predicates(preds.clone())
                     .unwrap()
-                    .with_options(EngineOptions {
-                        threads,
-                        ..EngineOptions::default()
-                    });
+                    .with_options(EngineOptions { threads });
                 let rows = engine.range(&db).unwrap();
                 assert_eq!(rows.len(), oracle.len(), "{text} @{threads}T");
                 for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {

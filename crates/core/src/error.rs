@@ -1,7 +1,7 @@
 //! Error types for the range-CQA engine.
 
 use rcqa_data::DataError;
-use rcqa_query::QueryError;
+use rcqa_query::{QueryError, Var};
 use std::fmt;
 
 /// Errors raised by the range-CQA engine.
@@ -20,9 +20,12 @@ pub enum CoreError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// The exact (repair-enumeration) fallback was required but disabled, or
-    /// the instance has too many repairs to enumerate.
+    /// The instance (or one group's blocks) has too many repairs for the
+    /// exact (repair-enumeration) fallback to enumerate.
     FallbackUnavailable(String),
+    /// The exact oracle was handed a query with free variables: it answers
+    /// closed queries, one group at a time.
+    OpenQuery(Vec<Var>),
 }
 
 impl fmt::Display for CoreError {
@@ -40,6 +43,15 @@ impl fmt::Display for CoreError {
                 write!(f, "unsupported aggregate for rewriting: {reason}")
             }
             CoreError::FallbackUnavailable(msg) => write!(f, "exact fallback unavailable: {msg}"),
+            CoreError::OpenQuery(free) => {
+                let free: Vec<&str> = free.iter().map(Var::name).collect();
+                write!(
+                    f,
+                    "open query: the exact oracle answers closed queries; substitute a group \
+                     key for ({}) first",
+                    free.join(", ")
+                )
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 //! that does not grow with the instance.
 
 use crate::error::CoreError;
-use crate::forall::{embeddings, Binding};
+use crate::forall::{embeddings, Valuation};
 use crate::glb::term_value;
 use crate::index::DbIndex;
 use crate::prepared::PreparedAggQuery;
@@ -66,16 +66,22 @@ pub fn exact_bounds(
 /// position). Predicate variables must be non-free variables of the body —
 /// free variables are constants after group substitution and must be
 /// filtered at the group level instead.
+///
+/// Refused before the first repair: an open query
+/// ([`CoreError::OpenQuery`]), and a predicate on a variable the body does
+/// not mention (the error [`crate::engine::RangeCqa::with_predicates`]
+/// returns for it).
 pub fn exact_bounds_filtered(
     query: &PreparedAggQuery,
     db: &DatabaseInstance,
     max_repairs: u128,
     predicates: &[rcqa_query::VarPredicate],
 ) -> Result<ExactBounds, CoreError> {
-    debug_assert!(
-        query.normalised.body.free_vars().is_empty(),
-        "exact_bounds expects a closed query; substitute group constants first"
-    );
+    let free = query.normalised.body.free_vars();
+    if !free.is_empty() {
+        return Err(CoreError::OpenQuery(free.to_vec()));
+    }
+    query.check_predicates(predicates)?;
     let count = db.repair_count().unwrap_or(u128::MAX);
     if count > max_repairs {
         return Err(CoreError::FallbackUnavailable(format!(
@@ -97,16 +103,14 @@ pub fn exact_bounds_filtered(
     for repair in db.repairs() {
         repairs += 1;
         let index = DbIndex::new(&repair);
-        let mut embs = embeddings(levels, &index, &Binding::new());
-        if !predicates.is_empty() {
-            embs.retain(|b| {
-                predicates.iter().all(|p| {
-                    b.get(&p.var)
-                        .map(|v| p.holds_value(v))
-                        .expect("predicate variables occur in the body")
-                })
-            });
-        }
+        let mut embs = embeddings(levels, &index, &Valuation::new());
+        // Every predicate variable occurs in the body (checked above), so
+        // every embedding binds it.
+        embs.retain(|b| {
+            predicates
+                .iter()
+                .all(|p| b.get(&p.var).is_some_and(|v| p.holds_value(v)))
+        });
         if embs.is_empty() {
             // ⊥ decides both bounds, but satisfiability (does *any* repair
             // have a satisfying embedding?) may still be open — keep
@@ -161,6 +165,7 @@ pub fn exact_bounds_by_group_filtered(
     max_repairs: u128,
     predicates: &[rcqa_query::VarPredicate],
 ) -> Result<Vec<(Vec<rcqa_data::Value>, ExactBounds)>, CoreError> {
+    query.check_predicates(predicates)?;
     let free = query.normalised.body.free_vars().to_vec();
     let (on_free, on_bound): (Vec<_>, Vec<_>) = predicates
         .iter()
@@ -286,7 +291,9 @@ mod tests {
         let refused = exact_bounds_by_group_filtered(&grouped, &db, 1 << 20, &nope).unwrap_err();
         assert_eq!(refused.to_string(), unknown);
         assert_eq!(
-            exact_bounds(&grouped, &db, 1 << 20).unwrap_err().to_string(),
+            exact_bounds(&grouped, &db, 1 << 20)
+                .unwrap_err()
+                .to_string(),
             "open query: the exact oracle answers closed queries; substitute a group key \
              for (x) first"
         );

@@ -29,7 +29,7 @@
 //! The only [`rcqa_data::Value`] read is the one [`Rational`] per leaf
 //! (`Leaves::value`).
 
-use crate::forall::{Binding, CompiledLevel, VarTable};
+use crate::forall::{CompiledLevel, Valuation, VarTable};
 use crate::ids::IdRows;
 use rcqa_data::{AggFunc, Rational, Value, ValueInterner};
 use rcqa_query::AggTerm;
@@ -55,12 +55,12 @@ impl Choice {
     }
 }
 
-/// The value of the aggregated term `r` under a binding (the exact fallback
+/// The value of the aggregated term `r` under a valuation (the exact fallback
 /// and the baselines; the plan executor reads leaves through `Leaves`).
-pub fn term_value(term: &AggTerm, binding: &Binding) -> Rational {
+pub fn term_value(term: &AggTerm, valuation: &Valuation) -> Rational {
     match term {
         AggTerm::Const(c) => *c,
-        AggTerm::Var(v) => binding
+        AggTerm::Var(v) => valuation
             .get(v)
             .and_then(Value::as_num)
             .unwrap_or_else(|| panic!("aggregated variable {v} is unbound or non-numeric")),

@@ -71,7 +71,7 @@ pub use exact::{
     exact_bounds, exact_bounds_by_group, exact_bounds_by_group_filtered, exact_bounds_filtered,
     ExactBounds,
 };
-pub use forall::{analyse, Binding, CertaintyChecker, CompiledLevels, ForallAnalysis, VarTable};
+pub use forall::{analyse, CertaintyChecker, CompiledLevels, ForallAnalysis, Valuation, VarTable};
 pub use glb::Choice;
 pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
 pub use interval::{

@@ -56,7 +56,7 @@
 //! snapshots; that sharing is invisible here because published indexes —
 //! interior `Arc`s included — are never mutated.
 
-use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange};
+use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
 use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, CompiledLevels, Join};
@@ -81,7 +81,7 @@ pub struct ExecContext<'a> {
     pub db: &'a DatabaseInstance,
     /// The shared block index (built exactly once by the engine entry point).
     pub index: &'a DbIndex,
-    /// Engine options (fallback policy, repair budget, worker count).
+    /// Engine options (the worker count).
     pub options: &'a EngineOptions,
     /// Comparison predicates the exact fallback applies as embedding filters
     /// inside each enumerated repair (non-free variables only — predicates
@@ -544,7 +544,7 @@ fn eval_groups(
 ) -> Result<Vec<GroupRange>, CoreError> {
     let groups = partition.keys.len();
     let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
-    let closures = (enumerates && cx.options.allow_exact_fallback)
+    let closures = enumerates
         .then(|| Closures::collect(plan, cx, compiled, free, partition))
         .transpose()?;
     let closures = closures.as_ref();
@@ -583,7 +583,7 @@ impl<'a> Closures<'a> {
     /// by one enumeration of the open body pinned to the group's key — and
     /// decides the repair budget: a closure has the product of its block sizes
     /// many repairs (counted, no fact materialised), and the first group in
-    /// group-key order over [`EngineOptions::max_repairs`] is the `Err`.
+    /// group-key order over [`MAX_REPAIRS`] is the `Err`.
     fn collect(
         plan: &Plan,
         cx: &ExecContext<'a>,
@@ -602,7 +602,6 @@ impl<'a> Closures<'a> {
         let join = Join::new(compiled, cx.index);
         let free_slots = slots_of(compiled, free);
         let mut pinned = compiled.unbound_ids();
-        let max = cx.options.max_repairs;
         let (mut starts, mut blocks) = (vec![0], Vec::new());
         for g in 0..partition.keys.len() {
             let start = blocks.len();
@@ -611,7 +610,7 @@ impl<'a> Closures<'a> {
             // Once over budget the rest cannot matter: a closed query over a
             // large join is refused after the embeddings that prove it.
             let mut touch = |theta: &[u32]| {
-                if repairs <= max {
+                if repairs <= MAX_REPAIRS {
                     join.blocks_of(theta, |rel, block| {
                         if seen.insert(Arc::as_ptr(&block.cols)) {
                             repairs = repairs.saturating_mul(block.cols.rows() as u128);
@@ -630,12 +629,12 @@ impl<'a> Closures<'a> {
                 }
                 join.for_each(&pinned, touch);
             }
-            if repairs > max {
+            if repairs > MAX_REPAIRS {
                 let key = cx.index.interner().values_of(partition.keys.row(g));
                 let key: Vec<String> = key.iter().map(Value::to_string).collect();
                 return Err(CoreError::FallbackUnavailable(format!(
                     "{}: {} blocks its embeddings touch have {repairs} repairs, more than the \
-                     configured maximum {max}",
+                     maximum {MAX_REPAIRS}",
                     if key.is_empty() {
                         "the closed query".to_string()
                     } else {
@@ -669,8 +668,7 @@ impl<'a> Closures<'a> {
         let mut restriction = cx.db.empty_like();
         restriction.load(facts)?;
         let closed = substitute_group(cx.prepared, key)?;
-        let (max, predicates) = (cx.options.max_repairs, cx.exact_predicates);
-        exact_bounds_filtered(&closed, &restriction, max, predicates)
+        exact_bounds_filtered(&closed, &restriction, MAX_REPAIRS, cx.exact_predicates)
     }
 }
 
@@ -769,11 +767,10 @@ fn eval_shard(
             .map(|closures| closures.enumerate(g, cx, &key))
             .transpose()?;
         let mut bound = |op: Option<BoundOp>, kind: BoundKind| {
-            op.map(|op| bound_answer(op, kind, cx, compiled, analysis.as_mut(), exact))
-                .transpose()
+            op.map(|op| bound_answer(op, kind, compiled, analysis.as_mut(), exact))
         };
-        let glb = bound(plan.glb, BoundKind::Glb)?;
-        let lub = bound(plan.lub, BoundKind::Lub)?;
+        let glb = bound(plan.glb, BoundKind::Glb);
+        let lub = bound(plan.lub, BoundKind::Lub);
         // Residual predicates are invisible to the partitioner, so the exact
         // enumeration may discover that a candidate group has no satisfying
         // embedding at all — such a group is not a possible answer and has
@@ -789,15 +786,14 @@ fn eval_shard(
 
 /// Computes one bound of one group from the shared analysis (or, for
 /// [`BoundOp::ExactEnumeration`], reads it off `exact`, the enumeration of the
-/// repairs of the group's closure — present whenever the fallback is allowed).
+/// repairs of the group's closure).
 fn bound_answer(
     op: BoundOp,
     bound: BoundKind,
-    cx: &ExecContext<'_>,
     compiled: &CompiledLevels,
     analysis: Option<&mut GroupAnalysis<'_>>,
     exact: Option<ExactBounds>,
-) -> Result<BoundAnswer, CoreError> {
+) -> BoundAnswer {
     let value = match op {
         BoundOp::Rewrite { combine, choice } => {
             let analysis = analysis.expect("the Rewrite operator requires the analysis");
@@ -819,15 +815,6 @@ fn bound_answer(
                 .flatten()
         }
         BoundOp::ExactEnumeration => {
-            if !cx.options.allow_exact_fallback {
-                return Err(CoreError::UnsupportedAggregate {
-                    reason: format!(
-                        "no AGGR[FOL] rewriting is known for {bound:?} of {} and the \
-                         exact fallback is disabled",
-                        cx.prepared.normalised.agg
-                    ),
-                });
-            }
             let bounds = exact.expect("the pre-pass collected the group's closure");
             match bound {
                 BoundKind::Glb => bounds.glb,
@@ -835,10 +822,10 @@ fn bound_answer(
             }
         }
     };
-    Ok(BoundAnswer {
+    BoundAnswer {
         value,
         method: op.into(),
-    })
+    }
 }
 
 /// One key position of a [`SupportAtom`]'s block-key pattern.
@@ -992,18 +979,12 @@ mod tests {
 
     #[test]
     fn listed_groups_run_inline_below_the_floor() {
-        let four = EngineOptions {
-            threads: 4,
-            ..EngineOptions::default()
-        };
+        let four = EngineOptions { threads: 4 };
         // Two keys and their few embeddings: no worker, whatever the option.
         assert_eq!(workers_for(&four, 2), 1);
         assert_eq!(workers_for(&four, INLINE_WORK_FLOOR - 1), 1);
         assert_eq!(workers_for(&four, INLINE_WORK_FLOOR), 4);
-        let one = EngineOptions {
-            threads: 1,
-            ..EngineOptions::default()
-        };
+        let one = EngineOptions { threads: 1 };
         assert_eq!(workers_for(&one, INLINE_WORK_FLOOR), 1);
     }
 }

@@ -13,7 +13,9 @@
 
 use crate::error::CoreError;
 use rcqa_data::{NumericDomain, Rational, Schema};
-use rcqa_query::{AggQuery, AggTerm, Atom, AttackGraph, ConjunctiveQuery, Var};
+use rcqa_query::{
+    AggQuery, AggTerm, Atom, AttackGraph, ConjunctiveQuery, QueryError, Var, VarPredicate,
+};
 use std::collections::BTreeSet;
 
 /// The per-level variable structure for one atom of the topological sort.
@@ -213,6 +215,25 @@ impl PreparedAggQuery {
             AggTerm::Var(_) => instance,
             AggTerm::Const(c) if *c >= Rational::ZERO => NumericDomain::NonNegative,
             AggTerm::Const(_) => NumericDomain::Unconstrained,
+        }
+    }
+
+    /// Refuses the first predicate whose variable occurs in no atom of the
+    /// body: the one check [`crate::engine::RangeCqa::with_predicates`] and
+    /// the exact oracle share.
+    pub(crate) fn check_predicates(&self, predicates: &[VarPredicate]) -> Result<(), CoreError> {
+        let atoms = self.normalised.body.atoms();
+        let occurs = |v| {
+            atoms
+                .iter()
+                .any(|a| a.terms().iter().any(|t| t.as_var() == Some(v)))
+        };
+        match predicates.iter().find(|p| !occurs(&p.var)) {
+            Some(p) => Err(CoreError::Query(QueryError::Unsupported(format!(
+                "predicate variable {} does not occur in the query body",
+                p.var
+            )))),
+            None => Ok(()),
         }
     }
 

@@ -422,8 +422,7 @@ mod tests {
         // Every operational ∀embedding satisfies the formula, and every
         // operational embedding that is not a ∀embedding falsifies it.
         for emb in &analysis.embeddings {
-            let val: rcqa_logic::Valuation = emb.to_valuation();
-            let by_formula = ev.eval_formula(&phi, &val);
+            let by_formula = ev.eval_formula(&phi, emb);
             let by_operational = analysis.forall_embeddings.contains(emb);
             assert_eq!(by_formula, by_operational, "embedding {emb:?}");
         }

@@ -7,8 +7,8 @@
 //! The property is locked as a count, not a timing: on `R(x|y) ⋈ S(y,z|r)`,
 //! quadrupling the facts per `S` block at fixed block and group counts
 //! quadruples the embeddings, and the allocation count of one
-//! `range_with_index` must stay well under 1.5× (materialising embeddings —
-//! a slot `Vec` and a `Binding` each — made it ≈ 4×).
+//! `range_with_index` must stay well under 1.5× (materialising each
+//! embedding as a slot vector of values made it ≈ 4×).
 //!
 //! The counter is thread-local and the engine runs with `threads: 1` (inline
 //! on the calling thread), so libtest's own threads cannot disturb the count;
@@ -94,10 +94,7 @@ fn measure(facts_per_s_block: usize) -> (usize, u64) {
     let query = parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap();
     let engine = RangeCqa::new(&query, db.schema())
         .unwrap()
-        .with_options(EngineOptions {
-            threads: 1,
-            ..EngineOptions::default()
-        });
+        .with_options(EngineOptions { threads: 1 });
     let before = ALLOCATIONS.with(Cell::get);
     let rows = engine.range_with_index(&db, &index).unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;

@@ -144,10 +144,7 @@ fn range_with_index_builds_nothing() {
     for threads in [1, 4] {
         let engine = RangeCqa::new(&q, db.schema())
             .unwrap()
-            .with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            });
+            .with_options(EngineOptions { threads });
         let before = DbIndex::build_count();
         for _ in 0..5 {
             let ranges = engine.range_with_index(&db, &index).unwrap();
@@ -172,10 +169,7 @@ fn parallel_executor_workers_build_no_indexes() {
     for threads in [2, 4, 8] {
         let engine = RangeCqa::new(&q, db.schema())
             .unwrap()
-            .with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            });
+            .with_options(EngineOptions { threads });
         let before = DbIndex::build_count();
         let ranges = engine.range(&db).unwrap();
         assert_eq!(
@@ -193,27 +187,30 @@ fn a_refused_exact_call_builds_no_per_repair_index() {
     // The exact fallback indexes each repair it enumerates, by design — and
     // none before every requested group is known to be within budget: the
     // pre-pass counts repairs off block sizes and refuses before the first
-    // repair of any group exists. James (2 repairs) precedes the over-budget
-    // Smith (8) in group-key order and is still never enumerated.
-    let db = db_stock();
-    let index = DbIndex::new(&db);
+    // repair of any group exists. James (2 repairs) precedes Smith — over
+    // budget once New York stocks 23 two-fact blocks more — in group-key
+    // order and is still never enumerated.
+    let within = db_stock();
+    let mut over = db_stock();
+    for p in 0..23 {
+        over.insert_all([
+            fact!("Stock", format!("P{p:02}"), "New York", 1),
+            fact!("Stock", format!("P{p:02}"), "New York", 2),
+        ])
+        .unwrap();
+    }
     let q = parse_agg_query("(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
     for threads in [1, 4] {
-        let engine = |max_repairs| {
-            RangeCqa::new(&q, db.schema())
-                .unwrap()
-                .with_options(EngineOptions {
-                    max_repairs,
-                    threads,
-                    ..EngineOptions::default()
-                })
-        };
+        let engine = RangeCqa::new(&q, within.schema())
+            .unwrap()
+            .with_options(EngineOptions { threads });
+        let index = DbIndex::new(&over);
         let before = DbIndex::build_count();
-        let refused = engine(4).range_with_index(&db, &index).unwrap_err();
+        let refused = engine.range_with_index(&over, &index).unwrap_err();
         assert_eq!(
             refused.to_string(),
-            "exact fallback unavailable: group (Smith): 4 blocks its \
-             embeddings touch have 8 repairs, more than the configured maximum 4"
+            "exact fallback unavailable: group (Smith): 24 blocks its \
+             embeddings touch have 8388608 repairs, more than the maximum 4194304"
         );
         assert_eq!(
             DbIndex::build_count() - before,
@@ -222,8 +219,10 @@ fn a_refused_exact_call_builds_no_per_repair_index() {
         );
         // Within budget the same call indexes each repair of each group's
         // closure once (both bounds share one enumeration): 2 + 8.
+        let index = DbIndex::new(&within);
         let before = DbIndex::build_count();
-        assert_eq!(engine(8).range_with_index(&db, &index).unwrap().len(), 2);
+        let rows = engine.range_with_index(&within, &index).unwrap();
+        assert_eq!(rows.len(), 2);
         assert_eq!(DbIndex::build_count() - before, 10);
     }
 }

@@ -108,10 +108,7 @@ fn assert_agrees(db: &DatabaseInstance, text: &str, preds: &[VarPredicate]) {
             .unwrap()
             .with_predicates(preds.to_vec())
             .unwrap()
-            .with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            })
+            .with_options(EngineOptions { threads })
     };
     let oracle =
         exact_bounds_by_group_filtered(engine(1).prepared(), db, u128::MAX, preds).unwrap();

@@ -28,12 +28,15 @@
 //!   statements up by *normalized* SQL (whitespace collapsed and text
 //!   case-folded outside string literals, one trailing `;` stripped), so
 //!   textual re-submissions of the same query never re-parse, never re-run
-//!   attack-graph classification, and never re-plan;
+//!   attack-graph classification, and never re-plan. The cache holds
+//!   [`STATEMENT_CACHE_CAP`] statements and evicts the least recently used;
 //! * a **per-statement result cache with delta-proportional differential
 //!   maintenance**: answers are cached against the epoch they were computed
 //!   at, and nothing else is recorded with them. A reader whose pinned epoch
 //!   is ahead of the cached result takes the dirty block keys committed in
-//!   between and derives, **forward from those keys over the new index**, the
+//!   between (the last [`DIRTY_LOG_CAP`] write batches are retained; an
+//!   older result recomputes in full) and derives, **forward from those keys
+//!   over the new index**, the
 //!   group keys with an embedding — old or new — through a dirty block
 //!   ([`RangeCqa::affected_keys`]): one enumeration that covers births, value
 //!   changes and retractions, at `O(|dirty| · log rows)` plus the join prefix
@@ -510,8 +513,8 @@ pub struct SessionStats {
     /// Events carried by those coalesced batches.
     pub batched_events: u64,
     /// Prepared statements evicted from the bounded statement cache
-    /// (LRU, capacity [`SessionOptions::statement_cache_cap`]). Eviction
-    /// drops the statement's cached result too; answers stay correct via
+    /// (LRU, capacity [`STATEMENT_CACHE_CAP`]). Eviction drops the
+    /// statement's cached result too; answers stay correct via
     /// re-preparation and recompute.
     pub statements_evicted: u64,
 }
@@ -580,16 +583,6 @@ struct CachedStatement {
     last_used: AtomicU64,
 }
 
-impl Clone for CachedStatement {
-    fn clone(&self) -> CachedStatement {
-        CachedStatement {
-            stmt: self.stmt.clone(),
-            result: self.result.clone(),
-            last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 /// The lock-free interior of [`SessionStats`]: relaxed atomic counters, so
 /// the warm serving path never takes an exclusive section to account for
 /// itself.
@@ -640,43 +633,19 @@ impl AtomicStats {
     }
 }
 
-impl From<SessionStats> for AtomicStats {
-    fn from(s: SessionStats) -> AtomicStats {
-        AtomicStats {
-            statements_prepared: AtomicU64::new(s.statements_prepared),
-            statement_hits: AtomicU64::new(s.statement_hits),
-            result_hits: AtomicU64::new(s.result_hits),
-            partial_recomputes: AtomicU64::new(s.partial_recomputes),
-            full_recomputes: AtomicU64::new(s.full_recomputes),
-            supported_patches: AtomicU64::new(s.supported_patches),
-            support_misses: AtomicU64::new(s.support_misses),
-            topk_fallbacks: AtomicU64::new(s.topk_fallbacks),
-            index_builds: AtomicU64::new(s.index_builds),
-            deltas_applied: AtomicU64::new(s.deltas_applied),
-            wal_appends: AtomicU64::new(s.wal_appends),
-            checkpoints: AtomicU64::new(s.checkpoints),
-            checkpoint_failures: AtomicU64::new(s.checkpoint_failures),
-            batched_commits: AtomicU64::new(s.batched_commits),
-            batched_events: AtomicU64::new(s.batched_events),
-            statements_evicted: AtomicU64::new(s.statements_evicted),
-        }
-    }
-}
-
 /// The dirty-block history writers maintain for result patching: one entry
 /// per committed write batch, `(epoch after the batch, blocks it changed)`,
 /// oldest first. Results cached at an epoch `< log_floor` predate the
 /// retained (gap-free) history and must recompute in full.
 ///
-/// The log is a [`VecDeque`]: eviction past
-/// [`SessionOptions::dirty_log_cap`] pops the oldest entry from the front in
-/// `O(1)` (a `Vec::remove(0)` here used to shift the whole capacity on every
-/// write of a long-lived session).
+/// The log is a [`VecDeque`]: eviction past [`DIRTY_LOG_CAP`] pops the
+/// oldest entry from the front in `O(1)` (a `Vec::remove(0)` here used to
+/// shift the whole capacity on every write of a long-lived session).
 ///
 /// Each batch's blocks sit behind an `Arc`: a stale read clones pointers under
 /// the lock committers also take, never the blocks (a `String` and a
 /// `Vec<Value>` apiece, up to cap × batch size of them).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Maintenance {
     dirty_log: VecDeque<(u64, Arc<[DirtyBlock]>)>,
     log_floor: u64,
@@ -688,8 +657,8 @@ struct Maintenance {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchReasons {
     /// The dirty history no longer reaches back to the cached epoch: evicted
-    /// past [`SessionOptions::dirty_log_cap`], or floored by a commit that
-    /// had no index to replay into.
+    /// past [`DIRTY_LOG_CAP`] batches, or floored by a commit that had no
+    /// index to replay into.
     pub history_evicted: u64,
     /// The delta affects more than half of the cached rows, where a patch
     /// stops being the cheaper arm (see `Session::try_patch` for the
@@ -727,33 +696,18 @@ enum Miss {
     BlindFallback,
 }
 
-/// Serving-layer tunables, distinct from the evaluation-level
-/// [`EngineOptions`]: these shape how the session maintains cached state,
-/// never what an answer is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SessionOptions {
-    /// Upper bound on retained dirty write batches (the patch history).
-    /// Results cached before the oldest retained batch fall back to a full
-    /// recompute — still correct, just not differential — which re-caches
-    /// them at the reader's epoch. `0` disables patching entirely.
-    pub dirty_log_cap: usize,
-    /// Upper bound on cached prepared statements. The cache used to grow
-    /// without bound (keyed by normalized SQL); at the cap the
-    /// least-recently-used statement is evicted, together with its cached
-    /// result — eviction never changes answers, only forces the evicted
-    /// statement to re-prepare and recompute when it next runs. `0`
-    /// disables statement (and therefore result) caching entirely.
-    pub statement_cache_cap: usize,
-}
+/// How many write batches of dirty-block history a session retains for
+/// patching. A result cached before the oldest retained batch falls back to
+/// a full recompute — still correct, just not differential — which
+/// re-caches it at the reader's epoch. Caching shapes how the session
+/// maintains state, never what an answer is.
+pub const DIRTY_LOG_CAP: usize = 128;
 
-impl Default for SessionOptions {
-    fn default() -> SessionOptions {
-        SessionOptions {
-            dirty_log_cap: 128,
-            statement_cache_cap: 256,
-        }
-    }
-}
+/// How many prepared statements a session caches, keyed by normalized SQL.
+/// Past it the least-recently-used statement is evicted together with its
+/// cached result: eviction never changes answers, it only makes the evicted
+/// statement re-prepare and recompute when it next runs.
+pub const STATEMENT_CACHE_CAP: usize = 256;
 
 /// A stateful, thread-safe SQL serving session: catalog + engine options +
 /// an immutable snapshot chain (instance, block index, epoch), plus cached
@@ -764,7 +718,6 @@ impl Default for SessionOptions {
 pub struct Session {
     catalog: Catalog,
     options: EngineOptions,
-    session_options: SessionOptions,
     /// The swap point: readers share the read lock to clone the `Arc` out
     /// of a short critical section; the writer takes the write lock only
     /// for the final pointer swap.
@@ -787,35 +740,6 @@ pub struct Session {
     stats: AtomicStats,
     /// Misses by [`Miss`]; they sum to `stats.support_misses`.
     misses: [AtomicU64; 3],
-}
-
-impl Clone for Session {
-    fn clone(&self) -> Session {
-        // Hold the writer lock across the capture: no successor snapshot can
-        // be published mid-clone, so the captured snapshot and statement
-        // results stay mutually consistent — a result cached at an epoch the
-        // *original* session reaches later must never ride into the clone,
-        // whose same-numbered epoch can hold different data.
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        Session {
-            catalog: self.catalog.clone(),
-            options: self.options,
-            session_options: self.session_options,
-            // The snapshot itself is immutable and safely shared; the clone
-            // diverges from here through its own writers.
-            current: RwLock::new(self.snapshot()),
-            writer: Mutex::new(()),
-            statements: RwLock::new(self.read_statements().clone()),
-            maintenance: Mutex::new(self.lock_maintenance().clone()),
-            cache_clock: AtomicU64::new(self.cache_clock.load(Ordering::Relaxed)),
-            // The clone is in-memory: two sessions diverging through one
-            // write-ahead log would interleave incompatible histories, so
-            // durability stays with the original.
-            wal: Mutex::new(None),
-            stats: AtomicStats::from(self.stats()),
-            misses: std::array::from_fn(|i| AtomicU64::new(self.misses[i].load(Ordering::Relaxed))),
-        }
-    }
 }
 
 impl fmt::Debug for Session {
@@ -855,7 +779,6 @@ impl Session {
         Session {
             catalog,
             options: EngineOptions::default(),
-            session_options: SessionOptions::default(),
             current: RwLock::new(Arc::new(Snapshot {
                 db,
                 index: OnceLock::new(),
@@ -943,8 +866,7 @@ impl Session {
         ))
     }
 
-    /// Overrides the engine options (exact-fallback policy, repair budget,
-    /// executor worker count).
+    /// Overrides the engine options (the executor worker count).
     ///
     /// Cached statements embed the options they were prepared with, so the
     /// statement (and result) caches are cleared; the snapshot chain — and
@@ -958,58 +880,10 @@ impl Session {
         self
     }
 
-    /// Overrides the serving-layer options. Unlike [`Session::with_options`]
-    /// this never invalidates *current* prepared statements gratuitously —
-    /// the tunables shape cache maintenance, not answers. A shrunken
-    /// dirty-log cap takes effect immediately: over-budget history is
-    /// evicted (flooring the patch horizon), so results older than the new
-    /// cap full-recompute. A shrunken statement-cache cap likewise evicts
-    /// the least-recently-used statements down to the new capacity.
-    pub fn with_session_options(mut self, options: SessionOptions) -> Session {
-        self.session_options = options;
-        {
-            let maintenance = self
-                .maintenance
-                .get_mut()
-                .unwrap_or_else(|e| e.into_inner());
-            while maintenance.dirty_log.len() > options.dirty_log_cap {
-                let dropped = maintenance
-                    .dirty_log
-                    .pop_front()
-                    .expect("len > cap implies non-empty");
-                maintenance.log_floor = dropped.0;
-            }
-        }
-        {
-            let statements = self.statements.get_mut().unwrap_or_else(|e| e.into_inner());
-            while statements.len() > options.statement_cache_cap {
-                Self::evict_lru(statements, &self.stats);
-            }
-        }
-        self
-    }
-
-    /// Evicts the least-recently-used statement (with its cached result)
-    /// from the map. Callers guarantee the map is non-empty.
-    fn evict_lru(statements: &mut HashMap<String, CachedStatement>, stats: &AtomicStats) {
-        let coldest = statements
-            .iter()
-            .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-            .map(|(key, _)| key.clone())
-            .expect("eviction requires a non-empty cache");
-        statements.remove(&coldest);
-        AtomicStats::bump(&stats.statements_evicted);
-    }
-
     /// Bumps the LRU clock and stamps the entry as just-used.
     fn touch(&self, entry: &CachedStatement) {
         let stamp = self.cache_clock.fetch_add(1, Ordering::Relaxed) + 1;
         entry.last_used.store(stamp, Ordering::Relaxed);
-    }
-
-    /// The session's serving-layer options.
-    pub fn session_options(&self) -> SessionOptions {
-        self.session_options
     }
 
     /// The session's catalog.
@@ -1090,7 +964,7 @@ impl Session {
     /// The last epoch known durable on storage (covered by an fsync or a
     /// checkpoint), or `None` for an in-memory session. Equals
     /// [`Session::epoch`] whenever the sync policy is
-    /// [`SyncPolicy::Always`]; under `EveryN`/`Never` it may trail it.
+    /// [`SyncPolicy::Always`]; under `Never` it may trail it.
     pub fn durable_epoch(&self) -> Option<u64> {
         self.lock_wal().as_ref().map(|w| w.durable_epoch())
     }
@@ -1177,7 +1051,7 @@ impl Session {
                     .fetch_add(events.len() as u64, Ordering::Relaxed);
                 let mut maintenance = self.lock_maintenance();
                 maintenance.dirty_log.push_back((epoch, dirty));
-                while maintenance.dirty_log.len() > self.session_options.dirty_log_cap {
+                if maintenance.dirty_log.len() > DIRTY_LOG_CAP {
                     let dropped = maintenance
                         .dirty_log
                         .pop_front()
@@ -1335,13 +1209,6 @@ impl Session {
             classification: Arc::new(classification),
             support,
         });
-        let cap = self.session_options.statement_cache_cap;
-        if cap == 0 {
-            // Caching disabled: the statement (and any result it computes)
-            // lives only for this call.
-            AtomicStats::bump(&self.stats.statements_prepared);
-            return Ok(stmt);
-        }
         let mut statements = self.write_statements();
         match statements.entry(key) {
             Entry::Occupied(entry) => {
@@ -1359,8 +1226,16 @@ impl Session {
                 };
                 self.touch(&entry);
                 slot.insert(entry);
-                while statements.len() > cap {
-                    Self::evict_lru(&mut statements, &self.stats);
+                if statements.len() > STATEMENT_CACHE_CAP {
+                    // Evict the least-recently-used statement, with its
+                    // cached result.
+                    let coldest = statements
+                        .iter()
+                        .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
+                        .map(|(key, _)| key.clone())
+                        .expect("a cache over its cap is not empty");
+                    statements.remove(&coldest);
+                    AtomicStats::bump(&self.stats.statements_evicted);
                 }
                 AtomicStats::bump(&self.stats.statements_prepared);
                 Ok(stmt)
@@ -1992,10 +1867,7 @@ mod tests {
     #[test]
     fn session_respects_thread_option() {
         for threads in [1, 2, 8] {
-            let session = stock_session().with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            });
+            let session = stock_session().with_options(EngineOptions { threads });
             let outcome = session
                 .execute(
                     "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
@@ -2140,10 +2012,7 @@ mod tests {
         assert_eq!(restored.rows, before.rows);
         for threads in [1, 4] {
             let cold = Session::with_instance(session.catalog().clone(), session.database())
-                .with_options(EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                });
+                .with_options(EngineOptions { threads });
             assert_eq!(cold.execute(sql).unwrap().rows, restored.rows);
         }
     }
@@ -2223,10 +2092,7 @@ mod tests {
     fn assert_equals_cold(session: &Session, sql: &str, got: &QueryOutcome) {
         for threads in [1, 4] {
             let cold = Session::with_instance(session.catalog().clone(), session.database())
-                .with_options(EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                })
+                .with_options(EngineOptions { threads })
                 .execute(sql)
                 .unwrap();
             assert_eq!(cold.rows, got.rows, "{sql} @{threads}T");
@@ -2354,10 +2220,7 @@ mod tests {
     fn every_miss_is_counted_under_one_reason() {
         let join = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
                     WHERE D.Town = S.Town GROUP BY D.Name";
-        let session = towns_session().with_session_options(SessionOptions {
-            dirty_log_cap: 2,
-            ..Default::default()
-        });
+        let session = towns_session();
         // SUM's lub enumerates repairs — of the blocks a town's embeddings
         // touch, so the statement goes through the patch path like the join.
         let sum = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
@@ -2374,10 +2237,10 @@ mod tests {
             assert_equals_cold(&session, sql, &got);
         }
         assert_eq!(session.patch_reasons().over_half, 2);
-        // Three commits against a two-batch history.
-        for t in 0..3 {
+        // One commit more than the history retains, each on one town.
+        for i in 0..=DIRTY_LOG_CAP {
             session
-                .insert(fact!("Stock", "p2", format!("t{t:02}"), 2))
+                .insert(fact!("Stock", format!("q{i}"), "t00", 2))
                 .unwrap();
         }
         let got = session.execute(join).unwrap();
@@ -2393,53 +2256,44 @@ mod tests {
         );
         assert_eq!(reasons.total(), session.stats().support_misses);
         assert_eq!(session.stats().supported_patches, 0);
-        // A clone carries the reasons along with the counters.
-        assert_eq!(session.clone().patch_reasons(), reasons);
     }
 
     #[test]
     fn over_budget_dirty_history_full_recomputes_correctly() {
-        let session = stock_session().with_session_options(SessionOptions {
-            dirty_log_cap: 2,
-            ..Default::default()
-        });
-        assert_eq!(session.session_options().dirty_log_cap, 2);
+        let session = stock_session();
         let sql = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
                    WHERE D.Town = S.Town GROUP BY D.Name";
+        let mut dealers = 0;
+        let mut commits = |n: usize| {
+            for _ in 0..n {
+                session
+                    .insert(fact!("Dealers", format!("d{dealers:03}"), "Boston"))
+                    .unwrap();
+                dealers += 1;
+            }
+        };
         session.execute(sql).unwrap();
-        // Three single-fact commits: the first batch's dirty blocks are
-        // evicted past the cap, so the cached result predates the retained
-        // history and cannot be patched — it must answer via an honest full
-        // recompute, still correctly.
-        for i in 0..3 {
-            session
-                .insert(fact!("Dealers", format!("d{i}"), "Boston"))
-                .unwrap();
-        }
-        let after = session.execute(sql).unwrap();
-        assert_eq!(after.rows.len(), 5);
+        // A result `DIRTY_LOG_CAP` single-fact commits behind still patches:
+        // the retained history reaches back exactly to its epoch.
+        commits(DIRTY_LOG_CAP);
+        let patched = session.execute(sql).unwrap();
+        assert_eq!(patched.rows.len(), 2 + DIRTY_LOG_CAP);
         let stats = session.stats();
-        assert_eq!(stats.partial_recomputes, 0);
-        assert_eq!(stats.supported_patches, 0);
+        assert_eq!((stats.supported_patches, stats.support_misses), (1, 0));
+        // One commit more and the first batch's dirty blocks are evicted past
+        // the cap: the cached result predates the retained history and must
+        // answer via an honest full recompute, still correctly.
+        commits(DIRTY_LOG_CAP + 1);
+        let after = session.execute(sql).unwrap();
+        assert_eq!(after.rows.len(), 3 + 2 * DIRTY_LOG_CAP);
+        let stats = session.stats();
+        assert_eq!(stats.partial_recomputes, 1);
+        assert_eq!(stats.supported_patches, 1);
         assert_eq!(stats.support_misses, 1);
         assert_eq!(stats.full_recomputes, 2);
         assert_eq!(session.patch_reasons().history_evicted, 1);
         let cold = Session::with_instance(session.catalog().clone(), session.database());
         assert_eq!(cold.execute(sql).unwrap().rows, after.rows);
-
-        // A zero cap disables patching outright: every commit floors the
-        // log, so even a one-commit-stale result recomputes in full.
-        let session = stock_session().with_session_options(SessionOptions {
-            dirty_log_cap: 0,
-            ..Default::default()
-        });
-        session.execute(sql).unwrap();
-        session.insert(fact!("Dealers", "Lopez", "Boston")).unwrap();
-        session.execute(sql).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.supported_patches, 0);
-        assert_eq!(stats.support_misses, 1);
-        assert_eq!(stats.full_recomputes, 2);
     }
 
     #[test]
@@ -2475,23 +2329,9 @@ mod tests {
         let sql = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
                    WHERE D.Town = S.Town GROUP BY D.Name";
         let warm = session.execute(sql).unwrap();
-        // A clone carries the caches along.
-        let cloned = session.clone();
-        assert_eq!(cloned.execute(sql).unwrap().rows, warm.rows);
-        assert_eq!(cloned.stats().result_hits, 1);
-        // A clone diverges through its own writers without touching the
-        // original's snapshot chain.
-        cloned.insert(fact!("Dealers", "Lopez", "Boston")).unwrap();
-        assert_eq!(cloned.epoch(), session.epoch() + 1);
-        assert!(!session
-            .database()
-            .contains(&fact!("Dealers", "Lopez", "Boston")));
         // with_options invalidates statements (they embed options) but keeps
         // the snapshot chain and its index.
-        let reopt = session.with_options(EngineOptions {
-            threads: 2,
-            ..EngineOptions::default()
-        });
+        let reopt = session.with_options(EngineOptions { threads: 2 });
         assert_eq!(reopt.execute(sql).unwrap().rows, warm.rows);
         let stats = reopt.stats();
         assert_eq!(stats.statements_prepared, 2, "statement cache was cleared");
@@ -2559,26 +2399,45 @@ mod tests {
 
     #[test]
     fn statement_cache_evicts_lru_and_eviction_never_changes_answers() {
-        let session = stock_session().with_session_options(SessionOptions {
-            statement_cache_cap: 2,
-            ..Default::default()
-        });
-        let statements = [
-            "SELECT MAX(S.Qty) FROM Stock AS S",
-            "SELECT MIN(S.Qty) FROM Stock AS S",
-            "SELECT SUM(S.Qty) FROM Stock AS S",
-            "SELECT S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Town",
+        // Four statement shapes under distinct predicates: one statement more
+        // than the cache holds, and one more again.
+        let shapes = [
+            ("SELECT MAX(S.Qty) FROM Stock AS S", ""),
+            ("SELECT MIN(S.Qty) FROM Stock AS S", ""),
+            ("SELECT SUM(S.Qty) FROM Stock AS S", ""),
+            (
+                "SELECT S.Town, MAX(S.Qty) FROM Stock AS S",
+                " GROUP BY S.Town",
+            ),
         ];
-        // Answers with an unbounded cache are the reference.
-        let unbounded = stock_session();
-        let reference: Vec<_> = statements
-            .iter()
-            .map(|sql| unbounded.execute(sql).unwrap())
+        let statements: Vec<String> = (0..STATEMENT_CACHE_CAP + 2)
+            .map(|i| {
+                let (select, group_by) = shapes[i % shapes.len()];
+                format!("{select} WHERE S.Product <> 'P{i}'{group_by}")
+            })
             .collect();
-        // Thrash the bounded cache in an order that evicts every statement
-        // several times, interleaving writes so evicted statements lose
-        // their cached results too.
-        for round in 0..3u64 {
+        let session = stock_session();
+        let cached = |sql: &str| {
+            session
+                .read_statements()
+                .contains_key(&Session::normalize_sql(sql))
+        };
+        // A full cache evicts nothing …
+        for sql in &statements[..STATEMENT_CACHE_CAP] {
+            session.execute(sql).unwrap();
+        }
+        assert_eq!(session.stats().statements_evicted, 0);
+        // … and the next statement evicts exactly the least recently used
+        // one: the second, once the first has been used again.
+        session.execute(&statements[0]).unwrap();
+        session.execute(&statements[STATEMENT_CACHE_CAP]).unwrap();
+        assert_eq!(session.stats().statements_evicted, 1);
+        assert!(cached(&statements[0]) && cached(&statements[STATEMENT_CACHE_CAP]));
+        assert!(!cached(&statements[1]));
+        // Thrash the cache in an order that evicts every statement, with
+        // writes in between so evicted statements lose their cached results
+        // too: answers equal a cold session's.
+        for round in 0..2u64 {
             let transient = fact!("Stock", format!("P{round}"), "Boston", round as i64);
             session.insert(transient.clone()).unwrap();
             for sql in statements.iter().chain(statements.iter().rev()) {
@@ -2586,67 +2445,11 @@ mod tests {
             }
             session.delete(&transient).unwrap();
         }
-        let stats = session.stats();
-        assert!(
-            stats.statements_evicted > 0,
-            "cap 2 with 4 statements must evict: {stats:?}"
-        );
-        assert!(
-            session.read_statements().len() <= 2,
-            "cache stays within its cap"
-        );
-        for (sql, expect) in statements.iter().zip(&reference) {
+        assert_eq!(session.read_statements().len(), STATEMENT_CACHE_CAP);
+        let cold = stock_session();
+        for sql in &statements {
             let out = session.execute(sql).unwrap();
-            assert_eq!(out.rows, expect.rows, "{sql}");
-            assert_eq!(out.having, expect.having, "{sql}");
+            assert_eq!(out.rows, cold.execute(sql).unwrap().rows, "{sql}");
         }
-    }
-
-    #[test]
-    fn statement_cache_cap_zero_disables_caching_but_not_answers() {
-        let session = stock_session().with_session_options(SessionOptions {
-            statement_cache_cap: 0,
-            ..Default::default()
-        });
-        let sql = "SELECT S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Town";
-        let first = session.execute(sql).unwrap();
-        let second = session.execute(sql).unwrap();
-        assert_eq!(first.rows, second.rows);
-        assert_eq!(session.read_statements().len(), 0);
-        let stats = session.stats();
-        assert_eq!(stats.statement_hits, 0);
-        assert_eq!(stats.result_hits, 0);
-        assert_eq!(stats.statements_prepared, 2, "every execution re-prepares");
-    }
-
-    #[test]
-    fn shrinking_the_statement_cache_cap_evicts_down_to_capacity() {
-        let session = stock_session();
-        for sql in [
-            "SELECT MAX(S.Qty) FROM Stock AS S",
-            "SELECT MIN(S.Qty) FROM Stock AS S",
-            "SELECT SUM(S.Qty) FROM Stock AS S",
-        ] {
-            session.execute(sql).unwrap();
-        }
-        assert_eq!(session.read_statements().len(), 3);
-        let hot = "SELECT MAX(S.Qty) FROM Stock AS S";
-        session.execute(hot).unwrap();
-        let session = session.with_session_options(SessionOptions {
-            statement_cache_cap: 1,
-            ..Default::default()
-        });
-        assert_eq!(session.read_statements().len(), 1);
-        assert_eq!(session.stats().statements_evicted, 2);
-        // The survivor is the most recently used statement, still serving
-        // the correct (cached) answer.
-        assert!(session
-            .read_statements()
-            .contains_key(&Session::normalize_sql(hot)));
-        let cold = Session::with_instance(session.catalog().clone(), session.database());
-        assert_eq!(
-            session.execute(hot).unwrap().rows,
-            cold.execute(hot).unwrap().rows
-        );
     }
 }

@@ -76,8 +76,9 @@
 //! [`Session::apply_batch`] — one snapshot publish and at most one WAL
 //! append for every event that piled up while the previous commit was in
 //! flight — and distributes per-event results to the waiting submitters.
-//! Under a durable shard with [`SyncPolicy::EveryN`], coalescing multiplies
-//! directly into fewer fsyncs. Inserts are pre-validated individually
+//! Under a durable shard with [`SyncPolicy::Always`](crate::SyncPolicy::Always),
+//! coalescing multiplies directly into fewer fsyncs: one per commit, not one
+//! per event. Inserts are pre-validated individually
 //! (schema and numeric domain are static), so one ill-typed event fails
 //! alone without poisoning the batch it happened to share a leader with;
 //! only a durability (I/O) failure fails a whole batch, and it fails every
@@ -105,7 +106,7 @@
 
 use crate::{
     CachedResult, PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError,
-    SessionOptions, SessionStats, Snapshot, WalOptions,
+    SessionStats, Snapshot, WalOptions,
 };
 use rcqa_core::engine::{EngineOptions, GroupRange};
 use rcqa_core::plan::exec::run_shards;
@@ -424,23 +425,12 @@ impl ShardedSession {
     /// global plan (the byte-identity argument needs nothing more than the
     /// support property, but identical plans keep `explain` honest too).
     pub fn with_options(mut self, options: EngineOptions) -> ShardedSession {
-        self.shards = std::mem::take(&mut self.shards)
+        self.shards = self
+            .shards
             .into_iter()
             .map(|s| s.with_options(options))
             .collect();
-        // The mirror never carries a WAL, so a clone is an exact replica.
-        self.mirror = self.mirror.clone().with_options(options);
-        self
-    }
-
-    /// Overrides the serving-layer options (dirty-log retention, statement
-    /// cache capacity) on every shard and on the mirror.
-    pub fn with_session_options(mut self, options: SessionOptions) -> ShardedSession {
-        self.shards = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|s| s.with_session_options(options))
-            .collect();
-        self.mirror = self.mirror.clone().with_session_options(options);
+        self.mirror = self.mirror.with_options(options);
         self
     }
 

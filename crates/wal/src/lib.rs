@@ -49,12 +49,10 @@
 //!
 //! * [`Always`](SyncPolicy::Always) — fsync before every commit
 //!   acknowledgement; an acknowledged commit survives any crash.
-//! * [`EveryN(n)`](SyncPolicy::EveryN) — fsync once per `n` appends; a
-//!   crash may lose up to the last `n − 1` acknowledged commits (they roll
-//!   back **as a suffix** — never a gap).
-//! * [`Never`](SyncPolicy::Never) — leave flushing to the OS; a process
-//!   crash loses nothing (the bytes are in the page cache), an OS crash may
-//!   lose any unflushed suffix.
+//! * [`Never`](SyncPolicy::Never) — leave flushing to the OS (and to
+//!   [`Wal::sync`], checkpoints and a clean drop); a process crash loses
+//!   nothing (the bytes are in the page cache), an OS crash may lose any
+//!   unflushed suffix — **as a suffix**, never a gap.
 //!
 //! If an append fails (disk full, permission lost, injected fault), the
 //! partial record is rolled back by truncation and the error is returned —
@@ -144,10 +142,7 @@ pub enum SyncPolicy {
     /// Fsync before every commit acknowledgement.
     #[default]
     Always,
-    /// Fsync once every `n` appends (`EveryN(1)` ≡ `Always`; `n` is clamped
-    /// to at least 1).
-    EveryN(u64),
-    /// Never fsync from the WAL; flushing is the OS's business.
+    /// Never fsync on append; flushing is the OS's business.
     Never,
 }
 
@@ -159,9 +154,6 @@ pub struct WalOptions {
     /// Write a checkpoint once at least this many epochs accumulated since
     /// the last one; `0` disables checkpointing (default `1024`).
     pub checkpoint_every: u64,
-    /// How many checkpoints to keep (at least 1; default 2 — the newest
-    /// plus one fallback in case the newest file rots).
-    pub retain_checkpoints: usize,
 }
 
 impl Default for WalOptions {
@@ -169,10 +161,13 @@ impl Default for WalOptions {
         WalOptions {
             sync: SyncPolicy::default(),
             checkpoint_every: 1024,
-            retain_checkpoints: 2,
         }
     }
 }
+
+/// How many checkpoints a log keeps: the newest plus one fallback in case the
+/// newest file rots.
+const RETAIN_CHECKPOINTS: usize = 2;
 
 /// What [`Wal::open`] recovered from storage: the newest valid checkpoint
 /// (if any) and the log tail past it, ready for the caller to replay.
@@ -232,8 +227,8 @@ pub struct Wal {
     last_epoch: u64,
     /// Last epoch known durable (covered by an fsync or a checkpoint).
     durable_epoch: u64,
-    /// Appends since the last fsync.
-    unsynced: u64,
+    /// Whether an append landed since the last fsync.
+    unsynced: bool,
     /// Set when a failed append could not be rolled back: the log's tail is
     /// in an unknown state, so further appends must not land after it.
     poisoned: bool,
@@ -362,7 +357,7 @@ impl Wal {
             // Everything recovered is on storage already; it is as durable
             // as the previous process left it.
             durable_epoch: epoch,
-            unsynced: 0,
+            unsynced: false,
             poisoned: false,
         };
         Ok((wal, recovery))
@@ -448,28 +443,22 @@ impl Wal {
         }
         self.active_len += record.len() as u64;
         self.last_epoch = epoch;
-        self.unsynced += 1;
-        let sync_now = match self.options.sync {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            SyncPolicy::Never => false,
-        };
-        if sync_now {
-            if let Err(e) = self.storage.sync(&name) {
-                // The record is written but not durable, and the caller
-                // will fail this commit: roll the record back so recovery
-                // cannot replay a batch that was never acknowledged.
-                self.active_len -= record.len() as u64;
-                self.last_epoch = epoch - events.len() as u64;
-                self.unsynced -= 1;
-                if self.storage.truncate(&name, self.active_len).is_err() {
-                    self.poisoned = true;
-                }
-                return Err(e.into());
-            }
-            self.unsynced = 0;
-            self.durable_epoch = self.last_epoch;
+        if self.options.sync == SyncPolicy::Never {
+            self.unsynced = true;
+            return Ok(());
         }
+        if let Err(e) = self.storage.sync(&name) {
+            // The record is written but not durable, and the caller will
+            // fail this commit: roll the record back so recovery cannot
+            // replay a batch that was never acknowledged.
+            self.active_len -= record.len() as u64;
+            self.last_epoch = epoch - events.len() as u64;
+            if self.storage.truncate(&name, self.active_len).is_err() {
+                self.poisoned = true;
+            }
+            return Err(e.into());
+        }
+        self.durable_epoch = self.last_epoch;
         Ok(())
     }
 
@@ -478,7 +467,7 @@ impl Wal {
     pub fn sync(&mut self) -> Result<(), WalError> {
         let name = self.active_name();
         self.storage.sync(&name)?;
-        self.unsynced = 0;
+        self.unsynced = false;
         self.durable_epoch = self.last_epoch;
         Ok(())
     }
@@ -491,8 +480,7 @@ impl Wal {
     /// 1. the checkpoint file is published atomically (temp + fsync +
     ///    rename), so a crash at any point leaves the previous checkpoint
     ///    intact;
-    /// 2. checkpoints beyond [`WalOptions::retain_checkpoints`] are removed,
-    ///    newest kept;
+    /// 2. checkpoints beyond the newest two are removed;
     /// 3. segments whose every record is covered by the **oldest retained**
     ///    checkpoint are removed — only after step 1 made that coverage
     ///    durable.
@@ -518,7 +506,7 @@ impl Wal {
         self.checkpoints.push(epoch);
         // The checkpoint durably covers every epoch <= its own.
         self.durable_epoch = self.durable_epoch.max(epoch);
-        self.unsynced = 0;
+        self.unsynced = false;
         // Start a fresh segment (created lazily by the next append).
         if self.segments.last() != Some(&epoch) {
             self.segments.push(epoch);
@@ -527,7 +515,7 @@ impl Wal {
         // Retention + eviction, best-effort: a file that refuses to die is
         // harmless (recovery skips covered records) and will be retried at
         // the next checkpoint.
-        while self.checkpoints.len() > self.options.retain_checkpoints.max(1) {
+        while self.checkpoints.len() > RETAIN_CHECKPOINTS {
             let old = self.checkpoints.remove(0);
             let _ = self.storage.remove(&checkpoint_name(old));
         }
@@ -546,7 +534,7 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         // Best-effort: a cleanly dropped WAL leaves no sync debt behind.
-        if self.unsynced > 0 && !self.poisoned {
+        if self.unsynced && !self.poisoned {
             let name = self.active_name();
             let _ = self.storage.sync(&name);
         }
@@ -599,19 +587,15 @@ mod tests {
     fn every_n_policy_tracks_durable_epoch() {
         let mem = MemStorage::new();
         let options = WalOptions {
-            sync: SyncPolicy::EveryN(3),
+            sync: SyncPolicy::Never,
             ..WalOptions::default()
         };
         let (mut wal, _) = open_mem(&mem, options);
         wal.append(1, &[ev("a")]).unwrap();
         wal.append(2, &[ev("b")]).unwrap();
         assert_eq!(wal.durable_epoch(), 0, "no fsync yet");
-        wal.append(3, &[ev("c")]).unwrap();
-        assert_eq!(wal.durable_epoch(), 3, "third append syncs");
-        wal.append(4, &[ev("d")]).unwrap();
-        assert_eq!(wal.durable_epoch(), 3);
         wal.sync().unwrap();
-        assert_eq!(wal.durable_epoch(), 4);
+        assert_eq!(wal.durable_epoch(), 2);
     }
 
     #[test]
@@ -619,7 +603,6 @@ mod tests {
         let mem = MemStorage::new();
         let options = WalOptions {
             checkpoint_every: 0, // manual checkpoints in this test
-            retain_checkpoints: 2,
             ..WalOptions::default()
         };
         let (mut wal, _) = open_mem(&mem, options);
@@ -650,7 +633,6 @@ mod tests {
         let mem = MemStorage::new();
         let options = WalOptions {
             checkpoint_every: 0,
-            retain_checkpoints: 2,
             ..WalOptions::default()
         };
         let (mut wal, _) = open_mem(&mem, options);

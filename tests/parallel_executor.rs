@@ -51,10 +51,7 @@ fn engine(text: &str, cfg: &JoinWorkload, threads: usize) -> RangeCqa {
     let query = parse_agg_query(text).unwrap();
     RangeCqa::new(&query, &cfg.schema())
         .unwrap()
-        .with_options(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        })
+        .with_options(EngineOptions { threads })
 }
 
 #[test]
@@ -131,10 +128,7 @@ fn env_override_is_respected_and_agrees() {
     let via_env = engine(text, &cfg, 0).range(&db).unwrap();
     // The env var drives the auto default; an explicit thread count wins.
     assert_eq!(EngineOptions::default().resolve_threads(), 3);
-    let explicit = EngineOptions {
-        threads: 1,
-        ..EngineOptions::default()
-    };
+    let explicit = EngineOptions { threads: 1 };
     assert_eq!(explicit.resolve_threads(), 1);
     match saved {
         Some(value) => std::env::set_var("RCQA_THREADS", value),

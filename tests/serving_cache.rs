@@ -42,12 +42,8 @@ const GROUPED_MAX: &str = "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROU
 #[test]
 fn n_repeated_executes_build_exactly_one_index() {
     for threads in [1usize, 4] {
-        let session = Session::with_instance(rs_catalog(), workload().generate()).with_options(
-            EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-        );
+        let session = Session::with_instance(rs_catalog(), workload().generate())
+            .with_options(EngineOptions { threads });
         let first = session.execute(GROUPED_MAX).unwrap();
         assert_eq!(first.rows.len(), 20);
         for _ in 0..9 {
@@ -131,7 +127,7 @@ mod random_interleavings {
     use super::*;
     use proptest::prelude::*;
     use rcqa::data::{Fact, Value};
-    use rcqa::session::{SessionOptions, SyncPolicy, WalOptions};
+    use rcqa::session::{SyncPolicy, WalOptions};
     use rcqa::wal::{MemStorage, WalStorage};
 
     const STATEMENTS: &[&str] = &[
@@ -193,7 +189,6 @@ mod random_interleavings {
         WalOptions {
             sync: SyncPolicy::Never,
             checkpoint_every: 4,
-            ..WalOptions::default()
         }
     }
 
@@ -207,11 +202,7 @@ mod random_interleavings {
             let mem = MemStorage::new();
             let warm =
                 Session::open_storage(rs_catalog(), Box::new(mem.handle()), wal_options())
-                    .expect("open")
-                    .with_session_options(SessionOptions {
-                        dirty_log_cap: 8,
-                        ..Default::default()
-                    });
+                    .expect("open");
             let mut effective = 0u64;
             for (op, draw) in ops {
                 let f = pool_fact(draw);
@@ -229,10 +220,7 @@ mod random_interleavings {
                             rs_catalog(),
                             warm.database().clone(),
                         )
-                        .with_options(EngineOptions {
-                            threads,
-                            ..EngineOptions::default()
-                        });
+                        .with_options(EngineOptions { threads });
                         let want = cold.execute(sql).expect("cold execute");
                         prop_assert_eq!(&want.rows, &got.rows, "cold@{}T: {}", threads, sql);
                         prop_assert_eq!(
@@ -292,12 +280,8 @@ fn warm_answers_equal_cold_sessions_at_every_thread_count() {
     // Cold sessions over the final instance must agree exactly, sequentially
     // and in parallel.
     for threads in [1usize, 2, 4, 8] {
-        let cold = Session::with_instance(rs_catalog(), warm.database().clone()).with_options(
-            EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-        );
+        let cold = Session::with_instance(rs_catalog(), warm.database().clone())
+            .with_options(EngineOptions { threads });
         assert_eq!(
             cold.execute(GROUPED_MAX).unwrap().rows,
             warm_rows,
@@ -342,12 +326,8 @@ fn values_first_interned_by_a_warm_commit_group_as_in_a_cold_session() {
     for sql in statements {
         let warm_rows = warm.execute(sql).unwrap().rows;
         for threads in [1usize, 4] {
-            let cold = Session::with_instance(rs_catalog(), warm.database().clone()).with_options(
-                EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                },
-            );
+            let cold = Session::with_instance(rs_catalog(), warm.database().clone())
+                .with_options(EngineOptions { threads });
             assert_eq!(
                 cold.execute(sql).unwrap().rows,
                 warm_rows,

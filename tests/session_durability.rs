@@ -70,7 +70,6 @@ fn mem_options() -> WalOptions {
     WalOptions {
         sync: SyncPolicy::Never,
         checkpoint_every: 0,
-        ..WalOptions::default()
     }
 }
 
@@ -79,11 +78,8 @@ fn mem_options() -> WalOptions {
 fn assert_answers_match_cold(recovered: &Session, expected: &Arc<DatabaseInstance>) {
     let warm = recovered.execute(GROUPED_MAX).expect("recovered execute");
     for threads in [1usize, 4] {
-        let cold =
-            Session::with_instance(rs_catalog(), expected.clone()).with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            });
+        let cold = Session::with_instance(rs_catalog(), expected.clone())
+            .with_options(EngineOptions { threads });
         assert_eq!(
             cold.execute(GROUPED_MAX).expect("cold execute").rows,
             warm.rows,
@@ -287,7 +283,6 @@ fn checkpoints_prune_the_log_and_recover_atomically() {
     let options = WalOptions {
         sync: SyncPolicy::Always,
         checkpoint_every: 3,
-        retain_checkpoints: 2,
     };
     let session =
         Session::open_storage(rs_catalog(), Box::new(mem.handle()), options).expect("open");

@@ -88,12 +88,8 @@ fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
         .expect("executed snapshots hold an index")
         .assert_structurally_identical(&DbIndex::new(snapshot.db()));
     for threads in [1usize, 4] {
-        let cold = Session::with_instance(rs_catalog(), snapshot.db().clone()).with_options(
-            EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-        );
+        let cold = Session::with_instance(rs_catalog(), snapshot.db().clone())
+            .with_options(EngineOptions { threads });
         assert_eq!(
             cold.execute(GROUPED_MAX).expect("cold execute").rows,
             warm,

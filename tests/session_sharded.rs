@@ -85,7 +85,6 @@ fn wal_options() -> WalOptions {
     WalOptions {
         sync: SyncPolicy::Never,
         checkpoint_every: 4,
-        ..WalOptions::default()
     }
 }
 
@@ -118,7 +117,7 @@ proptest! {
         let dir = tempfile::TempDir::new().expect("tempdir");
         for shards in [1usize, 2, 4, 7] {
             for threads in [1usize, 4] {
-                let engine = EngineOptions { threads, ..EngineOptions::default() };
+                let engine = EngineOptions { threads };
                 let path = dir.path().join(format!("s{shards}-t{threads}"));
                 let sharded =
                     ShardedSession::open_with(catalog(), &path, shards, wal_options())

@@ -91,29 +91,18 @@ fn session_parallelism_is_transparent() {
                 .key_column("Z")
                 .numeric_column("Qty"),
         );
-    let session = Session::with_instance(catalog, cfg.generate());
+    let db = std::sync::Arc::new(cfg.generate());
+    let session = |threads| {
+        Session::with_instance(catalog.clone(), db.clone()).with_options(EngineOptions { threads })
+    };
     // MAX is rewriting-backed on both bounds, so the whole answer (keys,
     // bounds, methods) must be identical at every worker count — and no
     // repair enumeration runs.
     let sql = "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.X";
-    let baseline = session
-        .clone()
-        .with_options(EngineOptions {
-            threads: 1,
-            ..EngineOptions::default()
-        })
-        .execute(sql)
-        .unwrap();
+    let baseline = session(1).execute(sql).unwrap();
     assert_eq!(baseline.rows.len(), 18);
     for threads in [2usize, 4, 8] {
-        let outcome = session
-            .clone()
-            .with_options(EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            })
-            .execute(sql)
-            .unwrap();
+        let outcome = session(threads).execute(sql).unwrap();
         assert_eq!(outcome.rows, baseline.rows, "{threads} threads");
     }
 }
@@ -124,10 +113,7 @@ fn insert_invalidates_cached_answers() {
     // and results, a query after an insert must see the new fact — at every
     // worker count.
     for threads in [1usize, 4] {
-        let session = fig1_session().with_options(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        });
+        let session = fig1_session().with_options(EngineOptions { threads });
         let sql = "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
                    WHERE D.Town = S.Town GROUP BY D.Name";
         let before = session.execute(sql).unwrap();
@@ -182,11 +168,8 @@ fn cached_answers_equal_cold_answers_on_generated_instances() {
         assert_eq!(first.rows, second.rows, "seed {seed}: warm repeat differs");
         assert_eq!(warm.stats().result_hits, 1, "seed {seed}");
         for threads in [1usize, 4] {
-            let cold =
-                Session::with_instance(catalog(), cfg.generate()).with_options(EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                });
+            let cold = Session::with_instance(catalog(), cfg.generate())
+                .with_options(EngineOptions { threads });
             assert_eq!(
                 cold.execute(sql).unwrap().rows,
                 first.rows,

@@ -341,10 +341,7 @@ fn rich_statements_invalidate_conservatively_on_writes() {
     // correctly after a mutation — whichever of patch and full recompute
     // serves it — at every worker count.
     for threads in [1usize, 4] {
-        let session = fig1_session().with_options(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        });
+        let session = fig1_session().with_options(EngineOptions { threads });
         let sql = "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
                    WHERE D.Town = S.Town GROUP BY D.Name HAVING SUM(S.Qty) >= 80";
         let before = session.execute(sql).unwrap();
@@ -368,10 +365,7 @@ fn rich_statements_invalidate_conservatively_on_writes() {
         );
 
         // Byte identity with a cold session over the same final state.
-        let cold = fig1_session().with_options(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        });
+        let cold = fig1_session().with_options(EngineOptions { threads });
         cold.insert(fact!("Stock", "Tesla Z", "Boston", 50))
             .unwrap();
         let cold_outcome = cold.execute(sql).unwrap();

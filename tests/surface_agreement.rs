@@ -5,7 +5,7 @@
 //! arms, and across warm / cold / crash-recovered sessions.
 
 use proptest::prelude::*;
-use rcqa::core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
+use rcqa::core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa, MAX_REPAIRS};
 use rcqa::core::exact::exact_bounds_by_group_filtered;
 use rcqa::core::prepared::PreparedAggQuery;
 use rcqa::core::{certain_topk, having_status, HavingStatus};
@@ -115,10 +115,7 @@ proptest! {
                     .unwrap()
                     .with_predicates(preds.clone())
                     .unwrap()
-                    .with_options(EngineOptions {
-                        threads,
-                        ..EngineOptions::default()
-                    });
+                    .with_options(EngineOptions { threads });
                 let rows = engine.range(&db).unwrap();
                 prop_assert_eq!(rows.len(), oracle.len(), "{} {:?}", text, preds);
                 for (row, (key, bounds)) in rows.iter().zip(oracle.iter()) {
@@ -188,7 +185,6 @@ proptest! {
         let wal_options = WalOptions {
             sync: SyncPolicy::Never,
             checkpoint_every: 0,
-            ..WalOptions::default()
         };
         let warm = Session::open_storage(catalog(), Box::new(mem.handle()), wal_options)
             .unwrap();
@@ -324,7 +320,7 @@ mod beyond_whole_instance_enumeration {
             }
         }
         assert_eq!(db.inconsistent_block_count(), 66);
-        assert!(db.repair_count().is_none_or(|n| n > 1 << 22));
+        assert!(db.repair_count().is_none_or(|n| n > MAX_REPAIRS));
         db
     }
 
