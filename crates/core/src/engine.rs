@@ -10,15 +10,15 @@
 //!
 //! "Rewriting" evaluates the Theorem 6.1 / 7.11 semantics operationally over
 //! ∀embeddings and "plain extremum" takes the extremum over all embeddings —
-//! both in [`crate::glb`], over the id rows of the executor's embedding arena
-//! ([`crate::plan::exec`], "Id discipline"). Exact enumeration answers a
-//! group from the repairs of the blocks holding a fact of one of its
-//! embeddings — all its value in a repair can depend on — and is exponential
-//! in the inconsistent blocks among *those*; every requested group is checked
-//! against [`MAX_REPAIRS`] before the first repair is built ([`crate::exact`]
-//! is the whole-instance reference the tests compare with). The fallback is
-//! always on: the cells of the table without a rewriting (AVG, the LUB of
-//! SUM, residual predicates) have no other sound path.
+//! both by the memoised level-by-level recursion of [`crate::glb`], straight
+//! over the block index ([`crate::plan::exec`], "Id discipline"). Exact
+//! enumeration answers a group from the repairs of the blocks holding a fact
+//! of one of its embeddings — all its value in a repair can depend on — and
+//! is exponential in the inconsistent blocks among *those*; every requested
+//! group is checked against [`MAX_REPAIRS`] before the first repair is built
+//! ([`crate::exact`] is the whole-instance reference the tests compare with).
+//! The fallback is always on: the cells of the table without a rewriting
+//! (AVG, the LUB of SUM, residual predicates) have no other sound path.
 //!
 //! ## One pipeline
 //!
@@ -32,38 +32,38 @@
 //! path taken on an instance are inspectable via [`RangeCqa::plan`] /
 //! [`RangeCqa::explain`].
 //!
-//! ## One-pass grouped evaluation
+//! ## One index, one discovery, shared memos
 //!
 //! Each public entry point ([`RangeCqa::glb`], [`RangeCqa::lub`],
-//! [`RangeCqa::range`]) builds **one** [`DbIndex`] and performs **one** join
-//! pass, regardless of the number of GROUP BY groups:
+//! [`RangeCqa::range`]) builds **one** [`DbIndex`], regardless of the number
+//! of GROUP BY groups:
 //!
-//! 1. the open body (GROUP BY variables un-frozen, level order precomputed at
-//!    preparation time) is enumerated once over the shared index (`Scan` +
-//!    `Join`);
-//! 2. embeddings are partitioned by group key (`PartitionByGroup`) — no
-//!    per-group re-preparation, no attack-graph recomputation, no per-group
-//!    index rebuild;
-//! 3. a memoised [`crate::forall::CertaintyChecker`] is shared across groups
-//!    (`ForallCheck`): its memo keys include the frozen group variables, so
-//!    certainty sub-problems proved for one group are reused by other groups
-//!    evaluated on the same worker;
-//! 4. `range` derives both bounds from the same per-group analysis instead
-//!    of running the pipeline twice (`AggregateBound`).
+//! 1. the group keys are discovered once over the shared index (`Join` +
+//!    `PartitionByGroup`): the open body (GROUP BY variables un-frozen, level
+//!    order precomputed at preparation time) is walked under an existence
+//!    memo, without listing its embeddings — no per-group re-preparation, no
+//!    attack-graph recomputation, no per-group index rebuild;
+//! 2. each bound of each group is the memoised recursion of [`crate::glb`]
+//!    over the closed body (`ForallCheck` + `AggregateBound`): its memo keys
+//!    include the frozen group variables, so a sub-aggregate — or a
+//!    certainty verdict — computed for one group is reused by every other
+//!    group evaluated on the same worker that reaches it;
+//! 3. `range` looks each group's level-0 blocks up once for both bounds
+//!    instead of running the pipeline twice.
 //!
 //! The exact-enumeration fallback is the only path that constructs further
 //! indexes (one per enumerated repair of a group's blocks, by design).
 //!
 //! ## Threading model
 //!
-//! The executor ([`crate::plan::exec`]) fans the sorted group partitions out
-//! over a `std::thread::scope` worker pool at the `PartitionByGroup`
-//! boundary. Each worker owns a per-worker memoised certainty checker over
-//! the shared read-only index; `RangeMerge` concatenates the contiguous
-//! shards in order, so answers are byte-identical at every thread count.
-//! Worker count: [`EngineOptions::threads`] if non-zero, else the
-//! `RCQA_THREADS` environment variable, else
-//! [`std::thread::available_parallelism`].
+//! The executor ([`crate::plan::exec`]) shards group discovery by level-0
+//! block and then fans the sorted groups out over a `std::thread::scope`
+//! worker pool. Each worker owns its memos — a certainty checker and one
+//! evaluator per bound — over the shared read-only index; `RangeMerge`
+//! concatenates the contiguous shards in order, so answers are
+//! byte-identical at every thread count. Worker count:
+//! [`EngineOptions::threads`] if non-zero, else the `RCQA_THREADS`
+//! environment variable, else [`std::thread::available_parallelism`].
 
 use crate::classify::{classify_prepared, Classification};
 use crate::error::CoreError;
@@ -360,8 +360,8 @@ impl RangeCqa {
 
     /// Computes both bounds for every group.
     ///
-    /// Builds exactly one [`DbIndex`] and derives both bounds from one shared
-    /// per-group analysis (a single join pass, a single certainty memo).
+    /// Builds exactly one [`DbIndex`] and derives both bounds from one group
+    /// discovery and one level-0 lookup per group.
     pub fn range(&self, db: &DatabaseInstance) -> Result<Vec<GroupRange>, CoreError> {
         let index = DbIndex::new(db);
         self.evaluate(db, &index, Scope::All, true, true)
@@ -481,7 +481,7 @@ impl RangeCqa {
                     .expect("free variable occurs in the body")
             })
             .collect();
-        let join = Join::new(&compiled, index);
+        let join = Join::new(compiled.clone(), index);
         let mut found = IdTupleSet::new(free.len());
         let mut key = Vec::with_capacity(free.len());
         for (level, lvl) in levels.iter().enumerate() {
@@ -1144,11 +1144,12 @@ mod tests {
 
     #[test]
     fn listed_groups_above_the_floor_pool_with_equal_answers() {
-        // A full evaluation shards at any size; a listed-groups call only from
-        // `INLINE_WORK_FLOOR` units of work up. Here every call is above it
-        // (asserted, so the comparison cannot go vacuous), on both arms, for
-        // both bound operators, with groups that sit in one shard and groups
-        // fed by every shard.
+        // A full evaluation shards at any size; a listed-groups call hands
+        // its groups to the workers only once `INLINE_WORK_FLOOR` units of
+        // work are done. Here every call gets there (more groups than the
+        // floor, asserted, so the comparison cannot go vacuous), on both
+        // arms, for both bound operators, with groups whose keys sit in one
+        // discovery shard and groups fed by every shard.
         use crate::plan::exec::INLINE_WORK_FLOOR;
         let db = db_dealers(INLINE_WORK_FLOOR + 500, 40);
         let index = DbIndex::new(&db);
@@ -1159,9 +1160,9 @@ mod tests {
             let pooled = with_threads(&text, &db, 4);
             let full = sequential.range_with_index(&db, &index).unwrap();
             assert_eq!(pooled.range_with_index(&db, &index).unwrap(), full);
-            // Per key: every key brings a group and an embedding or more, so
-            // the calling thread has its floor's worth before half of them
-            // and the workers get the rest — and then the groups.
+            // Per key: every key is a group and a unit of work, so the
+            // calling thread has its floor's worth before the last few
+            // hundred groups, and the workers get those.
             let most = &full[..full.len() - 100];
             assert!(most.len() >= INLINE_WORK_FLOOR);
             let keys: Vec<Vec<Value>> = most.iter().map(|r| r.key.clone()).collect();
@@ -1173,9 +1174,9 @@ mod tests {
             for engine in [&sequential, &pooled] {
                 assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), full);
             }
-            // Grouped by town: a filtered pass whose every group collects
-            // embeddings from every shard of `Dealers` — at least one per
-            // dealer, which puts the tail above the floor as well.
+            // Grouped by town: one discovery over every block of `Dealers`,
+            // whose every shard finds every town, filtered by the list (40
+            // groups: inline, well below the floor).
             let text = format!("(t, {agg}(y)) <- Dealers(x, t), Stock(p, t, y)");
             let sequential = with_threads(&text, &db, 1);
             let pooled = with_threads(&text, &db, 4);

@@ -18,17 +18,25 @@
 //! terms against a concrete index's interner, and matching a fact is a few
 //! `u32` column reads and slot writes with trail-based backtracking. The join
 //! core hands each embedding to a caller-supplied sink as a borrowed slot
-//! vector (the executor's sink writes it into a flat arena); the certainty
-//! memo is one id-tuple set per level, probed through a borrowed projection;
-//! and the ∀embedding filter maps arena row indices to arena row indices. No
-//! `Value` is cloned, hashed, or compared, and nothing is allocated per
-//! embedding or per memo probe.
+//! vector. Every memo here — the certainty memo, the bound recursion's of
+//! [`crate::glb`], group discovery's (`LevelMemo`) — is one id-tuple set
+//! per level keyed by the level's **relevant slots**, the variables of
+//! `F_ℓ, ..., F_n` (`CompiledLevels::relevant_slots`), and probed through a
+//! borrowed projection: what the levels from `ℓ` on compute depends on
+//! nothing else of a partial embedding, so every partial embedding — of any
+//! group — with the same projection shares one entry. No `Value` is cloned,
+//! hashed, or compared, and nothing is allocated per embedding or per memo
+//! probe.
+//!
+//! The ∀embedding condition at level `ℓ` depends on the prefix and the
+//! level's key alone, so it is decided per **block** of `F_ℓ`'s relation,
+//! never per embedding.
 //!
 //! Values materialise only at the boundary: [`embeddings`], [`analyse`] and
 //! [`analyse_group`] hand out [`Valuation`]s — the variable-to-value map the
 //! symbolic rewritings are evaluated with — to the baselines, the
 //! paper-experiment harness and the tests. The plan executor never builds
-//! one.
+//! one, and lists embeddings only for the exact fallback.
 //!
 //! ## Delta enumeration: pinning a level by key
 //!
@@ -158,12 +166,6 @@ pub struct CompiledLevel {
     relation: String,
     key_len: usize,
     terms: Vec<SlotTerm>,
-    /// `x̄_ℓ` as slots.
-    pub(crate) new_key_slots: Vec<usize>,
-    /// `ȳ_ℓ` as slots.
-    pub(crate) new_other_slots: Vec<usize>,
-    /// `ū_ℓ` as slots.
-    prefix_slots: Vec<usize>,
 }
 
 /// A body compiled for the slot-based join core: per-level slot-resolved
@@ -194,9 +196,6 @@ impl CompiledLevels {
                             Term::Var(v) => SlotTerm::Slot(slot(v)),
                         })
                         .collect(),
-                    new_key_slots: level.new_key_vars.iter().map(&slot).collect(),
-                    new_other_slots: level.new_other_vars.iter().map(&slot).collect(),
-                    prefix_slots: level.prefix_vars.iter().map(slot).collect(),
                 }
             })
             .collect();
@@ -209,11 +208,6 @@ impl CompiledLevels {
     /// The shared variable table.
     pub fn table(&self) -> &Arc<VarTable> {
         &self.table
-    }
-
-    /// The compiled levels, in topological order.
-    pub(crate) fn levels(&self) -> &[CompiledLevel] {
-        &self.levels
     }
 
     /// An unbound id slot vector over this body's variables (the join core's
@@ -250,6 +244,28 @@ impl CompiledLevels {
             matched += 1;
         }
         matched
+    }
+
+    /// For each level `ℓ` (and, last, an empty entry for "every level
+    /// matched"), the sorted slots of the variables of `F_ℓ, ..., F_n`: what
+    /// the levels from `ℓ` on read of a slot vector, and so the key a
+    /// sub-problem rooted at `ℓ` is memoised under.
+    pub(crate) fn relevant_slots(&self) -> Vec<Vec<usize>> {
+        let n = self.levels.len();
+        let mut relevant: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+        for l in (0..n).rev() {
+            let mut slots = relevant[l + 1].clone();
+            for term in &self.levels[l].terms {
+                if let SlotTerm::Slot(s) = term {
+                    if !slots.contains(s) {
+                        slots.push(*s);
+                    }
+                }
+            }
+            slots.sort_unstable();
+            relevant[l] = slots;
+        }
+        relevant
     }
 
     /// Number of levels.
@@ -376,7 +392,7 @@ fn bind_key_ids(terms: &[RTerm], key: &[u32], slots: &mut [u32], trail: &mut Vec
 
 /// Undoes the slot writes recorded after `mark` and truncates the trail.
 #[inline]
-fn unwind(slots: &mut [u32], trail: &mut Vec<usize>, mark: usize) {
+pub(crate) fn unwind(slots: &mut [u32], trail: &mut Vec<usize>, mark: usize) {
     for &s in &trail[mark..] {
         slots[s] = UNBOUND_ID;
     }
@@ -435,8 +451,9 @@ pub fn match_fact(atom: &Atom, fact: &Fact, valuation: &Valuation) -> Option<Val
     Some(extended)
 }
 
-/// Memo of decided certainty sub-problems: per level, the set of
-/// relevant-slot projections seen so far and, by tuple index, their verdicts.
+/// Answers to the sub-problems of a compiled body, per level, keyed by the
+/// projection of the slot vector onto that level's key slots (for the
+/// certainty memo, the level's relevant slots).
 ///
 /// Keys are raw ids probed through the borrowed scratch projection `key`, so
 /// a probe costs a small integer hash and allocates nothing. Two distinct
@@ -445,9 +462,84 @@ pub fn match_fact(atom: &Atom, fact: &Fact, valuation: &Valuation) -> Option<Val
 /// against fact ids (never slot against slot), and no fact id equals
 /// `MISSING_ID`, so every absent value induces the same (all-matches-fail)
 /// sub-problem.
-struct CertaintyMemo {
+pub(crate) struct LevelMemo<T> {
+    slots: Vec<Vec<usize>>,
     key: Vec<u32>,
-    levels: Vec<(IdTupleSet, Vec<bool>)>,
+    levels: Vec<(IdTupleSet, Vec<T>)>,
+}
+
+impl<T: Copy> LevelMemo<T> {
+    /// An empty memo whose level `ℓ` is keyed by `slots[ℓ]`.
+    pub(crate) fn new(slots: Vec<Vec<usize>>) -> LevelMemo<T> {
+        let levels = slots
+            .iter()
+            .map(|slots| (IdTupleSet::new(slots.len()), Vec::new()))
+            .collect();
+        LevelMemo {
+            slots,
+            key: Vec::new(),
+            levels,
+        }
+    }
+
+    /// The answer memoised at `level` for the projection of `slots`, or — on
+    /// a miss — the entry now reserved for it (holding `pending` until
+    /// [`LevelMemo::settle`]). Deciding a sub-problem only ever consults
+    /// deeper levels, whose tables are separate, so a reserved entry is never
+    /// read before it is settled.
+    #[inline]
+    pub(crate) fn probe(&mut self, level: usize, slots: &[u32], pending: T) -> Result<T, usize> {
+        self.key.clear();
+        self.key.extend(self.slots[level].iter().map(|&s| slots[s]));
+        let (seen, answers) = &mut self.levels[level];
+        let (entry, new) = seen.insert(&self.key);
+        if !new {
+            return Ok(answers[entry]);
+        }
+        answers.push(pending);
+        Err(entry)
+    }
+
+    /// Records the answer of the entry [`LevelMemo::probe`] reserved.
+    #[inline]
+    pub(crate) fn settle(&mut self, level: usize, entry: usize, answer: T) {
+        self.levels[level].1[entry] = answer;
+    }
+}
+
+/// One reusable key-pattern buffer per level for a recursive walk, which
+/// holds at most one pattern per level at a time: taken on entry to a level,
+/// given back on leaving it, so the walk allocates its patterns once.
+#[derive(Default)]
+pub(crate) struct Patterns(Vec<Vec<Option<u32>>>);
+
+impl Patterns {
+    /// `level`'s buffer, holding the key id pattern of its atom under
+    /// `slots` (for [`Join::blocks`]).
+    pub(crate) fn take(
+        &mut self,
+        join: &Join<'_>,
+        level: usize,
+        slots: &[u32],
+    ) -> Vec<Option<u32>> {
+        if self.0.len() <= level {
+            self.0.resize_with(level + 1, Vec::new);
+        }
+        let mut pattern = std::mem::take(&mut self.0[level]);
+        let key_len = join.compiled.levels[level].key_len;
+        pattern.clear();
+        pattern.extend(
+            join.resolved[level][..key_len]
+                .iter()
+                .map(|&term| bound_id(term, slots)),
+        );
+        pattern
+    }
+
+    /// Gives back the buffer [`Patterns::take`] handed out for `level`.
+    pub(crate) fn give(&mut self, level: usize, pattern: Vec<Option<u32>>) {
+        self.0[level] = pattern;
+    }
 }
 
 /// Certainty checker for the suffixes `F_ℓ ∧ ... ∧ F_n` of a topologically
@@ -459,14 +551,12 @@ struct CertaintyMemo {
 /// done for one group key is reused for every other group that leads to the
 /// same sub-problem.
 pub struct CertaintyChecker<'a> {
-    compiled: CompiledLevels,
-    /// The compiled terms resolved against `index`'s id space, once.
-    resolved: Vec<Vec<RTerm>>,
-    index: &'a DbIndex,
-    /// For each level, the slots of the variables of `F_ℓ, ..., F_n` (only
-    /// these influence the answer, so they form the memo key).
-    relevant_slots: Vec<Vec<usize>>,
-    memo: RefCell<CertaintyMemo>,
+    /// The body resolved against the index's id space, once.
+    join: Join<'a>,
+    /// Per level, keyed by the relevant slots: only the variables of
+    /// `F_ℓ, ..., F_n` influence the answer.
+    memo: RefCell<LevelMemo<bool>>,
+    patterns: RefCell<Patterns>,
 }
 
 impl<'a> CertaintyChecker<'a> {
@@ -479,41 +569,33 @@ impl<'a> CertaintyChecker<'a> {
     /// table (and therefore its slot layout) with the id slot vectors of the
     /// same [`CompiledLevels`].
     pub fn with_compiled(compiled: CompiledLevels, index: &'a DbIndex) -> CertaintyChecker<'a> {
-        let n = compiled.levels.len();
-        let resolved = resolve_terms(&compiled, index.interner());
-        let mut relevant_slots: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        let mut acc: Vec<usize> = Vec::new();
-        for l in (0..n).rev() {
-            for term in &compiled.levels[l].terms {
-                if let SlotTerm::Slot(s) = term {
-                    if !acc.contains(s) {
-                        acc.push(*s);
-                    }
-                }
-            }
-            let mut sorted = acc.clone();
-            sorted.sort_unstable();
-            relevant_slots[l] = sorted;
-        }
-        let memo = CertaintyMemo {
-            key: Vec::new(),
-            levels: relevant_slots[..n]
-                .iter()
-                .map(|slots| (IdTupleSet::new(slots.len()), Vec::new()))
-                .collect(),
-        };
+        let memo = LevelMemo::new(compiled.relevant_slots());
         CertaintyChecker {
-            compiled,
-            resolved,
-            index,
-            relevant_slots,
+            join: Join::new(compiled, index),
             memo: RefCell::new(memo),
+            patterns: RefCell::default(),
         }
     }
 
     /// The compiled body this checker runs over.
     pub fn compiled(&self) -> &CompiledLevels {
-        &self.compiled
+        &self.join.compiled
+    }
+
+    /// The body resolved against the checker's index: the level walk the
+    /// bound recursion of [`crate::glb`] shares with the checker.
+    pub(crate) fn join(&self) -> &Join<'a> {
+        &self.join
+    }
+
+    /// The id slot vector of a boundary valuation, over this checker's table
+    /// and index.
+    pub(crate) fn slots_of(&self, valuation: &Valuation) -> Vec<u32> {
+        valuation_to_ids(
+            &self.compiled().table,
+            valuation,
+            self.join.index.interner(),
+        )
     }
 
     /// Returns `true` if `F_{level+1} ∧ ... ∧ F_n` (0-based `level`) holds in
@@ -521,61 +603,91 @@ impl<'a> CertaintyChecker<'a> {
     ///
     /// `certain_from(0, ∅)` decides `CERTAINTY(q)` for the whole query.
     pub fn certain_from(&self, level: usize, valuation: &Valuation) -> bool {
-        let mut slots = valuation_to_ids(&self.compiled.table, valuation, self.index.interner());
-        self.certain_from_slots(level, &mut slots)
+        let mut slots = self.slots_of(valuation);
+        self.certain_from_slots(level, &mut slots, &mut Vec::new())
     }
 
     /// Id-based entry point for callers that already share this checker's
     /// table and id space (no conversion, no allocation on a memo hit).
-    pub(crate) fn certain_from_slots(&self, level: usize, slots: &mut [u32]) -> bool {
-        if level >= self.compiled.levels.len() {
+    /// Slots bound on the way are recorded on `trail` and unbound again.
+    pub(crate) fn certain_from_slots(
+        &self,
+        level: usize,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+    ) -> bool {
+        if level >= self.join.len() {
             return true;
         }
-        let entry = {
-            let mut memo = self.memo.borrow_mut();
-            let CertaintyMemo { key, levels } = &mut *memo;
-            key.clear();
-            key.extend(self.relevant_slots[level].iter().map(|&s| slots[s]));
-            let (decided, verdicts) = &mut levels[level];
-            let (entry, new) = decided.insert(key);
-            if !new {
-                return verdicts[entry];
-            }
-            // Reserved before recursing: deciding this sub-problem only ever
-            // consults deeper levels, whose tables are separate, so the
-            // placeholder is never read and `entry` stays valid.
-            verdicts.push(false);
-            entry
+        let entry = match self.memo.borrow_mut().probe(level, slots, false) {
+            Ok(verdict) => return verdict,
+            Err(entry) => entry,
         };
-        let result = self.certain_uncached(level, slots);
-        self.memo.borrow_mut().levels[level].1[entry] = result;
-        result
+        let join = &self.join;
+        let pattern = self.patterns.borrow_mut().take(join, level, slots);
+        let certain = join
+            .blocks(level, &pattern)
+            .any(|block| self.certain_block(level, block, slots, trail));
+        self.patterns.borrow_mut().give(level, pattern);
+        self.memo.borrow_mut().settle(level, entry, certain);
+        certain
     }
 
-    fn certain_uncached(&self, level: usize, slots: &mut [u32]) -> bool {
-        let lvl = &self.compiled.levels[level];
-        let terms = &self.resolved[level];
-        let interner = self.index.interner();
-        let rel = self.index.relation(&lvl.relation);
-        let pattern = key_pattern_ids(terms, lvl.key_len, slots);
-        let mut trail: Vec<usize> = Vec::new();
-        for block in rel.blocks_matching(&pattern, interner) {
-            let mut all_ok = true;
-            for row in 0..block.cols.rows() {
-                let mark = trail.len();
-                let matched = match_level_ids(terms, &block.cols, row, slots, &mut trail);
-                let ok = matched && self.certain_from_slots(level + 1, slots);
-                unwind(slots, &mut trail, mark);
-                if !ok {
-                    all_ok = false;
-                    break;
+    /// Whether every fact of `block` matches `level`'s atom and is certain
+    /// from the next level on: with the block's key bound in `slots`, the
+    /// ∀embedding condition of its facts at `level` (`F_ℓ ∧ ... ∧ F_n`
+    /// certain with the key fixed, since under a fully bound key the one
+    /// block the pattern admits is this one), decided on the block in hand.
+    /// Not memoised at `level` itself.
+    pub(crate) fn certain_block(
+        &self,
+        level: usize,
+        block: &IndexedBlock,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+    ) -> bool {
+        (0..block.cols.rows()).all(|row| {
+            let mark = trail.len();
+            let ok = self.join.match_row(level, block, row, slots, trail)
+                && self.certain_from_slots(level + 1, slots, trail);
+            unwind(slots, trail, mark);
+            ok
+        })
+    }
+
+    /// Hands every **∀embedding** extending `slots` from `level` on to
+    /// `sink`, in enumeration order. The ∀embedding condition at a level is
+    /// a property of the prefix and the level's key, so it gates whole
+    /// blocks: a block is entered only when `F_ℓ ∧ ... ∧ F_n` is certain
+    /// with the levels before it and its key fixed.
+    fn for_each_forall(
+        &self,
+        level: usize,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+        sink: &mut impl FnMut(&[u32]),
+    ) {
+        let join = &self.join;
+        if level == join.len() {
+            return sink(slots);
+        }
+        let key_len = join.compiled.levels[level].key_len;
+        let pattern = key_pattern_ids(&join.resolved[level], key_len, slots);
+        for block in join.blocks(level, &pattern) {
+            let mark = trail.len();
+            if join.bind_key(level, block, slots, trail)
+                && self.certain_from_slots(level, slots, trail)
+            {
+                for row in 0..block.cols.rows() {
+                    let row_mark = trail.len();
+                    if join.match_row(level, block, row, slots, trail) {
+                        self.for_each_forall(level + 1, slots, trail, sink);
+                    }
+                    unwind(slots, trail, row_mark);
                 }
             }
-            if all_ok {
-                return true;
-            }
+            unwind(slots, trail, mark);
         }
-        false
     }
 }
 
@@ -586,23 +698,11 @@ pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Valuation) -> Vec
     let interner = index.interner();
     let initial_ids = valuation_to_ids(&compiled.table, initial, interner);
     let mut out = Vec::new();
-    for_each_embedding(&compiled, index, &initial_ids, |theta| {
-        out.push(ids_to_valuation(&compiled.table, theta, interner))
+    let table = Arc::clone(&compiled.table);
+    Join::new(compiled, index).for_each(&initial_ids, |theta| {
+        out.push(ids_to_valuation(&table, theta, interner))
     });
     out
-}
-
-/// Id core of [`embeddings`] over an already-compiled body: hands the slot
-/// vector of every embedding extending `initial` to `sink`, in enumeration
-/// order, without materialising a [`Value`] or allocating per embedding. A
-/// one-shot [`Join`]; callers that enumerate repeatedly build the `Join` once.
-pub(crate) fn for_each_embedding(
-    compiled: &CompiledLevels,
-    index: &DbIndex,
-    initial: &[u32],
-    sink: impl FnMut(&[u32]),
-) {
-    Join::new(compiled, index).for_each(initial, sink)
 }
 
 /// One level of a delta enumeration pinned **by key**: the dirty block keys of
@@ -625,19 +725,76 @@ pub(crate) struct KeyPin<'a> {
 /// A compiled body resolved against one index's id space, ready to enumerate
 /// embeddings any number of times: the terms are resolved once, here, and
 /// every enumeration below only reads them.
-pub(crate) struct Join<'c, 'a> {
-    compiled: &'c CompiledLevels,
+pub(crate) struct Join<'a> {
+    compiled: CompiledLevels,
     resolved: Vec<Vec<RTerm>>,
+    /// Each level's relation, looked up once.
+    relations: Vec<&'a RelationIndex>,
     index: &'a DbIndex,
 }
 
-impl<'c, 'a> Join<'c, 'a> {
-    pub(crate) fn new(compiled: &'c CompiledLevels, index: &'a DbIndex) -> Join<'c, 'a> {
+impl<'a> Join<'a> {
+    pub(crate) fn new(compiled: CompiledLevels, index: &'a DbIndex) -> Join<'a> {
         Join {
+            resolved: resolve_terms(&compiled, index.interner()),
+            relations: compiled
+                .levels
+                .iter()
+                .map(|lvl| index.relation(&lvl.relation))
+                .collect(),
             compiled,
-            resolved: resolve_terms(compiled, index.interner()),
             index,
         }
+    }
+
+    /// Number of levels.
+    pub(crate) fn len(&self) -> usize {
+        self.compiled.levels.len()
+    }
+
+    /// The index the body is resolved against.
+    pub(crate) fn index(&self) -> &'a DbIndex {
+        self.index
+    }
+
+    /// The blocks of `level`'s relation a key pattern admits, in key order.
+    pub(crate) fn blocks<'p>(
+        &self,
+        level: usize,
+        pattern: &'p [Option<u32>],
+    ) -> BlocksMatching<'a, 'p> {
+        self.relations[level].blocks_matching(pattern, self.index.interner())
+    }
+
+    /// Binds `level`'s key positions to `block`'s key (`x̄_ℓ`, under the
+    /// levels before it); `false` when a repeated variable or a constant
+    /// disagrees with the key. Newly bound slots go on `trail`.
+    pub(crate) fn bind_key(
+        &self,
+        level: usize,
+        block: &IndexedBlock,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+    ) -> bool {
+        let key_len = self.compiled.levels[level].key_len;
+        self.resolved[level][..key_len]
+            .iter()
+            .enumerate()
+            .all(|(p, &term)| bind_term(term, block.key_at(p), slots, trail))
+    }
+
+    /// Matches fact `row` of `block` against `level`'s atom (see
+    /// [`match_level_ids`]).
+    #[inline]
+    pub(crate) fn match_row(
+        &self,
+        level: usize,
+        block: &IndexedBlock,
+        row: usize,
+        slots: &mut [u32],
+        trail: &mut Vec<usize>,
+    ) -> bool {
+        match_level_ids(&self.resolved[level], &block.cols, row, slots, trail)
     }
 
     /// Hands every embedding extending `initial` to `sink`, in enumeration
@@ -673,8 +830,7 @@ impl<'c, 'a> Join<'c, 'a> {
     ) -> Option<T> {
         let lvl = self.compiled.levels.first()?;
         let pattern = key_pattern_ids(&self.resolved[0], lvl.key_len, initial);
-        let rel = self.index.relation(&lvl.relation);
-        Some(read(rel.blocks_matching(&pattern, self.index.interner())))
+        Some(read(self.blocks(0, &pattern)))
     }
 
     /// How many level-0 blocks an enumeration from `initial` examines: the
@@ -686,33 +842,14 @@ impl<'c, 'a> Join<'c, 'a> {
             .unwrap_or(0)
     }
 
-    /// The blocks the first level can draw facts from under `initial`, **in
-    /// enumeration order**: this is the block-key shard axis of the parallel
-    /// executor. Slicing the returned list into contiguous ranges and
-    /// concatenating the per-range [`Join::for_each_from_blocks`] runs
-    /// reproduces [`Join::for_each`] exactly. Empty for a body without
-    /// levels.
-    pub(crate) fn level0_blocks(&self, initial: &[u32]) -> Vec<&'a IndexedBlock> {
-        self.level0(initial, |blocks| blocks.collect())
-            .unwrap_or_default()
-    }
-
-    /// Enumerates the embeddings whose first-level fact comes from one of
-    /// `blocks` (a contiguous shard of [`Join::level0_blocks`], so the body
-    /// has a level), in the same order as the unsharded enumeration
-    /// restricted to those blocks.
-    pub(crate) fn for_each_from_blocks(
-        &self,
-        initial: &[u32],
-        blocks: &[&IndexedBlock],
-        mut sink: impl FnMut(&[u32]),
-    ) {
-        let mut slots = initial.to_vec();
-        let mut trail = Vec::new();
-        let stop = self.compiled.levels.len();
-        for block in blocks {
-            self.visit(block, 0, None, stop, &mut slots, &mut trail, &mut sink);
-        }
+    /// Replaces `out` with the blocks the first level can draw facts from
+    /// under `initial`, **in enumeration order**: the block-key shard axis
+    /// of the executor's group discovery ([`GroupKeys::walk_blocks`]), and
+    /// the blocks both bounds of a group walk at level 0. Empty for a body
+    /// without levels.
+    pub(crate) fn level0_blocks(&self, initial: &[u32], out: &mut Vec<&'a IndexedBlock>) {
+        out.clear();
+        self.level0(initial, |blocks| out.extend(blocks));
     }
 
     /// Hands `sink` the block each level draws its fact from under the full
@@ -725,12 +862,17 @@ impl<'c, 'a> Join<'c, 'a> {
     ) {
         let interner = self.index.interner();
         let mut key = Vec::new();
-        for (lvl, terms) in self.compiled.levels.iter().zip(&self.resolved) {
+        for ((lvl, terms), &rel) in self
+            .compiled
+            .levels
+            .iter()
+            .zip(&self.resolved)
+            .zip(&self.relations)
+        {
             key.clear();
             key.extend(terms[..lvl.key_len].iter().map(|&term| {
                 bound_id(term, theta).expect("an embedding binds every key position")
             }));
-            let rel = self.index.relation(&lvl.relation);
             let block = rel
                 .block_by_key_ids(&key, interner)
                 .expect("an embedding's fact lies in a stored block");
@@ -779,11 +921,9 @@ impl<'c, 'a> Join<'c, 'a> {
             sink(slots);
             return;
         }
-        let lvl = &self.compiled.levels[level];
-        let interner = self.index.interner();
-        let pattern = key_pattern_ids(&self.resolved[level], lvl.key_len, slots);
-        let rel = self.index.relation(&lvl.relation);
-        for block in rel.blocks_matching(&pattern, interner) {
+        let key_len = self.compiled.levels[level].key_len;
+        let pattern = key_pattern_ids(&self.resolved[level], key_len, slots);
+        for block in self.blocks(level, &pattern) {
             self.visit(block, level, pin, stop, slots, trail, sink);
         }
     }
@@ -803,7 +943,7 @@ impl<'c, 'a> Join<'c, 'a> {
         let lvl = &self.compiled.levels[pin.level];
         let key_terms = &self.resolved[pin.level][..lvl.key_len];
         let interner = self.index.interner();
-        let rel = self.index.relation(&lvl.relation);
+        let rel = self.relations[pin.level];
         // A bound first component narrows the sorted keys to one run.
         let keys = pin.keys;
         let run = match key_terms.first().and_then(|&term| bound_id(term, slots)) {
@@ -872,90 +1012,156 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
 /// for the group fixed by `base` (free variables bound to the group key;
 /// empty for closed queries), sharing the checker's memo across groups.
 ///
-/// This is the one boundary that materialises an analysis: enumeration,
-/// certainty and the ∀embedding filter run on ids exactly as in the plan
-/// executor, and the two embedding lists become [`Valuation`]s at return.
+/// This is the one boundary that materialises an analysis: the embeddings
+/// are enumerated on ids, the ∀embeddings by the same walk with each block
+/// gated by the ∀embedding condition, and both lists become [`Valuation`]s
+/// as they come out.
 pub fn analyse_group(
     checker: &CertaintyChecker<'_>,
     index: &DbIndex,
     base: &Valuation,
 ) -> ForallAnalysis {
-    let compiled = checker.compiled();
+    let table = &checker.compiled().table;
     let interner = index.interner();
-    let base_ids = valuation_to_ids(&compiled.table, base, interner);
-    let mut embeddings = IdRows::new(compiled.table.len());
-    for_each_embedding(compiled, index, &base_ids, |theta| {
-        embeddings.push(theta.iter().copied())
+    let mut slots = valuation_to_ids(table, base, interner);
+    let materialise = |theta: &[u32]| ids_to_valuation(table, theta, interner);
+    let mut embeddings = Vec::new();
+    checker
+        .join
+        .for_each(&slots, |theta| embeddings.push(materialise(theta)));
+    let mut forall_embeddings = Vec::new();
+    checker.for_each_forall(0, &mut slots, &mut Vec::new(), &mut |theta| {
+        forall_embeddings.push(materialise(theta))
     });
-    let rows: Vec<u32> = (0..embeddings.len() as u32).collect();
-    let mut forall = Vec::new();
-    let certain = forall_check(checker, &base_ids, &embeddings, &rows, true, &mut forall);
-    let materialise = |rows: &[u32]| {
-        rows.iter()
-            .map(|&r| ids_to_valuation(&compiled.table, embeddings.row(r as usize), interner))
-            .collect()
-    };
     ForallAnalysis {
-        certain,
-        embeddings: materialise(&rows),
-        forall_embeddings: materialise(&forall),
+        certain: checker.certain_from_slots(0, &mut slots, &mut Vec::new()),
+        embeddings,
+        forall_embeddings,
     }
 }
 
-/// The `ForallCheck` operator for one group, on ids: decides certainty of the
-/// group fixed by `base_ids` and, when `compute_forall` is set and the group
-/// is certain, leaves in `forall` those of the group's `rows` (indices into
-/// `embeddings`, rows over the checker's slot table) that are ∀embeddings, in
-/// their given order; otherwise `forall` is left empty. (The plain-extremum
-/// strategies of Theorem 7.10 only need the embeddings and the certainty bit,
-/// hence the flag.)
-pub(crate) fn forall_check(
-    checker: &CertaintyChecker<'_>,
-    base_ids: &[u32],
-    embeddings: &IdRows,
-    rows: &[u32],
-    compute_forall: bool,
-    forall: &mut Vec<u32>,
-) -> bool {
-    forall.clear();
-    let mut restricted = base_ids.to_vec();
-    let certain = checker.certain_from_slots(0, &mut restricted);
-    if certain && compute_forall {
-        forall.extend(rows.iter().copied().filter(|&r| {
-            let theta = embeddings.row(r as usize);
-            is_forall_embedding(checker, base_ids, theta, &mut restricted)
-        }));
-    }
-    certain
+/// Group discovery: the distinct projections onto the free-variable slots
+/// `free` of the embeddings of an open body — the group keys — found without
+/// enumerating the embeddings.
+///
+/// Two memos keyed as the certainty memo is. Once every free slot is bound
+/// the key is complete and only its existence is in question: `exists`
+/// memoises, per level, whether the levels from it on extend the relevant
+/// slots' projection at all. Before that, `explored` records per level the
+/// projections onto the relevant slots **and** the free slots already walked:
+/// the keys found below a partial embedding are a function of that
+/// projection, so a second arrival adds none. On `R(x|y) ⋈ S(y,z|r)` grouped
+/// by `x` that is one existence probe per `R` fact and one `S` lookup per
+/// distinct `y`; grouped by `z`, one walk of the `S` blocks per distinct `y`.
+pub(crate) struct GroupKeys<'j, 'a> {
+    join: &'j Join<'a>,
+    free: &'j [usize],
+    exists: LevelMemo<bool>,
+    explored: LevelMemo<()>,
+    patterns: Patterns,
+    trail: Vec<usize>,
+    /// The keys found so far, in discovery order: no key twice in a row,
+    /// but not free of repeats (the caller sorts and deduplicates).
+    pub(crate) found: IdRows,
 }
 
-/// Checks the level-by-level certainty conditions of the ∀embedding
-/// definition for a full embedding `theta` (as ids), relative to the frozen
-/// base binding (group key) in `base_ids`; `restricted` is a scratch slot
-/// vector of the same length.
-fn is_forall_embedding(
-    checker: &CertaintyChecker<'_>,
-    base_ids: &[u32],
-    theta: &[u32],
-    restricted: &mut [u32],
-) -> bool {
-    let compiled = checker.compiled();
-    for (l, lvl) in compiled.levels.iter().enumerate() {
-        // Restriction of theta to ū_{ℓ-1} ∪ x̄_ℓ (plus the frozen base).
-        restricted.copy_from_slice(base_ids);
-        if l > 0 {
-            for &s in &compiled.levels[l - 1].prefix_slots {
-                restricted[s] = theta[s];
+impl<'j, 'a> GroupKeys<'j, 'a> {
+    /// Discovery over `join`, whose free-variable slots are `free`.
+    pub(crate) fn new(join: &'j Join<'a>, free: &'j [usize]) -> GroupKeys<'j, 'a> {
+        let relevant = join.compiled.relevant_slots();
+        let explored = relevant
+            .iter()
+            .map(|slots| {
+                let mut slots = slots.clone();
+                slots.extend(free);
+                slots.sort_unstable();
+                slots.dedup();
+                slots
+            })
+            .collect();
+        GroupKeys {
+            join,
+            free,
+            exists: LevelMemo::new(relevant),
+            explored: LevelMemo::new(explored),
+            patterns: Patterns::default(),
+            trail: Vec::new(),
+            found: IdRows::new(free.len()),
+        }
+    }
+
+    /// Finds the keys of the embeddings extending `initial` whose level-0
+    /// fact lies in one of `blocks` (a shard of [`Join::level0_blocks`]).
+    pub(crate) fn walk_blocks(&mut self, initial: &[u32], blocks: &[&IndexedBlock]) {
+        let mut slots = initial.to_vec();
+        for block in blocks {
+            for row in 0..block.cols.rows() {
+                if self
+                    .join
+                    .match_row(0, block, row, &mut slots, &mut self.trail)
+                {
+                    self.discover(1, &mut slots);
+                }
+                unwind(&mut slots, &mut self.trail, 0);
             }
         }
-        for &s in &lvl.new_key_slots {
-            restricted[s] = theta[s];
-        }
-        if !checker.certain_from_slots(l, restricted) {
-            return false;
-        }
     }
-    true
+
+    /// Whether the levels from `level` on extend `slots` to an embedding.
+    pub(crate) fn exists(&mut self, level: usize, slots: &mut [u32]) -> bool {
+        if level == self.join.len() {
+            return true;
+        }
+        let entry = match self.exists.probe(level, slots, false) {
+            Ok(exists) => return exists,
+            Err(entry) => entry,
+        };
+        let join = self.join;
+        let pattern = self.patterns.take(join, level, slots);
+        let found = join.blocks(level, &pattern).any(|block| {
+            (0..block.cols.rows()).any(|row| {
+                let mark = self.trail.len();
+                let found = join.match_row(level, block, row, slots, &mut self.trail)
+                    && self.exists(level + 1, slots);
+                unwind(slots, &mut self.trail, mark);
+                found
+            })
+        });
+        self.patterns.give(level, pattern);
+        self.exists.settle(level, entry, found);
+        found
+    }
+
+    fn discover(&mut self, level: usize, slots: &mut [u32]) {
+        if self.free.iter().all(|&s| slots[s] != UNBOUND_ID) {
+            // Runs of one key are the common case (facts of one level-0
+            // block): the last key found needs no second look.
+            let found = &self.found;
+            let repeat = found.len() > 0
+                && (self.free.iter())
+                    .zip(found.row(found.len() - 1))
+                    .all(|(&s, &id)| slots[s] == id);
+            if !repeat && self.exists(level, slots) {
+                self.found.push(self.free.iter().map(|&s| slots[s]));
+            }
+            return;
+        }
+        if self.explored.probe(level, slots, ()).is_ok() {
+            return;
+        }
+        let join = self.join;
+        let pattern = self.patterns.take(join, level, slots);
+        for block in join.blocks(level, &pattern) {
+            for row in 0..block.cols.rows() {
+                let mark = self.trail.len();
+                if join.match_row(level, block, row, slots, &mut self.trail) {
+                    self.discover(level + 1, slots);
+                }
+                unwind(slots, &mut self.trail, mark);
+            }
+        }
+        self.patterns.give(level, pattern);
+    }
 }
 
 #[cfg(test)]

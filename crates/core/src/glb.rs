@@ -13,24 +13,48 @@
 //! The same recursion with the roles of `MIN`/`MAX` mirrored computes
 //! `LUB-CQA` for `MIN`-queries (Theorem 7.11).
 //!
-//! ## The recursion runs on id rows
+//! ## The recursion runs over the index, memoised per sub-problem
 //!
-//! The ∀embeddings arrive as row indices into the executor's flat embedding
-//! arena (fixed-width id rows over the closed body's slot table), and every level
-//! groups them by sorting the index slice on the level's `x̄_ℓ`, then `ȳ_ℓ`,
-//! **id** projections and walking the equal runs — no map, no allocation per
-//! level. Raw id order is not value order (overlay ids are out of order), and
-//! it does not need to be: the recursion only asks which rows *agree* on a
-//! projection, id equality is value equality, and the branch values it then
-//! combines go through `MIN`/`MAX` and an exact, commutative `F⊕`
-//! ([`AggFunc::apply`] over [`Rational`]s), so the order in which groups are
-//! visited cannot change the result — which is why a warm index, whose
-//! interner assigned ids in arrival order, answers exactly as a cold one.
-//! The only [`rcqa_data::Value`] read is the one [`Rational`] per leaf
-//! (`Leaves::value`).
+//! [`BoundEvaluator`] evaluates the recursion level by level straight over
+//! the block index, never listing an embedding. At level `ℓ`, under a
+//! partial embedding of the levels before it, `value(ℓ)`:
+//!
+//! * walks the blocks of `F_ℓ`'s relation its key pattern admits — one per
+//!   value of `x̄_ℓ` — and keeps a block only if `F_ℓ ∧ ... ∧ F_n` is certain
+//!   with the block's key fixed: exactly the ∀embedding condition at level
+//!   `ℓ`, which depends on the prefix and the key alone;
+//! * resolves the block's alternatives — its facts, one per value of
+//!   `ȳ_ℓ` — with the [`Choice`] over their `value(ℓ + 1)`;
+//! * combines the kept blocks with `F⊕`, and is `None` when none is kept.
+//!
+//! Past the last level the value is the aggregated term's. By induction
+//! along the levels, `value(ℓ)` exists exactly when `F_ℓ ∧ ... ∧ F_n` is
+//! certain: a kept block is a certain one, and a certain suffix has a block
+//! all of whose facts have certain suffixes. So a block is kept exactly when
+//! every one of its facts matches and has a `value(ℓ + 1)`, and the values
+//! decide the ∀embedding condition themselves — no certainty checker is
+//! consulted.
+//!
+//! `value(ℓ)` reads nothing of the prefix but the variables of
+//! `F_ℓ, ..., F_n` (the relevant slots, the certainty memo's key) and the
+//! aggregated variable, so it is memoised per level under that projection:
+//! on `R(x|y) ⋈ S(y,z|r)` grouped by `x`, the level-1 sub-aggregate is
+//! computed once per `y`, however many groups join it. The free variables are
+//! slots like any other, which is what lets one memo serve every group.
+//!
+//! The plain extremum of Theorem 7.10 (and its mirror in Theorem 7.11) is
+//! the same recursion over **all** embeddings — no block is dropped — with
+//! `F⊕` the extremum itself; whether the group is certain at all, it asks the
+//! [`CertaintyChecker`] of the level-0 blocks.
+//!
+//! Results do not depend on the order of the walk: the values combined go
+//! through `MIN`/`MAX` and an exact, commutative `F⊕` ([`AggFunc::apply`]
+//! over [`Rational`]s), which is why a warm index, whose interner assigned
+//! ids in arrival order, answers exactly as a cold one. The only
+//! [`rcqa_data::Value`] read is the one [`Rational`] per leaf.
 
-use crate::forall::{CompiledLevel, Valuation, VarTable};
-use crate::ids::IdRows;
+use crate::forall::{unwind, CertaintyChecker, LevelMemo, Patterns, Valuation};
+use crate::index::IndexedBlock;
 use rcqa_data::{AggFunc, Rational, Value, ValueInterner};
 use rcqa_query::AggTerm;
 
@@ -56,7 +80,8 @@ impl Choice {
 }
 
 /// The value of the aggregated term `r` under a valuation (the exact fallback
-/// and the baselines; the plan executor reads leaves through `Leaves`).
+/// and the baselines; the plan executor reads leaves through
+/// [`BoundEvaluator`]).
 pub fn term_value(term: &AggTerm, valuation: &Valuation) -> Rational {
     match term {
         AggTerm::Const(c) => *c,
@@ -68,170 +93,248 @@ pub fn term_value(term: &AggTerm, valuation: &Valuation) -> Rational {
 }
 
 /// The aggregated term resolved against a slot table.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum LeafTerm {
     Const(Rational),
     Slot(usize),
 }
 
-/// Reads embedding rows and the aggregated term's value under them: the one
-/// place the bound computations touch a [`Value`].
-#[derive(Debug)]
-pub(crate) struct Leaves<'a> {
-    embeddings: &'a IdRows,
+/// One bound of a query, evaluated per group by the memoised recursion of
+/// the module docs over a [`CertaintyChecker`]'s body and index: the
+/// Theorem 6.1 / 7.11 rewriting ([`BoundEvaluator::rewriting`]) or the
+/// Theorem 7.10 extremum ([`BoundEvaluator::extremum`]).
+///
+/// One evaluator answers any number of groups and keeps its memo across
+/// them; the plan executor builds one per bound per worker.
+pub struct BoundEvaluator<'c, 'a> {
+    checker: &'c CertaintyChecker<'a>,
     interner: &'a ValueInterner,
-    term: LeafTerm,
+    leaf: LeafTerm,
+    combine: AggFunc,
+    choice: Choice,
+    /// Whether a block must pass the ∀embedding condition (the rewriting)
+    /// or every embedding counts (the extremum).
+    forall: bool,
+    memo: LevelMemo<Option<Rational>>,
+    /// Sub-problems evaluated (memo misses), per level.
+    evaluated: Vec<usize>,
+    /// Pending branch values, shared by the whole recursion: each call pops
+    /// what it pushed.
+    branches: Vec<Rational>,
+    patterns: Patterns,
+    trail: Vec<usize>,
 }
 
-impl<'a> Leaves<'a> {
-    /// A reader for `term` over `embeddings`, whose rows are laid out by
-    /// `table` and whose ids `interner` assigned.
+impl<'c, 'a> BoundEvaluator<'c, 'a> {
+    /// The Theorem 6.1 / 7.11 rewriting: `combine` aggregates independent
+    /// branches, `choice` resolves the alternatives within a block.
     ///
     /// # Panics
-    /// Panics if the aggregated variable has no slot in `table`.
-    pub(crate) fn new(
-        embeddings: &'a IdRows,
-        table: &VarTable,
+    /// Panics if the aggregated variable does not occur in the body.
+    pub fn rewriting(
+        checker: &'c CertaintyChecker<'a>,
         term: &AggTerm,
-        interner: &'a ValueInterner,
-    ) -> Leaves<'a> {
-        let term =
-            match term {
-                AggTerm::Const(c) => LeafTerm::Const(*c),
-                AggTerm::Var(v) => LeafTerm::Slot(table.slot(v).unwrap_or_else(|| {
+        combine: AggFunc,
+        choice: Choice,
+    ) -> BoundEvaluator<'c, 'a> {
+        BoundEvaluator::new(checker, term, combine, choice, true)
+    }
+
+    /// The Theorem 7.10 extremum over all embeddings — `MIN(r)`'s GLB for
+    /// [`Choice::Minimise`], `MAX(r)`'s LUB for [`Choice::Maximise`] — when
+    /// the query is certain, else `None`.
+    ///
+    /// # Panics
+    /// Panics if the aggregated variable does not occur in the body.
+    pub fn extremum(
+        checker: &'c CertaintyChecker<'a>,
+        term: &AggTerm,
+        choice: Choice,
+    ) -> BoundEvaluator<'c, 'a> {
+        let combine = match choice {
+            Choice::Minimise => AggFunc::Min,
+            Choice::Maximise => AggFunc::Max,
+        };
+        BoundEvaluator::new(checker, term, combine, choice, false)
+    }
+
+    fn new(
+        checker: &'c CertaintyChecker<'a>,
+        term: &AggTerm,
+        combine: AggFunc,
+        choice: Choice,
+        forall: bool,
+    ) -> BoundEvaluator<'c, 'a> {
+        let leaf = match term {
+            AggTerm::Const(c) => LeafTerm::Const(*c),
+            AggTerm::Var(v) => {
+                LeafTerm::Slot(checker.compiled().table().slot(v).unwrap_or_else(|| {
                     panic!("aggregated variable {v} does not occur in the body")
-                })),
+                }))
+            }
+        };
+        let keys = checker
+            .compiled()
+            .relevant_slots()
+            .into_iter()
+            .map(|mut slots| {
+                if let LeafTerm::Slot(s) = leaf {
+                    if !slots.contains(&s) {
+                        slots.push(s);
+                    }
+                }
+                slots
+            })
+            .collect::<Vec<_>>();
+        BoundEvaluator {
+            checker,
+            interner: checker.join().index().interner(),
+            leaf,
+            combine,
+            choice,
+            forall,
+            evaluated: vec![0; keys.len()],
+            memo: LevelMemo::new(keys),
+            branches: Vec::new(),
+            patterns: Patterns::default(),
+            trail: Vec::new(),
+        }
+    }
+
+    /// The bound of the group fixed by `base` (free variables bound to the
+    /// group key; empty for a closed query). `None` is the answer `⊥`: the
+    /// group's body is not certain.
+    pub fn bound(&mut self, base: &Valuation) -> Option<Rational> {
+        let mut slots = self.checker.slots_of(base);
+        let mut level0 = Vec::new();
+        self.checker.join().level0_blocks(&slots, &mut level0);
+        self.bound_ids(&mut slots, &level0)
+    }
+
+    /// How many sub-problems rooted at `level` the evaluator has computed —
+    /// memo misses, summed over every group it answered. Level 0 is the
+    /// group itself, evaluated once per call.
+    pub fn evaluated(&self, level: usize) -> usize {
+        self.evaluated.get(level).copied().unwrap_or(0)
+    }
+
+    /// The sub-problems evaluated below level 0, over every level: the
+    /// executor's measure of work done.
+    pub(crate) fn work(&self) -> usize {
+        self.evaluated[1..].iter().sum()
+    }
+
+    /// [`BoundEvaluator::bound`] over the checker's id slot vector, whose
+    /// level-0 blocks (those its key pattern admits under `base`) the caller
+    /// looked up — once for both bounds of a group. `base` is restored
+    /// before returning.
+    pub(crate) fn bound_ids(
+        &mut self,
+        base: &mut [u32],
+        level0: &[&IndexedBlock],
+    ) -> Option<Rational> {
+        // Level 0 is not memoised: its key holds the group key, which no
+        // other call repeats. A rewriting's value exists exactly when the
+        // group is certain; an extremum's is read only then.
+        self.evaluated[0] += 1;
+        let (value, certain) = self.evaluate(0, base, level0.iter().copied());
+        value.filter(|_| self.forall || certain)
+    }
+
+    /// `value(level)` under `slots` for `level > 0`, through the memo.
+    fn value(&mut self, level: usize, slots: &mut [u32]) -> Option<Rational> {
+        let join = self.checker.join();
+        if level == join.len() {
+            let leaf = match self.leaf {
+                LeafTerm::Const(c) => c,
+                LeafTerm::Slot(s) => self
+                    .interner
+                    .value(slots[s])
+                    .as_num()
+                    .expect("the aggregated variable is bound to a number"),
             };
-        Leaves {
-            embeddings,
-            interner,
-            term,
+            return self.combine.apply(&[leaf]);
         }
+        let entry = match self.memo.probe(level, slots, None) {
+            Ok(value) => return value,
+            Err(entry) => entry,
+        };
+        self.evaluated[level] += 1;
+        let pattern = self.patterns.take(join, level, slots);
+        let (value, _) = self.evaluate(level, slots, join.blocks(level, &pattern));
+        self.patterns.give(level, pattern);
+        self.memo.settle(level, entry, value);
+        value
     }
 
-    /// The ids of embedding `row`.
-    #[inline]
-    fn row(&self, row: u32) -> &'a [u32] {
-        self.embeddings.row(row as usize)
-    }
-
-    /// The ids of embedding `row` at `slots`.
-    #[inline]
-    fn project<'s>(&self, row: u32, slots: &'s [usize]) -> impl Iterator<Item = u32> + 's
-    where
-        'a: 's,
-    {
-        let ids = self.row(row);
-        slots.iter().map(move |&s| ids[s])
-    }
-
-    /// The value of the aggregated term under embedding `row`.
-    fn value(&self, row: u32) -> Rational {
-        match self.term {
-            LeafTerm::Const(c) => c,
-            LeafTerm::Slot(s) => self
-                .interner
-                .value(self.row(row)[s])
-                .as_num()
-                .expect("the aggregated variable is bound to a number"),
+    /// One step of the induction (see the module docs) over the blocks
+    /// `level`'s key pattern admits, uncached. For the extremum at level 0,
+    /// the flag says whether the group's body is certain — some block passes
+    /// the ∀embedding condition, asked of the [`CertaintyChecker`] until one
+    /// does; it is not computed anywhere else.
+    fn evaluate<'b>(
+        &mut self,
+        level: usize,
+        slots: &mut [u32],
+        blocks: impl IntoIterator<Item = &'b IndexedBlock>,
+    ) -> (Option<Rational>, bool) {
+        let (checker, join) = (self.checker, self.checker.join());
+        let mark = self.branches.len();
+        let mut certain = false;
+        for block in blocks {
+            let key_mark = self.trail.len();
+            if join.bind_key(level, block, slots, &mut self.trail) {
+                if !self.forall && level == 0 && !certain {
+                    certain = checker.certain_block(level, block, slots, &mut self.trail);
+                }
+                let best = self.alternatives(level, block, slots);
+                self.branches.extend(best);
+            }
+            unwind(slots, &mut self.trail, key_mark);
         }
+        let value = (self.branches.len() > mark)
+            .then(|| self.combine.apply(&self.branches[mark..]))
+            .flatten();
+        self.branches.truncate(mark);
+        (value, certain)
     }
-}
 
-/// Computes the optimal (minimal or maximal, per `choice`) aggregated value
-/// over all maximal consistent subsets of the ∀embeddings `forall` (row
-/// indices, reordered in place), combining independent branches with
-/// `combine`. `levels` are the compiled levels of the body the rows range
-/// over.
-///
-/// Returns `None` when the set of ∀embeddings is empty (which, for a certain
-/// query, cannot happen).
-pub(crate) fn optimal_aggregate(
-    leaves: &Leaves<'_>,
-    levels: &[CompiledLevel],
-    forall: &mut [u32],
-    combine: AggFunc,
-    choice: Choice,
-) -> Option<Rational> {
-    if forall.is_empty() {
-        return None;
-    }
-    let mut branches = Vec::new();
-    Some(recurse(
-        leaves,
-        levels,
-        forall,
-        combine,
-        choice,
-        &mut branches,
-    ))
-}
-
-/// One step of the induction: `rows` are the ∀embeddings extending the
-/// current prefix, `levels` the levels still to resolve. `branches` is a
-/// stack of pending branch values shared by the whole recursion (each call
-/// pops what it pushed).
-fn recurse(
-    leaves: &Leaves<'_>,
-    levels: &[CompiledLevel],
-    rows: &mut [u32],
-    combine: AggFunc,
-    choice: Choice,
-    branches: &mut Vec<Rational>,
-) -> Rational {
-    let Some((lvl, deeper)) = levels.split_first() else {
-        // Base case of the induction in Appendix H.4: Ext(θ) = {θ} and the
-        // F⊕-minimal value is F⊕({{θ(r)}}).
-        return combine
-            .apply(&[leaves.value(rows[0])])
-            .expect("singleton aggregate");
-    };
-    let project = |row, slots| leaves.project(row, slots);
-    let (keys, others) = (&lvl.new_key_slots[..], &lvl.new_other_slots[..]);
-    rows.sort_unstable_by(|&a, &b| {
-        project(a, keys)
-            .chain(project(a, others))
-            .cmp(project(b, keys).chain(project(b, others)))
-    });
-    let mark = branches.len();
-    // Each run of equal x̄_{ℓ+1} is one (ℓ+1)-∀key-embedding γ_i extending the
-    // current prefix.
-    for block in rows.chunk_by_mut(|&a, &b| project(a, keys).eq(project(b, keys))) {
-        // Within one key group, alternatives (distinct values of ȳ_{ℓ+1}) are
-        // mutually exclusive: a repair picks exactly one fact of the block.
-        let best = block
-            .chunk_by_mut(|&a, &b| project(a, others).eq(project(b, others)))
-            .map(|alternative| recurse(leaves, deeper, alternative, combine, choice, branches))
-            .reduce(|a, b| choice.pick(a, b));
-        branches.push(best.expect("non-empty key group"));
-    }
-    let value = combine
-        .apply(&branches[mark..])
-        .expect("non-empty branch values");
-    branches.truncate(mark);
-    value
-}
-
-/// Computes the plain (non-repair-aware) extremum of the aggregated term over
-/// the embeddings `rows`: the value of `MIN(r)`'s GLB and `MAX(r)`'s LUB when
-/// the query is certain (Theorem 7.10 and its mirror in Theorem 7.11).
-pub(crate) fn global_extremum(
-    leaves: &Leaves<'_>,
-    rows: &[u32],
-    maximise: bool,
-) -> Option<Rational> {
-    let values = rows.iter().map(|&r| leaves.value(r));
-    if maximise {
-        values.max()
-    } else {
-        values.min()
+    /// The alternatives of one block (its key bound in `slots`) resolved
+    /// with the choice. For the rewriting, `None` unless **every** fact of
+    /// the block matches and has a value: that is the ∀embedding condition
+    /// of the block — `F_ℓ ∧ ... ∧ F_n` certain with its key fixed — since a
+    /// suffix has a value exactly when it is certain (by the induction of the
+    /// module docs), so the value memo doubles as the certainty memo. For the
+    /// extremum, the best of the facts that have a value.
+    fn alternatives(
+        &mut self,
+        level: usize,
+        block: &IndexedBlock,
+        slots: &mut [u32],
+    ) -> Option<Rational> {
+        let join = self.checker.join();
+        let mut best: Option<Rational> = None;
+        for row in 0..block.cols.rows() {
+            let mark = self.trail.len();
+            let value = match join.match_row(level, block, row, slots, &mut self.trail) {
+                true => self.value(level + 1, slots),
+                false => None,
+            };
+            unwind(slots, &mut self.trail, mark);
+            match value {
+                Some(v) => best = Some(best.map_or(v, |b| self.choice.pick(b, v))),
+                None if self.forall => return None,
+                None => {}
+            }
+        }
+        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forall::{for_each_embedding, forall_check, CertaintyChecker};
+    use crate::forall::analyse_group;
     use crate::index::DbIndex;
     use crate::prepared::PreparedAggQuery;
     use rcqa_data::{fact, rat, DatabaseInstance, Schema, Signature};
@@ -266,42 +369,28 @@ mod tests {
         certain: bool,
         embeddings: usize,
         forall_embeddings: usize,
-        /// `optimal_aggregate` over the ∀embeddings.
+        /// The rewriting recursion.
         optimal: Option<Rational>,
-        /// `global_extremum` over all embeddings: (min, max).
+        /// The extremum over all embeddings: (min, max).
         extrema: (Option<Rational>, Option<Rational>),
     }
 
-    /// Runs the executor's id pipeline by hand — join into an arena,
-    /// `ForallCheck`, then the bound functions of this module.
+    /// Runs the executor's evaluators by hand, beside the boundary analysis
+    /// that counts the embeddings and ∀embeddings.
     fn bounds(datalog: &str, db: &DatabaseInstance, combine: AggFunc, choice: Choice) -> Bounds {
         let q = PreparedAggQuery::new(&parse_agg_query(datalog).unwrap(), db.schema()).unwrap();
         let index = DbIndex::new(db);
         let checker = CertaintyChecker::new(q.body.levels(), &index);
-        let compiled = checker.compiled();
-        let base = compiled.unbound_ids();
-        let mut embeddings = IdRows::new(base.len());
-        for_each_embedding(compiled, &index, &base, |theta| {
-            embeddings.push(theta.iter().copied())
-        });
-        let rows: Vec<u32> = (0..embeddings.len() as u32).collect();
-        let mut forall = Vec::new();
-        let certain = forall_check(&checker, &base, &embeddings, &rows, true, &mut forall);
-        let leaves = Leaves::new(
-            &embeddings,
-            compiled.table(),
-            &q.normalised.term,
-            index.interner(),
-        );
+        let base = Valuation::new();
+        let analysis = analyse_group(&checker, &index, &base);
+        let term = &q.normalised.term;
+        let extremum = |choice| BoundEvaluator::extremum(&checker, term, choice).bound(&base);
         Bounds {
-            certain,
-            embeddings: rows.len(),
-            forall_embeddings: forall.len(),
-            optimal: optimal_aggregate(&leaves, compiled.levels(), &mut forall, combine, choice),
-            extrema: (
-                global_extremum(&leaves, &rows, false),
-                global_extremum(&leaves, &rows, true),
-            ),
+            certain: analysis.certain,
+            embeddings: analysis.embeddings.len(),
+            forall_embeddings: analysis.forall_embeddings.len(),
+            optimal: BoundEvaluator::rewriting(&checker, term, combine, choice).bound(&base),
+            extrema: (extremum(Choice::Minimise), extremum(Choice::Maximise)),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Flat id-space containers shared by the join core, the certainty memo and
+//! Flat id-space containers shared by the join core, the level memos and
 //! the plan executor: equal-width `u32` rows in one allocation, so the hot
 //! paths allocate per *container*, never per row or per probe.
 
@@ -15,8 +15,8 @@ pub(crate) fn resolve_ids(interner: &ValueInterner, values: &[Value], ids: &mut 
 }
 
 /// Equal-width id rows stored back to back in one `Vec<u32>`: the executor's
-/// embedding arena (one row per embedding, over the closed body's slot
-/// table) and the tuple storage of [`IdTupleSet`].
+/// sorted group keys, the delta enumeration's dirty keys, and the tuple
+/// storage of [`IdTupleSet`].
 #[derive(Debug)]
 pub(crate) struct IdRows {
     width: usize,
@@ -52,13 +52,6 @@ impl IdRows {
         self.ids.extend(row);
         self.len += 1;
         debug_assert_eq!(self.ids.len(), self.len * self.width);
-    }
-
-    /// Appends every row of `other` (same width), keeping their order.
-    pub(crate) fn append(&mut self, mut other: IdRows) {
-        debug_assert_eq!(self.width, other.width);
-        self.ids.append(&mut other.ids);
-        self.len += other.len;
     }
 
     /// The distinct rows in ascending `cmp` order (`cmp` must be a total
@@ -191,9 +184,7 @@ mod tests {
         let mut rows = IdRows::new(2);
         rows.push([1, 2]);
         rows.push([3, 4]);
-        let mut more = IdRows::new(2);
-        more.push([5, 6]);
-        rows.append(more);
+        rows.push([5, 6]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows.row(1), &[3, 4]);
         assert_eq!(rows.row(2), &[5, 6]);

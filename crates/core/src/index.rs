@@ -25,8 +25,8 @@
 //!
 //! * each [`IndexedBlock`]'s fact list is **columnar** — one id column per
 //!   argument position ([`FactColumns`], column-major in one allocation), so
-//!   the join pass and the certainty checker scan cache-linear integer
-//!   columns;
+//!   the level walks of the join and the memoised recursions scan
+//!   cache-linear integer columns;
 //! * a block's key is not stored: it is the key prefix of the block's first
 //!   row ([`IndexedBlock::key_at`]);
 //! * the deep posting lists are sequences of `(id, block)` ordered by raw
@@ -538,10 +538,9 @@ impl RelationIndex {
     /// A pattern entry whose id is unassigned in `interner` (in particular
     /// [`MISSING_ID`], the interned form of a constant that occurs in no
     /// fact) matches nothing. The iterator borrows the index and the pattern
-    /// and allocates nothing beyond the (rare) fully-bound direct lookup;
-    /// candidates are walked in place, leaf slice by leaf slice — and
-    /// candidate filtering is raw `u32` equality — instead of being copied
-    /// out.
+    /// and allocates nothing; candidates are walked in place, leaf slice by
+    /// leaf slice — and candidate filtering is raw `u32` equality — instead
+    /// of being copied out.
     pub fn blocks_matching<'a, 'p>(
         &'a self,
         pattern: &'p [Option<u32>],
@@ -559,10 +558,16 @@ impl RelationIndex {
         {
             return one(None);
         }
-        // Fully bound: direct lookup, no filtering needed.
+        // Fully bound: direct lookup (a binary search against the pattern
+        // itself, nothing copied), no filtering needed.
         if !pattern.is_empty() && pattern.iter().all(Option::is_some) {
-            let key: Vec<u32> = pattern.iter().map(|v| v.unwrap()).collect();
-            return one(self.block_by_key_ids(&key, interner));
+            let found = self.blocks.search_by(|b| {
+                let key = pattern.iter().flatten().enumerate();
+                key.map(|(p, &id)| interner.cmp_ids(b.key_at(p), id))
+                    .find(|order| order.is_ne())
+                    .unwrap_or(CmpOrdering::Equal)
+            });
+            return one(found.ok().and_then(|pos| self.blocks.get(pos)));
         }
         // A bound first component restricts candidates to a contiguous span
         // of the key-sorted block list (empty span: no match anywhere).

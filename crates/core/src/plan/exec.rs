@@ -1,35 +1,48 @@
 //! The plan executor: runs a [`Plan`]'s pipeline over a shared [`DbIndex`],
-//! sequentially or on a block-sharded worker pool.
+//! sequentially or on a worker pool.
+//!
+//! ## What each stage computes
+//!
+//! Nothing between the index and the [`GroupRange`] row lists an embedding.
+//! `Join` + `PartitionByGroup` find the **group keys** — the free-variable
+//! projections of the open body's embeddings — with an existence memo
+//! ([`crate::forall`]'s group discovery): a key is reported once its
+//! variables are bound and some extension exists, and a partial embedding is
+//! explored once per projection onto what the deeper levels read. A
+//! listed-groups call probes each listed key's existence instead. Then, per
+//! group, `ForallCheck` + `AggregateBound` evaluate each bound by the
+//! memoised level-by-level recursion of [`crate::glb`] straight over the
+//! index: the ∀embedding condition gates whole blocks, and each level's
+//! sub-aggregate is computed once per projection onto the variables it
+//! reads, shared across every group that reaches it. The exact fallback is
+//! the one stage that enumerates embeddings: one pinned join per group, to
+//! collect the blocks whose repairs it enumerates.
 //!
 //! ## Threading model
 //!
 //! The executor parallelises twice, both times over contiguous shards run on
 //! a [`std::thread::scope`] worker pool (no external dependencies — the
-//! workspace builds offline). The join pass is sharded **by level-0 block
-//! key**: each worker joins and buckets its range of blocks, and the shard
-//! outputs are merged in shard order. Then, at the `PartitionByGroup`
-//! boundary, the sorted groups are sharded again: each worker owns a
-//! **per-worker memoised [`CertaintyChecker`]** over the shared read-only
-//! index — certainty sub-problems are reused across the groups of one shard,
-//! and no locks are taken on the hot path. The final `RangeMerge`
-//! concatenates the shard outputs in shard order;
-//! because the partition step emits groups in sorted group-key **value**
-//! order (interned ids are compared through
-//! [`ValueInterner::cmp_id_tuples`], so the order is independent of the id
-//! layout), lists each group's embeddings in enumeration order, and shards
-//! are contiguous, the merged answer is **byte-identical** to the sequential
-//! one at every thread count — and to the answer of a cold rebuild whose
-//! interner assigned different ids.
+//! workspace builds offline). Group discovery is sharded **by level-0 block
+//! key**: each worker walks its range of blocks under memos of its own, and
+//! the shards' key sets are merged and sorted. Then the sorted groups are
+//! sharded again: each worker owns a **memoised [`CertaintyChecker`]** and
+//! one [`BoundEvaluator`] per bound over the shared read-only index —
+//! certainty verdicts and sub-aggregates are reused across the groups of one
+//! shard, and no locks are taken on the hot path. The final `RangeMerge`
+//! concatenates the shard outputs in shard order. Groups are sorted by key
+//! **value** (interned ids are compared through
+//! [`rcqa_data::ValueInterner::cmp_id_tuples`], so the order is independent of the id
+//! layout), a group's bounds do not depend on which memo entries its worker
+//! had already filled, and shards are contiguous: the merged answer is
+//! **byte-identical** to the sequential one at every thread count — and to
+//! the answer of a cold rebuild whose interner assigned different ids.
 //!
 //! ## Id discipline
 //!
-//! From the join to the [`GroupRange`] row everything is interned `u32` ids
-//! (see [`crate::index`]). The join core writes each embedding straight into
-//! a flat arena, one fixed-width row over the closed body's slot table; a
-//! group is a row of key ids plus a list of arena row indices (`Partition`);
-//! group keys are hashed and compared as raw integers (id equality is value
-//! equality); the ∀embedding filter maps row indices to row indices; and the
-//! bound computations of [`crate::glb`] group those rows by id equality.
+//! From the index to the [`GroupRange`] row everything is interned `u32` ids
+//! (see [`crate::index`]): a partial embedding is one slot vector, bound and
+//! unbound in place; memo keys are id projections hashed and compared as raw
+//! integers (id equality is value equality); a group key is a row of ids.
 //! [`Value`]s appear in three places only: the group key of the
 //! [`GroupRange`] row, the one [`rcqa_data::Rational`] a bound reads per
 //! leaf, and the exact fallback (its group substitution, and the facts of the
@@ -40,11 +53,8 @@
 //! (explicit value > `RCQA_THREADS` env > available parallelism) and is
 //! clamped to the number of shardable items, so a closed query runs inline.
 //! A full evaluation ([`execute`]) always shards, whatever its size. The
-//! groups a serving patch re-derives ([`execute_for_groups`]) are joined and
-//! evaluated on the calling thread until they have proved to be enough work
-//! to repay the spawns (`INLINE_WORK_FLOOR`, in groups plus embeddings as
-//! counted, not estimated). Which of the two a run took never shows in its
-//! answer.
+//! groups a serving patch re-derives ([`execute_for_groups`]) are evaluated
+//! on the calling thread.
 //!
 //! The executor only ever *borrows* the index ([`ExecContext::index`]), so a
 //! caller may share one immutable index across any number of concurrent
@@ -59,14 +69,14 @@
 use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
-use crate::forall::{for_each_embedding, forall_check, CertaintyChecker, CompiledLevels, Join};
-use crate::glb::{global_extremum, optimal_aggregate, Choice, Leaves};
+use crate::forall::{CertaintyChecker, CompiledLevels, GroupKeys, Join};
+use crate::glb::BoundEvaluator;
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::{DbIndex, IndexedBlock, RelationIndex};
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
-use rcqa_data::{DatabaseInstance, Value, ValueInterner};
+use rcqa_data::{DatabaseInstance, Value};
 use rcqa_query::{Term, Var, VarPredicate};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -94,73 +104,43 @@ pub struct ExecContext<'a> {
 /// Executes a plan, returning one [`GroupRange`] per group in sorted
 /// group-key order.
 pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, CoreError> {
-    // Scan + Join + PartitionByGroup: one compilation of the closed body, one
-    // join pass over the shared index (sharded by level-0 block key when
-    // parallel), embeddings partitioned by group key.
-    let compiled = CompiledLevels::new(cx.prepared.body.levels());
     let free = cx.prepared.normalised.body.free_vars();
-    let partition = if free.is_empty() {
-        let mut embeddings = IdRows::new(compiled.table().len());
-        if plan.needs_analysis() {
-            let initial = compiled.unbound_ids();
-            for_each_embedding(&compiled, cx.index, &initial, |theta| {
-                embeddings.push(theta.iter().copied())
-            });
-        }
-        Partition::single_group(embeddings)
+    let keys = if free.is_empty() {
+        // A closed query has one group, with or without an embedding.
+        let mut keys = IdRows::new(0);
+        keys.push([]);
+        keys
     } else {
-        partition_groups(cx, &compiled, free, plan.keep_embeddings(), None)
+        group_ids(cx, free, None)
     };
-    let workers = cx.options.resolve_threads();
-    eval_groups(plan, cx, &compiled, free, &partition, workers)
+    eval_groups(plan, cx, free, &keys, 0)
 }
-
-/// Below this much work — groups plus embeddings, counted as the join
-/// produces them, never estimated — [`execute_for_groups`] stays on the
-/// calling thread. A scope of two workers costs 35–100 µs to spawn and join
-/// before either does anything, the workers share no certainty memo, and a
-/// unit of work is a fraction of a microsecond. Measured on the statement of
-/// [`execute_for_groups`]' docs, 2 workers, inline below the floor against
-/// always pooled: 2 keys (9 units) 51–61 against 240–300 µs, 50 keys (0.7 k)
-/// 0.29–0.38 against 0.51–0.69 ms, 255 keys (2.8 k) 1.10–1.23 against 1.46,
-/// 330 keys (3.6 k) 1.31–1.49 against 1.48–1.67; from 410 keys (5.0 k units)
-/// up the two read alike. The floor marks where the spawns stop costing, not
-/// where two workers start to win — that depends on how much certainty work
-/// the groups share; above the floor a listed-groups call shards like a full
-/// evaluation.
-pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 
 /// Executes a plan for **only** the groups whose key is in `keys`.
 ///
-/// Two arms, chosen from the **exact** level-0 span lengths the sorted block
-/// sequence gives in `O(log n)` per key (`Join::level0_span`): the keys are
-/// joined one by one while their spans together hold fewer blocks than the
-/// one walk of a filtered pass (`per_key_wins`). *Per key*: the open body
-/// is enumerated once per key with the free-variable slots
-/// pre-bound to that key's ids — every level whose atom carries a bound
+/// A listed key is a group iff it extends to an embedding. Two arms find
+/// which do, chosen from the **exact** level-0 span lengths the sorted block
+/// sequence gives in `O(log n)` per key (`Join::level0_span`): while the
+/// keys' spans together hold fewer blocks than the one walk of full
+/// discovery (`per_key_wins`), each key is pinned into the free-variable
+/// slots and its existence probed — every level whose atom carries a bound
 /// variable at a key position prunes its block walk through
-/// [`crate::index::RelationIndex::blocks_matching`], every other level
-/// rejects mismatching rows during the match — so the cost is the keys' own
-/// spans and embeddings, independent of how many *other* groups exist. *One
-/// filtered pass*: the same sharded join as [`execute`] with the key set as a
-/// predicate on each embedding as it is bucketed, so only the requested
-/// groups' rows are ever written; it is chosen when the keys' spans cover the
-/// level-0 walk anyway — nearly every group is requested, or the group key
-/// binds no level-0 key position and every key's span is the whole relation.
-/// (Measured on `R(x|y) ⋈ S(y,z|r)` grouped by `x`, one block per key, 1 111
-/// groups, inline: per key against pass 0.27 / 0.91 ms at 50 keys, 1.20 / 1.60
-/// at 330, 2.17 / 2.49 at 600, 4.02 / 3.83 at all 1 111 — a pinned join costs
-/// one seek more than its share of a pass, a pass pays for every group's
-/// embeddings.) Terms are resolved and the body compiled once per call,
-/// whichever arm runs, and no worker is spawned — for the per-key join or
-/// for the group tail — before `INLINE_WORK_FLOOR` units of work exist.
+/// [`crate::index::RelationIndex::blocks_matching`], so the cost is the keys'
+/// own spans, independent of how many *other* groups exist. Otherwise —
+/// nearly every group is requested, or the group key binds no level-0 key
+/// position and every key's span is the whole relation — the full discovery
+/// runs and its keys are filtered by the list. (Measured on `R(x|y) ⋈
+/// S(y,z|r)` grouped by `x` under `x >= 'x9'`, one block per key, 1 111
+/// groups at 10⁵ facts, one thread, whole call: per key against discovery
+/// 0.14–0.15 / 0.40–0.44 ms at 50 keys, 0.60–0.70 / 0.73–0.83 at 330,
+/// 1.04–1.18 / 1.10–1.26 at 600, 1.81–2.28 / 1.65–1.99 at all 1 111 — a
+/// probe costs one seek more than its share of the walk.) The groups found
+/// are then evaluated on the calling thread until `INLINE_WORK_FLOOR`
+/// units of work are done, and on the workers after that.
 ///
 /// The returned rows are byte-identical to the corresponding rows of
-/// [`execute`]: either way each requested group sees exactly its bucket of
-/// the full run — a pinned enumeration explores the full enumeration's
-/// recursion tree minus the branches that bind a free variable elsewhere, a
-/// filtered one drops the other groups' embeddings on arrival — in the same
-/// order, and requested keys are emitted in the same sorted group-key value
+/// [`execute`]: a group's bounds are a function of its key, the body and the
+/// index, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
 pub fn execute_for_groups<'k>(
     plan: &Plan,
@@ -187,233 +167,28 @@ pub fn execute_for_groups<'k>(
     if only.len() == 0 {
         return Ok(Vec::new());
     }
-    let compiled = CompiledLevels::new(cx.prepared.body.levels());
-    let partition = partition_groups(cx, &compiled, free, plan.keep_embeddings(), Some(&only));
-    let workers = workers_for(cx.options, partition.keys.len() + partition.rows.len());
-    eval_groups(plan, cx, &compiled, free, &partition, workers)
+    let keys = group_ids(cx, free, Some(&only));
+    eval_groups(plan, cx, free, &keys, INLINE_WORK_FLOOR)
 }
 
-/// The output of `Scan + Join + PartitionByGroup`, in id space.
-struct Partition {
-    /// Every kept embedding, one row over the closed body's slot table.
-    embeddings: IdRows,
-    /// One row of key ids per group, in group-key value order.
-    keys: IdRows,
-    /// Group `g`'s embeddings are `rows[starts[g]..starts[g + 1]]`: indices
-    /// into `embeddings`, in enumeration order.
-    starts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-impl Partition {
-    /// The partition of a closed query: one empty-keyed group holding every
-    /// embedding (possibly none — the group exists regardless).
-    fn single_group(embeddings: IdRows) -> Partition {
-        let n = u32::try_from(embeddings.len()).expect("embedding count fits u32");
-        let mut keys = IdRows::new(0);
-        keys.push([]);
-        Partition {
-            embeddings,
-            keys,
-            starts: vec![0, n],
-            rows: (0..n).collect(),
-        }
-    }
-
-    /// The embeddings of group `g`.
-    fn rows_of(&self, g: usize) -> &[u32] {
-        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
-    }
-
-    /// Merges the per-shard buckets **in shard order** and sorts the groups.
-    ///
-    /// Shards cover contiguous level-0 block ranges in enumeration order, so
-    /// concatenating their arenas numbers the embeddings exactly as a
-    /// sequential enumeration would; listing each group's rows in ascending
-    /// row order (a stable counting sort by group) then reproduces the
-    /// sequential bucket, whatever the shard count. Groups are ordered by
-    /// key **value** (via [`ValueInterner::cmp_id_tuples`]), which makes the
-    /// output independent of both arrival order and the interner's id layout
-    /// — what keeps answers byte-identical across thread counts and across
-    /// warm/cold indexes.
-    fn merge<'a>(
-        shards: impl IntoIterator<Item = Buckets<'a>>,
-        interner: &ValueInterner,
-    ) -> Partition {
-        let mut shards = shards.into_iter();
-        let Buckets {
-            projection,
-            mut keys,
-            mut embeddings,
-            mut group_of,
-            ..
-        } = shards.next().expect("at least one shard");
-        for shard in shards {
-            let global: Vec<u32> = (0..shard.keys.len())
-                .map(|g| keys.insert(shard.keys.tuple(g)).0 as u32)
-                .collect();
-            embeddings.append(shard.embeddings);
-            group_of.extend(shard.group_of.iter().map(|&g| global[g as usize]));
-        }
-        assert!(
-            embeddings.len() <= u32::MAX as usize,
-            "embedding count fits u32"
-        );
-
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by(|&a, &b| interner.cmp_id_tuples(keys.tuple(a), keys.tuple(b)));
-        let mut sorted_keys = IdRows::new(projection.key_slots.len());
-        let mut rank = vec![0usize; order.len()];
-        for (r, &g) in order.iter().enumerate() {
-            sorted_keys.push(keys.tuple(g).iter().copied());
-            rank[g] = r;
-        }
-        let mut starts = vec![0u32; order.len() + 1];
-        for &g in &group_of {
-            starts[rank[g as usize] + 1] += 1;
-        }
-        for r in 0..order.len() {
-            starts[r + 1] += starts[r];
-        }
-        let mut next = starts.clone();
-        let mut rows = vec![0u32; group_of.len()];
-        for (row, &g) in group_of.iter().enumerate() {
-            let at = &mut next[rank[g as usize]];
-            rows[*at as usize] = row as u32;
-            *at += 1;
-        }
-        Partition {
-            embeddings,
-            keys: sorted_keys,
-            starts,
-            rows,
-        }
-    }
-}
-
-/// The open → closed projection of the `PartitionByGroup` operator: where an
-/// open-body embedding keeps its group key, and how it is re-expressed over
-/// the closed body's slot table (same variable set, possibly a different
-/// topological order), so downstream certainty checks need no per-group
-/// re-preparation.
-struct GroupProjection {
-    /// Open slots of the free variables: the group key.
-    key_slots: Vec<usize>,
-    /// Per closed slot, the open slot of the same variable. Empty for a
-    /// cyclic closed body, which has no levels and hence no slots — its
-    /// evaluation never consumes the embeddings.
-    closed_from_open: Vec<usize>,
-}
-
-impl GroupProjection {
-    fn new(open: &CompiledLevels, closed: &CompiledLevels, free: &[Var]) -> GroupProjection {
-        let open_slot = |v: &Var| {
-            open.table()
-                .slot(v)
-                .expect("every body variable occurs in the open body")
-        };
-        GroupProjection {
-            key_slots: free.iter().map(open_slot).collect(),
-            closed_from_open: closed.table().vars().iter().map(open_slot).collect(),
-        }
-    }
-}
-
-/// One shard's share of `PartitionByGroup`, and the sink of its join pass:
-/// buckets open-body embeddings by group key as they are enumerated.
+/// The `Join + PartitionByGroup` stages of a grouped query: the group keys —
+/// every free-variable projection of an embedding of the open body, or
+/// `only` those of the listed keys that have one — as id rows in group-key
+/// value order (via [`rcqa_data::ValueInterner::cmp_id_tuples`], which makes
+/// the order independent of both discovery order and the interner's id
+/// layout).
 ///
-/// Keys are raw id tuples — exact, since id equality is value equality.
-/// Level-0 block order makes runs of one key the common case, so a row is
-/// first compared with its predecessor's key and only then looked up.
-struct Buckets<'a> {
-    projection: &'a GroupProjection,
-    keep_embeddings: bool,
-    /// When set, only embeddings with one of these keys are kept.
-    only: Option<&'a IdTupleSet>,
-    /// The distinct keys seen, in arrival order.
-    keys: IdTupleSet,
-    /// The kept embeddings over the closed slot table, in arrival order …
-    embeddings: IdRows,
-    /// … and, per kept embedding, the index of its key in `keys`.
-    group_of: Vec<u32>,
-    /// The previous embedding's key and its group (`None`: filtered out).
-    key: Vec<u32>,
-    group: Option<u32>,
-}
-
-impl<'a> Buckets<'a> {
-    fn new(
-        projection: &'a GroupProjection,
-        keep_embeddings: bool,
-        only: Option<&'a IdTupleSet>,
-    ) -> Buckets<'a> {
-        Buckets {
-            projection,
-            keep_embeddings,
-            only,
-            keys: IdTupleSet::new(projection.key_slots.len()),
-            embeddings: IdRows::new(projection.closed_from_open.len()),
-            group_of: Vec::new(),
-            key: Vec::new(),
-            group: None,
-        }
-    }
-
-    /// The groups and embeddings bucketed so far, in [`INLINE_WORK_FLOOR`]'s
-    /// unit.
-    fn work(&self) -> usize {
-        self.keys.len() + self.group_of.len()
-    }
-
-    fn push(&mut self, theta: &[u32]) {
-        let key_slots = &self.projection.key_slots;
-        let same_key = self.key.len() == key_slots.len()
-            && key_slots
-                .iter()
-                .zip(&self.key)
-                .all(|(&s, &id)| theta[s] == id);
-        if !same_key {
-            self.key.clear();
-            self.key.extend(key_slots.iter().map(|&s| theta[s]));
-            self.group = self
-                .only
-                .is_none_or(|only| only.contains(&self.key))
-                .then(|| self.keys.insert(&self.key).0 as u32);
-        }
-        let (Some(group), true) = (self.group, self.keep_embeddings) else {
-            return;
-        };
-        self.embeddings
-            .push(self.projection.closed_from_open.iter().map(|&o| theta[o]));
-        self.group_of.push(group);
-    }
-}
-
-/// The `Scan + Join + PartitionByGroup` phase of a grouped query: enumerates
-/// the open body over the shared index and partitions the embeddings by
-/// group key — every group, or `only` the listed ones.
-///
-/// An `only` set whose keys' level-0 spans are small against the relation
-/// ([`per_key_wins`]) is enumerated per key, the free-variable slots pre-bound
-/// to the key's ids (keys with no embedding leave no group, exactly as in a
-/// full run): on the calling thread until [`INLINE_WORK_FLOOR`] units have
-/// come out, the keys then left sharded over the workers. Otherwise the
-/// level-0 blocks are cut into contiguous ranges, one join-and-bucket pass
-/// per worker.
-fn partition_groups(
-    cx: &ExecContext<'_>,
-    closed: &CompiledLevels,
-    free: &[Var],
-    keep_embeddings: bool,
-    only: Option<&IdTupleSet>,
-) -> Partition {
-    let index = cx.index;
+/// Listed keys whose level-0 spans are small against the relation
+/// ([`per_key_wins`]) are probed one by one on the calling thread. Otherwise
+/// the level-0 blocks are cut into contiguous ranges, one discovery per
+/// worker, and the keys found are merged, sorted and deduplicated.
+fn group_ids(cx: &ExecContext<'_>, free: &[Var], only: Option<&IdTupleSet>) -> IdRows {
     let open = CompiledLevels::new(cx.prepared.open_levels());
-    let projection = GroupProjection::new(&open, closed, free);
-    let join = Join::new(&open, index);
+    let free_slots = slots_of(&open, free);
     let unbound = open.unbound_ids();
+    let join = Join::new(open, cx.index);
     let bind = |initial: &mut [u32], key: &[u32]| {
-        for (&slot, &id) in projection.key_slots.iter().zip(key) {
+        for (&slot, &id) in free_slots.iter().zip(key) {
             initial[slot] = id;
         }
     };
@@ -427,48 +202,42 @@ fn partition_groups(
     });
     let shards = match per_key {
         Some(only) => {
-            let join_key = |buckets: &mut Buckets<'_>, initial: &mut [u32], k: usize| {
-                bind(initial, only.tuple(k));
-                join.for_each(initial, |theta| buckets.push(theta));
-            };
-            // What a key's join costs is its embeddings, known only once it
-            // is joined: start on the calling thread, and hand the keys still
-            // left to the workers once a floor's worth of work has come out.
-            let mut head = Buckets::new(&projection, keep_embeddings, None);
+            let mut keys = GroupKeys::new(&join, &free_slots);
+            let mut found = IdRows::new(free.len());
             let mut initial = unbound.clone();
-            let mut keys = 0..only.len();
-            while head.work() < INLINE_WORK_FLOOR {
-                let Some(k) = keys.next() else { break };
-                join_key(&mut head, &mut initial, k);
+            for k in 0..only.len() {
+                bind(&mut initial, only.tuple(k));
+                if keys.exists(0, &mut initial) {
+                    found.push(only.tuple(k).iter().copied());
+                }
             }
-            let mut shards = vec![head];
-            if !keys.is_empty() {
-                let workers = cx.options.resolve_threads();
-                shards.extend(run_shards(shard(keys.collect(), workers), |keys| {
-                    let mut buckets = Buckets::new(&projection, keep_embeddings, None);
-                    let mut initial = unbound.clone();
-                    for k in keys {
-                        join_key(&mut buckets, &mut initial, k);
-                    }
-                    buckets
-                }));
-            }
-            shards
+            vec![found]
         }
         None => {
-            let blocks = join.level0_blocks(&unbound);
+            let mut blocks = Vec::new();
+            join.level0_blocks(&unbound, &mut blocks);
             run_shards(shard(blocks, cx.options.resolve_threads()), |blocks| {
-                let mut buckets = Buckets::new(&projection, keep_embeddings, only);
-                join.for_each_from_blocks(&unbound, &blocks, |theta| buckets.push(theta));
-                buckets
+                let mut keys = GroupKeys::new(&join, &free_slots);
+                keys.walk_blocks(&unbound, &blocks);
+                keys.found
             })
         }
     };
-    Partition::merge(shards, index.interner())
+    let mut keys = IdRows::new(free.len());
+    for found in &shards {
+        for k in 0..found.len() {
+            let key = found.row(k);
+            if only.is_none_or(|only| only.contains(key)) {
+                keys.push(key.iter().copied());
+            }
+        }
+    }
+    let interner = cx.index.interner();
+    keys.sorted_dedup(|a, b| interner.cmp_id_tuples(a, b))
 }
 
-/// Whether keys whose level-0 spans hold `spans` blocks are joined one by one
-/// rather than by one filtered pass over all `pass_blocks` level-0 blocks:
+/// Whether keys whose level-0 spans hold `spans` blocks are probed one by one
+/// rather than found by one discovery over all `pass_blocks` level-0 blocks:
 /// while the spans together hold fewer blocks than the pass walks. Stops
 /// summing at the key that loses.
 fn per_key_wins(spans: impl IntoIterator<Item = usize>, pass_blocks: usize) -> bool {
@@ -483,24 +252,11 @@ fn per_key_wins(spans: impl IntoIterator<Item = usize>, pass_blocks: usize) -> b
 /// value-level boundary of `PartitionByGroup` for callers outside the
 /// executor (the engine's candidate-group enumeration).
 pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
-    let closed = CompiledLevels::new(cx.prepared.body.levels());
-    let free = cx.prepared.normalised.body.free_vars();
-    let partition = partition_groups(cx, &closed, free, false, None);
+    let keys = group_ids(cx, cx.prepared.normalised.body.free_vars(), None);
     let interner = cx.index.interner();
-    (0..partition.keys.len())
-        .map(|g| interner.values_of(partition.keys.row(g)))
+    (0..keys.len())
+        .map(|g| interner.values_of(keys.row(g)))
         .collect()
-}
-
-/// The worker count for `work` units of a listed-groups call: one — inline on
-/// the calling thread — below [`INLINE_WORK_FLOOR`], else the engine's
-/// resolved thread count ([`shard`] clamps it to the number of items).
-fn workers_for(options: &EngineOptions, work: usize) -> usize {
-    if work < INLINE_WORK_FLOOR {
-        1
-    } else {
-        options.resolve_threads()
-    }
 }
 
 /// Runs `work` over each shard — inline for a single shard, else one scoped
@@ -524,10 +280,26 @@ pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync
     })
 }
 
+/// Below this much work — groups plus sub-problems evaluated (memo misses
+/// below level 0, [`BoundEvaluator::evaluated`]), counted as the evaluation
+/// goes, never estimated — the groups of [`execute_for_groups`] are evaluated
+/// on the calling thread; what is left once it is reached is shared by the
+/// workers. A scope of two workers costs 35–100 µs to spawn and join before
+/// either does anything, and the workers share no memo. Measured on the
+/// statement of [`execute_for_groups`]' docs, 2 workers, listed keys spread
+/// over the 84 697 groups of `R(x|y) ⋈ S(y,z|r)` grouped by `x` at 10⁵ facts
+/// (a listed group there is 3–4 units), always inline against always pooled:
+/// 2 keys 8 against 51–58 µs, 16 keys 48–50 against 89–92 µs, 64 keys
+/// 0.16–0.17 against 0.20–0.25 ms, 256 keys 0.69–0.72 against 0.72–1.01 ms;
+/// from 1 024 keys up the pool reads 0–20 % faster (16 384 keys 41–43 against
+/// 37–42 ms). The floor marks where the spawns stop costing.
+pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
+
 /// The `ForallCheck + AggregateBound + RangeMerge` tail shared by [`execute`]
-/// and [`execute_for_groups`]: evaluates the partitioned groups over
-/// contiguous shards on `workers` threads (sequentially for one),
-/// concatenating the shard outputs in shard order.
+/// and [`execute_for_groups`]: evaluates the groups `keys` in order on the
+/// calling thread until `inline` units of work ([`INLINE_WORK_FLOOR`]'s) are
+/// done, then the rest over contiguous shards on the engine's workers,
+/// concatenating the outputs in order. A full evaluation passes `0`.
 ///
 /// A plan with a [`BoundOp::ExactEnumeration`] bound first collects every
 /// group's block closure and checks it against the repair budget
@@ -537,23 +309,26 @@ pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync
 fn eval_groups(
     plan: &Plan,
     cx: &ExecContext<'_>,
-    compiled: &CompiledLevels,
     free: &[Var],
-    partition: &Partition,
-    workers: usize,
+    keys: &IdRows,
+    inline: usize,
 ) -> Result<Vec<GroupRange>, CoreError> {
-    let groups = partition.keys.len();
     let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
     let closures = enumerates
-        .then(|| Closures::collect(plan, cx, compiled, free, partition))
+        .then(|| Closures::collect(cx, free, keys))
         .transpose()?;
     let closures = closures.as_ref();
-    let shard_results = run_shards(shard((0..groups).collect(), workers), |groups| {
-        eval_shard(plan, cx, compiled, free, partition, groups, closures)
+    let groups = keys.len();
+    let (mut out, done) = match inline {
+        0 => (Vec::with_capacity(groups), 0),
+        _ => eval_shard(plan, cx, free, keys, 0..groups, closures, inline)?,
+    };
+    let rest = shard((done..groups).collect(), cx.options.resolve_threads());
+    let shard_results = run_shards(rest, |groups| {
+        eval_shard(plan, cx, free, keys, groups, closures, usize::MAX)
     });
-    let mut out = Vec::with_capacity(groups);
     for result in shard_results {
-        out.extend(result?);
+        out.extend(result?.0);
     }
     Ok(out)
 }
@@ -572,44 +347,37 @@ fn eval_groups(
 /// those of the (predicate-restricted) index the plan runs over: one a
 /// pushed-down predicate rejects contributes to no repair's value.
 struct Closures<'a> {
-    /// Group `g` of the partition touches `blocks[starts[g]..starts[g + 1]]`.
+    /// Group `g` touches `blocks[starts[g]..starts[g + 1]]`.
     starts: Vec<usize>,
     blocks: Vec<(&'a RelationIndex, &'a IndexedBlock)>,
 }
 
 impl<'a> Closures<'a> {
-    /// Collects every group's closure — from the embeddings the partition
-    /// holds where the plan kept them (rows over the closed slot table), else
-    /// by one enumeration of the open body pinned to the group's key — and
-    /// decides the repair budget: a closure has the product of its block sizes
-    /// many repairs (counted, no fact materialised), and the first group in
-    /// group-key order over [`MAX_REPAIRS`] is the `Err`.
+    /// Collects every group's closure, by one enumeration of the open body
+    /// pinned to the group's key, and decides the repair budget: a closure
+    /// has the product of its block sizes many repairs (counted, no fact
+    /// materialised), and the first group in group-key order over
+    /// [`MAX_REPAIRS`] is the `Err`.
     fn collect(
-        plan: &Plan,
         cx: &ExecContext<'a>,
-        closed: &CompiledLevels,
         free: &[Var],
-        partition: &Partition,
+        keys: &IdRows,
     ) -> Result<Closures<'a>, CoreError> {
-        let open;
-        let keep_embeddings = plan.keep_embeddings();
-        let compiled = if keep_embeddings {
-            closed
-        } else {
-            open = CompiledLevels::new(cx.prepared.open_levels());
-            &open
-        };
-        let join = Join::new(compiled, cx.index);
-        let free_slots = slots_of(compiled, free);
-        let mut pinned = compiled.unbound_ids();
+        let open = CompiledLevels::new(cx.prepared.open_levels());
+        let free_slots = slots_of(&open, free);
+        let mut pinned = open.unbound_ids();
+        let join = Join::new(open, cx.index);
         let (mut starts, mut blocks) = (vec![0], Vec::new());
-        for g in 0..partition.keys.len() {
+        for g in 0..keys.len() {
             let start = blocks.len();
             let mut seen = HashSet::new();
             let mut repairs = 1u128;
+            for (&slot, &id) in free_slots.iter().zip(keys.row(g)) {
+                pinned[slot] = id;
+            }
             // Once over budget the rest cannot matter: a closed query over a
             // large join is refused after the embeddings that prove it.
-            let mut touch = |theta: &[u32]| {
+            join.for_each(&pinned, |theta| {
                 if repairs <= MAX_REPAIRS {
                     join.blocks_of(theta, |rel, block| {
                         if seen.insert(Arc::as_ptr(&block.cols)) {
@@ -618,19 +386,9 @@ impl<'a> Closures<'a> {
                         }
                     });
                 }
-            };
-            if keep_embeddings {
-                for &row in partition.rows_of(g) {
-                    touch(partition.embeddings.row(row as usize));
-                }
-            } else {
-                for (&slot, &id) in free_slots.iter().zip(partition.keys.row(g)) {
-                    pinned[slot] = id;
-                }
-                join.for_each(&pinned, touch);
-            }
+            });
             if repairs > MAX_REPAIRS {
-                let key = cx.index.interner().values_of(partition.keys.row(g));
+                let key = cx.index.interner().values_of(keys.row(g));
                 let key: Vec<String> = key.iter().map(Value::to_string).collect();
                 return Err(CoreError::FallbackUnavailable(format!(
                     "{}: {} blocks its embeddings touch have {repairs} repairs, more than the \
@@ -695,83 +453,89 @@ fn shard<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// One group's `ForallCheck` output, in id space: row indices into the
-/// partition's embedding arena.
-struct GroupAnalysis<'a> {
-    /// Reads the aggregated term under an embedding.
-    leaves: &'a Leaves<'a>,
-    /// Whether the group's closed body holds in every repair.
-    certain: bool,
-    /// All embeddings of the group.
-    rows: &'a [u32],
-    /// Its ∀embeddings (empty unless certain and the plan asked for them).
-    forall: &'a mut [u32],
-}
-
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
-/// sharing one memoised certainty checker (and its scratch) across the shard.
+/// sharing one memoised certainty checker and one memoised evaluator per
+/// bound across the shard — until `floor` units of work (groups plus
+/// sub-problems evaluated) are done. Returns the rows and how many of
+/// `groups` were evaluated.
 fn eval_shard(
     plan: &Plan,
     cx: &ExecContext<'_>,
-    compiled: &CompiledLevels,
     free: &[Var],
-    partition: &Partition,
-    groups: Vec<usize>,
+    keys: &IdRows,
+    groups: impl IntoIterator<Item = usize>,
     closures: Option<&Closures<'_>>,
-) -> Result<Vec<GroupRange>, CoreError> {
+    floor: usize,
+) -> Result<(Vec<GroupRange>, usize), CoreError> {
     let interner = cx.index.interner();
-    let embeddings = &partition.embeddings;
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
     // and the aggregated one included.
-    let needs_forall = plan.needs_forall();
-    let analysing = plan.needs_analysis().then(|| {
-        (
-            CertaintyChecker::with_compiled(compiled.clone(), cx.index),
-            Leaves::new(
-                embeddings,
-                compiled.table(),
-                &cx.prepared.normalised.term,
-                interner,
-            ),
-            slots_of(compiled, free),
-        )
-    });
-    let mut base = compiled.unbound_ids();
-    let mut forall = Vec::new();
-    let mut out = Vec::with_capacity(groups.len());
+    let checker = plan
+        .needs_analysis()
+        .then(|| CertaintyChecker::new(cx.prepared.body.levels(), cx.index));
+    let evaluator = |op: Option<BoundOp>| {
+        let (checker, term) = (checker.as_ref()?, &cx.prepared.normalised.term);
+        match op? {
+            BoundOp::Rewrite { combine, choice } => {
+                Some(BoundEvaluator::rewriting(checker, term, combine, choice))
+            }
+            BoundOp::Extremum { choice } => Some(BoundEvaluator::extremum(checker, term, choice)),
+            BoundOp::ExactEnumeration => None,
+        }
+    };
+    let (mut glb, mut lub) = (evaluator(plan.glb), evaluator(plan.lub));
+    let (free_slots, mut base) = match &checker {
+        Some(checker) => (
+            slots_of(checker.compiled(), free),
+            checker.compiled().unbound_ids(),
+        ),
+        None => (Vec::new(), Vec::new()),
+    };
+    let mut level0 = Vec::new();
+    let mut out = Vec::new();
+    let mut done = 0;
     for g in groups {
-        let key_ids = partition.keys.row(g);
+        let work = |e: &Option<BoundEvaluator>| e.as_ref().map_or(0, BoundEvaluator::work);
+        if done + work(&glb) + work(&lub) >= floor {
+            break;
+        }
+        done += 1;
+        let key_ids = keys.row(g);
+        for (&slot, &id) in free_slots.iter().zip(key_ids) {
+            base[slot] = id;
+        }
+        if let Some(checker) = &checker {
+            checker.join().level0_blocks(&base, &mut level0);
+        }
         // The result boundary: the group key materialises here, for the
         // GroupRange row and (below) the exact fallback's substitution.
         let key = interner.values_of(key_ids);
-        let mut analysis = match &analysing {
-            Some((checker, leaves, free_slots)) => {
-                for (&slot, &id) in free_slots.iter().zip(key_ids) {
-                    base[slot] = id;
-                }
-                let rows = partition.rows_of(g);
-                let certain =
-                    forall_check(checker, &base, embeddings, rows, needs_forall, &mut forall);
-                Some(GroupAnalysis {
-                    leaves,
-                    certain,
-                    rows,
-                    forall: &mut forall,
-                })
-            }
-            None => None,
-        };
         // One enumeration serves both bounds.
         let exact = closures
             .map(|closures| closures.enumerate(g, cx, &key))
             .transpose()?;
-        let mut bound = |op: Option<BoundOp>, kind: BoundKind| {
-            op.map(|op| bound_answer(op, kind, compiled, analysis.as_mut(), exact))
+        let mut answer = |op, kind, evaluator: Option<&mut BoundEvaluator>| {
+            let value = match op {
+                BoundOp::ExactEnumeration => {
+                    let bounds = exact.expect("the pre-pass collected the group's closure");
+                    match kind {
+                        BoundKind::Glb => bounds.glb,
+                        BoundKind::Lub => bounds.lub,
+                    }
+                }
+                BoundOp::Rewrite { .. } | BoundOp::Extremum { .. } => evaluator
+                    .expect("a rewriting-backed operator has its evaluator")
+                    .bound_ids(&mut base, &level0),
+            };
+            BoundAnswer {
+                value,
+                method: op.into(),
+            }
         };
-        let glb = bound(plan.glb, BoundKind::Glb);
-        let lub = bound(plan.lub, BoundKind::Lub);
-        // Residual predicates are invisible to the partitioner, so the exact
+        let glb = plan.glb.map(|op| answer(op, BoundKind::Glb, glb.as_mut()));
+        let lub = plan.lub.map(|op| answer(op, BoundKind::Lub, lub.as_mut()));
+        // Residual predicates are invisible to group discovery, so the exact
         // enumeration may discover that a candidate group has no satisfying
         // embedding at all — such a group is not a possible answer and has
         // no row. (Closed queries keep their single row: a scalar query
@@ -781,51 +545,7 @@ fn eval_shard(
         }
         out.push(GroupRange { key, glb, lub });
     }
-    Ok(out)
-}
-
-/// Computes one bound of one group from the shared analysis (or, for
-/// [`BoundOp::ExactEnumeration`], reads it off `exact`, the enumeration of the
-/// repairs of the group's closure).
-fn bound_answer(
-    op: BoundOp,
-    bound: BoundKind,
-    compiled: &CompiledLevels,
-    analysis: Option<&mut GroupAnalysis<'_>>,
-    exact: Option<ExactBounds>,
-) -> BoundAnswer {
-    let value = match op {
-        BoundOp::Rewrite { combine, choice } => {
-            let analysis = analysis.expect("the Rewrite operator requires the analysis");
-            let levels = compiled.levels();
-            analysis
-                .certain
-                .then(|| {
-                    optimal_aggregate(analysis.leaves, levels, analysis.forall, combine, choice)
-                })
-                .flatten()
-        }
-        BoundOp::Extremum { choice } => {
-            let analysis = analysis.expect("the Extremum operator requires the analysis");
-            // Theorem 7.10 (GLB of MIN) and its mirror (LUB of MAX).
-            let maximise = choice == Choice::Maximise;
-            analysis
-                .certain
-                .then(|| global_extremum(analysis.leaves, analysis.rows, maximise))
-                .flatten()
-        }
-        BoundOp::ExactEnumeration => {
-            let bounds = exact.expect("the pre-pass collected the group's closure");
-            match bound {
-                BoundKind::Glb => bounds.glb,
-                BoundKind::Lub => bounds.lub,
-            }
-        }
-    };
-    BoundAnswer {
-        value,
-        method: op.into(),
-    }
+    Ok((out, done))
 }
 
 /// One key position of a [`SupportAtom`]'s block-key pattern.
@@ -943,6 +663,9 @@ impl RowSupport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RangeCqa;
+    use rcqa_data::{fact, NumericDomain, Schema, Signature};
+    use rcqa_query::parse_agg_query;
 
     #[test]
     fn sharding_is_contiguous_and_balanced() {
@@ -979,12 +702,50 @@ mod tests {
 
     #[test]
     fn listed_groups_run_inline_below_the_floor() {
-        let four = EngineOptions { threads: 4 };
-        // Two keys and their few embeddings: no worker, whatever the option.
-        assert_eq!(workers_for(&four, 2), 1);
-        assert_eq!(workers_for(&four, INLINE_WORK_FLOOR - 1), 1);
-        assert_eq!(workers_for(&four, INLINE_WORK_FLOOR), 4);
-        let one = EngineOptions { threads: 1 };
-        assert_eq!(workers_for(&one, INLINE_WORK_FLOOR), 1);
+        // Twenty groups `x00 … x19`, group `i` joining `y{i % 5}`: the first
+        // five each bring one new level-1 sub-problem per bound, the rest
+        // none.
+        let schema = Schema::new()
+            .with_relation("R", Signature::new(2, 1, []).unwrap())
+            .with_relation("S", Signature::new(3, 2, [2]).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        for i in 0..20 {
+            db.insert(fact!("R", format!("x{i:02}"), format!("y{}", i % 5)))
+                .unwrap();
+        }
+        for y in 0..5 {
+            let y = format!("y{y}");
+            db.insert_all([fact!("S", y.clone(), "z", 1), fact!("S", y, "z", 2)])
+                .unwrap();
+        }
+        let engine = RangeCqa::new(
+            &parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap(),
+            db.schema(),
+        )
+        .unwrap();
+        let plan = engine.plan(NumericDomain::NonNegative, true, true);
+        let index = DbIndex::new(&db);
+        let cx = ExecContext {
+            prepared: engine.prepared(),
+            db: &db,
+            index: &index,
+            options: &EngineOptions { threads: 4 },
+            exact_predicates: &[],
+        };
+        let free = cx.prepared.normalised.body.free_vars();
+        let keys = group_ids(&cx, free, None);
+        assert_eq!(keys.len(), 20);
+        let run = |floor| eval_shard(&plan, &cx, free, &keys, 0..20, None, floor).unwrap();
+        let (all, done) = run(usize::MAX);
+        assert_eq!(done, 20);
+        // The work of a group is counted once it is done: group `x00` is one
+        // unit plus `y0` under both bounds.
+        for (floor, inline) in [(0, 0), (1, 1), (3, 1), (4, 2), (6, 2), (7, 3)] {
+            assert_eq!(run(floor).1, inline, "floor {floor}");
+        }
+        // Wherever the cut falls, the pooled rest completes the same rows.
+        for floor in [0, 1, 7, 16, usize::MAX] {
+            assert_eq!(eval_groups(&plan, &cx, free, &keys, floor).unwrap(), all);
+        }
     }
 }

@@ -9,22 +9,27 @@
 //! operators, one per requested bound), [`mod@crate::classify`],
 //! [`crate::rewrite::rewriting_for`], [`Method`] and the MaxSAT baseline
 //! **read** it. What the executor ([`exec`]) does follows from the two
-//! operators: whether the per-group embedding analysis runs, whether it
-//! includes the ∀embedding filter, whether embeddings are materialised at all.
+//! operators: whether the per-group analysis runs at all, and whether it
+//! includes the ∀embedding condition.
 //!
 //! Every evaluation path — `glb`, `lub`, `range`, and the exact fallback —
 //! runs through that one executor with one set of invariants (single index
-//! build, shared group partitioning, deterministic merge order), always as
-//! the same pipeline, which [`Plan::explain`] renders:
+//! build, shared group discovery, deterministic merge order), always as the
+//! same logical pipeline, which [`Plan::explain`] renders:
 //!
 //! ```text
 //! RangeMerge                       deterministic merge of worker shards
 //! └─ AggregateBound                per group × bound: rewriting / extremum / exact
-//!    └─ ForallCheck                per group: certainty + ∀embedding filter
-//!       └─ PartitionByGroup        shard embeddings by GROUP BY key
-//!          └─ Join                 one level-wise join pass over the body
+//!    └─ ForallCheck                per block: certainty gates the ∀embeddings
+//!       └─ PartitionByGroup        the GROUP BY keys with an embedding
+//!          └─ Join                 level-wise walk of the body, memoised per level
 //!             └─ Scan | Seek       the shared block index, or its restricted view
 //! ```
+//!
+//! The stages are logical: the rewriting's `ForallCheck` and
+//! `AggregateBound` run as one memoised recursion over the index, and no
+//! stage hands the next a list of embeddings ([`exec`] says what each
+//! computes).
 //!
 //! ```
 //! use rcqa_core::engine::RangeCqa;
@@ -179,23 +184,17 @@ impl Plan {
         self.glb.iter().chain(&self.lub).any(holds)
     }
 
-    /// Whether some bound consumes the per-group embedding analysis (the
-    /// certainty bit and the group's embeddings) — every operator but the
-    /// exact enumeration does.
+    /// Whether some bound is evaluated over the index by the memoised
+    /// recursion of [`crate::glb`] (certainty included) — every operator but
+    /// the exact enumeration is.
     pub fn needs_analysis(&self) -> bool {
         self.any(|op| *op != BoundOp::ExactEnumeration)
     }
 
-    /// Whether the analysis includes the ∀embedding filter, which only the
-    /// rewriting recursion reads.
+    /// Whether the analysis includes the ∀embedding condition, which only
+    /// the rewriting recursion reads.
     pub fn needs_forall(&self) -> bool {
         self.any(|op| matches!(op, BoundOp::Rewrite { .. }))
-    }
-
-    /// Whether the join materialises embeddings: only the analysis reads
-    /// them — an exact-only plan needs the candidate group keys alone.
-    pub fn keep_embeddings(&self) -> bool {
-        self.needs_analysis()
     }
 
     /// The `EXPLAIN` rendering of the pipeline this plan runs over
@@ -240,7 +239,7 @@ impl Plan {
                 } else {
                     "open"
                 },
-                if self.keep_embeddings() {
+                if self.needs_analysis() {
                     ""
                 } else {
                     ", keys only"
@@ -447,13 +446,12 @@ mod tests {
         assert!(matches!(p.lub, Some(BoundOp::Extremum { .. })));
         assert!(p.needs_analysis());
         assert!(p.needs_forall());
-        assert!(p.keep_embeddings());
 
-        // Exact-only plans skip analysis and embedding materialisation.
+        // Exact-only plans skip the analysis: their join finds keys only.
         let p = plan("(x, AVG(r)) <- R(x, y), S(y, z, r)", domain, true, false);
         assert_eq!(p.glb, Some(BoundOp::ExactEnumeration));
         assert_eq!(p.lub, None);
         assert!(!p.needs_analysis());
-        assert!(!p.keep_embeddings());
+        assert!(!p.needs_forall());
     }
 }

@@ -368,6 +368,7 @@ impl<'a, T> IntoIterator for &'a ChunkedSeq<T> {
 }
 
 /// Iterator over a run of a [`ChunkedSeq`].
+#[derive(Clone)]
 pub struct Iter<'a, T> {
     leaves: std::slice::Iter<'a, Leaf<T>>,
     current: std::slice::Iter<'a, T>,

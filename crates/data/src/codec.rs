@@ -193,6 +193,16 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
     }
 }
 
+/// The number of bytes [`encode_fact`] appends for `fact`, so a buffer can
+/// be sized before encoding.
+pub fn encoded_fact_len(fact: &Fact) -> usize {
+    let value = |v: &Value| match v {
+        Value::Text(s) => 1 + 4 + s.len(),
+        Value::Num(_) => 1 + 16 + 16,
+    };
+    4 + fact.relation().len() + 4 + fact.args().iter().map(value).sum::<usize>()
+}
+
 /// Appends one [`Fact`].
 pub fn encode_fact(fact: &Fact, out: &mut Vec<u8>) {
     encode_string(fact.relation(), out);
@@ -282,6 +292,7 @@ mod tests {
         let f = fact!("Stock", "Tesla X", "Boston", 35);
         let mut buf = Vec::new();
         encode_fact(&f, &mut buf);
+        assert_eq!(encoded_fact_len(&f), buf.len());
         let mut r = Reader::new(&buf);
         assert_eq!(decode_fact(&mut r).unwrap(), f);
         assert!(r.is_at_end());

@@ -305,7 +305,7 @@ impl DatabaseInstance {
     }
 
     /// All facts of the instance.
-    pub fn facts(&self) -> impl Iterator<Item = &Fact> {
+    pub fn facts(&self) -> impl Iterator<Item = &Fact> + Clone {
         self.relations.values().flat_map(|s| s.iter())
     }
 

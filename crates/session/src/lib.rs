@@ -1294,28 +1294,44 @@ impl Session {
     /// Splices one aggregate's re-derived rows into its old rows in a single
     /// pass: the old rows seated at one of `keys` are dropped, `fresh` (sorted,
     /// every key among `keys`) takes their places and its new keys' seats,
-    /// and the runs in between are copied across whole.
+    /// and the runs in between are copied across whole — straight into the
+    /// returned slice, whose length is counted first (a `Vec` turned into an
+    /// `Arc<[_]>` would be copied once more, and a patch's transient memory
+    /// is a copy of the statement's rows).
     fn splice(
         old: &[GroupRange],
         keys: &[Vec<Value>],
         seats: &[Result<usize, usize>],
         fresh: Vec<GroupRange>,
     ) -> Arc<[GroupRange]> {
-        let mut out = Vec::with_capacity(old.len() + fresh.len());
+        let replaced = seats.iter().filter(|seat| seat.is_ok()).count();
+        let len = old.len() - replaced + fresh.len();
+        let tail = seats
+            .last()
+            .map_or(0, |seat| seat.map_or_else(|i| i, |i| i + 1));
         let mut fresh = fresh.into_iter().peekable();
         let mut from = 0;
-        for (key, seat) in keys.iter().zip(seats) {
-            let (upto, next) = match *seat {
-                Ok(i) => (i, i + 1),
-                Err(i) => (i, i),
-            };
-            out.extend_from_slice(&old[from..upto]);
-            from = next;
-            out.extend(fresh.next_if(|row| row.key == *key));
-        }
-        out.extend_from_slice(&old[from..]);
-        debug_assert!(fresh.next().is_none(), "re-derived keys are affected keys");
-        out.into()
+        let mut rows = keys
+            .iter()
+            .zip(seats)
+            .flat_map(|(key, seat)| {
+                let (upto, next) = match *seat {
+                    Ok(i) => (i, i + 1),
+                    Err(i) => (i, i),
+                };
+                let kept = &old[from..upto];
+                from = next;
+                kept.iter()
+                    .cloned()
+                    .chain(fresh.next_if(|row| row.key == *key))
+            })
+            .chain(old[tail..].iter().cloned());
+        // A mapped range has a trusted length: one allocation, exactly sized.
+        let out = (0..len)
+            .map(|_| rows.next().expect("re-derived keys are affected keys"))
+            .collect();
+        debug_assert!(rows.next().is_none(), "the spliced length is counted");
+        out
     }
 
     fn outcome(stmt: &PreparedStatement, rows: CachedRows, epoch: u64) -> QueryOutcome {

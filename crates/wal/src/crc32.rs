@@ -32,11 +32,38 @@ static TABLE: [u32; 256] = make_table();
 
 /// The CRC-32 checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A CRC-32 over bytes fed piecewise: `update` with consecutive pieces,
+/// then `finish`, equals [`crc32`] of their concatenation.
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
     }
-    !crc
+}
+
+impl Crc32 {
+    /// The checksum of nothing yet.
+    pub fn new() -> Crc32 {
+        Crc32(!0)
+    }
+
+    /// Feeds the next bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 >> 8) ^ TABLE[((self.0 ^ b as u32) & 0xFF) as usize];
+        }
+    }
+
+    /// The checksum of everything fed.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
 }
 
 #[cfg(test)]
@@ -52,6 +79,17 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn piecewise_equals_whole() {
+        let bytes = b"The quick brown fox jumps over the lazy dog";
+        for cut in 0..bytes.len() {
+            let mut crc = Crc32::new();
+            crc.update(&bytes[..cut]);
+            crc.update(&bytes[cut..]);
+            assert_eq!(crc.finish(), crc32(bytes), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use record::Batch;
 pub use storage::{FailingStorage, FsStorage, MemStorage, WalStorage};
 
 use rcqa_data::{DeltaEvent, Fact};
-use record::{decode_checkpoint, encode_checkpoint, encode_record, parse_segment};
+use record::{checkpoint_len, decode_checkpoint, encode_record, parse_segment, write_checkpoint};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -477,9 +477,10 @@ impl Wal {
     /// state), then starts a fresh segment and evicts storage the retained
     /// checkpoints no longer need:
     ///
-    /// 1. the checkpoint file is published atomically (temp + fsync +
-    ///    rename), so a crash at any point leaves the previous checkpoint
-    ///    intact;
+    /// 1. the checkpoint file is streamed one fact at a time (`facts` is
+    ///    walked more than once, never encoded whole in memory) and
+    ///    published atomically (temp + fsync + rename), so a crash at any
+    ///    point leaves the previous checkpoint intact;
     /// 2. checkpoints beyond the newest two are removed;
     /// 3. segments whose every record is covered by the **oldest retained**
     ///    checkpoint are removed — only after step 1 made that coverage
@@ -490,7 +491,7 @@ impl Wal {
     pub fn checkpoint<'a>(
         &mut self,
         epoch: u64,
-        facts: impl Iterator<Item = &'a Fact>,
+        facts: impl Iterator<Item = &'a Fact> + Clone,
     ) -> Result<(), WalError> {
         if epoch != self.last_epoch {
             return Err(WalError::Io(Arc::new(io::Error::new(
@@ -501,8 +502,11 @@ impl Wal {
                 ),
             ))));
         }
-        let bytes = encode_checkpoint(epoch, facts);
-        self.storage.write_atomic(&checkpoint_name(epoch), &bytes)?;
+        let len = checkpoint_len(facts.clone());
+        self.storage
+            .write_atomic(&checkpoint_name(epoch), len, &mut |out| {
+                write_checkpoint(epoch, facts.clone(), out)
+            })?;
         self.checkpoints.push(epoch);
         // The checkpoint durably covers every epoch <= its own.
         self.durable_epoch = self.durable_epoch.max(epoch);

@@ -38,16 +38,19 @@
 //! payload    := [epoch: u64] [count: u64] fact*
 //! ```
 //!
-//! `crc` guards `payload`. Checkpoints are written through
+//! `crc` guards `payload`. Checkpoints are streamed
+//! ([`write_checkpoint`]) through
 //! [`WalStorage::write_atomic`](crate::storage::WalStorage::write_atomic),
 //! so a reader sees a complete checkpoint or none; a checksum failure here
 //! means bit rot, and recovery falls back to the previous retained
 //! checkpoint.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
+use crate::storage::SeekWrite;
 use crate::WalError;
 use rcqa_data::codec::{self, Reader};
 use rcqa_data::{DeltaEvent, Fact};
+use std::io::{self, SeekFrom};
 
 /// Sanity cap on a single record's payload (256 MiB). A length prefix above
 /// this is treated like any other bad length: torn if it runs to end-of-file,
@@ -207,22 +210,42 @@ pub fn parse_segment(
     }
 }
 
-/// Encodes a checkpoint file: the complete fact set at `epoch`.
-pub fn encode_checkpoint<'a>(epoch: u64, facts: impl Iterator<Item = &'a Fact>) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&epoch.to_le_bytes());
-    payload.extend_from_slice(&0u64.to_le_bytes()); // count patched below
-    let mut count = 0u64;
+/// The length in bytes of the checkpoint file of `facts`.
+pub fn checkpoint_len<'a>(facts: impl Iterator<Item = &'a Fact>) -> u64 {
+    let facts: usize = facts.map(codec::encoded_fact_len).sum();
+    24 + facts as u64
+}
+
+/// Streams the checkpoint file of the complete fact set at `epoch` into
+/// `out` in one pass, with one fact's encoding in memory at a time: the
+/// checksum is written as a placeholder, taken over the payload as it goes
+/// out, and patched into the header last. A checkpoint never holds an
+/// encoded copy of the instance.
+pub fn write_checkpoint<'a>(
+    epoch: u64,
+    facts: impl Iterator<Item = &'a Fact> + Clone,
+    out: &mut dyn SeekWrite,
+) -> io::Result<()> {
+    let count = facts.clone().count() as u64;
+    out.write_all(&CHECKPOINT_MAGIC.to_le_bytes())?;
+    out.write_all(&0u32.to_le_bytes())?;
+    let mut crc = Crc32::new();
+    let mut payload = |bytes: &[u8]| {
+        crc.update(bytes);
+        out.write_all(bytes)
+    };
+    payload(&epoch.to_le_bytes())?;
+    payload(&count.to_le_bytes())?;
+    let mut bytes = Vec::new();
     for fact in facts {
-        codec::encode_fact(fact, &mut payload);
-        count += 1;
+        bytes.clear();
+        codec::encode_fact(fact, &mut bytes);
+        payload(&bytes)?;
     }
-    payload[8..16].copy_from_slice(&count.to_le_bytes());
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    out.seek(SeekFrom::Start(4))?;
+    out.write_all(&crc.finish().to_le_bytes())?;
+    out.seek(SeekFrom::End(0))?;
+    Ok(())
 }
 
 /// Decodes and validates a checkpoint file, returning `(epoch, facts)`.
@@ -259,6 +282,14 @@ pub fn decode_checkpoint(file: &str, bytes: &[u8]) -> Result<(u64, Vec<Fact>), W
 mod tests {
     use super::*;
     use rcqa_data::fact;
+    use std::io::Cursor;
+
+    /// [`write_checkpoint`] into one exactly sized buffer.
+    fn encode_checkpoint<'a>(epoch: u64, facts: impl Iterator<Item = &'a Fact> + Clone) -> Vec<u8> {
+        let mut out = Cursor::new(Vec::with_capacity(checkpoint_len(facts.clone()) as usize));
+        write_checkpoint(epoch, facts, &mut out).expect("writing to memory cannot fail");
+        out.into_inner()
+    }
 
     fn batch(epoch: u64, n: usize) -> (u64, Vec<DeltaEvent>) {
         let events = (0..n)

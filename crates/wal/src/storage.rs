@@ -21,8 +21,11 @@
 //! * [`write_atomic`](WalStorage::write_atomic) publishes a complete file
 //!   **all-or-nothing**: after a crash at any point, readers see either the
 //!   old content (or absence) or the complete new content, never a prefix.
-//!   The filesystem implementation writes a temporary file, fsyncs it, and
-//!   renames it over the target.
+//!   The caller announces the file's length and streams its bytes into a
+//!   seekable writer (it may go back to patch a header), so a file as large
+//!   as a checkpoint is never held in memory whole. The filesystem
+//!   implementation writes a temporary file, fsyncs it, and renames it over
+//!   the target.
 //! * [`truncate`](WalStorage::truncate) shortens a file to a byte length;
 //!   [`remove`](WalStorage::remove) deletes it; [`read`](WalStorage::read)
 //!   returns the full content; [`list`](WalStorage::list) enumerates file
@@ -33,7 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -49,14 +52,23 @@ pub trait WalStorage: Send + std::fmt::Debug {
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
     /// Makes previously appended bytes of the named file durable.
     fn sync(&mut self, name: &str) -> io::Result<()>;
-    /// Publishes a complete file atomically and durably (all-or-nothing even
-    /// across a crash).
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
+    /// Publishes a complete file of `len` bytes atomically and durably
+    /// (all-or-nothing even across a crash); `write` streams exactly those
+    /// bytes into the writer it is handed, which starts empty at offset 0.
+    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()>;
     /// Shortens a file to `len` bytes.
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
     /// Deletes a file. Deleting an absent file is an error.
     fn remove(&mut self, name: &str) -> io::Result<()>;
 }
+
+/// The producer of a file's bytes for [`WalStorage::write_atomic`].
+pub type StreamBytes<'a> = &'a mut dyn FnMut(&mut dyn SeekWrite) -> io::Result<()>;
+
+/// A writer that can also seek: what [`StreamBytes`] writes into.
+pub trait SeekWrite: Write + Seek {}
+
+impl<W: Write + Seek> SeekWrite for W {}
 
 /// Directory-backed storage: each WAL file is a real file under `dir`.
 ///
@@ -142,13 +154,13 @@ impl WalStorage for FsStorage {
         }
     }
 
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn write_atomic(&mut self, name: &str, _len: u64, write: StreamBytes<'_>) -> io::Result<()> {
         let tmp = self.path(&format!("{name}.tmp"));
         let target = self.path(name);
         {
-            let mut file = File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_data()?;
+            let mut file = io::BufWriter::new(File::create(&tmp)?);
+            write(&mut file)?;
+            file.into_inner()?.sync_data()?;
         }
         std::fs::rename(&tmp, &target)?;
         self.handles.remove(name);
@@ -241,8 +253,12 @@ impl WalStorage for MemStorage {
         Ok(())
     }
 
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.with_files(|files| files.insert(name.to_string(), bytes.to_vec()));
+    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()> {
+        let mut bytes = io::Cursor::new(Vec::with_capacity(len as usize));
+        write(&mut bytes)?;
+        let bytes = bytes.into_inner();
+        debug_assert_eq!(bytes.len() as u64, len, "the announced length");
+        self.with_files(|files| files.insert(name.to_string(), bytes));
         Ok(())
     }
 
@@ -361,15 +377,15 @@ impl WalStorage for FailingStorage {
         self.inner.sync(name)
     }
 
-    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()> {
         self.take_op("write_atomic op budget exhausted")?;
-        if (bytes.len() as u64) > self.byte_budget {
+        if len > self.byte_budget {
             // Atomic: the target is untouched on failure.
             self.byte_budget = 0;
             return Err(Self::fault("byte budget exhausted before write_atomic"));
         }
-        self.byte_budget -= bytes.len() as u64;
-        self.inner.write_atomic(name, bytes)
+        self.byte_budget -= len;
+        self.inner.write_atomic(name, len, write)
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
@@ -415,8 +431,12 @@ mod tests {
     fn failing_storage_keeps_write_atomic_all_or_nothing() {
         let mem = MemStorage::new();
         let mut failing = FailingStorage::new(mem.handle()).with_byte_budget(3);
-        failing.write_atomic("ck", b"abc").unwrap();
-        assert!(failing.write_atomic("ck", b"xyzw").is_err());
+        failing
+            .write_atomic("ck", 3, &mut |out| out.write_all(b"abc"))
+            .unwrap();
+        assert!(failing
+            .write_atomic("ck", 4, &mut |out| out.write_all(b"xyzw"))
+            .is_err());
         assert_eq!(mem.file("ck").unwrap(), b"abc", "old content intact");
     }
 
