@@ -686,6 +686,24 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        let payload = std::panic::catch_unwind(|| {
+            run_shards(vec![0, 1], |i| {
+                if i == 1 {
+                    panic!("shard {i} failed")
+                } else {
+                    i
+                }
+            })
+        })
+        .unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("shard 1 failed")
+        );
+    }
+
+    #[test]
     fn keys_are_joined_one_by_one_while_their_spans_undercut_the_pass() {
         // One block per key: every key set but the whole relation.
         assert!(per_key_wins([1; 2], 20));

@@ -3,17 +3,22 @@
 //! for every aggregate and bound it claims to support.
 
 use proptest::prelude::*;
-use rcqa::core::engine::RangeCqa;
+use rcqa::core::engine::{candidate_groups, RangeCqa};
 use rcqa::core::exact::exact_bounds;
+use rcqa::core::forall::{analyse_with_index, embeddings, Valuation};
+use rcqa::core::index::DbIndex;
 use rcqa::core::prepared::PreparedAggQuery;
 use rcqa::data::{DatabaseInstance, Fact, Schema, Signature, Value};
 use rcqa::query::parse_agg_query;
+use std::collections::BTreeSet;
 
-/// The Fig. 3 schema: R(x, y) with key x, S(y, z, r) with key (y, z).
+/// The Fig. 3 schema: R(x, y) with key x, S(y, z, r) with key (y, z); and
+/// T(z, w) with key z, which only [`chain_instance`] fills.
 fn schema() -> Schema {
     Schema::new()
         .with_relation("R", Signature::new(2, 1, []).unwrap())
         .with_relation("S", Signature::new(3, 2, [2]).unwrap())
+        .with_relation("T", Signature::new(2, 1, []).unwrap())
 }
 
 /// Strategy generating small random inconsistent instances over the schema.
@@ -40,6 +45,25 @@ fn small_instance() -> impl Strategy<Value = DatabaseInstance> {
         }
         db
     })
+}
+
+/// [`small_instance`] plus a few `T` facts, both of whose values are drawn
+/// from `S.z`'s domain: a chain `S ⋈ T` joins, and `T(z, z)` can match.
+fn chain_instance() -> impl Strategy<Value = DatabaseInstance> {
+    let t_facts = proptest::collection::vec((0u8..3, 0u8..3), 0..5);
+    (small_instance(), t_facts).prop_map(|(mut db, ts)| {
+        for (z, w) in ts {
+            let _ = db.insert(Fact::new(
+                "T",
+                [Value::text(format!("z{z}")), Value::text(format!("z{w}"))],
+            ));
+        }
+        db
+    })
+}
+
+fn prepared(text: &str) -> PreparedAggQuery {
+    PreparedAggQuery::new(&parse_agg_query(text).unwrap(), &schema()).unwrap()
 }
 
 proptest! {
@@ -109,5 +133,56 @@ proptest! {
         let glb = engine.glb(&repaired).unwrap()[0].1.value;
         let lub = engine.lub(&repaired).unwrap()[0].1.value;
         prop_assert_eq!(glb, lub);
+    }
+
+    /// Certainty and existence against repair enumeration, not through a
+    /// bound: a closed body is certain exactly when every repair has an
+    /// embedding, its ∀embeddings are embeddings and there are none unless
+    /// it is certain; and the groups of an open body are the distinct
+    /// projections of its embeddings.
+    #[test]
+    fn certainty_and_existence_agree_with_repair_enumeration(db in chain_instance()) {
+        prop_assume!(db.repair_count().unwrap_or(u128::MAX) <= 1024);
+        let index = DbIndex::new(&db);
+        let repairs: Vec<DbIndex> = db.repairs().map(|repair| DbIndex::new(&repair)).collect();
+        for text in [
+            // A join, a three-atom chain, a constant, a repeated variable.
+            "COUNT(*) <- R(x, y), S(y, z, r)",
+            "COUNT(*) <- R(x, y), S(y, z, r), T(z, w)",
+            "COUNT(*) <- R(x, 'y1'), S('y1', z, r)",
+            "COUNT(*) <- S(y, z, r), T(z, z)",
+        ] {
+            let q = prepared(text);
+            let analysis = analyse_with_index(&q.body, &index);
+            let every_repair = repairs.iter().all(|repair| {
+                !embeddings(q.open_levels(), repair, &Valuation::new()).is_empty()
+            });
+            prop_assert_eq!(analysis.certain, every_repair, "{} on {:?}", text, db);
+            prop_assert!(
+                analysis.forall_embeddings.iter().all(|theta| analysis.embeddings.contains(theta)),
+                "a ∀embedding of {} is no embedding on {:?}", text, db
+            );
+            prop_assert!(
+                analysis.certain || analysis.forall_embeddings.is_empty(),
+                "{} is not certain but has ∀embeddings on {:?}", text, db
+            );
+        }
+        for text in [
+            "(x, COUNT(*)) <- R(x, y), S(y, z, r), T(z, w)",
+            "(z, COUNT(*)) <- R(x, y), S(y, z, r), T(z, w)",
+        ] {
+            let q = prepared(text);
+            let free = q.normalised.body.free_vars();
+            let projections: BTreeSet<Vec<Value>> =
+                embeddings(q.open_levels(), &index, &Valuation::new())
+                    .iter()
+                    .map(|theta| free.iter().map(|v| theta[v].clone()).collect())
+                    .collect();
+            prop_assert_eq!(
+                candidate_groups(&q, &db),
+                projections.into_iter().collect::<Vec<_>>(),
+                "{} on {:?}", text, db
+            );
+        }
     }
 }
