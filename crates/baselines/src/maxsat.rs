@@ -14,7 +14,7 @@
 //! The optimal MaxSAT cost is then exactly the greatest lower bound. The
 //! encoding requires non-negative weights ([`PreparedAggQuery::addend_domain`]).
 
-use rcqa_core::forall::{embeddings, Valuation};
+use rcqa_core::forall::{embeddings, is_certain, Valuation};
 use rcqa_core::glb::term_value;
 use rcqa_core::index::DbIndex;
 use rcqa_core::prepared::PreparedAggQuery;
@@ -56,34 +56,26 @@ pub fn maxsat_glb(query: &PreparedAggQuery, db: &DatabaseInstance) -> Result<Max
     }
 
     // ⊥ check: is the query certain? (AggCAvSAT performs a separate CQA check;
-    // we reuse the operational certainty checker.)
+    // we reuse the operational one.)
     let index = DbIndex::new(db);
-    if !query.body.is_acyclic() {
-        // The certainty check below requires a topological sort; for cyclic
+    let certain = if query.body.is_acyclic() {
+        is_certain(&query.body, &index)
+    } else {
+        // The operational check requires a topological sort; for cyclic
         // bodies fall back to checking all repairs, which the caller should
         // avoid for large instances anyway.
-        let analysis_certain = db.repairs().all(|r| {
+        db.repairs().all(|r| {
             let idx = DbIndex::new(&r);
             !embeddings(query.open_levels(), &idx, &Valuation::new()).is_empty()
+        })
+    };
+    if !certain {
+        return Ok(MaxSatGlb {
+            glb: None,
+            variables: 0,
+            hard_clauses: 0,
+            soft_clauses: 0,
         });
-        if !analysis_certain {
-            return Ok(MaxSatGlb {
-                glb: None,
-                variables: 0,
-                hard_clauses: 0,
-                soft_clauses: 0,
-            });
-        }
-    } else {
-        let checker = rcqa_core::forall::CertaintyChecker::new(query.body.levels(), &index);
-        if !checker.certain_from(0, &Valuation::new()) {
-            return Ok(MaxSatGlb {
-                glb: None,
-                variables: 0,
-                hard_clauses: 0,
-                soft_clauses: 0,
-            });
-        }
     }
 
     let mut inst = MaxSatInstance::new();

@@ -44,10 +44,12 @@
 //!    memo, without listing its embeddings — no per-group re-preparation, no
 //!    attack-graph recomputation, no per-group index rebuild;
 //! 2. each bound of each group is the memoised recursion of [`crate::glb`]
-//!    over the closed body (`ForallCheck` + `AggregateBound`): its memo keys
-//!    include the frozen group variables, so a sub-aggregate — or a
-//!    certainty verdict — computed for one group is reused by every other
-//!    group evaluated on the same worker that reaches it;
+//!    over the closed body (`ForallCheck` + `AggregateBound`), and so is
+//!    certainty — the same recursion of a constant, which gates the plain
+//!    extremum: its memo keys include the frozen group variables, so a
+//!    sub-aggregate — or a certainty verdict — computed for one group is
+//!    reused by every other group evaluated on the same worker that reaches
+//!    it;
 //! 3. `range` looks each group's level-0 blocks up once for both bounds
 //!    instead of running the pipeline twice.
 //!
@@ -58,8 +60,9 @@
 //!
 //! The executor ([`crate::plan::exec`]) shards group discovery by level-0
 //! block and then fans the sorted groups out over a `std::thread::scope`
-//! worker pool. Each worker owns its memos — a certainty checker and one
-//! evaluator per bound — over the shared read-only index; `RangeMerge`
+//! worker pool. Each worker owns its memos — one evaluator per bound, an
+//! extremum with its certainty instance — over the shared read-only index;
+//! `RangeMerge`
 //! concatenates the contiguous shards in order, so answers are
 //! byte-identical at every thread count. Worker count:
 //! [`EngineOptions::threads`] if non-zero, else the `RCQA_THREADS`

@@ -18,19 +18,25 @@
 //! terms against a concrete index's interner, and matching a fact is a few
 //! `u32` column reads and slot writes with trail-based backtracking. The join
 //! core hands each embedding to a caller-supplied sink as a borrowed slot
-//! vector. Every memo here — the certainty memo, the bound recursion's of
-//! [`crate::glb`], group discovery's (`LevelMemo`) — is one id-tuple set
-//! per level keyed by the level's **relevant slots**, the variables of
-//! `F_ℓ, ..., F_n` (`CompiledLevels::relevant_slots`), and probed through a
-//! borrowed projection: what the levels from `ℓ` on compute depends on
-//! nothing else of a partial embedding, so every partial embedding — of any
-//! group — with the same projection shares one entry. No `Value` is cloned,
-//! hashed, or compared, and nothing is allocated per embedding or per memo
-//! probe.
+//! vector.
+//!
+//! Certainty is one instance of the memoised bound recursion of
+//! [`crate::glb`] over a [`Join`]: the rewriting of a constant
+//! ([`BoundEvaluator::certainty`]), whose value exists exactly when
+//! `F_ℓ ∧ ... ∧ F_n` is certain. Group discovery's existence probe is the
+//! extremum of a constant, the same recursion with no block dropped. Every
+//! memo (`LevelMemo`) is one id-tuple set per level keyed by the level's
+//! **relevant slots**, the variables of `F_ℓ, ..., F_n`
+//! (`CompiledLevels::relevant_slots`), and probed through a borrowed
+//! projection: what the levels from `ℓ` on compute depends on nothing else of
+//! a partial embedding, so every partial embedding — of any group — with the
+//! same projection shares one entry. No `Value` is cloned, hashed, or
+//! compared, and nothing is allocated per embedding or per memo probe.
 //!
 //! The ∀embedding condition at level `ℓ` depends on the prefix and the
 //! level's key alone, so it is decided per **block** of `F_ℓ`'s relation,
-//! never per embedding.
+//! never per embedding: the certainty instance's value at `ℓ` with the
+//! block's key bound.
 //!
 //! Values materialise only at the boundary: [`embeddings`], [`analyse`] and
 //! [`analyse_group`] hand out [`Valuation`]s — the variable-to-value map the
@@ -78,13 +84,13 @@
 //! serving layer scans its cached rows with [`crate::RowSupport::hits`], for
 //! the dirty blocks of such relations only).
 
+use crate::glb::BoundEvaluator;
 use crate::ids::{IdRows, IdTupleSet};
 use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock, RelationIndex};
 use crate::prepared::{Level, PreparedBody};
 use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
 pub use rcqa_logic::Valuation;
 use rcqa_query::{Atom, Term, Var};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -301,8 +307,8 @@ fn resolve_level(level: &CompiledLevel, interner: &ValueInterner) -> Vec<RTerm> 
 }
 
 /// Resolves every level of a compiled body against an interner. Done once
-/// per (body, index) pair — by [`CertaintyChecker::with_compiled`] and the
-/// enumeration entry points — so the join core never touches a [`Value`].
+/// per (body, index) pair, by [`Join::new`], so the join core never touches
+/// a [`Value`].
 fn resolve_terms(compiled: &CompiledLevels, interner: &ValueInterner) -> Vec<Vec<RTerm>> {
     compiled
         .levels
@@ -452,8 +458,8 @@ pub fn match_fact(atom: &Atom, fact: &Fact, valuation: &Valuation) -> Option<Val
 }
 
 /// Answers to the sub-problems of a compiled body, per level, keyed by the
-/// projection of the slot vector onto that level's key slots (for the
-/// certainty memo, the level's relevant slots).
+/// projection of the slot vector onto that level's key slots (for the bound
+/// recursion, the level's relevant slots).
 ///
 /// Keys are raw ids probed through the borrowed scratch projection `key`, so
 /// a probe costs a small integer hash and allocates nothing. Two distinct
@@ -542,155 +548,6 @@ impl Patterns {
     }
 }
 
-/// Certainty checker for the suffixes `F_ℓ ∧ ... ∧ F_n` of a topologically
-/// sorted acyclic query, with memoisation on the relevant part of the binding.
-///
-/// The memo key is slot-projected, and free (frozen) variables of the query
-/// occur in the atoms and hence in the relevant slots — so a single checker
-/// can be shared across **all groups** of a grouped query: certainty work
-/// done for one group key is reused for every other group that leads to the
-/// same sub-problem.
-pub struct CertaintyChecker<'a> {
-    /// The body resolved against the index's id space, once.
-    join: Join<'a>,
-    /// Per level, keyed by the relevant slots: only the variables of
-    /// `F_ℓ, ..., F_n` influence the answer.
-    memo: RefCell<LevelMemo<bool>>,
-    patterns: RefCell<Patterns>,
-}
-
-impl<'a> CertaintyChecker<'a> {
-    /// Creates a checker for the given levels (topological order) and index.
-    pub fn new(levels: &[Level], index: &'a DbIndex) -> CertaintyChecker<'a> {
-        CertaintyChecker::with_compiled(CompiledLevels::new(levels), index)
-    }
-
-    /// Creates a checker over an already-compiled body, sharing its variable
-    /// table (and therefore its slot layout) with the id slot vectors of the
-    /// same [`CompiledLevels`].
-    pub fn with_compiled(compiled: CompiledLevels, index: &'a DbIndex) -> CertaintyChecker<'a> {
-        let memo = LevelMemo::new(compiled.relevant_slots());
-        CertaintyChecker {
-            join: Join::new(compiled, index),
-            memo: RefCell::new(memo),
-            patterns: RefCell::default(),
-        }
-    }
-
-    /// The compiled body this checker runs over.
-    pub fn compiled(&self) -> &CompiledLevels {
-        &self.join.compiled
-    }
-
-    /// The body resolved against the checker's index: the level walk the
-    /// bound recursion of [`crate::glb`] shares with the checker.
-    pub(crate) fn join(&self) -> &Join<'a> {
-        &self.join
-    }
-
-    /// The id slot vector of a boundary valuation, over this checker's table
-    /// and index.
-    pub(crate) fn slots_of(&self, valuation: &Valuation) -> Vec<u32> {
-        valuation_to_ids(
-            &self.compiled().table,
-            valuation,
-            self.join.index.interner(),
-        )
-    }
-
-    /// Returns `true` if `F_{level+1} ∧ ... ∧ F_n` (0-based `level`) holds in
-    /// every repair of the indexed database, for the given partial valuation.
-    ///
-    /// `certain_from(0, ∅)` decides `CERTAINTY(q)` for the whole query.
-    pub fn certain_from(&self, level: usize, valuation: &Valuation) -> bool {
-        let mut slots = self.slots_of(valuation);
-        self.certain_from_slots(level, &mut slots, &mut Vec::new())
-    }
-
-    /// Id-based entry point for callers that already share this checker's
-    /// table and id space (no conversion, no allocation on a memo hit).
-    /// Slots bound on the way are recorded on `trail` and unbound again.
-    pub(crate) fn certain_from_slots(
-        &self,
-        level: usize,
-        slots: &mut [u32],
-        trail: &mut Vec<usize>,
-    ) -> bool {
-        if level >= self.join.len() {
-            return true;
-        }
-        let entry = match self.memo.borrow_mut().probe(level, slots, false) {
-            Ok(verdict) => return verdict,
-            Err(entry) => entry,
-        };
-        let join = &self.join;
-        let pattern = self.patterns.borrow_mut().take(join, level, slots);
-        let certain = join
-            .blocks(level, &pattern)
-            .any(|block| self.certain_block(level, block, slots, trail));
-        self.patterns.borrow_mut().give(level, pattern);
-        self.memo.borrow_mut().settle(level, entry, certain);
-        certain
-    }
-
-    /// Whether every fact of `block` matches `level`'s atom and is certain
-    /// from the next level on: with the block's key bound in `slots`, the
-    /// ∀embedding condition of its facts at `level` (`F_ℓ ∧ ... ∧ F_n`
-    /// certain with the key fixed, since under a fully bound key the one
-    /// block the pattern admits is this one), decided on the block in hand.
-    /// Not memoised at `level` itself.
-    pub(crate) fn certain_block(
-        &self,
-        level: usize,
-        block: &IndexedBlock,
-        slots: &mut [u32],
-        trail: &mut Vec<usize>,
-    ) -> bool {
-        (0..block.cols.rows()).all(|row| {
-            let mark = trail.len();
-            let ok = self.join.match_row(level, block, row, slots, trail)
-                && self.certain_from_slots(level + 1, slots, trail);
-            unwind(slots, trail, mark);
-            ok
-        })
-    }
-
-    /// Hands every **∀embedding** extending `slots` from `level` on to
-    /// `sink`, in enumeration order. The ∀embedding condition at a level is
-    /// a property of the prefix and the level's key, so it gates whole
-    /// blocks: a block is entered only when `F_ℓ ∧ ... ∧ F_n` is certain
-    /// with the levels before it and its key fixed.
-    fn for_each_forall(
-        &self,
-        level: usize,
-        slots: &mut [u32],
-        trail: &mut Vec<usize>,
-        sink: &mut impl FnMut(&[u32]),
-    ) {
-        let join = &self.join;
-        if level == join.len() {
-            return sink(slots);
-        }
-        let key_len = join.compiled.levels[level].key_len;
-        let pattern = key_pattern_ids(&join.resolved[level], key_len, slots);
-        for block in join.blocks(level, &pattern) {
-            let mark = trail.len();
-            if join.bind_key(level, block, slots, trail)
-                && self.certain_from_slots(level, slots, trail)
-            {
-                for row in 0..block.cols.rows() {
-                    let row_mark = trail.len();
-                    if join.match_row(level, block, row, slots, trail) {
-                        self.for_each_forall(level + 1, slots, trail, sink);
-                    }
-                    unwind(slots, trail, row_mark);
-                }
-            }
-            unwind(slots, trail, mark);
-        }
-    }
-}
-
 /// Enumerates all embeddings of the body (atoms in topological order) in the
 /// indexed database, starting from an initial valuation.
 pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Valuation) -> Vec<Valuation> {
@@ -724,8 +581,9 @@ pub(crate) struct KeyPin<'a> {
 
 /// A compiled body resolved against one index's id space, ready to enumerate
 /// embeddings any number of times: the terms are resolved once, here, and
-/// every enumeration below only reads them.
-pub(crate) struct Join<'a> {
+/// every enumeration below only reads them. The memoised recursions of
+/// [`crate::glb`] borrow one.
+pub struct Join<'a> {
     compiled: CompiledLevels,
     resolved: Vec<Vec<RTerm>>,
     /// Each level's relation, looked up once.
@@ -734,7 +592,8 @@ pub(crate) struct Join<'a> {
 }
 
 impl<'a> Join<'a> {
-    pub(crate) fn new(compiled: CompiledLevels, index: &'a DbIndex) -> Join<'a> {
+    /// Resolves `compiled` against `index`.
+    pub fn new(compiled: CompiledLevels, index: &'a DbIndex) -> Join<'a> {
         Join {
             resolved: resolve_terms(&compiled, index.interner()),
             relations: compiled
@@ -752,9 +611,20 @@ impl<'a> Join<'a> {
         self.compiled.levels.len()
     }
 
+    /// The compiled body.
+    pub(crate) fn compiled(&self) -> &CompiledLevels {
+        &self.compiled
+    }
+
     /// The index the body is resolved against.
     pub(crate) fn index(&self) -> &'a DbIndex {
         self.index
+    }
+
+    /// The id slot vector of a boundary valuation, over this body's table
+    /// and index.
+    pub(crate) fn slots_of(&self, valuation: &Valuation) -> Vec<u32> {
+        valuation_to_ids(&self.compiled.table, valuation, self.index.interner())
     }
 
     /// The blocks of `level`'s relation a key pattern admits, in key order.
@@ -1004,39 +874,78 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
         body.body().free_vars().is_empty(),
         "free variables must be substituted before analysis"
     );
-    let checker = CertaintyChecker::new(body.levels(), index);
-    analyse_group(&checker, index, &Valuation::new())
+    let join = Join::new(CompiledLevels::new(body.levels()), index);
+    analyse_group(&mut BoundEvaluator::certainty(&join), &Valuation::new())
+}
+
+/// `CERTAINTY(q)` for an acyclic closed body: whether every repair of the
+/// indexed instance has an embedding. The boundary through which the
+/// baselines ask it.
+pub fn is_certain(body: &PreparedBody, index: &DbIndex) -> bool {
+    let join = Join::new(CompiledLevels::new(body.levels()), index);
+    BoundEvaluator::certainty(&join)
+        .bound(&Valuation::new())
+        .is_some()
 }
 
 /// Computes the per-group analysis — certainty, embeddings, ∀embeddings —
 /// for the group fixed by `base` (free variables bound to the group key;
-/// empty for closed queries), sharing the checker's memo across groups.
+/// empty for closed queries) over the body `certainty` walks, sharing its
+/// memo across groups.
 ///
 /// This is the one boundary that materialises an analysis: the embeddings
 /// are enumerated on ids, the ∀embeddings by the same walk with each block
 /// gated by the ∀embedding condition, and both lists become [`Valuation`]s
 /// as they come out.
-pub fn analyse_group(
-    checker: &CertaintyChecker<'_>,
-    index: &DbIndex,
-    base: &Valuation,
-) -> ForallAnalysis {
-    let table = &checker.compiled().table;
-    let interner = index.interner();
-    let mut slots = valuation_to_ids(table, base, interner);
+pub fn analyse_group(certainty: &mut BoundEvaluator<'_, '_>, base: &Valuation) -> ForallAnalysis {
+    let join = certainty.join();
+    let table = &join.compiled.table;
+    let interner = join.index.interner();
+    let mut slots = join.slots_of(base);
     let materialise = |theta: &[u32]| ids_to_valuation(table, theta, interner);
     let mut embeddings = Vec::new();
-    checker
-        .join
-        .for_each(&slots, |theta| embeddings.push(materialise(theta)));
+    join.for_each(&slots, |theta| embeddings.push(materialise(theta)));
     let mut forall_embeddings = Vec::new();
-    checker.for_each_forall(0, &mut slots, &mut Vec::new(), &mut |theta| {
+    for_each_forall(certainty, 0, &mut slots, &mut Vec::new(), &mut |theta| {
         forall_embeddings.push(materialise(theta))
     });
     ForallAnalysis {
-        certain: checker.certain_from_slots(0, &mut slots, &mut Vec::new()),
+        certain: certainty.holds(0, &mut slots),
         embeddings,
         forall_embeddings,
+    }
+}
+
+/// Hands every **∀embedding** extending `slots` from `level` on to `sink`,
+/// in enumeration order. The ∀embedding condition at a level is a property
+/// of the prefix and the level's key, so it gates whole blocks: a block is
+/// entered only when `certainty` finds `F_ℓ ∧ ... ∧ F_n` certain with the
+/// levels before it and its key fixed.
+fn for_each_forall(
+    certainty: &mut BoundEvaluator<'_, '_>,
+    level: usize,
+    slots: &mut [u32],
+    trail: &mut Vec<usize>,
+    sink: &mut impl FnMut(&[u32]),
+) {
+    let join = certainty.join();
+    if level == join.len() {
+        return sink(slots);
+    }
+    let key_len = join.compiled.levels[level].key_len;
+    let pattern = key_pattern_ids(&join.resolved[level], key_len, slots);
+    for block in join.blocks(level, &pattern) {
+        let mark = trail.len();
+        if join.bind_key(level, block, slots, trail) && certainty.holds(level, slots) {
+            for row in 0..block.cols.rows() {
+                let row_mark = trail.len();
+                if join.match_row(level, block, row, slots, trail) {
+                    for_each_forall(certainty, level + 1, slots, trail, sink);
+                }
+                unwind(slots, trail, row_mark);
+            }
+        }
+        unwind(slots, trail, mark);
     }
 }
 
@@ -1044,11 +953,11 @@ pub fn analyse_group(
 /// `free` of the embeddings of an open body — the group keys — found without
 /// enumerating the embeddings.
 ///
-/// Two memos keyed as the certainty memo is. Once every free slot is bound
-/// the key is complete and only its existence is in question: `exists`
-/// memoises, per level, whether the levels from it on extend the relevant
-/// slots' projection at all. Before that, `explored` records per level the
-/// projections onto the relevant slots **and** the free slots already walked:
+/// Once every free slot is bound the key is complete and only its existence
+/// is in question, which the existence instance of the bound recursion
+/// ([`BoundEvaluator::existence`]) decides under its memo of the relevant
+/// slots. Before that, `explored` records per level the projections onto
+/// the relevant slots **and** the free slots already walked:
 /// the keys found below a partial embedding are a function of that
 /// projection, so a second arrival adds none. On `R(x|y) ⋈ S(y,z|r)` grouped
 /// by `x` that is one existence probe per `R` fact and one `S` lookup per
@@ -1056,7 +965,7 @@ pub fn analyse_group(
 pub(crate) struct GroupKeys<'j, 'a> {
     join: &'j Join<'a>,
     free: &'j [usize],
-    exists: LevelMemo<bool>,
+    existence: BoundEvaluator<'j, 'a>,
     explored: LevelMemo<()>,
     patterns: Patterns,
     trail: Vec<usize>,
@@ -1068,8 +977,9 @@ pub(crate) struct GroupKeys<'j, 'a> {
 impl<'j, 'a> GroupKeys<'j, 'a> {
     /// Discovery over `join`, whose free-variable slots are `free`.
     pub(crate) fn new(join: &'j Join<'a>, free: &'j [usize]) -> GroupKeys<'j, 'a> {
-        let relevant = join.compiled.relevant_slots();
-        let explored = relevant
+        let explored = join
+            .compiled
+            .relevant_slots()
             .iter()
             .map(|slots| {
                 let mut slots = slots.clone();
@@ -1082,7 +992,7 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
         GroupKeys {
             join,
             free,
-            exists: LevelMemo::new(relevant),
+            existence: BoundEvaluator::existence(join),
             explored: LevelMemo::new(explored),
             patterns: Patterns::default(),
             trail: Vec::new(),
@@ -1107,31 +1017,6 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
         }
     }
 
-    /// Whether the levels from `level` on extend `slots` to an embedding.
-    pub(crate) fn exists(&mut self, level: usize, slots: &mut [u32]) -> bool {
-        if level == self.join.len() {
-            return true;
-        }
-        let entry = match self.exists.probe(level, slots, false) {
-            Ok(exists) => return exists,
-            Err(entry) => entry,
-        };
-        let join = self.join;
-        let pattern = self.patterns.take(join, level, slots);
-        let found = join.blocks(level, &pattern).any(|block| {
-            (0..block.cols.rows()).any(|row| {
-                let mark = self.trail.len();
-                let found = join.match_row(level, block, row, slots, &mut self.trail)
-                    && self.exists(level + 1, slots);
-                unwind(slots, &mut self.trail, mark);
-                found
-            })
-        });
-        self.patterns.give(level, pattern);
-        self.exists.settle(level, entry, found);
-        found
-    }
-
     fn discover(&mut self, level: usize, slots: &mut [u32]) {
         if self.free.iter().all(|&s| slots[s] != UNBOUND_ID) {
             // Runs of one key are the common case (facts of one level-0
@@ -1141,7 +1026,7 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
                 && (self.free.iter())
                     .zip(found.row(found.len() - 1))
                     .all(|(&s, &id)| slots[s] == id);
-            if !repeat && self.exists(level, slots) {
+            if !repeat && self.existence.holds(level, slots) {
                 self.found.push(self.free.iter().map(|&s| slots[s]));
             }
             return;
@@ -1349,14 +1234,16 @@ mod tests {
     #[test]
     fn grouped_analysis_shares_one_checker() {
         // Group-by on the Fig. 1 instance: analysing Smith and James with one
-        // shared checker gives the same per-group results as substituting.
+        // shared certainty instance gives the same per-group results as
+        // substituting.
         let db = db_stock();
         let index = DbIndex::new(&db);
         let q = prepared("(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)", db.schema());
-        let checker = CertaintyChecker::new(q.body.levels(), &index);
+        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
+        let mut certainty = BoundEvaluator::certainty(&join);
         for (dealer, n_embs) in [("Smith", 5), ("James", 3)] {
             let base = Valuation::from([(Var::new("x"), Value::text(dealer))]);
-            let analysis = analyse_group(&checker, &index, &base);
+            let analysis = analyse_group(&mut certainty, &base);
             assert!(analysis.certain, "{dealer} group must be certain");
             assert_eq!(analysis.embeddings.len(), n_embs, "{dealer} embeddings");
         }

@@ -32,20 +32,30 @@
 //! certain: a kept block is a certain one, and a certain suffix has a block
 //! all of whose facts have certain suffixes. So a block is kept exactly when
 //! every one of its facts matches and has a `value(ℓ + 1)`, and the values
-//! decide the ∀embedding condition themselves — no certainty checker is
-//! consulted.
+//! decide the ∀embedding condition themselves.
 //!
 //! `value(ℓ)` reads nothing of the prefix but the variables of
-//! `F_ℓ, ..., F_n` (the relevant slots, the certainty memo's key) and the
-//! aggregated variable, so it is memoised per level under that projection:
-//! on `R(x|y) ⋈ S(y,z|r)` grouped by `x`, the level-1 sub-aggregate is
-//! computed once per `y`, however many groups join it. The free variables are
-//! slots like any other, which is what lets one memo serve every group.
+//! `F_ℓ, ..., F_n` (the relevant slots) and the aggregated variable, so it
+//! is memoised per level under that projection: on `R(x|y) ⋈ S(y,z|r)`
+//! grouped by `x`, the level-1 sub-aggregate is computed once per `y`,
+//! however many groups join it. The free variables are slots like any
+//! other, which is what lets one memo serve every group.
 //!
 //! The plain extremum of Theorem 7.10 (and its mirror in Theorem 7.11) is
 //! the same recursion over **all** embeddings — no block is dropped — with
-//! `F⊕` the extremum itself; whether the group is certain at all, it asks the
-//! [`CertaintyChecker`] of the level-0 blocks.
+//! `F⊕` the extremum itself. It is the answer only for a certain group,
+//! which the extremum asks of a certainty instance of its own.
+//!
+//! ## Certainty and existence: the recursion of a constant
+//!
+//! With a constant leaf the rewriting's `value(ℓ)` says only whether it
+//! exists, which by the induction above is whether `F_ℓ ∧ ... ∧ F_n` is
+//! certain: that is [`BoundEvaluator::certainty`] (GLB-CQA is `⊥` exactly
+//! when the body is not certain). The extremum of a constant has a value
+//! exactly when some extension to an embedding exists: group discovery's
+//! existence probe. Under `MIN`/`MAX` every value of such an evaluator is
+//! the constant, so the first value a level finds decides it and the walk
+//! stops there, as a plain `any` over the blocks would.
 //!
 //! Results do not depend on the order of the walk: the values combined go
 //! through `MIN`/`MAX` and an exact, commutative `F⊕` ([`AggFunc::apply`]
@@ -53,9 +63,9 @@
 //! ids in arrival order, answers exactly as a cold one. The only
 //! [`rcqa_data::Value`] read is the one [`Rational`] per leaf.
 
-use crate::forall::{unwind, CertaintyChecker, LevelMemo, Patterns, Valuation};
+use crate::forall::{unwind, Join, LevelMemo, Patterns, Valuation};
 use crate::index::IndexedBlock;
-use rcqa_data::{AggFunc, Rational, Value, ValueInterner};
+use rcqa_data::{AggFunc, Rational, Value};
 use rcqa_query::AggTerm;
 
 /// How alternatives within one block (same key, different non-key values) are
@@ -99,22 +109,27 @@ enum LeafTerm {
     Slot(usize),
 }
 
-/// One bound of a query, evaluated per group by the memoised recursion of
-/// the module docs over a [`CertaintyChecker`]'s body and index: the
-/// Theorem 6.1 / 7.11 rewriting ([`BoundEvaluator::rewriting`]) or the
-/// Theorem 7.10 extremum ([`BoundEvaluator::extremum`]).
+/// The memoised recursion of the module docs over a [`Join`]: one bound of
+/// a query per group — the Theorem 6.1 / 7.11 rewriting
+/// ([`BoundEvaluator::rewriting`]) or the Theorem 7.10 extremum
+/// ([`BoundEvaluator::extremum`]) — or, with a constant leaf, certainty
+/// ([`BoundEvaluator::certainty`]) and existence.
 ///
 /// One evaluator answers any number of groups and keeps its memo across
 /// them; the plan executor builds one per bound per worker.
-pub struct BoundEvaluator<'c, 'a> {
-    checker: &'c CertaintyChecker<'a>,
-    interner: &'a ValueInterner,
+pub struct BoundEvaluator<'j, 'a> {
+    join: &'j Join<'a>,
     leaf: LeafTerm,
     combine: AggFunc,
     choice: Choice,
     /// Whether a block must pass the ∀embedding condition (the rewriting)
     /// or every embedding counts (the extremum).
     forall: bool,
+    /// Whether the first value found decides a level: every leaf is one
+    /// constant and `combine` is `MIN` or `MAX`, so every value is it.
+    first_decides: bool,
+    /// The certainty instance an extremum's value is an answer only under.
+    certainty: Option<Box<BoundEvaluator<'j, 'a>>>,
     memo: LevelMemo<Option<Rational>>,
     /// Sub-problems evaluated (memo misses), per level.
     evaluated: Vec<usize>,
@@ -125,19 +140,19 @@ pub struct BoundEvaluator<'c, 'a> {
     trail: Vec<usize>,
 }
 
-impl<'c, 'a> BoundEvaluator<'c, 'a> {
+impl<'j, 'a> BoundEvaluator<'j, 'a> {
     /// The Theorem 6.1 / 7.11 rewriting: `combine` aggregates independent
     /// branches, `choice` resolves the alternatives within a block.
     ///
     /// # Panics
     /// Panics if the aggregated variable does not occur in the body.
     pub fn rewriting(
-        checker: &'c CertaintyChecker<'a>,
+        join: &'j Join<'a>,
         term: &AggTerm,
         combine: AggFunc,
         choice: Choice,
-    ) -> BoundEvaluator<'c, 'a> {
-        BoundEvaluator::new(checker, term, combine, choice, true)
+    ) -> BoundEvaluator<'j, 'a> {
+        BoundEvaluator::new(join, term, combine, choice, true)
     }
 
     /// The Theorem 7.10 extremum over all embeddings — `MIN(r)`'s GLB for
@@ -146,34 +161,47 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
     ///
     /// # Panics
     /// Panics if the aggregated variable does not occur in the body.
-    pub fn extremum(
-        checker: &'c CertaintyChecker<'a>,
-        term: &AggTerm,
-        choice: Choice,
-    ) -> BoundEvaluator<'c, 'a> {
+    pub fn extremum(join: &'j Join<'a>, term: &AggTerm, choice: Choice) -> BoundEvaluator<'j, 'a> {
         let combine = match choice {
             Choice::Minimise => AggFunc::Min,
             Choice::Maximise => AggFunc::Max,
         };
-        BoundEvaluator::new(checker, term, combine, choice, false)
+        let mut extremum = BoundEvaluator::new(join, term, combine, choice, false);
+        extremum.certainty = Some(Box::new(BoundEvaluator::certainty(join)));
+        extremum
+    }
+
+    /// `CERTAINTY` of the body's suffixes: the rewriting of a constant under
+    /// `MAX`, whose value exists exactly when `F_ℓ ∧ ... ∧ F_n` is certain.
+    /// [`BoundEvaluator::bound`] is `Some` exactly for a certain group.
+    pub fn certainty(join: &'j Join<'a>) -> BoundEvaluator<'j, 'a> {
+        let one = AggTerm::Const(Rational::ONE);
+        BoundEvaluator::new(join, &one, AggFunc::Max, Choice::Maximise, true)
+    }
+
+    /// Existence of an embedding: the extremum of a constant, ungated, whose
+    /// value exists exactly when the levels from `ℓ` on extend the slots.
+    pub(crate) fn existence(join: &'j Join<'a>) -> BoundEvaluator<'j, 'a> {
+        let one = AggTerm::Const(Rational::ONE);
+        BoundEvaluator::new(join, &one, AggFunc::Max, Choice::Maximise, false)
     }
 
     fn new(
-        checker: &'c CertaintyChecker<'a>,
+        join: &'j Join<'a>,
         term: &AggTerm,
         combine: AggFunc,
         choice: Choice,
         forall: bool,
-    ) -> BoundEvaluator<'c, 'a> {
+    ) -> BoundEvaluator<'j, 'a> {
         let leaf = match term {
             AggTerm::Const(c) => LeafTerm::Const(*c),
             AggTerm::Var(v) => {
-                LeafTerm::Slot(checker.compiled().table().slot(v).unwrap_or_else(|| {
+                LeafTerm::Slot(join.compiled().table().slot(v).unwrap_or_else(|| {
                     panic!("aggregated variable {v} does not occur in the body")
                 }))
             }
         };
-        let keys = checker
+        let keys = join
             .compiled()
             .relevant_slots()
             .into_iter()
@@ -187,12 +215,14 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
             })
             .collect::<Vec<_>>();
         BoundEvaluator {
-            checker,
-            interner: checker.join().index().interner(),
+            join,
             leaf,
             combine,
             choice,
             forall,
+            first_decides: matches!(leaf, LeafTerm::Const(_))
+                && matches!(combine, AggFunc::Min | AggFunc::Max),
+            certainty: None,
             evaluated: vec![0; keys.len()],
             memo: LevelMemo::new(keys),
             branches: Vec::new(),
@@ -201,13 +231,18 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
         }
     }
 
+    /// The body the evaluator walks.
+    pub(crate) fn join(&self) -> &'j Join<'a> {
+        self.join
+    }
+
     /// The bound of the group fixed by `base` (free variables bound to the
     /// group key; empty for a closed query). `None` is the answer `⊥`: the
     /// group's body is not certain.
     pub fn bound(&mut self, base: &Valuation) -> Option<Rational> {
-        let mut slots = self.checker.slots_of(base);
+        let mut slots = self.join.slots_of(base);
         let mut level0 = Vec::new();
-        self.checker.join().level0_blocks(&slots, &mut level0);
+        self.join.level0_blocks(&slots, &mut level0);
         self.bound_ids(&mut slots, &level0)
     }
 
@@ -224,7 +259,7 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
         self.evaluated[1..].iter().sum()
     }
 
-    /// [`BoundEvaluator::bound`] over the checker's id slot vector, whose
+    /// [`BoundEvaluator::bound`] over the join's id slot vector, whose
     /// level-0 blocks (those its key pattern admits under `base`) the caller
     /// looked up — once for both bounds of a group. `base` is restored
     /// before returning.
@@ -234,21 +269,31 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
         level0: &[&IndexedBlock],
     ) -> Option<Rational> {
         // Level 0 is not memoised: its key holds the group key, which no
-        // other call repeats. A rewriting's value exists exactly when the
-        // group is certain; an extremum's is read only then.
+        // other call repeats.
+        if let Some(certainty) = &mut self.certainty {
+            certainty.bound_ids(base, level0)?;
+        }
         self.evaluated[0] += 1;
-        let (value, certain) = self.evaluate(0, base, level0.iter().copied());
-        value.filter(|_| self.forall || certain)
+        self.evaluate(0, base, level0.iter().copied())
     }
 
-    /// `value(level)` under `slots` for `level > 0`, through the memo.
+    /// Whether `value(level)` exists under `slots`, through the memo: for
+    /// the certainty instance, whether `F_ℓ ∧ ... ∧ F_n` is certain (with
+    /// the key of `level` bound, the ∀embedding condition of its block); for
+    /// the existence instance, whether `slots` extends to an embedding.
+    pub(crate) fn holds(&mut self, level: usize, slots: &mut [u32]) -> bool {
+        self.value(level, slots).is_some()
+    }
+
+    /// `value(level)` under `slots`, through the memo.
     fn value(&mut self, level: usize, slots: &mut [u32]) -> Option<Rational> {
-        let join = self.checker.join();
+        let join = self.join;
         if level == join.len() {
             let leaf = match self.leaf {
                 LeafTerm::Const(c) => c,
-                LeafTerm::Slot(s) => self
-                    .interner
+                LeafTerm::Slot(s) => join
+                    .index()
+                    .interner()
                     .value(slots[s])
                     .as_num()
                     .expect("the aggregated variable is bound to a number"),
@@ -261,42 +306,38 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
         };
         self.evaluated[level] += 1;
         let pattern = self.patterns.take(join, level, slots);
-        let (value, _) = self.evaluate(level, slots, join.blocks(level, &pattern));
+        let value = self.evaluate(level, slots, join.blocks(level, &pattern));
         self.patterns.give(level, pattern);
         self.memo.settle(level, entry, value);
         value
     }
 
     /// One step of the induction (see the module docs) over the blocks
-    /// `level`'s key pattern admits, uncached. For the extremum at level 0,
-    /// the flag says whether the group's body is certain — some block passes
-    /// the ∀embedding condition, asked of the [`CertaintyChecker`] until one
-    /// does; it is not computed anywhere else.
+    /// `level`'s key pattern admits, uncached.
     fn evaluate<'b>(
         &mut self,
         level: usize,
         slots: &mut [u32],
         blocks: impl IntoIterator<Item = &'b IndexedBlock>,
-    ) -> (Option<Rational>, bool) {
-        let (checker, join) = (self.checker, self.checker.join());
+    ) -> Option<Rational> {
+        let join = self.join;
         let mark = self.branches.len();
-        let mut certain = false;
         for block in blocks {
             let key_mark = self.trail.len();
             if join.bind_key(level, block, slots, &mut self.trail) {
-                if !self.forall && level == 0 && !certain {
-                    certain = checker.certain_block(level, block, slots, &mut self.trail);
-                }
                 let best = self.alternatives(level, block, slots);
                 self.branches.extend(best);
             }
             unwind(slots, &mut self.trail, key_mark);
+            if self.first_decides && self.branches.len() > mark {
+                break;
+            }
         }
         let value = (self.branches.len() > mark)
             .then(|| self.combine.apply(&self.branches[mark..]))
             .flatten();
         self.branches.truncate(mark);
-        (value, certain)
+        value
     }
 
     /// The alternatives of one block (its key bound in `slots`) resolved
@@ -304,15 +345,15 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
     /// the block matches and has a value: that is the ∀embedding condition
     /// of the block — `F_ℓ ∧ ... ∧ F_n` certain with its key fixed — since a
     /// suffix has a value exactly when it is certain (by the induction of the
-    /// module docs), so the value memo doubles as the certainty memo. For the
-    /// extremum, the best of the facts that have a value.
+    /// module docs). For the extremum, the best of the facts that have a
+    /// value.
     fn alternatives(
         &mut self,
         level: usize,
         block: &IndexedBlock,
         slots: &mut [u32],
     ) -> Option<Rational> {
-        let join = self.checker.join();
+        let join = self.join;
         let mut best: Option<Rational> = None;
         for row in 0..block.cols.rows() {
             let mark = self.trail.len();
@@ -322,6 +363,7 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
             };
             unwind(slots, &mut self.trail, mark);
             match value {
+                Some(v) if self.first_decides && !self.forall => return Some(v),
                 Some(v) => best = Some(best.map_or(v, |b| self.choice.pick(b, v))),
                 None if self.forall => return None,
                 None => {}
@@ -334,7 +376,7 @@ impl<'c, 'a> BoundEvaluator<'c, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forall::analyse_group;
+    use crate::forall::{analyse_group, CompiledLevels};
     use crate::index::DbIndex;
     use crate::prepared::PreparedAggQuery;
     use rcqa_data::{fact, rat, DatabaseInstance, Schema, Signature};
@@ -380,16 +422,16 @@ mod tests {
     fn bounds(datalog: &str, db: &DatabaseInstance, combine: AggFunc, choice: Choice) -> Bounds {
         let q = PreparedAggQuery::new(&parse_agg_query(datalog).unwrap(), db.schema()).unwrap();
         let index = DbIndex::new(db);
-        let checker = CertaintyChecker::new(q.body.levels(), &index);
+        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
         let base = Valuation::new();
-        let analysis = analyse_group(&checker, &index, &base);
+        let analysis = analyse_group(&mut BoundEvaluator::certainty(&join), &base);
         let term = &q.normalised.term;
-        let extremum = |choice| BoundEvaluator::extremum(&checker, term, choice).bound(&base);
+        let extremum = |choice| BoundEvaluator::extremum(&join, term, choice).bound(&base);
         Bounds {
             certain: analysis.certain,
             embeddings: analysis.embeddings.len(),
             forall_embeddings: analysis.forall_embeddings.len(),
-            optimal: BoundEvaluator::rewriting(&checker, term, combine, choice).bound(&base),
+            optimal: BoundEvaluator::rewriting(&join, term, combine, choice).bound(&base),
             extrema: (extremum(Choice::Minimise), extremum(Choice::Maximise)),
         }
     }
@@ -479,5 +521,34 @@ mod tests {
         assert!(!b.certain);
         assert_eq!((b.embeddings, b.forall_embeddings), (1, 0));
         assert_eq!(b.optimal, None);
+    }
+
+    #[test]
+    fn a_constant_leaf_is_decided_by_its_first_value() {
+        // On db0, R's first block `a1` joins `b1` and `b2`, both of which
+        // reach a `'d'` fact in every S block: certainty stops after those
+        // two level-1 sub-problems, existence after the first, and the
+        // `SUM(1)` rewriting of the same body walks all four.
+        let db = db0();
+        let q = PreparedAggQuery::new(
+            &parse_agg_query("COUNT(*) <- R(x, y), S(y, z, 'd', r)").unwrap(),
+            db.schema(),
+        )
+        .unwrap();
+        let index = DbIndex::new(&db);
+        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
+        let base = Valuation::new();
+        let mut certainty = BoundEvaluator::certainty(&join);
+        let mut existence = BoundEvaluator::existence(&join);
+        let term = &q.normalised.term;
+        let mut count = BoundEvaluator::rewriting(&join, term, AggFunc::Sum, Choice::Minimise);
+        assert!(certainty.bound(&base).is_some());
+        assert!(existence.bound(&base).is_some());
+        assert_eq!(count.bound(&base), Some(rat(2)));
+        let level_1 = |e: &BoundEvaluator| e.evaluated(1);
+        assert_eq!(
+            (level_1(&certainty), level_1(&existence), level_1(&count)),
+            (2, 1, 4)
+        );
     }
 }

@@ -5,16 +5,17 @@
 //!
 //! Nothing between the index and the [`GroupRange`] row lists an embedding.
 //! `Join` + `PartitionByGroup` find the **group keys** — the free-variable
-//! projections of the open body's embeddings — with an existence memo
-//! ([`crate::forall`]'s group discovery): a key is reported once its
-//! variables are bound and some extension exists, and a partial embedding is
-//! explored once per projection onto what the deeper levels read. A
-//! listed-groups call probes each listed key's existence instead. Then, per
-//! group, `ForallCheck` + `AggregateBound` evaluate each bound by the
-//! memoised level-by-level recursion of [`crate::glb`] straight over the
-//! index: the ∀embedding condition gates whole blocks, and each level's
-//! sub-aggregate is computed once per projection onto the variables it
-//! reads, shared across every group that reaches it. The exact fallback is
+//! projections of the open body's embeddings — by [`crate::forall`]'s group
+//! discovery: a key is reported once its variables are bound and some
+//! extension exists, which the existence instance of the bound recursion
+//! decides, and a partial embedding is explored once per projection onto
+//! what the deeper levels read. A listed-groups call probes each listed
+//! key's existence instead. Then, per group, `ForallCheck` +
+//! `AggregateBound` evaluate each bound by the memoised level-by-level
+//! recursion of [`crate::glb`] straight over the index: the ∀embedding
+//! condition gates whole blocks, and each level's sub-aggregate is computed
+//! once per projection onto the variables it reads, shared across every
+//! group that reaches it. The exact fallback is
 //! the one stage that enumerates embeddings: one pinned join per group, to
 //! collect the blocks whose repairs it enumerates.
 //!
@@ -25,11 +26,12 @@
 //! workspace builds offline). Group discovery is sharded **by level-0 block
 //! key**: each worker walks its range of blocks under memos of its own, and
 //! the shards' key sets are merged and sorted. Then the sorted groups are
-//! sharded again: each worker owns a **memoised [`CertaintyChecker`]** and
-//! one [`BoundEvaluator`] per bound over the shared read-only index —
-//! certainty verdicts and sub-aggregates are reused across the groups of one
-//! shard, and no locks are taken on the hot path. The final `RangeMerge`
-//! concatenates the shard outputs in shard order. Groups are sorted by key
+//! sharded again: each worker resolves the body once into a [`Join`] over
+//! the shared read-only index and owns one memoised [`BoundEvaluator`] per
+//! bound on it (an extremum with its certainty instance) — sub-aggregates
+//! and certainty verdicts are reused across the groups of one shard, and no
+//! locks are taken on the hot path. The final `RangeMerge` concatenates the
+//! shard outputs in shard order. Groups are sorted by key
 //! **value** (interned ids are compared through
 //! [`rcqa_data::ValueInterner::cmp_id_tuples`], so the order is independent of the id
 //! layout), a group's bounds do not depend on which memo entries its worker
@@ -69,7 +71,7 @@
 use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
 use crate::error::CoreError;
 use crate::exact::{exact_bounds_filtered, ExactBounds};
-use crate::forall::{CertaintyChecker, CompiledLevels, GroupKeys, Join};
+use crate::forall::{CompiledLevels, GroupKeys, Join};
 use crate::glb::BoundEvaluator;
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
 use crate::index::{DbIndex, IndexedBlock, RelationIndex};
@@ -202,12 +204,12 @@ fn group_ids(cx: &ExecContext<'_>, free: &[Var], only: Option<&IdTupleSet>) -> I
     });
     let shards = match per_key {
         Some(only) => {
-            let mut keys = GroupKeys::new(&join, &free_slots);
+            let mut existence = BoundEvaluator::existence(&join);
             let mut found = IdRows::new(free.len());
             let mut initial = unbound.clone();
             for k in 0..only.len() {
                 bind(&mut initial, only.tuple(k));
-                if keys.exists(0, &mut initial) {
+                if existence.holds(0, &mut initial) {
                     found.push(only.tuple(k).iter().copied());
                 }
             }
@@ -262,7 +264,8 @@ pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
 /// Runs `work` over each shard — inline for a single shard, else one scoped
 /// worker thread per shard — and returns the results in shard order. The
 /// workspace's one spawn site: the sharded serving front-end fans a read out
-/// over its shards through it as well.
+/// over its shards through it as well. A worker's panic is raised again on
+/// the calling thread with the worker's own payload.
 pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
     if shards.len() <= 1 {
         return shards.into_iter().map(work).collect();
@@ -275,7 +278,10 @@ pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("plan executor worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     })
 }
@@ -454,10 +460,9 @@ fn shard<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
 }
 
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
-/// sharing one memoised certainty checker and one memoised evaluator per
-/// bound across the shard — until `floor` units of work (groups plus
-/// sub-problems evaluated) are done. Returns the rows and how many of
-/// `groups` were evaluated.
+/// sharing one memoised evaluator per bound across the shard — until
+/// `floor` units of work (groups plus sub-problems evaluated) are done.
+/// Returns the rows and how many of `groups` were evaluated.
 fn eval_shard(
     plan: &Plan,
     cx: &ExecContext<'_>,
@@ -471,24 +476,24 @@ fn eval_shard(
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
     // and the aggregated one included.
-    let checker = plan
+    let join = plan
         .needs_analysis()
-        .then(|| CertaintyChecker::new(cx.prepared.body.levels(), cx.index));
+        .then(|| Join::new(CompiledLevels::new(cx.prepared.body.levels()), cx.index));
     let evaluator = |op: Option<BoundOp>| {
-        let (checker, term) = (checker.as_ref()?, &cx.prepared.normalised.term);
+        let (join, term) = (join.as_ref()?, &cx.prepared.normalised.term);
         match op? {
             BoundOp::Rewrite { combine, choice } => {
-                Some(BoundEvaluator::rewriting(checker, term, combine, choice))
+                Some(BoundEvaluator::rewriting(join, term, combine, choice))
             }
-            BoundOp::Extremum { choice } => Some(BoundEvaluator::extremum(checker, term, choice)),
+            BoundOp::Extremum { choice } => Some(BoundEvaluator::extremum(join, term, choice)),
             BoundOp::ExactEnumeration => None,
         }
     };
     let (mut glb, mut lub) = (evaluator(plan.glb), evaluator(plan.lub));
-    let (free_slots, mut base) = match &checker {
-        Some(checker) => (
-            slots_of(checker.compiled(), free),
-            checker.compiled().unbound_ids(),
+    let (free_slots, mut base) = match &join {
+        Some(join) => (
+            slots_of(join.compiled(), free),
+            join.compiled().unbound_ids(),
         ),
         None => (Vec::new(), Vec::new()),
     };
@@ -505,8 +510,8 @@ fn eval_shard(
         for (&slot, &id) in free_slots.iter().zip(key_ids) {
             base[slot] = id;
         }
-        if let Some(checker) = &checker {
-            checker.join().level0_blocks(&base, &mut level0);
+        if let Some(join) = &join {
+            join.level0_blocks(&base, &mut level0);
         }
         // The result boundary: the group key materialises here, for the
         // GroupRange row and (below) the exact fallback's substitution.
@@ -577,7 +582,7 @@ pub struct SupportAtom {
 /// Soundness: the executor probes blocks exclusively through
 /// [`crate::index::RelationIndex::blocks_matching`] with patterns built by
 /// `key_pattern_ids` — each atom's key positions with constants resolved and
-/// bound slots filled in. During a group's evaluation (join, certainty memo,
+/// bound slots filled in. During a group's evaluation (join, certainty,
 /// ∀embedding filter) a free variable is always bound to the group key and
 /// every other slot only *refines* the pattern, so each probed pattern is a
 /// specialisation of the atom's base pattern with the group key substituted —

@@ -21,7 +21,7 @@
 //! counting allocator is too.
 
 use rcqa_core::engine::{EngineOptions, RangeCqa};
-use rcqa_core::forall::{CertaintyChecker, Valuation};
+use rcqa_core::forall::{CompiledLevels, Join, Valuation};
 use rcqa_core::glb::{BoundEvaluator, Choice};
 use rcqa_core::index::DbIndex;
 use rcqa_core::PreparedAggQuery;
@@ -142,10 +142,10 @@ fn level_1_evaluations(groups: usize) -> (usize, usize) {
     let index = DbIndex::new(&db);
     let query = parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap();
     let prepared = PreparedAggQuery::new(&query, db.schema()).unwrap();
-    let checker = CertaintyChecker::new(prepared.body.levels(), &index);
+    let join = Join::new(CompiledLevels::new(prepared.body.levels()), &index);
     let term = &prepared.normalised.term;
-    let mut rewriting = BoundEvaluator::rewriting(&checker, term, AggFunc::Max, Choice::Minimise);
-    let mut extremum = BoundEvaluator::extremum(&checker, term, Choice::Maximise);
+    let mut rewriting = BoundEvaluator::rewriting(&join, term, AggFunc::Max, Choice::Minimise);
+    let mut extremum = BoundEvaluator::extremum(&join, term, Choice::Maximise);
     for g in 0..groups {
         let base = Valuation::from([(Var::new("x"), text("x", g))]);
         assert!(rewriting.bound(&base).is_some(), "group {g} is certain");

@@ -809,8 +809,8 @@ impl Session {
         Session::open_with(catalog, dir, WalOptions::default())
     }
 
-    /// [`Session::open`] with explicit [`WalOptions`] (fsync policy,
-    /// checkpoint cadence, checkpoint retention).
+    /// [`Session::open`] with explicit [`WalOptions`] (fsync policy and
+    /// checkpoint cadence).
     pub fn open_with(
         catalog: Catalog,
         dir: impl AsRef<Path>,

@@ -343,7 +343,7 @@ impl ShardedSession {
     }
 
     /// [`ShardedSession::open`] with explicit [`WalOptions`], applied to
-    /// every shard's log (fsync policy, checkpoint cadence, retention).
+    /// every shard's log (fsync policy and checkpoint cadence).
     pub fn open_with(
         catalog: Catalog,
         dir: impl AsRef<Path>,
