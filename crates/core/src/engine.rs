@@ -77,7 +77,7 @@ use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, Ro
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
-use rcqa_data::{DatabaseInstance, NumericDomain, Rational, Schema, Value};
+use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, NumericDomain, Rational, Schema, Value};
 use rcqa_query::{AggQuery, Term, Var, VarPredicate};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -263,25 +263,6 @@ impl PredicateRouting {
     }
 }
 
-/// What [`RangeCqa::affected_keys`] derives from a run of commits' dirty
-/// blocks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AffectedKeys {
-    /// The group keys with an old or new embedding through a dirty block, in
-    /// sorted group-key order without duplicates (the empty key for a closed
-    /// query). A superset of the keys whose row differs — except for what
-    /// `blind` says.
-    pub keys: Vec<Vec<Value>>,
-    /// The relations whose dirty level is **retraction-blind**: some GROUP BY
-    /// variable is bound only by a non-key position of that atom or by a
-    /// deeper one, so the group of a fact that *left* one of its dirty blocks
-    /// cannot be read off the new index. `keys` still holds every group such
-    /// a block gained an embedding for; for its losses the caller must add
-    /// the cached rows the block supports ([`RowSupport::hits`]). Empty for
-    /// every query that groups by key positions only.
-    pub blind: Vec<String>,
-}
-
 /// The range-consistent query answering engine for one aggregation query.
 #[derive(Clone, Debug)]
 pub struct RangeCqa {
@@ -396,30 +377,24 @@ impl RangeCqa {
         RowSupport::for_query(&self.prepared)
     }
 
-    /// Every group key whose row a commit may have **created, changed or
-    /// removed**, derived forward from the commit's dirty block keys alone
-    /// ([`RangeCqa::affected_keys`] without the blind-level report). A closed
-    /// query reports its single empty key, or nothing when no embedding of
-    /// its body can pass through a dirty block.
-    ///
-    /// The serving layer calls [`RangeCqa::affected_keys`]; this wrapper has
-    /// no caller in the workspace and exists for the benchmark's shadow
-    /// decomposition, which compiles against it (ROADMAP tracks moving the
-    /// benchmark over and deleting it).
+    /// [`RangeCqa::affected_keys`] without the retracted facts — blind to the
+    /// removals of a group bound past the dirty key — as a set. No caller in
+    /// the workspace: it exists only because the benchmark's shadow
+    /// decomposition compiles against it (ROADMAP tracks deleting it).
     pub fn dirty_candidate_keys(
         &self,
         index: &DbIndex,
         dirty: &[DirtyBlock],
     ) -> BTreeSet<Vec<Value>> {
-        self.affected_keys(index, dirty).keys.into_iter().collect()
+        self.affected_keys(index, dirty, &[]).into_iter().collect()
     }
 
     /// The delta enumeration of the serving layer: the group keys with an
-    /// embedding — one that exists **before or after** the commits that
-    /// dirtied `dirty` — through a dirty block, found from `index` (the index
-    /// *after* those commits) and the dirty keys alone. Any row outside
-    /// [`AffectedKeys::keys`] is byte-identical on both sides, subject to
-    /// [`AffectedKeys::blind`].
+    /// embedding — **before or after** the commits that dirtied `dirty` and
+    /// retracted `retracted` — through a dirty block, from `index` (the index
+    /// *after* those commits). Rows of other keys are byte-identical on both
+    /// sides; the keys come sorted, without duplicates (the empty key for a
+    /// closed query).
     ///
     /// Per level `ℓ` of the body whose relation has dirty keys, the partial
     /// embeddings over the levels before `ℓ` are enumerated over the
@@ -427,30 +402,35 @@ impl RangeCqa {
     /// instantiated key pattern admits reports its group key — without
     /// requiring the block to still exist, which is what covers retractions;
     /// [`crate::forall`] ("Delta enumeration") states why the *first* dirty
-    /// level of any old or new embedding is always reached this way. A dirty
-    /// level 0 costs one instantiation per dirty key; a dirty level `ℓ > 0`
-    /// walks the prefixes once, with one binary search of the sorted dirty
-    /// keys per prefix. Dirty keys a pushed-down key-position predicate
+    /// level of any old or new embedding is always reached this way. A level
+    /// whose key leaves a group variable unbound is walked over an
+    /// **overlay** — the new index with the retracted facts put back, built
+    /// only then and sharing every leaf they do not land in — which holds
+    /// every old embedding from its first dirty level on.
+    ///
+    /// A dirty level 0 costs one instantiation per dirty key; a dirty level
+    /// `ℓ > 0` walks the prefixes once, with one binary search of the sorted
+    /// dirty keys per prefix. Dirty keys a pushed-down key-position predicate
     /// rejects are dropped up front (their blocks are invisible to the
     /// evaluation), and so are group keys failing a row-filter predicate.
     ///
     /// `index` must descend from the index the blocks were reported against
     /// ([`DbIndex::apply_delta`] on a clone, any number of times): interned
-    /// ids are append-only along that line, so every value of a dirty key is
-    /// still interned. A key with a never-interned value names a block no
-    /// index of the line ever held and is skipped.
-    pub fn affected_keys<'d>(
+    /// ids are append-only along that line, so every value of a dirty key or
+    /// a retracted fact is still interned. A key with a never-interned value
+    /// names a block no index of the line ever held and is skipped.
+    pub fn affected_keys<'d, 'r>(
         &self,
         index: &DbIndex,
         dirty: impl IntoIterator<Item = &'d DirtyBlock>,
-    ) -> AffectedKeys {
-        let mut out = AffectedKeys::default();
+        retracted: impl IntoIterator<Item = &'r Fact>,
+    ) -> Vec<Vec<Value>> {
         let free = self.prepared.normalised.body.free_vars();
         let levels = self.prepared.open_levels();
         let routing = &self.routing;
         let (view, _access) = self.restricted_view(index);
-        let index = view.as_ref().unwrap_or(index);
-        let interner = index.interner();
+        let new = view.as_ref().unwrap_or(index);
+        let interner = new.interner();
         // The dirty block keys the evaluation can see — of a body relation,
         // passing the pushed-down restrictions — per relation, in id space.
         let body = self.prepared.normalised.body.atoms();
@@ -458,7 +438,7 @@ impl RangeCqa {
         let mut ids = Vec::new();
         for block in dirty {
             let visible = body.iter().any(|a| a.relation() == block.relation)
-                && block.key.len() == index.relation(&block.relation).key_len()
+                && block.key.len() == new.relation(&block.relation).key_len()
                 && routing
                     .restrictions
                     .iter()
@@ -484,7 +464,9 @@ impl RangeCqa {
                     .expect("free variable occurs in the body")
             })
             .collect();
-        let join = Join::new(compiled.clone(), index);
+        let join = Join::new(compiled.clone(), new);
+        let mut retracted = Some(retracted);
+        let mut overlay: Option<DbIndex> = None;
         let mut found = IdTupleSet::new(free.len());
         let mut key = Vec::with_capacity(free.len());
         for (level, lvl) in levels.iter().enumerate() {
@@ -499,28 +481,41 @@ impl RangeCqa {
             // duplicates (`dirty` may concatenate several commits' blocks).
             let keys = keys.sorted_dedup(|a, b| interner.cmp_id_tuples(a, b));
             let stop = compiled.bound_by(level, &free_slots);
-            if stop > level {
-                out.blind.push(lvl.atom.relation().to_string());
+            // A group bound past the key: the overlay, built on first need.
+            let put_back: Vec<DeltaEvent> = match retracted.take_if(|_| stop > level) {
+                Some(facts) => facts.into_iter().cloned().map(DeltaEvent::insert).collect(),
+                None => Vec::new(),
+            };
+            if !put_back.is_empty() {
+                let mut with_retracted = index.clone();
+                with_retracted.apply_delta(&put_back);
+                let (view, _access) = self.restricted_view(&with_retracted);
+                overlay = Some(view.unwrap_or(with_retracted));
             }
             let pin = KeyPin {
                 level,
                 keys: &keys,
                 stop,
             };
-            join.for_each_through(&pin, |theta| {
+            let sink = |theta: &[u32]| {
                 key.clear();
                 key.extend(free_slots.iter().map(|&s| theta[s]));
                 found.insert(&key);
-            });
+            };
+            match overlay.as_ref().filter(|_| stop > level) {
+                Some(overlay) => Join::new(compiled.clone(), overlay).for_each_through(&pin, sink),
+                None => join.for_each_through(&pin, sink),
+            }
         }
+        // The overlay's interner extends the new index's (append-only).
+        let interner = overlay.as_ref().unwrap_or(new).interner();
         let mut order: Vec<usize> = (0..found.len()).collect();
         order.sort_unstable_by(|&a, &b| interner.cmp_id_tuples(found.tuple(a), found.tuple(b)));
-        out.keys = order
+        order
             .into_iter()
             .map(|k| interner.values_of(found.tuple(k)))
             .filter(|key| routing.admits_row(key))
-            .collect();
-        out
+            .collect()
     }
 
     /// Computes both bounds for **only** the groups whose key is in `keys`,
@@ -1234,7 +1229,7 @@ mod tests {
     mod delta_enumeration {
         use super::*;
         use proptest::prelude::*;
-        use rcqa_data::{DeltaEvent, Fact};
+        use rcqa_data::{DeltaEvent, DeltaOp, Fact};
         use rcqa_query::{CmpOp, VarPredicate};
 
         fn schema() -> Schema {
@@ -1303,9 +1298,8 @@ mod tests {
                         value: Value::text("x2"),
                     }])
                     .unwrap(),
-                // Grouped by a non-key column of R, and by a non-key column
-                // of the level after it: a group bound only past a dirty R
-                // key.
+                // Grouped by a non-key column of R, and by a column only S
+                // binds: under a dirty R key, a group bound past the key.
                 engine("(y, MAX(r)) <- R(x, y), S(y, z, r)").unwrap(),
                 engine("(z, MAX(r)) <- R(x, y), S(y, z, r)").unwrap(),
                 // One atom, full key and subset of the key.
@@ -1345,13 +1339,17 @@ mod tests {
                 }
                 let mut index = old_index.clone();
                 let dirty = index.apply_delta(&batch);
+                let retracted = batch
+                    .iter()
+                    .filter(|e| matches!(e.op, DeltaOp::Delete))
+                    .map(|e| &e.fact);
                 for engine in shapes() {
                     let text = engine.prepared().original.to_string();
                     let before = engine.range_with_index(&old_db, &old_index).unwrap();
                     let after = engine.range_with_index(&db, &index).unwrap();
-                    let affected = engine.affected_keys(&index, &dirty);
-                    prop_assert!(affected.keys.windows(2).all(|w| w[0] < w[1]), "{}", text);
-                    let covered = |key: &Vec<Value>| affected.keys.binary_search(key).is_ok();
+                    let affected = engine.affected_keys(&index, &dirty, retracted.clone());
+                    prop_assert!(affected.windows(2).all(|w| w[0] < w[1]), "{}", text);
+                    let covered = |key: &Vec<Value>| affected.binary_search(key).is_ok();
                     for row in &before {
                         let same = after.iter().any(|r| r == row);
                         prop_assert!(
@@ -1371,10 +1369,10 @@ mod tests {
                     // Re-deriving the affected keys gives the new rows (a
                     // closed query re-derives its one row whatever is asked).
                     let closed = engine.prepared().normalised.body.free_vars().is_empty();
-                    let fresh = engine.range_for_groups(&db, &index, &affected.keys).unwrap();
+                    let fresh = engine.range_for_groups(&db, &index, &affected).unwrap();
                     let expected: Vec<GroupRange> = after
                         .iter()
-                        .filter(|r| closed || affected.keys.binary_search(&r.key).is_ok())
+                        .filter(|r| closed || covered(&r.key))
                         .cloned()
                         .collect();
                     prop_assert_eq!(fresh, expected, "{}", text);
@@ -1383,35 +1381,32 @@ mod tests {
         }
 
         #[test]
-        fn blindness_is_reported_for_exactly_the_non_key_grouped_relation() {
+        fn retracted_facts_report_groups_bound_past_the_dirty_key() {
             let schema = schema();
             let mut db = DatabaseInstance::new(schema.clone());
-            db.insert_all([fact!("R", "x0", "y0"), fact!("S", "y0", "z0", 1)])
-                .unwrap();
-            let index = DbIndex::new(&db);
-            let dirty = [
-                DirtyBlock {
-                    relation: "R".into(),
-                    key: vec![Value::text("x0")],
-                },
-                DirtyBlock {
-                    relation: "S".into(),
-                    key: vec![Value::text("y0"), Value::text("z0")],
-                },
-            ];
-            let blind = |text: &str, dirty: &[DirtyBlock]| {
+            let facts = [fact!("R", "x0", "y0"), fact!("S", "y0", "z0", 1)];
+            db.insert_all(facts.clone()).unwrap();
+            let mut index = DbIndex::new(&db);
+            // One batch deletes both facts: the new index holds nothing.
+            let batch: Vec<DeltaEvent> = facts.iter().cloned().map(DeltaEvent::delete).collect();
+            let dirty = index.apply_delta(&batch);
+            assert_eq!(dirty.len(), 2);
+            let affected = |text: &str, retracted: &[Fact]| {
                 RangeCqa::new(&parse_agg_query(text).unwrap(), &schema)
                     .unwrap()
-                    .affected_keys(&index, dirty)
-                    .blind
+                    .affected_keys(&index, &dirty, retracted)
             };
-            assert!(blind("(x, MAX(r)) <- R(x, y), S(y, z, r)", &dirty).is_empty());
-            assert!(blind("(y, z, MAX(r)) <- S(y, z, r)", &dirty).is_empty());
-            assert!(blind("MAX(r) <- R('x0', y), S(y, z, r)", &dirty).is_empty());
+            // `y` is bound by R's non-key position and `z` a level deeper:
+            // only the retracted facts name the vanished groups.
             let by_y = "(y, MAX(r)) <- R(x, y), S(y, z, r)";
-            assert_eq!(blind(by_y, &dirty), ["R"]);
-            // Under a dirty S block alone the prefix binds `y`: not blind.
-            assert!(blind(by_y, &dirty[1..]).is_empty());
+            let by_z = "(z, MAX(r)) <- R(x, y), S(y, z, r)";
+            assert_eq!(affected(by_y, &facts), [vec![Value::text("y0")]]);
+            assert_eq!(affected(by_z, &facts), [vec![Value::text("z0")]]);
+            assert!(affected(by_y, &[]).is_empty());
+            assert!(affected(by_z, &[]).is_empty());
+            // A group read off the dirty key needs no retracted fact.
+            let by_x = "(x, MAX(r)) <- R(x, y), S(y, z, r)";
+            assert_eq!(affected(by_x, &[]), [vec![Value::text("x0")]]);
         }
     }
 

@@ -77,12 +77,11 @@
 //! free variables, the group key is reported at once — a dirty level 0 then
 //! costs one instantiation per dirty key. When a free variable is bound only
 //! by a non-key position of level `ℓ` or by a deeper level, the enumeration
-//! extends the key through the facts the block holds *now* until every free
-//! variable is bound: that still finds every new embedding's group, but a
-//! vanished fact's group is out of its reach — the level is
-//! **retraction-blind**, says so, and the caller covers it another way (the
-//! serving layer scans its cached rows with [`crate::RowSupport::hits`], for
-//! the dirty blocks of such relations only).
+//! extends the key through the facts of levels `ℓ, ℓ+1, …` — over the new
+//! index with the retracted facts put back. The old instance lies inside it,
+//! so an old embedding's facts from its first dirty level on, deeper ones
+//! included, are there too (DRed's over-delete seeded with the deleted
+//! tuples; [`crate::engine::RangeCqa::affected_keys`]).
 
 use crate::glb::BoundEvaluator;
 use crate::ids::{IdRows, IdTupleSet};
@@ -574,8 +573,8 @@ pub(crate) struct KeyPin<'a> {
     pub(crate) keys: &'a IdRows,
     /// How many levels a reported slot vector has matched facts of: `level`
     /// reports at the dirty key itself (the levels before it plus the key's
-    /// positions are bound), a larger value extends through the existing
-    /// facts of levels `level..stop` first.
+    /// positions are bound), a larger value extends through the facts of
+    /// levels `level..stop` the enumerated index holds first.
     pub(crate) stop: usize,
 }
 

@@ -599,12 +599,10 @@ pub struct SupportAtom {
 /// localise a write on the probed side (`Any` wherever the group key does
 /// not bind the atom's key), and a scan of every cached row to apply. A
 /// stale read therefore does not intersect it with the delta; it derives the
-/// affected groups exactly, from the dirty keys
-/// ([`crate::engine::RangeCqa::affected_keys`]). The pattern remains the
+/// affected groups from the dirty keys and the retracted facts
+/// ([`crate::engine::RangeCqa::affected_keys`]). The pattern is the
 /// certificate behind the sharded front-end's routes (which shards a row's
-/// blocks can live on) and the fallback for a relation the delta enumeration
-/// reports retraction-blind, whose dirty blocks — and only those — are tested
-/// against the cached rows with [`RowSupport::hits`].
+/// blocks can live on).
 #[derive(Clone, Debug)]
 pub struct RowSupport {
     atoms: Vec<SupportAtom>,
@@ -640,7 +638,7 @@ impl RowSupport {
 
     /// Whether the block `(relation, block_key)` supports the row with group
     /// key `row_key`: some atom pattern, instantiated with the row's key,
-    /// matches the block.
+    /// matches the block. Kept only because the benchmark calls it.
     pub fn hits(&self, row_key: &[Value], relation: &str, block_key: &[Value]) -> bool {
         self.atoms.iter().any(|a| {
             a.relation == relation
@@ -653,9 +651,9 @@ impl RowSupport {
         })
     }
 
-    /// Merges the supports of several engines over one shared body (the
-    /// serving layer prepares one engine per aggregate): the identity, since
-    /// a support depends on the body alone.
+    /// Merges the supports of several engines over one shared body: the
+    /// identity, since a support depends on the body alone. Kept only because
+    /// the benchmark calls it.
     pub fn merge(self, other: RowSupport) -> RowSupport {
         debug_assert_eq!(
             self.atoms, other.atoms,

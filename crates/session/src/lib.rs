@@ -33,14 +33,16 @@
 //! * a **per-statement result cache with delta-proportional differential
 //!   maintenance**: answers are cached against the epoch they were computed
 //!   at, and nothing else is recorded with them. A reader whose pinned epoch
-//!   is ahead of the cached result takes the dirty block keys committed in
-//!   between (the last [`DIRTY_LOG_CAP`] write batches are retained; an
-//!   older result recomputes in full) and derives, **forward from those keys
-//!   over the new index**, the
-//!   group keys with an embedding — old or new — through a dirty block
-//!   ([`RangeCqa::affected_keys`]): one enumeration that covers births, value
-//!   changes and retractions, at `O(|dirty| · log rows)` plus the join prefix
-//!   in front of the dirty atom. It then re-derives **only** that key set —
+//!   is ahead of the cached result takes the dirty block keys and the
+//!   retracted facts committed in between (the last [`DIRTY_LOG_CAP`] write
+//!   batches are retained; an older result recomputes in full) and derives,
+//!   **forward from those keys over the new index**, the group keys with an
+//!   embedding — old or new — through a dirty block
+//!   ([`RangeCqa::affected_keys`]; where a group is bound only past the dirty
+//!   key, over the new index with the retracted facts put back): one
+//!   enumeration that covers births, value changes and retractions, at
+//!   `O(|dirty| · log rows)` plus the join prefix in front of the dirty atom.
+//!   It then re-derives **only** that key set —
 //!   DRed-style: affected groups are over-deleted and re-derived, so
 //!   retracted groups vanish and new groups appear — and splices the
 //!   re-derived rows into the kept ones in one pass, deciding "nothing
@@ -50,11 +52,7 @@
 //!   shifted, i.e. membership could change (counted in
 //!   [`SessionStats::topk_fallbacks`]). A statement without HAVING and
 //!   ORDER BY presents its raw rows unchanged, so the cached basis and the
-//!   answer handed out share one `Arc<[GroupRange]>`. The statement's static
-//!   [`RowSupport`] pattern is consulted only where the enumeration reports a
-//!   *retraction-blind* relation (a GROUP BY column bound at a non-key
-//!   position of the dirty atom): for that relation's dirty blocks alone the
-//!   cached rows are scanned with [`RowSupport::hits`];
+//!   answer handed out share one `Arc<[GroupRange]>`;
 //! * a **batch API**: [`Session::execute_many`] answers a whole batch
 //!   against one pinned snapshot, so the batch is mutually consistent even
 //!   with concurrent writers.
@@ -152,14 +150,14 @@
 #![warn(missing_docs)]
 
 use rcqa_core::classify::Classification;
-use rcqa_core::engine::{AffectedKeys, BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
+use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
 use rcqa_core::index::{DbIndex, DirtyBlock};
 pub use rcqa_core::interval::HavingStatus;
 use rcqa_core::interval::{
     certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
 };
 use rcqa_core::{CoreError, RowSupport};
-use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, Fact, Rational, Value};
+use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Rational, Value};
 use rcqa_query::{parse_sql, AggQuery, Catalog, HavingCond, OrderSpec, QueryError};
 use rcqa_wal::{FsStorage, Wal, WalError, WalStorage};
 use std::collections::hash_map::Entry;
@@ -397,7 +395,7 @@ impl QueryOutcome {
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
 /// slots, routed comparison predicates), the [`Classification`] for the
 /// session instance's numeric domain, and the static [`RowSupport`] — which
-/// shard route is sound, and the row scan behind a retraction-blind level.
+/// shard route is sound.
 ///
 /// Statements are keyed by *normalized* SQL ([`Session::normalize_sql`]):
 /// whitespace runs outside string literals collapse to one space, text
@@ -451,10 +449,9 @@ impl PreparedStatement {
     /// The statement's [`RowSupport`]: per cached row, an over-approximation
     /// of the (relation, block-key) pairs the row's evaluation can touch — the
     /// same patterns whichever operators the plan picks, since they depend on
-    /// the body alone. A stale read does not intersect it with the delta (the
-    /// delta enumeration of [`RangeCqa::affected_keys`] does that job,
-    /// exactly); it is the sharded front-end's routing certificate and the
-    /// fallback for the relations that enumeration reports retraction-blind.
+    /// the body alone. A stale read does not consult it (the delta
+    /// enumeration of [`RangeCqa::affected_keys`] finds the affected groups);
+    /// it is the sharded front-end's routing certificate.
     pub fn support(&self) -> &RowSupport {
         &self.support
     }
@@ -483,9 +480,8 @@ pub struct SessionStats {
     /// only they were re-derived.
     pub supported_patches: u64,
     /// Stale cached results the patch path could **not** serve (dirty
-    /// history evicted past the retention cap, an affected
-    /// set so large a full pass is cheaper, or a retraction-blind level whose
-    /// fallback scan hit as much): these fell back to a full recompute.
+    /// history evicted past the retention cap, or an affected set so large a
+    /// full pass is cheaper): these fell back to a full recompute.
     /// [`Session::patch_reasons`] splits the count by reason.
     pub support_misses: u64,
     /// Patched results whose certain top-k selection had to be recomputed
@@ -633,21 +629,30 @@ impl AtomicStats {
     }
 }
 
-/// The dirty-block history writers maintain for result patching: one entry
-/// per committed write batch, `(epoch after the batch, blocks it changed)`,
-/// oldest first. Results cached at an epoch `< log_floor` predate the
-/// retained (gap-free) history and must recompute in full.
+/// One committed write batch as result patching needs it: the blocks it
+/// changed and the facts it retracted (its effective deletes, moved here
+/// from the logged events).
+#[derive(Debug)]
+struct DirtyBatch {
+    blocks: Box<[DirtyBlock]>,
+    retracted: Box<[Fact]>,
+}
+
+/// The dirty history writers maintain for result patching: one entry per
+/// committed write batch, `(epoch after the batch, the batch)`, oldest
+/// first. Results cached at an epoch `< log_floor` predate the retained
+/// (gap-free) history and must recompute in full.
 ///
 /// The log is a [`VecDeque`]: eviction past [`DIRTY_LOG_CAP`] pops the
 /// oldest entry from the front in `O(1)` (a `Vec::remove(0)` here used to
 /// shift the whole capacity on every write of a long-lived session).
 ///
-/// Each batch's blocks sit behind an `Arc`: a stale read clones pointers under
-/// the lock committers also take, never the blocks (a `String` and a
-/// `Vec<Value>` apiece, up to cap × batch size of them).
+/// Each batch sits behind an `Arc`: a stale read clones pointers under the
+/// lock committers also take, never the blocks or facts (up to cap × batch
+/// size of them).
 #[derive(Debug, Default)]
 struct Maintenance {
-    dirty_log: VecDeque<(u64, Arc<[DirtyBlock]>)>,
+    dirty_log: VecDeque<(u64, Arc<DirtyBatch>)>,
     log_floor: u64,
 }
 
@@ -664,11 +669,6 @@ pub struct PatchReasons {
     /// stops being the cheaper arm (see `Session::try_patch` for the
     /// measurement behind the cut-off).
     pub over_half: u64,
-    /// A retraction-blind level ([`AffectedKeys::blind`]) sent the read to the
-    /// [`RowSupport::hits`] row scan, and the scan hit more than half of the
-    /// cached rows (typically all of them: the blind atom's pattern is `Any`
-    /// wherever the group key does not bind its key).
-    pub blind_fallback: u64,
 }
 
 impl PatchReasons {
@@ -677,13 +677,12 @@ impl PatchReasons {
         PatchReasons {
             history_evicted: self.history_evicted + other.history_evicted,
             over_half: self.over_half + other.over_half,
-            blind_fallback: self.blind_fallback + other.blind_fallback,
         }
     }
 
     /// All misses: equals [`SessionStats::support_misses`].
     pub fn total(&self) -> u64 {
-        self.history_evicted + self.over_half + self.blind_fallback
+        self.history_evicted + self.over_half
     }
 }
 
@@ -693,7 +692,6 @@ impl PatchReasons {
 enum Miss {
     HistoryEvicted,
     OverHalf,
-    BlindFallback,
 }
 
 /// How many write batches of dirty-block history a session retains for
@@ -739,7 +737,7 @@ pub struct Session {
     wal: Mutex<Option<Wal>>,
     stats: AtomicStats,
     /// Misses by [`Miss`]; they sum to `stats.support_misses`.
-    misses: [AtomicU64; 3],
+    misses: [AtomicU64; 2],
 }
 
 impl fmt::Debug for Session {
@@ -915,7 +913,6 @@ impl Session {
         PatchReasons {
             history_evicted: count(Miss::HistoryEvicted),
             over_half: count(Miss::OverHalf),
-            blind_fallback: count(Miss::BlindFallback),
         }
     }
 
@@ -1041,7 +1038,7 @@ impl Session {
                 // Cheap again: the clone shares every relation's index with
                 // the base; `apply_delta` path-copies the dirty leaves.
                 let mut index = (**base_index).clone();
-                let dirty: Arc<[DirtyBlock]> = index.apply_delta(&events).into();
+                let blocks = index.apply_delta(&events).into();
                 snapshot
                     .index
                     .set(Arc::new(index))
@@ -1049,8 +1046,14 @@ impl Session {
                 self.stats
                     .deltas_applied
                     .fetch_add(events.len() as u64, Ordering::Relaxed);
+                let retracted = events
+                    .into_iter()
+                    .filter(|e| matches!(e.op, DeltaOp::Delete))
+                    .map(|e| e.fact)
+                    .collect();
+                let batch = Arc::new(DirtyBatch { blocks, retracted });
                 let mut maintenance = self.lock_maintenance();
-                maintenance.dirty_log.push_back((epoch, dirty));
+                maintenance.dirty_log.push_back((epoch, batch));
                 if maintenance.dirty_log.len() > DIRTY_LOG_CAP {
                     let dropped = maintenance
                         .dirty_log
@@ -1256,11 +1259,12 @@ impl Session {
             .clone()
     }
 
-    /// The dirty batches committed over `(from, to]`, oldest first, or `None`
-    /// if the retained history does not reach back to `from` (the log was
-    /// floored by a cold rebuild or evicted past its cap in between). Only
-    /// pointers are cloned under the lock; batches may repeat a block.
-    fn dirty_since(&self, from: u64, to: u64) -> Option<Vec<Arc<[DirtyBlock]>>> {
+    /// The batches committed over `(from, to]` — their dirty blocks and
+    /// retracted facts — oldest first, or `None` if the retained history does
+    /// not reach back to `from` (the log was floored by a cold rebuild or
+    /// evicted past its cap in between). Only pointers are cloned under the
+    /// lock; batches may repeat a block or a fact.
+    fn dirty_since(&self, from: u64, to: u64) -> Option<Vec<Arc<DirtyBatch>>> {
         let maintenance = self.lock_maintenance();
         if from < maintenance.log_floor {
             return None;
@@ -1270,7 +1274,7 @@ impl Session {
                 .dirty_log
                 .iter()
                 .filter(|(e, _)| *e > from && *e <= to)
-                .map(|(_, blocks)| blocks.clone())
+                .map(|(_, batch)| batch.clone())
                 .collect(),
         )
     }
@@ -1504,10 +1508,8 @@ impl Session {
     /// rows)` to find what it affects, the work of the affected groups to
     /// re-derive them, and — only when some row really changed — one pass
     /// over the rows to splice. Returns the [`Miss`] — fall back to a full
-    /// recompute — when the dirty history no
-    /// longer reaches back to the cached epoch, or the affected key set (or,
-    /// before it, the blind-level row scan's share of it) covers more than
-    /// half the rows.
+    /// recompute — when the dirty history no longer reaches back to the
+    /// cached epoch, or the affected key set covers more than half the rows.
     ///
     /// Half the rows is the **measured break-even of the least favourable
     /// statement**, not a bound that holds by construction: re-derivation
@@ -1519,14 +1521,12 @@ impl Session {
     /// A miss costs the recompute plus the enumeration that found it (about
     /// 1.3 µs per dirty block).
     ///
-    /// The affected key set comes from **one** forward enumeration over the
-    /// new index, [`RangeCqa::affected_keys`]: every group with an embedding,
-    /// old or new, through a block dirtied since the cached epoch — births,
-    /// value changes and retractions alike, with nothing recorded at
-    /// evaluation time. Only when the enumeration reports a
-    /// retraction-blind relation are the cached rows themselves scanned, with
-    /// [`RowSupport::hits`] against that relation's dirty blocks alone.
-    /// Affected keys are then over-deleted and re-derived DRed-style via
+    /// The affected key set comes from **one** forward enumeration,
+    /// [`RangeCqa::affected_keys`]: every group with an embedding, old or
+    /// new, through a block dirtied since the cached epoch — births, value
+    /// changes and retractions alike, from the dirty keys and the retracted
+    /// facts the log keeps, with nothing recorded at evaluation time. Affected
+    /// keys are then over-deleted and re-derived DRed-style via
     /// [`RangeCqa::range_for_groups`]: keys whose embeddings vanished stay
     /// gone, new keys appear, everything else keeps its cached row
     /// unexamined. Whether anything changed is decided by comparing the
@@ -1554,34 +1554,20 @@ impl Session {
         let Some(log) = self.dirty_since(cached.epoch, epoch) else {
             return Ok(Err(Miss::HistoryEvicted));
         };
-        let dirty = || log.iter().flat_map(|batch| batch.iter());
-        let AffectedKeys { mut keys, blind } = stmt.engine().affected_keys(index, dirty());
-        let old = &*cached.raw;
-        // Past half the cached rows a patch no longer undercuts the full
-        // recompute (measured: see above).
-        let over_half = |n: usize| old[0].len() >= 16 && n * 2 > old[0].len();
-        if !blind.is_empty() {
-            let hit = |row: &&GroupRange| {
-                dirty().any(|b| {
-                    blind.contains(&b.relation)
-                        && stmt.support().hits(&row.key, &b.relation, &b.key)
-                })
-            };
-            let hit: Vec<&GroupRange> = old[0].iter().filter(hit).collect();
-            if over_half(hit.len()) {
-                return Ok(Err(Miss::BlindFallback));
-            }
-            keys.extend(hit.into_iter().map(|row| row.key.clone()));
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        let affected = keys;
+        let affected = stmt.engine().affected_keys(
+            index,
+            log.iter().flat_map(|batch| batch.blocks.iter()),
+            log.iter().flat_map(|batch| batch.retracted.iter()),
+        );
         if affected.is_empty() {
             // No old or new embedding passes through a dirty block: the
             // result is untouched by the whole delta range.
             return restamped();
         }
-        if over_half(affected.len()) {
+        let old = &*cached.raw;
+        // Past half the cached rows a patch no longer undercuts the full
+        // recompute (measured: see above).
+        if old[0].len() >= 16 && affected.len() * 2 > old[0].len() {
             return Ok(Err(Miss::OverHalf));
         }
         let mut fresh = Vec::with_capacity(stmt.engines.len());
@@ -2184,15 +2170,13 @@ mod tests {
     }
 
     #[test]
-    fn a_retraction_blind_level_is_answered_through_the_support_scan() {
-        // Grouping by Town — a non-key column of Dealers — makes a dirty
-        // Dealers block retraction-blind: the town a deleted fact named is not
-        // in the new index. The read falls back to scanning the cached rows
-        // with the support patterns, for Dealers' dirty blocks alone.
+    fn a_group_bound_past_the_dirty_key_is_patched_from_the_retracted_facts() {
+        // Grouping by Town — a non-key column of Dealers — leaves a dirty
+        // Dealers block's group unbound by its key, and the town a deleted
+        // fact named is not in the new index. The dirty log keeps the deleted
+        // fact, and the delta enumeration walks the block with it put back.
         let sql = "SELECT D.Town, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
                    WHERE D.Town = S.Town GROUP BY D.Town";
-        // Four dealers, two rows: under the half-the-rows rule's floor, the
-        // scan's verdict (Dealers' pattern is `Any`: every row) is patched.
         let session = stock_session();
         assert_eq!(session.execute(sql).unwrap().rows.len(), 2);
         assert!(session
@@ -2203,16 +2187,15 @@ mod tests {
         assert_equals_cold(&session, sql, &got);
         let stats = session.stats();
         assert_eq!((stats.supported_patches, stats.support_misses), (1, 0));
-        // A Stock write reaches the same statement through its join prefix:
-        // not blind, no scan, one group re-derived.
+        // A Stock write reaches the same statement through its join prefix.
         session
             .insert(fact!("Stock", "Tesla Z", "Boston", 500))
             .unwrap();
         let got = session.execute(sql).unwrap();
         assert_eq!(got.rows[0].lub.unwrap().value, Some(rat(500)));
         assert_eq!(session.stats().supported_patches, 2);
-        // Twenty rows: the scan hits them all, over half, and the miss is
-        // counted under its own reason.
+        // Twenty rows: t19 loses both its dealers over two commits, and one
+        // group of the twenty is re-derived.
         let session = towns_session();
         assert_eq!(session.execute(sql).unwrap().rows.len(), 20);
         assert!(session.delete(&fact!("Dealers", "d19", "t19")).unwrap());
@@ -2220,16 +2203,35 @@ mod tests {
         let got = session.execute(sql).unwrap();
         assert_eq!(got.rows.len(), 19);
         assert_equals_cold(&session, sql, &got);
-        let reasons = session.patch_reasons();
-        assert_eq!(reasons.blind_fallback, 1);
-        assert_eq!(reasons.total(), session.stats().support_misses);
-        assert_eq!(session.stats().support_misses, 1);
-        // An S-side write on the same statement still patches.
+        let stats = session.stats();
+        assert_eq!((stats.supported_patches, stats.support_misses), (1, 0));
+        // One batch retracts a dealer and its town's stock: t04 keeps its
+        // other dealer, d24, but no partner block.
+        let flags = session
+            .apply_batch(&[
+                DeltaEvent::delete(fact!("Dealers", "d04", "t04")),
+                DeltaEvent::delete(fact!("Stock", "p0", "t04", 14)),
+                DeltaEvent::delete(fact!("Stock", "p0", "t04", 64)),
+            ])
+            .unwrap();
+        assert_eq!(flags, [true; 3]);
+        let got = session.execute(sql).unwrap();
+        assert_eq!(got.rows.len(), 18);
+        assert_equals_cold(&session, sql, &got);
+        // An S-side write on the same statement patches too.
         session.insert(fact!("Stock", "p1", "t03", 77)).unwrap();
         let got = session.execute(sql).unwrap();
         assert_equals_cold(&session, sql, &got);
-        assert_eq!(session.stats().supported_patches, 1);
-        assert_eq!(session.patch_reasons().total(), 1);
+        let stats = session.stats();
+        assert_eq!(
+            (
+                stats.supported_patches,
+                stats.support_misses,
+                stats.full_recomputes
+            ),
+            (3, 0, 1)
+        );
+        assert_eq!(session.patch_reasons(), PatchReasons::default());
     }
 
     #[test]
@@ -2267,7 +2269,6 @@ mod tests {
             PatchReasons {
                 history_evicted: 1,
                 over_half: 2,
-                blind_fallback: 0,
             }
         );
         assert_eq!(reasons.total(), session.stats().support_misses);

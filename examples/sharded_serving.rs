@@ -101,13 +101,11 @@ fn main() {
     let stats = session.stats();
     let reasons = session.patch_reasons();
     println!(
-        "stale reads: patched={} missed={} | miss reasons: history-evicted={} over-half={} \
-         blind-fallback={}",
+        "stale reads: patched={} missed={} | miss reasons: history-evicted={} over-half={}",
         stats.totals.supported_patches + stats.mirror.supported_patches,
         stats.totals.support_misses + stats.mirror.support_misses,
         reasons.history_evicted,
-        reasons.over_half,
-        reasons.blind_fallback
+        reasons.over_half
     );
     println!(
         "shards: {} | epoch frontier: {:?} (sum = {})",

@@ -118,7 +118,7 @@ fn concurrent_clients_share_exactly_one_index_build() {
 /// executor threads AND to a session crash-recovered from a copy of the
 /// write-ahead log. The statement mix covers the three post-processing
 /// shapes the old locality certificate refused to patch — HAVING over a
-/// non-key group key (retraction-blind under an R write), certain top-k, and
+/// non-key group key (bound past an R write's dirty key), certain top-k, and
 /// a residual comparison predicate (both bounds by repair enumeration, of
 /// the blocks each group's embeddings touch — patched like the rest) — plus
 /// the plain join and a closed join, whose probe-side writes the delta
@@ -131,7 +131,8 @@ mod random_interleavings {
     use rcqa::wal::{MemStorage, WalStorage};
 
     const STATEMENTS: &[&str] = &[
-        // Non-key GROUP BY key + HAVING: patched via support patterns.
+        // Non-key GROUP BY key + HAVING: an R retraction's group is found
+        // through the retracted fact.
         "SELECT R.Y, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.Y \
          HAVING MAX(S.Qty) > 20",
         // Certain top-k: selection reuse when pairwise precedence holds.

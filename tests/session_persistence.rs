@@ -40,6 +40,11 @@ fn rs_catalog() -> Catalog {
 }
 
 const GROUPED_MAX: &str = "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.X";
+/// The same join grouped by R's non-key column and by S's `Z`: a dirty R
+/// block binds neither, so an R retraction's group is found only through the
+/// retracted fact the dirty log keeps.
+const GROUPED_BY_Y: &str = "SELECT R.Y, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.Y";
+const GROUPED_BY_Z: &str = "SELECT S.Z, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY S.Z";
 
 /// Small value domains so random draws collide: the same block gains several
 /// facts, blocks empty out and reappear, and whole relations drain.
@@ -72,7 +77,8 @@ fn pool_fact(draw: u64) -> Fact {
 }
 
 /// The full warm-vs-cold check after one commit: instance contents, index
-/// structure, and answers at two thread counts.
+/// structure, and answers at two thread counts — of [`GROUPED_BY_Z`] only at
+/// every third epoch, so that its patches span several commits' retractions.
 fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
     let snapshot = session.snapshot();
     assert_eq!(
@@ -80,9 +86,16 @@ fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
         *mirror,
         "session instance diverged from the op-by-op mirror"
     );
+    let mut statements = vec![GROUPED_MAX, GROUPED_BY_Y];
+    if snapshot.epoch().is_multiple_of(3) {
+        statements.push(GROUPED_BY_Z);
+    }
     // Forces the snapshot's index into existence (cold build or the warm
     // maintained one, whichever this snapshot carries).
-    let warm = session.execute(GROUPED_MAX).expect("warm execute").rows;
+    let warm: Vec<_> = statements
+        .iter()
+        .map(|sql| session.execute(sql).expect("warm execute").rows)
+        .collect();
     snapshot
         .index()
         .expect("executed snapshots hold an index")
@@ -90,11 +103,13 @@ fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
     for threads in [1usize, 4] {
         let cold = Session::with_instance(rs_catalog(), snapshot.db().clone())
             .with_options(EngineOptions { threads });
-        assert_eq!(
-            cold.execute(GROUPED_MAX).expect("cold execute").rows,
-            warm,
-            "cold@{threads}T differs from the warm session"
-        );
+        for (sql, warm) in statements.iter().zip(&warm) {
+            assert_eq!(
+                &cold.execute(sql).expect("cold execute").rows,
+                warm,
+                "{sql}: cold@{threads}T differs from the warm session"
+            );
+        }
     }
 }
 
