@@ -567,12 +567,25 @@ struct CachedResult {
     rows: CachedRows,
 }
 
+/// A fan-out statement's merged answer, which the sharded front-end caches
+/// in the statement's entry of the session it prepares statements on: the
+/// result and the per-shard epochs it reflects. It is the front-end's only
+/// copy of those rows — the shards never see the statement.
+#[derive(Clone, Debug)]
+struct FanoutResult {
+    frontier: Arc<[u64]>,
+    result: CachedResult,
+}
+
 /// One cached statement plus its last computed result (if any), versioned by
 /// the epoch the result was computed at.
 #[derive(Debug)]
 struct CachedStatement {
     stmt: Arc<PreparedStatement>,
     result: Option<CachedResult>,
+    /// The sharded front-end's result for a fan-out statement (never set
+    /// on a plain session's statements).
+    fanout: Option<FanoutResult>,
     /// LRU stamp from the session's cache clock, touched on every lookup
     /// hit. An atomic so the warm read path can touch it under the
     /// statement map's shared **read** lock.
@@ -600,6 +613,8 @@ struct AtomicStats {
     batched_commits: AtomicU64,
     batched_events: AtomicU64,
     statements_evicted: AtomicU64,
+    /// Misses by [`Miss`]; they sum to `support_misses`.
+    misses: [AtomicU64; 2],
 }
 
 impl AtomicStats {
@@ -625,6 +640,14 @@ impl AtomicStats {
             batched_commits: self.batched_commits.load(Ordering::Relaxed),
             batched_events: self.batched_events.load(Ordering::Relaxed),
             statements_evicted: self.statements_evicted.load(Ordering::Relaxed),
+        }
+    }
+
+    fn patch_reasons(&self) -> PatchReasons {
+        let count = |miss: Miss| self.misses[miss as usize].load(Ordering::Relaxed);
+        PatchReasons {
+            history_evicted: count(Miss::HistoryEvicted),
+            over_half: count(Miss::OverHalf),
         }
     }
 }
@@ -654,6 +677,15 @@ struct DirtyBatch {
 struct Maintenance {
     dirty_log: VecDeque<(u64, Arc<DirtyBatch>)>,
     log_floor: u64,
+}
+
+/// One partition a stale result patches through ([`Session::try_patch`]):
+/// its pinned snapshot and index, and the batches committed to it since the
+/// result was cached.
+struct PatchSource<'s> {
+    snapshot: &'s Snapshot,
+    index: Arc<DbIndex>,
+    log: Vec<Arc<DirtyBatch>>,
 }
 
 /// Why a stale cached result could not be patched and was recomputed in full:
@@ -736,8 +768,6 @@ pub struct Session {
     /// from observability accessors — never on the read/serving path.
     wal: Mutex<Option<Wal>>,
     stats: AtomicStats,
-    /// Misses by [`Miss`]; they sum to `stats.support_misses`.
-    misses: [AtomicU64; 2],
 }
 
 impl fmt::Debug for Session {
@@ -788,7 +818,6 @@ impl Session {
             cache_clock: AtomicU64::new(0),
             wal: Mutex::new(wal),
             stats: AtomicStats::default(),
-            misses: Default::default(),
         }
     }
 
@@ -909,11 +938,7 @@ impl Session {
     /// [`SessionStats::support_misses`] split by reason: why stale results
     /// went to a full recompute instead of the patch path.
     pub fn patch_reasons(&self) -> PatchReasons {
-        let count = |miss: Miss| self.misses[miss as usize].load(Ordering::Relaxed);
-        PatchReasons {
-            history_evicted: count(Miss::HistoryEvicted),
-            over_half: count(Miss::OverHalf),
-        }
+        self.stats.patch_reasons()
     }
 
     /// The current epoch: effective mutations since the session opened.
@@ -1225,6 +1250,7 @@ impl Session {
                 let entry = CachedStatement {
                     stmt: stmt.clone(),
                     result: None,
+                    fanout: None,
                     last_used: AtomicU64::new(0),
                 };
                 self.touch(&entry);
@@ -1509,7 +1535,8 @@ impl Session {
     /// re-derive them, and — only when some row really changed — one pass
     /// over the rows to splice. Returns the [`Miss`] — fall back to a full
     /// recompute — when the dirty history no longer reaches back to the
-    /// cached epoch, or the affected key set covers more than half the rows.
+    /// cached epoch (`sources` is that miss), or the affected key set covers
+    /// more than half the rows.
     ///
     /// Half the rows is the **measured break-even of the least favourable
     /// statement**, not a bound that holds by construction: re-derivation
@@ -1521,22 +1548,27 @@ impl Session {
     /// A miss costs the recompute plus the enumeration that found it (about
     /// 1.3 µs per dirty block).
     ///
-    /// The affected key set comes from **one** forward enumeration,
-    /// [`RangeCqa::affected_keys`]: every group with an embedding, old or
-    /// new, through a block dirtied since the cached epoch — births, value
-    /// changes and retractions alike, from the dirty keys and the retracted
-    /// facts the log keeps, with nothing recorded at evaluation time. Affected
-    /// keys are then over-deleted and re-derived DRed-style via
-    /// [`RangeCqa::range_for_groups`]: keys whose embeddings vanished stay
-    /// gone, new keys appear, everything else keeps its cached row
-    /// unexamined. Whether anything changed is decided by comparing the
-    /// re-derived rows with the rows they replace — never the whole result.
+    /// The affected key set comes from **one** forward enumeration per
+    /// source, [`RangeCqa::affected_keys`]: every group with an embedding,
+    /// old or new, through a block dirtied since the cached epoch — births,
+    /// value changes and retractions alike, from the dirty keys and the
+    /// retracted facts the log keeps, with nothing recorded at evaluation
+    /// time. Affected keys are then over-deleted and re-derived DRed-style
+    /// via [`RangeCqa::range_for_groups`] on the source that reported them:
+    /// keys whose embeddings vanished stay gone, new keys appear, everything
+    /// else keeps its cached row unexamined. Whether anything changed is
+    /// decided by comparing the re-derived rows with the rows they replace —
+    /// never the whole result.
+    ///
+    /// A session patches through one source, itself. The sharded front-end
+    /// patches a fan-out result through every shard that advanced: a fan-out
+    /// group is a function of one shard's blocks, so the sources report
+    /// disjoint key sets and each re-derives its own.
     fn try_patch(
-        &self,
+        stats: &AtomicStats,
         stmt: &PreparedStatement,
-        snapshot: &Snapshot,
-        index: &DbIndex,
         cached: &CachedResult,
+        sources: Result<Vec<PatchSource<'_>>, Miss>,
         epoch: u64,
     ) -> Result<Result<CachedResult, Miss>, SessionError> {
         let restamped = || {
@@ -1551,15 +1583,22 @@ impl Session {
         if stmt.unsatisfiable {
             return restamped();
         }
-        let Some(log) = self.dirty_since(cached.epoch, epoch) else {
-            return Ok(Err(Miss::HistoryEvicted));
+        let sources = match sources {
+            Ok(sources) => sources,
+            Err(miss) => return Ok(Err(miss)),
         };
-        let affected = stmt.engine().affected_keys(
-            index,
-            log.iter().flat_map(|batch| batch.blocks.iter()),
-            log.iter().flat_map(|batch| batch.retracted.iter()),
-        );
-        if affected.is_empty() {
+        let per_source: Vec<Vec<Vec<Value>>> = sources
+            .iter()
+            .map(|source| {
+                stmt.engine().affected_keys(
+                    &source.index,
+                    source.log.iter().flat_map(|batch| batch.blocks.iter()),
+                    source.log.iter().flat_map(|batch| batch.retracted.iter()),
+                )
+            })
+            .collect();
+        let count: usize = per_source.iter().map(Vec::len).sum();
+        if count == 0 {
             // No old or new embedding passes through a dirty block: the
             // result is untouched by the whole delta range.
             return restamped();
@@ -1567,12 +1606,26 @@ impl Session {
         let old = &*cached.raw;
         // Past half the cached rows a patch no longer undercuts the full
         // recompute (measured: see above).
-        if old[0].len() >= 16 && affected.len() * 2 > old[0].len() {
+        if old[0].len() >= 16 && count * 2 > old[0].len() {
             return Ok(Err(Miss::OverHalf));
         }
-        let mut fresh = Vec::with_capacity(stmt.engines.len());
-        for engine in &stmt.engines {
-            fresh.push(engine.range_for_groups(&snapshot.db, index, &affected)?);
+        let mut fresh = vec![Vec::new(); stmt.engines.len()];
+        for (source, keys) in sources.iter().zip(&per_source) {
+            if keys.is_empty() {
+                continue;
+            }
+            for (engine, rows) in stmt.engines.iter().zip(&mut fresh) {
+                rows.extend(engine.range_for_groups(&source.snapshot.db, &source.index, keys)?);
+            }
+        }
+        let mut affected: Vec<Vec<Value>> = per_source.into_iter().flatten().collect();
+        if sources.len() > 1 {
+            // Each source's keys and rows come sorted, and the sources' key
+            // sets are disjoint: one sort puts them in row order.
+            affected.sort_unstable();
+            for rows in &mut fresh {
+                rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+            }
         }
         // Aggregates are key-aligned, so one search seats the keys in all.
         let seats = Self::seats(&old[0], &affected);
@@ -1618,7 +1671,7 @@ impl Session {
                         .collect();
                     Self::present(stmt, &raw, &new_statuses, &selected)
                 } else {
-                    AtomicStats::bump(&self.stats.topk_fallbacks);
+                    AtomicStats::bump(&stats.topk_fallbacks);
                     Self::post_process(stmt, &raw)
                 }
             }
@@ -1627,13 +1680,57 @@ impl Session {
         Ok(Ok(CachedResult { epoch, raw, rows }))
     }
 
+    /// The stale-or-cold step shared by [`Session::fetch_result_at`] and the
+    /// sharded front-end's fan-out: patch `stale` (a result behind `epoch`,
+    /// with its patch sources) through [`Session::try_patch`], or — on a
+    /// miss, or with nothing to patch — run `full`. The path taken is
+    /// counted in `stats`.
+    fn refresh(
+        stats: &AtomicStats,
+        stmt: &PreparedStatement,
+        stale: Option<(&CachedResult, Result<Vec<PatchSource<'_>>, Miss>)>,
+        epoch: u64,
+        full: impl FnOnce() -> Result<CachedResult, SessionError>,
+    ) -> Result<CachedResult, SessionError> {
+        if let Some((cached, sources)) = stale {
+            match Self::try_patch(stats, stmt, cached, sources, epoch)? {
+                Ok(result) => {
+                    AtomicStats::bump(&stats.partial_recomputes);
+                    AtomicStats::bump(&stats.supported_patches);
+                    return Ok(result);
+                }
+                Err(miss) => {
+                    AtomicStats::bump(&stats.support_misses);
+                    AtomicStats::bump(&stats.misses[miss as usize]);
+                }
+            }
+        }
+        AtomicStats::bump(&stats.full_recomputes);
+        full()
+    }
+
+    /// This session as the one patch source of a result cached at `from`,
+    /// read at `snapshot`: its index and the batches committed since, or
+    /// [`Miss::HistoryEvicted`] when the retained history does not reach
+    /// back that far.
+    fn patch_source<'s>(&self, snapshot: &'s Snapshot, from: u64) -> Result<PatchSource<'s>, Miss> {
+        let log = self
+            .dirty_since(from, snapshot.epoch)
+            .ok_or(Miss::HistoryEvicted)?;
+        Ok(PatchSource {
+            snapshot,
+            index: self.pinned_index(snapshot),
+            log,
+        })
+    }
+
     /// The cache-aware execution path shared by [`Session::execute`],
-    /// [`Session::execute_many`], and the sharded front-end's fan-out,
-    /// against one pinned snapshot: statement lookup, then result hit /
-    /// support-tracked patch / full pipeline, in that order. Returns the
-    /// full [`CachedResult`] — the post-processed presentation *and* the
-    /// raw per-aggregate rows, which a sharded merge re-post-processes
-    /// globally. No session-wide lock is held while the plan executes.
+    /// [`Session::execute_many`], and the sharded front-end's designated
+    /// route, against one pinned snapshot: statement lookup, then result
+    /// hit / patch / full pipeline, in that order. Returns the full
+    /// [`CachedResult`] — the post-processed presentation *and* the raw
+    /// per-aggregate rows. No session-wide lock is held while the plan
+    /// executes.
     fn fetch_result_at(
         &self,
         snapshot: &Snapshot,
@@ -1665,38 +1762,15 @@ impl Session {
         let cached: Option<CachedResult> = self
             .read_statements()
             .get(stmt.sql())
-            .and_then(|entry| entry.result.clone());
-
-        enum Path {
-            Patch,
-            Full,
-        }
-        let (path, result) = match cached {
-            Some(cached) if cached.epoch < epoch => {
-                match self.try_patch(&stmt, snapshot, &index, &cached, epoch)? {
-                    Ok(result) => (Path::Patch, result),
-                    Err(miss) => {
-                        AtomicStats::bump(&self.stats.support_misses);
-                        AtomicStats::bump(&self.misses[miss as usize]);
-                        (
-                            Path::Full,
-                            Self::compute_result(&stmt, &snapshot.db, &index, epoch)?,
-                        )
-                    }
-                }
-            }
-            _ => (
-                Path::Full,
-                Self::compute_result(&stmt, &snapshot.db, &index, epoch)?,
-            ),
-        };
-        match path {
-            Path::Patch => {
-                AtomicStats::bump(&self.stats.partial_recomputes);
-                AtomicStats::bump(&self.stats.supported_patches);
-            }
-            Path::Full => AtomicStats::bump(&self.stats.full_recomputes),
-        }
+            .and_then(|entry| entry.result.clone())
+            .filter(|cached| cached.epoch < epoch);
+        let stale = cached.as_ref().map(|cached| {
+            let source = self.patch_source(snapshot, cached.epoch);
+            (cached, source.map(|source| vec![source]))
+        });
+        let result = Self::refresh(&self.stats, &stmt, stale, epoch, || {
+            Self::compute_result(&stmt, &snapshot.db, &index, epoch)
+        })?;
         // Publish the result for this epoch — unless a reader pinned to a
         // newer snapshot stored theirs first (never regress the cache).
         {
@@ -1709,6 +1783,28 @@ impl Session {
             }
         }
         Ok((stmt, result))
+    }
+
+    /// The sharded front-end's fan-out result cached with the statement
+    /// under (normalized) `sql`, if any.
+    fn fanout_result(&self, sql: &str) -> Option<FanoutResult> {
+        self.read_statements()
+            .get(sql)
+            .and_then(|entry| entry.fanout.clone())
+    }
+
+    /// Caches a fan-out result with its statement — unless the statement was
+    /// evicted meanwhile, or a reader pinned at a later frontier stored
+    /// theirs first (pins are taken under every shard's commit lock, so any
+    /// two frontiers are ordered).
+    fn store_fanout_result(&self, sql: &str, fanout: FanoutResult) {
+        if let Some(entry) = self.write_statements().get_mut(sql) {
+            let newer = matches!(&entry.fanout, Some(cached)
+                if cached.frontier.iter().zip(fanout.frontier.iter()).any(|(old, new)| old > new));
+            if !newer {
+                entry.fanout = Some(fanout);
+            }
+        }
     }
 
     /// [`Session::fetch_result_at`] reduced to the presented outcome.

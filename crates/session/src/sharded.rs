@@ -34,17 +34,31 @@
 //!   deleted — deletions that, by the support property, cannot affect any
 //!   row whose block lives here, and cannot *produce* a row whose block
 //!   lives elsewhere. Per-shard row sets are therefore disjoint, globally
-//!   correct, and their union is the global raw row set. Raw rows are
-//!   emitted in group-key **value order** (`sorted_groups` orders by
+//!   correct, and their union is the global raw row set. Which operator
+//!   computes a bound never matters: the exact-enumeration fallback
+//!   enumerates the repairs of the blocks its group's embeddings touch, so a
+//!   single-atom `SUM` fans out like a single-atom `MAX`.
+//!
+//!   The **front-end owns the result**: the merged raw rows and their
+//!   presentation, cached with the statement and stamped with the shard
+//!   epochs they reflect — the only copy; shards never prepare, evaluate or
+//!   cache a fan-out statement. A read at the same epochs is that cached
+//!   answer. Since a group is a function of one shard's blocks, a group's
+//!   change is visible in exactly one shard's dirty log, so a read at later
+//!   epochs patches the merged result through the dirty logs of the shards
+//!   that advanced — `affected_keys` over each such shard's index, those
+//!   groups re-derived on that shard, spliced in by the same step
+//!   ([`Session::try_patch`]) a single session patches with. Only a cold
+//!   read or a patch miss evaluates every shard: raw rows are emitted in
+//!   group-key **value order** (`sorted_groups` orders by
 //!   `ValueInterner::cmp_id_tuples`, which is materialised [`Value`] order),
 //!   so a k-way merge by `Vec<Value>` order reproduces the global row order
 //!   byte-for-byte. Post-processing that is *per-row* (the HAVING
 //!   trichotomy over each group's `[glb, lub]`) would be safe per shard,
 //!   but certain top-k and ORDER BY/LIMIT compare rows **across** shards —
-//!   so the front-end merges first and re-runs the statement's full
-//!   post-processing ([`Session::post_process`], built on the `interval`
-//!   primitives) over the merged rows, exactly as the unsharded session
-//!   does.
+//!   so the front-end runs the statement's full post-processing
+//!   ([`Session::post_process`], built on the `interval` primitives) over
+//!   the merged rows, exactly as the unsharded session does.
 //! * **Designated shard** — every key slot of the single support atom is
 //!   `Const`: all blocks the statement can ever consult live on one
 //!   computable shard, so that shard's answer *is* the global answer
@@ -54,10 +68,7 @@
 //! * **Cross-shard combine** — everything else: joins (two or more support
 //!   atoms: the same group key hashes to different shards under different
 //!   relation names) and patterns with an `Any` slot (one row may consult
-//!   blocks on several shards). Which operator computes a bound never
-//!   matters: the exact-enumeration fallback enumerates the repairs of the
-//!   blocks its group's embeddings touch, so a single-atom `SUM` fans out
-//!   like a single-atom `MAX`. These are
+//!   blocks on several shards). These are
 //!   answered **honestly, never silently wrong**, on the *mirror*: a full
 //!   in-memory unsharded [`Session`] that the front-end keeps at the shards'
 //!   union state by replaying every effective event. The mirror answer is
@@ -105,8 +116,8 @@
 //! rebuilds the mirror from the recovered union.
 
 use crate::{
-    CachedResult, PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError,
-    SessionStats, Snapshot, WalOptions,
+    AtomicStats, CachedResult, FanoutResult, Miss, PatchReasons, PatchSource, PreparedStatement,
+    QueryOutcome, Session, SessionError, SessionStats, Snapshot, WalOptions,
 };
 use rcqa_core::engine::{EngineOptions, GroupRange};
 use rcqa_core::plan::exec::run_shards;
@@ -161,8 +172,8 @@ fn shard_of(relation: &str, block_key: &[Value], shards: usize) -> usize {
 /// module docs for why each route is answer-preserving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Route {
-    /// Evaluate on every shard in parallel, merge raw rows by group key,
-    /// re-run global post-processing.
+    /// The front-end's merged result, patched through the shards' dirty
+    /// logs (cold: evaluated on every shard and merged by group key).
     Fanout,
     /// Every block the statement can consult lives on this shard.
     Designated(usize),
@@ -191,6 +202,8 @@ struct Coordinator {
 /// [`SessionStats`] live in the shards).
 #[derive(Default)]
 struct FrontStats {
+    /// Fan-out result hits, patches, full recomputes and misses.
+    fanout: AtomicStats,
     fanout_queries: AtomicU64,
     designated_queries: AtomicU64,
     combine_queries: AtomicU64,
@@ -217,8 +230,14 @@ struct Pinned {
 pub struct ShardedStats {
     /// Each shard's serving-layer counters, in shard order.
     pub shards: Vec<SessionStats>,
-    /// Field-wise sum over `shards` — patch/miss behaviour stays observable
-    /// under sharding through the same fields as a single session.
+    /// The front-end's fan-out results: `result_hits`, `supported_patches`
+    /// (with `partial_recomputes`), `full_recomputes`, `support_misses` and
+    /// `topk_fallbacks`. One fan-out read counts once here; the shards never
+    /// see it.
+    pub fanout: SessionStats,
+    /// Field-wise sum of `shards` and `fanout` — patch/miss behaviour stays
+    /// observable under sharding through the same fields as a single
+    /// session.
     pub totals: SessionStats,
     /// The mirror session's counters (cross-shard combines evaluate here;
     /// its `deltas_applied` counts replayed events).
@@ -258,7 +277,9 @@ pub struct ShardedSession {
     /// A full in-memory unsharded session kept at the shards' union state:
     /// statements prepare here (preparation is data-independent — schema
     /// and numeric domain are fixed at construction and identical
-    /// everywhere), and cross-shard combine queries are answered here.
+    /// everywhere), a fan-out statement's merged result is cached with its
+    /// statement here (and evicted with it), and cross-shard combine queries
+    /// are answered here.
     mirror: Session,
     /// Effective events committed to shards but not yet replayed into the
     /// mirror. Pushed under the committing shard's leader lock (same-block
@@ -477,15 +498,16 @@ impl ShardedSession {
         Ok(())
     }
 
-    /// Aggregated counters: per shard, their total, the mirror, the epoch
-    /// frontier, and the front-end's route/coalescing counters.
+    /// Aggregated counters: per shard, the fan-out results, their total, the
+    /// mirror, the epoch frontier, and the front-end's route/coalescing
+    /// counters.
     pub fn stats(&self) -> ShardedStats {
         let shards: Vec<SessionStats> = self.shards.iter().map(|s| s.stats()).collect();
-        let totals = shards
-            .iter()
-            .fold(SessionStats::default(), |acc, s| acc.merge(*s));
+        let fanout = self.stats.fanout.snapshot();
+        let totals = shards.iter().fold(fanout, |acc, s| acc.merge(*s));
         ShardedStats {
             shards,
+            fanout,
             totals,
             mirror: self.mirror.stats(),
             epoch_frontier: self.epoch_frontier(),
@@ -499,15 +521,17 @@ impl ShardedSession {
         }
     }
 
-    /// Why stale results missed the patch path, summed over the shards and
-    /// the mirror (the per-shard and mirror [`SessionStats::support_misses`]
-    /// of [`ShardedSession::stats`] add up to its total).
+    /// Why stale results missed the patch path, summed over the shards, the
+    /// fan-out results and the mirror (the `totals` and mirror
+    /// [`SessionStats::support_misses`] of [`ShardedSession::stats`] add up
+    /// to its total).
     pub fn patch_reasons(&self) -> PatchReasons {
-        self.shards
-            .iter()
-            .fold(self.mirror.patch_reasons(), |acc, shard| {
-                acc.merge(shard.patch_reasons())
-            })
+        self.shards.iter().fold(
+            self.mirror
+                .patch_reasons()
+                .merge(self.stats.fanout.patch_reasons()),
+            |acc, shard| acc.merge(shard.patch_reasons()),
+        )
     }
 
     /// The union instance across all shards, at a consistent cut.
@@ -759,38 +783,95 @@ impl ShardedSession {
         }
     }
 
-    /// The fan-out read: evaluate on every shard (in parallel per
-    /// [`EngineOptions::threads`] conventions), k-way merge the disjoint
-    /// per-aggregate raw rows by group key, and re-run the statement's
-    /// global post-processing over the merged set.
+    /// The fan-out read, answered from the one merged result the front-end
+    /// caches with the statement, stamped with the shard epochs it reflects.
+    /// At the pinned frontier it is served as it is; behind it, it patches
+    /// through the dirty logs of the shards that advanced
+    /// ([`Session::try_patch`] with one source per such shard). Only a cold
+    /// read or a miss evaluates every shard.
     fn execute_fanout(
         &self,
         pinned: &Pinned,
         stmt: &PreparedStatement,
     ) -> Result<QueryOutcome, SessionError> {
-        let sql = stmt.sql();
-        let shards: Vec<_> = self.shards.iter().zip(&pinned.snaps).collect();
-        let fetch = |(shard, snap): (&Session, &Arc<Snapshot>)| shard.fetch_result_at(snap, sql);
-        let fetched: Vec<_> = if self.mirror.options().resolve_threads() > 1 {
-            run_shards(shards, fetch)
-        } else {
-            shards.into_iter().map(fetch).collect()
+        let epochs = || pinned.snaps.iter().map(|snap| snap.epoch());
+        let result = match self.mirror.fanout_result(stmt.sql()) {
+            Some(cached) if cached.frontier.iter().copied().eq(epochs()) => {
+                bump(&self.stats.fanout.result_hits);
+                cached.result
+            }
+            cached => {
+                let stale = cached.as_ref().and_then(|cached| {
+                    Some((&cached.result, self.advanced(pinned, &cached.frontier)?))
+                });
+                let evaluate = || self.evaluate_fanout(pinned, stmt);
+                let result =
+                    Session::refresh(&self.stats.fanout, stmt, stale, pinned.epoch, evaluate)?;
+                let fanout = FanoutResult {
+                    frontier: epochs().collect(),
+                    result: result.clone(),
+                };
+                self.mirror.store_fanout_result(stmt.sql(), fanout);
+                result
+            }
         };
-        let mut parts: Vec<CachedResult> = Vec::with_capacity(fetched.len());
-        for result in fetched {
-            parts.push(result?.1);
-        }
-        let aggregates = parts[0].raw.len();
-        let merged: Vec<Arc<[GroupRange]>> = (0..aggregates)
-            .map(|agg| {
-                let lists: Vec<&[GroupRange]> = parts.iter().map(|part| &*part.raw[agg]).collect();
-                merge_by_key(&lists).into()
-            })
-            .collect();
-        let rows = Session::post_process(stmt, &merged);
-        let mut out = Session::outcome(stmt, rows, pinned.epoch);
+        let mut out = Session::outcome(stmt, result.rows, pinned.epoch);
         out.shards = self.shards.len();
         Ok(out)
+    }
+
+    /// The shards that advanced from `from` to the pin, as the patch sources
+    /// of a fan-out result stamped `from` — or `None` when the result is
+    /// ahead of the pin on some shard: pinned frontiers are ordered, so it
+    /// comes from a later pin, is useless to this reader, and stays in place
+    /// for current ones.
+    fn advanced<'p>(
+        &self,
+        pinned: &'p Pinned,
+        from: &[u64],
+    ) -> Option<Result<Vec<PatchSource<'p>>, Miss>> {
+        let shards = self.shards.iter().zip(&pinned.snaps).zip(from);
+        if shards.clone().any(|((_, snap), &from)| snap.epoch() < from) {
+            return None;
+        }
+        let sources = shards
+            .filter(|((_, snap), &from)| snap.epoch() > from)
+            .map(|((shard, snap), &from)| shard.patch_source(snap, from))
+            .collect();
+        Some(sources)
+    }
+
+    /// The cold fan-out: evaluate on every shard (in parallel per
+    /// [`EngineOptions::threads`] conventions), k-way merge the disjoint
+    /// per-aggregate raw rows by group key, and run the statement's global
+    /// post-processing over the merged set.
+    fn evaluate_fanout(
+        &self,
+        pinned: &Pinned,
+        stmt: &PreparedStatement,
+    ) -> Result<CachedResult, SessionError> {
+        let shards: Vec<_> = self.shards.iter().zip(&pinned.snaps).collect();
+        let evaluate = |(shard, snap): (&Session, &Arc<Snapshot>)| {
+            Session::raw_rows(stmt, &snap.db, &shard.pinned_index(snap))
+        };
+        let evaluated: Vec<_> = if self.mirror.options().resolve_threads() > 1 {
+            run_shards(shards, evaluate)
+        } else {
+            shards.into_iter().map(evaluate).collect()
+        };
+        let parts = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let raw: Arc<[Arc<[GroupRange]>]> = (0..stmt.engines.len())
+            .map(|agg| {
+                let lists: Vec<&[GroupRange]> = parts.iter().map(|part| &*part[agg]).collect();
+                merge_by_key(&lists)
+            })
+            .collect();
+        let rows = Session::post_process(stmt, &raw);
+        Ok(CachedResult {
+            epoch: pinned.epoch,
+            raw,
+            rows,
+        })
     }
 
     /// An `EXPLAIN`-style rendering: the chosen shard route, then the
@@ -802,7 +883,8 @@ impl ShardedSession {
         let stmt = self.mirror.prepare(sql)?;
         let route = match self.route(&stmt) {
             Route::Fanout => format!(
-                "route: fan-out across {} shards — per-shard raw rows merge by group key; \
+                "route: fan-out across {} shards — the front-end's merged result is patched \
+                 from the shards' dirty logs (per-shard raw rows merge by group key when cold); \
                  HAVING / ORDER BY / certain top-k re-decided globally over the merged set\n",
                 self.shards.len()
             ),
@@ -870,27 +952,27 @@ fn route_fact(catalog: &Catalog, fact: &Fact, shards: usize) -> usize {
 /// value order and the key sets are pairwise disjoint (each group's block
 /// lives on one shard), so a plain smallest-head merge reproduces the
 /// global sorted order with no tie to break.
-fn merge_by_key(lists: &[&[GroupRange]]) -> Vec<GroupRange> {
+fn merge_by_key(lists: &[&[GroupRange]]) -> Arc<[GroupRange]> {
     let mut cursors = vec![0usize; lists.len()];
     let total = lists.iter().map(|l| l.len()).sum();
-    let mut out: Vec<GroupRange> = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if cursors[i] >= list.len() {
-                continue;
+    // A mapped range has a trusted length: one allocation, exactly sized.
+    (0..total)
+        .map(|_| {
+            let mut best = None;
+            for (i, list) in lists.iter().enumerate() {
+                let Some(row) = list.get(cursors[i]) else {
+                    continue;
+                };
+                best = match best {
+                    Some((_, head)) if head <= &row.key => best,
+                    _ => Some((i, &row.key)),
+                };
             }
-            best = match best {
-                Some(b) if lists[b][cursors[b]].key <= list[cursors[i]].key => Some(b),
-                _ => Some(i),
-            };
-        }
-        let Some(i) = best else {
-            return out;
-        };
-        out.push(lists[i][cursors[i]].clone());
-        cursors[i] += 1;
-    }
+            let (i, _) = best.expect("fewer rows taken than the lists hold");
+            cursors[i] += 1;
+            lists[i][cursors[i] - 1].clone()
+        })
+        .collect()
 }
 
 // The whole point: one front-end shared across reader and writer threads.
@@ -995,6 +1077,58 @@ mod tests {
         );
         assert_eq!(sharded.stats().fanout_queries, 1);
         assert_eq!(sharded.stats().combine_queries, 1);
+    }
+
+    #[test]
+    fn fanout_reads_serve_the_front_end_result_and_patch_it() {
+        let sharded = ShardedSession::new(catalog(), 4);
+        seed(&sharded);
+        let reference = reference();
+        let sql = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
+                   GROUP BY S.Product, S.Town";
+        let first = sharded.execute(sql).unwrap();
+        assert_eq!(sharded.stats().fanout.full_recomputes, 1);
+        // No write in between: the cached result answers, and no shard is
+        // asked anything.
+        let shards = sharded.stats().shards;
+        let again = sharded.execute(sql).unwrap();
+        assert!(Arc::ptr_eq(&first.rows, &again.rows));
+        let stats = sharded.stats();
+        assert_eq!(stats.shards, shards);
+        assert_eq!(stats.fanout.result_hits, 1);
+        let key = Session::normalize_sql(sql);
+        for shard in &sharded.shards {
+            assert!(!shard.read_statements().contains_key(&key));
+        }
+        // A write to the other relation: the one shard that advanced reports
+        // no affected group, so the result is restamped, not spliced.
+        let dealer = fact!("Dealers", "Lopez", "Boston");
+        sharded.insert(dealer.clone()).unwrap();
+        reference.insert(dealer).unwrap();
+        let restamped = sharded.execute(sql).unwrap();
+        assert!(Arc::ptr_eq(&first.rows, &restamped.rows));
+        assert_eq!(restamped.rows, reference.execute(sql).unwrap().rows);
+        let stats = sharded.stats();
+        assert_eq!(stats.fanout.supported_patches, 1);
+        assert_eq!(stats.fanout.full_recomputes, 1);
+        // A cross-shard batch into the statement's relation: every advanced
+        // shard patches its own groups into the merged rows.
+        let stock = [
+            fact!("Stock", "Tesla X", "Boston", 50),
+            fact!("Stock", "Tesla W", "Dover", 7),
+            fact!("Stock", "Tesla Q", "Erie", 3),
+        ];
+        sharded.insert_all(stock.clone()).unwrap();
+        reference.insert_all(stock).unwrap();
+        let spliced = sharded.execute(sql).unwrap();
+        assert!(!Arc::ptr_eq(&first.rows, &spliced.rows));
+        assert_same(&sharded, &reference, sql);
+        let stats = sharded.stats();
+        assert_eq!(stats.fanout.supported_patches, 2);
+        assert_eq!(stats.fanout.full_recomputes, 1);
+        assert_eq!(stats.totals.supported_patches, 2);
+        assert_eq!(sharded.patch_reasons().total(), 0);
+        assert_eq!(spliced.epoch, sharded.epoch());
     }
 
     #[test]

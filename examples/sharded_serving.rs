@@ -54,8 +54,9 @@ fn main() {
             .expect("insert");
     }
 
-    // A full-key GROUP BY fans out: every shard answers over its own blocks
-    // and the per-shard rows merge deterministically by group key. The
+    // A full-key GROUP BY fans out: on the first read every shard answers
+    // over its own blocks and the per-shard rows merge deterministically by
+    // group key; the front-end keeps the merged result. The
     // certain top-5 keeps only groups in the top 5 of EVERY repair — the
     // three bestsellers qualify; the conflicted blocks' overlapping
     // intervals leave ranks 4 and 5 uncertain, so they are (correctly)
@@ -88,10 +89,10 @@ fn main() {
     );
 
     // A write makes both cached answers stale; the next reads patch them —
-    // on the owning shard for the fan-out, on the mirror for the combine
-    // (SUM's upper bound enumerates repairs, but only of the blocks a town's
-    // embeddings touch, so it patches like any other) — or say why they
-    // could not.
+    // the front-end's fan-out result through the owning shard's dirty log,
+    // the combine on the mirror (SUM's upper bound enumerates repairs, but
+    // only of the blocks a town's embeddings touch, so it patches like any
+    // other) — or say why they could not.
     session
         .insert(fact!("Stock", "Atlas", "Boston", 905))
         .expect("insert");

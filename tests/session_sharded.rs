@@ -10,9 +10,9 @@
 
 use proptest::prelude::*;
 use rcqa::core::engine::EngineOptions;
-use rcqa::data::{fact, Fact, Value};
+use rcqa::data::{fact, DeltaEvent, Fact, Value};
 use rcqa::query::{Catalog, TableDef};
-use rcqa::session::{Session, SessionError, ShardedSession, SyncPolicy, WalOptions};
+use rcqa::session::{Session, SessionError, ShardedSession, SyncPolicy, WalOptions, DIRTY_LOG_CAP};
 
 fn catalog() -> Catalog {
     Catalog::new()
@@ -170,6 +170,116 @@ proptest! {
                         shards - 1
                     );
                 }
+            }
+        }
+    }
+}
+
+/// One mixed write op of [`fanout_results_patch_across_advanced_shards`]:
+/// kind 0 inserts one pool fact, 1 deletes one, 2 commits `batch` as one
+/// cross-shard `apply_batch` (an even draw inserts, an odd one deletes).
+/// Inserts and deletes are equally likely, so the instance stays near half
+/// the pool and the exact fallback's repair counts stay small.
+fn apply_op(
+    sharded: &ShardedSession,
+    reference: &Session,
+    (kind, draw, batch): &(u8, u64, Vec<u64>),
+) {
+    let f = pool_fact(*draw);
+    let (got, want) = match kind {
+        0 => (
+            vec![sharded.insert(f.clone()).expect("sharded insert")],
+            vec![reference.insert(f).expect("unsharded insert")],
+        ),
+        1 => (
+            vec![sharded.delete(&f).expect("sharded delete")],
+            vec![reference.delete(&f).expect("unsharded delete")],
+        ),
+        _ => {
+            let events: Vec<DeltaEvent> = batch
+                .iter()
+                .map(|&d| match d % 2 {
+                    0 => DeltaEvent::insert(pool_fact(d / 2)),
+                    _ => DeltaEvent::delete(pool_fact(d / 2)),
+                })
+                .collect();
+            (
+                sharded.apply_batch(&events).expect("sharded batch"),
+                reference.apply_batch(&events).expect("unsharded batch"),
+            )
+        }
+    };
+    assert_eq!(got, want, "effect flags diverge");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Fan-out answers come from one front-end result patched through the
+    /// dirty logs of whichever shards advanced since it was cached — several
+    /// at once after a cross-shard batch — and recomputed when one shard's
+    /// history no longer reaches back to it. Every answer, of every route,
+    /// stays byte-identical to an unsharded session's.
+    #[test]
+    fn fanout_results_patch_across_advanced_shards(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(
+                (0u8..3, 0u64..1_000_000, proptest::collection::vec(0u64..1_000_000, 2..7)),
+                0..41,
+            ),
+            1..5,
+        ),
+        stretch_after in 0usize..4,
+    ) {
+        let stretch_after = stretch_after.min(rounds.len() - 1);
+        for shards in [1usize, 2, 4] {
+            for threads in [1usize, 4] {
+                let engine = EngineOptions { threads };
+                let context = format!("s{shards}/t{threads}");
+                let sharded = ShardedSession::new(catalog(), shards).with_options(engine);
+                let reference = Session::new(catalog()).with_options(engine);
+                for (round, ops) in rounds.iter().enumerate() {
+                    for op in ops {
+                        apply_op(&sharded, &reference, op);
+                    }
+                    assert_agrees(&sharded, &reference, &format!("{context} round {round}"));
+                    if round != stretch_after {
+                        continue;
+                    }
+                    // More commits on one shard than its dirty log keeps: the
+                    // next fan-out reads cannot patch and must recompute.
+                    let f = fact!("Stock", "q0", "Boston", 5);
+                    for commit in 0..=DIRTY_LOG_CAP {
+                        let (got, want) = if commit % 2 == 0 {
+                            (
+                                sharded.insert(f.clone()).expect("sharded insert"),
+                                reference.insert(f.clone()).expect("unsharded insert"),
+                            )
+                        } else {
+                            (
+                                sharded.delete(&f).expect("sharded delete"),
+                                reference.delete(&f).expect("unsharded delete"),
+                            )
+                        };
+                        prop_assert!(got && want, "every stretch commit is effective");
+                    }
+                    let missed = sharded.stats().fanout.support_misses;
+                    assert_agrees(&sharded, &reference, &format!("{context} after the stretch"));
+                    prop_assert!(
+                        sharded.stats().fanout.support_misses > missed,
+                        "{}: a fan-out result {} commits behind must miss",
+                        context,
+                        DIRTY_LOG_CAP + 1
+                    );
+                }
+                let stats = sharded.stats();
+                prop_assert!(stats.fanout.full_recomputes > 0, "{}: no fan-out read", context);
+                prop_assert_eq!(
+                    sharded.patch_reasons().total(),
+                    stats.totals.support_misses + stats.mirror.support_misses,
+                    "{}: every miss has its reason",
+                    context
+                );
             }
         }
     }
