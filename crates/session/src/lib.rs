@@ -45,8 +45,15 @@
 //!   It then re-derives **only** that key set —
 //!   DRed-style: affected groups are over-deleted and re-derived, so
 //!   retracted groups vanish and new groups appear — and splices the
-//!   re-derived rows into the kept ones in one pass, deciding "nothing
-//!   changed" from the re-derived rows alone. HAVING trichotomy and certain
+//!   re-derived rows into the cached ones, deciding "nothing changed" from
+//!   the re-derived rows alone. The cached result is **copy-on-write**: the
+//!   statement's entry is the only long-lived owner of its rows, and a stale
+//!   reader patches it in place under the statement's own lock — re-derived
+//!   rows overwrite their seats when the group set holds, and otherwise the
+//!   kept rows *move* into one exactly-sized slice — so a patch costs the
+//!   rows that changed, not a copy of the result. Rows an outcome a caller
+//!   still holds shares are copied once first ([`Arc::make_mut`]): a
+//!   returned outcome never changes. HAVING trichotomy and certain
 //!   top-k are then re-decided from the patched row set; top-k falls back to
 //!   a full selection recompute only when pairwise interval precedence
 //!   shifted, i.e. membership could change (counted in
@@ -61,9 +68,13 @@
 //!
 //! `Session` is `Send + Sync`: share one session behind an `Arc` (or plain
 //! references inside [`std::thread::scope`]) across any number of client
-//! threads. Readers never block each other on the serving path — the only
-//! shared critical sections are the snapshot-pointer clone, the
-//! statement-cache lookup (an `RwLock` read), and counter updates. Writers
+//! threads. Readers of different statements never block each other on the
+//! serving path — the only shared critical sections are the
+//! snapshot-pointer clone, the statement-cache lookup (an `RwLock` read),
+//! and counter updates. Readers of one statement take its own lock: a hit
+//! holds it for an `Arc` clone, a stale read for the patch — so readers at
+//! one pin patch once between them, the others reading the patched result
+//! — and a cold read for the evaluation. Writers
 //! serialise among themselves and build the successor snapshot *outside* the
 //! readers' critical section; publishing it is one pointer swap.
 //!
@@ -543,7 +554,7 @@ impl SessionStats {
 /// The complete row block of one statement's answer at one epoch: the
 /// primary aggregate's rows, the later visible aggregates' row-aligned
 /// intervals, and the row-aligned HAVING statuses.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct CachedRows {
     rows: Arc<[GroupRange]>,
     more: Vec<Arc<[GroupRange]>>,
@@ -555,7 +566,15 @@ struct CachedRows {
 /// was derived from — the patch basis differential maintenance re-derives
 /// affected rows against (the presentation alone is not patchable: HAVING
 /// has dropped rows and top-k has reordered them).
-#[derive(Clone, Debug)]
+///
+/// The result is **copy-on-write**: its statement's entry is the only
+/// long-lived owner of its rows, and a read hands out `Arc` clones of the
+/// presentation. A stale read patches the result in place under the
+/// statement's lock ([`Session::try_patch`], [`Session::splice`]): rows no
+/// outcome still holds are overwritten or moved, never copied, and rows an
+/// outcome still holds are copied once first, so a held outcome never
+/// changes.
+#[derive(Debug)]
 struct CachedResult {
     epoch: u64,
     /// Raw rows per aggregate engine (SELECT items first, then hidden
@@ -563,29 +582,34 @@ struct CachedResult {
     /// key-aligned across aggregates. A statement whose presentation is the
     /// raw rows themselves (no HAVING, no ORDER BY) shares these very slices
     /// with [`CachedRows`] — one copy of the rows, not two.
-    raw: Arc<[Arc<[GroupRange]>]>,
+    raw: Box<[Arc<[GroupRange]>]>,
     rows: CachedRows,
 }
 
-/// A fan-out statement's merged answer, which the sharded front-end caches
-/// in the statement's entry of the session it prepares statements on: the
-/// result and the per-shard epochs it reflects. It is the front-end's only
-/// copy of those rows — the shards never see the statement.
-#[derive(Clone, Debug)]
-struct FanoutResult {
-    frontier: Arc<[u64]>,
-    result: CachedResult,
+/// A statement's cached results, behind the statement's own lock
+/// ([`CachedStatement::results`]): a stale reader holds it while it patches,
+/// so readers of one statement at one pin patch it once between them, and
+/// readers of other statements never wait for it.
+#[derive(Debug, Default)]
+struct StatementResults {
+    result: Option<CachedResult>,
+    /// The sharded front-end's merged result of a fan-out statement (never
+    /// set on a plain session's statements): the front-end's only copy of
+    /// those rows — the shards never see the statement.
+    fanout: Option<CachedResult>,
+    /// The per-shard epochs `fanout` reflects.
+    frontier: Box<[u64]>,
 }
 
-/// One cached statement plus its last computed result (if any), versioned by
-/// the epoch the result was computed at.
+/// One cached statement plus its last computed results (if any), versioned
+/// by the epoch they were computed at.
 #[derive(Debug)]
 struct CachedStatement {
     stmt: Arc<PreparedStatement>,
-    result: Option<CachedResult>,
-    /// The sharded front-end's result for a fan-out statement (never set
-    /// on a plain session's statements).
-    fanout: Option<FanoutResult>,
+    /// Shared so a reader can take the statement's lock after leaving the
+    /// statement map's; an entry evicted meanwhile takes its results along
+    /// once that reader is done.
+    results: Arc<Mutex<StatementResults>>,
     /// LRU stamp from the session's cache clock, touched on every lookup
     /// hit. An atomic so the warm read path can touch it under the
     /// statement map's shared **read** lock.
@@ -697,14 +721,15 @@ pub struct PatchReasons {
     /// past [`DIRTY_LOG_CAP`] batches, or floored by a commit that had no
     /// index to replay into.
     pub history_evicted: u64,
-    /// The delta affects more than half of the cached rows, where a patch
-    /// stops being the cheaper arm (see `Session::try_patch` for the
-    /// measurement behind the cut-off).
+    /// The delta affects more than half of the cached rows, past which a
+    /// patch is the dearer arm on every statement measured (see
+    /// `Session::try_patch` for the measurement behind the cut-off).
     pub over_half: u64,
 }
 
 impl PatchReasons {
-    /// Field-wise sum (the sharded front-end adds its shards and mirror).
+    /// Field-wise sum (the sharded front-end adds its shards, its fan-out
+    /// results and its mirror).
     pub fn merge(self, other: PatchReasons) -> PatchReasons {
         PatchReasons {
             history_evicted: self.history_evicted + other.history_evicted,
@@ -1249,8 +1274,7 @@ impl Session {
             Entry::Vacant(slot) => {
                 let entry = CachedStatement {
                     stmt: stmt.clone(),
-                    result: None,
-                    fanout: None,
+                    results: Arc::default(),
                     last_used: AtomicU64::new(0),
                 };
                 self.touch(&entry);
@@ -1321,47 +1345,72 @@ impl Session {
             .collect()
     }
 
-    /// Splices one aggregate's re-derived rows into its old rows in a single
-    /// pass: the old rows seated at one of `keys` are dropped, `fresh` (sorted,
-    /// every key among `keys`) takes their places and its new keys' seats,
-    /// and the runs in between are copied across whole — straight into the
-    /// returned slice, whose length is counted first (a `Vec` turned into an
-    /// `Arc<[_]>` would be copied once more, and a patch's transient memory
-    /// is a copy of the statement's rows).
+    /// Splices one aggregate's re-derived rows into its cached rows, in
+    /// place: the rows seated at one of `keys` are replaced or dropped and
+    /// `fresh` (sorted, every key among `keys`) takes their seats and its new
+    /// keys' seats. The rows are copy-on-write ([`Arc::make_mut`]): rows an
+    /// outcome still holds are copied once first, so the held outcome never
+    /// changes, and rows no one else holds are patched where they are.
+    ///
+    /// When the group set holds — each affected key has a row after the
+    /// patch exactly when it had one before — the fresh rows overwrite the
+    /// old ones in their seats. Otherwise the kept rows move into one
+    /// exactly-sized new slice — each key is taken, not cloned, so a row
+    /// costs no allocation and no reference count — and the old slice is
+    /// freed holding only the replaced rows' keys.
     fn splice(
-        old: &[GroupRange],
+        rows: &mut Arc<[GroupRange]>,
         keys: &[Vec<Value>],
         seats: &[Result<usize, usize>],
         fresh: Vec<GroupRange>,
-    ) -> Arc<[GroupRange]> {
+    ) {
+        let mut next = 0;
+        let same_groups = keys.iter().zip(seats).all(|(key, seat)| {
+            let derived = fresh.get(next).is_some_and(|row| row.key == *key);
+            next += usize::from(derived);
+            derived == seat.is_ok()
+        });
         let replaced = seats.iter().filter(|seat| seat.is_ok()).count();
-        let len = old.len() - replaced + fresh.len();
-        let tail = seats
-            .last()
-            .map_or(0, |seat| seat.map_or_else(|i| i, |i| i + 1));
+        let len = rows.len() - replaced + fresh.len();
+        let old = Arc::make_mut(rows);
+        if same_groups {
+            for (seat, row) in seats.iter().filter_map(|seat| seat.ok()).zip(fresh) {
+                old[seat] = row;
+            }
+            return;
+        }
+        // Each re-derived row goes in before the old row at its seat; the old
+        // rows seated at an affected key are skipped.
         let mut fresh = fresh.into_iter().peekable();
-        let mut from = 0;
-        let mut rows = keys
+        let mut inserts = keys
             .iter()
             .zip(seats)
-            .flat_map(|(key, seat)| {
-                let (upto, next) = match *seat {
-                    Ok(i) => (i, i + 1),
-                    Err(i) => (i, i),
-                };
-                let kept = &old[from..upto];
-                from = next;
-                kept.iter()
-                    .cloned()
-                    .chain(fresh.next_if(|row| row.key == *key))
+            .filter_map(|(key, seat)| {
+                let at = seat.unwrap_or_else(|i| i);
+                fresh.next_if(|row| row.key == *key).map(|row| (at, row))
             })
-            .chain(old[tail..].iter().cloned());
+            .peekable();
+        let mut dropped = seats.iter().filter_map(|seat| seat.ok()).peekable();
+        let mut at = 0;
         // A mapped range has a trusted length: one allocation, exactly sized.
-        let out = (0..len)
-            .map(|_| rows.next().expect("re-derived keys are affected keys"))
+        let spliced = (0..len)
+            .map(|_| loop {
+                if let Some((_, row)) = inserts.next_if(|&(seat, _)| seat == at) {
+                    break row;
+                }
+                let (seat, row) = (at, &mut old[at]);
+                at += 1;
+                if dropped.next_if_eq(&seat).is_none() {
+                    let key = std::mem::take(&mut row.key);
+                    break GroupRange { key, ..*row };
+                }
+            })
             .collect();
-        debug_assert!(rows.next().is_none(), "the spliced length is counted");
-        out
+        debug_assert!(
+            inserts.next().is_none() && at == old.len() - dropped.count(),
+            "the spliced length is counted"
+        );
+        *rows = spliced;
     }
 
     fn outcome(stmt: &PreparedStatement, rows: CachedRows, epoch: u64) -> QueryOutcome {
@@ -1385,14 +1434,14 @@ impl Session {
         stmt: &PreparedStatement,
         db: &DatabaseInstance,
         index: &DbIndex,
-    ) -> Result<Arc<[Arc<[GroupRange]>]>, SessionError> {
+    ) -> Result<Box<[Arc<[GroupRange]>]>, SessionError> {
         // A statically contradictory WHERE clause needs no engine run: no
         // repair has a satisfying embedding, so a grouped statement has no
         // possible answer rows, while a closed statement answers its single
         // `[⊥, ⊥]` row. The synthetic rows still flow through the normal
         // HAVING / ORDER BY pipeline below (a comparison against `⊥` is
         // `Possible`; a `⊥` row is never certainly in a top-k).
-        let per_agg: Arc<[Arc<[GroupRange]>]> = if stmt.unsatisfiable {
+        let per_agg: Box<[Arc<[GroupRange]>]> = if stmt.unsatisfiable {
             let rows: Arc<[GroupRange]> = if stmt.query.body.free_vars().is_empty() {
                 let bottom = Some(BoundAnswer {
                     value: None,
@@ -1530,23 +1579,35 @@ impl Session {
     }
 
     /// Attempts to bring a stale cached result up to `epoch` by differential
-    /// maintenance, at a cost proportional to the delta: `O(|dirty| · log
-    /// rows)` to find what it affects, the work of the affected groups to
-    /// re-derive them, and — only when some row really changed — one pass
-    /// over the rows to splice. Returns the [`Miss`] — fall back to a full
-    /// recompute — when the dirty history no longer reaches back to the
-    /// cached epoch (`sources` is that miss), or the affected key set covers
-    /// more than half the rows.
+    /// maintenance, **in place**, at a cost proportional to the delta:
+    /// `O(|dirty| · log rows)` to find what it affects, the work of the
+    /// affected groups to re-derive them, and — only when some row really
+    /// changed — the splice ([`Session::splice`]): an overwrite of the
+    /// changed rows in their seats, or, when groups were born or vanished,
+    /// one move of the kept rows into a new slice. The caller holds the
+    /// statement's lock, and the presentation is dropped before the splice,
+    /// so the raw rows are copied only when an outcome a caller still holds
+    /// shares them (or, for certain top-k, when the old sort rows are kept
+    /// to compare). Nothing is changed before the last fallible step. Returns
+    /// the [`Miss`] — fall back to a full recompute — when the dirty history
+    /// no longer reaches back to the cached epoch (`sources` is that miss),
+    /// or the affected key set covers more than half the rows.
     ///
-    /// Half the rows is the **measured break-even of the least favourable
-    /// statement**, not a bound that holds by construction: re-derivation
-    /// costs the affected groups' embeddings, and on a skewed join the
-    /// affected rows are the hot groups — 45–50 % of the rows of
-    /// `R(x|y) ⋈ S(y,z|r)` grouped by `x` under Zipf-hot `y` writes carry over
-    /// 70 % of the embeddings, and a patch there costs 0.96–1.03 of the
-    /// recompute (0.98–0.99 at 40–45 %, 0.85–0.94 at 30–40 %, two workers).
-    /// A miss costs the recompute plus the enumeration that found it (about
-    /// 1.3 µs per dirty block).
+    /// Half the rows is a **measured cut-off**, not a bound that holds by
+    /// construction: re-derivation costs the affected groups' embeddings,
+    /// and on a skewed join the affected rows are the hot groups — 45–50 % of
+    /// the rows of `R(x|y) ⋈ S(y,z|r)` grouped by `x` under Zipf-hot `y`
+    /// writes carry over 70 % of the embeddings. Measured with the in-place
+    /// splice on that statement (1 111 rows at 10⁵ facts, mixed-side batches
+    /// of 8–1 024 events, two seeds, default options on two cores; medians
+    /// per band of affected rows), a patch costs 0.84 of the recompute at
+    /// 30–35 %, 0.90 at 35–40 %, 1.11 at 40–45 % and 1.17 at 45–50 % (a
+    /// splice that copied every row: 0.94, 1.00, 1.19, 1.23); with a second
+    /// aggregate the statement stays at 0.86–0.90 up to half. So the least
+    /// favourable statement breaks even near 40 %, and its patches past that
+    /// cost up to a fifth more than the recompute they replace. A miss costs
+    /// the recompute plus the enumeration that found it (about 1.3 µs per
+    /// dirty block).
     ///
     /// The affected key set comes from **one** forward enumeration per
     /// source, [`RangeCqa::affected_keys`]: every group with an embedding,
@@ -1567,21 +1628,15 @@ impl Session {
     fn try_patch(
         stats: &AtomicStats,
         stmt: &PreparedStatement,
-        cached: &CachedResult,
+        cached: &mut CachedResult,
         sources: Result<Vec<PatchSource<'_>>, Miss>,
         epoch: u64,
-    ) -> Result<Result<CachedResult, Miss>, SessionError> {
-        let restamped = || {
-            Ok(Ok(CachedResult {
-                epoch,
-                raw: cached.raw.clone(),
-                rows: cached.rows.clone(),
-            }))
-        };
+    ) -> Result<Result<(), Miss>, SessionError> {
         // A statically contradictory WHERE clause is answered independently
         // of the data: the cached synthetic rows hold at every epoch.
         if stmt.unsatisfiable {
-            return restamped();
+            cached.epoch = epoch;
+            return Ok(Ok(()));
         }
         let sources = match sources {
             Ok(sources) => sources,
@@ -1601,12 +1656,13 @@ impl Session {
         if count == 0 {
             // No old or new embedding passes through a dirty block: the
             // result is untouched by the whole delta range.
-            return restamped();
+            cached.epoch = epoch;
+            return Ok(Ok(()));
         }
-        let old = &*cached.raw;
+        let cached_rows = cached.raw[0].len();
         // Past half the cached rows a patch no longer undercuts the full
-        // recompute (measured: see above).
-        if old[0].len() >= 16 && count * 2 > old[0].len() {
+        // recompute on any statement measured (see above).
+        if cached_rows >= 16 && count * 2 > cached_rows {
             return Ok(Err(Miss::OverHalf));
         }
         let mut fresh = vec![Vec::new(); stmt.engines.len()];
@@ -1628,25 +1684,43 @@ impl Session {
             }
         }
         // Aggregates are key-aligned, so one search seats the keys in all.
-        let seats = Self::seats(&old[0], &affected);
+        let seats = Self::seats(&cached.raw[0], &affected);
         let replaced = || seats.iter().filter_map(|seat| seat.ok());
-        let unchanged = old.iter().zip(&fresh).all(|(old, fresh)| {
+        let unchanged = cached.raw.iter().zip(&fresh).all(|(old, fresh)| {
             replaced().count() == fresh.len()
                 && replaced().zip(fresh).all(|(i, row)| old[i] == *row)
         });
+        cached.epoch = epoch;
         if unchanged {
             // Re-derivation confirmed every affected row unchanged, so the
             // cached presentation (HAVING, selection included) is still
             // exact.
-            return restamped();
+            return Ok(Ok(()));
         }
-        let raw: Arc<[Arc<[GroupRange]>]> = old
-            .iter()
-            .zip(fresh)
-            .map(|(old, fresh)| Self::splice(old, &affected, &seats, fresh))
-            .collect();
-        let rows = match (stmt.order_by, stmt.limit) {
+        // Nothing fallible is left: the result is patched from here on. The
+        // presentation is taken out first, so that rows it shares with the
+        // raw rows are held once and patch in place.
+        let presented = std::mem::take(&mut cached.rows);
+        // Certain top-k re-decides membership against the old sort rows: it
+        // keeps those, so its sort aggregate is copied once by the splice.
+        let topk = match (stmt.order_by, stmt.limit) {
             (Some(spec), Some(_)) => {
+                let old_statuses = Self::having_statuses(stmt, &cached.raw);
+                let old_kept = Self::kept_indices(&old_statuses, cached_rows);
+                let old_sort_rows = cached.raw[spec.agg_index].clone();
+                Some((spec, old_kept, old_sort_rows, presented))
+            }
+            _ => {
+                drop(presented);
+                None
+            }
+        };
+        for (rows, fresh) in cached.raw.iter_mut().zip(fresh) {
+            Self::splice(rows, &affected, &seats, fresh);
+        }
+        let raw = &cached.raw;
+        cached.rows = match topk {
+            Some((spec, old_kept, old_sort_rows, presented)) => {
                 // Certain top-k membership is a function of the pairwise
                 // possibly-precedes relation over the HAVING survivors. When
                 // the patch provably preserved that relation, the cached
@@ -1655,49 +1729,50 @@ impl Session {
                 // deterministic order. Otherwise membership could change:
                 // recompute the selection honestly (the rows themselves stay
                 // patched — only the selection re-runs).
-                let old_statuses = Self::having_statuses(stmt, old);
-                let old_kept = Self::kept_indices(&old_statuses, old[0].len());
-                let new_statuses = Self::having_statuses(stmt, &raw);
+                let new_statuses = Self::having_statuses(stmt, raw);
                 let new_kept = Self::kept_indices(&new_statuses, raw[0].len());
-                let old_sort = Self::sort_rows(&old[spec.agg_index], &old_kept);
+                let old_sort = Self::sort_rows(&old_sort_rows, &old_kept);
                 let new_sort = Self::sort_rows(&raw[spec.agg_index], &new_kept);
                 if topk_selection_preserved(&old_sort, &new_sort, spec.descending) {
                     let members: BTreeSet<&[Value]> =
-                        cached.rows.rows.iter().map(|r| r.key.as_slice()).collect();
+                        presented.rows.iter().map(|r| r.key.as_slice()).collect();
                     let selected: Vec<usize> = order_rows(&new_sort, spec.descending)
                         .into_iter()
                         .filter(|&j| members.contains(new_sort[j].key.as_slice()))
                         .map(|j| new_kept[j])
                         .collect();
-                    Self::present(stmt, &raw, &new_statuses, &selected)
+                    Self::present(stmt, raw, &new_statuses, &selected)
                 } else {
                     AtomicStats::bump(&stats.topk_fallbacks);
-                    Self::post_process(stmt, &raw)
+                    Self::post_process(stmt, raw)
                 }
             }
-            _ => Self::post_process(stmt, &raw),
+            None => Self::post_process(stmt, raw),
         };
-        Ok(Ok(CachedResult { epoch, raw, rows }))
+        Ok(Ok(()))
     }
 
     /// The stale-or-cold step shared by [`Session::fetch_result_at`] and the
-    /// sharded front-end's fan-out: patch `stale` (a result behind `epoch`,
-    /// with its patch sources) through [`Session::try_patch`], or — on a
-    /// miss, or with nothing to patch — run `full`. The path taken is
-    /// counted in `stats`.
-    fn refresh(
+    /// sharded front-end's fan-out, run under the statement's lock: patch
+    /// the stale result in `slot` (a result behind `epoch`, patched through
+    /// the `sources` it yields) in place through [`Session::try_patch`], or —
+    /// on a miss, or with nothing cached — replace it with `full`. The path
+    /// taken is counted in `stats`.
+    fn refresh<'s>(
         stats: &AtomicStats,
         stmt: &PreparedStatement,
-        stale: Option<(&CachedResult, Result<Vec<PatchSource<'_>>, Miss>)>,
+        slot: &mut Option<CachedResult>,
+        sources: impl FnOnce(&CachedResult) -> Result<Vec<PatchSource<'s>>, Miss>,
         epoch: u64,
         full: impl FnOnce() -> Result<CachedResult, SessionError>,
-    ) -> Result<CachedResult, SessionError> {
-        if let Some((cached, sources)) = stale {
+    ) -> Result<(), SessionError> {
+        if let Some(cached) = slot {
+            let sources = sources(cached);
             match Self::try_patch(stats, stmt, cached, sources, epoch)? {
-                Ok(result) => {
+                Ok(()) => {
                     AtomicStats::bump(&stats.partial_recomputes);
                     AtomicStats::bump(&stats.supported_patches);
-                    return Ok(result);
+                    return Ok(());
                 }
                 Err(miss) => {
                     AtomicStats::bump(&stats.support_misses);
@@ -1706,7 +1781,10 @@ impl Session {
             }
         }
         AtomicStats::bump(&stats.full_recomputes);
-        full()
+        // The stale result goes before its replacement is computed.
+        *slot = None;
+        *slot = Some(full()?);
+        Ok(())
     }
 
     /// This session as the one patch source of a result cached at `from`,
@@ -1724,93 +1802,88 @@ impl Session {
         })
     }
 
+    /// The cached results of the statement under (normalized) `sql`, or —
+    /// when it was evicted since it was prepared — a detached empty set the
+    /// reader fills and drops.
+    fn results(&self, sql: &str) -> Arc<Mutex<StatementResults>> {
+        self.read_statements()
+            .get(sql)
+            .map(|entry| entry.results.clone())
+            .unwrap_or_default()
+    }
+
+    /// Locks a statement's results. Unlike the session's other state, they
+    /// are patched in place, so a reader that panicked while holding them
+    /// may have left them torn: a poisoned lock drops them (the next read
+    /// recomputes) rather than serving them.
+    fn lock_results(results: &Mutex<StatementResults>) -> MutexGuard<'_, StatementResults> {
+        results.lock().unwrap_or_else(|poisoned| {
+            results.clear_poison();
+            let mut results = poisoned.into_inner();
+            *results = StatementResults::default();
+            results
+        })
+    }
+
     /// The cache-aware execution path shared by [`Session::execute`],
     /// [`Session::execute_many`], and the sharded front-end's designated
     /// route, against one pinned snapshot: statement lookup, then result
-    /// hit / patch / full pipeline, in that order. Returns the full
-    /// [`CachedResult`] — the post-processed presentation *and* the raw
-    /// per-aggregate rows. No session-wide lock is held while the plan
-    /// executes.
+    /// hit / patch / full pipeline, in that order, under the statement's
+    /// lock. Returns the post-processed presentation. No session-wide lock
+    /// is held while the plan executes.
     fn fetch_result_at(
         &self,
         snapshot: &Snapshot,
         sql: &str,
-    ) -> Result<(Arc<PreparedStatement>, CachedResult), SessionError> {
+    ) -> Result<(Arc<PreparedStatement>, CachedRows), SessionError> {
         let stmt = self.prepare_at(snapshot, sql)?;
         let epoch = snapshot.epoch;
-
-        // Hot path: a result computed at exactly this snapshot's epoch
-        // answers without touching the engine or the index.
-        {
-            let statements = self.read_statements();
-            if let Some(entry) = statements.get(stmt.sql()) {
-                if let Some(result) = &entry.result {
-                    if result.epoch == epoch {
-                        let result = result.clone();
-                        drop(statements);
-                        AtomicStats::bump(&self.stats.result_hits);
-                        return Ok((stmt, result));
-                    }
-                }
-            }
-        }
-
-        let index = self.pinned_index(snapshot);
-        // A stale result (an epoch *behind* this snapshot) is the patch
-        // basis; results from epochs ahead of the pinned snapshot are
-        // useless to this reader and are left in place for current ones.
-        let cached: Option<CachedResult> = self
-            .read_statements()
-            .get(stmt.sql())
-            .and_then(|entry| entry.result.clone())
-            .filter(|cached| cached.epoch < epoch);
-        let stale = cached.as_ref().map(|cached| {
-            let source = self.patch_source(snapshot, cached.epoch);
-            (cached, source.map(|source| vec![source]))
-        });
-        let result = Self::refresh(&self.stats, &stmt, stale, epoch, || {
+        let results = self.results(stmt.sql());
+        let mut results = Self::lock_results(&results);
+        let full = || {
+            let index = self.pinned_index(snapshot);
             Self::compute_result(&stmt, &snapshot.db, &index, epoch)
-        })?;
-        // Publish the result for this epoch — unless a reader pinned to a
-        // newer snapshot stored theirs first (never regress the cache).
-        {
-            let mut statements = self.write_statements();
-            if let Some(entry) = statements.get_mut(stmt.sql()) {
-                let newer = matches!(&entry.result, Some(r) if r.epoch > epoch);
-                if !newer {
-                    entry.result = Some(result.clone());
-                }
+        };
+        match &results.result {
+            // Hot path: a result computed at exactly this snapshot's epoch
+            // answers without touching the engine or the index.
+            Some(cached) if cached.epoch == epoch => {
+                AtomicStats::bump(&self.stats.result_hits);
+                let rows = cached.rows.clone();
+                return Ok((stmt, rows));
             }
-        }
-        Ok((stmt, result))
-    }
-
-    /// The sharded front-end's fan-out result cached with the statement
-    /// under (normalized) `sql`, if any.
-    fn fanout_result(&self, sql: &str) -> Option<FanoutResult> {
-        self.read_statements()
-            .get(sql)
-            .and_then(|entry| entry.fanout.clone())
-    }
-
-    /// Caches a fan-out result with its statement — unless the statement was
-    /// evicted meanwhile, or a reader pinned at a later frontier stored
-    /// theirs first (pins are taken under every shard's commit lock, so any
-    /// two frontiers are ordered).
-    fn store_fanout_result(&self, sql: &str, fanout: FanoutResult) {
-        if let Some(entry) = self.write_statements().get_mut(sql) {
-            let newer = matches!(&entry.fanout, Some(cached)
-                if cached.frontier.iter().zip(fanout.frontier.iter()).any(|(old, new)| old > new));
-            if !newer {
-                entry.fanout = Some(fanout);
+            // A result from an epoch ahead of the pinned snapshot is useless
+            // to this reader and stays in place for current ones.
+            Some(cached) if cached.epoch > epoch => {
+                drop(results);
+                AtomicStats::bump(&self.stats.full_recomputes);
+                let rows = full()?.rows;
+                return Ok((stmt, rows));
             }
+            // A stale result (an epoch behind this snapshot) is the patch
+            // basis.
+            _ => {}
         }
+        let sources = |cached: &CachedResult| {
+            self.patch_source(snapshot, cached.epoch)
+                .map(|source| vec![source])
+        };
+        Self::refresh(
+            &self.stats,
+            &stmt,
+            &mut results.result,
+            sources,
+            epoch,
+            full,
+        )?;
+        let rows = results.result.as_ref().expect("refreshed").rows.clone();
+        Ok((stmt, rows))
     }
 
     /// [`Session::fetch_result_at`] reduced to the presented outcome.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
-        let (stmt, result) = self.fetch_result_at(snapshot, sql)?;
-        Ok(Self::outcome(&stmt, result.rows, snapshot.epoch))
+        let (stmt, rows) = self.fetch_result_at(snapshot, sql)?;
+        Ok(Self::outcome(&stmt, rows, snapshot.epoch))
     }
 
     /// Executes a SQL aggregation query: classification plus one
@@ -2200,6 +2273,90 @@ mod tests {
             );
             assert_eq!(cold.having, got.having, "{sql} @{threads}T");
         }
+    }
+
+    /// An outcome's rows, copied out: what an outcome held across later
+    /// patches must still read.
+    type Copied = (Vec<GroupRange>, Vec<Vec<GroupRange>>, Vec<HavingStatus>);
+
+    fn copied(outcome: &QueryOutcome) -> Copied {
+        (
+            outcome.rows.to_vec(),
+            outcome.more_aggregates.iter().map(|r| r.to_vec()).collect(),
+            outcome.having.to_vec(),
+        )
+    }
+
+    #[test]
+    fn held_outcomes_never_change_and_unshared_results_patch_in_place() {
+        let session = stock_session();
+        let base = "SELECT S.Product, S.Town, MAX(S.Qty), MIN(S.Qty) FROM Stock AS S \
+                    GROUP BY S.Product, S.Town";
+        let statements = [
+            base.to_string(),
+            format!("{base} HAVING MAX(S.Qty) > 36"),
+            format!("{base} ORDER BY MAX(S.Qty) DESC LIMIT 2"),
+        ];
+        let mut held: Vec<(QueryOutcome, Copied)> = Vec::new();
+        let mut read_and_hold = |session: &Session| {
+            for sql in &statements {
+                let outcome = session.execute(sql).unwrap();
+                assert_equals_cold(session, sql, &outcome);
+                let copy = copied(&outcome);
+                held.push((outcome, copy));
+            }
+            for (outcome, copy) in &held {
+                assert_eq!(copied(outcome), *copy);
+            }
+        };
+        read_and_hold(&session);
+        // A value change (the group set stays), a new group, and a vanished
+        // group, each read while every earlier outcome is still held.
+        session
+            .insert(fact!("Stock", "Tesla Y", "Boston", 37))
+            .unwrap();
+        read_and_hold(&session);
+        session
+            .insert(fact!("Stock", "Tesla Q", "Erie", 3))
+            .unwrap();
+        read_and_hold(&session);
+        session
+            .delete(&fact!("Stock", "Tesla Y", "Boston", 35))
+            .unwrap();
+        session
+            .delete(&fact!("Stock", "Tesla Y", "Boston", 37))
+            .unwrap();
+        read_and_hold(&session);
+        let stats = session.stats();
+        assert_eq!(stats.full_recomputes, 3);
+        assert_eq!(stats.supported_patches, 9);
+        // Every write changed the plain statement's rows.
+        let plain: Vec<&Copied> = held
+            .iter()
+            .step_by(statements.len())
+            .map(|h| &h.1)
+            .collect();
+        assert!(plain.windows(2).all(|pair| pair[0] != pair[1]));
+        // With no outcome held, a value change patches the cached rows where
+        // they are.
+        drop(held);
+        let (rows, more, before) = {
+            let out = session.execute(base).unwrap();
+            (
+                out.rows.as_ptr(),
+                out.more_aggregates[0].as_ptr(),
+                copied(&out),
+            )
+        };
+        session
+            .insert(fact!("Stock", "Tesla X", "Boston", 41))
+            .unwrap();
+        let after = session.execute(base).unwrap();
+        assert_equals_cold(&session, base, &after);
+        assert_ne!(copied(&after), before);
+        assert_eq!(session.stats().supported_patches, 10);
+        assert_eq!(after.rows.as_ptr(), rows);
+        assert_eq!(after.more_aggregates[0].as_ptr(), more);
     }
 
     #[test]

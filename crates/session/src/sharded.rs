@@ -47,8 +47,9 @@
 //!   change is visible in exactly one shard's dirty log, so a read at later
 //!   epochs patches the merged result through the dirty logs of the shards
 //!   that advanced — `affected_keys` over each such shard's index, those
-//!   groups re-derived on that shard, spliced in by the same step
-//!   ([`Session::try_patch`]) a single session patches with. Only a cold
+//!   groups re-derived on that shard, spliced in place under the
+//!   statement's lock by the same step ([`Session::try_patch`]) a single
+//!   session patches with. Only a cold
 //!   read or a patch miss evaluates every shard: raw rows are emitted in
 //!   group-key **value order** (`sorted_groups` orders by
 //!   `ValueInterner::cmp_id_tuples`, which is materialised [`Value`] order),
@@ -116,8 +117,8 @@
 //! rebuilds the mirror from the recovered union.
 
 use crate::{
-    AtomicStats, CachedResult, FanoutResult, Miss, PatchReasons, PatchSource, PreparedStatement,
-    QueryOutcome, Session, SessionError, SessionStats, Snapshot, WalOptions,
+    AtomicStats, CachedResult, Miss, PatchReasons, PatchSource, PreparedStatement, QueryOutcome,
+    Session, SessionError, SessionStats, Snapshot, StatementResults, WalOptions,
 };
 use rcqa_core::engine::{EngineOptions, GroupRange};
 use rcqa_core::plan::exec::run_shards;
@@ -768,10 +769,10 @@ impl ShardedSession {
             }
             Route::Designated(shard) => {
                 bump(&self.stats.designated_queries);
-                let (shard_stmt, result) =
+                let (shard_stmt, rows) =
                     self.shards[shard].fetch_result_at(&pinned.snaps[shard], stmt.sql())?;
                 // `outcome` stamps `shards: 1` — exactly right here.
-                Ok(Session::outcome(&shard_stmt, result.rows, pinned.epoch))
+                Ok(Session::outcome(&shard_stmt, rows, pinned.epoch))
             }
             Route::Combine => {
                 bump(&self.stats.combine_queries);
@@ -785,60 +786,71 @@ impl ShardedSession {
 
     /// The fan-out read, answered from the one merged result the front-end
     /// caches with the statement, stamped with the shard epochs it reflects.
-    /// At the pinned frontier it is served as it is; behind it, it patches
-    /// through the dirty logs of the shards that advanced
-    /// ([`Session::try_patch`] with one source per such shard). Only a cold
-    /// read or a miss evaluates every shard.
+    /// At the pinned frontier it is served as it is; behind it, it is patched
+    /// in place, under the statement's lock, through the dirty logs of the
+    /// shards that advanced ([`Session::try_patch`] with one source per such
+    /// shard). Only a cold read or a miss evaluates every shard.
     fn execute_fanout(
         &self,
         pinned: &Pinned,
         stmt: &PreparedStatement,
     ) -> Result<QueryOutcome, SessionError> {
         let epochs = || pinned.snaps.iter().map(|snap| snap.epoch());
-        let result = match self.mirror.fanout_result(stmt.sql()) {
-            Some(cached) if cached.frontier.iter().copied().eq(epochs()) => {
+        let results = self.mirror.results(stmt.sql());
+        let mut results = Session::lock_results(&results);
+        let evaluate = || self.evaluate_fanout(pinned, stmt);
+        let rows = match &results.fanout {
+            Some(cached) if results.frontier.iter().copied().eq(epochs()) => {
                 bump(&self.stats.fanout.result_hits);
-                cached.result
+                cached.rows.clone()
             }
-            cached => {
-                let stale = cached.as_ref().and_then(|cached| {
-                    Some((&cached.result, self.advanced(pinned, &cached.frontier)?))
-                });
-                let evaluate = || self.evaluate_fanout(pinned, stmt);
-                let result =
-                    Session::refresh(&self.stats.fanout, stmt, stale, pinned.epoch, evaluate)?;
-                let fanout = FanoutResult {
-                    frontier: epochs().collect(),
-                    result: result.clone(),
-                };
-                self.mirror.store_fanout_result(stmt.sql(), fanout);
-                result
+            // Pinned frontiers are ordered: a result ahead of the pin on some
+            // shard comes from a later pin, is useless to this reader, and
+            // stays in place for current ones.
+            Some(_)
+                if results
+                    .frontier
+                    .iter()
+                    .zip(epochs())
+                    .any(|(&cached, pin)| cached > pin) =>
+            {
+                drop(results);
+                bump(&self.stats.fanout.full_recomputes);
+                evaluate()?.rows
+            }
+            _ => {
+                let StatementResults {
+                    fanout, frontier, ..
+                } = &mut *results;
+                let sources = |_: &CachedResult| self.advanced(pinned, frontier);
+                Session::refresh(
+                    &self.stats.fanout,
+                    stmt,
+                    fanout,
+                    sources,
+                    pinned.epoch,
+                    evaluate,
+                )?;
+                results.frontier = epochs().collect();
+                results.fanout.as_ref().expect("refreshed").rows.clone()
             }
         };
-        let mut out = Session::outcome(stmt, result.rows, pinned.epoch);
+        let mut out = Session::outcome(stmt, rows, pinned.epoch);
         out.shards = self.shards.len();
         Ok(out)
     }
 
-    /// The shards that advanced from `from` to the pin, as the patch sources
-    /// of a fan-out result stamped `from` — or `None` when the result is
-    /// ahead of the pin on some shard: pinned frontiers are ordered, so it
-    /// comes from a later pin, is useless to this reader, and stays in place
-    /// for current ones.
-    fn advanced<'p>(
-        &self,
-        pinned: &'p Pinned,
-        from: &[u64],
-    ) -> Option<Result<Vec<PatchSource<'p>>, Miss>> {
-        let shards = self.shards.iter().zip(&pinned.snaps).zip(from);
-        if shards.clone().any(|((_, snap), &from)| snap.epoch() < from) {
-            return None;
-        }
-        let sources = shards
+    /// The shards that advanced from `from` to the pin (which is at or past
+    /// `from` on every shard), as the patch sources of a fan-out result
+    /// stamped `from`.
+    fn advanced<'p>(&self, pinned: &'p Pinned, from: &[u64]) -> Result<Vec<PatchSource<'p>>, Miss> {
+        self.shards
+            .iter()
+            .zip(&pinned.snaps)
+            .zip(from)
             .filter(|((_, snap), &from)| snap.epoch() > from)
             .map(|((shard, snap), &from)| shard.patch_source(snap, from))
-            .collect();
-        Some(sources)
+            .collect()
     }
 
     /// The cold fan-out: evaluate on every shard (in parallel per
@@ -860,7 +872,7 @@ impl ShardedSession {
             shards.into_iter().map(evaluate).collect()
         };
         let parts = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let raw: Arc<[Arc<[GroupRange]>]> = (0..stmt.engines.len())
+        let raw: Box<[Arc<[GroupRange]>]> = (0..stmt.engines.len())
             .map(|agg| {
                 let lists: Vec<&[GroupRange]> = parts.iter().map(|part| &*part[agg]).collect();
                 merge_by_key(&lists)
@@ -1087,6 +1099,7 @@ mod tests {
         let sql = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
                    GROUP BY S.Product, S.Town";
         let first = sharded.execute(sql).unwrap();
+        let first_rows = first.rows.to_vec();
         assert_eq!(sharded.stats().fanout.full_recomputes, 1);
         // No write in between: the cached result answers, and no shard is
         // asked anything.
@@ -1129,6 +1142,83 @@ mod tests {
         assert_eq!(stats.totals.supported_patches, 2);
         assert_eq!(sharded.patch_reasons().total(), 0);
         assert_eq!(spliced.epoch, sharded.epoch());
+        // The outcome held across both patches still reads its rows.
+        assert_eq!(first.rows.to_vec(), first_rows);
+
+        // Held outcomes never change, whatever the patch: a value change
+        // (the group set stays), a new group and a vanished group, each read
+        // while every earlier outcome is still held, for a plain, a HAVING
+        // and a top-k statement.
+        let base = "SELECT S.Product, S.Town, MAX(S.Qty), MIN(S.Qty) FROM Stock AS S \
+                    GROUP BY S.Product, S.Town";
+        let statements = [
+            base.to_string(),
+            format!("{base} HAVING MAX(S.Qty) > 36"),
+            format!("{base} ORDER BY MAX(S.Qty) DESC LIMIT 2"),
+        ];
+        let copied = |out: &QueryOutcome| {
+            let more: Vec<Vec<GroupRange>> =
+                out.more_aggregates.iter().map(|r| r.to_vec()).collect();
+            (out.rows.to_vec(), more, out.having.to_vec())
+        };
+        let mut held = Vec::new();
+        let mut read_and_hold = |sharded: &ShardedSession, reference: &Session| {
+            for sql in &statements {
+                assert_same(sharded, reference, sql);
+                let outcome = sharded.execute(sql).unwrap();
+                let copy = copied(&outcome);
+                held.push((outcome, copy));
+            }
+            for (outcome, copy) in &held {
+                assert_eq!(copied(outcome), *copy);
+            }
+        };
+        let write = |event: DeltaEvent| {
+            sharded.apply_batch(std::slice::from_ref(&event)).unwrap();
+            reference.apply_batch(&[event]).unwrap();
+        };
+        let before = sharded.stats().fanout;
+        read_and_hold(&sharded, &reference);
+        write(DeltaEvent::insert(fact!("Stock", "Tesla Z", "Chicago", 37)));
+        read_and_hold(&sharded, &reference);
+        write(DeltaEvent::insert(fact!("Stock", "Tesla R", "Flint", 4)));
+        read_and_hold(&sharded, &reference);
+        write(DeltaEvent::delete(fact!(
+            "Stock", "Tesla Y", "New York", 95
+        )));
+        read_and_hold(&sharded, &reference);
+        let stats = sharded.stats().fanout;
+        assert_eq!(stats.full_recomputes - before.full_recomputes, 3);
+        assert_eq!(stats.supported_patches - before.supported_patches, 9);
+        // Every write changed the plain statement's rows.
+        let plain: Vec<_> = held
+            .iter()
+            .step_by(statements.len())
+            .map(|h| &h.1)
+            .collect();
+        assert!(plain.windows(2).all(|pair| pair[0] != pair[1]));
+
+        // With no outcome held, a value change patches the cached rows where
+        // they are.
+        drop(held);
+        let (rows, more, before) = {
+            let out = sharded.execute(base).unwrap();
+            (
+                out.rows.as_ptr(),
+                out.more_aggregates[0].as_ptr(),
+                copied(&out),
+            )
+        };
+        write(DeltaEvent::insert(fact!("Stock", "Tesla X", "Boston", 60)));
+        assert_same(&sharded, &reference, base);
+        let after = sharded.execute(base).unwrap();
+        assert_ne!(copied(&after), before);
+        assert_eq!(
+            sharded.stats().fanout.supported_patches,
+            stats.supported_patches + 1
+        );
+        assert_eq!(after.rows.as_ptr(), rows);
+        assert_eq!(after.more_aggregates[0].as_ptr(), more);
     }
 
     #[test]

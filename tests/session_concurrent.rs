@@ -2,13 +2,14 @@
 //! by 1/2/4 client threads answers byte-identically to cold sessions —
 //! including while a writer commits between reads. Every read carries the
 //! epoch of its pinned snapshot, so the assertions reconstruct the exact
-//! instance each read saw and replay it cold.
+//! instance each read saw and replay it cold. Readers of one stale statement
+//! at one pin patch its cached result once between them.
 
 use rcqa::data::{fact, DatabaseInstance, Fact};
 use rcqa::gen::JoinWorkload;
 use rcqa::query::{Catalog, TableDef};
-use rcqa::session::Session;
-use std::sync::{Arc, Mutex};
+use rcqa::session::{QueryOutcome, Session, SessionStats, ShardedSession};
+use std::sync::{Arc, Barrier, Mutex};
 
 fn rs_catalog() -> Catalog {
     Catalog::new()
@@ -141,4 +142,91 @@ fn readers_racing_a_writer_match_cold_sessions_at_their_pinned_epoch() {
             *expected_by_epoch.last().unwrap()
         );
     }
+}
+
+/// Two readers of one stale statement, released together at one pin, each
+/// answered by `read`: whichever takes the statement's lock first patches
+/// the cached result in place, and the other reads the patched result. So a
+/// round costs exactly one patch and no full recompute, and both readers
+/// answer alike — whatever the interleaving. `stats` reads the counters of
+/// the cache the statement lives in.
+fn two_stale_readers_patch_once(
+    write: impl Fn(usize),
+    read: impl Fn() -> QueryOutcome + Sync,
+    stats: impl Fn() -> SessionStats,
+) {
+    read();
+    // A new group, then a changed one (the group set stays), alternately.
+    for round in 0..8 {
+        write(round);
+        let before = stats();
+        let barrier = Barrier::new(2);
+        let answers: Vec<QueryOutcome> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        read()
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|reader| reader.join().expect("stale reader"))
+                .collect()
+        });
+        let after = stats();
+        assert_eq!(
+            after.supported_patches - before.supported_patches,
+            1,
+            "round {round}"
+        );
+        assert_eq!(
+            after.full_recomputes, before.full_recomputes,
+            "round {round}"
+        );
+        assert_eq!(after.result_hits - before.result_hits, 1, "round {round}");
+        assert_eq!(answers[0].epoch, answers[1].epoch);
+        assert_eq!(answers[0].rows, answers[1].rows, "round {round}");
+    }
+}
+
+#[test]
+fn concurrent_stale_readers_of_one_statement_patch_it_once() {
+    let db = workload().generate();
+    let session = Session::with_instance(rs_catalog(), db.clone());
+    let block = |round: usize| format!("zz{:02}", round / 2);
+    two_stale_readers_patch_once(
+        |round| {
+            let y = if round % 2 == 0 { "y0" } else { "y1" };
+            assert!(session.insert(fact!("R", block(round), y)).expect("insert"));
+        },
+        || session.execute(SQL).expect("stale read"),
+        || session.stats(),
+    );
+    assert_eq!(
+        session.execute(SQL).expect("final read").rows,
+        cold_rows(&session.database())
+    );
+
+    // The sharded front-end's fan-out results, patched through the shards'
+    // dirty logs, follow the same rule.
+    let sharded = ShardedSession::new(rs_catalog(), 4);
+    sharded.insert_all(db.facts().cloned()).expect("seed");
+    let fanout = "SELECT S.Y, S.Z, MAX(S.Qty) FROM S GROUP BY S.Y, S.Z";
+    two_stale_readers_patch_once(
+        |round| {
+            let qty = 100 + round as i64 % 2;
+            assert!(sharded
+                .insert(fact!("S", "y0", block(round), qty))
+                .expect("insert"));
+        },
+        || sharded.execute(fanout).expect("stale fan-out read"),
+        || sharded.stats().fanout,
+    );
+    let reference = Session::with_instance(rs_catalog(), sharded.database().expect("union"));
+    assert_eq!(
+        sharded.execute(fanout).expect("final read").rows,
+        reference.execute(fanout).expect("cold read").rows
+    );
 }
