@@ -48,7 +48,9 @@
 //!   therefore agree on all orderings even though their id *layouts* differ;
 //! * **snapshot-shared** — the interner rides inside the index behind an
 //!   `Arc`; a path-copying commit extends one clone append-only while every
-//!   other snapshot keeps the layout it pinned.
+//!   other snapshot keeps the layout it pinned. The clone copies the
+//!   overlay's spines, not its values: the overlay is chunked like the rest
+//!   of the index.
 //!
 //! Values **materialize only at the result boundary**: dirty-block keys
 //! reported to the serving layer, `GroupRange` rows, SQL output, and the

@@ -82,7 +82,7 @@ fn instance(groups: usize, facts_per_s_block: usize) -> DatabaseInstance {
     let mut db = DatabaseInstance::new(schema);
     for g in 0..groups {
         for y in [g % Y_VALUES, (g + 1) % Y_VALUES] {
-            db.insert(Fact::new("R", vec![text("x", g), text("y", y)]))
+            db.insert(Fact::new("R", [text("x", g), text("y", y)]))
                 .unwrap();
         }
     }
@@ -90,7 +90,7 @@ fn instance(groups: usize, facts_per_s_block: usize) -> DatabaseInstance {
         for z in 0..S_BLOCKS_PER_Y {
             for r in 0..facts_per_s_block {
                 let r = Value::int((1 + r + z + y % 5) as i64);
-                db.insert(Fact::new("S", vec![text("y", y), text("z", z), r]))
+                db.insert(Fact::new("S", [text("y", y), text("z", z), r]))
                     .unwrap();
             }
         }

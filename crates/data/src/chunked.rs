@@ -16,6 +16,12 @@
 //! block index orders by interned-value order, which only the interner of the
 //! moment can evaluate.
 //!
+//! **Element contract: cloning an entry must not allocate.** A copied leaf
+//! clones each of its entries, so the sequence is for `Copy` entries (block
+//! index ids) and for handles whose clone is reference-count bumps
+//! ([`crate::Fact`], [`crate::Value`]); an entry that owns heap storage would
+//! turn each leaf copy into an allocation per entry.
+//!
 //! Leaves hold between [`MIN_LEAF`] and [`MAX_LEAF`] entries (only the last
 //! leaf may hold fewer): an insert into a full leaf splits it first — in
 //! half, or for an append at bulk-leaf size so that ascending loads leave

@@ -214,7 +214,7 @@ pub fn encode_fact(fact: &Fact, out: &mut Vec<u8>) {
 
 /// Decodes one [`Fact`].
 pub fn decode_fact(r: &mut Reader<'_>) -> Result<Fact, DecodeError> {
-    let relation = r.string()?.to_string();
+    let relation = r.string()?;
     let at = r.position();
     let arity = r.u32()? as usize;
     // An arity prefix cannot promise more values than one byte each could
@@ -226,11 +226,24 @@ pub fn decode_fact(r: &mut Reader<'_>) -> Result<Fact, DecodeError> {
             detail: "fact arity exceeds remaining buffer",
         });
     }
-    let mut args = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        args.push(decode_value(r)?);
+    // Decoding through an exact-length iterator puts the arguments in one
+    // allocation. After the first error the remaining seats get a
+    // placeholder and the fact is discarded.
+    let mut failed = None;
+    let fact = Fact::new(
+        relation,
+        (0..arity).map(|_| match failed {
+            Some(_) => Value::int(0),
+            None => decode_value(r).unwrap_or_else(|e| {
+                failed = Some(e);
+                Value::int(0)
+            }),
+        }),
+    );
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(fact),
     }
-    Ok(Fact::new(relation, args))
 }
 
 /// Appends one [`DeltaEvent`].

@@ -6,19 +6,35 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A fact `R(v1, ..., vn)`: an atom without variables.
+///
+/// Both parts sit behind an [`Arc`], so cloning a fact is two reference-count
+/// bumps and allocates nothing: the copy-on-write storage above it (instance
+/// leaves, the sharded front-end's mirror, the dirty log's retracted facts)
+/// copies facts by the leaf. Equality, order and hashing are by content.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fact {
     relation: RelName,
-    args: Vec<Value>,
+    args: Arc<[Value]>,
 }
 
 impl Fact {
     /// Creates a fact for relation `relation` with the given arguments.
+    ///
+    /// The arguments are stored in one allocation when `args` reports its
+    /// exact length — an array, a slice's or a range's `map` — and collected
+    /// then copied otherwise; so pass an array, not a `vec!`.
     pub fn new(relation: impl AsRef<str>, args: impl IntoIterator<Item = Value>) -> Fact {
         Fact {
             relation: Arc::from(relation.as_ref()),
             args: args.into_iter().collect(),
         }
+    }
+
+    /// The same fact under `relation`, an equal name — the schema's own
+    /// [`RelName`], so stored facts share one name allocation.
+    pub(crate) fn with_relation_name(self, relation: RelName) -> Fact {
+        debug_assert_eq!(self.relation, relation);
+        Fact { relation, ..self }
     }
 
     /// The relation name of the fact.
@@ -93,7 +109,7 @@ impl fmt::Debug for Fact {
 #[macro_export]
 macro_rules! fact {
     ($rel:expr $(, $arg:expr)* $(,)?) => {
-        $crate::fact::Fact::new($rel, vec![$($crate::value::Value::from($arg)),*])
+        $crate::fact::Fact::new($rel, [$($crate::value::Value::from($arg)),*])
     };
 }
 

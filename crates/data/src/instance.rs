@@ -71,6 +71,13 @@ impl Block {
 /// `O(|relation|)`: building an instance, iterating it (checkpoints, cold
 /// index builds), and `==`.
 ///
+/// A leaf copy is one allocation for the leaf and a reference-count bump per
+/// fact: every insert path ([`DatabaseInstance::insert`],
+/// [`DatabaseInstance::load`], [`DatabaseInstance::apply`]) stores a fact
+/// under the schema's own relation name ([`Schema::intern`]), and a fact's
+/// arguments sit behind one [`Arc`] that every copy of the fact shares —
+/// across snapshots, and across instances a fact is inserted into.
+///
 /// Equality and iteration never see leaf boundaries: `==` compares contents
 /// (a warm instance and one reloaded from a checkpoint hold the same facts in
 /// differently cut leaves), and [`DatabaseInstance::facts`] /
@@ -173,13 +180,15 @@ impl DatabaseInstance {
         Ok(self.insert_valid(fact))
     }
 
-    /// Inserts a fact already known to conform to the schema.
+    /// Inserts a fact already known to conform to the schema, under the
+    /// schema's own relation name.
     fn insert_valid(&mut self, fact: Fact) -> bool {
         let name = self
             .schema
             .intern(fact.relation())
             .expect("fact relation in schema");
-        insert_sorted(self.relations.entry(name).or_default(), fact)
+        let set = self.relations.entry(name.clone()).or_default();
+        insert_sorted(set, fact.with_relation_name(name))
     }
 
     /// Bulk-loads `facts` (validated against the schema; nothing is loaded if
@@ -196,7 +205,10 @@ impl DatabaseInstance {
                 .schema
                 .intern(fact.relation())
                 .expect("validated relation exists");
-            by_relation.entry(name).or_default().push(fact);
+            by_relation
+                .entry(name.clone())
+                .or_default()
+                .push(fact.with_relation_name(name));
         }
         let mut new = 0;
         for (name, mut facts) in by_relation {
@@ -689,6 +701,34 @@ mod tests {
         );
         assert!(grown.load(vec![fact!("R", 3, 3), fact!("R", "x")]).is_err());
         assert!(!grown.contains(&fact!("R", 3, 3)));
+    }
+
+    #[test]
+    fn stored_facts_carry_the_schemas_relation_name() {
+        let mut db = DatabaseInstance::new(stock_schema());
+        db.insert(fact!("Dealers", "Smith", "Boston")).unwrap();
+        db.load(vec![
+            fact!("Dealers", "James", "Boston"),
+            fact!("Stock", "Tesla X", "Boston", 35),
+        ])
+        .unwrap();
+        // A relation that already holds facts loads fact by fact.
+        db.load(vec![fact!("Stock", "Tesla Y", "Boston", 35)])
+            .unwrap();
+        db.apply(DeltaEvent::insert(fact!("Dealers", "Jones", "Chicago")))
+            .unwrap();
+        assert_eq!(db.len(), 5);
+        for f in db.facts() {
+            let name = db.schema().intern(f.relation()).unwrap();
+            assert!(Arc::ptr_eq(f.relation_name(), &name), "{f}");
+        }
+        // A fact copied into a second instance shares its arguments with the
+        // first: a copy of a fact is reference-count bumps.
+        let f = db.facts_of("Stock").next().unwrap();
+        let mut other = db.empty_like();
+        other.insert(f.clone()).unwrap();
+        let g = other.facts().next().unwrap();
+        assert_eq!(g.args().as_ptr(), f.args().as_ptr());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! [`UNBOUND_ID`] (an unbound join slot) and [`MISSING_ID`] (a query constant
 //! absent from the interner, which therefore matches nothing).
 
+use crate::chunked::ChunkedSeq;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -41,18 +42,21 @@ pub const MAX_INTERNED: usize = (u32::MAX - 2) as usize;
 
 /// A dense, order-aware, append-only mapping `Value ↔ u32`.
 ///
-/// Cloning is cheap: the sorted prefix is `Arc`-shared, and only the (small)
-/// overlay vectors are copied. This is what keeps the serving layer's
-/// per-commit path copy of the index flat even though the interner rides
-/// inside it.
+/// Cloning is cheap: the sorted prefix is `Arc`-shared, and the overlay's two
+/// sequences are [`ChunkedSeq`]s, so a clone copies their spines — one
+/// pointer per leaf — and interning a value into the clone then copies the
+/// one leaf of each it lands in. The overlay grows for the life of a
+/// session (every value first seen since the cold build stays in it), so
+/// this is what keeps the serving layer's per-commit path copy of the index
+/// flat even though the interner rides inside it.
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
     /// Ids `0..sorted.len()`, in ascending `Value` order. Frozen at build.
     sorted: Arc<Vec<Value>>,
     /// Ids `sorted.len()..`, in arrival order.
-    appended: Vec<Value>,
+    appended: ChunkedSeq<Value>,
     /// The overlay's ids, sorted by their value — the overlay's lookup side.
-    appended_by_value: Vec<u32>,
+    appended_by_value: ChunkedSeq<u32>,
 }
 
 impl ValueInterner {
@@ -78,8 +82,8 @@ impl ValueInterner {
         assert!(values.len() <= MAX_INTERNED, "interner capacity exhausted");
         ValueInterner {
             sorted: Arc::new(values),
-            appended: Vec::new(),
-            appended_by_value: Vec::new(),
+            appended: ChunkedSeq::new(),
+            appended_by_value: ChunkedSeq::new(),
         }
     }
 
@@ -104,10 +108,11 @@ impl ValueInterner {
         if let Ok(i) = self.sorted.binary_search(v) {
             return Some(i as u32);
         }
-        self.appended_by_value
-            .binary_search_by(|&id| self.value(id).cmp(v))
-            .ok()
-            .map(|i| self.appended_by_value[i])
+        let at = self
+            .appended_by_value
+            .search_by(|&id| self.value(id).cmp(v))
+            .ok()?;
+        self.appended_by_value.get(at).copied()
     }
 
     /// The id of `v`, or [`MISSING_ID`] when `v` is not interned — the form
@@ -125,10 +130,10 @@ impl ValueInterner {
         }
         assert!(self.len() < MAX_INTERNED, "interner capacity exhausted");
         let id = self.len() as u32;
-        self.appended.push(v.clone());
+        self.appended.insert(self.appended.len(), v.clone());
         let at = self
             .appended_by_value
-            .binary_search_by(|&other| self.value(other).cmp(v))
+            .search_by(|&other| self.value(other).cmp(v))
             .expect_err("v is not interned");
         self.appended_by_value.insert(at, id);
         id
@@ -143,7 +148,9 @@ impl ValueInterner {
         if id < self.sorted.len() {
             &self.sorted[id]
         } else {
-            &self.appended[id - self.sorted.len()]
+            self.appended
+                .get(id - self.sorted.len())
+                .expect("id assigned by this interner")
         }
     }
 
@@ -224,6 +231,7 @@ impl ValueInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::MAX_LEAF;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -323,6 +331,83 @@ mod tests {
             Value::int(draw.1)
         } else {
             Value::text(format!("t{}", draw.1.rem_euclid(40)))
+        }
+    }
+
+    /// A fresh value of the overlay test: odd integers and `o`-texts, so no
+    /// draw of the prefix (even integers, `p`-texts) collides with one.
+    fn overlay_value(i: usize) -> Value {
+        if i.is_multiple_of(3) {
+            Value::text(format!("o{i:05}"))
+        } else {
+            Value::int(2 * i as i64 + 1)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The overlay past one leaf: at least `3 × MAX_LEAF` fresh values,
+        /// interned in random order, split both overlay sequences into
+        /// several leaves. `id_of`, `value` and `cmp_ids` agree with a `Vec`
+        /// of the values by id, and a clone taken midway keeps its ids and
+        /// values while the original keeps interning.
+        #[test]
+        fn the_overlay_past_one_leaf_agrees_with_a_vec(
+            prefix_draws in proptest::collection::vec((0u8..2, 0i64..2000), 0..64),
+            order_keys in proptest::collection::vec(0u64..1 << 40, 3 * MAX_LEAF..4 * MAX_LEAF),
+            midway in 0usize..3 * MAX_LEAF,
+        ) {
+            let mut interner = build(prefix_draws.iter().map(|&(kind, d)| match kind {
+                0 => Value::int(2 * d),
+                _ => Value::text(format!("p{d}")),
+            }));
+            // Ids by value: the prefix, then each fresh value as interned.
+            let mut by_id: Vec<Value> = (0..interner.len() as u32)
+                .map(|id| interner.value(id).clone())
+                .collect();
+            let mut order: Vec<usize> = (0..order_keys.len()).collect();
+            order.sort_by_key(|&i| order_keys[i]);
+            let mut clone = None;
+            for (n, &i) in order.iter().enumerate() {
+                if n == midway {
+                    clone = Some((interner.clone(), by_id.len()));
+                }
+                let v = overlay_value(i);
+                prop_assert_eq!(interner.intern(&v), by_id.len() as u32);
+                prop_assert_eq!(interner.intern(&v), by_id.len() as u32, "interned once");
+                by_id.push(v);
+            }
+            prop_assert!(interner.appended.leaf_count() >= 3);
+            prop_assert!(interner.appended_by_value.leaf_count() >= 3);
+            prop_assert_eq!(interner.len(), by_id.len());
+            for (id, v) in by_id.iter().enumerate() {
+                prop_assert_eq!(interner.value(id as u32), v);
+                prop_assert_eq!(interner.id_of(v), Some(id as u32));
+            }
+            prop_assert_eq!(interner.id_of(&Value::int(-1)), None);
+            prop_assert_eq!(interner.id_of(&Value::text("q")), None);
+            // Every id against a spread of others, prefix and overlay alike.
+            let probes: Vec<usize> = (0..by_id.len()).step_by(37).collect();
+            for (a, va) in by_id.iter().enumerate() {
+                for &b in &probes {
+                    prop_assert_eq!(
+                        interner.cmp_ids(a as u32, b as u32),
+                        va.cmp(&by_id[b]),
+                        "ids {} / {}", a, b
+                    );
+                }
+            }
+            let (clone, len) = clone.expect("midway is inside the order");
+            prop_assert_eq!(clone.len(), len);
+            for (id, v) in by_id.iter().enumerate() {
+                if id < len {
+                    prop_assert_eq!(clone.value(id as u32), v);
+                    prop_assert_eq!(clone.id_of(v), Some(id as u32));
+                } else {
+                    prop_assert_eq!(clone.id_of(v), None);
+                }
+            }
         }
     }
 

@@ -1036,10 +1036,21 @@ impl Session {
     /// written relation one spine (a pointer per leaf of 128–256 entries),
     /// and per touched block one leaf of each sequence (two where a leaf
     /// splits or merges) plus the block's columns; index statistics are
-    /// adjusted, not recomputed. With `n` the size of a written relation a
-    /// batch costs `O(n / 128 + |delta| · (log n + 256))` — for a
-    /// single-fact commit a few microseconds at 10⁵ facts, so a durable
-    /// commit's floor is its WAL append and fsync. Nothing here scans or
+    /// adjusted, not recomputed. A leaf copy is one allocation plus a
+    /// reference-count bump per entry — a fact's arguments sit behind one
+    /// `Arc` and its relation name is the schema's — and a commit that
+    /// interns a fresh value copies the interner overlay's spines and one
+    /// leaf of each, not the overlay. With `n` the size of a written
+    /// relation a batch costs `O(n / 128 + |delta| · (log n + 256))`
+    /// pointer copies. Measured on `serve_sharded` (10⁵ facts, four shards
+    /// and the mirror, 2 cores, timer-instrumented builds, two 20 s runs
+    /// each), a commit — single facts and coalesced batches alike —
+    /// averages 136–147 µs: ≈ 40 µs writing the instance, ≈ 74 µs
+    /// replaying the index, ≈ 23 µs dropping the replaced snapshot. When
+    /// each fact owned its argument vector and each fresh value copied the
+    /// whole overlay it averaged 341–432 µs (150–200, 99–119 and 89–106 µs
+    /// for the three). So a durable commit's floor is its WAL append and
+    /// fsync, not this copy. Nothing here scans or
     /// copies a relation, let alone the database; what still does: the
     /// checkpoint a commit may trigger (it writes every fact) and the cold
     /// index build of a snapshot chain that never had one. There is no batch

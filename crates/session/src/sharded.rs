@@ -1065,6 +1065,27 @@ mod tests {
         }
     }
 
+    /// A fact inserted through the front-end is stored on its shard and on
+    /// the mirror as copies of one fact: the mirror duplicates no argument
+    /// storage.
+    #[test]
+    fn shard_and_mirror_share_each_facts_arguments() {
+        let sharded = ShardedSession::new(catalog(), 4);
+        seed(&sharded);
+        let mirror = sharded.database().unwrap();
+        for (i, shard) in sharded.shards.iter().enumerate() {
+            for fact in shard.database().facts() {
+                let copy = mirror.facts().find(|&f| f == fact).unwrap();
+                assert_eq!(
+                    copy.args().as_ptr(),
+                    fact.args().as_ptr(),
+                    "{fact} on shard {i}"
+                );
+            }
+        }
+        assert_eq!(mirror.len(), 7);
+    }
+
     #[test]
     fn grouped_query_fans_out_and_matches_unsharded() {
         let sharded = ShardedSession::new(catalog(), 4);

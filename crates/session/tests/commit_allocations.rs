@@ -6,8 +6,12 @@
 //! `Arc` and its relation name is the schema's own, and the interner's
 //! overlay of values first seen since the cold build sits in chunked
 //! copy-on-write leaves, so cloning it copies a spine, not every value
-//! appended so far. Two properties follow, one test each:
+//! appended so far. Three properties are locked, one test each:
 //!
+//! * **A fact is built in one allocation for its arguments.** `fact!`,
+//!   `Fact::new` over an array and the codec's decode (WAL replay,
+//!   checkpoint load) allocate the relation name and the argument slice,
+//!   nothing else, for a fact of numbers.
 //! * **A commit allocates per leaf, not per fact.** One effective
 //!   single-fact commit into a relation of 10⁴ facts, with a warm index,
 //!   allocates fewer times than a leaf holds entries ([`MIN_LEAF`]). Copying
@@ -26,6 +30,7 @@
 
 use rcqa_core::engine::EngineOptions;
 use rcqa_data::chunked::{MAX_LEAF, MIN_LEAF};
+use rcqa_data::codec::{decode_fact, encode_fact, Reader};
 use rcqa_data::{fact, DatabaseInstance, Fact, Value};
 use rcqa_query::{Catalog, TableDef};
 use rcqa_session::Session;
@@ -108,6 +113,21 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
         BYTES.with(Cell::get) - bytes,
         out,
     )
+}
+
+#[test]
+fn a_fact_is_built_in_one_allocation_for_its_arguments() {
+    let (calls, _, built) = allocations(|| fact!("R", 1, 2, 3));
+    assert_eq!(calls, 2, "the name and the arguments");
+    let (calls, _, from_array) =
+        allocations(|| Fact::new("R", [Value::int(1), Value::int(2), Value::int(3)]));
+    assert_eq!(calls, 2, "the name and the arguments");
+    assert_eq!(from_array, built);
+    let mut bytes = Vec::new();
+    encode_fact(&built, &mut bytes);
+    let (calls, _, decoded) = allocations(|| decode_fact(&mut Reader::new(&bytes)).unwrap());
+    assert_eq!(calls, 2, "the name and the arguments");
+    assert_eq!(decoded, built);
 }
 
 #[test]
