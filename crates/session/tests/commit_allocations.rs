@@ -17,6 +17,12 @@
 //!   allocates fewer times than a leaf holds entries ([`MIN_LEAF`]). Copying
 //!   a leaf of facts that each own an argument vector allocated once per
 //!   fact in the leaf.
+//! * **A commit writes the data once.** The bytes one effective single-fact
+//!   commit into that relation allocates stay within what
+//!   `DbIndex::apply_delta` allocates for the same event on a clone of the
+//!   snapshot's index, plus [`BOOKKEEPING`] bytes for the snapshot and the
+//!   dirty-log entry. A snapshot that also kept a `DatabaseInstance` of the
+//!   same facts copied a leaf of at least [`MIN_LEAF`] facts there too.
 //! * **Interning a fresh value does not pay for the overlay.** The bytes
 //!   allocated by a commit that interns one fresh value are the same, up to
 //!   one leaf of each overlay sequence, after 100 and after 5 000 fresh
@@ -31,7 +37,7 @@
 use rcqa_core::engine::EngineOptions;
 use rcqa_data::chunked::{MAX_LEAF, MIN_LEAF};
 use rcqa_data::codec::{decode_fact, encode_fact, Reader};
-use rcqa_data::{fact, DatabaseInstance, Fact, Value};
+use rcqa_data::{fact, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa_query::{Catalog, TableDef};
 use rcqa_session::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -141,6 +147,35 @@ fn a_single_fact_commit_allocates_per_leaf_not_per_fact() {
     assert!(
         calls < MIN_LEAF as u64,
         "one single-fact commit allocated {calls} times; a leaf holds at least {MIN_LEAF} facts"
+    );
+}
+
+/// What a commit may allocate beyond its index delta: the successor
+/// snapshot, the effective events and flags, and the dirty-log entry.
+const BOOKKEEPING: u64 = 1024;
+
+#[test]
+fn a_single_fact_commit_allocates_its_index_delta_and_bookkeeping_only() {
+    let session = session();
+    // A new fact of known values: a second fact in the block of `k05000`.
+    let fact = r(FACTS / 2, 7);
+    let event = DeltaEvent::insert(fact.clone());
+    let index = session
+        .snapshot()
+        .index()
+        .expect("the snapshot has an index")
+        .clone();
+    let (_, delta, dirty) = allocations(|| {
+        let mut next = (*index).clone();
+        next.apply_delta(std::slice::from_ref(&event))
+    });
+    assert_eq!(dirty.len(), 1, "the event is effective on the index");
+    let (_, commit, inserted) = allocations(|| session.insert(fact).expect("insert"));
+    assert!(inserted);
+    assert!(
+        commit <= delta + BOOKKEEPING,
+        "one single-fact commit allocated {commit} bytes; its index delta allocates {delta}, \
+         and {BOOKKEEPING} more are allowed for bookkeeping"
     );
 }
 
