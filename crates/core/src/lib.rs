@@ -73,7 +73,7 @@ pub use exact::{
 };
 pub use forall::{analyse, CompiledLevels, ForallAnalysis, Join, Valuation, VarTable};
 pub use glb::Choice;
-pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
+pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, FactRow};
 pub use interval::{
     certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
     HavingStatus,

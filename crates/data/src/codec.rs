@@ -193,18 +193,59 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
     }
 }
 
+/// A fact as the encoder reads it — a relation name and its arguments —
+/// wherever it is stored: a [`Fact`], or a row of a columnar index whose
+/// values are looked up one by one, so a checkpoint of the index allocates no
+/// fact per row.
+pub trait FactRef {
+    /// The relation name.
+    fn relation(&self) -> &str;
+    /// The number of arguments.
+    fn arity(&self) -> usize;
+    /// The arguments, in order.
+    fn args(&self) -> impl Iterator<Item = &Value>;
+}
+
+impl FactRef for Fact {
+    fn relation(&self) -> &str {
+        Fact::relation(self)
+    }
+
+    fn arity(&self) -> usize {
+        Fact::arity(self)
+    }
+
+    fn args(&self) -> impl Iterator<Item = &Value> {
+        Fact::args(self).iter()
+    }
+}
+
+impl<T: FactRef + ?Sized> FactRef for &T {
+    fn relation(&self) -> &str {
+        (**self).relation()
+    }
+
+    fn arity(&self) -> usize {
+        (**self).arity()
+    }
+
+    fn args(&self) -> impl Iterator<Item = &Value> {
+        (**self).args()
+    }
+}
+
 /// The number of bytes [`encode_fact`] appends for `fact`, so a buffer can
 /// be sized before encoding.
-pub fn encoded_fact_len(fact: &Fact) -> usize {
+pub fn encoded_fact_len(fact: &impl FactRef) -> usize {
     let value = |v: &Value| match v {
         Value::Text(s) => 1 + 4 + s.len(),
         Value::Num(_) => 1 + 16 + 16,
     };
-    4 + fact.relation().len() + 4 + fact.args().iter().map(value).sum::<usize>()
+    4 + fact.relation().len() + 4 + fact.args().map(value).sum::<usize>()
 }
 
-/// Appends one [`Fact`].
-pub fn encode_fact(fact: &Fact, out: &mut Vec<u8>) {
+/// Appends one fact.
+pub fn encode_fact(fact: &impl FactRef, out: &mut Vec<u8>) {
     encode_string(fact.relation(), out);
     out.extend_from_slice(&(fact.arity() as u32).to_le_bytes());
     for arg in fact.args() {

@@ -30,6 +30,15 @@ impl Fact {
         }
     }
 
+    /// [`Fact::new`] under an interned relation name — a schema's own
+    /// [`RelName`] — which the fact shares instead of allocating its own.
+    pub fn with_name(relation: RelName, args: impl IntoIterator<Item = Value>) -> Fact {
+        Fact {
+            relation,
+            args: args.into_iter().collect(),
+        }
+    }
+
     /// The same fact under `relation`, an equal name — the schema's own
     /// [`RelName`], so stored facts share one name allocation.
     pub(crate) fn with_relation_name(self, relation: RelName) -> Fact {

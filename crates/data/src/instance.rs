@@ -58,6 +58,14 @@ impl Block {
 
 /// An in-memory database instance: a schema plus a set of facts per relation.
 ///
+/// This is the paper's database: the type the generator produces, the
+/// reference oracles and the repair enumeration ([`RepairIter`]) read, and a
+/// session is opened over. A serving session does not keep one: each of its
+/// snapshots stores the facts once, in the engine's interned block index,
+/// and an instance is materialised from that index only when asked for
+/// (`Snapshot::db` in `rcqa-session`). Bulk loads pass through a scratch
+/// instance on the way to the index, and recovery replays into one.
+///
 /// Per-relation fact sets are **structurally shared at leaf granularity**:
 /// each relation's facts are one sorted [`ChunkedSeq`] behind an [`Arc`].
 /// Cloning an instance is one pointer bump per relation; a mutation copies,
@@ -65,11 +73,8 @@ impl Block {
 /// [`crate::chunked::MIN_LEAF`]..=[`crate::chunked::MAX_LEAF`] facts) and the
 /// **one leaf** the fact lands in (two on a split or merge) — every other
 /// leaf, and every untouched relation, stays shared with the instance the
-/// clone came from ([`DatabaseInstance::shared_leaves`] observes this). The
-/// serving layer relies on it to derive a successor snapshot per commit
-/// without paying for the size of the written relation. What is still
-/// `O(|relation|)`: building an instance, iterating it (checkpoints, cold
-/// index builds), and `==`.
+/// clone came from ([`DatabaseInstance::shared_leaves`] observes this). What
+/// is still `O(|relation|)`: building an instance, iterating it, and `==`.
 ///
 /// A leaf copy is one allocation for the leaf and a reference-count bump per
 /// fact: every insert path ([`DatabaseInstance::insert`],

@@ -10,10 +10,10 @@
 //! choice (a repair picks exactly one fact per block), so this rule keeps
 //! each block, and with it each repair decision, entirely inside one shard:
 //! shard-local repairs compose into exactly the global repairs and nothing
-//! else. Per-shard instances are built the same way as the unsharded
-//! instance ([`DatabaseInstance::new`]), so the numeric domain — and
-//! therefore the classification and the chosen plan — is identical on every
-//! shard and on the mirror.
+//! else. Every shard and the mirror opens over the catalog's schema on the
+//! default numeric domain, as an unsharded [`Session::new`] does, so the
+//! classification and the chosen plan are identical on every shard and on
+//! the mirror.
 //!
 //! ## Read routing and the correctness argument
 //!
@@ -123,7 +123,7 @@ use crate::{
 use rcqa_core::engine::{EngineOptions, GroupRange};
 use rcqa_core::plan::exec::run_shards;
 use rcqa_core::SupportSlot;
-use rcqa_data::{codec, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Value};
+use rcqa_data::{codec, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa_query::Catalog;
 use rcqa_wal::WalError;
 use std::path::Path;
@@ -413,11 +413,11 @@ impl ShardedSession {
         // the recovered union a faithful re-partitioning.) The same pass
         // collects the facts for the mirror, rebuilt at the recovered union
         // by one bulk load.
-        let recovered: Vec<_> = sessions.iter().map(Session::database).collect();
-        let mut facts = Vec::with_capacity(recovered.iter().map(|db| db.len()).sum());
-        for (i, db) in recovered.iter().enumerate() {
-            for fact in db.facts() {
-                let home = route_fact(&catalog, fact, shards);
+        let recovered: Vec<_> = sessions.iter().map(Session::snapshot).collect();
+        let mut facts = Vec::with_capacity(recovered.iter().map(|snap| snap.index.len()).sum());
+        for (i, snap) in recovered.iter().enumerate() {
+            for fact in snap.index.rows().map(|row| row.to_fact()) {
+                let home = route_fact(&catalog, &fact, shards);
                 if home != i {
                     return Err(SessionError::Wal(WalError::Corrupt {
                         file: format!("shard-{i:03}"),
@@ -428,7 +428,7 @@ impl ShardedSession {
                         ),
                     }));
                 }
-                facts.push(fact.clone());
+                facts.push(fact);
             }
         }
         // Shards hold disjoint facts (each fact lives only on its routed
@@ -537,7 +537,7 @@ impl ShardedSession {
 
     /// The union instance across all shards, at a consistent cut.
     pub fn database(&self) -> Result<Arc<DatabaseInstance>, SessionError> {
-        Ok(self.pin()?.mirror.db.clone())
+        Ok(self.pin()?.mirror.db().clone())
     }
 
     /// The shard a fact routes to.
@@ -581,11 +581,9 @@ impl ShardedSession {
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
         // Pre-validate the whole batch against the (static) schema and
         // numeric domain so rejection is atomic, before any shard commits.
-        let schema_db = self.shards[0].database();
+        let schema = self.shards[0].snapshot();
         for event in events {
-            if event.op == DeltaOp::Insert {
-                schema_db.validate(&event.fact)?;
-            }
+            schema.validate(event)?;
         }
         let mut slices: Vec<Vec<(usize, DeltaEvent)>> = vec![Vec::new(); self.shards.len()];
         for (position, event) in events.iter().enumerate() {
@@ -648,14 +646,12 @@ impl ShardedSession {
     /// event fails its own submitter without failing the batch; only
     /// durability failures fan the same error out to every valid submitter.
     fn commit_group(&self, shard: usize, batch: Vec<(DeltaEvent, Arc<Ticket>)>) {
-        let schema_db = self.shards[shard].database();
+        let schema = self.shards[shard].snapshot();
         let mut valid: Vec<(DeltaEvent, Arc<Ticket>)> = Vec::with_capacity(batch.len());
         for (event, ticket) in batch {
-            if event.op == DeltaOp::Insert {
-                if let Err(error) = schema_db.validate(&event.fact) {
-                    *lock(&ticket.done) = Some(Err(SessionError::Data(error)));
-                    continue;
-                }
+            if let Err(error) = schema.validate(&event) {
+                *lock(&ticket.done) = Some(Err(SessionError::Data(error)));
+                continue;
             }
             valid.push((event, ticket));
         }
@@ -862,10 +858,8 @@ impl ShardedSession {
         pinned: &Pinned,
         stmt: &PreparedStatement,
     ) -> Result<CachedResult, SessionError> {
-        let shards: Vec<_> = self.shards.iter().zip(&pinned.snaps).collect();
-        let evaluate = |(shard, snap): (&Session, &Arc<Snapshot>)| {
-            Session::raw_rows(stmt, &snap.db, &shard.pinned_index(snap))
-        };
+        let shards: Vec<&Arc<Snapshot>> = pinned.snaps.iter().collect();
+        let evaluate = |snap: &Arc<Snapshot>| Session::raw_rows(stmt, snap);
         let evaluated: Vec<_> = if self.mirror.options().resolve_threads() > 1 {
             run_shards(shards, evaluate)
         } else {
@@ -1065,25 +1059,43 @@ mod tests {
         }
     }
 
-    /// A fact inserted through the front-end is stored on its shard and on
-    /// the mirror as copies of one fact: the mirror duplicates no argument
-    /// storage.
+    /// The mirror holds exactly the union of the shards' facts, and every
+    /// route's answer is the mirror's own: a fan-out merged from the shards,
+    /// a designated shard's, and the combine the mirror evaluates.
     #[test]
-    fn shard_and_mirror_share_each_facts_arguments() {
+    fn shard_and_mirror_agree_on_facts_and_answers() {
         let sharded = ShardedSession::new(catalog(), 4);
         seed(&sharded);
         let mirror = sharded.database().unwrap();
-        for (i, shard) in sharded.shards.iter().enumerate() {
-            for fact in shard.database().facts() {
-                let copy = mirror.facts().find(|&f| f == fact).unwrap();
-                assert_eq!(
-                    copy.args().as_ptr(),
-                    fact.args().as_ptr(),
-                    "{fact} on shard {i}"
-                );
-            }
+        let mut union = DatabaseInstance::new(catalog().schema());
+        for shard in &sharded.shards {
+            union
+                .load(shard.database().facts().cloned().collect())
+                .unwrap();
         }
+        assert_eq!(*mirror, union);
         assert_eq!(mirror.len(), 7);
+        for sql in [
+            "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
+            "SELECT MAX(S.Qty) FROM Stock AS S WHERE S.Product = 'Tesla X' AND S.Town = 'Boston'",
+            "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+             WHERE D.Town = S.Town GROUP BY D.Name",
+        ] {
+            let routed = sharded.execute(sql).unwrap();
+            let direct = sharded.mirror.execute(sql).unwrap();
+            assert_eq!(routed.rows, direct.rows, "{sql}");
+            assert_eq!(routed.more_aggregates, direct.more_aggregates, "{sql}");
+            assert_eq!(routed.having, direct.having, "{sql}");
+        }
+        let stats = sharded.stats();
+        assert_eq!(
+            (
+                stats.fanout_queries,
+                stats.designated_queries,
+                stats.combine_queries
+            ),
+            (1, 1, 1)
+        );
     }
 
     #[test]

@@ -78,6 +78,7 @@ pub mod storage;
 pub use record::Batch;
 pub use storage::{FailingStorage, FsStorage, MemStorage, WalStorage};
 
+use rcqa_data::codec::FactRef;
 use rcqa_data::{DeltaEvent, Fact};
 use record::{checkpoint_len, decode_checkpoint, encode_record, parse_segment, write_checkpoint};
 use std::fmt;
@@ -478,9 +479,10 @@ impl Wal {
     /// checkpoints no longer need:
     ///
     /// 1. the checkpoint file is streamed one fact at a time (`facts` is
-    ///    walked more than once, never encoded whole in memory) and
-    ///    published atomically (temp + fsync + rename), so a crash at any
-    ///    point leaves the previous checkpoint intact;
+    ///    walked more than once, never encoded whole in memory; a fact is
+    ///    anything the codec reads as one, [`FactRef`] — a stored [`Fact`] or
+    ///    an index row) and published atomically (temp + fsync + rename), so
+    ///    a crash at any point leaves the previous checkpoint intact;
     /// 2. checkpoints beyond the newest two are removed;
     /// 3. segments whose every record is covered by the **oldest retained**
     ///    checkpoint are removed — only after step 1 made that coverage
@@ -488,10 +490,10 @@ impl Wal {
     ///
     /// On failure the log is untouched and fully replayable; the caller may
     /// simply try again later.
-    pub fn checkpoint<'a>(
+    pub fn checkpoint(
         &mut self,
         epoch: u64,
-        facts: impl Iterator<Item = &'a Fact> + Clone,
+        facts: impl Iterator<Item = impl FactRef> + Clone,
     ) -> Result<(), WalError> {
         if epoch != self.last_epoch {
             return Err(WalError::Io(Arc::new(io::Error::new(

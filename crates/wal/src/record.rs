@@ -48,7 +48,7 @@
 use crate::crc32::{crc32, Crc32};
 use crate::storage::SeekWrite;
 use crate::WalError;
-use rcqa_data::codec::{self, Reader};
+use rcqa_data::codec::{self, FactRef, Reader};
 use rcqa_data::{DeltaEvent, Fact};
 use std::io::{self, SeekFrom};
 
@@ -211,8 +211,8 @@ pub fn parse_segment(
 }
 
 /// The length in bytes of the checkpoint file of `facts`.
-pub fn checkpoint_len<'a>(facts: impl Iterator<Item = &'a Fact>) -> u64 {
-    let facts: usize = facts.map(codec::encoded_fact_len).sum();
+pub fn checkpoint_len(facts: impl Iterator<Item = impl FactRef>) -> u64 {
+    let facts: usize = facts.map(|fact| codec::encoded_fact_len(&fact)).sum();
     24 + facts as u64
 }
 
@@ -221,9 +221,9 @@ pub fn checkpoint_len<'a>(facts: impl Iterator<Item = &'a Fact>) -> u64 {
 /// checksum is written as a placeholder, taken over the payload as it goes
 /// out, and patched into the header last. A checkpoint never holds an
 /// encoded copy of the instance.
-pub fn write_checkpoint<'a>(
+pub fn write_checkpoint(
     epoch: u64,
-    facts: impl Iterator<Item = &'a Fact> + Clone,
+    facts: impl Iterator<Item = impl FactRef> + Clone,
     out: &mut dyn SeekWrite,
 ) -> io::Result<()> {
     let count = facts.clone().count() as u64;
@@ -239,7 +239,7 @@ pub fn write_checkpoint<'a>(
     let mut bytes = Vec::new();
     for fact in facts {
         bytes.clear();
-        codec::encode_fact(fact, &mut bytes);
+        codec::encode_fact(&fact, &mut bytes);
         payload(&bytes)?;
     }
     out.seek(SeekFrom::Start(4))?;

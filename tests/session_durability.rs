@@ -16,14 +16,20 @@
 //!   `std::io::Error` chained via `source()`), nothing is published, and
 //!   the session keeps serving reads of the last committed snapshot;
 //! * checkpoints are published atomically and prune covered segments
-//!   without ever stranding a retained checkpoint's replay chain.
+//!   without ever stranding a retained checkpoint's replay chain;
+//! * a checkpoint, encoded straight from the index's columns, is byte for
+//!   byte the encoding of a reference instance fed the same events, and
+//!   recovery from a checkpoint plus a log tail builds an index structurally
+//!   identical to a cold build over that reference.
 
 use proptest::prelude::*;
 use rcqa::core::engine::EngineOptions;
+use rcqa::core::index::DbIndex;
 use rcqa::data::{fact, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::{Session, SessionError, SyncPolicy, WalOptions};
-use rcqa::wal::{segment_name, FailingStorage, MemStorage, WalError};
+use rcqa::wal::record::write_checkpoint;
+use rcqa::wal::{checkpoint_name, segment_name, FailingStorage, MemStorage, WalError};
 use std::sync::Arc;
 
 /// `R(X, Y)` with key `X`; `S(Y, Z, Qty)` with key `(Y, Z)`, numeric `Qty`.
@@ -311,9 +317,10 @@ fn checkpoints_prune_the_log_and_recover_atomically() {
     assert_answers_match_cold(&session, &Arc::new(mirror));
 }
 
-/// Recovery stores every fact under the schema's own relation name — the
-/// checkpoint's facts through the bulk load, the log tail's through replay —
-/// so a recovered fact keeps no name allocation of its own.
+/// Recovery indexes the checkpoint's facts and the log tail's, and the facts
+/// materialised back out of that index — [`Session::database`] — carry the
+/// schema's own relation name, so a materialised fact keeps no name
+/// allocation of its own.
 #[test]
 fn recovered_facts_share_the_schemas_relation_names() {
     let mem = MemStorage::new();
@@ -347,6 +354,67 @@ fn recovered_facts_share_the_schemas_relation_names() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random batches — fresh values among them, so the warm interner
+    /// appends ids out of value order — commit to a durable session that
+    /// checkpoints every few epochs, and to a reference instance. Every
+    /// checkpoint file is the byte-for-byte encoding of the reference's
+    /// facts at its epoch. Recovery then replays the newest checkpoint plus
+    /// the tail: its one index build is structurally identical to a cold
+    /// build over the reference, and so are its materialised facts.
+    #[test]
+    fn checkpoints_and_recovery_from_the_index_match_a_reference_instance(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0u64..1_000_000), 1..5),
+            4..16,
+        ),
+    ) {
+        let mem = MemStorage::new();
+        let options = WalOptions {
+            sync: SyncPolicy::Never,
+            checkpoint_every: 5,
+        };
+        let mut reference = DatabaseInstance::new(rs_catalog().schema());
+        let session =
+            Session::open_storage(rs_catalog(), Box::new(mem.handle()), options).expect("open");
+        let (mut checked, mut epoch) = (0, 0);
+        for draws in &batches {
+            let events: Vec<DeltaEvent> = draws
+                .iter()
+                .map(|&(kind, draw)| match kind {
+                    0 => DeltaEvent::delete(pool_fact(draw)),
+                    // A value no earlier commit has seen.
+                    1 => DeltaEvent::insert(fact!("R", format!("fresh{draw}"), "y0")),
+                    _ => DeltaEvent::insert(pool_fact(draw)),
+                })
+                .collect();
+            let flags = session.apply_batch(&events).expect("well typed");
+            for (event, flag) in events.into_iter().zip(flags) {
+                prop_assert_eq!(flag, reference.apply(event).expect("well typed").is_some());
+            }
+            let before = std::mem::replace(&mut epoch, session.epoch());
+            if epoch == before {
+                continue;
+            }
+            if let Some(written) = mem.file(&checkpoint_name(epoch)) {
+                let mut encoded = std::io::Cursor::new(Vec::new());
+                write_checkpoint(epoch, reference.facts(), &mut encoded).expect("in memory");
+                prop_assert!(written == encoded.into_inner(), "checkpoint at epoch {}", epoch);
+                checked += 1;
+            }
+        }
+        prop_assert_eq!(session.stats().checkpoints, checked);
+        drop(session);
+        let recovered =
+            Session::open_storage(rs_catalog(), Box::new(mem.handle()), options).expect("reopen");
+        let snapshot = recovered.snapshot();
+        snapshot
+            .index()
+            .expect("every snapshot holds an index")
+            .assert_structurally_identical(&DbIndex::new(&reference));
+        prop_assert_eq!(&**snapshot.db(), &reference);
+        prop_assert_eq!(recovered.stats().index_builds, u64::from(!reference.is_empty()));
+    }
 
     /// The central crash-recovery property. A random interleaving of
     /// `insert`, `insert_all`, and `delete` commits runs against a durable

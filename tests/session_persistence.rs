@@ -7,15 +7,18 @@
 //! * after **every** commit of a random interleaving of `insert`,
 //!   `insert_all`, and `delete` batches, the warm snapshot's incrementally
 //!   maintained index is *structurally identical* (block order, fact order,
-//!   key and posting lookups) to a cold `DbIndex::new` over the same
-//!   instance, and query answers are byte-identical to cold sessions at 1
-//!   and 4 executor threads;
+//!   key and posting lookups) to a cold `DbIndex::new` over a reference
+//!   `DatabaseInstance` fed the same events — never over the snapshot's own
+//!   materialised instance, which is read back out of that very index — the
+//!   commit's effectiveness flags equal the reference's
+//!   `DatabaseInstance::apply`, and query answers are byte-identical to cold
+//!   sessions at 1 and 4 executor threads;
 //! * a relation can be emptied completely and repopulated without the warm
 //!   index diverging from a cold rebuild (the old
 //!   `DatabaseInstance::remove` left an empty relation entry behind);
 //! * the same holds over histories long enough to split and merge the
 //!   leaves of a two-column-key relation's block list and posting list;
-//! * successor snapshots physically share storage with their base for
+//! * successor snapshots physically share index storage with their base for
 //!   everything a batch does not touch — whole relations, and inside the
 //!   written relation every leaf but the one the write lands in.
 
@@ -77,8 +80,9 @@ fn pool_fact(draw: u64) -> Fact {
 }
 
 /// The full warm-vs-cold check after one commit: instance contents, index
-/// structure, and answers at two thread counts — of [`GROUPED_BY_Z`] only at
-/// every third epoch, so that its patches span several commits' retractions.
+/// structure against a cold build over the reference `mirror`, and answers
+/// at two thread counts — of [`GROUPED_BY_Z`] only at every third epoch, so
+/// that its patches span several commits' retractions.
 fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
     let snapshot = session.snapshot();
     assert_eq!(
@@ -90,16 +94,14 @@ fn assert_matches_cold(session: &Session, mirror: &DatabaseInstance) {
     if snapshot.epoch().is_multiple_of(3) {
         statements.push(GROUPED_BY_Z);
     }
-    // Forces the snapshot's index into existence (cold build or the warm
-    // maintained one, whichever this snapshot carries).
     let warm: Vec<_> = statements
         .iter()
         .map(|sql| session.execute(sql).expect("warm execute").rows)
         .collect();
     snapshot
         .index()
-        .expect("executed snapshots hold an index")
-        .assert_structurally_identical(&DbIndex::new(snapshot.db()));
+        .expect("every snapshot holds an index")
+        .assert_structurally_identical(&DbIndex::new(mirror));
     for threads in [1usize, 4] {
         let cold = Session::with_instance(rs_catalog(), snapshot.db().clone())
             .with_options(EngineOptions { threads });
@@ -133,16 +135,21 @@ proptest! {
                 // Single insert (R or S).
                 0 | 1 => {
                     let f = pool_fact(draw);
-                    session.insert(f.clone()).expect("insert conforms");
-                    mirror.insert(f).expect("mirror insert conforms");
+                    let inserted = session.insert(f.clone()).expect("insert conforms");
+                    prop_assert_eq!(inserted, mirror.insert(f).expect("mirror insert conforms"));
                 }
                 // Bulk batch: one atomic commit of 2..=17 facts — the shape
-                // that used to trigger the drop-the-index fallback.
+                // that used to trigger the drop-the-index fallback — through
+                // the batch path `insert_all` wraps, flag by flag.
                 2 | 3 => {
-                    let batch: Vec<Fact> =
-                        (0..(2 + draw % 16)).map(|i| pool_fact(draw.wrapping_add(i * 37))).collect();
-                    session.insert_all(batch.clone()).expect("batch conforms");
-                    mirror.insert_all(batch).expect("mirror batch conforms");
+                    let batch: Vec<DeltaEvent> = (0..(2 + draw % 16))
+                        .map(|i| DeltaEvent::insert(pool_fact(draw.wrapping_add(i * 37))))
+                        .collect();
+                    let flags = session.apply_batch(&batch).expect("batch conforms");
+                    for (event, flag) in batch.into_iter().zip(flags) {
+                        let applied = mirror.apply(event).expect("mirror batch conforms");
+                        prop_assert_eq!(flag, applied.is_some());
+                    }
                 }
                 // Single delete (present or not).
                 4 => {
@@ -245,7 +252,7 @@ proptest! {
                 snapshot
                     .index()
                     .expect("warm session keeps its index")
-                    .assert_structurally_identical(&DbIndex::new(snapshot.db()));
+                    .assert_structurally_identical(&DbIndex::new(&mirror));
             }
             if i >= half && i - width < half {
                 assert_matches_cold(&session, &mirror);
@@ -329,16 +336,18 @@ fn appended_ids_from_out_of_order_inserts_stay_identical_to_cold() {
 #[test]
 fn emptied_and_repopulated_relation_matches_cold_rebuild() {
     let session = Session::new(rs_catalog());
-    session
-        .insert_all([
-            fact!("R", "x0", "y0"),
-            fact!("R", "x0", "y1"),
-            fact!("R", "x1", "y2"),
-            fact!("S", "y0", "z0", 5),
-            fact!("S", "y1", "z0", 7),
-            fact!("S", "y2", "z1", 9),
-        ])
-        .unwrap();
+    // The reference: the same events, applied to an instance.
+    let mut reference = DatabaseInstance::new(rs_catalog().schema());
+    let loaded = [
+        fact!("R", "x0", "y0"),
+        fact!("R", "x0", "y1"),
+        fact!("R", "x1", "y2"),
+        fact!("S", "y0", "z0", 5),
+        fact!("S", "y1", "z0", 7),
+        fact!("S", "y2", "z1", 9),
+    ];
+    session.insert_all(loaded.clone()).unwrap();
+    reference.insert_all(loaded).unwrap();
     session.execute(GROUPED_MAX).unwrap();
 
     // Drain R fact by fact (through the delta path), then check structure.
@@ -348,13 +357,14 @@ fn emptied_and_repopulated_relation_matches_cold_rebuild() {
         fact!("R", "x1", "y2"),
     ] {
         assert!(session.delete(&f).unwrap());
+        assert!(reference.remove(&f));
     }
     let emptied = session.snapshot();
     assert_eq!(session.execute(GROUPED_MAX).unwrap().rows.len(), 0);
     emptied
         .index()
         .expect("warm session keeps its maintained index")
-        .assert_structurally_identical(&DbIndex::new(emptied.db()));
+        .assert_structurally_identical(&DbIndex::new(&reference));
     // The emptied instance is indistinguishable from a never-populated one
     // holding only the surviving S facts.
     let mut expected = DatabaseInstance::new(rs_catalog().schema());
@@ -366,25 +376,28 @@ fn emptied_and_repopulated_relation_matches_cold_rebuild() {
         ])
         .unwrap();
     assert_eq!(**emptied.db(), expected);
+    assert_eq!(reference, expected);
 
     // Repopulate and verify the maintained index again, plus answers.
-    session
-        .insert_all([fact!("R", "x7", "y0"), fact!("R", "x8", "y2")])
-        .unwrap();
+    let refill = [fact!("R", "x7", "y0"), fact!("R", "x8", "y2")];
+    session.insert_all(refill.clone()).unwrap();
+    reference.insert_all(refill).unwrap();
     let refilled = session.snapshot();
     let rows = session.execute(GROUPED_MAX).unwrap().rows;
     assert_eq!(rows.len(), 2);
     refilled
         .index()
         .expect("warm session keeps its maintained index")
-        .assert_structurally_identical(&DbIndex::new(refilled.db()));
+        .assert_structurally_identical(&DbIndex::new(&reference));
+    assert_eq!(**refilled.db(), reference);
     let cold = Session::with_instance(rs_catalog(), refilled.db().clone());
     assert_eq!(cold.execute(GROUPED_MAX).unwrap().rows, rows);
 }
 
-/// Successor snapshots share storage with their base for everything the
-/// write batch does not touch — the cost model the serving layer's write
-/// path is built on.
+/// Successor snapshots share index storage with their base for everything
+/// the write batch does not touch — the cost model the serving layer's write
+/// path is built on. (A snapshot keeps no instance to share: `db()` is read
+/// back out of the index.)
 #[test]
 fn snapshots_share_untouched_relations_with_their_base() {
     let session = Session::new(rs_catalog());
@@ -398,11 +411,9 @@ fn snapshots_share_untouched_relations_with_their_base() {
     session.execute(GROUPED_MAX).unwrap();
     let base = session.snapshot();
 
-    // A write to R shares S (instance and index) with the base snapshot.
+    // A write to R shares S's index with the base snapshot.
     session.insert(fact!("R", "x1", "y0")).unwrap();
     let next = session.snapshot();
-    assert!(next.db().shares_relation_storage(base.db(), "S"));
-    assert!(!next.db().shares_relation_storage(base.db(), "R"));
     let (base_idx, next_idx) = (base.index().unwrap(), next.index().unwrap());
     assert!(next_idx.shares_relation_storage(base_idx, "S"));
     assert!(!next_idx.shares_relation_storage(base_idx, "R"));
@@ -414,16 +425,16 @@ fn snapshots_share_untouched_relations_with_their_base() {
 }
 
 /// Inside the written relation sharing is leaf-granular: a single-fact
-/// commit un-shares exactly one leaf of the relation's fact sequence and one
-/// leaf of its block list; a no-op write publishes nothing.
+/// commit un-shares exactly one leaf of the relation's block list; a no-op
+/// write publishes nothing.
 #[test]
 fn a_single_fact_commit_copies_one_leaf_of_the_written_relation() {
     let session = Session::new(rs_catalog());
-    session
-        .insert_all((0..3000).map(|i| fact!("R", format!("x{i:04}"), format!("y{}", i % 7))))
-        .unwrap();
-    session
-        .insert_all((0..7).map(|y| {
+    let r_facts: Vec<Fact> = (0..3000)
+        .map(|i| fact!("R", format!("x{i:04}"), format!("y{}", i % 7)))
+        .collect();
+    let s_facts: Vec<Fact> = (0..7)
+        .map(|y| {
             Fact::new(
                 "S",
                 [
@@ -432,43 +443,43 @@ fn a_single_fact_commit_copies_one_leaf_of_the_written_relation() {
                     Value::int(y),
                 ],
             )
-        }))
-        .unwrap();
+        })
+        .collect();
+    let mut reference = DatabaseInstance::new(rs_catalog().schema());
+    session.insert_all(r_facts.clone()).unwrap();
+    reference.insert_all(r_facts).unwrap();
+    session.insert_all(s_facts.clone()).unwrap();
+    reference.insert_all(s_facts).unwrap();
     session.execute(GROUPED_MAX).unwrap();
     let base = session.snapshot();
     let base_idx = base.index().unwrap();
-    let (_, db_leaves) = base.db().shared_leaves(base.db(), "R");
     let (_, idx_leaves) = base_idx.shared_leaves(base_idx, "R");
-    assert!(
-        db_leaves > 10 && idx_leaves > 10,
-        "{db_leaves}, {idx_leaves}"
-    );
+    assert!(idx_leaves > 10, "{idx_leaves}");
 
-    for (insert, f) in [
-        (true, fact!("R", "x1500a", "y0")),
-        (false, fact!("R", "x0700", "y0")),
+    for event in [
+        DeltaEvent::insert(fact!("R", "x1500a", "y0")),
+        DeltaEvent::delete(fact!("R", "x0700", "y0")),
     ] {
         let before = session.snapshot();
-        if insert {
-            assert!(session.insert(f).unwrap());
-        } else {
-            assert!(session.delete(&f).unwrap());
-        }
-        let next = session.snapshot();
         assert_eq!(
-            next.db().shared_leaves(before.db(), "R"),
-            (db_leaves - 1, db_leaves)
+            session.apply_batch(std::slice::from_ref(&event)).unwrap(),
+            [true]
         );
+        assert!(reference.apply(event).unwrap().is_some());
+        let next = session.snapshot();
         assert_eq!(
             next.index()
                 .unwrap()
                 .shared_leaves(before.index().unwrap(), "R"),
             (idx_leaves - 1, idx_leaves)
         );
-        assert!(next.db().shares_relation_storage(before.db(), "S"));
+        assert!(next
+            .index()
+            .unwrap()
+            .shares_relation_storage(before.index().unwrap(), "S"));
         next.index()
             .unwrap()
-            .assert_structurally_identical(&DbIndex::new(next.db()));
+            .assert_structurally_identical(&DbIndex::new(&reference));
     }
 
     // A no-op write (duplicate insert, absent delete) shares everything: no
@@ -478,9 +489,6 @@ fn a_single_fact_commit_copies_one_leaf_of_the_written_relation() {
     assert!(!session.delete(&fact!("R", "nope", "y1")).unwrap());
     let after = session.snapshot();
     assert_eq!(after.epoch(), before.epoch());
-    assert!(after.db().shares_relation_storage(before.db(), "R"));
-    assert_eq!(
-        after.db().shared_leaves(before.db(), "R"),
-        (db_leaves, db_leaves)
-    );
+    assert!(std::sync::Arc::ptr_eq(&after, &before));
+    assert_eq!(**after.db(), reference);
 }
