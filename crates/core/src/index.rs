@@ -2140,6 +2140,52 @@ mod tests {
     }
 
     #[test]
+    fn a_seek_view_shares_every_leaf_but_its_two_edges() {
+        // 10⁴ blocks under a one-column key, cold and after deltas (which
+        // leave leaves of uneven sizes behind).
+        let schema = Schema::new().with_relation("R", Signature::new(2, 1, []).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        db.insert_all((0..10_000).map(|i| fact!("R", i, i % 7)))
+            .unwrap();
+        let cold = DbIndex::new(&db);
+        let mut warm = cold.clone();
+        warm.apply_delta(&[
+            DeltaEvent::insert(fact!("R", 5_001, 8)),
+            DeltaEvent::delete(fact!("R", 7_000, 0)),
+            DeltaEvent::insert(fact!("R", 20_000, 1)),
+        ]);
+        let at_least = |v: i64| {
+            [BlockRestriction {
+                relation: "R".into(),
+                pos: 0,
+                op: CmpOp::Ge,
+                value: Value::int(v),
+            }]
+        };
+        for base in [&cold, &warm] {
+            for from in [5_000, 0, 9_990, 30_000] {
+                let restriction = at_least(from);
+                let (view, paths) = base.restrict(&restriction, false);
+                assert!(paths[0].used_seek());
+                let (shared, total) = view.shared_leaves(base, "R");
+                assert!(
+                    shared + 2 >= total,
+                    "x >= {from}: {shared} of {total} leaves shared"
+                );
+                let (reference, _) = base.restrict(&restriction, true);
+                view.assert_structurally_identical(&reference);
+                let rel = view.relation("R");
+                let facts: usize = rel.blocks().iter().map(|b| b.cols.rows()).sum();
+                assert_eq!(rel.fact_count(), facts, "x >= {from}");
+            }
+        }
+        // The middle key's view spans half the relation's many leaves.
+        let (view, _) = cold.restrict(&at_least(5_000), false);
+        assert_eq!(view.relation("R").blocks().len(), 5_000);
+        assert!(view.shared_leaves(&cold, "R").1 > 20);
+    }
+
+    #[test]
     fn stats_track_block_list_shape() {
         let mut db = db();
         let mut idx = DbIndex::new(&db);
