@@ -70,9 +70,9 @@
 
 use crate::classify::{classify_prepared, Classification};
 use crate::error::CoreError;
-use crate::forall::{CompiledLevels, Join, KeyPin};
+use crate::forall::{Join, KeyPin};
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
-use crate::index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock};
+use crate::index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, DirtyKeys};
 use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, RowSupport};
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
@@ -377,16 +377,36 @@ impl RangeCqa {
         RowSupport::for_query(&self.prepared)
     }
 
-    /// [`RangeCqa::affected_keys`] without the retracted facts — blind to the
-    /// removals of a group bound past the dirty key — as a set. No caller in
-    /// the workspace: it exists only because the benchmark's shadow
-    /// decomposition compiles against it (ROADMAP tracks deleting it).
+    /// [`RangeCqa::affected_keys`] over materialised dirty blocks and without
+    /// the retracted facts — blind to the removals of a group bound past the
+    /// dirty key — as a set. Each block is resolved into `index`'s id space
+    /// first; a block naming a never-interned value, or with a key of the
+    /// wrong length, names no block of the index's line and is skipped. No
+    /// caller in the workspace: it exists only because the benchmark's
+    /// shadow decomposition compiles against it (ROADMAP tracks deleting
+    /// it).
     pub fn dirty_candidate_keys(
         &self,
         index: &DbIndex,
         dirty: &[DirtyBlock],
     ) -> BTreeSet<Vec<Value>> {
-        self.affected_keys(index, dirty, &[]).into_iter().collect()
+        let mut resolved = Vec::new();
+        for block in dirty {
+            let mut keys = IdRows::new(block.key.len());
+            let mut ids = Vec::new();
+            if block.key.len() == index.relation(&block.relation).key_len()
+                && resolve_ids(index.interner(), &block.key, &mut ids)
+            {
+                keys.push(ids);
+                resolved.push(DirtyKeys {
+                    relation: block.relation.as_str().into(),
+                    keys,
+                });
+            }
+        }
+        self.affected_keys(index, &resolved, &[])
+            .into_iter()
+            .collect()
     }
 
     /// The delta enumeration of the serving layer: the group keys with an
@@ -414,15 +434,19 @@ impl RangeCqa {
     /// rejects are dropped up front (their blocks are invisible to the
     /// evaluation), and so are group keys failing a row-filter predicate.
     ///
+    /// The dirty blocks are taken in id space, as [`DbIndex::apply_events`]
+    /// reports them, and nothing is looked up in the interner to read them:
     /// `index` must descend from the index the blocks were reported against
-    /// ([`DbIndex::apply_delta`] on a clone, any number of times): interned
-    /// ids are append-only along that line, so every value of a dirty key or
-    /// a retracted fact is still interned. A key with a never-interned value
-    /// names a block no index of the line ever held and is skipped.
+    /// ([`DbIndex::apply_events`] on a clone, any number of times), because
+    /// interned ids are append-only along that line — every id of a dirty
+    /// key names the same value in `index`, and every value of a retracted
+    /// fact is still interned. A serving layer that floors its dirty log
+    /// whenever it starts an index afresh (a bulk load, a rebuild) and reads
+    /// each store's log only against that store's indexes upholds this.
     pub fn affected_keys<'d, 'r>(
         &self,
         index: &DbIndex,
-        dirty: impl IntoIterator<Item = &'d DirtyBlock>,
+        dirty: impl IntoIterator<Item = &'d DirtyKeys>,
         retracted: impl IntoIterator<Item = &'r Fact>,
     ) -> Vec<Vec<Value>> {
         let free = self.prepared.normalised.body.free_vars();
@@ -434,27 +458,37 @@ impl RangeCqa {
         // The dirty block keys the evaluation can see — of a body relation,
         // passing the pushed-down restrictions — per relation, in id space.
         let body = self.prepared.normalised.body.atoms();
+        let ranks: Vec<Result<u32, u32>> = routing
+            .restrictions
+            .iter()
+            .map(|r| interner.prefix_rank(&r.value))
+            .collect();
         let mut pinned: HashMap<&str, IdRows> = HashMap::new();
-        let mut ids = Vec::new();
-        for block in dirty {
-            let visible = body.iter().any(|a| a.relation() == block.relation)
-                && block.key.len() == new.relation(&block.relation).key_len()
-                && routing
-                    .restrictions
-                    .iter()
-                    .filter(|r| r.relation == block.relation)
-                    .all(|r| r.admits(&block.key));
-            if !visible {
+        for dirty in dirty {
+            let relation = dirty.relation();
+            if !body.iter().any(|a| a.relation() == relation) {
                 continue;
             }
-            if resolve_ids(interner, &block.key, &mut ids) {
-                pinned
-                    .entry(block.relation.as_str())
-                    .or_insert_with(|| IdRows::new(ids.len()))
-                    .push(ids.iter().copied());
+            let restrictions: Vec<_> = routing
+                .restrictions
+                .iter()
+                .zip(&ranks)
+                .filter(|(r, _)| r.relation == relation)
+                .collect();
+            let keys = pinned
+                .entry(relation)
+                .or_insert_with(|| IdRows::new(new.relation(relation).key_len()));
+            for i in 0..dirty.keys.len() {
+                let key = dirty.keys.row(i);
+                let admitted = restrictions.iter().all(|(r, &rank)| {
+                    r.op.holds(interner.cmp_id_to_value(key[r.pos], &r.value, rank))
+                });
+                if admitted {
+                    keys.push(key.iter().copied());
+                }
             }
         }
-        let compiled = CompiledLevels::new(levels);
+        let compiled = self.prepared.compiled_open_levels();
         let free_slots: Vec<usize> = free
             .iter()
             .map(|v| {
@@ -464,13 +498,16 @@ impl RangeCqa {
                     .expect("free variable occurs in the body")
             })
             .collect();
-        let join = Join::new(compiled.clone(), new);
+        let join = Join::new(compiled, new);
         let mut retracted = Some(retracted);
         let mut overlay: Option<DbIndex> = None;
         let mut found = IdTupleSet::new(free.len());
         let mut key = Vec::with_capacity(free.len());
         for (level, lvl) in levels.iter().enumerate() {
-            let Some(keys) = pinned.get(lvl.atom.relation()) else {
+            let Some(keys) = pinned
+                .get(lvl.atom.relation())
+                .filter(|keys| keys.len() > 0)
+            else {
                 continue;
             };
             if free.is_empty() && found.len() == 1 {
@@ -503,7 +540,7 @@ impl RangeCqa {
                 found.insert(&key);
             };
             match overlay.as_ref().filter(|_| stop > level) {
-                Some(overlay) => Join::new(compiled.clone(), overlay).for_each_through(&pin, sink),
+                Some(overlay) => Join::new(compiled, overlay).for_each_through(&pin, sink),
                 None => join.for_each_through(&pin, sink),
             }
         }
@@ -1338,7 +1375,7 @@ mod tests {
                     }
                 }
                 let mut index = old_index.clone();
-                let dirty = index.apply_delta(&batch);
+                let (_, dirty) = index.apply_events(&batch);
                 let retracted = batch
                     .iter()
                     .filter(|e| matches!(e.op, DeltaOp::Delete))
@@ -1389,7 +1426,7 @@ mod tests {
             let mut index = DbIndex::new(&db);
             // One batch deletes both facts: the new index holds nothing.
             let batch: Vec<DeltaEvent> = facts.iter().cloned().map(DeltaEvent::delete).collect();
-            let dirty = index.apply_delta(&batch);
+            let (_, dirty) = index.apply_events(&batch);
             assert_eq!(dirty.len(), 2);
             let affected = |text: &str, retracted: &[Fact]| {
                 RangeCqa::new(&parse_agg_query(text).unwrap(), &schema)

@@ -554,9 +554,8 @@ pub fn embeddings(levels: &[Level], index: &DbIndex, initial: &Valuation) -> Vec
     let interner = index.interner();
     let initial_ids = valuation_to_ids(&compiled.table, initial, interner);
     let mut out = Vec::new();
-    let table = Arc::clone(&compiled.table);
-    Join::new(compiled, index).for_each(&initial_ids, |theta| {
-        out.push(ids_to_valuation(&table, theta, interner))
+    Join::new(&compiled, index).for_each(&initial_ids, |theta| {
+        out.push(ids_to_valuation(&compiled.table, theta, interner))
     });
     out
 }
@@ -580,10 +579,13 @@ pub(crate) struct KeyPin<'a> {
 
 /// A compiled body resolved against one index's id space, ready to enumerate
 /// embeddings any number of times: the terms are resolved once, here, and
-/// every enumeration below only reads them. The memoised recursions of
+/// every enumeration below only reads them. The compiled body is borrowed —
+/// a prepared query compiles its levels once ([`PreparedBody::compiled_levels`],
+/// [`crate::prepared::PreparedAggQuery::compiled_open_levels`]) and every
+/// join over them shares that copy. The memoised recursions of
 /// [`crate::glb`] borrow one.
 pub struct Join<'a> {
-    compiled: CompiledLevels,
+    compiled: &'a CompiledLevels,
     resolved: Vec<Vec<RTerm>>,
     /// Each level's relation, looked up once.
     relations: Vec<&'a RelationIndex>,
@@ -592,9 +594,9 @@ pub struct Join<'a> {
 
 impl<'a> Join<'a> {
     /// Resolves `compiled` against `index`.
-    pub fn new(compiled: CompiledLevels, index: &'a DbIndex) -> Join<'a> {
+    pub fn new(compiled: &'a CompiledLevels, index: &'a DbIndex) -> Join<'a> {
         Join {
-            resolved: resolve_terms(&compiled, index.interner()),
+            resolved: resolve_terms(compiled, index.interner()),
             relations: compiled
                 .levels
                 .iter()
@@ -611,8 +613,8 @@ impl<'a> Join<'a> {
     }
 
     /// The compiled body.
-    pub(crate) fn compiled(&self) -> &CompiledLevels {
-        &self.compiled
+    pub(crate) fn compiled(&self) -> &'a CompiledLevels {
+        self.compiled
     }
 
     /// The index the body is resolved against.
@@ -873,7 +875,7 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
         body.body().free_vars().is_empty(),
         "free variables must be substituted before analysis"
     );
-    let join = Join::new(CompiledLevels::new(body.levels()), index);
+    let join = Join::new(body.compiled_levels(), index);
     analyse_group(&mut BoundEvaluator::certainty(&join), &Valuation::new())
 }
 
@@ -881,7 +883,7 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
 /// indexed instance has an embedding. The boundary through which the
 /// baselines ask it.
 pub fn is_certain(body: &PreparedBody, index: &DbIndex) -> bool {
-    let join = Join::new(CompiledLevels::new(body.levels()), index);
+    let join = Join::new(body.compiled_levels(), index);
     BoundEvaluator::certainty(&join)
         .bound(&Valuation::new())
         .is_some()
@@ -1238,7 +1240,7 @@ mod tests {
         let db = db_stock();
         let index = DbIndex::new(&db);
         let q = prepared("(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)", db.schema());
-        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
+        let join = Join::new(q.body.compiled_levels(), &index);
         let mut certainty = BoundEvaluator::certainty(&join);
         for (dealer, n_embs) in [("Smith", 5), ("James", 3)] {
             let base = Valuation::from([(Var::new("x"), Value::text(dealer))]);

@@ -376,7 +376,7 @@ impl<'j, 'a> BoundEvaluator<'j, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forall::{analyse_group, CompiledLevels};
+    use crate::forall::analyse_group;
     use crate::index::DbIndex;
     use crate::prepared::PreparedAggQuery;
     use rcqa_data::{fact, rat, DatabaseInstance, Schema, Signature};
@@ -422,7 +422,7 @@ mod tests {
     fn bounds(datalog: &str, db: &DatabaseInstance, combine: AggFunc, choice: Choice) -> Bounds {
         let q = PreparedAggQuery::new(&parse_agg_query(datalog).unwrap(), db.schema()).unwrap();
         let index = DbIndex::new(db);
-        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
+        let join = Join::new(q.body.compiled_levels(), &index);
         let base = Valuation::new();
         let analysis = analyse_group(&mut BoundEvaluator::certainty(&join), &base);
         let term = &q.normalised.term;
@@ -536,7 +536,7 @@ mod tests {
         )
         .unwrap();
         let index = DbIndex::new(&db);
-        let join = Join::new(CompiledLevels::new(q.body.levels()), &index);
+        let join = Join::new(q.body.compiled_levels(), &index);
         let base = Valuation::new();
         let mut certainty = BoundEvaluator::certainty(&join);
         let mut existence = BoundEvaluator::existence(&join);

@@ -15,9 +15,10 @@ pub(crate) fn resolve_ids(interner: &ValueInterner, values: &[Value], ids: &mut 
 }
 
 /// Equal-width id rows stored back to back in one `Vec<u32>`: the executor's
-/// sorted group keys, the delta enumeration's dirty keys, and the tuple
-/// storage of [`IdTupleSet`].
-#[derive(Debug)]
+/// sorted group keys, a commit's dirty block keys
+/// ([`crate::index::DirtyKeys`]), the delta enumeration's pinned keys, and
+/// the tuple storage of [`IdTupleSet`].
+#[derive(Clone, Debug)]
 pub(crate) struct IdRows {
     width: usize,
     len: usize,

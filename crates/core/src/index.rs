@@ -76,12 +76,15 @@
 //! restricted view of `n` surviving blocks ([`DbIndex::restrict`]); both
 //! build exact-capacity leaves directly.
 
+use crate::ids::IdRows;
 use rcqa_data::chunked::{self, ChunkedSeq};
 use rcqa_data::codec::FactRef;
-use rcqa_data::{DatabaseInstance, DeltaEvent, DeltaOp, Fact, Value, ValueInterner, MISSING_ID};
+use rcqa_data::{
+    DatabaseInstance, DeltaEvent, DeltaOp, Fact, RelName, Value, ValueInterner, MISSING_ID,
+};
 use rcqa_query::CmpOp;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -252,8 +255,9 @@ impl IndexedBlock {
 /// write path's per-relation path copy) copies spines, not blocks.
 #[derive(Clone, Debug, Default)]
 pub struct RelationIndex {
-    /// The relation's name, for materialising facts at the result boundary.
-    name: String,
+    /// The relation's name — the schema's, shared — for materialising facts
+    /// at the result boundary and naming dirty blocks.
+    name: RelName,
     /// All blocks of the relation, sorted by key (value order).
     blocks: ChunkedSeq<IndexedBlock>,
     /// Primary-key length of the relation (block keys are fact prefixes of
@@ -282,10 +286,22 @@ impl RelationIndex {
     /// An index over `blocks` (sorted by key value order), with posting
     /// lists and the fact count built from them in bulk.
     fn from_blocks(
-        name: &str,
+        name: RelName,
         key_len: usize,
         arity: usize,
         blocks: ChunkedSeq<IndexedBlock>,
+    ) -> RelationIndex {
+        let facts = blocks.iter().map(|b| b.cols.rows()).sum();
+        RelationIndex::with_facts(name, key_len, arity, blocks, facts)
+    }
+
+    /// [`RelationIndex::from_blocks`] with the fact count given.
+    fn with_facts(
+        name: RelName,
+        key_len: usize,
+        arity: usize,
+        blocks: ChunkedSeq<IndexedBlock>,
+        facts: usize,
     ) -> RelationIndex {
         let deep = (1..key_len)
             .map(|p| {
@@ -297,13 +313,32 @@ impl RelationIndex {
             })
             .collect();
         RelationIndex {
-            name: name.to_string(),
-            facts: blocks.iter().map(|b| b.cols.rows()).sum(),
+            name,
+            facts,
             blocks,
             key_len,
             arity,
             deep,
         }
+    }
+
+    /// The blocks at positions `span` as a relation index of their own — a
+    /// seek-answered restricted view. Its block list shares every leaf
+    /// inside the span with this one and copies the two the span's ends cut
+    /// through ([`ChunkedSeq::slice`]); posting lists, where the key has
+    /// deep positions, are rebuilt for the span. The fact count is read off
+    /// the smaller side of the cut.
+    fn span_view(&self, span: Range<usize>) -> RelationIndex {
+        let facts_in =
+            |r: Range<usize>| -> usize { self.blocks.range(r).map(|b| b.cols.rows()).sum() };
+        let total = self.blocks.len();
+        let facts = if 2 * span.len() <= total {
+            facts_in(span.clone())
+        } else {
+            self.facts - facts_in(0..span.start) - facts_in(span.end..total)
+        };
+        let blocks = self.blocks.slice(span);
+        RelationIndex::with_facts(self.name.clone(), self.key_len, self.arity, blocks, facts)
     }
 
     /// The relation this index covers.
@@ -333,8 +368,8 @@ impl RelationIndex {
         row: usize,
         interner: &ValueInterner,
     ) -> Fact {
-        Fact::new(
-            &self.name,
+        Fact::with_name(
+            self.name.clone(),
             block.cols.row_ids(row).map(|id| interner.value(id).clone()),
         )
     }
@@ -774,17 +809,69 @@ impl FactRef for FactRow<'_> {
     }
 }
 
-/// One level-0 block touched by [`DbIndex::apply_delta`]: the relation and
-/// the primary-key value of a block that gained or lost facts (including
-/// blocks that were created or emptied by the delta). Keys are materialised
-/// [`Value`]s — this type crosses the result boundary into the serving
-/// layer's dirty-group bookkeeping.
+/// One block touched by [`DbIndex::apply_delta`], materialised: the
+/// relation and the primary-key value of a block that gained or lost facts
+/// (including blocks that were created or emptied by the delta). This is
+/// the value-level report of the `apply_delta` wrapper only, for callers
+/// outside the serving path that want values; the serving layer's dirty log
+/// keeps [`DbIndex::apply_events`]' id report ([`DirtyKeys`]) and never
+/// builds one.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DirtyBlock {
     /// The relation the block belongs to.
     pub relation: String,
     /// The block's shared primary-key value.
     pub key: Vec<Value>,
+}
+
+/// The blocks of one relation that [`DbIndex::apply_events`] changed, in the
+/// index's id space: the relation's shared name and, once per block that
+/// gained or lost facts (including blocks created or emptied), its key as a
+/// row of `key_len` ids, all rows in one flat allocation and in raw id
+/// order. Nothing is materialised: a commit reports its dirty blocks
+/// without cloning a value or allocating a name.
+///
+/// The ids are those of the index the events were applied to, and they
+/// name the same values in every index descending from it by further
+/// deltas: interned ids are append-only along such a line. A reader holding
+/// a later index of the line therefore consumes the rows as they are
+/// ([`crate::engine::RangeCqa::affected_keys`]); one holding an index of
+/// another line (another shard, a rebuilt index) must not.
+/// [`DirtyKeys::blocks`] materialises them.
+#[derive(Clone, Debug)]
+pub struct DirtyKeys {
+    pub(crate) relation: RelName,
+    pub(crate) keys: IdRows,
+}
+
+impl DirtyKeys {
+    /// The relation the blocks belong to.
+    pub fn relation(&self) -> &str {
+        &self.relation
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no block is listed (never, for a reported entry).
+    pub fn is_empty(&self) -> bool {
+        self.keys.len() == 0
+    }
+
+    /// The blocks as [`DirtyBlock`]s, their keys looked up in `interner` —
+    /// that of the index the events were applied to, or of one descending
+    /// from it.
+    pub fn blocks<'a>(
+        &'a self,
+        interner: &'a ValueInterner,
+    ) -> impl Iterator<Item = DirtyBlock> + 'a {
+        (0..self.keys.len()).map(move |i| DirtyBlock {
+            relation: self.relation.to_string(),
+            key: interner.values_of(self.keys.row(i)),
+        })
+    }
 }
 
 /// A block index over all relations of a database instance.
@@ -806,7 +893,8 @@ pub struct DirtyBlock {
 /// docs.
 #[derive(Clone, Debug, Default)]
 pub struct DbIndex {
-    relations: HashMap<String, Arc<RelationIndex>>,
+    /// Keyed by the schema's shared names: cloning the map bumps pointers.
+    relations: HashMap<RelName, Arc<RelationIndex>>,
     /// The id space all relations' columns are expressed in. `Arc`-shared
     /// across snapshots; [`DbIndex::apply_delta`] extends a private clone
     /// append-only.
@@ -949,12 +1037,12 @@ impl DbIndex {
                 let (key_len, arity) = (sig.key_len(), sig.arity());
                 let blocks = key_runs(&ids[extent], key_len, arity);
                 let rel = RelationIndex::from_blocks(
-                    name,
+                    name.clone(),
                     key_len,
                     arity,
                     ChunkedSeq::from_sorted(blocks),
                 );
-                (name.to_string(), Arc::new(rel))
+                (name.clone(), Arc::new(rel))
             })
             .collect();
         DbIndex {
@@ -996,27 +1084,37 @@ impl DbIndex {
     /// costs `O(|spines| + |delta| · (log |blocks| + |leaf|))` — nothing
     /// scans the relation.
     ///
-    /// Returns the deduplicated, sorted list of blocks whose contents changed
-    /// — the dirty set callers use to decide which cached per-group answers
-    /// must be recomputed. Events that change nothing (re-inserting a present
-    /// fact, deleting an absent one) and events for relations outside the
-    /// indexed schema mark nothing dirty. [`DbIndex::apply_events`] also says
-    /// which events were effective.
+    /// Returns the deduplicated, sorted list of blocks whose contents changed,
+    /// materialised: [`DbIndex::apply_events`]' id report turned into
+    /// [`DirtyBlock`]s and sorted. Events that change nothing (re-inserting a
+    /// present fact, deleting an absent one) and events for relations outside
+    /// the indexed schema mark nothing dirty.
     pub fn apply_delta(&mut self, events: &[DeltaEvent]) -> Vec<DirtyBlock> {
-        self.apply_events(events).1
+        let (_, dirty) = self.apply_events(events);
+        let mut blocks: Vec<DirtyBlock> = dirty
+            .iter()
+            .flat_map(|keys| keys.blocks(&self.interner))
+            .collect();
+        blocks.sort_unstable();
+        blocks
     }
 
-    /// [`DbIndex::apply_delta`], also returning one effectiveness flag per
-    /// event, in order: `true` when the event changed the index (the
-    /// inserted fact was new, the deleted fact was present) — exactly the
-    /// flags [`DatabaseInstance::apply`] reports for the same events in
-    /// order on the indexed instance, for inserts that conform to the schema.
-    /// A delete of an absent fact, of a fact with a never-interned value, of
-    /// the wrong arity or of a relation outside the schema is `false`. The
-    /// index does not validate inserts: a caller that keeps no instance
-    /// checks them against the schema first
+    /// [`DbIndex::apply_delta`] without materialising: returns one
+    /// effectiveness flag per event, in order, and the dirty blocks in id
+    /// space — one [`DirtyKeys`] per relation with a changed block, in
+    /// relation name order. This is the write path of the serving layer,
+    /// whose dirty log keeps the report as it is.
+    ///
+    /// A flag is `true` when the event changed the index (the inserted fact
+    /// was new, the deleted fact was present) — exactly the flags
+    /// [`DatabaseInstance::apply`] reports for the same events in order on
+    /// the indexed instance, for inserts that conform to the schema. A delete
+    /// of an absent fact, of a fact with a never-interned value, of the wrong
+    /// arity or of a relation outside the schema is `false` and marks nothing
+    /// dirty. The index does not validate inserts: a caller that keeps no
+    /// instance checks them against the schema first
     /// ([`DatabaseInstance::validate`]).
-    pub fn apply_events(&mut self, events: &[DeltaEvent]) -> (Vec<bool>, Vec<DirtyBlock>) {
+    pub fn apply_events(&mut self, events: &[DeltaEvent]) -> (Vec<bool>, Vec<DirtyKeys>) {
         // Pass 1: intern the first-seen values of every applicable insert,
         // append-only on a private copy (other snapshots keep their pinned
         // layout). The interner is un-shared only when there is such a
@@ -1049,7 +1147,7 @@ impl DbIndex {
                 .push(event);
         }
         let mut effective = vec![false; events.len()];
-        let mut dirty: BTreeSet<DirtyBlock> = BTreeSet::new();
+        let mut dirty: Vec<DirtyKeys> = Vec::with_capacity(by_relation.len());
         let mut ids: Vec<u32> = Vec::new();
         for (name, rel_events) in by_relation {
             let Some(shared) = self.relations.get_mut(name) else {
@@ -1058,6 +1156,7 @@ impl DbIndex {
             // The one per-relation path copy: spines; leaves stay shared
             // until an event lands in them.
             let rel = Arc::make_mut(shared);
+            let mut keys = IdRows::new(rel.key_len);
             for (at, event) in rel_events {
                 if event.fact.arity() != rel.arity {
                     // Cannot correspond to any stored fact; instances validate
@@ -1080,14 +1179,21 @@ impl DbIndex {
                 };
                 if changed {
                     effective[at] = true;
-                    dirty.insert(DirtyBlock {
-                        relation: name.to_string(),
-                        key: interner.values_of(&ids[..rel.key_len]),
-                    });
+                    keys.push(ids[..rel.key_len].iter().copied());
                 }
             }
+            if keys.len() > 0 {
+                if keys.len() > 1 {
+                    // Each block once; raw id order is as good as any.
+                    keys = keys.sorted_dedup(|a, b| a.cmp(b));
+                }
+                dirty.push(DirtyKeys {
+                    relation: rel.name.clone(),
+                    keys,
+                });
+            }
         }
-        (effective, dirty.into_iter().collect())
+        (effective, dirty)
     }
 
     /// Number of facts indexed, over all relations.
@@ -1128,6 +1234,13 @@ impl DbIndex {
     /// posting lists built in bulk for the surviving blocks); every other
     /// relation — and the interner — stays `Arc`-shared with `self`. Not a
     /// build: [`DbIndex::build_count`] does not advance.
+    ///
+    /// Where the seek answers every restriction of a relation, the view's
+    /// block list is a slice of the index's: it shares every leaf inside the
+    /// seek's span and copies at most the two edge leaves, so its cost is
+    /// `O(span / MIN_LEAF + MAX_LEAF)` pointer copies plus the fact count
+    /// and, for a key with deep positions, the rebuilt posting lists. Where a
+    /// filter remains, the surviving blocks are copied into fresh leaves.
     ///
     /// This is how comparison predicates on key-position variables reach the
     /// evaluator: dropping a block wholesale restricts every repair's choice
@@ -1181,24 +1294,28 @@ impl DbIndex {
                 span = rel.range_span_at(span, pos, r.op, &r.value, &self.interner);
                 seek.push(r);
             }
-            let ranks: Vec<Result<u32, u32>> = filter
-                .iter()
-                .map(|r| self.interner.prefix_rank(&r.value))
-                .collect();
-            let blocks = ChunkedSeq::from_sorted(
-                rel.blocks
-                    .range(span)
-                    .filter(|b| {
-                        filter.iter().zip(&ranks).all(|(r, rank)| {
-                            let ord =
-                                self.interner
-                                    .cmp_id_to_value(b.key_at(r.pos), &r.value, *rank);
-                            r.op.holds(ord)
+            let restricted = if filter.is_empty() {
+                rel.span_view(span)
+            } else {
+                let ranks: Vec<Result<u32, u32>> = filter
+                    .iter()
+                    .map(|r| self.interner.prefix_rank(&r.value))
+                    .collect();
+                let blocks = ChunkedSeq::from_sorted(
+                    rel.blocks
+                        .range(span)
+                        .filter(|b| {
+                            filter.iter().zip(&ranks).all(|(r, rank)| {
+                                let ord =
+                                    self.interner
+                                        .cmp_id_to_value(b.key_at(r.pos), &r.value, *rank);
+                                r.op.holds(ord)
+                            })
                         })
-                    })
-                    .cloned(),
-            );
-            let restricted = RelationIndex::from_blocks(&rel.name, rel.key_len, rel.arity, blocks);
+                        .cloned(),
+                );
+                RelationIndex::from_blocks(rel.name.clone(), rel.key_len, rel.arity, blocks)
+            };
             paths.push(AccessPath {
                 relation: name,
                 total_blocks: total,
@@ -1206,7 +1323,7 @@ impl DbIndex {
                 seek,
                 filter,
             });
-            out.relations.insert(name.to_string(), Arc::new(restricted));
+            out.relations.insert(rel.name.clone(), Arc::new(restricted));
         }
         (out, paths)
     }
@@ -1259,9 +1376,9 @@ impl DbIndex {
     /// which this helper checks exactly. Tests (unit, integration, and
     /// property-based) call it to verify warm == cold.
     pub fn assert_structurally_identical(&self, other: &DbIndex) {
-        let mut names: Vec<&String> = self.relations.keys().collect();
+        let mut names: Vec<&RelName> = self.relations.keys().collect();
         names.sort();
-        let mut other_names: Vec<&String> = other.relations.keys().collect();
+        let mut other_names: Vec<&RelName> = other.relations.keys().collect();
         other_names.sort();
         assert_eq!(names, other_names, "relation sets differ");
         for name in names {
@@ -1360,6 +1477,7 @@ impl DbIndex {
 mod tests {
     use super::*;
     use rcqa_data::{fact, Schema, Signature};
+    use std::collections::BTreeSet;
 
     fn db() -> DatabaseInstance {
         let schema = Schema::new()
@@ -1475,7 +1593,7 @@ mod tests {
     fn cold_build_by_definition(db: &DatabaseInstance) -> DbIndex {
         let universe: BTreeSet<Value> = db.facts().flat_map(|f| f.args().iter().cloned()).collect();
         let interner = ValueInterner::from_sorted(universe.into_iter().collect());
-        let mut relations: HashMap<String, Arc<RelationIndex>> = HashMap::new();
+        let mut relations: HashMap<RelName, Arc<RelationIndex>> = HashMap::new();
         for (name, sig) in db.schema().relations() {
             let (key_len, arity) = (sig.key_len(), sig.arity());
             let mut blocks: Vec<IndexedBlock> = Vec::new();
@@ -1500,9 +1618,9 @@ mod tests {
                 run.extend_from_slice(&ids);
             }
             flush(&mut run);
-            let rel =
-                RelationIndex::from_blocks(name, key_len, arity, ChunkedSeq::from_sorted(blocks));
-            relations.insert(name.to_string(), Arc::new(rel));
+            let blocks = ChunkedSeq::from_sorted(blocks);
+            let rel = RelationIndex::from_blocks(name.clone(), key_len, arity, blocks);
+            relations.insert(name.clone(), Arc::new(rel));
         }
         DbIndex {
             relations,
@@ -1580,6 +1698,77 @@ mod tests {
                     built.relation("AllKey").blocks().len(),
                     db.facts_of("AllKey").count()
                 );
+            }
+        }
+    }
+
+    mod dirty_report {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The `apply_delta` wrapper's report is `apply_events`' id report
+            /// materialised and sorted, and both name exactly the blocks an
+            /// instance sees change — per effective event its relation and
+            /// key, each block once — over every key width the index has
+            /// (two columns, one, none), with values first seen by a batch
+            /// appended out of order and deletes naming never-interned ones.
+            #[test]
+            fn the_wrapper_report_is_the_id_report_materialised(
+                base in vec((0u8..3, 0i64..6, 0i64..3, 0i64..4), 0..40),
+                batches in vec(vec((0u8..2, 0u8..3, -3i64..9, 0i64..4, 0i64..6), 1..10), 1..5),
+            ) {
+                let schema = Schema::new()
+                    .with_relation("Deep", Signature::new(3, 2, []).unwrap())
+                    .with_relation("Flat", Signature::new(2, 1, []).unwrap())
+                    .with_relation("NoKey", Signature::new(2, 0, []).unwrap());
+                let fact = |rel: u8, a: i64, b: i64, c: i64| match rel {
+                    0 => fact!("Deep", a, b, c),
+                    1 => fact!("Flat", a, b),
+                    _ => fact!("NoKey", a, b),
+                };
+                let mut db = DatabaseInstance::new(schema.clone());
+                for (rel, a, b, c) in base {
+                    db.insert(fact(rel, a, b, c)).unwrap();
+                }
+                let mut idx = DbIndex::new(&db);
+                for batch in batches {
+                    let events: Vec<DeltaEvent> = batch
+                        .into_iter()
+                        .map(|(op, rel, a, b, c)| {
+                            let f = fact(rel, a, b, c);
+                            if op == 0 { DeltaEvent::insert(f) } else { DeltaEvent::delete(f) }
+                        })
+                        .collect();
+                    let mut reference: BTreeSet<DirtyBlock> = BTreeSet::new();
+                    for event in &events {
+                        if db.apply(event.clone()).unwrap().is_some() {
+                            let key_len = schema.signature(event.fact.relation()).unwrap().key_len();
+                            reference.insert(DirtyBlock {
+                                relation: event.fact.relation().to_string(),
+                                key: event.fact.args()[..key_len].to_vec(),
+                            });
+                        }
+                    }
+                    let mut by_events = idx.clone();
+                    let (_, report) = by_events.apply_events(&events);
+                    let blocks = idx.apply_delta(&events);
+                    let mut materialised: Vec<DirtyBlock> = report
+                        .iter()
+                        .flat_map(|keys| keys.blocks(by_events.interner()))
+                        .collect();
+                    materialised.sort();
+                    prop_assert_eq!(&blocks, &materialised);
+                    prop_assert_eq!(&blocks, &reference.into_iter().collect::<Vec<_>>());
+                    // One entry per relation, in name order, none empty and
+                    // no block twice.
+                    prop_assert!(report.windows(2).all(|w| w[0].relation() < w[1].relation()));
+                    prop_assert!(report.iter().all(|keys| !keys.is_empty()));
+                    prop_assert_eq!(report.iter().map(DirtyKeys::len).sum::<usize>(), blocks.len());
+                    by_events.assert_structurally_identical(&idx);
+                    idx.assert_structurally_identical(&DbIndex::new(&db));
+                }
             }
         }
     }

@@ -185,8 +185,8 @@ pub fn execute_for_groups<'k>(
 /// the level-0 blocks are cut into contiguous ranges, one discovery per
 /// worker, and the keys found are merged, sorted and deduplicated.
 fn group_ids(cx: &ExecContext<'_>, free: &[Var], only: Option<&IdTupleSet>) -> IdRows {
-    let open = CompiledLevels::new(cx.prepared.open_levels());
-    let free_slots = slots_of(&open, free);
+    let open = cx.prepared.compiled_open_levels();
+    let free_slots = slots_of(open, free);
     let unbound = open.unbound_ids();
     let join = Join::new(open, cx.index);
     let bind = |initial: &mut [u32], key: &[u32]| {
@@ -369,8 +369,8 @@ impl<'a> Closures<'a> {
         free: &[Var],
         keys: &IdRows,
     ) -> Result<Closures<'a>, CoreError> {
-        let open = CompiledLevels::new(cx.prepared.open_levels());
-        let free_slots = slots_of(&open, free);
+        let open = cx.prepared.compiled_open_levels();
+        let free_slots = slots_of(open, free);
         let mut pinned = open.unbound_ids();
         let join = Join::new(open, cx.index);
         let (mut starts, mut blocks) = (vec![0], Vec::new());
@@ -478,7 +478,7 @@ fn eval_shard(
     // and the aggregated one included.
     let join = plan
         .needs_analysis()
-        .then(|| Join::new(CompiledLevels::new(cx.prepared.body.levels()), cx.index));
+        .then(|| Join::new(cx.prepared.body.compiled_levels(), cx.index));
     let evaluator = |op: Option<BoundOp>| {
         let (join, term) = (join.as_ref()?, &cx.prepared.normalised.term);
         match op? {

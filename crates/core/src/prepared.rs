@@ -12,6 +12,7 @@
 //! treated as constants and excluded from all three.
 
 use crate::error::CoreError;
+use crate::forall::CompiledLevels;
 use rcqa_data::{NumericDomain, Rational, Schema};
 use rcqa_query::{
     AggQuery, AggTerm, Atom, AttackGraph, ConjunctiveQuery, QueryError, Var, VarPredicate,
@@ -46,6 +47,9 @@ pub struct PreparedBody {
     topo: Option<Vec<usize>>,
     /// Per-level structure, in topological order (empty when cyclic).
     levels: Vec<Level>,
+    /// `levels` compiled for the join core, once: every join over the body
+    /// borrows it.
+    compiled: CompiledLevels,
 }
 
 impl PreparedBody {
@@ -64,6 +68,7 @@ impl PreparedBody {
             body: body.clone(),
             graph,
             topo,
+            compiled: CompiledLevels::new(&levels),
             levels,
         })
     }
@@ -141,6 +146,12 @@ impl PreparedBody {
         &self.levels
     }
 
+    /// [`PreparedBody::levels`] compiled for the join core
+    /// ([`crate::forall::Join`]), compiled once at preparation.
+    pub fn compiled_levels(&self) -> &CompiledLevels {
+        &self.compiled
+    }
+
     /// Atoms in topological order (falls back to query order when cyclic).
     pub fn atoms_in_order(&self) -> Vec<Atom> {
         match &self.topo {
@@ -187,6 +198,10 @@ pub struct PreparedAggQuery {
     /// so evaluation never re-runs attack-graph analysis per call (let alone
     /// per group).
     open_levels: Vec<Level>,
+    /// `open_levels` compiled for the join core, once per prepared query (so
+    /// once per engine): group discovery, the pinned closures and the delta
+    /// enumeration all borrow it.
+    open_compiled: CompiledLevels,
 }
 
 impl PreparedAggQuery {
@@ -200,6 +215,7 @@ impl PreparedAggQuery {
             original: query.clone(),
             normalised,
             body,
+            open_compiled: CompiledLevels::new(&open_levels),
             open_levels,
         })
     }
@@ -243,6 +259,12 @@ impl PreparedAggQuery {
     /// the variable structure means nothing). One level per atom, always.
     pub fn open_levels(&self) -> &[Level] {
         &self.open_levels
+    }
+
+    /// [`PreparedAggQuery::open_levels`] compiled for the join core, compiled
+    /// once at preparation.
+    pub fn compiled_open_levels(&self) -> &CompiledLevels {
+        &self.open_compiled
     }
 
     fn build_open_levels(closed: &PreparedBody) -> Vec<Level> {

@@ -21,7 +21,7 @@
 //! counting allocator is too.
 
 use rcqa_core::engine::{EngineOptions, RangeCqa};
-use rcqa_core::forall::{CompiledLevels, Join, Valuation};
+use rcqa_core::forall::{Join, Valuation};
 use rcqa_core::glb::{BoundEvaluator, Choice};
 use rcqa_core::index::DbIndex;
 use rcqa_core::PreparedAggQuery;
@@ -142,7 +142,7 @@ fn level_1_evaluations(groups: usize) -> (usize, usize) {
     let index = DbIndex::new(&db);
     let query = parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap();
     let prepared = PreparedAggQuery::new(&query, db.schema()).unwrap();
-    let join = Join::new(CompiledLevels::new(prepared.body.levels()), &index);
+    let join = Join::new(prepared.body.compiled_levels(), &index);
     let term = &prepared.normalised.term;
     let mut rewriting = BoundEvaluator::rewriting(&join, term, AggFunc::Max, Choice::Minimise);
     let mut extremum = BoundEvaluator::extremum(&join, term, Choice::Maximise);

@@ -29,6 +29,12 @@
 //! merges it with a neighbour. Bulk construction ([`ChunkedSeq::from_sorted`])
 //! and every copy-on-write leaf copy allocate **exact capacity**, so a
 //! sequence built in bulk or maintained commit by commit carries no slack.
+//! The one exception to the lower bound is a [`ChunkedSeq::slice`]: a
+//! read-only view that shares the leaves inside its span and copies the two
+//! it cuts through, so its first leaf, like its last, may be short. Nothing
+//! writes a view (the block index's restricted views are built per read and
+//! dropped); were one written, the operations stay correct and merging
+//! restores the bound leaf by leaf.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -335,6 +341,37 @@ impl<T: Clone> ChunkedSeq<T> {
         }
     }
 
+    /// The entries at positions `span`, as a sequence that shares every leaf
+    /// lying wholly inside `span` with `self` and copies, at exact capacity,
+    /// only the at most two leaves the ends of `span` cut through: `O(span /
+    /// MIN_LEAF + MAX_LEAF)`, whatever the span. Its edge leaves may hold
+    /// fewer than [`MIN_LEAF`] entries (see the module docs). Panics if
+    /// `span` reaches past the end.
+    pub fn slice(&self, span: Range<usize>) -> ChunkedSeq<T> {
+        assert!(span.end <= self.len, "slice end past the sequence");
+        if span.is_empty() {
+            return ChunkedSeq::new();
+        }
+        let (first, last) = (self.leaf_of(span.start), self.leaf_of(span.end - 1));
+        let mut len = 0;
+        let leaves = self.leaves[first..=last]
+            .iter()
+            .map(|leaf| {
+                let lo = span.start.max(leaf.start) - leaf.start;
+                let hi = (span.end - leaf.start).min(leaf.items.len());
+                let items = if hi - lo == leaf.items.len() {
+                    Arc::clone(&leaf.items)
+                } else {
+                    Arc::new(leaf.items[lo..hi].to_vec())
+                };
+                let start = len;
+                len += hi - lo;
+                Leaf { start, items }
+            })
+            .collect();
+        ChunkedSeq { leaves, len }
+    }
+
     /// Mutable access to the entry at `pos`, copying its leaf if shared.
     /// Callers keeping the sequence sorted must not change the entry's order.
     pub fn get_mut(&mut self, pos: usize) -> Option<&mut T> {
@@ -514,6 +551,50 @@ mod tests {
         }
         assert_eq!(seq.get(999), Some(&999));
         assert_eq!(seq.get(1000), None);
+    }
+
+    #[test]
+    fn a_slice_shares_the_leaves_inside_its_span() {
+        let base = ChunkedSeq::from_sorted(0..5000u32);
+        let leaves = base.leaf_count();
+        for span in [
+            0..5000,
+            0..1,
+            100..4900,
+            192..384,
+            190..200,
+            4999..5000,
+            7..7,
+        ] {
+            let slice = base.slice(span.clone());
+            assert!(slice.iter().copied().eq(span.clone().map(|x| x as u32)));
+            assert_eq!(slice.len(), span.len());
+            let (shared, total) = slice.shared_leaves(&base);
+            assert!(shared + 2 >= total, "{span:?}: {shared} of {total}");
+            let mut at = 0;
+            for leaf in &slice.leaves {
+                assert_eq!(leaf.start, at);
+                assert!(!leaf.items.is_empty() && leaf.items.len() <= MAX_LEAF);
+                assert_eq!(leaf.items.capacity(), leaf.items.len());
+                at += leaf.items.len();
+            }
+            for probe in [0, 150, 2500, 4990] {
+                let within = 0..slice.len();
+                let expect = slice.iter().filter(|&&x| x < probe).count();
+                assert_eq!(slice.partition_point(within, |&x| x < probe), expect);
+            }
+        }
+        // A whole-leaf span copies nothing; the whole sequence shares all.
+        assert_eq!(base.slice(192..384).shared_leaves(&base), (1, 1));
+        assert_eq!(base.slice(0..5000).shared_leaves(&base), (leaves, leaves));
+        // Written, a slice stays a correct sequence.
+        let mut slice = base.slice(190..1000);
+        for v in 190..400 {
+            assert!(sorted_remove(&mut slice, v));
+        }
+        assert!(sorted_insert(&mut slice, 5000));
+        assert!(slice.iter().copied().eq((400..1000).chain([5000])));
+        assert!(base.iter().copied().eq(0..5000), "the base is untouched");
     }
 
     proptest! {

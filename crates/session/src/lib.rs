@@ -163,7 +163,7 @@
 
 use rcqa_core::classify::Classification;
 use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
-use rcqa_core::index::{DbIndex, DirtyBlock};
+use rcqa_core::index::{DbIndex, DirtyKeys};
 pub use rcqa_core::interval::HavingStatus;
 use rcqa_core::interval::{
     certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
@@ -733,11 +733,13 @@ impl AtomicStats {
 }
 
 /// One committed write batch as result patching needs it: the blocks it
-/// changed and the facts it retracted (its effective deletes, moved here
+/// changed, as [`DbIndex::apply_events`] reported them — per relation, the
+/// blocks' key ids as flat rows, in the id space of the index the batch
+/// produced — and the facts it retracted (its effective deletes, moved here
 /// from the logged events).
 #[derive(Debug)]
 struct DirtyBatch {
-    blocks: Box<[DirtyBlock]>,
+    blocks: Vec<DirtyKeys>,
     retracted: Box<[Fact]>,
 }
 
@@ -1215,10 +1217,7 @@ impl Session {
                         .filter(|e| e.op == DeltaOp::Delete)
                         .map(|e| e.fact.clone())
                         .collect();
-                    let batch = Arc::new(DirtyBatch {
-                        blocks: blocks.into(),
-                        retracted,
-                    });
+                    let batch = Arc::new(DirtyBatch { blocks, retracted });
                     maintenance.dirty_log.push_back((epoch, batch));
                     if maintenance.dirty_log.len() > DIRTY_LOG_CAP {
                         let dropped = maintenance

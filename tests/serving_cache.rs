@@ -342,3 +342,139 @@ fn values_first_interned_by_a_warm_commit_group_as_in_a_cold_session() {
         "the warm index was maintained"
     );
 }
+
+/// The dirty log holds each commit's dirty block keys as interned ids, and a
+/// stale read patches from them without looking a value up. These tests
+/// pin the cases where ids and values part ways; in every one the patched
+/// answer must be byte-identical to a cold session's over the same facts.
+mod id_space_patching {
+    use super::*;
+    use rcqa::data::DeltaEvent;
+
+    const STATEMENTS: &[&str] = &[
+        GROUPED_MAX,
+        // A seek-answered key restriction: dirty keys are admitted by
+        // comparing their ids against the constant.
+        "SELECT R.X, MAX(S.Qty) FROM R, S WHERE R.Y = S.Y AND R.X >= 'x1' GROUP BY R.X",
+        // Grouped past R's key: an R write's groups come from the overlay.
+        "SELECT R.Y, MIN(S.Qty) FROM R, S WHERE R.Y = S.Y GROUP BY R.Y",
+        // One relation only: a batch that dirties nothing of it restamps.
+        "SELECT R.X, COUNT(*) FROM R GROUP BY R.X",
+    ];
+
+    /// Asserts that every statement reads from `warm` what a cold session
+    /// over `warm`'s facts answers at `threads` executor threads.
+    fn assert_cold(warm: &Session, threads: usize, context: &str) {
+        let facts = warm.database().as_ref().clone();
+        let cold =
+            Session::with_instance(rs_catalog(), facts).with_options(EngineOptions { threads });
+        for sql in STATEMENTS {
+            assert_eq!(
+                warm.execute(sql).unwrap().rows,
+                cold.execute(sql).unwrap().rows,
+                "{context} at {threads} threads: {sql}"
+            );
+        }
+    }
+
+    fn warm_session(threads: usize) -> Session {
+        let warm = Session::with_instance(rs_catalog(), workload().generate())
+            .with_options(EngineOptions { threads });
+        for sql in STATEMENTS {
+            warm.execute(sql).unwrap();
+        }
+        warm
+    }
+
+    #[test]
+    fn dirty_keys_first_interned_after_the_cached_epoch_patch_as_cold() {
+        for threads in [1usize, 4] {
+            let warm = warm_session(threads);
+            let patched = warm.stats().supported_patches;
+            // Fresh values, appended in the reverse of their value order, in
+            // block keys on both sides of the restriction's constant, in a
+            // fresh join value and in a fresh S block key.
+            for f in [
+                fact!("R", "x5-new", "y2"),
+                fact!("R", "a-new", "y2"),
+                fact!("R", "x1", "a-new-y"),
+                fact!("S", "a-new-y", "a-new-z", 61),
+                fact!("S", "y2", "a-new-z", 0),
+            ] {
+                assert!(warm.insert(f).unwrap());
+            }
+            assert!(warm.delete(&fact!("R", "x5-new", "y2")).unwrap());
+            assert_cold(&warm, threads, "fresh values");
+            let stats = warm.stats();
+            assert_eq!(
+                stats.supported_patches - patched,
+                STATEMENTS.len() as u64,
+                "{threads} threads: every stale read patched"
+            );
+            assert_eq!(stats.support_misses, 0);
+        }
+    }
+
+    #[test]
+    fn a_result_cached_over_an_empty_session_recomputes_across_the_bulk_load() {
+        for threads in [1usize, 4] {
+            let session = Session::new(rs_catalog()).with_options(EngineOptions { threads });
+            for sql in STATEMENTS {
+                assert!(session.execute(sql).unwrap().rows.is_empty(), "{sql}");
+            }
+            // A bulk load starts the index afresh, ids and all: the log is
+            // floored and no result patches across it.
+            session
+                .insert_all(workload().generate().facts().cloned())
+                .unwrap();
+            assert_cold(&session, threads, "after the bulk load");
+            let reasons = session.patch_reasons();
+            assert_eq!(reasons.history_evicted, STATEMENTS.len() as u64);
+            // Single-fact commits after it patch from the new id space.
+            let patched = session.stats().supported_patches;
+            assert!(session.insert(fact!("R", "x0", "y9")).unwrap());
+            assert!(session.insert(fact!("S", "y9", "z-new", 17)).unwrap());
+            assert!(session.delete(&fact!("R", "x0", "y9")).unwrap());
+            assert_cold(&session, threads, "after single-fact commits");
+            assert_eq!(
+                session.stats().supported_patches - patched,
+                STATEMENTS.len() as u64,
+                "{threads} threads: every stale read patched"
+            );
+        }
+    }
+
+    #[test]
+    fn a_delete_naming_a_never_interned_value_dirties_nothing() {
+        for threads in [1usize, 4] {
+            let warm = warm_session(threads);
+            let before: Vec<_> = STATEMENTS
+                .iter()
+                .map(|sql| warm.execute(sql).unwrap().rows)
+                .collect();
+            // The delete cannot name a stored fact and leaves no dirty entry;
+            // the insert dirties an S block no R fact joins. The epoch
+            // advances, and the R-only statement is restamped unchanged.
+            let flags = warm
+                .apply_batch(&[
+                    DeltaEvent::delete(fact!("R", "never-seen", "y1")),
+                    DeltaEvent::insert(fact!("S", "y-unjoined", "z0", 3)),
+                ])
+                .unwrap();
+            assert_eq!(flags, [false, true]);
+            let patched = warm.stats().supported_patches;
+            for (sql, rows) in STATEMENTS.iter().zip(&before) {
+                assert_eq!(&warm.execute(sql).unwrap().rows, rows, "{sql}");
+            }
+            assert_eq!(
+                warm.stats().supported_patches - patched,
+                STATEMENTS.len() as u64
+            );
+            assert_cold(&warm, threads, "never-interned delete");
+            // Alone, such a delete commits nothing at all.
+            let epoch = warm.epoch();
+            assert!(!warm.delete(&fact!("R", "x0", "never-seen")).unwrap());
+            assert_eq!(warm.epoch(), epoch);
+        }
+    }
+}

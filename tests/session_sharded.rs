@@ -363,3 +363,72 @@ fn explain_after_a_write_sees_the_write() {
         }
     }
 }
+
+/// A fan-out result patches through every shard that advanced, each from
+/// its own dirty log against its own index. The shards intern on their own,
+/// so one value can carry different ids on two shards: here shard 0 holds a
+/// town sorting before `Boston` and shard 1 none, so `Boston`'s id differs,
+/// and one cross-shard batch dirties a `Boston` block on each. A patch that
+/// read one shard's key ids against another shard's index would answer
+/// wrong; the patched answer must be the unsharded session's and a cold
+/// session's, byte for byte.
+#[test]
+fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
+    let fanout = &STATEMENTS[..2];
+    let stock = |p: &str, town: &str, qty: i64| fact!("Stock", p, town, qty);
+    for threads in [1usize, 4] {
+        let engine = EngineOptions { threads };
+        let sharded = ShardedSession::new(catalog(), 2).with_options(engine);
+        let reference = Session::new(catalog()).with_options(engine);
+        // The first product whose `(product, town)` block routes to `shard`.
+        let product_on = |shard: usize, town: &str| {
+            (0..)
+                .map(|i| format!("p{i}"))
+                .find(|p| sharded.shard_for(&stock(p, town, 0)) == shard)
+                .expect("some product routes to every shard")
+        };
+        let (p0, p1) = (product_on(0, "Boston"), product_on(1, "Boston"));
+        let early = product_on(0, "Albany");
+        let load = [
+            stock(&p0, "Boston", 10),
+            stock(&p0, "Boston", 20),
+            stock(&early, "Albany", 10),
+            stock(&p1, "Boston", 10),
+            stock(&p1, "Boston", 20),
+        ];
+        sharded.insert_all(load.clone()).expect("sharded load");
+        reference.insert_all(load).expect("unsharded load");
+        for sql in fanout {
+            sharded.execute(sql).expect("sharded read");
+        }
+        let batch = [
+            DeltaEvent::insert(stock(&p0, "Boston", 45)),
+            DeltaEvent::delete(stock(&p0, "Boston", 10)),
+            DeltaEvent::insert(stock(&p1, "Boston", 61)),
+            DeltaEvent::delete(stock(&p1, "Boston", 20)),
+        ];
+        let flags = sharded.apply_batch(&batch).expect("sharded batch");
+        assert_eq!(
+            flags,
+            reference.apply_batch(&batch).expect("unsharded batch")
+        );
+        assert!(flags.iter().all(|&f| f), "every event is effective");
+        let patched = sharded.stats().fanout.supported_patches;
+        let facts = reference.database().as_ref().clone();
+        let cold = Session::with_instance(catalog(), facts).with_options(engine);
+        for sql in fanout {
+            let got = sharded.execute(sql).expect("sharded read").rows;
+            assert_eq!(
+                got,
+                reference.execute(sql).expect("unsharded").rows,
+                "{sql}"
+            );
+            assert_eq!(got, cold.execute(sql).expect("cold").rows, "{sql}");
+        }
+        assert_eq!(
+            sharded.stats().fanout.supported_patches - patched,
+            fanout.len() as u64,
+            "{threads} threads: each fan-out result patched"
+        );
+    }
+}
