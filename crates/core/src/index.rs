@@ -707,17 +707,6 @@ pub struct BlockRestriction {
     pub value: Value,
 }
 
-impl BlockRestriction {
-    /// Whether a block of [`BlockRestriction::relation`] with this key
-    /// survives the restriction — the value-level form of the test
-    /// [`DbIndex::restrict`] applies to stored blocks, for keys that need not
-    /// name one.
-    pub fn admits(&self, key: &[Value]) -> bool {
-        key.get(self.pos)
-            .is_some_and(|v| self.op.holds(v.cmp(&self.value)))
-    }
-}
-
 impl std::fmt::Display for BlockRestriction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "key[{}] {} {}", self.pos, self.op, self.value)
@@ -2254,7 +2243,11 @@ mod tests {
             for restrictions in &cases {
                 let expect: Vec<Vec<Value>> = all
                     .iter()
-                    .filter(|key| restrictions.iter().all(|r| r.admits(key)))
+                    .filter(|key| {
+                        restrictions
+                            .iter()
+                            .all(|r| r.op.holds(key[r.pos].cmp(&r.value)))
+                    })
                     .cloned()
                     .collect();
                 let (view, paths) = idx.restrict(restrictions, false);
