@@ -52,10 +52,14 @@
 //!   overlay's spines, not its values: the overlay is chunked like the rest
 //!   of the index.
 //!
-//! Values **materialize only at the result boundary**: dirty-block keys
-//! reported to the serving layer, `GroupRange` rows, SQL output, and the
-//! structural assertions below. Everything between the instance scan and
-//! those boundaries is integer work.
+//! Values **materialize only at the result boundary**: `GroupRange` rows,
+//! SQL output, and the structural assertions below. Everything between the
+//! instance scan and those boundaries is integer work — a commit's dirty
+//! blocks included: [`DbIndex::apply_events`] reports them as key ids
+//! ([`DirtyKeys`]), which the serving layer's dirty log keeps and the delta
+//! enumeration reads as they are (append-only ids keep them valid along the
+//! snapshot line); only the [`DbIndex::apply_delta`] wrapper materialises
+//! them.
 //!
 //! ## Structural sharing
 //!
@@ -72,9 +76,11 @@
 //! single-fact commit costs `O(blocks / MIN_LEAF + MAX_LEAF)`.
 //! Every other leaf — and every untouched relation — keeps sharing storage
 //! with the index the clone came from ([`DbIndex::shared_leaves`] observes
-//! this). What is still `O(n)`: the cold build ([`DbIndex::new`]) and a
-//! restricted view of `n` surviving blocks ([`DbIndex::restrict`]); both
-//! build exact-capacity leaves directly.
+//! this). What is still `O(n)`: the cold build ([`DbIndex::new`]), and a
+//! restricted view of `n` surviving blocks ([`DbIndex::restrict`]) where a
+//! filter or a deep posting list is rebuilt; both build exact-capacity
+//! leaves directly. A view answered by a seek alone slices the block list
+//! instead, sharing every leaf inside its span ([`ChunkedSeq::slice`]).
 
 use crate::ids::IdRows;
 use rcqa_data::chunked::{self, ChunkedSeq};
@@ -837,16 +843,6 @@ impl DirtyKeys {
     /// The relation the blocks belong to.
     pub fn relation(&self) -> &str {
         &self.relation
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no block is listed (never, for a reported entry).
-    pub fn is_empty(&self) -> bool {
-        self.keys.len() == 0
     }
 
     /// The blocks as [`DirtyBlock`]s, their keys looked up in `interner` —
@@ -1753,8 +1749,9 @@ mod tests {
                     // One entry per relation, in name order, none empty and
                     // no block twice.
                     prop_assert!(report.windows(2).all(|w| w[0].relation() < w[1].relation()));
-                    prop_assert!(report.iter().all(|keys| !keys.is_empty()));
-                    prop_assert_eq!(report.iter().map(DirtyKeys::len).sum::<usize>(), blocks.len());
+                    prop_assert!(report.iter().all(|dirty| dirty.keys.len() > 0));
+                    let listed: usize = report.iter().map(|dirty| dirty.keys.len()).sum();
+                    prop_assert_eq!(listed, blocks.len());
                     by_events.assert_structurally_identical(&idx);
                     idx.assert_structurally_identical(&DbIndex::new(&db));
                 }

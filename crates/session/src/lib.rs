@@ -33,7 +33,12 @@
 //!   [`STATEMENT_CACHE_CAP`] statements and evicts the least recently used;
 //! * a **per-statement result cache with delta-proportional differential
 //!   maintenance**: answers are cached against the epoch they were computed
-//!   at, and nothing else is recorded with them. A reader whose pinned epoch
+//!   at, and nothing else is recorded with them. Each commit logs its dirty
+//!   block keys as the interned ids its index reported
+//!   ([`DbIndex::apply_events`]), never as values: ids are append-only along
+//!   the session's snapshot line, so a later snapshot's index reads them as
+//!   they are, and a bulk load — which starts a fresh id space — floors the
+//!   log. A reader whose pinned epoch
 //!   is ahead of the cached result takes the dirty block keys and the
 //!   retracted facts committed in between (the last [`DIRTY_LOG_CAP`] write
 //!   batches are retained; an older result recomputes in full) and derives,
@@ -1407,8 +1412,9 @@ impl Session {
         }
     }
 
-    /// The batches committed over `(from, to]` — their dirty blocks and
-    /// retracted facts — oldest first, or `None` if the retained history does
+    /// The batches committed over `(from, to]` — their dirty block keys, in
+    /// the id space of this session's indexes, and retracted facts — oldest
+    /// first, or `None` if the retained history does
     /// not reach back to `from` (the log was floored by a bulk load or
     /// evicted past its cap in between). Only pointers are cloned under the
     /// lock; batches may repeat a block or a fact.
@@ -1717,7 +1723,10 @@ impl Session {
     /// old or new, through a block dirtied since the cached epoch — births,
     /// value changes and retractions alike, from the dirty keys and the
     /// retracted facts the log keeps, with nothing recorded at evaluation
-    /// time. Affected keys are then over-deleted and re-derived DRed-style
+    /// time. The dirty keys are the ids the source's own commits reported,
+    /// read against the source's own pinned index without a lookup: that
+    /// index descends from every index that reported them, and ids are
+    /// append-only along that line. Affected keys are then over-deleted and re-derived DRed-style
     /// via [`RangeCqa::range_for_groups`] on the source that reported them:
     /// keys whose embeddings vanished stay gone, new keys appear, everything
     /// else keeps its cached row unexamined. Whether anything changed is
@@ -1727,7 +1736,9 @@ impl Session {
     /// A session patches through one source, itself. The sharded front-end
     /// patches a fan-out result through every shard that advanced: a fan-out
     /// group is a function of one shard's blocks, so the sources report
-    /// disjoint key sets and each re-derives its own.
+    /// disjoint key sets and each re-derives its own. Shards intern on their
+    /// own, so one value may carry different ids on two of them; each
+    /// source's keys are only ever read against that source's index.
     fn try_patch(
         stats: &AtomicStats,
         stmt: &PreparedStatement,

@@ -46,7 +46,9 @@
 //!   answer. Since a group is a function of one shard's blocks, a group's
 //!   change is visible in exactly one shard's dirty log, so a read at later
 //!   epochs patches the merged result through the dirty logs of the shards
-//!   that advanced — `affected_keys` over each such shard's index, those
+//!   that advanced — `affected_keys` over each such shard's index, reading
+//!   that shard's dirty key ids (shards intern on their own, so ids never
+//!   cross a shard; neither do the mirror's), those
 //!   groups re-derived on that shard, spliced in place under the
 //!   statement's lock by the same step ([`Session::try_patch`]) a single
 //!   session patches with. Only a cold

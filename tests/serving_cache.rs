@@ -405,10 +405,24 @@ mod id_space_patching {
             }
             assert!(warm.delete(&fact!("R", "x5-new", "y2")).unwrap());
             assert_cold(&warm, threads, "fresh values");
+            // Join values interned after the cold build, in the reverse of
+            // their value order, then dirtied on the S side only: the S
+            // level finds its groups by searching the dirty keys, which
+            // must be sorted by value, not by id.
+            assert!(warm.insert(fact!("R", "x3", "yz-late")).unwrap());
+            assert!(warm.insert(fact!("R", "x4", "ya-early")).unwrap());
+            assert_cold(&warm, threads, "late join values");
+            for f in [
+                fact!("S", "yz-late", "z0", 5),
+                fact!("S", "ya-early", "z0", 7),
+            ] {
+                assert!(warm.insert(f).unwrap());
+            }
+            assert_cold(&warm, threads, "late join values dirtied");
             let stats = warm.stats();
             assert_eq!(
                 stats.supported_patches - patched,
-                STATEMENTS.len() as u64,
+                3 * STATEMENTS.len() as u64,
                 "{threads} threads: every stale read patched"
             );
             assert_eq!(stats.support_misses, 0);
