@@ -18,7 +18,7 @@ pub(crate) fn resolve_ids(interner: &ValueInterner, values: &[Value], ids: &mut 
 /// sorted group keys, a commit's dirty block keys
 /// ([`crate::index::DirtyKeys`]), the delta enumeration's pinned keys, and
 /// the tuple storage of [`IdTupleSet`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct IdRows {
     width: usize,
     len: usize,

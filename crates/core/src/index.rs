@@ -833,7 +833,7 @@ pub struct DirtyBlock {
 /// ([`crate::engine::RangeCqa::affected_keys`]); one holding an index of
 /// another line (another shard, a rebuilt index) must not.
 /// [`DirtyKeys::blocks`] materialises them.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DirtyKeys {
     pub(crate) relation: RelName,
     pub(crate) keys: IdRows,
