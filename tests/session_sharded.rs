@@ -432,3 +432,25 @@ fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
         );
     }
 }
+
+/// The front-end keeps one statement cache, whatever the route: a designated
+/// read and a combine read each prepare their statement exactly once, with
+/// every counter of the front-end, its shards and its mirror counted once
+/// in `totals` and `mirror`.
+#[test]
+fn each_statement_is_prepared_once_whatever_its_route() {
+    let sharded = ShardedSession::new(catalog(), 4);
+    let prepared = || {
+        let stats = sharded.stats();
+        stats.totals.merge(stats.mirror).statements_prepared
+    };
+    let designated = STATEMENTS[6];
+    let combine = STATEMENTS[4];
+    let before = prepared();
+    sharded.execute(designated).expect("designated read");
+    assert_eq!(sharded.stats().designated_queries, 1);
+    assert_eq!(prepared() - before, 1, "{designated}");
+    sharded.execute(combine).expect("combine read");
+    assert_eq!(sharded.stats().combine_queries, 1);
+    assert_eq!(prepared() - before, 2, "{combine}");
+}
