@@ -135,33 +135,6 @@ pub fn order_rows<R: Borrow<GroupRange>>(rows: &[R], descending: bool) -> Vec<us
     order
 }
 
-/// Whether `h` can strictly precede `g` in the ordering of **some** repair.
-///
-/// Value ties are broken by group key ascending (the same deterministic
-/// tiebreak as [`order_rows`]), so for `key_h < key_g` an overlap at a single
-/// point already lets `h` go first. Rows whose value is unknown (`⊥`
-/// possible) conservatively precede everything.
-fn possibly_precedes(h: &GroupRange, g: &GroupRange, descending: bool) -> bool {
-    let (Some(h_glb), Some(h_lub)) = (bound_value(h.glb), bound_value(h.lub)) else {
-        return true;
-    };
-    let (Some(g_glb), Some(g_lub)) = (bound_value(g.glb), bound_value(g.lub)) else {
-        return true;
-    };
-    let wins_ties = h.key < g.key;
-    if descending {
-        if wins_ties {
-            h_lub >= g_glb
-        } else {
-            h_lub > g_glb
-        }
-    } else if wins_ties {
-        h_glb <= g_lub
-    } else {
-        h_glb < g_lub
-    }
-}
-
 /// The rows **certainly** in the top `k` under the requested direction: a
 /// row qualifies iff fewer than `k` other rows can possibly precede it in
 /// any repair. Returns their indices in [`order_rows`] order; at most `k`
@@ -193,11 +166,13 @@ pub fn certain_topk<R: Borrow<GroupRange>>(rows: &[R], k: usize, descending: boo
         })
         .collect();
     let toward = |a: Rational, b: Rational| if descending { b.cmp(&a) } else { a.cmp(&b) };
-    let mut challengers: Vec<(Rational, usize)> = ends
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| e.map(|(challenge, _)| (challenge, i)))
-        .collect();
+    // Sized up front: a filtered collect would grow in `log n` steps.
+    let mut challengers: Vec<(Rational, usize)> = Vec::with_capacity(rows.len());
+    challengers.extend(
+        ends.iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.map(|(challenge, _)| (challenge, i))),
+    );
     challengers.sort_unstable_by(|&(a, i), &(b, j)| toward(a, b).then_with(|| key(i).cmp(key(j))));
     let bottoms = rows.len() - challengers.len();
     order_rows(rows, descending)
@@ -213,41 +188,6 @@ pub fn certain_topk<R: Borrow<GroupRange>>(rows: &[R], k: usize, descending: boo
             bottoms + ahead - usize::from(counted_itself) < k
         })
         .collect()
-}
-
-/// Whether a patch from `old` to `new` (same keys, pointwise; some intervals
-/// changed) provably preserves certain-top-k **membership for every k**.
-///
-/// [`certain_topk`] membership is a function of the pairwise
-/// `possibly_precedes` relation: a row qualifies at `k` iff fewer than `k`
-/// rows possibly precede it. If for every changed row the relation to every
-/// other row is unchanged in both directions, each row's preceder count — and
-/// hence membership at every `k` — is identical, so a cached selection can be
-/// re-used (with the changed rows' fresh intervals) instead of recomputed.
-/// Conservative: returns `false` whenever the row sets are not key-aligned,
-/// which the caller must treat as "membership could change".
-pub fn topk_selection_preserved<R: Borrow<GroupRange>>(
-    old: &[R],
-    new: &[R],
-    descending: bool,
-) -> bool {
-    if old.len() != new.len() {
-        return false;
-    }
-    let rows = 0..new.len();
-    let (old, new) = (|i: usize| old[i].borrow(), |i: usize| new[i].borrow());
-    if rows.clone().any(|i| old(i).key != new(i).key) {
-        return false;
-    }
-    let mut changed = rows.clone().filter(|&i| old(i) != new(i));
-    changed.all(|i| {
-        rows.clone().filter(|&j| j != i).all(|j| {
-            possibly_precedes(old(i), old(j), descending)
-                == possibly_precedes(new(i), new(j), descending)
-                && possibly_precedes(old(j), old(i), descending)
-                    == possibly_precedes(new(j), new(i), descending)
-        })
-    })
 }
 
 #[cfg(test)]
@@ -268,6 +208,33 @@ mod tests {
             key: vec![Value::text(key)],
             glb: bound(glb),
             lub: bound(lub),
+        }
+    }
+
+    /// Whether `h` can strictly precede `g` in the ordering of **some** repair.
+    ///
+    /// Value ties are broken by group key ascending (the same deterministic
+    /// tiebreak as [`order_rows`]), so for `key_h < key_g` an overlap at a single
+    /// point already lets `h` go first. Rows whose value is unknown (`⊥`
+    /// possible) conservatively precede everything.
+    fn possibly_precedes(h: &GroupRange, g: &GroupRange, descending: bool) -> bool {
+        let (Some(h_glb), Some(h_lub)) = (bound_value(h.glb), bound_value(h.lub)) else {
+            return true;
+        };
+        let (Some(g_glb), Some(g_lub)) = (bound_value(g.glb), bound_value(g.lub)) else {
+            return true;
+        };
+        let wins_ties = h.key < g.key;
+        if descending {
+            if wins_ties {
+                h_lub >= g_glb
+            } else {
+                h_lub > g_glb
+            }
+        } else if wins_ties {
+            h_glb <= g_lub
+        } else {
+            h_glb < g_lub
         }
     }
 
@@ -397,39 +364,6 @@ mod tests {
         assert_eq!(certain_topk(&rows, 1, true), vec![0]);
         assert_eq!(certain_topk(&rows, 2, true), vec![0]);
         assert_eq!(certain_topk(&rows, 3, true), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn topk_preservation_tracks_pairwise_precedence() {
-        let old = vec![
-            row("a", Some(10), Some(10)),
-            row("b", Some(5), Some(7)),
-            row("c", Some(1), Some(2)),
-        ];
-        // b moves within its gap to a's and c's intervals: no pair flips.
-        let mut new = old.clone();
-        new[1] = row("b", Some(4), Some(8));
-        assert!(topk_selection_preserved(&old, &new, true));
-        assert!(topk_selection_preserved(&old, &new, false));
-        // b now reaches past a: it can precede a in some repair where it
-        // could not before, so membership could change. (An endpoint tie at
-        // exactly 10 would still lose to a's key tiebreak — no flip.)
-        new[1] = row("b", Some(5), Some(10));
-        assert!(topk_selection_preserved(&old, &new, true));
-        new[1] = row("b", Some(5), Some(11));
-        assert!(!topk_selection_preserved(&old, &new, true));
-        // A changed unrelated pair stays preserved even when another row
-        // changed too (only changed rows are re-checked against the rest).
-        new[1] = row("b", Some(6), Some(7));
-        assert!(topk_selection_preserved(&old, &new, true));
-        // Key misalignment (births/retractions) is never preserved.
-        assert!(!topk_selection_preserved(&old, &new[..2], true));
-        let mut renamed = old.clone();
-        renamed[2] = row("z", Some(1), Some(2));
-        assert!(!topk_selection_preserved(&old, &renamed, true));
-        // A row changing to ⊥ starts preceding everything: not preserved.
-        new[1] = row("b", None, None);
-        assert!(!topk_selection_preserved(&old, &new, true));
     }
 
     #[test]

@@ -74,10 +74,7 @@ pub use exact::{
 pub use forall::{analyse, CompiledLevels, ForallAnalysis, Join, Valuation, VarTable};
 pub use glb::Choice;
 pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, DirtyKeys, FactRow};
-pub use interval::{
-    certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
-    HavingStatus,
-};
+pub use interval::{certain_topk, having_status, having_status_all, order_rows, HavingStatus};
 pub use plan::exec::{RowSupport, SupportAtom, SupportSlot};
 pub use plan::{BoundOp, Plan};
 pub use prepared::{PreparedAggQuery, PreparedBody};

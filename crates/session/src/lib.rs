@@ -4,85 +4,61 @@
 //! that owns a named-column [`Catalog`], [`EngineOptions`], and — unlike a
 //! one-shot evaluation — the derived state a server needs to answer the same
 //! queries over a slowly-changing instance without rebuilding the world per
-//! call:
+//! call. A [`Session`] is a **front-end over one store**:
 //!
-//! * an **immutable snapshot chain**: the session's data lives in a
-//!   [`Snapshot`] — one `Arc<DbIndex>` (the interned, block-sorted store
-//!   the executor reads; no instance of the same facts beside it), the
-//!   schema and numeric domain, and a monotonically increasing epoch.
-//!   [`Session::execute`] clones the current snapshot `Arc` out of a short
-//!   critical section and evaluates against it with **no session-wide lock
-//!   held**, so concurrent readers feed the parallel plan executor
-//!   simultaneously; writers ([`Session::insert`], [`Session::insert_all`],
-//!   [`Session::delete`]) build the *successor* snapshot out of the base's
-//!   **shared structure**: per-relation indexes are `Arc`-shared, and inside
-//!   them blocks sit in chunked copy-on-write sequences
-//!   ([`rcqa_data::ChunkedSeq`]), so the successor pointer-bumps every
-//!   relation the batch does not touch and, in a written relation, copies
-//!   one spine plus one leaf per touched block (`DbIndex::apply_events`) — a
-//!   single-fact commit costs a few hundred pointer copies whatever the size
-//!   of the relation or the database — then atomically swaps it in.
-//!   In-flight readers keep their pinned snapshot: reads are
-//!   **snapshot-isolated**, never torn;
-//! * a **prepared-statement cache**: [`Session::prepare`] parses,
-//!   classifies, and plans a SQL string once; `execute`/`explain` look
-//!   statements up by *normalized* SQL (whitespace collapsed and text
-//!   case-folded outside string literals, one trailing `;` stripped), so
-//!   textual re-submissions of the same query never re-parse, never re-run
-//!   attack-graph classification, and never re-plan. The cache holds
-//!   [`STATEMENT_CACHE_CAP`] statements and evicts the least recently used;
-//! * a **per-statement result cache with delta-proportional differential
-//!   maintenance**: answers are cached against the epoch they were computed
-//!   at, and nothing else is recorded with them. Each commit logs its dirty
-//!   block keys as the interned ids its index reported
-//!   ([`DbIndex::apply_events`]), never as values: ids are append-only along
-//!   the session's snapshot line, so a later snapshot's index reads them as
-//!   they are, and a bulk load — which starts a fresh id space — floors the
-//!   log. A reader whose pinned epoch
-//!   is ahead of the cached result takes the dirty block keys and the
-//!   retracted facts committed in between (the last [`DIRTY_LOG_CAP`] write
-//!   batches are retained; an older result recomputes in full) and derives,
-//!   **forward from those keys over the new index**, the group keys with an
-//!   embedding — old or new — through a dirty block
-//!   ([`RangeCqa::affected_keys`]; where a group is bound only past the dirty
-//!   key, over the new index with the retracted facts put back): one
-//!   enumeration that covers births, value changes and retractions, at
-//!   `O(|dirty| · log rows)` plus the join prefix in front of the dirty atom.
-//!   It then re-derives **only** that key set —
-//!   DRed-style: affected groups are over-deleted and re-derived, so
-//!   retracted groups vanish and new groups appear — and splices the
-//!   re-derived rows into the cached ones, deciding "nothing changed" from
-//!   the re-derived rows alone. The cached result is **copy-on-write**: the
-//!   statement's entry is the only long-lived owner of its rows, and a stale
-//!   reader patches it in place under the statement's own lock — re-derived
-//!   rows overwrite their seats when the group set holds, and otherwise the
-//!   kept rows *move* into one exactly-sized slice — so a patch costs the
-//!   rows that changed, not a copy of the result. Rows an outcome a caller
-//!   still holds shares are copied once first ([`Arc::make_mut`]): a
-//!   returned outcome never changes. HAVING trichotomy and certain
-//!   top-k are then re-decided from the patched row set; top-k falls back to
-//!   a full selection recompute only when pairwise interval precedence
-//!   shifted, i.e. membership could change (counted in
-//!   [`SessionStats::topk_fallbacks`]). A statement without HAVING and
-//!   ORDER BY presents its raw rows unchanged, so the cached basis and the
-//!   answer handed out share one `Arc<[GroupRange]>`;
-//! * a **batch API**: [`Session::execute_many`] answers a whole batch
-//!   against one pinned snapshot, so the batch is mutually consistent even
-//!   with concurrent writers.
+//! * the **store** holds the data: an **immutable snapshot chain** — each
+//!   [`Snapshot`] one `Arc<DbIndex>` (the interned, block-sorted store the
+//!   executor reads), the schema and numeric domain, and an epoch — with
+//!   its commit path, its write-ahead log when durable, and the **dirty
+//!   log** of its commits. Writers ([`Session::apply_batch`] and the
+//!   methods built on it) derive the *successor* snapshot from the base's
+//!   **shared structure** ([`rcqa_data::ChunkedSeq`] leaves: a single-fact
+//!   commit copies a spine and a leaf, whatever the size of the relation)
+//!   and swap it in; in-flight readers keep their pinned snapshot, so reads
+//!   are **snapshot-isolated**, never torn;
+//! * the **front-end** holds what a reader needs: the **statement cache**
+//!   ([`Session::prepare`] parses, classifies and plans once; statements are
+//!   keyed by *normalized* SQL, and [`STATEMENT_CACHE_CAP`] of them are kept,
+//!   least recently used evicted first), each statement's **one cached
+//!   result**, stamped with the epoch of each store it was read from, and
+//!   the read counters.
+//!
+//! A [`ShardedSession`] is one front-end over a store per shard plus a
+//! mirror store: one statement cache for every route, and one read path.
+//!
+//! A read whose pinned epochs equal its statement's cached stamp is a hit.
+//! Behind it, the result is patched by **delta-proportional differential
+//! maintenance**: each store logs its commits' dirty block keys as the
+//! interned ids its index reported ([`DbIndex::apply_events`]) — ids are
+//! append-only along a store's snapshot line, and a bulk load, which starts
+//! a fresh id space, floors the log — and the retracted facts. From the
+//! batches since the stamp (the last [`DIRTY_LOG_CAP`] are kept; an older
+//! result recomputes in full) one forward enumeration over the new index
+//! ([`RangeCqa::affected_keys`]) finds the groups with an embedding, old or
+//! new, through a dirty block; only those are re-derived, DRed-style, and
+//! spliced into the cached rows. The cached result is **copy-on-write**: a
+//! stale reader patches it in place under the statement's own lock, so a
+//! patch costs the rows that changed, and rows an outcome a caller still
+//! holds are copied once first ([`Arc::make_mut`]): a returned outcome never
+//! changes. HAVING, ORDER BY and certain top-k are then re-derived from the
+//! patched rows as a cold read derives them. A statement without HAVING and
+//! ORDER BY presents its raw rows unchanged, so the cached basis and the
+//! answer handed out share one `Arc<[GroupRange]>`. [`Session::execute_many`]
+//! answers a batch against one pinned snapshot.
 //!
 //! ## Concurrency contract
 //!
-//! `Session` is `Send + Sync`: share one session behind an `Arc` (or plain
-//! references inside [`std::thread::scope`]) across any number of client
-//! threads. Readers of different statements never block each other on the
-//! serving path — the only shared critical sections are the
-//! snapshot-pointer clone, the statement-cache lookup (an `RwLock` read),
-//! and counter updates. Readers of one statement take its own lock: a hit
-//! holds it for an `Arc` clone, a stale read for the patch — so readers at
-//! one pin patch once between them, the others reading the patched result
-//! — and a cold read for the evaluation. Writers
-//! serialise among themselves and build the successor snapshot *outside* the
-//! readers' critical section; publishing it is one pointer swap.
+//! `Session` and `ShardedSession` are `Send + Sync`: share one behind an
+//! `Arc` (or plain references inside [`std::thread::scope`]) across any
+//! number of client threads. Readers of different statements never block
+//! each other on the serving path — the only shared critical sections are
+//! the snapshot-pointer clones, the front-end's statement-cache lookup (an
+//! `RwLock` read), and counter updates. Readers of one statement take its
+//! own lock: a hit holds it for an `Arc` clone, a stale read for the patch —
+//! so readers at one pin patch once between them, the others reading the
+//! patched result — and a cold read for the evaluation. Writers serialise
+//! per store and build the successor snapshot *outside* the readers'
+//! critical section; publishing it is one pointer swap.
 //!
 //! ## Identical-answers guarantee
 //!
@@ -167,28 +143,27 @@
 #![warn(missing_docs)]
 
 use rcqa_core::classify::Classification;
-use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
-use rcqa_core::index::{DbIndex, DirtyKeys};
+use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, RangeCqa};
+use rcqa_core::index::DbIndex;
 pub use rcqa_core::interval::HavingStatus;
-use rcqa_core::interval::{
-    certain_topk, having_status, having_status_all, order_rows, topk_selection_preserved,
-};
 use rcqa_core::{CoreError, RowSupport};
 use rcqa_data::codec::FactRef;
-use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Rational, RelName, Value};
-use rcqa_query::{parse_sql, AggQuery, Catalog, HavingCond, OrderSpec, QueryError};
-use rcqa_wal::{FsStorage, Wal, WalError, WalStorage};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Rational, RelName};
+use rcqa_query::{AggQuery, Catalog, HavingCond, OrderSpec, QueryError};
+use rcqa_wal::{FsStorage, WalError, WalStorage};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 pub use rcqa_wal::{SyncPolicy, WalOptions};
 
+mod front;
 mod sharded;
+mod store;
+use front::{Front, Part};
 pub use sharded::{ShardedSession, ShardedStats};
+use store::Store;
 
 /// Errors raised by a [`Session`].
 #[derive(Debug, Clone)]
@@ -554,10 +529,10 @@ pub struct SessionStats {
     /// full pass is cheaper): these fell back to a full recompute.
     /// [`Session::patch_reasons`] splits the count by reason.
     pub support_misses: u64,
-    /// Patched results whose certain top-k selection had to be recomputed
-    /// because some pairwise interval precedence shifted — top-k membership
-    /// could change, so reusing the cached selection would be unsound. The
-    /// rows themselves were still patched, not recomputed.
+    /// Patched certain top-k results (`ORDER BY … LIMIT`) whose rows
+    /// changed: each re-selects its top rows from the patched rows, as a
+    /// cold read selects them. The rows themselves were patched, not
+    /// recomputed.
     pub topk_fallbacks: u64,
     /// Index builds by one sort over at least one fact: opening over an
     /// instance, recovery, and each bulk load into an empty snapshot (1 for
@@ -588,8 +563,9 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Field-wise sum. The sharded front-end reports every shard's counters
-    /// and their total through this.
+    /// Field-wise sum. A session's counters are its front-end's reads plus
+    /// its store's commits; the sharded front-end adds its shards' commits
+    /// to its reads through this.
     pub fn merge(self, other: SessionStats) -> SessionStats {
         SessionStats {
             statements_prepared: self.statements_prepared + other.statements_prepared,
@@ -612,74 +588,10 @@ impl SessionStats {
     }
 }
 
-/// The complete row block of one statement's answer at one epoch: the
-/// primary aggregate's rows, the later visible aggregates' row-aligned
-/// intervals, and the row-aligned HAVING statuses.
-#[derive(Clone, Debug, Default)]
-struct CachedRows {
-    rows: Arc<[GroupRange]>,
-    more: Vec<Arc<[GroupRange]>>,
-    having: Arc<[HavingStatus]>,
-}
-
-/// One statement's cached answer at one epoch: the post-processed
-/// presentation ([`CachedRows`]) **and** the raw per-aggregate group rows it
-/// was derived from — the patch basis differential maintenance re-derives
-/// affected rows against (the presentation alone is not patchable: HAVING
-/// has dropped rows and top-k has reordered them).
-///
-/// The result is **copy-on-write**: its statement's entry is the only
-/// long-lived owner of its rows, and a read hands out `Arc` clones of the
-/// presentation. A stale read patches the result in place under the
-/// statement's lock ([`Session::try_patch`], [`Session::splice`]): rows no
-/// outcome still holds are overwritten or moved, never copied, and rows an
-/// outcome still holds are copied once first, so a held outcome never
-/// changes.
-#[derive(Debug)]
-struct CachedResult {
-    epoch: u64,
-    /// Raw rows per aggregate engine (SELECT items first, then hidden
-    /// HAVING / ORDER BY aggregates), each in sorted group-key order and
-    /// key-aligned across aggregates. A statement whose presentation is the
-    /// raw rows themselves (no HAVING, no ORDER BY) shares these very slices
-    /// with [`CachedRows`] — one copy of the rows, not two.
-    raw: Box<[Arc<[GroupRange]>]>,
-    rows: CachedRows,
-}
-
-/// A statement's cached results, behind the statement's own lock
-/// ([`CachedStatement::results`]): a stale reader holds it while it patches,
-/// so readers of one statement at one pin patch it once between them, and
-/// readers of other statements never wait for it.
-#[derive(Debug, Default)]
-struct StatementResults {
-    result: Option<CachedResult>,
-    /// The sharded front-end's merged result of a fan-out statement (never
-    /// set on a plain session's statements): the front-end's only copy of
-    /// those rows — the shards never see the statement.
-    fanout: Option<CachedResult>,
-    /// The per-shard epochs `fanout` reflects.
-    frontier: Box<[u64]>,
-}
-
-/// One cached statement plus its last computed results (if any), versioned
-/// by the epoch they were computed at.
-#[derive(Debug)]
-struct CachedStatement {
-    stmt: Arc<PreparedStatement>,
-    /// Shared so a reader can take the statement's lock after leaving the
-    /// statement map's; an entry evicted meanwhile takes its results along
-    /// once that reader is done.
-    results: Arc<Mutex<StatementResults>>,
-    /// LRU stamp from the session's cache clock, touched on every lookup
-    /// hit. An atomic so the warm read path can touch it under the
-    /// statement map's shared **read** lock.
-    last_used: AtomicU64,
-}
-
 /// The lock-free interior of [`SessionStats`]: relaxed atomic counters, so
 /// the warm serving path never takes an exclusive section to account for
-/// itself.
+/// itself. A front-end bumps the read counters, a store the commit
+/// counters.
 #[derive(Debug, Default)]
 struct AtomicStats {
     statements_prepared: AtomicU64,
@@ -737,43 +649,6 @@ impl AtomicStats {
     }
 }
 
-/// One committed write batch as result patching needs it: the blocks it
-/// changed, as [`DbIndex::apply_events`] reported them — per relation, the
-/// blocks' key ids as flat rows, in the id space of the index the batch
-/// produced — and the facts it retracted (its effective deletes, moved here
-/// from the logged events).
-#[derive(Debug)]
-struct DirtyBatch {
-    blocks: Vec<DirtyKeys>,
-    retracted: Box<[Fact]>,
-}
-
-/// The dirty history writers maintain for result patching: one entry per
-/// committed write batch, `(epoch after the batch, the batch)`, oldest
-/// first. Results cached at an epoch `< log_floor` predate the retained
-/// (gap-free) history and must recompute in full.
-///
-/// The log is a [`VecDeque`]: eviction past [`DIRTY_LOG_CAP`] pops the
-/// oldest entry from the front in `O(1)` (a `Vec::remove(0)` here used to
-/// shift the whole capacity on every write of a long-lived session).
-///
-/// Each batch sits behind an `Arc`: a stale read clones pointers under the
-/// lock committers also take, never the blocks or facts (up to cap × batch
-/// size of them).
-#[derive(Debug, Default)]
-struct Maintenance {
-    dirty_log: VecDeque<(u64, Arc<DirtyBatch>)>,
-    log_floor: u64,
-}
-
-/// One partition a stale result patches through ([`Session::try_patch`]):
-/// its pinned snapshot and the batches committed to it since the result was
-/// cached.
-struct PatchSource<'s> {
-    snapshot: &'s Snapshot,
-    log: Vec<Arc<DirtyBatch>>,
-}
-
 /// Why a stale cached result could not be patched and was recomputed in full:
 /// the reasons [`SessionStats::support_misses`] lumps together, one counter
 /// each ([`Session::patch_reasons`]).
@@ -785,13 +660,12 @@ pub struct PatchReasons {
     pub history_evicted: u64,
     /// The delta affects more than half of the cached rows, past which a
     /// patch is the dearer arm on every statement measured (see
-    /// `Session::try_patch` for the measurement behind the cut-off).
+    /// `Front::try_patch` for the measurement behind the cut-off).
     pub over_half: u64,
 }
 
 impl PatchReasons {
-    /// Field-wise sum (the sharded front-end adds its shards, its fan-out
-    /// results and its mirror).
+    /// Field-wise sum.
     pub fn merge(self, other: PatchReasons) -> PatchReasons {
         PatchReasons {
             history_evicted: self.history_evicted + other.history_evicted,
@@ -805,7 +679,7 @@ impl PatchReasons {
     }
 }
 
-/// One miss, as [`Session::try_patch`] reports it; indexes the session's
+/// One miss, as `Front::try_patch` reports it; indexes the front-end's
 /// per-reason counters.
 #[derive(Clone, Copy, Debug)]
 enum Miss {
@@ -826,35 +700,17 @@ pub const DIRTY_LOG_CAP: usize = 128;
 /// statement re-prepare and recompute when it next runs.
 pub const STATEMENT_CACHE_CAP: usize = 256;
 
-/// A stateful, thread-safe SQL serving session: catalog + engine options +
-/// an immutable snapshot chain (block index, epoch), plus cached derived
-/// state (prepared statements, versioned results).
+/// A stateful, thread-safe SQL serving session: a front-end (catalog,
+/// engine options, the statement cache with each statement's cached
+/// result, the read counters) over one store (an immutable snapshot chain
+/// of block index and epoch, the dirty log, the optional write-ahead log,
+/// the commit counters).
 ///
 /// `Session` is `Send + Sync`; see the [crate docs](self) for the
 /// concurrency contract and the identical-answers guarantee.
 pub struct Session {
-    catalog: Catalog,
-    options: EngineOptions,
-    /// The swap point: readers share the read lock to clone the `Arc` out
-    /// of a short critical section; the writer takes the write lock only
-    /// for the final pointer swap.
-    current: RwLock<Arc<Snapshot>>,
-    /// Serialises writers; never taken by the read path.
-    writer: Mutex<()>,
-    /// Prepared statements and their versioned results, keyed by normalized
-    /// SQL. Readers share the read lock on the serving path.
-    statements: RwLock<HashMap<String, CachedStatement>>,
-    /// Dirty-block history for result patching.
-    maintenance: Mutex<Maintenance>,
-    /// Monotonic LRU clock for the bounded statement cache: bumped on every
-    /// statement touch, stored into the touched entry's `last_used`.
-    cache_clock: AtomicU64,
-    /// The durability layer, when the session was opened over storage
-    /// ([`Session::open`] and friends); `None` for in-memory sessions. Only
-    /// ever locked while holding [`Session::writer`] (commits) or briefly
-    /// from observability accessors — never on the read/serving path.
-    wal: Mutex<Option<Wal>>,
-    stats: AtomicStats,
+    front: Front,
+    store: Store,
 }
 
 impl fmt::Debug for Session {
@@ -862,9 +718,9 @@ impl fmt::Debug for Session {
         let snapshot = self.snapshot();
         f.debug_struct("Session")
             .field("facts", &snapshot.index.len())
-            .field("options", &self.options)
+            .field("options", &self.front.options())
             .field("epoch", &snapshot.epoch)
-            .field("statements", &self.read_statements().len())
+            .field("statements", &self.front.read_statements().len())
             .finish()
     }
 }
@@ -884,46 +740,10 @@ impl Session {
     /// the first snapshot's [`Snapshot::db`] until a commit replaces that
     /// snapshot.
     pub fn with_instance(catalog: Catalog, db: impl Into<Arc<DatabaseInstance>>) -> Session {
-        Session::open_over(catalog, db.into(), 0, None)
-    }
-
-    /// A session whose first snapshot indexes `db` at `epoch`. An instance
-    /// someone else still holds stays as that snapshot's [`Snapshot::db`]
-    /// — it costs nothing while they hold it, and it goes when a commit
-    /// replaces the snapshot; the only reference is indexed with texts of
-    /// the index's own and dropped ([`DbIndex::from_owned`]). A build over
-    /// facts counts in [`SessionStats::index_builds`]; indexing an empty
-    /// instance is not a build.
-    fn open_over(
-        catalog: Catalog,
-        db: Arc<DatabaseInstance>,
-        epoch: u64,
-        wal: Option<Wal>,
-    ) -> Session {
-        let (shape, built) = (Arc::new(db.empty_like()), !db.is_empty());
-        let snapshot = match Arc::try_unwrap(db) {
-            Ok(db) => Snapshot::new(DbIndex::from_owned(db), shape, epoch),
-            Err(db) => {
-                let snapshot = Snapshot::new(DbIndex::new(&db), shape, epoch);
-                let _ = snapshot.db.set(db);
-                snapshot
-            }
-        };
-        let session = Session {
-            catalog,
-            options: EngineOptions::default(),
-            current: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(()),
-            statements: RwLock::new(HashMap::new()),
-            maintenance: Mutex::new(Maintenance::default()),
-            cache_clock: AtomicU64::new(0),
-            wal: Mutex::new(wal),
-            stats: AtomicStats::default(),
-        };
-        if built {
-            AtomicStats::bump(&session.stats.index_builds);
+        Session {
+            front: Front::new(catalog),
+            store: Store::new(db.into(), 0, None),
         }
-        session
     }
 
     /// Opens a **durable** session over the WAL directory `dir` with default
@@ -962,46 +782,11 @@ impl Session {
         storage: Box<dyn WalStorage>,
         options: WalOptions,
     ) -> Result<Session, SessionError> {
-        let (wal, recovery) = Wal::open(storage, options)?;
-        let mut db = DatabaseInstance::new(catalog.schema());
-        // One bulk load: the checkpoint's facts go straight into
-        // exact-capacity leaves instead of through per-fact inserts.
-        let checkpointed = recovery.checkpoint_facts.len();
-        if db.load(recovery.checkpoint_facts)? != checkpointed {
-            return Err(SessionError::Wal(WalError::Corrupt {
-                file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
-                offset: 0,
-                detail: "checkpoint contains a duplicate fact".to_string(),
-            }));
-        }
-        // Every logged event was *effective* when committed (the session
-        // only logs effective deltas), so each must be effective on replay
-        // too; a no-op means the checkpoint and the log disagree.
-        for batch in &recovery.batches {
-            for event in &batch.events {
-                if db.apply(event.clone())?.is_none() {
-                    return Err(SessionError::Wal(WalError::Corrupt {
-                        file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
-                        offset: 0,
-                        detail: format!(
-                            "replaying the log over the checkpoint: the event at \
-                             epoch {} is a no-op, so checkpoint and log disagree",
-                            batch.epoch
-                        ),
-                    }));
-                }
-            }
-        }
-        // Held here while the session opens, the recovered instance stays
-        // as the first snapshot's materialised view rather than being freed
-        // in the middle of opening.
-        let db = Arc::new(db);
-        Ok(Session::open_over(
-            catalog,
-            db.clone(),
-            recovery.epoch,
-            Some(wal),
-        ))
+        let store = Store::recover(catalog.schema(), storage, options)?;
+        Ok(Session {
+            front: Front::new(catalog),
+            store,
+        })
     }
 
     /// Overrides the engine options (the executor worker count).
@@ -1010,23 +795,13 @@ impl Session {
     /// statement (and result) caches are cleared; the snapshot chain — and
     /// with it the cached index — is options-independent and survives.
     pub fn with_options(mut self, options: EngineOptions) -> Session {
-        self.options = options;
-        self.statements
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.front = self.front.with_options(options);
         self
-    }
-
-    /// Bumps the LRU clock and stamps the entry as just-used.
-    fn touch(&self, entry: &CachedStatement) {
-        let stamp = self.cache_clock.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.last_used.store(stamp, Ordering::Relaxed);
     }
 
     /// The session's catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.front.catalog()
     }
 
     /// The current database instance (the latest snapshot's, materialised
@@ -1039,18 +814,19 @@ impl Session {
 
     /// The session's engine options.
     pub fn options(&self) -> EngineOptions {
-        self.options
+        self.front.options()
     }
 
-    /// The serving-layer counters.
+    /// The serving-layer counters: the front-end's reads and the store's
+    /// commits.
     pub fn stats(&self) -> SessionStats {
-        self.stats.snapshot()
+        self.front.stats().merge(self.store.stats())
     }
 
     /// [`SessionStats::support_misses`] split by reason: why stale results
     /// went to a full recompute instead of the patch path.
     pub fn patch_reasons(&self) -> PatchReasons {
-        self.stats.patch_reasons()
+        self.front.patch_reasons()
     }
 
     /// The current epoch: effective mutations since the session opened.
@@ -1062,37 +838,12 @@ impl Session {
     /// section. Everything evaluated against the returned snapshot is
     /// isolated from concurrent writers.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.current
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    // Lock poisoning is not propagated anywhere in the session: every piece
-    // of guarded state is either rebuildable from a snapshot (index, caches)
-    // or monotonic bookkeeping (stats, dirty log), so a reader that panicked
-    // mid-update cannot leave them semantically torn.
-    fn read_statements(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, CachedStatement>> {
-        self.statements.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write_statements(
-        &self,
-    ) -> std::sync::RwLockWriteGuard<'_, HashMap<String, CachedStatement>> {
-        self.statements.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_maintenance(&self) -> MutexGuard<'_, Maintenance> {
-        self.maintenance.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_wal(&self) -> MutexGuard<'_, Option<Wal>> {
-        self.wal.lock().unwrap_or_else(|e| e.into_inner())
+        self.store.snapshot()
     }
 
     /// Whether the session persists commits to a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.lock_wal().is_some()
+        self.store.is_durable()
     }
 
     /// The last epoch known durable on storage (covered by an fsync or a
@@ -1100,16 +851,13 @@ impl Session {
     /// [`Session::epoch`] whenever the sync policy is
     /// [`SyncPolicy::Always`]; under `Never` it may trail it.
     pub fn durable_epoch(&self) -> Option<u64> {
-        self.lock_wal().as_ref().map(|w| w.durable_epoch())
+        self.store.durable_epoch()
     }
 
     /// Forces an fsync of the write-ahead log, making every committed batch
     /// durable regardless of the sync policy. A no-op on in-memory sessions.
     pub fn sync(&self) -> Result<(), SessionError> {
-        match self.lock_wal().as_mut() {
-            Some(wal) => Ok(wal.sync()?),
-            None => Ok(()),
-        }
+        self.store.sync()
     }
 
     /// Applies a batch of change events as **one atomic commit** — one
@@ -1167,125 +915,7 @@ impl Session {
     /// keeps serving (and accepting reads of) the last committed snapshot —
     /// durability failures degrade writes, never reads.
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.snapshot();
-        let (index, flags, blocks) = if base.index.is_empty() {
-            // The scratch instance validates what it takes in.
-            let (db, flags) = Self::bulk_load(&base.shape, events)?;
-            if !db.is_empty() {
-                AtomicStats::bump(&self.stats.index_builds);
-            }
-            (DbIndex::from_owned(db), flags, None)
-        } else {
-            for event in events {
-                base.validate(event)?;
-            }
-            // Cheap: the clone shares every relation's index with the base;
-            // `apply_events` path-copies the dirty leaves.
-            let mut index = (*base.index).clone();
-            let (flags, blocks) = index.apply_events(events);
-            (index, flags, Some(blocks))
-        };
-        // Only effective events are logged: the batch itself when all are.
-        let filtered: Vec<DeltaEvent>;
-        let effective = if flags.iter().all(|&flag| flag) {
-            events
-        } else {
-            filtered = events
-                .iter()
-                .zip(&flags)
-                .filter(|&(_, &flag)| flag)
-                .map(|(event, _)| event.clone())
-                .collect();
-            &filtered
-        };
-        if effective.is_empty() {
-            return Ok(flags);
-        }
-        let epoch = base.epoch + effective.len() as u64;
-        {
-            let mut wal = self.lock_wal();
-            if let Some(wal) = wal.as_mut() {
-                wal.append(epoch, effective)?;
-                AtomicStats::bump(&self.stats.wal_appends);
-            }
-        }
-        {
-            let mut maintenance = self.lock_maintenance();
-            match blocks {
-                Some(blocks) => {
-                    self.stats
-                        .deltas_applied
-                        .fetch_add(effective.len() as u64, Ordering::Relaxed);
-                    let retracted = effective
-                        .iter()
-                        .filter(|e| e.op == DeltaOp::Delete)
-                        .map(|e| e.fact.clone())
-                        .collect();
-                    let batch = Arc::new(DirtyBatch { blocks, retracted });
-                    maintenance.dirty_log.push_back((epoch, batch));
-                    if maintenance.dirty_log.len() > DIRTY_LOG_CAP {
-                        let dropped = maintenance
-                            .dirty_log
-                            .pop_front()
-                            .expect("len > cap implies non-empty");
-                        maintenance.log_floor = dropped.0;
-                    }
-                }
-                None => {
-                    // A bulk load: floor the log *before* publishing, so no
-                    // reader of the successor patches across it.
-                    maintenance.dirty_log.clear();
-                    maintenance.log_floor = epoch;
-                }
-            }
-        }
-        let snapshot = Arc::new(Snapshot::new(index, base.shape.clone(), epoch));
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snapshot.clone();
-        // Checkpoint *after* publishing: the batch is already durable on the
-        // log, so a checkpoint failure cannot fail the commit — it only
-        // postpones log truncation (and is retried at the next commit).
-        {
-            let mut wal = self.lock_wal();
-            if let Some(wal) = wal.as_mut() {
-                if wal.checkpoint_due() {
-                    match wal.checkpoint(epoch, snapshot.index.rows()) {
-                        Ok(()) => AtomicStats::bump(&self.stats.checkpoints),
-                        Err(_) => AtomicStats::bump(&self.stats.checkpoint_failures),
-                    }
-                }
-            }
-        }
-        if events.len() > 1 {
-            AtomicStats::bump(&self.stats.batched_commits);
-            self.stats
-                .batched_events
-                .fetch_add(events.len() as u64, Ordering::Relaxed);
-        }
-        Ok(flags)
-    }
-
-    /// The instance `events` make of an empty one shaped like `shape`, and
-    /// their effectiveness flags in order. Inserts of distinct facts — a bulk
-    /// load's usual shape — are sorted in at once ([`DatabaseInstance::load`]);
-    /// any other batch is applied event by event.
-    fn bulk_load(
-        shape: &DatabaseInstance,
-        events: &[DeltaEvent],
-    ) -> Result<(DatabaseInstance, Vec<bool>), DataError> {
-        let mut db = shape.empty_like();
-        if events.iter().all(|event| event.op == DeltaOp::Insert) {
-            let facts = events.iter().map(|event| event.fact.clone()).collect();
-            if db.load(facts)? == events.len() {
-                return Ok((db, vec![true; events.len()]));
-            }
-            db = shape.empty_like();
-        }
-        let flags = events
-            .iter()
-            .map(|event| Ok(db.apply(event.clone())?.is_some()))
-            .collect::<Result<_, DataError>>()?;
-        Ok((db, flags))
+        self.store.apply_batch(events)
     }
 
     /// Inserts one fact. Returns `true` if the fact was new.
@@ -1331,667 +961,19 @@ impl Session {
     /// normalized SQL; subsequent [`Session::execute`] / [`Session::explain`]
     /// calls with the same (normalized) text reuse the preparation.
     pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedStatement>, SessionError> {
-        let snapshot = self.snapshot();
-        self.prepare_at(&snapshot, sql)
+        self.front.prepare(&self.snapshot(), sql)
     }
 
-    fn prepare_at(
-        &self,
-        snapshot: &Snapshot,
-        sql: &str,
-    ) -> Result<Arc<PreparedStatement>, SessionError> {
-        let key = Self::normalize_sql(sql);
-        if let Some(entry) = self.read_statements().get(&key) {
-            let stmt = entry.stmt.clone();
-            self.touch(entry);
-            AtomicStats::bump(&self.stats.statement_hits);
-            return Ok(stmt);
-        }
-        // Parse, classify, and plan outside every lock: concurrent
-        // preparations of the same statement are idempotent and the first
-        // one to publish wins.
-        let translated = parse_sql(&key, &self.catalog)?;
-        let schema = self.catalog.schema();
-        let mut engines = Vec::with_capacity(translated.aggregates.len());
-        for agg in &translated.aggregates {
-            engines.push(
-                RangeCqa::new(agg, &schema)?
-                    .with_predicates(translated.predicates.clone())?
-                    .with_options(self.options),
-            );
-        }
-        let domain = snapshot.shape.numeric_domain();
-        let classification = engines[0].classification(domain);
-        // One support for the statement: its engines share one body and one
-        // predicate set, and a support depends on nothing else.
-        let support = engines[0].row_support(domain);
-        let stmt = Arc::new(PreparedStatement {
-            sql: key.clone(),
-            query: Arc::new(translated.query),
-            columns: translated.output_columns,
-            engines,
-            visible_aggregates: translated.visible_aggregates,
-            having: translated.having,
-            order_by: translated.order_by,
-            limit: translated.limit,
-            unsatisfiable: translated.unsatisfiable,
-            classification: Arc::new(classification),
-            support,
-        });
-        let mut statements = self.write_statements();
-        match statements.entry(key) {
-            Entry::Occupied(entry) => {
-                let racing = entry.get();
-                let stmt = racing.stmt.clone();
-                self.touch(racing);
-                AtomicStats::bump(&self.stats.statement_hits);
-                Ok(stmt)
-            }
-            Entry::Vacant(slot) => {
-                let entry = CachedStatement {
-                    stmt: stmt.clone(),
-                    results: Arc::default(),
-                    last_used: AtomicU64::new(0),
-                };
-                self.touch(&entry);
-                slot.insert(entry);
-                if statements.len() > STATEMENT_CACHE_CAP {
-                    // Evict the least-recently-used statement, with its
-                    // cached result.
-                    let coldest = statements
-                        .iter()
-                        .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                        .map(|(key, _)| key.clone())
-                        .expect("a cache over its cap is not empty");
-                    statements.remove(&coldest);
-                    AtomicStats::bump(&self.stats.statements_evicted);
-                }
-                AtomicStats::bump(&self.stats.statements_prepared);
-                Ok(stmt)
-            }
-        }
-    }
-
-    /// The batches committed over `(from, to]` — their dirty block keys, in
-    /// the id space of this session's indexes, and retracted facts — oldest
-    /// first, or `None` if the retained history does
-    /// not reach back to `from` (the log was floored by a bulk load or
-    /// evicted past its cap in between). Only pointers are cloned under the
-    /// lock; batches may repeat a block or a fact.
-    fn dirty_since(&self, from: u64, to: u64) -> Option<Vec<Arc<DirtyBatch>>> {
-        let maintenance = self.lock_maintenance();
-        if from < maintenance.log_floor {
-            return None;
-        }
-        Some(
-            maintenance
-                .dirty_log
-                .iter()
-                .filter(|(e, _)| *e > from && *e <= to)
-                .map(|(_, batch)| batch.clone())
-                .collect(),
-        )
-    }
-
-    /// Where each of `keys` (sorted) sits among `rows` (sorted by key):
-    /// `Ok(i)` when row `i` has the key, `Err(i)` when a row with it would be
-    /// inserted before row `i`. Each search resumes behind the previous seat,
-    /// so the cost is `O(|keys| · log |rows|)` key comparisons.
-    fn seats(rows: &[GroupRange], keys: &[Vec<Value>]) -> Vec<Result<usize, usize>> {
-        let mut from = 0;
-        keys.iter()
-            .map(|key| {
-                let seat = rows[from..].binary_search_by(|row| row.key.cmp(key));
-                let seat = seat.map(|i| i + from).map_err(|i| i + from);
-                from = seat.map_or_else(|i| i, |i| i + 1);
-                seat
-            })
-            .collect()
-    }
-
-    /// Splices one aggregate's re-derived rows into its cached rows, in
-    /// place: the rows seated at one of `keys` are replaced or dropped and
-    /// `fresh` (sorted, every key among `keys`) takes their seats and its new
-    /// keys' seats. The rows are copy-on-write ([`Arc::make_mut`]): rows an
-    /// outcome still holds are copied once first, so the held outcome never
-    /// changes, and rows no one else holds are patched where they are.
-    ///
-    /// When the group set holds — each affected key has a row after the
-    /// patch exactly when it had one before — the fresh rows overwrite the
-    /// old ones in their seats. Otherwise the kept rows move into one
-    /// exactly-sized new slice — each key is taken, not cloned, so a row
-    /// costs no allocation and no reference count — and the old slice is
-    /// freed holding only the replaced rows' keys.
-    fn splice(
-        rows: &mut Arc<[GroupRange]>,
-        keys: &[Vec<Value>],
-        seats: &[Result<usize, usize>],
-        fresh: Vec<GroupRange>,
-    ) {
-        let mut next = 0;
-        let same_groups = keys.iter().zip(seats).all(|(key, seat)| {
-            let derived = fresh.get(next).is_some_and(|row| row.key == *key);
-            next += usize::from(derived);
-            derived == seat.is_ok()
-        });
-        let replaced = seats.iter().filter(|seat| seat.is_ok()).count();
-        let len = rows.len() - replaced + fresh.len();
-        let old = Arc::make_mut(rows);
-        if same_groups {
-            for (seat, row) in seats.iter().filter_map(|seat| seat.ok()).zip(fresh) {
-                old[seat] = row;
-            }
-            return;
-        }
-        // Each re-derived row goes in before the old row at its seat; the old
-        // rows seated at an affected key are skipped.
-        let mut fresh = fresh.into_iter().peekable();
-        let mut inserts = keys
-            .iter()
-            .zip(seats)
-            .filter_map(|(key, seat)| {
-                let at = seat.unwrap_or_else(|i| i);
-                fresh.next_if(|row| row.key == *key).map(|row| (at, row))
-            })
-            .peekable();
-        let mut dropped = seats.iter().filter_map(|seat| seat.ok()).peekable();
-        let mut at = 0;
-        // A mapped range has a trusted length: one allocation, exactly sized.
-        let spliced = (0..len)
-            .map(|_| loop {
-                if let Some((_, row)) = inserts.next_if(|&(seat, _)| seat == at) {
-                    break row;
-                }
-                let (seat, row) = (at, &mut old[at]);
-                at += 1;
-                if dropped.next_if_eq(&seat).is_none() {
-                    let key = std::mem::take(&mut row.key);
-                    break GroupRange { key, ..*row };
-                }
-            })
-            .collect();
-        debug_assert!(
-            inserts.next().is_none() && at == old.len() - dropped.count(),
-            "the spliced length is counted"
-        );
-        *rows = spliced;
-    }
-
-    fn outcome(stmt: &PreparedStatement, rows: CachedRows, epoch: u64) -> QueryOutcome {
-        QueryOutcome {
-            query: stmt.query.clone(),
-            classification: stmt.classification.clone(),
-            columns: stmt.columns.to_vec(),
-            rows: rows.rows,
-            more_aggregates: rows.more,
-            having: rows.having,
-            epoch,
-            shards: 1,
-        }
-    }
-
-    /// Evaluates every aggregate engine of one statement over one pinned
-    /// snapshot, returning the raw per-aggregate group rows — key-aligned,
-    /// in sorted group-key order, before HAVING / ORDER BY post-processing.
-    /// These are what the result cache keeps as the patch basis.
-    fn raw_rows(
-        stmt: &PreparedStatement,
-        snapshot: &Snapshot,
-    ) -> Result<Box<[Arc<[GroupRange]>]>, SessionError> {
-        // A statically contradictory WHERE clause needs no engine run: no
-        // repair has a satisfying embedding, so a grouped statement has no
-        // possible answer rows, while a closed statement answers its single
-        // `[⊥, ⊥]` row. The synthetic rows still flow through the normal
-        // HAVING / ORDER BY pipeline below (a comparison against `⊥` is
-        // `Possible`; a `⊥` row is never certainly in a top-k).
-        let per_agg: Box<[Arc<[GroupRange]>]> = if stmt.unsatisfiable {
-            let rows: Arc<[GroupRange]> = if stmt.query.body.free_vars().is_empty() {
-                let bottom = Some(BoundAnswer {
-                    value: None,
-                    method: Method::Rewriting,
-                });
-                Arc::new([GroupRange {
-                    key: Vec::new(),
-                    glb: bottom,
-                    lub: bottom,
-                }])
-            } else {
-                Arc::new([])
-            };
-            stmt.engines.iter().map(|_| rows.clone()).collect()
-        } else {
-            let mut per_agg = Vec::with_capacity(stmt.engines.len());
-            for engine in &stmt.engines {
-                per_agg.push(
-                    engine
-                        .range_with_index(&snapshot.shape, &snapshot.index)?
-                        .into(),
-                );
-            }
-            per_agg.into()
-        };
-        let primary = &per_agg[0];
-        debug_assert!(
-            per_agg.iter().all(|rows| {
-                rows.len() == primary.len()
-                    && rows.iter().zip(primary.iter()).all(|(a, b)| a.key == b.key)
-            }),
-            "aggregates share body and predicates, so group keys must align"
-        );
-        Ok(per_agg)
-    }
-
-    /// HAVING trichotomy per raw row (empty when the statement has no HAVING
-    /// clause).
-    fn having_statuses(
-        stmt: &PreparedStatement,
-        per_agg: &[Arc<[GroupRange]>],
-    ) -> Vec<HavingStatus> {
-        if stmt.having.is_empty() {
-            return Vec::new();
-        }
-        (0..per_agg[0].len())
-            .map(|i| {
-                having_status_all(stmt.having.iter().map(|c| {
-                    let row = &per_agg[c.agg_index][i];
-                    having_status(
-                        row.glb.and_then(|b| b.value),
-                        row.lub.and_then(|b| b.value),
-                        c.op,
-                        c.threshold,
-                    )
-                }))
-            })
-            .collect()
-    }
-
-    /// Raw-row indices surviving HAVING. `Violated` rows are certainly
-    /// absent in every repair and are dropped.
-    fn kept_indices(statuses: &[HavingStatus], len: usize) -> Vec<usize> {
-        (0..len)
-            .filter(|&i| statuses.is_empty() || statuses[i] != HavingStatus::Violated)
-            .collect()
-    }
-
-    /// The sort-key rows of the HAVING survivors, borrowed in place.
-    fn sort_rows<'r>(rows: &'r [GroupRange], kept: &[usize]) -> Vec<&'r GroupRange> {
-        kept.iter().map(|&i| &rows[i]).collect()
-    }
-
-    /// Projects the selected raw-row indices into the presented row block:
-    /// SELECT-clause aggregates, row-aligned HAVING statuses.
-    fn present(
-        stmt: &PreparedStatement,
-        per_agg: &[Arc<[GroupRange]>],
-        statuses: &[HavingStatus],
-        selected: &[usize],
-    ) -> CachedRows {
-        let project = |agg: usize| -> Arc<[GroupRange]> {
-            selected.iter().map(|&i| per_agg[agg][i].clone()).collect()
-        };
-        let having: Vec<HavingStatus> = if statuses.is_empty() {
-            Vec::new()
-        } else {
-            selected.iter().map(|&i| statuses[i]).collect()
-        };
-        CachedRows {
-            rows: project(0),
-            more: (1..stmt.visible_aggregates).map(project).collect(),
-            having: having.into(),
-        }
-    }
-
-    /// Full post-processing of one statement's raw rows: HAVING trichotomy
-    /// (dropping `Violated` rows), then ORDER BY (presentation order) /
-    /// LIMIT (certain top-k) over the sort-key aggregate's intervals of the
-    /// surviving rows, then SELECT-clause projection. The parser guarantees
-    /// LIMIT implies ORDER BY. A statement with neither HAVING nor ORDER BY
-    /// presents its raw rows as they are: the presentation **shares** the raw
-    /// slices instead of copying them.
-    fn post_process(stmt: &PreparedStatement, per_agg: &[Arc<[GroupRange]>]) -> CachedRows {
-        if stmt.having.is_empty() && stmt.order_by.is_none() {
-            return CachedRows {
-                rows: per_agg[0].clone(),
-                more: per_agg[1..stmt.visible_aggregates].to_vec(),
-                having: Arc::new([]),
-            };
-        }
-        let statuses = Self::having_statuses(stmt, per_agg);
-        let kept = Self::kept_indices(&statuses, per_agg[0].len());
-        let selected: Vec<usize> = match stmt.order_by {
-            Some(spec) => {
-                let sort_rows = Self::sort_rows(&per_agg[spec.agg_index], &kept);
-                let picked = match stmt.limit {
-                    Some(k) => certain_topk(&sort_rows, k, spec.descending),
-                    None => order_rows(&sort_rows, spec.descending),
-                };
-                picked.into_iter().map(|j| kept[j]).collect()
-            }
-            None => kept,
-        };
-        Self::present(stmt, per_agg, &statuses, &selected)
-    }
-
-    /// The full evaluation pipeline of one statement over one pinned
-    /// snapshot, producing both the presentation and the raw patch basis.
-    fn compute_result(
-        stmt: &PreparedStatement,
-        snapshot: &Snapshot,
-    ) -> Result<CachedResult, SessionError> {
-        let raw = Self::raw_rows(stmt, snapshot)?;
-        let rows = Self::post_process(stmt, &raw);
-        Ok(CachedResult {
-            epoch: snapshot.epoch,
-            raw,
-            rows,
-        })
-    }
-
-    /// Attempts to bring a stale cached result up to `epoch` by differential
-    /// maintenance, **in place**, at a cost proportional to the delta:
-    /// `O(|dirty| · log rows)` to find what it affects, the work of the
-    /// affected groups to re-derive them, and — only when some row really
-    /// changed — the splice ([`Session::splice`]): an overwrite of the
-    /// changed rows in their seats, or, when groups were born or vanished,
-    /// one move of the kept rows into a new slice. The caller holds the
-    /// statement's lock, and the presentation is dropped before the splice,
-    /// so the raw rows are copied only when an outcome a caller still holds
-    /// shares them (or, for certain top-k, when the old sort rows are kept
-    /// to compare). Nothing is changed before the last fallible step. Returns
-    /// the [`Miss`] — fall back to a full recompute — when the dirty history
-    /// no longer reaches back to the cached epoch (`sources` is that miss),
-    /// or the affected key set covers more than half the rows.
-    ///
-    /// Half the rows is a **measured cut-off**, not a bound that holds by
-    /// construction: re-derivation costs the affected groups' embeddings,
-    /// and on a skewed join the affected rows are the hot groups — 45–50 % of
-    /// the rows of `R(x|y) ⋈ S(y,z|r)` grouped by `x` under Zipf-hot `y`
-    /// writes carry over 70 % of the embeddings. Measured with the in-place
-    /// splice on that statement (1 111 rows at 10⁵ facts, mixed-side batches
-    /// of 8–1 024 events, two seeds, default options on two cores; medians
-    /// per band of affected rows), a patch costs 0.84 of the recompute at
-    /// 30–35 %, 0.90 at 35–40 %, 1.11 at 40–45 % and 1.17 at 45–50 % (a
-    /// splice that copied every row: 0.94, 1.00, 1.19, 1.23); with a second
-    /// aggregate the statement stays at 0.86–0.90 up to half. So the least
-    /// favourable statement breaks even near 40 %, and its patches past that
-    /// cost up to a fifth more than the recompute they replace. A miss costs
-    /// the recompute plus the enumeration that found it (about 1.3 µs per
-    /// dirty block).
-    ///
-    /// The affected key set comes from **one** forward enumeration per
-    /// source, [`RangeCqa::affected_keys`]: every group with an embedding,
-    /// old or new, through a block dirtied since the cached epoch — births,
-    /// value changes and retractions alike, from the dirty keys and the
-    /// retracted facts the log keeps, with nothing recorded at evaluation
-    /// time. The dirty keys are the ids the source's own commits reported,
-    /// read against the source's own pinned index without a lookup: that
-    /// index descends from every index that reported them, and ids are
-    /// append-only along that line. Affected keys are then over-deleted and re-derived DRed-style
-    /// via [`RangeCqa::range_for_groups`] on the source that reported them:
-    /// keys whose embeddings vanished stay gone, new keys appear, everything
-    /// else keeps its cached row unexamined. Whether anything changed is
-    /// decided by comparing the re-derived rows with the rows they replace —
-    /// never the whole result.
-    ///
-    /// A session patches through one source, itself. The sharded front-end
-    /// patches a fan-out result through every shard that advanced: a fan-out
-    /// group is a function of one shard's blocks, so the sources report
-    /// disjoint key sets and each re-derives its own. Shards intern on their
-    /// own, so one value may carry different ids on two of them; each
-    /// source's keys are only ever read against that source's index.
-    fn try_patch(
-        stats: &AtomicStats,
-        stmt: &PreparedStatement,
-        cached: &mut CachedResult,
-        sources: Result<Vec<PatchSource<'_>>, Miss>,
-        epoch: u64,
-    ) -> Result<Result<(), Miss>, SessionError> {
-        // A statically contradictory WHERE clause is answered independently
-        // of the data: the cached synthetic rows hold at every epoch.
-        if stmt.unsatisfiable {
-            cached.epoch = epoch;
-            return Ok(Ok(()));
-        }
-        let sources = match sources {
-            Ok(sources) => sources,
-            Err(miss) => return Ok(Err(miss)),
-        };
-        let per_source: Vec<Vec<Vec<Value>>> = sources
-            .iter()
-            .map(|source| {
-                stmt.engine().affected_keys(
-                    &source.snapshot.index,
-                    source.log.iter().flat_map(|batch| batch.blocks.iter()),
-                    source.log.iter().flat_map(|batch| batch.retracted.iter()),
-                )
-            })
-            .collect();
-        let count: usize = per_source.iter().map(Vec::len).sum();
-        if count == 0 {
-            // No old or new embedding passes through a dirty block: the
-            // result is untouched by the whole delta range.
-            cached.epoch = epoch;
-            return Ok(Ok(()));
-        }
-        let cached_rows = cached.raw[0].len();
-        // Past half the cached rows a patch no longer undercuts the full
-        // recompute on any statement measured (see above).
-        if cached_rows >= 16 && count * 2 > cached_rows {
-            return Ok(Err(Miss::OverHalf));
-        }
-        let mut fresh = vec![Vec::new(); stmt.engines.len()];
-        for (source, keys) in sources.iter().zip(&per_source) {
-            if keys.is_empty() {
-                continue;
-            }
-            for (engine, rows) in stmt.engines.iter().zip(&mut fresh) {
-                let snapshot = source.snapshot;
-                rows.extend(engine.range_for_groups(&snapshot.shape, &snapshot.index, keys)?);
-            }
-        }
-        let mut affected: Vec<Vec<Value>> = per_source.into_iter().flatten().collect();
-        if sources.len() > 1 {
-            // Each source's keys and rows come sorted, and the sources' key
-            // sets are disjoint: one sort puts them in row order.
-            affected.sort_unstable();
-            for rows in &mut fresh {
-                rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-            }
-        }
-        // Aggregates are key-aligned, so one search seats the keys in all.
-        let seats = Self::seats(&cached.raw[0], &affected);
-        let replaced = || seats.iter().filter_map(|seat| seat.ok());
-        let unchanged = cached.raw.iter().zip(&fresh).all(|(old, fresh)| {
-            replaced().count() == fresh.len()
-                && replaced().zip(fresh).all(|(i, row)| old[i] == *row)
-        });
-        cached.epoch = epoch;
-        if unchanged {
-            // Re-derivation confirmed every affected row unchanged, so the
-            // cached presentation (HAVING, selection included) is still
-            // exact.
-            return Ok(Ok(()));
-        }
-        // Nothing fallible is left: the result is patched from here on. The
-        // presentation is taken out first, so that rows it shares with the
-        // raw rows are held once and patch in place.
-        let presented = std::mem::take(&mut cached.rows);
-        // Certain top-k re-decides membership against the old sort rows: it
-        // keeps those, so its sort aggregate is copied once by the splice.
-        let topk = match (stmt.order_by, stmt.limit) {
-            (Some(spec), Some(_)) => {
-                let old_statuses = Self::having_statuses(stmt, &cached.raw);
-                let old_kept = Self::kept_indices(&old_statuses, cached_rows);
-                let old_sort_rows = cached.raw[spec.agg_index].clone();
-                Some((spec, old_kept, old_sort_rows, presented))
-            }
-            _ => {
-                drop(presented);
-                None
-            }
-        };
-        for (rows, fresh) in cached.raw.iter_mut().zip(fresh) {
-            Self::splice(rows, &affected, &seats, fresh);
-        }
-        let raw = &cached.raw;
-        cached.rows = match topk {
-            Some((spec, old_kept, old_sort_rows, presented)) => {
-                // Certain top-k membership is a function of the pairwise
-                // possibly-precedes relation over the HAVING survivors. When
-                // the patch provably preserved that relation, the cached
-                // selection's keys still name exactly the certain rows —
-                // re-presented with their fresh intervals in the fresh
-                // deterministic order. Otherwise membership could change:
-                // recompute the selection honestly (the rows themselves stay
-                // patched — only the selection re-runs).
-                let new_statuses = Self::having_statuses(stmt, raw);
-                let new_kept = Self::kept_indices(&new_statuses, raw[0].len());
-                let old_sort = Self::sort_rows(&old_sort_rows, &old_kept);
-                let new_sort = Self::sort_rows(&raw[spec.agg_index], &new_kept);
-                if topk_selection_preserved(&old_sort, &new_sort, spec.descending) {
-                    let members: BTreeSet<&[Value]> =
-                        presented.rows.iter().map(|r| r.key.as_slice()).collect();
-                    let selected: Vec<usize> = order_rows(&new_sort, spec.descending)
-                        .into_iter()
-                        .filter(|&j| members.contains(new_sort[j].key.as_slice()))
-                        .map(|j| new_kept[j])
-                        .collect();
-                    Self::present(stmt, raw, &new_statuses, &selected)
-                } else {
-                    AtomicStats::bump(&stats.topk_fallbacks);
-                    Self::post_process(stmt, raw)
-                }
-            }
-            None => Self::post_process(stmt, raw),
-        };
-        Ok(Ok(()))
-    }
-
-    /// The stale-or-cold step shared by [`Session::fetch_result_at`] and the
-    /// sharded front-end's fan-out, run under the statement's lock: patch
-    /// the stale result in `slot` (a result behind `epoch`, patched through
-    /// the `sources` it yields) in place through [`Session::try_patch`], or —
-    /// on a miss, or with nothing cached — replace it with `full`. The path
-    /// taken is counted in `stats`.
-    fn refresh<'s>(
-        stats: &AtomicStats,
-        stmt: &PreparedStatement,
-        slot: &mut Option<CachedResult>,
-        sources: impl FnOnce(&CachedResult) -> Result<Vec<PatchSource<'s>>, Miss>,
-        epoch: u64,
-        full: impl FnOnce() -> Result<CachedResult, SessionError>,
-    ) -> Result<(), SessionError> {
-        if let Some(cached) = slot {
-            let sources = sources(cached);
-            match Self::try_patch(stats, stmt, cached, sources, epoch)? {
-                Ok(()) => {
-                    AtomicStats::bump(&stats.partial_recomputes);
-                    AtomicStats::bump(&stats.supported_patches);
-                    return Ok(());
-                }
-                Err(miss) => {
-                    AtomicStats::bump(&stats.support_misses);
-                    AtomicStats::bump(&stats.misses[miss as usize]);
-                }
-            }
-        }
-        AtomicStats::bump(&stats.full_recomputes);
-        // The stale result goes before its replacement is computed.
-        *slot = None;
-        *slot = Some(full()?);
-        Ok(())
-    }
-
-    /// This session as the one patch source of a result cached at `from`,
-    /// read at `snapshot`: its index and the batches committed since, or
-    /// [`Miss::HistoryEvicted`] when the retained history does not reach
-    /// back that far.
-    fn patch_source<'s>(&self, snapshot: &'s Snapshot, from: u64) -> Result<PatchSource<'s>, Miss> {
-        let log = self
-            .dirty_since(from, snapshot.epoch)
-            .ok_or(Miss::HistoryEvicted)?;
-        Ok(PatchSource { snapshot, log })
-    }
-
-    /// The cached results of the statement under (normalized) `sql`, or —
-    /// when it was evicted since it was prepared — a detached empty set the
-    /// reader fills and drops.
-    fn results(&self, sql: &str) -> Arc<Mutex<StatementResults>> {
-        self.read_statements()
-            .get(sql)
-            .map(|entry| entry.results.clone())
-            .unwrap_or_default()
-    }
-
-    /// Locks a statement's results. Unlike the session's other state, they
-    /// are patched in place, so a reader that panicked while holding them
-    /// may have left them torn: a poisoned lock drops them (the next read
-    /// recomputes) rather than serving them.
-    fn lock_results(results: &Mutex<StatementResults>) -> MutexGuard<'_, StatementResults> {
-        results.lock().unwrap_or_else(|poisoned| {
-            results.clear_poison();
-            let mut results = poisoned.into_inner();
-            *results = StatementResults::default();
-            results
-        })
-    }
-
-    /// The cache-aware execution path shared by [`Session::execute`],
-    /// [`Session::execute_many`], and the sharded front-end's designated
-    /// route, against one pinned snapshot: statement lookup, then result
-    /// hit / patch / full pipeline, in that order, under the statement's
-    /// lock. Returns the post-processed presentation. No session-wide lock
-    /// is held while the plan executes.
-    fn fetch_result_at(
-        &self,
-        snapshot: &Snapshot,
-        sql: &str,
-    ) -> Result<(Arc<PreparedStatement>, CachedRows), SessionError> {
-        let stmt = self.prepare_at(snapshot, sql)?;
-        let epoch = snapshot.epoch;
-        let results = self.results(stmt.sql());
-        let mut results = Self::lock_results(&results);
-        let full = || Self::compute_result(&stmt, snapshot);
-        match &results.result {
-            // Hot path: a result computed at exactly this snapshot's epoch
-            // answers without touching the engine or the index.
-            Some(cached) if cached.epoch == epoch => {
-                AtomicStats::bump(&self.stats.result_hits);
-                let rows = cached.rows.clone();
-                return Ok((stmt, rows));
-            }
-            // A result from an epoch ahead of the pinned snapshot is useless
-            // to this reader and stays in place for current ones.
-            Some(cached) if cached.epoch > epoch => {
-                drop(results);
-                AtomicStats::bump(&self.stats.full_recomputes);
-                let rows = full()?.rows;
-                return Ok((stmt, rows));
-            }
-            // A stale result (an epoch behind this snapshot) is the patch
-            // basis.
-            _ => {}
-        }
-        let sources = |cached: &CachedResult| {
-            self.patch_source(snapshot, cached.epoch)
-                .map(|source| vec![source])
-        };
-        Self::refresh(
-            &self.stats,
-            &stmt,
-            &mut results.result,
-            sources,
-            epoch,
-            full,
-        )?;
-        let rows = results.result.as_ref().expect("refreshed").rows.clone();
-        Ok((stmt, rows))
-    }
-
-    /// [`Session::fetch_result_at`] reduced to the presented outcome.
+    /// One read at a pinned snapshot: the front-end's read path with this
+    /// session's store as the statement's one store.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
-        let (stmt, rows) = self.fetch_result_at(snapshot, sql)?;
-        Ok(Self::outcome(&stmt, rows, snapshot.epoch))
+        let stmt = self.front.prepare(snapshot, sql)?;
+        let part = Part {
+            store: &self.store,
+            snapshot,
+        };
+        let rows = self.front.read(&stmt, &[part])?;
+        Ok(Front::outcome(&stmt, rows, snapshot.epoch, 1))
     }
 
     /// Executes a SQL aggregation query: classification plus one
@@ -2025,54 +1007,9 @@ impl Session {
     /// matched and total block counts — is followed by the session-level
     /// post-processing steps (HAVING trichotomy, ORDER BY, certain top-k).
     pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
-        self.explain_at(&self.snapshot(), sql)
-    }
-
-    /// [`Session::explain`] at a pinned snapshot (the sharded front-end
-    /// explains at the mirror snapshot of its consistent cut).
-    fn explain_at(&self, snapshot: &Snapshot, sql: &str) -> Result<String, SessionError> {
-        let stmt = self.prepare_at(snapshot, sql)?;
-        let mut out = String::new();
-        if stmt.unsatisfiable {
-            out.push_str(
-                "contradictory WHERE clause: no repair satisfies it; answered statically\n",
-            );
-            return Ok(out);
-        }
-        for (i, engine) in stmt.engines.iter().enumerate() {
-            if stmt.engines.len() > 1 {
-                out.push_str(&format!(
-                    "aggregate #{i}{}: {}\n",
-                    if i >= stmt.visible_aggregates {
-                        " (hidden: HAVING/ORDER BY only)"
-                    } else {
-                        ""
-                    },
-                    engine.prepared().original.agg,
-                ));
-            }
-            out.push_str(&engine.explain_with_index(&snapshot.shape, &snapshot.index));
-        }
-        for cond in &stmt.having {
-            out.push_str(&format!(
-                "post-process: HAVING aggregate #{} {} {} -> certain/possible kept, violated dropped\n",
-                cond.agg_index, cond.op, cond.threshold,
-            ));
-        }
-        if let Some(spec) = stmt.order_by {
-            let dir = if spec.descending { "DESC" } else { "ASC" };
-            match stmt.limit {
-                Some(k) => out.push_str(&format!(
-                    "post-process: certain top-{k} by aggregate #{} {dir} (rows certainly in the top {k} of every repair)\n",
-                    spec.agg_index,
-                )),
-                None => out.push_str(&format!(
-                    "post-process: ORDER BY aggregate #{} {dir} (presentation order over intervals)\n",
-                    spec.agg_index,
-                )),
-            }
-        }
-        Ok(out)
+        let snapshot = self.snapshot();
+        let stmt = self.front.prepare(&snapshot, sql)?;
+        Ok(Front::explain(&stmt, &snapshot))
     }
 }
 
@@ -2796,6 +1733,7 @@ mod tests {
         let session = stock_session();
         let cached = |sql: &str| {
             session
+                .front
                 .read_statements()
                 .contains_key(&Session::normalize_sql(sql))
         };
@@ -2822,7 +1760,7 @@ mod tests {
             }
             session.delete(&transient).unwrap();
         }
-        assert_eq!(session.read_statements().len(), STATEMENT_CACHE_CAP);
+        assert_eq!(session.front.read_statements().len(), STATEMENT_CACHE_CAP);
         let cold = stock_session();
         for sql in &statements {
             let out = session.execute(sql).unwrap();

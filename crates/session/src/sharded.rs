@@ -1,6 +1,20 @@
-//! A sharded serving front-end: N inner [`Session`] shards behind one
-//! session-shaped API, with deterministic fan-out/merge reads and
-//! group-commit batched writes.
+//! A sharded serving front-end: one front-end over N shard stores and a
+//! mirror store, behind one session-shaped API, with deterministic
+//! fan-out/merge reads and group-commit batched writes.
+//!
+//! ## One front-end over N + 1 stores
+//!
+//! A [`Session`](crate::Session) is a front-end — the statement cache, each statement's
+//! cached result, the patch and post-processing steps, the read counters —
+//! over one store: a snapshot chain with its commit path, dirty log and
+//! optional write-ahead log. A [`ShardedSession`] is **one** front-end over
+//! a store per shard plus the mirror, itself a store. Every statement is
+//! prepared once, in that one cache, whatever its route, and every read
+//! takes the one read path a session takes. A route is the set of stores a
+//! statement's result is read and patched from; the statement's one cached
+//! result is stamped with those stores' epochs, served when they have not
+//! moved, patched through the dirty logs of the stores that advanced, and
+//! evaluated cold per store and merged by key otherwise.
 //!
 //! ## Partitioning rule
 //!
@@ -11,9 +25,8 @@
 //! each block, and with it each repair decision, entirely inside one shard:
 //! shard-local repairs compose into exactly the global repairs and nothing
 //! else. Every shard and the mirror opens over the catalog's schema on the
-//! default numeric domain, as an unsharded [`Session::new`] does, so the
-//! classification and the chosen plan are identical on every shard and on
-//! the mirror.
+//! default numeric domain, as an unsharded [`Session::new`](crate::Session::new) does, so the
+//! classification and the chosen plan are identical on every store.
 //!
 //! ## Read routing and the correctness argument
 //!
@@ -26,68 +39,56 @@
 //! unchanged by edits to (or absence of) any uncovered block. Routes are
 //! certificates over that support:
 //!
-//! * **Fan-out** — the support is a single atom whose key slots are all
-//!   `Const` or `Group` (with at least one `Group`). Each row's instantiated
-//!   pattern then names exactly one block, which the routing hash places on
-//!   exactly one shard. Evaluating the statement on a shard equals
-//!   evaluating it on the global instance with every other shard's blocks
-//!   deleted — deletions that, by the support property, cannot affect any
-//!   row whose block lives here, and cannot *produce* a row whose block
-//!   lives elsewhere. Per-shard row sets are therefore disjoint, globally
-//!   correct, and their union is the global raw row set. Which operator
-//!   computes a bound never matters: the exact-enumeration fallback
-//!   enumerates the repairs of the blocks its group's embeddings touch, so a
-//!   single-atom `SUM` fans out like a single-atom `MAX`.
+//! * **Fan-out** (every shard) — the support is a single atom whose key
+//!   slots are all `Const` or `Group` (with at least one `Group`). Each
+//!   row's instantiated pattern then names exactly one block, which the
+//!   routing hash places on exactly one shard. Evaluating the statement on a
+//!   shard equals evaluating it on the global instance with every other
+//!   shard's blocks deleted — deletions that, by the support property,
+//!   cannot affect any row whose block lives here, and cannot *produce* a
+//!   row whose block lives elsewhere. Per-shard row sets are therefore
+//!   disjoint, globally correct, and their union is the global raw row set.
+//!   Which operator computes a bound never matters: the exact-enumeration
+//!   fallback enumerates the repairs of the blocks its group's embeddings
+//!   touch, so a single-atom `SUM` fans out like a single-atom `MAX`.
 //!
-//!   The **front-end owns the result**: the merged raw rows and their
-//!   presentation, cached with the statement and stamped with the shard
-//!   epochs they reflect — the only copy; shards never prepare, evaluate or
-//!   cache a fan-out statement. A read at the same epochs is that cached
-//!   answer. Since a group is a function of one shard's blocks, a group's
-//!   change is visible in exactly one shard's dirty log, so a read at later
-//!   epochs patches the merged result through the dirty logs of the shards
-//!   that advanced — `affected_keys` over each such shard's index, reading
-//!   that shard's dirty key ids (shards intern on their own, so ids never
-//!   cross a shard; neither do the mirror's), those
-//!   groups re-derived on that shard, spliced in place under the
-//!   statement's lock by the same step ([`Session::try_patch`]) a single
-//!   session patches with. Only a cold
-//!   read or a patch miss evaluates every shard: raw rows are emitted in
-//!   group-key **value order** (`sorted_groups` orders by
-//!   `ValueInterner::cmp_id_tuples`, which is materialised [`Value`] order),
-//!   so a k-way merge by `Vec<Value>` order reproduces the global row order
-//!   byte-for-byte. Post-processing that is *per-row* (the HAVING
-//!   trichotomy over each group's `[glb, lub]`) would be safe per shard,
-//!   but certain top-k and ORDER BY/LIMIT compare rows **across** shards —
-//!   so the front-end runs the statement's full post-processing
-//!   ([`Session::post_process`], built on the `interval` primitives) over
-//!   the merged rows, exactly as the unsharded session does.
-//! * **Designated shard** — every key slot of the single support atom is
-//!   `Const`: all blocks the statement can ever consult live on one
-//!   computable shard, so that shard's answer *is* the global answer
+//!   Since a group is a function of one shard's blocks, a group's change is
+//!   visible in exactly one shard's dirty log, so a stale result patches
+//!   through the shards that advanced, each source's dirty key ids read
+//!   against that shard's own index (stores intern on their own, so ids
+//!   never cross a store). A cold read evaluates every shard: raw rows are
+//!   emitted in group-key **value order**, so a k-way merge by
+//!   `Vec<Value>` order reproduces the global row order byte-for-byte.
+//!   Post-processing that is *per-row* (the HAVING trichotomy) would be safe
+//!   per shard, but certain top-k and ORDER BY/LIMIT compare rows **across**
+//!   shards — so the statement's full post-processing runs over the merged
+//!   (or patched) rows, exactly as over one store.
+//! * **Designated shard** (one shard) — every key slot of the single
+//!   support atom is `Const`: all blocks the statement can ever consult live
+//!   on one computable shard, so that shard's answer *is* the global answer
 //!   (again: all other shards' blocks are uncovered). Statements with a
 //!   contradictory WHERE clause are answered statically and data-
 //!   independently, so they are designated to shard 0.
-//! * **Cross-shard combine** — everything else: joins (two or more support
-//!   atoms: the same group key hashes to different shards under different
-//!   relation names) and patterns with an `Any` slot (one row may consult
-//!   blocks on several shards). These are
-//!   answered **honestly, never silently wrong**, on the *mirror*: a full
-//!   in-memory unsharded [`Session`] that the front-end keeps at the shards'
-//!   union state by replaying every effective event. The mirror answer is
-//!   the unsharded answer by definition.
+//! * **Cross-shard combine** (the mirror) — everything else: joins (two or
+//!   more support atoms: the same group key hashes to different shards under
+//!   different relation names) and patterns with an `Any` slot (one row may
+//!   consult blocks on several shards). These are answered **honestly,
+//!   never silently wrong**, from the *mirror*: an in-memory store the
+//!   front-end keeps at the shards' union state by replaying every
+//!   effective event. Its answer is the unsharded answer by definition, and
+//!   its dirty log patches a combine statement's result as a session's does.
 //!
-//! Merged outcomes are re-stamped with the front-end's global epoch (the
-//! number of effective operations applied since open, which equals the sum
-//! of the shard epochs) and with the number of shards consulted
+//! Outcomes are stamped with the front-end's global epoch (the number of
+//! effective operations applied since open, which equals the sum of the
+//! shard epochs) and with the number of shards consulted
 //! ([`QueryOutcome::shards`]).
 //!
 //! ## Write path: group commit
 //!
 //! [`ShardedSession::insert`] / [`ShardedSession::delete`] enqueue the event
 //! on its shard's commit coordinator and then contend for that shard's
-//! leader lock. Whoever wins drains the whole queue, commits it through
-//! [`Session::apply_batch`] — one snapshot publish and at most one WAL
+//! leader lock. Whoever wins drains the whole queue, commits it to the
+//! shard's store as one batch — one snapshot publish and at most one WAL
 //! append for every event that piled up while the previous commit was in
 //! flight — and distributes per-event results to the waiting submitters.
 //! Under a durable shard with [`SyncPolicy::Always`](crate::SyncPolicy::Always),
@@ -114,20 +115,20 @@
 //! A durable front-end lays out `dir/SHARDS` (the shard count, refused on
 //! mismatch — re-sharding a directory is not resharding the data) and one
 //! WAL directory `dir/shard-NNN` per shard. [`ShardedSession::open`]
-//! recovers every shard independently, **verifies the cross-shard frontier**
-//! — every recovered fact must route to the shard that holds it — and
-//! rebuilds the mirror from the recovered union.
+//! recovers every shard's store independently, **verifies the cross-shard
+//! frontier** — every recovered fact must route to the shard that holds it
+//! — and rebuilds the mirror from the recovered union.
 
+use crate::front::{Front, Part};
+use crate::store::Store;
 use crate::{
-    AtomicStats, CachedResult, Miss, PatchReasons, PatchSource, PreparedStatement, QueryOutcome,
-    Session, SessionError, SessionStats, Snapshot, StatementResults, WalOptions,
+    PatchReasons, PreparedStatement, QueryOutcome, SessionError, SessionStats, Snapshot, WalOptions,
 };
-use rcqa_core::engine::{EngineOptions, GroupRange};
-use rcqa_core::plan::exec::run_shards;
+use rcqa_core::engine::EngineOptions;
 use rcqa_core::SupportSlot;
 use rcqa_data::{codec, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa_query::Catalog;
-use rcqa_wal::WalError;
+use rcqa_wal::{FsStorage, WalError};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -172,15 +173,15 @@ fn shard_of(relation: &str, block_key: &[Value], shards: usize) -> usize {
 }
 
 /// The read route certified by a statement's [`RowSupport`] — see the
-/// module docs for why each route is answer-preserving.
+/// module docs for why each route is answer-preserving. A route is the set
+/// of stores the statement's result is read and patched from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Route {
-    /// The front-end's merged result, patched through the shards' dirty
-    /// logs (cold: evaluated on every shard and merged by group key).
+    /// Every shard: each group's blocks live on one (row-determined) shard.
     Fanout,
     /// Every block the statement can consult lives on this shard.
     Designated(usize),
-    /// Evaluate on the synced mirror (support is not shard-local).
+    /// The mirror (support is not shard-local).
     Combine,
 }
 
@@ -201,12 +202,10 @@ struct Coordinator {
     leader: Mutex<()>,
 }
 
-/// Route and coalescing counters of the front-end itself (the per-shard
-/// [`SessionStats`] live in the shards).
+/// Route and coalescing counters of the sharded front-end (its read
+/// counters are the front-end's, its commit counters the stores').
 #[derive(Default)]
 struct FrontStats {
-    /// Fan-out result hits, patches, full recomputes and misses.
-    fanout: AtomicStats,
     fanout_queries: AtomicU64,
     designated_queries: AtomicU64,
     combine_queries: AtomicU64,
@@ -226,24 +225,26 @@ struct Pinned {
     epoch: u64,
 }
 
-/// Aggregated observability of a [`ShardedSession`]: per-shard counters,
-/// their field-wise total, the mirror's counters, the per-shard epoch
-/// frontier, and the front-end's own route/coalescing counters.
+/// Aggregated observability of a [`ShardedSession`]: per-store commit
+/// counters, the front-end's read counters folded into `totals`, the
+/// mirror's commit counters, the per-shard epoch frontier, and the
+/// front-end's own route/coalescing counters. `totals.merge(mirror)` counts
+/// every counter exactly once.
 #[derive(Clone, Debug)]
 pub struct ShardedStats {
-    /// Each shard's serving-layer counters, in shard order.
+    /// Each shard store's commit counters (index builds, deltas applied,
+    /// WAL appends, checkpoints, batched commits), in shard order. A store
+    /// counts no read: its read counters are 0.
     pub shards: Vec<SessionStats>,
-    /// The front-end's fan-out results: `result_hits`, `supported_patches`
-    /// (with `partial_recomputes`), `full_recomputes`, `support_misses` and
-    /// `topk_fallbacks`. One fan-out read counts once here; the shards never
-    /// see it.
-    pub fanout: SessionStats,
-    /// Field-wise sum of `shards` and `fanout` — patch/miss behaviour stays
-    /// observable under sharding through the same fields as a single
-    /// session.
+    /// The front-end's read counters — statements prepared, statement and
+    /// result hits, patches, misses, recomputes, top-k re-selections,
+    /// evictions: one read counts once here, whatever its route — plus the
+    /// field-wise sum of `shards`. Patch/miss behaviour stays observable
+    /// under sharding through the same fields as a single session.
     pub totals: SessionStats,
-    /// The mirror session's counters (cross-shard combines evaluate here;
-    /// its `deltas_applied` counts replayed events).
+    /// The mirror store's commit counters (its `deltas_applied` counts
+    /// replayed events; cross-shard combines read it, and their reads count
+    /// in `totals`).
     pub mirror: SessionStats,
     /// Each shard's epoch (effective operations committed to it). The
     /// front-end epoch is the sum of this vector.
@@ -265,9 +266,10 @@ pub struct ShardedStats {
     pub mirror_events: u64,
 }
 
-/// A partitioned serving front-end over N inner [`Session`] shards.
+/// A partitioned serving front-end: one front-end over N shard stores and
+/// a mirror store.
 ///
-/// The API mirrors [`Session`] — insert/delete/insert_all, prepare/execute/
+/// The API mirrors [`Session`](crate::Session) — insert/delete/insert_all, prepare/execute/
 /// execute_many/explain, stats/epoch/sync — and every answer is
 /// **byte-identical** to the same statement on one unsharded session holding
 /// the same facts (`tests/session_sharded.rs` asserts this property across
@@ -275,15 +277,14 @@ pub struct ShardedStats {
 /// See the module docs (`sharded.rs`) for the routing rule, the per-route
 /// correctness argument, and the group-commit write path.
 pub struct ShardedSession {
-    shards: Vec<Session>,
+    /// The one statement cache, result cache and set of read counters.
+    front: Front,
+    shards: Vec<Store>,
     coordinators: Vec<Coordinator>,
-    /// A full in-memory unsharded session kept at the shards' union state:
-    /// statements prepare here (preparation is data-independent — schema
-    /// and numeric domain are fixed at construction and identical
-    /// everywhere), a fan-out statement's merged result is cached with its
-    /// statement here (and evicted with it), and cross-shard combine queries
-    /// are answered here.
-    mirror: Session,
+    /// An in-memory store kept at the shards' union state: cross-shard
+    /// combine statements read it, and statements prepare over its schema
+    /// and numeric domain (identical to every shard's).
+    mirror: Store,
     /// Effective events committed to shards but not yet replayed into the
     /// mirror. Pushed under the committing shard's leader lock (same-block
     /// events are therefore pushed in commit order; cross-shard events
@@ -322,14 +323,17 @@ impl ShardedSession {
     /// With zero shards (there is nowhere to route anything).
     pub fn new(catalog: Catalog, shards: usize) -> ShardedSession {
         assert!(shards > 0, "a sharded session needs at least one shard");
-        let sessions = (0..shards).map(|_| Session::new(catalog.clone())).collect();
-        let mirror = Session::new(catalog);
-        ShardedSession::assemble(sessions, mirror, 0)
+        let stores = (0..shards)
+            .map(|_| Store::empty(catalog.schema()))
+            .collect();
+        let mirror = Store::empty(catalog.schema());
+        ShardedSession::assemble(catalog, stores, mirror, 0)
     }
 
-    fn assemble(shards: Vec<Session>, mirror: Session, ops: u64) -> ShardedSession {
+    fn assemble(catalog: Catalog, shards: Vec<Store>, mirror: Store, ops: u64) -> ShardedSession {
         let coordinators = (0..shards.len()).map(|_| Coordinator::default()).collect();
         ShardedSession {
+            front: Front::new(catalog),
             shards,
             coordinators,
             mirror,
@@ -404,9 +408,10 @@ impl ShardedSession {
             }
             Err(e) => return Err(e.into()),
         }
-        let sessions: Vec<Session> = (0..shards)
+        let stores: Vec<Store> = (0..shards)
             .map(|i| {
-                Session::open_with(catalog.clone(), dir.join(format!("shard-{i:03}")), options)
+                let storage = FsStorage::open(dir.join(format!("shard-{i:03}")))?;
+                Store::recover(catalog.schema(), Box::new(storage), options)
             })
             .collect::<Result<_, _>>()?;
         // Verify the cross-shard frontier: every recovered fact routes to
@@ -415,7 +420,7 @@ impl ShardedSession {
         // the recovered union a faithful re-partitioning.) The same pass
         // collects the facts for the mirror, rebuilt at the recovered union
         // by one bulk load.
-        let recovered: Vec<_> = sessions.iter().map(Session::snapshot).collect();
+        let recovered: Vec<_> = stores.iter().map(Store::snapshot).collect();
         let mut facts = Vec::with_capacity(recovered.iter().map(|snap| snap.index.len()).sum());
         for (i, snap) in recovered.iter().enumerate() {
             for fact in snap.index.rows().map(|row| row.to_fact()) {
@@ -439,22 +444,19 @@ impl ShardedSession {
         let held = facts.len();
         let loaded = union.load(facts)?;
         debug_assert_eq!(loaded, held, "routed shards hold disjoint facts");
-        let mirror = Session::with_instance(catalog, union);
-        let ops = sessions.iter().map(|s| s.epoch()).sum();
-        Ok(ShardedSession::assemble(sessions, mirror, ops))
+        let mirror = Store::new(Arc::new(union), 0, None);
+        let ops = recovered.iter().map(|snap| snap.epoch).sum();
+        drop(recovered);
+        Ok(ShardedSession::assemble(catalog, stores, mirror, ops))
     }
 
-    /// Overrides the engine options on every shard and on the mirror —
-    /// identical options everywhere keep per-shard plans identical to the
-    /// global plan (the byte-identity argument needs nothing more than the
-    /// support property, but identical plans keep `explain` honest too).
+    /// Overrides the engine options of the front-end: the statement cache
+    /// is cleared, the stores keep everything. One set of options for every
+    /// store keeps per-shard plans identical to the global plan (the
+    /// byte-identity argument needs nothing more than the support property,
+    /// but identical plans keep `explain` honest too).
     pub fn with_options(mut self, options: EngineOptions) -> ShardedSession {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_options(options))
-            .collect();
-        self.mirror = self.mirror.with_options(options);
+        self.front = self.front.with_options(options);
         self
     }
 
@@ -465,7 +467,7 @@ impl ShardedSession {
 
     /// The front-end's catalog.
     pub fn catalog(&self) -> &Catalog {
-        self.mirror.catalog()
+        self.front.catalog()
     }
 
     /// The global epoch: effective operations applied through this
@@ -479,38 +481,35 @@ impl ShardedSession {
     /// The per-shard epoch frontier: each shard's effective-operation
     /// count, in shard order.
     pub fn epoch_frontier(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
+        self.shards.iter().map(|s| s.snapshot().epoch).collect()
     }
 
     /// Whether the shards persist commits to write-ahead logs.
     pub fn is_durable(&self) -> bool {
-        self.shards.iter().any(|s| s.is_durable())
+        self.shards.iter().any(Store::is_durable)
     }
 
     /// The per-shard durable frontier (each shard's last fsync-covered
     /// epoch), or `None` for an in-memory front-end.
     pub fn durable_frontier(&self) -> Option<Vec<u64>> {
-        self.shards.iter().map(|s| s.durable_epoch()).collect()
+        self.shards.iter().map(Store::durable_epoch).collect()
     }
 
     /// Forces an fsync of every shard's write-ahead log.
     pub fn sync(&self) -> Result<(), SessionError> {
-        for shard in &self.shards {
-            shard.sync()?;
-        }
-        Ok(())
+        self.shards.iter().try_for_each(Store::sync)
     }
 
-    /// Aggregated counters: per shard, the fan-out results, their total, the
-    /// mirror, the epoch frontier, and the front-end's route/coalescing
-    /// counters.
+    /// Aggregated counters: each shard store's commits, the front-end's
+    /// reads plus the shards' commits as `totals`, the mirror's commits,
+    /// the epoch frontier, and the front-end's route/coalescing counters.
     pub fn stats(&self) -> ShardedStats {
-        let shards: Vec<SessionStats> = self.shards.iter().map(|s| s.stats()).collect();
-        let fanout = self.stats.fanout.snapshot();
-        let totals = shards.iter().fold(fanout, |acc, s| acc.merge(*s));
+        let shards: Vec<SessionStats> = self.shards.iter().map(Store::stats).collect();
+        let totals = shards
+            .iter()
+            .fold(self.front.stats(), |acc, s| acc.merge(*s));
         ShardedStats {
             shards,
-            fanout,
             totals,
             mirror: self.mirror.stats(),
             epoch_frontier: self.epoch_frontier(),
@@ -524,17 +523,11 @@ impl ShardedSession {
         }
     }
 
-    /// Why stale results missed the patch path, summed over the shards, the
-    /// fan-out results and the mirror (the `totals` and mirror
-    /// [`SessionStats::support_misses`] of [`ShardedSession::stats`] add up
-    /// to its total).
+    /// Why stale results missed the patch path, whatever their route (the
+    /// `totals` [`SessionStats::support_misses`] of
+    /// [`ShardedSession::stats`] is its total).
     pub fn patch_reasons(&self) -> PatchReasons {
-        self.shards.iter().fold(
-            self.mirror
-                .patch_reasons()
-                .merge(self.stats.fanout.patch_reasons()),
-            |acc, shard| acc.merge(shard.patch_reasons()),
-        )
+        self.front.patch_reasons()
     }
 
     /// The union instance across all shards, at a consistent cut.
@@ -567,7 +560,7 @@ impl ShardedSession {
 
     /// Inserts many facts as one cross-shard batch: the whole batch is
     /// validated up front (a schema violation rejects everything, matching
-    /// [`Session::insert_all`]), then each shard's slice commits atomically
+    /// [`Session::insert_all`](crate::Session::insert_all)), then each shard's slice commits atomically
     /// under the exclusive frontier lock, so readers observe all slices or
     /// none.
     pub fn insert_all(&self, facts: impl IntoIterator<Item = Fact>) -> Result<(), SessionError> {
@@ -717,7 +710,7 @@ impl ShardedSession {
             self.coordinators.iter().map(|c| lock(&c.leader)).collect();
         self.sync_mirror()?;
         Ok(Pinned {
-            snaps: self.shards.iter().map(|s| s.snapshot()).collect(),
+            snaps: self.shards.iter().map(Store::snapshot).collect(),
             mirror: self.mirror.snapshot(),
             epoch: self.ops_applied.load(Ordering::Relaxed),
         })
@@ -727,16 +720,16 @@ impl ShardedSession {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Parses, classifies, and plans a SQL statement (on the mirror, whose
-    /// schema and numeric domain — and therefore preparation — are
+    /// Parses, classifies, and plans a SQL statement into the front-end's
+    /// one statement cache (over the mirror's schema and numeric domain,
     /// identical to every shard's).
     pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedStatement>, SessionError> {
-        self.mirror.prepare(sql)
+        self.front.prepare(&self.mirror.snapshot(), sql)
     }
 
     /// Executes a SQL aggregation query across the shards. The answer —
     /// rows, order, classification, HAVING statuses — is byte-identical to
-    /// [`Session::execute`] on one unsharded session holding the same
+    /// [`Session::execute`](crate::Session::execute) on one unsharded session holding the same
     /// facts; [`QueryOutcome::shards`] reports how many shards the route
     /// consulted and [`QueryOutcome::epoch`] carries the front-end's global
     /// epoch.
@@ -758,137 +751,40 @@ impl ShardedSession {
             .collect()
     }
 
+    /// One read at a consistent cut: the statement is prepared once, its
+    /// route names the stores it reads, and the front-end's one read path
+    /// serves, patches or evaluates it over them.
     fn execute_pinned(&self, pinned: &Pinned, sql: &str) -> Result<QueryOutcome, SessionError> {
-        let stmt = self.mirror.prepare(sql)?;
-        match self.route(&stmt) {
+        let stmt = self.front.prepare(&pinned.mirror, sql)?;
+        let (parts, consulted) = match self.route(&stmt) {
             Route::Fanout => {
                 bump(&self.stats.fanout_queries);
-                self.execute_fanout(pinned, &stmt)
+                let parts = self.shards.iter().zip(&pinned.snaps);
+                let parts = parts.map(|(store, snapshot)| Part { store, snapshot });
+                (parts.collect(), self.shards.len())
             }
             Route::Designated(shard) => {
                 bump(&self.stats.designated_queries);
-                let (shard_stmt, rows) =
-                    self.shards[shard].fetch_result_at(&pinned.snaps[shard], stmt.sql())?;
-                // `outcome` stamps `shards: 1` — exactly right here.
-                Ok(Session::outcome(&shard_stmt, rows, pinned.epoch))
+                let (store, snapshot) = (&self.shards[shard], &pinned.snaps[shard]);
+                (vec![Part { store, snapshot }], 1)
             }
             Route::Combine => {
                 bump(&self.stats.combine_queries);
-                let mut out = self.mirror.execute_at(&pinned.mirror, stmt.sql())?;
-                out.epoch = pinned.epoch;
-                out.shards = self.shards.len();
-                Ok(out)
-            }
-        }
-    }
-
-    /// The fan-out read, answered from the one merged result the front-end
-    /// caches with the statement, stamped with the shard epochs it reflects.
-    /// At the pinned frontier it is served as it is; behind it, it is patched
-    /// in place, under the statement's lock, through the dirty logs of the
-    /// shards that advanced ([`Session::try_patch`] with one source per such
-    /// shard). Only a cold read or a miss evaluates every shard.
-    fn execute_fanout(
-        &self,
-        pinned: &Pinned,
-        stmt: &PreparedStatement,
-    ) -> Result<QueryOutcome, SessionError> {
-        let epochs = || pinned.snaps.iter().map(|snap| snap.epoch());
-        let results = self.mirror.results(stmt.sql());
-        let mut results = Session::lock_results(&results);
-        let evaluate = || self.evaluate_fanout(pinned, stmt);
-        let rows = match &results.fanout {
-            Some(cached) if results.frontier.iter().copied().eq(epochs()) => {
-                bump(&self.stats.fanout.result_hits);
-                cached.rows.clone()
-            }
-            // Pinned frontiers are ordered: a result ahead of the pin on some
-            // shard comes from a later pin, is useless to this reader, and
-            // stays in place for current ones.
-            Some(_)
-                if results
-                    .frontier
-                    .iter()
-                    .zip(epochs())
-                    .any(|(&cached, pin)| cached > pin) =>
-            {
-                drop(results);
-                bump(&self.stats.fanout.full_recomputes);
-                evaluate()?.rows
-            }
-            _ => {
-                let StatementResults {
-                    fanout, frontier, ..
-                } = &mut *results;
-                let sources = |_: &CachedResult| self.advanced(pinned, frontier);
-                Session::refresh(
-                    &self.stats.fanout,
-                    stmt,
-                    fanout,
-                    sources,
-                    pinned.epoch,
-                    evaluate,
-                )?;
-                results.frontier = epochs().collect();
-                results.fanout.as_ref().expect("refreshed").rows.clone()
+                let (store, snapshot) = (&self.mirror, &pinned.mirror);
+                (vec![Part { store, snapshot }], self.shards.len())
             }
         };
-        let mut out = Session::outcome(stmt, rows, pinned.epoch);
-        out.shards = self.shards.len();
-        Ok(out)
+        let rows = self.front.read(&stmt, &parts)?;
+        Ok(Front::outcome(&stmt, rows, pinned.epoch, consulted))
     }
 
-    /// The shards that advanced from `from` to the pin (which is at or past
-    /// `from` on every shard), as the patch sources of a fan-out result
-    /// stamped `from`.
-    fn advanced<'p>(&self, pinned: &'p Pinned, from: &[u64]) -> Result<Vec<PatchSource<'p>>, Miss> {
-        self.shards
-            .iter()
-            .zip(&pinned.snaps)
-            .zip(from)
-            .filter(|((_, snap), &from)| snap.epoch() > from)
-            .map(|((shard, snap), &from)| shard.patch_source(snap, from))
-            .collect()
-    }
-
-    /// The cold fan-out: evaluate on every shard (in parallel per
-    /// [`EngineOptions::threads`] conventions), k-way merge the disjoint
-    /// per-aggregate raw rows by group key, and run the statement's global
-    /// post-processing over the merged set.
-    fn evaluate_fanout(
-        &self,
-        pinned: &Pinned,
-        stmt: &PreparedStatement,
-    ) -> Result<CachedResult, SessionError> {
-        let shards: Vec<&Arc<Snapshot>> = pinned.snaps.iter().collect();
-        let evaluate = |snap: &Arc<Snapshot>| Session::raw_rows(stmt, snap);
-        let evaluated: Vec<_> = if self.mirror.options().resolve_threads() > 1 {
-            run_shards(shards, evaluate)
-        } else {
-            shards.into_iter().map(evaluate).collect()
-        };
-        let parts = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let raw: Box<[Arc<[GroupRange]>]> = (0..stmt.engines.len())
-            .map(|agg| {
-                let lists: Vec<&[GroupRange]> = parts.iter().map(|part| &*part[agg]).collect();
-                merge_by_key(&lists)
-            })
-            .collect();
-        let rows = Session::post_process(stmt, &raw);
-        Ok(CachedResult {
-            epoch: pinned.epoch,
-            raw,
-            rows,
-        })
-    }
-
-    /// An `EXPLAIN`-style rendering: the chosen shard route, then the
-    /// mirror's plan rendering at a consistent cut (the plan is identical to
-    /// every shard's — same options, same schema, same domain — and the
+    /// An `EXPLAIN`-style rendering: the chosen shard route, then the plan
+    /// rendering over the mirror at a consistent cut (the plan is identical
+    /// to every shard's — same options, same schema, same domain — and the
     /// access path's block counts are those of the union of the shards).
     pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
         let pinned = self.pin()?;
-        let stmt = self.mirror.prepare(sql)?;
+        let stmt = self.front.prepare(&pinned.mirror, sql)?;
         let route = match self.route(&stmt) {
             Route::Fanout => format!(
                 "route: fan-out across {} shards — the front-end's merged result is patched \
@@ -906,8 +802,7 @@ impl ShardedSession {
                 self.shards.len()
             ),
         };
-        let plan = self.mirror.explain_at(&pinned.mirror, sql)?;
-        Ok(format!("{route}{plan}"))
+        Ok(format!("{route}{}", Front::explain(&stmt, &pinned.mirror)))
     }
 
     /// The read route certified by the statement's support — see the module
@@ -956,33 +851,6 @@ fn route_fact(catalog: &Catalog, fact: &Fact, shards: usize) -> usize {
     shard_of(fact.relation(), key, shards)
 }
 
-/// K-way merge of per-shard raw row lists. Each list is sorted by group-key
-/// value order and the key sets are pairwise disjoint (each group's block
-/// lives on one shard), so a plain smallest-head merge reproduces the
-/// global sorted order with no tie to break.
-fn merge_by_key(lists: &[&[GroupRange]]) -> Arc<[GroupRange]> {
-    let mut cursors = vec![0usize; lists.len()];
-    let total = lists.iter().map(|l| l.len()).sum();
-    // A mapped range has a trusted length: one allocation, exactly sized.
-    (0..total)
-        .map(|_| {
-            let mut best = None;
-            for (i, list) in lists.iter().enumerate() {
-                let Some(row) = list.get(cursors[i]) else {
-                    continue;
-                };
-                best = match best {
-                    Some((_, head)) if head <= &row.key => best,
-                    _ => Some((i, &row.key)),
-                };
-            }
-            let (i, _) = best.expect("fewer rows taken than the lists hold");
-            cursors[i] += 1;
-            lists[i][cursors[i] - 1].clone()
-        })
-        .collect()
-}
-
 // The whole point: one front-end shared across reader and writer threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -993,6 +861,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
+    use rcqa_core::engine::GroupRange;
     use rcqa_data::fact;
     use rcqa_query::TableDef;
 
@@ -1050,20 +920,21 @@ mod tests {
     fn facts_partition_across_shards_and_epochs_sum() {
         let sharded = ShardedSession::new(catalog(), 4);
         seed(&sharded);
-        let per_shard: usize = sharded.shards.iter().map(|s| s.database().len()).sum();
+        let per_shard: usize = sharded.shards.iter().map(|s| s.snapshot().db().len()).sum();
         assert_eq!(per_shard, 7);
         assert_eq!(sharded.epoch(), 7);
         assert_eq!(sharded.epoch_frontier().iter().sum::<u64>(), 7);
         for (i, shard) in sharded.shards.iter().enumerate() {
-            for fact in shard.database().facts() {
+            for fact in shard.snapshot().db().facts() {
                 assert_eq!(sharded.shard_for(fact), i);
             }
         }
     }
 
     /// The mirror holds exactly the union of the shards' facts, and every
-    /// route's answer is the mirror's own: a fan-out merged from the shards,
-    /// a designated shard's, and the combine the mirror evaluates.
+    /// route's answer is a session's over the mirror's facts: a fan-out
+    /// merged from the shards, a designated shard's, and the combine read
+    /// from the mirror.
     #[test]
     fn shard_and_mirror_agree_on_facts_and_answers() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -1072,11 +943,12 @@ mod tests {
         let mut union = DatabaseInstance::new(catalog().schema());
         for shard in &sharded.shards {
             union
-                .load(shard.database().facts().cloned().collect())
+                .load(shard.snapshot().db().facts().cloned().collect())
                 .unwrap();
         }
         assert_eq!(*mirror, union);
         assert_eq!(mirror.len(), 7);
+        let direct = Session::with_instance(catalog(), mirror);
         for sql in [
             "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
             "SELECT MAX(S.Qty) FROM Stock AS S WHERE S.Product = 'Tesla X' AND S.Town = 'Boston'",
@@ -1084,7 +956,7 @@ mod tests {
              WHERE D.Town = S.Town GROUP BY D.Name",
         ] {
             let routed = sharded.execute(sql).unwrap();
-            let direct = sharded.mirror.execute(sql).unwrap();
+            let direct = direct.execute(sql).unwrap();
             assert_eq!(routed.rows, direct.rows, "{sql}");
             assert_eq!(routed.more_aggregates, direct.more_aggregates, "{sql}");
             assert_eq!(routed.having, direct.having, "{sql}");
@@ -1133,9 +1005,14 @@ mod tests {
         let reference = reference();
         let sql = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
                    GROUP BY S.Product, S.Town";
+        // Every read below is a fan-out read, counted once in `totals`.
+        let start = sharded.stats().totals;
         let first = sharded.execute(sql).unwrap();
         let first_rows = first.rows.to_vec();
-        assert_eq!(sharded.stats().fanout.full_recomputes, 1);
+        assert_eq!(
+            sharded.stats().totals.full_recomputes - start.full_recomputes,
+            1
+        );
         // No write in between: the cached result answers, and no shard is
         // asked anything.
         let shards = sharded.stats().shards;
@@ -1143,11 +1020,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first.rows, &again.rows));
         let stats = sharded.stats();
         assert_eq!(stats.shards, shards);
-        assert_eq!(stats.fanout.result_hits, 1);
-        let key = Session::normalize_sql(sql);
-        for shard in &sharded.shards {
-            assert!(!shard.read_statements().contains_key(&key));
-        }
+        assert_eq!(stats.totals.result_hits - start.result_hits, 1);
         // A write to the other relation: the one shard that advanced reports
         // no affected group, so the result is restamped, not spliced.
         let dealer = fact!("Dealers", "Lopez", "Boston");
@@ -1156,9 +1029,9 @@ mod tests {
         let restamped = sharded.execute(sql).unwrap();
         assert!(Arc::ptr_eq(&first.rows, &restamped.rows));
         assert_eq!(restamped.rows, reference.execute(sql).unwrap().rows);
-        let stats = sharded.stats();
-        assert_eq!(stats.fanout.supported_patches, 1);
-        assert_eq!(stats.fanout.full_recomputes, 1);
+        let stats = sharded.stats().totals;
+        assert_eq!(stats.supported_patches - start.supported_patches, 1);
+        assert_eq!(stats.full_recomputes - start.full_recomputes, 1);
         // A cross-shard batch into the statement's relation: every advanced
         // shard patches its own groups into the merged rows.
         let stock = [
@@ -1171,10 +1044,9 @@ mod tests {
         let spliced = sharded.execute(sql).unwrap();
         assert!(!Arc::ptr_eq(&first.rows, &spliced.rows));
         assert_same(&sharded, &reference, sql);
-        let stats = sharded.stats();
-        assert_eq!(stats.fanout.supported_patches, 2);
-        assert_eq!(stats.fanout.full_recomputes, 1);
-        assert_eq!(stats.totals.supported_patches, 2);
+        let stats = sharded.stats().totals;
+        assert_eq!(stats.supported_patches - start.supported_patches, 2);
+        assert_eq!(stats.full_recomputes - start.full_recomputes, 1);
         assert_eq!(sharded.patch_reasons().total(), 0);
         assert_eq!(spliced.epoch, sharded.epoch());
         // The outcome held across both patches still reads its rows.
@@ -1212,7 +1084,7 @@ mod tests {
             sharded.apply_batch(std::slice::from_ref(&event)).unwrap();
             reference.apply_batch(&[event]).unwrap();
         };
-        let before = sharded.stats().fanout;
+        let before = sharded.stats().totals;
         read_and_hold(&sharded, &reference);
         write(DeltaEvent::insert(fact!("Stock", "Tesla Z", "Chicago", 37)));
         read_and_hold(&sharded, &reference);
@@ -1222,7 +1094,7 @@ mod tests {
             "Stock", "Tesla Y", "New York", 95
         )));
         read_and_hold(&sharded, &reference);
-        let stats = sharded.stats().fanout;
+        let stats = sharded.stats().totals;
         assert_eq!(stats.full_recomputes - before.full_recomputes, 3);
         assert_eq!(stats.supported_patches - before.supported_patches, 9);
         // Every write changed the plain statement's rows.
@@ -1249,7 +1121,7 @@ mod tests {
         let after = sharded.execute(base).unwrap();
         assert_ne!(copied(&after), before);
         assert_eq!(
-            sharded.stats().fanout.supported_patches,
+            sharded.stats().totals.supported_patches,
             stats.supported_patches + 1
         );
         assert_eq!(after.rows.as_ptr(), rows);

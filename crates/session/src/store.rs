@@ -1,0 +1,349 @@
+//! The store: one partition's data and its write path — the snapshot chain,
+//! commits (incremental, bulk load, recovery), the write-ahead log, the
+//! dirty log a stale read patches through, and the commit counters.
+//!
+//! A [`Session`](crate::Session) is a front-end over one store; a
+//! [`ShardedSession`](crate::ShardedSession) is one front-end over a store
+//! per shard plus the mirror, itself a store. A store answers nothing: it
+//! knows no statement, caches no result and counts no read.
+
+use crate::{AtomicStats, Miss, SessionError, SessionStats, Snapshot, DIRTY_LOG_CAP};
+use rcqa_core::index::{DbIndex, DirtyKeys};
+use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Schema};
+use rcqa_wal::{Wal, WalError, WalOptions, WalStorage};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+
+/// One committed write batch as result patching needs it: the blocks it
+/// changed, as [`DbIndex::apply_events`] reported them — per relation, the
+/// blocks' key ids as flat rows, in the id space of the index the batch
+/// produced — and the facts it retracted (its effective deletes, moved here
+/// from the logged events).
+#[derive(Debug)]
+pub(crate) struct DirtyBatch {
+    pub(crate) blocks: Vec<DirtyKeys>,
+    pub(crate) retracted: Box<[Fact]>,
+}
+
+/// The dirty history writers maintain for result patching: one entry per
+/// committed write batch, `(epoch after the batch, the batch)`, oldest
+/// first. Results cached at an epoch `< log_floor` predate the retained
+/// (gap-free) history and must recompute in full.
+///
+/// The log is a [`VecDeque`]: eviction past [`DIRTY_LOG_CAP`] pops the
+/// oldest entry from the front in `O(1)` (a `Vec::remove(0)` here used to
+/// shift the whole capacity on every write of a long-lived session).
+///
+/// Each batch sits behind an `Arc`: a stale read clones pointers under the
+/// lock committers also take, never the blocks or facts (up to cap × batch
+/// size of them).
+#[derive(Debug, Default)]
+struct Maintenance {
+    dirty_log: VecDeque<(u64, Arc<DirtyBatch>)>,
+    log_floor: u64,
+}
+
+/// One store a stale result patches through (`Front::try_patch`): its
+/// pinned snapshot and the batches committed to it since the result was
+/// cached.
+pub(crate) struct PatchSource<'s> {
+    pub(crate) snapshot: &'s Snapshot,
+    pub(crate) log: Vec<Arc<DirtyBatch>>,
+}
+
+/// One partition's data: an immutable snapshot chain with one writer at a
+/// time, the dirty log of its commits and, when durable, its write-ahead
+/// log. Its counters are the commit half of [`SessionStats`].
+pub(crate) struct Store {
+    /// The swap point: readers share the read lock to clone the `Arc` out
+    /// of a short critical section; the writer takes the write lock only
+    /// for the final pointer swap.
+    current: RwLock<Arc<Snapshot>>,
+    /// Serialises writers; never taken by the read path.
+    writer: Mutex<()>,
+    /// Dirty-block history for result patching.
+    maintenance: Mutex<Maintenance>,
+    /// The durability layer, when the store was opened over storage
+    /// ([`Store::recover`]); `None` for in-memory stores. Only ever locked
+    /// while holding [`Store::writer`] (commits) or briefly from
+    /// observability accessors — never on the read/serving path.
+    wal: Mutex<Option<Wal>>,
+    stats: AtomicStats,
+}
+
+// Lock poisoning is not propagated anywhere in the store: every piece of
+// guarded state is either rebuildable from a snapshot or monotonic
+// bookkeeping (stats, dirty log), so a writer that panicked mid-update
+// cannot leave it semantically torn.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Store {
+    /// A store whose first snapshot indexes `db` at `epoch`. An instance
+    /// someone else still holds stays as that snapshot's [`Snapshot::db`]
+    /// — it costs nothing while they hold it, and it goes when a commit
+    /// replaces the snapshot; the only reference is indexed with texts of
+    /// the index's own and dropped ([`DbIndex::from_owned`]). A build over
+    /// facts counts in [`SessionStats::index_builds`]; indexing an empty
+    /// instance is not a build.
+    pub(crate) fn new(db: Arc<DatabaseInstance>, epoch: u64, wal: Option<Wal>) -> Store {
+        let (shape, built) = (Arc::new(db.empty_like()), !db.is_empty());
+        let snapshot = match Arc::try_unwrap(db) {
+            Ok(db) => Snapshot::new(DbIndex::from_owned(db), shape, epoch),
+            Err(db) => {
+                let snapshot = Snapshot::new(DbIndex::new(&db), shape, epoch);
+                let _ = snapshot.db.set(db);
+                snapshot
+            }
+        };
+        let store = Store {
+            current: RwLock::new(Arc::new(snapshot)),
+            writer: Mutex::new(()),
+            maintenance: Mutex::new(Maintenance::default()),
+            wal: Mutex::new(wal),
+            stats: AtomicStats::default(),
+        };
+        if built {
+            AtomicStats::bump(&store.stats.index_builds);
+        }
+        store
+    }
+
+    /// An empty in-memory store of `schema`.
+    pub(crate) fn empty(schema: Schema) -> Store {
+        Store::new(Arc::new(DatabaseInstance::new(schema)), 0, None)
+    }
+
+    /// A **durable** store over `storage`, recovered as
+    /// [`Session::open`](crate::Session::open) describes: the newest valid
+    /// checkpoint, bulk-loaded, plus a replay of the log tail, indexed by
+    /// one sort and kept as the first snapshot's [`Snapshot::db`]. Interior
+    /// damage is refused as [`SessionError::Wal`].
+    pub(crate) fn recover(
+        schema: Schema,
+        storage: Box<dyn WalStorage>,
+        options: WalOptions,
+    ) -> Result<Store, SessionError> {
+        let (wal, recovery) = Wal::open(storage, options)?;
+        let mut db = DatabaseInstance::new(schema);
+        // One bulk load: the checkpoint's facts go straight into
+        // exact-capacity leaves instead of through per-fact inserts.
+        let checkpointed = recovery.checkpoint_facts.len();
+        if db.load(recovery.checkpoint_facts)? != checkpointed {
+            return Err(SessionError::Wal(WalError::Corrupt {
+                file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
+                offset: 0,
+                detail: "checkpoint contains a duplicate fact".to_string(),
+            }));
+        }
+        // Every logged event was *effective* when committed (a store only
+        // logs effective deltas), so each must be effective on replay too;
+        // a no-op means the checkpoint and the log disagree.
+        for batch in &recovery.batches {
+            for event in &batch.events {
+                if db.apply(event.clone())?.is_none() {
+                    return Err(SessionError::Wal(WalError::Corrupt {
+                        file: rcqa_wal::checkpoint_name(recovery.checkpoint_epoch),
+                        offset: 0,
+                        detail: format!(
+                            "replaying the log over the checkpoint: the event at \
+                             epoch {} is a no-op, so checkpoint and log disagree",
+                            batch.epoch
+                        ),
+                    }));
+                }
+            }
+        }
+        // Held here while the store opens, the recovered instance stays as
+        // the first snapshot's materialised view rather than being freed in
+        // the middle of opening.
+        let db = Arc::new(db);
+        Ok(Store::new(db.clone(), recovery.epoch, Some(wal)))
+    }
+
+    /// Pins the current snapshot: one `Arc` clone inside a short critical
+    /// section.
+    pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// The commit counters; every read counter is 0.
+    pub(crate) fn stats(&self) -> SessionStats {
+        self.stats.snapshot()
+    }
+
+    /// Whether the store persists commits to a write-ahead log.
+    pub(crate) fn is_durable(&self) -> bool {
+        lock(&self.wal).is_some()
+    }
+
+    /// The last epoch known durable on storage, or `None` in memory.
+    pub(crate) fn durable_epoch(&self) -> Option<u64> {
+        lock(&self.wal).as_ref().map(|w| w.durable_epoch())
+    }
+
+    /// Forces an fsync of the write-ahead log; a no-op in memory.
+    pub(crate) fn sync(&self) -> Result<(), SessionError> {
+        match lock(&self.wal).as_mut() {
+            Some(wal) => Ok(wal.sync()?),
+            None => Ok(()),
+        }
+    }
+
+    /// One atomic commit of `events`, with one effectiveness flag per
+    /// event — [`Session::apply_batch`](crate::Session::apply_batch), whose
+    /// docs spell out what a commit copies and costs. Inserts are validated
+    /// first; [`DbIndex::apply_events`] then derives the successor index
+    /// from the base's shared structure and reports the dirty blocks the
+    /// dirty log keeps. Into an empty snapshot the events are **bulk
+    /// loaded** instead — indexed by one sort ([`DbIndex::from_owned`]) —
+    /// and the dirty log is floored, since the load starts a fresh id
+    /// space. Only effective events are logged, to the WAL **before** the
+    /// successor is published; a failed append fails the commit and
+    /// publishes nothing. A checkpoint, when due, follows the publish.
+    pub(crate) fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
+        let _writer = lock(&self.writer);
+        let base = self.snapshot();
+        let (index, flags, blocks) = if base.index.is_empty() {
+            // The scratch instance validates what it takes in.
+            let (db, flags) = Self::bulk_load(&base.shape, events)?;
+            if !db.is_empty() {
+                AtomicStats::bump(&self.stats.index_builds);
+            }
+            (DbIndex::from_owned(db), flags, None)
+        } else {
+            for event in events {
+                base.validate(event)?;
+            }
+            // Cheap: the clone shares every relation's index with the base;
+            // `apply_events` path-copies the dirty leaves.
+            let mut index = (*base.index).clone();
+            let (flags, blocks) = index.apply_events(events);
+            (index, flags, Some(blocks))
+        };
+        // Only effective events are logged: the batch itself when all are.
+        let filtered: Vec<DeltaEvent>;
+        let effective = if flags.iter().all(|&flag| flag) {
+            events
+        } else {
+            filtered = events
+                .iter()
+                .zip(&flags)
+                .filter(|&(_, &flag)| flag)
+                .map(|(event, _)| event.clone())
+                .collect();
+            &filtered
+        };
+        if effective.is_empty() {
+            return Ok(flags);
+        }
+        let epoch = base.epoch + effective.len() as u64;
+        if let Some(wal) = lock(&self.wal).as_mut() {
+            wal.append(epoch, effective)?;
+            AtomicStats::bump(&self.stats.wal_appends);
+        }
+        {
+            let mut maintenance = lock(&self.maintenance);
+            match blocks {
+                Some(blocks) => {
+                    self.stats
+                        .deltas_applied
+                        .fetch_add(effective.len() as u64, Ordering::Relaxed);
+                    let retracted = effective
+                        .iter()
+                        .filter(|e| e.op == DeltaOp::Delete)
+                        .map(|e| e.fact.clone())
+                        .collect();
+                    let batch = Arc::new(DirtyBatch { blocks, retracted });
+                    maintenance.dirty_log.push_back((epoch, batch));
+                    if maintenance.dirty_log.len() > DIRTY_LOG_CAP {
+                        let dropped = maintenance
+                            .dirty_log
+                            .pop_front()
+                            .expect("len > cap implies non-empty");
+                        maintenance.log_floor = dropped.0;
+                    }
+                }
+                None => {
+                    // A bulk load: floor the log *before* publishing, so no
+                    // reader of the successor patches across it.
+                    maintenance.dirty_log.clear();
+                    maintenance.log_floor = epoch;
+                }
+            }
+        }
+        let snapshot = Arc::new(Snapshot::new(index, base.shape.clone(), epoch));
+        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snapshot.clone();
+        // Checkpoint *after* publishing: the batch is already durable on the
+        // log, so a checkpoint failure cannot fail the commit — it only
+        // postpones log truncation (and is retried at the next commit).
+        if let Some(wal) = lock(&self.wal).as_mut() {
+            if wal.checkpoint_due() {
+                match wal.checkpoint(epoch, snapshot.index.rows()) {
+                    Ok(()) => AtomicStats::bump(&self.stats.checkpoints),
+                    Err(_) => AtomicStats::bump(&self.stats.checkpoint_failures),
+                }
+            }
+        }
+        if events.len() > 1 {
+            AtomicStats::bump(&self.stats.batched_commits);
+            self.stats
+                .batched_events
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
+        }
+        Ok(flags)
+    }
+
+    /// The instance `events` make of an empty one shaped like `shape`, and
+    /// their effectiveness flags in order. Inserts of distinct facts — a bulk
+    /// load's usual shape — are sorted in at once ([`DatabaseInstance::load`]);
+    /// any other batch is applied event by event.
+    fn bulk_load(
+        shape: &DatabaseInstance,
+        events: &[DeltaEvent],
+    ) -> Result<(DatabaseInstance, Vec<bool>), DataError> {
+        let mut db = shape.empty_like();
+        if events.iter().all(|event| event.op == DeltaOp::Insert) {
+            let facts = events.iter().map(|event| event.fact.clone()).collect();
+            if db.load(facts)? == events.len() {
+                return Ok((db, vec![true; events.len()]));
+            }
+            db = shape.empty_like();
+        }
+        let flags = events
+            .iter()
+            .map(|event| Ok(db.apply(event.clone())?.is_some()))
+            .collect::<Result<_, DataError>>()?;
+        Ok((db, flags))
+    }
+
+    /// This store as a patch source of a result cached at `from`, read at
+    /// `snapshot`: the batches committed over `(from, snapshot.epoch]` —
+    /// their dirty block keys, in the id space of this store's indexes, and
+    /// retracted facts — oldest first, or [`Miss::HistoryEvicted`] when the
+    /// retained history does not reach back to `from` (the log was floored
+    /// by a bulk load or evicted past its cap in between). Only pointers are
+    /// cloned under the lock; batches may repeat a block or a fact.
+    pub(crate) fn patch_source<'s>(
+        &self,
+        snapshot: &'s Snapshot,
+        from: u64,
+    ) -> Result<PatchSource<'s>, Miss> {
+        let maintenance = lock(&self.maintenance);
+        if from < maintenance.log_floor {
+            return Err(Miss::HistoryEvicted);
+        }
+        let log = maintenance
+            .dirty_log
+            .iter()
+            .filter(|(e, _)| *e > from && *e <= snapshot.epoch)
+            .map(|(_, batch)| batch.clone())
+            .collect();
+        Ok(PatchSource { snapshot, log })
+    }
+}

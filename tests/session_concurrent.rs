@@ -222,7 +222,7 @@ fn concurrent_stale_readers_of_one_statement_patch_it_once() {
                 .expect("insert"));
         },
         || sharded.execute(fanout).expect("stale fan-out read"),
-        || sharded.stats().fanout,
+        || sharded.stats().totals,
     );
     let reference = Session::with_instance(rs_catalog(), sharded.database().expect("union"));
     assert_eq!(

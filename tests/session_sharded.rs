@@ -263,17 +263,17 @@ proptest! {
                         };
                         prop_assert!(got && want, "every stretch commit is effective");
                     }
-                    let missed = sharded.stats().fanout.support_misses;
+                    let missed = sharded.stats().totals.support_misses;
                     assert_agrees(&sharded, &reference, &format!("{context} after the stretch"));
                     prop_assert!(
-                        sharded.stats().fanout.support_misses > missed,
+                        sharded.stats().totals.support_misses > missed,
                         "{}: a fan-out result {} commits behind must miss",
                         context,
                         DIRTY_LOG_CAP + 1
                     );
                 }
                 let stats = sharded.stats();
-                prop_assert!(stats.fanout.full_recomputes > 0, "{}: no fan-out read", context);
+                prop_assert!(stats.totals.full_recomputes > 0, "{}: no fan-out read", context);
                 prop_assert_eq!(
                     sharded.patch_reasons().total(),
                     stats.totals.support_misses + stats.mirror.support_misses,
@@ -413,7 +413,7 @@ fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
             reference.apply_batch(&batch).expect("unsharded batch")
         );
         assert!(flags.iter().all(|&f| f), "every event is effective");
-        let patched = sharded.stats().fanout.supported_patches;
+        let patched = sharded.stats().totals.supported_patches;
         let facts = reference.database().as_ref().clone();
         let cold = Session::with_instance(catalog(), facts).with_options(engine);
         for sql in fanout {
@@ -426,7 +426,7 @@ fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
             assert_eq!(got, cold.execute(sql).expect("cold").rows, "{sql}");
         }
         assert_eq!(
-            sharded.stats().fanout.supported_patches - patched,
+            sharded.stats().totals.supported_patches - patched,
             fanout.len() as u64,
             "{threads} threads: each fan-out result patched"
         );
