@@ -678,6 +678,7 @@ impl Front {
             slot
         });
         if let Some(cached) = slot.as_mut() {
+            debug_assert_eq!(cached.epochs.len(), parts.len(), "a route is fixed");
             // Hot path: a result computed at exactly the pinned epochs
             // answers without touching the engine or the index.
             if cached.epochs.iter().copied().eq(pinned()) {

@@ -88,11 +88,11 @@ fn main() {
         "sharded answers must be byte-identical to unsharded"
     );
 
-    // A write makes both cached answers stale; the next reads patch them —
-    // the front-end's fan-out result through the owning shard's dirty log,
-    // the combine on the mirror (SUM's upper bound enumerates repairs, but
-    // only of the blocks a town's embeddings touch, so it patches like any
-    // other) — or say why they could not.
+    // A write makes both cached answers stale; the next reads patch them,
+    // each through the dirty log of the store its route reads — the owning
+    // shard's for the fan-out, the mirror's for the combine (SUM's upper
+    // bound enumerates repairs, but only of the blocks a town's embeddings
+    // touch, so it patches like any other) — or say why they could not.
     session
         .insert(fact!("Stock", "Atlas", "Boston", 905))
         .expect("insert");
@@ -103,8 +103,8 @@ fn main() {
     let reasons = session.patch_reasons();
     println!(
         "stale reads: patched={} missed={} | miss reasons: history-evicted={} over-half={}",
-        stats.totals.supported_patches + stats.mirror.supported_patches,
-        stats.totals.support_misses + stats.mirror.support_misses,
+        stats.totals.supported_patches,
+        stats.totals.support_misses,
         reasons.history_evicted,
         reasons.over_half
     );
