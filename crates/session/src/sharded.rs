@@ -446,7 +446,6 @@ impl ShardedSession {
         debug_assert_eq!(loaded, held, "routed shards hold disjoint facts");
         let mirror = Store::new(Arc::new(union), 0, None);
         let ops = recovered.iter().map(|snap| snap.epoch).sum();
-        drop(recovered);
         Ok(ShardedSession::assemble(catalog, stores, mirror, ops))
     }
 
