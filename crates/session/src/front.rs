@@ -158,12 +158,12 @@ impl Front {
         self.statements.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Parses, classifies, and plans a SQL statement over the schema and
-    /// numeric domain of `shape` (the same in every store of a front-end),
+    /// Parses, classifies, and plans a SQL statement over the numeric
+    /// domain of `snapshot` (the same in every store of a front-end),
     /// caching it by normalized SQL.
     pub(crate) fn prepare(
         &self,
-        shape: &Snapshot,
+        snapshot: &Snapshot,
         sql: &str,
     ) -> Result<Arc<PreparedStatement>, SessionError> {
         let key = rcqa_query::normalize_sql(sql);
@@ -186,7 +186,7 @@ impl Front {
                     .with_options(self.options),
             );
         }
-        let domain = shape.shape.numeric_domain();
+        let domain = snapshot.shape.numeric_domain();
         let classification = engines[0].classification(domain);
         // One support for the statement: its engines share one body and one
         // predicate set, and a support depends on nothing else.
