@@ -454,3 +454,24 @@ fn each_statement_is_prepared_once_whatever_its_route() {
     assert_eq!(sharded.stats().combine_queries, 1);
     assert_eq!(prepared() - before, 2, "{combine}");
 }
+
+/// A sharded session keeps one index over every shard's blocks: loading the
+/// pool and reading every statement builds it once, whatever the shard
+/// count, and the instance it holds is an unsharded session's.
+#[test]
+fn a_sharded_session_builds_one_index() {
+    let sharded = ShardedSession::new(catalog(), 4);
+    let reference = Session::new(catalog());
+    let pool: Vec<Fact> = (0..100).map(pool_fact).collect();
+    sharded.insert_all(pool.clone()).expect("sharded load");
+    reference.insert_all(pool).expect("unsharded load");
+    for sql in STATEMENTS {
+        sharded.execute(sql).expect("sharded read");
+    }
+    let stats = sharded.stats();
+    assert_eq!(stats.totals.merge(stats.mirror).index_builds, 1);
+    assert_eq!(
+        *sharded.database().expect("sharded instance"),
+        *reference.database()
+    );
+}
