@@ -261,12 +261,11 @@ pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Runs `work` over each shard — inline for a single shard, else one scoped
-/// worker thread per shard — and returns the results in shard order. The
-/// workspace's one spawn site: the sharded serving front-end fans a read out
-/// over its shards through it as well. A worker's panic is raised again on
-/// the calling thread with the worker's own payload.
-pub fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+/// Runs `work` over each shard of a query's work — inline for a single
+/// shard, else one scoped worker thread per shard — and returns the results
+/// in shard order. The workspace's one spawn site. A worker's panic is
+/// raised again on the calling thread with the worker's own payload.
+pub(crate) fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
     if shards.len() <= 1 {
         return shards.into_iter().map(work).collect();
     }

@@ -2,34 +2,25 @@
 //! statement's one cached result, the patch and post-processing steps, and
 //! the read counters.
 //!
-//! A front-end reads [`Store`]s. A [`Session`](crate::Session) is a
-//! front-end over one store; a [`ShardedSession`](crate::ShardedSession) is
-//! one front-end over its shard stores and its mirror. Both read through
-//! [`Front::read`]: a statement's route names the stores it reads, and its
-//! cached result is stamped with the epochs of those stores.
+//! A front-end reads one [`Store`]: a [`Session`](crate::Session) and a
+//! [`ShardedSession`](crate::ShardedSession) are each a front-end over
+//! one, and both read through [`Front::read`] at a snapshot the reader
+//! pinned. A statement's cached result is stamped with the epoch of the
+//! snapshot it was read at.
 
-use crate::store::{PatchSource, Store};
+use crate::store::{DirtyBatch, Store};
 use crate::{
     AtomicStats, HavingStatus, Miss, PatchReasons, PreparedStatement, QueryOutcome, SessionError,
     SessionStats, Snapshot, STATEMENT_CACHE_CAP,
 };
 use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
 use rcqa_core::interval::{certain_topk, having_status, having_status_all, order_rows};
-use rcqa_core::plan::exec::run_shards;
 use rcqa_data::Value;
 use rcqa_query::{parse_sql, Catalog};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// One store as a read sees it: the store and the snapshot of it the
-/// reader pinned.
-#[derive(Clone, Copy)]
-pub(crate) struct Part<'s> {
-    pub(crate) store: &'s Store,
-    pub(crate) snapshot: &'s Snapshot,
-}
 
 /// The complete row block of one statement's answer: the primary
 /// aggregate's rows, the later visible aggregates' row-aligned intervals,
@@ -45,8 +36,8 @@ pub(crate) struct CachedRows {
 /// ([`CachedRows`]) **and** the raw per-aggregate group rows it was derived
 /// from — the patch basis differential maintenance re-derives affected rows
 /// against (the presentation alone is not patchable: HAVING has dropped
-/// rows and top-k has reordered them) — stamped with the epoch of each
-/// store the statement's route reads.
+/// rows and top-k has reordered them) — stamped with the epoch it was read
+/// at.
 ///
 /// The result is **copy-on-write**: its statement's entry is the only
 /// long-lived owner of its rows, and a read hands out `Arc` clones of the
@@ -57,8 +48,8 @@ pub(crate) struct CachedRows {
 /// changes.
 #[derive(Debug)]
 struct CachedResult {
-    /// The epoch of each store read, in the route's store order.
-    epochs: Box<[u64]>,
+    /// The epoch of the snapshot the rows are exact for.
+    epoch: u64,
     /// Raw rows per aggregate engine (SELECT items first, then hidden
     /// HAVING / ORDER BY aggregates), each in sorted group-key order and
     /// key-aligned across aggregates. A statement whose presentation is the
@@ -159,8 +150,7 @@ impl Front {
     }
 
     /// Parses, classifies, and plans a SQL statement over the numeric
-    /// domain of `snapshot` (the same in every store of a front-end),
-    /// caching it by normalized SQL.
+    /// domain of `snapshot`, caching it by normalized SQL.
     pub(crate) fn prepare(
         &self,
         snapshot: &Snapshot,
@@ -323,7 +313,7 @@ impl Front {
     }
 
     /// The outcome a reader gets: `rows` stamped with `epoch` and the
-    /// number of data partitions consulted.
+    /// number of partitions of the store read.
     pub(crate) fn outcome(
         stmt: &PreparedStatement,
         rows: CachedRows,
@@ -467,37 +457,16 @@ impl Front {
         }
     }
 
-    /// A cold evaluation of one statement over `parts`: each store's raw
-    /// rows — in parallel when the engine runs more than one worker — merged
-    /// by group key ([`merge_by_key`]), then post-processed over the merged
-    /// set, exactly as over one store.
+    /// A cold evaluation of one statement at `snapshot`: its raw rows,
+    /// then their post-processing.
     fn evaluate(
-        &self,
         stmt: &PreparedStatement,
-        parts: &[Part<'_>],
+        snapshot: &Snapshot,
     ) -> Result<CachedResult, SessionError> {
-        let raw = match parts {
-            [part] => Self::raw_rows(stmt, part.snapshot)?,
-            _ => {
-                let evaluate = |part: &Part<'_>| Self::raw_rows(stmt, part.snapshot);
-                let evaluated: Vec<_> = if self.options.resolve_threads() > 1 {
-                    run_shards(parts.iter().collect(), evaluate)
-                } else {
-                    parts.iter().map(evaluate).collect()
-                };
-                let per_part = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
-                (0..stmt.engines.len())
-                    .map(|agg| {
-                        let lists: Vec<&[GroupRange]> =
-                            per_part.iter().map(|raw| &*raw[agg]).collect();
-                        merge_by_key(&lists)
-                    })
-                    .collect()
-            }
-        };
+        let raw = Self::raw_rows(stmt, snapshot)?;
         let rows = Self::post_process(stmt, &raw);
         Ok(CachedResult {
-            epochs: parts.iter().map(|part| part.snapshot.epoch).collect(),
+            epoch: snapshot.epoch,
             raw,
             rows,
         })
@@ -518,8 +487,8 @@ impl Front {
     /// [`SessionStats::topk_fallbacks`]). Nothing is changed before the last
     /// fallible step, and the caller restamps the result. Returns the
     /// [`Miss`] — fall back to a full recompute — when the dirty history no
-    /// longer reaches back to the cached epoch (`sources` is that miss), or
-    /// the affected key set covers more than half the rows.
+    /// longer reaches back to the cached epoch (`log` is that miss), or the
+    /// affected key set covers more than half the rows.
     ///
     /// Half the rows is a **measured cut-off**, not a bound that holds by
     /// construction: re-derivation costs the affected groups' embeddings,
@@ -537,54 +506,41 @@ impl Front {
     /// the recompute plus the enumeration that found it (about 1.3 µs per
     /// dirty block).
     ///
-    /// The affected key set comes from **one** forward enumeration per
-    /// source, [`RangeCqa::affected_keys`]: every group with an embedding,
-    /// old or new, through a block dirtied since the cached epoch — births,
-    /// value changes and retractions alike, from the dirty keys and the
-    /// retracted facts the log keeps, with nothing recorded at evaluation
-    /// time. The dirty keys are the ids the source's own commits reported,
-    /// read against the source's own pinned index without a lookup: that
-    /// index descends from every index that reported them, and ids are
-    /// append-only along that line. Affected keys are then over-deleted and
-    /// re-derived DRed-style via [`RangeCqa::range_for_groups`] on the
-    /// source that reported them: keys whose embeddings vanished stay gone,
-    /// new keys appear, everything else keeps its cached row unexamined.
-    /// Whether anything changed is decided by comparing the re-derived rows
-    /// with the rows they replace — never the whole result.
-    ///
-    /// A route of one store patches through that store when it advanced. A
-    /// fan-out patches through every shard that advanced: a fan-out group is
-    /// a function of one shard's blocks, so the sources report disjoint key
-    /// sets and each re-derives its own. Stores intern on their own, so one
-    /// value may carry different ids in two of them; each source's keys are
-    /// only ever read against that source's index.
+    /// The affected key set comes from **one** forward enumeration,
+    /// [`RangeCqa::affected_keys`]: every group with an embedding, old or
+    /// new, through a block dirtied since the cached epoch — births, value
+    /// changes and retractions alike, from the dirty keys and the retracted
+    /// facts the log keeps, with nothing recorded at evaluation time. The
+    /// dirty keys are the ids the store's commits reported, read against the
+    /// pinned index without a lookup: that index descends from every index
+    /// that reported them, and ids are append-only along that line. Affected
+    /// keys are then over-deleted and re-derived DRed-style via
+    /// [`RangeCqa::range_for_groups`]: keys whose embeddings vanished stay
+    /// gone, new keys appear, everything else keeps its cached row
+    /// unexamined. Whether anything changed is decided by comparing the
+    /// re-derived rows with the rows they replace — never the whole result.
     fn try_patch(
         &self,
         stmt: &PreparedStatement,
         cached: &mut CachedResult,
-        sources: Result<Vec<PatchSource<'_>>, Miss>,
+        snapshot: &Snapshot,
+        log: Result<Vec<Arc<DirtyBatch>>, Miss>,
     ) -> Result<Result<(), Miss>, SessionError> {
         // A statically contradictory WHERE clause is answered independently
         // of the data: the cached synthetic rows hold at every epoch.
         if stmt.unsatisfiable {
             return Ok(Ok(()));
         }
-        let sources = match sources {
-            Ok(sources) => sources,
+        let log = match log {
+            Ok(log) => log,
             Err(miss) => return Ok(Err(miss)),
         };
-        let per_source: Vec<Vec<Vec<Value>>> = sources
-            .iter()
-            .map(|source| {
-                stmt.engine().affected_keys(
-                    &source.snapshot.index,
-                    source.log.iter().flat_map(|batch| batch.blocks.iter()),
-                    source.log.iter().flat_map(|batch| batch.retracted.iter()),
-                )
-            })
-            .collect();
-        let count: usize = per_source.iter().map(Vec::len).sum();
-        if count == 0 {
+        let affected = stmt.engine().affected_keys(
+            &snapshot.index,
+            log.iter().flat_map(|batch| batch.blocks.iter()),
+            log.iter().flat_map(|batch| batch.retracted.iter()),
+        );
+        if affected.is_empty() {
             // No old or new embedding passes through a dirty block: the
             // result is untouched by the whole delta range.
             return Ok(Ok(()));
@@ -592,28 +548,14 @@ impl Front {
         let cached_rows = cached.raw[0].len();
         // Past half the cached rows a patch no longer undercuts the full
         // recompute on any statement measured (see above).
-        if cached_rows >= 16 && count * 2 > cached_rows {
+        if cached_rows >= 16 && affected.len() * 2 > cached_rows {
             return Ok(Err(Miss::OverHalf));
         }
-        let mut fresh = vec![Vec::new(); stmt.engines.len()];
-        for (source, keys) in sources.iter().zip(&per_source) {
-            if keys.is_empty() {
-                continue;
-            }
-            for (engine, rows) in stmt.engines.iter().zip(&mut fresh) {
-                let snapshot = source.snapshot;
-                rows.extend(engine.range_for_groups(&snapshot.shape, &snapshot.index, keys)?);
-            }
-        }
-        let mut affected: Vec<Vec<Value>> = per_source.into_iter().flatten().collect();
-        if sources.len() > 1 {
-            // Each source's keys and rows come sorted, and the sources' key
-            // sets are disjoint: one sort puts them in row order.
-            affected.sort_unstable();
-            for rows in &mut fresh {
-                rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-            }
-        }
+        let fresh = stmt
+            .engines
+            .iter()
+            .map(|engine| engine.range_for_groups(&snapshot.shape, &snapshot.index, &affected))
+            .collect::<Result<Vec<_>, _>>()?;
         // Aggregates are key-aligned, so one search seats the keys in all.
         let seats = Self::seats(&cached.raw[0], &affected);
         let replaced = || seats.iter().filter_map(|seat| seat.ok());
@@ -651,22 +593,19 @@ impl Front {
             .unwrap_or_default()
     }
 
-    /// The one read path of a front-end — a [`Session`](crate::Session)'s
-    /// and every route of a [`ShardedSession`](crate::ShardedSession)'s:
-    /// `stmt`'s presented answer over `parts`, the stores its route reads
-    /// at the snapshots the reader pinned. Under the statement's lock, its
-    /// one cached result is served when it is stamped with exactly the
-    /// pinned epochs, patched in place through the stores that advanced
-    /// since ([`Front::try_patch`]), or — on a miss or with nothing cached —
-    /// evaluated cold per store and merged by key ([`Front::evaluate`]). The
-    /// path taken is counted. No front-end-wide lock is held while the plan
-    /// executes.
+    /// The one read path of a front-end: `stmt`'s presented answer over
+    /// `store` at the `snapshot` of it the reader pinned. Under the
+    /// statement's lock, its one cached result is served when it is stamped
+    /// with exactly the pinned epoch, patched in place through the batches
+    /// committed since ([`Front::try_patch`]), or — on a miss or with
+    /// nothing cached — evaluated cold ([`Front::evaluate`]). The path taken
+    /// is counted. No front-end-wide lock is held while the plan executes.
     pub(crate) fn read(
         &self,
         stmt: &PreparedStatement,
-        parts: &[Part<'_>],
+        store: &Store,
+        snapshot: &Snapshot,
     ) -> Result<CachedRows, SessionError> {
-        let pinned = || parts.iter().map(|part| part.snapshot.epoch);
         let results = self.results(stmt.sql());
         // Unlike the other state, a result is patched in place, so a reader
         // that panicked while holding it may have left it torn: a poisoned
@@ -678,39 +617,25 @@ impl Front {
             slot
         });
         if let Some(cached) = slot.as_mut() {
-            debug_assert_eq!(cached.epochs.len(), parts.len(), "a route is fixed");
-            // Hot path: a result computed at exactly the pinned epochs
+            // Hot path: a result computed at exactly the pinned epoch
             // answers without touching the engine or the index.
-            if cached.epochs.iter().copied().eq(pinned()) {
+            if cached.epoch == snapshot.epoch {
                 AtomicStats::bump(&self.stats.result_hits);
                 return Ok(cached.rows.clone());
             }
-            // Pins are ordered: a result ahead of the pin on some store
-            // comes from a later pin, is useless to this reader, and stays
-            // in place for current ones.
-            if cached
-                .epochs
-                .iter()
-                .zip(pinned())
-                .any(|(&at, pin)| at > pin)
-            {
+            // Pins are ordered: a result ahead of the pin comes from a later
+            // pin, is useless to this reader, and stays in place for
+            // current ones.
+            if cached.epoch > snapshot.epoch {
                 drop(slot);
                 AtomicStats::bump(&self.stats.full_recomputes);
-                return Ok(self.evaluate(stmt, parts)?.rows);
+                return Ok(Self::evaluate(stmt, snapshot)?.rows);
             }
-            // A stale result is the patch basis, patched through the stores
-            // that advanced.
-            let sources = parts
-                .iter()
-                .zip(&*cached.epochs)
-                .filter(|(part, &from)| part.snapshot.epoch > from)
-                .map(|(part, &from)| part.store.patch_source(part.snapshot, from))
-                .collect();
-            match self.try_patch(stmt, cached, sources)? {
+            // A stale result is the patch basis.
+            let log = store.patch_log(cached.epoch, snapshot.epoch);
+            match self.try_patch(stmt, cached, snapshot, log)? {
                 Ok(()) => {
-                    for (at, pin) in cached.epochs.iter_mut().zip(pinned()) {
-                        *at = pin;
-                    }
+                    cached.epoch = snapshot.epoch;
                     AtomicStats::bump(&self.stats.partial_recomputes);
                     AtomicStats::bump(&self.stats.supported_patches);
                     return Ok(cached.rows.clone());
@@ -724,7 +649,7 @@ impl Front {
         AtomicStats::bump(&self.stats.full_recomputes);
         // The stale result goes before its replacement is computed.
         *slot = None;
-        Ok(slot.insert(self.evaluate(stmt, parts)?).rows.clone())
+        Ok(slot.insert(Self::evaluate(stmt, snapshot)?).rows.clone())
     }
 
     /// An `EXPLAIN`-style rendering of `stmt` over a pinned snapshot: the
@@ -774,33 +699,4 @@ impl Front {
         }
         out
     }
-}
-
-/// K-way merge of per-store raw row lists. Each list is sorted by group-key
-/// value order (`sorted_groups` orders by `ValueInterner::cmp_id_tuples`,
-/// which is materialised [`Value`] order, whatever ids a store assigned) and
-/// the key sets are pairwise disjoint (each fan-out group's block lives on
-/// one shard), so a plain smallest-head merge reproduces the global sorted
-/// order with no tie to break.
-fn merge_by_key(lists: &[&[GroupRange]]) -> Arc<[GroupRange]> {
-    let mut cursors = vec![0usize; lists.len()];
-    let total = lists.iter().map(|l| l.len()).sum();
-    // A mapped range has a trusted length: one allocation, exactly sized.
-    (0..total)
-        .map(|_| {
-            let mut best = None;
-            for (i, list) in lists.iter().enumerate() {
-                let Some(row) = list.get(cursors[i]) else {
-                    continue;
-                };
-                best = match best {
-                    Some((_, head)) if head <= &row.key => best,
-                    _ => Some((i, &row.key)),
-                };
-            }
-            let (i, _) = best.expect("fewer rows taken than the lists hold");
-            cursors[i] += 1;
-            lists[i][cursors[i] - 1].clone()
-        })
-        .collect()
 }

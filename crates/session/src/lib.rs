@@ -20,17 +20,18 @@
 //!   ([`Session::prepare`] parses, classifies and plans once; statements are
 //!   keyed by *normalized* SQL, and [`STATEMENT_CACHE_CAP`] of them are kept,
 //!   least recently used evicted first), each statement's **one cached
-//!   result**, stamped with the epoch of each store it was read from, and
-//!   the read counters.
+//!   result**, stamped with the epoch it was read at, and the read
+//!   counters.
 //!
-//! A [`ShardedSession`] is one front-end over a store per shard plus a
-//! mirror store: one statement cache for every route, and one read path.
+//! A [`ShardedSession`] is the same: one front-end over one store, whose
+//! one index holds every shard's blocks. What it shards is the write path:
+//! its store keeps an epoch and, when durable, a write-ahead log per shard.
 //!
 //! A read whose pinned epochs equal its statement's cached stamp is a hit.
 //! Behind it, the result is patched by **delta-proportional differential
-//! maintenance**: each store logs its commits' dirty block keys as the
+//! maintenance**: the store logs its commits' dirty block keys as the
 //! interned ids its index reported ([`DbIndex::apply_events`]) — ids are
-//! append-only along a store's snapshot line, and a bulk load, which starts
+//! append-only along the store's snapshot line, and a bulk load, which starts
 //! a fresh id space, floors the log — and the retracted facts. From the
 //! batches since the stamp (the last [`DIRTY_LOG_CAP`] are kept; an older
 //! result recomputes in full) one forward enumeration over the new index
@@ -57,7 +58,7 @@
 //! own lock: a hit holds it for an `Arc` clone, a stale read for the patch —
 //! so readers at one pin patch once between them, the others reading the
 //! patched result — and a cold read for the evaluation. Writers serialise
-//! per store and build the successor snapshot *outside* the readers'
+//! on the store and build the successor snapshot *outside* the readers'
 //! critical section; publishing it is one pointer swap.
 //!
 //! ## Identical-answers guarantee
@@ -161,7 +162,7 @@ pub use rcqa_wal::{SyncPolicy, WalOptions};
 mod front;
 mod sharded;
 mod store;
-use front::{Front, Part};
+use front::Front;
 pub use sharded::{ShardedSession, ShardedStats};
 use store::Store;
 
@@ -361,10 +362,9 @@ pub struct QueryOutcome {
     /// version of the data the rows are byte-identical to a cold evaluation
     /// of.
     pub epoch: u64,
-    /// How many data partitions the answer was assembled from: always `1`
-    /// for a plain [`Session`]; for a [`ShardedSession`] the number of
-    /// shards the route consulted (1 for a designated-shard route, the shard
-    /// count for a fan-out or cross-shard combine).
+    /// How many partitions the data the answer was read from has: `1` for
+    /// a plain [`Session`], [`ShardedSession::shard_count`] for a sharded
+    /// one (its one index holds every shard's blocks).
     pub shards: usize,
 }
 
@@ -439,8 +439,7 @@ impl QueryOutcome {
 /// translated [`AggQuery`], its output column names, the fully prepared
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
 /// slots, routed comparison predicates), the [`Classification`] for the
-/// session instance's numeric domain, and the static [`RowSupport`] — which
-/// shard route is sound.
+/// session instance's numeric domain, and the static [`RowSupport`].
 ///
 /// Statements are keyed by *normalized* SQL ([`Session::normalize_sql`]):
 /// whitespace runs outside string literals collapse to one space, text
@@ -494,9 +493,8 @@ impl PreparedStatement {
     /// The statement's [`RowSupport`]: per cached row, an over-approximation
     /// of the (relation, block-key) pairs the row's evaluation can touch — the
     /// same patterns whichever operators the plan picks, since they depend on
-    /// the body alone. A stale read does not consult it (the delta
-    /// enumeration of [`RangeCqa::affected_keys`] finds the affected groups);
-    /// it is the sharded front-end's routing certificate.
+    /// the body alone. A stale read does not consult it: the delta
+    /// enumeration of [`RangeCqa::affected_keys`] finds the affected groups.
     pub fn support(&self) -> &RowSupport {
         &self.support
     }
@@ -564,8 +562,7 @@ pub struct SessionStats {
 
 impl SessionStats {
     /// Field-wise sum. A session's counters are its front-end's reads plus
-    /// its store's commits; the sharded front-end adds its shards' commits
-    /// to its reads through this.
+    /// its store's commits, added through this.
     pub fn merge(self, other: SessionStats) -> SessionStats {
         SessionStats {
             statements_prepared: self.statements_prepared + other.statements_prepared,
@@ -665,14 +662,6 @@ pub struct PatchReasons {
 }
 
 impl PatchReasons {
-    /// Field-wise sum.
-    pub fn merge(self, other: PatchReasons) -> PatchReasons {
-        PatchReasons {
-            history_evicted: self.history_evicted + other.history_evicted,
-            over_half: self.over_half + other.over_half,
-        }
-    }
-
     /// All misses: equals [`SessionStats::support_misses`].
     pub fn total(&self) -> u64 {
         self.history_evicted + self.over_half
@@ -742,7 +731,7 @@ impl Session {
     pub fn with_instance(catalog: Catalog, db: impl Into<Arc<DatabaseInstance>>) -> Session {
         Session {
             front: Front::new(catalog),
-            store: Store::new(db.into(), 0, None),
+            store: Store::new(db.into(), vec![0], Vec::new()),
         }
     }
 
@@ -782,7 +771,7 @@ impl Session {
         storage: Box<dyn WalStorage>,
         options: WalOptions,
     ) -> Result<Session, SessionError> {
-        let store = Store::recover(catalog.schema(), storage, options)?;
+        let store = Store::recover(catalog.schema(), vec![storage], options)?;
         Ok(Session {
             front: Front::new(catalog),
             store,
@@ -851,7 +840,7 @@ impl Session {
     /// [`Session::epoch`] whenever the sync policy is
     /// [`SyncPolicy::Always`]; under `Never` it may trail it.
     pub fn durable_epoch(&self) -> Option<u64> {
-        self.store.durable_epoch()
+        self.store.durable_epochs().map(|epochs| epochs[0])
     }
 
     /// Forces an fsync of the write-ahead log, making every committed batch
@@ -868,8 +857,8 @@ impl Session {
     /// events cost nothing downstream — only effective events are logged.
     ///
     /// This is the single write path of the session: [`Session::insert`],
-    /// [`Session::insert_all`], [`Session::delete`] and the sharded
-    /// front-end's group commits all land here. If any insert violates the
+    /// [`Session::insert_all`], [`Session::delete`] and a sharded session's
+    /// writes all land in this one store commit. If any insert violates the
     /// schema or the numeric domain the whole batch fails and nothing is
     /// published.
     ///
@@ -881,8 +870,8 @@ impl Session {
     /// **bulk loaded** instead: the events go into a scratch instance that
     /// is indexed by one sort ([`DbIndex::from_owned`]) and dropped, and
     /// the dirty log is floored — a result cached over no facts recomputes.
-    /// That is the path of [`Session::new`] + [`Session::insert_all`] and of
-    /// the first load of every shard and of the sharded mirror.
+    /// That is the path of [`Session::new`] + [`Session::insert_all`], sharded
+    /// or not.
     ///
     /// Copied per incremental commit: per written relation one spine (a
     /// pointer per leaf of 128–256 blocks), and per touched block one leaf
@@ -915,7 +904,7 @@ impl Session {
     /// keeps serving (and accepting reads of) the last committed snapshot —
     /// durability failures degrade writes, never reads.
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        self.store.apply_batch(events)
+        Ok(self.store.apply_batch(events)?)
     }
 
     /// Inserts one fact. Returns `true` if the fact was new.
@@ -964,16 +953,13 @@ impl Session {
         self.front.prepare(&self.snapshot(), sql)
     }
 
-    /// One read at a pinned snapshot: the front-end's read path with this
-    /// session's store as the statement's one store.
+    /// One read at a pinned snapshot: the front-end's read path over this
+    /// session's store.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.front.prepare(snapshot, sql)?;
-        let part = Part {
-            store: &self.store,
-            snapshot,
-        };
-        let rows = self.front.read(&stmt, &[part])?;
-        Ok(Front::outcome(&stmt, rows, snapshot.epoch, 1))
+        let rows = self.front.read(&stmt, &self.store, snapshot)?;
+        let partitions = self.store.partitions();
+        Ok(Front::outcome(&stmt, rows, snapshot.epoch, partitions))
     }
 
     /// Executes a SQL aggregation query: classification plus one

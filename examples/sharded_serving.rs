@@ -1,7 +1,8 @@
-//! Sharded serving: partition a serving session across N shards by level-0
-//! block key, fan grouped queries out in parallel, and coalesce concurrent
-//! writers into group commits — with every answer byte-identical to one
-//! unsharded session over the same facts.
+//! Sharded serving: partition a serving session's write path — epochs and
+//! write-ahead logs — across N shards by level-0 block key, keep one index
+//! over every shard's blocks, and coalesce concurrent writers into group
+//! commits — with every answer byte-identical to one unsharded session over
+//! the same facts.
 //!
 //! Run with: `cargo run --example sharded_serving`
 
@@ -20,11 +21,13 @@ fn main() {
 
     // Four shards behind one front-end. Facts route by a stable hash of
     // their block key (Product, Town), so each block — the unit the paper's
-    // repairs choose from — lives on exactly one shard.
+    // repairs choose from — belongs to exactly one shard's epoch and log;
+    // every block sits in the session's one index.
     let session = Arc::new(ShardedSession::new(catalog.clone(), 4));
 
-    // Concurrent writers: the per-shard commit coordinator coalesces
-    // overlapping inserts into one batch and one WAL append (group commit).
+    // Concurrent writers: the commit coordinator coalesces overlapping
+    // inserts into one commit and, on a durable session, one WAL append per
+    // shard touched (group commit).
     std::thread::scope(|scope| {
         for w in 0..4 {
             let session = Arc::clone(&session);
@@ -54,26 +57,25 @@ fn main() {
             .expect("insert");
     }
 
-    // A full-key GROUP BY fans out: on the first read every shard answers
-    // over its own blocks and the per-shard rows merge deterministically by
-    // group key; the front-end keeps the merged result. The
+    // A full-key GROUP BY over every shard's blocks, read from the one
+    // index; the front-end keeps the result. The
     // certain top-5 keeps only groups in the top 5 of EVERY repair — the
     // three bestsellers qualify; the conflicted blocks' overlapping
     // intervals leave ranks 4 and 5 uncertain, so they are (correctly)
     // dropped.
-    let fanout = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
+    let top = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
                   GROUP BY S.Product, S.Town ORDER BY MAX(S.Qty) DESC LIMIT 5";
-    println!("{}", session.explain(fanout).expect("explain"));
-    let top5 = session.execute(fanout).expect("fan-out query");
+    println!("{}", session.explain(top).expect("explain"));
+    let top5 = session.execute(top).expect("top-k query");
     println!("{}", top5.to_table());
 
-    // A subset-of-key GROUP BY scatters each group's blocks across shards,
-    // so it routes to the cross-shard combine — still byte-identical.
-    let combine = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
-    println!("{}", session.explain(combine).expect("explain"));
+    // A subset-of-key GROUP BY draws each group's blocks from several
+    // shards: the one index answers it like any other statement.
+    let towns = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
+    println!("{}", session.explain(towns).expect("explain"));
     println!(
         "{}",
-        session.execute(combine).expect("combine query").to_table()
+        session.execute(towns).expect("per-town query").to_table()
     );
 
     // The sharding is invisible: an unsharded session over the same facts
@@ -83,21 +85,20 @@ fn main() {
         session.database().expect("union instance").as_ref().clone(),
     );
     assert_eq!(
-        unsharded.execute(fanout).expect("unsharded").rows,
+        unsharded.execute(top).expect("unsharded").rows,
         top5.rows,
         "sharded answers must be byte-identical to unsharded"
     );
 
-    // A write makes both cached answers stale; the next reads patch them,
-    // each through the dirty log of the store its route reads — the owning
-    // shard's for the fan-out, the mirror's for the combine (SUM's upper
-    // bound enumerates repairs, but only of the blocks a town's embeddings
-    // touch, so it patches like any other) — or say why they could not.
+    // A write makes both cached answers stale; the next reads patch them
+    // through the store's dirty log (SUM's upper bound enumerates repairs,
+    // but only of the blocks a town's embeddings touch, so it patches like
+    // any other) — or say why they could not.
     session
         .insert(fact!("Stock", "Atlas", "Boston", 905))
         .expect("insert");
-    session.execute(fanout).expect("stale fan-out read");
-    session.execute(combine).expect("stale combine read");
+    session.execute(top).expect("stale top-k read");
+    session.execute(towns).expect("stale per-town read");
 
     let stats = session.stats();
     let reasons = session.patch_reasons();
@@ -115,11 +116,7 @@ fn main() {
         session.epoch()
     );
     println!(
-        "routes: fanout={} designated={} combine={} | group commits: {} batches / {} events",
-        stats.fanout_queries,
-        stats.designated_queries,
-        stats.combine_queries,
-        stats.group_commits,
-        stats.group_commit_events
+        "index builds: {} | group commits: {} batches / {} events",
+        stats.totals.index_builds, stats.group_commits, stats.group_commit_events
     );
 }

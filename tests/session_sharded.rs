@@ -1,11 +1,12 @@
 //! Sharded-vs-unsharded byte-identity under random write interleavings.
 //!
-//! The scale-out front-end's whole contract is that sharding is invisible:
-//! for every statement shape — fan-out (full-key GROUP BY), global HAVING,
-//! top-k re-decided over the merged rows, a residual predicate's fan-out,
-//! joins, and closed designated-shard lookups — a [`ShardedSession`] must
-//! return answers byte-identical to a single unsharded [`Session`] fed the
-//! same operations, at every shard count, at every thread count, and after
+//! The sharded session's whole contract is that sharding is invisible: for
+//! every statement shape — a full-key GROUP BY (each group's blocks on one
+//! shard), global HAVING, certain top-k, a residual predicate, joins and
+//! subset-of-key groupings (a group's blocks on several shards), and closed
+//! one-block lookups — a [`ShardedSession`] must return answers
+//! byte-identical to a single unsharded [`Session`] fed the same
+//! operations, at every shard count, at every thread count, and after
 //! crash-recovering every shard from its write-ahead log.
 
 use proptest::prelude::*;
@@ -25,33 +26,30 @@ fn catalog() -> Catalog {
         )
 }
 
-/// One statement per routing/post-processing shape the merge must get right.
+/// One statement per shape of how its blocks spread over the shards, and
+/// per post-processing step.
 const STATEMENTS: &[&str] = &[
-    // Full-key GROUP BY: the fan-out route — each group's blocks live on
-    // exactly one shard, so per-shard rows merge by key.
+    // Full-key GROUP BY: each group's blocks live on exactly one shard.
     "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
      GROUP BY S.Product, S.Town",
-    // Fan-out + HAVING: the trichotomy is per group, but the surviving row
-    // set is re-decided globally after the merge.
+    // + HAVING: the trichotomy is per group, over every shard's groups.
     "SELECT S.Product, S.Town, SUM(S.Qty) FROM Stock AS S \
      GROUP BY S.Product, S.Town HAVING SUM(S.Qty) > 40",
-    // Fan-out + certain top-k: ORDER BY/LIMIT cannot be decided per shard
-    // and must be re-run over the merged rows.
+    // + certain top-k: ORDER BY/LIMIT compares groups of every shard.
     "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
      GROUP BY S.Product, S.Town ORDER BY MAX(S.Qty) DESC LIMIT 3",
-    // Residual comparison predicate: both bounds by repair enumeration —
-    // of each group's own block, so it fans out like the plain MAX above.
+    // Residual comparison predicate: both bounds by repair enumeration of
+    // each group's own block.
     "SELECT S.Product, S.Town, MIN(S.Qty) FROM Stock AS S \
      WHERE S.Qty > 10 GROUP BY S.Product, S.Town",
     // Join: grouping does not determine Stock's block key, so the same
-    // group draws blocks from several shards — combine route.
+    // group draws blocks from several shards.
     "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
      WHERE D.Town = S.Town GROUP BY D.Name",
     // Subset-of-key GROUP BY: the unconstrained key component scatters a
-    // group's blocks across shards — combine route, still byte-identical.
+    // group's blocks across shards.
     "SELECT S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Town",
-    // Closed query with a fully constant key: routed to the one designated
-    // shard that owns the block.
+    // Closed query with a fully constant key: one block, on one shard.
     "SELECT MAX(S.Qty) FROM Stock AS S \
      WHERE S.Product = 'p1' AND S.Town = 'Boston'",
 ];
@@ -215,11 +213,11 @@ fn apply_op(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Fan-out answers come from one front-end result patched through the
-    /// dirty logs of whichever shards advanced since it was cached — several
-    /// at once after a cross-shard batch — and recomputed when one shard's
-    /// history no longer reaches back to it. Every answer, of every route,
-    /// stays byte-identical to an unsharded session's.
+    /// Cached results are patched through the dirty log of every commit
+    /// since they were cached — single writes routed to one shard and
+    /// batches spanning several — and recomputed when the history no longer
+    /// reaches back to them. Every answer, of every statement, stays
+    /// byte-identical to an unsharded session's.
     #[test]
     fn fanout_results_patch_across_advanced_shards(
         rounds in proptest::collection::vec(
@@ -246,8 +244,8 @@ proptest! {
                     if round != stretch_after {
                         continue;
                     }
-                    // More commits on one shard than its dirty log keeps: the
-                    // next fan-out reads cannot patch and must recompute.
+                    // More commits to one shard than the dirty log keeps: the
+                    // next reads cannot patch and must recompute.
                     let f = fact!("Stock", "q0", "Boston", 5);
                     for commit in 0..=DIRTY_LOG_CAP {
                         let (got, want) = if commit % 2 == 0 {
@@ -267,13 +265,13 @@ proptest! {
                     assert_agrees(&sharded, &reference, &format!("{context} after the stretch"));
                     prop_assert!(
                         sharded.stats().totals.support_misses > missed,
-                        "{}: a fan-out result {} commits behind must miss",
+                        "{}: a result {} commits behind must miss",
                         context,
                         DIRTY_LOG_CAP + 1
                     );
                 }
                 let stats = sharded.stats();
-                prop_assert!(stats.totals.full_recomputes > 0, "{}: no fan-out read", context);
+                prop_assert!(stats.totals.full_recomputes > 0, "{}: no cold read", context);
                 prop_assert_eq!(
                     sharded.patch_reasons().total(),
                     stats.totals.support_misses + stats.mirror.support_misses,
@@ -321,17 +319,23 @@ fn recovered_sharded_session_accepts_further_writes() {
             "{sql}"
         );
     }
-    // The statement list earns its name: every route was actually taken.
-    let stats = sharded.stats();
-    assert!(stats.fanout_queries > 0, "no statement fanned out");
-    assert!(stats.designated_queries > 0, "no designated lookup");
-    assert!(stats.combine_queries > 0, "no cross-shard combine");
+    // Every statement was prepared once, and answers again from its cached
+    // result.
+    for sql in STATEMENTS {
+        assert_eq!(
+            sharded.execute(sql).expect("sharded").rows,
+            reference.execute(sql).expect("unsharded").rows,
+            "{sql}"
+        );
+    }
+    let stats = sharded.stats().totals;
+    assert_eq!(stats.statements_prepared, STATEMENTS.len() as u64);
+    assert_eq!(stats.result_hits, STATEMENTS.len() as u64);
 }
 
-/// `explain` reads the same consistent cut an `execute` would: straight
-/// after a write, with no read in between, the access path's block counts
-/// are those of the written instance — the unsharded session's text, below
-/// the front-end's `route:` line.
+/// `explain` reads the snapshot an `execute` would: straight after a write,
+/// with no read in between, the access path's block counts are those of the
+/// written instance — the unsharded session's text, verbatim.
 #[test]
 fn explain_after_a_write_sees_the_write() {
     let facts = [
@@ -357,21 +361,19 @@ fn explain_after_a_write_sees_the_write() {
             let want = reference.explain(sql).expect("unsharded explain");
             assert!(want.contains(" of 2 blocks"), "{want}");
             let got = sharded.explain(sql).expect("sharded explain");
-            let (route, plan) = got.split_once('\n').expect("a route line, then the plan");
-            assert!(route.starts_with("route: "), "{got}");
-            assert_eq!(plan, want, "{shards} shards: {sql}");
+            assert_eq!(got, want, "{shards} shards: {sql}");
         }
     }
 }
 
-/// A fan-out result patches through every shard that advanced, each from
-/// its own dirty log against its own index. The shards intern on their own,
-/// so one value can carry different ids on two shards: here shard 0 holds a
-/// town sorting before `Boston` and shard 1 none, so `Boston`'s id differs,
-/// and one cross-shard batch dirties a `Boston` block on each. A patch that
-/// read one shard's key ids against another shard's index would answer
-/// wrong; the patched answer must be the unsharded session's and a cold
-/// session's, byte for byte.
+/// One batch spanning two shards dirties a `Boston` block on each: it is one
+/// commit, and each full-key result patches through its one dirty-log
+/// entry, which names blocks of both shards in the one index's ids. The
+/// patched answer must be the unsharded session's and a cold session's,
+/// byte for byte. (When each shard kept an index of its own, `Boston`
+/// carried a different id on each — shard 0 also holds a town sorting
+/// before it — and a patch had to read each shard's ids against that
+/// shard's index; one index has one id per value.)
 #[test]
 fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
     let fanout = &STATEMENTS[..2];
@@ -433,26 +435,32 @@ fn a_fanout_result_patches_through_shards_that_intern_one_value_apart() {
     }
 }
 
-/// The front-end keeps one statement cache, whatever the route: a designated
-/// read and a combine read each prepare their statement exactly once, with
-/// every counter of the front-end, its shards and its mirror counted once
-/// in `totals` and `mirror`.
+/// The session keeps one statement cache, however a statement's blocks
+/// spread over the shards: a one-block lookup and a join each prepare their
+/// statement exactly once, every counter counted once in `totals` (and
+/// none in `mirror`), and both answer as an unsharded session does.
 #[test]
 fn each_statement_is_prepared_once_whatever_its_route() {
     let sharded = ShardedSession::new(catalog(), 4);
+    let reference = Session::new(catalog());
+    let pool: Vec<Fact> = (0..40).map(pool_fact).collect();
+    sharded.insert_all(pool.clone()).expect("sharded load");
+    reference.insert_all(pool).expect("unsharded load");
     let prepared = || {
         let stats = sharded.stats();
         stats.totals.merge(stats.mirror).statements_prepared
     };
-    let designated = STATEMENTS[6];
-    let combine = STATEMENTS[4];
+    let lookup = STATEMENTS[6];
+    let join = STATEMENTS[4];
     let before = prepared();
-    sharded.execute(designated).expect("designated read");
-    assert_eq!(sharded.stats().designated_queries, 1);
-    assert_eq!(prepared() - before, 1, "{designated}");
-    sharded.execute(combine).expect("combine read");
-    assert_eq!(sharded.stats().combine_queries, 1);
-    assert_eq!(prepared() - before, 2, "{combine}");
+    for (sql, count) in [(lookup, 1), (lookup, 1), (join, 2), (join, 2)] {
+        assert_eq!(
+            sharded.execute(sql).expect("sharded read").rows,
+            reference.execute(sql).expect("unsharded read").rows,
+            "{sql}"
+        );
+        assert_eq!(prepared() - before, count, "{sql}");
+    }
 }
 
 /// A sharded session keeps one index over every shard's blocks: loading the

@@ -322,15 +322,13 @@ RangeMerge [deterministic group order]
 #[test]
 fn explain_is_pinned_verbatim() {
     let session = fig1_session();
-    // The sharded front-end prints its route, then the same text.
+    // A sharded session prints the same text: its one index holds every
+    // shard's blocks.
     let sharded = ShardedSession::new(fig1_catalog(), 2);
     sharded.insert_all(fig1_facts()).unwrap();
     for (sql, golden) in GOLDEN_EXPLAIN {
         assert_eq!(session.explain(sql).unwrap(), golden, "{sql}");
-        let shown = sharded.explain(sql).unwrap();
-        let (route, plan) = shown.split_once('\n').unwrap();
-        assert!(route.starts_with("route: "), "{shown}");
-        assert_eq!(plan, golden, "sharded: {sql}");
+        assert_eq!(sharded.explain(sql).unwrap(), golden, "sharded: {sql}");
     }
 }
 

@@ -362,9 +362,10 @@ mod beyond_whole_instance_enumeration {
         }
     }
 
-    /// Exact-backed statements of every route: the join (combine), one table
-    /// grouped by its full key (fan-out) and by part of it (combine), a
-    /// residual predicate, a closed join over one `R` block.
+    /// Exact-backed statements of every shape: a join, one table grouped by
+    /// its full key (each group's blocks on one shard) and by part of it
+    /// (on several), a residual predicate, a closed join over one `R`
+    /// block.
     fn statements() -> Vec<String> {
         vec![
             format!("SELECT R.X, SUM(S.Qty) {JOIN} GROUP BY R.X"),
@@ -418,20 +419,18 @@ mod beyond_whole_instance_enumeration {
         let before = session.stats();
         agree("after the writes");
         // Every stale read above was a patch: none fell back to a full
-        // recompute, on the session, on any shard, or on the mirror.
+        // recompute, on the session or on a sharded one.
         let after = session.stats();
         let stale = statements().len() as u64;
         assert_eq!(after.supported_patches - before.supported_patches, stale);
         assert_eq!(after.full_recomputes, before.full_recomputes);
         assert_eq!(session.patch_reasons().total(), 0);
         for sharded in &sharded {
-            let stats = sharded.stats();
-            assert!(stats.totals.supported_patches + stats.mirror.supported_patches >= stale);
+            let stats = sharded.stats().totals;
+            assert_eq!(stats.supported_patches, stale);
             assert_eq!(sharded.patch_reasons().total(), 0);
-            // The single-table full-key SUM fanned out; nothing exact-backed
-            // went to the mirror for being exact-backed.
-            assert_eq!(stats.fanout_queries, 2);
-            assert_eq!(stats.designated_queries, 0);
+            // Each statement was prepared once, exact-backed or not.
+            assert_eq!(stats.statements_prepared, stale);
         }
     }
 }
