@@ -106,8 +106,8 @@ impl Front {
     }
 
     /// Cached statements embed the options they were prepared with, so the
-    /// statement (and result) cache is cleared; the stores are
-    /// options-independent and keep everything.
+    /// statement (and result) cache is cleared; the store is
+    /// options-independent and keeps everything.
     pub(crate) fn with_options(mut self, options: EngineOptions) -> Front {
         self.options = options;
         self.statements

@@ -27,7 +27,7 @@
 //! one index holds every shard's blocks. What it shards is the write path:
 //! its store keeps an epoch and, when durable, a write-ahead log per shard.
 //!
-//! A read whose pinned epochs equal its statement's cached stamp is a hit.
+//! A read whose pinned epoch equals its statement's cached stamp is a hit.
 //! Behind it, the result is patched by **delta-proportional differential
 //! maintenance**: the store logs its commits' dirty block keys as the
 //! interned ids its index reported ([`DbIndex::apply_events`]) — ids are
@@ -362,9 +362,9 @@ pub struct QueryOutcome {
     /// version of the data the rows are byte-identical to a cold evaluation
     /// of.
     pub epoch: u64,
-    /// How many partitions the data the answer was read from has: `1` for
+    /// The number of shards the answered data is partitioned into: `1` for
     /// a plain [`Session`], [`ShardedSession::shard_count`] for a sharded
-    /// one (its one index holds every shard's blocks).
+    /// one (whose one index holds every shard's blocks).
     pub shards: usize,
 }
 

@@ -78,6 +78,10 @@ pub(crate) struct Store {
     stats: AtomicStats,
 }
 
+/// A successor index, each event's effectiveness flag and — for an
+/// incremental commit, not a bulk load — the dirty blocks.
+type Successor = (DbIndex, Vec<bool>, Option<Vec<DirtyKeys>>);
+
 /// A commit the store refused, whole or in part: the error, and each
 /// event's effectiveness flag when its partition's slice was committed
 /// before the refusal (`None` otherwise — for every event when nothing was
@@ -484,7 +488,7 @@ impl Store {
     fn derive(
         base: &Snapshot,
         events: &[DeltaEvent],
-    ) -> Result<(DbIndex, Vec<bool>, Option<Vec<DirtyKeys>>), DataError> {
+    ) -> Result<Successor, DataError> {
         if base.index.is_empty() {
             // The scratch instance validates what it takes in.
             let (db, flags) = Self::bulk_load(&base.shape, events)?;
