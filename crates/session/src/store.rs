@@ -68,7 +68,8 @@ pub(crate) struct Store {
     shape: Arc<DatabaseInstance>,
     /// Each partition's epoch: the effective events committed to it.
     /// Written under [`Store::writer`]; they sum to the current snapshot's
-    /// epoch whenever no commit is in flight.
+    /// epoch whenever no commit is in flight. Relaxed: a reader takes them
+    /// for what they count and reaches no other data through them.
     epochs: Box<[AtomicU64]>,
     /// One write-ahead log per partition when the store was opened over
     /// storage ([`Store::recover`]); none in memory. Only ever locked while
@@ -485,10 +486,7 @@ impl Store {
     /// shared structure. Into an empty snapshot the events are **bulk
     /// loaded** instead — indexed by one sort ([`DbIndex::from_owned`]) —
     /// and no blocks are reported, since the load starts a fresh id space.
-    fn derive(
-        base: &Snapshot,
-        events: &[DeltaEvent],
-    ) -> Result<Successor, DataError> {
+    fn derive(base: &Snapshot, events: &[DeltaEvent]) -> Result<Successor, DataError> {
         if base.index.is_empty() {
             // The scratch instance validates what it takes in.
             let (db, flags) = Self::bulk_load(&base.shape, events)?;
