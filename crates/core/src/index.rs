@@ -66,14 +66,16 @@
 //! A [`DbIndex`] is a **persistent data structure** with three levels of
 //! sharing: each relation's [`RelationIndex`] lives behind an [`Arc`]; inside
 //! it the key-sorted block list (and each deep posting list) is a
-//! [`ChunkedSeq`] — a spine of `Arc`-shared leaves of
+//! [`ChunkedSeq`] — a two-level spine over `Arc`-shared leaves of
 //! [`rcqa_data::chunked::MIN_LEAF`]..=[`rcqa_data::chunked::MAX_LEAF`]
 //! blocks; and a block is one `Arc` of columns. Cloning an index is one
 //! pointer bump per relation, and [`DbIndex::apply_delta`] **path-copies**:
-//! per touched relation it copies the spines (one pointer per leaf), and per
-//! touched block one leaf of each sequence (two where a leaf splits or merges)
-//! plus that block's columns. Nothing in a commit scans the relation: a
-//! single-fact commit costs `O(blocks / MIN_LEAF + MAX_LEAF)`.
+//! per touched relation it copies the spines (one pointer per node of
+//! leaves, and the leaf pointers of the node written), and per touched block
+//! one leaf of each sequence (two where a leaf splits or merges) plus that
+//! block's columns. Nothing in a commit scans the relation: a single-fact
+//! commit costs `O(blocks / (MIN_LEAF · MIN_NODE) + MAX_NODE + MAX_LEAF)`
+//! (the node bounds are [`ChunkedSeq`]'s).
 //! Every other leaf — and every untouched relation — keeps sharing storage
 //! with the index the clone came from ([`DbIndex::shared_leaves`] observes
 //! this). What is still `O(n)`: the cold build ([`DbIndex::new`]), and a
@@ -1198,11 +1200,19 @@ impl DbIndex {
     /// the rows allocates nothing per fact; [`FactRow::to_fact`]
     /// materialises one.
     pub fn rows(&self) -> impl Iterator<Item = FactRow<'_>> + Clone {
+        self.rows_by_block().flatten()
+    }
+
+    /// [`DbIndex::rows`], one iterator per level-0 block: the rows of one
+    /// block, in block order.
+    pub fn rows_by_block(
+        &self,
+    ) -> impl Iterator<Item = impl Iterator<Item = FactRow<'_>> + Clone> + Clone {
         let mut relations: Vec<&RelationIndex> = self.relations.values().map(Arc::as_ref).collect();
         relations.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         let interner = &*self.interner;
         relations.into_iter().flat_map(move |relation| {
-            relation.blocks.iter().flat_map(move |block| {
+            relation.blocks.iter().map(move |block| {
                 (0..block.cols.rows()).map(move |row| FactRow {
                     relation,
                     block,

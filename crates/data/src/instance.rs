@@ -69,7 +69,8 @@ impl Block {
 /// Per-relation fact sets are **structurally shared at leaf granularity**:
 /// each relation's facts are one sorted [`ChunkedSeq`] behind an [`Arc`].
 /// Cloning an instance is one pointer bump per relation; a mutation copies,
-/// for the relation it touches, the sequence's spine (one pointer per leaf of
+/// for the relation it touches, the sequence's two-level spine (one pointer
+/// per node, and the pointers of the one node written to its leaves of
 /// [`crate::chunked::MIN_LEAF`]..=[`crate::chunked::MAX_LEAF`] facts) and the
 /// **one leaf** the fact lands in (two on a split or merge) — every other
 /// leaf, and every untouched relation, stays shared with the instance the

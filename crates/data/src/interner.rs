@@ -44,11 +44,11 @@ pub const MAX_INTERNED: usize = (u32::MAX - 2) as usize;
 ///
 /// Cloning is cheap: the sorted prefix is `Arc`-shared, and the overlay's two
 /// sequences are [`ChunkedSeq`]s, so a clone copies their spines — one
-/// pointer per leaf — and interning a value into the clone then copies the
-/// one leaf of each it lands in. The overlay grows for the life of a
-/// session (every value first seen since the cold build stays in it), so
-/// this is what keeps the serving layer's per-commit path copy of the index
-/// flat even though the interner rides inside it.
+/// pointer per node of leaves — and interning a value into the clone then
+/// copies the one node and the one leaf of each it lands in. The overlay
+/// grows for the life of a session (every value first seen since the cold
+/// build stays in it), so this is what keeps the serving layer's per-commit
+/// path copy of the index flat even though the interner rides inside it.
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
     /// Ids `0..sorted.len()`, in ascending `Value` order. Frozen at build.

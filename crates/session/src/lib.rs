@@ -874,14 +874,15 @@ impl Session {
     /// or not.
     ///
     /// Copied per incremental commit: per written relation one spine (a
-    /// pointer per leaf of 128–256 blocks), and per touched block one leaf
-    /// of each sequence (two where a leaf splits or merges) plus the block's
+    /// pointer per node of 8–32 leaves of 128–256 blocks, and the leaf
+    /// pointers of each node written), and per touched block one leaf of
+    /// each sequence (two where a leaf splits or merges) plus the block's
     /// columns; index statistics are adjusted, not recomputed. A commit that
     /// interns a fresh value copies the interner overlay's spines and one
-    /// leaf of each, not the overlay. With `n` the size of a written
-    /// relation a batch costs `O(n / 128 + |delta| · (log n + 256))` pointer
-    /// copies, and a single-fact commit allocates what its index delta does
-    /// plus the successor snapshot and its dirty-log entry
+    /// node and leaf of each, not the overlay. With `n` the size of a
+    /// written relation a batch costs `O(n / 1024 + |delta| · (log n + 32 +
+    /// 256))` pointer copies, and a single-fact commit allocates what its
+    /// index delta does plus the successor snapshot and its dirty-log entry
     /// (`tests/commit_allocations.rs`). Measured with timer-instrumented
     /// builds (10⁵ facts, 2 cores, two 20 s runs each), a commit averaged
     /// 34–35 µs on `serve_read_heavy` (25 µs replaying the index, 7 µs
@@ -953,13 +954,22 @@ impl Session {
         self.front.prepare(&self.snapshot(), sql)
     }
 
-    /// One read at a pinned snapshot: the front-end's read path over this
-    /// session's store.
+    /// One read at a pinned snapshot.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.front.prepare(snapshot, sql)?;
-        let rows = self.front.read(&stmt, &self.store, snapshot)?;
+        self.read_at(snapshot, &stmt)
+    }
+
+    /// One read of a prepared statement at a pinned snapshot: the
+    /// front-end's read path over this session's store.
+    fn read_at(
+        &self,
+        snapshot: &Snapshot,
+        stmt: &PreparedStatement,
+    ) -> Result<QueryOutcome, SessionError> {
+        let rows = self.front.read(stmt, &self.store, snapshot)?;
         let partitions = self.store.partitions();
-        Ok(Front::outcome(&stmt, rows, snapshot.epoch, partitions))
+        Ok(Front::outcome(stmt, rows, snapshot.epoch, partitions))
     }
 
     /// Executes a SQL aggregation query: classification plus one

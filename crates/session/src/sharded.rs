@@ -14,6 +14,9 @@
 //! every shard, as much as a lookup of one block — is answered by the same
 //! code over the same index as on an unsharded session holding the same
 //! facts, and the answers are byte-identical by construction.
+//! [`ShardedStats`] still counts each read by its shard footprint — which
+//! shards its blocks sit in, read off the statement's shape — but no
+//! footprint changes how a read runs.
 //!
 //! ## Partitioning rule
 //!
@@ -65,9 +68,11 @@
 use crate::front::Front;
 use crate::store::{lock, Store};
 use crate::{
-    PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError, SessionStats, WalOptions,
+    PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError, SessionStats, Snapshot,
+    WalOptions,
 };
 use rcqa_core::engine::EngineOptions;
+use rcqa_core::SupportSlot;
 use rcqa_data::{DatabaseInstance, DeltaEvent, Fact};
 use rcqa_query::Catalog;
 use rcqa_wal::{FsStorage, WalError, WalStorage};
@@ -93,9 +98,8 @@ struct Coordinator {
 }
 
 /// Aggregated observability of a [`ShardedSession`]: its counters, the
-/// per-shard epoch frontier and the group-commit counters. The route and
-/// mirror fields read 0: every read is served from the one store, and no
-/// mirror is kept.
+/// per-shard epoch frontier, each read's shard footprint and the
+/// group-commit counters. The mirror fields read 0: no mirror is kept.
 #[derive(Clone, Debug)]
 pub struct ShardedStats {
     /// The session's counters: the front-end's reads — statements prepared,
@@ -110,11 +114,17 @@ pub struct ShardedStats {
     /// Each shard's epoch (effective operations routed to it). The session
     /// epoch is the sum of this vector.
     pub epoch_frontier: Vec<u64>,
-    /// 0: a read is not routed to shards.
+    /// Reads whose blocks span the shards one group to a shard: one
+    /// relation, each key column grouped or fixed by a constant and at
+    /// least one grouped. Footprints are counted by statement shape; every
+    /// read is answered over the one index.
     pub fanout_queries: u64,
-    /// 0: a read is not routed to shards.
+    /// Reads whose blocks all sit in one shard: one relation with every key
+    /// column fixed by a constant, or a `WHERE` that no row satisfies (it
+    /// reads no block).
     pub designated_queries: u64,
-    /// 0: a read is not routed to shards.
+    /// Reads whose rows combine blocks of several shards: joins, and
+    /// one-relation statements with a key column neither grouped nor fixed.
     pub combine_queries: u64,
     /// Leader-drained batches that coalesced more than one concurrent
     /// writer into a single commit.
@@ -141,6 +151,9 @@ pub struct ShardedSession {
     /// The front-end and its one store, partitioned by shard.
     session: Session,
     coordinator: Coordinator,
+    /// Reads counted by shard footprint, as [`ShardedStats`] reports them:
+    /// fan-out, designated, combine.
+    footprints: [AtomicU64; 3],
     group_commits: AtomicU64,
     group_commit_events: AtomicU64,
 }
@@ -174,6 +187,7 @@ impl ShardedSession {
                 store,
             },
             coordinator: Coordinator::default(),
+            footprints: Default::default(),
             group_commits: AtomicU64::new(0),
             group_commit_events: AtomicU64::new(0),
         }
@@ -322,9 +336,9 @@ impl ShardedSession {
             totals: self.session.stats(),
             mirror: SessionStats::default(),
             epoch_frontier: self.epoch_frontier(),
-            fanout_queries: 0,
-            designated_queries: 0,
-            combine_queries: 0,
+            fanout_queries: self.footprints[FANOUT].load(Ordering::Relaxed),
+            designated_queries: self.footprints[DESIGNATED].load(Ordering::Relaxed),
+            combine_queries: self.footprints[COMBINE].load(Ordering::Relaxed),
             group_commits: self.group_commits.load(Ordering::Relaxed),
             group_commit_events: self.group_commit_events.load(Ordering::Relaxed),
             mirror_syncs: 0,
@@ -415,18 +429,19 @@ impl ShardedSession {
     /// fails the submitters whose events the store did not commit.
     fn commit_group(&self, batch: Vec<(DeltaEvent, Arc<Ticket>)>) {
         let schema = self.session.snapshot();
-        let mut valid: Vec<(DeltaEvent, Arc<Ticket>)> = Vec::with_capacity(batch.len());
+        let mut events = Vec::with_capacity(batch.len());
+        let mut tickets = Vec::with_capacity(batch.len());
         for (event, ticket) in batch {
             if let Err(error) = schema.validate(&event) {
                 *lock(&ticket.done) = Some(Err(SessionError::Data(error)));
                 continue;
             }
-            valid.push((event, ticket));
+            events.push(event);
+            tickets.push(ticket);
         }
-        if valid.is_empty() {
+        if events.is_empty() {
             return;
         }
-        let events: Vec<DeltaEvent> = valid.iter().map(|(e, _)| e.clone()).collect();
         let outcomes: Vec<Result<bool, SessionError>> =
             match self.session.store.apply_batch(&events) {
                 Ok(flags) => {
@@ -443,7 +458,7 @@ impl ShardedSession {
                     .map(|flag| flag.ok_or_else(|| refused.error.clone()))
                     .collect(),
             };
-        for ((_, ticket), outcome) in valid.iter().zip(outcomes) {
+        for (ticket, outcome) in tickets.iter().zip(outcomes) {
             *lock(&ticket.done) = Some(outcome);
         }
     }
@@ -464,7 +479,7 @@ impl ShardedSession {
     /// holding the same facts; [`QueryOutcome::shards`] reports the shard
     /// count and [`QueryOutcome::epoch`] the session epoch.
     pub fn execute(&self, sql: &str) -> Result<QueryOutcome, SessionError> {
-        self.session.execute(sql)
+        self.execute_at(&self.session.snapshot(), sql)
     }
 
     /// Executes a batch of SQL queries against **one** pinned snapshot:
@@ -474,13 +489,52 @@ impl ShardedSession {
         &self,
         sqls: impl IntoIterator<Item = S>,
     ) -> Result<Vec<QueryOutcome>, SessionError> {
-        self.session.execute_many(sqls)
+        let snapshot = self.session.snapshot();
+        sqls.into_iter()
+            .map(|sql| self.execute_at(&snapshot, sql.as_ref()))
+            .collect()
+    }
+
+    /// One read at a pinned snapshot, counted by its shard footprint.
+    fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
+        let stmt = self.session.front.prepare(snapshot, sql)?;
+        self.footprints[footprint(&stmt)].fetch_add(1, Ordering::Relaxed);
+        self.session.read_at(snapshot, &stmt)
     }
 
     /// An `EXPLAIN`-style rendering: an unsharded session's over the same
     /// facts, access-path block counts included.
     pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
         self.session.explain(sql)
+    }
+}
+
+const FANOUT: usize = 0;
+const DESIGNATED: usize = 1;
+const COMBINE: usize = 2;
+
+/// The shard footprint of a read of `stmt` — [`FANOUT`], [`DESIGNATED`] or
+/// [`COMBINE`] — read off the key slots of its support: the partitioning
+/// rule hashes a block's key, so a grouped key column spreads a read's
+/// blocks one group to a shard, constants pin them to one shard, and a free
+/// key column (or a second relation) lets one row reach several.
+fn footprint(stmt: &PreparedStatement) -> usize {
+    if stmt.unsatisfiable {
+        return DESIGNATED;
+    }
+    let [atom] = stmt.support().atoms() else {
+        return COMBINE;
+    };
+    let slots = &atom.key;
+    if slots.iter().any(|slot| matches!(slot, SupportSlot::Any)) {
+        COMBINE
+    } else if slots
+        .iter()
+        .any(|slot| matches!(slot, SupportSlot::Group(_)))
+    {
+        FANOUT
+    } else {
+        DESIGNATED
     }
 }
 
@@ -561,8 +615,8 @@ mod tests {
 
     /// The one store holds every shard's facts, and statements of every
     /// shape answer as a session over those facts: a full-key grouping, a
-    /// one-block lookup, a join. No read is routed and no mirror is kept,
-    /// so the route and mirror counters read 0.
+    /// one-block lookup, a join, one read of each footprint. No mirror is
+    /// kept, so the mirror counters read 0.
     #[test]
     fn shard_and_mirror_agree_on_facts_and_answers() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -591,13 +645,14 @@ mod tests {
                 stats.mirror_syncs,
                 stats.mirror_events,
             ),
-            (0, 0, 0, 0, 0)
+            (1, 1, 1, 0, 0)
         );
         assert_eq!(stats.mirror, SessionStats::default());
     }
 
-    /// A grouping by the full block key and one by part of it — whose
-    /// groups draw blocks from several shards — both match.
+    /// A grouping by the full block key (a fan-out footprint) and one by
+    /// part of it — whose groups draw blocks from several shards, a combine
+    /// footprint — both match.
     #[test]
     fn grouped_query_fans_out_and_matches_unsharded() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -609,11 +664,15 @@ mod tests {
             "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
              GROUP BY S.Product, S.Town",
         );
+        assert_eq!(sharded.stats().fanout_queries, 1);
+        // A free key column: one group's blocks sit in several shards.
         assert_same(
             &sharded,
             &reference,
             "SELECT S.Product, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product",
         );
+        assert_eq!(sharded.stats().fanout_queries, 1);
+        assert_eq!(sharded.stats().combine_queries, 1);
     }
 
     #[test]
@@ -745,7 +804,8 @@ mod tests {
         assert_eq!(after.more_aggregates[0].as_ptr(), more);
     }
 
-    /// A join — whose blocks hash to every shard — matches.
+    /// A join — whose blocks hash to every shard, a combine footprint —
+    /// matches.
     #[test]
     fn join_routes_to_combine_and_matches_unsharded() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -757,10 +817,12 @@ mod tests {
             "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
              WHERE D.Town = S.Town GROUP BY D.Name",
         );
+        assert_eq!(sharded.stats().combine_queries, 1);
     }
 
-    /// A lookup of one block matches, and its outcome reports the shard
-    /// count: the one index it was read from holds every shard.
+    /// A lookup of one block — a designated footprint — matches, and its
+    /// outcome reports the shard count: the one index it was read from holds
+    /// every shard.
     #[test]
     fn constant_key_query_routes_to_one_designated_shard() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -773,6 +835,7 @@ mod tests {
         assert_eq!(out.rows, expect.rows);
         assert_eq!(out.shards, 4);
         assert_eq!(expect.shards, 1);
+        assert_eq!(sharded.stats().designated_queries, 1);
     }
 
     #[test]
@@ -818,7 +881,8 @@ mod tests {
         assert_eq!(sharded.database().unwrap().len(), 0);
     }
 
-    /// A statically contradictory WHERE clause matches.
+    /// A statically contradictory WHERE clause matches; it reads no block,
+    /// a designated footprint.
     #[test]
     fn unsatisfiable_where_designates_shard_zero() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -826,6 +890,7 @@ mod tests {
         let reference = reference();
         let sql = "SELECT MAX(S.Qty) FROM Stock AS S WHERE S.Qty = 5 AND S.Qty < 3";
         assert_same(&sharded, &reference, sql);
+        assert_eq!(sharded.stats().designated_queries, 1);
     }
 
     /// `explain` prints an unsharded session's plan over the same facts,
@@ -844,6 +909,40 @@ mod tests {
             let plan = sharded.explain(sql).unwrap();
             assert_eq!(plan, reference.explain(sql).unwrap());
         }
+    }
+
+    /// Logs due in one commit each checkpoint their own shard's facts: a
+    /// reopen — which refuses a checkpointed fact of another shard —
+    /// recovers the live state.
+    #[test]
+    fn due_shard_logs_checkpoint_their_own_facts() {
+        let options = WalOptions {
+            sync: SyncPolicy::Never,
+            checkpoint_every: 2,
+        };
+        let disks: Vec<MemStorage> = (0..4).map(|_| MemStorage::new()).collect();
+        let open = || {
+            let storages = disks
+                .iter()
+                .map(|disk| Box::new(disk.handle()) as Box<dyn WalStorage>);
+            ShardedSession::open_storages(catalog(), storages.collect(), options)
+                .expect("open over memory")
+        };
+        let sharded = open();
+        let stock = |i: usize| fact!("Stock", format!("P{i}"), "Boston", 5);
+        let on = |shard: usize, n: usize| -> Vec<Fact> {
+            let facts = (0..).map(stock).filter(|f| sharded.shard_for(f) == shard);
+            facts.take(n).collect()
+        };
+        sharded.insert_all((0..4).flat_map(|s| on(s, 2))).unwrap();
+        assert_eq!(sharded.stats().totals.checkpoints, 4);
+        sharded.insert_all(on(1, 4).into_iter().skip(2)).unwrap();
+        assert_eq!(sharded.stats().totals.checkpoints, 5);
+        let live = sharded.database().unwrap();
+        drop(sharded);
+        let reopened = open();
+        assert_eq!(*reopened.database().unwrap(), *live);
+        assert_eq!(reopened.epoch_frontier(), [2, 4, 2, 2]);
     }
 
     /// A shard log that refuses its slice in the middle of a batch: the

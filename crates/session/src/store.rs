@@ -331,8 +331,9 @@ impl Store {
     /// order, **before** the successor is published. When a log refuses its
     /// slice, the slices logged before it are published — re-derived from
     /// the base without the rest — and the commit is [`Refused`]: with one
-    /// partition, or at the first slice, nothing is published. A
-    /// checkpoint, when due, follows the publish.
+    /// partition, or at the first slice, nothing is published. The due
+    /// logs checkpoint after the publish, their rows routed by block in one
+    /// walk of the index.
     pub(crate) fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, Refused> {
         let refuse = |error: SessionError| Refused {
             error,
@@ -360,29 +361,22 @@ impl Store {
         }
         let mut wals = lock(&self.wals);
         let mut refused = None;
-        let kept: Vec<DeltaEvent>;
-        if self.partitions() == 1 {
-            self.log(wals.first_mut(), 0, effective).map_err(refuse)?;
-        } else if wals.is_empty() {
-            for event in effective {
-                self.epochs[self.partition_of(&event.fact)].fetch_add(1, Ordering::Relaxed);
-            }
+        // Each partition's slice of the batch: all of it when there is one.
+        let mut routed = vec![Vec::new(); self.partitions()];
+        let slices: Vec<&[DeltaEvent]> = if self.partitions() == 1 {
+            vec![effective]
         } else {
-            let mut slices = vec![Vec::new(); self.partitions()];
             for event in effective {
-                slices[self.partition_of(&event.fact)].push(event.clone());
+                routed[self.partition_of(&event.fact)].push(event.clone());
             }
-            let mut failed = None;
-            for (p, (slice, wal)) in slices.iter().zip(wals.iter_mut()).enumerate() {
-                if slice.is_empty() {
-                    continue;
-                }
-                if let Err(error) = self.log(Some(wal), p, slice) {
-                    failed = Some((p, error));
-                    break;
-                }
+            routed.iter().map(Vec::as_slice).collect()
+        };
+        let kept: Vec<DeltaEvent>;
+        for (p, slice) in slices.iter().enumerate() {
+            if slice.is_empty() {
+                continue;
             }
-            if let Some((p, error)) = failed {
+            if let Err(error) = self.log(wals.get_mut(p), p, slice) {
                 // Partitions hold disjoint facts, so the logged slices are
                 // effective on their own, as they were in the batch.
                 kept = slices[..p].concat();
@@ -392,6 +386,7 @@ impl Store {
                 (index, _, blocks) = Self::derive(&base, &kept).map_err(|e| refuse(e.into()))?;
                 effective = &kept;
                 refused = Some((p, error));
+                break;
             }
         }
         let epoch = base.epoch + effective.len() as u64;
@@ -431,11 +426,30 @@ impl Store {
         // Checkpoint *after* publishing: the batch is already durable on the
         // log, so a checkpoint failure cannot fail the commit — it only
         // postpones log truncation (and is retried at the next commit).
-        for (p, wal) in wals.iter_mut().enumerate() {
-            if wal.checkpoint_due() {
-                let rows = snapshot.index.rows();
-                let rows = rows.filter(|row| self.partition_of(row) == p);
-                match wal.checkpoint(self.epochs[p].load(Ordering::Relaxed), rows) {
+        let due: Vec<bool> = wals.iter().map(Wal::checkpoint_due).collect();
+        if due.contains(&true) {
+            // One walk of the index routes every block, whose rows all share
+            // its partition, to the due logs.
+            let mut parts = vec![Vec::new(); due.len()];
+            if due.len() > 1 {
+                for block in snapshot.index.rows_by_block() {
+                    let p = block
+                        .clone()
+                        .next()
+                        .map_or(0, |row| self.partition_of(&row));
+                    if due[p] {
+                        parts[p].push(block);
+                    }
+                }
+            }
+            for (p, wal) in wals.iter_mut().enumerate().filter(|&(p, _)| due[p]) {
+                let epoch = self.epochs[p].load(Ordering::Relaxed);
+                let written = if due.len() == 1 {
+                    wal.checkpoint(epoch, snapshot.index.rows())
+                } else {
+                    wal.checkpoint(epoch, std::mem::take(&mut parts[p]).into_iter().flatten())
+                };
+                match written {
                     Ok(()) => AtomicStats::bump(&self.stats.checkpoints),
                     Err(_) => AtomicStats::bump(&self.stats.checkpoint_failures),
                 }
