@@ -1200,19 +1200,11 @@ impl DbIndex {
     /// the rows allocates nothing per fact; [`FactRow::to_fact`]
     /// materialises one.
     pub fn rows(&self) -> impl Iterator<Item = FactRow<'_>> + Clone {
-        self.rows_by_block().flatten()
-    }
-
-    /// [`DbIndex::rows`], one iterator per level-0 block: the rows of one
-    /// block, in block order.
-    pub fn rows_by_block(
-        &self,
-    ) -> impl Iterator<Item = impl Iterator<Item = FactRow<'_>> + Clone> + Clone {
         let mut relations: Vec<&RelationIndex> = self.relations.values().map(Arc::as_ref).collect();
         relations.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         let interner = &*self.interner;
         relations.into_iter().flat_map(move |relation| {
-            relation.blocks.iter().map(move |block| {
+            relation.blocks.iter().flat_map(move |block| {
                 (0..block.cols.rows()).map(move |row| FactRow {
                     relation,
                     block,

@@ -313,7 +313,7 @@ impl Front {
     }
 
     /// The outcome a reader gets: `rows` stamped with `epoch` and the
-    /// number of partitions of the store read.
+    /// reading session's shard count.
     pub(crate) fn outcome(
         stmt: &PreparedStatement,
         rows: CachedRows,

@@ -23,9 +23,9 @@
 //!   result**, stamped with the epoch it was read at, and the read
 //!   counters.
 //!
-//! A [`ShardedSession`] is the same: one front-end over one store, whose
-//! one index holds every shard's blocks. What it shards is the write path:
-//! its store keeps an epoch and, when durable, a write-ahead log per shard.
+//! A [`ShardedSession`] is the same — one front-end over one store, one
+//! index and at most one write-ahead log — that routes its facts to shards
+//! by block for its counters and group-commits concurrent writes.
 //!
 //! A read whose pinned epoch equals its statement's cached stamp is a hit.
 //! Behind it, the result is patched by **delta-proportional differential
@@ -731,7 +731,7 @@ impl Session {
     pub fn with_instance(catalog: Catalog, db: impl Into<Arc<DatabaseInstance>>) -> Session {
         Session {
             front: Front::new(catalog),
-            store: Store::new(db.into(), vec![0], Vec::new()),
+            store: Store::new(db.into(), 0, None),
         }
     }
 
@@ -747,7 +747,10 @@ impl Session {
     /// *interior* damage (a bad record before the tail, a broken epoch
     /// chain) is refused as [`SessionError::Wal`] rather than guessed
     /// around. An empty or missing directory opens an empty session at
-    /// epoch 0.
+    /// epoch 0. A directory in the per-shard layout of earlier sharded
+    /// sessions (a `SHARDS` manifest beside one log per `shard-NNN`
+    /// directory) is refused as [`SessionError::Wal`] naming that layout,
+    /// not opened empty.
     pub fn open(catalog: Catalog, dir: impl AsRef<Path>) -> Result<Session, SessionError> {
         Session::open_with(catalog, dir, WalOptions::default())
     }
@@ -759,7 +762,18 @@ impl Session {
         dir: impl AsRef<Path>,
         options: WalOptions,
     ) -> Result<Session, SessionError> {
-        let storage = FsStorage::open(dir.as_ref())?;
+        let dir = dir.as_ref();
+        if dir.join("SHARDS").exists() {
+            return Err(SessionError::Wal(WalError::Corrupt {
+                file: "SHARDS".to_string(),
+                offset: 0,
+                detail: "the directory is in the per-shard layout (a SHARDS manifest and \
+                         one log per shard-NNN directory), which is no longer read: \
+                         its facts must be loaded into a fresh directory"
+                    .to_string(),
+            }));
+        }
+        let storage = FsStorage::open(dir)?;
         Session::open_storage(catalog, Box::new(storage), options)
     }
 
@@ -771,7 +785,7 @@ impl Session {
         storage: Box<dyn WalStorage>,
         options: WalOptions,
     ) -> Result<Session, SessionError> {
-        let store = Store::recover(catalog.schema(), vec![storage], options)?;
+        let store = Store::recover(catalog.schema(), storage, options)?;
         Ok(Session {
             front: Front::new(catalog),
             store,
@@ -840,7 +854,7 @@ impl Session {
     /// [`Session::epoch`] whenever the sync policy is
     /// [`SyncPolicy::Always`]; under `Never` it may trail it.
     pub fn durable_epoch(&self) -> Option<u64> {
-        self.store.durable_epochs().map(|epochs| epochs[0])
+        self.store.durable_epoch()
     }
 
     /// Forces an fsync of the write-ahead log, making every committed batch
@@ -905,7 +919,7 @@ impl Session {
     /// keeps serving (and accepting reads of) the last committed snapshot —
     /// durability failures degrade writes, never reads.
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        Ok(self.store.apply_batch(events)?)
+        self.store.apply_batch(events)
     }
 
     /// Inserts one fact. Returns `true` if the fact was new.
@@ -957,19 +971,20 @@ impl Session {
     /// One read at a pinned snapshot.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.front.prepare(snapshot, sql)?;
-        self.read_at(snapshot, &stmt)
+        self.read_at(snapshot, &stmt, 1)
     }
 
     /// One read of a prepared statement at a pinned snapshot: the
-    /// front-end's read path over this session's store.
+    /// front-end's read path over this session's store, its outcome
+    /// reporting `shards`.
     fn read_at(
         &self,
         snapshot: &Snapshot,
         stmt: &PreparedStatement,
+        shards: usize,
     ) -> Result<QueryOutcome, SessionError> {
         let rows = self.front.read(stmt, &self.store, snapshot)?;
-        let partitions = self.store.partitions();
-        Ok(Front::outcome(stmt, rows, snapshot.epoch, partitions))
+        Ok(Front::outcome(stmt, rows, snapshot.epoch, shards))
     }
 
     /// Executes a SQL aggregation query: classification plus one

@@ -1,12 +1,12 @@
-//! A sharded session: a session whose write path is partitioned by shard,
-//! behind one session-shaped API, with group-commit batched writes.
+//! A sharded session: a session whose writes and reads are counted by
+//! shard, behind one session-shaped API, with group-commit batched writes.
 //!
 //! ## One front-end over one store
 //!
 //! A [`ShardedSession`] is a [`Session`] — one front-end (the statement
 //! cache, each statement's cached result, the patch and post-processing
 //! steps, the read counters) over one store (a snapshot chain with its
-//! commit path and dirty log) — whose store has one partition per shard.
+//! commit path, its dirty log and, when durable, its one write-ahead log).
 //! Its reads are a session's: a read pins one snapshot, its statement is
 //! prepared once, and its result is served, patched through the store's
 //! dirty log, or evaluated over the store's one index. One index holds
@@ -14,68 +14,56 @@
 //! every shard, as much as a lookup of one block — is answered by the same
 //! code over the same index as on an unsharded session holding the same
 //! facts, and the answers are byte-identical by construction.
-//! [`ShardedStats`] still counts each read by its shard footprint — which
-//! shards its blocks sit in, read off the statement's shape — but no
-//! footprint changes how a read runs.
 //!
 //! ## Partitioning rule
 //!
-//! The partitioning rule governs the logs and the epochs. Every fact is
-//! routed by a stable FNV-1a hash of its **level-0 block key** — the
-//! relation name plus the fact's primary-key prefix ([`Fact::key`]) —
-//! modulo the shard count ([`ShardedSession::shard_for`]). The block is the
-//! unit of repair choice (a repair picks exactly one fact per block), so a
-//! shard holds whole blocks. Each shard has its own epoch — the effective
-//! events routed to it ([`ShardedSession::epoch_frontier`]) — and, when
-//! durable, its own write-ahead log: appended the effective events that
-//! route to the shard, numbered by the shard's epoch, and checkpointing only
-//! the shard's facts. The session's epoch is the sum of the shard epochs.
+//! Every fact is routed by a stable FNV-1a hash of its **level-0 block
+//! key** — the relation name plus the fact's primary-key prefix
+//! ([`Fact::key`]) — modulo the shard count ([`ShardedSession::shard_for`]).
+//! The block is the unit of repair choice (a repair picks exactly one fact
+//! per block), so a shard holds whole blocks. The rule is observable, not
+//! structural: [`ShardedStats`] counts each read by its shard footprint —
+//! which shards its blocks sit in, read off the statement's shape — and
+//! each shard's effective events since the session opened
+//! ([`ShardedSession::epoch_frontier`]); neither changes how a read or a
+//! commit runs.
 //!
 //! ## Write path: group commit
 //!
 //! [`ShardedSession::insert`] / [`ShardedSession::delete`] enqueue the event
 //! on the session's commit coordinator and then contend for its leader
 //! lock. Whoever wins drains the whole queue, commits it to the store as one
-//! batch — one snapshot publish and, on a durable session, at most one log
-//! append per shard the batch touches, for every event that piled up while
-//! the previous commit was in flight — and distributes per-event results to
-//! the waiting submitters. Under [`SyncPolicy::Always`](crate::SyncPolicy::Always),
-//! coalescing multiplies directly into fewer fsyncs. Inserts are
-//! pre-validated individually (schema and numeric domain are static), so one
-//! ill-typed event fails alone without poisoning the batch it happened to
-//! share a leader with; only a durability (I/O) failure fails submitters:
-//! those whose shard's slice, or an earlier shard's, the log refused.
+//! batch — one snapshot publish and, on a durable session, one log append,
+//! for every event that piled up while the previous commit was in flight —
+//! and distributes per-event results to the waiting submitters. Under
+//! [`SyncPolicy::Always`](crate::SyncPolicy::Always), coalescing multiplies
+//! directly into fewer fsyncs. Inserts are pre-validated individually
+//! (schema and numeric domain are static), so one ill-typed event fails
+//! alone without poisoning the batch it happened to share a leader with; a
+//! durability (I/O) failure fails every submitter of the batch, none of
+//! whose events is published.
 //!
 //! [`ShardedSession::insert_all`] / [`ShardedSession::apply_batch`] commit
-//! a batch spanning shards as **one** store commit, validated in full first
-//! (a schema violation rejects the whole batch), so readers see all of it or
-//! none. Its per-shard slices are appended shard by shard, in shard order.
-//! When a shard's log refuses its slice, the slices logged before it are
-//! committed and visible, the rest are not, and the error is returned: the
-//! live state is the one a reopen recovers. A crash between slices leaves
-//! the same torn edge — per-shard logs cannot promise cross-shard atomicity
-//! through a crash — which the docs of [`ShardedSession::open`] spell out.
+//! a batch spanning shards as **one** store commit and one log record:
+//! readers, and a reopen after a crash at any byte of the record, see all
+//! of it or none.
 //!
-//! ## Durability layout and recovery
+//! ## Durability
 //!
-//! A durable sharded session lays out `dir/SHARDS` (the shard count,
-//! refused on mismatch — re-sharding a directory is not resharding the data)
-//! and one WAL directory `dir/shard-NNN` per shard. [`ShardedSession::open`]
-//! replays every shard's log, **verifies the routing** — every recovered
-//! fact and every replayed event must route to the shard whose log holds it
-//! — and bulk-loads the union into the one index, at the summed epoch.
+//! A durable sharded session's directory is a session directory:
+//! [`ShardedSession::open`] recovers it as [`Session::open`] does, at any
+//! shard count.
 
-use crate::front::Front;
-use crate::store::{lock, Store};
+use crate::store::lock;
 use crate::{
     PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError, SessionStats, Snapshot,
     WalOptions,
 };
 use rcqa_core::engine::EngineOptions;
 use rcqa_core::SupportSlot;
-use rcqa_data::{DatabaseInstance, DeltaEvent, Fact};
+use rcqa_data::codec;
+use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, Schema};
 use rcqa_query::Catalog;
-use rcqa_wal::{FsStorage, WalError, WalStorage};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -105,14 +93,15 @@ pub struct ShardedStats {
     /// The session's counters: the front-end's reads — statements prepared,
     /// statement and result hits, patches, misses, recomputes, top-k
     /// re-selections, evictions — and the store's commits (index builds,
-    /// deltas applied, one WAL append per shard slice, checkpoints, batched
+    /// deltas applied, one WAL append per commit, checkpoints, batched
     /// commits), each counted once.
     pub totals: SessionStats,
     /// All zero: no mirror store is kept (`totals.merge(mirror)` is
     /// `totals`).
     pub mirror: SessionStats,
-    /// Each shard's epoch (effective operations routed to it). The session
-    /// epoch is the sum of this vector.
+    /// Each shard's effective operations since the session opened, in shard
+    /// order: it sums to the epochs committed since then, not to a
+    /// recovered session's epoch.
     pub epoch_frontier: Vec<u64>,
     /// Reads whose blocks span the shards one group to a shard: one
     /// relation, each key column grouped or fixed by a constant and at
@@ -137,20 +126,24 @@ pub struct ShardedStats {
     pub mirror_events: u64,
 }
 
-/// A session partitioned by shard: one front-end over one store whose write
-/// path — epochs and write-ahead logs — is split by the routing hash.
+/// A session whose facts are routed to shards by block: one front-end over
+/// one store, with group-commit writes and per-shard counters.
 ///
 /// The API mirrors [`Session`] — insert/delete/insert_all,
 /// prepare/execute/execute_many/explain, stats/epoch/sync — and every
 /// answer is **byte-identical** to the same statement on one unsharded
 /// session holding the same facts (`tests/session_sharded.rs` asserts this
 /// across random interleavings, shard counts, thread counts, and crash
-/// recovery). See the module docs (`sharded.rs`) for the routing rule, the
-/// group-commit write path and recovery.
+/// recovery). See the module docs (`sharded.rs`) for the routing rule and
+/// the group-commit write path.
 pub struct ShardedSession {
-    /// The front-end and its one store, partitioned by shard.
+    /// The front-end and its one store.
     session: Session,
+    /// What [`partition_of`] reads key lengths from.
+    schema: Schema,
     coordinator: Coordinator,
+    /// Each shard's effective events since the session opened.
+    frontier: Box<[AtomicU64]>,
     /// Reads counted by shard footprint, as [`ShardedStats`] reports them:
     /// fan-out, designated, combine.
     footprints: [AtomicU64; 3],
@@ -168,6 +161,42 @@ impl std::fmt::Debug for ShardedSession {
     }
 }
 
+/// The shard of `shards` a fact belongs to: a stable FNV-1a hash of its
+/// **level-0 block key** — the relation name and the canonical byte
+/// encoding ([`codec::encode_value`]) of each key value, with separators so
+/// `("AB", ["C"])` and `("A", ["BC"])` cannot collide structurally — modulo
+/// `shards`. Every fact of a block lands in one shard; collisions only skew
+/// the distribution. A relation the schema does not know has an empty key.
+fn partition_of(schema: &Schema, fact: &Fact, shards: usize) -> usize {
+    if shards == 1 {
+        return 0;
+    }
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = BASIS;
+    let mut eat = |byte: u8| {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(PRIME);
+    };
+    for byte in fact.relation().bytes() {
+        eat(byte);
+    }
+    eat(0xff);
+    let key_len = schema
+        .signature(fact.relation())
+        .map_or(0, |sig| sig.key_len());
+    let mut buf = Vec::new();
+    for value in fact.args().iter().take(key_len) {
+        buf.clear();
+        codec::encode_value(value, &mut buf);
+        for &byte in &buf {
+            eat(byte);
+        }
+        eat(0xfe);
+    }
+    (hash % shards as u64) as usize
+}
+
 impl ShardedSession {
     /// Opens an in-memory sharded session of `shards` empty shards over the
     /// catalog's schema.
@@ -175,18 +204,17 @@ impl ShardedSession {
     /// # Panics
     /// With zero shards (there is nowhere to route anything).
     pub fn new(catalog: Catalog, shards: usize) -> ShardedSession {
-        assert!(shards > 0, "a sharded session needs at least one shard");
-        let store = Store::empty(catalog.schema(), shards);
-        ShardedSession::assemble(catalog, store)
+        ShardedSession::assemble(Session::new(catalog), shards)
     }
 
-    fn assemble(catalog: Catalog, store: Store) -> ShardedSession {
+    /// `session` behind a front-end of `shards` shards.
+    fn assemble(session: Session, shards: usize) -> ShardedSession {
+        assert!(shards > 0, "a sharded session needs at least one shard");
         ShardedSession {
-            session: Session {
-                front: Front::new(catalog),
-                store,
-            },
+            schema: session.catalog().schema(),
+            session,
             coordinator: Coordinator::default(),
+            frontier: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             footprints: Default::default(),
             group_commits: AtomicU64::new(0),
             group_commit_events: AtomicU64::new(0),
@@ -194,23 +222,13 @@ impl ShardedSession {
     }
 
     /// Opens a **durable** sharded session over `dir` with default
-    /// [`WalOptions`]: one write-ahead-log directory per shard
-    /// (`dir/shard-NNN`) plus a `SHARDS` manifest pinning the shard count.
-    /// Every shard's log is replayed, the routing is verified (each
-    /// recovered fact and each replayed event must route to the shard whose
-    /// log holds it — anything else means the directory was produced under
-    /// a different layout and answers could silently drop it), and the
-    /// union is bulk-loaded into the one index. Opening an existing
-    /// directory with a different shard count is refused as
+    /// [`WalOptions`]. The directory is a session directory: it is
+    /// recovered exactly as [`Session::open`] recovers it — one write-ahead
+    /// log, its newest valid checkpoint and the log tail — whatever shard
+    /// count wrote it, with the same refusals: among them a directory in
+    /// the per-shard layout of earlier sharded sessions (a `SHARDS`
+    /// manifest and a log per `shard-NNN` directory), as
     /// [`SessionError::Wal`].
-    ///
-    /// Durability granularity is per shard: a single-shard commit is atomic
-    /// on its WAL, and a crash between the per-shard slices of a
-    /// cross-shard [`ShardedSession::insert_all`] can leave a durable
-    /// prefix of those slices without the rest. Readers never observe that
-    /// torn state live (the batch is one commit); it is only reachable
-    /// through crash recovery, and each surviving slice is still a valid
-    /// per-shard state.
     ///
     /// # Panics
     /// With zero shards, as [`ShardedSession::new`].
@@ -222,8 +240,8 @@ impl ShardedSession {
         ShardedSession::open_with(catalog, dir, shards, WalOptions::default())
     }
 
-    /// [`ShardedSession::open`] with explicit [`WalOptions`], applied to
-    /// every shard's log (fsync policy and checkpoint cadence).
+    /// [`ShardedSession::open`] with explicit [`WalOptions`] (fsync policy
+    /// and checkpoint cadence).
     ///
     /// # Panics
     /// With zero shards, as [`ShardedSession::new`].
@@ -234,53 +252,8 @@ impl ShardedSession {
         options: WalOptions,
     ) -> Result<ShardedSession, SessionError> {
         assert!(shards > 0, "a sharded session needs at least one shard");
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let manifest = dir.join("SHARDS");
-        match std::fs::read_to_string(&manifest) {
-            Ok(text) => {
-                let recorded: usize = text.trim().parse().map_err(|_| {
-                    SessionError::Wal(WalError::Corrupt {
-                        file: "SHARDS".to_string(),
-                        offset: 0,
-                        detail: format!("unreadable shard count {text:?}"),
-                    })
-                })?;
-                if recorded != shards {
-                    return Err(SessionError::Wal(WalError::Corrupt {
-                        file: "SHARDS".to_string(),
-                        offset: 0,
-                        detail: format!(
-                            "directory is laid out for {recorded} shards, opened with \
-                             {shards}; re-sharding requires migrating the data, not \
-                             reinterpreting the logs"
-                        ),
-                    }));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(&manifest, format!("{shards}\n"))?;
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let storages = (0..shards)
-            .map(|i| {
-                let storage = FsStorage::open(dir.join(format!("shard-{i:03}")))?;
-                Ok(Box::new(storage) as Box<dyn WalStorage>)
-            })
-            .collect::<Result<_, SessionError>>()?;
-        ShardedSession::open_storages(catalog, storages, options)
-    }
-
-    /// A durable sharded session with one shard per storage, shard `i`'s log
-    /// on `storages[i]`.
-    fn open_storages(
-        catalog: Catalog,
-        storages: Vec<Box<dyn WalStorage>>,
-        options: WalOptions,
-    ) -> Result<ShardedSession, SessionError> {
-        let store = Store::recover(catalog.schema(), storages, options)?;
-        Ok(ShardedSession::assemble(catalog, store))
+        let session = Session::open_with(catalog, dir, options)?;
+        Ok(ShardedSession::assemble(session, shards))
     }
 
     /// Overrides the engine options: the statement cache is cleared, the
@@ -292,7 +265,7 @@ impl ShardedSession {
 
     /// The number of shards.
     pub fn shard_count(&self) -> usize {
-        self.session.store.partitions()
+        self.frontier.len()
     }
 
     /// The session's catalog.
@@ -301,30 +274,31 @@ impl ShardedSession {
     }
 
     /// The session epoch: effective operations applied since (or before,
-    /// via recovery) it opened. Equals the sum of
-    /// [`ShardedSession::epoch_frontier`] whenever no commit is in flight.
+    /// via recovery) it opened.
     pub fn epoch(&self) -> u64 {
         self.session.epoch()
     }
 
-    /// The per-shard epoch frontier: each shard's effective-operation
-    /// count, in shard order.
+    /// The per-shard epoch frontier: each shard's effective operations
+    /// since the session opened, in shard order. Whenever no commit is in
+    /// flight it sums to the epochs committed since then.
     pub fn epoch_frontier(&self) -> Vec<u64> {
-        self.session.store.epochs()
+        let load = |epoch: &AtomicU64| epoch.load(Ordering::Relaxed);
+        self.frontier.iter().map(load).collect()
     }
 
-    /// Whether the shards persist commits to write-ahead logs.
+    /// Whether the session persists commits to a write-ahead log.
     pub fn is_durable(&self) -> bool {
         self.session.is_durable()
     }
 
-    /// The per-shard durable frontier (each shard's last fsync-covered
-    /// epoch), or `None` for an in-memory session.
-    pub fn durable_frontier(&self) -> Option<Vec<u64>> {
-        self.session.store.durable_epochs()
+    /// The last epoch known durable on storage, or `None` for an in-memory
+    /// session ([`Session::durable_epoch`]).
+    pub fn durable_epoch(&self) -> Option<u64> {
+        self.session.durable_epoch()
     }
 
-    /// Forces an fsync of every shard's write-ahead log.
+    /// Forces an fsync of the write-ahead log.
     pub fn sync(&self) -> Result<(), SessionError> {
         self.session.sync()
     }
@@ -360,7 +334,7 @@ impl ShardedSession {
 
     /// The shard a fact routes to.
     pub fn shard_for(&self, fact: &Fact) -> usize {
-        self.session.store.partition_of(fact)
+        partition_of(&self.schema, fact, self.shard_count())
     }
 
     // ------------------------------------------------------------------
@@ -369,8 +343,7 @@ impl ShardedSession {
 
     /// Inserts one fact through the group-commit coordinator. Returns
     /// `true` if the fact was new. Concurrent writers coalesce into one
-    /// commit (one snapshot publish, one WAL append per shard touched) —
-    /// see the module docs.
+    /// commit (one snapshot publish, one WAL append) — see the module docs.
     pub fn insert(&self, fact: Fact) -> Result<bool, SessionError> {
         self.submit(DeltaEvent::insert(fact))
     }
@@ -386,17 +359,25 @@ impl ShardedSession {
     /// [`Session::insert_all`]), then committed as one commit, so readers
     /// observe all of it or none.
     pub fn insert_all(&self, facts: impl IntoIterator<Item = Fact>) -> Result<(), SessionError> {
-        self.session.insert_all(facts)
+        let events: Vec<DeltaEvent> = facts.into_iter().map(DeltaEvent::insert).collect();
+        self.apply_batch(&events).map(drop)
     }
 
-    /// Applies a batch of change events as one commit, returning one
-    /// effectiveness flag per event in order. Validation is all-or-nothing;
-    /// a durability failure mid-batch is reported as an error after the
-    /// slices of the shards logged before it were committed (per-shard WALs
-    /// cannot promise cross-shard atomicity through a crash — see
-    /// [`ShardedSession::open`]).
+    /// Applies a batch of change events as one commit and one log record,
+    /// returning one effectiveness flag per event in order
+    /// ([`Session::apply_batch`]): all of it is published and logged, or
+    /// none.
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        self.session.apply_batch(events)
+        let flags = self.session.apply_batch(events)?;
+        self.advance_frontier(events, &flags);
+        Ok(flags)
+    }
+
+    /// Counts each effective event of a commit on its shard's frontier.
+    fn advance_frontier(&self, events: &[DeltaEvent], flags: &[bool]) {
+        for (event, _) in events.iter().zip(flags).filter(|&(_, &flag)| flag) {
+            self.frontier[self.shard_for(&event.fact)].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Enqueues one event on the coordinator and waits for a leader
@@ -426,7 +407,7 @@ impl ShardedSession {
     /// Commits one leader-drained batch (leader lock held by the caller).
     /// Inserts are pre-validated individually so an ill-typed event fails
     /// its own submitter without failing the batch; a durability failure
-    /// fails the submitters whose events the store did not commit.
+    /// fails every submitter of the batch.
     fn commit_group(&self, batch: Vec<(DeltaEvent, Arc<Ticket>)>) {
         let schema = self.session.snapshot();
         let mut events = Vec::with_capacity(batch.len());
@@ -442,22 +423,17 @@ impl ShardedSession {
         if events.is_empty() {
             return;
         }
-        let outcomes: Vec<Result<bool, SessionError>> =
-            match self.session.store.apply_batch(&events) {
-                Ok(flags) => {
-                    if events.len() > 1 {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        self.group_commit_events
-                            .fetch_add(events.len() as u64, Ordering::Relaxed);
-                    }
-                    flags.into_iter().map(Ok).collect()
+        let outcomes: Vec<Result<bool, SessionError>> = match self.apply_batch(&events) {
+            Ok(flags) => {
+                if events.len() > 1 {
+                    self.group_commits.fetch_add(1, Ordering::Relaxed);
+                    self.group_commit_events
+                        .fetch_add(events.len() as u64, Ordering::Relaxed);
                 }
-                Err(refused) => refused
-                    .committed
-                    .into_iter()
-                    .map(|flag| flag.ok_or_else(|| refused.error.clone()))
-                    .collect(),
-            };
+                flags.into_iter().map(Ok).collect()
+            }
+            Err(error) => vec![Err(error); events.len()],
+        };
         for (ticket, outcome) in tickets.iter().zip(outcomes) {
             *lock(&ticket.done) = Some(outcome);
         }
@@ -499,7 +475,7 @@ impl ShardedSession {
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.session.front.prepare(snapshot, sql)?;
         self.footprints[footprint(&stmt)].fetch_add(1, Ordering::Relaxed);
-        self.session.read_at(snapshot, &stmt)
+        self.session.read_at(snapshot, &stmt, self.shard_count())
     }
 
     /// An `EXPLAIN`-style rendering: an unsharded session's over the same
@@ -551,7 +527,7 @@ mod tests {
     use rcqa_core::engine::GroupRange;
     use rcqa_data::fact;
     use rcqa_query::TableDef;
-    use rcqa_wal::{FailingStorage, MemStorage, SyncPolicy};
+    use rcqa_wal::{FailingStorage, MemStorage, SyncPolicy, WalStorage};
 
     fn catalog() -> Catalog {
         Catalog::new()
@@ -911,60 +887,20 @@ mod tests {
         }
     }
 
-    /// Logs due in one commit each checkpoint their own shard's facts: a
-    /// reopen — which refuses a checkpointed fact of another shard —
-    /// recovers the live state.
-    #[test]
-    fn due_shard_logs_checkpoint_their_own_facts() {
-        let options = WalOptions {
-            sync: SyncPolicy::Never,
-            checkpoint_every: 2,
-        };
-        let disks: Vec<MemStorage> = (0..4).map(|_| MemStorage::new()).collect();
-        let open = || {
-            let storages = disks
-                .iter()
-                .map(|disk| Box::new(disk.handle()) as Box<dyn WalStorage>);
-            ShardedSession::open_storages(catalog(), storages.collect(), options)
-                .expect("open over memory")
-        };
-        let sharded = open();
-        let stock = |i: usize| fact!("Stock", format!("P{i}"), "Boston", 5);
-        let on = |shard: usize, n: usize| -> Vec<Fact> {
-            let facts = (0..).map(stock).filter(|f| sharded.shard_for(f) == shard);
-            facts.take(n).collect()
-        };
-        sharded.insert_all((0..4).flat_map(|s| on(s, 2))).unwrap();
-        assert_eq!(sharded.stats().totals.checkpoints, 4);
-        sharded.insert_all(on(1, 4).into_iter().skip(2)).unwrap();
-        assert_eq!(sharded.stats().totals.checkpoints, 5);
-        let live = sharded.database().unwrap();
-        drop(sharded);
-        let reopened = open();
-        assert_eq!(*reopened.database().unwrap(), *live);
-        assert_eq!(reopened.epoch_frontier(), [2, 4, 2, 2]);
-    }
-
-    /// A shard log that refuses its slice in the middle of a batch: the
-    /// slices logged before it are committed and visible, the error is
-    /// returned, and a reopen recovers the live state. A single write the
-    /// refusing log owns commits nothing, and writes other logs own go on.
-    #[test]
-    fn a_log_failure_mid_batch_commits_the_slices_logged_before_it() {
+    /// A durable sharded session of `shards` shards over `storage`, opened
+    /// as a [`Session`] opens it.
+    fn durable(storage: Box<dyn WalStorage>, shards: usize) -> ShardedSession {
         let options = WalOptions {
             sync: SyncPolicy::Always,
             checkpoint_every: 0,
         };
-        let disks: Vec<MemStorage> = (0..4).map(|_| MemStorage::new()).collect();
-        let (failing, refused) = (2, 3);
-        let storages = disks.iter().enumerate().map(|(i, disk)| {
-            let storage = FailingStorage::new(disk.handle());
-            let budget = if i == failing { 0 } else { u64::MAX };
-            Box::new(storage.with_op_budget(budget)) as Box<dyn WalStorage>
-        });
-        let sharded = ShardedSession::open_storages(catalog(), storages.collect(), options)
-            .expect("open over memory");
-        // One fact on each shard, in shard order.
+        let session = Session::open_storage(catalog(), storage, options).expect("open");
+        ShardedSession::assemble(session, shards)
+    }
+
+    /// One event on each of four shards — an insert on three, a delete of a
+    /// seeded fact on the last — and the seed that delete finds.
+    fn cross_shard_batch(sharded: &ShardedSession) -> (Vec<Fact>, Vec<DeltaEvent>) {
         let stock = |i: usize| fact!("Stock", format!("P{i}"), "Boston", 5);
         let on = |shard: usize| {
             (0..)
@@ -972,46 +908,125 @@ mod tests {
                 .find(|f| sharded.shard_for(f) == shard)
                 .expect("some fact routes to every shard")
         };
-        let batch: Vec<DeltaEvent> = (0..4).rev().map(|s| DeltaEvent::insert(on(s))).collect();
+        let mut seed = facts().to_vec();
+        seed.push(on(3));
+        let batch = (0..3).map(|s| DeltaEvent::insert(on(s)));
+        let batch = batch.chain([DeltaEvent::delete(on(3))]).collect();
+        (seed, batch)
+    }
+
+    /// The state a reopen of `disk` recovers, checked against a cold
+    /// session over its facts on every statement shape.
+    fn recovered(disk: &MemStorage) -> Arc<DatabaseInstance> {
+        let reopened = durable(Box::new(disk.handle()), 4);
+        let db = reopened.database().unwrap();
+        let cold = Session::with_instance(catalog(), db.clone());
+        for sql in [
+            "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
+            "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town",
+            "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+             WHERE D.Town = S.Town GROUP BY D.Name",
+        ] {
+            let (got, want) = (reopened.execute(sql).unwrap(), cold.execute(sql).unwrap());
+            assert_eq!(got.rows, want.rows, "{sql}");
+        }
+        db
+    }
+
+    /// A batch spanning every shard is one log record: a crash at any byte
+    /// of it recovers all of the batch or none of it, and a log that refuses
+    /// the record after any number of its bytes publishes nothing.
+    #[test]
+    fn a_cross_shard_batch_is_all_or_nothing_at_every_byte() {
+        let disk = MemStorage::new();
+        let sharded = durable(Box::new(disk.handle()), 4);
+        let (seed, batch) = cross_shard_batch(&sharded);
+        sharded.insert_all(seed).unwrap();
+        let segment = rcqa_wal::segment_name(0);
+        let before = disk.file(&segment).expect("the seed is logged");
+        let (base, seeded) = (sharded.database().unwrap(), sharded.epoch_frontier());
+        sharded.apply_batch(&batch).unwrap();
+        let frontier = seeded.iter().map(|epoch| epoch + 1).collect::<Vec<_>>();
+        assert_eq!(sharded.epoch_frontier(), frontier);
+        let after = sharded.database().unwrap();
+        let full = disk.file(&segment).expect("the batch is logged");
+        let record = full.len() - before.len();
+        drop(sharded);
+        for cut in 0..=record {
+            let whole = cut == record;
+            let want = if whole { &after } else { &base };
+            // A crash `cut` bytes into the record.
+            let crashed = MemStorage::new();
+            crashed.set_file(&segment, full[..before.len() + cut].to_vec());
+            assert_eq!(*recovered(&crashed), **want, "crash at byte {cut}");
+            // A log whose storage takes `cut` more bytes.
+            let image = MemStorage::new();
+            image.set_file(&segment, before.clone());
+            let failing = FailingStorage::new(image.handle()).with_byte_budget(cut as u64);
+            let live = durable(Box::new(failing), 4);
+            let committed = live.apply_batch(&batch);
+            assert_eq!(committed.is_ok(), whole, "budget {cut}");
+            if !whole {
+                assert!(matches!(committed, Err(SessionError::Io(_))));
+                assert_eq!(live.epoch(), base.len() as u64);
+                assert_eq!(live.epoch_frontier(), [0; 4]);
+            }
+            assert_eq!(*live.database().unwrap(), **want, "budget {cut}");
+            drop(live);
+            assert_eq!(*recovered(&image), **want, "reopen after budget {cut}");
+        }
+    }
+
+    /// A log that refuses an append publishes nothing — neither a batch
+    /// spanning shards nor a group commit — and every submitter of the
+    /// refused group gets the error.
+    #[test]
+    fn a_refused_append_publishes_nothing_and_fails_every_submitter() {
+        let disk = MemStorage::new();
+        let seeded = durable(Box::new(disk.handle()), 4);
+        let (seed, batch) = cross_shard_batch(&seeded);
+        seeded.insert_all(seed).unwrap();
+        drop(seeded);
+        let failing = FailingStorage::new(disk.handle()).with_op_budget(0);
+        let sharded = durable(Box::new(failing), 4);
+        let (epoch, db) = (sharded.epoch(), sharded.database().unwrap());
+        let unchanged = |sharded: &ShardedSession| {
+            assert_eq!(sharded.epoch(), epoch);
+            assert_eq!(sharded.epoch_frontier(), [0; 4]);
+            assert_eq!(*sharded.database().unwrap(), *db);
+        };
         assert!(matches!(
             sharded.apply_batch(&batch),
             Err(SessionError::Io(_))
         ));
-        let db = sharded.database().unwrap();
-        for event in &batch {
-            let logged = sharded.shard_for(&event.fact) < failing;
-            assert_eq!(db.contains(&event.fact), logged, "{}", event.fact);
+        unchanged(&sharded);
+        // Hold the leader lock until every writer has queued, so one leader
+        // drains them all into one group commit.
+        let writers = 4;
+        let results = std::thread::scope(|scope| {
+            let leader = lock(&sharded.coordinator.leader);
+            let handles: Vec<_> = batch
+                .iter()
+                .take(writers)
+                .map(|event| {
+                    let sharded = &sharded;
+                    scope.spawn(move || sharded.submit(event.clone()))
+                })
+                .collect();
+            while lock(&sharded.coordinator.queue).len() < writers {
+                std::thread::yield_now();
+            }
+            drop(leader);
+            let handles = handles.into_iter().map(|h| h.join().unwrap());
+            handles.collect::<Vec<_>>()
+        });
+        for result in results {
+            assert!(matches!(result, Err(SessionError::Io(_))), "{result:?}");
         }
-        assert_eq!(sharded.epoch_frontier(), [1, 1, 0, 0]);
-        assert_eq!(sharded.epoch(), 2);
-        let sql = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
-                   GROUP BY S.Product, S.Town";
-        let cold = Session::with_instance(catalog(), db.clone());
-        assert_eq!(
-            sharded.execute(sql).unwrap().rows,
-            cold.execute(sql).unwrap().rows
-        );
-        // The refusing log's own write publishes nothing; another log's
-        // write commits.
-        assert!(sharded.insert(on(failing)).is_err());
-        assert_eq!(sharded.epoch(), 2);
-        assert!(sharded.insert(on(refused)).unwrap());
-        assert_eq!(sharded.epoch_frontier(), [1, 1, 0, 1]);
-        let live = sharded.database().unwrap();
+        unchanged(&sharded);
+        assert_eq!(sharded.stats().group_commits, 0);
+        assert_eq!(sharded.stats().totals.wal_appends, 0);
         drop(sharded);
-        let storages = disks
-            .iter()
-            .map(|disk| Box::new(disk.handle()) as Box<dyn WalStorage>);
-        let reopened =
-            ShardedSession::open_storages(catalog(), storages.collect(), options).expect("reopen");
-        assert_eq!(*reopened.database().unwrap(), *live);
-        assert_eq!(reopened.epoch_frontier(), [1, 1, 0, 1]);
-        assert_eq!(
-            reopened.execute(sql).unwrap().rows,
-            Session::with_instance(catalog(), live)
-                .execute(sql)
-                .unwrap()
-                .rows
-        );
+        assert_eq!(*recovered(&disk), *db);
     }
 }

@@ -1,33 +1,40 @@
-//! Sharded serving: partition a serving session's write path — epochs and
-//! write-ahead logs — across N shards by level-0 block key, keep one index
-//! over every shard's blocks, and coalesce concurrent writers into group
-//! commits — with every answer byte-identical to one unsharded session over
-//! the same facts.
+//! Sharded serving: route facts to N shards by level-0 block key, keep one
+//! index and one write-ahead log over every shard's blocks, and coalesce
+//! concurrent writers into group commits — with every answer byte-identical
+//! to one unsharded session over the same facts, before and after a reopen
+//! at another shard count.
+//!
+//! The session is durable, in a temporary directory: concurrent inserts are
+//! group-committed to its one log, the session is dropped, the directory is
+//! reopened at three shards, and the answers are compared with the ones
+//! read before. The example exits non-zero on any mismatch.
 //!
 //! Run with: `cargo run --example sharded_serving`
 
 use rcqa::data::fact;
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::{Session, ShardedSession};
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
     let catalog = Catalog::new().with_table(
         TableDef::new("Stock")
             .key_column("Product")
             .key_column("Town")
             .numeric_column("Qty"),
     );
+    let dir = tempfile::TempDir::new().expect("a temporary directory");
 
     // Four shards behind one front-end. Facts route by a stable hash of
     // their block key (Product, Town), so each block — the unit the paper's
-    // repairs choose from — belongs to exactly one shard's epoch and log;
-    // every block sits in the session's one index.
-    let session = Arc::new(ShardedSession::new(catalog.clone(), 4));
+    // repairs choose from — belongs to exactly one shard; every block sits
+    // in the session's one index, and every commit in its one log.
+    let session =
+        Arc::new(ShardedSession::open(catalog.clone(), dir.path(), 4).expect("open the directory"));
 
     // Concurrent writers: the commit coordinator coalesces overlapping
-    // inserts into one commit and, on a durable session, one WAL append per
-    // shard touched (group commit).
+    // inserts into one commit, one log record and one fsync (group commit).
     std::thread::scope(|scope| {
         for w in 0..4 {
             let session = Arc::clone(&session);
@@ -50,21 +57,24 @@ fn main() {
     });
 
     // Three uncontested bestsellers: their blocks are consistent and beat
-    // every interval above, so the *certain* top-k below is non-empty.
-    for (i, product) in ["Atlas", "Beacon", "Comet"].iter().enumerate() {
-        session
-            .insert(fact!("Stock", *product, "Boston", 900 + i as i32))
-            .expect("insert");
-    }
+    // every interval above, so the *certain* top-k below is non-empty. They
+    // go in as one batch spanning shards: one commit, one log record.
+    session
+        .insert_all(
+            ["Atlas", "Beacon", "Comet"]
+                .iter()
+                .enumerate()
+                .map(|(i, product)| fact!("Stock", *product, "Boston", 900 + i as i32)),
+        )
+        .expect("insert_all");
 
     // A full-key GROUP BY over every shard's blocks, read from the one
-    // index; the front-end keeps the result. The
-    // certain top-5 keeps only groups in the top 5 of EVERY repair — the
-    // three bestsellers qualify; the conflicted blocks' overlapping
-    // intervals leave ranks 4 and 5 uncertain, so they are (correctly)
-    // dropped.
+    // index; the front-end keeps the result. The certain top-5 keeps only
+    // groups in the top 5 of EVERY repair — the three bestsellers qualify;
+    // the conflicted blocks' overlapping intervals leave ranks 4 and 5
+    // uncertain, so they are (correctly) dropped.
     let top = "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
-                  GROUP BY S.Product, S.Town ORDER BY MAX(S.Qty) DESC LIMIT 5";
+               GROUP BY S.Product, S.Town ORDER BY MAX(S.Qty) DESC LIMIT 5";
     println!("{}", session.explain(top).expect("explain"));
     let top5 = session.execute(top).expect("top-k query");
     println!("{}", top5.to_table());
@@ -72,22 +82,9 @@ fn main() {
     // A subset-of-key GROUP BY draws each group's blocks from several
     // shards: the one index answers it like any other statement.
     let towns = "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town";
-    println!("{}", session.explain(towns).expect("explain"));
     println!(
         "{}",
         session.execute(towns).expect("per-town query").to_table()
-    );
-
-    // The sharding is invisible: an unsharded session over the same facts
-    // answers identically, row for row.
-    let unsharded = Session::with_instance(
-        catalog,
-        session.database().expect("union instance").as_ref().clone(),
-    );
-    assert_eq!(
-        unsharded.execute(top).expect("unsharded").rows,
-        top5.rows,
-        "sharded answers must be byte-identical to unsharded"
     );
 
     // A write makes both cached answers stale; the next reads patch them
@@ -97,8 +94,10 @@ fn main() {
     session
         .insert(fact!("Stock", "Atlas", "Boston", 905))
         .expect("insert");
-    session.execute(top).expect("stale top-k read");
-    session.execute(towns).expect("stale per-town read");
+    let before: Vec<_> = [top, towns]
+        .iter()
+        .map(|sql| session.execute(sql).expect("stale read").rows)
+        .collect();
 
     let stats = session.stats();
     let reasons = session.patch_reasons();
@@ -116,7 +115,44 @@ fn main() {
         session.epoch()
     );
     println!(
-        "index builds: {} | group commits: {} batches / {} events",
-        stats.totals.index_builds, stats.group_commits, stats.group_commit_events
+        "log appends: {} | group commits: {} batches / {} events",
+        stats.totals.wal_appends, stats.group_commits, stats.group_commit_events
     );
+
+    // Drop the session and reopen its directory at another shard count:
+    // the directory is a session directory, whatever shard count wrote it.
+    let epoch = session.epoch();
+    drop(session);
+    let reopened = ShardedSession::open(catalog.clone(), dir.path(), 3).expect("reopen");
+    let mut mismatches = 0;
+    if reopened.epoch() != epoch {
+        eprintln!("reopened at epoch {}, not {epoch}", reopened.epoch());
+        mismatches += 1;
+    }
+    // The sharding is invisible: the reopened session and an unsharded
+    // session over the recovered facts answer as the session did before.
+    let unsharded = Session::with_instance(catalog, reopened.database().expect("facts"));
+    for (sql, rows) in [top, towns].iter().zip(&before) {
+        let again = reopened.execute(sql).expect("reopened read").rows;
+        let cold = unsharded.execute(sql).expect("unsharded read").rows;
+        if again != *rows || cold != *rows {
+            eprintln!("answers differ after the reopen: {sql}");
+            mismatches += 1;
+        }
+    }
+    println!(
+        "reopened at {} shards, epoch {}: {}",
+        reopened.shard_count(),
+        reopened.epoch(),
+        if mismatches == 0 {
+            "every answer as before"
+        } else {
+            "ANSWERS DIFFER"
+        }
+    );
+    if mismatches == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -7,13 +7,17 @@
 //! one-block lookups — a [`ShardedSession`] must return answers
 //! byte-identical to a single unsharded [`Session`] fed the same
 //! operations, at every shard count, at every thread count, and after
-//! crash-recovering every shard from its write-ahead log.
+//! crash-recovering its write-ahead log — at its own shard count, at
+//! another, or as a plain session.
 
 use proptest::prelude::*;
 use rcqa::core::engine::EngineOptions;
 use rcqa::data::{fact, DeltaEvent, Fact, Value};
 use rcqa::query::{Catalog, TableDef};
-use rcqa::session::{Session, SessionError, ShardedSession, SyncPolicy, WalOptions, DIRTY_LOG_CAP};
+use rcqa::session::{
+    QueryOutcome, Session, SessionError, ShardedSession, SyncPolicy, WalOptions, DIRTY_LOG_CAP,
+};
+use rcqa::wal::WalError;
 
 fn catalog() -> Catalog {
     Catalog::new()
@@ -89,8 +93,18 @@ fn wal_options() -> WalOptions {
 /// Asserts that `sharded` answers every statement byte-identically to the
 /// unsharded `reference` session.
 fn assert_agrees(sharded: &ShardedSession, reference: &Session, context: &str) {
+    assert_answers(|sql| sharded.execute(sql), reference, context);
+}
+
+/// Asserts that `execute` answers every statement byte-identically to the
+/// unsharded `reference` session.
+fn assert_answers(
+    execute: impl Fn(&str) -> Result<QueryOutcome, SessionError>,
+    reference: &Session,
+    context: &str,
+) {
     for sql in STATEMENTS {
-        let got = sharded.execute(sql).expect("sharded execute");
+        let got = execute(sql).expect("execute");
         let want = reference.execute(sql).expect("unsharded execute");
         prop_assert_eq!(&want.columns, &got.columns, "{} columns: {}", context, sql);
         prop_assert_eq!(&want.rows, &got.rows, "{} rows: {}", context, sql);
@@ -142,32 +156,32 @@ proptest! {
                     sharded.epoch(),
                     "frontier must sum to the front-end epoch"
                 );
-                // Crash-recover every shard: drop the live front-end (its
-                // logs are on disk), reopen the directory, and demand the
-                // same answers again.
-                sharded.sync().expect("sync all shards");
+                // Crash-recover: drop the live front-end (its log is on
+                // disk), reopen the directory — at its shard count, at
+                // another, and as a plain session — and demand the same
+                // answers each time.
+                sharded.sync().expect("sync the log");
                 drop(sharded);
-                let recovered =
-                    ShardedSession::open_with(catalog(), &path, shards, wal_options())
-                        .expect("recover all shards")
-                        .with_options(engine);
-                assert_agrees(
-                    &recovered,
-                    &reference,
-                    &format!("recovered s{shards}/t{threads}"),
-                );
-                // Reopening with the wrong shard count must be refused, not
-                // silently re-routed.
-                if shards > 1 {
-                    let wrong =
-                        ShardedSession::open_with(catalog(), &path, shards - 1, wal_options());
-                    prop_assert!(
-                        matches!(wrong, Err(SessionError::Wal(_))),
-                        "a {}-shard directory must refuse to open as {} shards",
-                        shards,
-                        shards - 1
+                for reshard in [shards, (shards - 1).max(1)] {
+                    let recovered =
+                        ShardedSession::open_with(catalog(), &path, reshard, wal_options())
+                            .expect("recover")
+                            .with_options(engine);
+                    prop_assert_eq!(recovered.epoch(), reference.epoch());
+                    assert_agrees(
+                        &recovered,
+                        &reference,
+                        &format!("s{shards} recovered as s{reshard}/t{threads}"),
                     );
                 }
+                let plain = Session::open_with(catalog(), &path, wal_options())
+                    .expect("recover as a session")
+                    .with_options(engine);
+                assert_answers(
+                    |sql| plain.execute(sql),
+                    &reference,
+                    &format!("s{shards} recovered as a session/t{threads}"),
+                );
             }
         }
     }
@@ -284,7 +298,7 @@ proptest! {
 }
 
 /// Writes keep working after recovery: the recovered front-end continues
-/// from the recovered frontier and stays byte-identical to an unsharded
+/// from the recovered epoch and stays byte-identical to an unsharded
 /// session fed the same total history.
 #[test]
 fn recovered_sharded_session_accepts_further_writes() {
@@ -305,6 +319,7 @@ fn recovered_sharded_session_accepts_further_writes() {
         sharded.sync().expect("sync");
     }
     let sharded = ShardedSession::open_with(catalog, &path, 4, wal_options()).expect("recover");
+    let recovered = sharded.epoch();
     for draw in 10..20u64 {
         let f = pool_fact(draw * 7 + 1);
         assert_eq!(
@@ -312,6 +327,9 @@ fn recovered_sharded_session_accepts_further_writes() {
             reference.insert(f).expect("insert")
         );
     }
+    // The frontier counts the writes since the reopen.
+    let frontier = sharded.epoch_frontier().iter().sum::<u64>();
+    assert_eq!(frontier, sharded.epoch() - recovered);
     for sql in STATEMENTS {
         assert_eq!(
             sharded.execute(sql).expect("sharded").rows,
@@ -482,4 +500,49 @@ fn a_sharded_session_builds_one_index() {
         *sharded.database().expect("sharded instance"),
         *reference.database()
     );
+}
+
+/// A directory in the per-shard layout earlier sharded sessions wrote — a
+/// `SHARDS` manifest and one log per `shard-NNN` directory — is refused by
+/// name, by a sharded and a plain session alike, rather than opened as an
+/// empty session over a directory that holds facts.
+#[test]
+fn a_per_shard_directory_is_refused_by_name() {
+    let dir = tempfile::TempDir::new().expect("tempdir");
+    let path = dir.path().join("per-shard");
+    for shard in 0..2 {
+        let log = Session::open_with(
+            catalog(),
+            path.join(format!("shard-{shard:03}")),
+            wal_options(),
+        )
+        .expect("a shard log");
+        log.insert(pool_fact(shard + 1)).expect("insert");
+    }
+    std::fs::write(path.join("SHARDS"), "2\n").expect("manifest");
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&path)
+            .expect("listing")
+            .map(|entry| entry.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    let refusals = [
+        ShardedSession::open_with(catalog(), &path, 2, wal_options()).map(drop),
+        ShardedSession::open(catalog(), &path, 4).map(drop),
+        Session::open_with(catalog(), &path, wal_options()).map(drop),
+        Session::open(catalog(), &path).map(drop),
+    ];
+    for refusal in refusals {
+        match refusal {
+            Err(SessionError::Wal(WalError::Corrupt { file, detail, .. })) => {
+                assert_eq!(file, "SHARDS");
+                assert!(detail.contains("per-shard layout"), "{detail}");
+            }
+            other => panic!("expected the per-shard layout refused, got {other:?}"),
+        }
+    }
+    assert_eq!(listing(), before, "a refused open writes nothing");
 }
