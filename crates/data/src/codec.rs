@@ -234,16 +234,6 @@ impl<T: FactRef + ?Sized> FactRef for &T {
     }
 }
 
-/// The number of bytes [`encode_fact`] appends for `fact`, so a buffer can
-/// be sized before encoding.
-pub fn encoded_fact_len(fact: &impl FactRef) -> usize {
-    let value = |v: &Value| match v {
-        Value::Text(s) => 1 + 4 + s.len(),
-        Value::Num(_) => 1 + 16 + 16,
-    };
-    4 + fact.relation().len() + 4 + fact.args().map(value).sum::<usize>()
-}
-
 /// Appends one fact.
 pub fn encode_fact(fact: &impl FactRef, out: &mut Vec<u8>) {
     encode_string(fact.relation(), out);
@@ -346,7 +336,6 @@ mod tests {
         let f = fact!("Stock", "Tesla X", "Boston", 35);
         let mut buf = Vec::new();
         encode_fact(&f, &mut buf);
-        assert_eq!(encoded_fact_len(&f), buf.len());
         let mut r = Reader::new(&buf);
         assert_eq!(decode_fact(&mut r).unwrap(), f);
         assert!(r.is_at_end());

@@ -312,14 +312,8 @@ impl Front {
         *rows = spliced;
     }
 
-    /// The outcome a reader gets: `rows` stamped with `epoch` and the
-    /// reading session's shard count.
-    pub(crate) fn outcome(
-        stmt: &PreparedStatement,
-        rows: CachedRows,
-        epoch: u64,
-        shards: usize,
-    ) -> QueryOutcome {
+    /// The outcome a reader gets: `rows` stamped with `epoch`.
+    pub(crate) fn outcome(stmt: &PreparedStatement, rows: CachedRows, epoch: u64) -> QueryOutcome {
         QueryOutcome {
             query: stmt.query.clone(),
             classification: stmt.classification.clone(),
@@ -328,7 +322,6 @@ impl Front {
             more_aggregates: rows.more,
             having: rows.having,
             epoch,
-            shards,
         }
     }
 

@@ -362,10 +362,6 @@ pub struct QueryOutcome {
     /// version of the data the rows are byte-identical to a cold evaluation
     /// of.
     pub epoch: u64,
-    /// The number of shards the answered data is partitioned into: `1` for
-    /// a plain [`Session`], [`ShardedSession::shard_count`] for a sharded
-    /// one (whose one index holds every shard's blocks).
-    pub shards: usize,
 }
 
 fn fmt_bound(v: Option<Rational>) -> String {
@@ -971,20 +967,18 @@ impl Session {
     /// One read at a pinned snapshot.
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.front.prepare(snapshot, sql)?;
-        self.read_at(snapshot, &stmt, 1)
+        self.read_at(snapshot, &stmt)
     }
 
     /// One read of a prepared statement at a pinned snapshot: the
-    /// front-end's read path over this session's store, its outcome
-    /// reporting `shards`.
+    /// front-end's read path over this session's store.
     fn read_at(
         &self,
         snapshot: &Snapshot,
         stmt: &PreparedStatement,
-        shards: usize,
     ) -> Result<QueryOutcome, SessionError> {
         let rows = self.front.read(stmt, &self.store, snapshot)?;
-        Ok(Front::outcome(stmt, rows, snapshot.epoch, shards))
+        Ok(Front::outcome(stmt, rows, snapshot.epoch))
     }
 
     /// Executes a SQL aggregation query: classification plus one

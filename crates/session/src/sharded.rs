@@ -452,8 +452,8 @@ impl ShardedSession {
     /// Executes a SQL aggregation query at the current snapshot. The
     /// answer — rows, order, classification, HAVING statuses — is
     /// byte-identical to [`Session::execute`] on one unsharded session
-    /// holding the same facts; [`QueryOutcome::shards`] reports the shard
-    /// count and [`QueryOutcome::epoch`] the session epoch.
+    /// holding the same facts, read from the one index that holds every
+    /// shard's blocks; [`QueryOutcome::epoch`] reports the session epoch.
     pub fn execute(&self, sql: &str) -> Result<QueryOutcome, SessionError> {
         self.execute_at(&self.session.snapshot(), sql)
     }
@@ -475,7 +475,7 @@ impl ShardedSession {
     fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
         let stmt = self.session.front.prepare(snapshot, sql)?;
         self.footprints[footprint(&stmt)].fetch_add(1, Ordering::Relaxed);
-        self.session.read_at(snapshot, &stmt, self.shard_count())
+        self.session.read_at(snapshot, &stmt)
     }
 
     /// An `EXPLAIN`-style rendering: an unsharded session's over the same
@@ -796,9 +796,8 @@ mod tests {
         assert_eq!(sharded.stats().combine_queries, 1);
     }
 
-    /// A lookup of one block — a designated footprint — matches, and its
-    /// outcome reports the shard count: the one index it was read from holds
-    /// every shard.
+    /// A lookup of one block — a designated footprint — matches, and is
+    /// counted as designated.
     #[test]
     fn constant_key_query_routes_to_one_designated_shard() {
         let sharded = ShardedSession::new(catalog(), 4);
@@ -809,8 +808,6 @@ mod tests {
         let out = sharded.execute(sql).unwrap();
         let expect = reference.execute(sql).unwrap();
         assert_eq!(out.rows, expect.rows);
-        assert_eq!(out.shards, 4);
-        assert_eq!(expect.shards, 1);
         assert_eq!(sharded.stats().designated_queries, 1);
     }
 

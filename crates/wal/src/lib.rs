@@ -80,7 +80,7 @@ pub use storage::{FailingStorage, FsStorage, MemStorage, WalStorage};
 
 use rcqa_data::codec::FactRef;
 use rcqa_data::{DeltaEvent, Fact};
-use record::{checkpoint_len, decode_checkpoint, encode_record, parse_segment, write_checkpoint};
+use record::{decode_checkpoint, encode_record, parse_segment, write_checkpoint};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -331,13 +331,10 @@ impl Wal {
         // Start (or reuse) the segment named after the recovered epoch. If
         // a segment of that name exists it cannot hold valid records —
         // records in `wal-E` have epochs > E, which would contradict E
-        // being the recovered epoch — so its valid length is 0.
-        let active_len = if segment_starts.last() == Some(&epoch) {
-            0
-        } else {
+        // being the recovered epoch — so the active length starts at 0.
+        if segment_starts.last() != Some(&epoch) {
             segment_starts.push(epoch);
-            0
-        };
+        }
 
         let (checkpoint_epoch, checkpoint_facts) = checkpoint.unwrap_or((0, Vec::new()));
         let recovery = Recovery {
@@ -353,7 +350,7 @@ impl Wal {
             options,
             segments: segment_starts,
             checkpoints: checkpoint_epochs,
-            active_len,
+            active_len: 0,
             last_epoch: epoch,
             // Everything recovered is on storage already; it is as durable
             // as the previous process left it.
@@ -479,10 +476,11 @@ impl Wal {
     /// checkpoints no longer need:
     ///
     /// 1. the checkpoint file is streamed one fact at a time (`facts` is
-    ///    walked more than once, never encoded whole in memory; a fact is
-    ///    anything the codec reads as one, [`FactRef`] — a stored [`Fact`] or
-    ///    an index row) and published atomically (temp + fsync + rename), so
-    ///    a crash at any point leaves the previous checkpoint intact;
+    ///    walked twice, a count and the encode, and never encoded whole in
+    ///    memory; a fact is anything the codec reads as one, [`FactRef`] — a
+    ///    stored [`Fact`] or an index row) and published atomically (temp +
+    ///    fsync + rename), so a crash at any point leaves the previous
+    ///    checkpoint intact;
     /// 2. checkpoints beyond the newest two are removed;
     /// 3. segments whose every record is covered by the **oldest retained**
     ///    checkpoint are removed — only after step 1 made that coverage
@@ -504,9 +502,8 @@ impl Wal {
                 ),
             ))));
         }
-        let len = checkpoint_len(facts.clone());
         self.storage
-            .write_atomic(&checkpoint_name(epoch), len, &mut |out| {
+            .write_atomic(&checkpoint_name(epoch), &mut |out| {
                 write_checkpoint(epoch, facts.clone(), out)
             })?;
         self.checkpoints.push(epoch);
@@ -693,32 +690,69 @@ mod tests {
         assert_eq!(rec.batches.len(), 1);
     }
 
+    /// A checkpoint is charged its bytes as they were written: at every
+    /// byte budget below its length it fails without a byte landing, and the
+    /// old checkpoint plus the log recover the same epoch and facts; at its
+    /// length it publishes.
     #[test]
     fn failed_checkpoint_leaves_old_state_intact() {
-        let mem = MemStorage::new();
         let options = WalOptions {
             checkpoint_every: 0,
             ..WalOptions::default()
         };
-        let (mut wal, _) = open_mem(&mem, options);
-        wal.append(1, &[ev("a")]).unwrap();
-        wal.checkpoint(1, [fact!("R", "a", 1)].iter()).unwrap();
-        wal.append(2, &[ev("b")]).unwrap();
-        drop(wal);
+        // A checkpoint at epoch 1 and the log record of epoch 2.
+        let old_state = || {
+            let mem = MemStorage::new();
+            let (mut wal, _) = open_mem(&mem, options);
+            wal.append(1, &[ev("a")]).unwrap();
+            wal.checkpoint(1, [fact!("R", "a", 1)].iter()).unwrap();
+            wal.append(2, &[ev("b")]).unwrap();
+            mem
+        };
+        let facts = [fact!("R", "a", 1), fact!("R", "b", 1)];
+        let len = {
+            let mut out = io::Cursor::new(Vec::new());
+            write_checkpoint(2, facts.iter(), &mut out).unwrap();
+            out.into_inner().len() as u64
+        };
 
-        // Checkpoint 2 fails atomically (no bytes land); everything else
-        // still recovers.
-        let failing = FailingStorage::new(mem.handle())
-            .with_byte_budget(mem.file(&segment_name(1)).unwrap().len() as u64);
-        let (mut wal, _) = Wal::open(Box::new(failing), options).unwrap();
-        let err = wal
-            .checkpoint(2, [fact!("R", "a", 1), fact!("R", "b", 1)].iter())
-            .unwrap_err();
-        assert!(matches!(err, WalError::Io(_)), "{err}");
-        drop(wal);
-        let (_, rec) = open_mem(&mem, options);
-        assert_eq!(rec.checkpoint_epoch, 1);
-        assert_eq!(rec.epoch, 2);
+        for budget in 0..=len {
+            let mem = old_state();
+            let failing = FailingStorage::new(mem.handle()).with_byte_budget(budget);
+            let (mut wal, _) = Wal::open(Box::new(failing), options).unwrap();
+            let result = wal.checkpoint(2, facts.iter());
+            drop(wal);
+            let (_, rec) = open_mem(&mem, options);
+            assert_eq!(rec.epoch, 2, "budget {budget}");
+            if budget < len {
+                let err = result.unwrap_err();
+                assert!(matches!(err, WalError::Io(_)), "budget {budget}: {err}");
+                assert!(mem.file(&checkpoint_name(2)).is_none(), "budget {budget}");
+                assert_eq!(rec.checkpoint_epoch, 1, "budget {budget}");
+                assert_eq!(rec.checkpoint_facts, facts[..1], "budget {budget}");
+                assert_eq!(rec.batches.len(), 1, "budget {budget}");
+                assert_eq!(rec.batches[0].events, vec![ev("b")], "budget {budget}");
+            } else {
+                result.unwrap();
+                assert_eq!(rec.checkpoint_epoch, 2);
+                assert_eq!(rec.checkpoint_facts, facts);
+                assert!(rec.batches.is_empty());
+            }
+        }
+    }
+
+    /// A checkpoint walks its facts twice: a count, which heads the
+    /// checksummed payload, and the encode.
+    #[test]
+    fn a_checkpoint_walks_its_facts_twice() {
+        let mem = MemStorage::new();
+        let (mut wal, _) = open_mem(&mem, WalOptions::default());
+        wal.append(1, &[ev("a")]).unwrap();
+        let facts = [fact!("R", "a", 1), fact!("R", "b", 1), fact!("S", "c", 2)];
+        let visits = std::cell::Cell::new(0);
+        wal.checkpoint(1, facts.iter().inspect(|_| visits.set(visits.get() + 1)))
+            .unwrap();
+        assert_eq!(visits.get(), 2 * facts.len());
     }
 
     #[test]

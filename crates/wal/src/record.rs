@@ -210,17 +210,11 @@ pub fn parse_segment(
     }
 }
 
-/// The length in bytes of the checkpoint file of `facts`.
-pub fn checkpoint_len(facts: impl Iterator<Item = impl FactRef>) -> u64 {
-    let facts: usize = facts.map(|fact| codec::encoded_fact_len(&fact)).sum();
-    24 + facts as u64
-}
-
 /// Streams the checkpoint file of the complete fact set at `epoch` into
-/// `out` in one pass, with one fact's encoding in memory at a time: the
-/// checksum is written as a placeholder, taken over the payload as it goes
-/// out, and patched into the header last. A checkpoint never holds an
-/// encoded copy of the instance.
+/// `out`, with one fact's encoding in memory at a time. `facts` is walked
+/// twice: once to count it, since the count heads the checksummed payload,
+/// and once to encode it. The checksum is written as a placeholder, taken
+/// over the payload as it goes out, and patched into the header last.
 pub fn write_checkpoint(
     epoch: u64,
     facts: impl Iterator<Item = impl FactRef> + Clone,
@@ -281,12 +275,13 @@ pub fn decode_checkpoint(file: &str, bytes: &[u8]) -> Result<(u64, Vec<Fact>), W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcqa_data::fact;
+    use proptest::prelude::*;
+    use rcqa_data::{fact, Rational, Value};
     use std::io::Cursor;
 
-    /// [`write_checkpoint`] into one exactly sized buffer.
+    /// [`write_checkpoint`] into memory.
     fn encode_checkpoint<'a>(epoch: u64, facts: impl Iterator<Item = &'a Fact> + Clone) -> Vec<u8> {
-        let mut out = Cursor::new(Vec::with_capacity(checkpoint_len(facts.clone()) as usize));
+        let mut out = Cursor::new(Vec::new());
         write_checkpoint(epoch, facts, &mut out).expect("writing to memory cannot fail");
         out.into_inner()
     }
@@ -414,5 +409,113 @@ mod tests {
         // Empty instance checkpoints are fine.
         let empty = encode_checkpoint(0, [].iter());
         assert_eq!(decode_checkpoint("ck", &empty).unwrap(), (0, Vec::new()));
+    }
+
+    /// The `RCK1` layout, byte for byte: two facts at epoch 9, one field a
+    /// line. Every checkpoint on disk is in this layout, so it must not move.
+    #[test]
+    fn a_checkpoint_keeps_its_byte_layout() {
+        let golden = [
+            // Magic "RCK1", the CRC-32 of the payload, epoch 9, two facts.
+            "52434b31 02876551 0900000000000000 0200000000000000",
+            // R, arity 2: the text 'a', then the rational 1/1.
+            "01000000 52 02000000 00 01000000 61",
+            "01 01000000000000000000000000000000 01000000000000000000000000000000",
+            // S, arity 3: the texts 'b' and 'c', then the rational 2/1.
+            "01000000 53 03000000 00 01000000 62 00 01000000 63",
+            "01 02000000000000000000000000000000 01000000000000000000000000000000",
+        ];
+        let golden: Vec<u8> = golden
+            .iter()
+            .flat_map(|line| line.split_whitespace())
+            .flat_map(|field| (0..field.len()).step_by(2).map(move |i| &field[i..i + 2]))
+            .map(|byte| u8::from_str_radix(byte, 16).unwrap())
+            .collect();
+        let facts = vec![fact!("R", "a", 1), fact!("S", "b", "c", 2)];
+        assert_eq!(encode_checkpoint(9, facts.iter()), golden);
+        assert_eq!(decode_checkpoint("ck", &golden).unwrap(), (9, facts));
+    }
+
+    /// Applies `edits` to `bytes`, each `(at, kind, byte)` overwriting,
+    /// inserting or removing one byte at `at` modulo the length.
+    fn mutate(mut bytes: Vec<u8>, edits: &[(usize, u8, u8)]) -> Vec<u8> {
+        for &(at, kind, byte) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    /// Facts over every value shape the codec has: text (empty and not),
+    /// integers, negative and extreme rationals.
+    fn sample_facts() -> Vec<Fact> {
+        vec![
+            fact!("R", "a", 1),
+            fact!("Stock", "", -7, "Boston"),
+            Fact::new(
+                "S",
+                [
+                    Value::num(Rational::new(-22, 7).unwrap()),
+                    Value::num(Rational::new(i128::MAX, 2).unwrap()),
+                ],
+            ),
+        ]
+    }
+
+    /// What a decoder may answer on checksum-valid bytes: a value or
+    /// [`WalError::Corrupt`] — never an I/O error, never a panic.
+    fn assert_ok_or_corrupt<T>(result: Result<T, WalError>) {
+        if let Err(err) = result {
+            assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The decoders behind the checksum: payloads with a *valid* CRC,
+        /// either random bytes or a valid payload with a few bytes
+        /// overwritten, inserted or removed, are decoded as a checkpoint and
+        /// as segment records. Each decoder returns `Ok` or `Corrupt`.
+        #[test]
+        fn checksum_valid_garbage_decodes_or_is_corrupt(
+            random in proptest::collection::vec(0u8..=255, 0..96),
+            edits in proptest::collection::vec((0usize..4096, 0u8..3, 0u8..=255), 0..5),
+            use_random in proptest::bool::ANY,
+            records in 1usize..4,
+            start_epoch in 0u64..4,
+            allow_torn_tail in proptest::bool::ANY,
+        ) {
+            let facts = sample_facts();
+            let payload = |valid: Vec<u8>| match use_random {
+                true => random.clone(),
+                false => mutate(valid, &edits),
+            };
+
+            let checkpoint = encode_checkpoint(3, facts.iter());
+            let body = payload(checkpoint[8..].to_vec());
+            let mut file = CHECKPOINT_MAGIC.to_le_bytes().to_vec();
+            file.extend_from_slice(&crc32(&body).to_le_bytes());
+            file.extend_from_slice(&body);
+            assert_ok_or_corrupt(decode_checkpoint("ck", &file));
+
+            let mut segment = Vec::new();
+            for (i, fact) in facts.iter().cycle().take(records).enumerate() {
+                let events = [DeltaEvent::insert(fact.clone()), DeltaEvent::delete(fact.clone())];
+                let record = encode_record(start_epoch + 2 * (i as u64 + 1), &events);
+                let body = payload(record[8..].to_vec());
+                segment.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                segment.extend_from_slice(&crc32(&body).to_le_bytes());
+                segment.extend_from_slice(&body);
+            }
+            assert_ok_or_corrupt(parse_segment("wal", &segment, start_epoch, allow_torn_tail));
+        }
     }
 }

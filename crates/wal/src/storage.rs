@@ -21,11 +21,11 @@
 //! * [`write_atomic`](WalStorage::write_atomic) publishes a complete file
 //!   **all-or-nothing**: after a crash at any point, readers see either the
 //!   old content (or absence) or the complete new content, never a prefix.
-//!   The caller announces the file's length and streams its bytes into a
-//!   seekable writer (it may go back to patch a header), so a file as large
-//!   as a checkpoint is never held in memory whole. The filesystem
-//!   implementation writes a temporary file, fsyncs it, and renames it over
-//!   the target.
+//!   The caller streams the bytes into a seekable writer (it may go back to
+//!   patch a header); the file's length is whatever the stream produced. The
+//!   filesystem implementation writes a temporary file, fsyncs it, and
+//!   renames it over the target, so a file as large as a checkpoint is never
+//!   held in memory whole.
 //! * [`truncate`](WalStorage::truncate) shortens a file to a byte length;
 //!   [`remove`](WalStorage::remove) deletes it; [`read`](WalStorage::read)
 //!   returns the full content; [`list`](WalStorage::list) enumerates file
@@ -52,10 +52,11 @@ pub trait WalStorage: Send + std::fmt::Debug {
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()>;
     /// Makes previously appended bytes of the named file durable.
     fn sync(&mut self, name: &str) -> io::Result<()>;
-    /// Publishes a complete file of `len` bytes atomically and durably
-    /// (all-or-nothing even across a crash); `write` streams exactly those
-    /// bytes into the writer it is handed, which starts empty at offset 0.
-    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()>;
+    /// Publishes the file `write` streams atomically and durably
+    /// (all-or-nothing even across a crash); the writer it is handed starts
+    /// empty at offset 0, and the file is every byte it holds when `write`
+    /// returns.
+    fn write_atomic(&mut self, name: &str, write: StreamBytes<'_>) -> io::Result<()>;
     /// Shortens a file to `len` bytes.
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
     /// Deletes a file. Deleting an absent file is an error.
@@ -154,7 +155,7 @@ impl WalStorage for FsStorage {
         }
     }
 
-    fn write_atomic(&mut self, name: &str, _len: u64, write: StreamBytes<'_>) -> io::Result<()> {
+    fn write_atomic(&mut self, name: &str, write: StreamBytes<'_>) -> io::Result<()> {
         let tmp = self.path(&format!("{name}.tmp"));
         let target = self.path(name);
         {
@@ -253,12 +254,10 @@ impl WalStorage for MemStorage {
         Ok(())
     }
 
-    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()> {
-        let mut bytes = io::Cursor::new(Vec::with_capacity(len as usize));
+    fn write_atomic(&mut self, name: &str, write: StreamBytes<'_>) -> io::Result<()> {
+        let mut bytes = io::Cursor::new(Vec::new());
         write(&mut bytes)?;
-        let bytes = bytes.into_inner();
-        debug_assert_eq!(bytes.len() as u64, len, "the announced length");
-        self.with_files(|files| files.insert(name.to_string(), bytes));
+        self.with_files(|files| files.insert(name.to_string(), bytes.into_inner()));
         Ok(())
     }
 
@@ -294,9 +293,10 @@ impl WalStorage for MemStorage {
 ///   written). An [`append`](WalStorage::append) that would exceed it writes
 ///   only the remaining allowance — a *torn write*, exactly what a crash
 ///   mid-`write(2)` leaves on disk — then fails; every later write fails
-///   outright. A [`write_atomic`](WalStorage::write_atomic) that would exceed
-///   it fails **without touching the file**, preserving the all-or-nothing
-///   contract.
+///   outright. A [`write_atomic`](WalStorage::write_atomic) is charged the
+///   bytes its stream produced: one that exceeds the budget fails **without
+///   touching the file**, preserving the all-or-nothing contract, and spends
+///   the rest of the budget.
 /// * The **operation budget** counts mutating calls (`append`, `sync`,
 ///   `write_atomic`, `truncate`, `remove`); once spent, each fails before
 ///   doing anything.
@@ -377,15 +377,19 @@ impl WalStorage for FailingStorage {
         self.inner.sync(name)
     }
 
-    fn write_atomic(&mut self, name: &str, len: u64, write: StreamBytes<'_>) -> io::Result<()> {
+    fn write_atomic(&mut self, name: &str, write: StreamBytes<'_>) -> io::Result<()> {
         self.take_op("write_atomic op budget exhausted")?;
-        if len > self.byte_budget {
+        let mut bytes = io::Cursor::new(Vec::new());
+        write(&mut bytes)?;
+        let bytes = bytes.into_inner();
+        if bytes.len() as u64 > self.byte_budget {
             // Atomic: the target is untouched on failure.
             self.byte_budget = 0;
-            return Err(Self::fault("byte budget exhausted before write_atomic"));
+            return Err(Self::fault("byte budget exhausted by write_atomic"));
         }
-        self.byte_budget -= len;
-        self.inner.write_atomic(name, len, write)
+        self.byte_budget -= bytes.len() as u64;
+        self.inner
+            .write_atomic(name, &mut |out| out.write_all(&bytes))
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
@@ -430,14 +434,20 @@ mod tests {
     #[test]
     fn failing_storage_keeps_write_atomic_all_or_nothing() {
         let mem = MemStorage::new();
-        let mut failing = FailingStorage::new(mem.handle()).with_byte_budget(3);
+        let mut failing = FailingStorage::new(mem.handle()).with_byte_budget(5);
         failing
-            .write_atomic("ck", 3, &mut |out| out.write_all(b"abc"))
+            .write_atomic("ck", &mut |out| out.write_all(b"abc"))
             .unwrap();
         assert!(failing
-            .write_atomic("ck", 4, &mut |out| out.write_all(b"xyzw"))
+            .write_atomic("ck", &mut |out| out.write_all(b"xyzw"))
             .is_err());
         assert_eq!(mem.file("ck").unwrap(), b"abc", "old content intact");
+        // The failed write spent the budget: even a byte that would have fit
+        // before it fails now.
+        assert!(failing
+            .write_atomic("ck", &mut |out| out.write_all(b"x"))
+            .is_err());
+        assert_eq!(mem.file("ck").unwrap(), b"abc");
     }
 
     #[test]
