@@ -536,10 +536,16 @@ pub struct SessionStats {
     pub deltas_applied: u64,
     /// Write batches appended to the write-ahead log (0 when in-memory).
     pub wal_appends: u64,
-    /// Checkpoints written successfully.
+    /// Checkpoints a commit started: each on the commit that made it due,
+    /// or the first commit after the one in flight finished. The file is
+    /// written off the commit path, so a started checkpoint may still be
+    /// in flight — or fail later.
     pub checkpoints: u64,
-    /// Checkpoint attempts that failed (the commit itself still succeeded —
-    /// the batch was already on the log — so these only delay truncation).
+    /// Checkpoints that failed: found failed when their thread was joined
+    /// (by a later commit, [`Session::sync`] or drop), or refused before it
+    /// started. The commit that started one had already succeeded — its
+    /// batch was on the log — so a failure only delays log truncation, and
+    /// the checkpoint is due again at the next commit.
     pub checkpoint_failures: u64,
     /// Commits that applied a coalesced multi-event batch through
     /// [`Session::apply_batch`] — one snapshot publish and at most one WAL
@@ -855,6 +861,12 @@ impl Session {
 
     /// Forces an fsync of the write-ahead log, making every committed batch
     /// durable regardless of the sync policy. A no-op on in-memory sessions.
+    ///
+    /// First it waits for the checkpoint in flight, if any, and finishes
+    /// it: once `sync` returns, that checkpoint is published and the log
+    /// segments it covers are evicted — or, if its write failed, it counts
+    /// in [`SessionStats::checkpoint_failures`], which does not fail the
+    /// sync. Dropping a session waits for it the same way.
     pub fn sync(&self) -> Result<(), SessionError> {
         self.store.sync()
     }
@@ -902,9 +914,12 @@ impl Session {
     /// (20–21 µs writing the instance, 24–26 replaying, 14 dropping) and
     /// 146–157 µs (42–46, 77–83, 24–25). So a durable commit's floor is its
     /// WAL append and fsync, not this copy.
-    /// Nothing here scans or copies a relation; what still does: the
-    /// checkpoint a commit may trigger (it encodes every fact, straight from
-    /// the index's columns) and a bulk load.
+    /// Nothing here scans or copies a relation but a bulk load. A commit
+    /// that makes a checkpoint due does not write it: under the writer lock
+    /// it only starts a fresh log segment at its epoch and hands the
+    /// snapshot it published to a thread of its own, which encodes every
+    /// fact straight from that snapshot's index columns while the next
+    /// commits go on ([`SessionStats::checkpoints`]).
     ///
     /// Writers serialise on the session's writer lock; readers are never blocked
     /// for longer than the final pointer swap. For a durable session the

@@ -298,7 +298,8 @@ impl ShardedSession {
         self.session.durable_epoch()
     }
 
-    /// Forces an fsync of the write-ahead log.
+    /// Waits for the checkpoint in flight and forces an fsync of the
+    /// write-ahead log ([`Session::sync`]).
     pub fn sync(&self) -> Result<(), SessionError> {
         self.session.sync()
     }

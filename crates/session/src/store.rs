@@ -8,14 +8,27 @@
 //! durable, one write-ahead log, appended each commit's effective events as
 //! one record. A store answers nothing: it knows no statement, caches no
 //! result and counts no read.
+//!
+//! A checkpoint is written off the commit path. Under the writer lock, the
+//! commit that makes one due only rolls the log's segment at its epoch,
+//! counts it, and hands the snapshot it just published — immutable, so
+//! consistent without a lock — to a thread spawned for this checkpoint,
+//! which encodes the index's rows into the file and publishes it on a
+//! storage handle of its own. At most one is in flight; one that falls due
+//! meanwhile is skipped, and the first commit after the running one has
+//! finished starts it. The next commit, [`Store::sync`] or drop that finds
+//! the thread done joins it and runs the log's retention and eviction
+//! ([`Wal::finish_checkpoint`]); `sync` and drop wait for it.
 
 use crate::{AtomicStats, Miss, SessionError, SessionStats, Snapshot, DIRTY_LOG_CAP};
 use rcqa_core::index::{DbIndex, DirtyKeys};
 use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Schema};
 use rcqa_wal::{Wal, WalError, WalOptions, WalStorage};
 use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::thread::JoinHandle;
 
 /// One committed write batch as result patching needs it: the blocks it
 /// changed, as [`DbIndex::apply_events`] reported them — per relation, the
@@ -57,10 +70,66 @@ pub(crate) struct Store {
     /// Serialises writers and holds the write-ahead log when the store was
     /// opened over storage ([`Store::recover`]); none in memory. Never taken
     /// by the read path.
-    writer: Mutex<Option<Wal>>,
+    writer: Mutex<Writer>,
     /// Dirty-block history for result patching.
     maintenance: Mutex<Maintenance>,
     stats: AtomicStats,
+}
+
+/// What the writer lock guards: the write-ahead log of a durable store and
+/// the thread writing its checkpoint, when one is in flight.
+struct Writer {
+    wal: Option<Wal>,
+    checkpointer: Option<JoinHandle<Result<(), WalError>>>,
+}
+
+impl Writer {
+    /// Starts a checkpoint of `snapshot`, just published, when one is due
+    /// and none is in flight — after finishing one that is done. A
+    /// checkpoint that could not start counts as failed.
+    fn checkpoint_if_due(&mut self, snapshot: &Arc<Snapshot>, stats: &AtomicStats) {
+        self.finish_checkpoint(false, stats);
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        if self.checkpointer.is_some() || !wal.checkpoint_due() {
+            return;
+        }
+        let write = match wal.begin_checkpoint(snapshot.epoch) {
+            Ok(write) => write,
+            Err(_) => return AtomicStats::bump(&stats.checkpoint_failures),
+        };
+        AtomicStats::bump(&stats.checkpoints);
+        let snapshot = snapshot.clone();
+        let spawned = std::thread::Builder::new()
+            .name("rcqa-checkpoint".to_string())
+            .spawn(move || write.write(snapshot.index.rows()));
+        match spawned {
+            Ok(handle) => self.checkpointer = Some(handle),
+            Err(e) => {
+                let _ = wal.finish_checkpoint(Err(e.into()));
+                AtomicStats::bump(&stats.checkpoint_failures);
+            }
+        }
+    }
+
+    /// Joins the checkpoint thread — when it is done, or whatever it takes
+    /// when `wait` — and hands its outcome to the log, which retains the
+    /// checkpoint and evicts what it covers, or forgets a failed one.
+    fn finish_checkpoint(&mut self, wait: bool, stats: &AtomicStats) {
+        let Some(handle) = self.checkpointer.take_if(|h| wait || h.is_finished()) else {
+            return;
+        };
+        let written = handle.join().unwrap_or_else(|_| {
+            Err(WalError::from(io::Error::other(
+                "the checkpoint thread panicked",
+            )))
+        });
+        let wal = self.wal.as_mut().expect("only a durable store checkpoints");
+        if wal.finish_checkpoint(written).is_err() {
+            AtomicStats::bump(&stats.checkpoint_failures);
+        }
+    }
 }
 
 /// A successor index, each event's effectiveness flag and — for an
@@ -96,7 +165,10 @@ impl Store {
         };
         let store = Store {
             current: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(wal),
+            writer: Mutex::new(Writer {
+                wal,
+                checkpointer: None,
+            }),
             maintenance: Mutex::new(Maintenance::default()),
             stats: AtomicStats::default(),
         };
@@ -170,17 +242,22 @@ impl Store {
 
     /// Whether the store persists commits to a write-ahead log.
     pub(crate) fn is_durable(&self) -> bool {
-        lock(&self.writer).is_some()
+        lock(&self.writer).wal.is_some()
     }
 
     /// The last epoch known durable on storage, or `None` in memory.
     pub(crate) fn durable_epoch(&self) -> Option<u64> {
-        lock(&self.writer).as_ref().map(Wal::durable_epoch)
+        lock(&self.writer).wal.as_ref().map(Wal::durable_epoch)
     }
 
-    /// Forces an fsync of the write-ahead log; a no-op in memory.
+    /// Waits for the checkpoint in flight, if any, and finishes it (a
+    /// failed one counts in [`SessionStats::checkpoint_failures`] and does
+    /// not fail the sync), then forces an fsync of the write-ahead log; a
+    /// no-op in memory.
     pub(crate) fn sync(&self) -> Result<(), SessionError> {
-        Ok(lock(&self.writer).as_mut().map_or(Ok(()), Wal::sync)?)
+        let mut writer = lock(&self.writer);
+        writer.finish_checkpoint(true, &self.stats);
+        Ok(writer.wal.as_mut().map_or(Ok(()), Wal::sync)?)
     }
 
     /// One atomic commit of `events`, with one effectiveness flag per
@@ -188,9 +265,10 @@ impl Store {
     /// docs spell out what a commit copies and costs. The successor index is
     /// derived first ([`Store::derive`]); only effective events are logged,
     /// as one record, **before** the successor is published, so a refused
-    /// append publishes nothing. A due log checkpoints after the publish.
+    /// append publishes nothing. A due log starts a checkpoint of the
+    /// published successor after the publish (see the [module docs](self)).
     pub(crate) fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        let mut wal = lock(&self.writer);
+        let mut writer = lock(&self.writer);
         let base = self.snapshot();
         let (index, flags, blocks) = Self::derive(&base, events)?;
         // Only effective events are logged: the batch itself when all are.
@@ -210,7 +288,7 @@ impl Store {
             return Ok(flags);
         }
         let epoch = base.epoch + effective.len() as u64;
-        if let Some(wal) = wal.as_mut() {
+        if let Some(wal) = writer.wal.as_mut() {
             wal.append(epoch, effective)?;
             AtomicStats::bump(&self.stats.wal_appends);
         }
@@ -250,12 +328,7 @@ impl Store {
         // Checkpoint *after* publishing: the batch is already durable on the
         // log, so a checkpoint failure cannot fail the commit — it only
         // postpones log truncation (and is retried at the next commit).
-        if let Some(wal) = wal.as_mut().filter(|wal| wal.checkpoint_due()) {
-            match wal.checkpoint(epoch, snapshot.index.rows()) {
-                Ok(()) => AtomicStats::bump(&self.stats.checkpoints),
-                Err(_) => AtomicStats::bump(&self.stats.checkpoint_failures),
-            }
-        }
+        writer.checkpoint_if_due(&snapshot, &self.stats);
         if events.len() > 1 {
             AtomicStats::bump(&self.stats.batched_commits);
             self.stats
@@ -325,5 +398,14 @@ impl Store {
         let log = maintenance.dirty_log.iter();
         let log = log.filter(|(e, _)| *e > from && *e <= to);
         Ok(log.map(|(_, batch)| batch.clone()).collect())
+    }
+}
+
+impl Drop for Store {
+    /// Waits for the checkpoint in flight, if any, and finishes it, so a
+    /// dropped store leaves its log's retention and eviction done.
+    fn drop(&mut self) {
+        let writer = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
+        writer.finish_checkpoint(true, &self.stats);
     }
 }

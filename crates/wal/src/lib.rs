@@ -23,9 +23,30 @@
 //!   integrity chain the recovery parser enforces ([`record`]).
 //! * a checkpoint named `ck-E` is the complete fact set at epoch `E`,
 //!   published atomically (temp file + fsync + rename + directory fsync).
-//!   Writing one starts a fresh segment; **older segments are removed only
-//!   once the oldest *retained* checkpoint durably covers them**, so every
-//!   retained checkpoint always has a full replay chain behind it.
+//!   Beginning one starts a fresh segment; **older segments are removed
+//!   only once the oldest *retained* checkpoint durably covers them**, so
+//!   every retained checkpoint always has a full replay chain behind it.
+//!
+//! ## Checkpoints off the writer's path
+//!
+//! A checkpoint is three steps, so that the file — megabytes at 10⁵ facts —
+//! is not written while the log's writer waits:
+//!
+//! 1. [`Wal::begin_checkpoint`], by the writer: makes the log durable up to
+//!    `E` and rolls the segment at `E`. That is all the coverage argument
+//!    needs: every later record lands in a segment the checkpoint does not
+//!    cover.
+//! 2. [`CheckpointWrite::write`], on any thread, on a storage handle of its
+//!    own ([`WalStorage::publish_handle`]): streams the facts at `E` into
+//!    `ck-E` and publishes it, while the writer keeps appending.
+//! 3. [`Wal::finish_checkpoint`], by the writer again: retains a published
+//!    checkpoint and runs retention and eviction, or forgets a failed one.
+//!
+//! At most one checkpoint is in flight between steps 1 and 3. A crash in
+//! between leaves the older checkpoint and every segment since, so recovery
+//! replays from there. [`Wal::checkpoint`] runs the three steps in one call;
+//! the serving session runs step 2 on a thread spawned per checkpoint, over
+//! an immutable snapshot, and joins it at its next commit, `sync` or drop.
 //!
 //! ## Recovery semantics
 //!
@@ -222,6 +243,8 @@ pub struct Wal {
     segments: Vec<u64>,
     /// Epochs of retained checkpoints, ascending.
     checkpoints: Vec<u64>,
+    /// Epoch of the checkpoint begun and not yet finished, if any.
+    pending: Option<u64>,
     /// Byte length of the active segment's valid content.
     active_len: u64,
     /// Epoch of the last appended record.
@@ -350,6 +373,7 @@ impl Wal {
             options,
             segments: segment_starts,
             checkpoints: checkpoint_epochs,
+            pending: None,
             active_len: 0,
             last_epoch: epoch,
             // Everything recovered is on storage already; it is as durable
@@ -394,15 +418,13 @@ impl Wal {
     }
 
     /// Whether the configured checkpoint interval has elapsed since the last
-    /// checkpoint (callers snapshot the instance and call
-    /// [`Wal::checkpoint`]).
+    /// checkpoint begun — the one in flight, else the newest retained (a
+    /// failed one is forgotten, so the next commit retries). Callers pin the
+    /// published state and call [`Wal::checkpoint`], or its three steps.
     pub fn checkpoint_due(&self) -> bool {
+        let last = self.pending.or(self.checkpoints.last().copied());
         self.options.checkpoint_every > 0
-            && self.last_epoch - self.last_checkpoint_epoch() >= self.options.checkpoint_every
-    }
-
-    fn last_checkpoint_epoch(&self) -> u64 {
-        self.checkpoints.last().copied().unwrap_or(0)
+            && self.last_epoch - last.unwrap_or(0) >= self.options.checkpoint_every
     }
 
     fn active_name(&self) -> String {
@@ -472,52 +494,94 @@ impl Wal {
 
     /// Writes a checkpoint of the complete fact set at `epoch` (which must
     /// be [`Wal::last_epoch`] — checkpoints snapshot the just-published
-    /// state), then starts a fresh segment and evicts storage the retained
-    /// checkpoints no longer need:
+    /// state), and evicts storage the retained checkpoints no longer need:
+    /// [`Wal::begin_checkpoint`], [`CheckpointWrite::write`] and
+    /// [`Wal::finish_checkpoint`] in one call, on the caller's thread. A
+    /// fact is anything the codec reads as one ([`FactRef`]: a stored
+    /// [`Fact`] or an index row); `facts` is walked twice, a count and the
+    /// encode.
     ///
-    /// 1. the checkpoint file is streamed one fact at a time (`facts` is
-    ///    walked twice, a count and the encode, and never encoded whole in
-    ///    memory; a fact is anything the codec reads as one, [`FactRef`] — a
-    ///    stored [`Fact`] or an index row) and published atomically (temp +
-    ///    fsync + rename), so a crash at any point leaves the previous
-    ///    checkpoint intact;
-    /// 2. checkpoints beyond the newest two are removed;
-    /// 3. segments whose every record is covered by the **oldest retained**
-    ///    checkpoint are removed — only after step 1 made that coverage
-    ///    durable.
-    ///
-    /// On failure the log is untouched and fully replayable; the caller may
-    /// simply try again later.
+    /// On failure the log stays fully replayable from the older checkpoint
+    /// (only the fresh segment stays begun); the caller may simply try again
+    /// later.
     pub fn checkpoint(
         &mut self,
         epoch: u64,
         facts: impl Iterator<Item = impl FactRef> + Clone,
     ) -> Result<(), WalError> {
-        if epoch != self.last_epoch {
-            return Err(WalError::Io(Arc::new(io::Error::new(
+        let write = self.begin_checkpoint(epoch)?;
+        let written = write.write(facts);
+        self.finish_checkpoint(written)
+    }
+
+    /// Step 1 of a checkpoint at `epoch` (which must be [`Wal::last_epoch`]),
+    /// the only one that needs the writer: makes the log durable up to
+    /// `epoch` (an fsync only when the sync policy left appends unsynced)
+    /// and starts a fresh segment there, so every later record lands past
+    /// what the checkpoint will cover. Returns the write — step 2 — on a
+    /// [`WalStorage::publish_handle`] of its own, which may run on any
+    /// thread while the writer keeps appending. Until
+    /// [`Wal::finish_checkpoint`], [`Wal::checkpoint_due`] counts from
+    /// `epoch` and no other checkpoint may begin.
+    ///
+    /// Nothing is evicted yet: until the checkpoint is finished, recovery
+    /// reads the older checkpoint plus the whole log.
+    pub fn begin_checkpoint(&mut self, epoch: u64) -> Result<CheckpointWrite, WalError> {
+        let refuse = |detail: String| {
+            WalError::Io(Arc::new(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!(
-                    "checkpoint at epoch {epoch} but the log is at {}",
-                    self.last_epoch
-                ),
-            ))));
+                detail,
+            )))
+        };
+        if epoch != self.last_epoch {
+            return Err(refuse(format!(
+                "checkpoint at epoch {epoch} but the log is at {}",
+                self.last_epoch
+            )));
         }
-        self.storage
-            .write_atomic(&checkpoint_name(epoch), &mut |out| {
-                write_checkpoint(epoch, facts.clone(), out)
-            })?;
-        self.checkpoints.push(epoch);
-        // The checkpoint durably covers every epoch <= its own.
-        self.durable_epoch = self.durable_epoch.max(epoch);
-        self.unsynced = false;
-        // Start a fresh segment (created lazily by the next append).
+        if let Some(pending) = self.pending {
+            return Err(refuse(format!(
+                "checkpoint at epoch {epoch} while the one at {pending} is in flight"
+            )));
+        }
+        // The segment about to be closed must be durable before any record
+        // lands in the next one: should the checkpoint fail, a crash must
+        // cost a suffix of the log, never open a gap in it.
+        if self.unsynced {
+            self.sync()?;
+        }
         if self.segments.last() != Some(&epoch) {
+            // Created lazily by the next append.
             self.segments.push(epoch);
             self.active_len = 0;
         }
-        // Retention + eviction, best-effort: a file that refuses to die is
-        // harmless (recovery skips covered records) and will be retried at
-        // the next checkpoint.
+        self.pending = Some(epoch);
+        Ok(CheckpointWrite {
+            epoch,
+            storage: self.storage.publish_handle(),
+        })
+    }
+
+    /// Step 3: takes the outcome of the pending checkpoint's
+    /// [`CheckpointWrite::write`]. A published checkpoint is retained, and
+    /// then, best-effort:
+    ///
+    /// 1. checkpoints beyond the newest two are removed;
+    /// 2. segments whose every record is covered by the **oldest retained**
+    ///    checkpoint are removed — only now that the write made that
+    ///    coverage durable.
+    ///
+    /// A failed write is forgotten and returned: the log stays fully
+    /// replayable from the older checkpoint, and the checkpoint is due
+    /// again. Without a pending checkpoint this does nothing.
+    pub fn finish_checkpoint(&mut self, written: Result<(), WalError>) -> Result<(), WalError> {
+        let Some(epoch) = self.pending.take() else {
+            return Ok(());
+        };
+        written?;
+        self.checkpoints.push(epoch);
+        // A file that refuses to die is harmless (recovery skips covered
+        // records) and will be retried at the next checkpoint.
         while self.checkpoints.len() > RETAIN_CHECKPOINTS {
             let old = self.checkpoints.remove(0);
             let _ = self.storage.remove(&checkpoint_name(old));
@@ -530,6 +594,35 @@ impl Wal {
             }
             self.segments.remove(0);
         }
+        Ok(())
+    }
+}
+
+/// Step 2 of a checkpoint, begun by [`Wal::begin_checkpoint`]: the file
+/// `ck-E` still to be encoded and published, on a storage handle of its own.
+/// It borrows nothing from the [`Wal`], so it may run on another thread
+/// while the writer appends; its outcome goes back to
+/// [`Wal::finish_checkpoint`].
+#[derive(Debug)]
+pub struct CheckpointWrite {
+    epoch: u64,
+    storage: Box<dyn WalStorage>,
+}
+
+impl CheckpointWrite {
+    /// Streams the complete fact set at the epoch into `ck-E`
+    /// ([`record::write_checkpoint`]: never encoded whole in memory) and
+    /// publishes it atomically (temp + fsync + rename + directory fsync),
+    /// so a crash at any point leaves the previous checkpoint intact.
+    pub fn write(
+        mut self,
+        facts: impl Iterator<Item = impl FactRef> + Clone,
+    ) -> Result<(), WalError> {
+        let epoch = self.epoch;
+        self.storage
+            .write_atomic(&checkpoint_name(epoch), &mut |out| {
+                write_checkpoint(epoch, facts.clone(), out)
+            })?;
         Ok(())
     }
 }
@@ -629,6 +722,48 @@ mod tests {
         assert_eq!(rec.checkpoint_epoch, 3);
         assert_eq!(rec.epoch, 3);
         assert!(rec.batches.is_empty());
+    }
+
+    /// Between its begin and its finish a checkpoint holds the segment
+    /// roll only: appends go on into the fresh segment, no second one
+    /// begins, the interval counts from it, and nothing is evicted until it
+    /// is finished. A failed one is forgotten and due again.
+    #[test]
+    fn a_begun_checkpoint_evicts_nothing_until_it_is_finished() {
+        let mem = MemStorage::new();
+        let options = WalOptions {
+            sync: SyncPolicy::Never,
+            checkpoint_every: 2,
+        };
+        let (mut wal, _) = open_mem(&mem, options);
+        let facts = [fact!("R", "a", 1), fact!("R", "b", 1)];
+        wal.append(2, &[ev("a"), ev("b")]).unwrap();
+        assert!(wal.checkpoint_due());
+        let write = wal.begin_checkpoint(2).unwrap();
+        assert_eq!(wal.durable_epoch(), 2, "the rolled segment was synced");
+        assert!(!wal.checkpoint_due());
+        wal.append(3, &[ev("c")]).unwrap();
+        wal.append(4, &[ev("d")]).unwrap();
+        assert!(wal.checkpoint_due(), "two epochs past the one in flight");
+        assert!(wal.begin_checkpoint(4).is_err(), "one in flight");
+        assert_eq!(wal.segment_starts(), &[0, 2]);
+        write.write(facts.iter()).unwrap();
+        assert!(mem.file(&segment_name(0)).is_some(), "not finished yet");
+        wal.finish_checkpoint(Ok(())).unwrap();
+        assert_eq!(wal.checkpoint_epochs(), &[2]);
+        assert_eq!(wal.segment_starts(), &[2]);
+        assert!(mem.file(&segment_name(0)).is_none());
+
+        let write = wal.begin_checkpoint(4).unwrap();
+        drop(write);
+        let failed = WalError::from(io::Error::other("lost"));
+        assert!(wal.finish_checkpoint(Err(failed)).is_err());
+        assert_eq!(wal.checkpoint_epochs(), &[2]);
+        assert_eq!(wal.segment_starts(), &[2, 4], "the roll stays");
+        assert!(wal.checkpoint_due(), "retried at the next commit");
+        drop(wal);
+        let (_, rec) = open_mem(&mem, options);
+        assert_eq!((rec.checkpoint_epoch, rec.epoch), (2, 4));
     }
 
     #[test]

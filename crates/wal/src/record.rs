@@ -210,11 +210,19 @@ pub fn parse_segment(
     }
 }
 
+/// How many payload bytes [`write_checkpoint`] gathers before it checksums
+/// and writes them: enough that the CRC runs its sliced loop over long
+/// pieces and a write bypasses the storage's buffer, small enough that a
+/// checkpoint holds only this much of its file in memory (plus the one fact
+/// that crossed the mark).
+const CHECKPOINT_CHUNK: usize = 64 << 10;
+
 /// Streams the checkpoint file of the complete fact set at `epoch` into
-/// `out`, with one fact's encoding in memory at a time. `facts` is walked
+/// `out`, with about 64 KiB of it in memory at a time. `facts` is walked
 /// twice: once to count it, since the count heads the checksummed payload,
 /// and once to encode it. The checksum is written as a placeholder, taken
-/// over the payload as it goes out, and patched into the header last.
+/// over the payload chunk by chunk as it goes out, and patched into the
+/// header last.
 pub fn write_checkpoint(
     epoch: u64,
     facts: impl Iterator<Item = impl FactRef> + Clone,
@@ -224,18 +232,22 @@ pub fn write_checkpoint(
     out.write_all(&CHECKPOINT_MAGIC.to_le_bytes())?;
     out.write_all(&0u32.to_le_bytes())?;
     let mut crc = Crc32::new();
-    let mut payload = |bytes: &[u8]| {
+    let mut payload = |bytes: &mut Vec<u8>| {
         crc.update(bytes);
-        out.write_all(bytes)
-    };
-    payload(&epoch.to_le_bytes())?;
-    payload(&count.to_le_bytes())?;
-    let mut bytes = Vec::new();
-    for fact in facts {
+        let written = out.write_all(bytes);
         bytes.clear();
-        codec::encode_fact(&fact, &mut bytes);
-        payload(&bytes)?;
+        written
+    };
+    let mut chunk = Vec::with_capacity(CHECKPOINT_CHUNK);
+    chunk.extend_from_slice(&epoch.to_le_bytes());
+    chunk.extend_from_slice(&count.to_le_bytes());
+    for fact in facts {
+        codec::encode_fact(&fact, &mut chunk);
+        if chunk.len() >= CHECKPOINT_CHUNK {
+            payload(&mut chunk)?;
+        }
     }
+    payload(&mut chunk)?;
     out.seek(SeekFrom::Start(4))?;
     out.write_all(&crc.finish().to_le_bytes())?;
     out.seek(SeekFrom::End(0))?;

@@ -30,9 +30,16 @@
 //!   [`remove`](WalStorage::remove) deletes it; [`read`](WalStorage::read)
 //!   returns the full content; [`list`](WalStorage::list) enumerates file
 //!   names (no ordering guarantee).
+//! * [`publish_handle`](WalStorage::publish_handle) hands out a second
+//!   handle onto the same files, owned by another thread: the WAL's
+//!   checkpointer publishes a checkpoint through it while the writer keeps
+//!   appending through the first. The checkpointer calls only
+//!   `write_atomic`, on a file no other handle touches while it runs, so a
+//!   handle needs no coordination with its siblings beyond sharing their
+//!   files (and, for [`FailingStorage`], their fault budgets).
 //!
-//! All methods take `&mut self`: the WAL owns its storage and serialises
-//! access behind the session's writer lock.
+//! All other methods take `&mut self`: the WAL owns its storage and
+//! serialises access behind the session's writer lock.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -61,6 +68,9 @@ pub trait WalStorage: Send + std::fmt::Debug {
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
     /// Deletes a file. Deleting an absent file is an error.
     fn remove(&mut self, name: &str) -> io::Result<()>;
+    /// Another handle onto the same files, for a checkpoint published off
+    /// the writer's thread.
+    fn publish_handle(&self) -> Box<dyn WalStorage>;
 }
 
 /// The producer of a file's bytes for [`WalStorage::write_atomic`].
@@ -182,6 +192,14 @@ impl WalStorage for FsStorage {
         std::fs::remove_file(self.path(name))?;
         self.sync_dir()
     }
+
+    /// A fresh handle on the directory, with no append handles cached.
+    fn publish_handle(&self) -> Box<dyn WalStorage> {
+        Box::new(FsStorage {
+            dir: self.dir.clone(),
+            handles: BTreeMap::new(),
+        })
+    }
 }
 
 /// In-memory storage: a shared map of named byte vectors.
@@ -283,6 +301,10 @@ impl WalStorage for MemStorage {
             )),
         })
     }
+
+    fn publish_handle(&self) -> Box<dyn WalStorage> {
+        Box::new(self.handle())
+    }
 }
 
 /// Deterministic fault injection over a [`MemStorage`]: fail (and tear)
@@ -303,11 +325,21 @@ impl WalStorage for MemStorage {
 ///
 /// Reads and listings never fail, so a "crashed" storage can always be
 /// inspected and recovered from via the shared [`MemStorage`] handle.
+///
+/// A [`publish_handle`](WalStorage::publish_handle) shares the files and
+/// both budgets: a checkpoint published off the writer's thread spends the
+/// same bytes and operations it would have spent on the writer's.
 #[derive(Debug)]
 pub struct FailingStorage {
     inner: MemStorage,
-    byte_budget: u64,
-    op_budget: u64,
+    budgets: Arc<Mutex<Budgets>>,
+}
+
+/// What a [`FailingStorage`] and its publish handles may still spend.
+#[derive(Debug)]
+struct Budgets {
+    bytes: u64,
+    ops: u64,
 }
 
 impl FailingStorage {
@@ -315,20 +347,22 @@ impl FailingStorage {
     pub fn new(inner: MemStorage) -> FailingStorage {
         FailingStorage {
             inner,
-            byte_budget: u64::MAX,
-            op_budget: u64::MAX,
+            budgets: Arc::new(Mutex::new(Budgets {
+                bytes: u64::MAX,
+                ops: u64::MAX,
+            })),
         }
     }
 
     /// Fails (tearing appends) after `n` more written bytes.
-    pub fn with_byte_budget(mut self, n: u64) -> FailingStorage {
-        self.byte_budget = n;
+    pub fn with_byte_budget(self, n: u64) -> FailingStorage {
+        self.budgets().bytes = n;
         self
     }
 
     /// Fails any mutating operation after `n` more of them.
-    pub fn with_op_budget(mut self, n: u64) -> FailingStorage {
-        self.op_budget = n;
+    pub fn with_op_budget(self, n: u64) -> FailingStorage {
+        self.budgets().ops = n;
         self
     }
 
@@ -341,11 +375,16 @@ impl FailingStorage {
         io::Error::other(format!("fault injection: {what}"))
     }
 
+    fn budgets(&self) -> std::sync::MutexGuard<'_, Budgets> {
+        self.budgets.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn take_op(&mut self, what: &str) -> io::Result<()> {
-        if self.op_budget == 0 {
+        let mut budgets = self.budgets();
+        if budgets.ops == 0 {
             return Err(Self::fault(what));
         }
-        self.op_budget -= 1;
+        budgets.ops -= 1;
         Ok(())
     }
 }
@@ -361,14 +400,17 @@ impl WalStorage for FailingStorage {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
         self.take_op("append op budget exhausted")?;
-        if (bytes.len() as u64) <= self.byte_budget {
-            self.byte_budget -= bytes.len() as u64;
+        let allowed = {
+            let mut budgets = self.budgets();
+            let allowed = budgets.bytes.min(bytes.len() as u64);
+            budgets.bytes -= allowed;
+            allowed as usize
+        };
+        if allowed == bytes.len() {
             return self.inner.append(name, bytes);
         }
-        // Torn write: persist the prefix the budget still allows, then die.
-        let torn = &bytes[..self.byte_budget as usize];
-        self.byte_budget = 0;
-        self.inner.append(name, torn)?;
+        // Torn write: persist the prefix the budget still allowed, then die.
+        self.inner.append(name, &bytes[..allowed])?;
         Err(Self::fault("byte budget exhausted mid-append (torn write)"))
     }
 
@@ -382,12 +424,15 @@ impl WalStorage for FailingStorage {
         let mut bytes = io::Cursor::new(Vec::new());
         write(&mut bytes)?;
         let bytes = bytes.into_inner();
-        if bytes.len() as u64 > self.byte_budget {
-            // Atomic: the target is untouched on failure.
-            self.byte_budget = 0;
-            return Err(Self::fault("byte budget exhausted by write_atomic"));
+        {
+            let mut budgets = self.budgets();
+            if bytes.len() as u64 > budgets.bytes {
+                // Atomic: the target is untouched on failure.
+                budgets.bytes = 0;
+                return Err(Self::fault("byte budget exhausted by write_atomic"));
+            }
+            budgets.bytes -= bytes.len() as u64;
         }
-        self.byte_budget -= bytes.len() as u64;
         self.inner
             .write_atomic(name, &mut |out| out.write_all(&bytes))
     }
@@ -400,6 +445,13 @@ impl WalStorage for FailingStorage {
     fn remove(&mut self, name: &str) -> io::Result<()> {
         self.take_op("remove op budget exhausted")?;
         self.inner.remove(name)
+    }
+
+    fn publish_handle(&self) -> Box<dyn WalStorage> {
+        Box::new(FailingStorage {
+            inner: self.inner.handle(),
+            budgets: self.budgets.clone(),
+        })
     }
 }
 
@@ -448,6 +500,24 @@ mod tests {
             .write_atomic("ck", &mut |out| out.write_all(b"x"))
             .is_err());
         assert_eq!(mem.file("ck").unwrap(), b"abc");
+    }
+
+    #[test]
+    fn a_publish_handle_shares_the_files_and_the_budgets() {
+        let mem = MemStorage::new();
+        let mut failing = FailingStorage::new(mem.handle())
+            .with_byte_budget(5)
+            .with_op_budget(3);
+        let mut publisher = failing.publish_handle();
+        publisher
+            .write_atomic("ck", &mut |out| out.write_all(b"abc"))
+            .unwrap();
+        assert_eq!(failing.read("ck").unwrap(), b"abc");
+        // Two bytes and two operations left, whichever handle spends them.
+        assert!(failing.append("f", b"xyz").is_err(), "torn");
+        assert_eq!(mem.file("f").unwrap(), b"xy");
+        assert!(publisher.remove("ck").is_ok());
+        assert!(failing.remove("f").is_err(), "op budget spent");
     }
 
     #[test]

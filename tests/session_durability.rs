@@ -20,7 +20,11 @@
 //! * a checkpoint, encoded straight from the index's columns, is byte for
 //!   byte the encoding of a reference instance fed the same events, and
 //!   recovery from a checkpoint plus a log tail builds an index structurally
-//!   identical to a cold build over that reference.
+//!   identical to a cold build over that reference;
+//! * a checkpoint is written off the commit path: while its thread is parked
+//!   inside `write_atomic`, commits complete and are readable, a second due
+//!   checkpoint is skipped, and a crash recovers every acknowledged commit
+//!   from the older checkpoint plus the log; `sync` and drop wait for it.
 
 use proptest::prelude::*;
 use rcqa::core::engine::EngineOptions;
@@ -29,8 +33,12 @@ use rcqa::data::{fact, DatabaseInstance, DeltaEvent, Fact, Value};
 use rcqa::query::{Catalog, TableDef};
 use rcqa::session::{Session, SessionError, SyncPolicy, WalOptions};
 use rcqa::wal::record::write_checkpoint;
-use rcqa::wal::{checkpoint_name, segment_name, FailingStorage, MemStorage, WalError};
-use std::sync::Arc;
+use rcqa::wal::storage::StreamBytes;
+use rcqa::wal::{
+    checkpoint_name, segment_name, FailingStorage, MemStorage, Wal, WalError, WalStorage,
+};
+use std::io;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// `R(X, Y)` with key `X`; `S(Y, Z, Qty)` with key `(Y, Z)`, numeric `Qty`.
 fn rs_catalog() -> Catalog {
@@ -297,6 +305,9 @@ fn checkpoints_prune_the_log_and_recover_atomically() {
         let f = pool_fact(draw * 3);
         session.insert(f.clone()).expect("insert");
         mirror.insert(f).expect("mirror insert");
+        // Finish the checkpoint the insert may have started, so the next
+        // due one is not skipped while it is in flight.
+        session.sync().expect("sync");
     }
     let stats = session.stats();
     assert!(stats.checkpoints >= 2, "stats: {stats:?}");
@@ -396,6 +407,9 @@ proptest! {
             if epoch == before {
                 continue;
             }
+            // The checkpoint the commit started is written off the commit
+            // path; `sync` waits for it to be published.
+            session.sync().expect("sync");
             if let Some(written) = mem.file(&checkpoint_name(epoch)) {
                 let mut encoded = std::io::Cursor::new(Vec::new());
                 write_checkpoint(epoch, reference.facts(), &mut encoded).expect("in memory");
@@ -499,4 +513,307 @@ proptest! {
         prop_assert_eq!(&**recovered.snapshot().db(), &expected);
         assert_answers_match_cold(&recovered, &Arc::new(expected));
     }
+}
+
+/// Where a [`Gated`] storage's checkpointer stands.
+#[derive(Debug, Default)]
+struct GateState {
+    /// Whether a checkpointer may go on: while closed, one parks inside
+    /// `write_atomic`.
+    open: bool,
+    /// Whether a released checkpointer fails its write instead of
+    /// publishing it.
+    fail: bool,
+    /// Checkpointers that have parked so far.
+    parked: usize,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn update(&self, f: impl FnOnce(&mut GateState)) {
+        f(&mut self.state.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `n` checkpointers have parked in all. The bound only
+    /// turns a checkpoint that never starts into a failure, not a hang.
+    fn wait_parked(&self, n: usize) {
+        let state = self.state.lock().unwrap();
+        let bound = std::time::Duration::from_secs(60);
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, bound, |s| s.parked < n)
+            .unwrap();
+        assert!(state.parked >= n, "checkpoint {n} never parked");
+    }
+}
+
+/// The test's hold on a [`Gate`]: dropped, it opens the gate, so a test that
+/// fails while a checkpointer is parked does not hang in the session's drop.
+/// (Bound after the session, it is dropped before it.)
+struct GateHandle(Arc<Gate>);
+
+impl std::ops::Deref for GateHandle {
+    type Target = Gate;
+    fn deref(&self) -> &Gate {
+        &self.0
+    }
+}
+
+impl Drop for GateHandle {
+    fn drop(&mut self) {
+        self.update(|s| s.open = true);
+    }
+}
+
+/// A [`MemStorage`] whose publish handles park the checkpointer inside
+/// `write_atomic` while the [`Gate`] is closed: the file is encoded, half of
+/// it lies in the temporary file a real directory would hold, and the target
+/// is untouched. Opening the gate publishes it (or fails the write).
+#[derive(Debug)]
+struct Gated {
+    mem: MemStorage,
+    gate: Arc<Gate>,
+}
+
+impl WalStorage for Gated {
+    fn list(&mut self) -> io::Result<Vec<String>> {
+        self.mem.list()
+    }
+    fn read(&mut self, name: &str) -> io::Result<Vec<u8>> {
+        self.mem.read(name)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.mem.append(name, bytes)
+    }
+    fn sync(&mut self, name: &str) -> io::Result<()> {
+        self.mem.sync(name)
+    }
+    fn write_atomic(&mut self, name: &str, write: StreamBytes<'_>) -> io::Result<()> {
+        let mut bytes = io::Cursor::new(Vec::new());
+        write(&mut bytes)?;
+        let bytes = bytes.into_inner();
+        let tmp = format!("{name}.tmp");
+        self.mem.set_file(&tmp, bytes[..bytes.len() / 2].to_vec());
+        let fail = {
+            let mut state = self.gate.state.lock().unwrap();
+            state.parked += 1;
+            self.gate.changed.notify_all();
+            let state = self.gate.changed.wait_while(state, |s| !s.open).unwrap();
+            state.fail
+        };
+        self.mem.remove(&tmp)?;
+        if fail {
+            return Err(io::Error::other("the gate failed the checkpoint"));
+        }
+        self.mem.set_file(name, bytes);
+        Ok(())
+    }
+    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+        self.mem.truncate(name, len)
+    }
+    fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.mem.remove(name)
+    }
+    fn publish_handle(&self) -> Box<dyn WalStorage> {
+        Box::new(Gated {
+            mem: self.mem.handle(),
+            gate: self.gate.clone(),
+        })
+    }
+}
+
+/// A durable session over a [`Gated`] storage that checkpoints every 4
+/// epochs, with its gate closed, and the storage behind it.
+fn gated_session() -> (Session, MemStorage, GateHandle) {
+    let (mem, gate) = (MemStorage::new(), Arc::new(Gate::default()));
+    let storage = Gated {
+        mem: mem.handle(),
+        gate: gate.clone(),
+    };
+    let options = WalOptions {
+        sync: SyncPolicy::Never,
+        checkpoint_every: 4,
+    };
+    let session = Session::open_storage(rs_catalog(), Box::new(storage), options).expect("open");
+    (session, mem, GateHandle(gate))
+}
+
+/// The `i`-th fact of a gated test: distinct for every `i`.
+fn nth_fact(i: u64) -> Fact {
+    fact!("R", format!("x{i}"), format!("y{}", i % 3))
+}
+
+/// A copy of every file `mem` holds now: what a crash at this instant leaves.
+fn crash_image(mem: &MemStorage) -> MemStorage {
+    let image = MemStorage::new();
+    for name in mem.handle().list().expect("in memory") {
+        image.set_file(&name, mem.file(&name).expect("listed"));
+    }
+    image
+}
+
+/// Commits while a checkpoint is parked in its write, then lets it go: the
+/// commits complete and are readable, a second due checkpoint is skipped,
+/// `sync` waits for the first and leaves it published with the segments it
+/// covers evicted, the skipped one starts at the next commit, and drop waits
+/// for that one.
+#[test]
+fn a_parked_checkpoint_stalls_no_writer() {
+    let (session, mem, gate) = gated_session();
+    let mut reference = DatabaseInstance::new(rs_catalog().schema());
+    let mut insert = |i: u64| {
+        assert!(session.insert(nth_fact(i)).expect("insert"));
+        reference.insert(nth_fact(i)).expect("reference insert");
+        assert_eq!(session.epoch(), i);
+        assert!(session.database().contains(&nth_fact(i)), "fact {i}");
+    };
+    // Two checkpoints go through: ck-4 and ck-8.
+    gate.update(|s| s.open = true);
+    for i in 1..=8 {
+        insert(i);
+        session.sync().expect("sync");
+    }
+    assert!(mem.file(&checkpoint_name(8)).is_some());
+    // The third parks at epoch 12 ...
+    gate.update(|s| s.open = false);
+    for i in 9..=12 {
+        insert(i);
+    }
+    gate.wait_parked(3);
+    // ... and commits go on: the checkpoint falling due at 16 is skipped.
+    for i in 13..=20 {
+        insert(i);
+    }
+    assert_eq!(session.stats().checkpoints, 3);
+    assert!(mem.file(&checkpoint_name(12)).is_none());
+    assert!(mem.file(&checkpoint_name(16)).is_none());
+    assert!(mem.file(&segment_name(4)).is_some(), "not evicted yet");
+
+    gate.update(|s| s.open = true);
+    session.sync().expect("sync");
+    assert!(mem.file(&checkpoint_name(12)).is_some(), "published");
+    assert!(mem.file(&checkpoint_name(4)).is_none(), "past retention");
+    assert!(mem.file(&segment_name(4)).is_none(), "covered by ck-8");
+    assert!(mem.file(&segment_name(8)).is_some(), "ck-8 replays from it");
+    assert_eq!(session.stats().checkpoints, 3);
+    assert_eq!(session.stats().checkpoint_failures, 0);
+
+    // The skipped checkpoint starts at the next commit, and parks.
+    gate.update(|s| s.open = false);
+    insert(21);
+    assert_eq!(session.stats().checkpoints, 4);
+    gate.wait_parked(4);
+    gate.update(|s| s.open = true);
+    drop(session);
+    assert!(
+        mem.file(&checkpoint_name(21)).is_some(),
+        "drop waited for it"
+    );
+    assert!(mem.file(&checkpoint_name(8)).is_none(), "drop finished it");
+    assert!(mem.file(&segment_name(8)).is_none(), "covered by ck-12");
+
+    let recovered =
+        Session::open_storage(rs_catalog(), Box::new(mem.handle()), mem_options()).expect("reopen");
+    assert_eq!(recovered.epoch(), 21);
+    assert_eq!(**recovered.snapshot().db(), reference);
+}
+
+/// The crash matrix while a checkpoint is parked in its write and writers
+/// commit: after every commit, the files as they stand — the older
+/// checkpoint, the log segments on both sides of the parked one's epoch,
+/// half a temporary file — recover exactly the acknowledged commits, from
+/// the older checkpoint plus the log; and with the newest segment cut at
+/// any byte, a commit boundary at or past the parked checkpoint's epoch.
+#[test]
+fn a_crash_while_a_checkpoint_is_parked_recovers_every_acknowledged_commit() {
+    let (session, mem, gate) = gated_session();
+    let mut prefixes = vec![DatabaseInstance::new(rs_catalog().schema())];
+    let mut commit = |i: u64| {
+        session.insert(nth_fact(i)).expect("insert");
+        let mut next = prefixes.last().expect("one per epoch").clone();
+        next.insert(nth_fact(i)).expect("reference insert");
+        prefixes.push(next);
+    };
+    gate.update(|s| s.open = true);
+    for i in 1..=4 {
+        commit(i);
+    }
+    session.sync().expect("ck-4 published");
+    gate.update(|s| s.open = false);
+    for i in 5..=8 {
+        commit(i);
+    }
+    gate.wait_parked(2);
+    let mut images = Vec::new();
+    for i in 9..=14 {
+        commit(i);
+        images.push((i, crash_image(&mem)));
+    }
+    assert!(images[0]
+        .1
+        .file(&format!("{}.tmp", checkpoint_name(8)))
+        .is_some());
+
+    for (acked, image) in images {
+        let (_, recovery) = Wal::open(Box::new(crash_image(&image)), mem_options()).expect("opens");
+        assert_eq!(recovery.checkpoint_epoch, 4, "image at {acked}");
+        let recovered =
+            Session::open_storage(rs_catalog(), Box::new(crash_image(&image)), mem_options())
+                .expect("recover");
+        assert_eq!(recovered.epoch(), acked);
+        assert_eq!(**recovered.snapshot().db(), prefixes[acked as usize]);
+
+        let newest = segment_name(8);
+        let bytes = image.file(&newest).expect("records past the parked epoch");
+        for cut in 0..bytes.len() {
+            let torn = crash_image(&image);
+            torn.set_file(&newest, bytes[..cut].to_vec());
+            let recovered = Session::open_storage(rs_catalog(), Box::new(torn), mem_options())
+                .expect("a cut tail is a torn tail");
+            let epoch = recovered.epoch();
+            assert!((8..acked).contains(&epoch), "image at {acked}, cut {cut}");
+            assert_eq!(**recovered.snapshot().db(), prefixes[epoch as usize]);
+        }
+    }
+}
+
+/// A checkpoint whose write fails fails no commit: the failure is counted
+/// when the thread is joined, the log keeps everything the older checkpoint
+/// does not cover, and the checkpoint is due again at the next commit.
+#[test]
+fn a_failed_background_checkpoint_fails_no_commit_and_is_retried() {
+    let (session, mem, gate) = gated_session();
+    for i in 1..=4 {
+        session.insert(nth_fact(i)).expect("insert");
+    }
+    gate.wait_parked(1);
+    gate.update(|s| {
+        s.open = true;
+        s.fail = true;
+    });
+    session
+        .sync()
+        .expect("a failed checkpoint does not fail the sync");
+    let stats = session.stats();
+    assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 1));
+    assert!(mem.file(&checkpoint_name(4)).is_none());
+    assert!(mem.file(&format!("{}.tmp", checkpoint_name(4))).is_none());
+    assert!(mem.file(&segment_name(0)).is_some(), "nothing covers it");
+
+    gate.update(|s| s.fail = false);
+    session.insert(nth_fact(5)).expect("insert");
+    session.sync().expect("sync");
+    assert_eq!(session.stats().checkpoints, 2);
+    assert!(mem.file(&checkpoint_name(5)).is_some());
+    assert!(mem.file(&segment_name(0)).is_none(), "covered by ck-5");
+    drop(session);
+    let recovered =
+        Session::open_storage(rs_catalog(), Box::new(mem.handle()), mem_options()).expect("reopen");
+    assert_eq!(recovered.epoch(), 5);
 }
