@@ -245,13 +245,6 @@ impl DatabaseInstance {
         Ok(())
     }
 
-    /// Builder-style insertion; panics on schema violations (intended for
-    /// examples and tests).
-    pub fn with_fact(mut self, fact: Fact) -> DatabaseInstance {
-        self.insert(fact).expect("fact conforms to schema");
-        self
-    }
-
     /// Applies one change event: inserts or deletes its fact. Returns the
     /// event back when the mutation was effective (the insert was new / the
     /// deleted fact was present), so callers maintaining derived structures
@@ -466,15 +459,6 @@ impl<'a> RepairIter<'a> {
             indices: Some(vec![0; blocks.len()]),
             blocks,
         }
-    }
-
-    /// Total number of repairs this iterator will yield, if it fits in u128.
-    pub fn count_exact(&self) -> Option<u128> {
-        let mut count: u128 = 1;
-        for b in &self.blocks {
-            count = count.checked_mul(b.len() as u128)?;
-        }
-        Some(count)
     }
 }
 

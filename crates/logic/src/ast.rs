@@ -375,11 +375,6 @@ pub mod build {
         NumTerm::Var(Var::new(name))
     }
 
-    /// A numerical constant term.
-    pub fn nconst(r: impl Into<Rational>) -> NumTerm {
-        NumTerm::Const(r.into())
-    }
-
     /// A first-order variable term.
     pub fn var(name: &str) -> Term {
         Term::var(name)

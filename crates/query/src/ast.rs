@@ -170,19 +170,6 @@ impl Term {
             Term::Const(_) => None,
         }
     }
-
-    /// Returns the constant, if this term is one.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
-    /// Returns `true` if this term is a variable.
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
 }
 
 impl fmt::Display for Term {

@@ -25,7 +25,7 @@
 //!
 //! A [`ShardedSession`] is the same — one front-end over one store, one
 //! index and at most one write-ahead log — that routes its facts to shards
-//! by block for its counters and group-commits concurrent writes.
+//! by block for its counters.
 //!
 //! A read whose pinned epoch equals its statement's cached stamp is a hit.
 //! Behind it, the result is patched by **delta-proportional differential
@@ -59,7 +59,8 @@
 //! so readers at one pin patch once between them, the others reading the
 //! patched result — and a cold read for the evaluation. Writers serialise
 //! on the store and build the successor snapshot *outside* the readers'
-//! critical section; publishing it is one pointer swap.
+//! critical section; publishing it is one pointer swap. Concurrent writers
+//! coalesce into group commits ([`Session::apply_batch`]).
 //!
 //! ## Identical-answers guarantee
 //!
@@ -547,13 +548,13 @@ pub struct SessionStats {
     /// batch was on the log — so a failure only delays log truncation, and
     /// the checkpoint is due again at the next commit.
     pub checkpoint_failures: u64,
-    /// Commits that applied a coalesced multi-event batch through
-    /// [`Session::apply_batch`] — one snapshot publish and at most one WAL
-    /// append for the whole batch. The sharded front-end's group-commit
-    /// coordinator drives this counter; `wal_appends / batched_commits`
-    /// against `batched_events` shows the coalescing ratio.
+    /// Group commits: commits that coalesced the batches of more than one
+    /// concurrent writer ([`Session::apply_batch`]) into one snapshot
+    /// publish and at most one WAL append. One caller's batch, however many
+    /// events it has, is not one; `batched_events / batched_commits` is the
+    /// coalescing ratio.
     pub batched_commits: u64,
-    /// Events carried by those coalesced batches.
+    /// Events carried by those group commits.
     pub batched_events: u64,
     /// Prepared statements evicted from the bounded statement cache
     /// (LRU, capacity [`STATEMENT_CACHE_CAP`]). Eviction drops the
@@ -881,8 +882,8 @@ impl Session {
     /// This is the single write path of the session: [`Session::insert`],
     /// [`Session::insert_all`], [`Session::delete`] and a sharded session's
     /// writes all land in this one store commit. If any insert violates the
-    /// schema or the numeric domain the whole batch fails and nothing is
-    /// published.
+    /// schema or the numeric domain the whole batch fails and nothing of it
+    /// is published.
     ///
     /// The data is written once, into the index. Inserts are validated
     /// ([`DatabaseInstance::validate`]); then [`DbIndex::apply_events`]
@@ -921,8 +922,13 @@ impl Session {
     /// fact straight from that snapshot's index columns while the next
     /// commits go on ([`SessionStats::checkpoints`]).
     ///
-    /// Writers serialise on the session's writer lock; readers are never blocked
-    /// for longer than the final pointer swap. For a durable session the
+    /// Writers serialise on the store's writer lock. One that finds it taken
+    /// queues a copy of its batch, and the next to take it commits every
+    /// queued batch as one **group commit** (one successor and WAL append):
+    /// each caller gets its own flags as if committed one by one in queue
+    /// order, and a batch violating the schema fails alone
+    /// ([`SessionStats::batched_commits`]). Readers are never blocked for
+    /// longer than the final pointer swap. For a durable session the
     /// effective events are appended to the write-ahead log — and fsynced
     /// per the [`SyncPolicy`] — **before** the successor is published: no
     /// reader can ever observe state the log might not remember. If the

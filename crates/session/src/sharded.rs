@@ -1,5 +1,5 @@
 //! A sharded session: a session whose writes and reads are counted by
-//! shard, behind one session-shaped API, with group-commit batched writes.
+//! shard, behind one session-shaped API.
 //!
 //! ## One front-end over one store
 //!
@@ -28,25 +28,13 @@
 //! ([`ShardedSession::epoch_frontier`]); neither changes how a read or a
 //! commit runs.
 //!
-//! ## Write path: group commit
+//! ## Writes
 //!
-//! [`ShardedSession::insert`] / [`ShardedSession::delete`] enqueue the event
-//! on the session's commit coordinator and then contend for its leader
-//! lock. Whoever wins drains the whole queue, commits it to the store as one
-//! batch — one snapshot publish and, on a durable session, one log append,
-//! for every event that piled up while the previous commit was in flight —
-//! and distributes per-event results to the waiting submitters. Under
-//! [`SyncPolicy::Always`](crate::SyncPolicy::Always), coalescing multiplies
-//! directly into fewer fsyncs. Inserts are pre-validated individually
-//! (schema and numeric domain are static), so one ill-typed event fails
-//! alone without poisoning the batch it happened to share a leader with; a
-//! durability (I/O) failure fails every submitter of the batch, none of
-//! whose events is published.
-//!
-//! [`ShardedSession::insert_all`] / [`ShardedSession::apply_batch`] commit
-//! a batch spanning shards as **one** store commit and one log record:
-//! readers, and a reopen after a crash at any byte of the record, see all
-//! of it or none.
+//! Every write is a session's: one call of the store's commit, which
+//! coalesces concurrent writers into one commit (group commit, see
+//! [`Session::apply_batch`]). A batch spanning shards is **one** store
+//! commit and one log record: readers, and a reopen after a crash at any
+//! byte of the record, see all of it or none.
 //!
 //! ## Durability
 //!
@@ -54,7 +42,6 @@
 //! [`ShardedSession::open`] recovers it as [`Session::open`] does, at any
 //! shard count.
 
-use crate::store::lock;
 use crate::{
     PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError, SessionStats, Snapshot,
     WalOptions,
@@ -66,24 +53,7 @@ use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, Schema};
 use rcqa_query::Catalog;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// One waiting writer's slot in a group-commit batch.
-struct Ticket {
-    done: Mutex<Option<Result<bool, SessionError>>>,
-}
-
-/// The commit coordinator: submitters enqueue, then race for the leader
-/// lock; the winner drains and commits the whole queue. There is no
-/// condition variable — followers block on the leader lock itself, and a
-/// follower whose ticket was fulfilled by the previous leader returns
-/// without committing anything (the previous leader fulfilled every drained
-/// ticket *before* releasing the lock the follower just acquired).
-#[derive(Default)]
-struct Coordinator {
-    queue: Mutex<Vec<(DeltaEvent, Arc<Ticket>)>>,
-    leader: Mutex<()>,
-}
+use std::sync::Arc;
 
 /// Aggregated observability of a [`ShardedSession`]: its counters, the
 /// per-shard epoch frontier, each read's shard footprint and the
@@ -115,10 +85,10 @@ pub struct ShardedStats {
     /// Reads whose rows combine blocks of several shards: joins, and
     /// one-relation statements with a key column neither grouped nor fixed.
     pub combine_queries: u64,
-    /// Leader-drained batches that coalesced more than one concurrent
-    /// writer into a single commit.
+    /// Commits that coalesced more than one concurrent writer's batch:
+    /// `totals.batched_commits`.
     pub group_commits: u64,
-    /// Events carried by those coalesced batches.
+    /// Events carried by those commits: `totals.batched_events`.
     pub group_commit_events: u64,
     /// 0: no mirror is kept.
     pub mirror_syncs: u64,
@@ -127,28 +97,24 @@ pub struct ShardedStats {
 }
 
 /// A session whose facts are routed to shards by block: one front-end over
-/// one store, with group-commit writes and per-shard counters.
+/// one store, with per-shard counters.
 ///
 /// The API mirrors [`Session`] — insert/delete/insert_all,
 /// prepare/execute/execute_many/explain, stats/epoch/sync — and every
 /// answer is **byte-identical** to the same statement on one unsharded
 /// session holding the same facts (`tests/session_sharded.rs` asserts this
 /// across random interleavings, shard counts, thread counts, and crash
-/// recovery). See the module docs (`sharded.rs`) for the routing rule and
-/// the group-commit write path.
+/// recovery). See the module docs (`sharded.rs`) for the routing rule.
 pub struct ShardedSession {
     /// The front-end and its one store.
     session: Session,
     /// What [`partition_of`] reads key lengths from.
     schema: Schema,
-    coordinator: Coordinator,
     /// Each shard's effective events since the session opened.
     frontier: Box<[AtomicU64]>,
     /// Reads counted by shard footprint, as [`ShardedStats`] reports them:
     /// fan-out, designated, combine.
     footprints: [AtomicU64; 3],
-    group_commits: AtomicU64,
-    group_commit_events: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedSession {
@@ -213,11 +179,8 @@ impl ShardedSession {
         ShardedSession {
             schema: session.catalog().schema(),
             session,
-            coordinator: Coordinator::default(),
             frontier: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             footprints: Default::default(),
-            group_commits: AtomicU64::new(0),
-            group_commit_events: AtomicU64::new(0),
         }
     }
 
@@ -307,15 +270,16 @@ impl ShardedSession {
     /// The session's counters, the epoch frontier and the group-commit
     /// counters.
     pub fn stats(&self) -> ShardedStats {
+        let totals = self.session.stats();
         ShardedStats {
-            totals: self.session.stats(),
+            totals,
             mirror: SessionStats::default(),
             epoch_frontier: self.epoch_frontier(),
             fanout_queries: self.footprints[FANOUT].load(Ordering::Relaxed),
             designated_queries: self.footprints[DESIGNATED].load(Ordering::Relaxed),
             combine_queries: self.footprints[COMBINE].load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            group_commit_events: self.group_commit_events.load(Ordering::Relaxed),
+            group_commits: totals.batched_commits,
+            group_commit_events: totals.batched_events,
             mirror_syncs: 0,
             mirror_events: 0,
         }
@@ -342,17 +306,16 @@ impl ShardedSession {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Inserts one fact through the group-commit coordinator. Returns
-    /// `true` if the fact was new. Concurrent writers coalesce into one
-    /// commit (one snapshot publish, one WAL append) — see the module docs.
+    /// Inserts one fact ([`Session::insert`]). Returns `true` if the fact
+    /// was new.
     pub fn insert(&self, fact: Fact) -> Result<bool, SessionError> {
-        self.submit(DeltaEvent::insert(fact))
+        Ok(self.apply_batch(&[DeltaEvent::insert(fact)])?[0])
     }
 
-    /// Deletes one fact through the group-commit coordinator. Returns
-    /// `true` if it was present.
+    /// Deletes one fact ([`Session::delete`]). Returns `true` if it was
+    /// present.
     pub fn delete(&self, fact: &Fact) -> Result<bool, SessionError> {
-        self.submit(DeltaEvent::delete(fact.clone()))
+        Ok(self.apply_batch(&[DeltaEvent::delete(fact.clone())])?[0])
     }
 
     /// Inserts many facts as one batch: the whole batch is validated up
@@ -378,65 +341,6 @@ impl ShardedSession {
     fn advance_frontier(&self, events: &[DeltaEvent], flags: &[bool]) {
         for (event, _) in events.iter().zip(flags).filter(|&(_, &flag)| flag) {
             self.frontier[self.shard_for(&event.fact)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Enqueues one event on the coordinator and waits for a leader
-    /// (possibly this caller) to commit it.
-    fn submit(&self, event: DeltaEvent) -> Result<bool, SessionError> {
-        let ticket = Arc::new(Ticket {
-            done: Mutex::new(None),
-        });
-        lock(&self.coordinator.queue).push((event, ticket.clone()));
-        let _leader = lock(&self.coordinator.leader);
-        // Fulfilled while we waited: the previous leader drained our event
-        // and filled the ticket before releasing the lock we now hold.
-        if let Some(result) = lock(&ticket.done).take() {
-            return result;
-        }
-        // We are the leader; our event is still queued (an unfulfilled
-        // ticket cannot have been drained — leaders fulfil every drained
-        // ticket before releasing the lock).
-        let batch = std::mem::take(&mut *lock(&self.coordinator.queue));
-        self.commit_group(batch);
-        let result = lock(&ticket.done)
-            .take()
-            .expect("the leader fulfilled every drained ticket, its own included");
-        result
-    }
-
-    /// Commits one leader-drained batch (leader lock held by the caller).
-    /// Inserts are pre-validated individually so an ill-typed event fails
-    /// its own submitter without failing the batch; a durability failure
-    /// fails every submitter of the batch.
-    fn commit_group(&self, batch: Vec<(DeltaEvent, Arc<Ticket>)>) {
-        let schema = self.session.snapshot();
-        let mut events = Vec::with_capacity(batch.len());
-        let mut tickets = Vec::with_capacity(batch.len());
-        for (event, ticket) in batch {
-            if let Err(error) = schema.validate(&event) {
-                *lock(&ticket.done) = Some(Err(SessionError::Data(error)));
-                continue;
-            }
-            events.push(event);
-            tickets.push(ticket);
-        }
-        if events.is_empty() {
-            return;
-        }
-        let outcomes: Vec<Result<bool, SessionError>> = match self.apply_batch(&events) {
-            Ok(flags) => {
-                if events.len() > 1 {
-                    self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    self.group_commit_events
-                        .fetch_add(events.len() as u64, Ordering::Relaxed);
-                }
-                flags.into_iter().map(Ok).collect()
-            }
-            Err(error) => vec![Err(error); events.len()],
-        };
-        for (ticket, outcome) in tickets.iter().zip(outcomes) {
-            *lock(&ticket.done) = Some(outcome);
         }
     }
 
@@ -813,32 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_coalesces_concurrent_writers() {
-        let sharded = Arc::new(ShardedSession::new(catalog(), 1));
-        let threads: Vec<_> = (0..8)
-            .map(|i| {
-                let front = sharded.clone();
-                std::thread::spawn(move || {
-                    front
-                        .insert(fact!("Stock", format!("P{i}"), "Boston", i))
-                        .unwrap()
-                })
-            })
-            .collect();
-        for t in threads {
-            assert!(t.join().unwrap());
-        }
-        assert_eq!(sharded.epoch(), 8);
-        let stats = sharded.stats();
-        // Coalescing is timing-dependent, but every event must land in a
-        // shard commit exactly once.
-        assert_eq!(stats.epoch_frontier.iter().sum::<u64>(), 8);
-        let out = sharded.execute("SELECT COUNT(*) FROM Stock AS S").unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(sharded.database().unwrap().len(), 8);
-    }
-
-    #[test]
     fn invalid_insert_fails_alone_and_batch_rejects_atomically() {
         let sharded = ShardedSession::new(catalog(), 2);
         // Single op: schema violation errors the caller, nothing commits.
@@ -998,25 +876,10 @@ mod tests {
             Err(SessionError::Io(_))
         ));
         unchanged(&sharded);
-        // Hold the leader lock until every writer has queued, so one leader
-        // drains them all into one group commit.
-        let writers = 4;
-        let results = std::thread::scope(|scope| {
-            let leader = lock(&sharded.coordinator.leader);
-            let handles: Vec<_> = batch
-                .iter()
-                .take(writers)
-                .map(|event| {
-                    let sharded = &sharded;
-                    scope.spawn(move || sharded.submit(event.clone()))
-                })
-                .collect();
-            while lock(&sharded.coordinator.queue).len() < writers {
-                std::thread::yield_now();
-            }
-            drop(leader);
-            let handles = handles.into_iter().map(|h| h.join().unwrap());
-            handles.collect::<Vec<_>>()
+        // Hold the store's writer lock until every writer has queued, so one
+        // leader drains them all into one group commit.
+        let results = sharded.session.store.one_group(batch.len(), |i| {
+            sharded.apply_batch(std::slice::from_ref(&batch[i]))
         });
         for result in results {
             assert!(matches!(result, Err(SessionError::Io(_))), "{result:?}");

@@ -9,6 +9,17 @@
 //! one record. A store answers nothing: it knows no statement, caches no
 //! result and counts no read.
 //!
+//! Every write, sharded or not, is one call of [`Store::apply_batch`]
+//! (**group commit**), whose leader lock is the writer lock. A writer that
+//! finds it free and no batch queued commits its batch as handed in. One
+//! that finds it taken queues a copy with a result slot and blocks on it;
+//! the next holder drains the queue, validates each batch as a unit (an
+//! ill-typed event fails only its own batch) and commits the valid ones,
+//! concatenated in queue order, as one successor, log record, publish and
+//! dirty-log entry, filling every slot before it releases the lock. The
+//! range answer depends only on the committed instance, so a group answers
+//! as its batches committed one by one would.
+//!
 //! A checkpoint is written off the commit path. Under the writer lock, the
 //! commit that makes one due only rolls the log's segment at its epoch,
 //! counts it, and hands the snapshot it just published — immutable, so
@@ -27,7 +38,7 @@ use rcqa_wal::{Wal, WalError, WalOptions, WalStorage};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
 use std::thread::JoinHandle;
 
 /// One committed write batch as result patching needs it: the blocks it
@@ -59,6 +70,13 @@ struct Maintenance {
     log_floor: u64,
 }
 
+/// A contended writer's batch: an owned copy of its events and the slot the
+/// leader that commits them fills with their outcome.
+type Submission = (Vec<DeltaEvent>, Arc<OnceLock<Outcome>>);
+
+/// One effectiveness flag per event of a batch, or why it failed.
+type Outcome = Result<Vec<bool>, SessionError>;
+
 /// The data and its write path: an immutable snapshot chain with one writer
 /// at a time, the dirty log of its commits and, when durable, its
 /// write-ahead log. Its counters are the commit half of [`SessionStats`].
@@ -69,8 +87,12 @@ pub(crate) struct Store {
     current: RwLock<Arc<Snapshot>>,
     /// Serialises writers and holds the write-ahead log when the store was
     /// opened over storage ([`Store::recover`]); none in memory. Never taken
-    /// by the read path.
+    /// by the read path. It is the group commit's leader lock.
     writer: Mutex<Writer>,
+    /// The batches of writers that found the writer lock taken, oldest
+    /// first, for its next holder to commit as one group. No lock is taken
+    /// while it is held.
+    queue: Mutex<Vec<Submission>>,
     /// Dirty-block history for result patching.
     maintenance: Mutex<Maintenance>,
     stats: AtomicStats,
@@ -169,6 +191,7 @@ impl Store {
                 wal,
                 checkpointer: None,
             }),
+            queue: Mutex::new(Vec::new()),
             maintenance: Mutex::new(Maintenance::default()),
             stats: AtomicStats::default(),
         };
@@ -260,15 +283,72 @@ impl Store {
         Ok(writer.wal.as_mut().map_or(Ok(()), Wal::sync)?)
     }
 
-    /// One atomic commit of `events`, with one effectiveness flag per
-    /// event — [`Session::apply_batch`](crate::Session::apply_batch), whose
-    /// docs spell out what a commit copies and costs. The successor index is
-    /// derived first ([`Store::derive`]); only effective events are logged,
+    /// One atomic commit of `events`, alone or grouped with concurrent
+    /// writers' batches ([module docs](self)), with one effectiveness flag
+    /// per event — [`Session::apply_batch`](crate::Session::apply_batch).
+    pub(crate) fn apply_batch(&self, events: &[DeltaEvent]) -> Outcome {
+        let (mut writer, slot) = match self.writer.try_lock() {
+            Ok(writer) => (writer, None),
+            Err(TryLockError::Poisoned(e)) => (e.into_inner(), None),
+            Err(TryLockError::WouldBlock) => {
+                let slot = Arc::new(OnceLock::new());
+                lock(&self.queue).push((events.to_vec(), slot.clone()));
+                (lock(&self.writer), Some(slot))
+            }
+        };
+        // A filled slot was committed while this writer waited; an unfilled
+        // one is still queued, since a leader fills every slot it drains.
+        if let Some(outcome) = slot.as_ref().and_then(|slot| slot.get()) {
+            return outcome.clone();
+        }
+        let mut group = std::mem::take(&mut *lock(&self.queue));
+        let slot = match slot {
+            Some(slot) => slot,
+            None if group.is_empty() => return self.commit(&mut writer, events),
+            None => {
+                let slot = Arc::default();
+                group.push((events.to_vec(), Arc::clone(&slot)));
+                slot
+            }
+        };
+        self.commit_group(&mut writer, group);
+        slot.get().cloned().expect("a leader fills its own slot")
+    }
+
+    /// Commits a drained group as one and fills each submitter's slot with
+    /// its share of the flags, or the error. Only a successful commit of
+    /// more than one batch counts as batched.
+    fn commit_group(&self, writer: &mut Writer, group: Vec<Submission>) {
+        let base = self.snapshot();
+        let (mut events, mut slots) = (Vec::new(), Vec::with_capacity(group.len()));
+        for (batch, slot) in group {
+            if let Err(error) = batch.iter().try_for_each(|event| base.validate(event)) {
+                let _ = slot.set(Err(error.into()));
+                continue;
+            }
+            slots.push((events.len()..events.len() + batch.len(), slot));
+            events.extend(batch);
+        }
+        let outcome = self.commit(writer, &events);
+        if outcome.is_ok() && slots.len() > 1 {
+            AtomicStats::bump(&self.stats.batched_commits);
+            let carried = events.len() as u64;
+            self.stats
+                .batched_events
+                .fetch_add(carried, Ordering::Relaxed);
+        }
+        for (range, slot) in slots {
+            let own = outcome.as_ref().map(|flags| flags[range].to_vec());
+            let _ = slot.set(own.map_err(Clone::clone));
+        }
+    }
+
+    /// The commit under the writer lock. The successor index is derived
+    /// first ([`Store::derive`]); only effective events are logged,
     /// as one record, **before** the successor is published, so a refused
     /// append publishes nothing. A due log starts a checkpoint of the
     /// published successor after the publish (see the [module docs](self)).
-    pub(crate) fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
-        let mut writer = lock(&self.writer);
+    fn commit(&self, writer: &mut Writer, events: &[DeltaEvent]) -> Outcome {
         let base = self.snapshot();
         let (index, flags, blocks) = Self::derive(&base, events)?;
         // Only effective events are logged: the batch itself when all are.
@@ -329,12 +409,6 @@ impl Store {
         // log, so a checkpoint failure cannot fail the commit — it only
         // postpones log truncation (and is retried at the next commit).
         writer.checkpoint_if_due(&snapshot, &self.stats);
-        if events.len() > 1 {
-            AtomicStats::bump(&self.stats.batched_commits);
-            self.stats
-                .batched_events
-                .fetch_add(events.len() as u64, Ordering::Relaxed);
-        }
         Ok(flags)
     }
 
@@ -407,5 +481,203 @@ impl Drop for Store {
     fn drop(&mut self) {
         let writer = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
         writer.finish_checkpoint(true, &self.stats);
+    }
+}
+
+#[cfg(test)]
+impl Store {
+    /// Runs `submit(0)`, …, `submit(n - 1)` on threads of their own while
+    /// this thread holds the writer lock, starting each once the one before
+    /// it has queued its batch, then releases the lock: the first submitter
+    /// to take it leads and commits all `n` batches, in this order, as one
+    /// group. Their results, in order.
+    pub(crate) fn one_group<T: Send>(
+        &self,
+        n: usize,
+        submit: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let queued = || lock(&self.queue).len();
+        std::thread::scope(|scope| {
+            let held = lock(&self.writer);
+            let submit = &submit;
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let handle = scope.spawn(move || submit(i));
+                    while queued() <= i {
+                        std::thread::yield_now();
+                    }
+                    handle
+                })
+                .collect();
+            drop(held);
+            let joined = handles.into_iter().map(|handle| handle.join());
+            joined
+                .map(|result| result.expect("a submitter panicked"))
+                .collect()
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{lock, Outcome};
+    use crate::{Session, SessionError, SessionStats};
+    use rcqa_data::{fact, DeltaEvent};
+    use rcqa_query::{Catalog, TableDef};
+    use rcqa_wal::{MemStorage, SyncPolicy, WalOptions};
+    use std::sync::{Arc, OnceLock};
+
+    fn catalog() -> Catalog {
+        Catalog::new()
+            .with_table(TableDef::new("Dealers").key_column("Name").column("Town"))
+            .with_table(
+                TableDef::new("Stock")
+                    .key_column("Product")
+                    .key_column("Town")
+                    .numeric_column("Qty"),
+            )
+    }
+
+    const STATEMENTS: [&str; 2] = [
+        "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
+        "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town GROUP BY D.Name",
+    ];
+
+    /// Writers queued behind the writer lock commit as one group: one
+    /// successor (the epoch moves by the group's effective events), one log
+    /// record, one dirty-log entry a cached result patches across. Each
+    /// submitter gets its own flags, an ill-typed batch fails alone and
+    /// publishes nothing, and the group leaves the instance, the flags and
+    /// the answers the same batches committed one by one leave — in memory
+    /// and durable. Only a commit of more than one caller's batches counts
+    /// as a group commit.
+    #[test]
+    fn queued_writers_coalesce_into_one_commit() {
+        let seed = [
+            fact!("Dealers", "Smith", "Boston"),
+            fact!("Dealers", "Jones", "Erie"),
+            fact!("Stock", "Tesla X", "Boston", 35),
+            fact!("Stock", "Tesla Y", "Erie", 95),
+        ];
+        let batches = [
+            vec![DeltaEvent::insert(fact!("Stock", "P1", "Boston", 5))],
+            // The same fact again: a no-op for this submitter only.
+            vec![DeltaEvent::insert(fact!("Stock", "P1", "Boston", 5))],
+            // Ill-typed: fails alone.
+            vec![DeltaEvent::insert(fact!("Stock", "P2", "Boston"))],
+            // One bad event fails the whole batch, its good one included.
+            vec![
+                DeltaEvent::insert(fact!("Stock", "P3", "Boston", 7)),
+                DeltaEvent::insert(fact!("Nope", "X")),
+            ],
+            vec![DeltaEvent::delete(fact!("Dealers", "Smith", "Boston"))],
+            vec![
+                DeltaEvent::insert(fact!("Stock", "P5", "Erie", 3)),
+                DeltaEvent::delete(fact!("Stock", "P9", "Erie", 1)),
+            ],
+        ];
+        let want = [
+            Some(vec![true]),
+            Some(vec![false]),
+            None,
+            None,
+            Some(vec![true]),
+            Some(vec![true, false]),
+        ];
+        let options = WalOptions {
+            sync: SyncPolicy::Always,
+            checkpoint_every: 0,
+        };
+        let disk = MemStorage::new();
+        let durable = Session::open_storage(catalog(), Box::new(disk.handle()), options);
+        for session in [Session::new(catalog()), durable.unwrap()] {
+            // One caller's batch is no group, however many events it has.
+            session.insert_all(seed.clone()).unwrap();
+            let more = [("Tesla Z", "Erie", 12), ("Tesla W", "Boston", 8)];
+            let more = more.map(|(p, t, q)| DeltaEvent::insert(fact!("Stock", p, t, q)));
+            session.apply_batch(&more).unwrap();
+            assert_eq!(session.stats().batched_commits, 0);
+            let one_by_one = Session::with_instance(catalog(), session.database());
+            for sql in STATEMENTS {
+                session.execute(sql).unwrap();
+            }
+            let (before, epoch) = (session.stats(), session.epoch());
+            let alone_epoch = one_by_one.epoch();
+
+            let got = session
+                .store
+                .one_group(batches.len(), |i| session.apply_batch(&batches[i]));
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let alone = one_by_one.apply_batch(&batches[i]);
+                match want {
+                    Some(flags) => {
+                        assert_eq!(got.as_ref().unwrap(), flags, "batch {i}");
+                        assert_eq!(alone.unwrap(), *flags, "batch {i} alone");
+                    }
+                    None => {
+                        assert!(matches!(got, Err(SessionError::Data(_))), "batch {i}");
+                        assert!(alone.is_err(), "batch {i} alone");
+                    }
+                }
+            }
+            let after = session.stats();
+            let grown = |counter: fn(&SessionStats) -> u64| counter(&after) - counter(&before);
+            assert_eq!(session.epoch(), epoch + 3);
+            assert_eq!(one_by_one.epoch(), alone_epoch + 3);
+            assert_eq!(grown(|s| s.deltas_applied), 3);
+            let appends = u64::from(session.is_durable());
+            assert_eq!(grown(|s| s.wal_appends), appends);
+            assert_eq!(grown(|s| s.batched_commits), 1);
+            // The four valid batches' five events.
+            assert_eq!(grown(|s| s.batched_events), 5);
+            let db = session.database();
+            assert_eq!(*db, *one_by_one.database());
+            assert!(!db.contains(&fact!("Stock", "P3", "Boston", 7)));
+
+            // Each cached result patches across the group to a cold answer.
+            let cold = Session::with_instance(catalog(), db.clone());
+            for sql in STATEMENTS {
+                let patched = session.execute(sql).unwrap();
+                assert_eq!(patched.rows, cold.execute(sql).unwrap().rows, "{sql}");
+            }
+            let after = session.stats();
+            let grown = |counter: fn(&SessionStats) -> u64| counter(&after) - counter(&before);
+            assert_eq!(grown(|s| s.supported_patches), STATEMENTS.len() as u64);
+            assert_eq!(grown(|s| s.full_recomputes), 0);
+
+            // A group of one valid batch is no group commit.
+            let lone = [
+                vec![DeltaEvent::insert(fact!("Nope", "X"))],
+                vec![DeltaEvent::insert(fact!("Stock", "P6", "Erie", 6))],
+            ];
+            let got = session
+                .store
+                .one_group(2, |i| session.apply_batch(&lone[i]));
+            assert!(got[0].is_err());
+            assert_eq!(*got[1].as_ref().unwrap(), [true]);
+            assert_eq!(session.stats().batched_commits, after.batched_commits);
+            // A writer that finds the lock free but a batch queued — its
+            // submitter not yet awake — commits that batch and its own as
+            // one group.
+            let slot: Arc<OnceLock<Outcome>> = Arc::default();
+            let queued = vec![DeltaEvent::insert(fact!("Stock", "P7", "Erie", 7))];
+            lock(&session.store.queue).push((queued, slot.clone()));
+            let (epoch, appends) = (session.epoch(), session.stats().wal_appends);
+            let own = session.insert(fact!("Stock", "P8", "Erie", 8)).unwrap();
+            assert!(own);
+            assert_eq!(*slot.get().unwrap().as_ref().unwrap(), [true]);
+            assert_eq!(session.epoch(), epoch + 2);
+            let after = session.stats();
+            assert_eq!(after.wal_appends, appends + u64::from(session.is_durable()));
+            assert_eq!(after.batched_commits, 2);
+
+            if session.is_durable() {
+                let db = session.database();
+                drop(session);
+                let reopened = Session::open_storage(catalog(), Box::new(disk.handle()), options);
+                assert_eq!(*reopened.unwrap().database(), *db);
+            }
+        }
     }
 }

@@ -33,8 +33,9 @@ fn main() -> ExitCode {
     let session =
         Arc::new(ShardedSession::open(catalog.clone(), dir.path(), 4).expect("open the directory"));
 
-    // Concurrent writers: the commit coordinator coalesces overlapping
-    // inserts into one commit, one log record and one fsync (group commit).
+    // Concurrent writers: the store coalesces overlapping inserts into one
+    // commit, one log record and one fsync (group commit), as it does for
+    // any session.
     std::thread::scope(|scope| {
         for w in 0..4 {
             let session = Arc::clone(&session);
