@@ -53,8 +53,8 @@
 //! 3. `range` looks each group's level-0 blocks up once for both bounds
 //!    instead of running the pipeline twice.
 //!
-//! The exact-enumeration fallback is the only path that constructs further
-//! indexes (one per enumerated repair of a group's blocks, by design).
+//! The exact-enumeration fallback builds none either: it walks the repairs of
+//! a group's blocks as choices of rows of that one index.
 //!
 //! ## Threading model
 //!
@@ -78,8 +78,8 @@ use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
 use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, NumericDomain, Rational, Schema, Value};
-use rcqa_query::{AggQuery, Term, Var, VarPredicate};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use rcqa_query::{AggQuery, VarPredicate};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 /// How an answer was obtained.
@@ -167,24 +167,20 @@ impl EngineOptions {
 ///
 /// * **block restriction** — the variable sits at a key position of some
 ///   atom, so every embedding binds it from a block key and whole blocks
-///   can be kept or dropped before the join ([`DbIndex::restrict`]);
+///   can be kept or dropped before the join ([`DbIndex::restrict`]): every
+///   embedding over the restricted view passes, and none needs a check;
 /// * **row filter** — the variable is a GROUP BY variable, so its value is
 ///   the (definite) group key component and rows are filtered after
 ///   aggregation;
-/// * **exact embedding filter** — applied inside the exhaustive-repair
-///   fallback ([`crate::exact::exact_bounds_filtered`]). Non-free
-///   block-restricted predicates also take this route (re-verified per
-///   embedding, over blocks of the restricted view), and **residual**
-///   predicates (non-free variable at no key position) take it exclusively,
-///   forcing every bound onto the exact fallback ([`RangeCqa::plan`]).
+/// * **residual** — a non-free variable at no key position: an embedding
+///   filter inside the exact fallback's walk over each group's repairs,
+///   which it forces onto every bound ([`RangeCqa::plan`]).
 #[derive(Clone, Debug, Default)]
 struct PredicateRouting {
     restrictions: Vec<BlockRestriction>,
     /// `(position in free-variable order, predicate)`.
     row_filters: Vec<(usize, VarPredicate)>,
-    exact: Vec<VarPredicate>,
-    /// The residual subset of `exact` (non-free variable at no key
-    /// position); non-empty forces the exact fallback on every bound.
+    /// Non-empty forces the exact fallback on every bound.
     residual: Vec<VarPredicate>,
 }
 
@@ -227,17 +223,10 @@ impl PredicateRouting {
                 // Free variable off every key: the group key is still
                 // definite, so a row filter is exact.
                 (Some(pos), true) => routing.row_filters.push((pos, p.clone())),
-                // Non-free variable at a key position: restrict the index,
-                // and re-verify per embedding on the exact path.
-                (None, false) => {
-                    routing.restrictions.extend(occurrences);
-                    routing.exact.push(p.clone());
-                }
+                // Non-free variable at a key position: restrict the index.
+                (None, false) => routing.restrictions.extend(occurrences),
                 // Residual: only exhaustive enumeration is sound.
-                (None, true) => {
-                    routing.exact.push(p.clone());
-                    routing.residual.push(p.clone());
-                }
+                (None, true) => routing.residual.push(p.clone()),
             }
         }
         routing
@@ -666,10 +655,9 @@ impl RangeCqa {
         let plan = self.plan(db.numeric_domain(), want_glb, want_lub);
         let cx = ExecContext {
             prepared: &self.prepared,
-            db,
             index: view.as_ref().unwrap_or(index),
             options: &self.options,
-            exact_predicates: &routing.exact,
+            residual: &routing.residual,
         };
         let mut rows = match scope {
             Scope::All => execute(&plan, &cx)?,
@@ -699,45 +687,10 @@ pub fn candidate_groups(prepared: &PreparedAggQuery, db: &DatabaseInstance) -> V
     }
     group_keys(&ExecContext {
         prepared,
-        db,
         index: &DbIndex::new(db),
         options: &EngineOptions::default(),
-        exact_predicates: &[],
+        residual: &[],
     })
-}
-
-/// Substitutes a group key for the free variables of a query, producing a
-/// closed prepared query (Section 6.2: free variables are treated as
-/// constants).
-///
-/// The one-pass pipeline no longer calls this per group for rewriting-backed
-/// strategies; it remains the entry into the exact-enumeration fallback and
-/// the repair-enumeration baselines.
-pub fn substitute_group(
-    prepared: &PreparedAggQuery,
-    key: &[Value],
-) -> Result<PreparedAggQuery, CoreError> {
-    let free = prepared.original.body.free_vars().to_vec();
-    assert_eq!(free.len(), key.len(), "group key arity mismatch");
-    let subst: BTreeMap<Var, Term> = free
-        .iter()
-        .cloned()
-        .zip(key.iter().cloned().map(Term::Const))
-        .collect();
-    let new_body = rcqa_query::ConjunctiveQuery::boolean(
-        prepared
-            .original
-            .body
-            .atoms()
-            .iter()
-            .map(|a| a.substitute(&subst)),
-    );
-    let closed = AggQuery::new(
-        prepared.original.agg,
-        prepared.original.term.clone(),
-        new_body,
-    );
-    PreparedAggQuery::new(&closed, &prepared.body.schema().clone())
 }
 
 #[cfg(test)]
@@ -745,7 +698,8 @@ mod tests {
     use super::*;
     use crate::exact::exact_bounds;
     use rcqa_data::{fact, rat, Schema, Signature};
-    use rcqa_query::parse_agg_query;
+    use rcqa_query::{parse_agg_query, Var};
+    use std::collections::BTreeMap;
 
     fn db_stock() -> DatabaseInstance {
         let schema = Schema::new()

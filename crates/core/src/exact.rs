@@ -7,13 +7,12 @@
 //! on each, and taking the minimum and maximum. Its cost is exponential in
 //! the number of inconsistent blocks of that instance.
 //!
-//! Two kinds of caller. The oracles — the tests, the benchmark's brute-force
+//! One kind of caller: the oracles — the tests, the benchmark's brute-force
 //! check, the baseline arm of the paper's experiments — hand it a whole
-//! (small) instance. The plan executor's exact fallback
-//! ([`crate::plan::BoundOp::ExactEnumeration`]) hands it, per group, the
-//! restriction of the instance to the blocks the group's embeddings touch,
-//! which has the same bounds (see [`crate::plan::exec`]) and a repair count
-//! that does not grow with the instance.
+//! (small) instance, and it indexes every repair afresh. The plan executor's
+//! exact fallback ([`crate::plan::BoundOp::ExactEnumeration`]) does not come
+//! here: it walks the repairs of each group's blocks in the id space of the
+//! one index (see [`crate::plan::exec`]).
 
 use crate::error::CoreError;
 use crate::forall::{embeddings, Valuation};
@@ -82,6 +81,18 @@ pub fn exact_bounds_filtered(
         return Err(CoreError::OpenQuery(free.to_vec()));
     }
     query.check_predicates(predicates)?;
+    bounds_over_repairs(query, db, max_repairs, predicates, &Valuation::new())
+}
+
+/// The repair loop of both oracles, over the embeddings extending `initial`
+/// (empty for a closed query, a group key for an open one).
+fn bounds_over_repairs(
+    query: &PreparedAggQuery,
+    db: &DatabaseInstance,
+    max_repairs: u128,
+    predicates: &[rcqa_query::VarPredicate],
+    initial: &Valuation,
+) -> Result<ExactBounds, CoreError> {
     let count = db.repair_count().unwrap_or(u128::MAX);
     if count > max_repairs {
         return Err(CoreError::FallbackUnavailable(format!(
@@ -92,8 +103,6 @@ pub fn exact_bounds_filtered(
     let term = &query.normalised.term;
     // Reuse the level machinery for enumeration inside each repair by building
     // a tiny index per repair (repairs are consistent, blocks are singletons).
-    // A closed query's open levels are its topological sort, or plain query
-    // order when the attack graph is cyclic.
     let levels = query.open_levels();
     let mut glb: Option<Rational> = None;
     let mut lub: Option<Rational> = None;
@@ -103,7 +112,7 @@ pub fn exact_bounds_filtered(
     for repair in db.repairs() {
         repairs += 1;
         let index = DbIndex::new(&repair);
-        let mut embs = embeddings(levels, &index, &Valuation::new());
+        let mut embs = embeddings(levels, &index, initial);
         // Every predicate variable occurs in the body (checked above), so
         // every embedding binds it.
         embs.retain(|b| {
@@ -156,9 +165,9 @@ pub fn exact_bounds_by_group(
 /// [`exact_bounds_by_group`] with comparison predicates: predicates on free
 /// (GROUP BY) variables filter the candidate group keys — a group's key is
 /// definite, so this is plain evaluation — and the rest apply as embedding
-/// filters inside each group's exhaustive enumeration
-/// ([`exact_bounds_filtered`]). The brute-force oracle the engine's
-/// predicate paths are tested against.
+/// filters inside each group's exhaustive enumeration, which binds the key to
+/// the free variables and enumerates every repair of `db`. The brute-force
+/// oracle the engine's predicate paths are tested against.
 pub fn exact_bounds_by_group_filtered(
     query: &PreparedAggQuery,
     db: &DatabaseInstance,
@@ -184,8 +193,8 @@ pub fn exact_bounds_by_group_filtered(
         if !keep {
             continue;
         }
-        let closed = crate::engine::substitute_group(query, &key)?;
-        let bounds = exact_bounds_filtered(&closed, db, max_repairs, &on_bound)?;
+        let bound = free.iter().cloned().zip(key.iter().cloned()).collect();
+        let bounds = bounds_over_repairs(query, db, max_repairs, &on_bound, &bound)?;
         // An open-query group with no satisfying embedding anywhere is not
         // even a possible answer under the predicates — it has no row. A
         // closed query always answers with its single row (`[⊥, ⊥]` then).

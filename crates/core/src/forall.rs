@@ -724,13 +724,9 @@ impl<'a> Join<'a> {
     }
 
     /// Hands `sink` the block each level draws its fact from under the full
-    /// embedding `theta` (every variable bound): the blocks in which a
-    /// repair's choice decides whether `theta` survives.
-    pub(crate) fn blocks_of(
-        &self,
-        theta: &[u32],
-        mut sink: impl FnMut(&'a RelationIndex, &'a IndexedBlock),
-    ) {
+    /// embedding `theta` (every variable bound), and the fact's row in it:
+    /// a repair keeps `theta` iff it picks that row in each of those blocks.
+    pub(crate) fn blocks_of(&self, theta: &[u32], mut sink: impl FnMut(&'a IndexedBlock, usize)) {
         let interner = self.index.interner();
         let mut key = Vec::new();
         for ((lvl, terms), &rel) in self
@@ -747,7 +743,11 @@ impl<'a> Join<'a> {
             let block = rel
                 .block_by_key_ids(&key, interner)
                 .expect("an embedding's fact lies in a stored block");
-            sink(rel, block);
+            let row = (0..block.cols.rows()).find(|&row| {
+                (terms.iter().enumerate())
+                    .all(|(pos, &term)| bound_id(term, theta) == Some(block.cols.id_at(row, pos)))
+            });
+            sink(block, row.expect("an embedding's fact is a row"));
         }
     }
 

@@ -16,8 +16,9 @@
 //! condition gates whole blocks, and each level's sub-aggregate is computed
 //! once per projection onto the variables it reads, shared across every
 //! group that reaches it. The exact fallback is
-//! the one stage that enumerates embeddings: one pinned join per group, to
-//! collect the blocks whose repairs it enumerates.
+//! the one stage that enumerates embeddings: one pinned join per group
+//! collects the blocks whose repairs it walks and, per embedding, its rows in
+//! them and its aggregated value.
 //!
 //! ## Threading model
 //!
@@ -45,10 +46,10 @@
 //! (see [`crate::index`]): a partial embedding is one slot vector, bound and
 //! unbound in place; memo keys are id projections hashed and compared as raw
 //! integers (id equality is value equality); a group key is a row of ids.
-//! [`Value`]s appear in three places only: the group key of the
-//! [`GroupRange`] row, the one [`rcqa_data::Rational`] a bound reads per
-//! leaf, and the exact fallback (its group substitution, and the facts of the
-//! blocks whose repairs it enumerates). Nothing is allocated per embedding.
+//! [`Value`]s appear in two places only: the group key of the [`GroupRange`]
+//! row, and the one [`rcqa_data::Rational`] a bound reads per leaf (the exact
+//! fallback per embedding, whose repairs are choices of rows). Nothing is
+//! allocated per embedding.
 //!
 //! Worker count comes from
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
@@ -68,19 +69,18 @@
 //! snapshots; that sharing is invisible here because published indexes —
 //! interior `Arc`s included — are never mutated.
 
-use crate::engine::{substitute_group, BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
+use crate::engine::{BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
 use crate::error::CoreError;
-use crate::exact::{exact_bounds_filtered, ExactBounds};
 use crate::forall::{CompiledLevels, GroupKeys, Join};
 use crate::glb::BoundEvaluator;
 use crate::ids::{resolve_ids, IdRows, IdTupleSet};
-use crate::index::{DbIndex, IndexedBlock, RelationIndex};
+use crate::index::DbIndex;
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::BoundKind;
-use rcqa_data::{DatabaseInstance, Value};
-use rcqa_query::{Term, Var, VarPredicate};
-use std::collections::HashSet;
+use rcqa_data::{AggFunc, Rational, Value};
+use rcqa_query::{AggTerm, Term, Var, VarPredicate};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything the executor needs besides the plan itself.
@@ -88,19 +88,14 @@ use std::sync::Arc;
 pub struct ExecContext<'a> {
     /// The prepared query being answered.
     pub prepared: &'a PreparedAggQuery,
-    /// The database instance: the exact fallback reads its schema and numeric
-    /// domain; every fact is read through `index`.
-    pub db: &'a DatabaseInstance,
     /// The shared block index (built exactly once by the engine entry point).
     pub index: &'a DbIndex,
     /// Engine options (the worker count).
     pub options: &'a EngineOptions,
-    /// Comparison predicates the exact fallback applies as embedding filters
-    /// inside each enumerated repair (non-free variables only — predicates
-    /// on key-position variables are pushed into the restricted index and
-    /// predicates on free variables filter whole result rows upstream, so
-    /// the rewriting-backed operators never see a predicate here).
-    pub exact_predicates: &'a [VarPredicate],
+    /// The residual comparison predicates (non-free variables at no key
+    /// position): the exact fallback's embedding filters. Every other
+    /// predicate acts upstream, on whole blocks or on whole rows.
+    pub residual: &'a [VarPredicate],
 }
 
 /// Executes a plan, returning one [`GroupRange`] per group in sorted
@@ -307,10 +302,10 @@ pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 /// concatenating the outputs in order. A full evaluation passes `0`.
 ///
 /// A plan with a [`BoundOp::ExactEnumeration`] bound first collects every
-/// group's block closure and checks it against the repair budget
-/// ([`Closures::collect`], in group-key order on the calling thread): an
-/// over-budget statement is refused, the same way at every worker count,
-/// before the first repair of any group is built.
+/// group's block closure and embeddings and checks the closure against the
+/// repair budget ([`Closures::collect`], in group-key order on the calling
+/// thread): an over-budget statement is refused, the same way at every
+/// worker count, before the first repair of any group is walked.
 fn eval_groups(
     plan: &Plan,
     cx: &ExecContext<'_>,
@@ -326,56 +321,72 @@ fn eval_groups(
     let groups = keys.len();
     let (mut out, done) = match inline {
         0 => (Vec::with_capacity(groups), 0),
-        _ => eval_shard(plan, cx, free, keys, 0..groups, closures, inline)?,
+        _ => eval_shard(plan, cx, free, keys, 0..groups, closures, inline),
     };
     let rest = shard((done..groups).collect(), cx.options.resolve_threads());
     let shard_results = run_shards(rest, |groups| {
-        eval_shard(plan, cx, free, keys, groups, closures, usize::MAX)
+        eval_shard(plan, cx, free, keys, groups, closures, usize::MAX).0
     });
-    for result in shard_results {
-        out.extend(result?.0);
-    }
+    out.extend(shard_results.into_iter().flatten());
     Ok(out)
 }
 
-/// What [`BoundOp::ExactEnumeration`] enumerates the repairs of, per group:
-/// the group's **block closure** — every block holding a fact of one of the
-/// group's embeddings.
+/// What [`BoundOp::ExactEnumeration`] walks the repairs of, per group: the
+/// group's **block closure** — every block holding a fact of one of the
+/// group's embeddings — and the embeddings that pass the residual predicates.
 ///
 /// An embedding that survives in a repair is an embedding of the instance, and
 /// a repair keeps an embedding iff it picks the embedding's fact in each block
 /// the embedding draws from. A group's value in a repair is therefore a
 /// function of the repair's choices in the closure alone, and its bounds over
-/// the repairs of the instance equal its bounds over the repairs of the
-/// closure — **all** facts of every closure block, so that a repair can still
-/// kill an embedding by picking a fact that joins nothing. The embeddings are
-/// those of the (predicate-restricted) index the plan runs over: one a
-/// pushed-down predicate rejects contributes to no repair's value.
-struct Closures<'a> {
-    /// Group `g` touches `blocks[starts[g]..starts[g + 1]]`.
-    starts: Vec<usize>,
-    blocks: Vec<(&'a RelationIndex, &'a IndexedBlock)>,
+/// the repairs of the instance equal its bounds over the choices in the
+/// closure — among **all** facts of every closure block, so that a repair can
+/// still kill an embedding by picking a fact that joins nothing. The
+/// embeddings are those of the (predicate-restricted) index the plan runs
+/// over: one a pushed-down predicate rejects contributes to no repair's value.
+struct Closures {
+    /// Group `g`'s closure blocks hold `sizes[starts[g].0..starts[g + 1].0]`
+    /// facts, and its embeddings are `starts[g].1..starts[g + 1].1`.
+    starts: Vec<(usize, usize)>,
+    sizes: Vec<usize>,
+    /// Embedding `e`'s aggregated value, and its fact at each of the `levels`
+    /// levels as (block of its group's closure, row):
+    /// `facts[e * levels..(e + 1) * levels]`.
+    values: Vec<Rational>,
+    facts: Vec<(usize, usize)>,
+    levels: usize,
 }
 
-impl<'a> Closures<'a> {
-    /// Collects every group's closure, by one enumeration of the open body
-    /// pinned to the group's key, and decides the repair budget: a closure
-    /// has the product of its block sizes many repairs (counted, no fact
-    /// materialised), and the first group in group-key order over
-    /// [`MAX_REPAIRS`] is the `Err`.
-    fn collect(
-        cx: &ExecContext<'a>,
-        free: &[Var],
-        keys: &IdRows,
-    ) -> Result<Closures<'a>, CoreError> {
+impl Closures {
+    /// Collects every group's closure and embeddings, by one enumeration of
+    /// the open body pinned to the group's key, and decides the repair
+    /// budget: a closure has the product of its block sizes many repairs
+    /// (counted over the blocks of every embedding, no fact materialised),
+    /// and the first group in group-key order over [`MAX_REPAIRS`] is the
+    /// `Err`.
+    fn collect(cx: &ExecContext<'_>, free: &[Var], keys: &IdRows) -> Result<Closures, CoreError> {
         let open = cx.prepared.compiled_open_levels();
-        let free_slots = slots_of(open, free);
-        let mut pinned = open.unbound_ids();
+        let interner = cx.index.interner();
+        let slot = |v: &Var| slots_of(open, std::slice::from_ref(v))[0];
+        let (free_slots, mut pinned) = (slots_of(open, free), open.unbound_ids());
+        let term = match &cx.prepared.normalised.term {
+            AggTerm::Const(c) => Ok(*c),
+            AggTerm::Var(v) => Err(slot(v)),
+        };
+        let residual: Vec<_> = (cx.residual.iter())
+            .map(|p| (slot(&p.var), p, interner.prefix_rank(&p.value)))
+            .collect();
         let join = Join::new(open, cx.index);
-        let (mut starts, mut blocks) = (vec![0], Vec::new());
+        let mut out = Closures {
+            starts: vec![(0, 0)],
+            sizes: Vec::new(),
+            values: Vec::new(),
+            facts: Vec::new(),
+            levels: open.len(),
+        };
+        let mut seen = HashMap::new();
         for g in 0..keys.len() {
-            let start = blocks.len();
-            let mut seen = HashSet::new();
+            seen.clear();
             let mut repairs = 1u128;
             for (&slot, &id) in free_slots.iter().zip(keys.row(g)) {
                 pinned[slot] = id;
@@ -383,17 +394,32 @@ impl<'a> Closures<'a> {
             // Once over budget the rest cannot matter: a closed query over a
             // large join is refused after the embeddings that prove it.
             join.for_each(&pinned, |theta| {
-                if repairs <= MAX_REPAIRS {
-                    join.blocks_of(theta, |rel, block| {
-                        if seen.insert(Arc::as_ptr(&block.cols)) {
-                            repairs = repairs.saturating_mul(block.cols.rows() as u128);
-                            blocks.push((rel, block));
-                        }
+                if repairs > MAX_REPAIRS {
+                    return;
+                }
+                let passes = residual.iter().all(|&(slot, p, rank)| {
+                    p.op.holds(interner.cmp_id_to_value(theta[slot], &p.value, rank))
+                });
+                join.blocks_of(theta, |block, row| {
+                    let next = seen.len();
+                    let local = *seen.entry(Arc::as_ptr(&block.cols)).or_insert_with(|| {
+                        repairs = repairs.saturating_mul(block.cols.rows() as u128);
+                        out.sizes.push(block.cols.rows());
+                        next
                     });
+                    if passes {
+                        out.facts.push((local, row));
+                    }
+                });
+                if passes {
+                    out.values.push(term.unwrap_or_else(|slot| {
+                        (interner.value(theta[slot]).as_num())
+                            .expect("the aggregated variable is bound to a number")
+                    }));
                 }
             });
             if repairs > MAX_REPAIRS {
-                let key = cx.index.interner().values_of(keys.row(g));
+                let key = interner.values_of(keys.row(g));
                 let key: Vec<String> = key.iter().map(Value::to_string).collect();
                 return Err(CoreError::FallbackUnavailable(format!(
                     "{}: {} blocks its embeddings touch have {repairs} repairs, more than the \
@@ -403,35 +429,50 @@ impl<'a> Closures<'a> {
                     } else {
                         format!("group ({})", key.join(", "))
                     },
-                    blocks.len() - start,
+                    seen.len(),
                 )));
             }
-            starts.push(blocks.len());
+            out.starts.push((out.sizes.len(), out.values.len()));
         }
-        Ok(Closures { starts, blocks })
+        Ok(out)
     }
 
-    /// The exact bounds of group `g`, keyed `key`: the whole-instance
-    /// reference [`exact_bounds_filtered`], run on the group-substituted closed
-    /// query over the restriction of the instance to the group's closure (an
-    /// instance of its own).
-    fn enumerate(
-        &self,
-        g: usize,
-        cx: &ExecContext<'_>,
-        key: &[Value],
-    ) -> Result<ExactBounds, CoreError> {
-        let interner = cx.index.interner();
-        let facts = self.blocks[self.starts[g]..self.starts[g + 1]]
-            .iter()
-            .flat_map(|&(rel, block)| {
-                (0..block.cols.rows()).map(move |row| rel.materialize_fact(block, row, interner))
-            })
-            .collect();
-        let mut restriction = cx.db.empty_like();
-        restriction.load(facts)?;
-        let closed = substitute_group(cx.prepared, key)?;
-        exact_bounds_filtered(&closed, &restriction, MAX_REPAIRS, cx.exact_predicates)
+    /// The exact `(glb, lub)` of group `g` under `agg`, or `None` when no
+    /// embedding of it passes the residual predicates: one mixed-radix walk
+    /// over the choices of its closure blocks, aggregating in each repair the
+    /// embeddings whose facts it picks. The first repair that keeps none makes
+    /// both bounds `⊥`. The walk allocates nothing per repair (the DISTINCT
+    /// aggregates' `apply` does).
+    fn walk(&self, g: usize, agg: AggFunc) -> Option<(Option<Rational>, Option<Rational>)> {
+        let ((blocks, start), (blocks_end, end)) = (self.starts[g], self.starts[g + 1]);
+        if start == end {
+            return None;
+        }
+        let facts = &self.facts[start * self.levels..end * self.levels];
+        let (values, sizes) = (&self.values[start..end], &self.sizes[blocks..blocks_end]);
+        let (mut choice, mut kept) = (vec![0; sizes.len()], Vec::with_capacity(values.len()));
+        let (mut glb, mut lub) = (None, None);
+        loop {
+            kept.clear();
+            for (e, &value) in values.iter().enumerate() {
+                let facts = &facts[e * self.levels..(e + 1) * self.levels];
+                if facts.iter().all(|&(block, row)| choice[block] == row) {
+                    kept.push(value);
+                }
+            }
+            let Some(value) = agg.apply(&kept) else {
+                return Some((None, None));
+            };
+            glb = Some(glb.map_or(value, |g: Rational| g.min(value)));
+            lub = Some(lub.map_or(value, |l: Rational| l.max(value)));
+            // The next repair: the lowest block with a choice left takes it,
+            // and every block below it starts over.
+            let Some(next) = choice.iter().zip(sizes).position(|(&c, &n)| c + 1 < n) else {
+                return Some((glb, lub));
+            };
+            choice[..next].fill(0);
+            choice[next] += 1;
+        }
     }
 }
 
@@ -468,9 +509,9 @@ fn eval_shard(
     free: &[Var],
     keys: &IdRows,
     groups: impl IntoIterator<Item = usize>,
-    closures: Option<&Closures<'_>>,
+    closures: Option<&Closures>,
     floor: usize,
-) -> Result<(Vec<GroupRange>, usize), CoreError> {
+) -> (Vec<GroupRange>, usize) {
     let interner = cx.index.interner();
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
@@ -509,25 +550,25 @@ fn eval_shard(
         for (&slot, &id) in free_slots.iter().zip(key_ids) {
             base[slot] = id;
         }
+        // One walk serves both bounds. Residual predicates are invisible to
+        // group discovery, so the walk may find that a candidate group has no
+        // satisfying embedding at all — such a group is not a possible answer
+        // and has no row. (Closed queries keep their single row: a scalar
+        // query honestly answers ⊥.)
+        let exact = closures.map(|closures| closures.walk(g, cx.prepared.normalised.agg));
+        if exact == Some(None) && !key_ids.is_empty() {
+            continue;
+        }
+        let exact = exact.flatten().unwrap_or_default();
         if let Some(join) = &join {
             join.level0_blocks(&base, &mut level0);
         }
-        // The result boundary: the group key materialises here, for the
-        // GroupRange row and (below) the exact fallback's substitution.
-        let key = interner.values_of(key_ids);
-        // One enumeration serves both bounds.
-        let exact = closures
-            .map(|closures| closures.enumerate(g, cx, &key))
-            .transpose()?;
         let mut answer = |op, kind, evaluator: Option<&mut BoundEvaluator>| {
             let value = match op {
-                BoundOp::ExactEnumeration => {
-                    let bounds = exact.expect("the pre-pass collected the group's closure");
-                    match kind {
-                        BoundKind::Glb => bounds.glb,
-                        BoundKind::Lub => bounds.lub,
-                    }
-                }
+                BoundOp::ExactEnumeration => match kind {
+                    BoundKind::Glb => exact.0,
+                    BoundKind::Lub => exact.1,
+                },
                 BoundOp::Rewrite { .. } | BoundOp::Extremum { .. } => evaluator
                     .expect("a rewriting-backed operator has its evaluator")
                     .bound_ids(&mut base, &level0),
@@ -539,17 +580,11 @@ fn eval_shard(
         };
         let glb = plan.glb.map(|op| answer(op, BoundKind::Glb, glb.as_mut()));
         let lub = plan.lub.map(|op| answer(op, BoundKind::Lub, lub.as_mut()));
-        // Residual predicates are invisible to group discovery, so the exact
-        // enumeration may discover that a candidate group has no satisfying
-        // embedding at all — such a group is not a possible answer and has
-        // no row. (Closed queries keep their single row: a scalar query
-        // honestly answers ⊥.)
-        if !key.is_empty() && exact.is_some_and(|b| !b.satisfiable) {
-            continue;
-        }
+        // The result boundary: the group key materialises here.
+        let key = interner.values_of(key_ids);
         out.push(GroupRange { key, glb, lub });
     }
-    Ok((out, done))
+    (out, done)
 }
 
 /// One key position of a [`SupportAtom`]'s block-key pattern.
@@ -666,7 +701,7 @@ impl RowSupport {
 mod tests {
     use super::*;
     use crate::engine::RangeCqa;
-    use rcqa_data::{fact, NumericDomain, Schema, Signature};
+    use rcqa_data::{fact, DatabaseInstance, NumericDomain, Schema, Signature};
     use rcqa_query::parse_agg_query;
 
     #[test]
@@ -747,15 +782,14 @@ mod tests {
         let index = DbIndex::new(&db);
         let cx = ExecContext {
             prepared: engine.prepared(),
-            db: &db,
             index: &index,
             options: &EngineOptions { threads: 4 },
-            exact_predicates: &[],
+            residual: &[],
         };
         let free = cx.prepared.normalised.body.free_vars();
         let keys = group_ids(&cx, free, None);
         assert_eq!(keys.len(), 20);
-        let run = |floor| eval_shard(&plan, &cx, free, &keys, 0..20, None, floor).unwrap();
+        let run = |floor| eval_shard(&plan, &cx, free, &keys, 0..20, None, floor);
         let (all, done) = run(usize::MAX);
         assert_eq!(done, 20);
         // The work of a group is counted once it is done: group `x00` is one

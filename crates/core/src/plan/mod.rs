@@ -78,9 +78,9 @@ pub enum BoundOp {
         /// Whether the extremum maximises.
         choice: Choice,
     },
-    /// Exhaustive repair enumeration of the group-substituted closed query,
-    /// over the blocks the group's embeddings touch (the only sound path for
-    /// a cell without a rewriting).
+    /// Exhaustive repair enumeration of the group's embeddings, over the
+    /// blocks they touch (the only sound path for a cell without a
+    /// rewriting).
     ExactEnumeration,
 }
 

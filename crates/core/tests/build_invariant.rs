@@ -57,10 +57,9 @@ fn build_counter_increments_per_construction() {
 fn one_index_build_per_call() {
     let _guard = counting();
     // The invariant of the one-pass pipeline: each of glb, lub,
-    // and range constructs exactly one DbIndex, even with GROUP BY
-    // (rewriting-backed strategies only; the exact fallback enumerates
-    // repairs and indexes each repair by design). MAX is rewriting-backed
-    // for both bounds.
+    // and range constructs exactly one DbIndex, even with GROUP BY. MAX is
+    // rewriting-backed for both bounds; AVG (below) is exact-backed for
+    // both, and walks each group's repairs over that one index.
     let db = db_stock();
     let q = parse_agg_query("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
     let engine = RangeCqa::new(&q, db.schema()).unwrap();
@@ -98,6 +97,17 @@ fn one_index_build_per_call() {
     let before = DbIndex::build_count();
     engine.glb(&db).unwrap();
     assert_eq!(DbIndex::build_count() - before, 1);
+
+    let q = parse_agg_query("(x, AVG(y)) <- Dealers(x, t), Stock(p, t, y)").unwrap();
+    let engine = RangeCqa::new(&q, db.schema()).unwrap();
+    let before = DbIndex::build_count();
+    let ranges = engine.range(&db).unwrap();
+    assert_eq!(
+        DbIndex::build_count() - before,
+        1,
+        "an exact-backed range must build exactly one index"
+    );
+    assert_eq!(ranges.len(), 2);
 }
 
 #[test]
@@ -184,12 +194,12 @@ fn parallel_executor_workers_build_no_indexes() {
 #[test]
 fn a_refused_exact_call_builds_no_per_repair_index() {
     let _guard = counting();
-    // The exact fallback indexes each repair it enumerates, by design — and
-    // none before every requested group is known to be within budget: the
-    // pre-pass counts repairs off block sizes and refuses before the first
-    // repair of any group exists. James (2 repairs) precedes Smith — over
-    // budget once New York stocks 23 two-fact blocks more — in group-key
-    // order and is still never enumerated.
+    // The exact fallback walks repairs over the caller's index and builds
+    // none of its own; and it walks none before every requested group is
+    // known to be within budget: the pre-pass counts repairs off block
+    // sizes and refuses before the first repair of any group is walked.
+    // James (2 repairs) precedes Smith — over budget once New York stocks 23
+    // two-fact blocks more — in group-key order and is still never walked.
     let within = db_stock();
     let mut over = db_stock();
     for p in 0..23 {
@@ -217,12 +227,12 @@ fn a_refused_exact_call_builds_no_per_repair_index() {
             0,
             "a refusal at {threads} threads must build nothing"
         );
-        // Within budget the same call indexes each repair of each group's
-        // closure once (both bounds share one enumeration): 2 + 8.
+        // Within budget the same call walks the 2 + 8 repairs of the two
+        // groups' closures without building an index.
         let index = DbIndex::new(&within);
         let before = DbIndex::build_count();
         let rows = engine.range_with_index(&within, &index).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(DbIndex::build_count() - before, 10);
+        assert_eq!(DbIndex::build_count() - before, 0);
     }
 }

@@ -97,6 +97,11 @@ fn shapes() -> Vec<(&'static str, Vec<VarPredicate>)> {
         ("AVG(v) <- T(a, v)", vec![]),
         ("(a, AVG(v)) <- T(a, v)", vec![]),
         ("(x, AVG(v)) <- R(x, y), T(y, v)", vec![]),
+        // The walk's arithmetic: distinct counting, negative addends, and an
+        // aggregated GROUP BY variable, read off each group's key.
+        ("(x, COUNT-DISTINCT(r)) <- R(x, y), S(y, z, r)", vec![]),
+        ("(x, SUM(-1)) <- R(x, y), S(y, z, r)", vec![]),
+        ("(r, AVG(r)) <- S(y, z, r)", vec![]),
     ]
 }
 

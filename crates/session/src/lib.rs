@@ -264,7 +264,9 @@ impl From<std::io::Error> for SessionError {
 pub struct Snapshot {
     index: Arc<DbIndex>,
     /// The schema and the numeric domain, as an instance without facts that
-    /// every snapshot of the session shares.
+    /// every snapshot of the session shares: writes validate against its
+    /// schema, and the engine, handed it beside the index, reads only its
+    /// domain.
     shape: Arc<DatabaseInstance>,
     /// [`Snapshot::db`]'s instance, once asked for (or recovered).
     db: OnceLock<Arc<DatabaseInstance>>,

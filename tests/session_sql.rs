@@ -56,6 +56,43 @@ fn paper_sql_example_through_the_facade() {
     assert_eq!(smith.lub.unwrap().method, Method::ExactEnumeration);
 }
 
+/// Aggregating a GROUP BY column: each group's key is the aggregated value
+/// of every one of its embeddings. Group 35 keeps `(Y, Erie)` in every
+/// repair and `(X, Boston, 35)` in half of them; group 40 loses its only
+/// fact in the repair that picks 35.
+#[test]
+fn a_group_by_column_aggregates_as_its_key() {
+    let catalog = Catalog::new().with_table(
+        TableDef::new("Stock")
+            .key_column("Product")
+            .key_column("Town")
+            .numeric_column("Qty"),
+    );
+    let session = Session::new(catalog);
+    session
+        .insert_all([
+            fact!("Stock", "X", "Boston", 35),
+            fact!("Stock", "X", "Boston", 40),
+            fact!("Stock", "Y", "Erie", 35),
+        ])
+        .unwrap();
+    for (agg, glb, lub) in [("SUM", 35, 70), ("AVG", 35, 35)] {
+        let sql = format!("SELECT S.Qty, {agg}(S.Qty) FROM Stock AS S GROUP BY S.Qty");
+        let outcome = session.execute(&sql).unwrap();
+        let rows: Vec<_> = (outcome.rows.iter())
+            .map(|row| {
+                let key = row.key[0].to_string();
+                (key, row.glb.unwrap().value, row.lub.unwrap().value)
+            })
+            .collect();
+        let want = vec![
+            ("35".to_string(), Some(rat(glb)), Some(rat(lub))),
+            ("40".to_string(), None, None),
+        ];
+        assert_eq!(rows, want, "{sql}");
+    }
+}
+
 #[test]
 fn explain_matches_the_executed_strategy() {
     let session = fig1_session();
