@@ -24,7 +24,7 @@ pub enum CoreError {
     /// exact (repair-enumeration) fallback to enumerate.
     FallbackUnavailable(String),
     /// The exact oracle was handed a query with free variables: it answers
-    /// closed queries, one group at a time.
+    /// closed queries, and `exact_bounds_by_group` answers open ones.
     OpenQuery(Vec<Var>),
 }
 
@@ -47,8 +47,8 @@ impl fmt::Display for CoreError {
                 let free: Vec<&str> = free.iter().map(Var::name).collect();
                 write!(
                     f,
-                    "open query: the exact oracle answers closed queries; substitute a group \
-                     key for ({}) first",
+                    "open query with free variables ({}): the exact oracle answers closed \
+                     queries; use exact_bounds_by_group",
                     free.join(", ")
                 )
             }

@@ -62,9 +62,9 @@ pub fn exact_bounds(
 ///
 /// This is the ground truth the restricted-index path is checked against,
 /// and the only sound route for **residual** predicates (variables at no key
-/// position). Predicate variables must be non-free variables of the body —
-/// free variables are constants after group substitution and must be
-/// filtered at the group level instead.
+/// position). The query is closed: a query with free (GROUP BY) variables
+/// goes to [`exact_bounds_by_group_filtered`], which filters predicates on
+/// them at the group level.
 ///
 /// Refused before the first repair: an open query
 /// ([`CoreError::OpenQuery`]), and a predicate on a variable the body does
@@ -303,8 +303,8 @@ mod tests {
             exact_bounds(&grouped, &db, 1 << 20)
                 .unwrap_err()
                 .to_string(),
-            "open query: the exact oracle answers closed queries; substitute a group key \
-             for (x) first"
+            "open query with free variables (x): the exact oracle answers closed queries; \
+             use exact_bounds_by_group"
         );
     }
 

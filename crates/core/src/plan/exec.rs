@@ -634,9 +634,10 @@ pub struct SupportAtom {
 /// not bind the atom's key), and a scan of every cached row to apply. A
 /// stale read therefore does not intersect it with the delta; it derives the
 /// affected groups from the dirty keys and the retracted facts
-/// ([`crate::engine::RangeCqa::affected_keys`]). The pattern is the
-/// certificate behind the sharded front-end's routes (which shards a row's
-/// blocks can live on).
+/// ([`crate::engine::RangeCqa::affected_keys`]). Its one reader classifies
+/// read footprints — whether a row's blocks sit in one shard, one shard per
+/// group, or several — for the sharded session's counters; no read is
+/// routed by it: every read runs over the one index.
 #[derive(Clone, Debug)]
 pub struct RowSupport {
     atoms: Vec<SupportAtom>,

@@ -75,17 +75,6 @@ impl Fact {
     pub fn key(&self, sig: &Signature) -> &[Value] {
         &self.args[..sig.key_len()]
     }
-
-    /// The non-key part of the fact, given the relation's signature.
-    pub fn non_key(&self, sig: &Signature) -> &[Value] {
-        &self.args[sig.key_len()..]
-    }
-
-    /// Two facts are *key-equal* if they have the same relation name and agree
-    /// on the primary-key positions.
-    pub fn key_equal(&self, other: &Fact, sig: &Signature) -> bool {
-        self.relation == other.relation && self.key(sig) == other.key(sig)
-    }
 }
 
 impl fmt::Display for Fact {
@@ -135,7 +124,6 @@ mod tests {
             f.key(&sig),
             &[Value::text("Tesla X"), Value::text("Boston")]
         );
-        assert_eq!(f.non_key(&sig), &[Value::int(35)]);
         assert_eq!(f.arg(2), &Value::int(35));
     }
 
@@ -146,9 +134,11 @@ mod tests {
         let b = fact!("Stock", "Tesla X", "Boston", 40);
         let c = fact!("Stock", "Tesla Y", "Boston", 35);
         let d = fact!("Other", "Tesla X", "Boston", 35);
-        assert!(a.key_equal(&b, &sig));
-        assert!(!a.key_equal(&c, &sig));
-        assert!(!a.key_equal(&d, &sig));
+        // A block is a relation name and a key.
+        let block = |f: &Fact| (f.relation().to_string(), f.key(&sig).to_vec());
+        assert_eq!(block(&a), block(&b));
+        assert_ne!(block(&a), block(&c));
+        assert_ne!(block(&a), block(&d));
     }
 
     #[test]

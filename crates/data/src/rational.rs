@@ -148,19 +148,9 @@ impl Rational {
         self.den
     }
 
-    /// Returns `true` if the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Returns `true` if the value is `>= 0`, i.e. lies in `Q≥0`.
     pub fn is_non_negative(&self) -> bool {
         self.num >= 0
-    }
-
-    /// Returns `true` if the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.num == 0
     }
 
     /// Absolute value.
@@ -609,9 +599,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(rat(0).is_zero());
-        assert!(rat(3).is_integer());
-        assert!(!ratio(1, 2).is_integer());
         assert!(rat(0).is_non_negative());
         assert!(!rat(-1).is_non_negative());
         assert_eq!(ratio(2, 5).recip(), Some(ratio(5, 2)));

@@ -72,16 +72,6 @@ impl Signature {
         self.key_len
     }
 
-    /// The key positions `0..k`.
-    pub fn key_positions(&self) -> std::ops::Range<usize> {
-        0..self.key_len
-    }
-
-    /// The non-key positions `k..n`.
-    pub fn non_key_positions(&self) -> std::ops::Range<usize> {
-        self.key_len..self.arity
-    }
-
     /// The numerical positions `J`.
     pub fn numeric_positions(&self) -> &BTreeSet<usize> {
         &self.numeric
@@ -90,11 +80,6 @@ impl Signature {
     /// Returns `true` if position `p` is numerical.
     pub fn is_numeric(&self, p: usize) -> bool {
         self.numeric.contains(&p)
-    }
-
-    /// Returns `true` if the relation is *full-key* (`n == k`).
-    pub fn is_full_key(&self) -> bool {
-        self.arity == self.key_len
     }
 }
 
@@ -182,10 +167,6 @@ mod tests {
         assert_eq!(s.key_len(), 2);
         assert!(s.is_numeric(2));
         assert!(!s.is_numeric(0));
-        assert!(!s.is_full_key());
-        assert!(Signature::plain(2, 2).unwrap().is_full_key());
-        assert_eq!(s.key_positions().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(s.non_key_positions().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

@@ -44,22 +44,9 @@ impl Value {
         }
     }
 
-    /// Returns the textual content, if this is a symbolic constant.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            Value::Num(_) => None,
-        }
-    }
-
     /// Returns `true` if this is a numeric constant.
     pub fn is_num(&self) -> bool {
         matches!(self, Value::Num(_))
-    }
-
-    /// Returns `true` if this is a numeric constant in `Q≥0`.
-    pub fn is_non_negative_num(&self) -> bool {
-        matches!(self, Value::Num(r) if r.is_non_negative())
     }
 
     /// A `u64` whose order **coarsens** value order: `a.order_prefix() <
@@ -157,15 +144,12 @@ mod tests {
     #[test]
     fn constructors_and_accessors() {
         let t = Value::text("Boston");
-        assert_eq!(t.as_text(), Some("Boston"));
         assert_eq!(t.as_num(), None);
         assert!(!t.is_num());
 
         let n = Value::int(35);
         assert_eq!(n.as_num(), Some(rat(35)));
         assert!(n.is_num());
-        assert!(n.is_non_negative_num());
-        assert!(!Value::int(-1).is_non_negative_num());
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl JoinWorkload {
         parse_agg_query("SUM(r) <- R(x, y), S(y, z, r)").expect("fixed query parses")
     }
 
-    /// The COUNT variant of the workload query.
-    pub fn count_query(&self) -> AggQuery {
-        parse_agg_query("COUNT(*) <- R(x, y), S(y, z, r)").expect("fixed query parses")
-    }
-
     /// The grouped variant of the workload query (GROUP BY `x`).
     pub fn grouped_sum_query(&self) -> AggQuery {
         parse_agg_query("(x, SUM(r)) <- R(x, y), S(y, z, r)").expect("fixed query parses")
@@ -389,7 +384,6 @@ mod tests {
         // The query parses and validates against the schema.
         assert!(cfg.sum_query().validate(&cfg.schema()).is_ok());
         assert!(cfg.grouped_sum_query().validate(&cfg.schema()).is_ok());
-        assert!(cfg.count_query().validate(&cfg.schema()).is_ok());
     }
 
     #[test]

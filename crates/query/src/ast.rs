@@ -254,16 +254,6 @@ impl Atom {
         self.vars().difference(&key).cloned().collect()
     }
 
-    /// The positions (0-based) at which a given variable occurs.
-    pub fn positions_of(&self, var: &Var) -> Vec<usize> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.as_var() == Some(var))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Applies a substitution of variables by terms, returning a new atom.
     pub fn substitute(&self, subst: &BTreeMap<Var, Term>) -> Atom {
         Atom {
@@ -341,15 +331,6 @@ impl ConjunctiveQuery {
     /// All variables occurring in the body.
     pub fn vars(&self) -> BTreeSet<Var> {
         self.atoms.iter().flat_map(|a| a.vars()).collect()
-    }
-
-    /// The bound (existentially quantified) variables.
-    pub fn bound_vars(&self) -> BTreeSet<Var> {
-        let free: BTreeSet<&Var> = self.free_vars.iter().collect();
-        self.vars()
-            .into_iter()
-            .filter(|v| !free.contains(v))
-            .collect()
     }
 
     /// Returns `true` if no two distinct atoms share a relation name.
@@ -600,7 +581,6 @@ mod tests {
         assert!(key.contains(&Var::new("p")) && key.contains(&Var::new("t")));
         let nonkey = stock.non_key_vars(2);
         assert_eq!(nonkey.into_iter().collect::<Vec<_>>(), vec![Var::new("y")]);
-        assert_eq!(stock.positions_of(&Var::new("t")), vec![1]);
     }
 
     #[test]
@@ -685,7 +665,6 @@ mod tests {
         assert!(q.validate(&schema).is_ok());
         assert!(!q.is_closed());
         assert_eq!(q.group_by(), &[Var::new("x")]);
-        assert_eq!(q.body.bound_vars().len(), 3);
 
         let bad = ConjunctiveQuery::with_free_vars(
             [Atom::new("Dealers", vec![Term::var("a"), Term::var("b")])],

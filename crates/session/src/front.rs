@@ -2,11 +2,11 @@
 //! statement's one cached result, the patch and post-processing steps, and
 //! the read counters.
 //!
-//! A front-end reads one [`Store`]: a [`Session`](crate::Session) and a
-//! [`ShardedSession`](crate::ShardedSession) are each a front-end over
-//! one, and both read through [`Front::read`] at a snapshot the reader
-//! pinned. A statement's cached result is stamped with the epoch of the
-//! snapshot it was read at.
+//! A front-end reads one [`Store`]: a [`Session`](crate::Session) is a
+//! front-end over one, and reads through [`Front::read`] at a snapshot the
+//! reader pinned; a [`ShardedSession`](crate::ShardedSession) is a
+//! `Session` and reads through the same call. A statement's cached result
+//! is stamped with the epoch of the snapshot it was read at.
 
 use crate::store::{DirtyBatch, Store};
 use crate::{

@@ -23,9 +23,9 @@
 //!   result**, stamped with the epoch it was read at, and the read
 //!   counters.
 //!
-//! A [`ShardedSession`] is the same — one front-end over one store, one
-//! index and at most one write-ahead log — that routes its facts to shards
-//! by block for its counters.
+//! A [`ShardedSession`] is an in-memory session that routes its facts to
+//! shards by block for its counters. A durable session is a [`Session`]
+//! opened over a directory ([`Session::open`]).
 //!
 //! A read whose pinned epoch equals its statement's cached stamp is a hit.
 //! Behind it, the result is patched by **delta-proportional differential
@@ -492,9 +492,10 @@ impl PreparedStatement {
     /// The statement's [`RowSupport`]: per cached row, an over-approximation
     /// of the (relation, block-key) pairs the row's evaluation can touch — the
     /// same patterns whichever operators the plan picks, since they depend on
-    /// the body alone. A stale read does not consult it: the delta
-    /// enumeration of [`RangeCqa::affected_keys`] finds the affected groups.
-    pub fn support(&self) -> &RowSupport {
+    /// the body alone. Only the sharded session's footprint counters read
+    /// it; a stale read does not: the delta enumeration of
+    /// [`RangeCqa::affected_keys`] finds the affected groups.
+    pub(crate) fn support(&self) -> &RowSupport {
         &self.support
     }
 

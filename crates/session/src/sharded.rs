@@ -1,19 +1,19 @@
-//! A sharded session: a session whose writes and reads are counted by
-//! shard, behind one session-shaped API.
+//! A sharded session: an in-memory session whose writes and reads are
+//! counted by shard, behind the session's API.
 //!
 //! ## One front-end over one store
 //!
 //! A [`ShardedSession`] is a [`Session`] — one front-end (the statement
 //! cache, each statement's cached result, the patch and post-processing
-//! steps, the read counters) over one store (a snapshot chain with its
-//! commit path, its dirty log and, when durable, its one write-ahead log).
-//! Its reads are a session's: a read pins one snapshot, its statement is
-//! prepared once, and its result is served, patched through the store's
-//! dirty log, or evaluated over the store's one index. One index holds
-//! every shard's blocks, so every statement — a join, whose blocks hash to
-//! every shard, as much as a lookup of one block — is answered by the same
-//! code over the same index as on an unsharded session holding the same
-//! facts, and the answers are byte-identical by construction.
+//! steps, the read counters) over one in-memory store (a snapshot chain
+//! with its commit path and its dirty log). Its reads are a session's: a
+//! read pins one snapshot, its statement is prepared once, and its result is
+//! served, patched through the store's dirty log, or evaluated over the
+//! store's one index. One index holds every shard's blocks, so every
+//! statement — a join, whose blocks hash to every shard, as much as a lookup
+//! of one block — is answered by the same code over the same index as on an
+//! unsharded session holding the same facts, and the answers are
+//! byte-identical by construction.
 //!
 //! ## Partitioning rule
 //!
@@ -33,25 +33,17 @@
 //! Every write is a session's: one call of the store's commit, which
 //! coalesces concurrent writers into one commit (group commit, see
 //! [`Session::apply_batch`]). A batch spanning shards is **one** store
-//! commit and one log record: readers, and a reopen after a crash at any
-//! byte of the record, see all of it or none.
+//! commit: readers see all of it or none.
 //!
-//! ## Durability
-//!
-//! A durable sharded session's directory is a session directory:
-//! [`ShardedSession::open`] recovers it as [`Session::open`] does, at any
-//! shard count.
+//! A sharded session has no durable form: a durable session is a
+//! [`Session::open`], whose directory and recovery know no shards.
 
-use crate::{
-    PatchReasons, PreparedStatement, QueryOutcome, Session, SessionError, SessionStats, Snapshot,
-    WalOptions,
-};
+use crate::{PreparedStatement, QueryOutcome, Session, SessionError, SessionStats};
 use rcqa_core::engine::EngineOptions;
 use rcqa_core::SupportSlot;
 use rcqa_data::codec;
 use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, Schema};
 use rcqa_query::Catalog;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -70,8 +62,7 @@ pub struct ShardedStats {
     /// `totals`).
     pub mirror: SessionStats,
     /// Each shard's effective operations since the session opened, in shard
-    /// order: it sums to the epochs committed since then, not to a
-    /// recovered session's epoch.
+    /// order: it sums to the session's epoch.
     pub epoch_frontier: Vec<u64>,
     /// Reads whose blocks span the shards one group to a shard: one
     /// relation, each key column grouped or fixed by a constant and at
@@ -96,15 +87,14 @@ pub struct ShardedStats {
     pub mirror_events: u64,
 }
 
-/// A session whose facts are routed to shards by block: one front-end over
-/// one store, with per-shard counters.
+/// An in-memory session whose facts are routed to shards by block: one
+/// front-end over one store, with per-shard counters.
 ///
-/// The API mirrors [`Session`] — insert/delete/insert_all,
-/// prepare/execute/execute_many/explain, stats/epoch/sync — and every
-/// answer is **byte-identical** to the same statement on one unsharded
-/// session holding the same facts (`tests/session_sharded.rs` asserts this
-/// across random interleavings, shard counts, thread counts, and crash
-/// recovery). See the module docs (`sharded.rs`) for the routing rule.
+/// Its writes and `execute` are [`Session`]'s, and every answer is
+/// **byte-identical** to the same statement on one unsharded session holding
+/// the same facts (`tests/session_sharded.rs` asserts this across random
+/// interleavings, shard counts and thread counts). See the module docs
+/// (`sharded.rs`) for the routing rule.
 pub struct ShardedSession {
     /// The front-end and its one store.
     session: Session,
@@ -170,53 +160,14 @@ impl ShardedSession {
     /// # Panics
     /// With zero shards (there is nowhere to route anything).
     pub fn new(catalog: Catalog, shards: usize) -> ShardedSession {
-        ShardedSession::assemble(Session::new(catalog), shards)
-    }
-
-    /// `session` behind a front-end of `shards` shards.
-    fn assemble(session: Session, shards: usize) -> ShardedSession {
         assert!(shards > 0, "a sharded session needs at least one shard");
+        let session = Session::new(catalog);
         ShardedSession {
             schema: session.catalog().schema(),
             session,
             frontier: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             footprints: Default::default(),
         }
-    }
-
-    /// Opens a **durable** sharded session over `dir` with default
-    /// [`WalOptions`]. The directory is a session directory: it is
-    /// recovered exactly as [`Session::open`] recovers it — one write-ahead
-    /// log, its newest valid checkpoint and the log tail — whatever shard
-    /// count wrote it, with the same refusals: among them a directory in
-    /// the per-shard layout of earlier sharded sessions (a `SHARDS`
-    /// manifest and a log per `shard-NNN` directory), as
-    /// [`SessionError::Wal`].
-    ///
-    /// # Panics
-    /// With zero shards, as [`ShardedSession::new`].
-    pub fn open(
-        catalog: Catalog,
-        dir: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<ShardedSession, SessionError> {
-        ShardedSession::open_with(catalog, dir, shards, WalOptions::default())
-    }
-
-    /// [`ShardedSession::open`] with explicit [`WalOptions`] (fsync policy
-    /// and checkpoint cadence).
-    ///
-    /// # Panics
-    /// With zero shards, as [`ShardedSession::new`].
-    pub fn open_with(
-        catalog: Catalog,
-        dir: impl AsRef<Path>,
-        shards: usize,
-        options: WalOptions,
-    ) -> Result<ShardedSession, SessionError> {
-        assert!(shards > 0, "a sharded session needs at least one shard");
-        let session = Session::open_with(catalog, dir, options)?;
-        Ok(ShardedSession::assemble(session, shards))
     }
 
     /// Overrides the engine options: the statement cache is cleared, the
@@ -231,40 +182,17 @@ impl ShardedSession {
         self.frontier.len()
     }
 
-    /// The session's catalog.
-    pub fn catalog(&self) -> &Catalog {
-        self.session.catalog()
-    }
-
-    /// The session epoch: effective operations applied since (or before,
-    /// via recovery) it opened.
+    /// The session epoch: effective operations applied since it opened.
     pub fn epoch(&self) -> u64 {
         self.session.epoch()
     }
 
     /// The per-shard epoch frontier: each shard's effective operations
     /// since the session opened, in shard order. Whenever no commit is in
-    /// flight it sums to the epochs committed since then.
+    /// flight it sums to the epoch.
     pub fn epoch_frontier(&self) -> Vec<u64> {
         let load = |epoch: &AtomicU64| epoch.load(Ordering::Relaxed);
         self.frontier.iter().map(load).collect()
-    }
-
-    /// Whether the session persists commits to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.session.is_durable()
-    }
-
-    /// The last epoch known durable on storage, or `None` for an in-memory
-    /// session ([`Session::durable_epoch`]).
-    pub fn durable_epoch(&self) -> Option<u64> {
-        self.session.durable_epoch()
-    }
-
-    /// Waits for the checkpoint in flight and forces an fsync of the
-    /// write-ahead log ([`Session::sync`]).
-    pub fn sync(&self) -> Result<(), SessionError> {
-        self.session.sync()
     }
 
     /// The session's counters, the epoch frontier and the group-commit
@@ -285,13 +213,6 @@ impl ShardedSession {
         }
     }
 
-    /// Why stale results missed the patch path (the `totals`
-    /// [`SessionStats::support_misses`] of [`ShardedSession::stats`] is its
-    /// total).
-    pub fn patch_reasons(&self) -> PatchReasons {
-        self.session.patch_reasons()
-    }
-
     /// The instance across all shards, at the current snapshot.
     pub fn database(&self) -> Result<Arc<DatabaseInstance>, SessionError> {
         Ok(self.session.database())
@@ -301,10 +222,6 @@ impl ShardedSession {
     pub fn shard_for(&self, fact: &Fact) -> usize {
         partition_of(&self.schema, fact, self.shard_count())
     }
-
-    // ------------------------------------------------------------------
-    // Write path
-    // ------------------------------------------------------------------
 
     /// Inserts one fact ([`Session::insert`]). Returns `true` if the fact
     /// was new.
@@ -327,66 +244,29 @@ impl ShardedSession {
         self.apply_batch(&events).map(drop)
     }
 
-    /// Applies a batch of change events as one commit and one log record,
-    /// returning one effectiveness flag per event in order
-    /// ([`Session::apply_batch`]): all of it is published and logged, or
-    /// none.
+    /// Applies a batch of change events as one commit, returning one
+    /// effectiveness flag per event in order ([`Session::apply_batch`]): all
+    /// of it is published, or none. Each effective event counts on its
+    /// shard's frontier.
     pub fn apply_batch(&self, events: &[DeltaEvent]) -> Result<Vec<bool>, SessionError> {
         let flags = self.session.apply_batch(events)?;
-        self.advance_frontier(events, &flags);
+        for (event, _) in events.iter().zip(&flags).filter(|&(_, &flag)| flag) {
+            self.frontier[self.shard_for(&event.fact)].fetch_add(1, Ordering::Relaxed);
+        }
         Ok(flags)
     }
 
-    /// Counts each effective event of a commit on its shard's frontier.
-    fn advance_frontier(&self, events: &[DeltaEvent], flags: &[bool]) {
-        for (event, _) in events.iter().zip(flags).filter(|&(_, &flag)| flag) {
-            self.frontier[self.shard_for(&event.fact)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Read path
-    // ------------------------------------------------------------------
-
-    /// Parses, classifies, and plans a SQL statement into the session's
-    /// statement cache.
-    pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedStatement>, SessionError> {
-        self.session.prepare(sql)
-    }
-
-    /// Executes a SQL aggregation query at the current snapshot. The
-    /// answer — rows, order, classification, HAVING statuses — is
-    /// byte-identical to [`Session::execute`] on one unsharded session
-    /// holding the same facts, read from the one index that holds every
-    /// shard's blocks; [`QueryOutcome::epoch`] reports the session epoch.
+    /// Executes a SQL aggregation query at the current snapshot, counted by
+    /// its shard footprint. The answer — rows, order, classification, HAVING
+    /// statuses — is byte-identical to [`Session::execute`] on one unsharded
+    /// session holding the same facts, read from the one index that holds
+    /// every shard's blocks; [`QueryOutcome::epoch`] reports the session
+    /// epoch.
     pub fn execute(&self, sql: &str) -> Result<QueryOutcome, SessionError> {
-        self.execute_at(&self.session.snapshot(), sql)
-    }
-
-    /// Executes a batch of SQL queries against **one** pinned snapshot:
-    /// outcomes are mutually consistent even while writers commit
-    /// concurrently.
-    pub fn execute_many<S: AsRef<str>>(
-        &self,
-        sqls: impl IntoIterator<Item = S>,
-    ) -> Result<Vec<QueryOutcome>, SessionError> {
         let snapshot = self.session.snapshot();
-        sqls.into_iter()
-            .map(|sql| self.execute_at(&snapshot, sql.as_ref()))
-            .collect()
-    }
-
-    /// One read at a pinned snapshot, counted by its shard footprint.
-    fn execute_at(&self, snapshot: &Snapshot, sql: &str) -> Result<QueryOutcome, SessionError> {
-        let stmt = self.session.front.prepare(snapshot, sql)?;
+        let stmt = self.session.front.prepare(&snapshot, sql)?;
         self.footprints[footprint(&stmt)].fetch_add(1, Ordering::Relaxed);
-        self.session.read_at(snapshot, &stmt)
-    }
-
-    /// An `EXPLAIN`-style rendering: an unsharded session's over the same
-    /// facts, access-path block counts included.
-    pub fn explain(&self, sql: &str) -> Result<String, SessionError> {
-        self.session.explain(sql)
+        self.session.read_at(&snapshot, &stmt)
     }
 }
 
@@ -432,7 +312,6 @@ mod tests {
     use rcqa_core::engine::GroupRange;
     use rcqa_data::fact;
     use rcqa_query::TableDef;
-    use rcqa_wal::{FailingStorage, MemStorage, SyncPolicy, WalStorage};
 
     fn catalog() -> Catalog {
         Catalog::new()
@@ -604,7 +483,7 @@ mod tests {
         let stats = sharded.stats().totals;
         assert_eq!(stats.supported_patches - start.supported_patches, 2);
         assert_eq!(stats.full_recomputes - start.full_recomputes, 1);
-        assert_eq!(sharded.patch_reasons().total(), 0);
+        assert_eq!(stats.support_misses, 0);
         assert_eq!(spliced.epoch, sharded.epoch());
         // The outcome held across both patches still reads its rows.
         assert_eq!(first.rows.to_vec(), first_rows);
@@ -719,9 +598,11 @@ mod tests {
     #[test]
     fn invalid_insert_fails_alone_and_batch_rejects_atomically() {
         let sharded = ShardedSession::new(catalog(), 2);
-        // Single op: schema violation errors the caller, nothing commits.
+        // Single op: schema violation errors the caller, nothing commits and
+        // no shard counts an event.
         assert!(sharded.insert(fact!("Stock", "P", "Boston")).is_err());
         assert_eq!(sharded.epoch(), 0);
+        assert_eq!(sharded.epoch_frontier(), [0, 0]);
         // Cross-shard batch: one bad event rejects the whole batch.
         let err = sharded.insert_all([
             fact!("Stock", "P1", "Boston", 5),
@@ -730,6 +611,7 @@ mod tests {
         ]);
         assert!(err.is_err());
         assert_eq!(sharded.epoch(), 0);
+        assert_eq!(sharded.epoch_frontier(), [0, 0]);
         assert_eq!(sharded.database().unwrap().len(), 0);
     }
 
@@ -743,151 +625,5 @@ mod tests {
         let sql = "SELECT MAX(S.Qty) FROM Stock AS S WHERE S.Qty = 5 AND S.Qty < 3";
         assert_same(&sharded, &reference, sql);
         assert_eq!(sharded.stats().designated_queries, 1);
-    }
-
-    /// `explain` prints an unsharded session's plan over the same facts,
-    /// block counts included.
-    #[test]
-    fn explain_shows_the_unsharded_plan() {
-        let sharded = ShardedSession::new(catalog(), 4);
-        seed(&sharded);
-        let reference = reference();
-        for sql in [
-            "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
-             WHERE S.Product > 'Tesla X' GROUP BY S.Product, S.Town",
-            "SELECT D.Name, SUM(S.Qty) FROM Dealers AS D, Stock AS S \
-             WHERE D.Town = S.Town GROUP BY D.Name",
-        ] {
-            let plan = sharded.explain(sql).unwrap();
-            assert_eq!(plan, reference.explain(sql).unwrap());
-        }
-    }
-
-    /// A durable sharded session of `shards` shards over `storage`, opened
-    /// as a [`Session`] opens it.
-    fn durable(storage: Box<dyn WalStorage>, shards: usize) -> ShardedSession {
-        let options = WalOptions {
-            sync: SyncPolicy::Always,
-            checkpoint_every: 0,
-        };
-        let session = Session::open_storage(catalog(), storage, options).expect("open");
-        ShardedSession::assemble(session, shards)
-    }
-
-    /// One event on each of four shards — an insert on three, a delete of a
-    /// seeded fact on the last — and the seed that delete finds.
-    fn cross_shard_batch(sharded: &ShardedSession) -> (Vec<Fact>, Vec<DeltaEvent>) {
-        let stock = |i: usize| fact!("Stock", format!("P{i}"), "Boston", 5);
-        let on = |shard: usize| {
-            (0..)
-                .map(stock)
-                .find(|f| sharded.shard_for(f) == shard)
-                .expect("some fact routes to every shard")
-        };
-        let mut seed = facts().to_vec();
-        seed.push(on(3));
-        let batch = (0..3).map(|s| DeltaEvent::insert(on(s)));
-        let batch = batch.chain([DeltaEvent::delete(on(3))]).collect();
-        (seed, batch)
-    }
-
-    /// The state a reopen of `disk` recovers, checked against a cold
-    /// session over its facts on every statement shape.
-    fn recovered(disk: &MemStorage) -> Arc<DatabaseInstance> {
-        let reopened = durable(Box::new(disk.handle()), 4);
-        let db = reopened.database().unwrap();
-        let cold = Session::with_instance(catalog(), db.clone());
-        for sql in [
-            "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
-            "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town",
-            "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
-             WHERE D.Town = S.Town GROUP BY D.Name",
-        ] {
-            let (got, want) = (reopened.execute(sql).unwrap(), cold.execute(sql).unwrap());
-            assert_eq!(got.rows, want.rows, "{sql}");
-        }
-        db
-    }
-
-    /// A batch spanning every shard is one log record: a crash at any byte
-    /// of it recovers all of the batch or none of it, and a log that refuses
-    /// the record after any number of its bytes publishes nothing.
-    #[test]
-    fn a_cross_shard_batch_is_all_or_nothing_at_every_byte() {
-        let disk = MemStorage::new();
-        let sharded = durable(Box::new(disk.handle()), 4);
-        let (seed, batch) = cross_shard_batch(&sharded);
-        sharded.insert_all(seed).unwrap();
-        let segment = rcqa_wal::segment_name(0);
-        let before = disk.file(&segment).expect("the seed is logged");
-        let (base, seeded) = (sharded.database().unwrap(), sharded.epoch_frontier());
-        sharded.apply_batch(&batch).unwrap();
-        let frontier = seeded.iter().map(|epoch| epoch + 1).collect::<Vec<_>>();
-        assert_eq!(sharded.epoch_frontier(), frontier);
-        let after = sharded.database().unwrap();
-        let full = disk.file(&segment).expect("the batch is logged");
-        let record = full.len() - before.len();
-        drop(sharded);
-        for cut in 0..=record {
-            let whole = cut == record;
-            let want = if whole { &after } else { &base };
-            // A crash `cut` bytes into the record.
-            let crashed = MemStorage::new();
-            crashed.set_file(&segment, full[..before.len() + cut].to_vec());
-            assert_eq!(*recovered(&crashed), **want, "crash at byte {cut}");
-            // A log whose storage takes `cut` more bytes.
-            let image = MemStorage::new();
-            image.set_file(&segment, before.clone());
-            let failing = FailingStorage::new(image.handle()).with_byte_budget(cut as u64);
-            let live = durable(Box::new(failing), 4);
-            let committed = live.apply_batch(&batch);
-            assert_eq!(committed.is_ok(), whole, "budget {cut}");
-            if !whole {
-                assert!(matches!(committed, Err(SessionError::Io(_))));
-                assert_eq!(live.epoch(), base.len() as u64);
-                assert_eq!(live.epoch_frontier(), [0; 4]);
-            }
-            assert_eq!(*live.database().unwrap(), **want, "budget {cut}");
-            drop(live);
-            assert_eq!(*recovered(&image), **want, "reopen after budget {cut}");
-        }
-    }
-
-    /// A log that refuses an append publishes nothing — neither a batch
-    /// spanning shards nor a group commit — and every submitter of the
-    /// refused group gets the error.
-    #[test]
-    fn a_refused_append_publishes_nothing_and_fails_every_submitter() {
-        let disk = MemStorage::new();
-        let seeded = durable(Box::new(disk.handle()), 4);
-        let (seed, batch) = cross_shard_batch(&seeded);
-        seeded.insert_all(seed).unwrap();
-        drop(seeded);
-        let failing = FailingStorage::new(disk.handle()).with_op_budget(0);
-        let sharded = durable(Box::new(failing), 4);
-        let (epoch, db) = (sharded.epoch(), sharded.database().unwrap());
-        let unchanged = |sharded: &ShardedSession| {
-            assert_eq!(sharded.epoch(), epoch);
-            assert_eq!(sharded.epoch_frontier(), [0; 4]);
-            assert_eq!(*sharded.database().unwrap(), *db);
-        };
-        assert!(matches!(
-            sharded.apply_batch(&batch),
-            Err(SessionError::Io(_))
-        ));
-        unchanged(&sharded);
-        // Hold the store's writer lock until every writer has queued, so one
-        // leader drains them all into one group commit.
-        let results = sharded.session.store.one_group(batch.len(), |i| {
-            sharded.apply_batch(std::slice::from_ref(&batch[i]))
-        });
-        for result in results {
-            assert!(matches!(result, Err(SessionError::Io(_))), "{result:?}");
-        }
-        unchanged(&sharded);
-        assert_eq!(sharded.stats().group_commits, 0);
-        assert_eq!(sharded.stats().totals.wal_appends, 0);
-        drop(sharded);
-        assert_eq!(*recovered(&disk), *db);
     }
 }

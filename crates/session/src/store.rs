@@ -2,12 +2,12 @@
 //! (incremental, bulk load, recovery), the write-ahead log, the dirty log a
 //! stale read patches through, and the commit counters.
 //!
-//! A [`Session`](crate::Session) and a
-//! [`ShardedSession`](crate::ShardedSession) are each one front-end over one
-//! store: one snapshot chain, whose facts sit in one index, and, when
-//! durable, one write-ahead log, appended each commit's effective events as
-//! one record. A store answers nothing: it knows no statement, caches no
-//! result and counts no read.
+//! A [`Session`](crate::Session) is one front-end over one store: one
+//! snapshot chain, whose facts sit in one index, and, when durable
+//! ([`Session::open`](crate::Session::open)), one write-ahead log, appended
+//! each commit's effective events as one record. A
+//! [`ShardedSession`](crate::ShardedSession) is an in-memory `Session`. A store answers nothing: it knows no statement,
+//! caches no result and counts no read.
 //!
 //! Every write, sharded or not, is one call of [`Store::apply_batch`]
 //! (**group commit**), whose leader lock is the writer lock. A writer that
@@ -524,7 +524,7 @@ mod tests {
     use crate::{Session, SessionError, SessionStats};
     use rcqa_data::{fact, DeltaEvent};
     use rcqa_query::{Catalog, TableDef};
-    use rcqa_wal::{MemStorage, SyncPolicy, WalOptions};
+    use rcqa_wal::{FailingStorage, MemStorage, SyncPolicy, WalOptions};
     use std::sync::{Arc, OnceLock};
 
     fn catalog() -> Catalog {
@@ -679,5 +679,55 @@ mod tests {
                 assert_eq!(*reopened.unwrap().database(), *db);
             }
         }
+    }
+
+    /// A log that refuses an append publishes nothing — neither a
+    /// multi-event batch nor a group commit — and every submitter of the
+    /// refused group gets the error; a reopen recovers what was there before.
+    #[test]
+    fn a_refused_append_publishes_nothing_and_fails_every_submitter() {
+        let options = WalOptions {
+            sync: SyncPolicy::Always,
+            checkpoint_every: 0,
+        };
+        let disk = MemStorage::new();
+        let seeded = Session::open_storage(catalog(), Box::new(disk.handle()), options).unwrap();
+        seeded
+            .insert_all([
+                fact!("Dealers", "Smith", "Boston"),
+                fact!("Stock", "Tesla X", "Boston", 35),
+            ])
+            .unwrap();
+        drop(seeded);
+        let batch = [
+            DeltaEvent::insert(fact!("Stock", "P1", "Boston", 5)),
+            DeltaEvent::insert(fact!("Stock", "P2", "Erie", 6)),
+            DeltaEvent::insert(fact!("Dealers", "Jones", "Erie")),
+            DeltaEvent::delete(fact!("Stock", "Tesla X", "Boston", 35)),
+        ];
+        let failing = FailingStorage::new(disk.handle()).with_op_budget(0);
+        let session = Session::open_storage(catalog(), Box::new(failing), options).unwrap();
+        let (epoch, db) = (session.epoch(), session.database());
+        let unchanged = |session: &Session| {
+            assert_eq!(session.epoch(), epoch);
+            assert_eq!(*session.database(), *db);
+        };
+        assert!(matches!(
+            session.apply_batch(&batch),
+            Err(SessionError::Io(_))
+        ));
+        unchanged(&session);
+        let results = session.store.one_group(batch.len(), |i| {
+            session.apply_batch(std::slice::from_ref(&batch[i]))
+        });
+        for result in results {
+            assert!(matches!(result, Err(SessionError::Io(_))), "{result:?}");
+        }
+        unchanged(&session);
+        assert_eq!(session.stats().batched_commits, 0);
+        assert_eq!(session.stats().wal_appends, 0);
+        drop(session);
+        let reopened = Session::open_storage(catalog(), Box::new(disk.handle()), options);
+        assert_eq!(*reopened.unwrap().database(), *db);
     }
 }

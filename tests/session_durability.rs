@@ -223,6 +223,57 @@ fn torn_tail_recovers_the_committed_prefix_and_serves_on() {
         Session::open_storage(rs_catalog(), Box::new(mem.handle()), mem_options()).expect("reopen");
     assert_eq!(session.epoch(), 2);
     assert!(session.database().contains(&fact!("S", "y1", "z1", 7)));
+
+    drop(session);
+
+    // A batch of several events — inserts into both relations and a delete
+    // of a seeded fact — is one record. Torn at any byte, by a crash or by
+    // storage that takes only that many of its bytes, it recovers whole or
+    // not at all, and an append the storage refused publishes nothing.
+    let reopen = |storage: Box<dyn WalStorage>| {
+        Session::open_storage(rs_catalog(), storage, mem_options()).expect("recover")
+    };
+    let disk = MemStorage::new();
+    let session = reopen(Box::new(disk.handle()));
+    session
+        .insert_all([fact!("R", "x1", "y1"), fact!("S", "y1", "z1", 5)])
+        .expect("seed");
+    let batch = [
+        DeltaEvent::insert(fact!("R", "x2", "y1")),
+        DeltaEvent::insert(fact!("S", "y2", "z1", 3)),
+        DeltaEvent::insert(fact!("R", "x3", "y2")),
+        DeltaEvent::delete(fact!("R", "x1", "y1")),
+    ];
+    let before = disk.file(&name).expect("the seed is logged");
+    let base = session.database();
+    assert_eq!(session.apply_batch(&batch).expect("batch"), [true; 4]);
+    let after = session.database();
+    let full = disk.file(&name).expect("the batch is logged");
+    let record = full.len() - before.len();
+    drop(session);
+    for cut in 0..=record {
+        let whole = cut == record;
+        let want = if whole { &after } else { &base };
+        let crashed = MemStorage::new();
+        crashed.set_file(&name, full[..before.len() + cut].to_vec());
+        let recovered = reopen(Box::new(crashed.handle()));
+        assert_eq!(*recovered.database(), **want, "crash at byte {cut}");
+        assert_answers_match_cold(&recovered, want);
+        let image = MemStorage::new();
+        image.set_file(&name, before.clone());
+        let failing = FailingStorage::new(image.handle()).with_byte_budget(cut as u64);
+        let live = reopen(Box::new(failing));
+        let committed = live.apply_batch(&batch);
+        assert_eq!(committed.is_ok(), whole, "budget {cut}");
+        if !whole {
+            assert!(matches!(committed, Err(SessionError::Io(_))));
+            assert_eq!(live.epoch(), 2);
+        }
+        assert_eq!(*live.database(), **want, "budget {cut}");
+        drop(live);
+        let recovered = reopen(Box::new(image.handle()));
+        assert_eq!(*recovered.database(), **want, "reopen after budget {cut}");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@ use rcqa::core::engine::EngineOptions;
 use rcqa::data::{fact, rat, Fact};
 use rcqa::query::QueryError;
 use rcqa::query::{Catalog, TableDef};
-use rcqa::session::{HavingStatus, Session, SessionError, ShardedSession};
+use rcqa::session::{HavingStatus, Session, SessionError};
 
 fn fig1_catalog() -> Catalog {
     Catalog::new()
@@ -322,13 +322,44 @@ RangeMerge [deterministic group order]
 #[test]
 fn explain_is_pinned_verbatim() {
     let session = fig1_session();
-    // A sharded session prints the same text: its one index holds every
-    // shard's blocks.
-    let sharded = ShardedSession::new(fig1_catalog(), 2);
-    sharded.insert_all(fig1_facts()).unwrap();
     for (sql, golden) in GOLDEN_EXPLAIN {
         assert_eq!(session.explain(sql).unwrap(), golden, "{sql}");
-        assert_eq!(sharded.explain(sql).unwrap(), golden, "sharded: {sql}");
+    }
+}
+
+/// `explain` reads the snapshot an `execute` would: straight after a write,
+/// with no read in between, the access path's block counts are those of the
+/// written instance.
+#[test]
+fn explain_after_a_write_sees_the_write() {
+    let statements = [
+        "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+         WHERE D.Town = S.Town AND D.Name >= 'K' GROUP BY D.Name",
+        "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S \
+         WHERE S.Product > 'p1' GROUP BY S.Product, S.Town",
+    ];
+    let session = Session::new(fig1_catalog());
+    let writes = [
+        [
+            fact!("Dealers", "Smith", "Boston"),
+            fact!("Dealers", "James", "Boston"),
+            fact!("Stock", "p1", "Boston", 35),
+            fact!("Stock", "p2", "Dover", 95),
+        ],
+        [
+            fact!("Dealers", "Smith", "Dover"),
+            fact!("Dealers", "Adams", "Dover"),
+            fact!("Stock", "p1", "Boston", 40),
+            fact!("Stock", "p3", "Erie", 5),
+        ],
+    ];
+    // Each write adds one block to each relation.
+    for (blocks, facts) in [2, 3].into_iter().zip(writes) {
+        session.insert_all(facts).unwrap();
+        for sql in statements {
+            let plan = session.explain(sql).unwrap();
+            assert!(plan.contains(&format!(" of {blocks} blocks")), "{plan}");
+        }
     }
 }
 
