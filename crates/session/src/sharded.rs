@@ -312,6 +312,7 @@ mod tests {
     use rcqa_core::engine::GroupRange;
     use rcqa_data::fact;
     use rcqa_query::TableDef;
+    use rcqa_wal::{FailingStorage, MemStorage, SyncPolicy, WalOptions, WalStorage};
 
     fn catalog() -> Catalog {
         Catalog::new()
@@ -625,5 +626,91 @@ mod tests {
         let sql = "SELECT MAX(S.Qty) FROM Stock AS S WHERE S.Qty = 5 AND S.Qty < 3";
         assert_same(&sharded, &reference, sql);
         assert_eq!(sharded.stats().designated_queries, 1);
+    }
+
+    /// A batch with one event on each of four shards — an insert on three,
+    /// a delete of a seeded fact on the last — is one commit: the sharded
+    /// session moves every shard's frontier at once, and on a durable
+    /// [`Session`] the batch is one log record, so a crash at any byte of it
+    /// recovers all of the batch or none of it, and a log that refuses the
+    /// record after any number of its bytes publishes nothing.
+    #[test]
+    fn a_cross_shard_batch_is_all_or_nothing_at_every_byte() {
+        let sharded = ShardedSession::new(catalog(), 4);
+        let stock = |i: usize| fact!("Stock", format!("P{i}"), "Boston", 5);
+        let on = |shard: usize| {
+            (0..)
+                .map(stock)
+                .find(|f| sharded.shard_for(f) == shard)
+                .expect("some fact routes to every shard")
+        };
+        let mut seed = facts().to_vec();
+        seed.push(on(3));
+        let batch = (0..3).map(|s| DeltaEvent::insert(on(s)));
+        let batch: Vec<_> = batch.chain([DeltaEvent::delete(on(3))]).collect();
+        sharded.insert_all(seed.clone()).unwrap();
+        let (base, seeded) = (sharded.database().unwrap(), sharded.epoch_frontier());
+        assert_eq!(sharded.apply_batch(&batch).unwrap(), [true; 4]);
+        let frontier = seeded.iter().map(|epoch| epoch + 1).collect::<Vec<_>>();
+        assert_eq!(sharded.epoch_frontier(), frontier);
+        let after = sharded.database().unwrap();
+
+        let options = WalOptions {
+            sync: SyncPolicy::Always,
+            checkpoint_every: 0,
+        };
+        let open = |storage: Box<dyn WalStorage>| {
+            Session::open_storage(catalog(), storage, options).expect("open")
+        };
+        // The state a reopen of `disk` recovers, checked against a cold
+        // session over its facts on every statement shape.
+        let recovered = |disk: &MemStorage| {
+            let reopened = open(Box::new(disk.handle()));
+            let db = reopened.database();
+            let cold = Session::with_instance(catalog(), db.clone());
+            for sql in [
+                "SELECT S.Product, S.Town, MAX(S.Qty) FROM Stock AS S GROUP BY S.Product, S.Town",
+                "SELECT S.Town, SUM(S.Qty) FROM Stock AS S GROUP BY S.Town",
+                "SELECT D.Name, MAX(S.Qty) FROM Dealers AS D, Stock AS S \
+                 WHERE D.Town = S.Town GROUP BY D.Name",
+            ] {
+                let (got, want) = (reopened.execute(sql).unwrap(), cold.execute(sql).unwrap());
+                assert_eq!(got.rows, want.rows, "{sql}");
+            }
+            db
+        };
+        let disk = MemStorage::new();
+        let session = open(Box::new(disk.handle()));
+        session.insert_all(seed).unwrap();
+        let segment = rcqa_wal::segment_name(0);
+        let before = disk.file(&segment).expect("the seed is logged");
+        assert_eq!(*session.database(), *base);
+        session.apply_batch(&batch).unwrap();
+        assert_eq!(*session.database(), *after);
+        let full = disk.file(&segment).expect("the batch is logged");
+        let record = full.len() - before.len();
+        drop(session);
+        for cut in 0..=record {
+            let whole = cut == record;
+            let want = if whole { &after } else { &base };
+            // A crash `cut` bytes into the record.
+            let crashed = MemStorage::new();
+            crashed.set_file(&segment, full[..before.len() + cut].to_vec());
+            assert_eq!(*recovered(&crashed), **want, "crash at byte {cut}");
+            // A log whose storage takes `cut` more bytes.
+            let image = MemStorage::new();
+            image.set_file(&segment, before.clone());
+            let failing = FailingStorage::new(image.handle()).with_byte_budget(cut as u64);
+            let live = open(Box::new(failing));
+            let committed = live.apply_batch(&batch);
+            assert_eq!(committed.is_ok(), whole, "budget {cut}");
+            if !whole {
+                assert!(matches!(committed, Err(SessionError::Io(_))));
+                assert_eq!(live.epoch(), base.len() as u64);
+            }
+            assert_eq!(*live.database(), **want, "budget {cut}");
+            drop(live);
+            assert_eq!(*recovered(&image), **want, "reopen after budget {cut}");
+        }
     }
 }
