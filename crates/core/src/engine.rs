@@ -77,7 +77,9 @@ use crate::plan::exec::{execute, execute_for_groups, group_keys, ExecContext, Ro
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
 use crate::rewrite::{rewriting_for, BoundKind, Rewriting};
-use rcqa_data::{DatabaseInstance, DeltaEvent, Fact, NumericDomain, Rational, Schema, Value};
+use rcqa_data::{
+    DatabaseInstance, DeltaEvent, Fact, NumericDomain, Rational, Schema, Value, ValueInterner,
+};
 use rcqa_query::{AggQuery, VarPredicate};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -113,6 +115,64 @@ pub struct GroupRange {
     pub glb: Option<BoundAnswer>,
     /// Least upper bound, if requested.
     pub lub: Option<BoundAnswer>,
+}
+
+/// Group rows as the executor computes them, before any key is made a
+/// [`Value`]: each group's key as a row of ids of the evaluated index's
+/// interner, beside its bounds. The keys are sorted by
+/// [`rcqa_data::ValueInterner::cmp_id_tuples`] — group-key value order, as
+/// in a [`GroupRange`] list — and [`IdRanges::to_rows`] makes exactly the
+/// rows of [`RangeCqa::range_with_index`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct IdRanges {
+    /// Row `i` is the key of group `i`.
+    keys: IdRows,
+    /// Group `i`'s `(glb, lub)`, each present iff requested.
+    bounds: Vec<(Option<BoundAnswer>, Option<BoundAnswer>)>,
+}
+
+impl IdRanges {
+    /// Groups with the keys `keys` and the bounds `bounds`, row-aligned.
+    ///
+    /// # Panics
+    /// Panics unless there is one pair of bounds per key.
+    pub fn new(keys: IdRows, bounds: Vec<(Option<BoundAnswer>, Option<BoundAnswer>)>) -> IdRanges {
+        assert_eq!(keys.len(), bounds.len(), "one pair of bounds per key");
+        IdRanges { keys, bounds }
+    }
+
+    /// The group keys, one row per group.
+    pub fn keys(&self) -> &IdRows {
+        &self.keys
+    }
+
+    /// The group keys, one row per group, taken.
+    pub fn into_keys(self) -> IdRows {
+        self.keys
+    }
+
+    /// Group `i`'s `(glb, lub)`.
+    pub fn bounds(&self, i: usize) -> (Option<BoundAnswer>, Option<BoundAnswer>) {
+        self.bounds[i]
+    }
+
+    /// Group `i` with its key materialised through `interner` — the
+    /// evaluated index's, or one descending from it.
+    pub fn row(&self, i: usize, interner: &ValueInterner) -> GroupRange {
+        let (glb, lub) = self.bounds[i];
+        GroupRange {
+            key: interner.values_of(self.keys.row(i)),
+            glb,
+            lub,
+        }
+    }
+
+    /// Every group, keys materialised through `interner`.
+    pub fn to_rows(&self, interner: &ValueInterner) -> Vec<GroupRange> {
+        (0..self.bounds.len())
+            .map(|i| self.row(i, interner))
+            .collect()
+    }
 }
 
 /// The most repairs the exact fallback enumerates for one group: the repairs
@@ -237,18 +297,28 @@ impl PredicateRouting {
         !self.residual.is_empty()
     }
 
-    /// Whether a group key passes every row filter.
-    fn admits_row(&self, key: &[Value]) -> bool {
+    /// Whether a group key, in `interner`'s id space, passes every row
+    /// filter.
+    fn admits_row(&self, interner: &ValueInterner, key: &[u32]) -> bool {
         self.row_filters
             .iter()
-            .all(|(pos, p)| p.holds_value(&key[*pos]))
+            .all(|(pos, p)| p.holds_value(interner.value(key[*pos])))
     }
 
-    /// Drops the rows whose group key fails a row filter.
-    fn filter_rows(&self, rows: &mut Vec<GroupRange>) {
-        if !self.row_filters.is_empty() {
-            rows.retain(|g| self.admits_row(&g.key));
+    /// Drops the groups whose key fails a row filter.
+    fn filter_rows(&self, interner: &ValueInterner, ranges: &mut IdRanges) {
+        if self.row_filters.is_empty() {
+            return;
         }
+        let mut keys = IdRows::new(ranges.keys.width());
+        let mut bounds = Vec::new();
+        for (key, &row) in ranges.keys.iter().zip(&ranges.bounds) {
+            if self.admits_row(interner, key) {
+                keys.push(key.iter().copied());
+                bounds.push(row);
+            }
+        }
+        *ranges = IdRanges::new(keys, bounds);
     }
 }
 
@@ -314,6 +384,7 @@ impl RangeCqa {
         let index = DbIndex::new(db);
         let groups = self.evaluate(db, &index, Scope::All, true, false)?;
         Ok(groups
+            .to_rows(index.interner())
             .into_iter()
             .map(|g| (g.key, g.glb.expect("glb was requested")))
             .collect())
@@ -326,6 +397,7 @@ impl RangeCqa {
         let index = DbIndex::new(db);
         let groups = self.evaluate(db, &index, Scope::All, false, true)?;
         Ok(groups
+            .to_rows(index.interner())
             .into_iter()
             .map(|g| (g.key, g.lub.expect("lub was requested")))
             .collect())
@@ -336,8 +408,7 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] and derives both bounds from one group
     /// discovery and one level-0 lookup per group.
     pub fn range(&self, db: &DatabaseInstance) -> Result<Vec<GroupRange>, CoreError> {
-        let index = DbIndex::new(db);
-        self.evaluate(db, &index, Scope::All, true, true)
+        self.range_with_index(db, &DbIndex::new(db))
     }
 
     /// Like [`RangeCqa::range`], but over a caller-supplied [`DbIndex`] for
@@ -352,6 +423,13 @@ impl RangeCqa {
         db: &DatabaseInstance,
         index: &DbIndex,
     ) -> Result<Vec<GroupRange>, CoreError> {
+        Ok(self.range_ids(db, index)?.to_rows(index.interner()))
+    }
+
+    /// [`RangeCqa::range_with_index`] in id space: the same groups, in the
+    /// same order, with their keys as the ids of `index`'s interner. A caller
+    /// that keeps a result to patch keeps these keys beside its rows.
+    pub fn range_ids(&self, db: &DatabaseInstance, index: &DbIndex) -> Result<IdRanges, CoreError> {
         self.evaluate(db, index, Scope::All, true, true)
     }
 
@@ -368,12 +446,13 @@ impl RangeCqa {
 
     /// [`RangeCqa::affected_keys`] over materialised dirty blocks and without
     /// the retracted facts — blind to the removals of a group bound past the
-    /// dirty key — as a set. Each block is resolved into `index`'s id space
-    /// first; a block naming a never-interned value, or with a key of the
-    /// wrong length, names no block of the index's line and is skipped. No
-    /// caller in the workspace: it exists only because the benchmark's
-    /// shadow decomposition compiles against it (ROADMAP tracks deleting
-    /// it).
+    /// dirty key — as a set of materialised keys. A thin adapter: each block
+    /// is resolved into `index`'s id space first (a block naming a
+    /// never-interned value, or with a key of the wrong length, names no
+    /// block of the index's line and is skipped), then the id path runs and
+    /// its keys are made values. No caller in the workspace: it exists only
+    /// because the benchmark's shadow decomposition and probes compile
+    /// against it (ROADMAP 4(c) tracks deleting it).
     pub fn dirty_candidate_keys(
         &self,
         index: &DbIndex,
@@ -393,8 +472,10 @@ impl RangeCqa {
                 });
             }
         }
-        self.affected_keys(index, &resolved, &[])
-            .into_iter()
+        let affected = self.affected_keys(index, &resolved, &[]);
+        affected
+            .iter()
+            .map(|key| index.interner().values_of(key))
             .collect()
     }
 
@@ -402,8 +483,10 @@ impl RangeCqa {
     /// embedding — **before or after** the commits that dirtied `dirty` and
     /// retracted `retracted` — through a dirty block, from `index` (the index
     /// *after* those commits). Rows of other keys are byte-identical on both
-    /// sides; the keys come sorted, without duplicates (the empty key for a
-    /// closed query).
+    /// sides. The keys are ids of `index`'s interner — no value is made — in
+    /// group-key value order ([`rcqa_data::ValueInterner::cmp_id_tuples`]),
+    /// without duplicates (the empty key for a closed query): what
+    /// [`RangeCqa::range_for_group_ids`] takes as they are.
     ///
     /// Per level `ℓ` of the body whose relation has dirty keys, the partial
     /// embeddings over the levels before `ℓ` are enumerated over the
@@ -421,7 +504,8 @@ impl RangeCqa {
     /// `ℓ > 0` walks the prefixes once, with one binary search of the sorted
     /// dirty keys per prefix. Dirty keys a pushed-down key-position predicate
     /// rejects are dropped up front (their blocks are invisible to the
-    /// evaluation), and so are group keys failing a row-filter predicate.
+    /// evaluation), and so are group keys failing a row-filter predicate —
+    /// tested on their ids, each against the predicate's constant.
     ///
     /// The dirty blocks are taken in id space, as [`DbIndex::apply_events`]
     /// reports them, and nothing is looked up in the interner to read them:
@@ -437,7 +521,7 @@ impl RangeCqa {
         index: &DbIndex,
         dirty: impl IntoIterator<Item = &'d DirtyKeys>,
         retracted: impl IntoIterator<Item = &'r Fact>,
-    ) -> Vec<Vec<Value>> {
+    ) -> IdRows {
         let free = self.prepared.normalised.body.free_vars();
         let levels = self.prepared.open_levels();
         let routing = &self.routing;
@@ -495,7 +579,7 @@ impl RangeCqa {
         for (level, lvl) in levels.iter().enumerate() {
             let Some(keys) = pinned
                 .get(lvl.atom.relation())
-                .filter(|keys| keys.len() > 0)
+                .filter(|keys| !keys.is_empty())
             else {
                 continue;
             };
@@ -533,38 +617,66 @@ impl RangeCqa {
                 None => join.for_each_through(&pin, sink),
             }
         }
-        // The overlay's interner extends the new index's (append-only).
-        let interner = overlay.as_ref().unwrap_or(new).interner();
-        let mut order: Vec<usize> = (0..found.len()).collect();
+        // The overlay interns nothing new: every value of a retracted fact is
+        // still interned, so its ids are `index`'s.
+        let mut order: Vec<usize> = (0..found.len())
+            .filter(|&k| routing.admits_row(interner, found.tuple(k)))
+            .collect();
         order.sort_unstable_by(|&a, &b| interner.cmp_id_tuples(found.tuple(a), found.tuple(b)));
-        order
-            .into_iter()
-            .map(|k| interner.values_of(found.tuple(k)))
-            .filter(|key| routing.admits_row(key))
-            .collect()
+        let mut keys = IdRows::new(free.len());
+        for k in order {
+            keys.push(found.tuple(k).iter().copied());
+        }
+        keys
     }
 
     /// Computes both bounds for **only** the groups whose key is in `keys`,
-    /// over a caller-supplied index. The returned rows (sorted by group key;
-    /// keys with no embedding are absent, exactly as in a full run) are
-    /// byte-identical to the corresponding rows of
-    /// [`RangeCqa::range_with_index`] — for **every** query shape, including
-    /// group keys bound at no block-key position (see
-    /// [`execute_for_groups`] for the two arms and how one is chosen).
+    /// over a caller-supplied index, in id space: `keys` are ids of `index`'s
+    /// interner (an id it never assigned names no value and matches no
+    /// group), in any order, duplicates allowed — [`RangeCqa::affected_keys`]'
+    /// output as it is — and nothing is resolved or materialised. The groups
+    /// returned (sorted by group key; keys with no embedding, or failing a
+    /// row filter, are absent, exactly as in a full run) are identical to the
+    /// corresponding groups of [`RangeCqa::range_ids`] — for **every** query
+    /// shape, including group keys bound at no block-key position (see
+    /// [`execute_for_groups`] for the two arms and how one is chosen). A
+    /// closed query answers its one group whatever is asked.
     ///
-    /// `keys` is anything that lends the keys out — a `&BTreeSet`, a slice;
-    /// order and duplicates do not matter. Like
-    /// [`RangeCqa::range_with_index`], the index is typically a borrow of a
-    /// snapshot's shared `Arc<DbIndex>`; the call never mutates it, so any
-    /// number of dirty-group patches may run against one snapshot
+    /// Like [`RangeCqa::range_with_index`], the index is typically a borrow
+    /// of a snapshot's shared `Arc<DbIndex>`; the call never mutates it, so
+    /// any number of dirty-group patches may run against one snapshot
     /// concurrently.
+    pub fn range_for_group_ids(
+        &self,
+        db: &DatabaseInstance,
+        index: &DbIndex,
+        keys: &IdRows,
+    ) -> Result<IdRanges, CoreError> {
+        self.evaluate(db, index, Scope::Keys(keys), true, true)
+    }
+
+    /// [`RangeCqa::range_for_group_ids`] for keys given as values — anything
+    /// that lends them out, a `&BTreeSet` or a slice — and with the rows'
+    /// keys made values: the rows are byte-identical to the corresponding
+    /// rows of [`RangeCqa::range_with_index`]. A thin adapter that resolves
+    /// each key into `index`'s id space first (a key naming a never-interned
+    /// value, or of the wrong length, matches no group). No serving path
+    /// calls it; the tests and the benchmark's probes do (ROADMAP 4(c)).
     pub fn range_for_groups<'k>(
         &self,
         db: &DatabaseInstance,
         index: &DbIndex,
         keys: impl IntoIterator<Item = &'k Vec<Value>>,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        self.evaluate(db, index, Scope::Keys(&mut keys.into_iter()), true, true)
+        let width = self.prepared.normalised.body.free_vars().len();
+        let (mut resolved, mut ids) = (IdRows::new(width), Vec::with_capacity(width));
+        for key in keys {
+            if key.len() == width && resolve_ids(index.interner(), key, &mut ids) {
+                resolved.push(ids.iter().copied());
+            }
+        }
+        let ranges = self.range_for_group_ids(db, index, &resolved)?;
+        Ok(ranges.to_rows(index.interner()))
     }
 
     /// The plan — the operator of each requested bound — for the given
@@ -646,10 +758,10 @@ impl RangeCqa {
         &self,
         db: &DatabaseInstance,
         index: &DbIndex,
-        scope: Scope<'_, '_>,
+        scope: Scope<'_>,
         want_glb: bool,
         want_lub: bool,
-    ) -> Result<Vec<GroupRange>, CoreError> {
+    ) -> Result<IdRanges, CoreError> {
         let routing = &self.routing;
         let (view, _access) = self.restricted_view(index);
         let plan = self.plan(db.numeric_domain(), want_glb, want_lub);
@@ -659,21 +771,21 @@ impl RangeCqa {
             options: &self.options,
             residual: &routing.residual,
         };
-        let mut rows = match scope {
+        let mut ranges = match scope {
             Scope::All => execute(&plan, &cx)?,
             Scope::Keys(keys) => execute_for_groups(&plan, &cx, keys)?,
         };
-        routing.filter_rows(&mut rows);
-        Ok(rows)
+        routing.filter_rows(index.interner(), &mut ranges);
+        Ok(ranges)
     }
 }
 
 /// Which groups an evaluation answers.
-enum Scope<'a, 'k> {
+enum Scope<'a> {
     /// Every group.
     All,
     /// Only the groups with one of these keys.
-    Keys(&'a mut dyn Iterator<Item = &'k Vec<Value>>),
+    Keys(&'a IdRows),
 }
 
 /// Enumerates the candidate group keys of a query with free variables: the
@@ -1338,7 +1450,9 @@ mod tests {
                     let text = engine.prepared().original.to_string();
                     let before = engine.range_with_index(&old_db, &old_index).unwrap();
                     let after = engine.range_with_index(&db, &index).unwrap();
-                    let affected = engine.affected_keys(&index, &dirty, retracted.clone());
+                    let ids = engine.affected_keys(&index, &dirty, retracted.clone());
+                    let affected: Vec<Vec<Value>> =
+                        ids.iter().map(|key| index.interner().values_of(key)).collect();
                     prop_assert!(affected.windows(2).all(|w| w[0] < w[1]), "{}", text);
                     let covered = |key: &Vec<Value>| affected.binary_search(key).is_ok();
                     for row in &before {
@@ -1361,6 +1475,9 @@ mod tests {
                     // closed query re-derives its one row whatever is asked).
                     let closed = engine.prepared().normalised.body.free_vars().is_empty();
                     let fresh = engine.range_for_groups(&db, &index, &affected).unwrap();
+                    // The id path answers the same rows, with the same keys.
+                    let by_ids = engine.range_for_group_ids(&db, &index, &ids).unwrap();
+                    prop_assert_eq!(&by_ids.to_rows(index.interner()), &fresh, "{}", text);
                     let expected: Vec<GroupRange> = after
                         .iter()
                         .filter(|r| closed || covered(&r.key))
@@ -1383,9 +1500,12 @@ mod tests {
             let (_, dirty) = index.apply_events(&batch);
             assert_eq!(dirty.len(), 2);
             let affected = |text: &str, retracted: &[Fact]| {
-                RangeCqa::new(&parse_agg_query(text).unwrap(), &schema)
+                let keys = RangeCqa::new(&parse_agg_query(text).unwrap(), &schema)
                     .unwrap()
-                    .affected_keys(&index, &dirty, retracted)
+                    .affected_keys(&index, &dirty, retracted);
+                keys.iter()
+                    .map(|key| index.interner().values_of(key))
+                    .collect::<Vec<_>>()
             };
             // `y` is bound by R's non-key position and `z` a level deeper:
             // only the retracted facts name the vanished groups.
@@ -1573,6 +1693,100 @@ mod tests {
         let plain = RangeCqa::new(&q, db.schema()).unwrap().explain(&db);
         assert!(plain.contains("Scan"), "{plain}");
         assert!(!plain.contains("Seek"), "{plain}");
+    }
+
+    /// The id path against its `Value` adapter and against the matching rows
+    /// of the full run, at 1 and 4 threads: unsorted input with duplicates,
+    /// ids of values interned after the build (overlay ids), ids with no
+    /// group, an id the interner never assigned, keys a row filter rejects,
+    /// and a closed query, which answers its one group whatever is asked.
+    #[test]
+    fn range_for_group_ids_agrees_with_its_adapter_and_the_full_run() {
+        use rcqa_data::DeltaEvent;
+        use rcqa_query::{CmpOp, VarPredicate};
+        let mut db = db_stock();
+        let mut index = DbIndex::new(&db);
+        // Overlay values: a dealer and a town with stock (new groups), a
+        // dealer in a town without stock (an id with no group), and a dealer
+        // of a known town.
+        let late = [
+            fact!("Dealers", "Adams", "Austin"),
+            fact!("Stock", "Tesla Z", "Austin", 50),
+            fact!("Dealers", "Nemo", "Nowhere"),
+            fact!("Dealers", "Zoe", "Boston"),
+        ];
+        db.insert_all(late.clone()).unwrap();
+        index.apply_delta(&late.map(DeltaEvent::insert));
+        let interner = index.interner();
+        assert!(
+            interner.len() > interner.sorted_len(),
+            "the overlay holds ids"
+        );
+        let after_boston = VarPredicate {
+            var: Var::new("t"),
+            op: CmpOp::Gt,
+            value: Value::text("Boston"),
+        };
+        let cases = [
+            // Per-key probes, and one filtered discovery pass.
+            ("(x, MAX(y)) <- Dealers(x, t), Stock(p, t, y)", None),
+            ("(t, MAX(y)) <- Dealers(x, t), Stock(p, t, y)", None),
+            // `t` at no key position: a row filter, which rejects `Austin`
+            // (an overlay id) and `Boston`.
+            ("(t, COUNT(*)) <- Dealers(x, t)", Some(after_boston)),
+            ("MAX(y) <- Dealers(x, t), Stock(p, t, y)", None),
+        ];
+        for (text, predicate) in cases {
+            for threads in [1, 4] {
+                let engine = with_threads(text, &db, threads)
+                    .with_predicates(predicate.clone().into_iter().collect())
+                    .unwrap();
+                let full = engine.range_with_index(&db, &index).unwrap();
+                assert_eq!(
+                    engine.range_ids(&db, &index).unwrap().to_rows(interner),
+                    full
+                );
+                let width = engine.prepared().normalised.body.free_vars().len();
+                // Every id as a one-column key (plus one never assigned),
+                // newest first, in three subsets; the even ones twice.
+                let ids: Vec<u32> = (0..=interner.len() as u32).rev().collect();
+                for pick in [0, 1, 2] {
+                    let mut keys = IdRows::new(width);
+                    for &id in ids.iter().filter(|&&id| pick == 2 || id % 2 == pick) {
+                        for _ in 0..1 + usize::from(id % 2 == 0) {
+                            keys.push((width == 1).then_some(id));
+                        }
+                    }
+                    let got = engine.range_for_group_ids(&db, &index, &keys).unwrap();
+                    let got = got.to_rows(interner);
+                    let asked = |key: &Vec<Value>| {
+                        key.iter().all(|v| {
+                            interner
+                                .id_of(v)
+                                .is_some_and(|id| keys.iter().any(|k| k == [id]))
+                        })
+                    };
+                    let expected: Vec<GroupRange> = match width {
+                        0 => full.clone(),
+                        _ => full.iter().filter(|row| asked(&row.key)).cloned().collect(),
+                    };
+                    assert_eq!(got, expected, "{text} @{threads}T, subset {pick}");
+                    let values: Vec<Vec<Value>> = (keys.iter())
+                        .filter(|key| key.iter().all(|&id| interner.contains_id(id)))
+                        .map(|key| interner.values_of(key))
+                        .collect();
+                    let adapted = engine.range_for_groups(&db, &index, &values).unwrap();
+                    assert_eq!(adapted, got, "{text} @{threads}T, subset {pick}");
+                }
+                // The inputs reach groups keyed by overlay ids.
+                let overlay = |row: &GroupRange| {
+                    row.key
+                        .iter()
+                        .any(|v| interner.id_of(v).unwrap() as usize >= interner.sorted_len())
+                };
+                assert!(width == 0 || full.iter().any(overlay), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -820,8 +820,12 @@ impl<'a> Join<'a> {
         let run = match key_terms.first().and_then(|&term| bound_id(term, slots)) {
             Some(v) if !interner.contains_id(v) => 0..0,
             Some(v) => {
-                let lo = keys.partition_point(|k| interner.cmp_ids(k[0], v) == Ordering::Less);
-                let hi = keys.partition_point(|k| interner.cmp_ids(k[0], v) != Ordering::Greater);
+                let lo = keys.partition_point(0..keys.len(), |k| {
+                    interner.cmp_ids(k[0], v) == Ordering::Less
+                });
+                let hi = keys.partition_point(0..keys.len(), |k| {
+                    interner.cmp_ids(k[0], v) != Ordering::Greater
+                });
                 lo..hi
             }
             None => 0..keys.len(),
@@ -1023,7 +1027,7 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
             // Runs of one key are the common case (facts of one level-0
             // block): the last key found needs no second look.
             let found = &self.found;
-            let repeat = found.len() > 0
+            let repeat = !found.is_empty()
                 && (self.free.iter())
                     .zip(found.row(found.len() - 1))
                     .all(|(&s, &id)| slots[s] == id);

@@ -4,6 +4,7 @@
 
 use rcqa_data::{Value, ValueInterner};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Writes the ids of `values` into `ids` (cleared first); `false` — `ids` then
 /// holds a prefix — when some value is not interned, i.e. occurs in no fact
@@ -16,10 +17,16 @@ pub(crate) fn resolve_ids(interner: &ValueInterner, values: &[Value], ids: &mut 
 
 /// Equal-width id rows stored back to back in one `Vec<u32>`: the executor's
 /// sorted group keys, a commit's dirty block keys
-/// ([`crate::index::DirtyKeys`]), the delta enumeration's pinned keys, and
-/// the tuple storage of [`IdTupleSet`].
-#[derive(Debug)]
-pub(crate) struct IdRows {
+/// ([`crate::index::DirtyKeys`]), the delta enumeration's pinned keys and the
+/// affected group keys it reports ([`crate::engine::RangeCqa::affected_keys`]),
+/// the group keys of an id-space result ([`crate::engine::IdRanges`]), and
+/// the tuple storage of the crate's id-tuple hash set.
+///
+/// The ids are those of one index's [`ValueInterner`]; rows order by value
+/// through [`ValueInterner::cmp_id_tuples`] and compare equal exactly when
+/// their ids do.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct IdRows {
     width: usize,
     len: usize,
     ids: Vec<u32>,
@@ -28,7 +35,7 @@ pub(crate) struct IdRows {
 impl IdRows {
     /// No rows, each future row `width` ids wide (`0` is a valid width: the
     /// rows of a variable-free body).
-    pub(crate) fn new(width: usize) -> IdRows {
+    pub fn new(width: usize) -> IdRows {
         IdRows {
             width,
             len: 0,
@@ -36,20 +43,44 @@ impl IdRows {
         }
     }
 
+    /// No rows, with room for `rows` rows of `width` ids.
+    pub fn with_capacity(width: usize, rows: usize) -> IdRows {
+        IdRows {
+            width,
+            len: 0,
+            ids: Vec::with_capacity(width * rows),
+        }
+    }
+
+    /// The ids in a row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Row `i`.
     #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[u32] {
+    pub fn row(&self, i: usize) -> &[u32] {
         &self.ids[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.len).map(|i| self.row(i))
     }
 
     /// Appends one row, which must yield exactly `width` ids.
     #[inline]
-    pub(crate) fn push(&mut self, row: impl IntoIterator<Item = u32>) {
+    pub fn push(&mut self, row: impl IntoIterator<Item = u32>) {
         self.ids.extend(row);
         self.len += 1;
         debug_assert_eq!(self.ids.len(), self.len * self.width);
@@ -68,10 +99,14 @@ impl IdRows {
         out
     }
 
-    /// The first row index in `0..len` for which `pred` fails, given that it
-    /// holds for a prefix of the rows and fails for the rest.
-    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&[u32]) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len);
+    /// The first row index in `within` for which `pred` fails, given that it
+    /// holds for a prefix of those rows and fails for the rest.
+    pub fn partition_point(
+        &self,
+        within: Range<usize>,
+        mut pred: impl FnMut(&[u32]) -> bool,
+    ) -> usize {
+        let (mut lo, mut hi) = (within.start, within.end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if pred(self.row(mid)) {
@@ -206,9 +241,13 @@ mod tests {
         let sorted = rows.sorted_dedup(|a, b| a.cmp(b));
         let listed: Vec<&[u32]> = (0..sorted.len()).map(|i| sorted.row(i)).collect();
         assert_eq!(listed, [[1, 1], [1, 2], [2, 9], [3, 1]]);
-        assert_eq!(sorted.partition_point(|r| r[0] < 2), 2);
-        assert_eq!(sorted.partition_point(|r| r[0] <= 3), 4);
-        assert_eq!(sorted.partition_point(|_| false), 0);
+        assert_eq!(sorted.partition_point(0..4, |r| r[0] < 2), 2);
+        assert_eq!(sorted.partition_point(0..4, |r| r[0] <= 3), 4);
+        assert_eq!(sorted.partition_point(0..4, |_| false), 0);
+        // Within a sub-range the answer stays inside it.
+        assert_eq!(sorted.partition_point(3..4, |r| r[0] < 2), 3);
+        assert_eq!(sorted.partition_point(1..3, |r| r[0] < 3), 3);
+        assert_eq!(sorted.iter().len(), 4);
         // Width 0: every row is the empty row, so one survives.
         let mut unit = IdRows::new(0);
         unit.push([]);

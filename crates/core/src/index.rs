@@ -1169,7 +1169,7 @@ impl DbIndex {
                     keys.push(ids[..rel.key_len].iter().copied());
                 }
             }
-            if keys.len() > 0 {
+            if !keys.is_empty() {
                 if keys.len() > 1 {
                     // Each block once; raw id order is as good as any.
                     keys = keys.sorted_dedup(|a, b| a.cmp(b));
@@ -1751,7 +1751,7 @@ mod tests {
                     // One entry per relation, in name order, none empty and
                     // no block twice.
                     prop_assert!(report.windows(2).all(|w| w[0].relation() < w[1].relation()));
-                    prop_assert!(report.iter().all(|dirty| dirty.keys.len() > 0));
+                    prop_assert!(report.iter().all(|dirty| !dirty.keys.is_empty()));
                     let listed: usize = report.iter().map(|dirty| dirty.keys.len()).sum();
                     prop_assert_eq!(listed, blocks.len());
                     by_events.assert_structurally_identical(&idx);

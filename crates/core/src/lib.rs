@@ -65,7 +65,7 @@ pub mod rewrite;
 pub use classify::{
     classify, classify_prepared, classify_with_domain, Classification, Expressibility,
 };
-pub use engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
+pub use engine::{BoundAnswer, EngineOptions, GroupRange, IdRanges, Method, RangeCqa};
 pub use error::CoreError;
 pub use exact::{
     exact_bounds, exact_bounds_by_group, exact_bounds_by_group_filtered, exact_bounds_filtered,
@@ -73,6 +73,7 @@ pub use exact::{
 };
 pub use forall::{analyse, CompiledLevels, ForallAnalysis, Join, Valuation, VarTable};
 pub use glb::Choice;
+pub use ids::IdRows;
 pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, DirtyKeys, FactRow};
 pub use interval::{certain_topk, having_status, having_status_all, order_rows, HavingStatus};
 pub use plan::exec::{RowSupport, SupportAtom, SupportSlot};

@@ -3,7 +3,7 @@
 //!
 //! ## What each stage computes
 //!
-//! Nothing between the index and the [`GroupRange`] row lists an embedding.
+//! Nothing between the index and the result row lists an embedding.
 //! `Join` + `PartitionByGroup` find the **group keys** — the free-variable
 //! projections of the open body's embeddings — by [`crate::forall`]'s group
 //! discovery: a key is reported once its variables are bound and some
@@ -42,14 +42,19 @@
 //!
 //! ## Id discipline
 //!
-//! From the index to the [`GroupRange`] row everything is interned `u32` ids
-//! (see [`crate::index`]): a partial embedding is one slot vector, bound and
+//! From the index to the result everything is interned `u32` ids (see
+//! [`crate::index`]): a partial embedding is one slot vector, bound and
 //! unbound in place; memo keys are id projections hashed and compared as raw
-//! integers (id equality is value equality); a group key is a row of ids.
-//! [`Value`]s appear in two places only: the group key of the [`GroupRange`]
-//! row, and the one [`rcqa_data::Rational`] a bound reads per leaf (the exact
-//! fallback per embedding, whose repairs are choices of rows). Nothing is
-//! allocated per embedding.
+//! integers (id equality is value equality); a group key is a row of ids, and
+//! the executor's output is [`IdRanges`] — the keys as id rows beside the
+//! bounds. The only [`Value`] the executor makes is the one
+//! [`rcqa_data::Rational`] a bound reads per leaf (the exact fallback per
+//! embedding, whose repairs are choices of rows); a group key becomes values
+//! only when a caller asks for [`crate::engine::GroupRange`] rows
+//! ([`IdRanges::to_rows`]). A listed-groups call takes its keys as id rows
+//! too, so a serving patch goes from the dirty log to its re-derived rows
+//! without resolving or materialising a key. Nothing is allocated per
+//! embedding.
 //!
 //! Worker count comes from
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
@@ -69,11 +74,11 @@
 //! snapshots; that sharing is invisible here because published indexes —
 //! interior `Arc`s included — are never mutated.
 
-use crate::engine::{BoundAnswer, EngineOptions, GroupRange, MAX_REPAIRS};
+use crate::engine::{BoundAnswer, EngineOptions, IdRanges, MAX_REPAIRS};
 use crate::error::CoreError;
 use crate::forall::{CompiledLevels, GroupKeys, Join};
 use crate::glb::BoundEvaluator;
-use crate::ids::{resolve_ids, IdRows, IdTupleSet};
+use crate::ids::{IdRows, IdTupleSet};
 use crate::index::DbIndex;
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
@@ -98,9 +103,9 @@ pub struct ExecContext<'a> {
     pub residual: &'a [VarPredicate],
 }
 
-/// Executes a plan, returning one [`GroupRange`] per group in sorted
-/// group-key order.
-pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, CoreError> {
+/// Executes a plan, returning every group in sorted group-key order, keys in
+/// id space.
+pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<IdRanges, CoreError> {
     let free = cx.prepared.normalised.body.free_vars();
     let keys = if free.is_empty() {
         // A closed query has one group, with or without an embedding.
@@ -110,10 +115,12 @@ pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, Cor
     } else {
         group_ids(cx, free, None)
     };
-    eval_groups(plan, cx, free, &keys, 0)
+    eval_groups(plan, cx, free, keys, 0)
 }
 
-/// Executes a plan for **only** the groups whose key is in `keys`.
+/// Executes a plan for **only** the groups whose key is in `keys` — ids of
+/// the index's interner, in any order; a row holding an id the interner never
+/// assigned matches no group.
 ///
 /// A listed key is a group iff it extends to an embedding. Two arms find
 /// which do, chosen from the **exact** level-0 span lengths the sorted block
@@ -135,37 +142,34 @@ pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<Vec<GroupRange>, Cor
 /// are then evaluated on the calling thread until `INLINE_WORK_FLOOR`
 /// units of work are done, and on the workers after that.
 ///
-/// The returned rows are byte-identical to the corresponding rows of
+/// The returned groups are identical to the corresponding groups of
 /// [`execute`]: a group's bounds are a function of its key, the body and the
 /// index, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
-pub fn execute_for_groups<'k>(
+pub fn execute_for_groups(
     plan: &Plan,
     cx: &ExecContext<'_>,
-    keys: impl IntoIterator<Item = &'k Vec<Value>>,
-) -> Result<Vec<GroupRange>, CoreError> {
+    keys: &IdRows,
+) -> Result<IdRanges, CoreError> {
     let free = cx.prepared.normalised.body.free_vars();
     if free.is_empty() {
         // A closed query has a single (empty-keyed) group; filtering does not
         // apply.
         return execute(plan, cx);
     }
+    debug_assert_eq!(keys.width(), free.len(), "a key per group variable");
     let interner = cx.index.interner();
-    // Resolve the requested keys into id space. A key containing a value the
-    // index has never seen can match no group (every group key is assembled
-    // from fact values), so it simply drops out of the filter set.
     let mut only = IdTupleSet::new(free.len());
-    let mut ids = Vec::with_capacity(free.len());
-    for key in keys {
-        if resolve_ids(interner, key, &mut ids) {
-            only.insert(&ids);
+    for key in keys.iter() {
+        if key.iter().all(|&id| interner.contains_id(id)) {
+            only.insert(key);
         }
     }
-    if only.len() == 0 {
-        return Ok(Vec::new());
-    }
-    let keys = group_ids(cx, free, Some(&only));
-    eval_groups(plan, cx, free, &keys, INLINE_WORK_FLOOR)
+    let keys = match only.len() {
+        0 => IdRows::new(free.len()),
+        _ => group_ids(cx, free, Some(&only)),
+    };
+    eval_groups(plan, cx, free, keys, INLINE_WORK_FLOOR)
 }
 
 /// The `Join + PartitionByGroup` stages of a grouped query: the group keys —
@@ -299,7 +303,9 @@ pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
 /// and [`execute_for_groups`]: evaluates the groups `keys` in order on the
 /// calling thread until `inline` units of work ([`INLINE_WORK_FLOOR`]'s) are
 /// done, then the rest over contiguous shards on the engine's workers,
-/// concatenating the outputs in order. A full evaluation passes `0`.
+/// concatenating the outputs in order. A full evaluation passes `0`. The
+/// keys go out as they came in, less the groups that turned out to have no
+/// row.
 ///
 /// A plan with a [`BoundOp::ExactEnumeration`] bound first collects every
 /// group's block closure and embeddings and checks the closure against the
@@ -310,25 +316,35 @@ fn eval_groups(
     plan: &Plan,
     cx: &ExecContext<'_>,
     free: &[Var],
-    keys: &IdRows,
+    keys: IdRows,
     inline: usize,
-) -> Result<Vec<GroupRange>, CoreError> {
+) -> Result<IdRanges, CoreError> {
     let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
     let closures = enumerates
-        .then(|| Closures::collect(cx, free, keys))
+        .then(|| Closures::collect(cx, free, &keys))
         .transpose()?;
     let closures = closures.as_ref();
     let groups = keys.len();
     let (mut out, done) = match inline {
         0 => (Vec::with_capacity(groups), 0),
-        _ => eval_shard(plan, cx, free, keys, 0..groups, closures, inline),
+        _ => eval_shard(plan, cx, free, &keys, 0..groups, closures, inline),
     };
     let rest = shard((done..groups).collect(), cx.options.resolve_threads());
     let shard_results = run_shards(rest, |groups| {
-        eval_shard(plan, cx, free, keys, groups, closures, usize::MAX).0
+        eval_shard(plan, cx, free, &keys, groups, closures, usize::MAX).0
     });
     out.extend(shard_results.into_iter().flatten());
-    Ok(out)
+    let keys = if out.len() == groups {
+        keys
+    } else {
+        let mut kept = IdRows::new(keys.width());
+        for &(g, _) in &out {
+            kept.push(keys.row(g).iter().copied());
+        }
+        kept
+    };
+    let bounds = out.into_iter().map(|(_, bounds)| bounds).collect();
+    Ok(IdRanges::new(keys, bounds))
 }
 
 /// What [`BoundOp::ExactEnumeration`] walks the repairs of, per group: the
@@ -499,6 +515,10 @@ fn shard<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
     out
 }
 
+/// One group's row in id space: its index among the executor's keys, and
+/// its `(glb, lub)`.
+type Row = (usize, (Option<BoundAnswer>, Option<BoundAnswer>));
+
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
 /// sharing one memoised evaluator per bound across the shard — until
 /// `floor` units of work (groups plus sub-problems evaluated) are done.
@@ -511,8 +531,7 @@ fn eval_shard(
     groups: impl IntoIterator<Item = usize>,
     closures: Option<&Closures>,
     floor: usize,
-) -> (Vec<GroupRange>, usize) {
-    let interner = cx.index.interner();
+) -> (Vec<Row>, usize) {
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
     // and the aggregated one included.
@@ -580,9 +599,7 @@ fn eval_shard(
         };
         let glb = plan.glb.map(|op| answer(op, BoundKind::Glb, glb.as_mut()));
         let lub = plan.lub.map(|op| answer(op, BoundKind::Lub, lub.as_mut()));
-        // The result boundary: the group key materialises here.
-        let key = interner.values_of(key_ids);
-        out.push(GroupRange { key, glb, lub });
+        out.push((g, (glb, lub)));
     }
     (out, done)
 }
@@ -799,8 +816,13 @@ mod tests {
             assert_eq!(run(floor).1, inline, "floor {floor}");
         }
         // Wherever the cut falls, the pooled rest completes the same rows.
+        let all = IdRanges::new(
+            keys.clone(),
+            all.into_iter().map(|(_, bounds)| bounds).collect(),
+        );
         for floor in [0, 1, 7, 16, usize::MAX] {
-            assert_eq!(eval_groups(&plan, &cx, free, &keys, floor).unwrap(), all);
+            let got = eval_groups(&plan, &cx, free, keys.clone(), floor).unwrap();
+            assert_eq!(got, all);
         }
     }
 }

@@ -13,10 +13,12 @@ use crate::{
     AtomicStats, HavingStatus, Miss, PatchReasons, PreparedStatement, QueryOutcome, SessionError,
     SessionStats, Snapshot, STATEMENT_CACHE_CAP,
 };
-use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, Method, RangeCqa};
+use rcqa_core::engine::{BoundAnswer, EngineOptions, GroupRange, IdRanges, Method, RangeCqa};
 use rcqa_core::interval::{certain_topk, having_status, having_status_all, order_rows};
-use rcqa_data::Value;
+use rcqa_core::IdRows;
+use rcqa_data::ValueInterner;
 use rcqa_query::{parse_sql, Catalog};
+use std::cmp::Ordering as Order;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,8 +57,90 @@ struct CachedResult {
     /// key-aligned across aggregates. A statement whose presentation is the
     /// raw rows themselves (no HAVING, no ORDER BY) shares these very slices
     /// with [`CachedRows`] — one copy of the rows, not two.
-    raw: Box<[Arc<[GroupRange]>]>,
+    raw: RawRows,
+    /// The raw rows' group keys, row-aligned with every slice of `raw`, as
+    /// ids of the interner of the index they were read over: what a patch
+    /// seats its affected keys among. A patch reads them against a later
+    /// snapshot's index, which descends from that one — the store floors its
+    /// dirty log whenever it starts an index afresh, and ids are append-only
+    /// along a line — so every id still names the same value.
+    keys: IdRows,
     rows: CachedRows,
+}
+
+/// One statement's raw rows, one slice per aggregate engine.
+type RawRows = Box<[Arc<[GroupRange]>]>;
+
+/// One affected key of a patch: where it sits among the cached rows
+/// (`Ok(i)`: row `i` has it; `Err(i)`: a row with it would go before row
+/// `i`), and the re-derived row that has it, if any.
+type Edit = (Result<usize, usize>, Option<usize>);
+
+/// Where a row of a spliced result comes from.
+enum Source {
+    /// The cached row, unaffected.
+    Kept(usize),
+    /// The cached row's key with the re-derived row's bounds.
+    Replaced(usize, usize),
+    /// A re-derived row whose group was born.
+    Born(usize),
+}
+
+/// The rows of a spliced result in order, walking the cached rows and the
+/// edits (ascending, as the affected keys are) in step: a born row goes in
+/// before the cached row at its seat, and a cached row seated at an affected
+/// key the re-derivation did not answer is dropped.
+struct Splice<'a> {
+    edits: std::slice::Iter<'a, Edit>,
+    at: usize,
+    rows: usize,
+}
+
+impl<'a> Splice<'a> {
+    fn new(rows: usize, edits: &'a [Edit]) -> Splice<'a> {
+        Splice {
+            edits: edits.iter(),
+            at: 0,
+            rows,
+        }
+    }
+
+    /// The length of the spliced result.
+    fn len(rows: usize, edits: &[Edit]) -> usize {
+        let dropped = edits.iter().filter(|e| matches!(e, (Ok(_), None))).count();
+        let born = edits
+            .iter()
+            .filter(|e| matches!(e, (Err(_), Some(_))))
+            .count();
+        rows - dropped + born
+    }
+}
+
+impl Iterator for Splice<'_> {
+    type Item = Source;
+
+    fn next(&mut self) -> Option<Source> {
+        loop {
+            let at = self.at;
+            let edit = self.edits.as_slice().first().copied();
+            match edit.filter(|(seat, _)| seat.unwrap_or_else(|i| i) == at) {
+                Some((seat, derived)) => {
+                    self.edits.next();
+                    self.at += usize::from(seat.is_ok());
+                    match (seat, derived) {
+                        (Ok(i), Some(f)) => return Some(Source::Replaced(i, f)),
+                        (Err(_), Some(f)) => return Some(Source::Born(f)),
+                        (_, None) => {}
+                    }
+                }
+                None if at < self.rows => {
+                    self.at += 1;
+                    return Some(Source::Kept(at));
+                }
+                None => return None,
+            }
+        }
+    }
 }
 
 /// A statement's cached result, behind the statement's own lock: a stale
@@ -228,88 +312,116 @@ impl Front {
         }
     }
 
-    /// Where each of `keys` (sorted) sits among `rows` (sorted by key):
-    /// `Ok(i)` when row `i` has the key, `Err(i)` when a row with it would be
-    /// inserted before row `i`. Each search resumes behind the previous seat,
-    /// so the cost is `O(|keys| · log |rows|)` key comparisons.
-    fn seats(rows: &[GroupRange], keys: &[Vec<Value>]) -> Vec<Result<usize, usize>> {
-        let mut from = 0;
-        keys.iter()
+    /// Where each of the `affected` keys sits among the cached `keys`, and
+    /// which of the `derived` keys — the re-derived rows' — is the same key.
+    /// All three are sorted by value and hold ids of `interner`, the pinned
+    /// index's. A search compares id rows by
+    /// [`ValueInterner::cmp_id_tuples`] — a plain integer comparison while
+    /// both ids sit in the interner's sorted prefix — and gallops from the
+    /// previous seat: the rows 1, 2, 4, … past it, then a binary search of
+    /// the last step. A key `g` rows past the previous one costs
+    /// `O(log g)` comparisons, so keys packed together cost a few each and
+    /// the whole walk at most `O(|affected| · log |keys|)`. Whether a key is
+    /// seated, or derived, is id equality.
+    fn seats(
+        interner: &ValueInterner,
+        keys: &IdRows,
+        affected: &IdRows,
+        derived: &IdRows,
+    ) -> Vec<Edit> {
+        let (mut from, mut next, rows) = (0, 0, keys.len());
+        affected
+            .iter()
             .map(|key| {
-                let seat = rows[from..].binary_search_by(|row| row.key.cmp(key));
-                let seat = seat.map(|i| i + from).map_err(|i| i + from);
+                let less = |row: &[u32]| interner.cmp_id_tuples(row, key) == Order::Less;
+                // Rows `from..from + lo` are less than `key`, and the first
+                // row that is not lies below `from + hi` (or is `rows`).
+                let (mut lo, mut hi) = (0, 1);
+                while from + hi <= rows && less(keys.row(from + hi - 1)) {
+                    (lo, hi) = (hi, 2 * hi);
+                }
+                let end = (from + hi - 1).min(rows);
+                let at = keys.partition_point(from + lo..end, less);
+                let seat = match at < rows && keys.row(at) == key {
+                    true => Ok(at),
+                    false => Err(at),
+                };
                 from = seat.map_or_else(|i| i, |i| i + 1);
-                seat
+                let fresh = (next < derived.len() && derived.row(next) == key).then_some(next);
+                next += usize::from(fresh.is_some());
+                (seat, fresh)
             })
             .collect()
     }
 
     /// Splices one aggregate's re-derived rows into its cached rows, in
-    /// place: the rows seated at one of `keys` are replaced or dropped and
-    /// `fresh` (sorted, every key among `keys`) takes their seats and its new
-    /// keys' seats. The rows are copy-on-write ([`Arc::make_mut`]): rows an
-    /// outcome still holds are copied once first, so the held outcome never
-    /// changes, and rows no one else holds are patched where they are.
+    /// place, by the `edits` of [`Front::seats`]: a row seated at an affected
+    /// key takes the bounds of the `fresh` row of the same key, or is dropped
+    /// when there is none, and a fresh row of a key without a seat goes in
+    /// before the row at its seat. The rows are copy-on-write
+    /// ([`Arc::make_mut`]): rows an outcome still holds are copied once
+    /// first, so the held outcome never changes, and rows no one else holds
+    /// are patched where they are. A key is made a [`rcqa_data::Value`] only
+    /// for a born row, through `interner`; a replaced row keeps its key.
     ///
     /// When the group set holds — each affected key has a row after the
-    /// patch exactly when it had one before — the fresh rows overwrite the
+    /// patch exactly when it had one before — the fresh bounds overwrite the
     /// old ones in their seats. Otherwise the kept rows move into one
     /// exactly-sized new slice — each key is taken, not cloned, so a row
     /// costs no allocation and no reference count — and the old slice is
-    /// freed holding only the replaced rows' keys.
+    /// freed holding only the dropped rows' keys. [`Front::splice_keys`]
+    /// moves the id-key column the same way.
     fn splice(
         rows: &mut Arc<[GroupRange]>,
-        keys: &[Vec<Value>],
-        seats: &[Result<usize, usize>],
-        fresh: Vec<GroupRange>,
+        edits: &[Edit],
+        fresh: &IdRanges,
+        interner: &ValueInterner,
     ) {
-        let mut next = 0;
-        let same_groups = keys.iter().zip(seats).all(|(key, seat)| {
-            let derived = fresh.get(next).is_some_and(|row| row.key == *key);
-            next += usize::from(derived);
-            derived == seat.is_ok()
-        });
-        let replaced = seats.iter().filter(|seat| seat.is_ok()).count();
-        let len = rows.len() - replaced + fresh.len();
         let old = Arc::make_mut(rows);
-        if same_groups {
-            for (seat, row) in seats.iter().filter_map(|seat| seat.ok()).zip(fresh) {
-                old[seat] = row;
+        if edits.iter().all(|(seat, f)| seat.is_ok() == f.is_some()) {
+            for &(seat, f) in edits {
+                if let (Ok(i), Some(f)) = (seat, f) {
+                    (old[i].glb, old[i].lub) = fresh.bounds(f);
+                }
             }
             return;
         }
-        // Each re-derived row goes in before the old row at its seat; the old
-        // rows seated at an affected key are skipped.
-        let mut fresh = fresh.into_iter().peekable();
-        let mut inserts = keys
-            .iter()
-            .zip(seats)
-            .filter_map(|(key, seat)| {
-                let at = seat.unwrap_or_else(|i| i);
-                fresh.next_if(|row| row.key == *key).map(|row| (at, row))
-            })
-            .peekable();
-        let mut dropped = seats.iter().filter_map(|seat| seat.ok()).peekable();
-        let mut at = 0;
+        let mut sources = Splice::new(old.len(), edits);
         // A mapped range has a trusted length: one allocation, exactly sized.
-        let spliced = (0..len)
-            .map(|_| loop {
-                if let Some((_, row)) = inserts.next_if(|&(seat, _)| seat == at) {
-                    break row;
-                }
-                let (seat, row) = (at, &mut old[at]);
-                at += 1;
-                if dropped.next_if_eq(&seat).is_none() {
-                    let key = std::mem::take(&mut row.key);
-                    break GroupRange { key, ..*row };
-                }
-            })
+        let spliced = (0..Splice::len(old.len(), edits))
+            .map(
+                |_| match sources.next().expect("the spliced length is counted") {
+                    Source::Kept(i) => {
+                        let row = &mut old[i];
+                        let key = std::mem::take(&mut row.key);
+                        GroupRange { key, ..*row }
+                    }
+                    Source::Replaced(i, f) => {
+                        let (glb, lub) = fresh.bounds(f);
+                        let key = std::mem::take(&mut old[i].key);
+                        GroupRange { key, glb, lub }
+                    }
+                    Source::Born(f) => fresh.row(f, interner),
+                },
+            )
             .collect();
-        debug_assert!(
-            inserts.next().is_none() && at == old.len() - dropped.count(),
-            "the spliced length is counted"
-        );
+        debug_assert!(sources.next().is_none(), "the spliced length is counted");
         *rows = spliced;
+    }
+
+    /// The cached id-key column after a splice by `edits` that changes the
+    /// group set ([`Front::splice`]): the kept and replaced rows' ids, and
+    /// the born rows' from the re-derived keys `fresh`.
+    fn splice_keys(keys: &IdRows, edits: &[Edit], fresh: &IdRows) -> IdRows {
+        let mut out = IdRows::with_capacity(keys.width(), Splice::len(keys.len(), edits));
+        for source in Splice::new(keys.len(), edits) {
+            let row = match source {
+                Source::Kept(i) | Source::Replaced(i, _) => keys.row(i),
+                Source::Born(f) => fresh.row(f),
+            };
+            out.push(row.iter().copied());
+        }
+        out
     }
 
     /// The outcome a reader gets: `rows` stamped with `epoch`.
@@ -328,23 +440,27 @@ impl Front {
     /// Evaluates every aggregate engine of one statement over one pinned
     /// snapshot, returning the raw per-aggregate group rows — key-aligned,
     /// in sorted group-key order, before HAVING / ORDER BY post-processing.
-    /// These are what the result cache keeps as the patch basis.
+    /// These are what the result cache keeps as the patch basis, with their
+    /// keys in id space: the column the primary engine's evaluation held
+    /// before it made its keys values.
     fn raw_rows(
         stmt: &PreparedStatement,
         snapshot: &Snapshot,
-    ) -> Result<Box<[Arc<[GroupRange]>]>, SessionError> {
+    ) -> Result<(RawRows, IdRows), SessionError> {
         // A statically contradictory WHERE clause needs no engine run: no
         // repair has a satisfying embedding, so a grouped statement has no
         // possible answer rows, while a closed statement answers its single
         // `[⊥, ⊥]` row. The synthetic rows still flow through the normal
         // HAVING / ORDER BY pipeline below (a comparison against `⊥` is
         // `Possible`; a `⊥` row is never certainly in a top-k).
-        let per_agg: Box<[Arc<[GroupRange]>]> = if stmt.unsatisfiable {
-            let rows: Arc<[GroupRange]> = if stmt.query.body.free_vars().is_empty() {
+        let (per_agg, keys): (RawRows, IdRows) = if stmt.unsatisfiable {
+            let mut keys = IdRows::new(stmt.query.body.free_vars().len());
+            let rows: Arc<[GroupRange]> = if keys.width() == 0 {
                 let bottom = Some(BoundAnswer {
                     value: None,
                     method: Method::Rewriting,
                 });
+                keys.push([]);
                 Arc::new([GroupRange {
                     key: Vec::new(),
                     glb: bottom,
@@ -353,17 +469,20 @@ impl Front {
             } else {
                 Arc::new([])
             };
-            stmt.engines.iter().map(|_| rows.clone()).collect()
+            (stmt.engines.iter().map(|_| rows.clone()).collect(), keys)
         } else {
-            let mut per_agg = Vec::with_capacity(stmt.engines.len());
+            let interner = snapshot.index.interner();
+            let (mut per_agg, mut keys) = (Vec::with_capacity(stmt.engines.len()), None);
             for engine in &stmt.engines {
-                per_agg.push(
-                    engine
-                        .range_with_index(&snapshot.shape, &snapshot.index)?
-                        .into(),
-                );
+                let ranges = engine.range_ids(&snapshot.shape, &snapshot.index)?;
+                // Collected straight into the slice the cache keeps: a mapped
+                // range has a trusted length, so one allocation.
+                let rows = (0..ranges.keys().len()).map(|i| ranges.row(i, interner));
+                per_agg.push(rows.collect());
+                keys.get_or_insert(ranges.into_keys());
             }
-            per_agg.into()
+            let keys = keys.expect("a statement has an aggregate");
+            (per_agg.into(), keys)
         };
         let primary = &per_agg[0];
         debug_assert!(
@@ -373,7 +492,8 @@ impl Front {
             }),
             "aggregates share body and predicates, so group keys must align"
         );
-        Ok(per_agg)
+        debug_assert_eq!(keys.len(), primary.len(), "one id key per row");
+        Ok((per_agg, keys))
     }
 
     /// HAVING trichotomy per raw row (empty when the statement has no HAVING
@@ -456,11 +576,12 @@ impl Front {
         stmt: &PreparedStatement,
         snapshot: &Snapshot,
     ) -> Result<CachedResult, SessionError> {
-        let raw = Self::raw_rows(stmt, snapshot)?;
+        let (raw, keys) = Self::raw_rows(stmt, snapshot)?;
         let rows = Self::post_process(stmt, &raw);
         Ok(CachedResult {
             epoch: snapshot.epoch,
             raw,
+            keys,
             rows,
         })
     }
@@ -508,10 +629,15 @@ impl Front {
     /// pinned index without a lookup: that index descends from every index
     /// that reported them, and ids are append-only along that line. Affected
     /// keys are then over-deleted and re-derived DRed-style via
-    /// [`RangeCqa::range_for_groups`]: keys whose embeddings vanished stay
-    /// gone, new keys appear, everything else keeps its cached row
-    /// unexamined. Whether anything changed is decided by comparing the
-    /// re-derived rows with the rows they replace — never the whole result.
+    /// [`RangeCqa::range_for_group_ids`], every engine of the statement from
+    /// the one id set: keys whose embeddings vanished stay gone, new keys
+    /// appear, everything else keeps its cached row unexamined. The keys
+    /// stay ids from the dirty log to the splice — nothing is resolved
+    /// through the interner, and [`Front::seats`] finds them among the
+    /// cached id-key column — and a [`rcqa_data::Value`] is made only for
+    /// the key of a born row. Whether anything changed is decided by
+    /// comparing the seated rows' bounds with the re-derived ones, once the
+    /// group set is known to hold (id equality) — never the whole result.
     fn try_patch(
         &self,
         stmt: &PreparedStatement,
@@ -538,7 +664,7 @@ impl Front {
             // result is untouched by the whole delta range.
             return Ok(Ok(()));
         }
-        let cached_rows = cached.raw[0].len();
+        let cached_rows = cached.keys.len();
         // Past half the cached rows a patch no longer undercuts the full
         // recompute on any statement measured (see above).
         if cached_rows >= 16 && affected.len() * 2 > cached_rows {
@@ -547,15 +673,23 @@ impl Front {
         let fresh = stmt
             .engines
             .iter()
-            .map(|engine| engine.range_for_groups(&snapshot.shape, &snapshot.index, &affected))
+            .map(|engine| engine.range_for_group_ids(&snapshot.shape, &snapshot.index, &affected))
             .collect::<Result<Vec<_>, _>>()?;
+        debug_assert!(
+            fresh.iter().all(|f| f.keys() == fresh[0].keys()),
+            "aggregates share body and predicates, so group keys must align"
+        );
         // Aggregates are key-aligned, so one search seats the keys in all.
-        let seats = Self::seats(&cached.raw[0], &affected);
-        let replaced = || seats.iter().filter_map(|seat| seat.ok());
-        let unchanged = cached.raw.iter().zip(&fresh).all(|(old, fresh)| {
-            replaced().count() == fresh.len()
-                && replaced().zip(fresh).all(|(i, row)| old[i] == *row)
-        });
+        let interner = snapshot.index.interner();
+        let edits = Self::seats(interner, &cached.keys, &affected, fresh[0].keys());
+        let same_groups = edits.iter().all(|(seat, f)| seat.is_ok() == f.is_some());
+        let unchanged = same_groups
+            && cached.raw.iter().zip(&fresh).all(|(old, fresh)| {
+                edits.iter().all(|&(seat, f)| match (seat, f) {
+                    (Ok(i), Some(f)) => (old[i].glb, old[i].lub) == fresh.bounds(f),
+                    _ => true,
+                })
+            });
         if unchanged {
             // Re-derivation confirmed every affected row unchanged, so the
             // cached presentation (HAVING, selection included) is still
@@ -566,8 +700,11 @@ impl Front {
         // presentation goes first, so that rows it shares with the raw rows
         // are held once and patch in place.
         cached.rows = CachedRows::default();
-        for (rows, fresh) in cached.raw.iter_mut().zip(fresh) {
-            Self::splice(rows, &affected, &seats, fresh);
+        for (rows, fresh) in cached.raw.iter_mut().zip(&fresh) {
+            Self::splice(rows, &edits, fresh, interner);
+        }
+        if !same_groups {
+            cached.keys = Self::splice_keys(&cached.keys, &edits, fresh[0].keys());
         }
         if stmt.limit.is_some() {
             AtomicStats::bump(&self.stats.topk_fallbacks);
@@ -691,5 +828,182 @@ impl Front {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcqa_data::{Rational, Value};
+    use std::collections::BTreeMap;
+
+    /// The `Value`-keyed seating the id-keyed [`Front::seats`] replaced, kept
+    /// as its oracle: where each of `keys` (sorted) sits among `rows` (sorted
+    /// by key), each search resuming behind the previous seat.
+    fn seats_by_value(rows: &[GroupRange], keys: &[Vec<Value>]) -> Vec<Result<usize, usize>> {
+        let mut from = 0;
+        keys.iter()
+            .map(|key| {
+                let seat = rows[from..].binary_search_by(|row| row.key.cmp(key));
+                let seat = seat.map(|i| i + from).map_err(|i| i + from);
+                from = seat.map_or_else(|i| i, |i| i + 1);
+                seat
+            })
+            .collect()
+    }
+
+    /// SplitMix64: a seeded stream of draws, so every case is reproducible
+    /// from its number.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// `true` with probability `percent` / 100.
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// An interner whose sorted prefix holds `b d f h j` and whose overlay
+    /// holds values sorting before, between and after them, interned in the
+    /// reverse of their value order — so among overlay ids, and between an
+    /// overlay id and a prefix id, id order and value order part — and the
+    /// domain of key components, in value order.
+    fn interner() -> (ValueInterner, Vec<Value>) {
+        let prefix: Vec<Value> = ["b", "d", "f", "h", "j"].map(Value::text).into();
+        let mut interner = ValueInterner::from_sorted(prefix.clone());
+        let overlay: Vec<Value> = ["k", "i", "g", "e", "c", "a"].map(Value::text).into();
+        for v in overlay.iter().chain([&Value::int(7)]) {
+            interner.intern(v);
+        }
+        let mut domain: Vec<Value> = prefix.into_iter().chain(overlay).collect();
+        domain.push(Value::int(7));
+        domain.sort();
+        (interner, domain)
+    }
+
+    fn bound(draws: &mut Draws) -> Option<BoundAnswer> {
+        Some(BoundAnswer {
+            value: Some(Rational::from(draws.below(5) as i64)),
+            method: Method::Rewriting,
+        })
+    }
+
+    fn ids_of(interner: &ValueInterner, keys: &[&Vec<Value>]) -> IdRows {
+        let mut rows = IdRows::new(2);
+        for key in keys {
+            rows.push(key.iter().map(|v| interner.id_of(v).expect("interned")));
+        }
+        rows
+    }
+
+    /// The id-keyed seating and splice against the `Value`-keyed oracle, over
+    /// two-column keys drawn from the interner's prefix and overlay: every
+    /// seat, the rows after the splice (against a merge of the cached and
+    /// re-derived rows), the id-key column after it, and a held outcome's
+    /// rows, which never change. The cases cover empty cached rows, every
+    /// cached key affected and re-derived, births before the first row and
+    /// after the last, and vanishings.
+    #[test]
+    fn id_keyed_seats_and_splice_match_the_value_keyed_oracle() {
+        let (interner, domain) = interner();
+        let universe: Vec<Vec<Value>> = domain
+            .iter()
+            .flat_map(|a| domain.iter().map(move |b| vec![a.clone(), b.clone()]))
+            .collect();
+        for case in 0..600u64 {
+            let mut draws = Draws(case);
+            let shape = case % 4;
+            let (cached_pct, affected_pct, fresh_pct) = match shape {
+                // Empty cached rows: every re-derived row is a birth.
+                0 => (0, 20, 60),
+                // Every cached key affected and re-derived.
+                1 => (30, 0, 100),
+                _ => (draws.below(60), draws.below(30), draws.below(100)),
+            };
+            let mut cached: BTreeMap<Vec<Value>, GroupRange> = BTreeMap::new();
+            for key in &universe {
+                if draws.chance(cached_pct) {
+                    let (glb, lub) = (bound(&mut draws), bound(&mut draws));
+                    let row = GroupRange {
+                        key: key.clone(),
+                        glb,
+                        lub,
+                    };
+                    cached.insert(key.clone(), row);
+                }
+            }
+            // Births at both ends and vanishings at both ends, now and then.
+            let (first, last) = (universe.first().unwrap(), universe.last().unwrap());
+            let mut affected: Vec<&Vec<Value>> = universe
+                .iter()
+                .filter(|key| {
+                    (shape == 1 && cached.contains_key(*key))
+                        || draws.chance(affected_pct)
+                        || ((*key == first || *key == last) && draws.chance(50))
+                })
+                .collect();
+            affected.dedup();
+            let derived: Vec<&Vec<Value>> = affected
+                .iter()
+                .copied()
+                .filter(|_| draws.chance(fresh_pct))
+                .collect();
+            let fresh = IdRanges::new(
+                ids_of(&interner, &derived),
+                (derived.iter())
+                    .map(|_| (bound(&mut draws), bound(&mut draws)))
+                    .collect(),
+            );
+            let rows: Vec<GroupRange> = cached.values().cloned().collect();
+            let cached_keys: Vec<&Vec<Value>> = cached.keys().collect();
+            let keys = ids_of(&interner, &cached_keys);
+            let affected_ids = ids_of(&interner, &affected);
+
+            let edits = Front::seats(&interner, &keys, &affected_ids, fresh.keys());
+            let affected_values: Vec<Vec<Value>> = affected.iter().map(|k| (*k).clone()).collect();
+            let oracle = seats_by_value(&rows, &affected_values);
+            let seats: Vec<_> = edits.iter().map(|&(seat, _)| seat).collect();
+            assert_eq!(seats, oracle, "case {case}: seats");
+            for (key, &(_, f)) in affected.iter().zip(&edits) {
+                assert_eq!(
+                    f.map(|f| derived[f]),
+                    derived.iter().copied().find(|d| d == key),
+                    "case {case}: the re-derived row of {key:?}"
+                );
+            }
+
+            let mut expected = cached.clone();
+            for key in &affected {
+                expected.remove(*key);
+            }
+            for (i, key) in derived.iter().enumerate() {
+                expected.insert((*key).clone(), fresh.row(i, &interner));
+            }
+            let expected: Vec<GroupRange> = expected.into_values().collect();
+            let mut spliced: Arc<[GroupRange]> = rows.clone().into();
+            let held = (case % 3 == 0).then(|| spliced.clone());
+            Front::splice(&mut spliced, &edits, &fresh, &interner);
+            assert_eq!(&spliced[..], &expected[..], "case {case}: rows");
+            if let Some(held) = held {
+                assert_eq!(&held[..], &rows[..], "case {case}: a held outcome changed");
+            }
+            let same_groups = edits.iter().all(|(seat, f)| seat.is_ok() == f.is_some());
+            let keys = match same_groups {
+                true => keys,
+                false => Front::splice_keys(&keys, &edits, fresh.keys()),
+            };
+            let materialised: Vec<Vec<Value>> =
+                keys.iter().map(|key| interner.values_of(key)).collect();
+            let expected_keys: Vec<Vec<Value>> = expected.iter().map(|r| r.key.clone()).collect();
+            assert_eq!(materialised, expected_keys, "case {case}: id keys");
+        }
     }
 }

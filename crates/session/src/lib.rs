@@ -37,7 +37,9 @@
 //! result recomputes in full) one forward enumeration over the new index
 //! ([`RangeCqa::affected_keys`]) finds the groups with an embedding, old or
 //! new, through a dirty block; only those are re-derived, DRed-style, and
-//! spliced into the cached rows. The cached result is **copy-on-write**: a
+//! spliced into the cached rows — the keys stay ids from the log to the
+//! splice, seated among an id-key column the cached result keeps beside its
+//! rows. The cached result is **copy-on-write**: a
 //! stale reader patches it in place under the statement's own lock, so a
 //! patch costs the rows that changed, and rows an outcome a caller still
 //! holds are copied once first ([`Arc::make_mut`]): a returned outcome never

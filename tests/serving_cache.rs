@@ -429,6 +429,52 @@ mod id_space_patching {
         }
     }
 
+    /// A cached result keeps its group keys as ids, so a group born from a
+    /// fresh value leaves an overlay id in the column a later patch seats
+    /// its keys among, by value. The later batch births two groups next to
+    /// it, their values appended in the reverse of their value order, and
+    /// retracts it.
+    #[test]
+    fn groups_born_and_retracted_beside_an_overlay_key_patch_as_cold() {
+        for threads in [1usize, 4] {
+            let warm = warm_session(threads);
+            let patched = warm.stats().supported_patches;
+            // Fresh X and Y values: a group of every statement is born, and
+            // the cached rows hold it as an overlay id.
+            warm.apply_batch(&[
+                DeltaEvent::insert(fact!("R", "x2-new", "y2-new")),
+                DeltaEvent::insert(fact!("S", "y2-new", "z0", 40)),
+            ])
+            .unwrap();
+            assert_cold(&warm, threads, "a group born from fresh values");
+            // `-c` is interned before `-b`; both sort right after `x2-new`
+            // (`y2-new`), which the same batch retracts: two births beside
+            // an overlay key, and its vanishing.
+            let flags = warm
+                .apply_batch(&[
+                    DeltaEvent::insert(fact!("R", "x2-new-c", "y2-new-c")),
+                    DeltaEvent::insert(fact!("S", "y2-new-c", "z0", 41)),
+                    DeltaEvent::insert(fact!("R", "x2-new-b", "y2-new-b")),
+                    DeltaEvent::insert(fact!("S", "y2-new-b", "z0", 42)),
+                    DeltaEvent::delete(fact!("R", "x2-new", "y2-new")),
+                ])
+                .unwrap();
+            assert_eq!(flags, [true; 5]);
+            assert_cold(
+                &warm,
+                threads,
+                "births beside an overlay key, which vanishes",
+            );
+            let stats = warm.stats();
+            assert_eq!(
+                stats.supported_patches - patched,
+                2 * STATEMENTS.len() as u64,
+                "{threads} threads: every stale read patched"
+            );
+            assert_eq!(stats.support_misses, 0);
+        }
+    }
+
     #[test]
     fn a_result_cached_over_an_empty_session_recomputes_across_the_bulk_load() {
         for threads in [1usize, 4] {
