@@ -43,15 +43,17 @@
 //!    order precomputed at preparation time) is walked under an existence
 //!    memo, without listing its embeddings — no per-group re-preparation, no
 //!    attack-graph recomputation, no per-group index rebuild;
-//! 2. each bound of each group is the memoised recursion of [`crate::glb`]
-//!    over the closed body (`ForallCheck` + `AggregateBound`), and so is
-//!    certainty — the same recursion of a constant, which gates the plain
-//!    extremum: its memo keys include the frozen group variables, so a
-//!    sub-aggregate — or a certainty verdict — computed for one group is
+//! 2. every rewriting-backed bound of each group is a component of one
+//!    memoised recursion of [`crate::glb`] over the closed body
+//!    (`ForallCheck` + `AggregateBound`), and so is certainty — the same
+//!    recursion of a constant, which gates the plain extremum: its memo keys
+//!    include the frozen group variables, so a sub-problem — every bound's
+//!    value and the certainty verdict at once — computed for one group is
 //!    reused by every other group evaluated on the same worker that reaches
 //!    it;
-//! 3. `range` looks each group's level-0 blocks up once for both bounds
-//!    instead of running the pipeline twice.
+//! 3. a statement of several aggregates over one body
+//!    ([`RangeCqa::range_statement`]) is one discovery and one such walk per
+//!    group for all of them, not one per aggregate.
 //!
 //! The exact-enumeration fallback builds none either: it walks the repairs of
 //! a group's blocks as choices of rows of that one index.
@@ -60,10 +62,8 @@
 //!
 //! The executor ([`crate::plan::exec`]) shards group discovery by level-0
 //! block and then fans the sorted groups out over a `std::thread::scope`
-//! worker pool. Each worker owns its memos — one evaluator per bound, an
-//! extremum with its certainty instance — over the shared read-only index;
-//! `RangeMerge`
-//! concatenates the contiguous shards in order, so answers are
+//! worker pool. Each worker owns its memo — one evaluator of every bound —
+//! over the shared read-only index; `RangeMerge` concatenates the contiguous shards in order, so answers are
 //! byte-identical at every thread count. Worker count:
 //! [`EngineOptions::threads`] if non-zero, else the `RCQA_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`].
@@ -119,26 +119,51 @@ pub struct GroupRange {
 
 /// Group rows as the executor computes them, before any key is made a
 /// [`Value`]: each group's key as a row of ids of the evaluated index's
-/// interner, beside its bounds. The keys are sorted by
-/// [`rcqa_data::ValueInterner::cmp_id_tuples`] — group-key value order, as
-/// in a [`GroupRange`] list — and [`IdRanges::to_rows`] makes exactly the
-/// rows of [`RangeCqa::range_with_index`].
+/// interner, beside its bounds — for each aggregate of a statement
+/// ([`RangeCqa::range_statement`]), or for the one aggregate of an engine.
+/// The keys are sorted by [`rcqa_data::ValueInterner::cmp_id_tuples`] —
+/// group-key value order, as in a [`GroupRange`] list — and
+/// [`IdRanges::to_rows`] makes exactly the rows of
+/// [`RangeCqa::range_with_index`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdRanges {
     /// Row `i` is the key of group `i`.
     keys: IdRows,
-    /// Group `i`'s `(glb, lub)`, each present iff requested.
+    /// How many aggregates each group has bounds for.
+    aggregates: usize,
+    /// Group `i`'s `(glb, lub)` of aggregate `a` at `i * aggregates + a`,
+    /// each present iff requested.
     bounds: Vec<(Option<BoundAnswer>, Option<BoundAnswer>)>,
 }
 
 impl IdRanges {
-    /// Groups with the keys `keys` and the bounds `bounds`, row-aligned.
+    /// Groups of `aggregates` aggregates with the keys `keys`: group `i`'s
+    /// bounds of aggregate `a` are `bounds[i * aggregates + a]`.
     ///
     /// # Panics
-    /// Panics unless there is one pair of bounds per key.
-    pub fn new(keys: IdRows, bounds: Vec<(Option<BoundAnswer>, Option<BoundAnswer>)>) -> IdRanges {
-        assert_eq!(keys.len(), bounds.len(), "one pair of bounds per key");
-        IdRanges { keys, bounds }
+    /// Panics unless there is one pair of bounds per key and aggregate, and
+    /// at least one aggregate.
+    pub fn new(
+        keys: IdRows,
+        aggregates: usize,
+        bounds: Vec<(Option<BoundAnswer>, Option<BoundAnswer>)>,
+    ) -> IdRanges {
+        assert!(aggregates > 0, "an aggregate at least");
+        assert_eq!(
+            keys.len() * aggregates,
+            bounds.len(),
+            "one pair of bounds per key and aggregate"
+        );
+        IdRanges {
+            keys,
+            aggregates,
+            bounds,
+        }
+    }
+
+    /// How many aggregates each group has bounds for.
+    pub fn aggregates(&self) -> usize {
+        self.aggregates
     }
 
     /// The group keys, one row per group.
@@ -151,15 +176,20 @@ impl IdRanges {
         self.keys
     }
 
-    /// Group `i`'s `(glb, lub)`.
-    pub fn bounds(&self, i: usize) -> (Option<BoundAnswer>, Option<BoundAnswer>) {
-        self.bounds[i]
+    /// Group `i`'s `(glb, lub)` of aggregate `agg`.
+    pub fn bounds(&self, agg: usize, i: usize) -> (Option<BoundAnswer>, Option<BoundAnswer>) {
+        debug_assert!(
+            agg < self.aggregates,
+            "aggregate {agg} of {}",
+            self.aggregates
+        );
+        self.bounds[i * self.aggregates + agg]
     }
 
-    /// Group `i` with its key materialised through `interner` — the
-    /// evaluated index's, or one descending from it.
-    pub fn row(&self, i: usize, interner: &ValueInterner) -> GroupRange {
-        let (glb, lub) = self.bounds[i];
+    /// Group `i` of aggregate `agg` with its key materialised through
+    /// `interner` — the evaluated index's, or one descending from it.
+    pub fn row(&self, agg: usize, i: usize, interner: &ValueInterner) -> GroupRange {
+        let (glb, lub) = self.bounds(agg, i);
         GroupRange {
             key: interner.values_of(self.keys.row(i)),
             glb,
@@ -167,10 +197,10 @@ impl IdRanges {
         }
     }
 
-    /// Every group, keys materialised through `interner`.
-    pub fn to_rows(&self, interner: &ValueInterner) -> Vec<GroupRange> {
-        (0..self.bounds.len())
-            .map(|i| self.row(i, interner))
+    /// Every group of aggregate `agg`, keys materialised through `interner`.
+    pub fn to_rows(&self, agg: usize, interner: &ValueInterner) -> Vec<GroupRange> {
+        (0..self.keys.len())
+            .map(|i| self.row(agg, i, interner))
             .collect()
     }
 }
@@ -235,7 +265,7 @@ impl EngineOptions {
 /// * **residual** — a non-free variable at no key position: an embedding
 ///   filter inside the exact fallback's walk over each group's repairs,
 ///   which it forces onto every bound ([`RangeCqa::plan`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct PredicateRouting {
     restrictions: Vec<BlockRestriction>,
     /// `(position in free-variable order, predicate)`.
@@ -310,15 +340,16 @@ impl PredicateRouting {
         if self.row_filters.is_empty() {
             return;
         }
+        let aggregates = ranges.aggregates;
         let mut keys = IdRows::new(ranges.keys.width());
         let mut bounds = Vec::new();
-        for (key, &row) in ranges.keys.iter().zip(&ranges.bounds) {
+        for (key, rows) in ranges.keys.iter().zip(ranges.bounds.chunks(aggregates)) {
             if self.admits_row(interner, key) {
                 keys.push(key.iter().copied());
-                bounds.push(row);
+                bounds.extend_from_slice(rows);
             }
         }
-        *ranges = IdRanges::new(keys, bounds);
+        *ranges = IdRanges::new(keys, aggregates, bounds);
     }
 }
 
@@ -382,9 +413,9 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn glb(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = self.evaluate(db, &index, Scope::All, true, false)?;
+        let groups = Self::evaluate(std::slice::from_ref(self), db, &index, None, true, false)?;
         Ok(groups
-            .to_rows(index.interner())
+            .to_rows(0, index.interner())
             .into_iter()
             .map(|g| (g.key, g.glb.expect("glb was requested")))
             .collect())
@@ -395,9 +426,9 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn lub(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = self.evaluate(db, &index, Scope::All, false, true)?;
+        let groups = Self::evaluate(std::slice::from_ref(self), db, &index, None, false, true)?;
         Ok(groups
-            .to_rows(index.interner())
+            .to_rows(0, index.interner())
             .into_iter()
             .map(|g| (g.key, g.lub.expect("lub was requested")))
             .collect())
@@ -423,14 +454,52 @@ impl RangeCqa {
         db: &DatabaseInstance,
         index: &DbIndex,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        Ok(self.range_ids(db, index)?.to_rows(index.interner()))
+        Ok(self.range_ids(db, index)?.to_rows(0, index.interner()))
     }
 
     /// [`RangeCqa::range_with_index`] in id space: the same groups, in the
     /// same order, with their keys as the ids of `index`'s interner. A caller
     /// that keeps a result to patch keeps these keys beside its rows.
     pub fn range_ids(&self, db: &DatabaseInstance, index: &DbIndex) -> Result<IdRanges, CoreError> {
-        self.evaluate(db, index, Scope::All, true, true)
+        Self::evaluate(std::slice::from_ref(self), db, index, None, true, true)
+    }
+
+    /// Both bounds of every aggregate of one statement, in id space: `engines`
+    /// holds one engine per aggregate, all over one body and one set of
+    /// predicates — as the SQL translation makes them — and `keys` asks for
+    /// every group (`None`, as [`RangeCqa::range_ids`]) or only the listed
+    /// ones (as [`RangeCqa::range_for_group_ids`]). The groups are found
+    /// once, and one memoised walk per group answers every rewriting-backed
+    /// bound of every aggregate ([`crate::plan::exec`]); aggregate `a`'s
+    /// bounds ([`IdRanges::bounds`]) are exactly `engines[a]`'s own. The
+    /// first engine's options apply.
+    ///
+    /// # Errors
+    /// [`CoreError::StatementMismatch`] when `engines` is empty or its
+    /// engines differ in body or predicates; otherwise what an engine's own
+    /// evaluation returns.
+    pub fn range_statement(
+        engines: &[RangeCqa],
+        db: &DatabaseInstance,
+        index: &DbIndex,
+        keys: Option<&IdRows>,
+    ) -> Result<IdRanges, CoreError> {
+        let Some(first) = engines.first() else {
+            return Err(CoreError::StatementMismatch(
+                "a statement has an aggregate".to_string(),
+            ));
+        };
+        for (a, engine) in engines.iter().enumerate().skip(1) {
+            if engine.prepared.normalised.body != first.prepared.normalised.body
+                || engine.routing != first.routing
+            {
+                return Err(CoreError::StatementMismatch(format!(
+                    "aggregate {a} ({}) does not share the first one's body and predicates",
+                    engine.prepared.original.agg
+                )));
+            }
+        }
+        Self::evaluate(engines, db, index, keys, true, true)
     }
 
     /// The [`RowSupport`] of this engine's result rows: per body atom, the
@@ -652,7 +721,14 @@ impl RangeCqa {
         index: &DbIndex,
         keys: &IdRows,
     ) -> Result<IdRanges, CoreError> {
-        self.evaluate(db, index, Scope::Keys(keys), true, true)
+        Self::evaluate(
+            std::slice::from_ref(self),
+            db,
+            index,
+            Some(keys),
+            true,
+            true,
+        )
     }
 
     /// [`RangeCqa::range_for_group_ids`] for keys given as values — anything
@@ -676,7 +752,7 @@ impl RangeCqa {
             }
         }
         let ranges = self.range_for_group_ids(db, index, &resolved)?;
-        Ok(ranges.to_rows(index.interner()))
+        Ok(ranges.to_rows(0, index.interner()))
     }
 
     /// The plan — the operator of each requested bound — for the given
@@ -752,40 +828,39 @@ impl RangeCqa {
         (Some(view), access)
     }
 
-    /// The one evaluation pipeline behind `glb`/`lub`/`range*`: restrict the
-    /// index, plan, execute for the groups in `scope`, row-filter.
+    /// The one evaluation pipeline behind `glb`/`lub`/`range*` and
+    /// [`RangeCqa::range_statement`], over engines that share body and
+    /// predicates (one engine is a statement of one aggregate): restrict the
+    /// index once, plan each aggregate, execute them together for every
+    /// group (`keys` `None`) or the listed ones, row-filter.
     fn evaluate(
-        &self,
+        engines: &[RangeCqa],
         db: &DatabaseInstance,
         index: &DbIndex,
-        scope: Scope<'_>,
+        keys: Option<&IdRows>,
         want_glb: bool,
         want_lub: bool,
     ) -> Result<IdRanges, CoreError> {
-        let routing = &self.routing;
-        let (view, _access) = self.restricted_view(index);
-        let plan = self.plan(db.numeric_domain(), want_glb, want_lub);
+        let first = &engines[0];
+        let routing = &first.routing;
+        let (view, _access) = first.restricted_view(index);
+        let domain = db.numeric_domain();
+        let aggregates: Vec<_> = (engines.iter())
+            .map(|engine| (&engine.prepared, engine.plan(domain, want_glb, want_lub)))
+            .collect();
         let cx = ExecContext {
-            prepared: &self.prepared,
+            prepared: &first.prepared,
             index: view.as_ref().unwrap_or(index),
-            options: &self.options,
+            options: &first.options,
             residual: &routing.residual,
         };
-        let mut ranges = match scope {
-            Scope::All => execute(&plan, &cx)?,
-            Scope::Keys(keys) => execute_for_groups(&plan, &cx, keys)?,
+        let mut ranges = match keys {
+            None => execute(&aggregates, &cx)?,
+            Some(keys) => execute_for_groups(&aggregates, &cx, keys)?,
         };
         routing.filter_rows(index.interner(), &mut ranges);
         Ok(ranges)
     }
-}
-
-/// Which groups an evaluation answers.
-enum Scope<'a> {
-    /// Every group.
-    All,
-    /// Only the groups with one of these keys.
-    Keys(&'a IdRows),
 }
 
 /// Enumerates the candidate group keys of a query with free variables: the
@@ -1211,12 +1286,9 @@ mod tests {
 
     #[test]
     fn range_for_groups_agrees_beyond_the_per_key_cap() {
-        // Both arms of the executor's choice must agree with the full run
-        // (which arm a set of span lengths picks is pinned beside the choice,
-        // `plan::exec::per_key_wins`). Each group's level-0 span is its one
-        // `Dealers` block, so the spans of every key but one hold fewer blocks
-        // than the relation — joined per key — and the spans of all of them
-        // hold as many: one pass.
+        // Listed keys agree with the full run however much of the relation
+        // their level-0 spans cover: each group's span is its one `Dealers`
+        // block, and every key, every key but one, and two keys are listed.
         let db = db_dealers(20, 3);
         let index = DbIndex::new(&db);
         for threads in [1, 4] {
@@ -1227,12 +1299,12 @@ mod tests {
             assert_eq!(engine.range_for_groups(&db, &index, &all).unwrap(), full);
             let but_one = engine.range_for_groups(&db, &index, all.iter().skip(1));
             assert_eq!(but_one.unwrap(), full[1..]);
-            // Two keys: per key, and inline at any thread count.
+            // Two keys: inline at any thread count.
             let two = [full[3].key.clone(), full[17].key.clone()];
             let got = engine.range_for_groups(&db, &index, &two).unwrap();
             assert_eq!(got, [full[3].clone(), full[17].clone()]);
             // A group key bound at no level-0 key position makes every key's
-            // span the whole relation: one key is a pass already.
+            // span the whole relation.
             let by_town =
                 with_threads("(t, MAX(y)) <- Dealers(x, t), Stock(p, t, y)", &db, threads);
             let full = by_town.range_with_index(&db, &index).unwrap();
@@ -1270,13 +1342,12 @@ mod tests {
             for engine in [&sequential, &pooled] {
                 assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), most);
             }
-            // Every key: one filtered pass.
+            // Every key.
             let keys: Vec<Vec<Value>> = full.iter().map(|r| r.key.clone()).collect();
             for engine in [&sequential, &pooled] {
                 assert_eq!(engine.range_for_groups(&db, &index, &keys).unwrap(), full);
             }
-            // Grouped by town: one discovery over every block of `Dealers`,
-            // whose every shard finds every town, filtered by the list (40
+            // Grouped by town: every key spans every block of `Dealers` (40
             // groups: inline, well below the floor).
             let text = format!("(t, {agg}(y)) <- Dealers(x, t), Stock(p, t, y)");
             let sequential = with_threads(&text, &db, 1);
@@ -1477,7 +1548,7 @@ mod tests {
                     let fresh = engine.range_for_groups(&db, &index, &affected).unwrap();
                     // The id path answers the same rows, with the same keys.
                     let by_ids = engine.range_for_group_ids(&db, &index, &ids).unwrap();
-                    prop_assert_eq!(&by_ids.to_rows(index.interner()), &fresh, "{}", text);
+                    prop_assert_eq!(&by_ids.to_rows(0, index.interner()), &fresh, "{}", text);
                     let expected: Vec<GroupRange> = after
                         .iter()
                         .filter(|r| closed || covered(&r.key))
@@ -1743,7 +1814,7 @@ mod tests {
                     .unwrap();
                 let full = engine.range_with_index(&db, &index).unwrap();
                 assert_eq!(
-                    engine.range_ids(&db, &index).unwrap().to_rows(interner),
+                    engine.range_ids(&db, &index).unwrap().to_rows(0, interner),
                     full
                 );
                 let width = engine.prepared().normalised.body.free_vars().len();
@@ -1758,7 +1829,7 @@ mod tests {
                         }
                     }
                     let got = engine.range_for_group_ids(&db, &index, &keys).unwrap();
-                    let got = got.to_rows(interner);
+                    let got = got.to_rows(0, interner);
                     let asked = |key: &Vec<Value>| {
                         key.iter().all(|v| {
                             interner

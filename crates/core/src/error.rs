@@ -26,6 +26,9 @@ pub enum CoreError {
     /// The exact oracle was handed a query with free variables: it answers
     /// closed queries, and `exact_bounds_by_group` answers open ones.
     OpenQuery(Vec<Var>),
+    /// The engines handed in as one statement's aggregates are none, or do
+    /// not share one body and one set of predicates.
+    StatementMismatch(String),
 }
 
 impl fmt::Display for CoreError {
@@ -43,6 +46,7 @@ impl fmt::Display for CoreError {
                 write!(f, "unsupported aggregate for rewriting: {reason}")
             }
             CoreError::FallbackUnavailable(msg) => write!(f, "exact fallback unavailable: {msg}"),
+            CoreError::StatementMismatch(msg) => write!(f, "not one statement: {msg}"),
             CoreError::OpenQuery(free) => {
                 let free: Vec<&str> = free.iter().map(Var::name).collect();
                 write!(

@@ -20,13 +20,14 @@
 //! core hands each embedding to a caller-supplied sink as a borrowed slot
 //! vector.
 //!
-//! Certainty is one instance of the memoised bound recursion of
+//! Certainty is one component of the memoised bound recursion of
 //! [`crate::glb`] over a [`Join`]: the rewriting of a constant
-//! ([`BoundEvaluator::certainty`]), whose value exists exactly when
+//! ([`Component::certainty`]), whose value exists exactly when
 //! `F_ℓ ∧ ... ∧ F_n` is certain. Group discovery's existence probe is the
-//! extremum of a constant, the same recursion with no block dropped. Every
-//! memo (`LevelMemo`) is one id-tuple set per level keyed by the level's
-//! **relevant slots**, the variables of `F_ℓ, ..., F_n`
+//! extremum of a constant ([`Component::existence`]), the same recursion
+//! with no block dropped; here each runs alone, in an evaluator of its own.
+//! Every memo (`LevelMemo`) is one id-tuple set per level keyed by the
+//! level's **relevant slots**, the variables of `F_ℓ, ..., F_n`
 //! (`CompiledLevels::relevant_slots`), and probed through a borrowed
 //! projection: what the levels from `ℓ` on compute depends on nothing else of
 //! a partial embedding, so every partial embedding — of any group — with the
@@ -35,7 +36,7 @@
 //!
 //! The ∀embedding condition at level `ℓ` depends on the prefix and the
 //! level's key alone, so it is decided per **block** of `F_ℓ`'s relation,
-//! never per embedding: the certainty instance's value at `ℓ` with the
+//! never per embedding: the certainty component's value at `ℓ` with the
 //! block's key bound.
 //!
 //! Values materialise only at the boundary: [`embeddings`], [`analyse`] and
@@ -83,7 +84,7 @@
 //! included, are there too (DRed's over-delete seeded with the deleted
 //! tuples; [`crate::engine::RangeCqa::affected_keys`]).
 
-use crate::glb::BoundEvaluator;
+use crate::glb::{BoundEvaluator, Component};
 use crate::ids::{IdRows, IdTupleSet};
 use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock, RelationIndex};
 use crate::prepared::{Level, PreparedBody};
@@ -458,7 +459,8 @@ pub fn match_fact(atom: &Atom, fact: &Fact, valuation: &Valuation) -> Option<Val
 
 /// Answers to the sub-problems of a compiled body, per level, keyed by the
 /// projection of the slot vector onto that level's key slots (for the bound
-/// recursion, the level's relevant slots).
+/// recursion, the level's relevant slots), `width` answers per entry (the
+/// bound recursion's components; none for a visited set).
 ///
 /// Keys are raw ids probed through the borrowed scratch projection `key`, so
 /// a probe costs a small integer hash and allocates nothing. Two distinct
@@ -470,12 +472,14 @@ pub fn match_fact(atom: &Atom, fact: &Fact, valuation: &Valuation) -> Option<Val
 pub(crate) struct LevelMemo<T> {
     slots: Vec<Vec<usize>>,
     key: Vec<u32>,
+    width: usize,
     levels: Vec<(IdTupleSet, Vec<T>)>,
 }
 
 impl<T: Copy> LevelMemo<T> {
-    /// An empty memo whose level `ℓ` is keyed by `slots[ℓ]`.
-    pub(crate) fn new(slots: Vec<Vec<usize>>) -> LevelMemo<T> {
+    /// An empty memo whose level `ℓ` is keyed by `slots[ℓ]`, holding `width`
+    /// answers per entry.
+    pub(crate) fn new(slots: Vec<Vec<usize>>, width: usize) -> LevelMemo<T> {
         let levels = slots
             .iter()
             .map(|slots| (IdTupleSet::new(slots.len()), Vec::new()))
@@ -483,32 +487,34 @@ impl<T: Copy> LevelMemo<T> {
         LevelMemo {
             slots,
             key: Vec::new(),
+            width,
             levels,
         }
     }
 
-    /// The answer memoised at `level` for the projection of `slots`, or — on
-    /// a miss — the entry now reserved for it (holding `pending` until
+    /// The answers memoised at `level` for the projection of `slots`, or — on
+    /// a miss — the entry now reserved for them (holding `pending` until
     /// [`LevelMemo::settle`]). Deciding a sub-problem only ever consults
     /// deeper levels, whose tables are separate, so a reserved entry is never
     /// read before it is settled.
     #[inline]
-    pub(crate) fn probe(&mut self, level: usize, slots: &[u32], pending: T) -> Result<T, usize> {
+    pub(crate) fn probe(&mut self, level: usize, slots: &[u32], pending: T) -> Result<&[T], usize> {
         self.key.clear();
         self.key.extend(self.slots[level].iter().map(|&s| slots[s]));
         let (seen, answers) = &mut self.levels[level];
         let (entry, new) = seen.insert(&self.key);
         if !new {
-            return Ok(answers[entry]);
+            return Ok(&answers[entry * self.width..(entry + 1) * self.width]);
         }
-        answers.push(pending);
+        answers.resize(answers.len() + self.width, pending);
         Err(entry)
     }
 
-    /// Records the answer of the entry [`LevelMemo::probe`] reserved.
+    /// Records the answers of the entry [`LevelMemo::probe`] reserved.
     #[inline]
-    pub(crate) fn settle(&mut self, level: usize, entry: usize, answer: T) {
-        self.levels[level].1[entry] = answer;
+    pub(crate) fn settle(&mut self, level: usize, entry: usize, answers: &[T]) {
+        let width = self.width;
+        self.levels[level].1[entry * width..(entry + 1) * width].copy_from_slice(answers);
     }
 }
 
@@ -692,35 +698,17 @@ impl<'a> Join<'a> {
         );
     }
 
-    /// Hands `read` the blocks the first level's key pattern admits under
-    /// `initial`; `None` for a body without levels.
-    fn level0<T>(
-        &self,
-        initial: &[u32],
-        read: impl FnOnce(BlocksMatching<'a, '_>) -> T,
-    ) -> Option<T> {
-        let lvl = self.compiled.levels.first()?;
-        let pattern = key_pattern_ids(&self.resolved[0], lvl.key_len, initial);
-        Some(read(self.blocks(0, &pattern)))
-    }
-
-    /// How many level-0 blocks an enumeration from `initial` examines: the
-    /// exact length of the span of the sorted block sequence (or posting run)
-    /// the first level's key pattern selects, at the cost of the binary
-    /// searches that find it. `0` for a body without levels.
-    pub(crate) fn level0_span(&self, initial: &[u32]) -> usize {
-        self.level0(initial, |blocks| blocks.candidates())
-            .unwrap_or(0)
-    }
-
     /// Replaces `out` with the blocks the first level can draw facts from
     /// under `initial`, **in enumeration order**: the block-key shard axis
     /// of the executor's group discovery ([`GroupKeys::walk_blocks`]), and
-    /// the blocks both bounds of a group walk at level 0. Empty for a body
+    /// the blocks every bound of a group walks at level 0. Empty for a body
     /// without levels.
     pub(crate) fn level0_blocks(&self, initial: &[u32], out: &mut Vec<&'a IndexedBlock>) {
         out.clear();
-        self.level0(initial, |blocks| out.extend(blocks));
+        if let Some(lvl) = self.compiled.levels.first() {
+            let pattern = key_pattern_ids(&self.resolved[0], lvl.key_len, initial);
+            out.extend(self.blocks(0, &pattern));
+        }
     }
 
     /// Hands `sink` the block each level draws its fact from under the full
@@ -880,7 +868,8 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
         "free variables must be substituted before analysis"
     );
     let join = Join::new(body.compiled_levels(), index);
-    analyse_group(&mut BoundEvaluator::certainty(&join), &Valuation::new())
+    let certainty = &mut BoundEvaluator::new(&join, &[Component::certainty()]);
+    analyse_group(certainty, &Valuation::new())
 }
 
 /// `CERTAINTY(q)` for an acyclic closed body: whether every repair of the
@@ -888,15 +877,14 @@ pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysi
 /// baselines ask it.
 pub fn is_certain(body: &PreparedBody, index: &DbIndex) -> bool {
     let join = Join::new(body.compiled_levels(), index);
-    BoundEvaluator::certainty(&join)
-        .bound(&Valuation::new())
-        .is_some()
+    BoundEvaluator::new(&join, &[Component::certainty()]).bounds(&Valuation::new())[0].is_some()
 }
 
 /// Computes the per-group analysis — certainty, embeddings, ∀embeddings —
 /// for the group fixed by `base` (free variables bound to the group key;
 /// empty for closed queries) over the body `certainty` walks, sharing its
-/// memo across groups.
+/// memo across groups. `certainty`'s first component is
+/// [`Component::certainty`].
 ///
 /// This is the one boundary that materialises an analysis: the embeddings
 /// are enumerated on ids, the ∀embeddings by the same walk with each block
@@ -959,8 +947,8 @@ fn for_each_forall(
 /// enumerating the embeddings.
 ///
 /// Once every free slot is bound the key is complete and only its existence
-/// is in question, which the existence instance of the bound recursion
-/// ([`BoundEvaluator::existence`]) decides under its memo of the relevant
+/// is in question, which the existence component of the bound recursion
+/// ([`Component::existence`]), alone in an evaluator, decides under its memo of the relevant
 /// slots. Before that, `explored` records per level the projections onto
 /// the relevant slots **and** the free slots already walked:
 /// the keys found below a partial embedding are a function of that
@@ -997,8 +985,8 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
         GroupKeys {
             join,
             free,
-            existence: BoundEvaluator::existence(join),
-            explored: LevelMemo::new(explored),
+            existence: BoundEvaluator::new(join, &[Component::existence()]),
+            explored: LevelMemo::new(explored, 0),
             patterns: Patterns::default(),
             trail: Vec::new(),
             found: IdRows::new(free.len()),
@@ -1239,13 +1227,13 @@ mod tests {
     #[test]
     fn grouped_analysis_shares_one_checker() {
         // Group-by on the Fig. 1 instance: analysing Smith and James with one
-        // shared certainty instance gives the same per-group results as
+        // shared certainty evaluator gives the same per-group results as
         // substituting.
         let db = db_stock();
         let index = DbIndex::new(&db);
         let q = prepared("(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)", db.schema());
         let join = Join::new(q.body.compiled_levels(), &index);
-        let mut certainty = BoundEvaluator::certainty(&join);
+        let mut certainty = BoundEvaluator::new(&join, &[Component::certainty()]);
         for (dealer, n_embs) in [("Smith", 5), ("James", 3)] {
             let base = Valuation::from([(Var::new("x"), Value::text(dealer))]);
             let analysis = analyse_group(&mut certainty, &base);

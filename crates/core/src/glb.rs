@@ -43,24 +43,44 @@
 //!
 //! The plain extremum of Theorem 7.10 (and its mirror in Theorem 7.11) is
 //! the same recursion over **all** embeddings — no block is dropped — with
-//! `F⊕` the extremum itself. It is the answer only for a certain group,
-//! which the extremum asks of a certainty instance of its own.
+//! `F⊕` the extremum itself. It is the answer only for a certain group.
 //!
 //! ## Certainty and existence: the recursion of a constant
 //!
 //! With a constant leaf the rewriting's `value(ℓ)` says only whether it
 //! exists, which by the induction above is whether `F_ℓ ∧ ... ∧ F_n` is
-//! certain: that is [`BoundEvaluator::certainty`] (GLB-CQA is `⊥` exactly
-//! when the body is not certain). The extremum of a constant has a value
-//! exactly when some extension to an embedding exists: group discovery's
-//! existence probe. Under `MIN`/`MAX` every value of such an evaluator is
-//! the constant, so the first value a level finds decides it and the walk
-//! stops there, as a plain `any` over the blocks would.
+//! certain: that is [`Component::certainty`] (GLB-CQA is `⊥` exactly when
+//! the body is not certain). The extremum of a constant has a value exactly
+//! when some extension to an embedding exists: [`Component::existence`],
+//! which decides whether a listed group has a row. Under `MIN`/`MAX` every
+//! value of such a component is the constant, so the first value a level
+//! finds settles it, as a plain `any` over the blocks would.
+//!
+//! ## One recursion answers every bound
+//!
+//! Every bound above is a **component** of the one recursion — a leaf term,
+//! the `F⊕` that combines blocks, the [`Choice`] within a block, and whether
+//! blocks are ∀-gated — and a [`BoundEvaluator`] evaluates a set of them in
+//! one walk: a memo entry holds every component's value of its sub-problem,
+//! so each block and each fact is visited once per sub-problem, however many
+//! bounds — both bounds of each aggregate of a statement, certainty,
+//! existence — are asked. Each component folds on its own and stops folding
+//! once it has settled (a ∀-gated component on a block with a fact that has
+//! no value, a constant's first value); a walk stops once every component
+//! has settled. A memo entry is keyed by the relevant slots and every
+//! component's leaf slot, so a component never reads an entry computed for
+//! another value of its leaf.
+//!
+//! By the induction above, any ∀-gated component has a value exactly when
+//! the suffix is certain, and any ungated one exactly when the slots extend
+//! to an embedding, whatever its leaf: a statement with a rewriting reads
+//! certainty off it, one with an extremum reads existence off that, and the
+//! constant components are walked only for a statement that has neither.
 //!
 //! Results do not depend on the order of the walk: the values combined go
-//! through `MIN`/`MAX` and an exact, commutative `F⊕` ([`AggFunc::apply`]
-//! over [`Rational`]s), which is why a warm index, whose interner assigned
-//! ids in arrival order, answers exactly as a cold one. The only
+//! through `MIN`/`MAX` and an exact, commutative `F⊕` ([`Rational`]
+//! arithmetic), which is why a warm index, whose interner assigned ids in
+//! arrival order, answers exactly as a cold one. The only
 //! [`rcqa_data::Value`] read is the one [`Rational`] per leaf.
 
 use crate::forall::{unwind, Join, LevelMemo, Patterns, Valuation};
@@ -103,112 +123,175 @@ pub fn term_value(term: &AggTerm, valuation: &Valuation) -> Rational {
 }
 
 /// The aggregated term resolved against a slot table.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LeafTerm {
     Const(Rational),
     Slot(usize),
 }
 
-/// The memoised recursion of the module docs over a [`Join`]: one bound of
-/// a query per group — the Theorem 6.1 / 7.11 rewriting
-/// ([`BoundEvaluator::rewriting`]) or the Theorem 7.10 extremum
-/// ([`BoundEvaluator::extremum`]) — or, with a constant leaf, certainty
-/// ([`BoundEvaluator::certainty`]) and existence.
-///
-/// One evaluator answers any number of groups and keeps its memo across
-/// them; the plan executor builds one per bound per worker.
-pub struct BoundEvaluator<'j, 'a> {
-    join: &'j Join<'a>,
+/// One bound the recursion of the module docs computes: what an embedding is
+/// worth past the last level (the leaf term), the `F⊕` that combines the
+/// blocks a level keeps, the [`Choice`] among the facts of one block, and
+/// whether a block is kept only under the ∀embedding condition.
+#[derive(Clone, Debug)]
+pub struct Component {
+    term: AggTerm,
+    combine: AggFunc,
+    choice: Choice,
+    forall: bool,
+}
+
+impl Component {
+    /// The Theorem 6.1 / 7.11 rewriting: `combine` aggregates independent
+    /// branches, `choice` resolves the alternatives within a block, and a
+    /// block counts only under the ∀embedding condition. `combine` must be
+    /// associative ([`AggFunc::is_associative`]).
+    pub fn rewriting(term: &AggTerm, combine: AggFunc, choice: Choice) -> Component {
+        Component {
+            term: term.clone(),
+            combine,
+            choice,
+            forall: true,
+        }
+    }
+
+    /// The Theorem 7.10 extremum over all embeddings — `MIN(r)`'s GLB for
+    /// [`Choice::Minimise`], `MAX(r)`'s LUB for [`Choice::Maximise`]. It is
+    /// the bound only of a certain group: a caller reads it beside a
+    /// ∀-gated component of the same evaluator — a rewriting, or
+    /// [`Component::certainty`].
+    pub fn extremum(term: &AggTerm, choice: Choice) -> Component {
+        let combine = match choice {
+            Choice::Minimise => AggFunc::Min,
+            Choice::Maximise => AggFunc::Max,
+        };
+        Component {
+            term: term.clone(),
+            combine,
+            choice,
+            forall: false,
+        }
+    }
+
+    /// `CERTAINTY` of the body's suffixes: the rewriting of a constant under
+    /// `MAX`, whose value exists exactly when `F_ℓ ∧ ... ∧ F_n` is certain —
+    /// for a group, when its body is.
+    pub fn certainty() -> Component {
+        Component::rewriting(
+            &AggTerm::Const(Rational::ONE),
+            AggFunc::Max,
+            Choice::Maximise,
+        )
+    }
+
+    /// Existence of an embedding: the extremum of a constant, whose value
+    /// exists exactly when the levels from `ℓ` on extend the slots — for a
+    /// group, when it has an embedding.
+    pub fn existence() -> Component {
+        Component::extremum(&AggTerm::Const(Rational::ONE), Choice::Maximise)
+    }
+}
+
+/// A [`Component`] resolved against a body's slot table.
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
     leaf: LeafTerm,
     combine: AggFunc,
     choice: Choice,
-    /// Whether a block must pass the ∀embedding condition (the rewriting)
-    /// or every embedding counts (the extremum).
     forall: bool,
-    /// Whether the first value found decides a level: every leaf is one
-    /// constant and `combine` is `MIN` or `MAX`, so every value is it.
+    /// Whether the first value found settles a level: the leaf is a constant
+    /// and `combine` is `MIN` or `MAX`, so every value is that constant.
     first_decides: bool,
-    /// The certainty instance an extremum's value is an answer only under.
-    certainty: Option<Box<BoundEvaluator<'j, 'a>>>,
+}
+
+impl Resolved {
+    /// `F⊕` of the running value and one more branch's.
+    fn combine(&self, acc: Rational, v: Rational) -> Rational {
+        match self.combine {
+            AggFunc::Sum => acc + v,
+            AggFunc::Min => acc.min(v),
+            AggFunc::Max => acc.max(v),
+            other => other.apply(&[acc, v]).expect("two values"),
+        }
+    }
+}
+
+/// One component's fold over the blocks of a level or the facts of a block:
+/// the value so far, and whether it has settled.
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    value: Option<Rational>,
+    settled: bool,
+}
+
+/// The memoised recursion of the module docs over a [`Join`], evaluating a
+/// set of [`Component`]s in one walk: the bounds of a statement's groups, or
+/// one component alone — certainty for the ∀embedding analysis, existence for
+/// group discovery.
+///
+/// One evaluator answers any number of groups and keeps its memo across
+/// them; the plan executor builds one per worker.
+pub struct BoundEvaluator<'j, 'a> {
+    join: &'j Join<'a>,
+    components: Vec<Resolved>,
+    /// Every component's value of a sub-problem, `components.len()` per
+    /// entry.
     memo: LevelMemo<Option<Rational>>,
     /// Sub-problems evaluated (memo misses), per level.
     evaluated: Vec<usize>,
-    /// Pending branch values, shared by the whole recursion: each call pops
-    /// what it pushed.
-    branches: Vec<Rational>,
+    /// The values handed up the recursion, `components.len()` per
+    /// sub-problem or block: a callee pushes them, its caller reads and pops
+    /// them.
+    values: Vec<Option<Rational>>,
+    /// The folds in progress, `components.len()` per open level and per open
+    /// block: each call pops what it pushed.
+    folds: Vec<Fold>,
     patterns: Patterns,
     trail: Vec<usize>,
 }
 
 impl<'j, 'a> BoundEvaluator<'j, 'a> {
-    /// The Theorem 6.1 / 7.11 rewriting: `combine` aggregates independent
-    /// branches, `choice` resolves the alternatives within a block.
+    /// An evaluator of `components` over `join`, with an empty memo.
     ///
     /// # Panics
-    /// Panics if the aggregated variable does not occur in the body.
-    pub fn rewriting(
-        join: &'j Join<'a>,
-        term: &AggTerm,
-        combine: AggFunc,
-        choice: Choice,
-    ) -> BoundEvaluator<'j, 'a> {
-        BoundEvaluator::new(join, term, combine, choice, true)
-    }
-
-    /// The Theorem 7.10 extremum over all embeddings — `MIN(r)`'s GLB for
-    /// [`Choice::Minimise`], `MAX(r)`'s LUB for [`Choice::Maximise`] — when
-    /// the query is certain, else `None`.
-    ///
-    /// # Panics
-    /// Panics if the aggregated variable does not occur in the body.
-    pub fn extremum(join: &'j Join<'a>, term: &AggTerm, choice: Choice) -> BoundEvaluator<'j, 'a> {
-        let combine = match choice {
-            Choice::Minimise => AggFunc::Min,
-            Choice::Maximise => AggFunc::Max,
-        };
-        let mut extremum = BoundEvaluator::new(join, term, combine, choice, false);
-        extremum.certainty = Some(Box::new(BoundEvaluator::certainty(join)));
-        extremum
-    }
-
-    /// `CERTAINTY` of the body's suffixes: the rewriting of a constant under
-    /// `MAX`, whose value exists exactly when `F_ℓ ∧ ... ∧ F_n` is certain.
-    /// [`BoundEvaluator::bound`] is `Some` exactly for a certain group.
-    pub fn certainty(join: &'j Join<'a>) -> BoundEvaluator<'j, 'a> {
-        let one = AggTerm::Const(Rational::ONE);
-        BoundEvaluator::new(join, &one, AggFunc::Max, Choice::Maximise, true)
-    }
-
-    /// Existence of an embedding: the extremum of a constant, ungated, whose
-    /// value exists exactly when the levels from `ℓ` on extend the slots.
-    pub(crate) fn existence(join: &'j Join<'a>) -> BoundEvaluator<'j, 'a> {
-        let one = AggTerm::Const(Rational::ONE);
-        BoundEvaluator::new(join, &one, AggFunc::Max, Choice::Maximise, false)
-    }
-
-    fn new(
-        join: &'j Join<'a>,
-        term: &AggTerm,
-        combine: AggFunc,
-        choice: Choice,
-        forall: bool,
-    ) -> BoundEvaluator<'j, 'a> {
-        let leaf = match term {
-            AggTerm::Const(c) => LeafTerm::Const(*c),
-            AggTerm::Var(v) => {
-                LeafTerm::Slot(join.compiled().table().slot(v).unwrap_or_else(|| {
-                    panic!("aggregated variable {v} does not occur in the body")
-                }))
-            }
-        };
+    /// Panics if an aggregated variable does not occur in the body, or a
+    /// component's `combine` is not associative.
+    pub fn new(join: &'j Join<'a>, components: &[Component]) -> BoundEvaluator<'j, 'a> {
+        let table = join.compiled().table();
+        let components: Vec<Resolved> = components
+            .iter()
+            .map(|c| {
+                assert!(
+                    c.combine.is_associative(),
+                    "{} does not combine independent branches",
+                    c.combine
+                );
+                let leaf = match &c.term {
+                    AggTerm::Const(k) => LeafTerm::Const(*k),
+                    AggTerm::Var(v) => LeafTerm::Slot(table.slot(v).unwrap_or_else(|| {
+                        panic!("aggregated variable {v} does not occur in the body")
+                    })),
+                };
+                Resolved {
+                    leaf,
+                    combine: c.combine,
+                    choice: c.choice,
+                    forall: c.forall,
+                    first_decides: matches!(leaf, LeafTerm::Const(_))
+                        && matches!(c.combine, AggFunc::Min | AggFunc::Max),
+                }
+            })
+            .collect();
         let keys = join
             .compiled()
             .relevant_slots()
             .into_iter()
             .map(|mut slots| {
-                if let LeafTerm::Slot(s) = leaf {
-                    if !slots.contains(&s) {
-                        slots.push(s);
+                for c in &components {
+                    if let LeafTerm::Slot(s) = c.leaf {
+                        if !slots.contains(&s) {
+                            slots.push(s);
+                        }
                     }
                 }
                 slots
@@ -216,16 +299,11 @@ impl<'j, 'a> BoundEvaluator<'j, 'a> {
             .collect::<Vec<_>>();
         BoundEvaluator {
             join,
-            leaf,
-            combine,
-            choice,
-            forall,
-            first_decides: matches!(leaf, LeafTerm::Const(_))
-                && matches!(combine, AggFunc::Min | AggFunc::Max),
-            certainty: None,
             evaluated: vec![0; keys.len()],
-            memo: LevelMemo::new(keys),
-            branches: Vec::new(),
+            memo: LevelMemo::new(keys, components.len()),
+            components,
+            values: Vec::new(),
+            folds: Vec::new(),
             patterns: Patterns::default(),
             trail: Vec::new(),
         }
@@ -236,19 +314,22 @@ impl<'j, 'a> BoundEvaluator<'j, 'a> {
         self.join
     }
 
-    /// The bound of the group fixed by `base` (free variables bound to the
-    /// group key; empty for a closed query). `None` is the answer `⊥`: the
-    /// group's body is not certain.
-    pub fn bound(&mut self, base: &Valuation) -> Option<Rational> {
+    /// Every component's value for the group fixed by `base` (free
+    /// variables bound to the group key; empty for a closed query), in the
+    /// order the components were given. `None` is the answer `⊥`: for a
+    /// rewriting, the group's body is not certain; for an extremum, the
+    /// group has no embedding (and the extremum is a bound only where
+    /// certainty holds).
+    pub fn bounds(&mut self, base: &Valuation) -> &[Option<Rational>] {
         let mut slots = self.join.slots_of(base);
         let mut level0 = Vec::new();
         self.join.level0_blocks(&slots, &mut level0);
-        self.bound_ids(&mut slots, &level0)
+        self.bounds_ids(&mut slots, &level0)
     }
 
     /// How many sub-problems rooted at `level` the evaluator has computed —
-    /// memo misses, summed over every group it answered. Level 0 is the
-    /// group itself, evaluated once per call.
+    /// memo misses, summed over every group it answered, each computing
+    /// every component. Level 0 is the group itself, evaluated once per call.
     pub fn evaluated(&self, level: usize) -> usize {
         self.evaluated.get(level).copied().unwrap_or(0)
     }
@@ -259,117 +340,176 @@ impl<'j, 'a> BoundEvaluator<'j, 'a> {
         self.evaluated[1..].iter().sum()
     }
 
-    /// [`BoundEvaluator::bound`] over the join's id slot vector, whose
+    /// [`BoundEvaluator::bounds`] over the join's id slot vector, whose
     /// level-0 blocks (those its key pattern admits under `base`) the caller
-    /// looked up — once for both bounds of a group. `base` is restored
-    /// before returning.
-    pub(crate) fn bound_ids(
+    /// looked up. `base` is restored before returning.
+    pub(crate) fn bounds_ids(
         &mut self,
         base: &mut [u32],
         level0: &[&IndexedBlock],
-    ) -> Option<Rational> {
+    ) -> &[Option<Rational>] {
         // Level 0 is not memoised: its key holds the group key, which no
         // other call repeats.
-        if let Some(certainty) = &mut self.certainty {
-            certainty.bound_ids(base, level0)?;
-        }
+        self.values.clear();
         self.evaluated[0] += 1;
-        self.evaluate(0, base, level0.iter().copied())
+        self.evaluate(0, base, level0.iter().copied());
+        &self.values
     }
 
-    /// Whether `value(level)` exists under `slots`, through the memo: for
-    /// the certainty instance, whether `F_ℓ ∧ ... ∧ F_n` is certain (with
-    /// the key of `level` bound, the ∀embedding condition of its block); for
-    /// the existence instance, whether `slots` extends to an embedding.
+    /// Whether the first component's `value(level)` exists under `slots`,
+    /// through the memo: for certainty, whether `F_ℓ ∧ ... ∧ F_n` is certain
+    /// (with the key of `level` bound, the ∀embedding condition of its
+    /// block); for existence, whether `slots` extends to an embedding.
     pub(crate) fn holds(&mut self, level: usize, slots: &mut [u32]) -> bool {
-        self.value(level, slots).is_some()
+        let at = self.values.len();
+        self.value(level, slots);
+        let holds = self.values[at].is_some();
+        self.values.truncate(at);
+        holds
     }
 
-    /// `value(level)` under `slots`, through the memo.
-    fn value(&mut self, level: usize, slots: &mut [u32]) -> Option<Rational> {
+    /// Pushes every component's `value(level)` under `slots`, through the
+    /// memo.
+    fn value(&mut self, level: usize, slots: &mut [u32]) {
         let join = self.join;
         if level == join.len() {
-            let leaf = match self.leaf {
-                LeafTerm::Const(c) => c,
-                LeafTerm::Slot(s) => join
-                    .index()
-                    .interner()
-                    .value(slots[s])
-                    .as_num()
-                    .expect("the aggregated variable is bound to a number"),
-            };
-            return self.combine.apply(&[leaf]);
+            let interner = join.index().interner();
+            // Components of one aggregate share their leaf: read it once.
+            let mut last: Option<(LeafTerm, Rational)> = None;
+            for c in &self.components {
+                let leaf = match (c.leaf, last) {
+                    (LeafTerm::Const(k), _) => k,
+                    (leaf, Some((read, v))) if read == leaf => v,
+                    (LeafTerm::Slot(s), _) => interner
+                        .value(slots[s])
+                        .as_num()
+                        .expect("the aggregated variable is bound to a number"),
+                };
+                last = Some((c.leaf, leaf));
+                self.values.push(Some(leaf));
+            }
+            return;
         }
         let entry = match self.memo.probe(level, slots, None) {
-            Ok(value) => return value,
+            Ok(hit) => return self.values.extend_from_slice(hit),
             Err(entry) => entry,
         };
         self.evaluated[level] += 1;
         let pattern = self.patterns.take(join, level, slots);
-        let value = self.evaluate(level, slots, join.blocks(level, &pattern));
+        self.evaluate(level, slots, join.blocks(level, &pattern));
         self.patterns.give(level, pattern);
-        self.memo.settle(level, entry, value);
-        value
+        let at = self.values.len() - self.components.len();
+        self.memo.settle(level, entry, &self.values[at..]);
     }
 
     /// One step of the induction (see the module docs) over the blocks
-    /// `level`'s key pattern admits, uncached.
+    /// `level`'s key pattern admits, uncached: pushes every component's
+    /// value. Stops once every component has settled.
     fn evaluate<'b>(
         &mut self,
         level: usize,
         slots: &mut [u32],
         blocks: impl IntoIterator<Item = &'b IndexedBlock>,
-    ) -> Option<Rational> {
-        let join = self.join;
-        let mark = self.branches.len();
+    ) {
+        let (join, k) = (self.join, self.components.len());
+        let folds = self.folds.len();
+        let open_fold = Fold {
+            value: None,
+            settled: false,
+        };
+        self.folds.resize(folds + k, open_fold);
+        let mut open = k;
         for block in blocks {
             let key_mark = self.trail.len();
             if join.bind_key(level, block, slots, &mut self.trail) {
-                let best = self.alternatives(level, block, slots);
-                self.branches.extend(best);
+                self.alternatives(level, block, slots, folds);
+                let at = self.values.len() - k;
+                let branches = (self.components.iter())
+                    .zip(&mut self.folds[folds..])
+                    .zip(&self.values[at..]);
+                for ((c, fold), &best) in branches {
+                    if let (false, Some(v)) = (fold.settled, best) {
+                        fold.value = Some(fold.value.map_or(v, |acc| c.combine(acc, v)));
+                        if c.first_decides {
+                            fold.settled = true;
+                            open -= 1;
+                        }
+                    }
+                }
+                self.values.truncate(at);
             }
             unwind(slots, &mut self.trail, key_mark);
-            if self.first_decides && self.branches.len() > mark {
+            if open == 0 {
                 break;
             }
         }
-        let value = (self.branches.len() > mark)
-            .then(|| self.combine.apply(&self.branches[mark..]))
-            .flatten();
-        self.branches.truncate(mark);
-        value
+        self.values
+            .extend(self.folds[folds..].iter().map(|fold| fold.value));
+        self.folds.truncate(folds);
     }
 
-    /// The alternatives of one block (its key bound in `slots`) resolved
-    /// with the choice. For the rewriting, `None` unless **every** fact of
-    /// the block matches and has a value: that is the ∀embedding condition
-    /// of the block — `F_ℓ ∧ ... ∧ F_n` certain with its key fixed — since a
-    /// suffix has a value exactly when it is certain (by the induction of the
-    /// module docs). For the extremum, the best of the facts that have a
-    /// value.
+    /// Pushes every component's resolution of the alternatives of one block
+    /// (its key bound in `slots`) with its choice. For a ∀-gated component,
+    /// `None` unless **every** fact of the block matches and has a value:
+    /// that is the ∀embedding condition of the block — `F_ℓ ∧ ... ∧ F_n`
+    /// certain with its key fixed — since a suffix has a value exactly when
+    /// it is certain (by the induction of the module docs). For an ungated
+    /// one, the best of the facts that have a value. A component the level
+    /// has already settled (its folds start at `level_folds`) is skipped,
+    /// and the facts stop once every component has settled.
     fn alternatives(
         &mut self,
         level: usize,
         block: &IndexedBlock,
         slots: &mut [u32],
-    ) -> Option<Rational> {
-        let join = self.join;
-        let mut best: Option<Rational> = None;
-        for row in 0..block.cols.rows() {
-            let mark = self.trail.len();
-            let value = match join.match_row(level, block, row, slots, &mut self.trail) {
-                true => self.value(level + 1, slots),
-                false => None,
-            };
-            unwind(slots, &mut self.trail, mark);
-            match value {
-                Some(v) if self.first_decides && !self.forall => return Some(v),
-                Some(v) => best = Some(best.map_or(v, |b| self.choice.pick(b, v))),
-                None if self.forall => return None,
-                None => {}
-            }
+        level_folds: usize,
+    ) {
+        let (join, k) = (self.join, self.components.len());
+        let folds = self.folds.len();
+        self.folds.extend_from_within(level_folds..level_folds + k);
+        let mut open = 0;
+        for fold in &mut self.folds[folds..] {
+            fold.value = None;
+            open += usize::from(!fold.settled);
         }
-        best
+        for row in 0..block.cols.rows() {
+            if open == 0 {
+                break;
+            }
+            let (mark, at) = (self.trail.len(), self.values.len());
+            if join.match_row(level, block, row, slots, &mut self.trail) {
+                self.value(level + 1, slots);
+            } else {
+                self.values.resize(at + k, None);
+            }
+            unwind(slots, &mut self.trail, mark);
+            let facts = (self.components.iter())
+                .zip(&mut self.folds[folds..])
+                .zip(&self.values[at..]);
+            for ((c, fold), &value) in facts {
+                if fold.settled {
+                    continue;
+                }
+                match value {
+                    Some(v) if c.first_decides && !c.forall => {
+                        fold.value = Some(v);
+                        fold.settled = true;
+                        open -= 1;
+                    }
+                    Some(v) => fold.value = Some(fold.value.map_or(v, |b| c.choice.pick(b, v))),
+                    None if c.forall => {
+                        fold.value = None;
+                        fold.settled = true;
+                        open -= 1;
+                    }
+                    None => {}
+                }
+            }
+            self.values.truncate(at);
+        }
+        self.values
+            .extend(self.folds[folds..].iter().map(|fold| fold.value));
+        self.folds.truncate(folds);
     }
 }
 
@@ -417,22 +557,35 @@ mod tests {
         extrema: (Option<Rational>, Option<Rational>),
     }
 
-    /// Runs the executor's evaluators by hand, beside the boundary analysis
-    /// that counts the embeddings and ∀embeddings.
+    /// Runs the executor's evaluator by hand — the rewriting, both extrema
+    /// and certainty in one walk — beside the boundary analysis that counts
+    /// the embeddings and ∀embeddings.
     fn bounds(datalog: &str, db: &DatabaseInstance, combine: AggFunc, choice: Choice) -> Bounds {
         let q = PreparedAggQuery::new(&parse_agg_query(datalog).unwrap(), db.schema()).unwrap();
         let index = DbIndex::new(db);
         let join = Join::new(q.body.compiled_levels(), &index);
         let base = Valuation::new();
-        let analysis = analyse_group(&mut BoundEvaluator::certainty(&join), &base);
+        let certainty = &mut BoundEvaluator::new(&join, &[Component::certainty()]);
+        let analysis = analyse_group(certainty, &base);
         let term = &q.normalised.term;
-        let extremum = |choice| BoundEvaluator::extremum(&join, term, choice).bound(&base);
+        let mut evaluator = BoundEvaluator::new(
+            &join,
+            &[
+                Component::rewriting(term, combine, choice),
+                Component::extremum(term, Choice::Minimise),
+                Component::extremum(term, Choice::Maximise),
+                Component::certainty(),
+            ],
+        );
+        let values = evaluator.bounds(&base);
+        // An extremum is a bound only of a certain group.
+        let extremum = |v: Option<Rational>| v.filter(|_| values[3].is_some());
         Bounds {
             certain: analysis.certain,
             embeddings: analysis.embeddings.len(),
             forall_embeddings: analysis.forall_embeddings.len(),
-            optimal: BoundEvaluator::rewriting(&join, term, combine, choice).bound(&base),
-            extrema: (extremum(Choice::Minimise), extremum(Choice::Maximise)),
+            optimal: values[0],
+            extrema: (extremum(values[1]), extremum(values[2])),
         }
     }
 
@@ -526,9 +679,11 @@ mod tests {
     #[test]
     fn a_constant_leaf_is_decided_by_its_first_value() {
         // On db0, R's first block `a1` joins `b1` and `b2`, both of which
-        // reach a `'d'` fact in every S block: certainty stops after those
-        // two level-1 sub-problems, existence after the first, and the
-        // `SUM(1)` rewriting of the same body walks all four.
+        // reach a `'d'` fact in every S block: certainty alone stops after
+        // those two level-1 sub-problems, existence alone after the first,
+        // and the `SUM(1)` rewriting of the same body walks all four. In one
+        // evaluator the three walk the four once, with the values each
+        // computes alone.
         let db = db0();
         let q = PreparedAggQuery::new(
             &parse_agg_query("COUNT(*) <- R(x, y), S(y, z, 'd', r)").unwrap(),
@@ -538,17 +693,22 @@ mod tests {
         let index = DbIndex::new(&db);
         let join = Join::new(q.body.compiled_levels(), &index);
         let base = Valuation::new();
-        let mut certainty = BoundEvaluator::certainty(&join);
-        let mut existence = BoundEvaluator::existence(&join);
         let term = &q.normalised.term;
-        let mut count = BoundEvaluator::rewriting(&join, term, AggFunc::Sum, Choice::Minimise);
-        assert!(certainty.bound(&base).is_some());
-        assert!(existence.bound(&base).is_some());
-        assert_eq!(count.bound(&base), Some(rat(2)));
-        let level_1 = |e: &BoundEvaluator| e.evaluated(1);
-        assert_eq!(
-            (level_1(&certainty), level_1(&existence), level_1(&count)),
-            (2, 1, 4)
-        );
+        let components = [
+            Component::certainty(),
+            Component::existence(),
+            Component::rewriting(term, AggFunc::Sum, Choice::Minimise),
+        ];
+        let mut alone = Vec::new();
+        for component in &components {
+            let mut evaluator = BoundEvaluator::new(&join, std::slice::from_ref(component));
+            let value = evaluator.bounds(&base)[0];
+            alone.push((value, evaluator.evaluated(1)));
+        }
+        let one = Some(rat(1));
+        assert_eq!(alone, [(one, 2), (one, 1), (Some(rat(2)), 4)]);
+        let mut fused = BoundEvaluator::new(&join, &components);
+        assert_eq!(fused.bounds(&base), [one, one, Some(rat(2))]);
+        assert_eq!(fused.evaluated(1), 4);
     }
 }

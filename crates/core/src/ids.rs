@@ -179,7 +179,7 @@ impl IdTupleSet {
     }
 
     /// Whether `tuple` is in the set.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn contains(&self, tuple: &[u32]) -> bool {
         self.slots[self.probe(tuple)] != EMPTY
     }

@@ -41,11 +41,12 @@
 //!   paper's `⪯` order;
 //! * **append-only** — [`DbIndex::apply_delta`] only ever *adds* ids (for
 //!   values first seen by a commit); an id, once assigned, never changes or
-//!   disappears. Appended ids carry no order information, so every ordered
-//!   structure here (block order, row order inside a block, the contiguous
-//!   first-key-component span) is maintained in **value order** via
-//!   [`ValueInterner::cmp_ids`], never raw id order — warm and cold indexes
-//!   therefore agree on all orderings even though their id *layouts* differ;
+//!   disappears. An appended id's number carries no order information, so
+//!   every ordered structure here (block order, row order inside a block,
+//!   the contiguous first-key-component span) is maintained in **value
+//!   order** via [`ValueInterner::cmp_ids`], never raw id order — warm and
+//!   cold indexes therefore agree on all orderings even though their id
+//!   *layouts* differ;
 //! * **snapshot-shared** — the interner rides inside the index behind an
 //!   `Arc`; a path-copying commit extends one clone append-only while every
 //!   other snapshot keeps the layout it pinned. The clone copies the
@@ -662,21 +663,6 @@ enum BlockSource<'a> {
 pub struct BlocksMatching<'a, 'p> {
     pattern: &'p [Option<u32>],
     source: BlockSource<'a>,
-}
-
-impl BlocksMatching<'_, '_> {
-    /// How many candidate blocks the iterator has left to examine: the exact
-    /// length of the span (of the block list, or of one posting run) it
-    /// walks, known from the binary searches that found it. An upper bound
-    /// on the blocks it yields — candidates failing a deeper bound position
-    /// are skipped — and the measure of what walking it costs.
-    pub fn candidates(&self) -> usize {
-        match &self.source {
-            BlockSource::One(slot) => usize::from(slot.is_some()),
-            BlockSource::Run(run) => run.len(),
-            BlockSource::Posted(run) => run.len(),
-        }
-    }
 }
 
 impl<'a> Iterator for BlocksMatching<'a, '_> {

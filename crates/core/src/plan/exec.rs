@@ -3,22 +3,27 @@
 //!
 //! ## What each stage computes
 //!
-//! Nothing between the index and the result row lists an embedding.
+//! Nothing between the index and the result row lists an embedding. The
+//! executor answers a **statement**: one or more aggregates over one body,
+//! one set of predicates and one group-variable list, each with its plan.
 //! `Join` + `PartitionByGroup` find the **group keys** — the free-variable
-//! projections of the open body's embeddings — by [`crate::forall`]'s group
-//! discovery: a key is reported once its variables are bound and some
-//! extension exists, which the existence instance of the bound recursion
-//! decides, and a partial embedding is explored once per projection onto
-//! what the deeper levels read. A listed-groups call probes each listed
-//! key's existence instead. Then, per group, `ForallCheck` +
-//! `AggregateBound` evaluate each bound by the memoised level-by-level
-//! recursion of [`crate::glb`] straight over the index: the ∀embedding
-//! condition gates whole blocks, and each level's sub-aggregate is computed
-//! once per projection onto the variables it reads, shared across every
-//! group that reaches it. The exact fallback is
-//! the one stage that enumerates embeddings: one pinned join per group
-//! collects the blocks whose repairs it walks and, per embedding, its rows in
-//! them and its aggregated value.
+//! projections of the open body's embeddings — once per statement, by
+//! [`crate::forall`]'s group discovery: a key is reported once its
+//! variables are bound and some extension exists, which the existence
+//! component of the bound recursion decides, and a partial embedding is
+//! explored once per projection onto what the deeper levels read. A
+//! listed-groups call runs no discovery: existence is one more component of
+//! each listed key's evaluation. Then, per group, `ForallCheck` +
+//! `AggregateBound` evaluate **every** rewriting-backed bound of every
+//! aggregate — rewritings, extrema, and the certainty the extrema are read
+//! under — in one memoised level-by-level recursion of [`crate::glb`]
+//! straight over the index: the ∀embedding condition gates whole blocks for
+//! the components that ask for it, and each level's sub-problem is computed
+//! once, for every component at once, per projection onto the variables it
+//! reads, shared across every group that reaches it. The exact fallback is
+//! the one stage that enumerates embeddings: one pinned join per group and
+//! aggregate collects the blocks whose repairs it walks and, per embedding,
+//! its rows in them and its aggregated value.
 //!
 //! ## Threading model
 //!
@@ -28,17 +33,17 @@
 //! key**: each worker walks its range of blocks under memos of its own, and
 //! the shards' key sets are merged and sorted. Then the sorted groups are
 //! sharded again: each worker resolves the body once into a [`Join`] over
-//! the shared read-only index and owns one memoised [`BoundEvaluator`] per
-//! bound on it (an extremum with its certainty instance) — sub-aggregates
-//! and certainty verdicts are reused across the groups of one shard, and no
-//! locks are taken on the hot path. The final `RangeMerge` concatenates the
-//! shard outputs in shard order. Groups are sorted by key
-//! **value** (interned ids are compared through
-//! [`rcqa_data::ValueInterner::cmp_id_tuples`], so the order is independent of the id
-//! layout), a group's bounds do not depend on which memo entries its worker
-//! had already filled, and shards are contiguous: the merged answer is
-//! **byte-identical** to the sequential one at every thread count — and to
-//! the answer of a cold rebuild whose interner assigned different ids.
+//! the shared read-only index and owns one memoised [`BoundEvaluator`] of
+//! every component of the statement — sub-problems are reused across the
+//! groups of one shard, and no locks are taken on the hot path. The final
+//! `RangeMerge` concatenates the shard outputs in shard order. Groups are
+//! sorted by key **value** (interned ids are compared through
+//! [`rcqa_data::ValueInterner::cmp_id_tuples`], so the order is independent
+//! of the id layout), a group's bounds do not depend on which memo entries
+//! its worker had already filled, and shards are contiguous: the merged
+//! answer is **byte-identical** to the sequential one at every thread count
+//! — and to the answer of a cold rebuild whose interner assigned different
+//! ids.
 //!
 //! ## Id discipline
 //!
@@ -62,7 +67,8 @@
 //! clamped to the number of shardable items, so a closed query runs inline.
 //! A full evaluation ([`execute`]) always shards, whatever its size. The
 //! groups a serving patch re-derives ([`execute_for_groups`]) are evaluated
-//! on the calling thread.
+//! on the calling thread up to `INLINE_WORK_FLOOR` units of work, and on the
+//! workers past it.
 //!
 //! The executor only ever *borrows* the index ([`ExecContext::index`]), so a
 //! caller may share one immutable index across any number of concurrent
@@ -77,21 +83,22 @@
 use crate::engine::{BoundAnswer, EngineOptions, IdRanges, MAX_REPAIRS};
 use crate::error::CoreError;
 use crate::forall::{CompiledLevels, GroupKeys, Join};
-use crate::glb::BoundEvaluator;
-use crate::ids::{IdRows, IdTupleSet};
+use crate::glb::{BoundEvaluator, Component};
+use crate::ids::IdRows;
 use crate::index::DbIndex;
 use crate::plan::{BoundOp, Plan};
 use crate::prepared::PreparedAggQuery;
-use crate::rewrite::BoundKind;
 use rcqa_data::{AggFunc, Rational, Value};
 use rcqa_query::{AggTerm, Term, Var, VarPredicate};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Everything the executor needs besides the plan itself.
+/// Everything the executor needs besides the aggregates it answers.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
-    /// The prepared query being answered.
+    /// The prepared query whose body and group variables are walked: the
+    /// statement's first aggregate's, whose body every aggregate shares.
     pub prepared: &'a PreparedAggQuery,
     /// The shared block index (built exactly once by the engine entry point).
     pub index: &'a DbIndex,
@@ -103,9 +110,13 @@ pub struct ExecContext<'a> {
     pub residual: &'a [VarPredicate],
 }
 
-/// Executes a plan, returning every group in sorted group-key order, keys in
-/// id space.
-pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<IdRanges, CoreError> {
+/// One aggregate of a statement as the executor answers it: its prepared
+/// query — over the statement's one body — and its plan.
+pub type Aggregate<'a> = (&'a PreparedAggQuery, Plan);
+
+/// Executes the plans of a statement's aggregates, returning every group in
+/// sorted group-key order, keys in id space, with each aggregate's bounds.
+pub fn execute(aggregates: &[Aggregate<'_>], cx: &ExecContext<'_>) -> Result<IdRanges, CoreError> {
     let free = cx.prepared.normalised.body.free_vars();
     let keys = if free.is_empty() {
         // A closed query has one group, with or without an embedding.
@@ -113,41 +124,31 @@ pub fn execute(plan: &Plan, cx: &ExecContext<'_>) -> Result<IdRanges, CoreError>
         keys.push([]);
         keys
     } else {
-        group_ids(cx, free, None)
+        group_ids(cx, free)
     };
-    eval_groups(plan, cx, free, keys, 0)
+    eval_groups(aggregates, cx, free, keys, false, 0)
 }
 
-/// Executes a plan for **only** the groups whose key is in `keys` — ids of
-/// the index's interner, in any order; a row holding an id the interner never
-/// assigned matches no group.
+/// Executes the plans of a statement's aggregates for **only** the groups
+/// whose key is in `keys` — ids of the index's interner, in any order; a row
+/// holding an id the interner never assigned matches no group.
 ///
-/// A listed key is a group iff it extends to an embedding. Two arms find
-/// which do, chosen from the **exact** level-0 span lengths the sorted block
-/// sequence gives in `O(log n)` per key (`Join::level0_span`): while the
-/// keys' spans together hold fewer blocks than the one walk of full
-/// discovery (`per_key_wins`), each key is pinned into the free-variable
-/// slots and its existence probed — every level whose atom carries a bound
-/// variable at a key position prunes its block walk through
+/// A listed key is a group iff it extends to an embedding, which the walk
+/// that evaluates its bounds decides as one more component of the recursion
+/// ([`crate::glb::Component::existence`]): each key is pinned into the
+/// free-variable slots and evaluated once, every level whose atom carries a
+/// bound variable at a key position pruning its block walk through
 /// [`crate::index::RelationIndex::blocks_matching`], so the cost is the keys'
-/// own spans, independent of how many *other* groups exist. Otherwise —
-/// nearly every group is requested, or the group key binds no level-0 key
-/// position and every key's span is the whole relation — the full discovery
-/// runs and its keys are filtered by the list. (Measured on `R(x|y) ⋈
-/// S(y,z|r)` grouped by `x` under `x >= 'x9'`, one block per key, 1 111
-/// groups at 10⁵ facts, one thread, whole call: per key against discovery
-/// 0.14–0.15 / 0.40–0.44 ms at 50 keys, 0.60–0.70 / 0.73–0.83 at 330,
-/// 1.04–1.18 / 1.10–1.26 at 600, 1.81–2.28 / 1.65–1.99 at all 1 111 — a
-/// probe costs one seek more than its share of the walk.) The groups found
-/// are then evaluated on the calling thread until `INLINE_WORK_FLOOR`
-/// units of work are done, and on the workers after that.
+/// own spans, independent of how many *other* groups exist, and no discovery
+/// runs. The groups are evaluated on the calling thread until
+/// `INLINE_WORK_FLOOR` units of work are done, and on the workers after that.
 ///
 /// The returned groups are identical to the corresponding groups of
 /// [`execute`]: a group's bounds are a function of its key, the body and the
 /// index, and requested keys are emitted in the same sorted group-key value
 /// order as a full run (keys with no embedding are absent, exactly as there).
 pub fn execute_for_groups(
-    plan: &Plan,
+    aggregates: &[Aggregate<'_>],
     cx: &ExecContext<'_>,
     keys: &IdRows,
 ) -> Result<IdRanges, CoreError> {
@@ -155,105 +156,55 @@ pub fn execute_for_groups(
     if free.is_empty() {
         // A closed query has a single (empty-keyed) group; filtering does not
         // apply.
-        return execute(plan, cx);
+        return execute(aggregates, cx);
     }
     debug_assert_eq!(keys.width(), free.len(), "a key per group variable");
     let interner = cx.index.interner();
-    let mut only = IdTupleSet::new(free.len());
+    let mut listed = IdRows::new(free.len());
     for key in keys.iter() {
         if key.iter().all(|&id| interner.contains_id(id)) {
-            only.insert(key);
+            listed.push(key.iter().copied());
         }
     }
-    let keys = match only.len() {
-        0 => IdRows::new(free.len()),
-        _ => group_ids(cx, free, Some(&only)),
-    };
-    eval_groups(plan, cx, free, keys, INLINE_WORK_FLOOR)
+    let listed = listed.sorted_dedup(|a, b| interner.cmp_id_tuples(a, b));
+    eval_groups(aggregates, cx, free, listed, true, INLINE_WORK_FLOOR)
 }
 
 /// The `Join + PartitionByGroup` stages of a grouped query: the group keys —
-/// every free-variable projection of an embedding of the open body, or
-/// `only` those of the listed keys that have one — as id rows in group-key
-/// value order (via [`rcqa_data::ValueInterner::cmp_id_tuples`], which makes
-/// the order independent of both discovery order and the interner's id
-/// layout).
+/// every free-variable projection of an embedding of the open body — as id
+/// rows in group-key value order (via
+/// [`rcqa_data::ValueInterner::cmp_id_tuples`], which makes the order
+/// independent of both discovery order and the interner's id layout).
 ///
-/// Listed keys whose level-0 spans are small against the relation
-/// ([`per_key_wins`]) are probed one by one on the calling thread. Otherwise
-/// the level-0 blocks are cut into contiguous ranges, one discovery per
+/// The level-0 blocks are cut into contiguous ranges, one discovery per
 /// worker, and the keys found are merged, sorted and deduplicated.
-fn group_ids(cx: &ExecContext<'_>, free: &[Var], only: Option<&IdTupleSet>) -> IdRows {
+fn group_ids(cx: &ExecContext<'_>, free: &[Var]) -> IdRows {
     let open = cx.prepared.compiled_open_levels();
     let free_slots = slots_of(open, free);
     let unbound = open.unbound_ids();
     let join = Join::new(open, cx.index);
-    let bind = |initial: &mut [u32], key: &[u32]| {
-        for (&slot, &id) in free_slots.iter().zip(key) {
-            initial[slot] = id;
-        }
-    };
-    let per_key = only.filter(|only| {
-        let mut initial = unbound.clone();
-        let spans = (0..only.len()).map(|k| {
-            bind(&mut initial, only.tuple(k));
-            join.level0_span(&initial)
-        });
-        per_key_wins(spans, join.level0_span(&unbound))
+    let mut blocks = Vec::new();
+    join.level0_blocks(&unbound, &mut blocks);
+    let shards = run_shards(shard(blocks, cx.options.resolve_threads()), |blocks| {
+        let mut keys = GroupKeys::new(&join, &free_slots);
+        keys.walk_blocks(&unbound, &blocks);
+        keys.found
     });
-    let shards = match per_key {
-        Some(only) => {
-            let mut existence = BoundEvaluator::existence(&join);
-            let mut found = IdRows::new(free.len());
-            let mut initial = unbound.clone();
-            for k in 0..only.len() {
-                bind(&mut initial, only.tuple(k));
-                if existence.holds(0, &mut initial) {
-                    found.push(only.tuple(k).iter().copied());
-                }
-            }
-            vec![found]
-        }
-        None => {
-            let mut blocks = Vec::new();
-            join.level0_blocks(&unbound, &mut blocks);
-            run_shards(shard(blocks, cx.options.resolve_threads()), |blocks| {
-                let mut keys = GroupKeys::new(&join, &free_slots);
-                keys.walk_blocks(&unbound, &blocks);
-                keys.found
-            })
-        }
-    };
     let mut keys = IdRows::new(free.len());
     for found in &shards {
         for k in 0..found.len() {
-            let key = found.row(k);
-            if only.is_none_or(|only| only.contains(key)) {
-                keys.push(key.iter().copied());
-            }
+            keys.push(found.row(k).iter().copied());
         }
     }
     let interner = cx.index.interner();
     keys.sorted_dedup(|a, b| interner.cmp_id_tuples(a, b))
 }
 
-/// Whether keys whose level-0 spans hold `spans` blocks are probed one by one
-/// rather than found by one discovery over all `pass_blocks` level-0 blocks:
-/// while the spans together hold fewer blocks than the pass walks. Stops
-/// summing at the key that loses.
-fn per_key_wins(spans: impl IntoIterator<Item = usize>, pass_blocks: usize) -> bool {
-    let mut blocks = 0;
-    spans.into_iter().all(|span| {
-        blocks += span;
-        blocks < pass_blocks
-    })
-}
-
 /// The group keys of a grouped query over `index`, in sorted order: the
 /// value-level boundary of `PartitionByGroup` for callers outside the
 /// executor (the engine's candidate-group enumeration).
 pub(crate) fn group_keys(cx: &ExecContext<'_>) -> Vec<Vec<Value>> {
-    let keys = group_ids(cx, cx.prepared.normalised.body.free_vars(), None);
+    let keys = group_ids(cx, cx.prepared.normalised.body.free_vars());
     let interner = cx.index.interner();
     (0..keys.len())
         .map(|g| interner.values_of(keys.row(g)))
@@ -285,66 +236,176 @@ pub(crate) fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R
 }
 
 /// Below this much work — groups plus sub-problems evaluated (memo misses
-/// below level 0, [`BoundEvaluator::evaluated`]), counted as the evaluation
-/// goes, never estimated — the groups of [`execute_for_groups`] are evaluated
-/// on the calling thread; what is left once it is reached is shared by the
+/// below level 0, [`crate::glb::BoundEvaluator::evaluated`]; one sub-problem
+/// computes every bound of the statement), counted as the evaluation goes,
+/// never estimated — the groups of [`execute_for_groups`] are evaluated on
+/// the calling thread; what is left once it is reached is shared by the
 /// workers. A scope of two workers costs 35–100 µs to spawn and join before
-/// either does anything, and the workers share no memo. Measured on the
-/// statement of [`execute_for_groups`]' docs, 2 workers, listed keys spread
-/// over the 84 697 groups of `R(x|y) ⋈ S(y,z|r)` grouped by `x` at 10⁵ facts
-/// (a listed group there is 3–4 units), always inline against always pooled:
-/// 2 keys 8 against 51–58 µs, 16 keys 48–50 against 89–92 µs, 64 keys
-/// 0.16–0.17 against 0.20–0.25 ms, 256 keys 0.69–0.72 against 0.72–1.01 ms;
-/// from 1 024 keys up the pool reads 0–20 % faster (16 384 keys 41–43 against
-/// 37–42 ms). The floor marks where the spawns stop costing.
-pub(crate) const INLINE_WORK_FLOOR: usize = 4096;
+/// either does anything, and the workers share no memo. Measured on
+/// `(x, MAX(r)) <- R(x, y), S(y, z, r)`, 2 workers, listed keys spread over
+/// its 84 697 groups at 10⁵ facts (a listed group there is about 2 units:
+/// itself and its one level-1 sub-problem, shared by both bounds), always
+/// inline against always pooled, four runs: 2 keys 4–7 against 72–76 µs, 16
+/// keys 24–28 against 91–116 µs, 64 keys 0.06–0.12 against 0.14–0.17 ms, 256
+/// keys 0.21–0.42 against 0.28–0.49 ms (inline faster in three runs of
+/// four), 1 024 keys 1.16–1.93 against 0.87–1.27 ms (pooled faster in three
+/// of four), 16 384 keys 10.7–16.5 against 7.9–11.4 ms. The floor marks
+/// where the spawns stop costing: near 1 024 keys, 2 048 units.
+pub(crate) const INLINE_WORK_FLOOR: usize = 2048;
+
+/// Where one bound of one aggregate comes from.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// A rewriting component's value.
+    Rewrite(usize),
+    /// An extremum component's value, a bound only of a certain group.
+    Extremum(usize),
+    /// The group's exact walk ([`Closures::walk`]).
+    Exact,
+}
+
+/// Every rewriting-backed bound of a statement's aggregates as components
+/// of one recursion ([`crate::glb`]): the components in evaluation order,
+/// and where each aggregate's `(glb, lub)` reads its value.
+struct Components {
+    components: Vec<Component>,
+    /// Per aggregate, the source of each requested bound.
+    sources: Vec<[Option<(BoundOp, Source)>; 2]>,
+    /// The component whose value says the group is certain, when some bound
+    /// is an extremum.
+    certainty: Option<usize>,
+    /// The component whose value says the group has an embedding, when the
+    /// groups are listed rather than discovered and some bound is evaluated
+    /// by the recursion.
+    existence: Option<usize>,
+}
+
+impl Components {
+    fn new(aggregates: &[Aggregate<'_>], listed: bool) -> Components {
+        let mut components = Vec::new();
+        let mut push = |component| {
+            components.push(component);
+            components.len() - 1
+        };
+        let mut sources = Vec::with_capacity(aggregates.len());
+        for (prepared, plan) in aggregates {
+            let term = &prepared.normalised.term;
+            let mut source = |op: Option<BoundOp>| {
+                op.map(|op| match op {
+                    BoundOp::Rewrite { combine, choice } => (
+                        op,
+                        Source::Rewrite(push(Component::rewriting(term, combine, choice))),
+                    ),
+                    BoundOp::Extremum { choice } => (
+                        op,
+                        Source::Extremum(push(Component::extremum(term, choice))),
+                    ),
+                    BoundOp::ExactEnumeration => (op, Source::Exact),
+                })
+            };
+            sources.push([source(plan.glb), source(plan.lub)]);
+        }
+        // A ∀-gated component has a value exactly when the group's body is
+        // certain, an ungated one exactly when the group has an embedding
+        // (the `glb` module docs): certainty and existence are read off such
+        // a component when the statement has one, and are components of
+        // their own only when it has none.
+        let bounds = || {
+            sources
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|&(_, source)| source)
+        };
+        let rewriting = bounds().find_map(|source| match source {
+            Source::Rewrite(c) => Some(c),
+            _ => None,
+        });
+        let extremum = bounds().find_map(|source| match source {
+            Source::Extremum(c) => Some(c),
+            _ => None,
+        });
+        let recursive = rewriting.or(extremum).is_some();
+        let certainty = extremum.map(|_| rewriting.unwrap_or_else(|| push(Component::certainty())));
+        let existence =
+            (listed && recursive).then(|| extremum.unwrap_or_else(|| push(Component::existence())));
+        Components {
+            components,
+            sources,
+            certainty,
+            existence,
+        }
+    }
+}
 
 /// The `ForallCheck + AggregateBound + RangeMerge` tail shared by [`execute`]
 /// and [`execute_for_groups`]: evaluates the groups `keys` in order on the
 /// calling thread until `inline` units of work ([`INLINE_WORK_FLOOR`]'s) are
 /// done, then the rest over contiguous shards on the engine's workers,
-/// concatenating the outputs in order. A full evaluation passes `0`. The
-/// keys go out as they came in, less the groups that turned out to have no
-/// row.
+/// concatenating the outputs in order. A full evaluation passes `0`. Listed
+/// groups (`listed`) are kept only where they have an embedding; discovered
+/// ones have one. The keys go out as they came in, less the groups that
+/// turned out to have no row.
 ///
-/// A plan with a [`BoundOp::ExactEnumeration`] bound first collects every
-/// group's block closure and embeddings and checks the closure against the
-/// repair budget ([`Closures::collect`], in group-key order on the calling
-/// thread): an over-budget statement is refused, the same way at every
-/// worker count, before the first repair of any group is walked.
+/// An aggregate with a [`BoundOp::ExactEnumeration`] bound first collects
+/// every group's block closure and embeddings and checks the closure against
+/// the repair budget ([`Closures::collect`], in group-key order on the
+/// calling thread): an over-budget statement is refused, the same way at
+/// every worker count, before the first repair of any group is walked.
 fn eval_groups(
-    plan: &Plan,
+    aggregates: &[Aggregate<'_>],
     cx: &ExecContext<'_>,
     free: &[Var],
     keys: IdRows,
+    listed: bool,
     inline: usize,
 ) -> Result<IdRanges, CoreError> {
-    let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
-    let closures = enumerates
-        .then(|| Closures::collect(cx, free, &keys))
-        .transpose()?;
-    let closures = closures.as_ref();
+    let closures = (aggregates.iter())
+        .map(|&(prepared, plan)| {
+            let enumerates = [plan.glb, plan.lub].contains(&Some(BoundOp::ExactEnumeration));
+            (enumerates)
+                .then(|| Closures::collect(cx, prepared, free, &keys))
+                .transpose()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let components = Components::new(aggregates, listed);
+    let run = |groups, floor| {
+        let closures = &closures;
+        eval_shard(
+            aggregates,
+            &components,
+            cx,
+            free,
+            &keys,
+            groups,
+            closures,
+            floor,
+        )
+    };
     let groups = keys.len();
     let (mut out, done) = match inline {
-        0 => (Vec::with_capacity(groups), 0),
-        _ => eval_shard(plan, cx, free, &keys, 0..groups, closures, inline),
+        0 => (Shard::default(), 0),
+        _ => run(0..groups, inline),
     };
     let rest = shard((done..groups).collect(), cx.options.resolve_threads());
-    let shard_results = run_shards(rest, |groups| {
-        eval_shard(plan, cx, free, &keys, groups, closures, usize::MAX).0
+    let rest = rest.into_iter().map(|groups: Vec<usize>| match groups[..] {
+        [first, ..] => first..first + groups.len(),
+        [] => 0..0,
     });
-    out.extend(shard_results.into_iter().flatten());
-    let keys = if out.len() == groups {
+    for shard in run_shards(rest.collect(), |groups| run(groups, usize::MAX).0) {
+        out.groups.extend(shard.groups);
+        out.bounds.extend(shard.bounds);
+    }
+    let keys = if out.groups.len() == groups {
         keys
     } else {
         let mut kept = IdRows::new(keys.width());
-        for &(g, _) in &out {
+        for &g in &out.groups {
             kept.push(keys.row(g).iter().copied());
         }
         kept
     };
-    let bounds = out.into_iter().map(|(_, bounds)| bounds).collect();
-    Ok(IdRanges::new(keys, bounds))
+    Ok(IdRanges::new(keys, aggregates.len(), out.bounds))
 }
 
 /// What [`BoundOp::ExactEnumeration`] walks the repairs of, per group: the
@@ -380,12 +441,17 @@ impl Closures {
     /// (counted over the blocks of every embedding, no fact materialised),
     /// and the first group in group-key order over [`MAX_REPAIRS`] is the
     /// `Err`.
-    fn collect(cx: &ExecContext<'_>, free: &[Var], keys: &IdRows) -> Result<Closures, CoreError> {
-        let open = cx.prepared.compiled_open_levels();
+    fn collect(
+        cx: &ExecContext<'_>,
+        prepared: &PreparedAggQuery,
+        free: &[Var],
+        keys: &IdRows,
+    ) -> Result<Closures, CoreError> {
+        let open = prepared.compiled_open_levels();
         let interner = cx.index.interner();
         let slot = |v: &Var| slots_of(open, std::slice::from_ref(v))[0];
         let (free_slots, mut pinned) = (slots_of(open, free), open.unbound_ids());
-        let term = match &cx.prepared.normalised.term {
+        let term = match &prepared.normalised.term {
             AggTerm::Const(c) => Ok(*c),
             AggTerm::Var(v) => Err(slot(v)),
         };
@@ -453,6 +519,11 @@ impl Closures {
         Ok(out)
     }
 
+    /// Whether some embedding of group `g` passes the residual predicates.
+    fn has_rows(&self, g: usize) -> bool {
+        self.starts[g].1 < self.starts[g + 1].1
+    }
+
     /// The exact `(glb, lub)` of group `g` under `agg`, or `None` when no
     /// embedding of it passes the residual predicates: one mixed-radix walk
     /// over the choices of its closure blocks, aggregating in each repair the
@@ -515,40 +586,39 @@ fn shard<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// One group's row in id space: its index among the executor's keys, and
-/// its `(glb, lub)`.
-type Row = (usize, (Option<BoundAnswer>, Option<BoundAnswer>));
+/// One bound pair of one aggregate of one group.
+type Pair = (Option<BoundAnswer>, Option<BoundAnswer>);
+
+/// The rows one shard evaluated: the indices of its groups that have a row,
+/// among the executor's keys, and their bounds, one pair per aggregate.
+#[derive(Default)]
+struct Shard {
+    groups: Vec<usize>,
+    bounds: Vec<Pair>,
+}
 
 /// Runs ForallCheck + AggregateBound for one contiguous shard of groups,
-/// sharing one memoised evaluator per bound across the shard — until
-/// `floor` units of work (groups plus sub-problems evaluated) are done.
+/// sharing one memoised evaluator of every component across the shard —
+/// until `floor` units of work (groups plus sub-problems evaluated) are done.
 /// Returns the rows and how many of `groups` were evaluated.
+#[allow(clippy::too_many_arguments)]
 fn eval_shard(
-    plan: &Plan,
+    aggregates: &[Aggregate<'_>],
+    components: &Components,
     cx: &ExecContext<'_>,
     free: &[Var],
     keys: &IdRows,
-    groups: impl IntoIterator<Item = usize>,
-    closures: Option<&Closures>,
+    groups: Range<usize>,
+    closures: &[Option<Closures>],
     floor: usize,
-) -> (Vec<Row>, usize) {
+) -> (Shard, usize) {
     // Analysis implies an acyclic body, whose slot table names every body
     // variable — the free variables (for seeding per-group base bindings)
-    // and the aggregated one included.
-    let join = plan
-        .needs_analysis()
+    // and the aggregated ones included.
+    let join = (!components.components.is_empty())
         .then(|| Join::new(cx.prepared.body.compiled_levels(), cx.index));
-    let evaluator = |op: Option<BoundOp>| {
-        let (join, term) = (join.as_ref()?, &cx.prepared.normalised.term);
-        match op? {
-            BoundOp::Rewrite { combine, choice } => {
-                Some(BoundEvaluator::rewriting(join, term, combine, choice))
-            }
-            BoundOp::Extremum { choice } => Some(BoundEvaluator::extremum(join, term, choice)),
-            BoundOp::ExactEnumeration => None,
-        }
-    };
-    let (mut glb, mut lub) = (evaluator(plan.glb), evaluator(plan.lub));
+    let mut evaluator =
+        (join.as_ref()).map(|join| BoundEvaluator::new(join, &components.components));
     let (free_slots, mut base) = match &join {
         Some(join) => (
             slots_of(join.compiled(), free),
@@ -557,49 +627,59 @@ fn eval_shard(
         None => (Vec::new(), Vec::new()),
     };
     let mut level0 = Vec::new();
-    let mut out = Vec::new();
+    let mut out = Shard::default();
     let mut done = 0;
     for g in groups {
-        let work = |e: &Option<BoundEvaluator>| e.as_ref().map_or(0, BoundEvaluator::work);
-        if done + work(&glb) + work(&lub) >= floor {
+        if done + evaluator.as_ref().map_or(0, BoundEvaluator::work) >= floor {
             break;
         }
         done += 1;
         let key_ids = keys.row(g);
-        for (&slot, &id) in free_slots.iter().zip(key_ids) {
-            base[slot] = id;
-        }
-        // One walk serves both bounds. Residual predicates are invisible to
-        // group discovery, so the walk may find that a candidate group has no
-        // satisfying embedding at all — such a group is not a possible answer
-        // and has no row. (Closed queries keep their single row: a scalar
-        // query honestly answers ⊥.)
-        let exact = closures.map(|closures| closures.walk(g, cx.prepared.normalised.agg));
-        if exact == Some(None) && !key_ids.is_empty() {
+        // Residual predicates are invisible to group discovery, so the exact
+        // walk may find that a candidate group has no satisfying embedding at
+        // all — such a group is not a possible answer and has no row; nor has
+        // a listed key without an embedding. (Closed queries keep their
+        // single row: a scalar query honestly answers ⊥.)
+        let open = !key_ids.is_empty();
+        if open && closures.iter().flatten().any(|c| !c.has_rows(g)) {
             continue;
         }
-        let exact = exact.flatten().unwrap_or_default();
-        if let Some(join) = &join {
-            join.level0_blocks(&base, &mut level0);
-        }
-        let mut answer = |op, kind, evaluator: Option<&mut BoundEvaluator>| {
-            let value = match op {
-                BoundOp::ExactEnumeration => match kind {
-                    BoundKind::Glb => exact.0,
-                    BoundKind::Lub => exact.1,
-                },
-                BoundOp::Rewrite { .. } | BoundOp::Extremum { .. } => evaluator
-                    .expect("a rewriting-backed operator has its evaluator")
-                    .bound_ids(&mut base, &level0),
-            };
-            BoundAnswer {
-                value,
-                method: op.into(),
+        let values = match (&join, &mut evaluator) {
+            (Some(join), Some(evaluator)) => {
+                for (&slot, &id) in free_slots.iter().zip(key_ids) {
+                    base[slot] = id;
+                }
+                join.level0_blocks(&base, &mut level0);
+                evaluator.bounds_ids(&mut base, &level0)
             }
+            _ => &[],
         };
-        let glb = plan.glb.map(|op| answer(op, BoundKind::Glb, glb.as_mut()));
-        let lub = plan.lub.map(|op| answer(op, BoundKind::Lub, lub.as_mut()));
-        out.push((g, (glb, lub)));
+        if open && components.existence.is_some_and(|e| values[e].is_none()) {
+            continue;
+        }
+        let certain = components.certainty.is_some_and(|c| values[c].is_some());
+        for ((prepared, _), (sources, closures)) in aggregates
+            .iter()
+            .zip(components.sources.iter().zip(closures))
+        {
+            let exact = closures
+                .as_ref()
+                .and_then(|closures| closures.walk(g, prepared.normalised.agg))
+                .unwrap_or_default();
+            let answer = |bound: Option<(BoundOp, Source)>, exact: Option<Rational>| {
+                bound.map(|(op, source)| BoundAnswer {
+                    value: match source {
+                        Source::Rewrite(c) => values[c],
+                        Source::Extremum(c) => values[c].filter(|_| certain),
+                        Source::Exact => exact,
+                    },
+                    method: op.into(),
+                })
+            };
+            out.bounds
+                .push((answer(sources[0], exact.0), answer(sources[1], exact.1)));
+        }
+        out.groups.push(g);
     }
     (out, done)
 }
@@ -759,25 +839,10 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_joined_one_by_one_while_their_spans_undercut_the_pass() {
-        // One block per key: every key set but the whole relation.
-        assert!(per_key_wins([1; 2], 20));
-        assert!(per_key_wins([1; 19], 20));
-        assert!(!per_key_wins([1; 20], 20));
-        // A group key bound at no level-0 key position spans the relation:
-        // one key is a pass already.
-        assert!(!per_key_wins([20], 20));
-        // Uneven spans count by their blocks, not by their keys.
-        assert!(per_key_wins([12, 7], 20));
-        assert!(!per_key_wins([12, 7, 1], 20));
-        assert!(!per_key_wins([0], 0));
-    }
-
-    #[test]
     fn listed_groups_run_inline_below_the_floor() {
         // Twenty groups `x00 … x19`, group `i` joining `y{i % 5}`: the first
-        // five each bring one new level-1 sub-problem per bound, the rest
-        // none.
+        // five each bring one new level-1 sub-problem — one for every bound,
+        // certainty and existence together — the rest none.
         let schema = Schema::new()
             .with_relation("R", Signature::new(2, 1, []).unwrap())
             .with_relation("S", Signature::new(3, 2, [2]).unwrap());
@@ -796,7 +861,10 @@ mod tests {
             db.schema(),
         )
         .unwrap();
-        let plan = engine.plan(NumericDomain::NonNegative, true, true);
+        let aggregates = [(
+            engine.prepared(),
+            engine.plan(NumericDomain::NonNegative, true, true),
+        )];
         let index = DbIndex::new(&db);
         let cx = ExecContext {
             prepared: engine.prepared(),
@@ -805,23 +873,32 @@ mod tests {
             residual: &[],
         };
         let free = cx.prepared.normalised.body.free_vars();
-        let keys = group_ids(&cx, free, None);
+        let keys = group_ids(&cx, free);
         assert_eq!(keys.len(), 20);
-        let run = |floor| eval_shard(&plan, &cx, free, &keys, 0..20, None, floor);
+        let components = Components::new(&aggregates, true);
+        let run = |floor| {
+            eval_shard(
+                &aggregates,
+                &components,
+                &cx,
+                free,
+                &keys,
+                0..20,
+                &[None],
+                floor,
+            )
+        };
         let (all, done) = run(usize::MAX);
-        assert_eq!(done, 20);
+        assert_eq!((done, all.groups.len()), (20, 20));
         // The work of a group is counted once it is done: group `x00` is one
-        // unit plus `y0` under both bounds.
-        for (floor, inline) in [(0, 0), (1, 1), (3, 1), (4, 2), (6, 2), (7, 3)] {
+        // unit plus `y0`, once for every bound.
+        for (floor, inline) in [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3)] {
             assert_eq!(run(floor).1, inline, "floor {floor}");
         }
         // Wherever the cut falls, the pooled rest completes the same rows.
-        let all = IdRanges::new(
-            keys.clone(),
-            all.into_iter().map(|(_, bounds)| bounds).collect(),
-        );
-        for floor in [0, 1, 7, 16, usize::MAX] {
-            let got = eval_groups(&plan, &cx, free, keys.clone(), floor).unwrap();
+        let all = IdRanges::new(keys.clone(), 1, all.bounds);
+        for floor in [0, 1, 5, 16, usize::MAX] {
+            let got = eval_groups(&aggregates, &cx, free, keys.clone(), true, floor).unwrap();
             assert_eq!(got, all);
         }
     }

@@ -10,10 +10,12 @@
 //!   counts quadruples the embeddings, and the allocation count of one
 //!   `range_with_index` must stay well under 1.5× (materialising each
 //!   embedding as a slot vector of values made it ≈ 4×).
-//! * **Sub-problems follow the join values, not the groups.** The level-1
-//!   sub-aggregate of that join is a function of `y` alone, so however many
-//!   `R` blocks (groups) join each `y`, the level-1 sub-problems evaluated
-//!   are exactly the distinct `y` — for the rewriting and for the extremum.
+//! * **Sub-problems follow the join values, not the groups or the bounds.**
+//!   The level-1 sub-aggregate of that join is a function of `y` alone, so
+//!   however many `R` blocks (groups) join each `y`, the level-1
+//!   sub-problems evaluated are exactly the distinct `y` — one evaluator
+//!   computing the rewriting, the extremum and certainty in each, and as
+//!   many for every bound of a two-aggregate statement.
 //!
 //! The allocation counter is thread-local and the engine runs with
 //! `threads: 1` (inline on the calling thread), so libtest's own threads
@@ -22,10 +24,11 @@
 
 use rcqa_core::engine::{EngineOptions, RangeCqa};
 use rcqa_core::forall::{Join, Valuation};
-use rcqa_core::glb::{BoundEvaluator, Choice};
+use rcqa_core::glb::{BoundEvaluator, Component};
 use rcqa_core::index::DbIndex;
+use rcqa_core::plan::BoundOp;
 use rcqa_core::PreparedAggQuery;
-use rcqa_data::{AggFunc, DatabaseInstance, Fact, Schema, Signature, Value};
+use rcqa_data::{DatabaseInstance, Fact, NumericDomain, Schema, Signature, Value};
 use rcqa_query::{parse_agg_query, Var};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,38 +138,76 @@ fn allocations_follow_blocks_and_groups_not_embeddings() {
     );
 }
 
-/// The level-1 sub-problems the rewriting and the extremum of `(x, MAX(r))`
-/// evaluate over `groups` groups, each evaluator answering every group.
-fn level_1_evaluations(groups: usize) -> (usize, usize) {
+/// The components the executor evaluates for the bounds of `aggregates`
+/// over one body: a rewriting or an extremum per bound, as each engine plans
+/// it, and certainty for the extrema.
+fn components(aggregates: &[&str], db: &DatabaseInstance) -> Vec<Component> {
+    let mut components = Vec::new();
+    for text in aggregates {
+        let engine = RangeCqa::new(&parse_agg_query(text).unwrap(), db.schema()).unwrap();
+        let term = &engine.prepared().normalised.term;
+        let plan = engine.plan(NumericDomain::NonNegative, true, true);
+        for op in [plan.glb, plan.lub].into_iter().flatten() {
+            components.push(match op {
+                BoundOp::Rewrite { combine, choice } => Component::rewriting(term, combine, choice),
+                BoundOp::Extremum { choice } => Component::extremum(term, choice),
+                BoundOp::ExactEnumeration => panic!("{text} has a rewriting-backed plan"),
+            });
+        }
+    }
+    components.push(Component::certainty());
+    components
+}
+
+/// The level-1 sub-problems one evaluator of every bound of `aggregates`
+/// (each `(x, AGG(r)) <- R(x, y), S(y, z, r)`) evaluates over `groups`
+/// groups, answering every group.
+fn level_1_evaluations(aggregates: &[&str], groups: usize) -> usize {
     let db = instance(groups, 2);
     let index = DbIndex::new(&db);
-    let query = parse_agg_query("(x, MAX(r)) <- R(x, y), S(y, z, r)").unwrap();
+    let query = parse_agg_query(aggregates[0]).unwrap();
     let prepared = PreparedAggQuery::new(&query, db.schema()).unwrap();
     let join = Join::new(prepared.body.compiled_levels(), &index);
-    let term = &prepared.normalised.term;
-    let mut rewriting = BoundEvaluator::rewriting(&join, term, AggFunc::Max, Choice::Minimise);
-    let mut extremum = BoundEvaluator::extremum(&join, term, Choice::Maximise);
+    let components = components(aggregates, &db);
+    let mut evaluator = BoundEvaluator::new(&join, &components);
     for g in 0..groups {
         let base = Valuation::from([(Var::new("x"), text("x", g))]);
-        assert!(rewriting.bound(&base).is_some(), "group {g} is certain");
-        assert!(extremum.bound(&base).is_some(), "group {g} is certain");
+        let values = evaluator.bounds(&base);
+        assert!(values.iter().all(Option::is_some), "group {g} is certain");
     }
     assert_eq!(
-        rewriting.evaluated(0),
+        evaluator.evaluated(0),
         groups,
         "level 0 is the group itself"
     );
-    (rewriting.evaluated(1), extremum.evaluated(1))
+    evaluator.evaluated(1)
 }
+
+const MAX: &str = "(x, MAX(r)) <- R(x, y), S(y, z, r)";
+const MIN: &str = "(x, MIN(r)) <- R(x, y), S(y, z, r)";
 
 #[test]
 fn level_1_sub_problems_follow_the_join_values_not_the_groups() {
     // `GROUPS` groups already reach every `y`; four times as many `R` blocks
-    // per `y` leave the level-1 work where it was.
+    // per `y` leave the level-1 work where it was. The GLB (the rewriting),
+    // the LUB (the extremum) and certainty share each sub-problem.
     for groups in [GROUPS, 4 * GROUPS] {
         assert_eq!(
-            level_1_evaluations(groups),
-            (Y_VALUES, Y_VALUES),
+            level_1_evaluations(&[MAX], groups),
+            Y_VALUES,
+            "{groups} groups over {Y_VALUES} join values"
+        );
+    }
+}
+
+#[test]
+fn a_two_aggregate_statement_walks_each_join_value_once() {
+    // MAX and MIN over one body: four bounds and certainty, and still one
+    // level-1 sub-problem per `y`, not one per aggregate.
+    for groups in [GROUPS, 4 * GROUPS] {
+        assert_eq!(
+            level_1_evaluations(&[MAX, MIN], groups),
+            Y_VALUES,
             "{groups} groups over {Y_VALUES} join values"
         );
     }

@@ -9,13 +9,17 @@
 //! equal the whole-instance repair enumeration, row for row, at 1 and 4
 //! executor threads, through the full and the listed-groups entry points;
 //! and the groups must be exactly the free-variable projections of the
-//! embeddings.
+//! embeddings. A statement of several aggregates over one body is one walk
+//! per group for all of them ([`RangeCqa::range_statement`]), and each of its
+//! aggregates must answer exactly what its engine answers alone.
 
 use proptest::prelude::*;
 use rcqa_core::engine::{EngineOptions, GroupRange, Method, RangeCqa};
+use rcqa_core::error::CoreError;
 use rcqa_core::exact::exact_bounds_by_group_filtered;
 use rcqa_core::forall::{embeddings, Valuation};
 use rcqa_core::index::DbIndex;
+use rcqa_core::IdRows;
 use rcqa_data::{fact, DatabaseInstance, Fact, Schema, Signature, Value};
 use rcqa_query::{parse_agg_query, CmpOp, Var, VarPredicate};
 use std::collections::BTreeSet;
@@ -216,4 +220,163 @@ fn groups_sharing_a_hot_join_value_get_their_own_bounds() {
     for (text, preds) in shapes() {
         assert_agrees(&db, &text, &preds);
     }
+}
+
+/// Multi-aggregate statements over one body: `(heads, predicates)`. Between
+/// them they put every operator in one walk — MAX with MIN (two rewritings,
+/// two extrema, certainty), SUM with COUNT (two rewritings beside two exact
+/// LUBs), MAX with SUM (a rewriting, an extremum and an exact walk) — and a
+/// residual predicate (`r` sits at no key position) puts every bound of MAX
+/// with SUM on the exact walk.
+fn statements() -> Vec<(&'static str, [&'static str; 2], Vec<VarPredicate>)> {
+    let residual = vec![pred("r", CmpOp::Ge, Value::int(10))];
+    let mut out = Vec::new();
+    for body in [
+        "(x, {}) <- R(x, y), S(y, z, r)",
+        "(z, {}) <- R(x, y), S(y, z, r)",
+        "{} <- R(x, y), S(y, z, r)",
+        "(x, {}) <- R(x, y), C(y, z), T(z, r)",
+    ] {
+        out.push((body, ["MAX(r)", "MIN(r)"], vec![]));
+        out.push((body, ["SUM(r)", "COUNT(*)"], vec![]));
+        out.push((body, ["MAX(r)", "SUM(r)"], vec![]));
+        out.push((body, ["MAX(r)", "SUM(r)"], residual.clone()));
+    }
+    out
+}
+
+/// Every aggregate of `heads` over `body`, as one statement and alone, at 1
+/// and 4 threads, fully and for listed groups, against the oracle.
+fn assert_statement_agrees(
+    seed: u64,
+    db: &DatabaseInstance,
+    body: &str,
+    heads: &[&str],
+    preds: &[VarPredicate],
+) {
+    let index = DbIndex::new(db);
+    let interner = index.interner();
+    let case = format!("seed {seed}: {heads:?} over {body} {preds:?}");
+    for threads in [1, 4] {
+        let engines: Vec<RangeCqa> = heads
+            .iter()
+            .map(|head| {
+                RangeCqa::new(
+                    &parse_agg_query(&body.replace("{}", head)).unwrap(),
+                    db.schema(),
+                )
+                .unwrap()
+                .with_predicates(preds.to_vec())
+                .unwrap()
+                .with_options(EngineOptions { threads })
+            })
+            .collect();
+        let full = RangeCqa::range_statement(&engines, db, &index, None).unwrap();
+        assert_eq!(full.aggregates(), heads.len(), "{case}");
+        // The listed keys: every other group, one key twice, and a key with
+        // an id the interner never assigned.
+        let width = full.keys().width();
+        let mut listed = IdRows::new(width);
+        for (i, key) in full.keys().iter().enumerate() {
+            if i % 2 == 0 || i == 1 {
+                listed.push(key.iter().copied());
+            }
+            if i == 1 {
+                listed.push(key.iter().copied());
+            }
+        }
+        if width > 0 {
+            listed.push(std::iter::repeat_n(interner.len() as u32, width));
+        }
+        let some = RangeCqa::range_statement(&engines, db, &index, Some(&listed)).unwrap();
+        for (a, engine) in engines.iter().enumerate() {
+            let alone = engine.range_with_index(db, &index).unwrap();
+            assert_eq!(
+                full.to_rows(a, interner),
+                alone,
+                "{case}: {} @{threads}T",
+                heads[a]
+            );
+            let oracle =
+                exact_bounds_by_group_filtered(engine.prepared(), db, u128::MAX, preds).unwrap();
+            let want: Vec<_> = (oracle.iter())
+                .map(|(key, bounds)| (key.clone(), bounds.glb, bounds.lub))
+                .collect();
+            let got: Vec<_> = (alone.iter())
+                .map(|row| {
+                    (
+                        row.key.clone(),
+                        row.glb.unwrap().value,
+                        row.lub.unwrap().value,
+                    )
+                })
+                .collect();
+            assert_eq!(got, want, "{case}: {} against the oracle", heads[a]);
+            let alone = engine.range_for_group_ids(db, &index, &listed).unwrap();
+            assert_eq!(
+                some.to_rows(a, interner),
+                alone.to_rows(0, interner),
+                "{case}: {} listed @{threads}T",
+                heads[a]
+            );
+        }
+    }
+}
+
+/// SplitMix64: a seeded stream of draws, so that a failing case is rebuilt
+/// from the seed its message prints.
+fn draws(seed: u64) -> impl Iterator<Item = u64> {
+    let mut state = seed;
+    std::iter::from_fn(move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        Some(z ^ (z >> 31))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_aggregate_of_a_statement_answers_as_its_engine_alone(
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut draws = draws(seed);
+        let facts = draws.next().unwrap() % 16;
+        let mut db = DatabaseInstance::new(schema());
+        for draw in draws.take(facts as usize) {
+            db.insert(pool_fact(draw % 1_000_000)).expect("pool facts conform");
+        }
+        for (body, heads, preds) in statements() {
+            assert_statement_agrees(seed, &db, body, &heads, &preds);
+        }
+    }
+}
+
+#[test]
+fn engines_over_different_bodies_are_not_one_statement() {
+    let db = DatabaseInstance::new(schema());
+    let engine = |text: &str| RangeCqa::new(&parse_agg_query(text).unwrap(), db.schema()).unwrap();
+    let index = DbIndex::new(&db);
+    let max = engine("(x, MAX(r)) <- R(x, y), S(y, z, r)");
+    for other in [
+        engine("(x, MIN(r)) <- U(x, y, r), C(y, z)"),
+        engine("(x, MIN(r)) <- R(x, y), S(y, z, r)")
+            .with_predicates(vec![pred("x", CmpOp::Ge, Value::text("x3"))])
+            .unwrap(),
+    ] {
+        let statement = [max.clone(), other];
+        let got = RangeCqa::range_statement(&statement, &db, &index, None);
+        assert!(
+            matches!(got, Err(CoreError::StatementMismatch(_))),
+            "{got:?}"
+        );
+    }
+    let got = RangeCqa::range_statement(&[], &db, &index, None);
+    assert!(
+        matches!(got, Err(CoreError::StatementMismatch(_))),
+        "{got:?}"
+    );
 }

@@ -9,15 +9,20 @@
 //!   value order (the paper's `⪯` tie-breaking survives interning for free);
 //! * the **append-only overlay** `sorted_len()..len()`: ids handed out by
 //!   [`ValueInterner::intern`] for values first seen by a later commit, in
-//!   arrival order. Overlay ids carry no order information — comparisons
-//!   involving them fall back to materialising the values — but they are
-//!   **stable**: an id, once assigned, never changes or disappears, so
-//!   structurally-shared snapshots of interned storage can span commits.
+//!   arrival order. An overlay id's number carries no order information, so
+//!   each overlay value is stored beside its **prefix rank** — how many
+//!   prefix values sort below it — which places it between two neighbouring
+//!   prefix ids. The ids are **stable**: an id, once assigned, never changes
+//!   or disappears, so structurally-shared snapshots of interned storage can
+//!   span commits.
 //!
 //! Id equality always coincides with value equality (each distinct value has
 //! exactly one id), which is what lets the hot paths hash and compare raw
-//! `u32`s. Exact ordering is provided by [`ValueInterner::cmp_ids`], which is
-//! a plain integer comparison whenever both ids sit in the sorted prefix.
+//! `u32`s. Exact ordering is provided by [`ValueInterner::cmp_ids`]: a plain
+//! integer comparison when both ids sit in the sorted prefix, a comparison
+//! of a prefix id with an overlay value's rank when one does, and of two
+//! overlay values' ranks when neither does — two overlay values are compared
+//! as values only when no prefix value sorts between them.
 //!
 //! Two ids are reserved as caller-side sentinels and never assigned:
 //! [`UNBOUND_ID`] (an unbound join slot) and [`MISSING_ID`] (a query constant
@@ -53,8 +58,9 @@ pub const MAX_INTERNED: usize = (u32::MAX - 2) as usize;
 pub struct ValueInterner {
     /// Ids `0..sorted.len()`, in ascending `Value` order. Frozen at build.
     sorted: Arc<Vec<Value>>,
-    /// Ids `sorted.len()..`, in arrival order.
-    appended: ChunkedSeq<Value>,
+    /// Ids `sorted.len()..`, in arrival order, each value beside its prefix
+    /// rank: the number of prefix values below it (none equals it).
+    appended: ChunkedSeq<(Value, u32)>,
     /// The overlay's ids, sorted by their value — the overlay's lookup side.
     appended_by_value: ChunkedSeq<u32>,
 }
@@ -125,16 +131,25 @@ impl ValueInterner {
     /// Interns `v`, returning its (existing or freshly appended) id.
     /// Append-only: already-assigned ids are never disturbed.
     pub fn intern(&mut self, v: &Value) -> u32 {
-        if let Some(id) = self.id_of(v) {
-            return id;
-        }
+        // One search of each side: the prefix's gives the rank a fresh value
+        // is stored with, the overlay's the place its id goes.
+        let rank = match self.prefix_rank(v) {
+            Ok(id) => return id,
+            Err(rank) => rank,
+        };
+        let at = match (self.appended_by_value).search_by(|&other| self.value(other).cmp(v)) {
+            Ok(at) => {
+                return self
+                    .appended_by_value
+                    .get(at)
+                    .copied()
+                    .expect("found in the overlay")
+            }
+            Err(at) => at,
+        };
         assert!(self.len() < MAX_INTERNED, "interner capacity exhausted");
         let id = self.len() as u32;
-        self.appended.insert(self.appended.len(), v.clone());
-        let at = self
-            .appended_by_value
-            .search_by(|&other| self.value(other).cmp(v))
-            .expect_err("v is not interned");
+        self.appended.insert(self.appended.len(), (v.clone(), rank));
         self.appended_by_value.insert(at, id);
         id
     }
@@ -148,10 +163,15 @@ impl ValueInterner {
         if id < self.sorted.len() {
             &self.sorted[id]
         } else {
-            self.appended
-                .get(id - self.sorted.len())
-                .expect("id assigned by this interner")
+            &self.overlay(id).0
         }
+    }
+
+    /// The overlay entry of an overlay id: its value and its prefix rank.
+    fn overlay(&self, id: usize) -> &(Value, u32) {
+        self.appended
+            .get(id - self.sorted.len())
+            .expect("id assigned by this interner")
     }
 
     /// Returns `true` if `id` names an interned value (sentinels and
@@ -160,17 +180,38 @@ impl ValueInterner {
         (id as usize) < self.len()
     }
 
-    /// Exact value order of two assigned ids: a plain integer comparison when
-    /// both sit in the sorted prefix, a materialised [`Value`] comparison
-    /// otherwise. Equal ids are equal values by construction.
+    /// Exact value order of two assigned ids, by integers wherever the
+    /// sorted prefix decides it: two prefix ids compare as ids; a prefix id
+    /// `p` lies below an overlay value of rank `r` iff `p < r` (the prefix
+    /// values below it are exactly ids `0..r`); two overlay values of
+    /// different ranks are ordered by their ranks. Only two overlay values of
+    /// one rank — no prefix value between them — are compared as
+    /// [`Value`]s. Equal ids are equal values by construction.
     pub fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
         if a == b {
             return Ordering::Equal;
         }
-        if (a as usize) < self.sorted.len() && (b as usize) < self.sorted.len() {
-            return a.cmp(&b);
+        let prefix = self.sorted.len();
+        match ((a as usize) < prefix, (b as usize) < prefix) {
+            (true, true) => a.cmp(&b),
+            (true, false) => Self::prefix_against(a, self.overlay(b as usize).1),
+            (false, true) => Self::prefix_against(b, self.overlay(a as usize).1).reverse(),
+            (false, false) => {
+                let ((va, ra), (vb, rb)) = (self.overlay(a as usize), self.overlay(b as usize));
+                ra.cmp(rb).then_with(|| va.cmp(vb))
+            }
         }
-        self.value(a).cmp(self.value(b))
+    }
+
+    /// The order of prefix id `id` against a value **not** in the prefix
+    /// whose prefix rank is `rank`: every prefix id below the rank sorts
+    /// below the value, every other one above it.
+    fn prefix_against(id: u32, rank: u32) -> Ordering {
+        if id < rank {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        }
     }
 
     /// Locates `v` relative to the **sorted prefix**: `Ok(id)` when `v` is
@@ -191,23 +232,25 @@ impl ValueInterner {
     /// Value order of an assigned id against an arbitrary probe value (which
     /// need not be interned), given the probe's precomputed
     /// [`ValueInterner::prefix_rank`]: integer-only when the id sits in the
-    /// sorted prefix, a materialised comparison for overlay ids.
+    /// sorted prefix, or when the id is an overlay value's and the prefix
+    /// holds the probe or separates the two; a materialised comparison only
+    /// for an overlay value of the probe's own rank.
     pub fn cmp_id_to_value(&self, id: u32, v: &Value, rank: Result<u32, u32>) -> Ordering {
         if (id as usize) < self.sorted.len() {
             return match rank {
                 Ok(r) => id.cmp(&r),
                 // v sits strictly between prefix ranks r-1 and r: every id
                 // below r is less than v, every id at or above r is greater.
-                Err(r) => {
-                    if id < r {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    }
-                }
+                Err(r) => Self::prefix_against(id, r),
             };
         }
-        self.value(id).cmp(v)
+        let (value, own) = self.overlay(id as usize);
+        match rank {
+            // The probe is prefix value `r`, which the overlay value is above
+            // iff `r` is among the prefix values below it.
+            Ok(r) => Self::prefix_against(r, *own).reverse(),
+            Err(r) => own.cmp(&r).then_with(|| value.cmp(v)),
+        }
     }
 
     /// Lexicographic value order of two id tuples (the block-key order of the
@@ -406,6 +449,66 @@ mod tests {
                     prop_assert_eq!(clone.id_of(v), Some(id as u32));
                 } else {
                     prop_assert_eq!(clone.id_of(v), None);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Overlay ranks order like values: a prefix of even integers and
+        /// `m`-texts, and an overlay that interleaves it (odd integers, `n`-
+        /// texts), sorts before it (negative integers, which are numbers, and
+        /// so below every text) and after it (`z`-texts), interned in drawn
+        /// or in reverse value order. `cmp_ids` and `cmp_id_to_value` agree
+        /// with plain `Value` comparison on every pair, and on probes that
+        /// are not interned.
+        #[test]
+        fn overlay_ranks_order_like_values(
+            prefix_draws in proptest::collection::vec((0u8..2, 0i64..30), 0..16),
+            overlay_draws in proptest::collection::vec((0u8..4, 0i64..30), 0..24),
+            reverse in proptest::bool::ANY,
+        ) {
+            let mut interner = build(prefix_draws.iter().map(|&(kind, d)| match kind {
+                0 => Value::int(2 * d),
+                _ => Value::text(format!("m{d:02}")),
+            }));
+            let mut overlay: Vec<Value> = overlay_draws
+                .iter()
+                .map(|&(kind, d)| match kind {
+                    0 => Value::int(2 * d + 1),
+                    1 => Value::int(-1 - d),
+                    2 => Value::text(format!("n{d:02}")),
+                    _ => Value::text(format!("z{d:02}")),
+                })
+                .collect();
+            if reverse {
+                overlay.sort();
+                overlay.dedup();
+                overlay.reverse();
+            }
+            for v in &overlay {
+                interner.intern(v);
+            }
+            let probes = [Value::int(-100), Value::int(3), Value::text("m05"), Value::text("o")];
+            let all: Vec<Value> = (0..interner.len() as u32)
+                .map(|id| interner.value(id).clone())
+                .chain(probes.iter().cloned())
+                .collect();
+            for a in 0..interner.len() as u32 {
+                let va = interner.value(a);
+                for b in 0..interner.len() as u32 {
+                    prop_assert_eq!(
+                        interner.cmp_ids(a, b),
+                        va.cmp(interner.value(b)),
+                        "ids {} / {}", a, b
+                    );
+                }
+                for v in &all {
+                    prop_assert_eq!(
+                        interner.cmp_id_to_value(a, v, interner.prefix_rank(v)),
+                        va.cmp(v),
+                        "id {} against {:?}", a, v
+                    );
                 }
             }
         }

@@ -354,8 +354,9 @@ impl Front {
             .collect()
     }
 
-    /// Splices one aggregate's re-derived rows into its cached rows, in
-    /// place, by the `edits` of [`Front::seats`]: a row seated at an affected
+    /// Splices aggregate `agg`'s re-derived rows (of the statement's `fresh`
+    /// ranges) into its cached rows, in place, by the `edits` of
+    /// [`Front::seats`]: a row seated at an affected
     /// key takes the bounds of the `fresh` row of the same key, or is dropped
     /// when there is none, and a fresh row of a key without a seat goes in
     /// before the row at its seat. The rows are copy-on-write
@@ -375,13 +376,14 @@ impl Front {
         rows: &mut Arc<[GroupRange]>,
         edits: &[Edit],
         fresh: &IdRanges,
+        agg: usize,
         interner: &ValueInterner,
     ) {
         let old = Arc::make_mut(rows);
         if edits.iter().all(|(seat, f)| seat.is_ok() == f.is_some()) {
             for &(seat, f) in edits {
                 if let (Ok(i), Some(f)) = (seat, f) {
-                    (old[i].glb, old[i].lub) = fresh.bounds(f);
+                    (old[i].glb, old[i].lub) = fresh.bounds(agg, f);
                 }
             }
             return;
@@ -397,11 +399,11 @@ impl Front {
                         GroupRange { key, ..*row }
                     }
                     Source::Replaced(i, f) => {
-                        let (glb, lub) = fresh.bounds(f);
+                        let (glb, lub) = fresh.bounds(agg, f);
                         let key = std::mem::take(&mut old[i].key);
                         GroupRange { key, glb, lub }
                     }
-                    Source::Born(f) => fresh.row(f, interner),
+                    Source::Born(f) => fresh.row(agg, f, interner),
                 },
             )
             .collect();
@@ -438,11 +440,12 @@ impl Front {
     }
 
     /// Evaluates every aggregate engine of one statement over one pinned
-    /// snapshot, returning the raw per-aggregate group rows — key-aligned,
-    /// in sorted group-key order, before HAVING / ORDER BY post-processing.
-    /// These are what the result cache keeps as the patch basis, with their
-    /// keys in id space: the column the primary engine's evaluation held
-    /// before it made its keys values.
+    /// snapshot, in one executor call ([`RangeCqa::range_statement`]: one
+    /// discovery and one walk per group for every bound), returning the raw
+    /// per-aggregate group rows — key-aligned, in sorted group-key order,
+    /// before HAVING / ORDER BY post-processing. These are what the result
+    /// cache keeps as the patch basis, with their keys in id space: the
+    /// column the evaluation held before it made its keys values.
     fn raw_rows(
         stmt: &PreparedStatement,
         snapshot: &Snapshot,
@@ -472,17 +475,18 @@ impl Front {
             (stmt.engines.iter().map(|_| rows.clone()).collect(), keys)
         } else {
             let interner = snapshot.index.interner();
-            let (mut per_agg, mut keys) = (Vec::with_capacity(stmt.engines.len()), None);
-            for engine in &stmt.engines {
-                let ranges = engine.range_ids(&snapshot.shape, &snapshot.index)?;
-                // Collected straight into the slice the cache keeps: a mapped
-                // range has a trusted length, so one allocation.
-                let rows = (0..ranges.keys().len()).map(|i| ranges.row(i, interner));
-                per_agg.push(rows.collect());
-                keys.get_or_insert(ranges.into_keys());
-            }
-            let keys = keys.expect("a statement has an aggregate");
-            (per_agg.into(), keys)
+            let ranges =
+                RangeCqa::range_statement(&stmt.engines, &snapshot.shape, &snapshot.index, None)?;
+            // Collected straight into the slices the cache keeps: a mapped
+            // range has a trusted length, so one allocation each.
+            let per_agg = (0..ranges.aggregates())
+                .map(|a| {
+                    (0..ranges.keys().len())
+                        .map(|i| ranges.row(a, i, interner))
+                        .collect()
+                })
+                .collect();
+            (per_agg, ranges.into_keys())
         };
         let primary = &per_agg[0];
         debug_assert!(
@@ -620,6 +624,19 @@ impl Front {
     /// the recompute plus the enumeration that found it (about 1.3 µs per
     /// dirty block).
     ///
+    /// Since one walk answers every bound, re-derivation alone was measured
+    /// again at the engine, on the same statement and instance with no writes
+    /// (the hottest `k` % of its rows by embeddings, listed, against the
+    /// statement's recompute; two runs each, before and after): at 30, 40 and
+    /// 50 % it costs 0.10–0.16, 0.14–0.24 and 0.20–0.34 of the recompute,
+    /// against 0.20–0.35, 0.30–0.50 and 0.45–0.75 when each bound walked
+    /// alone; with MIN as a second aggregate 0.14–0.20, 0.19–0.27 and
+    /// 0.23–0.39, against 0.20–0.33, 0.32–0.48 and 0.50–0.72. The recompute
+    /// itself fell too (1.3–1.6 ms from 2.1–2.2, and 1.4–1.6 from 4.0–4.1
+    /// with MIN). The session-level table above — discovery, splice and
+    /// post-processing included, over real batches — was not re-measured, so
+    /// the cut-off stays at half.
+    ///
     /// The affected key set comes from **one** forward enumeration,
     /// [`RangeCqa::affected_keys`]: every group with an embedding, old or
     /// new, through a block dirtied since the cached epoch — births, value
@@ -628,9 +645,10 @@ impl Front {
     /// dirty keys are the ids the store's commits reported, read against the
     /// pinned index without a lookup: that index descends from every index
     /// that reported them, and ids are append-only along that line. Affected
-    /// keys are then over-deleted and re-derived DRed-style via
-    /// [`RangeCqa::range_for_group_ids`], every engine of the statement from
-    /// the one id set: keys whose embeddings vanished stay gone, new keys
+    /// keys are then over-deleted and re-derived DRed-style by one
+    /// executor call for the whole statement
+    /// ([`RangeCqa::range_statement`] over the one id set, each listed key
+    /// evaluated once for every bound of every aggregate): keys whose embeddings vanished stay gone, new keys
     /// appear, everything else keeps its cached row unexamined. The keys
     /// stay ids from the dirty log to the splice — nothing is resolved
     /// through the interner, and [`Front::seats`] finds them among the
@@ -670,23 +688,20 @@ impl Front {
         if cached_rows >= 16 && affected.len() * 2 > cached_rows {
             return Ok(Err(Miss::OverHalf));
         }
-        let fresh = stmt
-            .engines
-            .iter()
-            .map(|engine| engine.range_for_group_ids(&snapshot.shape, &snapshot.index, &affected))
-            .collect::<Result<Vec<_>, _>>()?;
-        debug_assert!(
-            fresh.iter().all(|f| f.keys() == fresh[0].keys()),
-            "aggregates share body and predicates, so group keys must align"
-        );
+        let fresh = RangeCqa::range_statement(
+            &stmt.engines,
+            &snapshot.shape,
+            &snapshot.index,
+            Some(&affected),
+        )?;
         // Aggregates are key-aligned, so one search seats the keys in all.
         let interner = snapshot.index.interner();
-        let edits = Self::seats(interner, &cached.keys, &affected, fresh[0].keys());
+        let edits = Self::seats(interner, &cached.keys, &affected, fresh.keys());
         let same_groups = edits.iter().all(|(seat, f)| seat.is_ok() == f.is_some());
         let unchanged = same_groups
-            && cached.raw.iter().zip(&fresh).all(|(old, fresh)| {
+            && cached.raw.iter().enumerate().all(|(a, old)| {
                 edits.iter().all(|&(seat, f)| match (seat, f) {
-                    (Ok(i), Some(f)) => (old[i].glb, old[i].lub) == fresh.bounds(f),
+                    (Ok(i), Some(f)) => (old[i].glb, old[i].lub) == fresh.bounds(a, f),
                     _ => true,
                 })
             });
@@ -700,11 +715,11 @@ impl Front {
         // presentation goes first, so that rows it shares with the raw rows
         // are held once and patch in place.
         cached.rows = CachedRows::default();
-        for (rows, fresh) in cached.raw.iter_mut().zip(&fresh) {
-            Self::splice(rows, &edits, fresh, interner);
+        for (a, rows) in cached.raw.iter_mut().enumerate() {
+            Self::splice(rows, &edits, &fresh, a, interner);
         }
         if !same_groups {
-            cached.keys = Self::splice_keys(&cached.keys, &edits, fresh[0].keys());
+            cached.keys = Self::splice_keys(&cached.keys, &edits, fresh.keys());
         }
         if stmt.limit.is_some() {
             AtomicStats::bump(&self.stats.topk_fallbacks);
@@ -958,6 +973,7 @@ mod tests {
                 .collect();
             let fresh = IdRanges::new(
                 ids_of(&interner, &derived),
+                1,
                 (derived.iter())
                     .map(|_| (bound(&mut draws), bound(&mut draws)))
                     .collect(),
@@ -985,12 +1001,12 @@ mod tests {
                 expected.remove(*key);
             }
             for (i, key) in derived.iter().enumerate() {
-                expected.insert((*key).clone(), fresh.row(i, &interner));
+                expected.insert((*key).clone(), fresh.row(0, i, &interner));
             }
             let expected: Vec<GroupRange> = expected.into_values().collect();
             let mut spliced: Arc<[GroupRange]> = rows.clone().into();
             let held = (case % 3 == 0).then(|| spliced.clone());
-            Front::splice(&mut spliced, &edits, &fresh, &interner);
+            Front::splice(&mut spliced, &edits, &fresh, 0, &interner);
             assert_eq!(&spliced[..], &expected[..], "case {case}: rows");
             if let Some(held) = held {
                 assert_eq!(&held[..], &rows[..], "case {case}: a held outcome changed");
