@@ -712,9 +712,15 @@ impl<'a> Join<'a> {
     }
 
     /// Hands `sink` the block each level draws its fact from under the full
-    /// embedding `theta` (every variable bound), and the fact's row in it:
-    /// a repair keeps `theta` iff it picks that row in each of those blocks.
-    pub(crate) fn blocks_of(&self, theta: &[u32], mut sink: impl FnMut(&'a IndexedBlock, usize)) {
+    /// embedding `theta` (every variable bound) — named by its relation and
+    /// its position in the relation's block list — and the fact's row in
+    /// it: a repair keeps `theta` iff it picks that row in each of those
+    /// blocks.
+    pub(crate) fn blocks_of(
+        &self,
+        theta: &[u32],
+        mut sink: impl FnMut((&'a str, usize), &'a IndexedBlock, usize),
+    ) {
         let interner = self.index.interner();
         let mut key = Vec::new();
         for ((lvl, terms), &rel) in self
@@ -728,14 +734,18 @@ impl<'a> Join<'a> {
             key.extend(terms[..lvl.key_len].iter().map(|&term| {
                 bound_id(term, theta).expect("an embedding binds every key position")
             }));
-            let block = rel
-                .block_by_key_ids(&key, interner)
+            let (pos, block) = rel
+                .find_block(&key, interner)
                 .expect("an embedding's fact lies in a stored block");
             let row = (0..block.cols.rows()).find(|&row| {
                 (terms.iter().enumerate())
                     .all(|(pos, &term)| bound_id(term, theta) == Some(block.cols.id_at(row, pos)))
             });
-            sink(block, row.expect("an embedding's fact is a row"));
+            sink(
+                (rel.name(), pos),
+                block,
+                row.expect("an embedding's fact is a row"),
+            );
         }
     }
 

@@ -24,9 +24,16 @@
 //! downstream is dense `u32` ids:
 //!
 //! * each [`IndexedBlock`]'s fact list is **columnar** — one id column per
-//!   argument position ([`FactColumns`], column-major in one allocation), so
-//!   the level walks of the join and the memoised recursions scan
-//!   cache-linear integer columns;
+//!   argument position ([`FactColumns`], column-major), so the level walks of
+//!   the join and the memoised recursions scan cache-linear integer columns;
+//! * a block **lives in its leaf** — it is a 32-byte value in its entry of
+//!   the block list and of each deep posting list: a block of at most
+//!   [`INLINE_IDS`] ids keeps them in the entry itself, a larger one its
+//!   counts there and its ids in one `Arc`-shared allocation. So the level
+//!   walk, the delta enumeration and every binary search of the block list
+//!   read keys and rows out of one contiguous leaf, however the leaf's
+//!   blocks came about — a cold build and a thousand commits lay a small
+//!   block out alike;
 //! * a block's key is not stored: it is the key prefix of the block's first
 //!   row ([`IndexedBlock::key_at`]);
 //! * the deep posting lists are sequences of `(id, block)` ordered by raw
@@ -69,12 +76,16 @@
 //! it the key-sorted block list (and each deep posting list) is a
 //! [`ChunkedSeq`] — a two-level spine over `Arc`-shared leaves of
 //! [`rcqa_data::chunked::MIN_LEAF`]..=[`rcqa_data::chunked::MAX_LEAF`]
-//! blocks; and a block is one `Arc` of columns. Cloning an index is one
-//! pointer bump per relation, and [`DbIndex::apply_delta`] **path-copies**:
-//! per touched relation it copies the spines (one pointer per node of
-//! leaves, and the leaf pointers of the node written), and per touched block
-//! one leaf of each sequence (two where a leaf splits or merges) plus that
-//! block's columns. Nothing in a commit scans the relation: a single-fact
+//! blocks; and a block is a value in its leaf, whose larger form shares its
+//! ids behind an `Arc`. Cloning an index is one pointer bump per relation,
+//! and [`DbIndex::apply_delta`] **path-copies**: per touched relation it
+//! copies the spines (one pointer per node of leaves, and the leaf pointers
+//! of the node written), and per touched block one leaf of each sequence
+//! (two where a leaf splits or merges) — 32-byte entries copied whole, an
+//! inline block's ids with them and a spilled one's by a reference count —
+//! plus, for a spilled block, its edited ids. Editing an inline block
+//! allocates nothing beyond the leaf copy. Nothing in a commit scans the
+//! relation: a single-fact
 //! commit costs `O(blocks / (MIN_LEAF · MIN_NODE) + MAX_NODE + MAX_LEAF)`
 //! (the node bounds are [`ChunkedSeq`]'s).
 //! Every other leaf — and every untouched relation — keeps sharing storage
@@ -102,86 +113,162 @@ use std::sync::Arc;
 /// threads (including executor workers).
 static BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
 
+/// Most ids a block keeps inline, in its own entry of the block list: what
+/// fits beside the form's tag and counts in the 32 bytes a spilled block's
+/// entry takes anyway (asserted below).
+pub const INLINE_IDS: usize = 6;
+
 /// The facts of one block in struct-of-arrays layout: one id column per
-/// argument position, all of equal length, stored column-major in a single
-/// allocation. Row `r` of the block is `(col(0)[r], ..., col(arity-1)[r])`,
-/// and rows are kept in ascending fact ([`Value`]) order. Immutable once
-/// built: maintenance replaces a block's columns with an edited copy.
+/// argument position, all of equal length, stored column-major. Row `r` of
+/// the block is `(col(0)[r], ..., col(arity-1)[r])`, and rows are kept in
+/// ascending fact ([`Value`]) order. Immutable once built: maintenance
+/// replaces a block's columns with an edited copy.
+///
+/// A value, not a pointer, in one of two forms fixed by its size alone — so
+/// a cold build and any sequence of edits reaching the same rows agree on
+/// it:
+///
+/// * **inline** — at most [`INLINE_IDS`] ids (every block of one or two
+///   facts of a width-3 relation, of up to three of a width-2 one) sit in
+///   the value itself: reading the block reads the entry of the sequence
+///   that holds it, and building or editing one allocates nothing;
+/// * **spilled** — a larger block's ids are one `Arc`-shared allocation, its
+///   counts beside the pointer: cloning the value bumps a reference count.
 #[derive(Clone, Debug)]
-pub struct FactColumns {
-    arity: u32,
-    rows: u32,
-    /// `ids[pos * rows + row]`.
-    ids: Box<[u32]>,
+pub struct FactColumns(Form);
+
+/// The two forms of [`FactColumns`], chosen by [`FactColumns::from_fn`]
+/// alone.
+#[derive(Clone, Debug)]
+enum Form {
+    Inline {
+        arity: u8,
+        rows: u8,
+        /// `ids[pos * rows + row]`; the slots past `arity * rows` are 0.
+        ids: [u32; INLINE_IDS],
+    },
+    Spilled {
+        arity: u32,
+        rows: u32,
+        /// `ids[pos * rows + row]`, exactly `arity * rows` of them.
+        ids: Arc<[u32]>,
+    },
 }
 
 impl FactColumns {
+    /// Columns of `rows` rows of width `arity` (at least one of each), the
+    /// id at `(row, pos)` read from `id`, visited column by column: inline
+    /// when they fit, else one exact-size allocation.
+    fn from_fn(arity: usize, rows: usize, mut id: impl FnMut(usize, usize) -> u32) -> FactColumns {
+        let len = arity * rows;
+        let (mut row, mut pos) = (0, 0);
+        let next = move |_| {
+            let at = id(row, pos);
+            row += 1;
+            if row == rows {
+                (row, pos) = (0, pos + 1);
+            }
+            at
+        };
+        FactColumns(if len <= INLINE_IDS {
+            let mut ids = [0; INLINE_IDS];
+            for (slot, at) in ids.iter_mut().zip((0..len).map(next)) {
+                *slot = at;
+            }
+            Form::Inline {
+                arity: u8::try_from(arity).expect("an inline block is at most INLINE_IDS wide"),
+                rows: u8::try_from(rows).expect("an inline block has at most INLINE_IDS rows"),
+                ids,
+            }
+        } else {
+            Form::Spilled {
+                arity: u32::try_from(arity).expect("arity fits u32"),
+                rows: u32::try_from(rows).expect("block row count fits u32"),
+                // A mapped range has a trusted length: one allocation.
+                ids: (0..len).map(next).collect(),
+            }
+        })
+    }
+
     /// Transposes `rows` (row-major id tuples of width `arity`, at least
     /// one) into columns.
     fn from_rows(arity: usize, rows: &[u32]) -> FactColumns {
         let n = rows.len() / arity.max(1);
         debug_assert_eq!(n * arity, rows.len());
-        let ids = (0..arity)
-            .flat_map(|pos| (0..n).map(move |row| rows[row * arity + pos]))
-            .collect();
-        FactColumns {
-            arity: u32::try_from(arity).expect("arity fits u32"),
-            rows: u32::try_from(n).expect("block row count fits u32"),
-            ids,
+        FactColumns::from_fn(arity, n, |row, pos| rows[row * arity + pos])
+    }
+
+    /// The row count and the column-major ids (an inline block's slots
+    /// unused past `arity * rows` included).
+    #[inline]
+    fn parts(&self) -> (usize, &[u32]) {
+        match &self.0 {
+            Form::Inline { rows, ids, .. } => (usize::from(*rows), ids),
+            Form::Spilled { rows, ids, .. } => (*rows as usize, ids),
+        }
+    }
+
+    /// Width of a row.
+    fn arity(&self) -> usize {
+        match &self.0 {
+            Form::Inline { arity, .. } => usize::from(*arity),
+            Form::Spilled { arity, .. } => *arity as usize,
         }
     }
 
     /// Number of facts in the block.
+    #[inline]
     pub fn rows(&self) -> usize {
-        self.rows as usize
+        self.parts().0
     }
 
     /// The id at `(row, pos)`.
     #[inline]
     pub fn id_at(&self, row: usize, pos: usize) -> u32 {
-        self.ids[pos * self.rows as usize + row]
+        let (rows, ids) = self.parts();
+        debug_assert!(
+            row < rows && pos < self.arity(),
+            "({row}, {pos}) outside the block"
+        );
+        ids[pos * rows + row]
     }
 
     /// One whole argument column.
     pub fn col(&self, pos: usize) -> &[u32] {
-        let rows = self.rows as usize;
-        &self.ids[pos * rows..(pos + 1) * rows]
+        let (rows, ids) = self.parts();
+        debug_assert!(pos < self.arity(), "column {pos} outside the block");
+        &ids[pos * rows..(pos + 1) * rows]
     }
 
     /// The ids of one row, in argument order.
     pub fn row_ids(&self, row: usize) -> impl Iterator<Item = u32> + '_ {
-        (0..self.arity as usize).map(move |pos| self.id_at(row, pos))
+        (0..self.arity()).map(move |pos| self.id_at(row, pos))
     }
 
     /// A copy with the row `ids` inserted at row position `at`.
     fn with_row_inserted(&self, at: usize, ids: &[u32]) -> FactColumns {
-        debug_assert_eq!(ids.len(), self.arity as usize);
-        let mut out = Vec::with_capacity(self.ids.len() + ids.len());
-        for (pos, &id) in ids.iter().enumerate() {
-            let col = self.col(pos);
-            out.extend_from_slice(&col[..at]);
-            out.push(id);
-            out.extend_from_slice(&col[at..]);
-        }
-        FactColumns {
-            arity: self.arity,
-            rows: self.rows + 1,
-            ids: out.into(),
-        }
+        debug_assert_eq!(ids.len(), self.arity());
+        FactColumns::from_fn(self.arity(), self.rows() + 1, |row, pos| {
+            match row.cmp(&at) {
+                CmpOrdering::Less => self.id_at(row, pos),
+                CmpOrdering::Equal => ids[pos],
+                CmpOrdering::Greater => self.id_at(row - 1, pos),
+            }
+        })
     }
 
     /// A copy without the row at position `at`.
     fn with_row_removed(&self, at: usize) -> FactColumns {
-        let mut out = Vec::with_capacity(self.ids.len() - self.arity as usize);
-        for pos in 0..self.arity as usize {
-            let col = self.col(pos);
-            out.extend_from_slice(&col[..at]);
-            out.extend_from_slice(&col[at + 1..]);
-        }
-        FactColumns {
-            arity: self.arity,
-            rows: self.rows - 1,
-            ids: out.into(),
+        FactColumns::from_fn(self.arity(), self.rows() - 1, |row, pos| {
+            self.id_at(row + usize::from(row >= at), pos)
+        })
+    }
+
+    /// The allocation of a spilled block's ids; `None` for an inline block.
+    fn spilled(&self) -> Option<&Arc<[u32]>> {
+        match &self.0 {
+            Form::Inline { .. } => None,
+            Form::Spilled { ids, .. } => Some(ids),
         }
     }
 
@@ -216,19 +303,39 @@ impl FactColumns {
     }
 }
 
+/// Content equality: the same rows, whichever allocation holds them.
+impl PartialEq for FactColumns {
+    fn eq(&self, other: &FactColumns) -> bool {
+        let ((rows, ids), (other_rows, other_ids)) = (self.parts(), other.parts());
+        let len = self.arity() * rows;
+        self.arity() == other.arity() && rows == other_rows && ids[..len] == other_ids[..len]
+    }
+}
+
+impl Eq for FactColumns {}
+
 /// One block: the facts of a relation sharing a primary-key value, as
-/// `Arc`-shared columns (never empty).
+/// columns (never empty).
 ///
-/// A block is one pointer: cloning it — as part of copying a leaf of its
-/// [`RelationIndex`]'s block list for incremental maintenance — bumps a
-/// reference count and allocates nothing. The key is not stored beside the
-/// columns; it is the key-length prefix of the first row (every row of a
-/// block shares it).
+/// A block lives in its entry of the block list (and of each deep posting
+/// list): 32 bytes, which hold a small block's ids outright and a larger
+/// one's counts and `Arc`-shared ids ([`FactColumns`]). Cloning it — as part
+/// of copying a leaf of its [`RelationIndex`]'s block list for incremental
+/// maintenance — copies the entry (bumping a spilled block's reference
+/// count) and allocates nothing. The key is not stored beside the columns;
+/// it is the key-length prefix of the first row (every row of a block
+/// shares it).
 #[derive(Clone, Debug)]
 pub struct IndexedBlock {
     /// The facts of the block in columnar layout, rows in sorted fact order.
-    pub cols: Arc<FactColumns>,
+    pub cols: FactColumns,
 }
+
+// A block is the entry of its block list, a posting its id beside it.
+const _: () = {
+    assert!(std::mem::size_of::<IndexedBlock>() == 32);
+    assert!(std::mem::size_of::<(u32, IndexedBlock)>() == 40);
+};
 
 impl IndexedBlock {
     /// The id at key position `pos` (`< key_len` of the block's relation).
@@ -387,11 +494,21 @@ impl RelationIndex {
     /// the sorted block list. Patterns containing unassigned ids (e.g.
     /// [`MISSING_ID`]) match nothing.
     pub fn block_by_key_ids(&self, key: &[u32], interner: &ValueInterner) -> Option<&IndexedBlock> {
+        self.find_block(key, interner).map(|(_, block)| block)
+    }
+
+    /// [`RelationIndex::block_by_key_ids`] with the block's position in the
+    /// block list: what names a block of this index, inline or spilled.
+    pub(crate) fn find_block(
+        &self,
+        key: &[u32],
+        interner: &ValueInterner,
+    ) -> Option<(usize, &IndexedBlock)> {
         if key.iter().any(|&id| !interner.contains_id(id)) {
             return None;
         }
         let pos = self.blocks.search_by(|b| b.cmp_key(key, interner)).ok()?;
-        self.blocks.get(pos)
+        Some((pos, self.blocks.get(pos)?))
     }
 
     /// The contiguous span of block positions whose key starts with the
@@ -527,13 +644,13 @@ impl RelationIndex {
                     return false;
                 };
                 let block = IndexedBlock {
-                    cols: Arc::new(cols.with_row_inserted(row, ids)),
+                    cols: cols.with_row_inserted(row, ids),
                 };
                 self.replace_block(i, block, key, interner);
             }
             Err(i) => {
                 let block = IndexedBlock {
-                    cols: Arc::new(FactColumns::from_rows(self.arity, ids)),
+                    cols: FactColumns::from_rows(self.arity, ids),
                 };
                 for p in 1..self.key_len {
                     let at = self
@@ -562,7 +679,7 @@ impl RelationIndex {
         };
         if old.cols.rows() > 1 {
             let block = IndexedBlock {
-                cols: Arc::new(old.cols.with_row_removed(row)),
+                cols: old.cols.with_row_removed(row),
             };
             self.replace_block(i, block, key, interner);
         } else {
@@ -855,7 +972,7 @@ impl DirtyKeys {
 /// that one copy. Incremental maintenance ([`DbIndex::apply_delta`]) is only
 /// ever performed on a private clone *before* the clone is published inside
 /// a new snapshot, so published indexes are immutable. The interior `Arc`s
-/// (per relation, per leaf, per block column set, and the interner's sorted
+/// (per relation, per leaf, per spilled block's ids, and the interner's sorted
 /// prefix) never change after publication either — path copies happen on the
 /// writer's private clone — so borrowing through a published index is
 /// data-race-free by construction.
@@ -909,9 +1026,7 @@ fn key_runs(rows: &[u32], key_len: usize, arity: usize) -> Vec<IndexedBlock> {
     for row in 1..=n {
         if row == n || key(row) != key(start) {
             let cols = FactColumns::from_rows(arity, &rows[start * arity..row * arity]);
-            blocks.push(IndexedBlock {
-                cols: Arc::new(cols),
-            });
+            blocks.push(IndexedBlock { cols });
             start = row;
         }
     }
@@ -1053,7 +1168,8 @@ impl DbIndex {
     /// touched relation is materialised once (`Arc::make_mut` copies its
     /// spines — untouched relations keep sharing storage with every other
     /// clone of this index), and inside it each event copies the one leaf
-    /// its block sits in (per sequence) and that block's columns, so a batch
+    /// its block sits in (per sequence), the block's columns with it or, for
+    /// a spilled block, in one allocation of their own, so a batch
     /// costs `O(|spines| + |delta| · (log |blocks| + |leaf|))` — nothing
     /// scans the relation.
     ///
@@ -1402,10 +1518,18 @@ impl DbIndex {
                             let listed = rel
                                 .block_by_key_ids(&key, interner)
                                 .expect("posted block is in the block list");
-                            assert!(
-                                Arc::ptr_eq(&posted.cols, &listed.cols),
+                            assert_eq!(
+                                posted.cols, listed.cols,
                                 "{name}: stale posting at key position {p}"
                             );
+                            if let (Some(a), Some(b)) =
+                                (posted.cols.spilled(), listed.cols.spilled())
+                            {
+                                assert!(
+                                    Arc::ptr_eq(a, b),
+                                    "{name}: posting copied a spilled block"
+                                );
+                            }
                             by_value
                                 .entry(interner.value(posted.key_at(p)).clone())
                                 .or_default()
@@ -1574,7 +1698,7 @@ mod tests {
             let mut flush = |run: &mut Vec<u32>| {
                 if !run.is_empty() {
                     blocks.push(IndexedBlock {
-                        cols: Arc::new(FactColumns::from_rows(arity, run)),
+                        cols: FactColumns::from_rows(arity, run),
                     });
                     run.clear();
                 }
@@ -1671,6 +1795,177 @@ mod tests {
                     built.relation("AllKey").blocks().len(),
                     db.facts_of("AllKey").count()
                 );
+            }
+        }
+    }
+
+    mod inline_and_spilled {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every relation shape across the inline/spill boundary: widths 1,
+        /// 3, 4 and 7 (a row of 7 never fits inline) under every key length.
+        fn shapes() -> Vec<(String, usize, usize)> {
+            [1, 3, 4, 7]
+                .into_iter()
+                .flat_map(|arity| (0..=arity).map(move |key_len| (arity, key_len)))
+                .map(|(arity, key_len)| (format!("A{arity}K{key_len}"), arity, key_len))
+                .collect()
+        }
+
+        /// SplitMix64: a seeded stream of draws, so that a failing case is
+        /// rebuilt from the seed its message prints.
+        fn draws(seed: u64) -> impl Iterator<Item = u64> {
+            let mut state = seed;
+            std::iter::from_fn(move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                Some(z ^ (z >> 31))
+            })
+        }
+
+        /// The next draw, below `n`.
+        fn below(draw: &mut impl Iterator<Item = u64>, n: usize) -> usize {
+            (draw.next().unwrap() % n as u64) as usize
+        }
+
+        /// A fact of a shape: key positions over two values, so blocks
+        /// collect rows, the rest over `spread` (the values past the base
+        /// instance's are first seen by a commit, appended ids).
+        fn draw_fact(
+            draw: &mut impl Iterator<Item = u64>,
+            key_len: usize,
+            arity: usize,
+            spread: usize,
+        ) -> Vec<i64> {
+            (0..arity)
+                .map(|pos| below(draw, if pos < key_len { 2 } else { spread }) as i64)
+                .collect()
+        }
+
+        /// Prints the seed of a case that panics, whichever check failed.
+        struct Seed(u64);
+
+        impl Drop for Seed {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("failing seed: {}", self.0);
+                }
+            }
+        }
+
+        /// Panics unless every block of every shape holds the model's rows:
+        /// the model's facts, in fact order, cut into blocks by key and
+        /// turned into ids through the index's interner.
+        fn assert_blocks_match(idx: &DbIndex, model: &BTreeMap<String, BTreeSet<Vec<i64>>>) {
+            for (name, facts) in model {
+                let rel = idx.relation(name);
+                let key_len = rel.key_len();
+                let mut blocks: Vec<Vec<Vec<u32>>> = Vec::new();
+                let mut last: Option<&[i64]> = None;
+                for fact in facts {
+                    if last != Some(&fact[..key_len]) {
+                        blocks.push(Vec::new());
+                    }
+                    last = Some(&fact[..key_len]);
+                    let ids = fact
+                        .iter()
+                        .map(|&v| idx.interner().id_of(&Value::int(v)).unwrap());
+                    blocks.last_mut().unwrap().push(ids.collect());
+                }
+                assert_eq!(rel.blocks().len(), blocks.len(), "{name}: blocks");
+                for (block, rows) in rel.blocks().iter().zip(&blocks) {
+                    let cols = &block.cols;
+                    let arity = rows[0].len();
+                    assert_eq!(cols.rows(), rows.len(), "{name}: rows");
+                    assert_eq!(
+                        cols.spilled().is_some(),
+                        arity * rows.len() > INLINE_IDS,
+                        "{name}: form of {rows:?}"
+                    );
+                    for (row, ids) in rows.iter().enumerate() {
+                        let got: Vec<u32> = cols.row_ids(row).collect();
+                        assert_eq!(&got, ids, "{name}: row {row}");
+                    }
+                    for pos in 0..arity {
+                        let col: Vec<u32> = rows.iter().map(|row| row[pos]).collect();
+                        assert_eq!(cols.col(pos), col, "{name}: column {pos}");
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Single-event commits and batches that grow blocks past
+            /// `INLINE_IDS` ids and shrink them back: after every commit the
+            /// warm index is a cold build's, and every block holds the
+            /// model's rows in the form its size fixes.
+            #[test]
+            fn blocks_cross_the_inline_boundary_both_ways(seed in 0u64..u64::MAX) {
+                let _seed = Seed(seed);
+                let shapes = shapes();
+                let mut schema = Schema::new();
+                for (name, arity, key_len) in &shapes {
+                    schema.add_relation(name, Signature::new(*arity, *key_len, []).unwrap());
+                }
+                let mut draw = draws(seed);
+                let mut db = DatabaseInstance::new(schema);
+                let mut model: BTreeMap<String, BTreeSet<Vec<i64>>> = BTreeMap::new();
+                for (name, arity, key_len) in &shapes {
+                    model.insert(name.clone(), BTreeSet::new());
+                    for _ in 0..below(&mut draw, 6) {
+                        let args = draw_fact(&mut draw, *key_len, *arity, 3);
+                        db.insert(Fact::new(name, args.iter().map(|&v| Value::int(v))))
+                            .unwrap();
+                        model.get_mut(name).unwrap().insert(args);
+                    }
+                }
+                let mut idx = DbIndex::new(&db);
+                assert_blocks_match(&idx, &model);
+                // Commits go to two shapes, so that their blocks grow: inserts
+                // dominate the first half, deletes of stored facts the
+                // second.
+                let active = [0, 1].map(|_| &shapes[below(&mut draw, shapes.len())]);
+                let commits = 24;
+                for commit in 0..commits {
+                    // A single event or a batch of up to 13.
+                    let batch = match below(&mut draw, 2) {
+                        0 => 1,
+                        _ => 2 + below(&mut draw, 12),
+                    };
+                    let mut events = Vec::new();
+                    for _ in 0..batch {
+                        let (name, arity, key_len) = active[below(&mut draw, 2)];
+                        let stored = &model[name];
+                        let inserts = if commit < commits / 2 { 8 } else { 2 };
+                        let insert = below(&mut draw, 10) < inserts;
+                        let args = if insert || stored.is_empty() {
+                            draw_fact(&mut draw, *key_len, *arity, 9)
+                        } else {
+                            let nth = below(&mut draw, stored.len());
+                            stored.iter().nth(nth).unwrap().clone()
+                        };
+                        let fact = Fact::new(name, args.iter().map(|&v| Value::int(v)));
+                        let entry = model.get_mut(name).unwrap();
+                        events.push(if insert {
+                            entry.insert(args);
+                            DeltaEvent::insert(fact)
+                        } else {
+                            entry.remove(&args);
+                            DeltaEvent::delete(fact)
+                        });
+                    }
+                    idx.apply_delta(&events);
+                    for event in events {
+                        db.apply(event).unwrap();
+                    }
+                    idx.assert_structurally_identical(&DbIndex::new(&db));
+                    assert_blocks_match(&idx, &model);
+                }
             }
         }
     }
@@ -1936,44 +2231,83 @@ mod tests {
 
     #[test]
     fn apply_delta_path_copies_only_touched_relations() {
-        let db = db();
+        // `S` spans several leaves, every fourth `w` block spilled (three
+        // facts of width 3) and the others inline (one fact).
+        let mut db = db();
+        db.insert_all((0..600).flat_map(|i| {
+            let rows = if i % 4 == 0 { 3 } else { 1 };
+            (0..rows).map(move |r| fact!("S", "w", format!("c{i:03}"), r))
+        }))
+        .unwrap();
         let base = DbIndex::new(&db);
+        let leaves = base.shared_leaves(&base, "S").1;
+        assert!(leaves > 2);
         // A clone shares every relation's storage with its source.
-        let mut derived = base.clone();
+        let derived = base.clone();
         assert!(base.shares_relation_storage(&derived, "S"));
         assert!(base.shares_relation_storage(&derived, "Empty"));
-        // A delta to S materialises S and leaves Empty shared.
-        let dirty = derived.apply_delta(&[DeltaEvent::insert(fact!("S", "b1", "c1", 99))]);
-        assert_eq!(dirty.len(), 1);
-        assert!(!base.shares_relation_storage(&derived, "S"));
-        assert!(base.shares_relation_storage(&derived, "Empty"));
-        // Inside the touched relation, untouched blocks still share their
-        // columns; only the dirty block was deep-copied.
-        let (s_base, s_derived) = (base.relation("S"), derived.relation("S"));
-        let dirty_key = key_ids(&base, &[Value::text("b1"), Value::text("c1")]);
-        for (x, y) in s_base.blocks().iter().zip(s_derived.blocks().iter()) {
-            let shared = Arc::ptr_eq(&x.cols, &y.cols);
-            let is_dirty = x.key(2).eq(dirty_key.iter().copied());
-            assert_eq!(shared, !is_dirty, "block {:?}", x.cols);
+        // Each step with the dirty block's form before and after (spilled
+        // or not): an inline block spills, a spilled one grows, one shrinks
+        // back inline, an inline one shrinks.
+        let steps = [
+            (
+                DeltaEvent::insert(fact!("S", "b1", "c1", 99)),
+                (false, true),
+            ),
+            (DeltaEvent::insert(fact!("S", "w", "c300", 7)), (true, true)),
+            (
+                DeltaEvent::delete(fact!("S", "w", "c400", 0)),
+                (true, false),
+            ),
+            (
+                DeltaEvent::delete(fact!("S", "b1", "c1", 1)),
+                (false, false),
+            ),
+        ];
+        for (event, forms) in steps {
+            let mut derived = base.clone();
+            // A delta to S materialises S and leaves Empty shared.
+            let dirty = derived.apply_delta(std::slice::from_ref(&event));
+            assert_eq!(dirty.len(), 1);
+            assert!(!base.shares_relation_storage(&derived, "S"));
+            assert!(base.shares_relation_storage(&derived, "Empty"));
+            // Inside the touched relation, only the dirty block's leaf was
+            // copied; every other block is equal, a spilled one the same
+            // allocation.
+            assert_eq!(
+                derived.shared_leaves(&base, "S"),
+                (leaves - 1, leaves),
+                "{event}"
+            );
+            let (s_base, s_derived) = (base.relation("S"), derived.relation("S"));
+            let dirty_key = key_ids(&base, &dirty[0].key);
+            for (x, y) in s_base.blocks().iter().zip(s_derived.blocks().iter()) {
+                if x.key(2).eq(dirty_key.iter().copied()) {
+                    assert_ne!(x.cols, y.cols, "{event}");
+                    let spilled = (x.cols.spilled().is_some(), y.cols.spilled().is_some());
+                    assert_eq!(spilled, forms, "{event}");
+                    continue;
+                }
+                assert_eq!(x.cols, y.cols, "{event}");
+                if let Some(ids) = x.cols.spilled() {
+                    assert!(Arc::ptr_eq(ids, y.cols.spilled().unwrap()), "{event}");
+                }
+            }
+            let mut after = db.clone();
+            after.apply(event).unwrap();
+            derived.assert_structurally_identical(&DbIndex::new(&after));
         }
         // Ineffective deltas (re-inserting a present fact, deleting an
         // absent one) still count as a touch of the relation (the copy
-        // happens before the lookup), but mark nothing dirty and deep-copy
-        // no block's columns.
+        // happens before the lookup), but mark nothing dirty and copy no
+        // leaf.
         let mut noop = base.clone();
         let dirty = noop.apply_delta(&[
             DeltaEvent::insert(fact!("S", "b1", "c1", 1)),
             DeltaEvent::delete(fact!("S", "zz", "zz", 1)),
         ]);
         assert!(dirty.is_empty());
-        for (x, y) in base
-            .relation("S")
-            .blocks()
-            .iter()
-            .zip(noop.relation("S").blocks().iter())
-        {
-            assert!(Arc::ptr_eq(&x.cols, &y.cols), "block {:?}", x.cols);
-        }
+        assert_eq!(noop.shared_leaves(&base, "S"), (leaves, leaves));
         // The base index is unchanged throughout.
         base.assert_structurally_identical(&DbIndex::new(&db));
     }

@@ -75,10 +75,11 @@
 //! executions: the serving layer (`rcqa-session`) freezes an `Arc<DbIndex>`
 //! per snapshot and runs every client's plan — each with its own worker pool
 //! — against the same copy. Snapshot indexes are themselves structurally
-//! shared (per-relation and per-block-column `Arc`s, see [`crate::index`]),
-//! so "the same copy" may physically overlap the indexes of neighbouring
-//! snapshots; that sharing is invisible here because published indexes —
-//! interior `Arc`s included — are never mutated.
+//! shared (per-relation and per-leaf `Arc`s, and one per block too large to
+//! live in its leaf, see [`crate::index`]), so "the same copy" may
+//! physically overlap the indexes of neighbouring snapshots; that sharing is
+//! invisible here because published indexes — interior `Arc`s included — are
+//! never mutated.
 
 use crate::engine::{BoundAnswer, EngineOptions, IdRanges, MAX_REPAIRS};
 use crate::error::CoreError;
@@ -92,7 +93,6 @@ use rcqa_data::{AggFunc, Rational, Value};
 use rcqa_query::{AggTerm, Term, Var, VarPredicate};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Everything the executor needs besides the aggregates it answers.
 #[derive(Clone, Copy)]
@@ -242,15 +242,24 @@ pub(crate) fn run_shards<T: Send, R: Send>(shards: Vec<T>, work: impl Fn(T) -> R
 /// the calling thread; what is left once it is reached is shared by the
 /// workers. A scope of two workers costs 35–100 µs to spawn and join before
 /// either does anything, and the workers share no memo. Measured on
-/// `(x, MAX(r)) <- R(x, y), S(y, z, r)`, 2 workers, listed keys spread over
-/// its 84 697 groups at 10⁵ facts (a listed group there is about 2 units:
-/// itself and its one level-1 sub-problem, shared by both bounds), always
-/// inline against always pooled, four runs: 2 keys 4–7 against 72–76 µs, 16
-/// keys 24–28 against 91–116 µs, 64 keys 0.06–0.12 against 0.14–0.17 ms, 256
-/// keys 0.21–0.42 against 0.28–0.49 ms (inline faster in three runs of
-/// four), 1 024 keys 1.16–1.93 against 0.87–1.27 ms (pooled faster in three
-/// of four), 16 384 keys 10.7–16.5 against 7.9–11.4 ms. The floor marks
-/// where the spawns stop costing: near 1 024 keys, 2 048 units.
+/// `(x, MAX(r)) <- R(x, y), S(y, z, r)`, 2 workers, 10⁵ facts (a listed
+/// group there is about 2 units: itself and its one level-1 sub-problem,
+/// shared by both bounds), always inline against always pooled, medians of
+/// 25 calls in each of three runs:
+///
+/// | listed keys | spread over the 84 697 groups | the x's of the 77 hottest y's |
+/// |---|---|---|
+/// | 2 | 9–10 against 48–66 µs | 10–18 against 48–67 µs |
+/// | 16 | 38–44 against 68–82 µs | 35–48 against 72–91 µs |
+/// | 64 | 0.12–0.13 against 0.14–0.17 ms | 0.08–0.09 against 0.12 ms |
+/// | 256 | 0.36–0.40 against 0.36–0.38 ms | 0.31 against 0.32–0.38 ms |
+/// | 1 024 | 1.68–2.14 against 1.52–1.78 ms | 1.40–1.48 against 1.28–1.48 ms |
+/// | 16 384 | 18.0–20.6 against 16.9–18.0 ms | 12.4–13.8 against 11.5–12.8 ms |
+///
+/// Keys spread over the groups share no sub-problem, and pooling them breaks
+/// even near 256 keys; a patch's keys share the hot join values behind them,
+/// which each worker evaluates again, and pooling those breaks even near
+/// 1 024 keys. The floor keeps a patch inline up to there: 2 048 units.
 pub(crate) const INLINE_WORK_FLOOR: usize = 2048;
 
 /// Where one bound of one aggregate comes from.
@@ -482,9 +491,9 @@ impl Closures {
                 let passes = residual.iter().all(|&(slot, p, rank)| {
                     p.op.holds(interner.cmp_id_to_value(theta[slot], &p.value, rank))
                 });
-                join.blocks_of(theta, |block, row| {
+                join.blocks_of(theta, |at, block, row| {
                     let next = seen.len();
-                    let local = *seen.entry(Arc::as_ptr(&block.cols)).or_insert_with(|| {
+                    let local = *seen.entry(at).or_insert_with(|| {
                         repairs = repairs.saturating_mul(block.cols.rows() as u128);
                         out.sizes.push(block.cols.rows());
                         next
@@ -835,6 +844,50 @@ mod tests {
         assert_eq!(
             payload.downcast_ref::<String>().map(String::as_str),
             Some("shard 1 failed")
+        );
+    }
+
+    #[test]
+    fn a_closure_records_each_block_once() {
+        // Group `x0` has two embeddings, both through the one-row `R` block
+        // `x0` and the two-row `S` block `(y0, z0)`: its closure is those two
+        // blocks, 1 · 2 = 2 repairs, not one block per embedding and level
+        // (4 repairs). Both blocks sit at position 0 of their block lists,
+        // so a block is named by its relation as well as its position.
+        let schema = Schema::new()
+            .with_relation("R", Signature::new(2, 1, []).unwrap())
+            .with_relation("S", Signature::new(3, 2, [2]).unwrap());
+        let mut db = DatabaseInstance::new(schema);
+        db.insert_all([
+            fact!("R", "x0", "y0"),
+            fact!("S", "y0", "z0", 1),
+            fact!("S", "y0", "z0", 2),
+        ])
+        .unwrap();
+        let engine = RangeCqa::new(
+            &parse_agg_query("(x, SUM(r)) <- R(x, y), S(y, z, r)").unwrap(),
+            db.schema(),
+        )
+        .unwrap();
+        let index = DbIndex::new(&db);
+        let cx = ExecContext {
+            prepared: engine.prepared(),
+            index: &index,
+            options: &EngineOptions { threads: 1 },
+            residual: &[],
+        };
+        let free = cx.prepared.normalised.body.free_vars();
+        let keys = group_ids(&cx, free);
+        assert_eq!(keys.len(), 1);
+        let closures = Closures::collect(&cx, cx.prepared, free, &keys).unwrap();
+        assert_eq!(closures.sizes, [1, 2]);
+        assert_eq!(closures.starts, [(0, 0), (2, 2)]);
+        // Each embedding picks the `R` row and its own `S` row.
+        assert_eq!(closures.facts, [(0, 0), (1, 0), (0, 0), (1, 1)]);
+        let (glb, lub) = closures.walk(0, AggFunc::Sum).unwrap();
+        assert_eq!(
+            (glb, lub),
+            (Some(Rational::from(1)), Some(Rational::from(2)))
         );
     }
 

@@ -21,9 +21,13 @@
 //!
 //! **Element contract: cloning an entry must not allocate.** A copied leaf
 //! clones each of its entries, so the sequence is for `Copy` entries (block
-//! index ids) and for handles whose clone is reference-count bumps
-//! ([`crate::Fact`], [`crate::Value`]); an entry that owns heap storage would
-//! turn each leaf copy into an allocation per entry.
+//! index ids), for small values held inline (the block index's blocks: 32
+//! bytes each, a small block's ids inside the entry), and for handles whose
+//! clone is reference-count bumps ([`crate::Fact`], [`crate::Value`], a
+//! large block's shared ids); an entry that owns heap storage would turn
+//! each leaf copy into an allocation per entry. A leaf copy moves
+//! `size_of::<T>()` bytes per entry, so an inline entry trades bytes copied
+//! for the pointer chase every reader of the entry would otherwise pay.
 //!
 //! Leaves hold between [`MIN_LEAF`] and [`MAX_LEAF`] entries (only the last
 //! leaf may hold fewer): an insert into a full leaf splits it first — in
