@@ -12,6 +12,7 @@
 use rcqa_baselines::{fuxman_sum_glb, maxsat_glb};
 use rcqa_core::engine::RangeCqa;
 use rcqa_core::exact::exact_bounds;
+use rcqa_core::index::DbIndex;
 use rcqa_core::prepared::PreparedAggQuery;
 use rcqa_core::rewrite::{rewriting_for, BoundKind};
 use rcqa_core::{classify, forall};
@@ -131,7 +132,7 @@ pub fn e3() -> String {
     let db = db0();
     let q = parse_agg_query("SUM(r) <- R(x, y), S(y, z, 'd', r)").unwrap();
     let prepared = PreparedAggQuery::new(&q, db.schema()).unwrap();
-    let analysis = forall::analyse(&prepared.body, &db);
+    let analysis = forall::analyse_with_index(&prepared.body, &DbIndex::new(&db));
     let engine = RangeCqa::new(&q, db.schema()).unwrap();
     let glb = engine.glb(&db).unwrap();
     let rewriting = rewriting_for(&prepared, BoundKind::Glb, db.numeric_domain()).unwrap();
@@ -167,7 +168,7 @@ pub fn e4() -> String {
     let db = db_stock();
     let q = parse_agg_query("COUNT(*) <- Dealers('James', t), Stock(p, t, 35)").unwrap();
     let prepared = PreparedAggQuery::new(&q, db.schema()).unwrap();
-    let analysis = forall::analyse(&prepared.body, &db);
+    let analysis = forall::analyse_with_index(&prepared.body, &DbIndex::new(&db));
     let mut out = String::new();
     writeln!(
         out,

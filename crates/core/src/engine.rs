@@ -413,7 +413,7 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn glb(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = Self::evaluate(std::slice::from_ref(self), db, &index, None, true, false)?;
+        let groups = Self::evaluate(std::slice::from_ref(self), &index, None, true, false)?;
         Ok(groups
             .to_rows(0, index.interner())
             .into_iter()
@@ -426,7 +426,7 @@ impl RangeCqa {
     /// Builds exactly one [`DbIndex`] regardless of the number of groups.
     pub fn lub(&self, db: &DatabaseInstance) -> Result<Vec<(Vec<Value>, BoundAnswer)>, CoreError> {
         let index = DbIndex::new(db);
-        let groups = Self::evaluate(std::slice::from_ref(self), db, &index, None, false, true)?;
+        let groups = Self::evaluate(std::slice::from_ref(self), &index, None, false, true)?;
         Ok(groups
             .to_rows(0, index.interner())
             .into_iter()
@@ -442,37 +442,32 @@ impl RangeCqa {
         self.range_with_index(db, &DbIndex::new(db))
     }
 
-    /// Like [`RangeCqa::range`], but over a caller-supplied [`DbIndex`] for
-    /// `db` — the serving layer keeps one immutable index per snapshot
-    /// behind an `Arc<DbIndex>` shared by every concurrent reader, and each
-    /// call borrows it (`&*arc`), so repeated calls build **zero** further
-    /// indexes (on rewriting-backed paths). `DbIndex` is `Send + Sync`
-    /// (asserted in [`crate::index`]): the borrow is handed unchanged to the
-    /// executor's worker threads.
+    /// Like [`RangeCqa::range`], but over a caller-supplied [`DbIndex`], so
+    /// repeated calls build **zero** further indexes (on rewriting-backed
+    /// paths). `DbIndex` is `Send + Sync` (asserted in [`crate::index`]):
+    /// the borrow is handed unchanged to the executor's worker threads.
+    /// `_db` is not read — the index carries its numeric domain — and stays
+    /// only because the benchmark compiles against this signature (ROADMAP
+    /// 4(c) tracks folding it away).
     pub fn range_with_index(
         &self,
-        db: &DatabaseInstance,
+        _db: &DatabaseInstance,
         index: &DbIndex,
     ) -> Result<Vec<GroupRange>, CoreError> {
-        Ok(self.range_ids(db, index)?.to_rows(0, index.interner()))
-    }
-
-    /// [`RangeCqa::range_with_index`] in id space: the same groups, in the
-    /// same order, with their keys as the ids of `index`'s interner. A caller
-    /// that keeps a result to patch keeps these keys beside its rows.
-    pub fn range_ids(&self, db: &DatabaseInstance, index: &DbIndex) -> Result<IdRanges, CoreError> {
-        Self::evaluate(std::slice::from_ref(self), db, index, None, true, true)
+        let ranges = Self::evaluate(std::slice::from_ref(self), index, None, true, true)?;
+        Ok(ranges.to_rows(0, index.interner()))
     }
 
     /// Both bounds of every aggregate of one statement, in id space: `engines`
     /// holds one engine per aggregate, all over one body and one set of
     /// predicates — as the SQL translation makes them — and `keys` asks for
-    /// every group (`None`, as [`RangeCqa::range_ids`]) or only the listed
-    /// ones (as [`RangeCqa::range_for_group_ids`]). The groups are found
-    /// once, and one memoised walk per group answers every rewriting-backed
-    /// bound of every aggregate ([`crate::plan::exec`]); aggregate `a`'s
-    /// bounds ([`IdRanges::bounds`]) are exactly `engines[a]`'s own. The
-    /// first engine's options apply.
+    /// every group (`None`) or only the listed ones (as
+    /// [`RangeCqa::range_for_group_ids`]), with the keys as ids of `index`'s
+    /// interner — a caller that keeps a result to patch keeps them beside
+    /// its rows. The groups are found once, and one memoised walk per group
+    /// answers every rewriting-backed bound of every aggregate
+    /// ([`crate::plan::exec`]); aggregate `a`'s bounds ([`IdRanges::bounds`])
+    /// are exactly `engines[a]`'s own. The first engine's options apply.
     ///
     /// # Errors
     /// [`CoreError::StatementMismatch`] when `engines` is empty or its
@@ -480,7 +475,6 @@ impl RangeCqa {
     /// evaluation returns.
     pub fn range_statement(
         engines: &[RangeCqa],
-        db: &DatabaseInstance,
         index: &DbIndex,
         keys: Option<&IdRows>,
     ) -> Result<IdRanges, CoreError> {
@@ -499,7 +493,7 @@ impl RangeCqa {
                 )));
             }
         }
-        Self::evaluate(engines, db, index, keys, true, true)
+        Self::evaluate(engines, index, keys, true, true)
     }
 
     /// The [`RowSupport`] of this engine's result rows: per body atom, the
@@ -706,7 +700,8 @@ impl RangeCqa {
     /// output as it is — and nothing is resolved or materialised. The groups
     /// returned (sorted by group key; keys with no embedding, or failing a
     /// row filter, are absent, exactly as in a full run) are identical to the
-    /// corresponding groups of [`RangeCqa::range_ids`] — for **every** query
+    /// corresponding groups of a full [`RangeCqa::range_statement`] — for
+    /// **every** query
     /// shape, including group keys bound at no block-key position (see
     /// [`execute_for_groups`] for the two arms and how one is chosen). A
     /// closed query answers its one group whatever is asked.
@@ -717,18 +712,10 @@ impl RangeCqa {
     /// concurrently.
     pub fn range_for_group_ids(
         &self,
-        db: &DatabaseInstance,
         index: &DbIndex,
         keys: &IdRows,
     ) -> Result<IdRanges, CoreError> {
-        Self::evaluate(
-            std::slice::from_ref(self),
-            db,
-            index,
-            Some(keys),
-            true,
-            true,
-        )
+        Self::evaluate(std::slice::from_ref(self), index, Some(keys), true, true)
     }
 
     /// [`RangeCqa::range_for_group_ids`] for keys given as values — anything
@@ -737,10 +724,12 @@ impl RangeCqa {
     /// rows of [`RangeCqa::range_with_index`]. A thin adapter that resolves
     /// each key into `index`'s id space first (a key naming a never-interned
     /// value, or of the wrong length, matches no group). No serving path
-    /// calls it; the tests and the benchmark's probes do (ROADMAP 4(c)).
+    /// calls it; the tests and the benchmark's probes do. `_db` is not read —
+    /// the index carries its numeric domain — and stays only because the
+    /// benchmark compiles against this signature (ROADMAP 4(c)).
     pub fn range_for_groups<'k>(
         &self,
-        db: &DatabaseInstance,
+        _db: &DatabaseInstance,
         index: &DbIndex,
         keys: impl IntoIterator<Item = &'k Vec<Value>>,
     ) -> Result<Vec<GroupRange>, CoreError> {
@@ -751,7 +740,7 @@ impl RangeCqa {
                 resolved.push(ids.iter().copied());
             }
         }
-        let ranges = self.range_for_group_ids(db, index, &resolved)?;
+        let ranges = self.range_for_group_ids(index, &resolved)?;
         Ok(ranges.to_rows(0, index.interner()))
     }
 
@@ -784,15 +773,16 @@ impl RangeCqa {
     /// many blocks survived) and the predicate routing. Builds an index to
     /// restrict; use [`RangeCqa::explain_with_index`] to reuse a snapshot's.
     pub fn explain(&self, db: &DatabaseInstance) -> String {
-        self.explain_with_index(db, &DbIndex::new(db))
+        self.explain_with_index(&DbIndex::new(db))
     }
 
-    /// [`RangeCqa::explain`] over a caller-supplied index for `db`.
-    pub fn explain_with_index(&self, db: &DatabaseInstance, index: &DbIndex) -> String {
+    /// [`RangeCqa::explain`] over a caller-supplied index, planned for the
+    /// index's numeric domain.
+    pub fn explain_with_index(&self, index: &DbIndex) -> String {
         let routing = &self.routing;
         let (_view, access) = self.restricted_view(index);
         let mut out = self
-            .plan(db.numeric_domain(), true, true)
+            .plan(index.numeric_domain(), true, true)
             .explain(&self.prepared, &access);
         if !routing.row_filters.is_empty() {
             let shown: Vec<String> = routing
@@ -832,10 +822,10 @@ impl RangeCqa {
     /// [`RangeCqa::range_statement`], over engines that share body and
     /// predicates (one engine is a statement of one aggregate): restrict the
     /// index once, plan each aggregate, execute them together for every
-    /// group (`keys` `None`) or the listed ones, row-filter.
+    /// group (`keys` `None`) or the listed ones, row-filter. The plan is
+    /// for the index's numeric domain.
     fn evaluate(
         engines: &[RangeCqa],
-        db: &DatabaseInstance,
         index: &DbIndex,
         keys: Option<&IdRows>,
         want_glb: bool,
@@ -844,7 +834,7 @@ impl RangeCqa {
         let first = &engines[0];
         let routing = &first.routing;
         let (view, _access) = first.restricted_view(index);
-        let domain = db.numeric_domain();
+        let domain = index.numeric_domain();
         let aggregates: Vec<_> = (engines.iter())
             .map(|engine| (&engine.prepared, engine.plan(domain, want_glb, want_lub)))
             .collect();
@@ -1547,7 +1537,7 @@ mod tests {
                     let closed = engine.prepared().normalised.body.free_vars().is_empty();
                     let fresh = engine.range_for_groups(&db, &index, &affected).unwrap();
                     // The id path answers the same rows, with the same keys.
-                    let by_ids = engine.range_for_group_ids(&db, &index, &ids).unwrap();
+                    let by_ids = engine.range_for_group_ids(&index, &ids).unwrap();
                     prop_assert_eq!(&by_ids.to_rows(0, index.interner()), &fresh, "{}", text);
                     let expected: Vec<GroupRange> = after
                         .iter()
@@ -1814,7 +1804,9 @@ mod tests {
                     .unwrap();
                 let full = engine.range_with_index(&db, &index).unwrap();
                 assert_eq!(
-                    engine.range_ids(&db, &index).unwrap().to_rows(0, interner),
+                    RangeCqa::range_statement(std::slice::from_ref(&engine), &index, None)
+                        .unwrap()
+                        .to_rows(0, interner),
                     full
                 );
                 let width = engine.prepared().normalised.body.free_vars().len();
@@ -1828,7 +1820,7 @@ mod tests {
                             keys.push((width == 1).then_some(id));
                         }
                     }
-                    let got = engine.range_for_group_ids(&db, &index, &keys).unwrap();
+                    let got = engine.range_for_group_ids(&index, &keys).unwrap();
                     let got = got.to_rows(0, interner);
                     let asked = |key: &Vec<Value>| {
                         key.iter().all(|v| {

@@ -39,7 +39,7 @@
 //! never per embedding: the certainty component's value at `ℓ` with the
 //! block's key bound.
 //!
-//! Values materialise only at the boundary: [`embeddings`], [`analyse`] and
+//! Values materialise only at the boundary: [`embeddings`], [`analyse_with_index`] and
 //! [`analyse_group`] hand out [`Valuation`]s — the variable-to-value map the
 //! symbolic rewritings are evaluated with — to the baselines, the
 //! paper-experiment harness and the tests. The plan executor never builds
@@ -88,7 +88,7 @@ use crate::glb::{BoundEvaluator, Component};
 use crate::ids::{IdRows, IdTupleSet};
 use crate::index::{BlocksMatching, DbIndex, FactColumns, IndexedBlock, RelationIndex};
 use crate::prepared::{Level, PreparedBody};
-use rcqa_data::{DatabaseInstance, Fact, Value, ValueInterner, UNBOUND_ID};
+use rcqa_data::{Fact, Value, ValueInterner, UNBOUND_ID};
 pub use rcqa_logic::Valuation;
 use rcqa_query::{Atom, Term, Var};
 use std::cmp::Ordering;
@@ -857,17 +857,12 @@ pub struct ForallAnalysis {
 }
 
 /// Computes embeddings and ∀embeddings of an acyclic prepared body (with no
-/// free variables) in `db`.
+/// free variables) in the indexed instance. A caller holding an instance
+/// indexes it first (`DbIndex::new(&db)`).
 ///
 /// # Panics
 /// Panics if the body's attack graph is cyclic (the notion of ∀embedding is
 /// defined relative to a topological sort).
-pub fn analyse(body: &PreparedBody, db: &DatabaseInstance) -> ForallAnalysis {
-    let index = DbIndex::new(db);
-    analyse_with_index(body, &index)
-}
-
-/// Like [`analyse`], but reuses a prebuilt [`DbIndex`].
 pub fn analyse_with_index(body: &PreparedBody, index: &DbIndex) -> ForallAnalysis {
     assert!(
         body.is_acyclic(),
@@ -1056,7 +1051,7 @@ impl<'j, 'a> GroupKeys<'j, 'a> {
 mod tests {
     use super::*;
     use crate::prepared::PreparedAggQuery;
-    use rcqa_data::{fact, rat, Schema, Signature};
+    use rcqa_data::{fact, rat, DatabaseInstance, Schema, Signature};
     use rcqa_query::parse_agg_query;
     use std::collections::BTreeSet;
 
@@ -1117,7 +1112,7 @@ mod tests {
             "COUNT(*) <- Dealers('James', t), Stock(p, t, 35)",
             db.schema(),
         );
-        let analysis = analyse(&q.body, &db);
+        let analysis = analyse_with_index(&q.body, &DbIndex::new(&db));
         assert!(analysis.certain);
         // Embeddings: (Boston, Tesla X) and (Boston, Tesla Y).
         assert_eq!(analysis.embeddings.len(), 2);
@@ -1135,7 +1130,7 @@ mod tests {
         // ∀embeddings has exactly the 8 rows of Fig. 3.
         let db = db0();
         let q = prepared("SUM(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
-        let analysis = analyse(&q.body, &db);
+        let analysis = analyse_with_index(&q.body, &DbIndex::new(&db));
         assert!(analysis.certain);
         // There are 9 embeddings in total; (a3, b4, c5, 7) is not a
         // ∀embedding because of the 'e' value in the last S-row.
@@ -1185,7 +1180,7 @@ mod tests {
             "COUNT(*) <- Dealers('Smith', t), Stock('Tesla Z', t, q)",
             db.schema(),
         );
-        let analysis = analyse(&q.body, &db);
+        let analysis = analyse_with_index(&q.body, &DbIndex::new(&db));
         assert!(!analysis.certain);
         assert!(analysis.embeddings.is_empty());
         assert!(analysis.forall_embeddings.is_empty());
@@ -1193,7 +1188,7 @@ mod tests {
         // Dealers('Smith', t), Stock(p, t, y): Smith's town is uncertain, but
         // both Boston and New York stock something, so the query is certain.
         let q = prepared("SUM(y) <- Dealers('Smith', t), Stock(p, t, y)", db.schema());
-        let analysis = analyse(&q.body, &db);
+        let analysis = analyse_with_index(&q.body, &DbIndex::new(&db));
         assert!(analysis.certain);
         // No embedding through Smith/Boston or Smith/New York is a
         // ∀embedding at level 1 (Smith's town is uncertain), except... none.
@@ -1229,7 +1224,7 @@ mod tests {
             .with_relation("S", Signature::new(2, 1, [1]).unwrap());
         let db = DatabaseInstance::new(schema.clone());
         let q = prepared("SUM(r) <- R(x, y), S(y, r)", &schema);
-        let analysis = analyse(&q.body, &db);
+        let analysis = analyse_with_index(&q.body, &DbIndex::new(&db));
         assert!(!analysis.certain);
         assert!(analysis.embeddings.is_empty());
     }

@@ -100,7 +100,8 @@ use crate::ids::IdRows;
 use rcqa_data::chunked::{self, ChunkedSeq};
 use rcqa_data::codec::FactRef;
 use rcqa_data::{
-    DatabaseInstance, DeltaEvent, DeltaOp, Fact, RelName, Value, ValueInterner, MISSING_ID,
+    DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, NumericDomain, RelName, Schema,
+    Signature, Value, ValueInterner, MISSING_ID,
 };
 use rcqa_query::CmpOp;
 use std::cmp::Ordering as CmpOrdering;
@@ -981,10 +982,16 @@ impl DirtyKeys {
 /// bump per relation, and `apply_delta` path-copies only the relations (and,
 /// inside them, the leaves and blocks) the delta touches — see the module
 /// docs.
+/// Every build records the schema and numeric domain of its facts, which
+/// clones and [`DbIndex::restrict`] views keep.
 #[derive(Clone, Debug, Default)]
 pub struct DbIndex {
     /// Keyed by the schema's shared names: cloning the map bumps pointers.
     relations: HashMap<RelName, Arc<RelationIndex>>,
+    /// The schema of the indexed facts, shared by every clone.
+    schema: Arc<Schema>,
+    /// The numeric domain the indexed facts were validated under.
+    domain: NumericDomain,
     /// The id space all relations' columns are expressed in. `Arc`-shared
     /// across snapshots; [`DbIndex::apply_delta`] extends a private clone
     /// append-only.
@@ -1047,8 +1054,9 @@ impl DbIndex {
     /// sorted prefix and scattering every cell's id into its row-major slot.
     /// Each relation's blocks are then cut from its id rows as key runs.
     /// `O(c log c)` comparisons over `c` cells; no tree, no per-cell lookup.
+    /// The index takes the instance's schema and numeric domain.
     pub fn new(db: &DatabaseInstance) -> DbIndex {
-        DbIndex::build(db, false)
+        DbIndex::of_instance(db, false)
     }
 
     /// [`DbIndex::new`] over an instance the caller hands over to be
@@ -1062,20 +1070,69 @@ impl DbIndex {
     /// instance passes it to [`DbIndex::new`], where sharing saves the
     /// copies.
     pub fn from_owned(db: DatabaseInstance) -> DbIndex {
-        DbIndex::build(&db, true)
+        DbIndex::of_instance(&db, true)
     }
 
-    fn build(db: &DatabaseInstance, copy_texts: bool) -> DbIndex {
+    fn of_instance(db: &DatabaseInstance, copy_texts: bool) -> DbIndex {
+        let schema = Arc::new(db.schema().clone());
+        DbIndex::build(
+            schema,
+            db.numeric_domain(),
+            |name| db.facts_of(name),
+            copy_texts,
+            true,
+        )
+    }
+
+    /// The same build straight from `facts`, in any order and possibly
+    /// repeated: each is validated ([`Schema::validate`]; the first failure
+    /// is the error, as [`DatabaseInstance::load`]'s, and nothing is built),
+    /// and each relation's rows are sorted and deduplicated in id space once
+    /// the one sort has made ids order-isomorphic to values, so no fact is
+    /// compared or moved. [`DbIndex::len`] counts the distinct facts.
+    /// `copy_texts` as in [`DbIndex::from_owned`]; without it the interner
+    /// shares the facts' texts, as [`DbIndex::new`] does.
+    pub fn from_facts<'a>(
+        schema: Arc<Schema>,
+        domain: NumericDomain,
+        facts: impl IntoIterator<Item = &'a Fact>,
+        copy_texts: bool,
+    ) -> Result<DbIndex, DataError> {
+        let mut by_relation: HashMap<&str, Vec<&Fact>> = HashMap::new();
+        for fact in facts {
+            schema.validate(fact, domain)?;
+            by_relation.entry(fact.relation()).or_default().push(fact);
+        }
+        let facts_of = |name: &str| by_relation.get(name).into_iter().flatten().copied();
+        Ok(DbIndex::build(schema, domain, facts_of, copy_texts, false))
+    }
+
+    /// An index of no facts over `schema` and `domain`.
+    pub fn empty(schema: Arc<Schema>, domain: NumericDomain) -> DbIndex {
+        DbIndex::build(schema, domain, |_| std::iter::empty(), false, true)
+    }
+
+    /// The one-sort build over each relation's facts, conforming to
+    /// `schema` under `domain`: sorted and distinct when `presorted`, else
+    /// in any order and possibly repeated.
+    fn build<'a, I: Iterator<Item = &'a Fact>>(
+        schema: Arc<Schema>,
+        domain: NumericDomain,
+        facts_of: impl Fn(&str) -> I,
+        copy_texts: bool,
+        presorted: bool,
+    ) -> DbIndex {
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
         // Slots number the cells in relation, fact, argument order, so the
         // ids of one relation's facts end up row-major in `ids[extent]`.
-        let cell_count: usize = db.facts().map(Fact::arity).sum();
+        let cells_of = |(name, sig): (&RelName, &Signature)| facts_of(name).count() * sig.arity();
+        let cell_count: usize = schema.relations().map(cells_of).sum();
         let mut slots = 0..u32::try_from(cell_count).expect("cell count fits u32");
         let mut cells: Vec<Cell> = Vec::with_capacity(cell_count);
         let mut extents: Vec<Range<usize>> = Vec::new();
-        for (name, _) in db.schema().relations() {
+        for (name, _) in schema.relations() {
             let start = cells.len();
-            let values = db.facts_of(name).flat_map(Fact::args);
+            let values = facts_of(name).flat_map(Fact::args);
             cells.extend(values.zip(&mut slots).map(|(value, slot)| Cell {
                 prefix: value.order_prefix(),
                 value,
@@ -1117,13 +1174,21 @@ impl DbIndex {
         }));
         drop(cells);
         let interner = ValueInterner::from_sorted(sorted);
-        let relations = db
-            .schema()
+        let relations = schema
             .relations()
             .zip(extents)
             .map(|((name, sig), extent)| {
                 let (key_len, arity) = (sig.key_len(), sig.arity());
-                let blocks = key_runs(&ids[extent], key_len, arity);
+                let blocks = if presorted {
+                    key_runs(&ids[extent], key_len, arity)
+                } else {
+                    // Cold ids ascend with their values: sorted rows are in
+                    // their facts' order, and a repeated fact is a repeated row.
+                    let mut rows: Vec<&[u32]> = ids[extent].chunks_exact(arity).collect();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    key_runs(&rows.concat(), key_len, arity)
+                };
                 let rel = RelationIndex::from_blocks(
                     name.clone(),
                     key_len,
@@ -1135,8 +1200,30 @@ impl DbIndex {
             .collect();
         DbIndex {
             relations,
+            schema,
+            domain,
             interner: Arc::new(interner),
             empty: RelationIndex::default(),
+        }
+    }
+
+    /// The schema of the indexed facts.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// The numeric domain of the indexed facts.
+    pub fn numeric_domain(&self) -> NumericDomain {
+        self.domain
+    }
+
+    /// Checks an event as a commit does: an insert's fact must conform to
+    /// the index's schema and numeric domain ([`Schema::validate`]); any
+    /// delete is valid (one naming no stored fact is a no-op).
+    pub fn validate(&self, event: &DeltaEvent) -> Result<(), DataError> {
+        match event.op {
+            DeltaOp::Insert => self.schema.validate(&event.fact, self.domain),
+            DeltaOp::Delete => Ok(()),
         }
     }
 
@@ -1200,71 +1287,57 @@ impl DbIndex {
     /// the indexed instance, for inserts that conform to the schema. A delete
     /// of an absent fact, of a fact with a never-interned value, of the wrong
     /// arity or of a relation outside the schema is `false` and marks nothing
-    /// dirty. The index does not validate inserts: a caller that keeps no
-    /// instance checks them against the schema first
-    /// ([`DatabaseInstance::validate`]).
+    /// dirty. The index does not validate inserts: its caller checks them
+    /// first ([`DbIndex::validate`]).
     pub fn apply_events(&mut self, events: &[DeltaEvent]) -> (Vec<bool>, Vec<DirtyKeys>) {
-        // Pass 1: intern the first-seen values of every applicable insert,
-        // append-only on a private copy (other snapshots keep their pinned
-        // layout). The interner is un-shared only when there is such a
-        // value: deletes, and inserts of known values, leave it shared.
-        for event in events {
-            if !matches!(event.op, DeltaOp::Insert) {
-                continue;
-            }
+        // Pass 1, in event order: resolve each applicable event's values to
+        // ids once, interning an insert's first-seen values append-only on a
+        // private copy (other snapshots keep their pinned layout; deletes,
+        // and inserts of known values, leave the interner shared). Events
+        // are grouped per relation, in order within each (relations are
+        // independent).
+        let mut ids: Vec<u32> = Vec::new();
+        let mut by_relation: BTreeMap<&str, Vec<(usize, Range<usize>)>> = BTreeMap::new();
+        for (at, event) in events.iter().enumerate() {
             let Some(rel) = self.relations.get(event.fact.relation()) else {
                 continue;
             };
             if event.fact.arity() != rel.arity {
+                // Cannot correspond to any stored fact; instances validate
+                // arities on insert, so only malformed events land here. (An
+                // exact check, not `< key_len`: a fact that covers the key but
+                // not the full arity must not be indexed either.)
                 continue;
             }
+            let start = ids.len();
             for v in event.fact.args() {
-                if self.interner.id_of(v).is_none() {
-                    Arc::make_mut(&mut self.interner).intern(v);
-                }
+                ids.push(match (self.interner.id_of(v), event.op) {
+                    (Some(id), _) => id,
+                    (None, DeltaOp::Insert) => Arc::make_mut(&mut self.interner).intern(v),
+                    (None, DeltaOp::Delete) => MISSING_ID,
+                });
             }
+            let span = start..ids.len();
+            (by_relation.entry(event.fact.relation()).or_default()).push((at, span));
         }
         let interner = self.interner.clone();
-        // Pass 2: group events per relation, preserving their order within
-        // each relation (order across relations is immaterial — relations
-        // are independent), then resolve and apply.
-        let mut by_relation: BTreeMap<&str, Vec<(usize, &DeltaEvent)>> = BTreeMap::new();
-        for event in events.iter().enumerate() {
-            by_relation
-                .entry(event.1.fact.relation())
-                .or_default()
-                .push(event);
-        }
+        // Pass 2: apply each relation's events.
         let mut effective = vec![false; events.len()];
         let mut dirty: Vec<DirtyKeys> = Vec::with_capacity(by_relation.len());
-        let mut ids: Vec<u32> = Vec::new();
         for (name, rel_events) in by_relation {
-            let Some(shared) = self.relations.get_mut(name) else {
-                continue;
-            };
             // The one per-relation path copy: spines; leaves stay shared
             // until an event lands in them.
-            let rel = Arc::make_mut(shared);
+            let rel = Arc::make_mut(self.relations.get_mut(name).expect("resolved above"));
             let mut keys = IdRows::new(rel.key_len);
-            for (at, event) in rel_events {
-                if event.fact.arity() != rel.arity {
-                    // Cannot correspond to any stored fact; instances validate
-                    // arities on insert, so only malformed events land here.
-                    // (An exact check, not `< key_len`: a fact that covers the
-                    // key but not the full arity must not be indexed either.)
-                    continue;
-                }
-                ids.clear();
-                ids.extend(event.fact.args().iter().map(|v| interner.id_or_missing(v)));
+            for (at, span) in rel_events {
+                let (event, ids) = (&events[at], &ids[span]);
                 if ids.contains(&MISSING_ID) {
-                    // Only reachable for deletes (pass 1 interned every
-                    // applicable insert): the fact cannot be stored, no-op.
-                    debug_assert!(matches!(event.op, DeltaOp::Delete));
+                    // Only a delete: the fact cannot be stored, no-op.
                     continue;
                 }
                 let changed = match event.op {
-                    DeltaOp::Insert => rel.insert_fact_ids(&ids, &interner),
-                    DeltaOp::Delete => rel.remove_fact_ids(&ids, &interner),
+                    DeltaOp::Insert => rel.insert_fact_ids(ids, &interner),
+                    DeltaOp::Delete => rel.remove_fact_ids(ids, &interner),
                 };
                 if changed {
                     effective[at] = true;
@@ -1455,8 +1528,8 @@ impl DbIndex {
     }
 
     /// Panics unless `self` is **structurally identical** to `other`: same
-    /// relations, same block order, same row order inside every block, and
-    /// identical deep posting lists — all compared on **materialised
+    /// schema and domain, same relations, same block order, same row order
+    /// inside every block, and identical deep posting lists — all compared on **materialised
     /// values**, not raw ids. Id layouts legitimately differ between a warm
     /// index (whose interner appended ids commit by commit, and may still
     /// hold values the instance no longer contains) and a cold rebuild
@@ -1465,6 +1538,8 @@ impl DbIndex {
     /// which this helper checks exactly. Tests (unit, integration, and
     /// property-based) call it to verify warm == cold.
     pub fn assert_structurally_identical(&self, other: &DbIndex) {
+        assert_eq!(self.schema, other.schema, "schemas differ");
+        assert_eq!(self.domain, other.domain, "numeric domains differ");
         let mut names: Vec<&RelName> = self.relations.keys().collect();
         names.sort();
         let mut other_names: Vec<&RelName> = other.relations.keys().collect();
@@ -1721,6 +1796,8 @@ mod tests {
         }
         DbIndex {
             relations,
+            schema: Arc::new(db.schema().clone()),
+            domain: db.numeric_domain(),
             interner: Arc::new(interner),
             empty: RelationIndex::default(),
         }
@@ -1734,6 +1811,35 @@ mod tests {
         assert_eq!(built.interner().sorted_len(), built.interner().len());
         for id in 0..u32::try_from(oracle.interner().len()).unwrap() {
             assert_eq!(built.interner().value(id), oracle.interner().value(id));
+        }
+    }
+
+    /// SplitMix64: a seeded stream of draws, so that a failing case is
+    /// rebuilt from the seed its message prints.
+    fn draws(seed: u64) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::from_fn(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            Some(z ^ (z >> 31))
+        })
+    }
+
+    /// The next draw, below `n`.
+    fn below(draw: &mut impl Iterator<Item = u64>, n: usize) -> usize {
+        (draw.next().unwrap() % n as u64) as usize
+    }
+
+    /// Prints the seed of a case that panics, whichever check failed.
+    struct Seed(u64);
+
+    impl Drop for Seed {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing seed: {}", self.0);
+            }
         }
     }
 
@@ -1799,6 +1905,119 @@ mod tests {
         }
     }
 
+    mod direct_build {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Numbers at the numeric positions, texts everywhere else, plus one
+        /// text-only relation that stays empty.
+        fn schema() -> Schema {
+            Schema::new()
+                .with_relation("R", Signature::new(2, 1, [1]).unwrap())
+                .with_relation("S", Signature::new(3, 2, [2]).unwrap())
+                .with_relation("T", Signature::new(1, 1, []).unwrap())
+                .with_relation("Empty", Signature::new(2, 1, []).unwrap())
+        }
+
+        /// A well-typed fact over small pools, so facts recur and blocks
+        /// collect rows; numbers are negative only when `negative`.
+        fn draw_fact(draw: &mut impl Iterator<Item = u64>, negative: bool) -> Fact {
+            let text = |draw: &mut _| Value::text(format!("v{}", below(draw, 4)));
+            let num = |draw: &mut _| {
+                let n = below(draw, 5) as i64;
+                Value::int(if negative { n - 2 } else { n })
+            };
+            match below(draw, 3) {
+                0 => Fact::new("R", [text(draw), num(draw)]),
+                1 => Fact::new("S", [text(draw), text(draw), num(draw)]),
+                _ => Fact::new("T", [text(draw)]),
+            }
+        }
+
+        /// A fact that fails validation under `domain`: an unknown
+        /// relation, a wrong arity, a text at a numeric position, or — on
+        /// `NonNegative` — a negative number.
+        fn draw_bad_fact(draw: &mut impl Iterator<Item = u64>, domain: NumericDomain) -> Fact {
+            let kinds = if domain == NumericDomain::NonNegative {
+                4
+            } else {
+                3
+            };
+            match below(draw, kinds) {
+                0 => Fact::new("U", [Value::int(1)]),
+                1 => Fact::new("T", [Value::int(1), Value::int(2)]),
+                2 => Fact::new("R", [Value::text("v0"), Value::text("v1")]),
+                _ => Fact::new("S", [Value::text("v0"), Value::text("v1"), Value::int(-1)]),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `DbIndex::from_facts` over shuffled facts with duplicates,
+            /// under both numeric domains, builds the index `DbIndex::new`
+            /// builds over an instance of the same facts, and counts the
+            /// distinct facts as `DatabaseInstance::load` does; a fact that
+            /// fails validation builds nothing and is the error `load`
+            /// returns.
+            #[test]
+            fn a_direct_build_is_the_build_over_the_loaded_instance(seed in 0u64..u64::MAX) {
+                let _seed = Seed(seed);
+                let mut draw = draws(seed);
+                let domain = match below(&mut draw, 2) {
+                    0 => NumericDomain::NonNegative,
+                    _ => NumericDomain::Unconstrained,
+                };
+                let negative = domain == NumericDomain::Unconstrained;
+                let mut facts: Vec<Fact> = (0..below(&mut draw, 60))
+                    .map(|_| draw_fact(&mut draw, negative))
+                    .collect();
+                // Duplicates anywhere in the list, as a checkpoint or a batch
+                // could hold them.
+                for _ in 0..below(&mut draw, 10) {
+                    if !facts.is_empty() {
+                        let dup = facts[below(&mut draw, facts.len())].clone();
+                        facts.insert(below(&mut draw, facts.len() + 1), dup);
+                    }
+                }
+                let bad = below(&mut draw, 4) == 0;
+                if bad {
+                    let fact = draw_bad_fact(&mut draw, domain);
+                    facts.insert(below(&mut draw, facts.len() + 1), fact);
+                }
+                let empty = || match domain {
+                    NumericDomain::NonNegative => DatabaseInstance::new(schema()),
+                    NumericDomain::Unconstrained => DatabaseInstance::new_unconstrained(schema()),
+                };
+                // The reference is grown fact by fact: it shares no code with
+                // either bulk path.
+                let mut db = empty();
+                let inserted = facts
+                    .iter()
+                    .try_fold(0, |new, fact| Ok(new + usize::from(db.insert(fact.clone())?)));
+                prop_assert_eq!(inserted.is_err(), bad);
+                let loaded = empty().load(facts.clone());
+                prop_assert_eq!(&loaded, &inserted);
+                let copy_texts = below(&mut draw, 2) == 0;
+                let built = DbIndex::from_facts(Arc::new(schema()), domain, &facts, copy_texts);
+                match (loaded, built) {
+                    (Ok(loaded), Ok(index)) => {
+                        prop_assert_eq!(index.len(), loaded);
+                        prop_assert_eq!(index.numeric_domain(), domain);
+                        index.assert_structurally_identical(&DbIndex::new(&db));
+                    }
+                    (Err(loaded), Err(built)) => prop_assert_eq!(built, loaded),
+                    (loaded, built) => prop_assert!(
+                        false,
+                        "load gave {:?}, the direct build {:?}",
+                        loaded,
+                        built.map(|index| index.len())
+                    ),
+                }
+            }
+        }
+    }
+
     mod inline_and_spilled {
         use super::*;
         use proptest::prelude::*;
@@ -1813,24 +2032,6 @@ mod tests {
                 .collect()
         }
 
-        /// SplitMix64: a seeded stream of draws, so that a failing case is
-        /// rebuilt from the seed its message prints.
-        fn draws(seed: u64) -> impl Iterator<Item = u64> {
-            let mut state = seed;
-            std::iter::from_fn(move || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                Some(z ^ (z >> 31))
-            })
-        }
-
-        /// The next draw, below `n`.
-        fn below(draw: &mut impl Iterator<Item = u64>, n: usize) -> usize {
-            (draw.next().unwrap() % n as u64) as usize
-        }
-
         /// A fact of a shape: key positions over two values, so blocks
         /// collect rows, the rest over `spread` (the values past the base
         /// instance's are first seen by a commit, appended ids).
@@ -1843,17 +2044,6 @@ mod tests {
             (0..arity)
                 .map(|pos| below(draw, if pos < key_len { 2 } else { spread }) as i64)
                 .collect()
-        }
-
-        /// Prints the seed of a case that panics, whichever check failed.
-        struct Seed(u64);
-
-        impl Drop for Seed {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    eprintln!("failing seed: {}", self.0);
-                }
-            }
         }
 
         /// Panics unless every block of every shape holds the model's rows:

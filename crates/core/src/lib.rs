@@ -71,7 +71,7 @@ pub use exact::{
     exact_bounds, exact_bounds_by_group, exact_bounds_by_group_filtered, exact_bounds_filtered,
     ExactBounds,
 };
-pub use forall::{analyse, CompiledLevels, ForallAnalysis, Join, Valuation, VarTable};
+pub use forall::{analyse_with_index, CompiledLevels, ForallAnalysis, Join, Valuation, VarTable};
 pub use glb::Choice;
 pub use ids::IdRows;
 pub use index::{AccessPath, BlockRestriction, DbIndex, DirtyBlock, DirtyKeys, FactRow};

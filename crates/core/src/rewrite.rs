@@ -418,7 +418,7 @@ mod tests {
         let q = prepared("SUM(r) <- R(x, y), S(y, z, 'd', r)", db.schema());
         let phi = forall_embedding_formula(q.body.levels(), &BTreeSet::new());
         let ev = Evaluator::new(&db);
-        let analysis = crate::forall::analyse(&q.body, &db);
+        let analysis = crate::forall::analyse_with_index(&q.body, &crate::index::DbIndex::new(&db));
         // Every operational ∀embedding satisfies the formula, and every
         // operational embedding that is not a ∀embedding falsifies it.
         for emb in &analysis.embeddings {

@@ -271,7 +271,7 @@ fn assert_statement_agrees(
                 .with_options(EngineOptions { threads })
             })
             .collect();
-        let full = RangeCqa::range_statement(&engines, db, &index, None).unwrap();
+        let full = RangeCqa::range_statement(&engines, &index, None).unwrap();
         assert_eq!(full.aggregates(), heads.len(), "{case}");
         // The listed keys: every other group, one key twice, and a key with
         // an id the interner never assigned.
@@ -288,7 +288,7 @@ fn assert_statement_agrees(
         if width > 0 {
             listed.push(std::iter::repeat_n(interner.len() as u32, width));
         }
-        let some = RangeCqa::range_statement(&engines, db, &index, Some(&listed)).unwrap();
+        let some = RangeCqa::range_statement(&engines, &index, Some(&listed)).unwrap();
         for (a, engine) in engines.iter().enumerate() {
             let alone = engine.range_with_index(db, &index).unwrap();
             assert_eq!(
@@ -312,7 +312,7 @@ fn assert_statement_agrees(
                 })
                 .collect();
             assert_eq!(got, want, "{case}: {} against the oracle", heads[a]);
-            let alone = engine.range_for_group_ids(db, &index, &listed).unwrap();
+            let alone = engine.range_for_group_ids(&index, &listed).unwrap();
             assert_eq!(
                 some.to_rows(a, interner),
                 alone.to_rows(0, interner),
@@ -368,13 +368,13 @@ fn engines_over_different_bodies_are_not_one_statement() {
             .unwrap(),
     ] {
         let statement = [max.clone(), other];
-        let got = RangeCqa::range_statement(&statement, &db, &index, None);
+        let got = RangeCqa::range_statement(&statement, &index, None);
         assert!(
             matches!(got, Err(CoreError::StatementMismatch(_))),
             "{got:?}"
         );
     }
-    let got = RangeCqa::range_statement(&[], &db, &index, None);
+    let got = RangeCqa::range_statement(&[], &index, None);
     assert!(
         matches!(got, Err(CoreError::StatementMismatch(_))),
         "{got:?}"

@@ -7,8 +7,8 @@
 //! *(bounded) descending chains* (a manifestation of non-monotonicity) and
 //! *dual* operators (Definition 7.6) to treat least upper bounds.
 
-use crate::instance::NumericDomain;
 use crate::rational::Rational;
+use crate::schema::NumericDomain;
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -9,23 +9,12 @@ use crate::chunked::ChunkedSeq;
 use crate::delta::{DeltaEvent, DeltaOp};
 use crate::error::DataError;
 use crate::fact::Fact;
-use crate::schema::{RelName, Schema};
+use crate::schema::{NumericDomain, RelName, Schema};
 use crate::value::Value;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// Whether numeric columns are restricted to `Q≥0` (the paper's default) or
-/// unconstrained (Section 7.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum NumericDomain {
-    /// Numeric columns only contain non-negative rationals (paper default).
-    #[default]
-    NonNegative,
-    /// Numeric columns may contain arbitrary rationals (Section 7.3).
-    Unconstrained,
-}
 
 /// A block: all facts of one relation that share a primary-key value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,34 +48,26 @@ impl Block {
 /// An in-memory database instance: a schema plus a set of facts per relation.
 ///
 /// This is the paper's database: the type the generator produces, the
-/// reference oracles and the repair enumeration ([`RepairIter`]) read, and a
-/// session is opened over. A serving session does not keep one: each of its
-/// snapshots stores the facts once, in the engine's interned block index,
-/// and an instance is materialised from that index only when asked for
-/// (`Snapshot::db` in `rcqa-session`). Bulk loads pass through a scratch
-/// instance on the way to the index, and recovery replays into one.
+/// reference oracles and the repair enumeration ([`RepairIter`]) read, the
+/// tests compare states by, and a session may be opened over. The serving
+/// path keeps none: a session's snapshots store their facts once, in the
+/// engine's interned block index, which records the schema and numeric
+/// domain itself. A bulk load into an empty session and recovery from a
+/// checkpoint build that index straight from the facts (`DbIndex::from_facts`
+/// in `rcqa-core`), and an instance is materialised from an index only when
+/// asked for (`Snapshot::db` in `rcqa-session`).
 ///
-/// Per-relation fact sets are **structurally shared at leaf granularity**:
-/// each relation's facts are one sorted [`ChunkedSeq`] behind an [`Arc`].
-/// Cloning an instance is one pointer bump per relation; a mutation copies,
-/// for the relation it touches, the sequence's two-level spine (one pointer
-/// per node, and the pointers of the one node written to its leaves of
-/// [`crate::chunked::MIN_LEAF`]..=[`crate::chunked::MAX_LEAF`] facts) and the
-/// **one leaf** the fact lands in (two on a split or merge) — every other
-/// leaf, and every untouched relation, stays shared with the instance the
-/// clone came from ([`DatabaseInstance::shared_leaves`] observes this). What
-/// is still `O(|relation|)`: building an instance, iterating it, and `==`.
-///
-/// A leaf copy is one allocation for the leaf and a reference-count bump per
-/// fact: every insert path ([`DatabaseInstance::insert`],
+/// Each relation's facts are one sorted [`ChunkedSeq`] behind an [`Arc`]:
+/// cloning an instance is one pointer bump per relation, and a mutation
+/// copies, for the relation it touches, the sequence's spine and the one
+/// leaf the fact lands in. Every insert path ([`DatabaseInstance::insert`],
 /// [`DatabaseInstance::load`], [`DatabaseInstance::apply`]) stores a fact
 /// under the schema's own relation name ([`Schema::intern`]), and a fact's
-/// arguments sit behind one [`Arc`] that every copy of the fact shares —
-/// across snapshots, and across instances a fact is inserted into.
+/// arguments sit behind one [`Arc`] that every copy of the fact shares.
 ///
 /// Equality and iteration never see leaf boundaries: `==` compares contents
-/// (a warm instance and one reloaded from a checkpoint hold the same facts in
-/// differently cut leaves), and [`DatabaseInstance::facts`] /
+/// (an instance grown fact by fact and one bulk-loaded hold the same facts
+/// in differently cut leaves), and [`DatabaseInstance::facts`] /
 /// [`DatabaseInstance::facts_of`] yield facts in sorted order.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct DatabaseInstance {
@@ -119,19 +100,21 @@ impl DatabaseInstance {
     /// Creates an empty instance over `schema` with numeric columns restricted
     /// to `Q≥0`.
     pub fn new(schema: Schema) -> DatabaseInstance {
-        DatabaseInstance {
-            schema,
-            domain: NumericDomain::NonNegative,
-            relations: BTreeMap::new(),
-        }
+        DatabaseInstance::with_domain(schema, NumericDomain::NonNegative)
     }
 
     /// Creates an empty instance whose numeric columns are unconstrained
     /// (Section 7.3 of the paper).
     pub fn new_unconstrained(schema: Schema) -> DatabaseInstance {
+        DatabaseInstance::with_domain(schema, NumericDomain::Unconstrained)
+    }
+
+    /// Creates an empty instance over `schema` whose numeric columns range
+    /// over `domain`.
+    pub fn with_domain(schema: Schema, domain: NumericDomain) -> DatabaseInstance {
         DatabaseInstance {
             schema,
-            domain: NumericDomain::Unconstrained,
+            domain,
             relations: BTreeMap::new(),
         }
     }
@@ -146,35 +129,9 @@ impl DatabaseInstance {
         self.domain
     }
 
-    /// Validates a fact against the schema without inserting it.
+    /// [`Schema::validate`] under the instance's numeric domain.
     pub fn validate(&self, fact: &Fact) -> Result<(), DataError> {
-        let sig = self.schema.expect_signature(fact.relation())?;
-        if fact.arity() != sig.arity() {
-            return Err(DataError::ArityMismatch {
-                relation: fact.relation().to_string(),
-                expected: sig.arity(),
-                found: fact.arity(),
-            });
-        }
-        for &p in sig.numeric_positions() {
-            match fact.arg(p) {
-                Value::Num(r) => {
-                    if self.domain == NumericDomain::NonNegative && !r.is_non_negative() {
-                        return Err(DataError::NegativeValue {
-                            relation: fact.relation().to_string(),
-                            position: p,
-                        });
-                    }
-                }
-                Value::Text(_) => {
-                    return Err(DataError::NonNumericValue {
-                        relation: fact.relation().to_string(),
-                        position: p,
-                    })
-                }
-            }
-        }
-        Ok(())
+        self.schema.validate(fact, self.domain)
     }
 
     /// Inserts a fact, validating it against the schema.
@@ -199,8 +156,8 @@ impl DatabaseInstance {
 
     /// Bulk-loads `facts` (validated against the schema; nothing is loaded if
     /// any fact fails). A relation that holds no facts yet is built directly
-    /// from the sorted, deduplicated facts in exact-capacity leaves — the
-    /// checkpoint-load path — and any other falls back to per-fact inserts.
+    /// from the sorted, deduplicated facts in exact-capacity leaves, and any
+    /// other falls back to per-fact inserts.
     /// Returns how many facts were new, so a caller expecting no duplicates
     /// can compare it with the number it passed.
     pub fn load(&mut self, facts: Vec<Fact>) -> Result<usize, DataError> {
@@ -274,33 +231,6 @@ impl DatabaseInstance {
             self.relations.remove(fact.relation());
         }
         true
-    }
-
-    /// Returns `true` if the named relation's whole fact sequence (spine
-    /// included) is physically shared between `self` and `other` — i.e.
-    /// neither instance has written to the relation since they diverged.
-    /// Both instances lacking the entry counts as shared (there is nothing to
-    /// copy). After a write, [`DatabaseInstance::shared_leaves`] tells how
-    /// much is still shared below the spine.
-    pub fn shares_relation_storage(&self, other: &DatabaseInstance, name: &str) -> bool {
-        match (self.relations.get(name), other.relations.get(name)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
-    }
-
-    /// How many leaves of the named relation's fact sequence `self` shares
-    /// (same allocation) with `other`, and how many it has: `(shared,
-    /// total)`. A clone shares all; each effective single-fact write since
-    /// un-shares one leaf (two on a split or merge); a no-op write none.
-    /// `(0, 0)` for a relation `self` holds no facts of.
-    pub fn shared_leaves(&self, other: &DatabaseInstance, name: &str) -> (usize, usize) {
-        match (self.relations.get(name), other.relations.get(name)) {
-            (Some(a), Some(b)) => a.shared_leaves(b),
-            (Some(a), None) => (0, a.leaf_count()),
-            (None, _) => (0, 0),
-        }
     }
 
     /// Returns `true` if the fact is present.
@@ -405,24 +335,11 @@ impl DatabaseInstance {
     /// Returns one (arbitrary, deterministic) repair: the first fact of each
     /// block in sorted order.
     pub fn any_repair(&self) -> DatabaseInstance {
-        let mut r = self.empty_like();
-        for b in self.blocks() {
-            r.insert_valid(b.facts[0].clone());
-        }
-        r
-    }
-
-    /// An empty instance over the same schema and numeric domain.
-    pub fn empty_like(&self) -> DatabaseInstance {
-        DatabaseInstance {
-            schema: self.schema.clone(),
-            domain: self.domain,
-            relations: BTreeMap::new(),
-        }
+        self.with_facts(self.blocks().into_iter().map(|b| b.facts[0].clone()))
     }
 
     fn with_facts(&self, facts: impl IntoIterator<Item = Fact>) -> DatabaseInstance {
-        let mut r = self.empty_like();
+        let mut r = DatabaseInstance::with_domain(self.schema.clone(), self.domain);
         for f in facts {
             r.insert_valid(f);
         }
@@ -635,50 +552,38 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_untouched_relations() {
+    fn a_write_to_a_clone_leaves_the_original() {
         let db = db_stock();
         let mut clone = db.clone();
-        assert!(db.shares_relation_storage(&clone, "Dealers"));
-        assert!(db.shares_relation_storage(&clone, "Stock"));
-        // A write path-copies only the relation it touches.
         clone.insert(fact!("Dealers", "Lopez", "Chicago")).unwrap();
-        assert!(!db.shares_relation_storage(&clone, "Dealers"));
-        assert!(db.shares_relation_storage(&clone, "Stock"));
         assert!(!db.contains(&fact!("Dealers", "Lopez", "Chicago")));
-        // No-op mutations (duplicate insert, absent delete) copy nothing.
+        // No-op mutations (duplicate insert, absent delete) report so and
+        // change nothing.
         let mut noop = db.clone();
         assert!(!noop.insert(fact!("Dealers", "Smith", "Boston")).unwrap());
         assert!(!noop.remove(&fact!("Dealers", "Nobody", "Nowhere")));
-        assert!(db.shares_relation_storage(&noop, "Dealers"));
-        assert!(db.shares_relation_storage(&noop, "Stock"));
+        assert_eq!(noop, db);
     }
 
     #[test]
-    fn a_single_fact_write_copies_one_leaf() {
+    fn bulk_loads_and_single_fact_writes_compare_by_content() {
         let schema = Schema::new().with_relation("R", Signature::new(2, 1, []).unwrap());
         let mut base = DatabaseInstance::new(schema.clone());
         let facts: Vec<Fact> = (0..5000).map(|i| fact!("R", 2 * i, i)).collect();
         assert_eq!(base.load(facts.clone()).unwrap(), 5000);
-        let (_, leaves) = base.shared_leaves(&base, "R");
-        assert!(leaves > 10, "the relation spans many leaves: {leaves}");
-        // Insert and delete each un-share exactly the leaf they land in.
         let mut next = base.clone();
         assert!(next.insert(fact!("R", 4001, 0)).unwrap());
-        assert_eq!(next.shared_leaves(&base, "R"), (leaves - 1, leaves));
         let mut next = base.clone();
         assert!(next.remove(&fact!("R", 4000, 2000)));
-        assert_eq!(next.shared_leaves(&base, "R"), (leaves - 1, leaves));
-        // No-op writes share everything, spine included.
+        // No-op writes change nothing.
         let mut noop = base.clone();
         assert!(!noop.insert(fact!("R", 4000, 2000)).unwrap());
         assert!(!noop.remove(&fact!("R", 4001, 0)));
-        assert!(noop.shares_relation_storage(&base, "R"));
-        assert_eq!(noop.shared_leaves(&base, "R"), (leaves, leaves));
+        assert_eq!(noop, base);
         // An instance grown fact by fact is cut into different leaves than
         // the bulk-loaded one, and still equal to it, in the same order.
         let mut grown = DatabaseInstance::new(schema);
         grown.insert_all(facts.iter().rev().cloned()).unwrap();
-        assert_ne!(grown.shared_leaves(&grown, "R").1, leaves);
         assert_eq!(grown, base);
         assert!(grown.facts().eq(facts.iter()));
         assert_ne!(grown, next);
@@ -715,7 +620,7 @@ mod tests {
         // A fact copied into a second instance shares its arguments with the
         // first: a copy of a fact is reference-count bumps.
         let f = db.facts_of("Stock").next().unwrap();
-        let mut other = db.empty_like();
+        let mut other = DatabaseInstance::new(db.schema().clone());
         other.insert(f.clone()).unwrap();
         let g = other.facts().next().unwrap();
         assert_eq!(g.args().as_ptr(), f.args().as_ptr());
@@ -732,7 +637,6 @@ mod tests {
         // old code left an empty `relations` entry behind.
         assert!(db.remove(&fact!("Dealers", "Smith", "Boston")));
         assert_eq!(db, fresh);
-        assert!(db.shares_relation_storage(&fresh, "Dealers"));
         assert_eq!(db.blocks().len(), 0);
         // Repopulating keeps working.
         db.insert(fact!("Dealers", "James", "Boston")).unwrap();

@@ -48,10 +48,10 @@ pub mod prelude {
     pub use crate::delta::{DeltaEvent, DeltaOp};
     pub use crate::error::DataError;
     pub use crate::fact::Fact;
-    pub use crate::instance::{Block, DatabaseInstance, NumericDomain, RepairIter};
+    pub use crate::instance::{Block, DatabaseInstance, RepairIter};
     pub use crate::interner::{ValueInterner, MISSING_ID, UNBOUND_ID};
     pub use crate::rational::{rat, ratio, Rational};
-    pub use crate::schema::{RelName, Schema, Signature};
+    pub use crate::schema::{NumericDomain, RelName, Schema, Signature};
     pub use crate::value::Value;
 }
 

@@ -6,12 +6,25 @@
 //! implementation.
 
 use crate::error::DataError;
+use crate::fact::Fact;
+use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 /// Interned relation name.
 pub type RelName = Arc<str>;
+
+/// Whether numeric columns are restricted to `Q≥0` (the paper's default) or
+/// unconstrained (Section 7.3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum NumericDomain {
+    /// Numeric columns only contain non-negative rationals (paper default).
+    #[default]
+    NonNegative,
+    /// Numeric columns may contain arbitrary rationals (Section 7.3).
+    Unconstrained,
+}
 
 /// The signature `(n, k, J)` of a relation name.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,6 +164,38 @@ impl Schema {
     /// Returns `true` if the relation `name` is declared.
     pub fn contains(&self, name: &str) -> bool {
         self.relations.contains_key(name)
+    }
+
+    /// Checks that `fact` conforms to the schema under `domain`: the one
+    /// check of every write, into an instance or an index.
+    pub fn validate(&self, fact: &Fact, domain: NumericDomain) -> Result<(), DataError> {
+        let sig = self.expect_signature(fact.relation())?;
+        if fact.arity() != sig.arity() {
+            return Err(DataError::ArityMismatch {
+                relation: fact.relation().to_string(),
+                expected: sig.arity(),
+                found: fact.arity(),
+            });
+        }
+        for &p in sig.numeric_positions() {
+            match fact.arg(p) {
+                Value::Num(r) => {
+                    if domain == NumericDomain::NonNegative && !r.is_non_negative() {
+                        return Err(DataError::NegativeValue {
+                            relation: fact.relation().to_string(),
+                            position: p,
+                        });
+                    }
+                }
+                Value::Text(_) => {
+                    return Err(DataError::NonNumericValue {
+                        relation: fact.relation().to_string(),
+                        position: p,
+                    })
+                }
+            }
+        }
+        Ok(())
     }
 }
 

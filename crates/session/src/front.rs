@@ -260,7 +260,7 @@ impl Front {
                     .with_options(self.options),
             );
         }
-        let domain = snapshot.shape.numeric_domain();
+        let domain = snapshot.index.numeric_domain();
         let classification = engines[0].classification(domain);
         // One support for the statement: its engines share one body and one
         // predicate set, and a support depends on nothing else.
@@ -475,8 +475,7 @@ impl Front {
             (stmt.engines.iter().map(|_| rows.clone()).collect(), keys)
         } else {
             let interner = snapshot.index.interner();
-            let ranges =
-                RangeCqa::range_statement(&stmt.engines, &snapshot.shape, &snapshot.index, None)?;
+            let ranges = RangeCqa::range_statement(&stmt.engines, &snapshot.index, None)?;
             // Collected straight into the slices the cache keeps: a mapped
             // range has a trusted length, so one allocation each.
             let per_agg = (0..ranges.aggregates())
@@ -688,12 +687,7 @@ impl Front {
         if cached_rows >= 16 && affected.len() * 2 > cached_rows {
             return Ok(Err(Miss::OverHalf));
         }
-        let fresh = RangeCqa::range_statement(
-            &stmt.engines,
-            &snapshot.shape,
-            &snapshot.index,
-            Some(&affected),
-        )?;
+        let fresh = RangeCqa::range_statement(&stmt.engines, &snapshot.index, Some(&affected))?;
         // Aggregates are key-aligned, so one search seats the keys in all.
         let interner = snapshot.index.interner();
         let edits = Self::seats(interner, &cached.keys, &affected, fresh.keys());
@@ -821,7 +815,7 @@ impl Front {
                     engine.prepared().original.agg,
                 ));
             }
-            out.push_str(&engine.explain_with_index(&snapshot.shape, &snapshot.index));
+            out.push_str(&engine.explain_with_index(&snapshot.index));
         }
         for cond in &stmt.having {
             out.push_str(&format!(

@@ -152,7 +152,9 @@ use rcqa_core::index::DbIndex;
 pub use rcqa_core::interval::HavingStatus;
 use rcqa_core::{CoreError, RowSupport};
 use rcqa_data::codec::FactRef;
-use rcqa_data::{DataError, DatabaseInstance, DeltaEvent, DeltaOp, Fact, Rational, RelName};
+use rcqa_data::{
+    DataError, DatabaseInstance, DeltaEvent, Fact, NumericDomain, Rational, RelName, Schema,
+};
 use rcqa_query::{AggQuery, Catalog, HavingCond, OrderSpec, QueryError};
 use rcqa_wal::{FsStorage, WalError, WalStorage};
 use std::fmt;
@@ -246,17 +248,17 @@ impl From<std::io::Error> for SessionError {
     }
 }
 
-/// One immutable version of the session's data: the block index, the
-/// schema and numeric domain, and the epoch — the number of effective
+/// One immutable version of the session's data: the block index (with its
+/// schema and numeric domain) and the epoch — the number of effective
 /// mutations between the session's opening and this version.
 ///
 /// The index is the snapshot's **one store** of facts, and every snapshot
-/// has one: built by one sort when the session opens or recovers and when a
-/// commit loads an empty snapshot, otherwise derived from the base
-/// snapshot's by [`DbIndex::apply_events`]. [`Snapshot::db`] materialises
-/// the facts as an instance on demand (tests, oracles, comparing states);
-/// nothing on the serving path asks for it. A session opened over an
-/// instance someone else holds, or recovered into one, keeps that instance
+/// has one: built by one sort when the session opens, from an instance or
+/// from a checkpoint's facts, and when a commit loads an empty snapshot,
+/// otherwise derived from the base snapshot's by [`DbIndex::apply_events`].
+/// [`Snapshot::db`] materialises the facts as an instance on demand (tests,
+/// oracles, comparing states); nothing on the serving path asks for it. A
+/// session opened over an instance someone else holds keeps that instance
 /// as its first snapshot's.
 ///
 /// Snapshots are shared behind `Arc`s: readers pin one and evaluate against
@@ -265,21 +267,15 @@ impl From<std::io::Error> for SessionError {
 #[derive(Debug)]
 pub struct Snapshot {
     index: Arc<DbIndex>,
-    /// The schema and the numeric domain, as an instance without facts that
-    /// every snapshot of the session shares: writes validate against its
-    /// schema, and the engine, handed it beside the index, reads only its
-    /// domain.
-    shape: Arc<DatabaseInstance>,
-    /// [`Snapshot::db`]'s instance, once asked for (or recovered).
+    /// [`Snapshot::db`]'s instance, once asked for (or handed over shared).
     db: OnceLock<Arc<DatabaseInstance>>,
     epoch: u64,
 }
 
 impl Snapshot {
-    fn new(index: DbIndex, shape: Arc<DatabaseInstance>, epoch: u64) -> Snapshot {
+    fn new(index: DbIndex, epoch: u64) -> Snapshot {
         Snapshot {
             index: Arc::new(index),
-            shape,
             db: OnceLock::new(),
             epoch,
         }
@@ -291,12 +287,12 @@ impl Snapshot {
     /// the interner) while the snapshot or the returned `Arc` lives.
     pub fn db(&self) -> &Arc<DatabaseInstance> {
         self.db.get_or_init(|| {
-            let mut db = self.shape.empty_like();
+            let schema = Schema::clone(self.index.schema());
+            let mut db = DatabaseInstance::with_domain(schema.clone(), self.index.numeric_domain());
             // Rows come relation by relation: one name lookup per relation,
             // and no fact allocates a name of its own — a name allocated
             // per fact and freed by `load` would leave a hole beside every
             // fact, and whatever fills the holes later lands scattered.
-            let schema = db.schema().clone();
             let mut name: Option<RelName> = None;
             let facts = self.index.rows().map(|row| {
                 let relation = match &name {
@@ -318,16 +314,6 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Checks an event as a commit does: an insert's fact must conform to
-    /// the schema and the numeric domain; any delete is valid (one naming no
-    /// stored fact is a no-op).
-    fn validate(&self, event: &DeltaEvent) -> Result<(), DataError> {
-        match event.op {
-            DeltaOp::Insert => self.shape.validate(&event.fact),
-            DeltaOp::Delete => Ok(()),
-        }
-    }
-
     /// The snapshot's block index. Always `Some`: every snapshot has one.
     pub fn index(&self) -> Option<&Arc<DbIndex>> {
         Some(&self.index)
@@ -342,7 +328,7 @@ pub struct QueryOutcome {
     /// the translated AST).
     pub query: Arc<AggQuery>,
     /// The rewriting/complexity classification of the query over the
-    /// session instance's numeric domain (shared with the prepared
+    /// session's numeric domain (shared with the prepared
     /// statement).
     pub classification: Arc<Classification>,
     /// Output column names: one per GROUP BY column, then the aggregate.
@@ -440,7 +426,7 @@ impl QueryOutcome {
 /// translated [`AggQuery`], its output column names, the fully prepared
 /// [`RangeCqa`] engine (attack graph, level structure, interned variable
 /// slots, routed comparison predicates), the [`Classification`] for the
-/// session instance's numeric domain, and the static [`RowSupport`].
+/// session's numeric domain, and the static [`RowSupport`].
 ///
 /// Statements are keyed by *normalized* SQL ([`Session::normalize_sql`]):
 /// whitespace runs outside string literals collapse to one space, text
@@ -485,7 +471,7 @@ impl PreparedStatement {
         &self.columns
     }
 
-    /// The classification of the query over the session instance's numeric
+    /// The classification of the query over the session's numeric
     /// domain (computed once at preparation).
     pub fn classification(&self) -> &Classification {
         &self.classification
@@ -723,42 +709,52 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    /// Opens a session over an empty instance of the catalog's schema.
+    /// Opens a session over an empty index of the catalog's schema, numeric
+    /// columns restricted to `Q≥0`.
     pub fn new(catalog: Catalog) -> Session {
-        let db = DatabaseInstance::new(catalog.schema());
-        Session::with_instance(catalog, db)
+        let index = DbIndex::empty(Arc::new(catalog.schema()), NumericDomain::NonNegative);
+        Session {
+            front: Front::new(catalog),
+            store: Store::new(Snapshot::new(index, 0), None),
+        }
     }
 
     /// Opens a session over an existing instance (whose schema should be the
-    /// catalog's lowering), building its index by one sort before returning.
-    /// Accepts an owned instance or an `Arc`. An instance handed over whole
-    /// is dropped once indexed ([`DbIndex::from_owned`]): the session keeps
-    /// the index, the schema and the numeric domain. A shared one stays as
-    /// the first snapshot's [`Snapshot::db`] until a commit replaces that
-    /// snapshot.
+    /// catalog's lowering), building its index — with the instance's schema
+    /// and numeric domain — by one sort before returning. Accepts an owned
+    /// instance or an `Arc`. An instance handed over whole is dropped once
+    /// indexed ([`DbIndex::from_owned`]). A shared one stays as the first
+    /// snapshot's [`Snapshot::db`] until a commit replaces that snapshot.
     pub fn with_instance(catalog: Catalog, db: impl Into<Arc<DatabaseInstance>>) -> Session {
+        let snapshot = match Arc::try_unwrap(db.into()) {
+            Ok(db) => Snapshot::new(DbIndex::from_owned(db), 0),
+            Err(db) => {
+                let snapshot = Snapshot::new(DbIndex::new(&db), 0);
+                let _ = snapshot.db.set(db);
+                snapshot
+            }
+        };
         Session {
             front: Front::new(catalog),
-            store: Store::new(db.into(), 0, None),
+            store: Store::new(snapshot, None),
         }
     }
 
     /// Opens a **durable** session over the WAL directory `dir` with default
     /// [`WalOptions`] (fsync on every commit, checkpoint every 1024 epochs),
     /// recovering whatever state a previous process left there: the newest
-    /// valid checkpoint, bulk-loaded into an instance, plus a replay of the
-    /// log tail into that instance, which is then indexed by one sort and
-    /// kept as the first snapshot's [`Snapshot::db`] until a commit replaces
-    /// that snapshot.
+    /// valid checkpoint's facts are indexed by one sort
+    /// ([`DbIndex::from_facts`]) and the log tail is applied to that index
+    /// ([`DbIndex::apply_events`]); no instance is built.
     ///
     /// A crash mid-append leaves a torn tail, which recovery truncates; any
     /// *interior* damage (a bad record before the tail, a broken epoch
-    /// chain) is refused as [`SessionError::Wal`] rather than guessed
-    /// around. An empty or missing directory opens an empty session at
-    /// epoch 0. A directory in the per-shard layout of earlier sharded
-    /// sessions (a `SHARDS` manifest beside one log per `shard-NNN`
-    /// directory) is refused as [`SessionError::Wal`] naming that layout,
-    /// not opened empty.
+    /// chain, a checkpoint and a log that disagree) is refused as
+    /// [`SessionError::Wal`] rather than guessed around. An empty or missing
+    /// directory opens an empty session at epoch 0. A directory in the
+    /// per-shard layout of earlier sharded sessions (a `SHARDS` manifest
+    /// beside one log per `shard-NNN` directory) is refused as
+    /// [`SessionError::Wal`] naming that layout, not opened empty.
     pub fn open(catalog: Catalog, dir: impl AsRef<Path>) -> Result<Session, SessionError> {
         Session::open_with(catalog, dir, WalOptions::default())
     }
@@ -891,13 +887,14 @@ impl Session {
     /// is published.
     ///
     /// The data is written once, into the index. Inserts are validated
-    /// ([`DatabaseInstance::validate`]); then [`DbIndex::apply_events`]
-    /// derives the successor index from the base's **shared structure**,
-    /// decides which events were effective and reports the dirty blocks
-    /// kept for result patching. A base snapshot with an empty index is
-    /// **bulk loaded** instead: the events go into a scratch instance that
-    /// is indexed by one sort ([`DbIndex::from_owned`]) and dropped, and
-    /// the dirty log is floored — a result cached over no facts recomputes.
+    /// against the index's schema and numeric domain ([`Schema::validate`]);
+    /// then [`DbIndex::apply_events`] derives the successor index from the
+    /// base's **shared structure**, decides which events were effective and
+    /// reports the dirty blocks kept for result patching. A base snapshot
+    /// with an empty index is **bulk loaded** instead, into a fresh index —
+    /// by one sort ([`DbIndex::from_facts`]) when the batch is distinct
+    /// inserts — and the dirty log is floored: a result cached over no
+    /// facts recomputes.
     /// That is the path of [`Session::new`] + [`Session::insert_all`], sharded
     /// or not.
     ///
